@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-whatif optimize-smoke federate-smoke scenario-smoke bench-report clean
+.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-whatif bench-ab optimize-smoke federate-smoke scenario-smoke bench-report clean
 
 all: check
 
@@ -102,6 +102,36 @@ bench-query-smoke:
 bench-whatif:
 	$(GO) test -run xxx -bench 'BenchmarkWhatifBatch' -benchmem -count 3 ./internal/whatif | \
 		$(GO) run ./cmd/benchjson -out BENCH_whatif.json -label $(LABEL)
+
+# bench-ab is the paired A/B of the choosing-metrics procedure in one
+# command: check BASE out into a temporary git worktree, run PAIRS pairs of
+# the end-to-end benchmark on one WORKLOAD — alternating which side goes
+# first, a fresh seed per pair (SEED, SEED+1, ...) — and finish with the
+# benchmark's own verdict (medians, quartiles, wins out of pairs). A is the
+# base, B this checkout; both result files land in .bench_build/ab/. The
+# worktree is removed on exit, also after a failure. BASE_DIR=<dir> uses an
+# existing checkout of the base instead of making a worktree.
+BASE ?= HEAD~1
+WORKLOAD ?= query-dash
+PAIRS ?= 10
+SEED ?= 101
+BASE_DIR ?=
+bench-ab:
+	@set -eu; out="$$PWD/.bench_build/ab"; mkdir -p "$$out"; rm -f "$$out/A.json" "$$out/B.json"; \
+	base="$(BASE_DIR)"; \
+	if [ -z "$$base" ]; then \
+		base=$$(mktemp -d); \
+		trap 'git worktree remove --force "$$base" >/dev/null 2>&1 || rm -rf "$$base"' EXIT; \
+		git worktree add --detach "$$base" $(BASE) >/dev/null; \
+	fi; \
+	run() { echo "bench-ab: pair $$i seed $$seed: $$1"; \
+		(cd "$$2" && $(GO) run ./bench -workload $(WORKLOAD) -seed $$seed -out "$$out/$$1.json" >/dev/null); }; \
+	i=0; while [ $$i -lt $(PAIRS) ]; do \
+		seed=$$(( $(SEED) + i )); \
+		if [ $$(( i % 2 )) -eq 0 ]; then run A "$$base"; run B .; else run B .; run A "$$base"; fi; \
+		i=$$(( i + 1 )); \
+	done; \
+	$(GO) run ./bench -compare "$$out/A.json" "$$out/B.json"
 
 # optimize-smoke is the CI guard for the what-if control plane: a short
 # catalog sweep run twice at different worker counts must produce

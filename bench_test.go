@@ -410,9 +410,11 @@ const (
 )
 
 // queryBenchArchive writes one shared node-power archive (4 days, 36 nodes,
-// 60 s cadence ≈ 207k rows) in the collector's real shape: seven Gorilla-
-// encoded columns plus the persisted pre-aggregate companion, so the
-// benchmarks exercise the same decode work a production archive would.
+// 60 s cadence ≈ 207k rows) in the collector's real shape: seven columns in
+// day partitions written with the collector's codec (Dataset.WriteDay, i.e.
+// CodecDelta — see core.NodeDatasetWriter) plus the Gorilla-encoded
+// pre-aggregate companion, so the benchmarks exercise the same decode work
+// a summitsim archive would.
 func queryBenchArchive(b *testing.B) string {
 	b.Helper()
 	queryBenchOnce.Do(func() {
@@ -479,7 +481,7 @@ func writeQueryBenchArchive(dir string) error {
 			{Name: "input_power.mean", Floats: mean},
 			{Name: "input_power.std", Floats: std},
 		}}
-		if err := ds.WriteDayCodec(day, tab, store.CodecGorilla); err != nil {
+		if err := ds.WriteDay(day, tab); err != nil {
 			return err
 		}
 		if err := rds.WriteDayCodec(day, red.Table(), store.CodecGorilla); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/url"
 
 	"repro/internal/core"
 	"repro/internal/source"
@@ -23,8 +24,8 @@ var errSourceUnavailable = &apiError{
 	"analysis endpoints unavailable: archive has no cluster dataset",
 }
 
-func (h *handler) analysisSource(r *http.Request) (source.RunSource, *Engine, error) {
-	cl, err := h.cluster(r)
+func (h *handler) analysisSource(q url.Values) (source.RunSource, *Engine, error) {
+	cl, err := h.cluster(q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -51,8 +52,8 @@ type apiSeriesSummary struct {
 	Std     jfloat `json:"std"`
 }
 
-func (h *handler) analysisSummary(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisSummary(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}
@@ -78,8 +79,8 @@ type apiEdge struct {
 	DurationSec int64  `json:"duration_sec"`
 }
 
-func (h *handler) analysisEdges(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisEdges(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +110,8 @@ type apiSwingComponent struct {
 	AmplitudeW jfloat `json:"amplitude_w"`
 }
 
-func (h *handler) analysisSwings(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisSwings(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}
@@ -149,8 +150,8 @@ type apiBand struct {
 	MeanShare jfloat `json:"mean_share"`
 }
 
-func (h *handler) analysisBands(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisBands(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}
@@ -180,12 +181,12 @@ type apiPrecursor struct {
 	MedianLeadSec int64  `json:"median_lead_sec"`
 }
 
-func (h *handler) analysisEarlyWarning(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisEarlyWarning(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}
-	windowSec, err := qInt(r.URL.Query().Get("window"), 3600)
+	windowSec, err := qInt(q.Get("window"), 3600)
 	if err != nil {
 		return nil, err
 	}
@@ -209,8 +210,8 @@ func (h *handler) analysisEarlyWarning(ctx context.Context, r *http.Request) (an
 	return map[string]any{"pairs": out}, nil
 }
 
-func (h *handler) analysisOvercooling(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisOvercooling(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}
@@ -239,8 +240,8 @@ type apiMSBValidation struct {
 	MeanSumW   jfloat `json:"mean_sum_w"`
 }
 
-func (h *handler) analysisValidation(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisValidation(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}
@@ -279,8 +280,8 @@ type apiCorrelation struct {
 	P jfloat `json:"p"`
 }
 
-func (h *handler) analysisFailures(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisFailures(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}
@@ -319,8 +320,8 @@ type apiJobRecord struct {
 	EnergyJ      jfloat `json:"energy_j"`
 }
 
-func (h *handler) analysisJobs(ctx context.Context, r *http.Request) (any, error) {
-	src, eng, err := h.analysisSource(r)
+func (h *handler) analysisJobs(ctx context.Context, q url.Values) (any, error) {
+	src, eng, err := h.analysisSource(q)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,335 @@
+package query
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"regexp"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro/internal/tsagg"
+)
+
+// --- test-only oracles: the reflection-encoded reply structs the append
+// encoder replaced, marshalled by encoding/json ---
+
+type apiWindow struct {
+	T     int64  `json:"t"`
+	Count int64  `json:"count"`
+	Min   jfloat `json:"min"`
+	Max   jfloat `json:"max"`
+	Mean  jfloat `json:"mean"`
+	Std   jfloat `json:"std,omitempty"`
+	Sum   jfloat `json:"sum,omitempty"`
+}
+
+type apiStats struct {
+	DaysTotal   int   `json:"days_total"`
+	DaysScanned int   `json:"days_scanned"`
+	DaysPruned  int   `json:"days_pruned"`
+	RowsScanned int64 `json:"rows_scanned"`
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	Preagg      bool  `json:"preagg,omitempty"`
+	ElapsedUS   int64 `json:"elapsed_us"`
+}
+
+type apiRange struct {
+	Dataset string      `json:"dataset"`
+	Column  string      `json:"column"`
+	Node    *int64      `json:"node,omitempty"`
+	T0      int64       `json:"t0"`
+	T1      int64       `json:"t1"`
+	Step    int64       `json:"step"`
+	Points  []apiPoint  `json:"points,omitempty"`
+	Windows []apiWindow `json:"windows,omitempty"`
+	Stats   apiStats    `json:"stats"`
+}
+
+type apiGroupSeries struct {
+	Group   int         `json:"group"`
+	Label   string      `json:"label"`
+	Windows []apiWindow `json:"windows"`
+}
+
+type apiRollup struct {
+	Dataset string           `json:"dataset"`
+	Column  string           `json:"column"`
+	Group   string           `json:"group"`
+	T0      int64            `json:"t0"`
+	T1      int64            `json:"t1"`
+	Step    int64            `json:"step"`
+	Series  []apiGroupSeries `json:"series"`
+	Stats   apiStats         `json:"stats"`
+}
+
+func toAPIStats(s QueryStats) apiStats {
+	return apiStats{
+		DaysTotal: s.DaysTotal, DaysScanned: s.DaysScanned, DaysPruned: s.DaysPruned,
+		RowsScanned: s.RowsScanned, CacheHits: s.CacheHits, CacheMisses: s.CacheMisses,
+		Preagg: s.Preagg, ElapsedUS: s.Elapsed.Microseconds(),
+	}
+}
+
+// legacyRange renders a range result the way the handler used to.
+func legacyRange(res *RangeResult) *apiRange {
+	out := &apiRange{Dataset: res.Dataset, Column: res.Column, T0: res.T0, T1: res.T1,
+		Step: res.Step, Stats: toAPIStats(res.Stats)}
+	if res.Node >= 0 {
+		n := res.Node
+		out.Node = &n
+	}
+	if res.Step > 0 {
+		out.Windows = make([]apiWindow, len(res.Windows))
+		for i, w := range res.Windows {
+			out.Windows[i] = apiWindow{T: w.T, Count: w.Count, Min: jfloat(w.Min),
+				Max: jfloat(w.Max), Mean: jfloat(w.Mean), Std: jfloat(w.Std)}
+		}
+	} else {
+		out.Points = make([]apiPoint, len(res.Points))
+		for i, p := range res.Points {
+			out.Points[i] = apiPoint{T: p.T, V: jfloat(p.V)}
+		}
+	}
+	return out
+}
+
+func legacyRollup(res *RollupResult) *apiRollup {
+	out := &apiRollup{Dataset: res.Dataset, Column: res.Column, Group: string(res.Group),
+		T0: res.T0, T1: res.T1, Step: res.Step,
+		Series: make([]apiGroupSeries, len(res.Series)), Stats: toAPIStats(res.Stats)}
+	for i, gs := range res.Series {
+		ws := make([]apiWindow, len(gs.Windows))
+		for j, w := range gs.Windows {
+			ws[j] = apiWindow{T: w.T, Count: w.Count, Min: jfloat(w.Min),
+				Max: jfloat(w.Max), Mean: jfloat(w.Mean), Sum: jfloat(w.Sum)}
+		}
+		out.Series[i] = apiGroupSeries{Group: gs.Group, Label: gs.Label, Windows: ws}
+	}
+	return out
+}
+
+// stdJSON is what writeJSON put on the wire: encoding/json, HTML escaping
+// off, trailing newline.
+func stdJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+var awkwardFloats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, 100, 1e-7, 9.99e-7, 1e-6, 1.0000001e-6,
+	1e20, 9.999999e20, 1e21, 1.5e21, 1e-9, 1.25e-9, 1e-10, 1e-300, 1e300,
+	math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64,
+	math.NaN(), math.Inf(1), math.Inf(-1), 2212.3400000000001, 1.0 / 3, 123456789.123456789,
+}
+
+// checkFloat compares appendJSONFloat with encoding/json for one value.
+func checkFloat(t testing.TB, f float64) {
+	t.Helper()
+	got := string(appendJSONFloat(nil, f))
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if got != "null" {
+			t.Fatalf("appendJSONFloat(%v) = %q, want null", f, got)
+		}
+		return
+	}
+	want, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("appendJSONFloat(%v) = %q, encoding/json says %q", f, got, want)
+	}
+	// jfloat goes through the same formatter.
+	if viaJ, _ := json.Marshal(jfloat(f)); string(viaJ) != string(want) {
+		t.Fatalf("jfloat(%v) marshals %q, want %q", f, viaJ, want)
+	}
+}
+
+func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
+	for _, f := range awkwardFloats {
+		checkFloat(t, f)
+	}
+	if got := string(appendJSONFloat(nil, 1e-9)); got != "1e-9" {
+		t.Errorf("exponent cleanup: %q, want 1e-9", got)
+	}
+}
+
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range awkwardFloats {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) { checkFloat(t, math.Float64frombits(bits)) })
+}
+
+func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
+	for _, s := range []string{
+		"", "node-power", "input_power.mean", `a"b\c`, "tab\there", "nl\nrl\r", "\b\f\x00\x1f\x7f",
+		"<html>&amp;", "caf\u00e9 \u4e16\u754c \U0001F600", "bad\xffutf8\xc3", "sep\u2028and\u2029end",
+	} {
+		if got, want := string(appendJSONString(nil, s)), string(bytes.TrimSuffix(stdJSON(t, s), []byte("\n"))); got != want {
+			t.Errorf("appendJSONString(%q) = %s, encoding/json says %s", s, got, want)
+		}
+	}
+}
+
+// TestReplyEncoderMatchesEncodingJSON compares whole replies: the append
+// encoder against encoding/json over the legacy reply structs, on
+// hand-built results covering every omitempty and null rule and on real
+// engine answers.
+func TestReplyEncoderMatchesEncodingJSON(t *testing.T) {
+	qs := QueryStats{DaysTotal: 4, DaysScanned: 2, DaysPruned: 2, RowsScanned: 1234,
+		CacheHits: 1, CacheMisses: 1, Elapsed: 1234567 * time.Nanosecond}
+	var ws []tsagg.WindowStat
+	var pts []Point
+	var rws []RollupWindow
+	for i, f := range awkwardFloats {
+		g := awkwardFloats[(i+7)%len(awkwardFloats)]
+		ws = append(ws, tsagg.WindowStat{T: int64(i) * 600, Count: int64(i), Min: f, Max: g, Mean: -f, Std: g})
+		pts = append(pts, Point{T: int64(i) - 3, V: f})
+		rws = append(rws, RollupWindow{T: int64(i) * 600, Count: int64(i), Min: f, Max: g, Mean: -f, Sum: g})
+	}
+	ranges := []*RangeResult{
+		{Dataset: "node-power", Column: "input_power.mean", Node: -1, T0: -5, T1: math.MaxInt64, Step: 600, Windows: ws, Stats: qs},
+		{Dataset: `we"ird\name`, Column: "c\n<&>\u2028", Node: 17, T0: 0, T1: 10, Points: pts, Stats: qs},
+		{Dataset: "d", Column: "c", Node: 0, T0: 0, T1: 10, Step: 60, Windows: []tsagg.WindowStat{}},
+		{Dataset: "d", Column: "c", Node: -1, T0: 0, T1: 10, Points: nil, Stats: QueryStats{Preagg: true}},
+	}
+	rollups := []*RollupResult{
+		{Dataset: "node-power", Column: "input_power.mean", Group: GroupCabinet, T0: 0, T1: 86400, Step: 600,
+			Series: []GroupSeries{{Group: 0, Label: "cab000", Windows: rws}, {Group: 3, Label: "MSB \"D\"", Windows: rws[:1]}},
+			Stats:  QueryStats{Preagg: true, RowsScanned: 9, Elapsed: time.Millisecond}},
+		{Dataset: "d", Column: "c", Group: GroupFleet, T0: 0, T1: 1, Step: 1, Series: nil, Stats: qs},
+		{Dataset: "d", Column: "c", Group: GroupMSB, T0: 0, T1: 1, Step: 1,
+			Series: []GroupSeries{{Group: 1, Label: "MSB B", Windows: nil}}},
+	}
+	// Real answers, every path.
+	e := testEngine(t)
+	ctx := context.Background()
+	for _, req := range []RangeRequest{
+		{Dataset: "cluster-power", Column: "sum_inp", Node: -1, T0: 0, T1: daySec, Step: 60},
+		{Dataset: "cluster-power", Column: "sum_inp", Node: -1, T0: 3600, T1: 7200},
+		{Dataset: "node-power", Column: "input_power.mean", Node: 7, T0: 0, T1: 3 * daySec, Step: 777},
+	} {
+		res, err := e.Range(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges = append(ranges, res)
+	}
+	for _, g := range []GroupBy{GroupCabinet, GroupMSB, GroupFleet} {
+		res, err := e.Rollup(ctx, RollupRequest{Dataset: "node-power", Column: "input_power.mean",
+			Group: g, T0: 100, T1: 2 * daySec, Step: 1800})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rollups = append(rollups, res)
+	}
+	for i, r := range ranges {
+		if got, want := append(r.appendJSON(nil), '\n'), stdJSON(t, legacyRange(r)); !bytes.Equal(got, want) {
+			t.Errorf("range %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	for i, r := range rollups {
+		if got, want := append(r.appendJSON(nil), '\n'), stdJSON(t, legacyRollup(r)); !bytes.Equal(got, want) {
+			t.Errorf("rollup %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
+
+// TestClusterRangeReplyEncodesWithoutAllocating is the encode half of the
+// allocation guard: the dashboard's cluster_range reply (1440 windows, 5760
+// floats) used to cost one reflective json.Marshal per float.
+func TestClusterRangeReplyEncodesWithoutAllocating(t *testing.T) {
+	e := testEngine(t)
+	res, err := e.Range(context.Background(), RangeRequest{
+		Dataset: "cluster-power", Column: "sum_inp", Node: -1, T0: 0, T1: 2 * daySec, Step: 120})
+	if err != nil || len(res.Windows) != 1440 {
+		t.Fatalf("%d windows, err %v", len(res.Windows), err)
+	}
+	buf := res.appendJSON(nil)
+	if allocs := testing.AllocsPerRun(20, func() { buf = res.appendJSON(buf[:0]) }); allocs > 4 {
+		t.Errorf("warm cluster_range reply encodes in %.0f allocations, want <= 4", allocs)
+	}
+}
+
+// --- per-request plumbing ---
+
+var serverTimingRE = regexp.MustCompile(`^engine;dur=\d+\.\d{3}, encode;dur=\d+\.\d{3}$`)
+
+func TestHTTPEncodedRepliesCarryLengthAndStageTimes(t *testing.T) {
+	srv, e := testServer(t, ServerConfig{})
+	for _, path := range []string{
+		"/api/v1/range?dataset=cluster-power&column=sum_inp&t0=0&t1=86400&step=600",
+		"/api/v1/rollup?dataset=node-power&column=input_power.mean&group=msb&t0=0&t1=86400&step=1800",
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v", path, resp.StatusCode, err)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Errorf("%s: Content-Length %q, body is %d bytes", path, cl, len(body))
+		}
+		if st := resp.Header.Get("Server-Timing"); !serverTimingRE.MatchString(st) {
+			t.Errorf("%s: Server-Timing = %q", path, st)
+		}
+		if !json.Valid(body) || body[len(body)-1] != '\n' {
+			t.Errorf("%s: body is not one JSON line: %.80s", path, body)
+		}
+	}
+	if got := e.Metrics().EncodeLatency.Snapshot()["count"]; got != 2 {
+		t.Errorf("encode histogram counted %d replies, want 2", got)
+	}
+	var vars map[string]any
+	if code := getJSON(t, srv.URL+"/debug/vars", &vars); code != http.StatusOK {
+		t.Fatalf("vars status %d", code)
+	}
+	if enc, ok := vars["encode_ns"].(map[string]any); !ok || enc["count"].(float64) != 2 {
+		t.Errorf("/debug/vars encode_ns = %v", vars["encode_ns"])
+	}
+}
+
+// TestHTTPBudgetRefusesBeforeMaterializing is the handler half of the
+// budget fix: an over-budget raw fleet range is a 413 that scanned (almost)
+// nothing, and an under-budget query is unchanged.
+func TestHTTPBudgetRefusesBeforeMaterializing(t *testing.T) {
+	srv, e := testServer(t, ServerConfig{MaxPoints: 500})
+	base := srv.URL + "/api/v1/range?dataset=node-power&column=input_power.mean&t0=0"
+	raw := base + "&t1=259200"
+	var errBody map[string]string
+	for touch := 0; touch < 3; touch++ { // stream, materialize, resident
+		before := e.Metrics().RowsScanned.Load()
+		if code := getJSON(t, raw, &errBody); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("touch %d: status %d, want 413 (%v)", touch, code, errBody)
+		}
+		// Streaming blocks are 4096 rows; a resident day is sized whole.
+		if got := e.Metrics().RowsScanned.Load() - before; got > 4096 {
+			t.Errorf("touch %d: 413 after scanning %d rows, want at most one block", touch, got)
+		}
+	}
+	var under struct {
+		Points []struct{ T int64 } `json:"points"`
+	}
+	if code := getJSON(t, base+"&node=2&t1=43200", &under); code != http.StatusOK || len(under.Points) != 360 {
+		t.Fatalf("under-budget query: status %d, %d points", code, len(under.Points))
+	}
+	if code := getJSON(t, srv.URL+"/api/v1/rollup?dataset=node-power&column=input_power.mean&group=cabinet&t0=0&t1=259200&step=600", &errBody); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-budget rollup: status %d", code)
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/parallel"
+	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
@@ -83,11 +84,14 @@ const (
 // Engine serves range, downsample and rollup queries over every dataset of
 // one archive directory. Safe for concurrent use.
 type Engine struct {
-	cfg      Config
-	floor    *topology.Floor
-	cache    *store.TableCache
-	met      *Metrics
-	datasets map[string]*datasetState // immutable after Open
+	cfg   Config
+	floor *topology.Floor
+	// cabinetOf and msbOf map a node ID to its rollup group; built once at
+	// Open so a rollup row costs an index, not a topology call.
+	cabinetOf, msbOf []int32
+	cache            *store.TableCache
+	met              *Metrics
+	datasets         map[string]*datasetState // immutable after Open
 }
 
 type datasetState struct {
@@ -141,6 +145,11 @@ func Open(cfg Config) (*Engine, error) {
 		}
 		if e.floor, err = topology.New(tcfg); err != nil {
 			return nil, fmt.Errorf("query: floor: %w", err)
+		}
+		e.cabinetOf, e.msbOf = make([]int32, e.floor.Nodes()), make([]int32, e.floor.Nodes())
+		for n := range e.cabinetOf {
+			id := topology.NodeID(n)
+			e.cabinetOf[n], e.msbOf[n] = int32(e.floor.Cabinet(id)), int32(e.floor.MSBOf(id))
 		}
 	}
 	for name := range names {
@@ -218,43 +227,23 @@ func pruneDays(days []int, meta map[int]store.DayMeta, t0, t1 int64) (keep []int
 	return keep, pruned
 }
 
-// table loads one decoded day partition through the cache. The boolean
-// reports a cache hit.
-func (e *Engine) table(st *datasetState, day int) (*store.Table, bool, error) {
-	key := store.CacheKey(st.ds.Name, day, nil)
-	if tab, ok := e.cache.Get(key); ok {
-		e.met.CacheHits.Add(1)
-		return tab, true, nil
-	}
-	tab, err := st.ds.ReadDay(day)
-	if err != nil {
-		return nil, false, err
-	}
-	e.met.CacheMisses.Add(1)
-	e.met.BytesDecoded.Add(store.TableBytes(tab))
-	if n := e.cache.Put(key, tab); n > 0 {
-		e.met.CacheEvictions.Add(int64(n))
-	}
-	return tab, false, nil
-}
-
-// scanTable resolves the read path of one day scan. It returns the cached
-// table when resident, a freshly materialized (and admitted) table when the
-// day has been touched before, or a nil table — meaning the caller should
-// stream the partition through the column iterator: single-touch full-day
-// scans are served during decode and never churn the cache.
-func (e *Engine) scanTable(st *datasetState, day int) (tab *store.Table, hit bool, err error) {
+// table resolves the read path of one day partition. It returns the cached
+// table when resident (hit), else a freshly materialized and admitted one —
+// except that with stream set, a partition touched for the first time
+// (outside ScanMaterialize) yields a nil table: the caller should stream it
+// through the column iterator, so single-touch full-day scans are served
+// during decode and never churn the cache.
+func (e *Engine) table(st *datasetState, day int, stream bool) (tab *store.Table, hit bool, err error) {
 	key := store.CacheKey(st.ds.Name, day, nil)
 	if tab, ok := e.cache.Get(key); ok {
 		e.met.CacheHits.Add(1)
 		return tab, true, nil
 	}
 	e.met.CacheMisses.Add(1)
-	if e.cfg.ScanMode != ScanMaterialize && e.cache.Touch(key) < 2 {
+	if stream && e.cfg.ScanMode != ScanMaterialize && e.cache.Touch(key) < 2 {
 		return nil, false, nil
 	}
-	tab, err = st.ds.ReadDay(day)
-	if err != nil {
+	if tab, err = st.ds.ReadDay(day); err != nil {
 		return nil, false, err
 	}
 	e.met.BytesDecoded.Add(store.TableBytes(tab))
@@ -283,9 +272,13 @@ type RangeRequest struct {
 	// T0/T1 bound the half-open time range.
 	T0, T1 int64
 	// Step > 0 downsamples server-side into Step-second windows
-	// (count/min/max/mean/std via the tsagg coarsener); 0 returns raw
-	// points.
+	// (count/min/max/mean/std, assigned by the tsagg coarsener's rule); 0
+	// returns raw points.
 	Step int64
+	// Limit > 0 is the most points or windows the caller will take: the
+	// scan stops with ErrTooLarge once the answer would exceed it, instead
+	// of building an answer the caller then discards.
+	Limit int
 }
 
 // Point is one raw observation of a range query.
@@ -322,21 +315,12 @@ type RangeResult struct {
 	Stats   QueryStats
 }
 
-// dayScan is the per-chunk result of a parallel partition scan.
-type dayScan struct {
-	samples []tsagg.Sample
-	rows    int64
-	hits    int64
-	misses  int64
-	err     error
-}
-
 // Range executes a range query: prune partitions by day metadata, scan the
 // survivors in parallel, optionally coarsen.
 func (e *Engine) Range(ctx context.Context, req RangeRequest) (*RangeResult, error) {
 	start := time.Now()
 	e.met.RangeQueries.Add(1)
-	res, err := e.rangeLocked(ctx, req)
+	res, err := e.rangeQuery(ctx, req)
 	e.met.ScanLatency.Observe(time.Since(start))
 	if err != nil {
 		e.met.Errors.Add(1)
@@ -346,7 +330,7 @@ func (e *Engine) Range(ctx context.Context, req RangeRequest) (*RangeResult, err
 	return res, nil
 }
 
-func (e *Engine) rangeLocked(ctx context.Context, req RangeRequest) (*RangeResult, error) {
+func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult, error) {
 	if err := validateRange(req.T0, req.T1, req.Step); err != nil {
 		return nil, err
 	}
@@ -365,169 +349,67 @@ func (e *Engine) rangeLocked(ctx context.Context, req RangeRequest) (*RangeResul
 		Dataset: req.Dataset, Column: req.Column, Node: req.Node,
 		T0: req.T0, T1: req.T1, Step: req.Step,
 	}
-	res.Stats.DaysTotal = len(st.days)
 	scanDays, pruned := pruneDays(st.days, meta, req.T0, req.T1)
-	res.Stats.DaysPruned = pruned
-	res.Stats.DaysScanned = len(scanDays)
-	e.met.DaysPruned.Add(int64(pruned))
-	e.met.DaysScanned.Add(int64(len(scanDays)))
-
-	scans := parallel.ProcessChunks(len(scanDays), e.cfg.Workers, func(c parallel.Chunk) dayScan {
-		var out dayScan
-		var sc store.IterScratch
-		for _, day := range scanDays[c.Start:c.End] {
-			if err := ctx.Err(); err != nil {
-				out.err = err
-				return out
-			}
-			tab, hit, err := e.scanTable(st, day)
-			if err != nil {
-				out.err = err
-				return out
-			}
-			if tab == nil {
-				// First-touch partition: aggregate during decode.
-				out.misses++
-				e.met.IterScans.Add(1)
-				if err := e.iterRange(st, meta[day], req, &out, &sc); err != nil {
-					out.err = err
-					return out
-				}
-				continue
-			}
-			if hit {
-				out.hits++
-			} else {
-				out.misses++
-			}
-			if err := scanRange(tab, meta[day], req, &out); err != nil {
-				out.err = err
-				return out
-			}
-		}
-		return out
-	})
-	var samples []tsagg.Sample
-	for _, s := range scans {
-		if s.err != nil {
-			return nil, s.err
-		}
-		res.Stats.RowsScanned += s.rows
-		res.Stats.CacheHits += s.hits
-		res.Stats.CacheMisses += s.misses
-		samples = append(samples, s.samples...)
+	e.bookDays(&res.Stats, len(st.days), len(scanDays), pruned)
+	spec := scanSpec{dataset: req.Dataset, column: req.Column}
+	if req.Node >= 0 {
+		spec.nodeUse, spec.readNodes = "node filter", true
 	}
-	e.met.RowsScanned.Add(res.Stats.RowsScanned)
-	if req.Step > 0 {
-		res.Windows = tsagg.Coarsen(samples, req.Step)
-	} else {
-		res.Points = make([]Point, len(samples))
-		for i, s := range samples {
-			res.Points[i] = Point{T: s.T, V: s.V}
+	if req.Step == 0 {
+		res.Points, err = e.rangePoints(ctx, st, meta, scanDays, spec, req, &res.Stats)
+		return res, err
+	}
+	g, err := newGrid(scanDays, meta, req.T0, req.T1, req.Step, 1, req.Limit)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]stats.Moments, g.n)
+	proto := windowSink{g: g, cells: cells, node: req.Node, late: true}
+	if err := e.windowScan(ctx, st, meta, scanDays, spec, proto, &res.Stats); err != nil {
+		return nil, err
+	}
+	res.Windows = make([]tsagg.WindowStat, 0, g.n)
+	for i := range cells {
+		if m := &cells[i]; m.N > 0 {
+			res.Windows = append(res.Windows, tsagg.WindowStat{
+				T: g.w0 + int64(i)*g.step, Count: m.N,
+				Min: m.Min, Max: m.Max, Mean: m.Mean(), Std: m.Std(),
+			})
 		}
 	}
 	return res, nil
 }
 
-// iterRange streams one partition through the column iterator, appending
-// matching (t, v) samples during decode — same order, same values, bit for
-// bit, as scanRange over the materialized table, without building it.
-func (e *Engine) iterRange(st *datasetState, m store.DayMeta, req RangeRequest, out *dayScan, sc *store.IterScratch) error {
-	if m.TimeColumn == "" {
-		return fmt.Errorf("query: partition day %d has no time column: %w",
-			m.Day, ErrBadRequest)
-	}
-	if _, ok := metaColumn(m, req.Column); !ok {
-		return fmt.Errorf("query: dataset %q has no column %q: %w",
-			req.Dataset, req.Column, ErrNotFound)
-	}
-	axes := []string{m.TimeColumn}
-	if req.Node >= 0 {
-		if c, ok := metaColumn(m, "node"); !ok || !c.Int {
-			return fmt.Errorf("query: dataset %q has no node column; node filter unsupported: %w",
-				req.Dataset, ErrBadRequest)
-		}
-		axes = append(axes, "node")
-	}
-	rows, err := st.ds.IterDayColumns(m.Day, axes, req.Column, sc, func(start int, vals []float64) error {
-		times := sc.Axes[0]
-		var nodes []int64
-		if len(sc.Axes) > 1 {
-			nodes = sc.Axes[1]
-		}
-		for j, v := range vals {
-			i := start + j
-			t := times[i]
-			if t < req.T0 || t >= req.T1 {
-				continue
-			}
-			if nodes != nil && nodes[i] != req.Node {
-				continue
-			}
-			out.samples = append(out.samples, tsagg.Sample{T: t, V: v})
-		}
-		return nil
+// rangePoints runs the raw (step = 0) scan. Each chunk's sink appends
+// straight into what becomes the reply's point slice.
+func (e *Engine) rangePoints(ctx context.Context, st *datasetState, meta map[int]store.DayMeta, days []int,
+	spec scanSpec, req RangeRequest, qs *QueryStats) ([]Point, error) {
+	sinks, err := e.scan(ctx, st, meta, days, spec, qs, func([]int) sink {
+		return &pointSink{t0: req.T0, t1: req.T1, node: req.Node, limit: req.Limit}
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out.rows += int64(rows)
-	return nil
+	var pts []Point
+	for i, s := range sinks {
+		if i == 0 {
+			pts = s.(*pointSink).pts
+		} else {
+			pts = append(pts, s.(*pointSink).pts...)
+		}
+	}
+	if req.Limit > 0 && len(pts) > req.Limit {
+		return nil, errTooManyPoints(req.Limit)
+	}
+	return pts, nil
 }
 
-// scanRange extracts matching (t, v) samples of one decoded partition.
-func scanRange(tab *store.Table, meta store.DayMeta, req RangeRequest, out *dayScan) error {
-	times, err := timeColumn(tab, meta)
-	if err != nil {
-		return err
-	}
-	val := tab.Col(req.Column)
-	if val == nil {
-		return fmt.Errorf("query: dataset %q has no column %q: %w",
-			req.Dataset, req.Column, ErrNotFound)
-	}
-	var nodes []int64
-	if req.Node >= 0 {
-		nodeCol := tab.Col("node")
-		if nodeCol == nil || !nodeCol.IsInt() {
-			return fmt.Errorf("query: dataset %q has no node column; node filter unsupported: %w",
-				req.Dataset, ErrBadRequest)
-		}
-		nodes = nodeCol.Ints
-	}
-	for i, t := range times {
-		if t < req.T0 || t >= req.T1 {
-			continue
-		}
-		if nodes != nil && nodes[i] != req.Node {
-			continue
-		}
-		out.samples = append(out.samples, tsagg.Sample{T: t, V: colValue(val, i)})
-	}
-	out.rows += int64(len(times))
-	return nil
-}
-
-// timeColumn resolves the time axis of a decoded partition via its metadata.
-func timeColumn(tab *store.Table, meta store.DayMeta) ([]int64, error) {
-	if meta.TimeColumn == "" {
-		return nil, fmt.Errorf("query: partition day %d has no time column: %w",
-			meta.Day, ErrBadRequest)
-	}
-	c := tab.Col(meta.TimeColumn)
-	if c == nil || !c.IsInt() {
-		return nil, fmt.Errorf("query: partition day %d lost time column %q",
-			meta.Day, meta.TimeColumn)
-	}
-	return c.Ints, nil
-}
-
-// colValue reads row i of a column as float64 (ints are widened).
-func colValue(c *store.Column, i int) float64 {
-	if c.IsInt() {
-		return float64(c.Ints[i])
-	}
-	return c.Floats[i]
+// bookDays records a query's partition pruning in its stats and the
+// engine counters.
+func (e *Engine) bookDays(qs *QueryStats, total, scanned, pruned int) {
+	qs.DaysTotal, qs.DaysScanned, qs.DaysPruned = total, scanned, pruned
+	e.met.DaysScanned.Add(int64(scanned))
+	e.met.DaysPruned.Add(int64(pruned))
 }
 
 func validateRange(t0, t1, step int64) error {

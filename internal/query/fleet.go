@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strings"
 
 	"repro/internal/source"
@@ -28,7 +29,7 @@ type apiClusterInfo struct {
 	Federation *source.FederationSnapshot `json:"federation,omitempty"`
 }
 
-func (h *handler) clustersRoute(ctx context.Context, r *http.Request) (any, error) {
+func (h *handler) clustersRoute(ctx context.Context, q url.Values) (any, error) {
 	out := make([]apiClusterInfo, 0, len(h.clusters))
 	for i := range h.clusters {
 		c := &h.clusters[i]
@@ -57,9 +58,9 @@ func (h *handler) clustersRoute(ctx context.Context, r *http.Request) (any, erro
 // or the comma-separated ?clusters= subset, in handler order. Members
 // without an analysis source are an error — a silent skip would present a
 // partial sum as the fleet total.
-func (h *handler) fleetMembers(r *http.Request) ([]*Cluster, error) {
+func (h *handler) fleetMembers(q url.Values) ([]*Cluster, error) {
 	want := map[string]bool{}
-	if arg := r.URL.Query().Get("clusters"); arg != "" {
+	if arg := q.Get("clusters"); arg != "" {
 		for _, name := range strings.Split(arg, ",") {
 			c, ok := h.byName[name]
 			if !ok {
@@ -83,6 +84,11 @@ func (h *handler) fleetMembers(r *http.Request) ([]*Cluster, error) {
 	return out, nil
 }
 
+type apiPoint struct {
+	T int64  `json:"t"`
+	V jfloat `json:"v"`
+}
+
 type apiFleetSeries struct {
 	Name     string     `json:"name"`
 	Clusters []string   `json:"clusters"`
@@ -93,12 +99,12 @@ type apiFleetSeries struct {
 
 // fleetSeries merges one named series across the fleet by summation:
 // ?name=sum_inp[&clusters=a,b].
-func (h *handler) fleetSeries(ctx context.Context, r *http.Request) (any, error) {
-	name := r.URL.Query().Get("name")
+func (h *handler) fleetSeries(ctx context.Context, q url.Values) (any, error) {
+	name := q.Get("name")
 	if name == "" {
 		return nil, &apiError{http.StatusBadRequest, "missing series name (?name=)"}
 	}
-	members, err := h.fleetMembers(r)
+	members, err := h.fleetMembers(q)
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +151,8 @@ type apiFleetClusterSummary struct {
 // fleetSummary reduces every member's cluster-power series and the merged
 // fleet series to headline numbers: the multi-cluster counterpart of
 // /api/v1/analysis/summary.
-func (h *handler) fleetSummary(ctx context.Context, r *http.Request) (any, error) {
-	members, err := h.fleetMembers(r)
+func (h *handler) fleetSummary(ctx context.Context, q url.Values) (any, error) {
+	members, err := h.fleetMembers(q)
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
 	"repro/internal/source"
-	"repro/internal/tsagg"
 )
 
 // ServerConfig bounds the HTTP serving layer.
@@ -154,8 +154,8 @@ func newFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error)
 // cluster resolves the member a request addresses: ?cluster= when given, or
 // the sole member for single-cluster handlers. A multi-cluster handler
 // requires the parameter; an unknown name is 404.
-func (h *handler) cluster(r *http.Request) (*Cluster, error) {
-	name := r.URL.Query().Get("cluster")
+func (h *handler) cluster(q url.Values) (*Cluster, error) {
+	name := q.Get("cluster")
 	if name == "" {
 		if len(h.clusters) == 1 {
 			return &h.clusters[0], nil
@@ -183,8 +183,9 @@ type apiError struct {
 func (e *apiError) Error() string { return e.msg }
 
 // guard wraps an API route with method/size checks, load shedding and the
-// per-request timeout.
-func (h *handler) guard(fn func(ctx context.Context, r *http.Request) (any, error)) http.HandlerFunc {
+// per-request timeout. It parses the query string once and hands the route
+// the values.
+func (h *handler) guard(fn func(ctx context.Context, q url.Values) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -208,10 +209,14 @@ func (h *handler) guard(fn func(ctx context.Context, r *http.Request) (any, erro
 		defer h.metrics().InFlight.Add(-1)
 		ctx, cancel := context.WithTimeout(r.Context(), h.cfg.Timeout)
 		defer cancel()
-		resp, err := fn(ctx, r)
+		resp, err := fn(ctx, r.URL.Query())
 		if err != nil {
 			status, msg := errStatus(err)
 			writeError(w, status, msg)
+			return
+		}
+		if enc, ok := resp.(replyEncoder); ok {
+			h.writeEncoded(w, enc)
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -287,8 +292,8 @@ type apiDataset struct {
 	Columns []string `json:"columns"`
 }
 
-func (h *handler) datasets(ctx context.Context, r *http.Request) (any, error) {
-	cl, err := h.cluster(r)
+func (h *handler) datasets(ctx context.Context, q url.Values) (any, error) {
+	cl, err := h.cluster(q)
 	if err != nil {
 		return nil, err
 	}
@@ -312,218 +317,77 @@ func (h *handler) datasets(ctx context.Context, r *http.Request) (any, error) {
 // --- /api/v1/range ---
 
 // jfloat marshals NaN/Inf (legal in the archive, illegal in JSON) as null.
+// It backs the float fields of the reflection-encoded replies (analyses,
+// fleet merges); range and rollup replies use the same formatter directly.
 type jfloat float64
 
 func (f jfloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
+	return appendJSONFloat(make([]byte, 0, 24), float64(f)), nil
 }
 
-type apiPoint struct {
-	T int64  `json:"t"`
-	V jfloat `json:"v"`
-}
-
-type apiWindow struct {
-	T     int64  `json:"t"`
-	Count int64  `json:"count"`
-	Min   jfloat `json:"min"`
-	Max   jfloat `json:"max"`
-	Mean  jfloat `json:"mean"`
-	Std   jfloat `json:"std,omitempty"`
-	Sum   jfloat `json:"sum,omitempty"`
-}
-
-type apiStats struct {
-	DaysTotal   int   `json:"days_total"`
-	DaysScanned int   `json:"days_scanned"`
-	DaysPruned  int   `json:"days_pruned"`
-	RowsScanned int64 `json:"rows_scanned"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	Preagg      bool  `json:"preagg,omitempty"`
-	ElapsedUS   int64 `json:"elapsed_us"`
-}
-
-func toAPIStats(s QueryStats) apiStats {
-	return apiStats{
-		DaysTotal: s.DaysTotal, DaysScanned: s.DaysScanned, DaysPruned: s.DaysPruned,
-		RowsScanned: s.RowsScanned, CacheHits: s.CacheHits, CacheMisses: s.CacheMisses,
-		Preagg:    s.Preagg,
-		ElapsedUS: s.Elapsed.Microseconds(),
-	}
-}
-
-type apiRange struct {
-	Dataset string      `json:"dataset"`
-	Column  string      `json:"column"`
-	Node    *int64      `json:"node,omitempty"`
-	T0      int64       `json:"t0"`
-	T1      int64       `json:"t1"`
-	Step    int64       `json:"step"`
-	Points  []apiPoint  `json:"points,omitempty"`
-	Windows []apiWindow `json:"windows,omitempty"`
-	Stats   apiStats    `json:"stats"`
-}
-
-func (h *handler) rangeQuery(ctx context.Context, r *http.Request) (any, error) {
-	q := r.URL.Query()
+func (h *handler) rangeQuery(ctx context.Context, q url.Values) (any, error) {
 	req := RangeRequest{
 		Dataset: q.Get("dataset"),
 		Column:  q.Get("column"),
+		Limit:   h.cfg.MaxPoints,
 	}
 	var err error
 	if req.Node, err = qInt(q.Get("node"), -1); err != nil {
 		return nil, err
 	}
-	if req.T0, err = qInt(q.Get("t0"), 0); err != nil {
+	if req.T0, req.T1, req.Step, err = h.qSpan(q, 0); err != nil {
 		return nil, err
 	}
-	if req.T1, err = qInt(q.Get("t1"), math.MaxInt64); err != nil {
-		return nil, err
-	}
-	if req.Step, err = qInt(q.Get("step"), 0); err != nil {
-		return nil, err
-	}
-	if req.Step > 0 {
-		if err := h.checkWindowBudget(req.T0, req.T1, req.Step); err != nil {
-			return nil, err
-		}
-	}
-	cl, err := h.cluster(r)
+	cl, err := h.cluster(q)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cl.Engine.Range(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Points) > h.cfg.MaxPoints {
-		return nil, fmt.Errorf("query: %d raw points over the %d budget; pass a coarser step: %w",
-			len(res.Points), h.cfg.MaxPoints, ErrTooLarge)
-	}
-	out := &apiRange{
-		Dataset: res.Dataset, Column: res.Column,
-		T0: res.T0, T1: res.T1, Step: res.Step,
-		Stats: toAPIStats(res.Stats),
-	}
-	if res.Node >= 0 {
-		n := res.Node
-		out.Node = &n
-	}
-	if res.Step > 0 {
-		out.Windows = toAPIWindows(res.Windows)
-	} else {
-		out.Points = make([]apiPoint, len(res.Points))
-		for i, p := range res.Points {
-			out.Points[i] = apiPoint{T: p.T, V: jfloat(p.V)}
-		}
-	}
-	return out, nil
+	return cl.Engine.Range(ctx, req)
 }
 
-func toAPIWindows(ws []tsagg.WindowStat) []apiWindow {
-	out := make([]apiWindow, len(ws))
-	for i, w := range ws {
-		out[i] = apiWindow{
-			T: w.T, Count: w.Count,
-			Min: jfloat(w.Min), Max: jfloat(w.Max),
-			Mean: jfloat(w.Mean), Std: jfloat(w.Std),
+// qSpan parses t0, t1 and step, and rejects a windowed query whose
+// span/step implies more windows than the point budget before any partition
+// is touched.
+func (h *handler) qSpan(q url.Values, defStep int64) (t0, t1, step int64, err error) {
+	if t0, err = qInt(q.Get("t0"), 0); err != nil {
+		return
+	}
+	if t1, err = qInt(q.Get("t1"), math.MaxInt64); err != nil {
+		return
+	}
+	if step, err = qInt(q.Get("step"), defStep); err != nil {
+		return
+	}
+	if t1 > t0 && step > 0 { // anything else is refused downstream
+		if windows := (t1 - t0 + step - 1) / step; windows > int64(h.cfg.MaxPoints) {
+			err = fmt.Errorf("query: span/step implies %d windows, budget is %d: %w",
+				windows, h.cfg.MaxPoints, ErrTooLarge)
 		}
 	}
-	return out
-}
-
-// checkWindowBudget rejects a windowed query whose span/step implies more
-// windows than the point budget before any partition is touched.
-func (h *handler) checkWindowBudget(t0, t1, step int64) error {
-	if t1 <= t0 || step <= 0 {
-		return nil // validated downstream
-	}
-	if windows := (t1 - t0 + step - 1) / step; windows > int64(h.cfg.MaxPoints) {
-		return fmt.Errorf("query: span/step implies %d windows, budget is %d: %w",
-			windows, h.cfg.MaxPoints, ErrTooLarge)
-	}
-	return nil
+	return
 }
 
 // --- /api/v1/rollup ---
 
-type apiGroupSeries struct {
-	Group   int         `json:"group"`
-	Label   string      `json:"label"`
-	Windows []apiWindow `json:"windows"`
-}
-
-type apiRollup struct {
-	Dataset string           `json:"dataset"`
-	Column  string           `json:"column"`
-	Group   string           `json:"group"`
-	T0      int64            `json:"t0"`
-	T1      int64            `json:"t1"`
-	Step    int64            `json:"step"`
-	Series  []apiGroupSeries `json:"series"`
-	Stats   apiStats         `json:"stats"`
-}
-
-func (h *handler) rollup(ctx context.Context, r *http.Request) (any, error) {
-	q := r.URL.Query()
+func (h *handler) rollup(ctx context.Context, q url.Values) (any, error) {
 	req := RollupRequest{
 		Dataset: q.Get("dataset"),
 		Column:  q.Get("column"),
 		Group:   GroupBy(q.Get("group")),
+		Limit:   h.cfg.MaxPoints,
 	}
 	if req.Group == "" {
 		req.Group = GroupCabinet
 	}
 	var err error
-	if req.T0, err = qInt(q.Get("t0"), 0); err != nil {
+	if req.T0, req.T1, req.Step, err = h.qSpan(q, 600); err != nil {
 		return nil, err
 	}
-	if req.T1, err = qInt(q.Get("t1"), math.MaxInt64); err != nil {
-		return nil, err
-	}
-	if req.Step, err = qInt(q.Get("step"), 600); err != nil {
-		return nil, err
-	}
-	if err := h.checkWindowBudget(req.T0, req.T1, req.Step); err != nil {
-		return nil, err
-	}
-	cl, err := h.cluster(r)
+	cl, err := h.cluster(q)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cl.Engine.Rollup(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	out := &apiRollup{
-		Dataset: res.Dataset, Column: res.Column, Group: string(res.Group),
-		T0: res.T0, T1: res.T1, Step: res.Step,
-		Series: make([]apiGroupSeries, len(res.Series)),
-		Stats:  toAPIStats(res.Stats),
-	}
-	total := 0
-	for i, gs := range res.Series {
-		ws := make([]apiWindow, len(gs.Windows))
-		for j, w := range gs.Windows {
-			ws[j] = apiWindow{
-				T: w.T, Count: w.Count,
-				Min: jfloat(w.Min), Max: jfloat(w.Max),
-				Mean: jfloat(w.Mean), Sum: jfloat(w.Sum),
-			}
-		}
-		total += len(ws)
-		out.Series[i] = apiGroupSeries{Group: gs.Group, Label: gs.Label, Windows: ws}
-	}
-	if total > h.cfg.MaxPoints {
-		return nil, fmt.Errorf("query: %d rollup windows over the %d budget; pass a coarser step: %w",
-			total, h.cfg.MaxPoints, ErrTooLarge)
-	}
-	return out, nil
+	return cl.Engine.Rollup(ctx, req)
 }
 
 // --- helpers ---

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/source"
 	"repro/internal/stats"
@@ -17,14 +18,16 @@ import (
 // window: then every needed accumulator exists verbatim in the companion,
 // and the answer is bit-identical to a full scan — the companion stores the
 // exact Welford state the scan path would have computed, in the same
-// fold order. Returns ok=false (with no error) whenever the archive has no
-// answerable pre-aggregates, leaving the scan path to run.
-func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[int]store.DayMeta, req RollupRequest, res *RollupResult) (bool, error) {
+// fold order. The accumulators land in cells, the dense [group][window]
+// table the scan would have filled. Returns ok=false (with no error)
+// whenever the archive has no answerable pre-aggregates, leaving the scan
+// to run (cells may then be partly written).
+func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[int]store.DayMeta, req RollupRequest, g grid, cells []stats.Moments, res *RollupResult) (bool, error) {
 	if e.cfg.ScanMode == ScanMaterialize || req.Step != source.RollupStepSec {
 		return false, nil
 	}
 	rst, ok := e.datasets[req.Dataset+source.RollupSuffix]
-	if !ok || !equalDays(st.days, rst.days) {
+	if !ok || !slices.Equal(st.days, rst.days) {
 		return false, nil
 	}
 	// A range boundary inside a window would need a partial re-aggregation
@@ -84,13 +87,12 @@ func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[in
 			}
 		}
 	}
-	merged := map[groupWindow]*stats.Moments{}
 	var rows, hits, misses int64
 	for _, day := range scanDays {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		tab, hit, err := e.table(rst, day)
+		tab, hit, err := e.table(rst, day, false)
 		if err != nil {
 			return false, err
 		}
@@ -115,42 +117,20 @@ func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[in
 			if step[i] != req.Step {
 				return false, nil // foreign aggregation grid: let the scan answer
 			}
-			m := stats.MomentsFromState(nC[i], minC[i], maxC[i], meanC[i], m2C[i])
-			k := groupWindow{group: int(group[i]), window: w}
-			if dst, ok := merged[k]; ok {
-				dst.Merge(m)
-			} else {
-				mm := m
-				merged[k] = &mm
+			wi := (w - g.w0) / g.step
+			if w < g.w0 || wi >= int64(g.n) || group[i] < 0 || group[i]*int64(g.n) >= int64(len(cells)) {
+				return false, nil // companion disagrees with the base partitions or the floor
 			}
+			cells[int(group[i])*g.n+int(wi)].Merge(stats.MomentsFromState(nC[i], minC[i], maxC[i], meanC[i], m2C[i]))
 			rows++
 		}
 	}
-	res.Stats.DaysScanned = len(scanDays)
-	res.Stats.DaysPruned = pruned
+	e.bookDays(&res.Stats, len(st.days), len(scanDays), pruned)
 	res.Stats.RowsScanned = rows
 	res.Stats.CacheHits = hits
 	res.Stats.CacheMisses = misses
 	res.Stats.Preagg = true
 	e.met.PreaggQueries.Add(1)
 	e.met.RowsScanned.Add(rows)
-	e.met.DaysScanned.Add(int64(len(scanDays)))
-	e.met.DaysPruned.Add(int64(pruned))
-	res.Series = buildSeries(merged, req.Group, e.floor)
 	return true, nil
-}
-
-// equalDays reports whether two sorted day lists are identical — the
-// coverage proof that a companion dataset mirrors its base partition for
-// partition.
-func equalDays(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

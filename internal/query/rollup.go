@@ -3,12 +3,9 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
-	"repro/internal/parallel"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/topology"
 )
 
@@ -30,6 +27,9 @@ type RollupRequest struct {
 	Group   GroupBy
 	T0, T1  int64
 	Step    int64 // window size in seconds; must be > 0
+	// Limit > 0 is the most windows (summed over groups) the caller will
+	// take; see RangeRequest.Limit.
+	Limit int
 }
 
 // RollupWindow is one aggregated window of one group: the summary of every
@@ -59,20 +59,6 @@ type RollupResult struct {
 	Step    int64
 	Series  []GroupSeries
 	Stats   QueryStats
-}
-
-// rollupScan accumulates per-group per-window moments for one chunk of days.
-type rollupScan struct {
-	acc    map[groupWindow]*stats.Moments
-	rows   int64
-	hits   int64
-	misses int64
-	err    error
-}
-
-type groupWindow struct {
-	group  int
-	window int64
 }
 
 // Rollup executes a fleet rollup: per-cabinet or per-MSB aggregation of a
@@ -122,202 +108,62 @@ func (e *Engine) rollup(ctx context.Context, req RollupRequest) (*RollupResult, 
 		Dataset: req.Dataset, Column: req.Column, Group: req.Group,
 		T0: req.T0, T1: req.T1, Step: req.Step,
 	}
-	res.Stats.DaysTotal = len(st.days)
+	scanDays, pruned := pruneDays(st.days, meta, req.T0, req.T1)
+	proto := windowSink{node: -1}
+	groups := 1
+	switch req.Group {
+	case GroupCabinet:
+		proto.groupOf, groups = e.cabinetOf, e.floor.Cabinets()
+	case GroupMSB:
+		proto.groupOf, groups = e.msbOf, e.floor.MSBs()
+	}
+	// windows x groups is known from day metadata: an over-budget rollup is
+	// refused here, before a partition is read.
+	if proto.g, err = newGrid(scanDays, meta, req.T0, req.T1, req.Step, groups, req.Limit); err != nil {
+		return nil, err
+	}
+	proto.cells = make([]stats.Moments, groups*proto.g.n)
 	// Persisted pre-aggregates answer aligned rollups without touching a
 	// single per-node row.
-	if ok, err := e.preaggRollup(ctx, st, meta, req, res); err != nil {
+	if ok, err := e.preaggRollup(ctx, st, meta, req, proto.g, proto.cells, res); err != nil {
 		return nil, err
-	} else if ok {
-		return res, nil
-	}
-	scanDays, pruned := pruneDays(st.days, meta, req.T0, req.T1)
-	res.Stats.DaysPruned = pruned
-	res.Stats.DaysScanned = len(scanDays)
-	e.met.DaysPruned.Add(int64(pruned))
-	e.met.DaysScanned.Add(int64(len(scanDays)))
-
-	scans := parallel.ProcessChunks(len(scanDays), e.cfg.Workers, func(c parallel.Chunk) rollupScan {
-		out := rollupScan{acc: map[groupWindow]*stats.Moments{}}
-		var sc store.IterScratch
-		for _, day := range scanDays[c.Start:c.End] {
-			if err := ctx.Err(); err != nil {
-				out.err = err
-				return out
-			}
-			tab, hit, err := e.scanTable(st, day)
-			if err != nil {
-				out.err = err
-				return out
-			}
-			if tab == nil {
-				// First-touch partition: fold moments during decode.
-				out.misses++
-				e.met.IterScans.Add(1)
-				if err := e.iterRollup(st, meta[day], req, &out, &sc); err != nil {
-					out.err = err
-					return out
-				}
-				continue
-			}
-			if hit {
-				out.hits++
-			} else {
-				out.misses++
-			}
-			if err := e.scanRollup(tab, meta[day], req, &out); err != nil {
-				out.err = err
-				return out
-			}
-		}
-		return out
-	})
-	// Merge chunk accumulators; day-boundary windows may span chunks, so
-	// moments merge (Chan et al.) rather than concatenate.
-	merged := map[groupWindow]*stats.Moments{}
-	for _, s := range scans {
-		if s.err != nil {
-			return nil, s.err
-		}
-		res.Stats.RowsScanned += s.rows
-		res.Stats.CacheHits += s.hits
-		res.Stats.CacheMisses += s.misses
-		for k, m := range s.acc {
-			if dst, ok := merged[k]; ok {
-				dst.Merge(*m)
-			} else {
-				merged[k] = m
-			}
+	} else if !ok {
+		clear(proto.cells) // a pre-aggregate read may give up half way
+		e.bookDays(&res.Stats, len(st.days), len(scanDays), pruned)
+		spec := scanSpec{dataset: req.Dataset, column: req.Column, nodeUse: "rollup", readNodes: proto.groupOf != nil}
+		if err := e.windowScan(ctx, st, meta, scanDays, spec, proto, &res.Stats); err != nil {
+			return nil, err
 		}
 	}
-	e.met.RowsScanned.Add(res.Stats.RowsScanned)
-	res.Series = buildSeries(merged, req.Group, e.floor)
+	res.Series = buildSeries(proto.g, proto.cells, req.Group)
 	return res, nil
 }
 
-// iterRollup streams one partition through the column iterator, folding
-// rows into per-group window moments during decode — identical accumulation
-// order to scanRollup over the materialized table, so the result is
-// bit-identical, with no day table built.
-func (e *Engine) iterRollup(st *datasetState, m store.DayMeta, req RollupRequest, out *rollupScan, sc *store.IterScratch) error {
-	if m.TimeColumn == "" {
-		return fmt.Errorf("query: partition day %d has no time column: %w",
-			m.Day, ErrBadRequest)
-	}
-	if _, ok := metaColumn(m, req.Column); !ok {
-		return fmt.Errorf("query: dataset %q has no column %q: %w",
-			req.Dataset, req.Column, ErrNotFound)
-	}
-	if c, ok := metaColumn(m, "node"); !ok || !c.Int {
-		return fmt.Errorf("query: dataset %q has no node column; rollup unsupported: %w",
-			req.Dataset, ErrBadRequest)
-	}
-	rows, err := st.ds.IterDayColumns(m.Day, []string{m.TimeColumn, "node"}, req.Column, sc,
-		func(start int, vals []float64) error {
-			times, nodes := sc.Axes[0], sc.Axes[1]
-			for j, v := range vals {
-				i := start + j
-				t := times[i]
-				if t < req.T0 || t >= req.T1 {
-					continue
+// buildSeries renders the dense accumulators as per-group series: groups
+// and windows ascending, empty ones skipped.
+func buildSeries(g grid, cells []stats.Moments, group GroupBy) []GroupSeries {
+	var out []GroupSeries
+	for gi := 0; gi*g.n < len(cells); gi++ {
+		var ws []RollupWindow
+		for i := range cells[gi*g.n : (gi+1)*g.n] {
+			if m := &cells[gi*g.n+i]; m.N > 0 {
+				if ws == nil {
+					ws = make([]RollupWindow, 0, g.n-i)
 				}
-				g, err := e.groupOf(req.Group, nodes[i])
-				if err != nil {
-					return err
-				}
-				k := groupWindow{group: g, window: t - floorMod(t, req.Step)}
-				acc, ok := out.acc[k]
-				if !ok {
-					acc = &stats.Moments{}
-					out.acc[k] = acc
-				}
-				acc.Add(v)
+				ws = append(ws, RollupWindow{
+					T: g.w0 + int64(i)*g.step, Count: m.N,
+					Min: m.Min, Max: m.Max, Mean: m.Mean(), Sum: m.Sum(),
+				})
 			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	out.rows += int64(rows)
-	return nil
-}
-
-// scanRollup accumulates one partition's rows into per-group windows.
-func (e *Engine) scanRollup(tab *store.Table, meta store.DayMeta, req RollupRequest, out *rollupScan) error {
-	times, err := timeColumn(tab, meta)
-	if err != nil {
-		return err
-	}
-	val := tab.Col(req.Column)
-	if val == nil {
-		return fmt.Errorf("query: dataset %q has no column %q: %w",
-			req.Dataset, req.Column, ErrNotFound)
-	}
-	nodeCol := tab.Col("node")
-	if nodeCol == nil || !nodeCol.IsInt() {
-		return fmt.Errorf("query: dataset %q has no node column; rollup unsupported: %w",
-			req.Dataset, ErrBadRequest)
-	}
-	nodes := nodeCol.Ints
-	for i, t := range times {
-		if t < req.T0 || t >= req.T1 {
-			continue
 		}
-		g, err := e.groupOf(req.Group, nodes[i])
-		if err != nil {
-			return err
+		if ws != nil {
+			out = append(out, GroupSeries{Group: gi, Label: groupLabel(group, gi), Windows: ws})
 		}
-		k := groupWindow{group: g, window: t - floorMod(t, req.Step)}
-		m, ok := out.acc[k]
-		if !ok {
-			m = &stats.Moments{}
-			out.acc[k] = m
-		}
-		m.Add(colValue(val, i))
-	}
-	out.rows += int64(len(times))
-	return nil
-}
-
-// groupOf maps a node ID to its rollup group.
-func (e *Engine) groupOf(g GroupBy, node int64) (int, error) {
-	if g == GroupFleet {
-		return 0, nil
-	}
-	if node < 0 || int(node) >= e.floor.Nodes() {
-		return 0, fmt.Errorf("query: node %d outside the %d-node floor (check -nodes): %w",
-			node, e.floor.Nodes(), ErrBadRequest)
-	}
-	id := topology.NodeID(node)
-	if g == GroupCabinet {
-		return e.floor.Cabinet(id), nil
-	}
-	return int(e.floor.MSBOf(id)), nil
-}
-
-// buildSeries renders merged accumulators as sorted per-group series.
-func buildSeries(merged map[groupWindow]*stats.Moments, group GroupBy, floor *topology.Floor) []GroupSeries {
-	byGroup := map[int][]RollupWindow{}
-	for k, m := range merged {
-		byGroup[k.group] = append(byGroup[k.group], RollupWindow{
-			T: k.window, Count: m.N,
-			Min: m.Min, Max: m.Max, Mean: m.Mean(), Sum: m.Sum(),
-		})
-	}
-	groups := make([]int, 0, len(byGroup))
-	for g := range byGroup {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
-	out := make([]GroupSeries, 0, len(groups))
-	for _, g := range groups {
-		ws := byGroup[g]
-		sort.Slice(ws, func(i, j int) bool { return ws[i].T < ws[j].T })
-		out = append(out, GroupSeries{Group: g, Label: groupLabel(group, g, floor), Windows: ws})
 	}
 	return out
 }
 
-func groupLabel(group GroupBy, g int, floor *topology.Floor) string {
+func groupLabel(group GroupBy, g int) string {
 	switch group {
 	case GroupCabinet:
 		return fmt.Sprintf("cab%03d", g)

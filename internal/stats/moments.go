@@ -172,3 +172,120 @@ func MeanCI(xs []float64, z float64) (mean, half float64) {
 	}
 	return m.Mean(), z * m.SampleStd() / math.Sqrt(float64(m.N))
 }
+
+// AddSlice incorporates xs in order. The result is bit-identical to calling
+// Add once per element (NaN payloads aside): the same Welford recurrence in
+// the same order, with the accumulator held in registers across the run
+// instead of re-read from memory per observation.
+//
+//lint:allocfree
+func (m *Moments) AddSlice(xs []float64) {
+	if len(xs) == 0 {
+		return
+	}
+	if m.N == 0 {
+		m.Add(xs[0])
+		xs = xs[1:]
+	}
+	n, mn, mx, mean, m2 := float64(m.N), m.Min, m.Max, m.mean, m.m2
+	for _, x := range xs {
+		n++
+		if x < mn {
+			mn = x
+		}
+		if x > mx {
+			mx = x
+		}
+		d := x - mean
+		mean += d / n
+		m2 += d * (x - mean)
+	}
+	m.N += int64(len(xs))
+	m.Min, m.Max, m.mean, m.m2 = mn, mx, mean, m2
+}
+
+// AddSlices4 folds four independent runs into four distinct accumulators,
+// ms[k] receiving xs[k]. Each accumulator ends bit-identical to
+// ms[k].AddSlice(xs[k]); the four Welford chains advance side by side so
+// their divisions overlap instead of queueing behind one another (a single
+// chain is latency-bound on d/n). The accumulators must not alias.
+//
+//lint:allocfree
+func AddSlices4(ms *[4]*Moments, xs *[4][]float64) {
+	a, b, c, d := ms[0], ms[1], ms[2], ms[3]
+	xa, xb, xc, xd := seed(a, xs[0]), seed(b, xs[1]), seed(c, xs[2]), seed(d, xs[3])
+	k := min(len(xa), len(xb), len(xc), len(xd))
+	an, amn, amx, amean, am2 := float64(a.N), a.Min, a.Max, a.mean, a.m2
+	bn, bmn, bmx, bmean, bm2 := float64(b.N), b.Min, b.Max, b.mean, b.m2
+	cn, cmn, cmx, cmean, cm2 := float64(c.N), c.Min, c.Max, c.mean, c.m2
+	dn, dmn, dmx, dmean, dm2 := float64(d.N), d.Min, d.Max, d.mean, d.m2
+	ya, yb, yc, yd := xa[:k], xb[:k], xc[:k], xd[:k]
+	for i, x := range ya {
+		an++
+		if x < amn {
+			amn = x
+		}
+		if x > amx {
+			amx = x
+		}
+		e := x - amean
+		amean += e / an
+		am2 += e * (x - amean)
+
+		x = yb[i]
+		bn++
+		if x < bmn {
+			bmn = x
+		}
+		if x > bmx {
+			bmx = x
+		}
+		e = x - bmean
+		bmean += e / bn
+		bm2 += e * (x - bmean)
+
+		x = yc[i]
+		cn++
+		if x < cmn {
+			cmn = x
+		}
+		if x > cmx {
+			cmx = x
+		}
+		e = x - cmean
+		cmean += e / cn
+		cm2 += e * (x - cmean)
+
+		x = yd[i]
+		dn++
+		if x < dmn {
+			dmn = x
+		}
+		if x > dmx {
+			dmx = x
+		}
+		e = x - dmean
+		dmean += e / dn
+		dm2 += e * (x - dmean)
+	}
+	n := int64(k)
+	a.N, a.Min, a.Max, a.mean, a.m2 = a.N+n, amn, amx, amean, am2
+	b.N, b.Min, b.Max, b.mean, b.m2 = b.N+n, bmn, bmx, bmean, bm2
+	c.N, c.Min, c.Max, c.mean, c.m2 = c.N+n, cmn, cmx, cmean, cm2
+	d.N, d.Min, d.Max, d.mean, d.m2 = d.N+n, dmn, dmx, dmean, dm2
+	a.AddSlice(xa[k:])
+	b.AddSlice(xb[k:])
+	c.AddSlice(xc[k:])
+	d.AddSlice(xd[k:])
+}
+
+// seed gives an empty accumulator its first observation (the N == 1 branch
+// of Add) and returns the rest of the run, so the interleaved loop needs no
+// first-element test.
+func seed(m *Moments, xs []float64) []float64 {
+	if m.N == 0 && len(xs) > 0 {
+		m.Add(xs[0])
+		return xs[1:]
+	}
+	return xs
+}

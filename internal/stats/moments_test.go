@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -199,4 +200,100 @@ func TestMeanCI(t *testing.T) {
 	if _, h := MeanCI([]float64{1}, 1.96); h != 0 {
 		t.Error("single sample CI must be 0")
 	}
+}
+
+// momentsBitsEq compares two accumulators field by field at tolerance 0
+// (any NaN equals any NaN: which payload an x86 add propagates depends on
+// operand order, which the compiler is free to pick).
+func momentsBitsEq(a, b Moments) bool {
+	eq := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	return a.N == b.N && eq(a.Min, b.Min) && eq(a.Max, b.Max) && eq(a.mean, b.mean) && eq(a.m2, b.m2)
+}
+
+// TestAddSliceKernelsMatchAdd pins the slice kernels to the per-observation
+// recurrence bit for bit: empty and continued accumulators, runs of unequal
+// length (so the interleaved prefix and every serial tail run), NaN, ±0 and
+// infinities in the data.
+func TestAddSliceKernelsMatchAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	special := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e300, -1e-300}
+	for trial := 0; trial < 300; trial++ {
+		var runs [4][]float64
+		var ref, one, four [4]Moments
+		for k := range runs {
+			for j := rng.Intn(40); j > 0; j-- { // sometimes a continued accumulator
+				x := rng.NormFloat64() * 100
+				ref[k].Add(x)
+				one[k].Add(x)
+				four[k].Add(x)
+			}
+			if rng.Intn(4) == 0 {
+				ref[k], one[k], four[k] = Moments{}, Moments{}, Moments{}
+			}
+			runs[k] = make([]float64, rng.Intn(70))
+			for j := range runs[k] {
+				runs[k][j] = 2000 + rng.NormFloat64()*300
+				if rng.Intn(25) == 0 {
+					runs[k][j] = special[rng.Intn(len(special))]
+				}
+			}
+			for _, x := range runs[k] {
+				ref[k].Add(x)
+			}
+			one[k].AddSlice(runs[k])
+		}
+		AddSlices4(&[4]*Moments{&four[0], &four[1], &four[2], &four[3]}, &runs)
+		for k := range runs {
+			if !momentsBitsEq(one[k], ref[k]) {
+				t.Fatalf("trial %d chain %d: AddSlice %+v != Add %+v", trial, k, one[k], ref[k])
+			}
+			if !momentsBitsEq(four[k], ref[k]) {
+				t.Fatalf("trial %d chain %d: AddSlices4 %+v != Add %+v", trial, k, four[k], ref[k])
+			}
+		}
+	}
+}
+
+// BenchmarkWelford144Windows folds the bench archive's fleet day (144
+// windows of 3840 samples) three ways; the gap between Add and AddSlices4
+// is the division latency the interleaved chains hide.
+func BenchmarkWelford144Windows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	runs := make([][]float64, 144)
+	for i := range runs {
+		runs[i] = make([]float64, 3840)
+		for j := range runs[i] {
+			runs[i][j] = 2000 + rng.Float64()*500
+		}
+	}
+	ms := make([]Moments, len(runs))
+	b.Run("Add", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, xs := range runs {
+				ms[k] = Moments{}
+				for _, x := range xs {
+					ms[k].Add(x)
+				}
+			}
+		}
+	})
+	b.Run("AddSlice", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, xs := range runs {
+				ms[k] = Moments{}
+				ms[k].AddSlice(xs)
+			}
+		}
+	})
+	b.Run("AddSlices4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < len(runs); k += 4 {
+				ms[k], ms[k+1], ms[k+2], ms[k+3] = Moments{}, Moments{}, Moments{}, Moments{}
+				AddSlices4(&[4]*Moments{&ms[k], &ms[k+1], &ms[k+2], &ms[k+3]},
+					&[4][]float64{runs[k], runs[k+1], runs[k+2], runs[k+3]})
+			}
+		}
+	})
 }

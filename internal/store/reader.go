@@ -502,6 +502,10 @@ type DayMeta struct {
 	TimeColumn       string
 	HasTime          bool
 	MinTime, MaxTime int64
+	// TimeSorted reports that the time column is non-decreasing in row
+	// order (true for an empty column), so a time range is one contiguous
+	// row span a reader can find by binary search.
+	TimeSorted bool
 }
 
 // DayMeta scans the partition for the given day and returns its metadata.
@@ -551,9 +555,11 @@ func readDayMeta(r io.Reader, day int, timeCols []string) (DayMeta, error) {
 				return DayMeta{}, err
 			}
 			meta.TimeColumn = info.Name
+			meta.TimeSorted = true
 			if len(col.Ints) > 0 {
 				meta.HasTime = true
 				meta.MinTime, meta.MaxTime = col.Ints[0], col.Ints[0]
+				prev := col.Ints[0]
 				for _, t := range col.Ints[1:] {
 					if t < meta.MinTime {
 						meta.MinTime = t
@@ -561,6 +567,10 @@ func readDayMeta(r io.Reader, day int, timeCols []string) (DayMeta, error) {
 					if t > meta.MaxTime {
 						meta.MaxTime = t
 					}
+					if t < prev {
+						meta.TimeSorted = false
+					}
+					prev = t
 				}
 			}
 			continue
