@@ -80,20 +80,15 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSim' -benchmem -benchtime 1x .
 
 # bench-query records the query-engine benchmarks (cold decode, cached,
-# iterator-aggregate, pre-aggregate) in BENCH_query.json twice: once with
-# the engine pinned to the decode-everything path ("materialized", the
-# pre-optimization baseline) and once on the default vectorized read path
-# ("vectorized"). The report then renders both labels side by side.
+# iterator-aggregate, pre-aggregate) in BENCH_query.json under LABEL; the
+# report then renders it beside the labels already tracked there.
 bench-query:
-	QUERYBENCH_MODE=materialized $(GO) test -run xxx -bench 'BenchmarkQuery' -benchmem -count 3 . | \
-		$(GO) run ./cmd/benchjson -out BENCH_query.json -label materialized
 	$(GO) test -run xxx -bench 'BenchmarkQuery' -benchmem -count 3 . | \
-		$(GO) run ./cmd/benchjson -out BENCH_query.json -label vectorized
+		$(GO) run ./cmd/benchjson -out BENCH_query.json -label $(LABEL)
 
-# bench-query-smoke is the CI guard: one iteration of each query benchmark
-# in both scan modes, plus a parse check of the tracked BENCH_query.json.
+# bench-query-smoke is the CI guard: one iteration of each query benchmark,
+# plus a parse check of the tracked BENCH_query.json.
 bench-query-smoke:
-	QUERYBENCH_MODE=materialized $(GO) test -run xxx -bench 'BenchmarkQuery' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkQuery' -benchmem -benchtime 1x .
 	$(GO) run ./cmd/benchjson -report - BENCH_query.json >/dev/null
 

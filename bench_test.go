@@ -491,22 +491,10 @@ func writeQueryBenchArchive(dir string) error {
 	return nil
 }
 
-// queryBenchMode selects the engine scan mode for the query benchmarks.
-// `make bench-query` runs the suite twice — QUERYBENCH_MODE=materialized
-// records the decode-everything baseline, the default run records the
-// vectorized path (streaming iterators + persisted pre-aggregates) — and
-// benchjson files both labels into BENCH_query.json for the trend report.
-func queryBenchMode() query.ScanMode {
-	if os.Getenv("QUERYBENCH_MODE") == "materialized" {
-		return query.ScanMaterialize
-	}
-	return query.ScanAuto
-}
-
 func queryBenchEngine(b *testing.B) *query.Engine {
 	b.Helper()
 	eng, err := query.Open(query.Config{
-		Dir: queryBenchArchive(b), Nodes: queryBenchNodes, ScanMode: queryBenchMode(),
+		Dir: queryBenchArchive(b), Nodes: queryBenchNodes,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -523,8 +511,7 @@ func queryBenchRequest() query.RangeRequest {
 
 // BenchmarkQueryRange measures a cold three-day fleet-wide downsample:
 // every iteration flushes the decoded-table cache, so this is the raw
-// decode+aggregate path (streaming iterator by default, full table
-// materialization under QUERYBENCH_MODE=materialized).
+// decode+aggregate path (first touch: the streaming iterator).
 func BenchmarkQueryRange(b *testing.B) {
 	eng := queryBenchEngine(b)
 	ctx := context.Background()
@@ -539,9 +526,9 @@ func BenchmarkQueryRange(b *testing.B) {
 }
 
 // BenchmarkQueryRollup measures a cold full-span cabinet rollup on the
-// pre-aggregation grid (600 s windows). The default mode answers from the
-// persisted companion partitions; the materialized baseline decodes and
-// scans every per-node row. The gap is the value of write-time rollups.
+// pre-aggregation grid (600 s windows), answered from the persisted
+// companion partitions. The gap to BenchmarkQueryRollupScan is the value of
+// write-time rollups.
 func BenchmarkQueryRollup(b *testing.B) {
 	eng := queryBenchEngine(b)
 	ctx := context.Background()
@@ -559,9 +546,8 @@ func BenchmarkQueryRollup(b *testing.B) {
 }
 
 // BenchmarkQueryRollupScan is the same cold cabinet rollup off the
-// pre-aggregation grid (1800 s windows), forcing a per-node scan in every
-// mode: it isolates aggregate-during-decode iteration against table
-// materialization without the pre-aggregate shortcut.
+// pre-aggregation grid (1800 s windows), forcing a per-node scan: the
+// aggregate-during-decode iteration without the pre-aggregate shortcut.
 func BenchmarkQueryRollupScan(b *testing.B) {
 	eng := queryBenchEngine(b)
 	ctx := context.Background()

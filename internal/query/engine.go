@@ -18,10 +18,8 @@ import (
 	"os"
 	"regexp"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/topology"
@@ -50,36 +48,15 @@ type Config struct {
 	Site string
 	// Workers bounds the parallel partition scan (<= 0: GOMAXPROCS).
 	Workers int
-	// CacheBytes bounds the decoded-table cache (<= 0: 256 MiB). Ignored
-	// when Cache is set.
-	CacheBytes int64
 	// Cache optionally supplies a shared decoded-table cache so the query
 	// tier and the archive-backed analyses draw on one byte budget. Nil
-	// gives the engine a private cache of CacheBytes.
+	// gives the engine a private 256 MiB cache.
 	Cache *store.TableCache
-	// TimeColumns are candidate time-axis column names in priority order
-	// (nil: "timestamp", then "begin_time").
-	TimeColumns []string
-	// ScanMode selects the cold-read strategy; see the constants. The zero
-	// value (ScanAuto) is the production choice.
-	ScanMode ScanMode
 }
 
-// ScanMode selects how cold (uncached) day partitions are read.
-type ScanMode int
-
-const (
-	// ScanAuto streams first-touch partitions through the store's column
-	// iterator — aggregation happens during decode, nothing is
-	// materialized or admitted to the cache — and only materializes (and
-	// caches) partitions seen repeatedly. Cache-resident tables are always
-	// used. Aligned rollups may be answered from persisted pre-aggregates.
-	ScanAuto ScanMode = iota
-	// ScanMaterialize always decodes whole day tables through the cache —
-	// the engine's original read path, kept for cache-backed workloads,
-	// benchmarks of the before/after trajectory, and bit-parity tests.
-	ScanMaterialize
-)
+// timeColumns are the candidate time-axis column names, in priority order;
+// "window" is the time axis of pre-aggregate companion datasets.
+var timeColumns = []string{"timestamp", "begin_time", "window"}
 
 // Engine serves range, downsample and rollup queries over every dataset of
 // one archive directory. Safe for concurrent use.
@@ -91,16 +68,7 @@ type Engine struct {
 	cabinetOf, msbOf []int32
 	cache            *store.TableCache
 	met              *Metrics
-	datasets         map[string]*datasetState // immutable after Open
-}
-
-type datasetState struct {
-	ds   *store.Dataset
-	days []int
-
-	once    sync.Once // guards meta load
-	metaErr error
-	meta    map[int]store.DayMeta
+	datasets         map[string]*store.Index // immutable after Open
 }
 
 // dayFileRE matches canonical partition filenames: <dataset>-day<NNNNN>.spwr.
@@ -108,13 +76,6 @@ var dayFileRE = regexp.MustCompile(`^(.+)-day\d{5,}\.spwr$`)
 
 // Open scans dir for datasets and returns an engine over them.
 func Open(cfg Config) (*Engine, error) {
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = 256 << 20
-	}
-	if cfg.TimeColumns == nil {
-		// "window" is the time axis of pre-aggregate companion datasets.
-		cfg.TimeColumns = []string{"timestamp", "begin_time", "window"}
-	}
 	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("query: open archive: %w", err)
@@ -130,13 +91,13 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	cache := cfg.Cache
 	if cache == nil {
-		cache = store.NewTableCache(cfg.CacheBytes)
+		cache = store.NewTableCache(256 << 20)
 	}
 	e := &Engine{
 		cfg:      cfg,
 		cache:    cache,
 		met:      &Metrics{},
-		datasets: make(map[string]*datasetState, len(names)),
+		datasets: make(map[string]*store.Index, len(names)),
 	}
 	if cfg.Nodes > 0 {
 		tcfg, err := topology.PresetScaled(cfg.Site, cfg.Nodes)
@@ -153,15 +114,9 @@ func Open(cfg Config) (*Engine, error) {
 		}
 	}
 	for name := range names {
-		ds, err := store.NewDataset(cfg.Dir, name)
-		if err != nil {
+		if e.datasets[name], err = store.OpenIndex(cfg.Dir, name, cfg.Workers, timeColumns...); err != nil {
 			return nil, err
 		}
-		days, err := ds.Days()
-		if err != nil {
-			return nil, err
-		}
-		e.datasets[name] = &datasetState{ds: ds, days: days}
 	}
 	return e, nil
 }
@@ -184,83 +139,13 @@ func (e *Engine) CacheBytesMax() int64 { return e.cache.Max() }
 // cold path).
 func (e *Engine) FlushCache() { e.cache.Flush() }
 
-// state resolves a dataset by name.
-func (e *Engine) state(name string) (*datasetState, error) {
-	st, ok := e.datasets[name]
+// index resolves a dataset's partition index by name.
+func (e *Engine) index(name string) (*store.Index, error) {
+	x, ok := e.datasets[name]
 	if !ok {
 		return nil, fmt.Errorf("query: dataset %q: %w", name, ErrNotFound)
 	}
-	return st, nil
-}
-
-// metas lazily loads the per-day row-range metadata of a dataset, in
-// parallel over its partitions. Loaded once; partitions are immutable.
-func (e *Engine) metas(st *datasetState) (map[int]store.DayMeta, error) {
-	st.once.Do(func() {
-		metas, err := parallel.MapErr(len(st.days), e.cfg.Workers,
-			func(i int) (store.DayMeta, error) {
-				return st.ds.DayMeta(st.days[i], e.cfg.TimeColumns...)
-			})
-		if err != nil {
-			st.metaErr = err
-			return
-		}
-		st.meta = make(map[int]store.DayMeta, len(metas))
-		for _, m := range metas {
-			st.meta[m.Day] = m
-		}
-	})
-	return st.meta, st.metaErr
-}
-
-// pruneDays returns the days whose time span intersects [t0, t1). Days
-// without a time column are always kept (they cannot be pruned).
-func pruneDays(days []int, meta map[int]store.DayMeta, t0, t1 int64) (keep []int, pruned int) {
-	for _, day := range days {
-		m := meta[day]
-		if m.HasTime && (m.MaxTime < t0 || m.MinTime >= t1) {
-			pruned++
-			continue
-		}
-		keep = append(keep, day)
-	}
-	return keep, pruned
-}
-
-// table resolves the read path of one day partition. It returns the cached
-// table when resident (hit), else a freshly materialized and admitted one —
-// except that with stream set, a partition touched for the first time
-// (outside ScanMaterialize) yields a nil table: the caller should stream it
-// through the column iterator, so single-touch full-day scans are served
-// during decode and never churn the cache.
-func (e *Engine) table(st *datasetState, day int, stream bool) (tab *store.Table, hit bool, err error) {
-	key := store.CacheKey(st.ds.Name, day, nil)
-	if tab, ok := e.cache.Get(key); ok {
-		e.met.CacheHits.Add(1)
-		return tab, true, nil
-	}
-	e.met.CacheMisses.Add(1)
-	if stream && e.cfg.ScanMode != ScanMaterialize && e.cache.Touch(key) < 2 {
-		return nil, false, nil
-	}
-	if tab, err = st.ds.ReadDay(day); err != nil {
-		return nil, false, err
-	}
-	e.met.BytesDecoded.Add(store.TableBytes(tab))
-	if n := e.cache.Put(key, tab); n > 0 {
-		e.met.CacheEvictions.Add(int64(n))
-	}
-	return tab, false, nil
-}
-
-// metaColumn finds a column in the partition inventory.
-func metaColumn(m store.DayMeta, name string) (store.ColumnInfo, bool) {
-	for _, c := range m.Columns {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return store.ColumnInfo{}, false
+	return x, nil
 }
 
 // RangeRequest selects one column of one dataset over [T0, T1).
@@ -337,11 +222,11 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 	if req.Column == "" {
 		return nil, fmt.Errorf("query: missing column: %w", ErrBadRequest)
 	}
-	st, err := e.state(req.Dataset)
+	x, err := e.index(req.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := e.metas(st)
+	days, pruned, err := x.Prune(req.T0, req.T1)
 	if err != nil {
 		return nil, err
 	}
@@ -349,23 +234,22 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 		Dataset: req.Dataset, Column: req.Column, Node: req.Node,
 		T0: req.T0, T1: req.T1, Step: req.Step,
 	}
-	scanDays, pruned := pruneDays(st.days, meta, req.T0, req.T1)
-	e.bookDays(&res.Stats, len(st.days), len(scanDays), pruned)
-	spec := scanSpec{dataset: req.Dataset, column: req.Column}
+	e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
+	spec := scanSpec{ds: x.Dataset(), column: req.Column}
 	if req.Node >= 0 {
 		spec.nodeUse, spec.readNodes = "node filter", true
 	}
 	if req.Step == 0 {
-		res.Points, err = e.rangePoints(ctx, st, meta, scanDays, spec, req, &res.Stats)
+		res.Points, err = e.rangePoints(ctx, days, spec, req, &res.Stats)
 		return res, err
 	}
-	g, err := newGrid(scanDays, meta, req.T0, req.T1, req.Step, 1, req.Limit)
+	g, err := newGrid(days, req.T0, req.T1, req.Step, 1, req.Limit)
 	if err != nil {
 		return nil, err
 	}
 	cells := make([]stats.Moments, g.n)
 	proto := windowSink{g: g, cells: cells, node: req.Node, late: true}
-	if err := e.windowScan(ctx, st, meta, scanDays, spec, proto, &res.Stats); err != nil {
+	if err := e.windowScan(ctx, days, spec, proto, &res.Stats); err != nil {
 		return nil, err
 	}
 	res.Windows = make([]tsagg.WindowStat, 0, g.n)
@@ -382,9 +266,9 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 
 // rangePoints runs the raw (step = 0) scan. Each chunk's sink appends
 // straight into what becomes the reply's point slice.
-func (e *Engine) rangePoints(ctx context.Context, st *datasetState, meta map[int]store.DayMeta, days []int,
+func (e *Engine) rangePoints(ctx context.Context, days []store.DayMeta,
 	spec scanSpec, req RangeRequest, qs *QueryStats) ([]Point, error) {
-	sinks, err := e.scan(ctx, st, meta, days, spec, qs, func([]int) sink {
+	sinks, err := e.scan(ctx, days, spec, qs, func([]store.DayMeta) sink {
 		return &pointSink{t0: req.T0, t1: req.T1, node: req.Node, limit: req.Limit}
 	})
 	if err != nil {
@@ -438,16 +322,15 @@ type DatasetInfo struct {
 func (e *Engine) Datasets() ([]DatasetInfo, error) {
 	e.met.DatasetQueries.Add(1)
 	out := make([]DatasetInfo, 0, len(e.datasets))
-	for name, st := range e.datasets {
-		meta, err := e.metas(st)
+	for name, x := range e.datasets {
+		metas, err := x.Metas()
 		if err != nil {
 			e.met.Errors.Add(1)
 			return nil, err
 		}
-		info := DatasetInfo{Name: name, Days: len(st.days)}
+		info := DatasetInfo{Name: name, Days: len(metas)}
 		colSeen := map[string]bool{}
-		for _, day := range st.days {
-			m := meta[day]
+		for _, m := range metas {
 			info.Rows += int64(m.Rows)
 			for _, c := range m.Columns {
 				if !colSeen[c.Name] {

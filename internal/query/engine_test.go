@@ -3,9 +3,14 @@ package query
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/source"
 	"repro/internal/store"
 	"repro/internal/tsagg"
 )
@@ -69,18 +74,76 @@ func writeTestArchive(t testing.TB, dir string) {
 }
 
 func testEngine(t testing.TB) *Engine {
-	return testEngineMode(t, ScanAuto)
-}
-
-func testEngineMode(t testing.TB, mode ScanMode) *Engine {
 	t.Helper()
 	dir := t.TempDir()
 	writeTestArchive(t, dir)
-	e, err := Open(Config{Dir: dir, Nodes: fixNodes, ScanMode: mode})
+	e, err := Open(Config{Dir: dir, Nodes: fixNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestOpenMissingPathCreatesNothing: opening an archive is read-only. A
+// mistyped path must come back as fs.ErrNotExist from both readers and must
+// not be created as a side effect; the first write into a fresh path still
+// creates it.
+func TestOpenMissingPathCreatesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "typo", "archive")
+	if _, err := source.OpenArchive(source.ArchiveConfig{Dir: dir}); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("OpenArchive on a missing path: %v, want fs.ErrNotExist", err)
+	}
+	if _, err := Open(Config{Dir: dir}); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Open on a missing path: %v, want fs.ErrNotExist", err)
+	}
+	if _, err := os.Stat(filepath.Dir(dir)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a failed open left %s behind (stat: %v)", filepath.Dir(dir), err)
+	}
+	ds, err := store.NewDataset(dir, "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.WriteDay(0, &store.Table{Cols: []store.Column{{Name: "timestamp", Ints: []int64{1}}}}); err != nil {
+		t.Fatalf("first write into a fresh path: %v", err)
+	}
+	if tab, err := ds.ReadDay(0); err != nil || tab.NumRows() != 1 {
+		t.Fatalf("read back after the first write: %v", err)
+	}
+}
+
+// TestMetadataErrorDoesNotStick: a partition unreadable at the first query
+// (still being written, say) fails that query, naming the file — and only
+// that query. Once the bytes are whole the same engine answers.
+func TestMetadataErrorDoesNotStick(t *testing.T) {
+	dir := t.TempDir()
+	writeTestArchive(t, dir)
+	e, err := Open(Config{Dir: dir, Nodes: fixNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := filepath.Join(dir, "node-power-day00001.spwr")
+	whole, err := os.ReadFile(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(part, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: 3, T0: 0, T1: 3 * daySec, Step: 600}
+	if _, err := e.Range(ctx, req); err == nil || !strings.Contains(err.Error(), filepath.Base(part)) {
+		t.Fatalf("query over a torn partition: %v, want an error naming %s", err, filepath.Base(part))
+	}
+	if err := os.WriteFile(part, whole, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Range(ctx, req)
+	if err != nil {
+		t.Fatalf("query after the partition was restored: %v", err)
+	}
+	if res.Stats.DaysScanned != 3 || len(res.Windows) == 0 {
+		t.Errorf("restored query scanned %d days, %d windows", res.Stats.DaysScanned, len(res.Windows))
+	}
 }
 
 func TestOpenDiscoversDatasets(t *testing.T) {
@@ -291,30 +354,6 @@ func TestRangeCacheHits(t *testing.T) {
 	}
 	if entries, _ := e.CacheStats(); entries != 0 {
 		t.Fatalf("post-flush first touch admitted %d entries", entries)
-	}
-}
-
-// TestRangeScanModeMaterialize pins the legacy read path: every cold scan
-// decodes a whole table through the cache, first touch included.
-func TestRangeScanModeMaterialize(t *testing.T) {
-	e := testEngineMode(t, ScanMaterialize)
-	req := RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: -1, T0: 0, T1: 2 * daySec}
-	first, err := e.Range(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.CacheMisses != 2 || first.Stats.CacheHits != 0 {
-		t.Fatalf("cold query hits/misses = %d/%d", first.Stats.CacheHits, first.Stats.CacheMisses)
-	}
-	if e.Metrics().IterScans.Load() != 0 {
-		t.Fatalf("materialize mode used the iterator %d times", e.Metrics().IterScans.Load())
-	}
-	second, err := e.Range(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.CacheHits != 2 || second.Stats.CacheMisses != 0 {
-		t.Fatalf("warm query hits/misses = %d/%d", second.Stats.CacheHits, second.Stats.CacheMisses)
 	}
 }
 

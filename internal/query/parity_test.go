@@ -81,11 +81,11 @@ func diffRollup(a, b *RollupResult) string {
 	return ""
 }
 
-// TestGoldenThreePathParity pins the central correctness claim of the
-// vectorized read path: range and rollup answers are byte-identical —
-// tolerance 0 — whether a query materializes day tables, streams them
-// through the aggregate-during-decode iterator, or reads persisted
-// pre-aggregates, at every worker count.
+// TestGoldenThreePathParity pins the central correctness claim of the read
+// path: range and rollup answers are byte-identical — tolerance 0 — whether
+// a partition streams through the aggregate-during-decode iterator (first
+// touch), is materialized and admitted (second), is read resident (third),
+// or the query reads persisted pre-aggregates, at every worker count.
 func TestGoldenThreePathParity(t *testing.T) {
 	dirScan := t.TempDir()
 	writeTestArchive(t, dirScan)
@@ -100,12 +100,13 @@ func TestGoldenThreePathParity(t *testing.T) {
 		{Dataset: "node-power", Column: "input_power.mean", Group: GroupFleet, T0: 600, T1: daySec, Step: 600},
 	}
 	rangeReq := RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: 3, T0: 0, T1: 2 * daySec, Step: 600}
+	touchNames := []string{"stream", "admit", "hit"}
 
 	var refRollups []*RollupResult
 	var refRange *RangeResult
 	for _, workers := range []int{1, 2, 7} {
-		open := func(dir string, mode ScanMode) *Engine {
-			e, err := Open(Config{Dir: dir, Nodes: fixNodes, Workers: workers, ScanMode: mode})
+		open := func(dir string) *Engine {
+			e, err := Open(Config{Dir: dir, Nodes: fixNodes, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,58 +117,70 @@ func TestGoldenThreePathParity(t *testing.T) {
 			e      *Engine
 			preagg bool
 		}{
-			{"materialized", open(dirScan, ScanMaterialize), false},
-			{"iterator", open(dirScan, ScanAuto), false},
-			{"preagg", open(dirPre, ScanAuto), true},
+			{"scan", open(dirScan), false},
+			{"preagg", open(dirPre), true},
 		}
 		for _, p := range paths {
 			for i, req := range rollupReqs {
-				res, err := p.e.Rollup(ctx, req)
+				p.e.FlushCache() // each request walks stream / admit / hit from cold
+				for _, touch := range touchNames {
+					res, err := p.e.Rollup(ctx, req)
+					if err != nil {
+						t.Fatalf("workers=%d %s/%s rollup %d: %v", workers, p.name, touch, i, err)
+					}
+					if res.Stats.Preagg != p.preagg {
+						t.Fatalf("workers=%d %s/%s rollup %d: preagg=%v, want %v",
+							workers, p.name, touch, i, res.Stats.Preagg, p.preagg)
+					}
+					if len(refRollups) <= i {
+						refRollups = append(refRollups, res)
+						continue
+					}
+					if d := diffRollup(refRollups[i], res); d != "" {
+						t.Fatalf("workers=%d %s/%s rollup %d diverges: %s", workers, p.name, touch, i, d)
+					}
+				}
+			}
+			p.e.FlushCache()
+			for _, touch := range touchNames {
+				res, err := p.e.Range(ctx, rangeReq)
 				if err != nil {
-					t.Fatalf("workers=%d %s rollup %d: %v", workers, p.name, i, err)
+					t.Fatalf("workers=%d %s/%s range: %v", workers, p.name, touch, err)
 				}
-				if res.Stats.Preagg != p.preagg {
-					t.Fatalf("workers=%d %s rollup %d: preagg=%v, want %v",
-						workers, p.name, i, res.Stats.Preagg, p.preagg)
+				if want := int64(2); touch == "hit" && res.Stats.CacheHits != want {
+					t.Fatalf("workers=%d %s/%s range: %d cache hits, want %d",
+						workers, p.name, touch, res.Stats.CacheHits, want)
 				}
-				if len(refRollups) <= i {
-					refRollups = append(refRollups, res)
+				if refRange == nil {
+					refRange = res
 					continue
 				}
-				if d := diffRollup(refRollups[i], res); d != "" {
-					t.Fatalf("workers=%d %s rollup %d diverges: %s", workers, p.name, i, d)
+				if len(res.Windows) != len(refRange.Windows) {
+					t.Fatalf("workers=%d %s/%s range: %d windows, want %d",
+						workers, p.name, touch, len(res.Windows), len(refRange.Windows))
 				}
-			}
-			res, err := p.e.Range(ctx, rangeReq)
-			if err != nil {
-				t.Fatalf("workers=%d %s range: %v", workers, p.name, err)
-			}
-			if refRange == nil {
-				refRange = res
-				continue
-			}
-			if len(res.Windows) != len(refRange.Windows) {
-				t.Fatalf("workers=%d %s range: %d windows, want %d",
-					workers, p.name, len(res.Windows), len(refRange.Windows))
-			}
-			for j := range res.Windows {
-				a, b := refRange.Windows[j], res.Windows[j]
-				if a.T != b.T || a.Count != b.Count ||
-					math.Float64bits(a.Min) != math.Float64bits(b.Min) ||
-					math.Float64bits(a.Max) != math.Float64bits(b.Max) ||
-					math.Float64bits(a.Mean) != math.Float64bits(b.Mean) ||
-					math.Float64bits(a.Std) != math.Float64bits(b.Std) {
-					t.Fatalf("workers=%d %s range window %d: %+v != %+v", workers, p.name, j, b, a)
+				for j := range res.Windows {
+					a, b := refRange.Windows[j], res.Windows[j]
+					if a.T != b.T || a.Count != b.Count ||
+						math.Float64bits(a.Min) != math.Float64bits(b.Min) ||
+						math.Float64bits(a.Max) != math.Float64bits(b.Max) ||
+						math.Float64bits(a.Mean) != math.Float64bits(b.Mean) ||
+						math.Float64bits(a.Std) != math.Float64bits(b.Std) {
+						t.Fatalf("workers=%d %s/%s range window %d: %+v != %+v", workers, p.name, touch, j, b, a)
+					}
 				}
 			}
 		}
-		// The iterator engine really streamed (fresh engine, first touch).
-		if paths[1].e.Metrics().IterScans.Load() == 0 {
-			t.Fatalf("workers=%d: iterator path never used the streaming scan", workers)
+		// The scan engine took every read path: it streamed each cold touch,
+		// materialized on the second and read resident tables on the third.
+		met := paths[0].e.Metrics()
+		if met.IterScans.Load() == 0 || met.BytesDecoded.Load() == 0 || met.CacheHits.Load() == 0 {
+			t.Fatalf("workers=%d: scan engine streamed %d days, decoded %d B, hit %d times; want all > 0",
+				workers, met.IterScans.Load(), met.BytesDecoded.Load(), met.CacheHits.Load())
 		}
-		if paths[2].e.Metrics().PreaggQueries.Load() != int64(len(rollupReqs)) {
+		if want := int64(len(rollupReqs) * len(touchNames)); paths[1].e.Metrics().PreaggQueries.Load() != want {
 			t.Fatalf("workers=%d: preagg answered %d of %d rollups",
-				workers, paths[2].e.Metrics().PreaggQueries.Load(), len(rollupReqs))
+				workers, paths[1].e.Metrics().PreaggQueries.Load(), want)
 		}
 	}
 }
@@ -208,17 +221,5 @@ func TestPreaggFallsBackWhenUnaligned(t *testing.T) {
 		if res.Stats.Preagg != tc.want {
 			t.Errorf("%s: preagg=%v, want %v", tc.name, res.Stats.Preagg, tc.want)
 		}
-	}
-	// ScanMaterialize never answers from pre-aggregates.
-	em, err := Open(Config{Dir: dir, Nodes: fixNodes, ScanMode: ScanMaterialize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := em.Rollup(ctx, cases[0].req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Preagg {
-		t.Error("materialize mode answered from pre-aggregates")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/tsagg"
 )
 
 // preaggRollup tries to answer a rollup from the persisted pre-aggregate
@@ -22,21 +23,24 @@ import (
 // table the scan would have filled. Returns ok=false (with no error)
 // whenever the archive has no answerable pre-aggregates, leaving the scan
 // to run (cells may then be partly written).
-func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[int]store.DayMeta, req RollupRequest, g grid, cells []stats.Moments, res *RollupResult) (bool, error) {
-	if e.cfg.ScanMode == ScanMaterialize || req.Step != source.RollupStepSec {
+func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupRequest, g grid, cells []stats.Moments, res *RollupResult) (bool, error) {
+	if req.Step != source.RollupStepSec {
 		return false, nil
 	}
-	rst, ok := e.datasets[req.Dataset+source.RollupSuffix]
-	if !ok || !slices.Equal(st.days, rst.days) {
+	rx, ok := e.datasets[req.Dataset+source.RollupSuffix]
+	if !ok || !slices.Equal(x.Days(), rx.Days()) {
 		return false, nil
+	}
+	metas, err := x.Metas()
+	if err != nil {
+		return false, err
 	}
 	// A range boundary inside a window would need a partial re-aggregation
 	// the companion cannot provide. Aligned bounds are safe, as are bounds
 	// beyond the data's time span (every populated window is then whole).
 	var hasTime bool
 	var minT, maxT int64
-	for _, day := range st.days {
-		m := meta[day]
+	for _, m := range metas {
 		if !m.HasTime {
 			continue
 		}
@@ -48,10 +52,10 @@ func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[in
 		}
 		hasTime = true
 	}
-	if floorMod(req.T0, req.Step) != 0 && !(hasTime && req.T0 <= minT) {
+	if tsagg.FloorMod(req.T0, req.Step) != 0 && !(hasTime && req.T0 <= minT) {
 		return false, nil
 	}
-	if floorMod(req.T1, req.Step) != 0 && !(hasTime && req.T1 > maxT) {
+	if tsagg.FloorMod(req.T1, req.Step) != 0 && !(hasTime && req.T1 > maxT) {
 		return false, nil
 	}
 	var wantKind int64
@@ -62,10 +66,6 @@ func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[in
 		wantKind = source.RollupKindMSB
 	default:
 		wantKind = source.RollupKindFleet
-	}
-	rmeta, err := e.metas(rst)
-	if err != nil {
-		return false, err
 	}
 	colN, colMin, colMax, colMean, colM2 := source.RollupStatCols(req.Column)
 	need := []string{
@@ -79,32 +79,40 @@ func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[in
 	if t0w > req.T0 {
 		t0w = math.MinInt64 // clamp the underflow of a huge negative T0
 	}
-	scanDays, pruned := pruneDays(rst.days, rmeta, t0w, req.T1)
-	for _, day := range scanDays {
+	scanDays, pruned, err := rx.Prune(t0w, req.T1)
+	if err != nil {
+		return false, err
+	}
+	for _, m := range scanDays {
 		for _, name := range need {
-			if _, ok := metaColumn(rmeta[day], name); !ok {
+			if _, ok := m.Column(name); !ok {
 				return false, nil // partition predates the column
 			}
 		}
 	}
 	var rows, hits, misses int64
-	for _, day := range scanDays {
+	for _, m := range scanDays {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		tab, hit, err := e.table(rst, day, false)
+		// Companions are small and every aligned rollup wants them: admit on
+		// first touch, no doorkeeper.
+		tab, hit, err := rx.Dataset().ReadDayColumnsCached(e.cache, m.Day, nil)
 		if err != nil {
 			return false, err
 		}
 		if hit {
 			hits++
+			e.met.CacheHits.Add(1)
 		} else {
 			misses++
+			e.met.CacheMisses.Add(1)
+			e.met.BytesDecoded.Add(store.TableBytes(tab))
 		}
 		var cols [9]*store.Column
 		for i, name := range need {
 			if cols[i] = tab.Col(name); cols[i] == nil {
-				return false, fmt.Errorf("query: pre-aggregate partition day %d lost column %q", day, name)
+				return false, fmt.Errorf("query: pre-aggregate partition day %d lost column %q", m.Day, name)
 			}
 		}
 		window, kind, group, step := cols[0].Ints, cols[1].Ints, cols[2].Ints, cols[3].Ints
@@ -125,7 +133,7 @@ func (e *Engine) preaggRollup(ctx context.Context, st *datasetState, meta map[in
 			rows++
 		}
 	}
-	e.bookDays(&res.Stats, len(st.days), len(scanDays), pruned)
+	e.bookDays(&res.Stats, len(x.Days()), len(scanDays), pruned)
 	res.Stats.RowsScanned = rows
 	res.Stats.CacheHits = hits
 	res.Stats.CacheMisses = misses

@@ -96,11 +96,11 @@ func (e *Engine) rollup(ctx context.Context, req RollupRequest) (*RollupResult, 
 		return nil, fmt.Errorf("query: %s rollup needs the floor size (engine opened without Nodes): %w",
 			req.Group, ErrBadRequest)
 	}
-	st, err := e.state(req.Dataset)
+	x, err := e.index(req.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := e.metas(st)
+	days, pruned, err := x.Prune(req.T0, req.T1)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,6 @@ func (e *Engine) rollup(ctx context.Context, req RollupRequest) (*RollupResult, 
 		Dataset: req.Dataset, Column: req.Column, Group: req.Group,
 		T0: req.T0, T1: req.T1, Step: req.Step,
 	}
-	scanDays, pruned := pruneDays(st.days, meta, req.T0, req.T1)
 	proto := windowSink{node: -1}
 	groups := 1
 	switch req.Group {
@@ -119,19 +118,19 @@ func (e *Engine) rollup(ctx context.Context, req RollupRequest) (*RollupResult, 
 	}
 	// windows x groups is known from day metadata: an over-budget rollup is
 	// refused here, before a partition is read.
-	if proto.g, err = newGrid(scanDays, meta, req.T0, req.T1, req.Step, groups, req.Limit); err != nil {
+	if proto.g, err = newGrid(days, req.T0, req.T1, req.Step, groups, req.Limit); err != nil {
 		return nil, err
 	}
 	proto.cells = make([]stats.Moments, groups*proto.g.n)
 	// Persisted pre-aggregates answer aligned rollups without touching a
 	// single per-node row.
-	if ok, err := e.preaggRollup(ctx, st, meta, req, proto.g, proto.cells, res); err != nil {
+	if ok, err := e.preaggRollup(ctx, x, req, proto.g, proto.cells, res); err != nil {
 		return nil, err
 	} else if !ok {
 		clear(proto.cells) // a pre-aggregate read may give up half way
-		e.bookDays(&res.Stats, len(st.days), len(scanDays), pruned)
-		spec := scanSpec{dataset: req.Dataset, column: req.Column, nodeUse: "rollup", readNodes: proto.groupOf != nil}
-		if err := e.windowScan(ctx, st, meta, scanDays, spec, proto, &res.Stats); err != nil {
+		e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
+		spec := scanSpec{ds: x.Dataset(), column: req.Column, nodeUse: "rollup", readNodes: proto.groupOf != nil}
+		if err := e.windowScan(ctx, days, spec, proto, &res.Stats); err != nil {
 			return nil, err
 		}
 	}
@@ -172,14 +171,4 @@ func groupLabel(group GroupBy, g int) string {
 	default:
 		return "fleet"
 	}
-}
-
-// floorMod is the non-negative remainder, aligning negative timestamps to
-// the window below them (mirrors tsagg's window alignment).
-func floorMod(a, b int64) int64 {
-	m := a % b
-	if m < 0 {
-		m += b
-	}
-	return m
 }

@@ -9,12 +9,13 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/tsagg"
 )
 
-// This file is the engine's one row scanner. A block visitor reads a day
-// partition — the resident table when cached, the streaming iterator on
-// first touch — as runs of consecutive rows, and every range and rollup
-// query folds those runs into one of two sinks: points (step = 0) or dense
+// This file is what the engine adds on top of the store's day scanner
+// (store.Dataset.ScanDay, which decides how a partition is read): column
+// validation, and the two sinks every range and rollup query folds the
+// delivered runs of consecutive rows into: points (step = 0) or dense
 // per-window accumulators (step > 0). Neither sink keeps per-row samples of
 // a windowed query, so its allocation is O(windows), not O(rows).
 
@@ -32,7 +33,8 @@ type sink interface{ consume(b block) error }
 
 // scanSpec names what one query reads from each partition.
 type scanSpec struct {
-	dataset, column string
+	ds     *store.Dataset
+	column string
 	// nodeUse names the feature that needs a per-node dataset ("" for
 	// none), for the error on datasets without a node column; readNodes
 	// says whether the sink reads the axis or only requires it to exist.
@@ -44,7 +46,6 @@ type scanSpec struct {
 type chunkScan struct {
 	rows, hits, misses int64
 	err                error
-	widen              []float64
 	iter               store.IterScratch
 }
 
@@ -53,8 +54,8 @@ type chunkScan struct {
 // to its sink, chunks in parallel, and books the cost into qs. Rows count
 // the blocks a sink accepted, so a query refused by its budget reports how
 // far it got.
-func (e *Engine) scan(ctx context.Context, st *datasetState, meta map[int]store.DayMeta, days []int,
-	spec scanSpec, qs *QueryStats, newSink func(chunk []int) sink) ([]sink, error) {
+func (e *Engine) scan(ctx context.Context, days []store.DayMeta,
+	spec scanSpec, qs *QueryStats, newSink func(chunk []store.DayMeta) sink) ([]sink, error) {
 	workers := e.cfg.Workers
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
@@ -66,11 +67,11 @@ func (e *Engine) scan(ctx context.Context, st *datasetState, meta map[int]store.
 	}
 	outs := parallel.Map(len(chunks), workers, func(i int) *chunkScan {
 		out := &chunkScan{}
-		for _, day := range days[chunks[i].Start:chunks[i].End] {
+		for _, m := range days[chunks[i].Start:chunks[i].End] {
 			if out.err = ctx.Err(); out.err != nil {
 				break
 			}
-			if out.err = e.visitDay(st, meta[day], spec, out, sinks[i]); out.err != nil {
+			if out.err = e.visitDay(m, spec, out, sinks[i]); out.err != nil {
 				break
 			}
 		}
@@ -89,83 +90,55 @@ func (e *Engine) scan(ctx context.Context, st *datasetState, meta map[int]store.
 	return sinks, err
 }
 
-// visitDay hands one partition to s block by block: the resident table as
-// one block (integer value columns widened through scratch), a first-touch
-// partition during decode and without materializing it. Both read paths
-// deliver the same rows in the same order.
-func (e *Engine) visitDay(st *datasetState, m store.DayMeta, spec scanSpec, out *chunkScan, s sink) error {
+// visitDay validates the query's columns against the partition's inventory
+// and hands its rows to s through the store's day scanner, admitting
+// whole-day tables (the engine's cache entries are shared by every column of
+// a dataset).
+func (e *Engine) visitDay(m store.DayMeta, spec scanSpec, out *chunkScan, s sink) error {
 	if m.TimeColumn == "" {
 		return fmt.Errorf("query: partition day %d has no time column: %w", m.Day, ErrBadRequest)
 	}
-	if c, ok := metaColumn(m, spec.column); !ok {
-		return fmt.Errorf("query: dataset %q has no column %q: %w", spec.dataset, spec.column, ErrNotFound)
+	if c, ok := m.Column(spec.column); !ok {
+		return fmt.Errorf("query: dataset %q has no column %q: %w", spec.ds.Name, spec.column, ErrNotFound)
 	} else if c.Str {
 		return fmt.Errorf("query: column %q is string-typed, not numeric: %w", spec.column, ErrBadRequest)
 	}
 	axes := []string{m.TimeColumn, "node"}[:1]
 	if spec.nodeUse != "" {
-		if c, ok := metaColumn(m, "node"); !ok || !c.Int {
+		if c, ok := m.Column("node"); !ok || !c.Int {
 			return fmt.Errorf("query: dataset %q has no node column; %s unsupported: %w",
-				spec.dataset, spec.nodeUse, ErrBadRequest)
+				spec.ds.Name, spec.nodeUse, ErrBadRequest)
 		}
 		if spec.readNodes {
 			axes = axes[:2]
 		}
 	}
-	tab, hit, err := e.table(st, m.Day, true)
-	if err != nil {
-		return err
-	}
-	if hit {
-		out.hits++
-	} else {
-		out.misses++
-	}
 	b := block{sorted: m.TimeSorted}
-	feed := func() error {
+	how, err := spec.ds.ScanDay(e.cache, m.Day, nil, axes, spec.column, &out.iter, func(start int, vals []float64) error {
+		end := start + len(vals)
+		b.times, b.vals = out.iter.Axes[0][start:end], vals
+		if spec.readNodes {
+			b.nodes = out.iter.Axes[1][start:end]
+		}
 		if err := s.consume(b); err != nil {
 			return err
 		}
-		out.rows += int64(len(b.times))
+		out.rows += int64(len(vals))
 		return nil
+	})
+	if how.Hit {
+		out.hits++
+		e.met.CacheHits.Add(1)
+	} else {
+		out.misses++
+		e.met.CacheMisses.Add(1)
 	}
-	if tab == nil {
+	if how.Streamed {
 		e.met.IterScans.Add(1)
-		_, err := st.ds.IterDayColumns(m.Day, axes, spec.column, &out.iter, func(start int, vals []float64) error {
-			b.times, b.vals = out.iter.Axes[0][start:start+len(vals)], vals
-			if spec.readNodes {
-				b.nodes = out.iter.Axes[1][start : start+len(vals)]
-			}
-			return feed()
-		})
-		return err
 	}
-	tc, val := tab.Col(m.TimeColumn), tab.Col(spec.column) // both listed in m
-	var nodes []int64
-	if spec.readNodes {
-		nodes = tab.Col("node").Ints
-	}
-	if !val.IsInt() {
-		b.times, b.nodes, b.vals = tc.Ints, nodes, val.Floats
-		return feed()
-	}
-	if out.widen == nil {
-		out.widen = make([]float64, 4096)
-	}
-	for start := 0; start < len(tc.Ints); start += len(out.widen) {
-		end := min(start+len(out.widen), len(tc.Ints))
-		for j, v := range val.Ints[start:end] {
-			out.widen[j] = float64(v)
-		}
-		b.times, b.vals = tc.Ints[start:end], out.widen[:end-start]
-		if nodes != nil {
-			b.nodes = nodes[start:end]
-		}
-		if err := feed(); err != nil {
-			return err
-		}
-	}
-	return nil
+	e.met.BytesDecoded.Add(how.Decoded)
+	e.met.CacheEvictions.Add(int64(how.Evictions))
+	return err
 }
 
 // searchTime returns the first index of the sorted ts holding a value >= t.
@@ -244,10 +217,10 @@ type grid struct {
 
 // newGrid sizes the window axis from day metadata alone and refuses it,
 // before any partition is read, when windows x groups exceeds the budget.
-func newGrid(days []int, meta map[int]store.DayMeta, t0, t1, step int64, groups, limit int) (grid, error) {
+func newGrid(days []store.DayMeta, t0, t1, step int64, groups, limit int) (grid, error) {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, day := range days {
-		if m := meta[day]; m.HasTime {
+	for _, m := range days {
+		if m.HasTime {
 			lo, hi = min(lo, m.MinTime), max(hi, m.MaxTime)
 		}
 	}
@@ -259,7 +232,7 @@ func newGrid(days []int, meta map[int]store.DayMeta, t0, t1, step int64, groups,
 	if lo < math.MinInt64+step || hi > math.MaxInt64-step {
 		return g, fmt.Errorf("query: time span [%d, %d] leaves no room for %d s windows: %w", lo, hi, step, ErrBadRequest)
 	}
-	g.w0 = lo - floorMod(lo, step)
+	g.w0 = lo - tsagg.FloorMod(lo, step)
 	n := (uint64(hi)-uint64(g.w0))/uint64(step) + 1
 	if limit <= 0 {
 		limit = maxCells
@@ -385,15 +358,15 @@ func (s *windowSink) spans(b block) {
 
 // windowScan folds every matching row of days into proto's cells, one copy
 // of proto (filter, grouping, rule) per parallel chunk.
-func (e *Engine) windowScan(ctx context.Context, st *datasetState, meta map[int]store.DayMeta, days []int,
+func (e *Engine) windowScan(ctx context.Context, days []store.DayMeta,
 	spec scanSpec, proto windowSink, qs *QueryStats) error {
 	proto.cur, proto.seamHi = -1, -1
 	seam := -1
-	sinks, err := e.scan(ctx, st, meta, days, spec, qs, func(chunk []int) sink {
+	sinks, err := e.scan(ctx, days, spec, qs, func(chunk []store.DayMeta) sink {
 		s := proto
 		s.seamHi = seam
-		for _, day := range chunk {
-			if m := meta[day]; m.HasTime {
+		for _, m := range chunk {
+			if m.HasTime {
 				seam = max(seam, int((min(m.MaxTime, s.g.t1-1)-s.g.w0)/s.g.step))
 			}
 		}

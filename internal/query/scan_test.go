@@ -102,7 +102,7 @@ func oracleRollup(t testing.TB, dir string, floor *topology.Floor, req RollupReq
 		case GroupMSB:
 			g = int(floor.MSBOf(topology.NodeID(node)))
 		}
-		k := key{g, ts - floorMod(ts, req.Step)}
+		k := key{g, ts - tsagg.FloorMod(ts, req.Step)}
 		if acc[k] == nil {
 			acc[k] = &stats.Moments{}
 		}
@@ -236,8 +236,7 @@ func TestDayMetaRecordsTimeSorted(t *testing.T) {
 // collect-then-Coarsen and map-accumulator oracles at tolerance 0: seeded
 // random ranges, steps that straddle day and chunk seams, node filters and
 // groupings, float and integer columns, every worker count, and each read
-// path (streaming iterator, freshly materialized, resident, and
-// ScanMaterialize).
+// path (streaming iterator, freshly materialized, resident).
 func TestSinksMatchLegacyOracles(t *testing.T) {
 	dir := t.TempDir()
 	writeSeamArchive(t, dir)
@@ -249,17 +248,14 @@ func TestSinksMatchLegacyOracles(t *testing.T) {
 	type engine struct {
 		name string
 		e    *Engine
-		auto bool
 	}
 	var engines []engine
 	for _, workers := range []int{1, 2, 7} {
-		for _, mode := range []ScanMode{ScanAuto, ScanMaterialize} {
-			e, err := Open(Config{Dir: dir, Nodes: fixNodes, Workers: workers, ScanMode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines = append(engines, engine{fmt.Sprintf("workers=%d mode=%d", workers, mode), e, mode == ScanAuto})
+		e, err := Open(Config{Dir: dir, Nodes: fixNodes, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		engines = append(engines, engine{fmt.Sprintf("workers=%d", workers), e})
 	}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -289,12 +285,8 @@ func TestSinksMatchLegacyOracles(t *testing.T) {
 			Group: groups[rng.Intn(3)], T0: t0, T1: t1, Step: steps[1+rng.Intn(len(steps)-1)]}
 		wantSeries := oracleRollup(t, dir, floor, oreq)
 		for _, en := range engines {
-			touches := 1
-			if en.auto {
-				en.e.FlushCache() // first touch streams, second materializes, third hits
-				touches = 3
-			}
-			for touch := 0; touch < touches; touch++ {
+			en.e.FlushCache() // first touch streams, second materializes, third hits
+			for touch := 0; touch < 3; touch++ {
 				res, err := en.e.Range(ctx, rreq)
 				if err != nil {
 					t.Fatalf("%s touch %d range %+v: %v", en.name, touch, rreq, err)
@@ -313,7 +305,7 @@ func TestSinksMatchLegacyOracles(t *testing.T) {
 		}
 	}
 	for _, en := range engines {
-		if en.auto && en.e.Metrics().IterScans.Load() == 0 {
+		if en.e.Metrics().IterScans.Load() == 0 {
 			t.Errorf("%s never streamed a partition", en.name)
 		}
 	}
@@ -374,12 +366,14 @@ func TestSearchTime(t *testing.T) {
 // --- the budget is applied before the work ---
 
 func TestBudgetStopsTheScanEarly(t *testing.T) {
-	e := testEngineMode(t, ScanMaterialize)
+	e := testEngine(t)
 	ctx := context.Background()
 	dayRows := (daySec / fixStep) * fixNodes
 	raw := RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: -1, T0: 0, T1: 3 * daySec}
-	if _, err := e.Range(ctx, raw); err != nil { // make every day resident
-		t.Fatal(err)
+	for touch := 0; touch < 2; touch++ { // the second touch makes every day resident
+		if _, err := e.Range(ctx, raw); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := e.Metrics().RowsScanned.Load()
 	raw.Limit = 100
@@ -449,14 +443,16 @@ func TestWarmFleetRangeAllocatesPerWindow(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := Open(Config{Dir: dir, Nodes: nodes, ScanMode: ScanMaterialize})
+	e, err := Open(Config{Dir: dir, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	req := RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: -1, T0: 0, T1: daySec, Step: 600}
-	if _, err := e.Range(ctx, req); err != nil { // warm
-		t.Fatal(err)
+	for touch := 0; touch < 2; touch++ { // warm: the second touch admits the day
+		if _, err := e.Range(ctx, req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const runs = 5
 	var before, after runtime.MemStats

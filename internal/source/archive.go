@@ -81,13 +81,10 @@ type ArchiveSource struct {
 	cache *store.TableCache
 	meta  Meta
 
-	cluster  *store.Dataset
+	cluster  *store.Index // days + metadata: the pruning index of every series read
 	jobs     *store.Dataset
 	fails    *store.Dataset
 	nodeData *store.Dataset
-
-	clusterDays []int
-	clusterMeta map[int]store.DayMeta
 
 	floorOnce sync.Once
 	floorErr  error
@@ -107,8 +104,8 @@ func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 	}
 	a := &ArchiveSource{cfg: cfg, cache: cache}
 	var err error
-	if a.cluster, err = store.NewDataset(cfg.Dir, DatasetClusterPower); err != nil {
-		return nil, err
+	if a.cluster, err = store.OpenIndex(cfg.Dir, DatasetClusterPower, cfg.Workers); err != nil {
+		return nil, fmt.Errorf("source: open archive: %w", err)
 	}
 	if a.jobs, err = store.NewDataset(cfg.Dir, DatasetJobRecords); err != nil {
 		return nil, err
@@ -119,26 +116,16 @@ func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 	if a.nodeData, err = store.NewDataset(cfg.Dir, DatasetNodePower); err != nil {
 		return nil, err
 	}
-	if a.clusterDays, err = a.cluster.Days(); err != nil {
-		return nil, err
-	}
-	if len(a.clusterDays) == 0 {
+	if len(a.cluster.Days()) == 0 {
 		return nil, fmt.Errorf("source: no %s partitions in %s", DatasetClusterPower, cfg.Dir)
 	}
-	// Per-day row-range metadata: the pruning index. Loaded once, in
-	// parallel; each scan decodes only the timestamp column.
-	metas, err := parallel.MapErr(len(a.clusterDays), cfg.Workers,
-		func(i int) (store.DayMeta, error) {
-			return a.cluster.DayMeta(a.clusterDays[i])
-		})
+	// Load the pruning index now, so a corrupt cluster partition fails the
+	// open (naming the file) instead of the first analysis.
+	metas, err := a.cluster.Metas()
 	if err != nil {
 		return nil, err
 	}
-	a.clusterMeta = make(map[int]store.DayMeta, len(metas))
-	for _, m := range metas {
-		a.clusterMeta[m.Day] = m
-	}
-	if err := a.resolveMeta(); err != nil {
+	if err := a.resolveMeta(metas); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -146,7 +133,7 @@ func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 
 // resolveMeta fills a.meta from the manifest, falling back to the config
 // and the cluster partitions' time metadata.
-func (a *ArchiveSource) resolveMeta() error {
+func (a *ArchiveSource) resolveMeta(metas []store.DayMeta) error {
 	manifest, err := store.NewDataset(a.cfg.Dir, DatasetRunMeta)
 	if err != nil {
 		return err
@@ -200,7 +187,7 @@ func (a *ArchiveSource) resolveMeta() error {
 	first := true
 	var maxTime int64
 	rows := 0
-	for _, dm := range a.clusterMeta {
+	for _, dm := range metas {
 		rows += dm.Rows
 		if !dm.HasTime {
 			continue
@@ -230,14 +217,12 @@ func (a *ArchiveSource) Meta() (Meta, error) { return a.meta, nil }
 // CacheStats exposes the decoded-table cache occupancy (for tooling).
 func (a *ArchiveSource) CacheStats() (entries int, bytes int64) { return a.cache.Stats() }
 
-// hasFloatColumn reports whether any cluster partition carries a float
-// column of the given name.
-func (a *ArchiveSource) hasFloatColumn(name string) bool {
-	for _, dm := range a.clusterMeta {
-		for _, c := range dm.Columns {
-			if c.Name == name && !c.Int && !c.Str {
-				return true
-			}
+// hasFloatColumn reports whether any partition carries a float column of
+// the given name.
+func hasFloatColumn(metas []store.DayMeta, name string) bool {
+	for _, dm := range metas {
+		if c, ok := dm.Column(name); ok && !c.Int && !c.Str {
+			return true
 		}
 	}
 	return false
@@ -248,120 +233,95 @@ func (a *ArchiveSource) Series(name string) (*tsagg.Series, error) {
 	return a.SeriesRange(name, math.MinInt64, math.MaxInt64)
 }
 
-// SeriesRange reads the named series over [t0, t1): partitions whose time
-// span misses the range are pruned via their metadata; survivors stream
-// only the timestamp column and the requested column. When the partitions'
-// grid-index spans are provably disjoint (the normal daily layout), each day
-// fills its own slots of one preallocated grid in parallel, cold partitions
-// streaming through the column iterator without materializing a day table;
-// otherwise the read falls back to the materializing sequential fill. The
-// returned series always starts on the run's grid origin.
+// SeriesRange reads the named series over [t0, t1). Partitions whose time
+// span misses the range are pruned through the index; the grid is planned
+// from the survivors' metadata; each one is then read through the store's
+// day scanner — admitting the (timestamp, series) column pair, not the whole
+// day — and its in-range rows written to their grid slots. When the
+// partitions' grid spans are provably disjoint (the normal daily layout)
+// the days fill the shared grid in parallel; otherwise one worker fills it in
+// day order, so the later day wins a contested slot. The returned series
+// always starts on the run's grid origin.
 func (a *ArchiveSource) SeriesRange(name string, t0, t1 int64) (*tsagg.Series, error) {
-	if !a.hasFloatColumn(name) {
-		return nil, fmt.Errorf("source: series %q: %w", name, ErrUnknownSeries)
-	}
-	var scanDays []int
-	for _, day := range a.clusterDays {
-		dm := a.clusterMeta[day]
-		if dm.HasTime && (dm.MaxTime < t0 || dm.MinTime >= t1) {
-			continue // pruned
-		}
-		scanDays = append(scanDays, day)
-	}
-	s := tsagg.NewSeries(a.meta.StartTime, a.meta.StepSec, 0)
-	if days, bound, ok := a.planGridFill(scanDays, t0, t1); ok {
-		vals := tsagg.NewSeries(s.Start, s.Step, bound+1).Vals
-		fills := parallel.ProcessChunks(len(days), a.cfg.Workers, func(c parallel.Chunk) seriesFill {
-			out := seriesFill{maxIdx: -1}
-			var sc store.IterScratch
-			for _, day := range days[c.Start:c.End] {
-				hi, err := a.fillDay(day, name, t0, t1, s.Start, s.Step, vals, &sc)
-				if err != nil {
-					out.err = err
-					return out
-				}
-				if hi > out.maxIdx {
-					out.maxIdx = hi
-				}
-			}
-			return out
-		})
-		maxIdx := -1
-		for _, f := range fills {
-			if f.err != nil {
-				return nil, f.err
-			}
-			if f.maxIdx > maxIdx {
-				maxIdx = f.maxIdx
-			}
-		}
-		// Match the growing fill exactly: length is one past the highest
-		// slot actually written, trailing unwritten slots dropped.
-		s.Vals = vals[:maxIdx+1]
-		return s, nil
-	}
-	// Fallback: a partition has no time metadata, or two partitions' spans
-	// overlap on the grid (day order decides the winner). Materialize each
-	// day through the cache and fill sequentially, as before.
-	cols := []string{"timestamp", name}
-	tabs, err := parallel.MapErr(len(scanDays), a.cfg.Workers,
-		func(i int) (*store.Table, error) {
-			tab, _, err := a.cluster.ReadDayColumnsCached(a.cache, scanDays[i], cols)
-			return tab, err
-		})
+	metas, err := a.cluster.Metas()
 	if err != nil {
 		return nil, err
 	}
-	for _, tab := range tabs {
-		tsCol := tab.Col("timestamp")
-		val := tab.Col(name)
-		if tsCol == nil || !tsCol.IsInt() || val == nil || val.IsInt() {
-			continue
-		}
-		for i, tv := range tsCol.Ints {
-			if tv < t0 || tv >= t1 {
-				continue
-			}
-			idx := int((tv - s.Start) / s.Step)
-			if idx < 0 {
-				continue
-			}
-			for idx >= len(s.Vals) {
-				s.Vals = append(s.Vals, math.NaN())
-			}
-			s.Vals[idx] = val.Floats[i]
-		}
+	if !hasFloatColumn(metas, name) {
+		return nil, fmt.Errorf("source: series %q: %w", name, ErrUnknownSeries)
 	}
+	pruned, _, err := a.cluster.Prune(t0, t1)
+	if err != nil {
+		return nil, err
+	}
+	days, bound, disjoint := a.planGrid(pruned, name, t0, t1)
+	workers := a.cfg.Workers
+	if !disjoint {
+		workers = 1
+	}
+	s := tsagg.NewSeries(a.meta.StartTime, a.meta.StepSec, bound+1)
+	vals, cols := s.Vals, []string{"timestamp", name}
+	type fill struct {
+		maxIdx int // highest grid index written by the chunk (-1: none)
+		err    error
+	}
+	fills := parallel.ProcessChunks(len(days), workers, func(c parallel.Chunk) fill {
+		out := fill{maxIdx: -1}
+		var sc store.IterScratch
+		for _, day := range days[c.Start:c.End] {
+			_, out.err = a.cluster.Dataset().ScanDay(a.cache, day, cols, cols[:1], name, &sc,
+				func(start int, block []float64) error {
+					times := sc.Axes[0][start:]
+					for j, v := range block {
+						tv := times[j]
+						if tv < t0 || tv >= t1 {
+							continue
+						}
+						idx := int((tv - s.Start) / s.Step)
+						if idx < 0 || idx >= len(vals) {
+							continue
+						}
+						vals[idx] = v
+						out.maxIdx = max(out.maxIdx, idx)
+					}
+					return nil
+				})
+			if out.err != nil {
+				break
+			}
+		}
+		return out
+	})
+	maxIdx := -1
+	for _, f := range fills {
+		if f.err != nil {
+			return nil, f.err
+		}
+		maxIdx = max(maxIdx, f.maxIdx)
+	}
+	// The length is one past the highest slot actually written; trailing
+	// unwritten slots are dropped.
+	s.Vals = vals[:maxIdx+1]
 	return s, nil
 }
 
-// seriesFill is one chunk's result of the parallel grid fill.
-type seriesFill struct {
-	maxIdx int // highest grid index written by the chunk (-1: none)
-	err    error
-}
-
-// planGridFill decides whether the pruned partitions can fill one shared
-// series grid in parallel: every partition needs time metadata, and the
-// partitions' grid-index spans must be pairwise disjoint so concurrent
-// per-day writes never touch the same slot. It returns the days that can
-// contribute in-range rows and the highest grid index any of them can reach.
-func (a *ArchiveSource) planGridFill(scanDays []int, t0, t1 int64) ([]int, int, bool) {
+// planGrid plans the grid fill of one series read from metadata alone: the
+// days that can contribute a row (in day order), the highest grid index any
+// of them can reach, and whether their grid-index spans are pairwise
+// disjoint, so that concurrent per-day writes never touch the same slot. A
+// partition contributes nothing — and is not read — when it has no time
+// span, does not hold the series as a float column, or lies outside
+// [t0, t1) or wholly before the grid origin.
+func (a *ArchiveSource) planGrid(metas []store.DayMeta, name string, t0, t1 int64) (days []int, bound int, disjoint bool) {
 	start, step := a.meta.StartTime, a.meta.StepSec
-	type span struct{ day, lo, hi int }
-	spans := make([]span, 0, len(scanDays))
-	for _, day := range scanDays {
-		dm := a.clusterMeta[day]
-		if !dm.HasTime {
-			return nil, 0, false
+	type span struct{ lo, hi int }
+	var spans []span
+	bound = -1
+	for _, dm := range metas {
+		if c, ok := dm.Column(name); !dm.HasTime || !ok || c.Int || c.Str {
+			continue
 		}
-		lo64, hi64 := dm.MinTime, dm.MaxTime
-		if t0 > lo64 {
-			lo64 = t0
-		}
-		if t1-1 < hi64 {
-			hi64 = t1 - 1
-		}
+		lo64, hi64 := max(dm.MinTime, t0), min(dm.MaxTime, t1-1)
 		if hi64 < lo64 {
 			continue // no rows inside [t0, t1)
 		}
@@ -371,124 +331,29 @@ func (a *ArchiveSource) planGridFill(scanDays []int, t0, t1 int64) ([]int, int, 
 		if hi < 0 {
 			continue // entirely before the grid origin
 		}
-		lo := int((lo64 - start) / step)
-		if lo < 0 {
-			lo = 0
-		}
-		spans = append(spans, span{day: day, lo: lo, hi: hi})
+		days, bound = append(days, dm.Day), max(bound, hi)
+		spans = append(spans, span{lo: max(int((lo64-start)/step), 0), hi: hi})
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-	bound := -1
-	days := make([]int, len(spans))
-	for i, sp := range spans {
-		if i > 0 && sp.lo <= spans[i-1].hi {
-			return nil, 0, false // overlapping spans: day order matters
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo <= spans[i-1].hi {
+			return days, bound, false // overlapping spans: day order matters
 		}
-		if sp.hi > bound {
-			bound = sp.hi
-		}
-		days[i] = sp.day
 	}
 	return days, bound, true
-}
-
-// fillDay writes one partition's in-range rows into their grid slots of
-// vals, returning the highest index written (-1: none). Cached tables and
-// hot partitions fill from the materialized table; first-touch partitions
-// stream through the column iterator, never building a day table, and are
-// not admitted to the cache (same doorkeeper policy as the query engine).
-func (a *ArchiveSource) fillDay(day int, name string, t0, t1, start, step int64, vals []float64, sc *store.IterScratch) (int, error) {
-	cols := []string{"timestamp", name}
-	key := store.CacheKey(a.cluster.Name, day, cols)
-	if tab, ok := a.cache.Get(key); ok {
-		return fillGrid(tab, name, t0, t1, start, step, vals), nil
-	}
-	if a.cache.Touch(key) >= 2 {
-		tab, err := a.cluster.ReadDayColumns(day, cols)
-		if err != nil {
-			return -1, err
-		}
-		a.cache.Put(key, tab)
-		return fillGrid(tab, name, t0, t1, start, step, vals), nil
-	}
-	// Cold partition. The materialized fill silently skips days whose
-	// timestamp column is missing or non-integer, or whose value column is
-	// missing or integer; mirror that before asking the iterator (which
-	// would report them as errors or widen the ints).
-	dm := a.clusterMeta[day]
-	ts, tsOK := metaColumn(dm, "timestamp")
-	val, valOK := metaColumn(dm, name)
-	if !tsOK || !ts.Int || !valOK || val.Int {
-		return -1, nil
-	}
-	maxIdx := -1
-	_, err := a.cluster.IterDayColumns(day, []string{"timestamp"}, name, sc,
-		func(blockStart int, block []float64) error {
-			times := sc.Axes[0]
-			for j, v := range block {
-				tv := times[blockStart+j]
-				if tv < t0 || tv >= t1 {
-					continue
-				}
-				idx := int((tv - start) / step)
-				if idx < 0 || idx >= len(vals) {
-					continue
-				}
-				vals[idx] = v
-				if idx > maxIdx {
-					maxIdx = idx
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return -1, err
-	}
-	return maxIdx, nil
-}
-
-// fillGrid is the materialized-table counterpart of fillDay's streaming
-// callback: identical row filter, index computation and writes.
-func fillGrid(tab *store.Table, name string, t0, t1, start, step int64, vals []float64) int {
-	tsCol := tab.Col("timestamp")
-	val := tab.Col(name)
-	if tsCol == nil || !tsCol.IsInt() || val == nil || val.IsInt() {
-		return -1
-	}
-	maxIdx := -1
-	for i, tv := range tsCol.Ints {
-		if tv < t0 || tv >= t1 {
-			continue
-		}
-		idx := int((tv - start) / step)
-		if idx < 0 || idx >= len(vals) {
-			continue
-		}
-		vals[idx] = val.Floats[i]
-		if idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	return maxIdx
-}
-
-// metaColumn finds a column by name in a partition's metadata.
-func metaColumn(dm store.DayMeta, name string) (store.ColumnInfo, bool) {
-	for _, c := range dm.Columns {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return store.ColumnInfo{}, false
 }
 
 // SeriesNames implements RunSource: every float column of the cluster
 // dataset, sorted.
 func (a *ArchiveSource) SeriesNames() ([]string, error) {
+	metas, err := a.cluster.Metas()
+	if err != nil {
+		return nil, err
+	}
 	seen := map[string]bool{}
 	var names []string
-	for _, day := range a.clusterDays {
-		for _, c := range a.clusterMeta[day].Columns {
+	for _, dm := range metas {
+		for _, c := range dm.Columns {
 			if c.Int || c.Str || seen[c.Name] {
 				continue
 			}
@@ -503,9 +368,13 @@ func (a *ArchiveSource) SeriesNames() ([]string, error) {
 // MeterSeries implements RunSource: the meter_power_<m> / msb_sensor_sum_<m>
 // column pairs, in switchboard order.
 func (a *ArchiveSource) MeterSeries() ([]*tsagg.Series, []*tsagg.Series, error) {
+	metas, err := a.cluster.Metas()
+	if err != nil {
+		return nil, nil, err
+	}
 	var meters, sums []*tsagg.Series
 	for m := 0; ; m++ {
-		if !a.hasFloatColumn(MeterSeriesName(m)) || !a.hasFloatColumn(MSBSumSeriesName(m)) {
+		if !hasFloatColumn(metas, MeterSeriesName(m)) || !hasFloatColumn(metas, MSBSumSeriesName(m)) {
 			break
 		}
 		meter, err := a.Series(MeterSeriesName(m))

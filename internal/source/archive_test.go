@@ -1,7 +1,9 @@
 package source
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -116,5 +118,138 @@ func TestConcurrentSeriesReads(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// naiveSeriesRange is the reference SeriesRange is held to: every row of
+// every cluster partition, in day then row order, written to its grid slot —
+// the last write wins. A partition without an integer timestamp column or
+// without the series as a float column holds no row of the series.
+func naiveSeriesRange(t *testing.T, dir string, meta Meta, name string, t0, t1 int64) []float64 {
+	t.Helper()
+	ds, err := store.NewDataset(dir, DatasetClusterPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days, err := ds.Days()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals []float64
+	for _, day := range days {
+		tab, err := ds.ReadDay(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, v := tab.Col("timestamp"), tab.Col(name)
+		if ts == nil || !ts.IsInt() || v == nil || v.IsInt() || v.IsStr() {
+			continue
+		}
+		for i, tv := range ts.Ints {
+			idx := int((tv - meta.StartTime) / meta.StepSec)
+			if tv < t0 || tv >= t1 || idx < 0 {
+				continue
+			}
+			for idx >= len(vals) {
+				vals = append(vals, math.NaN())
+			}
+			vals[idx] = v.Floats[i]
+		}
+	}
+	return vals
+}
+
+// TestSeriesRangeMatchesNaive holds SeriesRange to the naive reference, bit
+// for bit, on an archive built from the corners: two days whose grid spans
+// overlap (day order decides the contested slots, so the fill must not run
+// them concurrently), out-of-order and duplicate timestamps, a row before
+// the grid origin, a day without a timestamp column, a day holding the
+// series as integers, and an empty day — over seeded random ranges, for
+// workers 1/2/7 and for the first (streamed), second (admitted) and third
+// (resident) touch of a fresh cache.
+func TestSeriesRangeMatchesNaive(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := store.NewDataset(dir, DatasetClusterPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name, slots = SeriesClusterPower, 400
+	grid := func(from, n int, salt float64) (ts []int64, vals []float64) {
+		for i := from; i < from+n; i++ {
+			ts = append(ts, fixStart+int64(i)*fixStep+int64(i%7))
+			vals = append(vals, salt+float64(i))
+		}
+		return ts, vals
+	}
+	ts0, v0 := grid(0, slots, 1e6)
+	ts0 = append(ts0, ts0[10], fixStart-2*fixStep, ts0[5]) // a duplicate, a row before the origin, a late row
+	v0 = append(v0, math.NaN(), -1, math.Inf(1))
+	ts1, v1 := grid(slots-100, slots, 2e6) // overlaps the last 100 slots of day 0
+	ts2, v2 := grid(2*slots, 50, 3e6)
+	ts3, _ := grid(2*slots+50, 50, 0)
+	ts5, v5 := grid(3*slots, slots, 5e6) // disjoint from every other day
+	tables := []*store.Table{
+		{Cols: []store.Column{{Name: "timestamp", Ints: ts0}, {Name: name, Floats: v0}}},
+		{Cols: []store.Column{{Name: name, Floats: v1}, {Name: "timestamp", Ints: ts1}}}, // value column first
+		{Cols: []store.Column{{Name: "time", Ints: ts2}, {Name: name, Floats: v2}}},      // no timestamp column
+		{Cols: []store.Column{{Name: "timestamp", Ints: ts3}, {Name: name, Ints: ts3}}},  // integer-typed series
+		{Cols: []store.Column{{Name: "timestamp", Ints: []int64{}}, {Name: name, Floats: []float64{}}}},
+		{Cols: []store.Column{{Name: "timestamp", Ints: ts5}, {Name: name, Floats: v5}}},
+	}
+	for day, tab := range tables {
+		if err := ds.WriteDay(day, tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta := Meta{StartTime: fixStart, StepSec: fixStep, Nodes: 40, Windows: 4 * slots}
+	manifest, err := store.NewDataset(dir, DatasetRunMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := manifest.WriteDay(0, ManifestTable(meta)); err != nil {
+		t.Fatal(err)
+	}
+
+	end := fixStart + 4*slots*fixStep
+	rng := rand.New(rand.NewSource(11))
+	ranges := [][2]int64{
+		{math.MinInt64, math.MaxInt64},
+		{fixStart, fixStart + (slots-100)*fixStep}, // day 0 alone: disjoint from day 1's rows
+		{fixStart + 3*slots*fixStep, end},          // day 5 alone
+		{end, end + 1000},                          // nothing
+	}
+	for len(ranges) < 24 {
+		t0 := fixStart - 500 + rng.Int63n(end-fixStart+1000)
+		ranges = append(ranges, [2]int64{t0, t0 + 1 + rng.Int63n(end-fixStart)})
+	}
+	for _, workers := range []int{1, 2, 7} {
+		cache := store.NewTableCache(64 << 20)
+		arc, err := OpenArchive(ArchiveConfig{Dir: dir, Cache: cache, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range ranges {
+			want := naiveSeriesRange(t, dir, meta, name, r[0], r[1])
+			cache.Flush()
+			for _, touch := range []string{"stream", "admit", "hit"} {
+				what := fmt.Sprintf("workers=%d [%d,%d) %s", workers, r[0], r[1], touch)
+				got, err := arc.SeriesRange(name, r[0], r[1])
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if got.Start != meta.StartTime || got.Step != meta.StepSec || len(got.Vals) != len(want) {
+					t.Fatalf("%s: series start %d step %d len %d, want %d %d %d", what,
+						got.Start, got.Step, len(got.Vals), meta.StartTime, meta.StepSec, len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got.Vals[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: slot %d = %v, want %v", what, i, got.Vals[i], want[i])
+					}
+				}
+			}
+		}
+		if c := cache.Counters(); c.Hits == 0 {
+			t.Errorf("workers=%d: no read was served from a resident table", workers)
+		}
 	}
 }

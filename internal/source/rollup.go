@@ -7,6 +7,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/topology"
+	"repro/internal/tsagg"
 )
 
 // Rollup pre-aggregates: every per-node dataset can carry a companion
@@ -89,7 +90,7 @@ func (r *RollupReducer) Add(t, node int64, vals []float64) error {
 	if len(vals) != len(r.cols) {
 		return fmt.Errorf("source: rollup row has %d values, want %d", len(vals), len(r.cols))
 	}
-	w := t - floorMod(t, RollupStepSec)
+	w := t - tsagg.FloorMod(t, RollupStepSec)
 	if r.floor != nil {
 		if node < 0 || int(node) >= r.floor.Nodes() {
 			return fmt.Errorf("source: rollup: node %d outside the %d-node floor",
@@ -180,14 +181,4 @@ func (r *RollupReducer) Table() *store.Table {
 		)
 	}
 	return &store.Table{Cols: cols}
-}
-
-// floorMod is the non-negative remainder, aligning negative timestamps to
-// the window below them (mirrors the query tier's window alignment).
-func floorMod(a, b int64) int64 {
-	m := a % b
-	if m < 0 {
-		m += b
-	}
-	return m
 }

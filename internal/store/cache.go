@@ -2,6 +2,7 @@ package store
 
 import (
 	"container/list"
+	"fmt"
 	"hash/fnv"
 	"strconv"
 	"strings"
@@ -241,6 +242,65 @@ func (d *Dataset) ReadDayColumnsCached(c *TableCache, day int, names []string) (
 	}
 	c.Put(key, tab)
 	return tab, false, nil
+}
+
+// DayScan reports how one ScanDay call was served.
+type DayScan struct {
+	Hit       bool  // the admit table was resident
+	Streamed  bool  // first touch: read through the block iterator, nothing admitted
+	Decoded   int64 // decoded bytes of the table this call materialized
+	Evictions int   // entries evicted to admit it
+}
+
+// ScanDay is the one way a day partition is read for its rows: it delivers
+// the numeric value column to fn in row-order blocks, with the integer axes
+// columns in sc.Axes, exactly as IterDayColumns does. How the rows are
+// obtained is the cache's policy, decided here and nowhere else. A resident
+// table (keyed by the admit column set, nil = every column) is delivered
+// without decoding. A partition missed for the first time streams through
+// the block iterator and is not admitted, so one sweep over an archive
+// cannot evict the working set. A partition missed again is materialized
+// with ReadDayColumns(admit), admitted, and delivered from the table.
+// Callers sharing c that pass different admit sets share its budget, not
+// its entries.
+//
+// admit must cover axes and value; c must be non-nil. Every read path
+// delivers the same rows in the same order.
+func (d *Dataset) ScanDay(c *TableCache, day int, admit, axes []string, value string, sc *IterScratch,
+	fn func(start int, vals []float64) error) (DayScan, error) {
+	key := CacheKey(d.Name, day, admit)
+	tab, hit := c.Get(key)
+	res := DayScan{Hit: hit}
+	if !hit {
+		if c.Touch(key) < 2 {
+			res.Streamed = true
+			_, err := d.IterDayColumns(day, axes, value, sc, fn)
+			return res, err
+		}
+		var err error
+		if tab, err = d.ReadDayColumns(day, admit); err != nil {
+			return res, err
+		}
+		res.Decoded, res.Evictions = TableBytes(tab), c.Put(key, tab)
+	}
+	sc.reset(len(axes))
+	for k, name := range axes {
+		col := tab.Col(name)
+		if col == nil || !col.IsInt() {
+			return res, d.partitionErr(day, fmt.Errorf("store: missing integer axis column %q", name))
+		}
+		sc.Axes[k] = col.Ints
+	}
+	val := tab.Col(value)
+	switch {
+	case val == nil || val.IsStr():
+		return res, d.partitionErr(day, fmt.Errorf("store: missing numeric value column %q", value))
+	case val.IsInt():
+		return res, sc.widen(val.Ints, fn)
+	case len(val.Floats) > 0:
+		return res, fn(0, val.Floats)
+	}
+	return res, nil
 }
 
 // TableBytes approximates the resident size of a decoded table: 8 bytes per

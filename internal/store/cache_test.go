@@ -124,3 +124,71 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestScanDayTouchSequence pins the read policy ScanDay owns: the first touch
+// of a partition streams and admits nothing, the second materializes the
+// admit set and caches it, the third is served resident — all three
+// delivering the same rows — and a scratch that served a resident table can
+// go on to stream another partition without writing into the cached columns.
+func TestScanDayTouchSequence(t *testing.T) {
+	ds := &Dataset{Dir: t.TempDir(), Name: "x"}
+	const rows = 2*blockRows + 17
+	ts, cnt, v := make([]int64, rows), make([]int64, rows), make([]float64, rows)
+	for i := range ts {
+		ts[i], cnt[i], v[i] = int64(i/3), int64(i%11), float64(i)*0.5
+	}
+	for day := 0; day < 2; day++ {
+		err := ds.WriteDay(day, &Table{Cols: []Column{
+			{Name: "timestamp", Ints: ts}, {Name: "count", Ints: cnt}, {Name: "v", Floats: v}, {Name: "other", Floats: v},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewTableCache(1 << 30)
+	var sc IterScratch
+	for _, tc := range []struct {
+		value string
+		admit []string
+		want  func(i int) float64
+	}{
+		{"v", []string{"timestamp", "v"}, func(i int) float64 { return v[i] }},
+		{"count", nil, func(i int) float64 { return float64(cnt[i]) }}, // integer values widen
+	} {
+		for touch, want := range []DayScan{{Streamed: true}, {Decoded: 1}, {Hit: true}} {
+			n := 0
+			how, err := ds.ScanDay(c, 0, tc.admit, []string{"timestamp"}, tc.value, &sc, func(start int, vals []float64) error {
+				if start != n {
+					return fmt.Errorf("block starts at row %d, want %d", start, n)
+				}
+				for j, got := range vals {
+					if sc.Axes[0][start+j] != ts[start+j] || got != tc.want(start+j) { //lint:allow floatcompare decode must be lossless
+						return fmt.Errorf("row %d = (%d, %v)", start+j, sc.Axes[0][start+j], got)
+					}
+				}
+				n += len(vals)
+				return nil
+			})
+			if err != nil || n != rows {
+				t.Fatalf("%s touch %d: %d rows, err %v", tc.value, touch, n, err)
+			}
+			if how.Hit != want.Hit || how.Streamed != want.Streamed || (how.Decoded > 0) != (want.Decoded > 0) {
+				t.Errorf("%s touch %d: served as %+v, want the shape of %+v", tc.value, touch, how, want)
+			}
+		}
+	}
+	if entries, _ := c.Stats(); entries != 2 {
+		t.Errorf("%d cache entries, want one per admit set", entries)
+	}
+	// sc.Axes now aliases a resident column; streaming day 1 through the same
+	// scratch must decode into the scratch's own buffers.
+	if _, err := ds.ScanDay(c, 1, nil, []string{"count"}, "v", &sc, func(int, []float64) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := c.Get(CacheKey("x", 0, nil))
+	for i, got := range tab.Col("timestamp").Ints {
+		if got != ts[i] {
+			t.Fatalf("resident timestamp column overwritten at row %d: %d, want %d", i, got, ts[i])
+		}
+	}
+}

@@ -17,13 +17,12 @@ type Dataset struct {
 	Name string
 }
 
-// NewDataset ensures the directory exists and returns the handle.
+// NewDataset validates the name and returns the handle. It touches nothing
+// on disk: opening an archive to read must not create a mistyped path (the
+// first write creates the directory).
 func NewDataset(dir, name string) (*Dataset, error) {
 	if name == "" || strings.ContainsAny(name, "/\\") {
 		return nil, fmt.Errorf("store: invalid dataset name %q", name)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create dataset dir: %w", err)
 	}
 	return &Dataset{Dir: dir, Name: name}, nil
 }
@@ -42,6 +41,9 @@ func (d *Dataset) WriteDay(day int, t *Table) error {
 func (d *Dataset) WriteDayCodec(day int, t *Table, codec Codec) error {
 	if day < 0 {
 		return fmt.Errorf("store: negative day %d", day)
+	}
+	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
+		return fmt.Errorf("store: create dataset dir: %w", err)
 	}
 	tmp := d.dayPath(day) + ".tmp"
 	f, err := os.Create(tmp)

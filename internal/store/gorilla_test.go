@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -177,9 +178,80 @@ func TestGorillaCorruptPayload(t *testing.T) {
 	}
 }
 
+// wholeIF reads columns "i" (integer) and "f" (numeric, widened) the
+// whole-column way — Reader.Column on each — stopping, like the block
+// iterator, as soon as it has both.
+func wholeIF(data []byte) (ints []int64, floats []float64, err error) {
+	sr, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer sr.Close()
+	haveI, haveF := false, false
+	for !haveI || !haveF {
+		info, err := sr.Next()
+		if err != nil {
+			return nil, nil, err
+		}
+		isI, isF := info.Name == "i" && !haveI, info.Name == "f" && !haveF
+		if !isI && !isF {
+			if err := sr.Skip(); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		if (isI && !info.Int) || info.Str {
+			return nil, nil, fmt.Errorf("column %q has the wrong type", info.Name)
+		}
+		col, err := sr.Column()
+		if err != nil {
+			return nil, nil, err
+		}
+		if isI {
+			ints, haveI = col.Ints, true
+			continue
+		}
+		floats, haveF = col.Floats, true
+		for _, v := range col.Ints {
+			floats = append(floats, float64(v))
+		}
+	}
+	return ints, floats, nil
+}
+
+// checkWholeVsBlocks decodes data the whole-column way and through the block
+// iterator: both must fail, or both succeed with bit-identical values.
+func checkWholeVsBlocks(t *testing.T, what string, data []byte) {
+	t.Helper()
+	ints, floats, werr := wholeIF(data)
+	var sc IterScratch
+	var got []float64
+	_, berr := iterColumns(bytes.NewReader(data), []string{"i"}, "f", &sc, func(start int, vals []float64) error {
+		if start != len(got) {
+			return fmt.Errorf("block start %d, want %d", start, len(got))
+		}
+		got = append(got, vals...)
+		return nil
+	})
+	if (werr == nil) != (berr == nil) {
+		t.Fatalf("%s: whole-column read: %v; block read: %v", what, werr, berr)
+	}
+	if werr != nil {
+		return
+	}
+	if d := diffColumn(&Column{Name: "i", Ints: ints}, &Column{Name: "i", Ints: sc.Axes[0]}); d != "" {
+		t.Fatalf("%s: block read diverges: %s", what, d)
+	}
+	if d := diffColumn(&Column{Name: "f", Floats: floats}, &Column{Name: "f", Floats: got}); d != "" {
+		t.Fatalf("%s: block read diverges: %s", what, d)
+	}
+}
+
 // FuzzCodecRoundTrip drives the encoder itself with arbitrary values and
 // requires a lossless round trip under every codec — the complement of
-// FuzzReadDayColumns, which fuzzes the decoder with arbitrary bytes.
+// FuzzReadDayColumns, which fuzzes the decoder with arbitrary bytes. Every
+// encoding, one truncation and one bit flip of it (placed by the inputs) are
+// also decoded both whole-column and block-wise, which must agree.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(int64(0), int64(10), uint64(0x3ff0000000000000), uint64(0x3ff0000000000001), "a")
 	f.Add(int64(math.MinInt64), int64(math.MaxInt64), uint64(0), uint64(0xffffffffffffffff), "")
@@ -198,28 +270,19 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err := WriteCodec(&buf, tab, codec); err != nil {
 				t.Fatalf("codec %d write: %v", codec, err)
 			}
+			enc := buf.Bytes()
+			flipped := append([]byte(nil), enc...)
+			flipped[f0%uint64(len(enc))] ^= 1 << (f1 % 8)
+			checkWholeVsBlocks(t, fmt.Sprintf("codec %d", codec), enc)
+			checkWholeVsBlocks(t, fmt.Sprintf("codec %d truncated", codec), enc[:uint64(i0)%uint64(len(enc))])
+			checkWholeVsBlocks(t, fmt.Sprintf("codec %d bit-flipped", codec), flipped)
 			got, err := Read(&buf)
 			if err != nil {
 				t.Fatalf("codec %d read: %v", codec, err)
 			}
 			for c := range tab.Cols {
-				want, have := &tab.Cols[c], &got.Cols[c]
-				for j := 0; j < want.Len(); j++ {
-					switch {
-					case want.IsInt():
-						if want.Ints[j] != have.Ints[j] {
-							t.Fatalf("codec %d col %d row %d: %d != %d", codec, c, j, have.Ints[j], want.Ints[j])
-						}
-					case want.IsStr():
-						if want.Strs[j] != have.Strs[j] {
-							t.Fatalf("codec %d col %d row %d str mismatch", codec, c, j)
-						}
-					default:
-						if math.Float64bits(want.Floats[j]) != math.Float64bits(have.Floats[j]) {
-							t.Fatalf("codec %d col %d row %d: bits %x != %x",
-								codec, c, j, math.Float64bits(have.Floats[j]), math.Float64bits(want.Floats[j]))
-						}
-					}
+				if d := diffColumn(&tab.Cols[c], &got.Cols[c]); d != "" {
+					t.Fatalf("codec %d: %s", codec, d)
 				}
 			}
 		}

@@ -1,0 +1,92 @@
+package store
+
+import (
+	"sync"
+
+	"repro/internal/parallel"
+)
+
+// Index is the partition index of one dataset: the day list found at open
+// and the per-day row-range metadata, loaded on first use. Every reader of
+// an archive — the query engine, the analysis source — prunes through one of
+// these instead of keeping its own day list and metadata map. Safe for
+// concurrent use.
+type Index struct {
+	ds       *Dataset
+	days     []int
+	workers  int
+	timeCols []string
+
+	mu    sync.Mutex
+	metas []DayMeta // parallel to days; nil until a load succeeds
+}
+
+// OpenIndex lists the partitions of dataset name in dir. It reads no
+// partition and creates nothing; a missing dir is an fs.ErrNotExist error.
+// workers bounds the parallel metadata load (<= 0: GOMAXPROCS); timeCols are
+// the candidate time columns, as for Dataset.DayMeta.
+func OpenIndex(dir, name string, workers int, timeCols ...string) (*Index, error) {
+	ds, err := NewDataset(dir, name)
+	if err != nil {
+		return nil, err
+	}
+	days, err := ds.Days()
+	if err != nil {
+		return nil, err
+	}
+	return &Index{ds: ds, days: days, workers: workers, timeCols: timeCols}, nil
+}
+
+// Dataset returns the indexed dataset.
+func (x *Index) Dataset() *Dataset { return x.ds }
+
+// Days returns the day indices present at open, ascending. Read-only.
+func (x *Index) Days() []int { return x.days }
+
+// Metas returns the metadata of every partition, parallel to Days, loading
+// it in parallel over the partitions on first use. Only a complete load is
+// kept (partitions are immutable once written): a failed one — a partition
+// still being written, say — is reported, naming the partition, and retried
+// by the next call.
+func (x *Index) Metas() ([]DayMeta, error) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.metas == nil && len(x.days) > 0 {
+		metas, err := parallel.MapErr(len(x.days), x.workers, func(i int) (DayMeta, error) {
+			return x.ds.DayMeta(x.days[i], x.timeCols...)
+		})
+		if err != nil {
+			return nil, err
+		}
+		x.metas = metas
+	}
+	return x.metas, nil
+}
+
+// Prune returns the partitions whose time span intersects [t0, t1), in day
+// order, and how many it dropped. Partitions without a time span cannot be
+// pruned and are always kept.
+func (x *Index) Prune(t0, t1 int64) (keep []DayMeta, pruned int, err error) {
+	metas, err := x.Metas()
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, m := range metas {
+		if m.HasTime && (m.MaxTime < t0 || m.MinTime >= t1) {
+			pruned++
+			continue
+		}
+		keep = append(keep, m)
+	}
+	return keep, pruned, nil
+}
+
+// Column finds a column in the partition's inventory.
+func (m DayMeta) Column(name string) (ColumnInfo, bool) {
+	for _, c := range m.Columns {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return ColumnInfo{}, false
+}

@@ -16,18 +16,46 @@ import (
 // allocation, nothing retained, nothing for the cache to churn on.
 
 // IterScratch holds the reusable buffers of streaming day reads. The zero
-// value is ready to use; reuse one scratch across many IterDayColumns calls
-// (it is not safe for concurrent use — give each worker its own).
+// value is ready to use; reuse one scratch across many IterDayColumns and
+// ScanDay calls (it is not safe for concurrent use — give each worker its
+// own).
 type IterScratch struct {
-	// Axes holds the decoded axis columns of the current call, parallel to
-	// the axes argument. Valid from the first fn callback until the next
-	// IterDayColumns call on this scratch.
+	// Axes holds the axis columns of the current call, parallel to the axes
+	// argument. Valid from the first fn callback until the next call on
+	// this scratch; read-only (ScanDay points it at cache-resident columns).
 	Axes [][]int64
 
+	axbuf  [][]int64 // decode scratch behind Axes, capacity reused per axis
 	seen   []bool
 	iblock []int64
 	fblock []float64
 	fbuf   []float64
+}
+
+// reset sizes the scratch for a call reading n axes.
+func (sc *IterScratch) reset(n int) {
+	if cap(sc.Axes) < n {
+		sc.Axes, sc.axbuf, sc.seen = make([][]int64, n), make([][]int64, n), make([]bool, n)
+	}
+	sc.Axes, sc.axbuf, sc.seen = sc.Axes[:n], sc.axbuf[:n], sc.seen[:n]
+	clear(sc.seen)
+}
+
+// widen delivers the integer column src to fn as float64 blocks.
+func (sc *IterScratch) widen(src []int64, fn func(start int, vals []float64) error) error {
+	if sc.fblock == nil {
+		sc.fblock = make([]float64, blockRows)
+	}
+	for start := 0; start < len(src); start += len(sc.fblock) {
+		n := min(len(src)-start, len(sc.fblock))
+		for j, v := range src[start : start+n] {
+			sc.fblock[j] = float64(v)
+		}
+		if err := fn(start, sc.fblock[:n]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // IterDayColumns streams the named numeric value column of one day
@@ -62,22 +90,12 @@ func iterColumns(r io.Reader, axes []string, value string, sc *IterScratch, fn f
 		return 0, err
 	}
 	defer sr.Close()
-	if cap(sc.Axes) < len(axes) {
-		sc.Axes = make([][]int64, len(axes))
-	} else {
-		sc.Axes = sc.Axes[:len(axes)]
-	}
-	if cap(sc.seen) < len(axes) {
-		sc.seen = make([]bool, len(axes))
-	} else {
-		sc.seen = sc.seen[:len(axes)]
-	}
-	for i := range sc.seen {
-		sc.seen[i] = false
-	}
+	sc.reset(len(axes))
 	if sc.iblock == nil {
-		sc.iblock = make([]int64, gorillaBlockRows)
-		sc.fblock = make([]float64, gorillaBlockRows)
+		sc.iblock = make([]int64, blockRows)
+	}
+	if sc.fblock == nil {
+		sc.fblock = make([]float64, blockRows)
 	}
 
 	axesDone := 0
@@ -103,10 +121,10 @@ func iterColumns(r io.Reader, axes []string, value string, sc *IterScratch, fn f
 			if !info.Int {
 				return 0, fmt.Errorf("store: axis column %q is not integer-typed", info.Name)
 			}
-			if sc.Axes[ai], err = sr.columnIntsInto(sc.Axes[ai]); err != nil {
+			if sc.axbuf[ai], err = sr.columnIntsInto(sc.axbuf[ai]); err != nil {
 				return 0, err
 			}
-			sc.seen[ai] = true
+			sc.Axes[ai], sc.seen[ai] = sc.axbuf[ai], true
 			axesDone++
 			if info.Name == value && !valueDone {
 				valueFromAxis = ai
@@ -151,19 +169,8 @@ func iterColumns(r io.Reader, axes []string, value string, sc *IterScratch, fn f
 	}
 	switch {
 	case valueFromAxis >= 0:
-		src := sc.Axes[valueFromAxis]
-		for start := 0; start < len(src); {
-			n := len(src) - start
-			if n > len(sc.fblock) {
-				n = len(sc.fblock)
-			}
-			for j := 0; j < n; j++ {
-				sc.fblock[j] = float64(src[start+j])
-			}
-			if err := fn(start, sc.fblock[:n]); err != nil {
-				return 0, err
-			}
-			start += n
+		if err := sc.widen(sc.Axes[valueFromAxis], fn); err != nil {
+			return 0, err
 		}
 	case deferred:
 		if len(sc.fbuf) > 0 {
@@ -222,46 +229,38 @@ func (r *Reader) columnValueBlocks(iblock []int64, fblock []float64, fn func(sta
 	return nil
 }
 
-// floatBlocks decodes the pending float column block by block. It does not
-// consume the column; callers manage that state.
+// gorillaPayload reads the pending CodecGorilla numeric column's
+// length-prefixed payload into the reader's scratch.
+func (r *Reader) gorillaPayload() ([]byte, error) {
+	n, err := r.payloadLen(gorillaPayloadBound(r.nRows))
+	if err != nil {
+		return nil, err
+	}
+	return r.readPayload(n)
+}
+
+// floatBlocks decodes the pending float column in blocks of len(block) — the
+// one float decode loop of every codec. It does not consume the column;
+// callers manage that state.
 func (r *Reader) floatBlocks(block []float64, fn func(start int, vals []float64) error) error {
+	var dec gorillaFloatDecoder
+	var payload []byte
 	if r.codec == CodecGorilla {
-		n, err := r.payloadLen(gorillaPayloadBound(r.nRows))
-		if err != nil {
+		var err error
+		if payload, err = r.gorillaPayload(); err != nil {
 			return err
 		}
-		payload, err := r.readPayload(n)
-		if err != nil {
-			return err
-		}
-		var dec gorillaFloatDecoder
 		dec.Reset(payload)
-		for start := 0; start < r.nRows; {
-			want := r.nRows - start
-			if want > len(block) {
-				want = len(block)
-			}
-			got := dec.DecodeBlock(block[:want], r.nRows)
-			if got <= 0 {
+	}
+	prev := uint64(0)
+	for start := 0; start < r.nRows; {
+		n := min(r.nRows-start, len(block))
+		switch {
+		case r.codec == CodecGorilla:
+			if n = dec.DecodeBlock(block[:n], r.nRows); n <= 0 {
 				return errTruncatedPayload(r.cur.Name, start)
 			}
-			if err := fn(start, block[:got]); err != nil {
-				return err
-			}
-			start += got
-		}
-		if used := (dec.bit + 7) / 8; used != len(payload) {
-			return fmt.Errorf("store: column %q: %d trailing payload bytes", r.cur.Name, len(payload)-used)
-		}
-		return nil
-	}
-	if r.codec.delta() {
-		prev := uint64(0)
-		for start := 0; start < r.nRows; {
-			n := r.nRows - start
-			if n > len(block) {
-				n = len(block)
-			}
+		case r.codec.delta():
 			for j := 0; j < n; j++ {
 				u, err := binary.ReadUvarint(r.br)
 				if err != nil {
@@ -270,73 +269,46 @@ func (r *Reader) floatBlocks(block []float64, fn func(start int, vals []float64)
 				prev ^= u
 				block[j] = math.Float64frombits(prev)
 			}
-			if err := fn(start, block[:n]); err != nil {
-				return err
+		default:
+			var raw [8]byte
+			for j := 0; j < n; j++ {
+				if _, err := io.ReadFull(r.br, raw[:]); err != nil {
+					return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, start+j, err)
+				}
+				block[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
 			}
-			start += n
-		}
-		return nil
-	}
-	var raw [8]byte
-	for start := 0; start < r.nRows; {
-		n := r.nRows - start
-		if n > len(block) {
-			n = len(block)
-		}
-		for j := 0; j < n; j++ {
-			if _, err := io.ReadFull(r.br, raw[:]); err != nil {
-				return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, start+j, err)
-			}
-			block[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
 		}
 		if err := fn(start, block[:n]); err != nil {
 			return err
 		}
 		start += n
 	}
+	if used := (dec.bit + 7) / 8; used != len(payload) {
+		return fmt.Errorf("store: column %q: %d trailing payload bytes", r.cur.Name, len(payload)-used)
+	}
 	return nil
 }
 
-// intBlocks decodes the pending integer column block by block. It does not
-// consume the column; callers manage that state.
+// intBlocks is floatBlocks for the pending integer column.
 func (r *Reader) intBlocks(block []int64, fn func(start int, vals []int64) error) error {
+	var dec gorillaIntDecoder
+	var payload []byte
 	if r.codec == CodecGorilla {
-		n, err := r.payloadLen(gorillaPayloadBound(r.nRows))
-		if err != nil {
+		var err error
+		if payload, err = r.gorillaPayload(); err != nil {
 			return err
 		}
-		payload, err := r.readPayload(n)
-		if err != nil {
-			return err
-		}
-		var dec gorillaIntDecoder
 		dec.Reset(payload)
-		for start := 0; start < r.nRows; {
-			want := r.nRows - start
-			if want > len(block) {
-				want = len(block)
-			}
-			got := dec.DecodeBlock(block[:want], r.nRows)
-			if got <= 0 {
+	}
+	prev := int64(0)
+	for start := 0; start < r.nRows; {
+		n := min(r.nRows-start, len(block))
+		switch {
+		case r.codec == CodecGorilla:
+			if n = dec.DecodeBlock(block[:n], r.nRows); n <= 0 {
 				return errTruncatedPayload(r.cur.Name, start)
 			}
-			if err := fn(start, block[:got]); err != nil {
-				return err
-			}
-			start += got
-		}
-		if dec.pos != len(payload) {
-			return fmt.Errorf("store: column %q: %d trailing payload bytes", r.cur.Name, len(payload)-dec.pos)
-		}
-		return nil
-	}
-	if r.codec.delta() {
-		prev := int64(0)
-		for start := 0; start < r.nRows; {
-			n := r.nRows - start
-			if n > len(block) {
-				n = len(block)
-			}
+		case r.codec.delta():
 			for j := 0; j < n; j++ {
 				u, err := binary.ReadUvarint(r.br)
 				if err != nil {
@@ -345,29 +317,22 @@ func (r *Reader) intBlocks(block []int64, fn func(start int, vals []int64) error
 				prev += unzigzag(u)
 				block[j] = prev
 			}
-			if err := fn(start, block[:n]); err != nil {
-				return err
+		default:
+			var raw [8]byte
+			for j := 0; j < n; j++ {
+				if _, err := io.ReadFull(r.br, raw[:]); err != nil {
+					return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, start+j, err)
+				}
+				block[j] = int64(binary.LittleEndian.Uint64(raw[:]))
 			}
-			start += n
-		}
-		return nil
-	}
-	var raw [8]byte
-	for start := 0; start < r.nRows; {
-		n := r.nRows - start
-		if n > len(block) {
-			n = len(block)
-		}
-		for j := 0; j < n; j++ {
-			if _, err := io.ReadFull(r.br, raw[:]); err != nil {
-				return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, start+j, err)
-			}
-			block[j] = int64(binary.LittleEndian.Uint64(raw[:]))
 		}
 		if err := fn(start, block[:n]); err != nil {
 			return err
 		}
 		start += n
+	}
+	if dec.pos != len(payload) {
+		return fmt.Errorf("store: column %q: %d trailing payload bytes", r.cur.Name, len(payload)-dec.pos)
 	}
 	return nil
 }

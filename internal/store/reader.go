@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 )
 
@@ -220,9 +219,9 @@ func (r *Reader) Skip() error {
 // not as a multi-gigabyte allocation.
 const maxPreallocRows = 1 << 20
 
-// gorillaBlockRows is the block size the gorilla decoders produce values in;
-// small enough to live in cache, large enough to amortize the loop.
-const gorillaBlockRows = 4096
+// blockRows is the block size columns are decoded in; small enough to live
+// in cache, large enough to amortize the loop.
+const blockRows = 4096
 
 // payloadLen reads and validates the byte-length prefix of the pending
 // CodecGorilla column against bound (the largest plausible payload for the
@@ -267,64 +266,6 @@ func (r *Reader) readPayload(n int) ([]byte, error) {
 	return buf, nil
 }
 
-func (r *Reader) decodeGorillaInts(out []int64) ([]int64, error) {
-	n, err := r.payloadLen(gorillaPayloadBound(r.nRows))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := r.readPayload(n)
-	if err != nil {
-		return nil, err
-	}
-	var dec gorillaIntDecoder
-	dec.Reset(payload)
-	var block [gorillaBlockRows]int64
-	for len(out) < r.nRows {
-		want := r.nRows - len(out)
-		if want > len(block) {
-			want = len(block)
-		}
-		got := dec.DecodeBlock(block[:want], r.nRows)
-		if got <= 0 {
-			return nil, errTruncatedPayload(r.cur.Name, len(out))
-		}
-		out = append(out, block[:got]...)
-	}
-	if dec.pos != len(payload) {
-		return nil, fmt.Errorf("store: column %q: %d trailing payload bytes", r.cur.Name, len(payload)-dec.pos)
-	}
-	return out, nil
-}
-
-func (r *Reader) decodeGorillaFloats(out []float64) ([]float64, error) {
-	n, err := r.payloadLen(gorillaPayloadBound(r.nRows))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := r.readPayload(n)
-	if err != nil {
-		return nil, err
-	}
-	var dec gorillaFloatDecoder
-	dec.Reset(payload)
-	var block [gorillaBlockRows]float64
-	for len(out) < r.nRows {
-		want := r.nRows - len(out)
-		if want > len(block) {
-			want = len(block)
-		}
-		got := dec.DecodeBlock(block[:want], r.nRows)
-		if got <= 0 {
-			return nil, errTruncatedPayload(r.cur.Name, len(out))
-		}
-		out = append(out, block[:got]...)
-	}
-	if used := (dec.bit + 7) / 8; used != len(payload) {
-		return nil, fmt.Errorf("store: column %q: %d trailing payload bytes", r.cur.Name, len(payload)-used)
-	}
-	return out, nil
-}
-
 func (r *Reader) decodeGorillaStrs() ([]string, error) {
 	bound := uint64(r.nRows)*(maxStrLen+binary.MaxVarintLen64) + 16
 	n, err := r.payloadLen(bound)
@@ -360,63 +301,40 @@ func (r *Reader) decodeGorillaStrs() ([]string, error) {
 
 func (r *Reader) decodeInts() ([]int64, error) { return r.decodeIntsInto(nil) }
 
-// decodeIntsInto appends the pending integer column's values into dst[:0],
-// reusing its capacity when large enough (the iterator path's axis scratch).
+// decodeIntsInto decodes the pending integer column into dst[:0], reusing
+// its capacity when large enough (the iterator path's axis scratch). A whole
+// column is the block decode with the output as its one block, so each
+// format has a single decode loop; only a row count beyond maxPreallocRows
+// is decoded through a small block and appended, so that a false claim
+// fails when the stream runs dry instead of allocating up front.
 func (r *Reader) decodeIntsInto(dst []int64) ([]int64, error) {
 	out := dst[:0]
 	if need := min(r.nRows, maxPreallocRows); cap(out) < need {
 		out = make([]int64, 0, need)
 	}
-	if r.codec == CodecGorilla {
-		return r.decodeGorillaInts(out)
+	if r.nRows <= cap(out) {
+		out = out[:r.nRows]
+		return out, r.intBlocks(out, func(int, []int64) error { return nil })
 	}
-	if r.codec.delta() {
-		prev := int64(0)
-		for j := 0; j < r.nRows; j++ {
-			u, err := binary.ReadUvarint(r.br)
-			if err != nil {
-				return nil, fmt.Errorf("store: column %q row %d: %w", r.cur.Name, j, err)
-			}
-			prev += unzigzag(u)
-			out = append(out, prev)
-		}
-		return out, nil
-	}
-	var raw [8]byte
-	for j := 0; j < r.nRows; j++ {
-		if _, err := io.ReadFull(r.br, raw[:]); err != nil {
-			return nil, fmt.Errorf("store: column %q row %d: %w", r.cur.Name, j, err)
-		}
-		out = append(out, int64(binary.LittleEndian.Uint64(raw[:])))
-	}
-	return out, nil
+	err := r.intBlocks(make([]int64, blockRows), func(_ int, vals []int64) error {
+		out = append(out, vals...)
+		return nil
+	})
+	return out, err
 }
 
+// decodeFloats is decodeIntsInto for the pending float column.
 func (r *Reader) decodeFloats() ([]float64, error) {
-	out := make([]float64, 0, min(r.nRows, maxPreallocRows))
-	if r.codec == CodecGorilla {
-		return r.decodeGorillaFloats(out)
+	if r.nRows <= maxPreallocRows {
+		out := make([]float64, r.nRows)
+		return out, r.floatBlocks(out, func(int, []float64) error { return nil })
 	}
-	if r.codec.delta() {
-		prev := uint64(0)
-		for j := 0; j < r.nRows; j++ {
-			u, err := binary.ReadUvarint(r.br)
-			if err != nil {
-				return nil, fmt.Errorf("store: column %q row %d: %w", r.cur.Name, j, err)
-			}
-			prev ^= u
-			out = append(out, math.Float64frombits(prev))
-		}
-		return out, nil
-	}
-	var raw [8]byte
-	for j := 0; j < r.nRows; j++ {
-		if _, err := io.ReadFull(r.br, raw[:]); err != nil {
-			return nil, fmt.Errorf("store: column %q row %d: %w", r.cur.Name, j, err)
-		}
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(raw[:])))
-	}
-	return out, nil
+	out := make([]float64, 0, maxPreallocRows)
+	err := r.floatBlocks(make([]float64, blockRows), func(_ int, vals []float64) error {
+		out = append(out, vals...)
+		return nil
+	})
+	return out, err
 }
 
 func (r *Reader) decodeStrs() ([]string, error) {

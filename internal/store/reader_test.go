@@ -280,3 +280,36 @@ func TestReadDayErrorsNamePartition(t *testing.T) {
 		t.Errorf("missing day error = %v", err)
 	}
 }
+
+// TestRowCountBeyondPreallocCap covers the one case where a whole column is
+// not decoded in place: a header row count above maxPreallocRows. A genuine
+// table of that size must still round-trip (decoded block by block and
+// appended), and a false claim on a short stream must fail rather than
+// allocate what it claims.
+func TestRowCountBeyondPreallocCap(t *testing.T) {
+	n := maxPreallocRows + 5
+	ints, floats := make([]int64, n), make([]float64, n)
+	for i := range ints {
+		ints[i], floats[i] = int64(i/3), float64(i%5)
+	}
+	var buf bytes.Buffer
+	if err := WriteCodec(&buf, &Table{Cols: []Column{{Name: "i", Ints: ints}, {Name: "f", Floats: floats}}}, CodecDeltaFast); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ints {
+		if got.Cols[0].Ints[i] != ints[i] || math.Float64bits(got.Cols[1].Floats[i]) != math.Float64bits(floats[i]) {
+			t.Fatalf("row %d: (%d, %v), want (%d, %v)", i, got.Cols[0].Ints[i], got.Cols[1].Floats[i], ints[i], floats[i])
+		}
+	}
+
+	// The same stream cut short still claims n rows in its header.
+	for _, names := range [][]string{{"i"}, {"f"}} {
+		if _, err := ReadColumns(bytes.NewReader(buf.Bytes()[:buf.Len()/4]), names); err == nil {
+			t.Errorf("truncated %v column of a %d-row claim decoded without error", names, n)
+		}
+	}
+}

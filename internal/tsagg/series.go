@@ -55,7 +55,7 @@ func NewCoarsener(window int64, emit func(WindowStat)) *Coarsener {
 // path timestamps payloads up to 5 s late (paper §3), so small reordering is
 // expected and window assignment tolerates it.
 func (c *Coarsener) Add(t int64, v float64) {
-	ws := t - mod(t, c.window)
+	ws := t - FloorMod(t, c.window)
 	if c.cur == math.MinInt64 {
 		c.cur = ws
 	}
@@ -66,7 +66,9 @@ func (c *Coarsener) Add(t int64, v float64) {
 	c.m.Add(v)
 }
 
-func mod(a, b int64) int64 {
+// FloorMod is the non-negative remainder of a by b (b > 0): t - FloorMod(t,
+// w) aligns a timestamp, negative ones included, to the start of its window.
+func FloorMod(a, b int64) int64 {
 	m := a % b
 	if m < 0 {
 		m += b

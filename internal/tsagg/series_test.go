@@ -104,8 +104,8 @@ func TestModFloorsTowardNegativeInfinity(t *testing.T) {
 		{math.MaxInt64, 3, math.MaxInt64 % 3},
 	}
 	for _, c := range cases {
-		if got := mod(c.a, c.b); got != c.want {
-			t.Errorf("mod(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		if got := FloorMod(c.a, c.b); got != c.want {
+			t.Errorf("FloorMod(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -259,7 +259,7 @@ func TestCoarsenInvariantsProperty(t *testing.T) {
 			if !(w.Min <= w.Mean && w.Mean <= w.Max) || w.Std < 0 || w.Count <= 0 {
 				return false
 			}
-			if mod(w.T, 10) != 0 {
+			if FloorMod(w.T, 10) != 0 {
 				return false
 			}
 			total += w.Count
