@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-whatif bench-ab optimize-smoke federate-smoke scenario-smoke bench-report clean
+.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke scenario-smoke bench-report clean
 
 all: check
 
@@ -91,6 +91,22 @@ bench-query:
 bench-query-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkQuery' -benchmem -benchtime 1x .
 	$(GO) run ./cmd/benchjson -report - BENCH_query.json >/dev/null
+
+# bench-stream records the live plane's in-process benchmark (one fleet
+# window through Ingest, the shards, the merger and the operators, drain
+# included) in BENCH_stream.json under LABEL. To add a label for another
+# commit, run the same target in a checkout of it with this bench_test.go's
+# BenchmarkStreamIngest and -out pointing back here.
+bench-stream:
+	$(GO) test -run xxx -bench 'BenchmarkStreamIngest' -benchmem -count 3 . | \
+		$(GO) run ./cmd/benchjson -out BENCH_stream.json -label $(LABEL)
+
+# bench-stream-smoke is the CI guard: one iteration of the stream benchmark
+# (it fails on any dropped sample), plus a parse check of the tracked
+# BENCH_stream.json.
+bench-stream-smoke:
+	$(GO) test -run xxx -bench 'BenchmarkStreamIngest' -benchmem -benchtime 1x .
+	$(GO) run ./cmd/benchjson -report - BENCH_stream.json >/dev/null
 
 # bench-whatif measures what-if scenario-evaluation throughput (runs/sec)
 # and records it in BENCH_whatif.json under LABEL.

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/source"
 )
 
@@ -319,11 +320,7 @@ func (h *handler) datasets(ctx context.Context, q url.Values) (any, error) {
 // jfloat marshals NaN/Inf (legal in the archive, illegal in JSON) as null.
 // It backs the float fields of the reflection-encoded replies (analyses,
 // fleet merges); range and rollup replies use the same formatter directly.
-type jfloat float64
-
-func (f jfloat) MarshalJSON() ([]byte, error) {
-	return appendJSONFloat(make([]byte, 0, 24), float64(f)), nil
-}
+type jfloat = serve.Float
 
 func (h *handler) rangeQuery(ctx context.Context, q url.Values) (any, error) {
 	req := RangeRequest{

@@ -67,7 +67,7 @@ func (c *WindowCoarsener) Add(t int64, v float64) bool {
 		c.open[i-1].m.Add(v)
 		return true
 	}
-	c.open = append(c.open, openWindow{})
+	c.open = append(c.open, openWindow{}) //lint:allow allocfree grows only until the list holds lateness/step+2 windows, then reuses its array
 	copy(c.open[i+1:], c.open[i:])
 	c.open[i] = openWindow{start: ws}
 	c.open[i].m.Add(v)

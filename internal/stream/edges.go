@@ -156,22 +156,20 @@ func (d *EdgeDetector) Flush() {
 // frames, matching the offline series' missing slots) and detected edges
 // accumulate in a bounded ring.
 type Edges struct {
-	det   *EdgeDetector
-	max   int
-	edges []*core.Edge // ascending by detection time, len <= max
+	det *EdgeDetector
+	// ring holds the last min(total, len(ring)) edges: edge k of the
+	// stream (k counts from 0) lives in slot k % len(ring).
+	ring  []*core.Edge
 	total int64
 }
 
 func newEdges(cfg Config) *Edges {
-	e := &Edges{max: cfg.MaxEdges}
+	e := &Edges{ring: make([]*core.Edge, cfg.MaxEdges)}
 	e.det = NewEdgeDetector(cfg.edgeThreshold(), func(edge *core.Edge) {
+		// Overwrites the oldest once full; a pending duration scan keeps
+		// its pointer and harmlessly resolves the evicted edge.
+		e.ring[e.total%int64(len(e.ring))] = edge
 		e.total++
-		e.edges = append(e.edges, edge)
-		if len(e.edges) > e.max {
-			// Evict oldest; a pending duration scan keeps its pointer and
-			// harmlessly resolves the evicted edge.
-			e.edges = append(e.edges[:0], e.edges[len(e.edges)-e.max:]...)
-		}
 	})
 	return e
 }
@@ -205,15 +203,16 @@ func (e *Edges) Flush() { e.det.Flush() }
 func (e *Edges) Threshold() float64 { return e.det.threshold }
 
 // snapshotLocked copies up to limit most-recent edges (limit <= 0: all
-// retained). Caller holds the pipeline snapshot lock.
+// retained), ascending by detection time. Caller holds the pipeline
+// snapshot lock.
 func (e *Edges) snapshotLocked(limit int) (edges []core.Edge, total int64) {
-	n := len(e.edges)
+	n := int(min(e.total, int64(len(e.ring))))
 	if limit > 0 && n > limit {
 		n = limit
 	}
 	edges = make([]core.Edge, n)
-	for i, ep := range e.edges[len(e.edges)-n:] {
-		edges[i] = *ep
+	for i := range edges {
+		edges[i] = *e.ring[(e.total-int64(n-i))%int64(len(e.ring))]
 	}
 	return edges, e.total
 }

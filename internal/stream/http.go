@@ -8,8 +8,10 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/topology"
 )
 
@@ -116,6 +118,10 @@ func (h *handler) guard(fn func(ctx context.Context, r *http.Request) (any, erro
 			writeError(w, status, msg)
 			return
 		}
+		if enc, ok := resp.(replyEncoder); ok {
+			writeEncoded(w, enc)
+			return
+		}
 		writeJSON(w, http.StatusOK, resp)
 	}
 }
@@ -132,37 +138,102 @@ func errStatus(err error) (int, string) {
 	}
 }
 
-// jfloat marshals NaN/Inf (legal in the pipeline, illegal in JSON) as null.
-type jfloat float64
+// jfloat marshals NaN/Inf (legal in the pipeline, illegal in JSON) as
+// null. It backs the float fields of the reflection-encoded replies; the
+// rollup and health replies use the same formatter directly.
+type jfloat = serve.Float
 
-func (f jfloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
+// replyEncoder is a reply that appends itself to a buffer without
+// reflection, byte for byte what encoding/json (SetEscapeHTML(false))
+// produced for the reply value it replaced. The two polled routes — rollup
+// and health — answer this way; the others stay on encoding/json.
+type replyEncoder interface {
+	appendJSON(b []byte) []byte
 }
 
-type apiPoint struct {
-	T int64  `json:"t"`
-	V jfloat `json:"v"`
+// replyBufs recycles reply buffers; maxPooledReply keeps a rare multi-MB
+// rollup from pinning its buffer in the pool.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 1 << 20
+
+// writeEncoded builds the whole body in a pooled buffer, so it goes out
+// with Content-Length in one Write.
+func writeEncoded(w http.ResponseWriter, r replyEncoder) {
+	bp := replyBufs.Get().(*[]byte)
+	b := append(r.appendJSON((*bp)[:0]), '\n')
+	hd := w.Header()
+	hd.Set("Content-Type", "application/json")
+	hd.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledReply {
+		*bp = b
+		replyBufs.Put(bp)
+	}
 }
 
 // --- /api/v1/live/rollup ---
 
-type apiGroupSeries struct {
-	Group  int        `json:"group"`
-	Label  string     `json:"label"`
-	Points []apiPoint `json:"points"`
+// rollupReply is the rollup reply: fleet serves the fleet sums as
+// `points`, the grouped forms one labelled `series` entry per group.
+type rollupReply struct {
+	group string
+	snap  RollupSnapshot
+	val   func(w *RollupWindow, g int) float64 // a window's sum for group g
+	// Grouped forms only.
+	groups int
+	label  func(g int) string
 }
 
-type apiRollup struct {
-	Group   string           `json:"group"`
-	Step    int64            `json:"step"`
-	Windows int64            `json:"windows_total"`
-	EnergyJ jfloat           `json:"energy_j"`
-	Points  []apiPoint       `json:"points,omitempty"`
-	Series  []apiGroupSeries `json:"series,omitempty"`
+func fleetW(w *RollupWindow, _ int) float64   { return w.FleetW }
+func cabinetW(w *RollupWindow, g int) float64 { return w.CabinetW[g] }
+func msbW(w *RollupWindow, g int) float64     { return w.MSBW[g] }
+func cabinetLabel(g int) string               { return "cabinet " + strconv.Itoa(g) }
+func msbLabel(g int) string                   { return topology.MSB(g).String() }
+
+// appendJSON writes {"group","step","windows_total","energy_j"} and then
+// `points` or `series`, each omitted when empty.
+func (r *rollupReply) appendJSON(b []byte) []byte {
+	b = serve.AppendKeyString(b, `{"group":`, r.group)
+	b = serve.AppendKeyInt(b, `,"step":`, r.snap.Step)
+	b = serve.AppendKeyInt(b, `,"windows_total":`, r.snap.Windows)
+	b = serve.AppendKeyFloat(b, `,"energy_j":`, r.snap.EnergyJ)
+	switch {
+	case r.label == nil:
+		if len(r.snap.Recent) > 0 {
+			b = appendPoints(append(b, `,"points":`...), r.snap.Recent, 0, r.val)
+		}
+	case r.groups > 0:
+		b = append(b, `,"series":[`...)
+		for g := 0; g < r.groups; g++ {
+			if g > 0 {
+				b = append(b, ',')
+			}
+			b = serve.AppendKeyInt(b, `{"group":`, int64(g))
+			b = serve.AppendKeyString(b, `,"label":`, r.label(g))
+			b = append(appendPoints(append(b, `,"points":`...), r.snap.Recent, g, r.val), '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendPoints writes one [{"t","v"}...] list; a series without windows
+// is null, as the nil slice it used to be.
+func appendPoints(b []byte, ws []RollupWindow, g int, val func(*RollupWindow, int) float64) []byte {
+	if len(ws) == 0 {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i := range ws {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = serve.AppendKeyInt(b, `{"t":`, ws[i].T)
+		b = append(serve.AppendKeyFloat(b, `,"v":`, val(&ws[i], g)), '}')
+	}
+	return append(b, ']')
 }
 
 func (h *handler) rollup(ctx context.Context, r *http.Request) (any, error) {
@@ -178,39 +249,24 @@ func (h *handler) rollup(ctx context.Context, r *http.Request) (any, error) {
 	if limit <= 0 || limit > int64(h.cfg.MaxWindows) {
 		limit = int64(h.cfg.MaxWindows)
 	}
-	snap := h.p.RollupSnapshot(int(limit))
-	out := &apiRollup{Group: group, Step: snap.Step, Windows: snap.Windows, EnergyJ: jfloat(snap.EnergyJ)}
+	out := &rollupReply{group: group}
 	switch group {
 	case "fleet":
-		for _, w := range snap.Recent {
-			out.Points = append(out.Points, apiPoint{T: w.T, V: jfloat(w.FleetW)})
-		}
+		out.val = fleetW
 	case "cabinet":
-		out.Series = groupSeries(snap.Recent, snap.Cabinets,
-			func(w *RollupWindow, g int) float64 { return w.CabinetW[g] },
-			func(g int) string { return fmt.Sprintf("cabinet %d", g) })
+		out.val, out.label = cabinetW, cabinetLabel
 	case "msb":
-		out.Series = groupSeries(snap.Recent, snap.MSBs,
-			func(w *RollupWindow, g int) float64 { return w.MSBW[g] },
-			func(g int) string { return topology.MSB(g).String() })
+		out.val, out.label = msbW, msbLabel
 	default:
 		return nil, &apiError{http.StatusBadRequest,
 			fmt.Sprintf("unknown group %q (fleet, cabinet, msb)", group)}
 	}
-	return out, nil
-}
-
-func groupSeries(ws []RollupWindow, groups int,
-	val func(*RollupWindow, int) float64, label func(int) string) []apiGroupSeries {
-	out := make([]apiGroupSeries, groups)
-	for g := 0; g < groups; g++ {
-		s := apiGroupSeries{Group: g, Label: label(g)}
-		for i := range ws {
-			s.Points = append(s.Points, apiPoint{T: ws[i].T, V: jfloat(val(&ws[i], g))})
-		}
-		out[g] = s
+	out.snap = h.p.RollupSnapshot(int(limit))
+	out.groups = out.snap.Cabinets
+	if group == "msb" {
+		out.groups = out.snap.MSBs
 	}
-	return out
+	return out, nil
 }
 
 // --- /api/v1/live/edges ---
@@ -319,29 +375,51 @@ func (h *handler) health(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hs := h.p.Health()
-	shards := make([]map[string]any, len(hs.Shards))
+	writeEncoded(w, &hs)
+}
+
+// appendJSON writes the health object with its keys in alphabetical order
+// (the reply used to be a map): `reasons` is null while healthy and
+// `watermark_t` null before any data.
+func (hs *HealthState) appendJSON(b []byte) []byte {
+	b = serve.AppendKeyInt(b, `{"channel_windows":`, hs.Ingest.ChannelWindows)
+	b = serve.AppendKeyInt(b, `,"dropped":`, hs.Ingest.Dropped)
+	b = serve.AppendKeyInt(b, `,"events":`, hs.Ingest.Events)
+	b = serve.AppendKeyInt(b, `,"frames":`, hs.Ingest.Frames)
+	b = serve.AppendKeyInt(b, `,"last_window_t":`, hs.LastWindowT)
+	b = serve.AppendKeyInt(b, `,"late":`, hs.Ingest.Late)
+	b = serve.AppendKeyInt(b, `,"merge_late":`, hs.Ingest.MergeLate)
+	b = append(b, `,"reasons":`...)
+	if hs.Reasons == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, reason := range hs.Reasons {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = serve.AppendJSONString(b, reason)
+		}
+		b = append(b, ']')
+	}
+	b = serve.AppendKeyInt(b, `,"received":`, hs.Ingest.Received)
+	b = serve.AppendKeyInt(b, `,"rejected":`, hs.Ingest.Rejected)
+	b = append(b, `,"shards":[`...)
 	for i, sh := range hs.Shards {
-		shards[i] = map[string]any{"queue_len": sh.QueueLen, "queue_cap": sh.QueueCap}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = serve.AppendKeyInt(b, `{"queue_cap":`, int64(sh.QueueCap))
+		b = append(serve.AppendKeyInt(b, `,"queue_len":`, int64(sh.QueueLen)), '}')
 	}
-	var watermark any
-	if hs.WatermarkT != math.MinInt64 {
-		watermark = hs.WatermarkT
+	b = serve.AppendKeyString(b, `],"status":`, hs.Status)
+	b = append(b, `,"watermark_t":`...)
+	if hs.WatermarkT == math.MinInt64 {
+		b = append(b, "null"...)
+	} else {
+		b = strconv.AppendInt(b, hs.WatermarkT, 10)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":          hs.Status,
-		"reasons":         hs.Reasons,
-		"received":        hs.Ingest.Received,
-		"dropped":         hs.Ingest.Dropped,
-		"rejected":        hs.Ingest.Rejected,
-		"late":            hs.Ingest.Late,
-		"merge_late":      hs.Ingest.MergeLate,
-		"events":          hs.Ingest.Events,
-		"frames":          hs.Ingest.Frames,
-		"channel_windows": hs.Ingest.ChannelWindows,
-		"watermark_t":     watermark,
-		"last_window_t":   hs.LastWindowT,
-		"shards":          shards,
-	})
+	return append(b, '}')
 }
 
 // --- helpers ---

@@ -30,9 +30,23 @@ type Rollup struct {
 	cabinets int
 	max      int
 	step     int64
-	ring     []RollupWindow // ascending time, len <= max
-	energyJ  float64        // Σ fleet power × step over observed windows
-	windows  int64
+	// The ring: window k of the stream (k counts from 0) lives in slot
+	// k % max, its cabinet sums at cab[slot*cabinets:] and its MSB sums at
+	// msb[slot*msbs:]. The backing doubles until it holds max slots (a
+	// short run never pays for 4096 windows); from then on nothing moves
+	// and nothing is allocated.
+	ring    []rollupSlot
+	cab     []float64
+	msb     []float64
+	energyJ float64 // Σ fleet power × step over observed windows
+	windows int64   // windows applied; the ring holds the last min(windows, max)
+}
+
+// rollupSlot is a ring entry without its per-group sums.
+type rollupSlot struct {
+	t        int64
+	observed int
+	fleetW   float64
 }
 
 func newRollup(cfg Config) *Rollup {
@@ -47,6 +61,16 @@ func newRollup(cfg Config) *Rollup {
 	}
 }
 
+// grow doubles the ring's backing, up to max slots. Only called while the
+// ring has not wrapped, so slot k still holds window k and a plain copy
+// keeps every window in place.
+func (r *Rollup) grow() {
+	n := min(r.max, max(16, 2*len(r.ring)))
+	r.ring = append(make([]rollupSlot, 0, n), r.ring...)[:n]
+	r.cab = append(make([]float64, 0, n*r.cabinets), r.cab...)[:n*r.cabinets]
+	r.msb = append(make([]float64, 0, n*r.msbs), r.msb...)[:n*r.msbs]
+}
+
 // Name implements Operator.
 func (r *Rollup) Name() string { return "rollup" }
 
@@ -54,21 +78,25 @@ func (r *Rollup) Name() string { return "rollup" }
 //
 //lint:detroot
 func (r *Rollup) Apply(f *Frame) {
-	w := RollupWindow{
-		T:        f.Start,
-		Observed: f.Observed,
-		CabinetW: make([]float64, r.cabinets),
-		MSBW:     make([]float64, r.msbs),
+	slot := int(r.windows % int64(r.max))
+	if slot == len(r.ring) {
+		r.grow()
 	}
+	w := &r.ring[slot]
+	*w = rollupSlot{t: f.Start, observed: f.Observed}
+	cab := r.cab[slot*r.cabinets : (slot+1)*r.cabinets]
+	msb := r.msb[slot*r.msbs : (slot+1)*r.msbs]
 	if f.Observed == 0 {
-		w.FleetW = math.NaN()
-		for c := range w.CabinetW {
-			w.CabinetW[c] = math.NaN()
+		w.fleetW = math.NaN()
+		for c := range cab {
+			cab[c] = math.NaN()
 		}
-		for m := range w.MSBW {
-			w.MSBW[m] = math.NaN()
+		for m := range msb {
+			msb[m] = math.NaN()
 		}
 	} else {
+		clear(cab)
+		clear(msb)
 		// Node-index order: the same order the simulator and the offline
 		// collector sum in, so the floating-point result matches bit for
 		// bit.
@@ -77,17 +105,13 @@ func (r *Rollup) Apply(f *Frame) {
 				continue
 			}
 			p := f.NodePower[i].Mean
-			w.FleetW += p
-			w.CabinetW[i/r.perCab] += p
-			w.MSBW[topology.MSBForNode(r.nodes, r.msbs, i)] += p
+			w.fleetW += p
+			cab[i/r.perCab] += p
+			msb[topology.MSBForNode(r.nodes, r.msbs, i)] += p
 		}
-		r.energyJ += w.FleetW * float64(r.step)
+		r.energyJ += w.fleetW * float64(r.step)
 	}
 	r.windows++
-	r.ring = append(r.ring, w)
-	if len(r.ring) > r.max {
-		r.ring = append(r.ring[:0], r.ring[len(r.ring)-r.max:]...)
-	}
 }
 
 // Flush implements Operator.
@@ -104,9 +128,9 @@ type RollupSnapshot struct {
 }
 
 // snapshotLocked copies up to limit most-recent windows (limit <= 0: all
-// retained). Caller holds the pipeline snapshot lock.
+// retained) in ascending time. Caller holds the pipeline snapshot lock.
 func (r *Rollup) snapshotLocked(limit int) RollupSnapshot {
-	n := len(r.ring)
+	n := int(min(r.windows, int64(r.max)))
 	if limit > 0 && n > limit {
 		n = limit
 	}
@@ -118,12 +142,18 @@ func (r *Rollup) snapshotLocked(limit int) RollupSnapshot {
 		MSBs:     r.msbs,
 		Recent:   make([]RollupWindow, n),
 	}
-	src := r.ring[len(r.ring)-n:]
-	for i, w := range src {
-		cp := w
-		cp.CabinetW = append([]float64(nil), w.CabinetW...)
-		cp.MSBW = append([]float64(nil), w.MSBW...)
-		out.Recent[i] = cp
+	// One backing array for every copied group sum; each window's slices
+	// are capped so an append by the caller cannot reach its neighbour.
+	sums := make([]float64, n*(r.cabinets+r.msbs))
+	for i := range out.Recent {
+		slot := int((r.windows - int64(n-i)) % int64(r.max))
+		w := r.ring[slot]
+		cab, rest := sums[:r.cabinets:r.cabinets], sums[r.cabinets:]
+		msb := rest[:r.msbs:r.msbs]
+		sums = rest[r.msbs:]
+		copy(cab, r.cab[slot*r.cabinets:])
+		copy(msb, r.msb[slot*r.msbs:])
+		out.Recent[i] = RollupWindow{T: w.t, Observed: w.observed, FleetW: w.fleetW, CabinetW: cab, MSBW: msb}
 	}
 	return out
 }

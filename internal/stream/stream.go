@@ -11,11 +11,14 @@
 // ever stalling the out-of-band path. Each shard coarsens its channels
 // with event-time windows and a bounded-lateness watermark (samples more
 // than LatenessSec behind a shard's newest timestamp are dropped and
-// counted). A single merge goroutine orders the shards' finalized windows
-// by the minimum shard watermark into system-wide frames and applies the
-// operator chain to each, so every operator observes windows in strictly
-// ascending event time — which is what lets the streaming results match
-// the offline batch analyses bit for bit (see parity_test.go).
+// counted). The path is allocation-free in steady state: per-shard batches
+// come from a pool and go back to it once folded, and a shard's channels
+// are a dense table of coarsener values, not a map. A single merge
+// goroutine orders the shards' finalized windows by the minimum shard
+// watermark into system-wide frames and applies the operator chain to
+// each, so every operator observes windows in strictly ascending event
+// time — which is what lets the streaming results match the offline batch
+// analyses bit for bit (see parity_test.go).
 //
 // Snapshot returns a consistent point-in-time copy of all operator state
 // under one lock acquisition.
@@ -31,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/failures"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 	"repro/internal/tsagg"
 	"repro/internal/units"
 )
@@ -123,19 +125,46 @@ type shardWindow struct {
 	chanWindows int64
 }
 
-// mergeMsg carries a shard's finalized windows and watermark advance.
+// mergeMsg carries a shard's finalized windows, ascending by start, and
+// its watermark advance.
 type mergeMsg struct {
 	shard     int
 	watermark int64
 	windows   []shardWindow
 }
 
+// windowAt returns the message's window starting at t, inserting it in
+// ascending order when absent. Bounded lateness keeps the list at a
+// handful of entries and channels close their oldest window first, so the
+// scan from the back ends at once. nodes sizes a new window's power list.
+func (m *mergeMsg) windowAt(t int64, nodes int) *shardWindow {
+	i := len(m.windows)
+	for i > 0 && m.windows[i-1].start > t {
+		i--
+	}
+	if i > 0 && m.windows[i-1].start == t {
+		return &m.windows[i-1]
+	}
+	m.windows = append(m.windows, shardWindow{})
+	copy(m.windows[i+1:], m.windows[i:])
+	m.windows[i] = shardWindow{start: t, power: make([]nodeStat, 0, nodes)}
+	return &m.windows[i]
+}
+
 // shard is one ingest partition: a bounded queue drained by a goroutine
-// that owns the per-channel coarseners.
+// that owns the shard's part of the channel table.
 type shard struct {
-	id    int
-	ch    chan []telemetry.Sample
-	chans map[uint32]*WindowCoarsener
+	id     int
+	stride int // the pipeline's shard count: node n lives in shard n % stride
+	// ch carries pooled batches; the shard goroutine returns each to the
+	// pool once folded.
+	ch chan *[]telemetry.Sample
+	// chans is the dense channel table: the coarsener of (node, metric)
+	// is chans[(node/stride)*NumMetrics + metric], so walking it in index
+	// order visits channels node ascending, metric ascending. A slot with a
+	// zero step has never seen a sample and is skipped everywhere, exactly
+	// as an absent key of the map this replaced.
+	chans []WindowCoarsener
 	// watermark = newest sample time − lateness; lastBoundary is the
 	// highest window boundary already scanned for finalization.
 	watermark    int64
@@ -153,6 +182,7 @@ type Pipeline struct {
 
 	shards  []*shard
 	active  []atomic.Bool // shard has ever accepted a batch
+	batches sync.Pool     // *[]telemetry.Sample, emptied, capacity kept
 	mergeCh chan mergeMsg
 	wg      sync.WaitGroup
 	mergeWG sync.WaitGroup
@@ -170,8 +200,11 @@ type Pipeline struct {
 
 	// mu guards the operator chain and the merge cursor: Apply runs under
 	// it, so Snapshot sees every operator at the same frame boundary.
-	mu         sync.Mutex
-	lastWindow int64 // start of the newest applied frame
+	mu sync.Mutex
+	// lastWindow is the start of the newest applied frame. Written under
+	// mu, so Snapshot reads it consistently with the operators; atomic so
+	// Health reads it without waiting for the operator chain.
+	lastWindow atomic.Int64
 	anyFrame   bool
 	rollup     *Rollup
 	edges      *Edges
@@ -188,26 +221,31 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	cfg = cfg.withDefaults()
 	p := &Pipeline{
-		cfg:        cfg,
-		active:     make([]atomic.Bool, cfg.Shards),
-		mergeCh:    make(chan mergeMsg, cfg.Shards*4),
-		lastWindow: alignWindow(cfg.StartTime, cfg.StepSec) - cfg.StepSec,
+		cfg:     cfg,
+		shards:  make([]*shard, cfg.Shards),
+		active:  make([]atomic.Bool, cfg.Shards),
+		mergeCh: make(chan mergeMsg, cfg.Shards*4),
 	}
+	p.batches.New = func() any { return new([]telemetry.Sample) }
+	p.lastWindow.Store(alignWindow(cfg.StartTime, cfg.StepSec) - cfg.StepSec)
 	p.wmark.Store(math.MinInt64)
 	p.rollup = newRollup(cfg)
 	p.edges = newEdges(cfg)
 	p.bands = newBands(cfg)
 	p.warn = newEarlyWarning(cfg)
 	p.ops = append([]Operator{p.rollup, p.edges, p.bands, p.warn}, cfg.Extra...)
-	for i := 0; i < cfg.Shards; i++ {
-		s := &shard{
+	for i := range p.shards {
+		own := (cfg.Nodes - i + cfg.Shards - 1) / cfg.Shards // nodes n with n % Shards == i
+		p.shards[i] = &shard{
 			id:           i,
-			ch:           make(chan []telemetry.Sample, cfg.QueueDepth),
-			chans:        map[uint32]*WindowCoarsener{},
+			stride:       cfg.Shards,
+			ch:           make(chan *[]telemetry.Sample, cfg.QueueDepth),
+			chans:        make([]WindowCoarsener, own*int(telemetry.NumMetrics)),
 			watermark:    math.MinInt64,
 			lastBoundary: math.MinInt64,
 		}
-		p.shards = append(p.shards, s)
+	}
+	for _, s := range p.shards {
 		p.wg.Add(1)
 		go p.runShard(s)
 	}
@@ -216,13 +254,13 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// shardOf partitions nodes over shards.
-func (p *Pipeline) shardOf(n topology.NodeID) int { return int(n) % len(p.shards) }
-
-// Ingest feeds one telemetry batch. It never blocks: each shard's slice
-// is enqueued with a non-blocking send, and a full queue drops the slice
-// and counts it — the out-of-band path must not stall (paper §2). The
-// batch is not retained; samples are copied into fresh per-shard slices.
+// Ingest feeds one telemetry batch. It never blocks: each shard's part is
+// enqueued with a non-blocking send, and a full queue drops that part and
+// counts it — the out-of-band path must not stall (paper §2). The batch is
+// only borrowed: samples are copied into pooled per-shard batches before
+// Ingest returns, so the caller may reuse its slice at once. A pooled batch
+// belongs to Ingest until the send, then to the shard goroutine, which
+// returns it to the pool once folded; a refused one goes straight back.
 func (p *Pipeline) Ingest(batch []telemetry.Sample) {
 	if len(batch) == 0 {
 		return
@@ -232,35 +270,58 @@ func (p *Pipeline) Ingest(batch []telemetry.Sample) {
 		p.dropped.Add(int64(len(batch)))
 		return
 	}
-	per := make([][]telemetry.Sample, len(p.shards))
+	// Ingest runs concurrently (one caller per connection), so the scatter
+	// table is the caller's: on the stack up to 32 shards (Summit has 17).
+	var stack [32]*[]telemetry.Sample
+	per := stack[:min(p.cfg.Shards, len(stack))]
+	if p.cfg.Shards > len(stack) {
+		per = make([]*[]telemetry.Sample, p.cfg.Shards)
+	}
 	grid := alignWindow(p.cfg.StartTime, p.cfg.StepSec)
-	for _, s := range batch {
-		if int(s.Node) < 0 || int(s.Node) >= p.cfg.Nodes || s.T < grid {
-			p.rejected.Add(1)
+	var rejected int64
+	for i := range batch {
+		s := &batch[i]
+		if int(s.Node) < 0 || int(s.Node) >= p.cfg.Nodes || s.Metric >= telemetry.NumMetrics || s.T < grid {
+			rejected++
 			continue
 		}
-		i := p.shardOf(s.Node)
-		per[i] = append(per[i], s)
+		k := int(s.Node) % len(per)
+		if per[k] == nil {
+			per[k] = p.batches.Get().(*[]telemetry.Sample)
+		}
+		*per[k] = append(*per[k], *s)
+	}
+	if rejected > 0 {
+		p.rejected.Add(rejected)
 	}
 	p.ingestMu.RLock()
 	defer p.ingestMu.RUnlock()
-	if p.closed.Load() {
-		for _, sub := range per {
-			p.dropped.Add(int64(len(sub)))
-		}
-		return
-	}
-	for i, sub := range per {
-		if len(sub) == 0 {
+	closed := p.closed.Load()
+	var dropped int64
+	for k, sub := range per {
+		if sub == nil {
 			continue
 		}
-		select {
-		case p.shards[i].ch <- sub:
-			p.active[i].Store(true)
-		default:
-			p.dropped.Add(int64(len(sub)))
+		if !closed {
+			select {
+			case p.shards[k].ch <- sub:
+				p.active[k].Store(true)
+				continue
+			default:
+			}
 		}
+		dropped += int64(len(*sub))
+		p.recycle(sub)
 	}
+	if dropped > 0 {
+		p.dropped.Add(dropped)
+	}
+}
+
+// recycle empties a per-shard batch and returns it to the pool.
+func (p *Pipeline) recycle(b *[]telemetry.Sample) {
+	*b = (*b)[:0]
+	p.batches.Put(b)
 }
 
 // IngestEvents feeds failure events to the early-warning operator. The
@@ -288,79 +349,96 @@ func (p *Pipeline) runShard(s *shard) {
 	defer p.wg.Done()
 	step := p.cfg.StepSec
 	for batch := range s.ch {
-		maxT := int64(math.MinInt64)
-		for _, smp := range batch {
-			if smp.T > maxT {
-				maxT = smp.T
-			}
-			key := uint32(smp.Node)<<8 | uint32(smp.Metric)
-			c := s.chans[key]
-			if c == nil {
-				c = NewWindowCoarsener(step)
-				s.chans[key] = c
-			}
-			if !c.Add(smp.T, smp.Value) {
-				p.late.Add(1)
-			}
+		maxT, late := s.fold(*batch, step)
+		p.recycle(batch)
+		if late > 0 {
+			p.late.Add(late)
 		}
-		if maxT == math.MinInt64 {
-			continue
-		}
-		if wm := maxT - p.cfg.LatenessSec; wm > s.watermark {
-			s.watermark = wm
-		}
-		// Only scan the channel maps when the watermark crosses a window
-		// boundary — nothing new can finalize in between.
-		if b := alignWindow(s.watermark, step); b > s.lastBoundary {
-			s.lastBoundary = b
-			p.mergeCh <- p.collectShard(s, s.watermark)
+		if s.advance(maxT, step, p.cfg.LatenessSec) {
+			p.mergeCh <- s.collect(s.watermark)
 		}
 	}
 	// Queue closed: flush every open window and release the watermark.
-	p.mergeCh <- p.collectShard(s, math.MaxInt64)
+	p.mergeCh <- s.collect(math.MaxInt64)
 }
 
-// collectShard finalizes all shard windows closable at the given
-// watermark and packages them, ascending by start, into a merge message.
-// Channels are visited in sorted key order — key = node<<8|metric — so the
-// message, including the node order of each window's power entries, is
-// fully deterministic.
-func (p *Pipeline) collectShard(s *shard, end int64) mergeMsg {
-	keys := make([]uint32, 0, len(s.chans))
-	for key := range s.chans {
-		keys = append(keys, key)
+// advance raises the watermark to maxT − lateness and reports whether it
+// crossed a window boundary: only then can anything new finalize, so only
+// then is the channel table scanned.
+func (s *shard) advance(maxT, step, lateness int64) bool {
+	if maxT == math.MinInt64 {
+		return false // empty batch
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	wins := map[int64]*shardWindow{}
-	var starts []int64
-	for _, key := range keys {
-		node := int32(key >> 8)
-		metric := telemetry.Metric(key & 0xff)
-		s.chans[key].CloseThrough(end, func(ws tsagg.WindowStat) {
-			w := wins[ws.T]
-			if w == nil {
-				w = &shardWindow{start: ws.T}
-				wins[ws.T] = w
-				starts = append(starts, ws.T)
-			}
-			w.chanWindows++
-			switch {
-			case metric == telemetry.MetricInputPower:
-				w.power = append(w.power, nodeStat{node: node, stat: ws})
-			case metric >= telemetry.MetricGPU0CoreTemp && metric <= telemetry.MetricGPU5CoreTemp:
-				if !math.IsNaN(ws.Mean) {
-					w.bands[core.TempBandOf(ws.Mean)]++
-				}
-			}
-		})
+	if wm := maxT - lateness; wm > s.watermark {
+		s.watermark = wm
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	b := alignWindow(s.watermark, step)
+	if b <= s.lastBoundary {
+		return false
+	}
+	s.lastBoundary = b
+	return true
+}
+
+// fold adds one batch (every sample validated by Ingest) to the shard's
+// coarseners and returns the newest timestamp and how many samples fell
+// behind the lateness bound.
+//
+//lint:allocfree
+func (s *shard) fold(batch []telemetry.Sample, step int64) (maxT, late int64) {
+	maxT = math.MinInt64
+	for i := range batch {
+		smp := &batch[i]
+		if smp.T > maxT {
+			maxT = smp.T
+		}
+		c := &s.chans[int(smp.Node)/s.stride*int(telemetry.NumMetrics)+int(smp.Metric)]
+		if c.step == 0 {
+			c.step, c.closedEnd = step, math.MinInt64
+		}
+		if !c.Add(smp.T, smp.Value) {
+			late++
+		}
+	}
+	return maxT, late
+}
+
+// collect finalizes all shard windows closable at the given watermark and
+// packages them, ascending by start, into a merge message. Walking the
+// table in index order visits channels node ascending, metric ascending,
+// so the message, including the node order of each window's power
+// entries, is fully deterministic.
+func (s *shard) collect(end int64) mergeMsg {
 	msg := mergeMsg{shard: s.id, watermark: end}
 	if end != math.MaxInt64 {
 		msg.watermark = s.watermark
 	}
-	for _, t := range starts {
-		msg.windows = append(msg.windows, *wins[t])
+	const metrics = int(telemetry.NumMetrics)
+	own := len(s.chans) / metrics
+	var node int32
+	var metric telemetry.Metric
+	emit := func(ws tsagg.WindowStat) {
+		w := msg.windowAt(ws.T, own)
+		w.chanWindows++
+		switch {
+		case metric == telemetry.MetricInputPower:
+			w.power = append(w.power, nodeStat{node: node, stat: ws})
+		case metric >= telemetry.MetricGPU0CoreTemp && metric <= telemetry.MetricGPU5CoreTemp:
+			if !math.IsNaN(ws.Mean) {
+				w.bands[core.TempBandOf(ws.Mean)]++
+			}
+		}
+	}
+	for i := range s.chans {
+		c := &s.chans[i]
+		if c.step == 0 {
+			// Never used. Closing it would raise its closedEnd and turn a
+			// late-activated channel's first samples from accepted (and
+			// counted merge_late) into late.
+			continue
+		}
+		node, metric = int32(i/metrics*s.stride+s.id), telemetry.Metric(i%metrics)
+		c.CloseThrough(end, emit)
 	}
 	return msg
 }
@@ -402,7 +480,7 @@ func (p *Pipeline) runMerge() {
 			}
 			mw := pending[w.start]
 			if mw == nil {
-				mw = &mergeWin{}
+				mw = &mergeWin{power: make([]nodeStat, 0, p.cfg.Nodes)}
 				pending[w.start] = mw
 			}
 			mw.power = append(mw.power, w.power...)
@@ -486,7 +564,7 @@ func (p *Pipeline) applyFrame(frame *Frame, pending map[int64]*mergeWin, start i
 	for _, op := range p.ops {
 		op.Apply(frame)
 	}
-	p.lastWindow = start
+	p.lastWindow.Store(start)
 	p.anyFrame = true
 	p.mu.Unlock()
 	p.frames.Add(1)
@@ -559,7 +637,7 @@ func (p *Pipeline) snapshotLocked() *Snapshot {
 	s := &Snapshot{
 		Ingest:      p.ingestStats(),
 		WatermarkT:  p.wmark.Load(),
-		LastWindowT: p.lastWindow,
+		LastWindowT: p.lastWindow.Load(),
 		SpanSec:     p.spanLocked(),
 		Rollup:      p.rollup.snapshotLocked(0),
 		EdgeThreshW: p.edges.Threshold(),
@@ -591,7 +669,7 @@ func (p *Pipeline) spanLocked() int64 {
 	if !p.anyFrame {
 		return 0
 	}
-	return p.lastWindow + p.cfg.StepSec - alignWindow(p.cfg.StartTime, p.cfg.StepSec)
+	return p.lastWindow.Load() + p.cfg.StepSec - alignWindow(p.cfg.StartTime, p.cfg.StepSec)
 }
 
 // RollupSnapshot copies the rollup state with up to limit recent windows
@@ -638,20 +716,19 @@ type HealthState struct {
 	Shards      []ShardStat
 }
 
-// Health reports ingest health without touching the operator lock beyond
-// the last-window read, so it stays cheap under load.
+// Health reports ingest health from atomics and queue lengths only: it
+// takes no lock, so it answers while the operator chain is busy or stuck.
 func (p *Pipeline) Health() HealthState {
 	st := p.ingestStats()
 	h := HealthState{
-		Status:     "ok",
-		Ingest:     st,
-		WatermarkT: p.wmark.Load(),
+		Status:      "ok",
+		Ingest:      st,
+		WatermarkT:  p.wmark.Load(),
+		LastWindowT: p.lastWindow.Load(),
+		Shards:      make([]ShardStat, len(p.shards)),
 	}
-	p.mu.Lock()
-	h.LastWindowT = p.lastWindow
-	p.mu.Unlock()
-	for _, sh := range p.shards {
-		h.Shards = append(h.Shards, ShardStat{QueueLen: len(sh.ch), QueueCap: cap(sh.ch)})
+	for i, sh := range p.shards {
+		h.Shards[i] = ShardStat{QueueLen: len(sh.ch), QueueCap: cap(sh.ch)}
 	}
 	if st.Dropped > 0 {
 		h.Reasons = append(h.Reasons, "ingest queue overflow dropped samples")

@@ -1,10 +1,14 @@
 package stream
 
 import (
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -23,10 +27,12 @@ func mustPipeline(t *testing.T, cfg Config) *Pipeline {
 	return p
 }
 
-// gateOp is an Extra operator whose Apply blocks until the gate is
-// closed — a deliberately stalled consumer. It signals entry exactly once
-// so the test knows the merge goroutine is wedged inside the chain.
+// gateOp is an Extra operator whose Apply — after letting `free` frames
+// through — blocks until the gate is closed: a deliberately stalled
+// consumer. It signals entry exactly once so the test knows the merge
+// goroutine is wedged inside the chain.
 type gateOp struct {
+	free    int
 	entered chan struct{}
 	gate    chan struct{}
 	once    sync.Once
@@ -40,7 +46,9 @@ func newGateOp() *gateOp {
 func (g *gateOp) Name() string { return "gate" }
 func (g *gateOp) Flush()       {}
 func (g *gateOp) Apply(f *Frame) {
-	g.frames++
+	if g.frames++; g.frames <= g.free {
+		return
+	}
 	g.once.Do(func() { close(g.entered) })
 	<-g.gate
 }
@@ -252,16 +260,84 @@ func TestIngestValidation(t *testing.T) {
 		powerSample(5, 1000, 1),  // node out of range
 		powerSample(-1, 1000, 1), // negative node
 		powerSample(0, 900, 1),   // before the grid
-		powerSample(0, 1000, 42), // valid
+		{Node: 0, Metric: telemetry.NumMetrics, T: 1000, Value: 1}, // no such metric
+		powerSample(0, 1000, 42),                                   // valid
 	})
 	p.Close()
 	snap := p.Snapshot()
-	if snap.Ingest.Received != 4 || snap.Ingest.Rejected != 3 {
-		t.Errorf("received/rejected = %d/%d, want 4/3", snap.Ingest.Received, snap.Ingest.Rejected)
+	if snap.Ingest.Received != 5 || snap.Ingest.Rejected != 4 {
+		t.Errorf("received/rejected = %d/%d, want 5/4", snap.Ingest.Received, snap.Ingest.Rejected)
 	}
 	if len(snap.Rollup.Recent) != 1 || snap.Rollup.Recent[0].FleetW != 42 {
 		t.Errorf("valid sample lost: %+v", snap.Rollup.Recent)
 	}
+	if snap.Ingest.ChannelWindows != 1 {
+		t.Errorf("channel windows = %d, want 1: a rejected sample reached a shard", snap.Ingest.ChannelWindows)
+	}
+}
+
+// TestMetricBeyondTableIsRejected: metric ids are bounded by
+// telemetry.NumMetrics. Metric 256 of node 0 used to share a channel key
+// (node<<8 | metric) with metric 0 — input power — of node 1 and fold into
+// its window.
+func TestMetricBeyondTableIsRejected(t *testing.T) {
+	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, Shards: 1})
+	p.Ingest([]telemetry.Sample{
+		{Node: 0, Metric: 256, T: 0, Value: 9000},
+		powerSample(1, 0, 500),
+	})
+	p.Close()
+	snap := p.Snapshot()
+	if snap.Ingest.Rejected != 1 {
+		t.Errorf("rejected = %d, want 1", snap.Ingest.Rejected)
+	}
+	if w := snap.Rollup.Recent; len(w) != 1 || w[0].FleetW != 500 || w[0].Observed != 1 {
+		t.Errorf("rollup = %+v, want node 1's 500 W alone", w)
+	}
+}
+
+// TestHealthDoesNotWaitForTheOperatorChain: with the merge goroutine stuck
+// inside an operator — holding the snapshot lock — Health and the health
+// route still answer, and report the last frame that completed.
+func TestHealthDoesNotWaitForTheOperatorChain(t *testing.T) {
+	op := newGateOp()
+	op.free = 1
+	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, Shards: 1, Extra: []Operator{op}})
+	defer p.Close()
+	defer close(op.gate)
+	for k := int64(0); k <= 40; k += 10 {
+		p.Ingest([]telemetry.Sample{powerSample(0, k, 100)})
+	}
+	select {
+	case <-op.entered: // frame 0 applied, frame 10 stuck in the chain
+	case <-time.After(10 * time.Second): //lint:allow determinism test deadline: a hang must fail, not block the suite
+		t.Fatal("second frame never reached the stalled operator")
+	}
+	within := func(what string, lastWindow func() int64) {
+		t.Helper()
+		done := make(chan int64, 1)
+		go func() { done <- lastWindow() }()
+		select {
+		case last := <-done:
+			if last != 0 {
+				t.Errorf("%s reports last window %d while frame 10 is still being applied, want 0", what, last)
+			}
+		case <-time.After(5 * time.Second): //lint:allow determinism test deadline: a hang must fail, not block the suite
+			t.Fatalf("%s waited for the operator lock", what)
+		}
+	}
+	within("Health", func() int64 { return p.Health().LastWindowT })
+	within("GET health", func() int64 {
+		rec := httptest.NewRecorder()
+		NewHandler(p, ServeConfig{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/live/health", nil))
+		var body struct {
+			LastWindowT int64 `json:"last_window_t"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			return -1
+		}
+		return body.LastWindowT
+	})
 }
 
 // TestCloseIdempotentAndIngestAfterClose: Close twice is safe; batches

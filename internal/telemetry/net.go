@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,29 +60,47 @@ func EncodeFrame(samples []Sample) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeFrame parses one frame payload (without the length prefix).
+// DecodeFrame parses one frame payload (without the length prefix) into a
+// fresh slice.
 func DecodeFrame(payload []byte) ([]Sample, error) {
-	if len(payload) < 2 {
-		return nil, fmt.Errorf("telemetry: short frame (%d bytes)", len(payload))
-	}
-	n := int(binary.LittleEndian.Uint16(payload))
-	want := 2 + n*sampleWire
-	if len(payload) != want {
-		return nil, fmt.Errorf("telemetry: frame length %d, want %d for %d samples",
-			len(payload), want, n)
+	n, err := frameCount(payload)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Sample, n)
-	off := 2
-	for i := range out {
-		out[i] = Sample{
-			Node:   topology.NodeID(binary.LittleEndian.Uint32(payload[off:])),
-			Metric: Metric(binary.LittleEndian.Uint16(payload[off+4:])),
-			T:      int64(binary.LittleEndian.Uint64(payload[off+6:])),
-			Value:  math.Float64frombits(binary.LittleEndian.Uint64(payload[off+14:])),
-		}
-		off += sampleWire
-	}
+	decodeSamples(out, payload[2:])
 	return out, nil
+}
+
+// frameCount validates a frame payload and returns its sample count: the
+// length must be exactly what the count header announces.
+func frameCount(payload []byte) (int, error) {
+	if len(payload) < 2 {
+		return 0, fmt.Errorf("telemetry: short frame (%d bytes)", len(payload))
+	}
+	n := int(binary.LittleEndian.Uint16(payload))
+	if want := 2 + n*sampleWire; len(payload) != want {
+		return 0, fmt.Errorf("telemetry: frame length %d, want %d for %d samples",
+			len(payload), want, n)
+	}
+	return n, nil
+}
+
+// decodeSamples is the one decode loop: it fills dst from len(dst) wire
+// samples in body, which frameCount has sized.
+//
+//lint:allocfree
+func decodeSamples(dst []Sample, body []byte) {
+	le := binary.LittleEndian
+	for i := range dst {
+		w := body[i*sampleWire : (i+1)*sampleWire]
+		dst[i] = Sample{
+			Node:   topology.NodeID(le.Uint32(w)),           //lint:allow allocfree byte arithmetic, inlined
+			Metric: Metric(le.Uint16(w[4:])),                //lint:allow allocfree byte arithmetic, inlined
+			T:      int64(le.Uint64(w[6:])),                 //lint:allow allocfree byte arithmetic, inlined
+			Value:  math.Float64frombits(le.Uint64(w[14:])), //lint:allow allocfree byte arithmetic, inlined
+		}
+	}
 }
 
 // Server is the aggregation tier's ingest endpoint: it accepts BMC
@@ -99,7 +118,10 @@ type Server struct {
 
 // NewServer starts listening on addr (use "127.0.0.1:0" for tests) and
 // serving connections. sink is called for every decoded frame, possibly
-// from multiple goroutines concurrently.
+// from multiple goroutines concurrently. The batch is borrowed: each
+// connection decodes into one buffer it reuses, so the slice is valid only
+// until sink returns and a sink that keeps samples must copy them
+// (stream.Pipeline.Ingest does).
 func NewServer(addr string, sink func([]Sample)) (*Server, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("telemetry: nil sink")
@@ -173,6 +195,10 @@ func (s *Server) acceptLoop() {
 func (s *Server) serve(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var lenBuf [4]byte
+	// One payload buffer and one sample buffer per connection, grown to the
+	// largest frame seen (at most maxFrameSize) and lent to the sink.
+	var payload []byte
+	var samples []Sample
 	// arm pushes the read deadline forward before each wire read so a
 	// connection that stops sending mid-frame (or between frames) times out
 	// instead of pinning this goroutine.
@@ -193,14 +219,14 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			return // EOF is a clean session end
 		}
-		// Bound the frame size BEFORE allocating: a hostile or corrupt
-		// length prefix must not drive a 4 GiB allocation.
+		// Bound the frame size BEFORE growing the buffer: a hostile or
+		// corrupt length prefix must not drive a 4 GiB allocation.
 		size := binary.LittleEndian.Uint32(lenBuf[:])
 		if size > maxFrameSize || size < 2 {
 			s.dropped.Add(1)
 			return // protocol violation: drop the connection
 		}
-		payload := make([]byte, size)
+		payload = slices.Grow(payload[:0], int(size))[:size]
 		if !arm() {
 			return
 		}
@@ -208,11 +234,13 @@ func (s *Server) serve(conn net.Conn) {
 			s.dropped.Add(1) // truncated frame
 			return
 		}
-		samples, err := DecodeFrame(payload)
+		n, err := frameCount(payload)
 		if err != nil {
 			s.dropped.Add(1)
 			return
 		}
+		samples = slices.Grow(samples[:0], n)[:n]
+		decodeSamples(samples, payload[2:])
 		s.frames.Add(1)
 		s.received.Add(int64(len(samples)))
 		s.sink(samples)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -340,5 +341,100 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 		if _, err := DecodeFrame(frame[4:]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSinkBatchIsBorrowed documents the sink contract: the server decodes
+// every frame of a connection into one buffer, so a sink that keeps the
+// slice instead of copying it finds the next frame in it.
+func TestSinkBatchIsBorrowed(t *testing.T) {
+	var mu sync.Mutex
+	var kept [][]Sample // what a careless sink retains
+	var copied []Sample // what a correct sink keeps
+	srv, err := NewServer("127.0.0.1:0", func(batch []Sample) {
+		mu.Lock()
+		defer mu.Unlock()
+		kept = append(kept, batch)
+		copied = append(copied, batch...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	exp, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.BatchSize = 4
+	const frames = 5
+	for i := 0; i < frames*exp.BatchSize; i++ {
+		if err := exp.Push(Sample{Node: topology.NodeID(i), Metric: MetricInputPower, T: int64(i), Value: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "all frames", func() bool { return srv.Frames() == frames })
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, s := range copied {
+		if s.T != int64(i) || s.Node != topology.NodeID(i) {
+			t.Fatalf("copied sample %d = %+v", i, s)
+		}
+	}
+	// Every retained slice aliases the one buffer, which holds the last frame.
+	for f, batch := range kept {
+		if &batch[0] != &kept[0][0] {
+			t.Fatalf("frame %d was decoded into a different buffer", f)
+		}
+		if batch[0].T != int64((frames-1)*exp.BatchSize) {
+			t.Errorf("retained frame %d starts at t=%d: not overwritten by the last frame", f, batch[0].T)
+		}
+	}
+}
+
+// TestServeDoesNotAllocatePerFrame: after the first frame has sized the
+// connection's buffers, reading, decoding and delivering a frame allocates
+// nothing (it used to allocate the payload and the sample slice, 44 KB for
+// a 1792-sample frame).
+func TestServeDoesNotAllocatePerFrame(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", func([]Sample) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame, err := EncodeFrame(make([]Sample, 1792))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(n int) {
+		t.Helper()
+		want := srv.Frames() + int64(n)
+		for i := 0; i < n; i++ {
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for srv.Frames() < want {
+			runtime.Gosched()
+		}
+	}
+	send(50) // warm-up: buffers sized, connection goroutine running
+	const frames = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(frames)
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / frames; per > 0.01 {
+		t.Errorf("%.3f allocations per frame, want 0", per)
 	}
 }
