@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke scenario-smoke bench-report clean
+.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke scenario-smoke bench-report clean
 
 all: check
 
@@ -60,7 +60,7 @@ streamd:
 check: build fmt vet lint test stream-check race
 
 # ci mirrors .github/workflows/ci.yml.
-ci: fmt vet lint build test stream-check race
+ci: fmt vet lint build test stream-check race queryd-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -79,17 +79,19 @@ bench-sim:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSim' -benchmem -benchtime 1x .
 
-# bench-query records the query-engine benchmarks (cold decode, cached,
-# iterator-aggregate, pre-aggregate) in BENCH_query.json under LABEL; the
-# report then renders it beside the labels already tracked there.
+# bench-query records the query-tier benchmarks (cold decode, cached,
+# pre-aggregate, and a memoized analysis through the HTTP handler) in
+# BENCH_query.json under LABEL; the report then renders it beside the labels
+# already tracked there.
+QUERY_BENCH = BenchmarkQuery|BenchmarkHTTPAnalysis
 bench-query:
-	$(GO) test -run xxx -bench 'BenchmarkQuery' -benchmem -count 3 . | \
+	$(GO) test -run xxx -bench '$(QUERY_BENCH)' -benchmem -count 3 . | \
 		$(GO) run ./cmd/benchjson -out BENCH_query.json -label $(LABEL)
 
 # bench-query-smoke is the CI guard: one iteration of each query benchmark,
 # plus a parse check of the tracked BENCH_query.json.
 bench-query-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkQuery' -benchmem -benchtime 1x .
+	$(GO) test -run xxx -bench '$(QUERY_BENCH)' -benchmem -benchtime 1x .
 	$(GO) run ./cmd/benchjson -report - BENCH_query.json >/dev/null
 
 # bench-stream records the live plane's in-process benchmark (one fleet
@@ -169,6 +171,30 @@ federate-smoke:
 	/tmp/fedsmoke-analyze -data /tmp/fedsmoke-fleet -cluster summit-0 -shards 2 > /tmp/fedsmoke-sharded.txt
 	cmp /tmp/fedsmoke-direct.txt /tmp/fedsmoke-sharded.txt
 	rm -rf /tmp/fedsmoke-fleet /tmp/fedsmoke-summitsim /tmp/fedsmoke-analyze /tmp/fedsmoke-direct.txt /tmp/fedsmoke-sharded.txt
+
+# queryd-smoke gates the warm dashboard path end to end over real HTTP: an
+# analysis fetched twice is computed once and is byte-identical both times,
+# and a fleet-wide range on the 600 s grid is answered from the rollup
+# companions.
+queryd-smoke:
+	$(GO) build -o /tmp/qdsmoke-summitsim ./cmd/summitsim
+	$(GO) build -o /tmp/qdsmoke-queryd ./cmd/queryd
+	rm -rf /tmp/qdsmoke-archive
+	/tmp/qdsmoke-summitsim -out /tmp/qdsmoke-archive -nodes 16 -days 1 -nodedata -q
+	@set -eu; base=http://127.0.0.1:18097; \
+	/tmp/qdsmoke-queryd -data /tmp/qdsmoke-archive -addr 127.0.0.1:18097 -nodes 16 -q & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null || true' EXIT; \
+	for i in $$(seq 1 120); do curl -sf -o /dev/null $$base/healthz && break; sleep 0.25; done; \
+	curl -sf $$base/api/v1/analysis/bands > /tmp/qdsmoke-bands1.json; \
+	curl -sf $$base/api/v1/analysis/bands > /tmp/qdsmoke-bands2.json; \
+	cmp /tmp/qdsmoke-bands1.json /tmp/qdsmoke-bands2.json; \
+	curl -sf "$$base/api/v1/range?dataset=node-power&column=input_power.mean&step=600" > /tmp/qdsmoke-range.json; \
+	grep -q '"windows":\[{' /tmp/qdsmoke-range.json; \
+	grep -q '"preagg":true' /tmp/qdsmoke-range.json; \
+	curl -sf $$base/debug/vars > /tmp/qdsmoke-vars.json; \
+	grep -q '"analysis_memo":{"computes":1,"entries":1,"hits":1,' /tmp/qdsmoke-vars.json; \
+	echo "queryd-smoke: bands computed once, fleet range served from pre-aggregates"
+	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-bands1.json /tmp/qdsmoke-bands2.json /tmp/qdsmoke-range.json /tmp/qdsmoke-vars.json
 
 # scenario-smoke gates the declarative scenario plane: the full-catalog
 # golden regression under the race detector, then an end-to-end check that

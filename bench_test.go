@@ -9,6 +9,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
@@ -502,16 +504,21 @@ func queryBenchEngine(b *testing.B) *query.Engine {
 	return eng
 }
 
+// queryBenchRequest is a three-day fleet-wide downsample that starts one
+// second off the 600 s grid: an aligned one is answered from the rollup
+// companions (BenchmarkQueryRangePreagg), and BenchmarkQueryRange and
+// BenchmarkQueryRangeCached exist to measure the per-row paths.
 func queryBenchRequest() query.RangeRequest {
 	return query.RangeRequest{
 		Dataset: "node-power", Column: "input_power.mean", Node: -1,
-		T0: 3600, T1: 3*86400 + 3600, Step: 600,
+		T0: 3601, T1: 3*86400 + 3600, Step: 600,
 	}
 }
 
 // BenchmarkQueryRange measures a cold three-day fleet-wide downsample:
 // every iteration flushes the decoded-table cache, so this is the raw
-// decode+aggregate path (first touch: the streaming iterator).
+// decode+aggregate path (first touch: the streaming iterator). The range is
+// off the pre-aggregation grid, so no companion can answer it.
 func BenchmarkQueryRange(b *testing.B) {
 	eng := queryBenchEngine(b)
 	ctx := context.Background()
@@ -627,8 +634,9 @@ func overHalfFull(p *stream.Pipeline) bool {
 	return false
 }
 
-// BenchmarkQueryRangeCached is the same query against a warm cache: the
-// speedup over BenchmarkQueryRange is the value of the decoded-table cache.
+// BenchmarkQueryRangeCached is the same off-grid query against a warm cache
+// — the fold over the resident tables: the speedup over BenchmarkQueryRange
+// is the value of the decoded-table cache.
 func BenchmarkQueryRangeCached(b *testing.B) {
 	eng := queryBenchEngine(b)
 	ctx := context.Background()
@@ -645,5 +653,59 @@ func BenchmarkQueryRangeCached(b *testing.B) {
 		if _, err := eng.Range(ctx, req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQueryRangePreagg is the same three-day fleet-wide downsample
+// moved onto the 600 s grid and warm: answered from the resident rollup
+// companions, one accumulator row per window, without a per-node row. The
+// gap to BenchmarkQueryRangeCached is what the companions save a dashboard's
+// fleet range.
+func BenchmarkQueryRangePreagg(b *testing.B) {
+	eng := queryBenchEngine(b)
+	ctx := context.Background()
+	req := queryBenchRequest()
+	req.T0 = 3600
+	if res, err := eng.Range(ctx, req); err != nil || !res.Stats.Preagg {
+		b.Fatalf("warm-up: preagg=%v, err %v", res != nil && res.Stats.Preagg, err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Range(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHTTPAnalysisBands is a dashboard's poll of a memoized analysis:
+// one request through the whole handler (guard, memo hit, headers, body)
+// into a recorder, over the shared simulated run, archived.
+func BenchmarkHTTPAnalysisBands(b *testing.B) {
+	dir := b.TempDir()
+	data, _ := benchRun(b)
+	if err := WriteDatasets(dir, data); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := query.Open(query.Config{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Cache: eng.Cache()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := query.NewHandler(eng, query.ServerConfig{Source: src})
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/analysis/bands", nil)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	serve() // the one compute
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

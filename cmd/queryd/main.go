@@ -18,6 +18,12 @@
 // they answer 404 and the raw query routes still work. Both tiers share one
 // decoded-table cache budget (-cache-mb).
 //
+// The server reads the archive as it was at open: day partitions are listed
+// once and never change, so analysis answers are computed once and served
+// from their encoded bytes afterwards, and a fleet-wide range on the 600 s
+// grid is read from the rollup companions. Restart queryd to serve days
+// added since.
+//
 // Usage:
 //
 //	queryd -data /path/to/archive [-addr :8080] [-nodes N] [-cache-mb 256]

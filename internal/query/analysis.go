@@ -1,10 +1,10 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"net/url"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/source"
@@ -15,7 +15,9 @@ import (
 // in-memory pipeline use — so a dashboard can ask for "the edge report"
 // instead of re-deriving it from raw range queries. All routes share the
 // engine's decoded-table cache through the source layer: one byte budget
-// for raw queries and analyses alike.
+// for raw queries and analyses alike. Each answer is a whole-run reduction
+// over an archive that cannot change under the server, so it is computed
+// and encoded once and served from the handler's memo after that.
 
 // errSourceUnavailable reports an archive the analysis layer cannot serve
 // (no cluster dataset, so no RunSource was attached).
@@ -24,23 +26,36 @@ var errSourceUnavailable = &apiError{
 	"analysis endpoints unavailable: archive has no cluster dataset",
 }
 
-func (h *handler) analysisSource(q url.Values) (source.RunSource, *Engine, error) {
-	cl, err := h.cluster(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cl.Source == nil {
-		return nil, nil, errSourceUnavailable
-	}
-	return cl.Source, cl.Engine, nil
-}
-
 // analysisErr maps source-layer sentinels onto HTTP statuses.
 func analysisErr(err error) error {
 	if errors.Is(err, source.ErrUnavailable) || errors.Is(err, source.ErrUnknownSeries) {
 		return &apiError{http.StatusNotFound, err.Error()}
 	}
 	return err
+}
+
+// analysisRoute parses a route's parameters out of the query string and
+// returns what they amount to — their canonical form, part of the memo key,
+// so parameters the route does not read never make an entry — and the
+// function that builds the reply value from a source.
+type analysisRoute func(q url.Values) (params string, compute func(source.RunSource) (any, error), err error)
+
+// plain is a route without parameters.
+func plain(compute func(source.RunSource) (any, error)) analysisRoute {
+	return func(url.Values) (string, func(source.RunSource) (any, error), error) { return "", compute, nil }
+}
+
+// analysisRoutes are the routes under /api/v1/analysis/.
+var analysisRoutes = map[string]analysisRoute{
+	"summary":      plain(summaryReply),
+	"edges":        plain(edgesReply),
+	"swings":       plain(swingsReply),
+	"bands":        plain(bandsReply),
+	"earlywarning": earlyWarningRoute,
+	"overcooling":  plain(overcoolingReply),
+	"validation":   plain(validationReply),
+	"failures":     plain(failuresReply),
+	"jobs":         plain(jobsReply),
 }
 
 type apiSeriesSummary struct {
@@ -52,15 +67,10 @@ type apiSeriesSummary struct {
 	Std     jfloat `json:"std"`
 }
 
-func (h *handler) analysisSummary(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
-	if err != nil {
-		return nil, err
-	}
-	eng.Metrics().AnalysisQueries.Add(1)
+func summaryReply(src source.RunSource) (any, error) {
 	rows, err := core.SummaryFromSource(src)
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	out := make([]apiSeriesSummary, len(rows))
 	for i, s := range rows {
@@ -79,19 +89,14 @@ type apiEdge struct {
 	DurationSec int64  `json:"duration_sec"`
 }
 
-func (h *handler) analysisEdges(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
+func edgesReply(src source.RunSource) (any, error) {
+	es, err := core.EdgesFromSource(src)
 	if err != nil {
 		return nil, err
 	}
-	eng.Metrics().AnalysisQueries.Add(1)
-	es, err := core.EdgesFromSource(src)
-	if err != nil {
-		return nil, analysisErr(err)
-	}
 	meta, err := src.Meta()
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	out := make([]apiEdge, len(es))
 	for i, e := range es {
@@ -110,15 +115,10 @@ type apiSwingComponent struct {
 	AmplitudeW jfloat `json:"amplitude_w"`
 }
 
-func (h *handler) analysisSwings(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
-	if err != nil {
-		return nil, err
-	}
-	eng.Metrics().AnalysisQueries.Add(1)
+func swingsReply(src source.RunSource) (any, error) {
 	rep, err := core.SwingsFromSource(src)
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	out := map[string]any{
 		"max_rise_w": jfloat(rep.MaxRiseW),
@@ -150,15 +150,10 @@ type apiBand struct {
 	MeanShare jfloat `json:"mean_share"`
 }
 
-func (h *handler) analysisBands(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
-	if err != nil {
-		return nil, err
-	}
-	eng.Metrics().AnalysisQueries.Add(1)
+func bandsReply(src source.RunSource) (any, error) {
 	rows, err := core.ThermalBandsFromSource(src)
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	out := make([]apiBand, len(rows))
 	for i, b := range rows {
@@ -181,22 +176,23 @@ type apiPrecursor struct {
 	MedianLeadSec int64  `json:"median_lead_sec"`
 }
 
-func (h *handler) analysisEarlyWarning(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
-	if err != nil {
-		return nil, err
-	}
+func earlyWarningRoute(q url.Values) (string, func(source.RunSource) (any, error), error) {
 	windowSec, err := qInt(q.Get("window"), 3600)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if windowSec <= 0 {
-		return nil, &apiError{http.StatusBadRequest, "window must be positive"}
+		return "", nil, &apiError{http.StatusBadRequest, "window must be positive"}
 	}
-	eng.Metrics().AnalysisQueries.Add(1)
+	return strconv.FormatInt(windowSec, 10), func(src source.RunSource) (any, error) {
+		return earlyWarningReply(src, windowSec)
+	}, nil
+}
+
+func earlyWarningReply(src source.RunSource, windowSec int64) (any, error) {
 	stats, err := core.EarlyWarningFromSource(src, windowSec)
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	out := make([]apiPrecursor, len(stats))
 	for i, st := range stats {
@@ -210,15 +206,10 @@ func (h *handler) analysisEarlyWarning(ctx context.Context, q url.Values) (any, 
 	return map[string]any{"pairs": out}, nil
 }
 
-func (h *handler) analysisOvercooling(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
-	if err != nil {
-		return nil, err
-	}
-	eng.Metrics().AnalysisQueries.Add(1)
+func overcoolingReply(src source.RunSource) (any, error) {
 	rep, err := core.OvercoolingFromSource(src)
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	return map[string]any{
 		"windows":           rep.Windows,
@@ -240,15 +231,10 @@ type apiMSBValidation struct {
 	MeanSumW   jfloat `json:"mean_sum_w"`
 }
 
-func (h *handler) analysisValidation(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
-	if err != nil {
-		return nil, err
-	}
-	eng.Metrics().AnalysisQueries.Add(1)
+func validationReply(src source.RunSource) (any, error) {
 	rep, err := core.ValidationFromSource(src)
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	per := make([]apiMSBValidation, len(rep.PerMSB))
 	for i, m := range rep.PerMSB {
@@ -280,19 +266,14 @@ type apiCorrelation struct {
 	P jfloat `json:"p"`
 }
 
-func (h *handler) analysisFailures(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
+func failuresReply(src source.RunSource) (any, error) {
+	rows, err := core.FailureCompositionFromSource(src)
 	if err != nil {
 		return nil, err
 	}
-	eng.Metrics().AnalysisQueries.Add(1)
-	rows, err := core.FailureCompositionFromSource(src)
-	if err != nil {
-		return nil, analysisErr(err)
-	}
 	cells, err := core.FailureCorrelationFromSource(src, 0.05)
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	comp := make([]apiFailureRow, len(rows))
 	for i, c := range rows {
@@ -320,15 +301,10 @@ type apiJobRecord struct {
 	EnergyJ      jfloat `json:"energy_j"`
 }
 
-func (h *handler) analysisJobs(ctx context.Context, q url.Values) (any, error) {
-	src, eng, err := h.analysisSource(q)
-	if err != nil {
-		return nil, err
-	}
-	eng.Metrics().AnalysisQueries.Add(1)
+func jobsReply(src source.RunSource) (any, error) {
 	recs, err := src.JobRecords()
 	if err != nil {
-		return nil, analysisErr(err)
+		return nil, err
 	}
 	out := make([]apiJobRecord, len(recs))
 	for i, rec := range recs {

@@ -33,26 +33,37 @@ var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledReply = 1 << 20
 
-// writeEncoded sends a self-encoding reply: the whole body is built in a
-// pooled buffer first, so it goes out with Content-Length in one Write and
-// the header can carry the request's stage times.
+// putReplyBuf returns a buffer taken from replyBufs, grown to b.
+func putReplyBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledReply {
+		*bp = b
+		replyBufs.Put(bp)
+	}
+}
+
+// writeBody sends a complete JSON body: every reply is built in full before
+// its status is committed, and goes out with Content-Length in one Write.
+func writeBody(w http.ResponseWriter, status int, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(status)
+	_, _ = w.Write(b)
+}
+
+// durMS renders a stage time for a Server-Timing header.
+func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// writeEncoded sends a self-encoding reply from a pooled buffer, its header
+// carrying the request's stage times.
 func (h *handler) writeEncoded(w http.ResponseWriter, r replyEncoder) {
 	bp := replyBufs.Get().(*[]byte)
 	start := time.Now()
 	b := append(r.appendJSON((*bp)[:0]), '\n')
 	encode := time.Since(start)
 	h.metrics().EncodeLatency.ObserveNS(encode)
-	hd := w.Header()
-	hd.Set("Content-Type", "application/json")
-	hd.Set("Content-Length", strconv.Itoa(len(b)))
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	hd.Set("Server-Timing", fmt.Sprintf("engine;dur=%.3f, encode;dur=%.3f", ms(r.engineTime()), ms(encode)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
-	if cap(b) <= maxPooledReply {
-		*bp = b
-		replyBufs.Put(bp)
-	}
+	w.Header().Set("Server-Timing", fmt.Sprintf("engine;dur=%.3f, encode;dur=%.3f", durMS(r.engineTime()), durMS(encode)))
+	writeBody(w, http.StatusOK, b)
+	putReplyBuf(bp, b)
 }
 
 // appendWindow appends one window object. std and sum are omitempty: a

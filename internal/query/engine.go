@@ -180,9 +180,10 @@ type QueryStats struct {
 	RowsScanned int64
 	CacheHits   int64
 	CacheMisses int64
-	// Preagg marks a rollup answered entirely from persisted
-	// pre-aggregates; RowsScanned then counts accumulator rows, not
-	// per-node rows.
+	// Preagg marks a rollup — or a fleet-wide range on the pre-aggregation
+	// grid — answered entirely from persisted pre-aggregates; RowsScanned
+	// then counts accumulator rows, not per-node rows, and the Days and
+	// Cache fields count companion partitions.
 	Preagg  bool
 	Elapsed time.Duration
 }
@@ -234,12 +235,12 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 		Dataset: req.Dataset, Column: req.Column, Node: req.Node,
 		T0: req.T0, T1: req.T1, Step: req.Step,
 	}
-	e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
 	spec := scanSpec{ds: x.Dataset(), column: req.Column}
 	if req.Node >= 0 {
 		spec.nodeUse, spec.readNodes = "node filter", true
 	}
 	if req.Step == 0 {
+		e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
 		res.Points, err = e.rangePoints(ctx, days, spec, req, &res.Stats)
 		return res, err
 	}
@@ -248,9 +249,26 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 		return nil, err
 	}
 	cells := make([]stats.Moments, g.n)
-	proto := windowSink{g: g, cells: cells, node: req.Node, late: true}
-	if err := e.windowScan(ctx, days, spec, proto, &res.Stats); err != nil {
-		return nil, err
+	// A fleet-wide range on the pre-aggregation grid is the fleet rollup's
+	// accumulator under another reply shape, as long as the coarsener's
+	// late rule — which a rollup does not have — moves no row.
+	preagg := false
+	if req.Node < 0 && windowsInOrder(days, req.Step) {
+		preagg, err = e.preaggRollup(ctx, x, RollupRequest{
+			Dataset: req.Dataset, Column: req.Column, Group: GroupFleet,
+			T0: req.T0, T1: req.T1, Step: req.Step,
+		}, g, cells, &res.Stats)
+		if err != nil {
+			return nil, err
+		}
+	}
+	if !preagg {
+		clear(cells) // a pre-aggregate read may give up half way
+		e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
+		proto := windowSink{g: g, cells: cells, node: req.Node, late: true}
+		if err := e.windowScan(ctx, days, spec, proto, &res.Stats); err != nil {
+			return nil, err
+		}
 	}
 	res.Windows = make([]tsagg.WindowStat, 0, g.n)
 	for i := range cells {
@@ -262,6 +280,27 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 		}
 	}
 	return res, nil
+}
+
+// windowsInOrder reports that a serial scan of days meets step-windows in
+// non-decreasing order and each window in one partition only: every
+// partition is time-sorted and opens in a later window than its predecessor
+// closed in. No row is then late for the coarsener, and no window's
+// accumulator is split over two companion rows (merging two is not the
+// serial fold, bit for bit).
+func windowsInOrder(days []store.DayMeta, step int64) bool {
+	for i, m := range days {
+		if !m.TimeSorted || !m.HasTime {
+			return false
+		}
+		if i > 0 {
+			prev := days[i-1].MaxTime
+			if m.MinTime-tsagg.FloorMod(m.MinTime, step) <= prev-tsagg.FloorMod(prev, step) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // rangePoints runs the raw (step = 0) scan. Each chunk's sink appends

@@ -150,13 +150,21 @@ type apiFleetClusterSummary struct {
 
 // fleetSummary reduces every member's cluster-power series and the merged
 // fleet series to headline numbers: the multi-cluster counterpart of
-// /api/v1/analysis/summary.
+// /api/v1/analysis/summary, and memoized like it, per member set.
 func (h *handler) fleetSummary(ctx context.Context, q url.Values) (any, error) {
 	members, err := h.fleetMembers(q)
 	if err != nil {
 		return nil, err
 	}
 	h.metrics().AnalysisQueries.Add(1)
+	key := "fleet/summary"
+	for _, c := range members {
+		key += "\x00" + c.Name
+	}
+	return h.memo.do(ctx, key, members, func() (any, error) { return fleetSummaryReply(members) })
+}
+
+func fleetSummaryReply(members []*Cluster) (any, error) {
 	rows := make([]apiFleetClusterSummary, len(members))
 	series := make([]*tsagg.Series, len(members))
 	totalNodes := 0

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -71,6 +72,7 @@ type handler struct {
 	byName   map[string]*Cluster
 	cfg      ServerConfig
 	sem      chan struct{}
+	memo     *memo
 }
 
 // NewHandler returns the single-cluster queryd HTTP API — the pre-fleet
@@ -113,6 +115,7 @@ func newFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error)
 		clusters: clusters,
 		byName:   make(map[string]*Cluster, len(clusters)),
 		cfg:      cfg.withDefaults(),
+		memo:     newMemo(),
 	}
 	for i := range clusters {
 		c := &h.clusters[i]
@@ -140,15 +143,9 @@ func newFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error)
 	mux.HandleFunc("/api/v1/clusters", h.guard(h.clustersRoute))
 	mux.HandleFunc("/api/v1/fleet/series", h.guard(h.fleetSeries))
 	mux.HandleFunc("/api/v1/fleet/summary", h.guard(h.fleetSummary))
-	mux.HandleFunc("/api/v1/analysis/summary", h.guard(h.analysisSummary))
-	mux.HandleFunc("/api/v1/analysis/edges", h.guard(h.analysisEdges))
-	mux.HandleFunc("/api/v1/analysis/swings", h.guard(h.analysisSwings))
-	mux.HandleFunc("/api/v1/analysis/bands", h.guard(h.analysisBands))
-	mux.HandleFunc("/api/v1/analysis/earlywarning", h.guard(h.analysisEarlyWarning))
-	mux.HandleFunc("/api/v1/analysis/overcooling", h.guard(h.analysisOvercooling))
-	mux.HandleFunc("/api/v1/analysis/validation", h.guard(h.analysisValidation))
-	mux.HandleFunc("/api/v1/analysis/failures", h.guard(h.analysisFailures))
-	mux.HandleFunc("/api/v1/analysis/jobs", h.guard(h.analysisJobs))
+	for name, route := range analysisRoutes {
+		mux.HandleFunc("/api/v1/analysis/"+name, h.guard(h.analysis(name, route)))
+	}
 	return mux, nil
 }
 
@@ -216,11 +213,39 @@ func (h *handler) guard(fn func(ctx context.Context, q url.Values) (any, error))
 			writeError(w, status, msg)
 			return
 		}
-		if enc, ok := resp.(replyEncoder); ok {
-			h.writeEncoded(w, enc)
-			return
+		switch r := resp.(type) {
+		case replyEncoder:
+			h.writeEncoded(w, r)
+		case *memoReply:
+			r.write(w)
+		default:
+			writeJSON(w, http.StatusOK, resp)
 		}
-		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// analysis is the handler of one analysis route: resolve the cluster and
+// its source, parse the parameters, count the request, and answer from the
+// memo — running the analysis only for the first request of a key.
+func (h *handler) analysis(name string, route analysisRoute) func(context.Context, url.Values) (any, error) {
+	return func(ctx context.Context, q url.Values) (any, error) {
+		cl, err := h.cluster(q)
+		if err != nil {
+			return nil, err
+		}
+		if cl.Source == nil {
+			return nil, errSourceUnavailable
+		}
+		params, compute, err := route(q)
+		if err != nil {
+			return nil, err
+		}
+		cl.Engine.Metrics().AnalysisQueries.Add(1)
+		key := name + "\x00" + cl.Name + "\x00" + params
+		return h.memo.do(ctx, key, []*Cluster{cl}, func() (any, error) {
+			v, err := compute(cl.Source)
+			return v, analysisErr(err)
+		})
 	}
 }
 
@@ -279,6 +304,7 @@ func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 		perCluster[c.Name] = entry
 	}
 	snap["clusters"] = perCluster
+	snap["analysis_memo"] = h.memo.snapshot()
 	writeJSON(w, http.StatusOK, snap)
 }
 
@@ -401,12 +427,29 @@ func qInt(s string, def int64) (int64, error) {
 	return v, nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+// marshalReply encodes v into the pooled buffer bp the way every
+// reflection-encoded reply always was: encoding/json, HTML escaping off, a
+// trailing newline.
+func marshalReply(bp *[]byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer((*bp)[:0])
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// writeJSON encodes v in full before committing the status, so a value that
+// does not encode is a 500 with an error body, not a truncated 200.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	bp := replyBufs.Get().(*[]byte)
+	b, err := marshalReply(bp, v)
+	if err != nil {
+		putReplyBuf(bp, b)
+		writeError(w, http.StatusInternalServerError, "encoding reply: "+err.Error())
+		return
+	}
+	writeBody(w, status, b)
+	putReplyBuf(bp, b)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

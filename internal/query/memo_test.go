@@ -1,0 +1,469 @@
+package query
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/source"
+	"repro/internal/store"
+	"repro/internal/tsagg"
+)
+
+// writeSimArchive simulates a small cluster (one full day plus two hours:
+// two partitions) into dir the way summitsim -nodedata does, so every
+// analysis route has its datasets.
+func writeSimArchive(t testing.TB, dir string) {
+	t.Helper()
+	cfg := sim.Config{
+		Seed: 7, Nodes: 18, StartTime: 1_577_836_800, DurationSec: 86400 + 7200,
+		StepSec: 300, SamplesPerWindow: 1, Jobs: 8,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := core.NewCollector(s, cfg)
+	nw, err := core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(col, nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	col.SetFailures(res.Failures)
+	if err := core.WriteDatasets(dir, col.Data()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// memoFixture is a handler over a simulated archive, with the pieces a
+// test needs to reach around it.
+type memoFixture struct {
+	dir string
+	eng *Engine
+	src *source.ArchiveSource
+	h   http.Handler
+}
+
+func newMemoFixture(t testing.TB) *memoFixture {
+	t.Helper()
+	dir := t.TempDir()
+	writeSimArchive(t, dir)
+	return openMemoFixture(t, dir)
+}
+
+// openMemoFixture opens the archive in dir as it is now.
+func openMemoFixture(t testing.TB, dir string) *memoFixture {
+	t.Helper()
+	f := &memoFixture{dir: dir}
+	var err error
+	if f.eng, err = Open(Config{Dir: dir, Nodes: 18}); err != nil {
+		t.Fatal(err)
+	}
+	if f.src, err = source.OpenArchive(source.ArchiveConfig{Dir: dir, Nodes: 18, Cache: f.eng.Cache()}); err != nil {
+		t.Fatal(err)
+	}
+	f.h = NewHandler(f.eng, ServerConfig{Source: f.src})
+	return f
+}
+
+// get serves one request straight into a recorder.
+func get(t testing.TB, h http.Handler, ctx context.Context, url string) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx))
+	return rec
+}
+
+// memoVars reads analysis_memo out of /debug/vars.
+func memoVars(t testing.TB, h http.Handler) map[string]int64 {
+	t.Helper()
+	var vars struct {
+		Memo map[string]int64 `json:"analysis_memo"`
+	}
+	rec := get(t, h, context.Background(), "/debug/vars")
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil || vars.Memo == nil {
+		t.Fatalf("/debug/vars: %v: %s", err, rec.Body.Bytes())
+	}
+	return vars.Memo
+}
+
+// TestMemoizedRepliesMatchEncodingJSON: for every memoized route the first
+// (computed) and the second (stored) reply are the same bytes, and those are
+// what encoding/json makes of the route's reply value — the body the route
+// sent before it was memoized.
+func TestMemoizedRepliesMatchEncodingJSON(t *testing.T) {
+	f := newMemoFixture(t)
+	ctx := context.Background()
+	want := map[string][]byte{}
+	for name, route := range analysisRoutes {
+		_, compute, err := route(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := compute(f.src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want["/api/v1/analysis/"+name] = stdJSON(t, v)
+	}
+	v, err := fleetSummaryReply([]*Cluster{{Engine: f.eng, Source: f.src}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want["/api/v1/fleet/summary"] = stdJSON(t, v)
+
+	for url, body := range want {
+		for i, desc := range []string{"miss", "hit"} {
+			rec := get(t, f.h, ctx, url)
+			if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), body) {
+				t.Errorf("%s request %d: status %d, body differs from encoding/json:\n got %.200s\nwant %.200s",
+					url, i, rec.Code, rec.Body.Bytes(), body)
+			}
+			if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(len(body)) {
+				t.Errorf("%s request %d: Content-Length %q, want %d", url, i, got, len(body))
+			}
+			if got := rec.Header().Get("Server-Timing"); !strings.HasPrefix(got, "memo;desc="+desc+", engine;dur=") {
+				t.Errorf("%s request %d: Server-Timing %q, want memo;desc=%s, engine;dur=…", url, i, got, desc)
+			}
+		}
+	}
+	m := memoVars(t, f.h)
+	n := int64(len(want))
+	if m["computes"] != n || m["hits"] != n || m["entries"] != n || m["waits"] != 0 {
+		t.Errorf("analysis_memo = %v, want %d computes, hits and entries", m, n)
+	}
+	// AnalysisQueries counts requests, not computes.
+	if got := f.eng.Metrics().AnalysisQueries.Load(); got != 2*n {
+		t.Errorf("analysis counter = %d, want %d", got, 2*n)
+	}
+}
+
+// gatedSource blocks every Series read until the gate opens, and reports
+// each read that reached it.
+type gatedSource struct {
+	source.RunSource
+	gate    chan struct{}
+	reached chan struct{}
+}
+
+func (g *gatedSource) Series(name string) (*tsagg.Series, error) {
+	select {
+	case g.reached <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return g.RunSource.Series(name)
+}
+
+// TestMemoComputesOnceUnderConcurrency: 32 concurrent first requests run the
+// analysis once; a waiter whose deadline passes is answered 504 while the
+// computing request goes on to finish and store.
+func TestMemoComputesOnceUnderConcurrency(t *testing.T) {
+	f := newMemoFixture(t)
+	gs := &gatedSource{RunSource: f.src, gate: make(chan struct{}), reached: make(chan struct{}, 1)}
+	h := NewHandler(f.eng, ServerConfig{Source: gs, MaxConcurrent: 64})
+	const url = "/api/v1/analysis/edges"
+
+	const clients = 32
+	codes := make([]int, clients)
+	bodies := make([][]byte, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec := get(t, h, context.Background(), url)
+			codes[i], bodies[i] = rec.Code, rec.Body.Bytes()
+		}(i)
+	}
+	<-gs.reached // the leader is inside the analysis
+	for memoVars(t, h)["waits"] < clients-1 {
+		time.Sleep(time.Millisecond)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if rec := get(t, h, expired, url); rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("expired waiter: status %d, want 504", rec.Code)
+	}
+	close(gs.gate)
+	wg.Wait()
+	for i := range codes {
+		if codes[i] != 200 || !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("client %d: status %d, body equal to client 0's: %v", i, codes[i], bytes.Equal(bodies[i], bodies[0]))
+		}
+	}
+	m := memoVars(t, h)
+	if m["computes"] != 1 || m["waits"] != clients || m["entries"] != 1 {
+		t.Errorf("analysis_memo = %v, want 1 compute, %d waits, 1 entry", m, clients)
+	}
+	if rec := get(t, h, context.Background(), url); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), bodies[0]) {
+		t.Errorf("stored reply: status %d", rec.Code)
+	}
+	if m := memoVars(t, h); m["computes"] != 1 || m["hits"] != 1 {
+		t.Errorf("after the stored reply: analysis_memo = %v, want 1 compute, 1 hit", m)
+	}
+}
+
+// TestMemoKeysAndBounds: errors are answered but never stored; the key is
+// the parsed parameters, so distinct windows are distinct entries and
+// parameters a route does not read make none; the entry bound holds.
+func TestMemoKeysAndBounds(t *testing.T) {
+	ctx := context.Background()
+	// The plain fixture archive has cluster-power only: bands is 404.
+	srv, _ := analysisServer(t)
+	for i := 0; i < 2; i++ {
+		if code := getJSON(t, srv.URL+"/api/v1/analysis/bands", nil); code != 404 {
+			t.Fatalf("bands without its series: status %d, want 404", code)
+		}
+		if code := getJSON(t, srv.URL+"/api/v1/analysis/earlywarning?window=0", nil); code != 400 {
+			t.Fatalf("window=0: status %d, want 400", code)
+		}
+	}
+	var vars struct {
+		Memo map[string]int64 `json:"analysis_memo"`
+	}
+	if code := getJSON(t, srv.URL+"/debug/vars", &vars); code != 200 {
+		t.Fatal(code)
+	}
+	if m := vars.Memo; m["computes"] != 2 || m["entries"] != 0 || m["hits"] != 0 {
+		t.Errorf("after two 404s and two 400s: analysis_memo = %v, want 2 computes, no entry", m)
+	}
+
+	f := newMemoFixture(t)
+	for _, url := range []string{
+		"/api/v1/analysis/earlywarning",
+		"/api/v1/analysis/earlywarning?window=3600", // the default, spelled out
+		"/api/v1/analysis/earlywarning?window=3600&nonce=1",
+		"/api/v1/analysis/earlywarning?window=1800",
+		"/api/v1/analysis/edges?nonce=2",
+		"/api/v1/analysis/edges?nonce=3&window=9",
+	} {
+		if rec := get(t, f.h, ctx, url); rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if m := memoVars(t, f.h); m["computes"] != 3 || m["entries"] != 3 || m["hits"] != 3 {
+		t.Errorf("analysis_memo = %v, want 3 computes and entries (two windows, edges), 3 hits", m)
+	}
+	for w := 1; w <= memoMaxEntries+20; w++ {
+		if rec := get(t, f.h, ctx, fmt.Sprintf("/api/v1/analysis/earlywarning?window=%d", 100000+w)); rec.Code != 200 {
+			t.Fatalf("window sweep: status %d", rec.Code)
+		}
+	}
+	if m := memoVars(t, f.h); m["entries"] != memoMaxEntries {
+		t.Errorf("after a window sweep: %d entries, want the bound %d", m["entries"], memoMaxEntries)
+	}
+}
+
+// TestMemoSkipsOversizedReplies: a body over the per-entry bound is sent
+// and recomputed, never stored.
+func TestMemoSkipsOversizedReplies(t *testing.T) {
+	jobs := make([]source.JobRecord, 4000)
+	src := &source.MemorySource{Jobs: jobs}
+	h := NewHandler(testEngine(t), ServerConfig{Source: src})
+	for i := 0; i < 2; i++ {
+		rec := get(t, h, context.Background(), "/api/v1/analysis/jobs")
+		if rec.Code != 200 || rec.Body.Len() <= memoMaxEntryBytes {
+			t.Fatalf("jobs: status %d, %d bytes; the fixture should exceed %d", rec.Code, rec.Body.Len(), memoMaxEntryBytes)
+		}
+	}
+	if m := memoVars(t, h); m["computes"] != 2 || m["not_stored_too_large"] != 2 || m["entries"] != 0 {
+		t.Errorf("analysis_memo = %v, want 2 computes, 2 not_stored_too_large, no entry", m)
+	}
+}
+
+// failingShard fails every series read while down is set.
+type failingShard struct {
+	source.RunSource
+	down atomic.Bool
+}
+
+func (s *failingShard) Series(name string) (*tsagg.Series, error) {
+	if s.down.Load() {
+		return nil, fmt.Errorf("shard down")
+	}
+	return s.RunSource.Series(name)
+}
+
+// TestMemoNeverStoresDegradedAnswers: a federated source with a failing
+// shard answers degraded (NaN days), and that answer is not stored; once the
+// shard heals the full answer is computed, stored, and served from then on.
+func TestMemoNeverStoresDegradedAnswers(t *testing.T) {
+	f := newMemoFixture(t)
+	shards := []*failingShard{{RunSource: f.src}, {RunSource: f.src}}
+	fed, err := source.OpenFederated(source.FederatedConfig{
+		Shards:       []source.Shard{{Name: "a", Source: shards[0]}, {Name: "b", Source: shards[1]}},
+		AllowPartial: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(f.eng, ServerConfig{Source: fed})
+	ctx := context.Background()
+	const url = "/api/v1/analysis/summary"
+	healthy := get(t, NewHandler(f.eng, ServerConfig{Source: f.src}), ctx, url).Body.Bytes()
+
+	for _, s := range shards {
+		s.down.Store(true)
+	}
+	for i := int64(1); i <= 2; i++ {
+		rec := get(t, h, ctx, url)
+		if rec.Code != 200 || bytes.Equal(rec.Body.Bytes(), healthy) {
+			t.Fatalf("degraded request %d: status %d, body equal to the healthy one: %v",
+				i, rec.Code, bytes.Equal(rec.Body.Bytes(), healthy))
+		}
+		if m := memoVars(t, h); m["computes"] != i || m["not_stored_degraded"] != i || m["entries"] != 0 {
+			t.Fatalf("degraded request %d: analysis_memo = %v, want it recomputed and not stored", i, m)
+		}
+	}
+	for _, s := range shards {
+		s.down.Store(false)
+	}
+	for i := 0; i < 2; i++ {
+		if rec := get(t, h, ctx, url); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), healthy) {
+			t.Fatalf("healed request %d: status %d, body differs from the direct source's", i, rec.Code)
+		}
+	}
+	if m := memoVars(t, h); m["computes"] != 3 || m["hits"] != 1 || m["entries"] != 1 {
+		t.Errorf("after healing: analysis_memo = %v, want 3 computes, 1 hit, 1 entry", m)
+	}
+}
+
+// TestArchiveIsFrozenAtOpen pins the invariant the memo rests on: the server
+// reads the archive as it was at open. A day partition written afterwards is
+// invisible to the inventory, to range queries and to the analyses alike —
+// so a memoized answer cannot go stale against its own server.
+func TestArchiveIsFrozenAtOpen(t *testing.T) {
+	f := newMemoFixture(t)
+	ctx := context.Background()
+	urls := []string{
+		"/api/v1/datasets",
+		"/api/v1/range?dataset=cluster-power&column=sum_inp&step=3600",
+		"/api/v1/analysis/summary",
+		"/api/v1/analysis/bands",
+	}
+	before := map[string][]byte{}
+	for _, url := range urls {
+		rec := get(t, f.h, ctx, url)
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d", url, rec.Code)
+		}
+		before[url] = stripStatsBlock(rec.Body.Bytes())
+	}
+	// Append day 2 to both datasets: day 1 again, shifted a day forward.
+	for _, name := range []string{"cluster-power", "node-power"} {
+		ds, err := store.NewDataset(f.dir, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := ds.ReadDay(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := tab.Col("timestamp").Ints
+		for i := range ts {
+			ts[i] += daySec
+		}
+		if err := ds.WriteDay(2, tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, url := range urls {
+		if rec := get(t, f.h, ctx, url); !bytes.Equal(stripStatsBlock(rec.Body.Bytes()), before[url]) {
+			t.Errorf("%s changed after a partition was added under the open server", url)
+		}
+	}
+	// Not the memo hiding it: a handler over the same engine and source, its
+	// memo empty, computes the same answers.
+	fresh := NewHandler(f.eng, ServerConfig{Source: f.src})
+	for _, url := range urls {
+		if rec := get(t, fresh, ctx, url); !bytes.Equal(stripStatsBlock(rec.Body.Bytes()), before[url]) {
+			t.Errorf("%s: a fresh memo over the open archive sees the added partition", url)
+		}
+	}
+	// A reopened archive does see it.
+	reopened := openMemoFixture(t, f.dir).h
+	for _, url := range urls {
+		if rec := get(t, reopened, ctx, url); rec.Code != 200 || bytes.Equal(stripStatsBlock(rec.Body.Bytes()), before[url]) {
+			t.Errorf("%s: reopening the archive did not pick up the added partition (status %d)", url, rec.Code)
+		}
+	}
+}
+
+// stripStatsBlock cuts a range reply's trailing stats (elapsed time).
+func stripStatsBlock(b []byte) []byte {
+	if i := bytes.LastIndex(b, []byte(`,"stats":{`)); i >= 0 {
+		return b[:i]
+	}
+	return b
+}
+
+// TestWriteJSONEncodesBeforeCommitting: a value encoding/json refuses is a
+// 500 with an error body, not a 200 cut short; a good one carries its length.
+func TestWriteJSONEncodesBeforeCommitting(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"ok": true, "v": math.NaN()})
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != 500 || err != nil || body.Error == "" {
+		t.Errorf("unencodable value: status %d, body %q (%v); want 500 and an error object", rec.Code, rec.Body.Bytes(), err)
+	}
+	rec = httptest.NewRecorder()
+	v := map[string]any{"datasets": []string{"a<b>", "c"}}
+	writeJSON(rec, http.StatusOK, v)
+	want := stdJSON(t, v)
+	if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != fmt.Sprint(len(want)) {
+		t.Errorf("status %d, Content-Length %q, body %q; want 200, %d, %q",
+			rec.Code, rec.Header().Get("Content-Length"), rec.Body.Bytes(), len(want), want)
+	}
+}
+
+// TestReflectionRepliesCarryLength: every reply that goes through writeJSON —
+// inventories, fleet merges, errors, /debug/vars — goes out whole, with
+// Content-Length, over a real connection.
+func TestReflectionRepliesCarryLength(t *testing.T) {
+	f := newMemoFixture(t)
+	srv := httptest.NewServer(f.h)
+	defer srv.Close()
+	urls := []string{"/api/v1/datasets", "/api/v1/clusters", "/api/v1/fleet/series?name=sum_inp",
+		"/api/v1/fleet/summary", "/debug/vars", "/api/v1/range?dataset=nope&column=x"}
+	sort.Strings(urls)
+	for _, url := range urls {
+		resp, err := http.Get(srv.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v, body %d bytes",
+				url, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}

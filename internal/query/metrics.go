@@ -23,7 +23,7 @@ type Metrics struct {
 	CacheEvictions atomic.Int64
 
 	IterScans     atomic.Int64 // day partitions served by the streaming iterator
-	PreaggQueries atomic.Int64 // rollups answered from persisted pre-aggregates
+	PreaggQueries atomic.Int64 // rollups and fleet ranges answered from persisted pre-aggregates
 
 	BytesDecoded atomic.Int64 // decoded (in-memory) bytes of cache misses
 	RowsScanned  atomic.Int64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/source"
@@ -32,8 +33,12 @@ func writePreaggCompanion(t testing.TB, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	days, err := base.Days()
+	if err != nil {
+		t.Fatal(err)
+	}
 	vals := make([]float64, 1)
-	for day := 0; day < fixDays; day++ {
+	for _, day := range days {
 		tab, err := base.ReadDay(day)
 		if err != nil {
 			t.Fatal(err)
@@ -100,6 +105,19 @@ func TestGoldenThreePathParity(t *testing.T) {
 		{Dataset: "node-power", Column: "input_power.mean", Group: GroupFleet, T0: 600, T1: daySec, Step: 600},
 	}
 	rangeReq := RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: 3, T0: 0, T1: 2 * daySec, Step: 600}
+	// Fleet-wide ranges on the pre-aggregation grid ride the companions when
+	// the bounds cannot split a window.
+	fleetRanges := []struct {
+		name   string
+		t0, t1 int64
+		preagg bool
+	}{
+		{"aligned", 0, daySec, true},
+		{"cross-day", daySec - 1200, daySec + 1800, true},
+		{"beyond span", -50, math.MaxInt64, true},
+		{"unaligned", 50, 2*daySec - 50, false},
+	}
+	refFleet := make([]*RangeResult, len(fleetRanges))
 	touchNames := []string{"stream", "admit", "hit"}
 
 	var refRollups []*RollupResult
@@ -171,6 +189,31 @@ func TestGoldenThreePathParity(t *testing.T) {
 				}
 			}
 		}
+		for _, p := range paths {
+			for i, fr := range fleetRanges {
+				req := RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: -1, T0: fr.t0, T1: fr.t1, Step: 600}
+				p.e.FlushCache()
+				for _, touch := range touchNames {
+					res, err := p.e.Range(ctx, req)
+					if err != nil {
+						t.Fatalf("workers=%d %s/%s fleet range %s: %v", workers, p.name, touch, fr.name, err)
+					}
+					if want := p.preagg && fr.preagg; res.Stats.Preagg != want {
+						t.Fatalf("workers=%d %s/%s fleet range %s: preagg=%v, want %v",
+							workers, p.name, touch, fr.name, res.Stats.Preagg, want)
+					}
+					if refFleet[i] == nil {
+						refFleet[i] = res
+						if len(res.Windows) == 0 || res.Windows[0].Std == 0 {
+							t.Fatalf("fleet range %s: reference has %d windows; want some, with a spread", fr.name, len(res.Windows))
+						}
+					} else if !reflect.DeepEqual(refFleet[i].Windows, res.Windows) {
+						t.Fatalf("workers=%d %s/%s fleet range %s diverges from the first answer",
+							workers, p.name, touch, fr.name)
+					}
+				}
+			}
+		}
 		// The scan engine took every read path: it streamed each cold touch,
 		// materialized on the second and read resident tables on the third.
 		met := paths[0].e.Metrics()
@@ -178,8 +221,8 @@ func TestGoldenThreePathParity(t *testing.T) {
 			t.Fatalf("workers=%d: scan engine streamed %d days, decoded %d B, hit %d times; want all > 0",
 				workers, met.IterScans.Load(), met.BytesDecoded.Load(), met.CacheHits.Load())
 		}
-		if want := int64(len(rollupReqs) * len(touchNames)); paths[1].e.Metrics().PreaggQueries.Load() != want {
-			t.Fatalf("workers=%d: preagg answered %d of %d rollups",
+		if want := int64((len(rollupReqs) + 3) * len(touchNames)); paths[1].e.Metrics().PreaggQueries.Load() != want {
+			t.Fatalf("workers=%d: preagg answered %d of %d rollups and fleet ranges",
 				workers, paths[1].e.Metrics().PreaggQueries.Load(), want)
 		}
 	}
@@ -221,5 +264,115 @@ func TestPreaggFallsBackWhenUnaligned(t *testing.T) {
 		if res.Stats.Preagg != tc.want {
 			t.Errorf("%s: preagg=%v, want %v", tc.name, res.Stats.Preagg, tc.want)
 		}
+		// A fleet-wide range passes through the same gate.
+		rr := RangeRequest{Dataset: tc.req.Dataset, Column: tc.req.Column, Node: -1,
+			T0: tc.req.T0, T1: tc.req.T1, Step: tc.req.Step}
+		rres, err := e.Range(ctx, rr)
+		if err != nil {
+			t.Fatalf("range %s: %v", tc.name, err)
+		}
+		if rres.Stats.Preagg != tc.want {
+			t.Errorf("range %s: preagg=%v, want %v", tc.name, rres.Stats.Preagg, tc.want)
+		}
+		if _, want := oracleRange(t, dir, rr); diffRange(rres, nil, want) != "" {
+			t.Errorf("range %s: %s", tc.name, diffRange(rres, nil, want))
+		}
 	}
+	// One node's range is no fleet accumulator.
+	res, err := e.Range(ctx, RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: 3, T0: 0, T1: daySec, Step: 600})
+	if err != nil || res.Stats.Preagg {
+		t.Errorf("node range: preagg=%v, err %v; want a scan", res.Stats.Preagg, err)
+	}
+}
+
+// TestWindowsInOrder pins the gate between a fleet range and the
+// pre-aggregates: every partition sorted, each opening in a later window than
+// its predecessor closed in.
+func TestWindowsInOrder(t *testing.T) {
+	day := func(min, max int64, sorted bool) store.DayMeta {
+		return store.DayMeta{HasTime: true, MinTime: min, MaxTime: max, TimeSorted: sorted}
+	}
+	cases := []struct {
+		name string
+		days []store.DayMeta
+		want bool
+	}{
+		{"none", nil, true},
+		{"one sorted", []store.DayMeta{day(0, 86390, true)}, true},
+		{"one unsorted", []store.DayMeta{day(0, 86390, false)}, false},
+		{"back to back", []store.DayMeta{day(0, 86390, true), day(86400, 172790, true)}, true},
+		{"negative times", []store.DayMeta{day(-1200, -610, true), day(-600, -10, true)}, true},
+		{"opens inside its predecessor's span", []store.DayMeta{day(0, 86390, true), day(81400, 172790, true)}, false},
+		{"opens in its predecessor's last window", []store.DayMeta{day(0, 86000, true), day(86390, 172790, true)}, false},
+		{"second unsorted", []store.DayMeta{day(0, 86390, true), day(86400, 172790, false)}, false},
+		{"no time span", []store.DayMeta{{TimeSorted: true}}, false},
+	}
+	for _, tc := range cases {
+		if got := windowsInOrder(tc.days, 600); got != tc.want {
+			t.Errorf("%s: windowsInOrder = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFleetRangePreaggRefusals walks the seam archive (an unsorted day, a day
+// that opens inside its predecessor's span — where TestLateSamplesJoinTheOpenWindow
+// shows range and rollup legitimately differ) with companions present: the
+// fleet range takes them only where no row can be late, and is the oracle's
+// answer either way. A column the companion lacks and a companion on a
+// foreign grid fall back too.
+func TestFleetRangePreaggRefusals(t *testing.T) {
+	dir := t.TempDir()
+	writeSeamArchive(t, dir)
+	writePreaggCompanion(t, dir)
+	ctx := context.Background()
+	check := func(e *Engine, name, column string, t0, t1 int64, want bool) {
+		t.Helper()
+		req := RangeRequest{Dataset: "node-power", Column: column, Node: -1, T0: t0, T1: t1, Step: 600}
+		res, err := e.Range(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stats.Preagg != want {
+			t.Errorf("%s: preagg=%v, want %v", name, res.Stats.Preagg, want)
+		}
+		if _, ws := oracleRange(t, dir, req); diffRange(res, nil, ws) != "" {
+			t.Errorf("%s: %s", name, diffRange(res, nil, ws))
+		}
+	}
+	for _, workers := range []int{1, 2, 7} {
+		e, err := Open(Config{Dir: dir, Nodes: fixNodes, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const mean = "input_power.mean"
+		check(e, "sorted day", mean, 0, daySec, true)
+		check(e, "unsorted day", mean, daySec, 2*daySec, false)
+		check(e, "day opening inside the unsorted one", mean, 2*daySec-6000, 3*daySec, false)
+		check(e, "the same day from its own midnight", mean, 2*daySec, 3*daySec, true)
+		check(e, "two sorted days", mean, 2*daySec, 4*daySec, true)
+		check(e, "jittered duplicates", mean, 3*daySec, math.MaxInt64, true)
+		check(e, "whole archive", mean, -50, math.MaxInt64, false)
+		check(e, "column the companion lacks", "input_power.count", 0, daySec, false)
+	}
+	// A companion aggregated on another grid is refused row by row.
+	rds, err := store.NewDataset(dir, source.RollupDatasetName("node-power"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := rds.ReadDay(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := tab.Col(source.RollupColStep).Ints
+	for i := range step {
+		step[i] = 1200
+	}
+	if err := rds.WriteDayCodec(0, tab, store.CodecGorilla); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(Config{Dir: dir, Nodes: fixNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(e, "foreign step_sec", "input_power.mean", 0, daySec, false)
 }

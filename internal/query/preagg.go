@@ -12,9 +12,10 @@ import (
 	"repro/internal/tsagg"
 )
 
-// preaggRollup tries to answer a rollup from the persisted pre-aggregate
-// companion dataset ("<base>.rollup", written by the collector alongside the
-// per-node partitions). It applies only when the requested window matches
+// preaggRollup tries to answer a rollup — or the fleet-wide range that is
+// GroupFleet under another reply shape (see rangeQuery) — from the persisted
+// pre-aggregate companion dataset ("<base>.rollup", written by the collector
+// alongside the per-node partitions). It applies only when the requested window matches
 // the persisted aggregation grid and the range boundaries cannot split a
 // window: then every needed accumulator exists verbatim in the companion,
 // and the answer is bit-identical to a full scan — the companion stores the
@@ -23,7 +24,7 @@ import (
 // table the scan would have filled. Returns ok=false (with no error)
 // whenever the archive has no answerable pre-aggregates, leaving the scan
 // to run (cells may then be partly written).
-func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupRequest, g grid, cells []stats.Moments, res *RollupResult) (bool, error) {
+func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupRequest, g grid, cells []stats.Moments, qs *QueryStats) (bool, error) {
 	if req.Step != source.RollupStepSec {
 		return false, nil
 	}
@@ -133,11 +134,8 @@ func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupReq
 			rows++
 		}
 	}
-	e.bookDays(&res.Stats, len(x.Days()), len(scanDays), pruned)
-	res.Stats.RowsScanned = rows
-	res.Stats.CacheHits = hits
-	res.Stats.CacheMisses = misses
-	res.Stats.Preagg = true
+	e.bookDays(qs, len(x.Days()), len(scanDays), pruned)
+	qs.RowsScanned, qs.CacheHits, qs.CacheMisses, qs.Preagg = rows, hits, misses, true
 	e.met.PreaggQueries.Add(1)
 	e.met.RowsScanned.Add(rows)
 	return true, nil

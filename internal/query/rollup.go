@@ -124,7 +124,7 @@ func (e *Engine) rollup(ctx context.Context, req RollupRequest) (*RollupResult, 
 	proto.cells = make([]stats.Moments, groups*proto.g.n)
 	// Persisted pre-aggregates answer aligned rollups without touching a
 	// single per-node row.
-	if ok, err := e.preaggRollup(ctx, x, req, proto.g, proto.cells, res); err != nil {
+	if ok, err := e.preaggRollup(ctx, x, req, proto.g, proto.cells, &res.Stats); err != nil {
 		return nil, err
 	} else if !ok {
 		clear(proto.cells) // a pre-aggregate read may give up half way
