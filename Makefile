@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke scenario-smoke bench-report clean
+.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke bench-report clean
 
 all: check
 
@@ -59,8 +59,9 @@ streamd:
 # race detector.
 check: build fmt vet lint test stream-check race
 
-# ci mirrors .github/workflows/ci.yml.
-ci: fmt vet lint build test stream-check race queryd-smoke
+# ci mirrors .github/workflows/ci.yml, step for step (the SARIF upload
+# aside).
+ci: fmt vet lint build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -195,6 +196,33 @@ queryd-smoke:
 	grep -q '"analysis_memo":{"computes":1,"entries":1,"hits":1,' /tmp/qdsmoke-vars.json; \
 	echo "queryd-smoke: bands computed once, fleet range served from pre-aggregates"
 	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-bands1.json /tmp/qdsmoke-bands2.json /tmp/qdsmoke-range.json /tmp/qdsmoke-vars.json
+
+# serve-smoke drives both daemons' real mains through their whole life — the
+# only check that does: start the built queryd and streamd, fetch /healthz
+# and one guarded route from each, send SIGTERM, and require exit status 0
+# from both (serve.Run drained cleanly; streamd closed its transport and
+# flushed the pipeline first).
+serve-smoke:
+	$(GO) build -o /tmp/svsmoke-summitsim ./cmd/summitsim
+	$(GO) build -o /tmp/svsmoke-queryd ./cmd/queryd
+	$(GO) build -o /tmp/svsmoke-streamd ./cmd/streamd
+	rm -rf /tmp/svsmoke-archive
+	/tmp/svsmoke-summitsim -out /tmp/svsmoke-archive -nodes 16 -days 1 -q
+	@set -eu; q=http://127.0.0.1:18098; s=http://127.0.0.1:18099; \
+	/tmp/svsmoke-queryd -data /tmp/svsmoke-archive -addr 127.0.0.1:18098 -q & qpid=$$!; \
+	/tmp/svsmoke-streamd -addr 127.0.0.1:18099 -ingest 127.0.0.1:19099 -nodes 16 -sim-minutes 5 -q & spid=$$!; \
+	trap 'kill $$qpid $$spid 2>/dev/null || true' EXIT; \
+	for base in $$q $$s; do \
+		for i in $$(seq 1 120); do curl -sf -o /dev/null $$base/healthz && break; sleep 0.25; done; \
+		test "$$(curl -sf $$base/healthz)" = ok; \
+	done; \
+	curl -sf $$q/api/v1/datasets | grep -q '"datasets":\['; \
+	curl -sf "$$s/api/v1/live/rollup?group=cabinet" | grep -q '"group":"cabinet"'; \
+	kill -TERM $$qpid $$spid; \
+	wait $$qpid || { echo "serve-smoke: queryd exited $$? on SIGTERM"; exit 1; }; \
+	wait $$spid || { echo "serve-smoke: streamd exited $$? on SIGTERM"; exit 1; }; \
+	echo "serve-smoke: queryd and streamd served, drained and exited 0 on SIGTERM"
+	rm -rf /tmp/svsmoke-archive /tmp/svsmoke-summitsim /tmp/svsmoke-queryd /tmp/svsmoke-streamd
 
 # scenario-smoke gates the declarative scenario plane: the full-catalog
 # golden regression under the race detector, then an end-to-end check that

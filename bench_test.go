@@ -694,7 +694,10 @@ func BenchmarkHTTPAnalysisBands(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := query.NewHandler(eng, query.ServerConfig{Source: src})
+	h, err := query.NewFleetHandler([]query.Cluster{{Engine: eng, Source: src}}, query.ServerConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	req := httptest.NewRequest(http.MethodGet, "/api/v1/analysis/bands", nil)
 	serve := func() {
 		rec := httptest.NewRecorder()

@@ -40,11 +40,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/query"
+	"repro/internal/serve"
 	"repro/internal/source"
 	"repro/internal/store"
 )
@@ -170,9 +169,9 @@ func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, err
 }
 
 // newServer opens the engine(s) and binds the listener; the caller serves
-// and shuts down. -data may be a single archive or a fleet root
+// and shuts down (serve.Run). -data may be a single archive or a fleet root
 // (fleet.json, or one subdirectory per cluster).
-func newServer(o options, out io.Writer) (*http.Server, net.Listener, *query.Engine, error) {
+func newServer(o options, out io.Writer) (*http.Server, net.Listener, error) {
 	var clusters []query.Cluster
 	manifest, ferr := source.DiscoverFleet(o.data)
 	switch {
@@ -180,18 +179,18 @@ func newServer(o options, out io.Writer) (*http.Server, net.Listener, *query.Eng
 		for _, e := range manifest.Clusters {
 			c, err := openCluster(o, e.Name, e.Path(o.data), out)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("queryd: cluster %s: %w", e.Name, err)
+				return nil, nil, fmt.Errorf("queryd: cluster %s: %w", e.Name, err)
 			}
 			clusters = append(clusters, c)
 		}
 	case errors.Is(ferr, source.ErrNotFleet):
 		c, err := openCluster(o, "", o.data, out)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		clusters = append(clusters, c)
 	default:
-		return nil, nil, nil, ferr
+		return nil, nil, ferr
 	}
 	handler, err := query.NewFleetHandler(clusters, query.ServerConfig{
 		Timeout:       o.timeout,
@@ -199,11 +198,11 @@ func newServer(o options, out io.Writer) (*http.Server, net.Listener, *query.Eng
 		MaxPoints:     o.maxPoints,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// -pprof mounts the Go profiler in front of the query routes so the
 	// serving path can be profiled under real HTTP load (see
@@ -220,15 +219,7 @@ func newServer(o options, out io.Writer) (*http.Server, net.Listener, *query.Eng
 		mux.Handle("/", handler)
 		root = mux
 	}
-	srv := &http.Server{
-		Handler:           root,
-		ReadHeaderTimeout: 5 * time.Second,
-		// The per-request timeout lives in the handler; WriteTimeout backs
-		// it up with headroom for slow readers of large responses.
-		WriteTimeout: o.timeout + 30*time.Second,
-		IdleTimeout:  2 * time.Minute,
-	}
-	return srv, ln, clusters[0].Engine, nil
+	return serve.NewServer(root, o.timeout), ln, nil
 }
 
 func main() {
@@ -238,27 +229,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, ln, _, err := newServer(o, os.Stdout)
+	srv, ln, err := newServer(o, os.Stdout)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if !o.quiet {
 		fmt.Printf("serving %s on http://%s\n", o.data, ln.Addr())
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	// Graceful shutdown: stop accepting, let in-flight queries finish.
-	stop()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
+	// Until SIGINT/SIGTERM; then stop accepting and let in-flight queries
+	// finish.
+	if err := serve.Run(context.Background(), srv, ln, nil); err != nil {
 		log.Fatal(err)
 	}
 }

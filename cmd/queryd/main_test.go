@@ -64,7 +64,7 @@ func startQueryd(t *testing.T, args ...string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ln, _, err := newServer(o, io.Discard)
+	srv, ln, err := newServer(o, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestNewServerRejectsEmptyArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := newServer(o, io.Discard); err == nil {
+	if _, _, err := newServer(o, io.Discard); err == nil {
 		t.Fatal("empty archive accepted")
 	}
 }

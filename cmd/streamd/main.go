@@ -37,12 +37,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/failures"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -90,7 +89,8 @@ func parseFlags(args []string) (options, error) {
 }
 
 // service wires the transport, the pipeline and the HTTP tier together;
-// the caller serves and shuts down.
+// the caller serves and shuts down (serve.Run, with stopIngest before the
+// HTTP drain).
 type service struct {
 	pipe *stream.Pipeline
 	tsrv *telemetry.Server
@@ -135,19 +135,7 @@ func newService(o options, out io.Writer) (*service, error) {
 		Timeout:       o.timeout,
 		MaxConcurrent: o.maxConcurrent,
 	})
-	s := &service{
-		pipe: pipe,
-		tsrv: tsrv,
-		ln:   ln,
-		srv: &http.Server{
-			Handler:           handler,
-			ReadHeaderTimeout: 5 * time.Second,
-			// The per-request timeout lives in the handler; WriteTimeout
-			// backs it up with headroom for slow readers.
-			WriteTimeout: o.timeout + 30*time.Second,
-			IdleTimeout:  2 * time.Minute,
-		},
-	}
+	s := &service{pipe: pipe, tsrv: tsrv, ln: ln, srv: serve.NewServer(handler, o.timeout)}
 	if o.simMinutes > 0 {
 		s.feed = make(chan error, 1)
 		go func() { s.feed <- runFeed(simCfg, pipe, tsrv.Addr(), o.quiet, out) }()
@@ -226,14 +214,13 @@ func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out
 	return nil
 }
 
-// shutdown stops the service back to front: close the transport so no new
-// batches arrive, flush the pipeline through the operators, then drain
-// in-flight HTTP requests.
-func (s *service) shutdown(ctx context.Context) error {
-	terr := s.tsrv.Close()
+// stopIngest is the first half of stopping the service back to front: close
+// the transport so no new batches arrive, then flush the pipeline through
+// the operators. In-flight HTTP requests drain after it.
+func (s *service) stopIngest() error {
+	err := s.tsrv.Close()
 	s.pipe.Close()
-	herr := s.srv.Shutdown(ctx)
-	return errors.Join(terr, herr)
+	return err
 }
 
 func main() {
@@ -251,10 +238,6 @@ func main() {
 		fmt.Printf("ingesting telemetry on tcp://%s\n", s.tsrv.Addr())
 		fmt.Printf("serving live analyses on http://%s\n", s.ln.Addr())
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- s.srv.Serve(s.ln) }()
 	if s.feed != nil {
 		go func() {
 			if ferr := <-s.feed; ferr != nil {
@@ -262,15 +245,7 @@ func main() {
 			}
 		}()
 	}
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	stop()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.shutdown(shutdownCtx); err != nil {
+	if err := serve.Run(context.Background(), s.srv, s.ln, s.stopIngest); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -64,7 +66,10 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go s.srv.Serve(s.ln)
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	ran := make(chan error, 1)
+	go func() { ran <- serve.Run(ctx, s.srv, s.ln, s.stopIngest) }()
 
 	if err := <-s.feed; err != nil {
 		t.Fatalf("embedded feed: %v", err)
@@ -117,9 +122,8 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Errorf("earlywarning pairs = %v", ew["pairs"])
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.shutdown(ctx); err != nil {
+	stop() // what SIGTERM does: the daemon's own shutdown tail
+	if err := <-ran; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// The pipeline is flushed and still snapshotable after shutdown.

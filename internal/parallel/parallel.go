@@ -1,10 +1,10 @@
 // Package parallel is the reproduction's substitute for the Dask pipeline
-// the paper used: bounded worker pools, parallel for-each and map-reduce
-// over index spaces and partitions, and an ordered streaming pipeline.
+// the paper used: bounded worker pools and parallel for-each and map over
+// index spaces and partitions.
 //
-// All entry points are deterministic in their results (reduction order is
-// fixed) even though execution order is not, so analyses remain bit-stable
-// regardless of GOMAXPROCS.
+// All entry points are deterministic in their results (outputs are
+// index-ordered) even though execution order is not, so analyses remain
+// bit-stable regardless of GOMAXPROCS.
 package parallel
 
 import (
@@ -121,18 +121,6 @@ func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// MapReduce maps every index through fn and folds the results with reduce
-// in strict index order, guaranteeing a deterministic reduction even for
-// non-commutative reducers.
-func MapReduce[T, A any](n, workers int, zero A, fn func(i int) T, reduce func(acc A, v T) A) A {
-	vals := Map(n, workers, fn)
-	acc := zero
-	for _, v := range vals {
-		acc = reduce(acc, v)
-	}
-	return acc
-}
-
 // Chunks splits [0, n) into roughly equal contiguous ranges, at most
 // maxChunks of them, each described by [Start, End). It never returns an
 // empty chunk.
@@ -167,88 +155,4 @@ func SplitChunks(n, maxChunks int) []Chunk {
 func ProcessChunks[T any](n, workers int, fn func(c Chunk) T) []T {
 	chunks := SplitChunks(n, clampWorkers(workers, n))
 	return Map(len(chunks), workers, func(i int) T { return fn(chunks[i]) })
-}
-
-// Stage runs an order-preserving parallel transform over a channel: up to
-// `workers` goroutines apply fn concurrently, but outputs are delivered in
-// input order (a reorder buffer holds results that finish early). This is
-// the streaming building block of the partitioned telemetry pipeline:
-// decode/coarsen stages keep up with ingest without reordering windows.
-func Stage[I, O any](in <-chan I, workers int, fn func(I) O) <-chan O {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	type job struct {
-		seq int
-		v   I
-	}
-	type result struct {
-		seq int
-		v   O
-	}
-	jobs := make(chan job, workers)
-	results := make(chan result, workers)
-	out := make(chan O, workers)
-	// Feeder.
-	go func() {
-		seq := 0
-		for v := range in {
-			jobs <- job{seq, v}
-			seq++
-		}
-		close(jobs)
-	}()
-	// Workers.
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				results <- result{j.seq, fn(j.v)}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	// Reorderer.
-	go func() {
-		defer close(out)
-		pending := map[int]O{}
-		next := 0
-		for r := range results {
-			pending[r.seq] = r.v
-			for {
-				v, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- v
-				next++
-			}
-		}
-	}()
-	return out
-}
-
-// Source converts a slice into a channel feeding a Stage.
-func Source[T any](items []T) <-chan T {
-	ch := make(chan T, len(items))
-	for _, v := range items {
-		ch <- v
-	}
-	close(ch)
-	return ch
-}
-
-// Drain collects a channel into a slice.
-func Drain[T any](ch <-chan T) []T {
-	var out []T
-	for v := range ch {
-		out = append(out, v)
-	}
-	return out
 }

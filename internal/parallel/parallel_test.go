@@ -87,28 +87,6 @@ func TestMapErr(t *testing.T) {
 	}
 }
 
-func TestMapReduceDeterministic(t *testing.T) {
-	// Non-commutative reduction (string concat) must be index-ordered.
-	want := ""
-	for i := 0; i < 50; i++ {
-		want += fmt.Sprint(i % 10)
-	}
-	for trial := 0; trial < 10; trial++ {
-		got := MapReduce(50, 8, "", func(i int) string { return fmt.Sprint(i % 10) },
-			func(acc, v string) string { return acc + v })
-		if got != want {
-			t.Fatalf("trial %d: %q != %q", trial, got, want)
-		}
-	}
-}
-
-func TestMapReduceSum(t *testing.T) {
-	got := MapReduce(1001, 0, 0, func(i int) int { return i }, func(a, v int) int { return a + v })
-	if got != 1001*1000/2 {
-		t.Errorf("sum = %d", got)
-	}
-}
-
 func TestSplitChunks(t *testing.T) {
 	cs := SplitChunks(10, 3)
 	if len(cs) != 3 {
@@ -173,61 +151,5 @@ func TestDefaultWorkersPositive(t *testing.T) {
 func BenchmarkForEach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ForEach(10000, 0, func(j int) { _ = j * j })
-	}
-}
-
-func BenchmarkMapReduce(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = MapReduce(10000, 0, 0.0,
-			func(j int) float64 { return float64(j) * 1.5 },
-			func(a, v float64) float64 { return a + v })
-	}
-}
-
-func TestStagePreservesOrder(t *testing.T) {
-	in := make([]int, 500)
-	for i := range in {
-		in[i] = i
-	}
-	// A deliberately uneven workload: later items finish first without
-	// the reorder buffer.
-	out := Drain(Stage(Source(in), 8, func(v int) int {
-		if v%7 == 0 {
-			for i := 0; i < 1000; i++ {
-				_ = i * i
-			}
-		}
-		return v * 10
-	}))
-	if len(out) != len(in) {
-		t.Fatalf("got %d outputs", len(out))
-	}
-	for i, v := range out {
-		if v != i*10 {
-			t.Fatalf("out[%d] = %d, want %d (order broken)", i, v, i*10)
-		}
-	}
-}
-
-func TestStageEmptyAndSingle(t *testing.T) {
-	if got := Drain(Stage(Source([]int{}), 4, func(v int) int { return v })); got != nil {
-		t.Errorf("empty stage output = %v", got)
-	}
-	got := Drain(Stage(Source([]string{"x"}), 0, func(s string) string { return s + "!" }))
-	if len(got) != 1 || got[0] != "x!" {
-		t.Errorf("single stage output = %v", got)
-	}
-}
-
-func TestStageChaining(t *testing.T) {
-	in := Source([]int{1, 2, 3, 4, 5})
-	doubled := Stage(in, 3, func(v int) int { return v * 2 })
-	asStr := Stage(doubled, 2, func(v int) string { return fmt.Sprint(v) })
-	got := Drain(asStr)
-	want := []string{"2", "4", "6", "8", "10"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("chained = %v, want %v", got, want)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/internal/source"
 )
 
@@ -21,15 +22,15 @@ import (
 
 // errSourceUnavailable reports an archive the analysis layer cannot serve
 // (no cluster dataset, so no RunSource was attached).
-var errSourceUnavailable = &apiError{
-	http.StatusNotFound,
-	"analysis endpoints unavailable: archive has no cluster dataset",
+var errSourceUnavailable = &serve.Error{
+	Status: http.StatusNotFound,
+	Msg:    "analysis endpoints unavailable: archive has no cluster dataset",
 }
 
 // analysisErr maps source-layer sentinels onto HTTP statuses.
 func analysisErr(err error) error {
 	if errors.Is(err, source.ErrUnavailable) || errors.Is(err, source.ErrUnknownSeries) {
-		return &apiError{http.StatusNotFound, err.Error()}
+		return &serve.Error{Status: http.StatusNotFound, Msg: err.Error()}
 	}
 	return err
 }
@@ -177,12 +178,12 @@ type apiPrecursor struct {
 }
 
 func earlyWarningRoute(q url.Values) (string, func(source.RunSource) (any, error), error) {
-	windowSec, err := qInt(q.Get("window"), 3600)
+	windowSec, err := serve.QueryInt(q.Get("window"), 3600)
 	if err != nil {
 		return "", nil, err
 	}
 	if windowSec <= 0 {
-		return "", nil, &apiError{http.StatusBadRequest, "window must be positive"}
+		return "", nil, &serve.Error{Status: http.StatusBadRequest, Msg: "window must be positive"}
 	}
 	return strconv.FormatInt(windowSec, 10), func(src source.RunSource) (any, error) {
 		return earlyWarningReply(src, windowSec)

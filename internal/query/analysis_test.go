@@ -26,7 +26,7 @@ func analysisServer(t *testing.T) (*httptest.Server, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(eng, ServerConfig{Source: src}))
+	srv := httptest.NewServer(singleHandler(t, eng, src, ServerConfig{}))
 	t.Cleanup(srv.Close)
 	return srv, eng
 }

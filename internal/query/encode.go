@@ -1,10 +1,6 @@
 package query
 
 import (
-	"fmt"
-	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/serve"
@@ -17,54 +13,10 @@ import (
 // NaN/Inf -> null rule and omitempty included. Every other reply still goes
 // through encoding/json.
 
-// replyEncoder is a reply that encodes itself without reflection and knows
-// what its engine call cost (encode.go).
-type replyEncoder interface {
-	appendJSON(b []byte) []byte
-	engineTime() time.Duration
-}
-
-func (r *RangeResult) engineTime() time.Duration  { return r.Stats.Elapsed }
-func (r *RollupResult) engineTime() time.Duration { return r.Stats.Elapsed }
-
-// replyBufs recycles reply buffers; maxPooledReply keeps a rare multi-MB
-// raw reply from pinning its buffer in the pool.
-var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledReply = 1 << 20
-
-// putReplyBuf returns a buffer taken from replyBufs, grown to b.
-func putReplyBuf(bp *[]byte, b []byte) {
-	if cap(b) <= maxPooledReply {
-		*bp = b
-		replyBufs.Put(bp)
-	}
-}
-
-// writeBody sends a complete JSON body: every reply is built in full before
-// its status is committed, and goes out with Content-Length in one Write.
-func writeBody(w http.ResponseWriter, status int, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(status)
-	_, _ = w.Write(b)
-}
-
-// durMS renders a stage time for a Server-Timing header.
-func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// writeEncoded sends a self-encoding reply from a pooled buffer, its header
-// carrying the request's stage times.
-func (h *handler) writeEncoded(w http.ResponseWriter, r replyEncoder) {
-	bp := replyBufs.Get().(*[]byte)
-	start := time.Now()
-	b := append(r.appendJSON((*bp)[:0]), '\n')
-	encode := time.Since(start)
-	h.metrics().EncodeLatency.ObserveNS(encode)
-	w.Header().Set("Server-Timing", fmt.Sprintf("engine;dur=%.3f, encode;dur=%.3f", durMS(r.engineTime()), durMS(encode)))
-	writeBody(w, http.StatusOK, b)
-	putReplyBuf(bp, b)
-}
+// EngineTime is what the engine call behind the reply cost; the kernel puts
+// it in the Server-Timing header beside the encode time.
+func (r *RangeResult) EngineTime() time.Duration  { return r.Stats.Elapsed }
+func (r *RollupResult) EngineTime() time.Duration { return r.Stats.Elapsed }
 
 // appendWindow appends one window object. std and sum are omitempty: a
 // range window carries std, a rollup window sum, and either is dropped
@@ -98,8 +50,8 @@ func appendStats(b []byte, s QueryStats) []byte {
 	return append(b, '}')
 }
 
-// appendJSON appends the /api/v1/range reply object.
-func (r *RangeResult) appendJSON(b []byte) []byte {
+// AppendJSON appends the /api/v1/range reply object (serve.Encoder).
+func (r *RangeResult) AppendJSON(b []byte) []byte {
 	b = serve.AppendKeyString(b, `{"dataset":`, r.Dataset)
 	b = serve.AppendKeyString(b, `,"column":`, r.Column)
 	if r.Node >= 0 {
@@ -132,8 +84,8 @@ func (r *RangeResult) appendJSON(b []byte) []byte {
 	return append(appendStats(b, r.Stats), '}')
 }
 
-// appendJSON appends the /api/v1/rollup reply object.
-func (r *RollupResult) appendJSON(b []byte) []byte {
+// AppendJSON appends the /api/v1/rollup reply object (serve.Encoder).
+func (r *RollupResult) AppendJSON(b []byte) []byte {
 	b = serve.AppendKeyString(b, `{"dataset":`, r.Dataset)
 	b = serve.AppendKeyString(b, `,"column":`, r.Column)
 	b = serve.AppendKeyString(b, `,"group":`, string(r.Group))

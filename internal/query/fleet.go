@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"strings"
 
+	"repro/internal/serve"
 	"repro/internal/source"
 	"repro/internal/tsagg"
 	"repro/internal/units"
@@ -64,7 +65,7 @@ func (h *handler) fleetMembers(q url.Values) ([]*Cluster, error) {
 		for _, name := range strings.Split(arg, ",") {
 			c, ok := h.byName[name]
 			if !ok {
-				return nil, &apiError{http.StatusNotFound, fmt.Sprintf("unknown cluster %q", name)}
+				return nil, &serve.Error{Status: http.StatusNotFound, Msg: fmt.Sprintf("unknown cluster %q", name)}
 			}
 			want[c.Name] = true
 		}
@@ -76,8 +77,8 @@ func (h *handler) fleetMembers(q url.Values) ([]*Cluster, error) {
 			continue
 		}
 		if c.Source == nil {
-			return nil, &apiError{http.StatusNotFound,
-				fmt.Sprintf("cluster %q has no analysis source; fleet merge unavailable", c.Name)}
+			return nil, &serve.Error{Status: http.StatusNotFound,
+				Msg: fmt.Sprintf("cluster %q has no analysis source; fleet merge unavailable", c.Name)}
 		}
 		out = append(out, c)
 	}
@@ -102,7 +103,7 @@ type apiFleetSeries struct {
 func (h *handler) fleetSeries(ctx context.Context, q url.Values) (any, error) {
 	name := q.Get("name")
 	if name == "" {
-		return nil, &apiError{http.StatusBadRequest, "missing series name (?name=)"}
+		return nil, &serve.Error{Status: http.StatusBadRequest, Msg: "missing series name (?name=)"}
 	}
 	members, err := h.fleetMembers(q)
 	if err != nil {
@@ -121,7 +122,7 @@ func (h *handler) fleetSeries(ctx context.Context, q url.Values) (any, error) {
 	}
 	merged, err := source.SumSeries(series)
 	if err != nil {
-		return nil, &apiError{http.StatusConflict, err.Error()}
+		return nil, &serve.Error{Status: http.StatusConflict, Msg: err.Error()}
 	}
 	if len(merged.Vals) > h.cfg.MaxPoints {
 		return nil, fmt.Errorf("query: fleet series carries %d points, budget is %d: %w",
@@ -187,7 +188,7 @@ func fleetSummaryReply(members []*Cluster) (any, error) {
 	}
 	merged, err := source.SumSeries(series)
 	if err != nil {
-		return nil, &apiError{http.StatusConflict, err.Error()}
+		return nil, &serve.Error{Status: http.StatusConflict, Msg: err.Error()}
 	}
 	mean, peak, energy := reducePower(merged)
 	return map[string]any{

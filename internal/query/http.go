@@ -1,28 +1,21 @@
 package query
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/source"
 )
 
-// ServerConfig bounds the HTTP serving layer.
+// ServerConfig bounds the HTTP serving layer. The raw query string is
+// bounded by serve.MaxQueryLen.
 type ServerConfig struct {
-	// Source, when set, enables the /api/v1/analysis/* routes, serving
-	// the paper's analyses over the archive. Leave nil for archives
-	// without a cluster dataset; the routes then answer 404. Used by
-	// NewHandler only; NewFleetHandler takes per-cluster sources.
-	Source source.RunSource
 	// Timeout is the per-request deadline (<= 0: 30 s).
 	Timeout time.Duration
 	// MaxConcurrent bounds in-flight queries; excess requests are shed
@@ -32,8 +25,6 @@ type ServerConfig struct {
 	// (<= 0: 200000). Oversized raw queries get 413 with a hint to set a
 	// coarser step.
 	MaxPoints int
-	// MaxQueryLen bounds the raw query string (<= 0: 8192).
-	MaxQueryLen int
 }
 
 // Cluster is one fleet member served by the handler: its raw-query engine
@@ -54,29 +45,24 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
 	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 32
-	}
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = 200_000
-	}
-	if c.MaxQueryLen <= 0 {
-		c.MaxQueryLen = 8192
 	}
 	return c
 }
 
-// handler serves the queryd JSON API over one or more clusters.
+// handler serves the queryd JSON API over one or more clusters: the routes
+// on its mux, each behind the kernel's guard.
 type handler struct {
+	*http.ServeMux
 	clusters []Cluster
 	byName   map[string]*Cluster
 	cfg      ServerConfig
-	sem      chan struct{}
+	kernel   *serve.Kernel
 	memo     *memo
 }
 
-// NewHandler returns the single-cluster queryd HTTP API — the pre-fleet
-// shape, serving one anonymous cluster:
+// NewFleetHandler returns the queryd HTTP API over one or more clusters:
 //
 //	GET /api/v1/range       — range/downsample query over one dataset column
 //	GET /api/v1/rollup      — per-cabinet / per-MSB / fleet aggregation
@@ -87,34 +73,23 @@ type handler struct {
 //	GET /healthz            — liveness
 //	GET /debug/vars         — instrumentation counters
 //
-// Every API route runs under the concurrency limiter, a per-request
-// timeout, and the request-size limits of cfg.
-func NewHandler(eng *Engine, cfg ServerConfig) http.Handler {
-	h, err := newFleetHandler([]Cluster{{Engine: eng, Source: cfg.Source}}, cfg)
-	if err != nil {
-		// Unreachable: one anonymous cluster always validates.
-		panic(err)
-	}
-	return h
-}
-
-// NewFleetHandler returns the multi-cluster queryd HTTP API: the same
-// routes as NewHandler, with ?cluster= selecting the member each
-// cluster-scoped query addresses and /api/v1/fleet/* merging across all
-// members. Cluster names must be unique and (for more than one member)
-// non-empty.
+// ?cluster= selects the member a cluster-scoped query addresses and
+// /api/v1/fleet/* merges across all members. Cluster names must be unique
+// and non-empty; a single cluster may be anonymous (the pre-fleet API, where
+// ?cluster= is optional). Every API route runs under the serving kernel's
+// guard: the concurrency limiter and per-request timeout of cfg, and the
+// request-size limit.
 func NewFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error) {
-	return newFleetHandler(clusters, cfg)
-}
-
-func newFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error) {
 	if len(clusters) == 0 {
 		return nil, errors.New("query: handler needs at least one cluster")
 	}
+	cfg = cfg.withDefaults()
 	h := &handler{
+		ServeMux: http.NewServeMux(),
 		clusters: clusters,
 		byName:   make(map[string]*Cluster, len(clusters)),
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
+		kernel:   serve.NewKernel(cfg.Timeout, cfg.MaxConcurrent, sentinelStatus),
 		memo:     newMemo(),
 	}
 	for i := range clusters {
@@ -130,23 +105,19 @@ func newFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error)
 		}
 		h.byName[c.Name] = c
 	}
-	h.sem = make(chan struct{}, h.cfg.MaxConcurrent)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/debug/vars", h.vars)
-	mux.HandleFunc("/api/v1/datasets", h.guard(h.datasets))
-	mux.HandleFunc("/api/v1/range", h.guard(h.rangeQuery))
-	mux.HandleFunc("/api/v1/rollup", h.guard(h.rollup))
-	mux.HandleFunc("/api/v1/clusters", h.guard(h.clustersRoute))
-	mux.HandleFunc("/api/v1/fleet/series", h.guard(h.fleetSeries))
-	mux.HandleFunc("/api/v1/fleet/summary", h.guard(h.fleetSummary))
+	h.HandleFunc("/healthz", serve.Healthz)
+	h.HandleFunc("/debug/vars", h.vars)
+	guard := h.kernel.Guard
+	h.HandleFunc("/api/v1/datasets", guard(h.datasets))
+	h.HandleFunc("/api/v1/range", guard(h.rangeQuery))
+	h.HandleFunc("/api/v1/rollup", guard(h.rollup))
+	h.HandleFunc("/api/v1/clusters", guard(h.clustersRoute))
+	h.HandleFunc("/api/v1/fleet/series", guard(h.fleetSeries))
+	h.HandleFunc("/api/v1/fleet/summary", guard(h.fleetSummary))
 	for name, route := range analysisRoutes {
-		mux.HandleFunc("/api/v1/analysis/"+name, h.guard(h.analysis(name, route)))
+		h.HandleFunc("/api/v1/analysis/"+name, guard(h.analysis(name, route)))
 	}
-	return mux, nil
+	return h, nil
 }
 
 // cluster resolves the member a request addresses: ?cluster= when given, or
@@ -158,76 +129,24 @@ func (h *handler) cluster(q url.Values) (*Cluster, error) {
 		if len(h.clusters) == 1 {
 			return &h.clusters[0], nil
 		}
-		return nil, &apiError{http.StatusBadRequest, fmt.Sprintf(
+		return nil, &serve.Error{Status: http.StatusBadRequest, Msg: fmt.Sprintf(
 			"fleet has %d clusters; pass ?cluster= (see /api/v1/clusters)", len(h.clusters))}
 	}
 	c, ok := h.byName[name]
 	if !ok {
-		return nil, &apiError{http.StatusNotFound, fmt.Sprintf("unknown cluster %q", name)}
+		return nil, &serve.Error{Status: http.StatusNotFound, Msg: fmt.Sprintf("unknown cluster %q", name)}
 	}
 	return c, nil
 }
 
-// metrics returns the serving-tier metrics (shedding, in-flight); they live
-// on the first cluster's engine so the single-cluster counters keep their
-// historical home.
+// metrics is where the fleet-wide routes are counted: on the first
+// cluster's engine, whose counters are the top level of /debug/vars.
 func (h *handler) metrics() *Metrics { return h.clusters[0].Engine.Metrics() }
-
-type apiError struct {
-	status int
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-// guard wraps an API route with method/size checks, load shedding and the
-// per-request timeout. It parses the query string once and hands the route
-// the values.
-func (h *handler) guard(fn func(ctx context.Context, q url.Values) (any, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		if len(r.URL.RawQuery) > h.cfg.MaxQueryLen {
-			writeError(w, http.StatusRequestURITooLong,
-				fmt.Sprintf("query string over %d bytes", h.cfg.MaxQueryLen))
-			return
-		}
-		select {
-		case h.sem <- struct{}{}:
-			defer func() { <-h.sem }()
-		default:
-			h.metrics().Rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "query concurrency limit reached")
-			return
-		}
-		h.metrics().InFlight.Add(1)
-		defer h.metrics().InFlight.Add(-1)
-		ctx, cancel := context.WithTimeout(r.Context(), h.cfg.Timeout)
-		defer cancel()
-		resp, err := fn(ctx, r.URL.Query())
-		if err != nil {
-			status, msg := errStatus(err)
-			writeError(w, status, msg)
-			return
-		}
-		switch r := resp.(type) {
-		case replyEncoder:
-			h.writeEncoded(w, r)
-		case *memoReply:
-			r.write(w)
-		default:
-			writeJSON(w, http.StatusOK, resp)
-		}
-	}
-}
 
 // analysis is the handler of one analysis route: resolve the cluster and
 // its source, parse the parameters, count the request, and answer from the
 // memo — running the analysis only for the first request of a key.
-func (h *handler) analysis(name string, route analysisRoute) func(context.Context, url.Values) (any, error) {
+func (h *handler) analysis(name string, route analysisRoute) serve.Route {
 	return func(ctx context.Context, q url.Values) (any, error) {
 		cl, err := h.cluster(q)
 		if err != nil {
@@ -249,32 +168,31 @@ func (h *handler) analysis(name string, route analysisRoute) func(context.Contex
 	}
 }
 
-// errStatus maps engine and handler errors to HTTP status codes.
-func errStatus(err error) (int, string) {
-	var ae *apiError
+// sentinelStatus is the kernel's hook for the engine's sentinel errors.
+func sentinelStatus(err error) int {
 	switch {
-	case errors.As(err, &ae):
-		return ae.status, ae.msg
 	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound, err.Error()
+		return http.StatusNotFound
 	case errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest, err.Error()
+		return http.StatusBadRequest
 	case errors.Is(err, ErrTooLarge):
-		return http.StatusRequestEntityTooLarge, err.Error()
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "query deadline exceeded"
-	default:
-		return http.StatusInternalServerError, err.Error()
+		return http.StatusRequestEntityTooLarge
 	}
+	return 0
 }
 
 func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 	// Top-level shape is the historical single-cluster snapshot (first
-	// cluster); the fleet view nests one entry per member under "clusters",
-	// including the federation fan-out counters and per-shard cache
-	// occupancy when the cluster's source is a federated coordinator.
+	// cluster) with the serving kernel's counters under the keys dashboards
+	// read them from; the fleet view nests one entry per member under
+	// "clusters", including the federation fan-out counters and per-shard
+	// cache occupancy when the cluster's source is a federated coordinator.
 	primary := h.clusters[0].Engine
 	snap := primary.Metrics().Snapshot()
+	queries := snap["queries"].(map[string]int64)
+	queries["rejected"] = h.kernel.Rejected.Load()
+	queries["inflight"] = h.kernel.InFlight.Load()
+	snap["encode_ns"] = h.kernel.EncodeLatency.Snapshot()
 	entries, bytes := primary.CacheStats()
 	cache := snap["cache"].(map[string]int64)
 	cache["entries"] = int64(entries)
@@ -305,7 +223,7 @@ func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 	}
 	snap["clusters"] = perCluster
 	snap["analysis_memo"] = h.memo.snapshot()
-	writeJSON(w, http.StatusOK, snap)
+	serve.WriteJSON(w, http.StatusOK, snap)
 }
 
 // --- /api/v1/datasets ---
@@ -355,7 +273,7 @@ func (h *handler) rangeQuery(ctx context.Context, q url.Values) (any, error) {
 		Limit:   h.cfg.MaxPoints,
 	}
 	var err error
-	if req.Node, err = qInt(q.Get("node"), -1); err != nil {
+	if req.Node, err = serve.QueryInt(q.Get("node"), -1); err != nil {
 		return nil, err
 	}
 	if req.T0, req.T1, req.Step, err = h.qSpan(q, 0); err != nil {
@@ -372,13 +290,13 @@ func (h *handler) rangeQuery(ctx context.Context, q url.Values) (any, error) {
 // span/step implies more windows than the point budget before any partition
 // is touched.
 func (h *handler) qSpan(q url.Values, defStep int64) (t0, t1, step int64, err error) {
-	if t0, err = qInt(q.Get("t0"), 0); err != nil {
+	if t0, err = serve.QueryInt(q.Get("t0"), 0); err != nil {
 		return
 	}
-	if t1, err = qInt(q.Get("t1"), math.MaxInt64); err != nil {
+	if t1, err = serve.QueryInt(q.Get("t1"), math.MaxInt64); err != nil {
 		return
 	}
-	if step, err = qInt(q.Get("step"), defStep); err != nil {
+	if step, err = serve.QueryInt(q.Get("step"), defStep); err != nil {
 		return
 	}
 	if t1 > t0 && step > 0 { // anything else is refused downstream
@@ -411,47 +329,4 @@ func (h *handler) rollup(ctx context.Context, q url.Values) (any, error) {
 		return nil, err
 	}
 	return cl.Engine.Rollup(ctx, req)
-}
-
-// --- helpers ---
-
-// qInt parses an optional integer query parameter.
-func qInt(s string, def int64) (int64, error) {
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, &apiError{http.StatusBadRequest, fmt.Sprintf("bad integer %q", s)}
-	}
-	return v, nil
-}
-
-// marshalReply encodes v into the pooled buffer bp the way every
-// reflection-encoded reply always was: encoding/json, HTML escaping off, a
-// trailing newline.
-func marshalReply(bp *[]byte, v any) ([]byte, error) {
-	buf := bytes.NewBuffer((*bp)[:0])
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	err := enc.Encode(v)
-	return buf.Bytes(), err
-}
-
-// writeJSON encodes v in full before committing the status, so a value that
-// does not encode is a 500 with an error body, not a truncated 200.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	bp := replyBufs.Get().(*[]byte)
-	b, err := marshalReply(bp, v)
-	if err != nil {
-		putReplyBuf(bp, b)
-		writeError(w, http.StatusInternalServerError, "encoding reply: "+err.Error())
-		return
-	}
-	writeBody(w, status, b)
-	putReplyBuf(bp, b)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -7,12 +7,28 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
+	"repro/internal/source"
 )
+
+// singleHandler serves one anonymous cluster — the pre-fleet shape most
+// tests use — and hands back the concrete handler.
+func singleHandler(t testing.TB, eng *Engine, src source.RunSource, cfg ServerConfig) *handler {
+	t.Helper()
+	h, err := NewFleetHandler([]Cluster{{Engine: eng, Source: src}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.(*handler)
+}
 
 func testServer(t *testing.T, cfg ServerConfig) (*httptest.Server, *Engine) {
 	t.Helper()
 	e := testEngine(t)
-	srv := httptest.NewServer(NewHandler(e, cfg))
+	srv := httptest.NewServer(singleHandler(t, e, nil, cfg))
 	t.Cleanup(srv.Close)
 	return srv, e
 }
@@ -180,7 +196,7 @@ func TestHTTPRangeErrors(t *testing.T) {
 }
 
 func TestHTTPMethodAndURILimits(t *testing.T) {
-	srv, _ := testServer(t, ServerConfig{MaxQueryLen: 64})
+	srv, _ := testServer(t, ServerConfig{})
 	resp, err := http.Post(srv.URL+"/api/v1/range", "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +205,7 @@ func TestHTTPMethodAndURILimits(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Errorf("POST status %d", resp.StatusCode)
 	}
-	long := srv.URL + "/api/v1/range?dataset=" + strings.Repeat("a", 100)
+	long := srv.URL + "/api/v1/range?dataset=" + strings.Repeat("a", serve.MaxQueryLen)
 	if code := getJSON(t, long, nil); code != 414 {
 		t.Errorf("long query status %d", code)
 	}
@@ -228,32 +244,48 @@ func TestHTTPRollup(t *testing.T) {
 	}
 }
 
-func TestHTTPLoadShedding(t *testing.T) {
-	// Deterministic shed test: occupy the single semaphore slot directly,
-	// then issue a request through the guard.
+// TestKernelContract: queryd's routes refuse, shed, time out and fail the
+// way the shared serving kernel says.
+func TestKernelContract(t *testing.T) {
 	e := testEngine(t)
-	hs := &handler{clusters: []Cluster{{Engine: e}}, cfg: ServerConfig{MaxConcurrent: 1}.withDefaults()}
-	hs.byName = map[string]*Cluster{"": &hs.clusters[0]}
-	hs.sem = make(chan struct{}, 1)
-	hs.sem <- struct{}{} // slot taken
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/api/v1/datasets", nil)
-	hs.guard(hs.datasets)(rec, req)
-	if rec.Code != 503 {
-		t.Fatalf("shed status = %d", rec.Code)
+	servetest.Contract(t, servetest.Service{
+		New: func(timeout time.Duration, maxConcurrent int) (http.Handler, *serve.Kernel) {
+			h := singleHandler(t, e, nil, ServerConfig{Timeout: timeout, MaxConcurrent: maxConcurrent})
+			return h, h.kernel
+		},
+		OK:     "/api/v1/datasets",
+		BadInt: "/api/v1/range?dataset=cluster-power&column=sum_inp&t0=abc",
+	})
+}
+
+// TestHTTPLoadShedding: with the only slot taken a query is shed, and
+// /debug/vars — outside the limiter — counts it where it always did.
+func TestHTTPLoadShedding(t *testing.T) {
+	h := singleHandler(t, testEngine(t), nil, ServerConfig{MaxConcurrent: 1})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	release := servetest.Occupy(t, h.kernel)
+	resp, err := http.Get(srv.URL + "/api/v1/datasets")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("503 without Retry-After")
+	resp.Body.Close()
+	if resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("shed status = %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	if e.Metrics().Rejected.Load() == 0 {
-		t.Error("rejection not counted")
+	var vars struct {
+		Queries map[string]int64 `json:"queries"`
+	}
+	if code := getJSON(t, srv.URL+"/debug/vars", &vars); code != 200 {
+		t.Fatalf("/debug/vars status %d while shedding", code)
+	}
+	if vars.Queries["rejected"] != 1 || vars.Queries["inflight"] != 1 {
+		t.Errorf("queries = %+v, want rejected 1, inflight 1", vars.Queries)
 	}
 	// Slot freed: the same request now succeeds.
-	<-hs.sem
-	rec = httptest.NewRecorder()
-	hs.guard(hs.datasets)(rec, req)
-	if rec.Code != 200 {
-		t.Fatalf("post-shed status = %d", rec.Code)
+	release()
+	if code := getJSON(t, srv.URL+"/api/v1/datasets", nil); code != 200 {
+		t.Fatalf("post-shed status = %d", code)
 	}
 }
 

@@ -1,15 +1,14 @@
 package query
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/source"
 )
 
@@ -62,28 +61,21 @@ var errMemoAborted = errors.New("query: analysis did not complete")
 
 func newMemo() *memo { return &memo{entries: map[string]*memoEntry{}} }
 
-// memoReply is a memoized route's answer: the encoded body, whether this
-// request found it (or waited for it) rather than computed it, and how long
-// the request spent getting it.
-type memoReply struct {
-	body    []byte
-	hit     bool
-	elapsed time.Duration
-}
-
-func (r *memoReply) write(w http.ResponseWriter) {
+// memoReply is a memoized route's answer: the encoded body, and in its
+// Server-Timing header whether this request found it (or waited for it)
+// rather than computed it and how long the request spent getting it.
+func memoReply(body []byte, hit bool, start time.Time) *serve.Body {
 	desc := "miss"
-	if r.hit {
+	if hit {
 		desc = "hit"
 	}
-	w.Header().Set("Server-Timing", fmt.Sprintf("memo;desc=%s, engine;dur=%.3f", desc, durMS(r.elapsed)))
-	writeBody(w, http.StatusOK, r.body)
+	return &serve.Body{JSON: body, Timing: fmt.Sprintf("memo;desc=%s, engine;dur=%.3f", desc, serve.DurMS(time.Since(start)))}
 }
 
 // do answers key from the table, or runs compute, encodes its value and
 // stores the bytes. members are the clusters the answer reads, watched for
 // federated degradation while compute runs.
-func (m *memo) do(ctx context.Context, key string, members []*Cluster, compute func() (any, error)) (*memoReply, error) {
+func (m *memo) do(ctx context.Context, key string, members []*Cluster, compute func() (any, error)) (*serve.Body, error) {
 	start := time.Now()
 	m.mu.Lock()
 	e, found := m.entries[key]
@@ -107,7 +99,7 @@ func (m *memo) do(ctx context.Context, key string, members []*Cluster, compute f
 		if e.err != nil {
 			return nil, e.err
 		}
-		return &memoReply{body: e.body, hit: true, elapsed: time.Since(start)}, nil
+		return memoReply(e.body, true, start), nil
 	}
 
 	m.computes.Add(1)
@@ -134,14 +126,8 @@ func (m *memo) do(ctx context.Context, key string, members []*Cluster, compute f
 		e.err = err
 		return nil, err
 	}
-	bp := replyBufs.Get().(*[]byte)
-	b, err := marshalReply(bp, v)
-	if e.err = err; err == nil {
-		e.body = bytes.Clone(b) // the buffer goes back to the pool
-	}
-	putReplyBuf(bp, b)
-	if err != nil {
-		return nil, err
+	if e.body, e.err = serve.MarshalJSON(v); e.err != nil {
+		return nil, e.err
 	}
 	switch {
 	case partialResults(members) != before:
@@ -151,7 +137,7 @@ func (m *memo) do(ctx context.Context, key string, members []*Cluster, compute f
 	default:
 		store = true
 	}
-	return &memoReply{body: e.body, elapsed: time.Since(start)}, nil
+	return memoReply(e.body, false, start), nil
 }
 
 func (e *memoEntry) finished() bool {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/store"
@@ -84,7 +85,7 @@ func openMemoFixture(t testing.TB, dir string) *memoFixture {
 	if f.src, err = source.OpenArchive(source.ArchiveConfig{Dir: dir, Nodes: 18, Cache: f.eng.Cache()}); err != nil {
 		t.Fatal(err)
 	}
-	f.h = NewHandler(f.eng, ServerConfig{Source: f.src})
+	f.h = singleHandler(t, f.eng, f.src, ServerConfig{})
 	return f
 }
 
@@ -183,7 +184,7 @@ func (g *gatedSource) Series(name string) (*tsagg.Series, error) {
 func TestMemoComputesOnceUnderConcurrency(t *testing.T) {
 	f := newMemoFixture(t)
 	gs := &gatedSource{RunSource: f.src, gate: make(chan struct{}), reached: make(chan struct{}, 1)}
-	h := NewHandler(f.eng, ServerConfig{Source: gs, MaxConcurrent: 64})
+	h := singleHandler(t, f.eng, gs, ServerConfig{MaxConcurrent: 64})
 	const url = "/api/v1/analysis/edges"
 
 	const clients = 32
@@ -282,7 +283,7 @@ func TestMemoKeysAndBounds(t *testing.T) {
 func TestMemoSkipsOversizedReplies(t *testing.T) {
 	jobs := make([]source.JobRecord, 4000)
 	src := &source.MemorySource{Jobs: jobs}
-	h := NewHandler(testEngine(t), ServerConfig{Source: src})
+	h := singleHandler(t, testEngine(t), src, ServerConfig{})
 	for i := 0; i < 2; i++ {
 		rec := get(t, h, context.Background(), "/api/v1/analysis/jobs")
 		if rec.Code != 200 || rec.Body.Len() <= memoMaxEntryBytes {
@@ -320,10 +321,10 @@ func TestMemoNeverStoresDegradedAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandler(f.eng, ServerConfig{Source: fed})
+	h := singleHandler(t, f.eng, fed, ServerConfig{})
 	ctx := context.Background()
 	const url = "/api/v1/analysis/summary"
-	healthy := get(t, NewHandler(f.eng, ServerConfig{Source: f.src}), ctx, url).Body.Bytes()
+	healthy := get(t, singleHandler(t, f.eng, f.src, ServerConfig{}), ctx, url).Body.Bytes()
 
 	for _, s := range shards {
 		s.down.Store(true)
@@ -397,7 +398,7 @@ func TestArchiveIsFrozenAtOpen(t *testing.T) {
 	}
 	// Not the memo hiding it: a handler over the same engine and source, its
 	// memo empty, computes the same answers.
-	fresh := NewHandler(f.eng, ServerConfig{Source: f.src})
+	fresh := singleHandler(t, f.eng, f.src, ServerConfig{})
 	for _, url := range urls {
 		if rec := get(t, fresh, ctx, url); !bytes.Equal(stripStatsBlock(rec.Body.Bytes()), before[url]) {
 			t.Errorf("%s: a fresh memo over the open archive sees the added partition", url)
@@ -424,7 +425,7 @@ func stripStatsBlock(b []byte) []byte {
 // 500 with an error body, not a 200 cut short; a good one carries its length.
 func TestWriteJSONEncodesBeforeCommitting(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]any{"ok": true, "v": math.NaN()})
+	serve.WriteJSON(rec, http.StatusOK, map[string]any{"ok": true, "v": math.NaN()})
 	var body struct {
 		Error string `json:"error"`
 	}
@@ -433,7 +434,7 @@ func TestWriteJSONEncodesBeforeCommitting(t *testing.T) {
 	}
 	rec = httptest.NewRecorder()
 	v := map[string]any{"datasets": []string{"a<b>", "c"}}
-	writeJSON(rec, http.StatusOK, v)
+	serve.WriteJSON(rec, http.StatusOK, v)
 	want := stdJSON(t, v)
 	if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != fmt.Sprint(len(want)) {
 		t.Errorf("status %d, Content-Length %q, body %q; want 200, %d, %q",

@@ -1,7 +1,11 @@
-// Package serve holds what the HTTP services (queryd, streamd) share. So
-// far that is the reflection-free JSON appenders their hot replies are
-// built from: one float formatter and one string escaper for the tree,
-// byte for byte what encoding/json (SetEscapeHTML(false)) produces.
+// Package serve is the serving kernel under both HTTP services (queryd,
+// streamd): the route guard, error type, reply writers and counters
+// (kernel.go), the latency histogram (histogram.go), the daemon lifecycle
+// (daemon.go) and, in this file, the reflection-free JSON appenders their
+// hot replies are built from — one float formatter and one string escaper
+// for the tree, byte for byte what encoding/json (SetEscapeHTML(false))
+// produces. A service keeps only its routes, parameter parsing and reply
+// shapes.
 package serve
 
 import (

@@ -126,7 +126,7 @@ func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 		&rollupReply{group: "cabinet", snap: real, val: cabinetW, groups: real.Cabinets, label: cabinetLabel},
 		&rollupReply{group: "msb", snap: real, val: msbW, groups: real.MSBs, label: msbLabel})
 	for i, r := range rollups {
-		if got, want := append(r.appendJSON(nil), '\n'), stdJSON(t, legacyRollup(r)); !bytes.Equal(got, want) {
+		if got, want := append(r.AppendJSON(nil), '\n'), stdJSON(t, legacyRollup(r)); !bytes.Equal(got, want) {
 			t.Errorf("rollup %d:\n got %s\nwant %s", i, got, want)
 		}
 	}
@@ -143,7 +143,7 @@ func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 		{Status: "ok", Reasons: []string{}, WatermarkT: math.MinInt64, Shards: []ShardStat{}},
 	}
 	for i, hs := range healths {
-		if got, want := append(hs.appendJSON(nil), '\n'), stdJSON(t, legacyHealth(hs)); !bytes.Equal(got, want) {
+		if got, want := append(hs.AppendJSON(nil), '\n'), stdJSON(t, legacyHealth(hs)); !bytes.Equal(got, want) {
 			t.Errorf("health %d:\n got %s\nwant %s", i, got, want)
 		}
 	}

@@ -2,13 +2,11 @@ package stream
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/serve"
@@ -16,43 +14,27 @@ import (
 )
 
 // ServeConfig bounds the live HTTP serving layer, mirroring the queryd
-// discipline: GET-only routes behind a concurrency limiter, a per-request
-// deadline, and request-size limits. Health stays outside the limiter so
-// an overloaded service can still report that it is overloaded.
+// discipline (both run on the serve.Kernel): GET-only routes behind a
+// concurrency limiter and a per-request deadline, the query string bounded
+// by serve.MaxQueryLen.
 type ServeConfig struct {
 	// Timeout is the per-request deadline (<= 0: 10 s).
 	Timeout time.Duration
 	// MaxConcurrent bounds in-flight requests; excess requests are shed
 	// with 503 (<= 0: 32).
 	MaxConcurrent int
-	// MaxWindows bounds the windows one rollup response may carry
-	// (<= 0: 4096).
-	MaxWindows int
-	// MaxQueryLen bounds the raw query string (<= 0: 4096).
-	MaxQueryLen int
 }
 
-func (c ServeConfig) withDefaults() ServeConfig {
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 32
-	}
-	if c.MaxWindows <= 0 {
-		c.MaxWindows = 4096
-	}
-	if c.MaxQueryLen <= 0 {
-		c.MaxQueryLen = 4096
-	}
-	return c
-}
+// maxRollupWindows bounds the windows one rollup response may carry: the
+// default depth of the rollup ring (Config.MaxWindows).
+const maxRollupWindows = 4096
 
-// handler serves the live JSON API over a Pipeline.
+// handler serves the live JSON API over a Pipeline: the routes on its mux,
+// each behind the kernel's guard.
 type handler struct {
-	p   *Pipeline
-	cfg ServeConfig
-	sem chan struct{}
+	*http.ServeMux
+	p      *Pipeline
+	kernel *serve.Kernel
 }
 
 // NewHandler returns the streamd HTTP API:
@@ -64,78 +46,22 @@ type handler struct {
 //	GET /api/v1/live/health        — ingest counters, watermark, degradation
 //	GET /healthz                   — liveness
 //
-// API routes run under the concurrency limiter and per-request timeout of
-// cfg; the health routes bypass both.
+// API routes run under the serving kernel's guard with the concurrency
+// limit and per-request timeout of cfg. The health routes bypass both: they
+// must answer precisely when the service is swamped.
 func NewHandler(p *Pipeline, cfg ServeConfig) http.Handler {
-	h := &handler{p: p, cfg: cfg.withDefaults()}
-	h.sem = make(chan struct{}, h.cfg.MaxConcurrent)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/api/v1/live/health", h.health)
-	mux.HandleFunc("/api/v1/live/rollup", h.guard(h.rollup))
-	mux.HandleFunc("/api/v1/live/edges", h.guard(h.edges))
-	mux.HandleFunc("/api/v1/live/bands", h.guard(h.bands))
-	mux.HandleFunc("/api/v1/live/earlywarning", h.guard(h.earlyWarning))
-	return mux
-}
-
-type apiError struct {
-	status int
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-// guard wraps an API route with method/size checks, load shedding and the
-// per-request timeout.
-func (h *handler) guard(fn func(ctx context.Context, r *http.Request) (any, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		if len(r.URL.RawQuery) > h.cfg.MaxQueryLen {
-			writeError(w, http.StatusRequestURITooLong,
-				fmt.Sprintf("query string over %d bytes", h.cfg.MaxQueryLen))
-			return
-		}
-		select {
-		case h.sem <- struct{}{}:
-			defer func() { <-h.sem }()
-		default:
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "live query concurrency limit reached")
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), h.cfg.Timeout)
-		defer cancel()
-		resp, err := fn(ctx, r)
-		if err != nil {
-			status, msg := errStatus(err)
-			writeError(w, status, msg)
-			return
-		}
-		if enc, ok := resp.(replyEncoder); ok {
-			writeEncoded(w, enc)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 10 * time.Second
 	}
-}
-
-func errStatus(err error) (int, string) {
-	var ae *apiError
-	switch {
-	case errors.As(err, &ae):
-		return ae.status, ae.msg
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "live query deadline exceeded"
-	default:
-		return http.StatusInternalServerError, err.Error()
-	}
+	h := &handler{ServeMux: http.NewServeMux(), p: p, kernel: serve.NewKernel(cfg.Timeout, cfg.MaxConcurrent, nil)}
+	guard := h.kernel.Guard
+	h.HandleFunc("/healthz", serve.Healthz)
+	h.HandleFunc("/api/v1/live/health", h.kernel.Unguarded(h.health))
+	h.HandleFunc("/api/v1/live/rollup", guard(h.rollup))
+	h.HandleFunc("/api/v1/live/edges", guard(h.edges))
+	h.HandleFunc("/api/v1/live/bands", guard(h.bands))
+	h.HandleFunc("/api/v1/live/earlywarning", guard(h.earlyWarning))
+	return h
 }
 
 // jfloat marshals NaN/Inf (legal in the pipeline, illegal in JSON) as
@@ -143,35 +69,10 @@ func errStatus(err error) (int, string) {
 // rollup and health replies use the same formatter directly.
 type jfloat = serve.Float
 
-// replyEncoder is a reply that appends itself to a buffer without
-// reflection, byte for byte what encoding/json (SetEscapeHTML(false))
-// produced for the reply value it replaced. The two polled routes — rollup
-// and health — answer this way; the others stay on encoding/json.
-type replyEncoder interface {
-	appendJSON(b []byte) []byte
-}
-
-// replyBufs recycles reply buffers; maxPooledReply keeps a rare multi-MB
-// rollup from pinning its buffer in the pool.
-var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledReply = 1 << 20
-
-// writeEncoded builds the whole body in a pooled buffer, so it goes out
-// with Content-Length in one Write.
-func writeEncoded(w http.ResponseWriter, r replyEncoder) {
-	bp := replyBufs.Get().(*[]byte)
-	b := append(r.appendJSON((*bp)[:0]), '\n')
-	hd := w.Header()
-	hd.Set("Content-Type", "application/json")
-	hd.Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
-	if cap(b) <= maxPooledReply {
-		*bp = b
-		replyBufs.Put(bp)
-	}
-}
+// The two polled routes — rollup and health — answer as serve.Encoder
+// replies, appending themselves to a pooled buffer without reflection, byte
+// for byte what encoding/json (SetEscapeHTML(false)) produced for the reply
+// value they replaced; the others stay on encoding/json.
 
 // --- /api/v1/live/rollup ---
 
@@ -192,9 +93,9 @@ func msbW(w *RollupWindow, g int) float64     { return w.MSBW[g] }
 func cabinetLabel(g int) string               { return "cabinet " + strconv.Itoa(g) }
 func msbLabel(g int) string                   { return topology.MSB(g).String() }
 
-// appendJSON writes {"group","step","windows_total","energy_j"} and then
+// AppendJSON writes {"group","step","windows_total","energy_j"} and then
 // `points` or `series`, each omitted when empty.
-func (r *rollupReply) appendJSON(b []byte) []byte {
+func (r *rollupReply) AppendJSON(b []byte) []byte {
 	b = serve.AppendKeyString(b, `{"group":`, r.group)
 	b = serve.AppendKeyInt(b, `,"step":`, r.snap.Step)
 	b = serve.AppendKeyInt(b, `,"windows_total":`, r.snap.Windows)
@@ -236,18 +137,17 @@ func appendPoints(b []byte, ws []RollupWindow, g int, val func(*RollupWindow, in
 	return append(b, ']')
 }
 
-func (h *handler) rollup(ctx context.Context, r *http.Request) (any, error) {
-	q := r.URL.Query()
+func (h *handler) rollup(ctx context.Context, q url.Values) (any, error) {
 	group := q.Get("group")
 	if group == "" {
 		group = "fleet"
 	}
-	limit, err := qInt(q.Get("limit"), 360)
+	limit, err := serve.QueryInt(q.Get("limit"), 360)
 	if err != nil {
 		return nil, err
 	}
-	if limit <= 0 || limit > int64(h.cfg.MaxWindows) {
-		limit = int64(h.cfg.MaxWindows)
+	if limit <= 0 || limit > maxRollupWindows {
+		limit = maxRollupWindows
 	}
 	out := &rollupReply{group: group}
 	switch group {
@@ -258,8 +158,8 @@ func (h *handler) rollup(ctx context.Context, r *http.Request) (any, error) {
 	case "msb":
 		out.val, out.label = msbW, msbLabel
 	default:
-		return nil, &apiError{http.StatusBadRequest,
-			fmt.Sprintf("unknown group %q (fleet, cabinet, msb)", group)}
+		return nil, &serve.Error{Status: http.StatusBadRequest,
+			Msg: fmt.Sprintf("unknown group %q (fleet, cabinet, msb)", group)}
 	}
 	out.snap = h.p.RollupSnapshot(int(limit))
 	out.groups = out.snap.Cabinets
@@ -278,9 +178,8 @@ type apiEdge struct {
 	DurationSec int64  `json:"duration_sec"`
 }
 
-func (h *handler) edges(ctx context.Context, r *http.Request) (any, error) {
-	q := r.URL.Query()
-	limit, err := qInt(q.Get("limit"), 256)
+func (h *handler) edges(ctx context.Context, q url.Values) (any, error) {
+	limit, err := serve.QueryInt(q.Get("limit"), 256)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +213,7 @@ type apiBand struct {
 	MeanShare jfloat `json:"mean_share,omitempty"`
 }
 
-func (h *handler) bands(ctx context.Context, r *http.Request) (any, error) {
+func (h *handler) bands(ctx context.Context, q url.Values) (any, error) {
 	snap := h.p.BandsSnapshot()
 	current := make([]apiBand, 0, len(snap.Summary))
 	summary := make([]apiBand, 0, len(snap.Summary))
@@ -351,7 +250,7 @@ type apiPrecursor struct {
 	MedianLeadSec int64  `json:"median_lead_sec"`
 }
 
-func (h *handler) earlyWarning(ctx context.Context, r *http.Request) (any, error) {
+func (h *handler) earlyWarning(ctx context.Context, q url.Values) (any, error) {
 	stats := h.p.EarlyWarningSnapshot()
 	out := make([]apiPrecursor, len(stats))
 	for i, st := range stats {
@@ -367,21 +266,17 @@ func (h *handler) earlyWarning(ctx context.Context, r *http.Request) (any, error
 
 // --- /api/v1/live/health ---
 
-// health reports ingest counters and degradation without the limiter or
-// deadline: the route must answer precisely when the service is swamped.
-func (h *handler) health(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+// health reports ingest counters and degradation; it is mounted outside
+// the limiter and the deadline (serve.Kernel.Unguarded).
+func (h *handler) health() serve.Encoder {
 	hs := h.p.Health()
-	writeEncoded(w, &hs)
+	return &hs
 }
 
-// appendJSON writes the health object with its keys in alphabetical order
+// AppendJSON writes the health object with its keys in alphabetical order
 // (the reply used to be a map): `reasons` is null while healthy and
 // `watermark_t` null before any data.
-func (hs *HealthState) appendJSON(b []byte) []byte {
+func (hs *HealthState) AppendJSON(b []byte) []byte {
 	b = serve.AppendKeyInt(b, `{"channel_windows":`, hs.Ingest.ChannelWindows)
 	b = serve.AppendKeyInt(b, `,"dropped":`, hs.Ingest.Dropped)
 	b = serve.AppendKeyInt(b, `,"events":`, hs.Ingest.Events)
@@ -420,29 +315,4 @@ func (hs *HealthState) appendJSON(b []byte) []byte {
 		b = strconv.AppendInt(b, hs.WatermarkT, 10)
 	}
 	return append(b, '}')
-}
-
-// --- helpers ---
-
-func qInt(s string, def int64) (int64, error) {
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, &apiError{http.StatusBadRequest, fmt.Sprintf("bad integer %q", s)}
-	}
-	return v, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

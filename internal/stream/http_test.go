@@ -7,8 +7,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/failures"
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/telemetry"
 )
 
@@ -150,7 +153,7 @@ func TestHTTPGapWindowsAreNull(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	p := servedPipeline(t)
-	srv := httptest.NewServer(NewHandler(p, ServeConfig{MaxQueryLen: 32}))
+	srv := httptest.NewServer(NewHandler(p, ServeConfig{}))
 	defer srv.Close()
 
 	check := func(path, method string, want int) {
@@ -178,31 +181,51 @@ func TestHTTPErrors(t *testing.T) {
 	check("/api/v1/live/edges?limit=x", http.MethodGet, http.StatusBadRequest)
 	check("/api/v1/live/rollup", http.MethodPost, http.StatusMethodNotAllowed)
 	check("/api/v1/live/health", http.MethodPost, http.StatusMethodNotAllowed)
-	check("/api/v1/live/rollup?pad="+strings.Repeat("x", 64), http.MethodGet,
+	check("/api/v1/live/rollup?pad="+strings.Repeat("x", serve.MaxQueryLen), http.MethodGet,
 		http.StatusRequestURITooLong)
 }
 
-// TestHTTPShedsAtConcurrencyLimit fills the limiter directly and checks
-// the guard sheds with 503 + Retry-After instead of queueing.
-func TestHTTPShedsAtConcurrencyLimit(t *testing.T) {
+// TestKernelContract: streamd's routes refuse, shed, time out and fail the
+// way the shared serving kernel says.
+func TestKernelContract(t *testing.T) {
 	p := servedPipeline(t)
-	h := &handler{p: p, cfg: ServeConfig{MaxConcurrent: 1}.withDefaults()}
-	h.sem = make(chan struct{}, 1)
-	h.sem <- struct{}{} // occupy the only slot
+	servetest.Contract(t, servetest.Service{
+		New: func(timeout time.Duration, maxConcurrent int) (http.Handler, *serve.Kernel) {
+			h := NewHandler(p, ServeConfig{Timeout: timeout, MaxConcurrent: maxConcurrent}).(*handler)
+			return h, h.kernel
+		},
+		OK:     "/api/v1/live/rollup?group=cabinet",
+		BadInt: "/api/v1/live/edges?limit=x",
+	})
+}
 
-	rec := httptest.NewRecorder()
-	h.guard(h.rollup)(rec, httptest.NewRequest(http.MethodGet, "/api/v1/live/rollup", nil))
+// TestHTTPShedsAtConcurrencyLimit: with the only slot taken an API route is
+// shed with 503 + Retry-After instead of queueing, while both health routes
+// — outside the limiter — still answer.
+func TestHTTPShedsAtConcurrencyLimit(t *testing.T) {
+	h := NewHandler(servedPipeline(t), ServeConfig{MaxConcurrent: 1}).(*handler)
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	release := servetest.Occupy(t, h.kernel) // the only slot
+
+	rec := get("/api/v1/live/rollup")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", rec.Code)
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("shed response missing Retry-After")
 	}
+	for _, path := range []string{"/api/v1/live/health", "/healthz"} {
+		if rec := get(path); rec.Code != http.StatusOK {
+			t.Errorf("%s while shedding = %d, want 200", path, rec.Code)
+		}
+	}
 
-	<-h.sem // release; the same request must now succeed
-	rec = httptest.NewRecorder()
-	h.guard(h.rollup)(rec, httptest.NewRequest(http.MethodGet, "/api/v1/live/rollup", nil))
-	if rec.Code != http.StatusOK {
+	release() // the same request must now succeed
+	if rec := get("/api/v1/live/rollup"); rec.Code != http.StatusOK {
 		t.Fatalf("status after release = %d, want 200", rec.Code)
 	}
 }
