@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke bench-report clean
+.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke bench-report loc clean
 
 all: check
 
@@ -60,7 +60,7 @@ streamd:
 check: build fmt vet lint test stream-check race
 
 # ci mirrors .github/workflows/ci.yml, step for step (the SARIF upload
-# aside).
+# and the pull-request-only bench-ab against the merge base aside).
 ci: fmt vet lint build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke
 
 bench:
@@ -242,6 +242,11 @@ scenario-smoke:
 # BENCH_*.json baseline.
 bench-report:
 	$(GO) run ./cmd/benchjson -report BENCH_REPORT.md
+
+# loc prints the non-test source line count simplicity PRs are judged on:
+# every .go file outside bench/, examples/, testdata/ and the _test files.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

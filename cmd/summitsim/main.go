@@ -152,33 +152,11 @@ func main() {
 		return
 	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	var data *repro.RunData
-	var res *repro.Result
-	var err error
+	var attach []core.Attach
 	if *nodeData {
-		s, nerr := sim.New(cfg)
-		if nerr != nil {
-			log.Fatal(nerr)
-		}
-		if err := cfg.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		col := core.NewCollector(s, cfg)
-		nw, nerr := core.NewNodeDatasetWriter(*out, cfg.Nodes, cfg.Site)
-		if nerr != nil {
-			log.Fatal(nerr)
-		}
-		res, err = s.Run(col, nw)
-		if err == nil {
-			err = nw.Close()
-		}
-		if err == nil {
-			col.SetFailures(res.Failures)
-			data = col.Data()
-		}
-	} else {
-		data, res, err = repro.Simulate(cfg)
+		attach = append(attach, core.AttachNodeDataset(*out))
 	}
+	data, res, err := core.CollectRun(cfg, attach...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/source"
 	"repro/internal/store"
 	"repro/internal/units"
 )
@@ -53,11 +54,14 @@ func main() {
 		res.Steps, len(res.Allocations), len(res.Failures), float64(total)/1024)
 
 	// --- Analysis pass: restore and analyze without the live run. ---
-	series, err := core.ReadClusterDataset(dir, cfg.StepSec)
+	src, err := repro.OpenArchive(repro.ArchiveConfig{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
-	power := series["sum_inp"]
+	power, err := src.Series(source.SeriesClusterPower)
+	if err != nil {
+		log.Fatal(err)
+	}
 	m := power.Stats()
 	fmt.Printf("restored cluster power: %d windows, mean %.1f kW, max %.1f kW\n",
 		m.N, m.Mean()/units.WattsPerKW, m.Max/units.WattsPerKW)
@@ -65,7 +69,7 @@ func main() {
 	edges := core.DetectEdgesThreshold(power, core.ScaleEquivalentMW(cfg.Nodes))
 	fmt.Printf("scale-equivalent-MW edges on restored series: %d\n", len(edges))
 
-	evs, err := core.ReadFailureDataset(dir)
+	evs, err := src.Failures()
 	if err != nil {
 		log.Fatal(err)
 	}

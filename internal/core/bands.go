@@ -47,13 +47,8 @@ type BandSummary struct {
 	MeanShare float64 // MeanGPUs / total GPUs
 }
 
-// ThermalBandSummary reduces the per-window band counts to the §2
-// dashboard view. totalGPUs is nodes × 6.
-func ThermalBandSummary(d *RunData) ([]BandSummary, error) {
-	return thermalBandsFrom(d.GPUTempBands, d.Nodes)
-}
-
-// thermalBandsFrom is the series-level reduction both data planes share.
+// thermalBandsFrom reduces the per-window band counts to the §2 dashboard
+// view; total GPUs is nodes × 6.
 func thermalBandsFrom(bands [NumTempBands]*tsagg.Series, nodes int) ([]BandSummary, error) {
 	if bands[0] == nil {
 		return nil, fmt.Errorf("core: run data has no band series")

@@ -33,7 +33,7 @@ func TestTempBandLabels(t *testing.T) {
 
 func TestThermalBandSummary(t *testing.T) {
 	d := testData(t)
-	rows, err := ThermalBandSummary(d)
+	rows, err := ThermalBandsFromSource(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"io"
 	"math"
 
 	"repro/internal/failures"
@@ -358,20 +359,40 @@ func (c *Collector) SetFailures(evs []failures.Event) { c.data.Failures = evs }
 // Data returns the accumulated run data.
 func (c *Collector) Data() *RunData { return c.data }
 
-// CollectRun is the convenience path: build a sim from cfg, run it with a
-// collector attached, and return the run data plus the sim result.
-func CollectRun(cfg sim.Config) (*RunData, *sim.Result, error) {
+// Attach builds one extra observer for a run once its sim exists (the
+// variability collector sizes itself from the sim's allocations).
+type Attach func(s *sim.Sim) (sim.Observer, error)
+
+// CollectRun is the one run-and-collect sequence: build the sim from cfg,
+// attach the standard collector plus the extra observers, run, and return
+// the run data with the sim result. An attach error aborts before the run
+// starts; after a successful run every extra observer that holds files (an
+// io.Closer, such as the node-dataset writer) is closed and its error
+// reported.
+func CollectRun(cfg sim.Config, attach ...Attach) (*RunData, *sim.Result, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+	col := NewCollector(s, s.Config())
+	observers := []sim.Observer{col}
+	for _, a := range attach {
+		o, err := a(s)
+		if err != nil {
+			return nil, nil, err
+		}
+		observers = append(observers, o)
 	}
-	col := NewCollector(s, cfg)
-	res, err := s.Run(col)
+	res, err := s.Run(observers...)
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, o := range observers[1:] {
+		if c, ok := o.(io.Closer); ok {
+			if err := c.Close(); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
 	col.SetFailures(res.Failures)
 	return col.Data(), res, nil

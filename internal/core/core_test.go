@@ -79,7 +79,7 @@ func TestCollectRunBasics(t *testing.T) {
 
 func TestFigure4Validation(t *testing.T) {
 	d := testData(t)
-	rep, err := Figure4Validation(d)
+	rep, err := ValidationFromSource(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +268,12 @@ func TestFigure12ThermalResponse(t *testing.T) {
 
 func TestSteepestSwings(t *testing.T) {
 	d := testData(t)
-	rise, fall := SteepestSwings(d)
-	if rise < 0 || fall > 0 {
-		t.Errorf("swings = %v / %v", rise, fall)
+	rep, err := SwingsFromSource(d.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MaxRiseW < 0 || rep.MaxFallW > 0 {
+		t.Errorf("swings = %v / %v", rep.MaxRiseW, rep.MaxFallW)
 	}
 }
 

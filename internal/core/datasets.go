@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/failures"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/store"
@@ -198,87 +196,6 @@ func writeFailureDataset(dir string, d *RunData) error {
 	return ds.WriteDay(0, tab)
 }
 
-// ReadClusterDataset loads the archived cluster series back into aligned
-// Series keyed by column name.
-func ReadClusterDataset(dir string, stepSec int64) (map[string]*tsagg.Series, error) {
-	ds, err := store.NewDataset(dir, DatasetClusterPower)
-	if err != nil {
-		return nil, err
-	}
-	days, err := ds.Days()
-	if err != nil {
-		return nil, err
-	}
-	if len(days) == 0 {
-		return nil, fmt.Errorf("core: no cluster dataset partitions in %s", dir)
-	}
-	out := map[string]*tsagg.Series{}
-	for _, day := range days {
-		tab, err := ds.ReadDay(day)
-		if err != nil {
-			return nil, err
-		}
-		tsCol := tab.Col("timestamp")
-		if tsCol == nil || !tsCol.IsInt() || len(tsCol.Ints) == 0 {
-			continue
-		}
-		for _, col := range tab.Cols {
-			if col.IsInt() {
-				continue
-			}
-			s, ok := out[col.Name]
-			if !ok {
-				s = tsagg.NewSeries(tsCol.Ints[0], stepSec, 0)
-				out[col.Name] = s
-			}
-			// Extend storage to cover this day's span.
-			for i, tv := range tsCol.Ints {
-				idx := int((tv - s.Start) / stepSec)
-				for idx >= len(s.Vals) {
-					s.Vals = append(s.Vals, math.NaN())
-				}
-				if idx >= 0 {
-					s.Vals[idx] = col.Floats[i]
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// ReadFailureDataset loads the archived failure log.
-func ReadFailureDataset(dir string) ([]failures.Event, error) {
-	ds, err := store.NewDataset(dir, DatasetFailures)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := ds.ReadDay(0)
-	if err != nil {
-		return nil, err
-	}
-	get := func(name string) *store.Column {
-		return tab.Col(name)
-	}
-	ts, node, slot, typ, job := get("timestamp"), get("node"), get("slot"), get("xid_type"), get("allocation_id")
-	temp, z := get("gpu_core_temp"), get("temp_zscore")
-	if ts == nil || node == nil || slot == nil || typ == nil || job == nil || temp == nil || z == nil {
-		return nil, fmt.Errorf("core: failure dataset missing columns")
-	}
-	out := make([]failures.Event, tab.NumRows())
-	for i := range out {
-		out[i] = failures.Event{
-			Time:  ts.Ints[i],
-			Node:  topology.NodeID(node.Ints[i]),
-			Slot:  topology.GPUSlot(slot.Ints[i]),
-			Type:  failures.Type(typ.Ints[i]),
-			JobID: job.Ints[i],
-			TempC: temp.Floats[i],
-			TempZ: z.Floats[i],
-		}
-	}
-	return out, nil
-}
-
 // DatasetNodePower is the per-node window dataset (the paper's Dataset 0:
 // per-node per-component 10-second aggregates). It is opt-in because its
 // volume scales with nodes × windows.
@@ -336,6 +253,15 @@ func NewNodeDatasetWriter(dir string, nodes int, site string) (*NodeDatasetWrite
 		}
 	}
 	return w, nil
+}
+
+// AttachNodeDataset is the CollectRun attachment that archives the run's
+// per-node dataset into dir, on the run's own floor.
+func AttachNodeDataset(dir string) Attach {
+	return func(s *sim.Sim) (sim.Observer, error) {
+		cfg := s.Config()
+		return NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	}
 }
 
 // Observe implements sim.Observer.
@@ -408,84 +334,4 @@ func (w *NodeDatasetWriter) flushRollup() error {
 func (w *NodeDatasetWriter) Close() error {
 	w.flush()
 	return w.err
-}
-
-// ReadNodeDataset loads one day's per-node windows back, grouped by node.
-func ReadNodeDataset(dir string, day int) (map[int][]tsagg.WindowStat, error) {
-	ds, err := store.NewDataset(dir, DatasetNodePower)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := ds.ReadDay(day)
-	if err != nil {
-		return nil, err
-	}
-	ts, node := tab.Col("timestamp"), tab.Col("node")
-	count := tab.Col("input_power.count")
-	minC, maxC := tab.Col("input_power.min"), tab.Col("input_power.max")
-	meanC, stdC := tab.Col("input_power.mean"), tab.Col("input_power.std")
-	if ts == nil || node == nil || count == nil || minC == nil ||
-		maxC == nil || meanC == nil || stdC == nil {
-		return nil, fmt.Errorf("core: node dataset missing columns")
-	}
-	out := map[int][]tsagg.WindowStat{}
-	for i := 0; i < tab.NumRows(); i++ {
-		n := int(node.Ints[i])
-		out[n] = append(out[n], tsagg.WindowStat{
-			T: ts.Ints[i], Count: count.Ints[i],
-			Min: minC.Floats[i], Max: maxC.Floats[i],
-			Mean: meanC.Floats[i], Std: stdC.Floats[i],
-		})
-	}
-	return out, nil
-}
-
-// JobDatasetRow is one row of the archived job-records dataset.
-type JobDatasetRow struct {
-	AllocationID int64
-	Class        int
-	Domain       int
-	Nodes        int
-	BeginTime    int64
-	EndTime      int64
-	MaxPowerW    float64
-	MeanPowerW   float64
-	EnergyJ      float64
-}
-
-// ReadJobDataset loads the archived job records.
-func ReadJobDataset(dir string) ([]JobDatasetRow, error) {
-	ds, err := store.NewDataset(dir, DatasetJobRecords)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := ds.ReadDay(0)
-	if err != nil {
-		return nil, err
-	}
-	need := []string{"allocation_id", "class", "domain", "num_nodes",
-		"begin_time", "end_time", "max_sum_inp", "mean_sum_inp", "energy"}
-	cols := map[string]*store.Column{}
-	for _, name := range need {
-		c := tab.Col(name)
-		if c == nil {
-			return nil, fmt.Errorf("core: job dataset missing column %q", name)
-		}
-		cols[name] = c
-	}
-	out := make([]JobDatasetRow, tab.NumRows())
-	for i := range out {
-		out[i] = JobDatasetRow{
-			AllocationID: cols["allocation_id"].Ints[i],
-			Class:        int(cols["class"].Ints[i]),
-			Domain:       int(cols["domain"].Ints[i]),
-			Nodes:        int(cols["num_nodes"].Ints[i]),
-			BeginTime:    cols["begin_time"].Ints[i],
-			EndTime:      cols["end_time"].Ints[i],
-			MaxPowerW:    cols["max_sum_inp"].Floats[i],
-			MeanPowerW:   cols["mean_sum_inp"].Floats[i],
-			EnergyJ:      cols["energy"].Floats[i],
-		}
-	}
-	return out, nil
 }

@@ -1,7 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -26,14 +32,14 @@ func TestWriteReadDatasets(t *testing.T) {
 	if err := WriteDatasets(dir, d); err != nil {
 		t.Fatal(err)
 	}
-	// Cluster series round trip.
-	series, err := ReadClusterDataset(dir, d.StepSec)
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	power, ok := series["sum_inp"]
-	if !ok {
-		t.Fatal("sum_inp column missing")
+	// Cluster series round trip.
+	power, err := src.Series(source.SeriesClusterPower)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if power.Len() < d.ClusterPower.Len() {
 		t.Fatalf("restored %d windows, want >= %d", power.Len(), d.ClusterPower.Len())
@@ -45,13 +51,14 @@ func TestWriteReadDatasets(t *testing.T) {
 			t.Fatalf("window %d: %v != %v", i, got, want)
 		}
 	}
-	for _, name := range []string{"pue", "mtwst", "mtwrt", "tower_tons", "gpu_core_temp_max"} {
-		if _, ok := series[name]; !ok {
-			t.Errorf("column %q missing from cluster dataset", name)
+	for _, name := range []string{source.SeriesPUE, source.SeriesSupplyC, source.SeriesReturnC,
+		source.SeriesTowerTons, source.SeriesGPUTempMax} {
+		if _, err := src.Series(name); err != nil {
+			t.Errorf("column %q missing from cluster dataset: %v", name, err)
 		}
 	}
 	// Failure log round trip.
-	evs, err := ReadFailureDataset(dir)
+	evs, err := src.Failures()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +90,17 @@ func TestWriteReadDatasets(t *testing.T) {
 
 func TestReadDatasetsErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := ReadClusterDataset(dir, 10); err == nil {
+	if _, err := source.OpenArchive(source.ArchiveConfig{Dir: dir}); err == nil {
 		t.Error("empty dir read succeeded")
 	}
-	if _, err := ReadFailureDataset(dir); err == nil {
+	if err := writeClusterDataset(dir, testData(t)); err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Failures(); err == nil {
 		t.Error("missing failure dataset read succeeded")
 	}
 }
@@ -94,21 +108,18 @@ func TestReadDatasetsErrors(t *testing.T) {
 func TestNodeDatasetWriter(t *testing.T) {
 	dir := t.TempDir()
 	cfg := simConfigForNodeDataset()
-	s, err := simNew(cfg)
+	d, _, err := CollectRun(cfg, AttachNodeDataset(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	if err := WriteDatasets(dir, d); err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	byNode, err := ReadNodeDataset(dir, 0)
+	byNode, err := src.NodeWindows(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +137,111 @@ func TestNodeDatasetWriter(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ReadNodeDataset(dir, 7); err == nil {
+	if _, err := src.NodeWindows(7); err == nil {
 		t.Error("missing day read succeeded")
+	}
+}
+
+// TestCollectRunAttach pins what every former hand-rolled run-and-collect
+// copy relied on: an attached node writer produces byte-for-byte the
+// partitions CollectFleet writes for the same config as a one-member
+// fleet, attaching observers does not perturb the collected run, and an
+// attach constructor that fails aborts before anything runs.
+func TestCollectRunAttach(t *testing.T) {
+	cfg := simConfigForNodeDataset()
+	plain, plainRes, err := CollectRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, fleetDir := t.TempDir(), t.TempDir()
+	got, gotRes, err := CollectRun(cfg, AttachNodeDataset(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CollectFleet([]sim.Config{cfg}, 1, func(int) string { return fleetDir }); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(fleetDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodeParts, rollupParts int
+	for _, name := range names {
+		base := filepath.Base(name)
+		switch {
+		case strings.HasPrefix(base, source.RollupDatasetName(DatasetNodePower)+"-day"):
+			rollupParts++
+		case strings.HasPrefix(base, DatasetNodePower+"-day"):
+			nodeParts++
+		}
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := os.ReadFile(filepath.Join(dir, base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, have) {
+			t.Errorf("%s differs between CollectRun attach and CollectFleet", base)
+		}
+	}
+	if nodeParts == 0 || nodeParts != rollupParts {
+		t.Fatalf("fleet wrote %d node-power and %d rollup partitions", nodeParts, rollupParts)
+	}
+	if mine, _ := filepath.Glob(filepath.Join(dir, "*")); len(mine) != len(names) {
+		t.Errorf("attach wrote %d files, fleet wrote %d", len(mine), len(names))
+	}
+
+	// The attached run is the same run.
+	if fmt.Sprintf("%+v", plainRes) != fmt.Sprintf("%+v", gotRes) {
+		t.Error("sim result differs with an observer attached")
+	}
+	assertRunDataBitEqual(t, plain, got)
+
+	// A failing constructor aborts before the run: later attachments are
+	// never built and nothing observes a window.
+	boom := errors.New("boom")
+	built, observed := false, false
+	_, _, err = CollectRun(cfg,
+		func(*sim.Sim) (sim.Observer, error) {
+			return sim.ObserverFunc(func(*sim.Snapshot) { observed = true }), nil
+		},
+		func(*sim.Sim) (sim.Observer, error) { return nil, boom },
+		func(*sim.Sim) (sim.Observer, error) { built = true; return nil, nil },
+	)
+	if !errors.Is(err, boom) {
+		t.Errorf("attach error = %v, want boom", err)
+	}
+	if built || observed {
+		t.Errorf("run continued past a failed attach (built=%v observed=%v)", built, observed)
+	}
+}
+
+// assertRunDataBitEqual compares every series of two runs at tolerance 0
+// through the source plane's name table, plus the job and failure logs.
+func assertRunDataBitEqual(t *testing.T, a, b *RunData) {
+	t.Helper()
+	sa, sb := a.Source(), b.Source()
+	if len(sa.SeriesByName) == 0 || len(sa.SeriesByName) != len(sb.SeriesByName) {
+		t.Fatalf("series sets differ: %d vs %d", len(sa.SeriesByName), len(sb.SeriesByName))
+	}
+	for name, x := range sa.SeriesByName {
+		y := sb.SeriesByName[name]
+		if y == nil || x.Len() != y.Len() || x.Start != y.Start || x.Step != y.Step {
+			t.Fatalf("series %q shape differs", name)
+		}
+		for i := range x.Vals {
+			if math.Float64bits(x.Vals[i]) != math.Float64bits(y.Vals[i]) {
+				t.Fatalf("series %q window %d: %v != %v", name, i, x.Vals[i], y.Vals[i])
+			}
+		}
+	}
+	if fmt.Sprintf("%+v", sa.Jobs) != fmt.Sprintf("%+v", sb.Jobs) {
+		t.Error("job records differ")
+	}
+	if fmt.Sprintf("%+v", sa.Events) != fmt.Sprintf("%+v", sb.Events) {
+		t.Error("failure logs differ")
 	}
 }
 

@@ -79,7 +79,7 @@ func TestDropoutAnalysesStillRun(t *testing.T) {
 		}
 	}
 	_ = Figure10Dynamics(d)
-	rows, err := ThermalBandSummary(d)
+	rows, err := ThermalBandsFromSource(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,14 +143,9 @@ func ClusterEdgeThresholdMW(nodes int) float64 {
 	return float64(units.EdgeThresholdPerNode) * float64(nodes) / units.WattsPerMW
 }
 
-// SteepestSwings returns the largest single-window rise and fall (W) on
-// the cluster power series, matching the paper's complementary statistic
+// steepestSwings returns the largest single-window rise and fall (W) on a
+// power series, matching the paper's complementary statistic
 // (+5.79 MW / −5.89 MW at full scale).
-func SteepestSwings(d *RunData) (maxRise, maxFall float64) {
-	return steepestSwings(d.ClusterPower)
-}
-
-// steepestSwings is the series-level scan both data planes share.
 func steepestSwings(s *tsagg.Series) (maxRise, maxFall float64) {
 	for i := 1; i < s.Len(); i++ {
 		a, b := s.Vals[i-1], s.Vals[i]

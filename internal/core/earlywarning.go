@@ -41,7 +41,7 @@ type PrecursorStats struct {
 // EarlyWarning evaluates precursor→outcome prediction over a failure log.
 // gpuWindows is the total number of (GPU, window) observation slots used
 // for the base rate: pass activeGPUs × (spanSec / windowSec); the analysis
-// derives it from the run data in EarlyWarningFromRun.
+// derives it from the run dimensions in EarlyWarningFromSource.
 func EarlyWarning(evs []failures.Event, precursor, outcome failures.Type,
 	windowSec int64, gpuWindows float64) (*PrecursorStats, error) {
 	if windowSec <= 0 {
@@ -106,18 +106,10 @@ func EarlyWarning(evs []failures.Event, precursor, outcome failures.Type,
 	return st, nil
 }
 
-// EarlyWarningFromRun evaluates the paper's headline pair (microcontroller
-// warning → driver error-handling exception) plus the double-bit-error
-// retirement chain over a run, deriving the observation denominator from
-// the run dimensions.
-func EarlyWarningFromRun(d *RunData, windowSec int64) ([]PrecursorStats, error) {
-	spanSec := int64(d.ClusterPower.Len()) * d.StepSec
-	return earlyWarningPairs(d.Failures, d.Nodes, spanSec, windowSec)
-}
-
-// earlyWarningPairs evaluates the paper's precursor→outcome pairs over any
-// failure log, deriving the observation denominator from the run span and
-// system size. Both data planes share this path.
+// earlyWarningPairs evaluates the paper's precursor→outcome pairs — the
+// headline microcontroller warning → driver error-handling exception, plus
+// the double-bit-error retirement chain — over a failure log, deriving the
+// observation denominator from the run span and system size.
 func earlyWarningPairs(evs []failures.Event, nodes int, spanSec, windowSec int64) ([]PrecursorStats, error) {
 	if windowSec <= 0 {
 		windowSec = 3600

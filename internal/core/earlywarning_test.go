@@ -81,7 +81,7 @@ func TestEarlyWarningErrors(t *testing.T) {
 
 func TestEarlyWarningFromRun(t *testing.T) {
 	d := testData(t)
-	stats, err := EarlyWarningFromRun(d, 3600)
+	stats, err := EarlyWarningFromSource(d.Source(), 3600)
 	if err != nil {
 		t.Fatal(err)
 	}

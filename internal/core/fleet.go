@@ -14,8 +14,8 @@ type FleetRun struct {
 	Result *sim.Result
 }
 
-// CollectFleet simulates every cluster config concurrently on one worker
-// pool and collects each run. Each cluster is an independent simulation —
+// CollectFleet simulates every cluster config concurrently through
+// CollectRun. Each cluster is an independent simulation —
 // own seed, own preset, own floor — so runs are embarrassingly parallel
 // and each cluster's output is bit-identical to simulating it alone.
 // nodeDataDir, when non-nil, names the directory that receives cluster i's
@@ -37,54 +37,20 @@ func CollectFleet(cfgs []sim.Config, workers int, nodeDataDir func(i int) string
 			seen[name] = true
 		}
 	}
-	if workers <= 0 || workers > len(cfgs) {
-		workers = len(cfgs)
+	if workers > 0 {
+		workers = min(workers, parallel.DefaultWorkers())
 	}
-	if max := parallel.DefaultWorkers(); workers > max {
-		workers = max
-	}
-	runs := make([]FleetRun, len(cfgs))
-	errs := make([]error, len(cfgs))
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	pool.ForEach(len(cfgs), func(i int) {
-		runs[i], errs[i] = collectOne(cfgs[i], nodeDataDir, i)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return runs, nil
-}
-
-// collectOne is CollectRun plus the optional per-node dataset attachment.
-func collectOne(cfg sim.Config, nodeDataDir func(i int) string, i int) (FleetRun, error) {
-	wrap := func(err error) error {
-		return fmt.Errorf("core: cluster %d (%s): %w", i, cfg.Cluster, err)
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		return FleetRun{}, wrap(err)
-	}
-	col := NewCollector(s, cfg)
-	observers := []sim.Observer{col}
-	var nw *NodeDatasetWriter
-	if nodeDataDir != nil {
-		if dir := nodeDataDir(i); dir != "" {
-			if nw, err = NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site); err != nil {
-				return FleetRun{}, wrap(err)
+	return parallel.MapErr(len(cfgs), workers, func(i int) (FleetRun, error) {
+		var attach []Attach
+		if nodeDataDir != nil {
+			if dir := nodeDataDir(i); dir != "" {
+				attach = append(attach, AttachNodeDataset(dir))
 			}
-			observers = append(observers, nw)
 		}
-	}
-	res, err := s.Run(observers...)
-	if err != nil {
-		return FleetRun{}, wrap(err)
-	}
-	if nw != nil {
-		if err := nw.Close(); err != nil {
-			return FleetRun{}, wrap(err)
+		d, res, err := CollectRun(cfgs[i], attach...)
+		if err != nil {
+			return FleetRun{}, fmt.Errorf("core: cluster %d (%s): %w", i, cfgs[i].Cluster, err)
 		}
-	}
-	col.SetFailures(res.Failures)
-	return FleetRun{Data: col.Data(), Result: res}, nil
+		return FleetRun{Data: d, Result: res}, nil
+	})
 }

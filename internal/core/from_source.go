@@ -73,7 +73,7 @@ func SwingsFromSource(src source.RunSource) (*SwingReport, error) {
 	if f, amp, ok := dsp.DominantSwing(vals, rate); ok {
 		rep.DominantFreqHz, rep.DominantAmpW, rep.HasDominant = f, amp, true
 	}
-	if len(vals) < 2 {
+	if len(vals) < 3 { // the differenced series needs two samples for a spectrum
 		return rep, nil
 	}
 	spec, err := dsp.NewSpectrum(dsp.Diff(vals), rate)

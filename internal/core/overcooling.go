@@ -32,12 +32,7 @@ type OvercoolingReport struct {
 
 const postFallWindowSec = 600
 
-// Overcooling computes the report from a run's cooling and power series.
-func Overcooling(d *RunData) (*OvercoolingReport, error) {
-	return overcoolingFrom(d.ClusterTruePower, d.TowerTons, d.ChillerTons, d.Nodes, d.StepSec)
-}
-
-// overcoolingFrom is the series-level computation both data planes share.
+// overcoolingFrom computes the report from a run's cooling and power series.
 func overcoolingFrom(truePower, towerTonsS, chillerTonsS *tsagg.Series, nodes int, stepSec int64) (*OvercoolingReport, error) {
 	if towerTonsS == nil || chillerTonsS == nil || truePower == nil {
 		return nil, fmt.Errorf("core: run data missing cooling series")

@@ -4,7 +4,7 @@ import "testing"
 
 func TestOvercooling(t *testing.T) {
 	d := testData(t)
-	rep, err := Overcooling(d)
+	rep, err := OvercoolingFromSource(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +31,7 @@ func TestOvercooling(t *testing.T) {
 }
 
 func TestOvercoolingErrors(t *testing.T) {
-	if _, err := Overcooling(&RunData{
-		TowerTons:        nil,
-		ClusterTruePower: nil,
-	}); err == nil {
+	if _, err := OvercoolingFromSource((&RunData{}).Source()); err == nil {
 		t.Error("empty run data accepted")
 	}
 }

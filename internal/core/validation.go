@@ -33,13 +33,8 @@ type ValidationReport struct {
 	DiffSamples []float64
 }
 
-// Figure4Validation compares the per-node summation against the MSB meters
-// over the run.
-func Figure4Validation(d *RunData) (*ValidationReport, error) {
-	return validationFrom(d.MeterPower, d.MSBSensorSum)
-}
-
-// validationFrom is the series-level comparison both data planes share.
+// validationFrom compares the per-node summation against the MSB meters
+// over the run (Figure 4).
 func validationFrom(meters, sums []*tsagg.Series) (*ValidationReport, error) {
 	if len(meters) == 0 || len(meters) != len(sums) {
 		return nil, fmt.Errorf("core: run data has no meter series")

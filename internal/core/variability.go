@@ -167,7 +167,7 @@ func Figure17Variability(vc *VariabilityCollector, k int) (*VariabilityReport, e
 	var peakPower float64
 	var peakView *InstantView
 	for i := 0; i < k; i++ {
-		fi := i * (len(vc.Frames) - 1) / maxInt(k-1, 1)
+		fi := i * (len(vc.Frames) - 1) / max(k-1, 1)
 		f := &vc.Frames[fi]
 		var power, temp []float64
 		meanCab := map[int]*stats.Moments{}
@@ -214,11 +214,4 @@ func Figure17Variability(vc *VariabilityCollector, k int) (*VariabilityReport, e
 		rep.TempSpreadC = peakView.TempBox.NonOutlierSpread()
 	}
 	return rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -110,6 +110,9 @@ const (
 
 // Validate checks the tuning's bounds. Zero fields (defaults) always pass.
 func (t Tuning) Validate() error {
+	if !units.Finite(t.SupplySetpointC) {
+		return fmt.Errorf("%w: non-finite supply setpoint %g °C", ErrTuning, t.SupplySetpointC)
+	}
 	if t.SupplySetpointC < 0 {
 		return fmt.Errorf("%w: negative supply setpoint %g °C", ErrTuning, t.SupplySetpointC)
 	}
@@ -129,6 +132,9 @@ func (t Tuning) Validate() error {
 		{"stage-up fraction", t.StageUpFrac, 2},
 		{"stage-down fraction", t.StageDownFrac, 2},
 	} {
+		if !units.Finite(f.v) {
+			return fmt.Errorf("%w: non-finite %s %g", ErrTuning, f.name, f.v)
+		}
 		if f.v < 0 {
 			return fmt.Errorf("%w: negative %s %g", ErrTuning, f.name, f.v)
 		}

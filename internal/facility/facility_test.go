@@ -389,6 +389,10 @@ func TestTuningValidate(t *testing.T) {
 		{"inverted staging", Tuning{StageUpFrac: 0.9, StageDownFrac: 0.95}, false},
 		{"inverted vs default up", Tuning{StageDownFrac: 1.1}, false},
 		{"valid staging", Tuning{StageUpFrac: 1.05, StageDownFrac: 0.8}, true},
+		{"NaN setpoint", Tuning{SupplySetpointC: math.NaN()}, false},
+		{"NaN kw/ton", Tuning{TowerKWPerTon: math.NaN()}, false},
+		{"NaN unit tons", Tuning{ChillerUnitTons: math.NaN()}, false},
+		{"NaN stage-down", Tuning{StageDownFrac: math.NaN()}, false},
 	}
 	for _, tc := range cases {
 		err := tc.tun.Validate()

@@ -8,9 +8,10 @@
 package rng
 
 import (
-	"hash/fnv"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"strconv"
 )
 
 // Source is a deterministic random stream. It wraps a PCG generator with the
@@ -29,39 +30,84 @@ func New(seed uint64) *Source {
 	return &Source{r: rand.New(rand.NewPCG(hi, lo)), hi: hi, lo: lo}
 }
 
+// golden is the splitmix64 increment (2^64/φ), the odd constant every
+// seed derivation in the twin spreads its index or base by.
+const golden = 0x9e3779b97f4a7c15
+
 // splitmix64 advances *x and returns a well-mixed 64-bit value. It is the
 // standard seed-expansion function for PCG-family generators.
 func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
+	*x += golden
+	return Mix64(*x)
+}
+
+// Mix64 is the splitmix64 finalizer: a bijection on uint64 that diffuses
+// every input bit across the word. It is the one mixer behind every
+// derived seed, content-addressed identity and random-access noise hash
+// in the twin; it is a leaf small enough to inline, so allocation-free
+// hot paths (workload.BaseAt, PowerFromBase) can call it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
+// DeriveSeed derives a run seed from a base seed and a content hash: the
+// identity shared by the what-if and scenario planes, so identical physics
+// gets an identical run seed in both.
+func DeriveSeed(base, hash uint64) uint64 { return Mix64(base*golden + hash) }
+
+// FNV-1a-64 parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// HashString returns the FNV-1a-64 hash of s.
+func HashString(s string) uint64 { return fnvString(fnvOffset64, s) }
+
+// ContentHash accumulates the canonical content hash behind scenario and
+// what-if identities: FNV-1a-64 over "key=value\n" lines in the order
+// written, floats in shortest round-trip form. Start from NewContentHash.
+type ContentHash uint64
+
+// NewContentHash returns the empty hash (the FNV-1a offset basis).
+func NewContentHash() ContentHash { return fnvOffset64 }
+
+// Str hashes one "k=v\n" line.
+func (h *ContentHash) Str(k, v string) {
+	*h = ContentHash(fnvString(uint64(*h), k+"="+v+"\n"))
+}
+
+// Int hashes one line with v in decimal.
+func (h *ContentHash) Int(k string, v int64) { h.Str(k, strconv.FormatInt(v, 10)) }
+
+// Float hashes one line with v in shortest round-trip ('g', -1) form.
+func (h *ContentHash) Float(k string, v float64) { h.Str(k, strconv.FormatFloat(v, 'g', -1, 64)) }
+
+// Sum64 returns the hash of everything written so far.
+func (h ContentHash) Sum64() uint64 { return uint64(h) }
+
 // Split derives an independent child stream identified by label. The child
 // depends only on the parent's seed pair and the label, never on how much of
 // the parent stream has been consumed.
 func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	seed := s.hi ^ (s.lo * 0x9e3779b97f4a7c15) ^ h.Sum64()
-	return New(seed)
+	return New(s.hi ^ (s.lo * golden) ^ HashString(label))
 }
 
 // SplitN derives an independent child stream identified by label and index,
 // for per-node or per-job streams.
 func (s *Source) SplitN(label string, n int) *Source {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	var buf [8]byte
-	v := uint64(n)
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
-	}
-	h.Write(buf[:])
-	seed := s.hi ^ (s.lo * 0x9e3779b97f4a7c15) ^ h.Sum64()
-	return New(seed)
+	var idx [8]byte
+	binary.LittleEndian.PutUint64(idx[:], uint64(n))
+	return New(s.hi ^ (s.lo * golden) ^ fnvString(HashString(label), string(idx[:])))
 }
 
 // Float64 returns a uniform sample in [0, 1).

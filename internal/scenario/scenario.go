@@ -20,18 +20,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 
 	"repro/internal/facility"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/whatif"
-	"repro/internal/workload"
 )
 
 // ErrScenario marks an invalid scenario spec; violations wrap it.
@@ -183,15 +182,15 @@ func (s Spec) Validate() error {
 	if s.Failures.Offenders < 0 || s.Failures.Offenders > s.Nodes {
 		return fmt.Errorf("%w: offenders %d outside [0, %d]", ErrScenario, s.Failures.Offenders, s.Nodes)
 	}
-	if s.Failures.RateScale < 0 {
-		return fmt.Errorf("%w: negative failure rate scale %g", ErrScenario, s.Failures.RateScale)
+	if !units.Finite(s.Failures.RateScale) || s.Failures.RateScale < 0 {
+		return fmt.Errorf("%w: negative or non-finite failure rate scale %g", ErrScenario, s.Failures.RateScale)
 	}
-	if s.PowerCapMW < 0 {
-		return fmt.Errorf("%w: negative power cap %g MW", ErrScenario, s.PowerCapMW)
+	if !units.Finite(s.PowerCapMW) || s.PowerCapMW < 0 {
+		return fmt.Errorf("%w: negative or non-finite power cap %g MW", ErrScenario, s.PowerCapMW)
 	}
 	for i, st := range s.CapSchedule {
-		if st.CapMW < 0 {
-			return fmt.Errorf("%w: negative cap %g MW at schedule step %d", ErrScenario, st.CapMW, i)
+		if !units.Finite(st.CapMW) || st.CapMW < 0 {
+			return fmt.Errorf("%w: negative or non-finite cap %g MW at schedule step %d", ErrScenario, st.CapMW, i)
 		}
 		if st.AfterSec < 0 {
 			return fmt.Errorf("%w: negative after_sec %d at schedule step %d", ErrScenario, st.AfterSec, i)
@@ -243,7 +242,7 @@ func Compile(s Spec, baseDir string) (*Resolved, error) {
 	if seed == 0 {
 		seed = baseSeed
 	}
-	r.Seed = deriveSeed(seed, r.Hash)
+	r.Seed = rng.DeriveSeed(seed, r.Hash)
 
 	cfg := sim.Scaled(s.Nodes, s.DurationSec)
 	cfg.Seed = seed
@@ -261,7 +260,7 @@ func Compile(s Spec, baseDir string) (*Resolved, error) {
 	}
 	switch s.Failures.Regime {
 	case FailureOff:
-		cfg.FailureRateScale = 1e-9
+		cfg.FailureRateScale = sim.FailureRateOff
 		cfg.FailureOffenders = -1
 	case FailureEpidemic:
 		n := s.Failures.Offenders
@@ -350,14 +349,7 @@ func buildWorkload(r *Resolved, cfg *sim.Config, traceRaw []byte) error {
 	}
 	r.TraceStats = stats
 	if src == SourceMixed {
-		gen, err := workload.Generate(workload.GenConfig{
-			Seed:              cfg.Seed,
-			StartTime:         cfg.StartTime,
-			SpanSec:           cfg.DurationSec,
-			Jobs:              cfg.Jobs,
-			MaxNodes:          minInt(cfg.Nodes, 4608),
-			ProjectsPerDomain: 6,
-		})
+		gen, err := cfg.GenerateWorkload()
 		if err != nil {
 			return err
 		}
@@ -373,74 +365,39 @@ func buildWorkload(r *Resolved, cfg *sim.Config, traceRaw []byte) error {
 	return nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // hashSpec computes the canonical FNV-1a content hash: every semantic
 // field in fixed order, floats in shortest-roundtrip form, trace content
 // (not path) hashed in, name and description excluded — two specs that
 // run the same physics share an identity regardless of labeling.
 func hashSpec(s Spec, traceRaw []byte) uint64 {
-	h := fnv.New64a()
-	wInt := func(k string, v int64) {
-		h.Write([]byte(k))
-		h.Write([]byte{'='})
-		h.Write([]byte(strconv.FormatInt(v, 10)))
-		h.Write([]byte{'\n'})
-	}
-	wStr := func(k, v string) {
-		h.Write([]byte(k))
-		h.Write([]byte{'='})
-		h.Write([]byte(v))
-		h.Write([]byte{'\n'})
-	}
-	wFloat := func(k string, v float64) {
-		wStr(k, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	wInt("version", int64(s.Version))
-	wInt("nodes", int64(s.Nodes))
-	wStr("site", s.Site)
-	wInt("duration_sec", s.DurationSec)
-	wStr("seed", strconv.FormatUint(s.Seed, 10))
-	wStr("weather", s.Weather)
-	wStr("workload.source", s.Workload.Source)
-	wInt("workload.jobs", int64(s.Workload.Jobs))
+	h := rng.NewContentHash()
+	h.Int("version", int64(s.Version))
+	h.Int("nodes", int64(s.Nodes))
+	h.Str("site", s.Site)
+	h.Int("duration_sec", s.DurationSec)
+	h.Str("seed", strconv.FormatUint(s.Seed, 10))
+	h.Str("weather", s.Weather)
+	h.Str("workload.source", s.Workload.Source)
+	h.Int("workload.jobs", int64(s.Workload.Jobs))
 	if s.Workload.TracePath != "" {
-		th := fnv.New64a()
-		th.Write(traceRaw)
-		wStr("workload.trace", strconv.FormatUint(th.Sum64(), 16))
+		h.Str("workload.trace", strconv.FormatUint(rng.HashString(string(traceRaw)), 16))
 	}
-	wStr("failures.regime", s.Failures.Regime)
-	wInt("failures.offenders", int64(s.Failures.Offenders))
-	wFloat("failures.rate_scale", s.Failures.RateScale)
-	wFloat("tuning.supply_setpoint_c", s.Tuning.SupplySetpointC)
-	wFloat("tuning.tower_kw_per_ton", s.Tuning.TowerKWPerTon)
-	wFloat("tuning.chiller_kw_per_ton", s.Tuning.ChillerKWPerTon)
-	wFloat("tuning.tower_unit_tons", s.Tuning.TowerUnitTons)
-	wFloat("tuning.chiller_unit_tons", s.Tuning.ChillerUnitTons)
-	wFloat("tuning.stage_up_frac", s.Tuning.StageUpFrac)
-	wFloat("tuning.stage_down_frac", s.Tuning.StageDownFrac)
-	wFloat("power_cap_mw", s.PowerCapMW)
+	h.Str("failures.regime", s.Failures.Regime)
+	h.Int("failures.offenders", int64(s.Failures.Offenders))
+	h.Float("failures.rate_scale", s.Failures.RateScale)
+	h.Float("tuning.supply_setpoint_c", s.Tuning.SupplySetpointC)
+	h.Float("tuning.tower_kw_per_ton", s.Tuning.TowerKWPerTon)
+	h.Float("tuning.chiller_kw_per_ton", s.Tuning.ChillerKWPerTon)
+	h.Float("tuning.tower_unit_tons", s.Tuning.TowerUnitTons)
+	h.Float("tuning.chiller_unit_tons", s.Tuning.ChillerUnitTons)
+	h.Float("tuning.stage_up_frac", s.Tuning.StageUpFrac)
+	h.Float("tuning.stage_down_frac", s.Tuning.StageDownFrac)
+	h.Float("power_cap_mw", s.PowerCapMW)
 	for _, st := range s.CapSchedule {
-		wStr("cap@"+strconv.FormatInt(st.AfterSec, 10),
-			strconv.FormatFloat(st.CapMW, 'g', -1, 64))
+		h.Float("cap@"+strconv.FormatInt(st.AfterSec, 10), st.CapMW)
 	}
-	wStr("placement", s.Placement)
+	h.Str("placement", s.Placement)
 	return h.Sum64()
-}
-
-// deriveSeed is the splitmix64 finalizer over (base, hash) — the same
-// derivation the what-if plane uses, so identical physics gets identical
-// run identity in both planes.
-func deriveSeed(base, hash uint64) uint64 {
-	z := base*0x9e3779b97f4a7c15 + hash
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Load reads a spec from a JSON file, rejecting unknown fields so typos in

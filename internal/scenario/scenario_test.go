@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/facility"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/trace"
@@ -206,6 +208,10 @@ func TestValidateRejects(t *testing.T) {
 		"neg rate":       func(s *Spec) { s.Failures.RateScale = -1 },
 		"neg cap":        func(s *Spec) { s.PowerCapMW = -1 },
 		"neg cap step":   func(s *Spec) { s.CapSchedule = []CapStep{{AfterSec: -1}} },
+		"nan rate":       func(s *Spec) { s.Failures.RateScale = math.NaN() },
+		"nan cap":        func(s *Spec) { s.PowerCapMW = math.NaN() },
+		"inf cap":        func(s *Spec) { s.PowerCapMW = math.Inf(1) },
+		"nan cap step":   func(s *Spec) { s.CapSchedule = []CapStep{{CapMW: math.NaN()}} },
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("baseline spec invalid: %v", err)
@@ -216,6 +222,12 @@ func TestValidateRejects(t *testing.T) {
 		if err := s.Validate(); !errors.Is(err, ErrScenario) {
 			t.Errorf("%s: err = %v, want ErrScenario", name, err)
 		}
+	}
+	// Plant tuning is checked where the compiled config validates.
+	nan := ok
+	nan.Tuning.SupplySetpointC = math.NaN()
+	if _, err := Compile(nan, ""); !errors.Is(err, ErrScenario) || !errors.Is(err, facility.ErrTuning) {
+		t.Errorf("nan setpoint: Compile err = %v, want ErrScenario wrapping ErrTuning", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/facility"
+	"repro/internal/units"
 )
 
 func TestConfigValidateKnobs(t *testing.T) {
@@ -47,6 +48,21 @@ func TestConfigValidateKnobs(t *testing.T) {
 		{"plant tuning wraps facility error", func(c *Config) {
 			c.Plant = facility.Tuning{SupplySetpointC: 50}
 		}, false, facility.ErrTuning},
+		// Non-finite knobs: every ordered comparison is false for NaN, so
+		// each needs its own rejection.
+		{"NaN setpoint", func(c *Config) { c.Plant.SupplySetpointC = math.NaN() }, false, facility.ErrTuning},
+		{"NaN staging", func(c *Config) { c.Plant.StageUpFrac = math.NaN() }, false, ErrConfig},
+		{"NaN cap", func(c *Config) { c.PowerCap = units.Watts(math.NaN()) }, false, ErrConfig},
+		{"+Inf cap", func(c *Config) { c.PowerCap = units.Watts(math.Inf(1)) }, false, ErrConfig},
+		{"NaN schedule cap", func(c *Config) {
+			c.PowerCapSchedule = []CapStep{{AfterSec: 0, CapW: units.Watts(math.NaN())}}
+		}, false, ErrConfig},
+		{"+Inf schedule cap", func(c *Config) {
+			c.PowerCapSchedule = []CapStep{{AfterSec: 0, CapW: units.Watts(math.Inf(1))}}
+		}, false, ErrConfig},
+		{"NaN telemetry loss", func(c *Config) { c.TelemetryLossFrac = math.NaN() }, false, ErrConfig},
+		{"NaN failure scale", func(c *Config) { c.FailureRateScale = math.NaN() }, false, ErrConfig},
+		{"+Inf failure scale", func(c *Config) { c.FailureRateScale = math.Inf(1) }, false, ErrConfig},
 	}
 	for _, tc := range cases {
 		cfg := base()

@@ -86,7 +86,8 @@ type Config struct {
 	// Workload optionally supplies a pre-built job population (sorted by
 	// submit time).
 	Workload []workload.Job
-	// FailureRateScale accelerates XID rates for scaled-down runs.
+	// FailureRateScale accelerates XID rates for scaled-down runs
+	// (non-positive means 1); FailureRateOff suppresses injection.
 	FailureRateScale float64
 	// FailureOffenders reshapes the NVLink super-offender population:
 	// 0 keeps the default single offender, -1 disables it, and N ≥ 1 spreads
@@ -124,6 +125,11 @@ type Config struct {
 	TelemetryLossFrac float64
 }
 
+// FailureRateOff is the FailureRateScale of a run without failures: a
+// rate too small to ever fire, since Validate reads zero as the default.
+// Power-only sweeps use it for throughput.
+const FailureRateOff = 1e-9
+
 // CapStep is one step of a power-cap schedule expressed in run-relative
 // time: from AfterSec seconds after StartTime the cap is CapW watts
 // (zero lifts the cap).
@@ -159,24 +165,25 @@ func (c *Config) Validate() error {
 	if c.Jobs <= 0 && len(c.Workload) == 0 {
 		return fmt.Errorf("sim: no workload (set Jobs or Workload)")
 	}
+	if !units.Finite(c.FailureRateScale) {
+		return fmt.Errorf("%w: non-finite failure rate scale %v", ErrConfig, c.FailureRateScale)
+	}
 	if c.FailureRateScale <= 0 {
 		c.FailureRateScale = 1
 	}
-	if c.TelemetryLossFrac < 0 || c.TelemetryLossFrac >= 1 {
-		if c.TelemetryLossFrac != 0 {
-			return fmt.Errorf("sim: telemetry loss fraction %v outside [0, 1)", c.TelemetryLossFrac)
-		}
+	if !(c.TelemetryLossFrac >= 0 && c.TelemetryLossFrac < 1) { // also rejects NaN
+		return fmt.Errorf("%w: telemetry loss fraction %v outside [0, 1)", ErrConfig, c.TelemetryLossFrac)
 	}
-	if c.PowerCap < 0 {
-		return fmt.Errorf("%w: negative power cap %v", ErrConfig, c.PowerCap)
+	if !units.Finite(float64(c.PowerCap)) || c.PowerCap < 0 {
+		return fmt.Errorf("%w: negative or non-finite power cap %v", ErrConfig, c.PowerCap)
 	}
 	for i, st := range c.PowerCapSchedule {
 		if st.AfterSec < 0 {
 			return fmt.Errorf("%w: cap schedule step %d at negative offset %d",
 				ErrConfig, i, st.AfterSec)
 		}
-		if st.CapW < 0 {
-			return fmt.Errorf("%w: negative cap %v at schedule step %d", ErrConfig, st.CapW, i)
+		if !units.Finite(float64(st.CapW)) || st.CapW < 0 {
+			return fmt.Errorf("%w: negative or non-finite cap %v at schedule step %d", ErrConfig, st.CapW, i)
 		}
 		if i > 0 && st.AfterSec <= c.PowerCapSchedule[i-1].AfterSec {
 			return fmt.Errorf("%w: cap schedule offsets not strictly increasing at step %d (%d after %d)",
@@ -343,15 +350,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	jobs := cfg.Workload
 	if len(jobs) == 0 {
-		jobs, err = workload.Generate(workload.GenConfig{
-			Seed:              cfg.Seed,
-			StartTime:         cfg.StartTime,
-			SpanSec:           cfg.DurationSec,
-			Jobs:              cfg.Jobs,
-			MaxNodes:          min(cfg.Nodes, 4608),
-			ProjectsPerDomain: 6,
-		})
-		if err != nil {
+		if jobs, err = cfg.GenerateWorkload(); err != nil {
 			return nil, err
 		}
 	}
@@ -432,11 +431,19 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// GenerateWorkload draws the calibrated job population New schedules when
+// Workload is empty: a pure function of (Seed, StartTime, DurationSec,
+// Jobs, Nodes). Paired sweeps call it once and hand every arm the result,
+// so all arms schedule the identical submitted job stream.
+func (c Config) GenerateWorkload() ([]workload.Job, error) {
+	return workload.Generate(workload.GenConfig{
+		Seed:              c.Seed,
+		StartTime:         c.StartTime,
+		SpanSec:           c.DurationSec,
+		Jobs:              c.Jobs,
+		MaxNodes:          min(c.Nodes, 4608),
+		ProjectsPerDomain: 6,
+	})
 }
 
 // Allocations exposes the scheduled job placements.
@@ -454,10 +461,7 @@ func (s *Sim) Floor() *topology.Floor { return s.floor }
 // (base, i), and stable across fleet sizes so adding a cluster never
 // reseeds the existing ones.
 func DeriveSeed(base uint64, i int) uint64 {
-	z := base + 0x9e3779b97f4a7c15*uint64(i+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(base + 0x9e3779b97f4a7c15*uint64(i+1))
 }
 
 // rollupBlockNodes is the fixed node-block granularity of the parallel
@@ -900,10 +904,17 @@ func (s *Sim) telemetryLost(i int, t int64) bool {
 	if s.dark[i] {
 		return true
 	}
-	z := uint64(i)*0x9e3779b97f4a7c15 + uint64(t)*0x94d049bb133111eb + s.cfg.Seed
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z ^= z >> 31
+	z := lossMix(uint64(i)*0x9e3779b97f4a7c15 + uint64(t)*0x94d049bb133111eb + s.cfg.Seed)
 	return float64(z>>11)/float64(1<<53) < frac
+}
+
+// lossMix is the dropout hash's mixer: the splitmix64 finalizer without its
+// second multiply round. It is deliberately not rng.Mix64 — which
+// node-windows go missing, and every dropout test pinned to that pattern,
+// are these bits.
+func lossMix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	return z ^ (z >> 31)
 }
 
 // darkCabinet returns the index of the fully-dark cabinet (the "bright

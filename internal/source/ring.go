@@ -2,8 +2,9 @@ package source
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+
+	"repro/internal/rng"
 )
 
 // Partition identifies one shard-addressable unit of fleet data: one day
@@ -102,13 +103,5 @@ func (r *Ring) Shards() int { return r.shards }
 // "one shard owns everything". The splitmix64 finalizer diffuses every
 // input bit across the word, restoring uniform placement.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s)) // fnv.Write cannot fail
-	z := h.Sum64()
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
+	return rng.Mix64(rng.HashString(s))
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/rng"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -101,10 +102,7 @@ type Arrival struct {
 // hashDelay derives a deterministic per-sample delay in [0.5, 5] seconds
 // with mean ≈2.5 s, from the sample identity.
 func hashDelay(node topology.NodeID, m Metric, t int64) float64 {
-	z := uint64(node)*0x9e3779b97f4a7c15 + uint64(m)*0x94d049bb133111eb + uint64(t)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := rng.Mix64(uint64(node)*0x9e3779b97f4a7c15 + uint64(m)*0x94d049bb133111eb + uint64(t))
 	u := float64(z>>11) / float64(1<<53) // [0,1)
 	// Triangular-ish distribution over [0.5, 4.5] centred at 2.5.
 	return 0.5 + 4.0*(u+uFold(u))/2

@@ -37,12 +37,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/rng"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -447,9 +447,7 @@ func peakConcurrency(cs []candTimes) int {
 // domainFor assigns a stable science domain from the project label (FNV-1a
 // over the string), so a project's jobs always land in one domain.
 func domainFor(project string) workload.Domain {
-	h := fnv.New64a()
-	h.Write([]byte(project))
-	return workload.Domain(h.Sum64() % uint64(workload.NumDomains))
+	return workload.Domain(rng.HashString(project) % uint64(workload.NumDomains))
 }
 
 // profileFor resolves a row's power profile: the tagged archetype when
@@ -465,9 +463,6 @@ func profileFor(row Row, seed uint64) workload.Profile {
 		return workload.MeanPowerProfile(units.Watts(row.PowerW))
 	}
 	arch := workload.Archetypes()
-	z := seed + uint64(row.ID)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := rng.Mix64(seed + uint64(row.ID)*0x9e3779b97f4a7c15)
 	return arch[z%uint64(len(arch))].Profile
 }

@@ -7,7 +7,10 @@
 // conversion methods; they are plain float64s with zero runtime cost.
 package units
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Watts is electrical or thermal power in watts.
 type Watts float64
@@ -54,6 +57,10 @@ const (
 	// WaterKgPerGallon is the mass of one US gallon of water in kg.
 	WaterKgPerGallon = 3.78541
 )
+
+// Finite reports whether v is neither NaN nor ±Inf. Knob validation calls
+// it first: ordered comparisons against bounds are all false for NaN.
+func Finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // KW returns the power in kilowatts.
 func (w Watts) KW() float64 { return float64(w) / 1e3 }

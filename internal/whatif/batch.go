@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Options configures a batch evaluation.
@@ -41,8 +40,8 @@ func (o Options) weights() Weights {
 // The workload is frozen once from the base seed, so every scenario
 // schedules the same submitted job stream (the paired-comparison design
 // of the power-cap experiment); the knobs may still change what starts
-// and when. Evaluations fan out over a parallel.Pool and are
-// bit-reproducible for any worker count.
+// and when. Evaluations fan out over runPaired and are bit-reproducible
+// for any worker count.
 //
 //lint:detroot
 func Evaluate(base sim.Config, scns []Scenario, opt Options) ([]Report, error) {
@@ -52,71 +51,63 @@ func Evaluate(base sim.Config, scns []Scenario, opt Options) ([]Report, error) {
 	if len(scns) == 0 {
 		return nil, fmt.Errorf("whatif: no scenarios to evaluate")
 	}
-	if len(base.Workload) == 0 {
-		jobs, err := workload.Generate(workload.GenConfig{
-			Seed:              base.Seed,
-			StartTime:         base.StartTime,
-			SpanSec:           base.DurationSec,
-			Jobs:              base.Jobs,
-			MaxNodes:          minInt(base.Nodes, 4608),
-			ProjectsPerDomain: 6,
-		})
+	if err := freeze(&base); err != nil {
+		return nil, err
+	}
+	cfgs := make([]sim.Config, len(scns))
+	seeds := make([]uint64, len(scns))
+	for i, scn := range scns {
+		cfg, err := scn.Apply(base)
 		if err != nil {
-			return nil, fmt.Errorf("whatif: freeze workload: %w", err)
+			return nil, fmt.Errorf("whatif: scenario %q: %w", scn.Label(), err)
 		}
-		base.Workload = jobs
+		// The batch parallelizes across scenarios; each run stays serial so
+		// worker slots map one-to-one onto evaluations.
+		cfg.Workers = 1
+		seeds[i] = Seed(base.Seed, scn)
+		if opt.IndependentStreams {
+			cfg.Seed = seeds[i]
+			cfg.Workload = nil // regenerate the job stream from the derived seed
+		}
+		if !opt.KeepFailures {
+			cfg.FailureRateScale = sim.FailureRateOff // sweep throughput
+		}
+		cfgs[i] = cfg
 	}
 	weights := opt.weights()
-	reports := make([]Report, len(scns))
-	errs := make([]error, len(scns))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	if workers > len(scns) {
-		workers = len(scns)
-	}
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	pool.ForEach(len(scns), func(i int) {
-		reports[i], errs[i] = evalOne(base, scns[i], opt, weights)
+	return runPaired(cfgs, opt.Workers, func(i int, d *core.RunData, res *sim.Result) (Report, error) {
+		return Assess(d, res, scns[i], seeds[i], weights)
 	})
-	for i, err := range errs {
+}
+
+// freeze generates base's workload once (unless the caller supplied one),
+// so every arm copied from base schedules the identical submitted jobs.
+func freeze(base *sim.Config) error {
+	if len(base.Workload) > 0 {
+		return nil
+	}
+	jobs, err := base.GenerateWorkload()
+	if err != nil {
+		return fmt.Errorf("whatif: freeze workload: %w", err)
+	}
+	base.Workload = jobs
+	return nil
+}
+
+// runPaired is the one paired-sweep runner, under Evaluate and
+// PowerCapExperiment alike: it simulates every arm on up to workers slots
+// (<= 0 = all cores) through core.CollectRun and reduces arm i's run with
+// reduce. Results come back in arm order; each arm is an independent run
+// writing only its own slot, so they are bit-identical for any worker
+// count. Every arm runs even if one fails; the failures come back joined,
+// each naming its arm index.
+func runPaired[T any](arms []sim.Config, workers int, reduce func(i int, d *core.RunData, res *sim.Result) (T, error)) ([]T, error) {
+	return parallel.MapErr(len(arms), workers, func(i int) (T, error) {
+		d, res, err := core.CollectRun(arms[i])
 		if err != nil {
-			return nil, fmt.Errorf("whatif: scenario %q: %w", scns[i].Label(), err)
+			var zero T
+			return zero, fmt.Errorf("whatif: arm %d: %w", i, err)
 		}
-	}
-	return reports, nil
-}
-
-// evalOne runs a single scenario to its objective report.
-func evalOne(base sim.Config, scn Scenario, opt Options, w Weights) (Report, error) {
-	cfg, err := scn.Apply(base)
-	if err != nil {
-		return Report{}, err
-	}
-	// The batch parallelizes across scenarios; each run stays serial so
-	// worker slots map one-to-one onto evaluations.
-	cfg.Workers = 1
-	seed := Seed(base.Seed, scn)
-	if opt.IndependentStreams {
-		cfg.Seed = seed
-		cfg.Workload = nil // regenerate the job stream from the derived seed
-	}
-	if !opt.KeepFailures {
-		// Suppress failure injection (rate → 0) for sweep throughput.
-		cfg.FailureRateScale = 1e-9
-	}
-	d, res, err := core.CollectRun(cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	return Assess(d, res, scn, seed, w)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+		return reduce(i, d, res)
+	})
 }

@@ -14,10 +14,10 @@ package whatif
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 
+	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -144,19 +144,12 @@ func (s Scenario) Placement(base string) string {
 // excluded, so two scenarios with identical knobs share an identity —
 // and therefore a derived seed — regardless of labeling.
 func (s Scenario) Hash() uint64 {
-	h := fnv.New64a()
+	h := rng.NewContentHash()
 	for _, pv := range s.sorted() {
-		h.Write([]byte(pv.Param))
-		h.Write([]byte{'='})
-		h.Write([]byte(strconv.FormatFloat(pv.Value, 'g', -1, 64)))
-		h.Write([]byte{'\n'})
+		h.Float(string(pv.Param), pv.Value)
 	}
 	for _, st := range s.CapSchedule {
-		h.Write([]byte("cap@"))
-		h.Write([]byte(strconv.FormatInt(st.AfterSec, 10)))
-		h.Write([]byte{'='})
-		h.Write([]byte(strconv.FormatFloat(float64(st.CapW), 'g', -1, 64)))
-		h.Write([]byte{'\n'})
+		h.Float("cap@"+strconv.FormatInt(st.AfterSec, 10), float64(st.CapW))
 	}
 	return h.Sum64()
 }
@@ -165,10 +158,7 @@ func (s Scenario) Hash() uint64 {
 // the scenario hash (splitmix64 finalizer over the combination), giving
 // every scenario a reproducible identity independent of batch order.
 func Seed(base uint64, s Scenario) uint64 {
-	z := base*0x9e3779b97f4a7c15 + s.Hash()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.DeriveSeed(base, s.Hash())
 }
 
 // Label returns the scenario's display name, synthesizing a stable

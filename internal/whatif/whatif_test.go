@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 // hashScenarioA/B are fixed probe scenarios; their hashes are pinned so a
@@ -131,6 +132,11 @@ func TestScenarioApplyRejects(t *testing.T) {
 			ParamStageUpFrac: 0.8, ParamStageDownFrac: 0.9}}},
 		{"bad cap schedule", Scenario{CapSchedule: []sim.CapStep{
 			{AfterSec: 100, CapW: 1e6}, {AfterSec: 100, CapW: 2e6}}}},
+		{"NaN setpoint", Scenario{Params: map[Param]float64{ParamSupplySetpointC: math.NaN()}}},
+		{"NaN cap", Scenario{Params: map[Param]float64{ParamPowerCapMW: math.NaN()}}},
+		{"+Inf cap", Scenario{Params: map[Param]float64{ParamPowerCapMW: math.Inf(1)}}},
+		{"NaN cap schedule", Scenario{CapSchedule: []sim.CapStep{
+			{AfterSec: 100, CapW: units.Watts(math.NaN())}}}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.scn.Apply(base); !errors.Is(err, ErrScenario) {

@@ -7,6 +7,7 @@ package workload
 import (
 	"math"
 
+	"repro/internal/rng"
 	"repro/internal/units"
 )
 
@@ -130,10 +131,7 @@ func (n NodePower) Total() units.Watts {
 // hash64 mixes two integers into a well-distributed 64-bit value
 // (splitmix64 finalizer), the basis of the deterministic pseudo-noise.
 func hash64(a, b uint64) uint64 {
-	z := a*0x9e3779b97f4a7c15 + b + 0x632be59bd9b4e019
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(a*0x9e3779b97f4a7c15 + b + 0x632be59bd9b4e019)
 }
 
 // unitNoise returns a deterministic pseudo-random value in [-1, 1) keyed by

@@ -211,8 +211,9 @@ func ReportFigure10(d *RunData) Report {
 		tab.Row(c.String(), e.N(), e.Quantile(0.5), durMed, freqMed, ampMed)
 	}
 	b.WriteString(tab.String())
-	rise, fall := core.SteepestSwings(d)
-	fmt.Fprintf(&b, "steepest 10s rise: %.2f MW, fall: %.2f MW\n", rise/units.WattsPerMW, fall/units.WattsPerMW)
+	if sw, err := core.SwingsFromSource(d.Source()); err == nil {
+		fmt.Fprintf(&b, "steepest 10s rise: %.2f MW, fall: %.2f MW\n", sw.MaxRiseW/units.WattsPerMW, sw.MaxFallW/units.WattsPerMW)
+	}
 	return Report{
 		ID:       "figure-10",
 		Title:    "Power consumption dynamics",
@@ -608,7 +609,7 @@ func ReportThermalBands(d *RunData) (Report, error) {
 
 // ReportOvercooling renders the §5 overcooling quantification.
 func ReportOvercooling(d *RunData) (Report, error) {
-	rep, err := core.Overcooling(d)
+	rep, err := Overcooling(d)
 	if err != nil {
 		return Report{}, err
 	}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/units"
+	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -90,24 +91,16 @@ func SimulateFleet(cfgs []Config, workers int) ([]FleetRun, error) {
 // SimulateWithVariability additionally captures per-GPU detail for the
 // run's exemplar (largest) job, for the Figure 17 analysis.
 func SimulateWithVariability(cfg Config) (*RunData, *core.VariabilityCollector, *Result, error) {
-	s, err := sim.New(cfg)
+	var vc *core.VariabilityCollector
+	d, res, err := core.CollectRun(cfg, func(s *sim.Sim) (sim.Observer, error) {
+		var err error
+		vc, err = core.NewVariabilityCollector(s, -1)
+		return vc, err
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	col := core.NewCollector(s, cfg)
-	vc, err := core.NewVariabilityCollector(s, -1)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := s.Run(col, vc)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	col.SetFailures(res.Failures)
-	return col.Data(), vc, res, nil
+	return d, vc, res, nil
 }
 
 // Data planes. A RunSource abstracts where a run's telemetry lives — in
@@ -182,7 +175,7 @@ func SummaryFromSource(src RunSource) ([]core.SeriesSummary, error) {
 
 // Figure4Validation compares per-node sensor summation with MSB meters.
 func Figure4Validation(d *RunData) (*core.ValidationReport, error) {
-	return core.Figure4Validation(d)
+	return core.ValidationFromSource(d.Source())
 }
 
 // Figure5Trends summarizes weekly power/energy/PUE.
@@ -296,26 +289,26 @@ type YearSurveyConfig = core.YearSurveyConfig
 // PowerCapExperiment runs the paper's concluding what-if: the same
 // workload scheduled under a sweep of power-aware admission caps
 // (fractions of the uncapped peak), measuring the peak/average trade.
-func PowerCapExperiment(base Config, capFracs []float64) ([]core.PowerCapOutcome, error) {
-	return core.PowerCapExperiment(base, capFracs)
+func PowerCapExperiment(base Config, capFracs []float64) ([]whatif.PowerCapOutcome, error) {
+	return whatif.PowerCapExperiment(base, capFracs)
 }
 
 // ThermalBandSummary reduces the per-window GPU temperature band counts
 // to the §2 operational dashboard view.
 func ThermalBandSummary(d *RunData) ([]core.BandSummary, error) {
-	return core.ThermalBandSummary(d)
+	return core.ThermalBandsFromSource(d.Source())
 }
 
 // Overcooling quantifies cooling delivered beyond the IT heat load
 // (paper §5's overcooling observation).
 func Overcooling(d *RunData) (*core.OvercoolingReport, error) {
-	return core.Overcooling(d)
+	return core.OvercoolingFromSource(d.Source())
 }
 
 // EarlyWarningFromRun evaluates the §6.1 precursor→outcome diagnostic
 // pairs over a run.
 func EarlyWarningFromRun(d *RunData, window time.Duration) ([]core.PrecursorStats, error) {
-	return core.EarlyWarningFromRun(d, int64(window/time.Second))
+	return core.EarlyWarningFromSource(d.Source(), int64(window/time.Second))
 }
 
 // CompareGenerations runs the §6-summary experiment: identical thermal

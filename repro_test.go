@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -181,6 +182,51 @@ func TestExtensionReports(t *testing.T) {
 	}
 	if !strings.Contains(fp.Body, "max-power prediction") {
 		t.Errorf("fingerprint report missing prediction: %q", fp.Body)
+	}
+}
+
+// TestIdentityPinPowerCap freezes the §8 experiment bit for bit — cap
+// watts, power statistics, PUE, waits, utilization — recorded before it
+// moved from internal/core onto the what-if plane's paired-sweep runner.
+func TestIdentityPinPowerCap(t *testing.T) {
+	base := Config{
+		Seed: 13, Nodes: 48, StartTime: 1_577_836_800, DurationSec: 3 * 3600,
+		StepSec: 10, SamplesPerWindow: 1, Jobs: 80,
+	}
+	outcomes, err := PowerCapExperiment(base, []float64{0.9, 0.75})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		capW, peak, p99, mean, pue, wait, util uint64
+		placed, skipped, edges                 int
+	}{
+		{0x0000000000000000, 0x40fab3e0332a8939, 0x40f8d11b895b694c, 0x40efb628301d6407,
+			0x3ff1965e2ac5713e, 0x40dc03c266666666, 0x3fedf334282da0eb, 80, 0, 15},
+		{0x40f80849c7a6484d, 0x40f73a5dcd4d87b7, 0x40f72abd68ad36da, 0x40f06fac3a6e169f,
+			0x3ff18348689eaa3d, 0x40d27122be2be2be, 0x3fec722e52f63942, 70, 10, 26},
+		{0x40f406e8265fe6eb, 0x40f3df61e62a8205, 0x40f3a343af56460d, 0x40ef1a0d4cee0ac9,
+			0x3ff18c63c267b8bd, 0x40ce186c4ec4ec4f, 0x3fec6dc2d40abc93, 65, 15, 22},
+	}
+	if len(outcomes) != len(want) {
+		t.Fatalf("outcomes = %d, want %d", len(outcomes), len(want))
+	}
+	for i, o := range outcomes {
+		w := want[i]
+		got := []uint64{
+			math.Float64bits(o.CapW), math.Float64bits(o.PeakPowerW), math.Float64bits(o.P99PowerW),
+			math.Float64bits(o.MeanPowerW), math.Float64bits(o.MeanPUE), math.Float64bits(o.MeanWaitSec),
+			math.Float64bits(o.Utilization),
+		}
+		for k, wb := range []uint64{w.capW, w.peak, w.p99, w.mean, w.pue, w.wait, w.util} {
+			if got[k] != wb {
+				t.Errorf("arm %d field %d = %#016x, want %#016x", i, k, got[k], wb)
+			}
+		}
+		if o.JobsPlaced != w.placed || o.JobsSkipped != w.skipped || o.EdgeCount != w.edges {
+			t.Errorf("arm %d placed/skipped/edges = %d/%d/%d, want %d/%d/%d", i,
+				o.JobsPlaced, o.JobsSkipped, o.EdgeCount, w.placed, w.skipped, w.edges)
+		}
 	}
 }
 
