@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke bench-report loc clean
+.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
 
 all: check
 
@@ -61,7 +61,7 @@ check: build fmt vet lint test stream-check race
 
 # ci mirrors .github/workflows/ci.yml, step for step (the SARIF upload
 # and the pull-request-only bench-ab against the merge base aside).
-ci: fmt vet lint build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke
+ci: fmt vet lint build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -237,6 +237,25 @@ scenario-smoke:
 	/tmp/scnsmoke-scenario -run trace-replay -workers 4 -out /tmp/scnsmoke-w4
 	diff -r /tmp/scnsmoke-w1 /tmp/scnsmoke-w4
 	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-w1 /tmp/scnsmoke-w4
+
+# archive-smoke gates the one archive writer end to end: a single archive
+# with every optional dataset and a 2-cluster fleet are written and analyzed
+# by the built binaries, then a shorter run archived into the same directory
+# must be refused (its leftover days would otherwise be served as one run).
+archive-smoke:
+	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
+	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-fleet
+	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
+	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
+	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd summary > /dev/null
+	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster summit-0 -cmd summary > /dev/null
+	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster frontier-1 -cmd summary > /dev/null
+	@if /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 1 -seed 7 -nodedata -q 2> /tmp/arcsmoke-refusal.txt; then \
+		echo "archive-smoke: a 1-day run was archived over a 2-day run"; exit 1; fi; \
+	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
+	echo "archive-smoke: archives written and analyzed, shorter re-run refused"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-fleet /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt
 
 # bench-report regenerates the checked-in markdown trend report from every
 # BENCH_*.json baseline.

@@ -246,7 +246,7 @@ func archiveRun(dir, prefix string, data *repro.RunData, nodeData, jobSeries, qu
 	}
 	// Report archive footprint per dataset (the paper tracks this
 	// closely: compression made the full-scale archive practical).
-	names := []string{core.DatasetClusterPower, core.DatasetJobRecords, core.DatasetFailures}
+	names := []string{source.DatasetClusterPower, source.DatasetJobRecords, source.DatasetFailures}
 	if nodeData {
 		names = append(names, core.DatasetNodePower)
 	}

@@ -38,8 +38,8 @@ func main() {
 		log.Fatal(err)
 	}
 	var total int64
-	for _, name := range []string{core.DatasetClusterPower, core.DatasetJobRecords,
-		core.DatasetFailures, core.DatasetJobSeries} {
+	for _, name := range []string{source.DatasetClusterPower, source.DatasetJobRecords,
+		source.DatasetFailures, core.DatasetJobSeries} {
 		ds, err := store.NewDataset(dir, name)
 		if err != nil {
 			log.Fatal(err)

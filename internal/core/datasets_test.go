@@ -93,7 +93,14 @@ func TestReadDatasetsErrors(t *testing.T) {
 	if _, err := source.OpenArchive(source.ArchiveConfig{Dir: dir}); err == nil {
 		t.Error("empty dir read succeeded")
 	}
-	if err := writeClusterDataset(dir, testData(t)); err != nil {
+	if err := WriteDatasets(dir, testData(t)); err != nil {
+		t.Fatal(err)
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, source.DatasetFailures+"-day*"))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("failure log partitions %v, %v; want one", logs, err)
+	}
+	if err := os.Remove(logs[0]); err != nil {
 		t.Fatal(err)
 	}
 	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
@@ -352,10 +359,10 @@ func TestNodeDatasetWriterRollupCompanion(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts, node := tab.Col("timestamp").Ints, tab.Col("node").Ints
-		red := source.NewRollupReducer(floor, nodeRollupCols)
-		vals := make([]float64, len(nodeRollupCols))
+		red := source.NewRollupReducer(floor, source.NodeRollupCols)
+		vals := make([]float64, len(source.NodeRollupCols))
 		for r := range ts {
-			for c, name := range nodeRollupCols {
+			for c, name := range source.NodeRollupCols {
 				col := tab.Col(name)
 				if col.IsInt() {
 					vals[c] = float64(col.Ints[r])

@@ -6,10 +6,10 @@ import (
 )
 
 // Source adapts collected run data into the live data plane: a MemorySource
-// serving the same canonical series names, job rows and failure log that an
-// archive of this run would serve. Analyses written against
-// source.RunSource therefore run unchanged over live and archived data —
-// and the parity test holds the two planes bit-identical.
+// serving the canonical series names, job rows and failure log. It is the
+// only RunData → layout mapping — WriteDatasets archives what it serves — so
+// analyses written against source.RunSource run unchanged over live and
+// archived data, and the parity test holds the two planes bit-identical.
 //
 // The adapter shares the underlying series storage; treat the run data as
 // immutable once adapted.
@@ -66,8 +66,8 @@ func (d *RunData) Source() *source.MemorySource {
 	}
 }
 
-// sourceJobRecords reduces the run's job series to the neutral row form —
-// exactly the rows writeJobDataset archives, so both planes agree.
+// sourceJobRecords reduces the run's job series to the neutral row form.
+// WriteDatasets archives these very rows, so both planes agree.
 func sourceJobRecords(d *RunData) []source.JobRecord {
 	recs := BuildJobRecords(d)
 	out := make([]source.JobRecord, len(recs))

@@ -15,11 +15,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"regexp"
 	"sort"
 	"time"
 
+	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/topology"
@@ -54,10 +53,6 @@ type Config struct {
 	Cache *store.TableCache
 }
 
-// timeColumns are the candidate time-axis column names, in priority order;
-// "window" is the time axis of pre-aggregate companion datasets.
-var timeColumns = []string{"timestamp", "begin_time", "window"}
-
 // Engine serves range, downsample and rollup queries over every dataset of
 // one archive directory. Safe for concurrent use.
 type Engine struct {
@@ -71,23 +66,11 @@ type Engine struct {
 	datasets         map[string]*store.Index // immutable after Open
 }
 
-// dayFileRE matches canonical partition filenames: <dataset>-day<NNNNN>.spwr.
-var dayFileRE = regexp.MustCompile(`^(.+)-day\d{5,}\.spwr$`)
-
 // Open scans dir for datasets and returns an engine over them.
 func Open(cfg Config) (*Engine, error) {
-	entries, err := os.ReadDir(cfg.Dir)
+	names, err := store.Datasets(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("query: open archive: %w", err)
-	}
-	names := map[string]bool{}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if m := dayFileRE.FindStringSubmatch(e.Name()); m != nil {
-			names[m[1]] = true
-		}
 	}
 	cache := cfg.Cache
 	if cache == nil {
@@ -113,8 +96,8 @@ func Open(cfg Config) (*Engine, error) {
 			e.cabinetOf[n], e.msbOf[n] = int32(e.floor.Cabinet(id)), int32(e.floor.MSBOf(id))
 		}
 	}
-	for name := range names {
-		if e.datasets[name], err = store.OpenIndex(cfg.Dir, name, cfg.Workers, timeColumns...); err != nil {
+	for _, name := range names {
+		if e.datasets[name], err = store.OpenIndex(cfg.Dir, name, cfg.Workers, source.TimeColumns...); err != nil {
 			return nil, err
 		}
 	}

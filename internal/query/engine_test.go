@@ -174,6 +174,37 @@ func TestOpenDiscoversDatasets(t *testing.T) {
 	}
 }
 
+// TestOpenSkipsNonCanonicalPartitionNames: a file whose name only looks like
+// a partition — here over-padded, so store.Dataset.Days would never list it —
+// must not surface as a phantom, zero-day dataset.
+func TestOpenSkipsNonCanonicalPartitionNames(t *testing.T) {
+	dir := t.TempDir()
+	writeTestArchive(t, dir)
+	part, err := os.ReadFile(filepath.Join(dir, "node-power-day00001.spwr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "stray-day000007.spwr"), part, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(Config{Dir: dir, Nodes: fixNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := e.Datasets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		if info.Name == "stray" || info.Days == 0 {
+			t.Errorf("phantom dataset listed: %+v", info)
+		}
+	}
+	if len(infos) != 2 {
+		t.Errorf("found %d datasets, want 2", len(infos))
+	}
+}
+
 func TestRangeRawMatchesDirectScan(t *testing.T) {
 	e := testEngine(t)
 	// Cross the day 0 / day 1 boundary.

@@ -1,7 +1,9 @@
 package source
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"sort"
 	"sync"
@@ -14,19 +16,6 @@ import (
 	"repro/internal/units"
 )
 
-// Canonical dataset names of the archive layout, mirroring the paper's
-// artifact appendix. internal/core re-exports these; they live here so the
-// decode path and the layout definition share one home.
-const (
-	DatasetClusterPower = "cluster-power" // Datasets 1–2 + facility (B/12)
-	DatasetJobRecords   = "job-records"   // Datasets 5–7
-	DatasetFailures     = "gpu-xid"       // Dataset E
-	DatasetNodePower    = "node-power"    // Dataset 0 (opt-in, large)
-	// DatasetRunMeta is the one-row manifest WriteDatasets emits so an
-	// archive is self-describing: system size, coarsening grid and span.
-	DatasetRunMeta = "run-meta"
-)
-
 // Manifest column names.
 const (
 	manifestNodes    = "nodes"
@@ -37,8 +26,8 @@ const (
 	manifestSite     = "site"
 )
 
-// ManifestTable encodes run dimensions as the one-row run-meta table the
-// archive writer stores and OpenArchive reads back. The cluster identity
+// ManifestTable encodes run dimensions as the one-row run-meta table
+// WriteArchive stores and OpenArchive reads back. The cluster identity
 // columns are always written (as string columns, bumping the manifest file
 // — and only the manifest file — to the string-capable format version);
 // archives predating them read back with empty identity.
@@ -55,7 +44,7 @@ func ManifestTable(m Meta) *store.Table {
 
 // ArchiveConfig parameterizes OpenArchive.
 type ArchiveConfig struct {
-	// Dir is the archive directory, as written by summitsim / WriteDatasets.
+	// Dir is the archive directory, as written by summitsim / WriteArchive.
 	Dir string
 	// StepSec is the coarsening grid to assume when the archive predates
 	// the run manifest (<= 0: the paper's 10 s window).
@@ -81,10 +70,7 @@ type ArchiveSource struct {
 	cache *store.TableCache
 	meta  Meta
 
-	cluster  *store.Index // days + metadata: the pruning index of every series read
-	jobs     *store.Dataset
-	fails    *store.Dataset
-	nodeData *store.Dataset
+	cluster *store.Index // days + metadata: the pruning index of every series read
 
 	floorOnce sync.Once
 	floorErr  error
@@ -107,15 +93,6 @@ func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 	if a.cluster, err = store.OpenIndex(cfg.Dir, DatasetClusterPower, cfg.Workers); err != nil {
 		return nil, fmt.Errorf("source: open archive: %w", err)
 	}
-	if a.jobs, err = store.NewDataset(cfg.Dir, DatasetJobRecords); err != nil {
-		return nil, err
-	}
-	if a.fails, err = store.NewDataset(cfg.Dir, DatasetFailures); err != nil {
-		return nil, err
-	}
-	if a.nodeData, err = store.NewDataset(cfg.Dir, DatasetNodePower); err != nil {
-		return nil, err
-	}
 	if len(a.cluster.Days()) == 0 {
 		return nil, fmt.Errorf("source: no %s partitions in %s", DatasetClusterPower, cfg.Dir)
 	}
@@ -134,10 +111,7 @@ func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 // resolveMeta fills a.meta from the manifest, falling back to the config
 // and the cluster partitions' time metadata.
 func (a *ArchiveSource) resolveMeta(metas []store.DayMeta) error {
-	manifest, err := store.NewDataset(a.cfg.Dir, DatasetRunMeta)
-	if err != nil {
-		return err
-	}
+	manifest := dataset(a.cfg.Dir, DatasetRunMeta)
 	days, err := manifest.Days()
 	if err != nil {
 		return err
@@ -260,7 +234,7 @@ func (a *ArchiveSource) SeriesRange(name string, t0, t1 int64) (*tsagg.Series, e
 		workers = 1
 	}
 	s := tsagg.NewSeries(a.meta.StartTime, a.meta.StepSec, bound+1)
-	vals, cols := s.Vals, []string{"timestamp", name}
+	vals, cols := s.Vals, []string{colTimestamp, name}
 	type fill struct {
 		maxIdx int // highest grid index written by the chunk (-1: none)
 		err    error
@@ -395,113 +369,35 @@ func (a *ArchiveSource) MeterSeries() ([]*tsagg.Series, []*tsagg.Series, error) 
 	return meters, sums, nil
 }
 
-// readAllDays concatenates every partition of ds, loading only the named
-// columns (nil = all).
-func (a *ArchiveSource) readAllDays(ds *store.Dataset, names []string) ([]*store.Table, error) {
-	days, err := ds.Days()
-	if err != nil {
-		return nil, err
-	}
-	if len(days) == 0 {
-		return nil, fmt.Errorf("source: dataset %q has no partitions in %s: %w",
-			ds.Name, a.cfg.Dir, ErrUnavailable)
-	}
-	return parallel.MapErr(len(days), a.cfg.Workers, func(i int) (*store.Table, error) {
-		tab, _, err := ds.ReadDayColumnsCached(a.cache, days[i], names)
-		return tab, err
-	})
-}
-
-// jobColumns is the job-records schema, in archive column order.
-var jobColumns = []string{
-	"allocation_id", "class", "domain", "num_nodes", "begin_time", "end_time",
-	"max_sum_inp", "mean_sum_inp", "energy",
-	"mean_mean_cpu_pwr", "max_cpu_pwr", "mean_mean_gpu_pwr", "max_gpu_pwr",
-}
-
 // JobRecords implements RunSource.
 func (a *ArchiveSource) JobRecords() ([]JobRecord, error) {
-	tabs, err := a.readAllDays(a.jobs, jobColumns)
-	if err != nil {
-		return nil, err
-	}
-	var out []JobRecord
-	for _, tab := range tabs {
-		cols := map[string]*store.Column{}
-		for _, name := range jobColumns {
-			c := tab.Col(name)
-			if c == nil {
-				return nil, fmt.Errorf("source: job dataset missing column %q", name)
-			}
-			cols[name] = c
-		}
-		for i := 0; i < tab.NumRows(); i++ {
-			out = append(out, JobRecord{
-				AllocationID:  cols["allocation_id"].Ints[i],
-				Class:         int(cols["class"].Ints[i]),
-				Domain:        int(cols["domain"].Ints[i]),
-				Nodes:         int(cols["num_nodes"].Ints[i]),
-				BeginTime:     cols["begin_time"].Ints[i],
-				EndTime:       cols["end_time"].Ints[i],
-				MaxPowerW:     cols["max_sum_inp"].Floats[i],
-				MeanPowerW:    cols["mean_sum_inp"].Floats[i],
-				EnergyJ:       cols["energy"].Floats[i],
-				MeanCPUPowerW: cols["mean_mean_cpu_pwr"].Floats[i],
-				MaxCPUPowerW:  cols["max_cpu_pwr"].Floats[i],
-				MeanGPUPowerW: cols["mean_mean_gpu_pwr"].Floats[i],
-				MaxGPUPowerW:  cols["max_gpu_pwr"].Floats[i],
-			})
-		}
-	}
-	return out, nil
-}
-
-// failureColumns is the failure-log schema.
-var failureColumns = []string{
-	"timestamp", "node", "slot", "xid_type", "allocation_id",
-	"gpu_core_temp", "temp_zscore",
+	return readLog(a, DatasetJobRecords, jobSchema)
 }
 
 // Failures implements RunSource.
 func (a *ArchiveSource) Failures() ([]failures.Event, error) {
-	tabs, err := a.readAllDays(a.fails, failureColumns)
+	return readLog(a, DatasetFailures, failureSchema)
+}
+
+// readLog decodes a whole-run log — its one partition, the schema's columns
+// only — through its schema.
+func readLog[R any](a *ArchiveSource, name string, s schema[R]) ([]R, error) {
+	tab, _, err := dataset(a.cfg.Dir, name).ReadDayColumnsCached(a.cache, logDay, columnNames(s))
+	if errors.Is(err, fs.ErrNotExist) {
+		err = fmt.Errorf("source: dataset %q has no partition in %s: %w", name, a.cfg.Dir, ErrUnavailable)
+	}
 	if err != nil {
 		return nil, err
 	}
-	var out []failures.Event
-	for _, tab := range tabs {
-		cols := map[string]*store.Column{}
-		for _, name := range failureColumns {
-			c := tab.Col(name)
-			if c == nil {
-				return nil, fmt.Errorf("source: failure dataset missing column %q", name)
-			}
-			cols[name] = c
-		}
-		for i := 0; i < tab.NumRows(); i++ {
-			out = append(out, failures.Event{
-				Time:  cols["timestamp"].Ints[i],
-				Node:  topology.NodeID(cols["node"].Ints[i]),
-				Slot:  topology.GPUSlot(cols["slot"].Ints[i]),
-				Type:  failures.Type(cols["xid_type"].Ints[i]),
-				JobID: cols["allocation_id"].Ints[i],
-				TempC: cols["gpu_core_temp"].Floats[i],
-				TempZ: cols["temp_zscore"].Floats[i],
-			})
-		}
-	}
-	return out, nil
-}
-
-// nodeColumns is the per-node window schema.
-var nodeColumns = []string{
-	"timestamp", "node", "input_power.count",
-	"input_power.min", "input_power.max", "input_power.mean", "input_power.std",
+	var out []R
+	err = decodeRows(s, name, tab, func(r *R) { out = append(out, *r) })
+	return out, err
 }
 
 // NodeWindows implements RunSource.
 func (a *ArchiveSource) NodeWindows(day int) (map[int][]tsagg.WindowStat, error) {
-	days, err := a.nodeData.Days()
+	ds := dataset(a.cfg.Dir, DatasetNodePower)
+	days, err := ds.Days()
 	if err != nil {
 		return nil, err
 	}
@@ -509,31 +405,15 @@ func (a *ArchiveSource) NodeWindows(day int) (map[int][]tsagg.WindowStat, error)
 		return nil, fmt.Errorf("source: archive has no %s dataset (run summitsim -nodedata): %w",
 			DatasetNodePower, ErrUnavailable)
 	}
-	tab, _, err := a.nodeData.ReadDayColumnsCached(a.cache, day, nodeColumns)
+	tab, _, err := ds.ReadDayColumnsCached(a.cache, day, columnNames(nodeSchema))
 	if err != nil {
 		return nil, err
 	}
-	cols := map[string]*store.Column{}
-	for _, name := range nodeColumns {
-		c := tab.Col(name)
-		if c == nil {
-			return nil, fmt.Errorf("source: node dataset missing column %q", name)
-		}
-		cols[name] = c
-	}
 	out := map[int][]tsagg.WindowStat{}
-	for i := 0; i < tab.NumRows(); i++ {
-		n := int(cols["node"].Ints[i])
-		out[n] = append(out[n], tsagg.WindowStat{
-			T:     cols["timestamp"].Ints[i],
-			Count: cols["input_power.count"].Ints[i],
-			Min:   cols["input_power.min"].Floats[i],
-			Max:   cols["input_power.max"].Floats[i],
-			Mean:  cols["input_power.mean"].Floats[i],
-			Std:   cols["input_power.std"].Floats[i],
-		})
-	}
-	return out, nil
+	err = decodeRows(nodeSchema, DatasetNodePower, tab, func(r *nodeWindow) {
+		out[int(r.node)] = append(out[int(r.node)], r.st)
+	})
+	return out, err
 }
 
 // Floor lazily builds the floor topology for the archive's system size and

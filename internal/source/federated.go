@@ -429,21 +429,21 @@ func (f *FederatedSource) MeterSeries() ([]*tsagg.Series, []*tsagg.Series, error
 	return meters, sums, nil
 }
 
-// JobRecords implements RunSource: job rows live at day 0 by the writer's
-// layout contract, so the read routes to that partition's owners.
+// JobRecords implements RunSource: the writer puts every job row in the
+// logDay partition, so the read routes to that partition's owners.
 //
 //lint:detroot
 func (f *FederatedSource) JobRecords() ([]JobRecord, error) {
-	recs, _, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: 0},
+	recs, _, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: logDay},
 		func(src RunSource) ([]JobRecord, error) { return src.JobRecords() })
 	return recs, err
 }
 
-// Failures implements RunSource; like job rows, the log lives at day 0.
+// Failures implements RunSource; like job rows, the log lives at logDay.
 //
 //lint:detroot
 func (f *FederatedSource) Failures() ([]failures.Event, error) {
-	evs, _, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: 0},
+	evs, _, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: logDay},
 		func(src RunSource) ([]failures.Event, error) { return src.Failures() })
 	return evs, err
 }

@@ -98,8 +98,8 @@ func DiscoverFleet(root string) (FleetManifest, error) {
 		if !e.IsDir() {
 			continue
 		}
-		matches, err := filepath.Glob(filepath.Join(root, e.Name(), DatasetClusterPower+"-day*.spwr"))
-		if err != nil || len(matches) == 0 {
+		days, err := dataset(filepath.Join(root, e.Name()), DatasetClusterPower).Days()
+		if err != nil || len(days) == 0 {
 			continue
 		}
 		m.Clusters = append(m.Clusters, FleetEntry{Name: e.Name(), Dir: e.Name()})

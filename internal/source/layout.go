@@ -1,0 +1,361 @@
+package source
+
+import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"strings"
+
+	"repro/internal/failures"
+	"repro/internal/store"
+	"repro/internal/topology"
+	"repro/internal/tsagg"
+)
+
+// The archive layout: every dataset's name, columns, column order, row type
+// and codec is decided in this file and nowhere else (DESIGN.md §4 is this
+// file as a table). WriteArchive and WriteNodeDay are the only writers,
+// ArchiveSource the reader, and each row dataset goes both ways through one
+// schema function. What a partition file is called is internal/store's.
+
+// Canonical dataset names of the archive layout, mirroring the paper's
+// artifact appendix.
+const (
+	DatasetClusterPower = "cluster-power" // Datasets 1–2 + facility (B/12)
+	DatasetJobRecords   = "job-records"   // Datasets 5–7
+	DatasetFailures     = "gpu-xid"       // Dataset E
+	DatasetNodePower    = "node-power"    // Dataset 0 (opt-in, large)
+	// DatasetRunMeta is the one-row manifest WriteArchive emits so an
+	// archive is self-describing: system size, coarsening grid and span.
+	DatasetRunMeta = "run-meta"
+)
+
+// dataset is the handle of one of the layout's datasets in dir; its names
+// are constants (or come from store.Datasets) and need no validation.
+func dataset(dir, name string) *store.Dataset { return &store.Dataset{Dir: dir, Name: name} }
+
+const (
+	// logDay is the one partition the whole-run logs (job-records, gpu-xid)
+	// and run-meta live in; every other dataset is sliced into daySec days.
+	logDay = 0
+	daySec = 86400
+
+	colTimestamp = "timestamp"
+	colBeginTime = "begin_time"
+
+	clusterRequired = 12 // leading clusterColumns every run carries
+	nodeAxes        = 2  // leading node-power columns: timestamp, node
+)
+
+// TimeColumns are the time axes of the schemas below, in the order a reader
+// picks a partition's pruning axis by (companions are keyed by window).
+var TimeColumns = []string{colTimestamp, colBeginTime, RollupColWindow}
+
+// clusterColumns is the cluster-power schema after its timestamp axis, in
+// archive column order: the clusterRequired series every run carries, then
+// the ones a run may lack. Two indexed families follow: gpu_band_<b>, then
+// the meter_power_<m> / msb_sensor_sum_<m> pairs Figure 4 validates.
+var clusterColumns = []string{
+	SeriesClusterPower, SeriesClusterTruePower, SeriesCPUPower, SeriesGPUPower,
+	SeriesPUE, SeriesSupplyC, SeriesReturnC, SeriesTowerTons, SeriesChillerTons,
+	SeriesWetBulbC, SeriesGPUTempMean, SeriesGPUTempMax,
+	SeriesTowerCount, SeriesChillerCount, SeriesCPUTempMean, SeriesCPUTempMax,
+}
+
+// clusterSeries fetches the cluster-power value columns src carries, in
+// archive column order; an indexed family ends at its first absent member.
+func clusterSeries(src RunSource) (names []string, series []*tsagg.Series, err error) {
+	get := func(name string, optional bool) bool {
+		s, e := src.Series(name)
+		if e == nil {
+			names, series = append(names, name), append(series, s)
+		} else if !optional || !errors.Is(e, ErrUnknownSeries) {
+			err = errors.Join(err, e)
+		}
+		return e == nil
+	}
+	for i, name := range clusterColumns {
+		get(name, i >= clusterRequired)
+	}
+	for b := 0; get(GPUBandSeries(b), true); b++ {
+	}
+	for m := 0; get(MeterSeriesName(m), true); m++ {
+		get(MSBSumSeriesName(m), true)
+	}
+	return names, series, err
+}
+
+// A schema binds every column of one row dataset to a field of its row
+// type, in archive column order. It is the dataset's only declaration: the
+// table builder runs it to append a row to the columns, the reader to fill a
+// row from them, so they agree on every name, position and type.
+type schema[R any] func(c *rowCodec, r *R)
+
+// rowCodec is the cursor a schema runs against: the dataset's columns and
+// what to do with each bound field.
+type rowCodec struct {
+	cols []store.Column
+	k    int // next column the schema binds
+	mode int
+	row  int // readRow: the row being filled
+}
+
+const (
+	declareCols = iota // create the typed, empty columns
+	appendRow          // append each bound field to its column
+	readRow            // fill each bound field from c.row
+)
+
+// bindInt binds the next column, an integer one, to *p. (A declared column
+// holds an empty, non-nil slice: that is what types a store.Column.)
+func bindInt[T ~int | ~int64](c *rowCodec, name string, p *T) {
+	switch c.mode {
+	case declareCols:
+		c.cols = append(c.cols, store.Column{Name: name, Ints: []int64{}})
+	case appendRow:
+		c.cols[c.k].Ints = append(c.cols[c.k].Ints, int64(*p))
+	case readRow:
+		*p = T(c.cols[c.k].Ints[c.row])
+	}
+	c.k++
+}
+
+// bindFloat binds the next column, a float one, to *p.
+func bindFloat(c *rowCodec, name string, p *float64) {
+	switch c.mode {
+	case declareCols:
+		c.cols = append(c.cols, store.Column{Name: name, Floats: []float64{}})
+	case appendRow:
+		c.cols[c.k].Floats = append(c.cols[c.k].Floats, *p)
+	case readRow:
+		*p = c.cols[c.k].Floats[c.row]
+	}
+	c.k++
+}
+
+// declare runs s over a zero row, leaving a codec that holds the dataset's
+// columns — named, typed, empty — ready to append rows to.
+func declare[R any](s schema[R]) *rowCodec {
+	c := &rowCodec{}
+	s(c, new(R))
+	c.mode = appendRow
+	return c
+}
+
+// encodeRows builds the dataset's table from rows.
+func encodeRows[R any](s schema[R], rows []R) *store.Table {
+	c := declare(s)
+	for i := range rows {
+		c.k = 0
+		s(c, &rows[i])
+	}
+	return &store.Table{Cols: c.cols}
+}
+
+// columnNames lists the dataset's columns in archive order.
+func columnNames[R any](s schema[R]) []string {
+	var names []string
+	for _, col := range declare(s).cols {
+		names = append(names, col.Name)
+	}
+	return names
+}
+
+// decodeRows hands emit every row of a partition of the named dataset. It
+// can only fail on a partition some other writer produced.
+func decodeRows[R any](s schema[R], name string, tab *store.Table, emit func(*R)) error {
+	c, n := declare(s), tab.NumRows()
+	for k, want := range c.cols {
+		got := tab.Col(want.Name)
+		// An empty column reads back untyped, so only rows can be mistyped.
+		if got == nil || n > 0 && (got.IsStr() || got.IsInt() != want.IsInt()) {
+			return fmt.Errorf("source: dataset %s: missing or mistyped column %q", name, want.Name)
+		}
+		c.cols[k] = *got
+	}
+	c.mode = readRow
+	for c.row = 0; c.row < n; c.row++ {
+		var r R
+		c.k = 0
+		s(c, &r)
+		emit(&r)
+	}
+	return nil
+}
+
+// jobSchema is the job-records dataset: one row per observed job.
+func jobSchema(c *rowCodec, r *JobRecord) {
+	bindInt(c, "allocation_id", &r.AllocationID)
+	bindInt(c, "class", &r.Class)
+	bindInt(c, "domain", &r.Domain)
+	bindInt(c, "num_nodes", &r.Nodes)
+	bindInt(c, colBeginTime, &r.BeginTime)
+	bindInt(c, "end_time", &r.EndTime)
+	bindFloat(c, "max_sum_inp", &r.MaxPowerW)
+	bindFloat(c, "mean_sum_inp", &r.MeanPowerW)
+	bindFloat(c, "energy", &r.EnergyJ)
+	bindFloat(c, "mean_mean_cpu_pwr", &r.MeanCPUPowerW)
+	bindFloat(c, "max_cpu_pwr", &r.MaxCPUPowerW)
+	bindFloat(c, "mean_mean_gpu_pwr", &r.MeanGPUPowerW)
+	bindFloat(c, "max_gpu_pwr", &r.MaxGPUPowerW)
+}
+
+// failureSchema is the gpu-xid dataset: the failure log (the event's
+// project is scheduler context, not telemetry, and is not archived).
+func failureSchema(c *rowCodec, e *failures.Event) {
+	bindInt(c, colTimestamp, &e.Time)
+	bindInt(c, "node", &e.Node)
+	bindInt(c, "slot", &e.Slot)
+	bindInt(c, "xid_type", &e.Type)
+	bindInt(c, "allocation_id", &e.JobID)
+	bindFloat(c, "gpu_core_temp", &e.TempC)
+	bindFloat(c, "temp_zscore", &e.TempZ)
+}
+
+// nodeWindow is one node-power row: a node's input-power statistics over
+// one coarsening window.
+type nodeWindow struct {
+	node int64
+	st   tsagg.WindowStat
+}
+
+// nodeSchema is the node-power dataset: the (timestamp, node) axes, then the
+// value columns.
+func nodeSchema(c *rowCodec, r *nodeWindow) {
+	bindInt(c, colTimestamp, &r.st.T)
+	bindInt(c, "node", &r.node)
+	bindInt(c, "input_power.count", &r.st.Count)
+	bindFloat(c, "input_power.min", &r.st.Min)
+	bindFloat(c, "input_power.max", &r.st.Max)
+	bindFloat(c, "input_power.mean", &r.st.Mean)
+	bindFloat(c, "input_power.std", &r.st.Std)
+}
+
+// NodeRollupCols lists the node-power columns pre-aggregated into the rollup
+// companion: every value column (the count widened to float, as a scan reads it).
+var NodeRollupCols = columnNames(nodeSchema)[nodeAxes:]
+
+// NodeRows buffers one day of node-power rows column-wise, in file order.
+// The zero value is an empty buffer.
+type NodeRows struct{ c *rowCodec }
+
+// Append adds one node's statistics for one window.
+func (b *NodeRows) Append(node int, st tsagg.WindowStat) {
+	if b.c == nil {
+		b.c = declare(nodeSchema)
+	}
+	b.c.k = 0
+	nodeSchema(b.c, &nodeWindow{node: int64(node), st: st})
+}
+
+// WriteNodeDay writes the buffered rows as one day of the node-power
+// dataset and empties the buffer (an empty buffer writes nothing). With a
+// floor it also writes the day's pre-aggregate companion, folded from the
+// same rows in day-table order — which is what makes a rollup answered from
+// the companion bit-identical to one scanned from the base. This is the one
+// place the pair is written and its codecs chosen: the collector's
+// CodecDelta for the base, Gorilla for the tiny, cold-read companion.
+func WriteNodeDay(dir string, day int, rows *NodeRows, floor *topology.Floor) error {
+	if rows.c == nil {
+		return nil
+	}
+	tab := &store.Table{Cols: rows.c.cols}
+	rows.c = nil
+	if err := dataset(dir, DatasetNodePower).WriteDayCodec(day, tab, store.CodecDelta); err != nil || floor == nil {
+		return err
+	}
+	red := NewRollupReducer(floor, NodeRollupCols)
+	ts, node, stat := tab.Cols[0].Ints, tab.Cols[1].Ints, tab.Cols[nodeAxes:]
+	vals := make([]float64, len(stat))
+	for i := range ts {
+		for c := range stat {
+			if stat[c].IsInt() {
+				vals[c] = float64(stat[c].Ints[i])
+			} else {
+				vals[c] = stat[c].Floats[i]
+			}
+		}
+		if err := red.Add(ts[i], node[i], vals); err != nil {
+			return err
+		}
+	}
+	return dataset(dir, RollupDatasetName(DatasetNodePower)).WriteDayCodec(day, red.Table(), store.CodecGorilla)
+}
+
+// WriteArchive archives the run src serves into dir as daily-partitioned
+// columnar files, the paper's one-file-per-day layout: the run-meta manifest
+// that makes the archive self-describing, the cluster-power series sliced by
+// day, and the job and failure logs. The run is read and dir checked before
+// the first byte is written: a directory still holding days of a longer run
+// is refused, because they would be served as part of this one.
+func WriteArchive(dir string, src RunSource) error {
+	m, err := src.Meta()
+	if err != nil {
+		return err
+	}
+	names, series, err := clusterSeries(src)
+	if err != nil {
+		return err
+	}
+	jobs, err := src.JobRecords()
+	if err != nil {
+		return err
+	}
+	evs, err := src.Failures()
+	if err != nil {
+		return err
+	}
+	days := int((m.SpanSec() + daySec - 1) / daySec)
+	if err := refuseStale(dir, max(days, logDay+1)); err != nil {
+		return err
+	}
+	if err := dataset(dir, DatasetRunMeta).WriteDayCodec(logDay, ManifestTable(m), store.CodecDelta); err != nil {
+		return err
+	}
+	for day := 0; day < days; day++ {
+		t0 := m.StartTime + int64(day)*daySec
+		ts := make([]int64, series[0].Slice(t0, t0+daySec).Len())
+		for i := range ts {
+			ts[i] = t0 + int64(i)*m.StepSec
+		}
+		tab := &store.Table{Cols: []store.Column{{Name: colTimestamp, Ints: ts}}}
+		for i, s := range series {
+			tab.Cols = append(tab.Cols, store.Column{Name: names[i], Floats: s.Slice(t0, t0+daySec).Vals})
+		}
+		if err := dataset(dir, DatasetClusterPower).WriteDayCodec(day, tab, store.CodecDelta); err != nil {
+			return err
+		}
+	}
+	if err := dataset(dir, DatasetJobRecords).WriteDayCodec(logDay, encodeRows(jobSchema, jobs), store.CodecDelta); err != nil {
+		return err
+	}
+	return dataset(dir, DatasetFailures).WriteDayCodec(logDay, encodeRows(failureSchema, evs), store.CodecDelta)
+}
+
+// refuseStale fails, naming the files, when dir already holds a partition of
+// any dataset at a day index a run of the given length in days will not
+// overwrite. Re-archiving over the same days stays legal.
+func refuseStale(dir string, days int) error {
+	names, err := store.Datasets(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) { // no directory: nothing archived here yet
+		return err
+	}
+	var stale []string
+	for _, name := range names {
+		ds := dataset(dir, name)
+		have, err := ds.Days()
+		if err != nil {
+			return err
+		}
+		for _, day := range have {
+			if day >= days {
+				stale = append(stale, ds.DayFile(day))
+			}
+		}
+	}
+	if len(stale) == 0 {
+		return nil
+	}
+	return fmt.Errorf("source: %s holds partitions of a longer run that this %d-day run would not overwrite (%s): archive into an empty directory or remove them",
+		dir, days, strings.Join(stale, ", "))
+}

@@ -1,0 +1,90 @@
+package source_test
+
+import (
+	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+)
+
+// gunzippedSHA256 hashes every partition file in dir by its gunzipped
+// payload, keyed by file name: the hash pins the format (columns, order,
+// types, codec, bytes), not the deflate implementation around it.
+func gunzippedSHA256(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]string{}
+	for _, e := range entries {
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		h := sha256.New()
+		if _, err := io.Copy(h, zr); err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		f.Close()
+		sums[e.Name()] = hex.EncodeToString(h.Sum(nil))
+	}
+	return sums
+}
+
+// archivePinnedRun simulates and archives the pinned fleet member into a
+// fresh directory.
+func archivePinnedRun(t *testing.T) string {
+	t.Helper()
+	cfg := sim.Scaled(36, 8640)
+	cfg.Seed = sim.DeriveSeed(2020, 1)
+	cfg.Cluster, cfg.Site = "frontier-1", "frontier"
+	dir := t.TempDir()
+	d, _, err := core.CollectRun(cfg, core.AttachNodeDataset(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteDatasets(dir, d); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestArchiveLayoutPin freezes the archive layout of one fleet member —
+// 36 nodes, 0.1 day, node dataset on, cluster identity set. The literals
+// were recorded at the commit before the layout moved behind
+// source.WriteArchive; never regenerate them for a refactor. A change that
+// is meant to alter the layout (a format version, a codec decision, a new
+// column) re-records them in the same commit and says so.
+func TestArchiveLayoutPin(t *testing.T) {
+	dir := archivePinnedRun(t)
+	want := map[string]string{
+		"cluster-power-day00000.spwr":     "ffb95f9a36551e2163c040bf822c157c88ee90dd7f68016b8c2dcb8191c4b7d8",
+		"gpu-xid-day00000.spwr":           "e9e2b483751d1216babd0423857952014223c9e7a8bfe2225c3955868f8764a8",
+		"job-records-day00000.spwr":       "c376abe9b9e8ab2eca8760ef56635a4bce62b2ba61997159e20e9b84ad717009",
+		"node-power-day00000.spwr":        "0d84619de0e532a37e2dd0b74ebe69ad4555251a2c7247761941161f3242addf",
+		"node-power.rollup-day00000.spwr": "15533aed08a31d653f143a6eb904a459d099ede988331b0760947b589b0834f5",
+		"run-meta-day00000.spwr":          "d4e4dae4a35047d538fd8adfb5d5c4502b460e54925a3ead9d885aad5ff6893a",
+	}
+	got := gunzippedSHA256(t, dir)
+	for name, sum := range got {
+		if want[name] != sum {
+			t.Errorf("%s: payload sha256 %s, pinned %q", name, sum, want[name])
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s: pinned partition not written", name)
+		}
+	}
+}

@@ -1,0 +1,225 @@
+package source_test
+
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/failures"
+	"repro/internal/source"
+	"repro/internal/topology"
+	"repro/internal/tsagg"
+)
+
+// syntheticRun builds a hand-made live plane of the given span on a 600 s
+// grid carrying exactly the series every run must have, plus the given logs.
+func syntheticRun(windows int, seed float64, jobs []source.JobRecord, evs []failures.Event) *source.MemorySource {
+	const start, step = int64(1_577_836_800), int64(600)
+	m := &source.MemorySource{
+		RunMeta:      source.Meta{StartTime: start, StepSec: step, Nodes: 36, Windows: windows},
+		SeriesByName: map[string]*tsagg.Series{},
+		Jobs:         jobs,
+		Events:       evs,
+	}
+	for i, name := range []string{
+		source.SeriesClusterPower, source.SeriesClusterTruePower, source.SeriesCPUPower,
+		source.SeriesGPUPower, source.SeriesPUE, source.SeriesSupplyC, source.SeriesReturnC,
+		source.SeriesTowerTons, source.SeriesChillerTons, source.SeriesWetBulbC,
+		source.SeriesGPUTempMean, source.SeriesGPUTempMax,
+	} {
+		s := tsagg.NewSeries(start, step, windows)
+		for w := range s.Vals {
+			s.Vals[w] = seed + float64(i*1000+w)
+		}
+		m.SeriesByName[name] = s
+	}
+	return m
+}
+
+// writeNodeDays archives days of a 36-node node-power dataset (with its
+// companion) into dir, one row per node per 600 s window.
+func writeNodeDays(t *testing.T, dir string, days int) {
+	t.Helper()
+	tcfg, err := topology.PresetScaled("", 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := topology.New(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < days; day++ {
+		var rows source.NodeRows
+		for w := int64(0); w < 144; w++ {
+			for n := 0; n < 36; n++ {
+				rows.Append(n, tsagg.WindowStat{T: 1_577_836_800 + int64(day)*86400 + w*600, Count: 2, Min: 1, Max: 3, Mean: 2, Std: 1})
+			}
+		}
+		if err := source.WriteNodeDay(dir, day, &rows, floor); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWriteArchiveRefusesLeftoverDays: re-archiving a shorter run into a
+// directory still holding a longer run's days must fail, naming the files,
+// before anything is written — otherwise the next reader is served the new
+// day 0 spliced onto the old day 1. Re-archiving the same span stays legal.
+func TestWriteArchiveRefusesLeftoverDays(t *testing.T) {
+	dir := t.TempDir()
+	writeNodeDays(t, dir, 2)
+	if err := source.WriteArchive(dir, syntheticRun(288, 0, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := source.WriteArchive(dir, syntheticRun(288, 7, nil, nil)); err != nil {
+		t.Fatalf("same-span rewrite refused: %v", err)
+	}
+	before := gunzippedSHA256(t, dir)
+
+	writeNodeDays(t, dir, 1) // the shorter run's node observer ran first
+	err := source.WriteArchive(dir, syntheticRun(144, 7, nil, nil))
+	if err == nil {
+		t.Fatal("a 1-day run was archived over a 2-day run's directory")
+	}
+	for _, file := range []string{"cluster-power-day00001.spwr", "node-power-day00001.spwr", "node-power.rollup-day00001.spwr"} {
+		if !strings.Contains(err.Error(), file) {
+			t.Errorf("error does not name %s: %v", file, err)
+		}
+	}
+	if after := gunzippedSHA256(t, dir); !reflect.DeepEqual(after, before) {
+		t.Error("the refused write changed the directory")
+	}
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := src.Series(source.SeriesClusterPower); err != nil || s.Len() != 288 {
+		t.Errorf("the refused write disturbed the archived run: %v", err)
+	}
+}
+
+// TestWriteArchiveFixedPoint: archiving what an archive serves reproduces
+// the archive — the writer and the reader agree on every dataset's columns,
+// order and types with no schema knowledge in the test.
+func TestWriteArchiveFixedPoint(t *testing.T) {
+	dir1, dir2 := archivePinnedRun(t), t.TempDir()
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := source.WriteArchive(dir2, src); err != nil {
+		t.Fatal(err)
+	}
+	want, got := gunzippedSHA256(t, dir1), gunzippedSHA256(t, dir2)
+	// The per-node dataset is written by the run's observer, not WriteArchive.
+	for name := range want {
+		if strings.HasPrefix(name, source.DatasetNodePower) {
+			delete(want, name)
+		}
+	}
+	if len(want) < 4 || !reflect.DeepEqual(got, want) {
+		t.Errorf("re-archived partitions differ:\n got  %v\n want %v", got, want)
+	}
+}
+
+// bitEqual compares two values of one struct type field by field, floats by
+// bit pattern (NaN == NaN, -0 != +0).
+func bitEqual(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		if fa.Kind() == reflect.Float64 {
+			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+				return false
+			}
+		} else if !fa.Equal(fb) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSchemaRoundTripEdgeRows drives rows no simulated run produces through
+// every row schema, writer to reader.
+func TestSchemaRoundTripEdgeRows(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		jobs []source.JobRecord
+		evs  []failures.Event
+		node []tsagg.WindowStat // one node's windows
+	}{
+		{name: "empty logs"},
+		{
+			name: "non-finite floats, negative ids, zero-count windows",
+			jobs: []source.JobRecord{
+				{AllocationID: -1, Class: -2, Domain: math.MinInt32, Nodes: 0, BeginTime: -5, EndTime: math.MaxInt64,
+					MaxPowerW: inf, MeanPowerW: nan, EnergyJ: -inf, MeanCPUPowerW: negZero, MaxCPUPowerW: math.MaxFloat64,
+					MeanGPUPowerW: math.SmallestNonzeroFloat64, MaxGPUPowerW: 0},
+				{AllocationID: math.MinInt64, Class: 5, Nodes: 4608, BeginTime: 1, EndTime: 0, EnergyJ: 1.5},
+			},
+			evs: []failures.Event{
+				{Time: -1, Node: -3, Slot: -1, Type: failures.Type(-7), JobID: -9, TempC: nan, TempZ: -inf},
+				{Time: math.MaxInt64, Node: 4625, Slot: 5, Type: failures.DoubleBitError, JobID: 0, TempC: negZero, TempZ: inf},
+			},
+			node: []tsagg.WindowStat{
+				{T: 1_577_836_800, Count: 0, Min: nan, Max: nan, Mean: nan, Std: nan},
+				{T: 1_577_836_810, Count: -1, Min: inf, Max: -inf, Mean: negZero, Std: 0},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := source.WriteArchive(dir, syntheticRun(3, 0, tc.jobs, tc.evs)); err != nil {
+				t.Fatal(err)
+			}
+			var rows source.NodeRows
+			for _, st := range tc.node {
+				rows.Append(7, st)
+			}
+			// No floor: the reducer (rightly) has no accumulator for a NaN row.
+			if err := source.WriteNodeDay(dir, 0, &rows, nil); err != nil {
+				t.Fatal(err)
+			}
+			src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs, err := src.JobRecords()
+			if err != nil || len(jobs) != len(tc.jobs) {
+				t.Fatalf("job rows: %d, %v; want %d", len(jobs), err, len(tc.jobs))
+			}
+			for i := range jobs {
+				if !bitEqual(jobs[i], tc.jobs[i]) {
+					t.Errorf("job row %d: %+v, want %+v", i, jobs[i], tc.jobs[i])
+				}
+			}
+			evs, err := src.Failures()
+			if err != nil || len(evs) != len(tc.evs) {
+				t.Fatalf("failure rows: %d, %v; want %d", len(evs), err, len(tc.evs))
+			}
+			for i := range evs {
+				if !bitEqual(evs[i], tc.evs[i]) {
+					t.Errorf("failure row %d: %+v, want %+v", i, evs[i], tc.evs[i])
+				}
+			}
+			byNode, err := src.NodeWindows(0)
+			if len(tc.node) == 0 {
+				if err == nil {
+					t.Error("an empty node buffer wrote a partition")
+				}
+				return
+			}
+			if err != nil || len(byNode) != 1 || len(byNode[7]) != len(tc.node) {
+				t.Fatalf("node windows: %v, %v", byNode, err)
+			}
+			for i, st := range byNode[7] {
+				if !bitEqual(st, tc.node[i]) {
+					t.Errorf("node window %d: %+v, want %+v", i, st, tc.node[i])
+				}
+			}
+		})
+	}
+}

@@ -27,8 +27,51 @@ func NewDataset(dir, name string) (*Dataset, error) {
 	return &Dataset{Dir: dir, Name: name}, nil
 }
 
-func (d *Dataset) dayPath(day int) string {
-	return filepath.Join(d.Dir, fmt.Sprintf("%s-day%05d.spwr", d.Name, day))
+// DayFile returns the file name (without directory) of the given day's
+// partition. Partition naming — <dataset>-day<NNNNN>.spwr — is decided here
+// and in the inverse below, and nowhere else.
+func (d *Dataset) DayFile(day int) string { return fmt.Sprintf("%s-day%05d.spwr", d.Name, day) }
+
+func (d *Dataset) dayPath(day int) string { return filepath.Join(d.Dir, d.DayFile(day)) }
+
+// parseDayFile is DayFile's inverse. Only a name DayFile produces parses —
+// ReadDay(day) must open exactly this file — so "x-day7.spwr" is stray, not
+// day 7 of x.
+func parseDayFile(name string) (dataset string, day int, ok bool) {
+	i := strings.LastIndex(name, "-day")
+	if i <= 0 {
+		return "", 0, false
+	}
+	d := Dataset{Name: name[:i]}
+	day, err := strconv.Atoi(strings.TrimSuffix(name[i+len("-day"):], ".spwr"))
+	return d.Name, day, err == nil && day >= 0 && d.DayFile(day) == name
+}
+
+// partitions lists the days present in dir per dataset, skipping stray
+// files: in-flight .tmp files, directories, names that are not canonical.
+func partitions(dir string) (map[string][]int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	parts := map[string][]int{}
+	for _, e := range entries {
+		if dataset, day, ok := parseDayFile(e.Name()); ok && !e.IsDir() {
+			parts[dataset] = append(parts[dataset], day)
+		}
+	}
+	return parts, nil
+}
+
+// Datasets lists the datasets holding at least one partition in dir, sorted.
+func Datasets(dir string) ([]string, error) {
+	parts, err := partitions(dir)
+	names := make([]string, 0, len(parts))
+	for name := range parts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names, err
 }
 
 // WriteDay stores the table as the partition for the given day index.
@@ -53,7 +96,7 @@ func (d *Dataset) WriteDayCodec(day int, t *Table, codec Codec) error {
 	if err := WriteCodec(f, t, codec); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return err
+		return d.partitionErr(day, err)
 	}
 	if err := f.Close(); err != nil {
 		_ = os.Remove(tmp)
@@ -62,12 +105,12 @@ func (d *Dataset) WriteDayCodec(day int, t *Table, codec Codec) error {
 	return os.Rename(tmp, d.dayPath(day))
 }
 
-// partitionErr wraps a decode failure with the partition it came from, so a
-// truncated or corrupt day file is reported by name instead of failing
-// opaquely mid-scan.
+// partitionErr wraps an encode or decode failure with the partition it came
+// from, so a malformed table or a truncated or corrupt day file is reported
+// by name instead of failing opaquely mid-scan.
 func (d *Dataset) partitionErr(day int, err error) error {
 	return fmt.Errorf("store: dataset %q partition %s: %w",
-		d.Name, filepath.Base(d.dayPath(day)), err)
+		d.Name, d.DayFile(day), err)
 }
 
 // ReadDay loads the partition for the given day index.
@@ -84,35 +127,12 @@ func (d *Dataset) ReadDay(day int) (*Table, error) {
 	return t, nil
 }
 
-// Days lists the day indices present, sorted ascending. Stray files — other
-// datasets, in-flight .tmp files, directories, or names that do not
-// round-trip through the canonical partition format — are skipped.
+// Days lists the day indices present, sorted ascending.
 func (d *Dataset) Days() ([]int, error) {
-	entries, err := os.ReadDir(d.Dir)
-	if err != nil {
-		return nil, err
-	}
-	prefix := d.Name + "-day"
-	var days []int
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".spwr") {
-			continue
-		}
-		numPart := strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".spwr")
-		day, err := strconv.Atoi(numPart)
-		if err != nil || day < 0 {
-			continue
-		}
-		// Require the canonical zero-padded form so ReadDay(day) opens
-		// exactly this file (e.g. "x-day7.spwr" is stray, not day 7).
-		if fmt.Sprintf("%05d", day) != numPart {
-			continue
-		}
-		days = append(days, day)
-	}
+	parts, err := partitions(d.Dir)
+	days := parts[d.Name]
 	sort.Ints(days)
-	return days, nil
+	return days, err
 }
 
 // SizeOnDisk returns the dataset's total bytes across partitions.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -227,22 +228,61 @@ func TestDaysSkipsNonCanonicalNames(t *testing.T) {
 	if err := ds.WriteDay(2, metaTable()); err != nil {
 		t.Fatal(err)
 	}
-	// Stray files that match loosely but are not canonical partitions, an
-	// in-flight temp file, and a directory with a partition-like name.
-	for _, name := range []string{"x-day7.spwr", "x-day-0001.spwr", "x-day00003.spwr.tmp"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("junk"), 0o644); err != nil {
+	// One file per row beside the real day 2. Days and Datasets go through
+	// the same parse, so they must agree on every row: a name is a partition
+	// of its dataset for both or for neither.
+	for _, tc := range []struct {
+		name    string
+		dataset string // dataset the entry is a partition of ("" = stray)
+		day     int
+		dir     bool
+	}{
+		{name: "x-day7.spwr"},                // not zero-padded
+		{name: "x-day-0001.spwr"},            // negative
+		{name: "x-day00003.spwr.tmp"},        // in-flight temp file
+		{name: "x-day00009.spwr", dir: true}, // directory with a partition's name
+		{name: "y-day000007.spwr"},           // over-padded: ReadDay(7) would not open it
+		{name: "-day00001.spwr"},             // no dataset name
+		{name: "x-day100000.spwr", dataset: "x", day: 100000},
+		{name: "x-day7-day00004.spwr", dataset: "x-day7", day: 4},
+	} {
+		path := filepath.Join(dir, tc.name)
+		var err error
+		if tc.dir {
+			err = os.Mkdir(path, 0o755)
+		} else {
+			err = os.WriteFile(path, []byte("junk"), 0o644)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := os.Mkdir(filepath.Join(dir, "x-day00009.spwr"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	days, err := ds.Days()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(days) != 1 || days[0] != 2 {
-		t.Errorf("days = %v, want [2]", days)
+		names, err := Datasets(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantNames := []string{"x"}
+		wantDays := map[string][]int{"x": {2}}
+		if tc.dataset != "" {
+			if tc.dataset != "x" {
+				wantNames = append(wantNames, tc.dataset)
+			}
+			wantDays[tc.dataset] = append(wantDays[tc.dataset], tc.day)
+		}
+		if !reflect.DeepEqual(names, wantNames) {
+			t.Errorf("%s: Datasets = %v, want %v", tc.name, names, wantNames)
+		}
+		for _, name := range names {
+			d, _ := NewDataset(dir, name)
+			if days, err := d.Days(); err != nil || !reflect.DeepEqual(days, wantDays[name]) {
+				t.Errorf("%s: dataset %s Days = %v, %v; want %v", tc.name, name, days, err, wantDays[name])
+			}
+			if tc.dataset == name && d.DayFile(tc.day) != tc.name {
+				t.Errorf("%s: DayFile(%d) = %s", tc.name, tc.day, d.DayFile(tc.day))
+			}
+		}
+		if err := os.RemoveAll(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
