@@ -81,10 +81,11 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSim' -benchmem -benchtime 1x .
 
 # bench-query records the query-tier benchmarks (cold decode, cached,
-# pre-aggregate, and a memoized analysis through the HTTP handler) in
+# pre-aggregate, a memoized analysis through the HTTP handler) and the
+# archive codec's layers (day flush, DayMeta, column skip) in
 # BENCH_query.json under LABEL; the report then renders it beside the labels
 # already tracked there.
-QUERY_BENCH = BenchmarkQuery|BenchmarkHTTPAnalysis
+QUERY_BENCH = BenchmarkQuery|BenchmarkHTTPAnalysis|BenchmarkWriteNodeDay|BenchmarkDayMeta|BenchmarkSkipDelta
 bench-query:
 	$(GO) test -run xxx -bench '$(QUERY_BENCH)' -benchmem -count 3 . | \
 		$(GO) run ./cmd/benchjson -out BENCH_query.json -label $(LABEL)
@@ -240,13 +241,18 @@ scenario-smoke:
 
 # archive-smoke gates the one archive writer end to end: a single archive
 # with every optional dataset and a 2-cluster fleet are written and analyzed
-# by the built binaries, then a shorter run archived into the same directory
-# must be refused (its leftover days would otherwise be served as one run).
+# by the built binaries; the same seed archived again on one core must be the
+# same files byte for byte (the day flush runs beside the simulation, and its
+# scheduling may not reach the archive); then a shorter run archived into the
+# same directory must be refused (its leftover days would otherwise be served
+# as one run).
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-fleet
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
+	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -jobseries -q
+	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-again
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd summary > /dev/null
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster summit-0 -cmd summary > /dev/null
@@ -254,8 +260,8 @@ archive-smoke:
 	@if /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 1 -seed 7 -nodedata -q 2> /tmp/arcsmoke-refusal.txt; then \
 		echo "archive-smoke: a 1-day run was archived over a 2-day run"; exit 1; fi; \
 	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
-	echo "archive-smoke: archives written and analyzed, shorter re-run refused"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-fleet /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt
+	echo "archive-smoke: archives written and analyzed, re-run on one core byte-identical, shorter re-run refused"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt
 
 # bench-report regenerates the checked-in markdown trend report from every
 # BENCH_*.json baseline.

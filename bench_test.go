@@ -7,11 +7,14 @@ package repro
 // Run with: go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -568,6 +571,95 @@ func BenchmarkQueryRollupScan(b *testing.B) {
 		if _, err := eng.Rollup(ctx, req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWriteNodeDay measures the collector's day flush: one simulated
+// 64-node day at the 10 s cadence (553k rows, the shape summitsim -nodedata
+// flushes) through source.WriteNodeDay — the base partition's delta +
+// deflate, the rollup fold and the Gorilla companion. The buffer is rebuilt
+// off the clock every iteration, so the same benchmark runs on commits whose
+// WriteNodeDay consumed it.
+func BenchmarkWriteNodeDay(b *testing.B) {
+	const nodes = 64
+	var day []tsagg.WindowStat
+	_, _, err := core.CollectRun(ScaledConfig(nodes, 24*time.Hour), func(*sim.Sim) (sim.Observer, error) {
+		return sim.ObserverFunc(func(s *sim.Snapshot) { day = append(day, s.NodeStat...) }), nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tcfg, err := topology.PresetScaled("", nodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	floor, err := topology.New(tcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var rows source.NodeRows
+		for r, st := range day {
+			rows.Append(r%nodes, st)
+		}
+		b.StartTimer()
+		if err := source.WriteNodeDay(dir, 0, &rows, floor); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// queryBenchDay is the node-power dataset of the query fixture; the codec
+// benchmarks read its day 0.
+func queryBenchDay(b *testing.B) *store.Dataset {
+	b.Helper()
+	ds, err := store.NewDataset(queryBenchArchive(b), "node-power")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+// BenchmarkDayMeta measures what queryd pays per partition at start: the
+// time axis decoded, every other column walked past.
+func BenchmarkDayMeta(b *testing.B) {
+	ds := queryBenchDay(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m, err := ds.DayMeta(0, source.TimeColumns...); err != nil || !m.TimeSorted {
+			b.Fatalf("meta %+v, err %v", m, err)
+		}
+	}
+}
+
+// BenchmarkSkipDelta walks past all seven CodecDelta columns of that day:
+// the floor under every column-selective read (inflate plus the varint walk).
+func BenchmarkSkipDelta(b *testing.B) {
+	ds := queryBenchDay(b)
+	raw, err := os.ReadFile(filepath.Join(ds.Dir, ds.DayFile(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := store.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := r.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+			if err := r.Skip(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		_ = r.Close()
 	}
 }
 

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"io"
 	"math"
 
@@ -366,9 +367,9 @@ type Attach func(s *sim.Sim) (sim.Observer, error)
 // CollectRun is the one run-and-collect sequence: build the sim from cfg,
 // attach the standard collector plus the extra observers, run, and return
 // the run data with the sim result. An attach error aborts before the run
-// starts; after a successful run every extra observer that holds files (an
-// io.Closer, such as the node-dataset writer) is closed and its error
-// reported.
+// starts. However the run ends, every extra observer that holds files (an
+// io.Closer, such as the node-dataset writer and its flush in flight) is
+// closed before CollectRun returns, and every error is reported.
 func CollectRun(cfg sim.Config, attach ...Attach) (*RunData, *sim.Result, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
@@ -379,21 +380,26 @@ func CollectRun(cfg sim.Config, attach ...Attach) (*RunData, *sim.Result, error)
 	for _, a := range attach {
 		o, err := a(s)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, errors.Join(err, closeObservers(observers))
 		}
 		observers = append(observers, o)
 	}
 	res, err := s.Run(observers...)
-	if err != nil {
+	if err = errors.Join(err, closeObservers(observers)); err != nil {
 		return nil, nil, err
-	}
-	for _, o := range observers[1:] {
-		if c, ok := o.(io.Closer); ok {
-			if err := c.Close(); err != nil {
-				return nil, nil, err
-			}
-		}
 	}
 	col.SetFailures(res.Failures)
 	return col.Data(), res, nil
+}
+
+// closeObservers closes every observer that is an io.Closer and joins their
+// errors; one failing does not keep the rest open.
+func closeObservers(observers []sim.Observer) error {
+	var err error
+	for _, o := range observers {
+		if c, ok := o.(io.Closer); ok {
+			err = errors.Join(err, c.Close())
+		}
+	}
+	return err
 }

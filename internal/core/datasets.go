@@ -25,20 +25,30 @@ const DatasetNodePower = source.DatasetNodePower
 // the day's rows; source.WriteNodeDay writes each day partition together
 // with its pre-aggregate companion, which the query tier answers aligned
 // rollups from without scanning a single per-node row.
+//
+// A finished day is flushed while the simulation runs on into the next: one
+// flush is in flight at most, over two day buffers that swap at midnight (the
+// second sized by the first day, so neither grows again), and a midnight
+// waits for the flush of the day before. The first flush error stops every
+// later write and is what Close returns. Close must be called: it alone
+// waits for the last flush.
 type NodeDatasetWriter struct {
 	dir    string
 	floor  *topology.Floor // nil: no pre-aggregate companion
 	day    int
 	dayEnd int64 // 0: nothing observed yet
-	rows   source.NodeRows
-	err    error
+	rows   *source.NodeRows
+	spare  *source.NodeRows // the other day buffer, being flushed while flushed != nil
+	// flushed delivers the result of the flush in flight; nil when none is.
+	flushed chan error
+	err     error
 }
 
 // NewNodeDatasetWriter archives into dir. site selects the floor preset the
 // cluster instantiates ("" = summit), whose cabinet/switchboard geometry the
 // pre-aggregate companion follows; nodes <= 0 disables the companion.
 func NewNodeDatasetWriter(dir string, nodes int, site string) (*NodeDatasetWriter, error) {
-	w := &NodeDatasetWriter{dir: dir}
+	w := &NodeDatasetWriter{dir: dir, rows: new(source.NodeRows), spare: new(source.NodeRows)}
 	if nodes > 0 {
 		tcfg, err := topology.PresetScaled(site, nodes)
 		if err != nil {
@@ -69,7 +79,9 @@ func (w *NodeDatasetWriter) Observe(snap *sim.Snapshot) {
 		w.dayEnd = snap.T + 86400
 	}
 	if snap.T >= w.dayEnd {
-		w.flush()
+		if w.flush(); w.err != nil {
+			return
+		}
 		w.day++
 		w.dayEnd += 86400
 	}
@@ -78,14 +90,38 @@ func (w *NodeDatasetWriter) Observe(snap *sim.Snapshot) {
 	}
 }
 
+// flush hands the buffered day to a flush of its own and swaps in the other
+// buffer, once the flush that was reading that one is done.
 func (w *NodeDatasetWriter) flush() {
-	if w.err == nil {
-		w.err = source.WriteNodeDay(w.dir, w.day, &w.rows, w.floor)
+	if w.wait(); w.err != nil {
+		return
 	}
+	day, full := w.day, w.rows
+	w.rows, w.spare = w.spare, full
+	w.rows.Reset(full.Len())
+	w.flushed = make(chan error, 1)
+	go func(done chan<- error) {
+		done <- source.WriteNodeDay(w.dir, day, full, w.floor)
+	}(w.flushed)
 }
 
-// Close flushes the final partition and reports any deferred error.
+// wait blocks until no flush is in flight and keeps the first error.
+func (w *NodeDatasetWriter) wait() {
+	if w.flushed == nil {
+		return
+	}
+	if err := <-w.flushed; w.err == nil {
+		w.err = err
+	}
+	w.flushed = nil
+}
+
+// Close writes the final partition once the flush before it is done, and
+// reports the first error of any flush.
 func (w *NodeDatasetWriter) Close() error {
-	w.flush()
+	if w.wait(); w.err == nil {
+		w.err = source.WriteNodeDay(w.dir, w.day, w.rows, w.floor)
+		w.rows.Reset(0)
+	}
 	return w.err
 }

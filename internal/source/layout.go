@@ -248,22 +248,69 @@ func (b *NodeRows) Append(node int, st tsagg.WindowStat) {
 	nodeSchema(b.c, &nodeWindow{node: int64(node), st: st})
 }
 
-// WriteNodeDay writes the buffered rows as one day of the node-power
-// dataset and empties the buffer (an empty buffer writes nothing). With a
-// floor it also writes the day's pre-aggregate companion, folded from the
-// same rows in day-table order — which is what makes a rollup answered from
-// the companion bit-identical to one scanned from the base. This is the one
-// place the pair is written and its codecs chosen: the collector's
-// CodecDelta for the base, Gorilla for the tiny, cold-read companion.
+// Len returns the number of buffered rows.
+func (b *NodeRows) Len() int {
+	if b.c == nil {
+		return 0
+	}
+	return b.c.cols[0].Len()
+}
+
+// Reset empties the buffer for another day, keeping its columns' storage when
+// that holds capacity rows and allocating exactly that otherwise — a day
+// buffer that is recycled never grows.
+func (b *NodeRows) Reset(capacity int) {
+	if b.c == nil {
+		b.c = declare(nodeSchema)
+	}
+	for k := range b.c.cols {
+		if col := &b.c.cols[k]; col.IsInt() {
+			col.Ints = emptied(col.Ints, capacity)
+		} else {
+			col.Floats = emptied(col.Floats, capacity)
+		}
+	}
+}
+
+func emptied[T any](s []T, capacity int) []T {
+	if cap(s) < capacity {
+		return make([]T, 0, capacity)
+	}
+	return s[:0]
+}
+
+// WriteNodeDay writes the buffered rows as one day of the node-power dataset
+// (an empty buffer writes nothing); the buffer is only read, and is the
+// caller's to Reset once WriteNodeDay returns. With a floor it also writes
+// the day's pre-aggregate companion, folded from the same rows in day-table
+// order — which is what makes a rollup answered from the companion
+// bit-identical to one scanned from the base. This is the one place the pair
+// is written and its codecs chosen: the collector's CodecDelta for the base,
+// Gorilla for the tiny, cold-read companion. The two are independent files
+// built from the same read-only columns, so the companion is folded and
+// written while the base deflates; both writes have finished when
+// WriteNodeDay returns, and the base's error is reported first. Nothing
+// orders the two renames: whatever binds a companion to its base (ROADMAP
+// item 1) has to hold between two concurrent writes.
 func WriteNodeDay(dir string, day int, rows *NodeRows, floor *topology.Floor) error {
-	if rows.c == nil {
+	if rows.Len() == 0 {
 		return nil
 	}
-	tab := &store.Table{Cols: rows.c.cols}
-	rows.c = nil
-	if err := dataset(dir, DatasetNodePower).WriteDayCodec(day, tab, store.CodecDelta); err != nil || floor == nil {
-		return err
+	tab, base := &store.Table{Cols: rows.c.cols}, dataset(dir, DatasetNodePower)
+	if floor == nil {
+		return base.WriteDayCodec(day, tab, store.CodecDelta)
 	}
+	companion := make(chan error, 1)
+	go func() { companion <- writeNodeRollup(dir, day, tab, floor) }()
+	err := base.WriteDayCodec(day, tab, store.CodecDelta)
+	if cerr := <-companion; err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeNodeRollup folds one node-power day table into its companion partition.
+func writeNodeRollup(dir string, day int, tab *store.Table, floor *topology.Floor) error {
 	red := NewRollupReducer(floor, NodeRollupCols)
 	ts, node, stat := tab.Cols[0].Ints, tab.Cols[1].Ints, tab.Cols[nodeAxes:]
 	vals := make([]float64, len(stat))

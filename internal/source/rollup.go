@@ -69,17 +69,32 @@ type RollupReducer struct {
 	floor *topology.Floor
 	cols  []string
 	acc   map[rollupKey][]stats.Moments
+
+	// A day table is in time order, so nearly every row lands in the window
+	// of the row before it: cur[kind][group] is that window's accumulator —
+	// the very slice acc holds, nil until the group's first row there — and
+	// the map is consulted once per (group, window), not three times per
+	// row. Rows of any other window just move the cursor; every accumulator
+	// sees the same Add sequence either way.
+	window int64
+	cur    [RollupKindFleet + 1][][]stats.Moments
 }
 
 // NewRollupReducer builds a reducer over the named value columns. floor maps
 // nodes to cabinets and switchboards; nil restricts the reduction to the
 // fleet kind.
 func NewRollupReducer(floor *topology.Floor, cols []string) *RollupReducer {
-	return &RollupReducer{
+	r := &RollupReducer{
 		floor: floor,
 		cols:  cols,
 		acc:   make(map[rollupKey][]stats.Moments),
 	}
+	if floor != nil {
+		r.cur[RollupKindCabinet] = make([][]stats.Moments, floor.Cabinets())
+		r.cur[RollupKindMSB] = make([][]stats.Moments, floor.MSBs())
+	}
+	r.cur[RollupKindFleet] = make([][]stats.Moments, 1)
+	return r
 }
 
 // Add folds one row — its timestamp, node, and one value per configured
@@ -90,29 +105,38 @@ func (r *RollupReducer) Add(t, node int64, vals []float64) error {
 	if len(vals) != len(r.cols) {
 		return fmt.Errorf("source: rollup row has %d values, want %d", len(vals), len(r.cols))
 	}
-	w := t - tsagg.FloorMod(t, RollupStepSec)
+	if w := t - tsagg.FloorMod(t, RollupStepSec); w != r.window {
+		r.window = w
+		for kind := range r.cur {
+			clear(r.cur[kind])
+		}
+	}
 	if r.floor != nil {
 		if node < 0 || int(node) >= r.floor.Nodes() {
 			return fmt.Errorf("source: rollup: node %d outside the %d-node floor",
 				node, r.floor.Nodes())
 		}
 		id := topology.NodeID(node)
-		r.fold(RollupKindCabinet, int64(r.floor.Cabinet(id)), w, vals)
-		r.fold(RollupKindMSB, int64(r.floor.MSBOf(id)), w, vals)
+		r.fold(RollupKindCabinet, int64(r.floor.Cabinet(id)), vals)
+		r.fold(RollupKindMSB, int64(r.floor.MSBOf(id)), vals)
 	}
-	r.fold(RollupKindFleet, 0, w, vals)
+	r.fold(RollupKindFleet, 0, vals)
 	return nil
 }
 
-// fold adds one row's values into a single (kind, group, window) slot.
+// fold adds one row's values into the (kind, group) slot of the current
+// window.
 //
 //lint:detroot
-func (r *RollupReducer) fold(kind, group, window int64, vals []float64) {
-	k := rollupKey{kind: kind, group: group, window: window}
-	ms, ok := r.acc[k]
-	if !ok {
-		ms = make([]stats.Moments, len(r.cols))
-		r.acc[k] = ms
+func (r *RollupReducer) fold(kind, group int64, vals []float64) {
+	ms := r.cur[kind][group]
+	if ms == nil {
+		k := rollupKey{kind: kind, group: group, window: r.window}
+		if ms = r.acc[k]; ms == nil {
+			ms = make([]stats.Moments, len(r.cols))
+			r.acc[k] = ms
+		}
+		r.cur[kind][group] = ms
 	}
 	for i, v := range vals {
 		ms[i].Add(v)

@@ -201,6 +201,10 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 		return err
 	}
 	var gorillaBuf []byte // reused payload scratch for CodecGorilla columns
+	// A delta column's varints are appended to chunk and reach bw a block of
+	// rows at a time instead of one Write per value; the byte stream, and with
+	// it the deflate output, is the same.
+	var chunk []byte
 	for i := range t.Cols {
 		c := &t.Cols[i]
 		if err := putUvarint(uint64(len(c.Name))); err != nil {
@@ -268,10 +272,13 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 			}
 			if codec.delta() {
 				prev := int64(0)
-				for _, v := range c.Ints {
-					d := v - prev
-					prev = v
-					if err := putUvarint(zigzag(d)); err != nil {
+				for j := 0; j < len(c.Ints); j += blockRows {
+					chunk = chunk[:0]
+					for _, v := range c.Ints[j:min(j+blockRows, len(c.Ints))] {
+						chunk = appendUvarint(chunk, zigzag(v-prev))
+						prev = v
+					}
+					if _, err := bw.Write(chunk); err != nil {
 						return err
 					}
 				}
@@ -290,12 +297,16 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 			}
 			if codec.delta() {
 				prev := uint64(0)
-				for _, v := range c.Floats {
-					bits := math.Float64bits(v)
-					if err := putUvarint(bits ^ prev); err != nil {
+				for j := 0; j < len(c.Floats); j += blockRows {
+					chunk = chunk[:0]
+					for _, v := range c.Floats[j:min(j+blockRows, len(c.Floats))] {
+						bits := math.Float64bits(v)
+						chunk = appendUvarint(chunk, bits^prev)
+						prev = bits
+					}
+					if _, err := bw.Write(chunk); err != nil {
 						return err
 					}
-					prev = bits
 				}
 			} else {
 				var raw [8]byte

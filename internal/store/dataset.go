@@ -93,16 +93,19 @@ func (d *Dataset) WriteDayCodec(day int, t *Table, codec Codec) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteCodec(f, t, codec); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return d.partitionErr(day, err)
+	if err = WriteCodec(f, t, codec); err != nil {
+		err = d.partitionErr(day, err)
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, d.dayPath(day))
+	if err == nil {
+		err = os.Rename(tmp, d.dayPath(day))
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // whichever step failed: nothing sweeps a staged file
+	}
+	return err
 }
 
 // partitionErr wraps an encode or decode failure with the partition it came

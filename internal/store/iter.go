@@ -261,13 +261,15 @@ func (r *Reader) floatBlocks(block []float64, fn func(start int, vals []float64)
 				return errTruncatedPayload(r.cur.Name, start)
 			}
 		case r.codec.delta():
-			for j := 0; j < n; j++ {
-				u, err := binary.ReadUvarint(r.br)
+			for j := 0; j < n; j += blockRows {
+				raw, err := r.uvarints(min(n-j, blockRows), start+j)
 				if err != nil {
-					return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, start+j, err)
+					return err
 				}
-				prev ^= u
-				block[j] = math.Float64frombits(prev)
+				for k, u := range raw {
+					prev ^= u
+					block[j+k] = math.Float64frombits(prev)
+				}
 			}
 		default:
 			var raw [8]byte
@@ -309,13 +311,15 @@ func (r *Reader) intBlocks(block []int64, fn func(start int, vals []int64) error
 				return errTruncatedPayload(r.cur.Name, start)
 			}
 		case r.codec.delta():
-			for j := 0; j < n; j++ {
-				u, err := binary.ReadUvarint(r.br)
+			for j := 0; j < n; j += blockRows {
+				raw, err := r.uvarints(min(n-j, blockRows), start+j)
 				if err != nil {
-					return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, start+j, err)
+					return err
 				}
-				prev += unzigzag(u)
-				block[j] = prev
+				for k, u := range raw {
+					prev += unzigzag(u)
+					block[j+k] = prev
+				}
 			}
 		default:
 			var raw [8]byte

@@ -35,7 +35,8 @@ type Reader struct {
 	pending bool // Next announced a column not yet consumed
 	cur     ColumnInfo
 
-	payload []byte // reused scratch for length-prefixed CodecGorilla payloads
+	payload []byte   // reused scratch for length-prefixed CodecGorilla payloads
+	varints []uint64 // reused scratch of uvarints: one block of CodecDelta varints
 }
 
 // NewReader parses the header and positions the reader at the first column.
@@ -44,51 +45,54 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: gzip: %w", err)
 	}
-	br := bufio.NewReader(zr)
+	sr, err := newPayloadReader(zr)
+	if err != nil {
+		_ = zr.Close()
+		return nil, err
+	}
+	sr.zr = zr
+	return sr, nil
+}
+
+// newPayloadReader is NewReader over the gunzipped stream: everything the
+// Reader decodes goes through the one bufio window it builds here.
+func newPayloadReader(payload io.Reader) (*Reader, error) {
+	br := bufio.NewReader(payload)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
-		_ = zr.Close()
 		return nil, fmt.Errorf("store: header: %w", err)
 	}
 	if string(head) != magic {
-		_ = zr.Close()
 		return nil, fmt.Errorf("store: bad magic %q", head)
 	}
 	ver, err := binary.ReadUvarint(br)
 	if err != nil {
-		_ = zr.Close()
 		return nil, err
 	}
 	if ver != version && ver != versionStrings {
-		_ = zr.Close()
 		return nil, fmt.Errorf("store: unsupported version %d", ver)
 	}
 	codecByte, err := br.ReadByte()
 	if err != nil {
-		_ = zr.Close()
 		return nil, err
 	}
 	codec := Codec(codecByte)
 	if codec >= numCodecs {
-		_ = zr.Close()
 		return nil, fmt.Errorf("store: unknown codec %d", codec)
 	}
 	nCols, err := binary.ReadUvarint(br)
 	if err != nil {
-		_ = zr.Close()
 		return nil, err
 	}
 	nRows, err := binary.ReadUvarint(br)
 	if err != nil {
-		_ = zr.Close()
 		return nil, err
 	}
 	const maxCols, maxRows = 1 << 16, 1 << 32
 	if nCols > maxCols || nRows > maxRows {
-		_ = zr.Close()
 		return nil, fmt.Errorf("store: implausible dimensions %d x %d", nCols, nRows)
 	}
-	return &Reader{zr: zr, br: br, codec: codec, nCols: int(nCols), nRows: int(nRows)}, nil
+	return &Reader{br: br, codec: codec, nCols: int(nCols), nRows: int(nRows)}, nil
 }
 
 // NumCols returns the column count declared in the header.
@@ -198,9 +202,9 @@ func (r *Reader) Skip() error {
 		}
 	case r.codec.delta():
 		// Variable-width: the varints must still be walked.
-		for j := 0; j < r.nRows; j++ {
-			if _, err = binary.ReadUvarint(r.br); err != nil {
-				return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, j, err)
+		for j := 0; j < r.nRows; j += blockRows {
+			if _, err = r.uvarints(min(r.nRows-j, blockRows), j); err != nil {
+				return err
 			}
 		}
 	default:
@@ -222,6 +226,52 @@ const maxPreallocRows = 1 << 20
 // blockRows is the block size columns are decoded in; small enough to live
 // in cache, large enough to amortize the loop.
 const blockRows = 4096
+
+// uvarints reads the next n <= blockRows varints of the pending CodecDelta
+// column — rows row, row+1, ... — into the reader's scratch. It is the one
+// varint walk under the int and float decode loops and Skip. Values are
+// decoded straight from the bytes bufio already holds (a one-byte value — a
+// repeated reading, a steady cadence — by a compare, any other by one
+// binary.Uvarint; one Discard per window) instead of through an interface
+// ReadByte per byte; the value that straddles the window's edge, the end of
+// the stream and an overlong varint are left to binary.ReadUvarint, which
+// refills the window and words every error the way a byte-at-a-time read does.
+func (r *Reader) uvarints(n, row int) ([]uint64, error) {
+	if r.varints == nil {
+		r.varints = make([]uint64, blockRows)
+	}
+	dst := r.varints[:n]
+	for j := 0; j < n; {
+		win, _ := r.br.Peek(r.br.Buffered())
+		pos := 0
+		for j < n && pos < len(win) {
+			if b := win[pos]; b < 0x80 {
+				dst[j] = uint64(b)
+				pos++
+				j++
+				continue
+			}
+			u, sz := binary.Uvarint(win[pos:])
+			if sz <= 0 {
+				break
+			}
+			dst[j] = u
+			pos += sz
+			j++
+		}
+		_, _ = r.br.Discard(pos) // pos <= Buffered(): cannot fail
+		if j == n {
+			break
+		}
+		u, err := binary.ReadUvarint(r.br)
+		if err != nil {
+			return nil, fmt.Errorf("store: column %q row %d: %w", r.cur.Name, row+j, err)
+		}
+		dst[j] = u
+		j++
+	}
+	return dst, nil
+}
 
 // payloadLen reads and validates the byte-length prefix of the pending
 // CodecGorilla column against bound (the largest plausible payload for the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -244,6 +246,29 @@ func TestDatasetErrors(t *testing.T) {
 	}
 	if _, err := ds.ReadDay(7); err == nil {
 		t.Error("missing day read succeeded")
+	}
+}
+
+// TestWriteDayFailedRenameLeavesNoTmp: a directory sits where the partition
+// belongs, so the encode succeeds and the rename fails. The error must name
+// the partition and the staged file must not outlive it — nothing sweeps
+// orphaned .tmp files.
+func TestWriteDayFailedRenameLeavesNoTmp(t *testing.T) {
+	dir := t.TempDir()
+	ds, _ := NewDataset(dir, "x")
+	if err := os.MkdirAll(filepath.Join(dir, ds.DayFile(3), "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := ds.WriteDay(3, sampleTable())
+	if err == nil || !strings.Contains(err.Error(), ds.DayFile(3)) {
+		t.Fatalf("write over a directory: error %v, want one naming %s", err, ds.DayFile(3))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !entries[0].IsDir() {
+		t.Errorf("dir holds %v after the failed write, want only the blocking directory", entries)
 	}
 }
 
