@@ -81,11 +81,11 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSim' -benchmem -benchtime 1x .
 
 # bench-query records the query-tier benchmarks (cold decode, cached,
-# pre-aggregate, a memoized analysis through the HTTP handler) and the
+# pre-aggregate, reply-cache hits through the HTTP handler) and the
 # archive codec's layers (day flush, DayMeta, column skip) in
 # BENCH_query.json under LABEL; the report then renders it beside the labels
 # already tracked there.
-QUERY_BENCH = BenchmarkQuery|BenchmarkHTTPAnalysis|BenchmarkWriteNodeDay|BenchmarkDayMeta|BenchmarkSkipDelta
+QUERY_BENCH = BenchmarkQuery|BenchmarkHTTP|BenchmarkWriteNodeDay|BenchmarkDayMeta|BenchmarkSkipDelta
 bench-query:
 	$(GO) test -run xxx -bench '$(QUERY_BENCH)' -benchmem -count 3 . | \
 		$(GO) run ./cmd/benchjson -out BENCH_query.json -label $(LABEL)
@@ -175,28 +175,39 @@ federate-smoke:
 	rm -rf /tmp/fedsmoke-fleet /tmp/fedsmoke-summitsim /tmp/fedsmoke-analyze /tmp/fedsmoke-direct.txt /tmp/fedsmoke-sharded.txt
 
 # queryd-smoke gates the warm dashboard path end to end over real HTTP: an
-# analysis fetched twice is computed once and is byte-identical both times,
-# and a fleet-wide range on the 600 s grid is answered from the rollup
-# companions.
+# analysis fetched twice is byte-identical both times; a fleet-wide range on
+# the 600 s grid is answered from the rollup companions, and asked again from
+# the reply cache — same payload, a stats block that says "cached", the
+# stored reply's ETag good for a 304 — with two computes and three hits to
+# show for the five requests.
 queryd-smoke:
 	$(GO) build -o /tmp/qdsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/qdsmoke-queryd ./cmd/queryd
 	rm -rf /tmp/qdsmoke-archive
 	/tmp/qdsmoke-summitsim -out /tmp/qdsmoke-archive -nodes 16 -days 1 -nodedata -q
 	@set -eu; base=http://127.0.0.1:18097; \
+	range="$$base/api/v1/range?dataset=node-power&column=input_power.mean&step=600"; \
 	/tmp/qdsmoke-queryd -data /tmp/qdsmoke-archive -addr 127.0.0.1:18097 -nodes 16 -q & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 120); do curl -sf -o /dev/null $$base/healthz && break; sleep 0.25; done; \
 	curl -sf $$base/api/v1/analysis/bands > /tmp/qdsmoke-bands1.json; \
 	curl -sf $$base/api/v1/analysis/bands > /tmp/qdsmoke-bands2.json; \
 	cmp /tmp/qdsmoke-bands1.json /tmp/qdsmoke-bands2.json; \
-	curl -sf "$$base/api/v1/range?dataset=node-power&column=input_power.mean&step=600" > /tmp/qdsmoke-range.json; \
-	grep -q '"windows":\[{' /tmp/qdsmoke-range.json; \
-	grep -q '"preagg":true' /tmp/qdsmoke-range.json; \
+	curl -sf "$$range" > /tmp/qdsmoke-range1.json; \
+	grep -q '"windows":\[{' /tmp/qdsmoke-range1.json; \
+	grep -q '"preagg":true,"elapsed_us"' /tmp/qdsmoke-range1.json; \
+	curl -sf -D /tmp/qdsmoke-range2.hdr "$$range" > /tmp/qdsmoke-range2.json; \
+	grep -q '"preagg":true,"cached":true,"elapsed_us"' /tmp/qdsmoke-range2.json; \
+	grep -qi '^Server-Timing: cache;desc=hit' /tmp/qdsmoke-range2.hdr; \
+	sed 's/,"stats":{.*//' /tmp/qdsmoke-range1.json > /tmp/qdsmoke-payload1.json; \
+	sed 's/,"stats":{.*//' /tmp/qdsmoke-range2.json | cmp - /tmp/qdsmoke-payload1.json; \
+	etag=$$(tr -d '\r' < /tmp/qdsmoke-range2.hdr | sed -n 's/^[Ee][Tt]ag: //p'); \
+	test "$$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $$etag" "$$range")" = 304; \
 	curl -sf $$base/debug/vars > /tmp/qdsmoke-vars.json; \
-	grep -q '"analysis_memo":{"computes":1,"entries":1,"hits":1,' /tmp/qdsmoke-vars.json; \
-	echo "queryd-smoke: bands computed once, fleet range served from pre-aggregates"
-	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-bands1.json /tmp/qdsmoke-bands2.json /tmp/qdsmoke-range.json /tmp/qdsmoke-vars.json
+	grep -q '"reply_cache":{"bytes":[1-9][0-9]*,"computes":2,"entries":2,"evictions":0,"hits":3,"not_modified":1,' /tmp/qdsmoke-vars.json; \
+	grep -q '"routes":{.*"range":{"count":3,' /tmp/qdsmoke-vars.json; \
+	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304"
+	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-*.json /tmp/qdsmoke-range2.hdr
 
 # serve-smoke drives both daemons' real mains through their whole life — the
 # only check that does: start the built queryd and streamd, fetch /healthz

@@ -769,12 +769,11 @@ func BenchmarkQueryRangePreagg(b *testing.B) {
 	}
 }
 
-// BenchmarkHTTPAnalysisBands is a dashboard's poll of a memoized analysis:
-// one request through the whole handler (guard, memo hit, headers, body)
-// into a recorder, over the shared simulated run, archived.
-func BenchmarkHTTPAnalysisBands(b *testing.B) {
+// benchPoll times a dashboard's poll of one URL it has asked before: one
+// request through the whole handler (guard, reply cache, headers, body) into
+// a recorder, over data archived.
+func benchPoll(b *testing.B, data *RunData, url string) {
 	dir := b.TempDir()
-	data, _ := benchRun(b)
 	if err := WriteDatasets(dir, data); err != nil {
 		b.Fatal(err)
 	}
@@ -790,17 +789,46 @@ func BenchmarkHTTPAnalysisBands(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/api/v1/analysis/bands", nil)
-	serve := func() {
+	req := httptest.NewRequest(http.MethodGet, url, nil)
+	serve := func() int {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 		}
+		return rec.Body.Len()
 	}
-	serve() // the one compute
+	b.SetBytes(int64(serve())) // the one compute
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve()
 	}
+}
+
+// BenchmarkHTTPAnalysisBands polls a stored analysis (a small body, all
+// payload).
+func BenchmarkHTTPAnalysisBands(b *testing.B) {
+	data, _ := benchRun(b)
+	benchPoll(b, data, "/api/v1/analysis/bands")
+}
+
+// BenchmarkHTTPRangeCached polls the dashboard's cluster-power panel (one
+// window a minute: the payload copied under a fresh stats block). Before the
+// reply cache covered range queries this was the engine scan and the float
+// encode every time.
+func BenchmarkHTTPRangeCached(b *testing.B) {
+	data, _ := benchRun(b)
+	benchPoll(b, data, "/api/v1/range?dataset=cluster-power&column=sum_inp&step=60")
+}
+
+// BenchmarkHTTPRangeOversize polls a day of the same panel raw: 340 KB, over
+// the reply cache's per-entry cap, so scanned and encoded on every poll and
+// never stored — the path of an unstorable reply, which must cost what it
+// did before there was a cache.
+func BenchmarkHTTPRangeOversize(b *testing.B) {
+	data, _, err := Simulate(ScaledConfig(16, 24*time.Hour))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPoll(b, data, "/api/v1/range?dataset=cluster-power&column=sum_inp")
 }

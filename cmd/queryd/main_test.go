@@ -133,6 +133,7 @@ func TestQuerydEndToEnd(t *testing.T) {
 			DaysPruned  int   `json:"days_pruned"`
 			CacheHits   int64 `json:"cache_hits"`
 			CacheMisses int64 `json:"cache_misses"`
+			Cached      bool  `json:"cached"`
 		} `json:"stats"`
 	}
 	if code := getInto(t, rangeURL, &rr); code != 200 {
@@ -245,17 +246,25 @@ func TestQuerydEndToEnd(t *testing.T) {
 			gotSum, gotCount, wantSum, wantCount)
 	}
 
-	// Repeating the identical range query must be served from cache and the
-	// global counters must say so.
+	// A range one second shorter scans the same two days, now resident in
+	// the table cache; the identical range query is answered from the reply
+	// cache without a scan. The global counters must say both.
+	if code := getInto(t, strings.Replace(rangeURL, fmt.Sprintf("t1=%d", t1), fmt.Sprintf("t1=%d", t1-1), 1), &rr); code != 200 {
+		t.Fatalf("neighbouring range = %d", code)
+	}
+	if rr.Stats.CacheHits != 2 || rr.Stats.CacheMisses != 0 || rr.Stats.Cached {
+		t.Errorf("warm stats = %+v", rr.Stats)
+	}
 	if code := getInto(t, rangeURL, &rr); code != 200 {
 		t.Fatalf("repeat range = %d", code)
 	}
-	if rr.Stats.CacheHits != 2 || rr.Stats.CacheMisses != 0 {
-		t.Errorf("warm stats = %+v", rr.Stats)
+	if !rr.Stats.Cached || rr.Stats.DaysScanned != 0 || len(rr.Points) != len(want) {
+		t.Errorf("repeated range: stats %+v, %d points", rr.Stats, len(rr.Points))
 	}
 	var vars struct {
 		Queries map[string]int64 `json:"queries"`
 		Cache   map[string]int64 `json:"cache"`
+		Replies map[string]int64 `json:"reply_cache"`
 	}
 	if code := getInto(t, base+"/debug/vars", &vars); code != 200 {
 		t.Fatalf("vars = %d", code)
@@ -265,6 +274,9 @@ func TestQuerydEndToEnd(t *testing.T) {
 	}
 	if vars.Queries["range"] != 3 || vars.Queries["rollup"] != 1 {
 		t.Errorf("query counters = %+v", vars.Queries)
+	}
+	if vars.Replies["hits"] != 1 || vars.Replies["computes"] < 4 {
+		t.Errorf("reply cache counters = %+v", vars.Replies)
 	}
 
 	// Error surface.

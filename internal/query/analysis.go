@@ -18,7 +18,7 @@ import (
 // engine's decoded-table cache through the source layer: one byte budget
 // for raw queries and analyses alike. Each answer is a whole-run reduction
 // over an archive that cannot change under the server, so it is computed
-// and encoded once and served from the handler's memo after that.
+// and encoded once and served from the handler's reply cache after that.
 
 // errSourceUnavailable reports an archive the analysis layer cannot serve
 // (no cluster dataset, so no RunSource was attached).
@@ -36,7 +36,7 @@ func analysisErr(err error) error {
 }
 
 // analysisRoute parses a route's parameters out of the query string and
-// returns what they amount to — their canonical form, part of the memo key,
+// returns what they amount to — their canonical form, part of the cache key,
 // so parameters the route does not read never make an entry — and the
 // function that builds the reply value from a source.
 type analysisRoute func(q url.Values) (params string, compute func(source.RunSource) (any, error), err error)

@@ -11,12 +11,9 @@ import (
 // byte for byte what encoding/json (SetEscapeHTML(false)) produced for the
 // reply structs they replaced — field order, float format, the
 // NaN/Inf -> null rule and omitempty included. Every other reply still goes
-// through encoding/json.
-
-// EngineTime is what the engine call behind the reply cost; the kernel puts
-// it in the Server-Timing header beside the encode time.
-func (r *RangeResult) EngineTime() time.Duration  { return r.Stats.Elapsed }
-func (r *RollupResult) EngineTime() time.Duration { return r.Stats.Elapsed }
+// through encoding/json. Both are serve.Tailed: the payload, which the
+// reply cache stores, ends before `,"stats":{`, and the stats block is the
+// tail each request gets for itself.
 
 // appendWindow appends one window object. std and sum are omitempty: a
 // range window carries std, a rollup window sum, and either is dropped
@@ -46,12 +43,29 @@ func appendStats(b []byte, s QueryStats) []byte {
 	if s.Preagg {
 		b = append(b, `,"preagg":true`...)
 	}
+	if s.Cached {
+		b = append(b, `,"cached":true`...)
+	}
 	b = serve.AppendKeyInt(b, `,"elapsed_us":`, s.Elapsed.Microseconds())
 	return append(b, '}')
 }
 
-// AppendJSON appends the /api/v1/range reply object (serve.Encoder).
-func (r *RangeResult) AppendJSON(b []byte) []byte {
+// AppendTail closes a range or rollup reply with its stats block
+// (serve.Tail). A request answered from stored bytes scanned nothing and
+// took elapsed; what stays is what is true of the answer however it was
+// got: the archive's day count and whether it came from pre-aggregates.
+func (s QueryStats) AppendTail(b []byte, hit bool, elapsed time.Duration) []byte {
+	if hit {
+		s = QueryStats{DaysTotal: s.DaysTotal, Preagg: s.Preagg, Cached: true, Elapsed: elapsed}
+	}
+	return append(appendStats(b, s), '}')
+}
+
+func (r *RangeResult) Tail() serve.Tail  { return r.Stats }
+func (r *RollupResult) Tail() serve.Tail { return r.Stats }
+
+// AppendPayload appends the /api/v1/range reply object up to its stats.
+func (r *RangeResult) AppendPayload(b []byte) []byte {
 	b = serve.AppendKeyString(b, `{"dataset":`, r.Dataset)
 	b = serve.AppendKeyString(b, `,"column":`, r.Column)
 	if r.Node >= 0 {
@@ -81,11 +95,11 @@ func (r *RangeResult) AppendJSON(b []byte) []byte {
 		}
 		b = append(b, ']')
 	}
-	return append(appendStats(b, r.Stats), '}')
+	return b
 }
 
-// AppendJSON appends the /api/v1/rollup reply object (serve.Encoder).
-func (r *RollupResult) AppendJSON(b []byte) []byte {
+// AppendPayload appends the /api/v1/rollup reply object up to its stats.
+func (r *RollupResult) AppendPayload(b []byte) []byte {
 	b = serve.AppendKeyString(b, `{"dataset":`, r.Dataset)
 	b = serve.AppendKeyString(b, `,"column":`, r.Column)
 	b = serve.AppendKeyString(b, `,"group":`, string(r.Group))
@@ -108,5 +122,5 @@ func (r *RollupResult) AppendJSON(b []byte) []byte {
 		}
 		b = append(b, "]}"...)
 	}
-	return append(appendStats(append(b, ']'), r.Stats), '}')
+	return append(b, ']')
 }

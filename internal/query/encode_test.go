@@ -7,11 +7,13 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"regexp"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/tsagg"
 )
 
@@ -36,6 +38,7 @@ type apiStats struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	Preagg      bool  `json:"preagg,omitempty"`
+	Cached      bool  `json:"cached,omitempty"`
 	ElapsedUS   int64 `json:"elapsed_us"`
 }
 
@@ -72,7 +75,7 @@ func toAPIStats(s QueryStats) apiStats {
 	return apiStats{
 		DaysTotal: s.DaysTotal, DaysScanned: s.DaysScanned, DaysPruned: s.DaysPruned,
 		RowsScanned: s.RowsScanned, CacheHits: s.CacheHits, CacheMisses: s.CacheMisses,
-		Preagg: s.Preagg, ElapsedUS: s.Elapsed.Microseconds(),
+		Preagg: s.Preagg, Cached: s.Cached, ElapsedUS: s.Elapsed.Microseconds(),
 	}
 }
 
@@ -164,10 +167,20 @@ func FuzzAppendJSONFloat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bits uint64) { checkFloat(t, math.Float64frombits(bits)) })
 }
 
+// appendReply encodes a range or rollup result whole, as a request that
+// computed it is answered.
+func appendReply(b []byte, r serve.Tailed) []byte {
+	return append(r.Tail().AppendTail(r.AppendPayload(b), false, 0), '\n')
+}
+
+var elapsedRE = regexp.MustCompile(`"elapsed_us":(\d+)`)
+
 // TestReplyEncoderMatchesEncodingJSON compares whole replies: the append
 // encoder against encoding/json over the legacy reply structs, on
 // hand-built results covering every omitempty and null rule and on real
-// engine answers.
+// engine answers — encoded directly, and served through the kernel's cached
+// guard as a miss and as a hit, whose stats block says so and nothing else
+// differs.
 func TestReplyEncoderMatchesEncodingJSON(t *testing.T) {
 	qs := QueryStats{DaysTotal: 4, DaysScanned: 2, DaysPruned: 2, RowsScanned: 1234,
 		CacheHits: 1, CacheMisses: 1, Elapsed: 1234567 * time.Nanosecond}
@@ -216,15 +229,45 @@ func TestReplyEncoderMatchesEncodingJSON(t *testing.T) {
 		}
 		rollups = append(rollups, res)
 	}
-	for i, r := range ranges {
-		if got, want := append(r.AppendJSON(nil), '\n'), stdJSON(t, legacyRange(r)); !bytes.Equal(got, want) {
-			t.Errorf("range %d:\n got %s\nwant %s", i, got, want)
-		}
+	type fixture struct {
+		reply  serve.Tailed
+		stats  *QueryStats
+		oracle func() any
 	}
-	for i, r := range rollups {
-		if got, want := append(r.AppendJSON(nil), '\n'), stdJSON(t, legacyRollup(r)); !bytes.Equal(got, want) {
-			t.Errorf("rollup %d:\n got %s\nwant %s", i, got, want)
+	var fixtures []fixture
+	for _, r := range ranges {
+		fixtures = append(fixtures, fixture{r, &r.Stats, func() any { return legacyRange(r) }})
+	}
+	for _, r := range rollups {
+		fixtures = append(fixtures, fixture{r, &r.Stats, func() any { return legacyRollup(r) }})
+	}
+	served := serve.NewKernel(time.Minute, 0, nil).GuardCached("fixture", serve.NewReplyCache(),
+		func(q url.Values) (string, func(context.Context) (any, error), error) {
+			i, err := strconv.Atoi(q.Get("i"))
+			return q.Get("i"), func(context.Context) (any, error) { return fixtures[i].reply, nil }, err
+		})
+	for i, f := range fixtures {
+		want := stdJSON(t, f.oracle())
+		if got := appendReply(nil, f.reply); !bytes.Equal(got, want) {
+			t.Errorf("fixture %d:\n got %s\nwant %s", i, got, want)
 		}
+		url := "/fixture?i=" + strconv.Itoa(i)
+		if miss := get(t, served, ctx, url); !bytes.Equal(miss.Body.Bytes(), want) {
+			t.Errorf("fixture %d served, miss:\n got %s\nwant %s", i, miss.Body.Bytes(), want)
+		}
+		hit := get(t, served, ctx, url).Body.Bytes()
+		m := elapsedRE.FindSubmatch(hit)
+		if m == nil {
+			t.Fatalf("fixture %d served, hit: no elapsed_us in %s", i, hit)
+		}
+		us, _ := strconv.ParseInt(string(m[1]), 10, 64)
+		computed := *f.stats
+		*f.stats = QueryStats{DaysTotal: computed.DaysTotal, Preagg: computed.Preagg, Cached: true,
+			Elapsed: time.Duration(us) * time.Microsecond}
+		if want := stdJSON(t, f.oracle()); !bytes.Equal(hit, want) {
+			t.Errorf("fixture %d served, hit:\n got %s\nwant %s", i, hit, want)
+		}
+		*f.stats = computed
 	}
 }
 
@@ -238,15 +281,15 @@ func TestClusterRangeReplyEncodesWithoutAllocating(t *testing.T) {
 	if err != nil || len(res.Windows) != 1440 {
 		t.Fatalf("%d windows, err %v", len(res.Windows), err)
 	}
-	buf := res.AppendJSON(nil)
-	if allocs := testing.AllocsPerRun(20, func() { buf = res.AppendJSON(buf[:0]) }); allocs > 4 {
+	buf := appendReply(nil, res)
+	if allocs := testing.AllocsPerRun(20, func() { buf = appendReply(buf[:0], res) }); allocs > 4 {
 		t.Errorf("warm cluster_range reply encodes in %.0f allocations, want <= 4", allocs)
 	}
 }
 
 // --- per-request plumbing ---
 
-var serverTimingRE = regexp.MustCompile(`^engine;dur=\d+\.\d{3}, encode;dur=\d+\.\d{3}$`)
+var serverTimingRE = regexp.MustCompile(`^cache;desc=miss, engine;dur=\d+\.\d{3}, encode;dur=\d+\.\d{3}$`)
 
 func TestHTTPEncodedRepliesCarryLengthAndStageTimes(t *testing.T) {
 	srv, _ := testServer(t, ServerConfig{})

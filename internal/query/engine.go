@@ -167,7 +167,10 @@ type QueryStats struct {
 	// grid — answered entirely from persisted pre-aggregates; RowsScanned
 	// then counts accumulator rows, not per-node rows, and the Days and
 	// Cache fields count companion partitions.
-	Preagg  bool
+	Preagg bool
+	// Cached marks a reply served from the handler's reply cache: the scan
+	// counts above are then zero and Elapsed is the lookup's.
+	Cached  bool
 	Elapsed time.Duration
 }
 

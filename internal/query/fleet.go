@@ -100,15 +100,30 @@ type apiFleetSeries struct {
 
 // fleetSeries merges one named series across the fleet by summation:
 // ?name=sum_inp[&clusters=a,b].
-func (h *handler) fleetSeries(ctx context.Context, q url.Values) (any, error) {
+func (h *handler) fleetSeries(q url.Values) (string, serve.Compute, error) {
 	name := q.Get("name")
 	if name == "" {
-		return nil, &serve.Error{Status: http.StatusBadRequest, Msg: "missing series name (?name=)"}
+		return "", nil, &serve.Error{Status: http.StatusBadRequest, Msg: "missing series name (?name=)"}
 	}
 	members, err := h.fleetMembers(q)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
+	return requestKey(nil).str(name).members(members), whileHealthy(members, func() (any, error) {
+		return h.fleetSeriesReply(name, members)
+	}), nil
+}
+
+// members closes a fleet merge's cache key with the members it resolved to,
+// in handler order: ?clusters=a,b and ?clusters=b,a are one request.
+func (k requestKey) members(members []*Cluster) string {
+	for _, c := range members {
+		k = k.str(c.Name)
+	}
+	return string(k)
+}
+
+func (h *handler) fleetSeriesReply(name string, members []*Cluster) (any, error) {
 	h.metrics().AnalysisQueries.Add(1)
 	series := make([]*tsagg.Series, len(members))
 	names := make([]string, len(members))
@@ -151,18 +166,16 @@ type apiFleetClusterSummary struct {
 
 // fleetSummary reduces every member's cluster-power series and the merged
 // fleet series to headline numbers: the multi-cluster counterpart of
-// /api/v1/analysis/summary, and memoized like it, per member set.
-func (h *handler) fleetSummary(ctx context.Context, q url.Values) (any, error) {
+// /api/v1/analysis/summary, cached per member set.
+func (h *handler) fleetSummary(q url.Values) (string, serve.Compute, error) {
 	members, err := h.fleetMembers(q)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	h.metrics().AnalysisQueries.Add(1)
-	key := "fleet/summary"
-	for _, c := range members {
-		key += "\x00" + c.Name
-	}
-	return h.memo.do(ctx, key, members, func() (any, error) { return fleetSummaryReply(members) })
+	return requestKey(nil).members(members), whileHealthy(members, func() (any, error) {
+		h.metrics().AnalysisQueries.Add(1)
+		return fleetSummaryReply(members)
+	}), nil
 }
 
 func fleetSummaryReply(members []*Cluster) (any, error) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"time"
 
 	"repro/internal/serve"
@@ -59,7 +60,7 @@ type handler struct {
 	byName   map[string]*Cluster
 	cfg      ServerConfig
 	kernel   *serve.Kernel
-	memo     *memo
+	cache    *serve.ReplyCache
 }
 
 // NewFleetHandler returns the queryd HTTP API over one or more clusters:
@@ -78,7 +79,10 @@ type handler struct {
 // and non-empty; a single cluster may be anonymous (the pre-fleet API, where
 // ?cluster= is optional). Every API route runs under the serving kernel's
 // guard: the concurrency limiter and per-request timeout of cfg, and the
-// request-size limit.
+// request-size limit. Every route but the cluster inventory (whose reply
+// carries live federation counters) is a pure function of the parsed
+// request over an archive frozen at open, and is answered from one
+// encoded-reply cache (serve.ReplyCache).
 func NewFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error) {
 	if len(clusters) == 0 {
 		return nil, errors.New("query: handler needs at least one cluster")
@@ -90,7 +94,7 @@ func NewFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error)
 		byName:   make(map[string]*Cluster, len(clusters)),
 		cfg:      cfg,
 		kernel:   serve.NewKernel(cfg.Timeout, cfg.MaxConcurrent, sentinelStatus),
-		memo:     newMemo(),
+		cache:    serve.NewReplyCache(),
 	}
 	for i := range clusters {
 		c := &h.clusters[i]
@@ -107,17 +111,55 @@ func NewFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error)
 	}
 	h.HandleFunc("/healthz", serve.Healthz)
 	h.HandleFunc("/debug/vars", h.vars)
-	guard := h.kernel.Guard
-	h.HandleFunc("/api/v1/datasets", guard(h.datasets))
-	h.HandleFunc("/api/v1/range", guard(h.rangeQuery))
-	h.HandleFunc("/api/v1/rollup", guard(h.rollup))
-	h.HandleFunc("/api/v1/clusters", guard(h.clustersRoute))
-	h.HandleFunc("/api/v1/fleet/series", guard(h.fleetSeries))
-	h.HandleFunc("/api/v1/fleet/summary", guard(h.fleetSummary))
+	h.HandleFunc("/api/v1/clusters", h.kernel.Guard("clusters", h.clustersRoute))
+	cached := func(name string, route serve.PureRoute) {
+		h.HandleFunc("/api/v1/"+name, h.kernel.GuardCached(name, h.cache, route))
+	}
+	cached("datasets", h.datasets)
+	cached("range", h.rangeQuery)
+	cached("rollup", h.rollup)
+	cached("fleet/series", h.fleetSeries)
+	cached("fleet/summary", h.fleetSummary)
 	for name, route := range analysisRoutes {
-		h.HandleFunc("/api/v1/analysis/"+name, guard(h.analysis(name, route)))
+		cached("analysis/"+name, h.analysis(route))
 	}
 	return h, nil
+}
+
+// requestKey builds a pure route's cache key from the fields of the parsed
+// request, NUL-separated. Only an answer is ever stored, and the names an
+// archive answers to — clusters, datasets, columns — hold no NUL, so two
+// requests share a key only if they parsed to the same fields.
+type requestKey []byte
+
+func (k requestKey) str(s string) requestKey { return append(append(k, s...), 0) }
+func (k requestKey) int(v int64) requestKey  { return append(strconv.AppendInt(k, v, 10), 0) }
+
+// whileHealthy wraps a compute over members' analysis sources: an answer
+// computed while a federated member read degraded (AllowPartial left a day
+// NaN) is marked so the cache sends it and does not keep it — the next
+// request may find the shard healed. A concurrent degraded read of another
+// route marks it too, which only costs a recompute.
+func whileHealthy(members []*Cluster, compute func() (any, error)) serve.Compute {
+	return func(context.Context) (any, error) {
+		before := partialResults(members)
+		v, err := compute()
+		if err == nil && partialResults(members) != before {
+			v = serve.Degraded{Reply: v}
+		}
+		return v, err
+	}
+}
+
+// partialResults sums the degraded reads the members' federated sources
+// have answered so far.
+func partialResults(members []*Cluster) (n int64) {
+	for _, c := range members {
+		if fed, ok := c.Source.(*source.FederatedSource); ok {
+			n += fed.Stats().PartialResults
+		}
+	}
+	return n
 }
 
 // cluster resolves the member a request addresses: ?cluster= when given, or
@@ -144,27 +186,27 @@ func (h *handler) cluster(q url.Values) (*Cluster, error) {
 func (h *handler) metrics() *Metrics { return h.clusters[0].Engine.Metrics() }
 
 // analysis is the handler of one analysis route: resolve the cluster and
-// its source, parse the parameters, count the request, and answer from the
-// memo — running the analysis only for the first request of a key.
-func (h *handler) analysis(name string, route analysisRoute) serve.Route {
-	return func(ctx context.Context, q url.Values) (any, error) {
+// its source and parse the parameters; the key is the cluster and what the
+// parameters amount to.
+func (h *handler) analysis(route analysisRoute) serve.PureRoute {
+	return func(q url.Values) (string, serve.Compute, error) {
 		cl, err := h.cluster(q)
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		if cl.Source == nil {
-			return nil, errSourceUnavailable
+			return "", nil, errSourceUnavailable
 		}
 		params, compute, err := route(q)
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
-		cl.Engine.Metrics().AnalysisQueries.Add(1)
-		key := name + "\x00" + cl.Name + "\x00" + params
-		return h.memo.do(ctx, key, []*Cluster{cl}, func() (any, error) {
+		key := requestKey(nil).str(cl.Name).str(params)
+		return string(key), whileHealthy([]*Cluster{cl}, func() (any, error) {
+			cl.Engine.Metrics().AnalysisQueries.Add(1)
 			v, err := compute(cl.Source)
 			return v, analysisErr(err)
-		})
+		}), nil
 	}
 }
 
@@ -193,6 +235,7 @@ func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 	queries["rejected"] = h.kernel.Rejected.Load()
 	queries["inflight"] = h.kernel.InFlight.Load()
 	snap["encode_ns"] = h.kernel.EncodeLatency.Snapshot()
+	snap["routes"] = h.kernel.RouteLatencies()
 	entries, bytes := primary.CacheStats()
 	cache := snap["cache"].(map[string]int64)
 	cache["entries"] = int64(entries)
@@ -222,7 +265,7 @@ func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 		perCluster[c.Name] = entry
 	}
 	snap["clusters"] = perCluster
-	snap["analysis_memo"] = h.memo.snapshot()
+	snap["reply_cache"] = h.cache.Snapshot()
 	serve.WriteJSON(w, http.StatusOK, snap)
 }
 
@@ -237,12 +280,16 @@ type apiDataset struct {
 	Columns []string `json:"columns"`
 }
 
-func (h *handler) datasets(ctx context.Context, q url.Values) (any, error) {
+func (h *handler) datasets(q url.Values) (string, serve.Compute, error) {
 	cl, err := h.cluster(q)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	infos, err := cl.Engine.Datasets()
+	return cl.Name, func(context.Context) (any, error) { return datasetsReply(cl.Engine) }, nil
+}
+
+func datasetsReply(e *Engine) (any, error) {
+	infos, err := e.Datasets()
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +313,7 @@ func (h *handler) datasets(ctx context.Context, q url.Values) (any, error) {
 // fleet merges); range and rollup replies use the same formatter directly.
 type jfloat = serve.Float
 
-func (h *handler) rangeQuery(ctx context.Context, q url.Values) (any, error) {
+func (h *handler) rangeQuery(q url.Values) (string, serve.Compute, error) {
 	req := RangeRequest{
 		Dataset: q.Get("dataset"),
 		Column:  q.Get("column"),
@@ -274,16 +321,18 @@ func (h *handler) rangeQuery(ctx context.Context, q url.Values) (any, error) {
 	}
 	var err error
 	if req.Node, err = serve.QueryInt(q.Get("node"), -1); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if req.T0, req.T1, req.Step, err = h.qSpan(q, 0); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	cl, err := h.cluster(q)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return cl.Engine.Range(ctx, req)
+	key := requestKey(nil).str(cl.Name).str(req.Dataset).str(req.Column).
+		int(req.Node).int(req.T0).int(req.T1).int(req.Step)
+	return string(key), func(ctx context.Context) (any, error) { return cl.Engine.Range(ctx, req) }, nil
 }
 
 // qSpan parses t0, t1 and step, and rejects a windowed query whose
@@ -310,7 +359,7 @@ func (h *handler) qSpan(q url.Values, defStep int64) (t0, t1, step int64, err er
 
 // --- /api/v1/rollup ---
 
-func (h *handler) rollup(ctx context.Context, q url.Values) (any, error) {
+func (h *handler) rollup(q url.Values) (string, serve.Compute, error) {
 	req := RollupRequest{
 		Dataset: q.Get("dataset"),
 		Column:  q.Get("column"),
@@ -322,11 +371,13 @@ func (h *handler) rollup(ctx context.Context, q url.Values) (any, error) {
 	}
 	var err error
 	if req.T0, req.T1, req.Step, err = h.qSpan(q, 600); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	cl, err := h.cluster(q)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return cl.Engine.Rollup(ctx, req)
+	key := requestKey(nil).str(cl.Name).str(req.Dataset).str(req.Column).str(string(req.Group)).
+		int(req.T0).int(req.T1).int(req.Step)
+	return string(key), func(ctx context.Context) (any, error) { return cl.Engine.Rollup(ctx, req) }, nil
 }

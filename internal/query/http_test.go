@@ -102,6 +102,7 @@ type rangeBody struct {
 		DaysPruned  int   `json:"days_pruned"`
 		CacheHits   int64 `json:"cache_hits"`
 		CacheMisses int64 `json:"cache_misses"`
+		Cached      bool  `json:"cached"`
 	} `json:"stats"`
 }
 
@@ -133,12 +134,16 @@ func TestHTTPRange(t *testing.T) {
 
 func TestHTTPRangeDownsampledAndCached(t *testing.T) {
 	srv, _ := testServer(t, ServerConfig{})
-	u := srv.URL + "/api/v1/range?" + url.Values{
-		"dataset": {"cluster-power"}, "column": {"sum_inp"},
-		"t0": {"0"}, "t1": {"7200"}, "step": {"1800"},
-	}.Encode()
+	// Three requests over the same day partition, a second apart in t1 so
+	// each is its own reply-cache entry and reaches the engine.
+	u := func(t1 string) string {
+		return srv.URL + "/api/v1/range?" + url.Values{
+			"dataset": {"cluster-power"}, "column": {"sum_inp"},
+			"t0": {"0"}, "t1": {t1}, "step": {"1800"},
+		}.Encode()
+	}
 	var body rangeBody
-	if code := getJSON(t, u, &body); code != 200 {
+	if code := getJSON(t, u("7200"), &body); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(body.Windows) != 4 || len(body.Points) != 0 {
@@ -147,24 +152,33 @@ func TestHTTPRangeDownsampledAndCached(t *testing.T) {
 	if body.Windows[0].Count != 1800/fixStep {
 		t.Errorf("window count = %d", body.Windows[0].Count)
 	}
-	if body.Stats.CacheMisses == 0 {
+	if body.Stats.CacheMisses == 0 || body.Stats.Cached {
 		t.Errorf("cold query reported no misses: %+v", body.Stats)
 	}
-	// Second identical query: the day is now hot, so it materializes and is
-	// admitted to the cache. Third: served from cache.
+	// Second query of the day: it is now hot, so it materializes and is
+	// admitted to the table cache. Third: served from the table cache.
 	var second rangeBody
-	if code := getJSON(t, u, &second); code != 200 {
+	if code := getJSON(t, u("7199"), &second); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if second.Stats.CacheMisses == 0 {
 		t.Errorf("second query stats = %+v", second.Stats)
 	}
 	var warm rangeBody
-	if code := getJSON(t, u, &warm); code != 200 {
+	if code := getJSON(t, u("7198"), &warm); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if warm.Stats.CacheHits == 0 || warm.Stats.CacheMisses != 0 {
+	if warm.Stats.CacheHits == 0 || warm.Stats.CacheMisses != 0 || warm.Stats.Cached {
 		t.Errorf("warm query stats = %+v", warm.Stats)
+	}
+	// The first request again: its reply is stored, nothing is scanned.
+	var again rangeBody
+	if code := getJSON(t, u("7200"), &again); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if !again.Stats.Cached || again.Stats.DaysScanned != 0 || again.Stats.CacheHits != 0 || len(again.Windows) != 4 ||
+		again.Windows[3] != body.Windows[3] {
+		t.Errorf("repeated query: stats %+v, %d windows", again.Stats, len(again.Windows))
 	}
 }
 
@@ -291,21 +305,29 @@ func TestHTTPLoadShedding(t *testing.T) {
 
 func TestHTTPVars(t *testing.T) {
 	srv, _ := testServer(t, ServerConfig{})
-	// Twice: the first scan streams via the iterator, the second
-	// materializes (so bytes_decoded is counted).
+	// Two scans of one day: the first streams via the iterator, the second
+	// materializes (so bytes_decoded is counted). The third request repeats
+	// the second and is answered from the reply cache: the engine's counters
+	// count its runs, the route's histogram the requests.
 	getJSON(t, srv.URL+"/api/v1/range?dataset=cluster-power&column=sum_inp&t0=0&t1=3600", nil)
-	getJSON(t, srv.URL+"/api/v1/range?dataset=cluster-power&column=sum_inp&t0=0&t1=3600", nil)
+	getJSON(t, srv.URL+"/api/v1/range?dataset=cluster-power&column=sum_inp&t0=0&t1=3599", nil)
+	getJSON(t, srv.URL+"/api/v1/range?dataset=cluster-power&column=sum_inp&t0=0&t1=3599", nil)
 	var vars struct {
-		Queries map[string]int64 `json:"queries"`
-		Cache   map[string]int64 `json:"cache"`
-		Scan    map[string]int64 `json:"scan"`
-		Latency map[string]any   `json:"latency_us"`
+		Queries map[string]int64            `json:"queries"`
+		Cache   map[string]int64            `json:"cache"`
+		Scan    map[string]int64            `json:"scan"`
+		Latency map[string]any              `json:"latency_us"`
+		Routes  map[string]map[string]int64 `json:"routes"`
+		Replies map[string]int64            `json:"reply_cache"`
 	}
 	if code := getJSON(t, srv.URL+"/debug/vars", &vars); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if vars.Queries["range"] != 2 {
-		t.Errorf("range counter = %d", vars.Queries["range"])
+	if vars.Queries["range"] != 2 || vars.Routes["range"]["count"] != 3 || vars.Routes["rollup"] == nil {
+		t.Errorf("range counter = %d, routes = %v", vars.Queries["range"], vars.Routes)
+	}
+	if vars.Replies["computes"] != 2 || vars.Replies["hits"] != 1 || vars.Replies["bytes"] == 0 {
+		t.Errorf("reply_cache = %v", vars.Replies)
 	}
 	if vars.Scan["iter_scans"] == 0 {
 		t.Errorf("scan = %+v", vars.Scan)

@@ -10,7 +10,10 @@ import (
 // scan-latency histogram, all lock-free so the serving path never blocks on
 // bookkeeping. Snapshot renders them as a JSON-friendly map for the
 // /debug/vars endpoint, which adds the serving tier's own counters (shed,
-// in-flight, reply encode time) from the serve.Kernel.
+// in-flight, reply encode time, per-route latency) from the serve.Kernel
+// and the reply cache's. The query counters count runs of the engine and of
+// the analyses — behind the handler's reply cache, its misses; requests are
+// what the kernel's per-route histograms count.
 type Metrics struct {
 	RangeQueries    atomic.Int64
 	RollupQueries   atomic.Int64

@@ -64,7 +64,7 @@ type memoFixture struct {
 	dir string
 	eng *Engine
 	src *source.ArchiveSource
-	h   http.Handler
+	h   *handler
 }
 
 func newMemoFixture(t testing.TB) *memoFixture {
@@ -97,11 +97,11 @@ func get(t testing.TB, h http.Handler, ctx context.Context, url string) *httptes
 	return rec
 }
 
-// memoVars reads analysis_memo out of /debug/vars.
+// memoVars reads reply_cache out of /debug/vars.
 func memoVars(t testing.TB, h http.Handler) map[string]int64 {
 	t.Helper()
 	var vars struct {
-		Memo map[string]int64 `json:"analysis_memo"`
+		Memo map[string]int64 `json:"reply_cache"`
 	}
 	rec := get(t, h, context.Background(), "/debug/vars")
 	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil || vars.Memo == nil {
@@ -110,10 +110,11 @@ func memoVars(t testing.TB, h http.Handler) map[string]int64 {
 	return vars.Memo
 }
 
-// TestMemoizedRepliesMatchEncodingJSON: for every memoized route the first
-// (computed) and the second (stored) reply are the same bytes, and those are
-// what encoding/json makes of the route's reply value — the body the route
-// sent before it was memoized.
+// TestMemoizedRepliesMatchEncodingJSON: for every cached route the first
+// (computed) and the second (stored) reply carry the same payload, and that
+// is what encoding/json makes of the route's reply value — the body the
+// route sent before there was a cache. A range or rollup reply differs
+// between the two in its stats block alone, which says what each cost.
 func TestMemoizedRepliesMatchEncodingJSON(t *testing.T) {
 	f := newMemoFixture(t)
 	ctx := context.Background()
@@ -129,35 +130,144 @@ func TestMemoizedRepliesMatchEncodingJSON(t *testing.T) {
 		}
 		want["/api/v1/analysis/"+name] = stdJSON(t, v)
 	}
-	v, err := fleetSummaryReply([]*Cluster{{Engine: f.eng, Source: f.src}})
+	members := []*Cluster{{Engine: f.eng, Source: f.src}}
+	v, err := fleetSummaryReply(members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want["/api/v1/fleet/summary"] = stdJSON(t, v)
+	if v, err = f.h.fleetSeriesReply("sum_inp", members); err != nil {
+		t.Fatal(err)
+	}
+	want["/api/v1/fleet/series?name=sum_inp"] = stdJSON(t, v)
+	if v, err = datasetsReply(f.eng); err != nil {
+		t.Fatal(err)
+	}
+	want["/api/v1/datasets"] = stdJSON(t, v)
+	analyses := f.eng.Metrics().AnalysisQueries.Load()
+	// A scan, a read from the pre-aggregates, raw points.
+	for url, req := range map[string]RangeRequest{
+		"/api/v1/range?dataset=cluster-power&column=sum_inp&step=3600":                  {Dataset: "cluster-power", Column: "sum_inp", Node: -1, T1: math.MaxInt64, Step: 3600},
+		"/api/v1/range?dataset=node-power&column=input_power.mean&step=600":             {Dataset: "node-power", Column: "input_power.mean", Node: -1, T1: math.MaxInt64, Step: 600},
+		"/api/v1/range?dataset=node-power&column=input_power.mean&node=3&t1=1577840400": {Dataset: "node-power", Column: "input_power.mean", Node: 3, T1: 1_577_840_400},
+	} {
+		res, err := f.eng.Range(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		want[url] = stdJSON(t, legacyRange(res))
+	}
+	for _, g := range []GroupBy{GroupCabinet, GroupFleet} {
+		res, err := f.eng.Rollup(ctx, RollupRequest{Dataset: "node-power", Column: "input_power.mean",
+			Group: g, T0: 0, T1: math.MaxInt64, Step: 1800})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want["/api/v1/rollup?dataset=node-power&column=input_power.mean&step=1800&group="+string(g)] = stdJSON(t, legacyRollup(res))
+	}
+	oracleRuns := f.eng.Metrics().RangeQueries.Load() + f.eng.Metrics().RollupQueries.Load()
 
+	tailed := int64(0)
 	for url, body := range want {
+		hasStats := !bytes.Equal(stripStatsBlock(body), body)
+		if hasStats {
+			tailed++
+		}
+		var etag string
 		for i, desc := range []string{"miss", "hit"} {
 			rec := get(t, f.h, ctx, url)
-			if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), body) {
+			got := rec.Body.Bytes()
+			if rec.Code != 200 || !bytes.Equal(stripStatsBlock(got), stripStatsBlock(body)) {
 				t.Errorf("%s request %d: status %d, body differs from encoding/json:\n got %.200s\nwant %.200s",
-					url, i, rec.Code, rec.Body.Bytes(), body)
+					url, i, rec.Code, got, body)
 			}
-			if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(len(body)) {
-				t.Errorf("%s request %d: Content-Length %q, want %d", url, i, got, len(body))
+			if !hasStats && !bytes.Equal(got, body) {
+				t.Errorf("%s request %d: body differs from encoding/json past a stats block it does not have", url, i)
 			}
-			if got := rec.Header().Get("Server-Timing"); !strings.HasPrefix(got, "memo;desc="+desc+", engine;dur=") {
-				t.Errorf("%s request %d: Server-Timing %q, want memo;desc=%s, engine;dur=…", url, i, got, desc)
+			if cached := bytes.Contains(got, []byte(`,"cached":true,"elapsed_us":`)); hasStats && cached != (i == 1) {
+				t.Errorf("%s request %d: stats block %s, cached = %v", url, i, got[len(stripStatsBlock(got)):], cached)
 			}
+			if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(rec.Body.Len()) {
+				t.Errorf("%s request %d: Content-Length %q, want %d", url, i, got, rec.Body.Len())
+			}
+			if got := rec.Header().Get("Server-Timing"); !strings.HasPrefix(got, "cache;desc="+desc+", engine;dur=") {
+				t.Errorf("%s request %d: Server-Timing %q, want cache;desc=%s, engine;dur=…", url, i, got, desc)
+			}
+			if i == 0 {
+				etag = rec.Header().Get("ETag")
+			} else if got := rec.Header().Get("ETag"); got == "" || got != etag {
+				t.Errorf("%s: ETag %q on the miss, %q on the hit", url, etag, got)
+			}
+		}
+		if rec := get(t, f.h, ctx, url); !bytes.Equal(stripStatsBlock(rec.Body.Bytes()), stripStatsBlock(body)) {
+			t.Errorf("%s: third reply differs", url)
 		}
 	}
 	m := memoVars(t, f.h)
 	n := int64(len(want))
-	if m["computes"] != n || m["hits"] != n || m["entries"] != n || m["waits"] != 0 {
-		t.Errorf("analysis_memo = %v, want %d computes, hits and entries", m, n)
+	if m["computes"] != n || m["hits"] != 2*n || m["entries"] != n || m["waits"] != 0 {
+		t.Errorf("reply_cache = %v, want %d computes and entries, twice the hits", m, n)
 	}
-	// AnalysisQueries counts requests, not computes.
-	if got := f.eng.Metrics().AnalysisQueries.Load(); got != 2*n {
-		t.Errorf("analysis counter = %d, want %d", got, 2*n)
+	// The engine's counters count its runs, not the requests: one per key.
+	if got := f.eng.Metrics().AnalysisQueries.Load() - analyses; got != int64(len(analysisRoutes))+2 {
+		t.Errorf("analysis counter rose by %d over %d routes asked three times each", got, len(analysisRoutes)+2)
+	}
+	if got := f.eng.Metrics().RangeQueries.Load() + f.eng.Metrics().RollupQueries.Load() - oracleRuns; got != tailed {
+		t.Errorf("range+rollup counters rose by %d over %d URLs asked three times each", got, tailed)
+	}
+}
+
+// TestReplyCacheKeyIsTheParsedRequest: parameter order, a spelled-out
+// default, a leading zero and a parameter the route does not read all
+// address the entry of the request they parse to; a parameter the route does
+// read makes another.
+func TestReplyCacheKeyIsTheParsedRequest(t *testing.T) {
+	f := newMemoFixture(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		same  []string
+		other string
+	}{
+		{[]string{
+			"/api/v1/range?dataset=cluster-power&column=sum_inp&step=600",
+			"/api/v1/range?step=600&column=sum_inp&dataset=cluster-power",
+			"/api/v1/range?dataset=cluster-power&column=sum_inp&step=0600&node=-1&t0=0",
+			"/api/v1/range?dataset=cluster-power&column=sum_inp&step=600&nonce=42&group=msb",
+		}, "/api/v1/range?dataset=cluster-power&column=sum_inp&step=601"},
+		{[]string{
+			"/api/v1/rollup?dataset=node-power&column=input_power.mean",
+			"/api/v1/rollup?column=input_power.mean&dataset=node-power&group=cabinet&step=600",
+			"/api/v1/rollup?dataset=node-power&column=input_power.mean&node=3&_=1",
+		}, "/api/v1/rollup?dataset=node-power&column=input_power.mean&group=msb"},
+		{[]string{"/api/v1/datasets", "/api/v1/datasets?cluster=&nonce=1"}, ""},
+		{[]string{"/api/v1/fleet/series?name=sum_inp", "/api/v1/fleet/series?nonce=1&name=sum_inp"},
+			"/api/v1/fleet/series?name=pue"},
+	} {
+		before := memoVars(t, f.h)
+		var first []byte
+		for i, url := range tc.same {
+			rec := get(t, f.h, ctx, url)
+			if rec.Code != 200 {
+				t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body.Bytes())
+			}
+			if i == 0 {
+				first = stripStatsBlock(rec.Body.Bytes())
+			} else if !bytes.Equal(stripStatsBlock(rec.Body.Bytes()), first) {
+				t.Errorf("%s: payload differs from %s", url, tc.same[0])
+			}
+		}
+		want := int64(1)
+		if tc.other != "" {
+			want = 2
+			if rec := get(t, f.h, ctx, tc.other); rec.Code != 200 || bytes.Equal(stripStatsBlock(rec.Body.Bytes()), first) {
+				t.Errorf("%s: status %d, payload equal to %s's: %v", tc.other, rec.Code, tc.same[0], rec.Code == 200)
+			}
+		}
+		after := memoVars(t, f.h)
+		if got := after["entries"] - before["entries"]; got != want || after["computes"]-before["computes"] != want {
+			t.Errorf("%s and its %d spellings: reply_cache went %v -> %v, want %d new entries",
+				tc.same[0], len(tc.same)-1, before, after, want)
+		}
 	}
 }
 
@@ -217,19 +327,21 @@ func TestMemoComputesOnceUnderConcurrency(t *testing.T) {
 	}
 	m := memoVars(t, h)
 	if m["computes"] != 1 || m["waits"] != clients || m["entries"] != 1 {
-		t.Errorf("analysis_memo = %v, want 1 compute, %d waits, 1 entry", m, clients)
+		t.Errorf("reply_cache = %v, want 1 compute, %d waits, 1 entry", m, clients)
 	}
 	if rec := get(t, h, context.Background(), url); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), bodies[0]) {
 		t.Errorf("stored reply: status %d", rec.Code)
 	}
 	if m := memoVars(t, h); m["computes"] != 1 || m["hits"] != 1 {
-		t.Errorf("after the stored reply: analysis_memo = %v, want 1 compute, 1 hit", m)
+		t.Errorf("after the stored reply: reply_cache = %v, want 1 compute, 1 hit", m)
 	}
 }
 
 // TestMemoKeysAndBounds: errors are answered but never stored; the key is
 // the parsed parameters, so distinct windows are distinct entries and
-// parameters a route does not read make none; the entry bound holds.
+// parameters a route does not read make none; a client sweeping a parameter
+// adds an entry per value and what the cache reports holding stays under its
+// budget (displacement at the budget is pinned in internal/serve).
 func TestMemoKeysAndBounds(t *testing.T) {
 	ctx := context.Background()
 	// The plain fixture archive has cluster-power only: bands is 404.
@@ -243,13 +355,13 @@ func TestMemoKeysAndBounds(t *testing.T) {
 		}
 	}
 	var vars struct {
-		Memo map[string]int64 `json:"analysis_memo"`
+		Memo map[string]int64 `json:"reply_cache"`
 	}
 	if code := getJSON(t, srv.URL+"/debug/vars", &vars); code != 200 {
 		t.Fatal(code)
 	}
 	if m := vars.Memo; m["computes"] != 2 || m["entries"] != 0 || m["hits"] != 0 {
-		t.Errorf("after two 404s and two 400s: analysis_memo = %v, want 2 computes, no entry", m)
+		t.Errorf("after two 404s and two 400s: reply_cache = %v, want 2 computes, no entry", m)
 	}
 
 	f := newMemoFixture(t)
@@ -266,15 +378,19 @@ func TestMemoKeysAndBounds(t *testing.T) {
 		}
 	}
 	if m := memoVars(t, f.h); m["computes"] != 3 || m["entries"] != 3 || m["hits"] != 3 {
-		t.Errorf("analysis_memo = %v, want 3 computes and entries (two windows, edges), 3 hits", m)
+		t.Errorf("reply_cache = %v, want 3 computes and entries (two windows, edges), 3 hits", m)
 	}
-	for w := 1; w <= memoMaxEntries+20; w++ {
-		if rec := get(t, f.h, ctx, fmt.Sprintf("/api/v1/analysis/earlywarning?window=%d", 100000+w)); rec.Code != 200 {
+	const sweep = 300
+	var payload int64
+	for w := 1; w <= sweep; w++ {
+		rec := get(t, f.h, ctx, fmt.Sprintf("/api/v1/analysis/earlywarning?window=%d", 100000+w))
+		if rec.Code != 200 {
 			t.Fatalf("window sweep: status %d", rec.Code)
 		}
+		payload += int64(rec.Body.Len())
 	}
-	if m := memoVars(t, f.h); m["entries"] != memoMaxEntries {
-		t.Errorf("after a window sweep: %d entries, want the bound %d", m["entries"], memoMaxEntries)
+	if m := memoVars(t, f.h); m["entries"] != 3+sweep || m["evictions"] != 0 || m["bytes"] < payload || m["bytes"] > serve.ReplyCacheBudget {
+		t.Errorf("after a window sweep: reply_cache = %v, want %d entries holding at least the %d payload bytes", m, 3+sweep, payload)
 	}
 }
 
@@ -286,12 +402,13 @@ func TestMemoSkipsOversizedReplies(t *testing.T) {
 	h := singleHandler(t, testEngine(t), src, ServerConfig{})
 	for i := 0; i < 2; i++ {
 		rec := get(t, h, context.Background(), "/api/v1/analysis/jobs")
-		if rec.Code != 200 || rec.Body.Len() <= memoMaxEntryBytes {
-			t.Fatalf("jobs: status %d, %d bytes; the fixture should exceed %d", rec.Code, rec.Body.Len(), memoMaxEntryBytes)
+		if rec.Code != 200 || rec.Body.Len() <= serve.ReplyCacheMaxEntry || rec.Header().Get("ETag") != "" {
+			t.Fatalf("jobs: status %d, %d bytes, ETag %q; the fixture should exceed the 256 KB entry cap",
+				rec.Code, rec.Body.Len(), rec.Header().Get("ETag"))
 		}
 	}
 	if m := memoVars(t, h); m["computes"] != 2 || m["not_stored_too_large"] != 2 || m["entries"] != 0 {
-		t.Errorf("analysis_memo = %v, want 2 computes, 2 not_stored_too_large, no entry", m)
+		t.Errorf("reply_cache = %v, want 2 computes, 2 not_stored_too_large, no entry", m)
 	}
 }
 
@@ -336,7 +453,7 @@ func TestMemoNeverStoresDegradedAnswers(t *testing.T) {
 				i, rec.Code, bytes.Equal(rec.Body.Bytes(), healthy))
 		}
 		if m := memoVars(t, h); m["computes"] != i || m["not_stored_degraded"] != i || m["entries"] != 0 {
-			t.Fatalf("degraded request %d: analysis_memo = %v, want it recomputed and not stored", i, m)
+			t.Fatalf("degraded request %d: reply_cache = %v, want it recomputed and not stored", i, m)
 		}
 	}
 	for _, s := range shards {
@@ -348,14 +465,16 @@ func TestMemoNeverStoresDegradedAnswers(t *testing.T) {
 		}
 	}
 	if m := memoVars(t, h); m["computes"] != 3 || m["hits"] != 1 || m["entries"] != 1 {
-		t.Errorf("after healing: analysis_memo = %v, want 3 computes, 1 hit, 1 entry", m)
+		t.Errorf("after healing: reply_cache = %v, want 3 computes, 1 hit, 1 entry", m)
 	}
 }
 
-// TestArchiveIsFrozenAtOpen pins the invariant the memo rests on: the server
-// reads the archive as it was at open. A day partition written afterwards is
-// invisible to the inventory, to range queries and to the analyses alike —
-// so a memoized answer cannot go stale against its own server.
+// TestArchiveIsFrozenAtOpen pins the invariant the reply cache rests on: the
+// server reads the archive as it was at open. A day partition written
+// afterwards is invisible to the inventory, to range queries and to the
+// analyses alike, whether the reply was stored before the partition landed
+// or is computed after — so a stored answer cannot go stale against its own
+// server.
 func TestArchiveIsFrozenAtOpen(t *testing.T) {
 	f := newMemoFixture(t)
 	ctx := context.Background()
@@ -392,22 +511,38 @@ func TestArchiveIsFrozenAtOpen(t *testing.T) {
 		}
 	}
 	for _, url := range urls {
-		if rec := get(t, f.h, ctx, url); !bytes.Equal(stripStatsBlock(rec.Body.Bytes()), before[url]) {
+		rec := get(t, f.h, ctx, url)
+		if !bytes.Equal(stripStatsBlock(rec.Body.Bytes()), before[url]) {
 			t.Errorf("%s changed after a partition was added under the open server", url)
 		}
+		if !strings.HasPrefix(rec.Header().Get("Server-Timing"), "cache;desc=hit") {
+			t.Errorf("%s: Server-Timing %q, want the stored reply", url, rec.Header().Get("Server-Timing"))
+		}
 	}
-	// Not the memo hiding it: a handler over the same engine and source, its
-	// memo empty, computes the same answers.
+	// Not the cache hiding it: a handler over the same engine and source,
+	// its cache empty, computes the same answers — as does the first handler
+	// for a range it was never asked before the partition landed.
 	fresh := singleHandler(t, f.eng, f.src, ServerConfig{})
 	for _, url := range urls {
 		if rec := get(t, fresh, ctx, url); !bytes.Equal(stripStatsBlock(rec.Body.Bytes()), before[url]) {
-			t.Errorf("%s: a fresh memo over the open archive sees the added partition", url)
+			t.Errorf("%s: a fresh cache over the open archive sees the added partition", url)
 		}
+	}
+	const unasked = "/api/v1/range?dataset=cluster-power&column=sum_inp&step=1800"
+	late := get(t, f.h, ctx, unasked)
+	if !strings.HasPrefix(late.Header().Get("Server-Timing"), "cache;desc=miss") ||
+		bytes.Contains(late.Body.Bytes(), []byte(`"days_total":3`)) {
+		t.Errorf("%s, computed after the partition landed: Server-Timing %q, stats %s", unasked,
+			late.Header().Get("Server-Timing"), late.Body.Bytes()[len(stripStatsBlock(late.Body.Bytes())):])
 	}
 	// A reopened archive does see it.
 	reopened := openMemoFixture(t, f.dir).h
-	for _, url := range urls {
-		if rec := get(t, reopened, ctx, url); rec.Code != 200 || bytes.Equal(stripStatsBlock(rec.Body.Bytes()), before[url]) {
+	for _, url := range append(urls, unasked) {
+		was := before[url]
+		if url == unasked {
+			was = stripStatsBlock(late.Body.Bytes())
+		}
+		if rec := get(t, reopened, ctx, url); rec.Code != 200 || bytes.Equal(stripStatsBlock(rec.Body.Bytes()), was) {
 			t.Errorf("%s: reopening the archive did not pick up the added partition (status %d)", url, rec.Code)
 		}
 	}

@@ -37,7 +37,7 @@ type Service struct {
 func Occupy(t *testing.T, k *serve.Kernel) (release func()) {
 	t.Helper()
 	entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	hold := k.Guard(func(context.Context, url.Values) (any, error) {
+	hold := k.Guard("hold", func(context.Context, url.Values) (any, error) {
 		close(entered)
 		<-gate
 		return struct{}{}, nil
@@ -89,10 +89,10 @@ func Contract(t *testing.T, svc Service) {
 		h, k := svc.New(timeout, maxConcurrent)
 		mux := http.NewServeMux()
 		mux.Handle("/", h)
-		mux.Handle("/probe/nan", k.Guard(func(context.Context, url.Values) (any, error) {
+		mux.Handle("/probe/nan", k.Guard("probe/nan", func(context.Context, url.Values) (any, error) {
 			return map[string]any{"v": math.NaN()}, nil
 		}))
-		mux.Handle("/probe/slow", k.Guard(func(ctx context.Context, _ url.Values) (any, error) {
+		mux.Handle("/probe/slow", k.Guard("probe/slow", func(ctx context.Context, _ url.Values) (any, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}))

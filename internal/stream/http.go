@@ -45,10 +45,12 @@ type handler struct {
 //	GET /api/v1/live/earlywarning  — precursor→outcome lift statistics
 //	GET /api/v1/live/health        — ingest counters, watermark, degradation
 //	GET /healthz                   — liveness
+//	GET /debug/vars                — the kernel's shed/in-flight counters and per-route latency
 //
 // API routes run under the serving kernel's guard with the concurrency
 // limit and per-request timeout of cfg. The health routes bypass both: they
-// must answer precisely when the service is swamped.
+// must answer precisely when the service is swamped. Every reply is a
+// snapshot of live state, so none goes through a reply cache.
 func NewHandler(p *Pipeline, cfg ServeConfig) http.Handler {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
@@ -56,11 +58,12 @@ func NewHandler(p *Pipeline, cfg ServeConfig) http.Handler {
 	h := &handler{ServeMux: http.NewServeMux(), p: p, kernel: serve.NewKernel(cfg.Timeout, cfg.MaxConcurrent, nil)}
 	guard := h.kernel.Guard
 	h.HandleFunc("/healthz", serve.Healthz)
-	h.HandleFunc("/api/v1/live/health", h.kernel.Unguarded(h.health))
-	h.HandleFunc("/api/v1/live/rollup", guard(h.rollup))
-	h.HandleFunc("/api/v1/live/edges", guard(h.edges))
-	h.HandleFunc("/api/v1/live/bands", guard(h.bands))
-	h.HandleFunc("/api/v1/live/earlywarning", guard(h.earlyWarning))
+	h.HandleFunc("/debug/vars", h.kernel.Vars)
+	h.HandleFunc("/api/v1/live/health", h.kernel.Unguarded("health", h.health))
+	h.HandleFunc("/api/v1/live/rollup", guard("rollup", h.rollup))
+	h.HandleFunc("/api/v1/live/edges", guard("edges", h.edges))
+	h.HandleFunc("/api/v1/live/bands", guard("bands", h.bands))
+	h.HandleFunc("/api/v1/live/earlywarning", guard("earlywarning", h.earlyWarning))
 	return h
 }
 

@@ -247,3 +247,46 @@ func TestHTTPHealthReportsDegradation(t *testing.T) {
 		t.Errorf("reasons = %v", health["reasons"])
 	}
 }
+
+// TestHTTPLiveRepliesAreNeverStored: a live route's answer is the state of
+// the pipeline now, so the same URL polled across a window close answers
+// differently and carries no validator; /debug/vars serves the kernel's
+// counters with both polls under the route's name.
+func TestHTTPLiveRepliesAreNeverStored(t *testing.T) {
+	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, Shards: 1})
+	h := NewHandler(p, ServeConfig{})
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	p.Ingest([]telemetry.Sample{powerSample(0, 0, 1000), powerSample(1, 0, 2000)})
+	first := get("/api/v1/live/rollup")
+	p.Ingest([]telemetry.Sample{powerSample(0, 10, 1000), powerSample(1, 10, 2000)})
+	p.Close() // every window closes
+	second := get("/api/v1/live/rollup")
+	if first.Body.String() == second.Body.String() || !strings.Contains(second.Body.String(), `"windows_total":2`) {
+		t.Errorf("rollup before and after the windows closed:\n%s%s", first.Body, second.Body)
+	}
+	for _, rec := range []*httptest.ResponseRecorder{first, second} {
+		if rec.Header().Get("ETag") != "" || rec.Header().Get("Server-Timing") != "" {
+			t.Errorf("live reply carries ETag %q, Server-Timing %q", rec.Header().Get("ETag"), rec.Header().Get("Server-Timing"))
+		}
+	}
+	get("/api/v1/live/health")
+	var vars struct {
+		Rejected, Inflight *int64
+		EncodeNS           map[string]int64            `json:"encode_ns"`
+		Routes             map[string]map[string]int64 `json:"routes"`
+	}
+	if err := json.Unmarshal(get("/debug/vars").Body.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	if vars.Rejected == nil || vars.Inflight == nil || vars.EncodeNS["count"] != 3 ||
+		vars.Routes["rollup"]["count"] != 2 || vars.Routes["health"]["count"] != 1 || vars.Routes["edges"] == nil {
+		t.Errorf("/debug/vars = %+v", vars)
+	}
+}
