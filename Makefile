@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
+.PHONY: all build test vet fmt lint race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
 
 all: check
 
@@ -12,6 +12,9 @@ build:
 test:
 	$(GO) test ./...
 
+# vet runs the standard passes. copylocks among them is the repository's
+# lock-copy gate (a sync.Mutex passed or assigned by value), which is why
+# check and ci run vet before lint: reprolint has no rule of its own for it.
 vet:
 	$(GO) vet ./...
 
@@ -20,23 +23,14 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# lint runs reprolint, the repository's own static-analysis suite
-# (see internal/lint): five per-package analyzers (determinism, unit
-# safety, float comparison, error wrapping, lock/goroutine hygiene) plus
-# four whole-program call-graph analyzers (detreach, allocfree, ctxflow,
-# leakcheck).
+# lint runs reprolint, the repository's own static-analysis suite (see
+# internal/lint): seven analyzers over one program — determinism (wall
+# clocks, global math/rand, map-order accumulation and racing selects, in
+# the simulation and cmd packages and in anything a //lint:detroot function
+# reaches), unitsafety, floatcompare, errwrap, allocfree, ctxflow and
+# leakcheck. Its output is text and its only green state is zero findings.
 lint:
 	$(GO) run ./cmd/reprolint ./...
-
-# lint-smoke runs only the whole-program call-graph analyzers — the
-# expensive cross-package half of the suite — as a fast standalone gate.
-lint-smoke:
-	$(GO) run ./cmd/reprolint -analyzers detreach,allocfree,ctxflow,leakcheck ./...
-
-# lint-sarif writes the full suite's findings as SARIF 2.1.0 (the format CI
-# uploads as an artifact). Exit code still reflects violations.
-lint-sarif:
-	$(GO) run ./cmd/reprolint -sarif ./... > reprolint.sarif
 
 # race runs every package under the race detector; the heavyweight
 # simulation tests are trimmed so this stays bounded.
@@ -59,8 +53,8 @@ streamd:
 # race detector.
 check: build fmt vet lint test stream-check race
 
-# ci mirrors .github/workflows/ci.yml, step for step (the SARIF upload
-# and the pull-request-only bench-ab against the merge base aside).
+# ci mirrors .github/workflows/ci.yml, step for step (the
+# pull-request-only bench-ab against the merge base aside).
 ci: fmt vet lint build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
 
 bench:

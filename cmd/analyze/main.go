@@ -21,6 +21,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -236,13 +237,9 @@ func jobAnalysis(w io.Writer, src source.RunSource) error {
 	if err != nil {
 		return err
 	}
-	// Top 20 by energy.
+	// Top 20 by energy; equal energies stay in job-log order.
 	sortRows := append([]source.JobRecord(nil), rows...)
-	for i := 1; i < len(sortRows); i++ {
-		for j := i; j > 0 && sortRows[j].EnergyJ > sortRows[j-1].EnergyJ; j-- {
-			sortRows[j], sortRows[j-1] = sortRows[j-1], sortRows[j]
-		}
-	}
+	sort.SliceStable(sortRows, func(i, j int) bool { return sortRows[i].EnergyJ > sortRows[j].EnergyJ })
 	tab := render.NewTable("allocation", "class", "nodes", "hours", "mean (kW)", "max (kW)", "energy (kWh)")
 	for i, r := range sortRows {
 		if i == 20 {

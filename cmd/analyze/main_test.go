@@ -9,6 +9,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/source"
+	"repro/internal/units"
 )
 
 // testArchive builds one archive shared by the analyze subcommand tests.
@@ -77,5 +78,41 @@ func TestDispatchUnknownAndMissing(t *testing.T) {
 	}
 	if _, err := source.OpenArchive(source.ArchiveConfig{Dir: t.TempDir()}); err == nil {
 		t.Error("missing archive accepted")
+	}
+}
+
+// tiedJobs serves a job log with energy ties; the rest of the plane is
+// never asked.
+type tiedJobs struct{ source.RunSource }
+
+func (tiedJobs) JobRecords() ([]source.JobRecord, error) {
+	job := func(id int64, energyKWh float64) source.JobRecord {
+		return source.JobRecord{AllocationID: id, Class: int(id % 3), Nodes: 4, BeginTime: 0, EndTime: 3600,
+			MeanPowerW: 2000, MaxPowerW: 2500, EnergyJ: energyKWh * units.JoulesPerKWh}
+	}
+	return []source.JobRecord{job(1, 5), job(2, 9), job(3, 5), job(4, 1), job(5, 9), job(6, 5), job(7, 12)}, nil
+}
+
+// TestJobsRankingKeepsLogOrderOnTies pins the -cmd jobs ranking byte for
+// byte: descending energy, and equal energies in job-log order (a strict >
+// under a stable sort).
+func TestJobsRankingKeepsLogOrderOnTies(t *testing.T) {
+	var b strings.Builder
+	if err := dispatch(&b, "jobs", tiedJobs{}); err != nil {
+		t.Fatal(err)
+	}
+	want := "" +
+		"allocation  class  nodes  hours  mean (kW)  max (kW)  energy (kWh)\n" +
+		"----------  -----  -----  -----  ---------  --------  ------------\n" +
+		"7           1      4      1      2          2.500     12          \n" +
+		"2           2      4      1      2          2.500     9           \n" +
+		"5           2      4      1      2          2.500     9           \n" +
+		"1           1      4      1      2          2.500     5           \n" +
+		"3           0      4      1      2          2.500     5           \n" +
+		"6           0      4      1      2          2.500     5           \n" +
+		"4           1      4      1      2          2.500     1           \n" +
+		"7 jobs total\n"
+	if b.String() != want {
+		t.Errorf("jobs ranking changed:\n got:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

@@ -1,13 +1,13 @@
 // Command reprolint runs the repository's static-analysis suite (see
-// internal/lint) over module packages: five per-package analyzers plus four
-// whole-program analyzers that work over the cross-package call graph. It
-// is the multichecker `make ci` runs; stock `go vet` runs alongside it in
-// the same CI target, covering the standard passes.
+// internal/lint) over module packages: seven analyzers over one Program —
+// every linted view plus the cross-package call graph. It is the
+// multichecker `make ci` runs; stock `go vet` runs before it in the same CI
+// target, covering the standard passes (copylocks among them: lock copies
+// are vet's rule, not reprolint's).
 //
 // Usage:
 //
-//	reprolint [-analyzers list] [-json|-sarif] [-baseline file]
-//	          [-write-baseline] [-list] [packages ...]
+//	reprolint [-analyzers list] [-list] [packages ...]
 //
 // Package patterns are directories relative to the working directory, with
 // ./... expansion; the default is ./... . Intentional exceptions are
@@ -15,11 +15,7 @@
 //
 //	//lint:allow <analyzer> <reason>
 //
-// Known-but-unfixed findings can instead be grandfathered in a baseline
-// file (default .reprolint-baseline.json, matched on analyzer + file +
-// message, never line numbers); -write-baseline regenerates it from the
-// current findings. Exit codes: 0 clean, 1 violations, 2 load or usage
-// error.
+// Exit codes: 0 clean, 1 violations, 2 load or usage error.
 package main
 
 import (
@@ -40,36 +36,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reprolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list     = fs.Bool("list", false, "list analyzers and exit")
-		names    = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		asJSON   = fs.Bool("json", false, "emit diagnostics as JSON")
-		asSARIF  = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
-		baseline = fs.String("baseline", ".reprolint-baseline.json",
-			"baseline file of grandfathered findings (missing file = empty)")
-		writeBaseline = fs.Bool("write-baseline", false,
-			"write current findings to the baseline file and exit")
+		list  = fs.Bool("list", false, "list analyzers and exit")
+		names = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	analyzers := lint.All()
 	if *list {
-		for _, a := range lint.All() {
-			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range lint.ProgramAnalyzers() {
+		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "reprolint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	analyzers, progAnalyzers := lint.All(), lint.ProgramAnalyzers()
 	if *names != "" {
 		var err error
-		analyzers, progAnalyzers, err = lint.ByName(strings.Split(*names, ","))
-		if err != nil {
+		if analyzers, err = lint.ByName(strings.Split(*names, ",")); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
@@ -79,60 +61,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	diags, err := lint.LintPackages(cwd, fs.Args(), analyzers, progAnalyzers)
+	diags, err := lint.LintPackages(cwd, fs.Args(), analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "reprolint:", err)
 		return 2
 	}
-	if *writeBaseline {
-		if err := lint.WriteBaseline(*baseline, diags, cwd); err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "reprolint: wrote %d finding(s) to %s\n", len(diags), *baseline)
-		return 0
-	}
-	bl, err := lint.ReadBaseline(*baseline)
-	if err != nil {
-		fmt.Fprintln(stderr, "reprolint:", err)
-		return 2
-	}
-	diags, stale := bl.Filter(diags, cwd)
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "reprolint: stale baseline entry (finding fixed — delete it): %s %s: %s\n",
-			e.File, e.Analyzer, e.Message)
-	}
-	switch {
-	case *asJSON:
-		if err := lint.EncodeJSON(stdout, diags, cwd); err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
-	case *asSARIF:
-		if err := lint.EncodeSARIF(stdout, diags, cwd); err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(stdout, relativize(cwd, d))
-		}
+	// Paths print relative to the working directory (the notes embed paths
+	// too): readable, and clickable in an editor's terminal.
+	prefix := cwd + string(os.PathSeparator)
+	for _, d := range diags {
+		s := strings.ReplaceAll(d.String(), "\n\t"+prefix, "\n\t")
+		fmt.Fprintln(stdout, strings.TrimPrefix(s, prefix))
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "reprolint: %d violation(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// relativize shortens absolute diagnostic paths to the working directory
-// for readable, clickable output.
-func relativize(cwd string, d lint.Diagnostic) string {
-	prefix := cwd + string(os.PathSeparator)
-	s := d.String()
-	s = strings.ReplaceAll(s, "\n\t"+prefix, "\n\t") // notes embed paths too
-	if rel, ok := strings.CutPrefix(s, prefix); ok {
-		return rel
-	}
-	return s
 }

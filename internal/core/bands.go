@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/tsagg"
+	"repro/internal/units"
 )
 
 // Temperature bands of the facility's component-wise summary (paper §2):
@@ -48,12 +49,12 @@ type BandSummary struct {
 }
 
 // thermalBandsFrom reduces the per-window band counts to the §2 dashboard
-// view; total GPUs is nodes × 6.
+// view; total GPUs is nodes × GPUs per node.
 func thermalBandsFrom(bands [NumTempBands]*tsagg.Series, nodes int) ([]BandSummary, error) {
 	if bands[0] == nil {
 		return nil, fmt.Errorf("core: run data has no band series")
 	}
-	totalGPUs := float64(nodes * 6)
+	totalGPUs := float64(nodes * units.GPUsPerNode)
 	out := make([]BandSummary, NumTempBands)
 	for b := 0; b < NumTempBands; b++ {
 		vals := bands[b].Clean()

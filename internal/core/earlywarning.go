@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/failures"
+	"repro/internal/units"
 )
 
 // The paper's §6.1 closes with an operational insight: internal
@@ -114,7 +115,7 @@ func earlyWarningPairs(evs []failures.Event, nodes int, spanSec, windowSec int64
 	if windowSec <= 0 {
 		windowSec = 3600
 	}
-	gpuWindows := float64(nodes*6) * float64(spanSec) / float64(windowSec)
+	gpuWindows := float64(nodes*units.GPUsPerNode) * float64(spanSec) / float64(windowSec)
 	pairs := [][2]failures.Type{
 		{failures.MicrocontrollerWarning, failures.DriverErrorHandling},
 		{failures.DoubleBitError, failures.PageRetirementEvent},

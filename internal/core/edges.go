@@ -127,12 +127,6 @@ func FilterEdges(edges []Edge, rising bool, minAmpW float64) []Edge {
 	return out
 }
 
-// BinEdgesByMW groups rising edges into 1 MW amplitude bins (paper
-// Figure 11): bin k holds edges with amplitude in [k MW, (k+1) MW).
-func BinEdgesByMW(edges []Edge) map[int][]Edge {
-	return BinEdges(edges, units.WattsPerMW, true)
-}
-
 // BinEdges groups edges of the requested direction into amplitude bins of
 // the given width in watts; bin k holds |amplitude| in [k·w, (k+1)·w).
 // Sub-bin-1 edges are dropped.

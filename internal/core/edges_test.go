@@ -141,7 +141,7 @@ func TestBinEdgesByMW(t *testing.T) {
 		{Rising: true, AmplitudeW: 0.5e6}, // below 1 MW: dropped
 		{Rising: false, AmplitudeW: -7e6}, // falling: dropped
 	}
-	bins := BinEdgesByMW(edges)
+	bins := BinEdges(edges, units.WattsPerMW, true)
 	if len(bins[1]) != 2 || len(bins[4]) != 1 {
 		t.Errorf("bins = %v", bins)
 	}

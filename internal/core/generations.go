@@ -7,6 +7,7 @@ import (
 	"repro/internal/failures"
 	"repro/internal/rng"
 	"repro/internal/topology"
+	"repro/internal/units"
 )
 
 // GenerationComparison is the §6-summary experiment: the same thermal
@@ -47,7 +48,7 @@ func CompareGenerations(seed uint64, nodes, steps int, rateScale float64) (*Gene
 	}
 	ctxs := make([][]slotCtx, steps)
 	for s := range ctxs {
-		ctxs[s] = make([]slotCtx, nodes*6)
+		ctxs[s] = make([]slotCtx, nodes*units.GPUsPerNode)
 		for g := range ctxs[s] {
 			z := rs.Normal(0, 1)
 			ctxs[s][g] = slotCtx{temp: 42 + 5*z, z: z}
@@ -57,10 +58,10 @@ func CompareGenerations(seed uint64, nodes, steps int, rateScale float64) (*Gene
 		zs := map[failures.Type][]float64{}
 		total := 0
 		for s := 0; s < steps; s++ {
-			for g := 0; g < nodes*6; g++ {
+			for g := 0; g < nodes*units.GPUsPerNode; g++ {
 				c := ctxs[s][g]
 				evs := in.Sample(int64(s)*300, 300,
-					topology.NodeID(g/6), topology.GPUSlot(g%6),
+					topology.NodeID(g/units.GPUsPerNode), topology.GPUSlot(g%units.GPUsPerNode),
 					failures.Context{
 						JobID: 1, Project: "GEN01", Active: true,
 						TempC: c.temp, TempZ: c.z,

@@ -67,15 +67,6 @@ func BuildJobRecords(d *RunData) []JobRecord {
 	return out
 }
 
-// ByClass partitions records by scheduling class.
-func ByClass(recs []JobRecord) map[units.SchedulingClass][]JobRecord {
-	out := map[units.SchedulingClass][]JobRecord{}
-	for _, r := range recs {
-		out[r.Class] = append(out[r.Class], r)
-	}
-	return out
-}
-
 // EnergyPowerKDE is one class's joint density of (log10 energy, log10 max
 // power) — paper Figure 6 (the paper plots on log-log axes).
 type EnergyPowerKDE struct {

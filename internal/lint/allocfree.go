@@ -22,26 +22,17 @@ import (
 // is outside the program is flagged as unknown unless its package is on
 // the arithmetic-only allowlist. Dynamic calls through function values are
 // likewise flagged — their target is unknown, so their allocations are too.
-var AllocFree = &ProgramAnalyzer{
+var AllocFree = &Analyzer{
 	Name: "allocfree",
 	Doc: "prove //lint:allocfree functions are transitively free of allocating " +
 		"constructs (make/append, closures, interface boxing, string concat)",
-	Severity: SeverityError,
-	Run:      runAllocFree,
+	Run: runAllocFree,
 }
 
-func runAllocFree(pass *ProgramPass) {
-	prog := pass.Prog
-	facts := prog.ComputeFacts(allocDirect, func(_ *FuncNode, _ Call) bool { return true })
-	for _, root := range prog.Nodes {
-		if !root.Allocfree {
-			continue
-		}
-		for _, leaf := range facts.Leaves(root, root.Name()+" is marked //lint:allocfree") {
-			pass.ReportChain(leaf.Fact.Pos, leaf.Chain,
-				"%s, on a path from alloc-free function %s", leaf.Fact.Msg, root.Name())
-		}
-	}
+func runAllocFree(pass *Pass) {
+	facts := pass.Prog.ComputeFacts(allocDirect, nil)
+	pass.reportReached(facts, func(n *FuncNode) bool { return n.Allocfree },
+		" is marked //lint:allocfree", "%s, on a path from alloc-free function %s")
 }
 
 // allocSafePkgs are external packages whose exported functions never

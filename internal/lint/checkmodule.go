@@ -1,26 +1,18 @@
 package lint
 
-import (
-	"strings"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // LintPackages loads and analyzes the module packages matched by patterns
 // (resolved relative to dir) and returns all surviving diagnostics in
-// position order. Each package is analyzed in up to three views: the plain
+// position order. Each package is loaded in up to three views — the plain
 // package, the package plus its in-package test files, and its external
-// _test package. Diagnostics from the augmented view are filtered to the
-// test files so plain-package findings are not reported twice.
+// _test package — and the analyzers run once over the Program of them all.
 //
-// Packages are type-checked and analyzed from a worker pool — the loader's
-// singleflight cache makes the demand-driven import recursion safe and
-// walks the import DAG in dependency order — and the per-path results land
-// in pattern-expansion order, so the output is deterministic regardless of
-// scheduling. The whole-program analyzers then run once over every plain
-// view together (they need the cross-package call graph, which is exactly
-// what the shared loader's canonical package identities make possible).
-func LintPackages(dir string, patterns []string, analyzers []*Analyzer, progAnalyzers []*ProgramAnalyzer) ([]Diagnostic, error) {
+// Packages are type-checked from a worker pool — the loader's singleflight
+// cache makes the demand-driven import recursion safe and walks the import
+// DAG in dependency order — and the views land in pattern-expansion order,
+// so the output is deterministic regardless of scheduling.
+func LintPackages(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -33,56 +25,19 @@ func LintPackages(dir string, patterns []string, analyzers []*Analyzer, progAnal
 		return nil, err
 	}
 	type result struct {
-		diags []Diagnostic
-		plain *Package
+		views []*Package
 		err   error
 	}
 	results := make([]result, len(paths))
 	parallel.ForEach(len(paths), parallel.DefaultWorkers(), func(i int) {
-		path := paths[i]
-		pkgs, err := loader.LoadVariants(path)
-		if err != nil {
-			results[i].err = err
-			return
-		}
-		seenPlain := false
-		for _, pkg := range pkgs {
-			diags := Run(pkg, analyzers)
-			if seenPlain {
-				// Augmented or external test view: only test-file findings
-				// are new.
-				filtered := diags[:0]
-				for _, d := range diags {
-					if strings.HasSuffix(d.Pos.Filename, "_test.go") {
-						filtered = append(filtered, d)
-					}
-				}
-				diags = filtered
-			}
-			if !strings.HasSuffix(pkg.Path, "_test") {
-				seenPlain = true
-			}
-			results[i].diags = append(results[i].diags, diags...)
-		}
-		// The canonical plain view (a cache hit after LoadVariants) feeds
-		// the whole-program pass; nil for test-only directories.
-		results[i].plain, _ = loader.LoadPackage(path)
+		results[i].views, results[i].err = loader.LoadVariants(paths[i])
 	})
-	var out []Diagnostic
-	var plains []*Package
+	var views []*Package
 	for _, r := range results {
 		if r.err != nil {
 			return nil, r.err
 		}
-		out = append(out, r.diags...)
-		if r.plain != nil {
-			plains = append(plains, r.plain)
-		}
+		views = append(views, r.views...)
 	}
-	if len(progAnalyzers) > 0 && len(plains) > 0 {
-		prog := BuildProgram(plains)
-		out = append(out, RunProgram(prog, progAnalyzers)...)
-	}
-	sortDiagnostics(out)
-	return out, nil
+	return Run(BuildProgram(views), analyzers), nil
 }

@@ -3,15 +3,15 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// CtxFlow enforces context discipline in the serving layer (the same scope
-// as locksafety's goroutine rule: telemetry, query, source, stream, and the
-// cmd/ binaries). An HTTP handler owns a request context with a deadline;
-// a call path from the handler that blocks without ever being handed a
-// context cannot be cancelled when the client goes away, and a worker task
-// submitted to the parallel package with a blocking body has the same
-// problem. Three checks:
+// CtxFlow enforces context discipline in the serving layer (telemetry,
+// query, source, stream, and the cmd/ binaries). An HTTP handler owns a
+// request context with a deadline; a call path from the handler that blocks
+// without ever being handed a context cannot be cancelled when the client
+// goes away, and a worker task submitted to the parallel package with a
+// blocking body has the same problem. Three checks:
 //
 //  1. No call path from a handler may reach a blocking call (time.Sleep,
 //     net.Dial, the context-free net/http helpers) without passing through
@@ -21,12 +21,21 @@ import (
 //     context.Background or context.TODO; it must derive from the request.
 //  3. A function literal submitted to internal/parallel must not make a
 //     blocking call unless the literal consults a context value.
-var CtxFlow = &ProgramAnalyzer{
+var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "require HTTP handlers and parallel-pool tasks in the serving layer to " +
 		"propagate a context/deadline to every blocking call",
-	Severity: SeverityWarning,
-	Run:      runCtxFlow,
+	Run: runCtxFlow,
+}
+
+// inServingScope reports whether the package is part of the long-running
+// serving layer: the libraries under the daemons, and every binary.
+func inServingScope(path string) bool {
+	switch pathBase(path) {
+	case "telemetry", "query", "source", "stream":
+		return true
+	}
+	return strings.HasPrefix(path, "repro/cmd/")
 }
 
 // blockingFuncs are external entry points that block without consulting a
@@ -45,20 +54,18 @@ func isBlockingFunc(fn *types.Func) bool {
 	return blockingFuncs[fn.Pkg().Path()][fn.Name()]
 }
 
-func runCtxFlow(pass *ProgramPass) {
+func runCtxFlow(pass *Pass) {
 	prog := pass.Prog
 	facts := prog.ComputeFacts(ctxBlockDirect,
 		func(_ *FuncNode, c Call) bool { return !takesContext(c.Fn) })
+	served := func(n *FuncNode) bool { return n.Decl.Body != nil && inServingScope(n.Pkg.Path) }
+	pass.reportReached(facts, func(n *FuncNode) bool { return served(n) && isHandlerFunc(n.Fn) },
+		" handles an HTTP request", "%s on a path from handler %s; plumb the request context through")
 	for _, n := range prog.Nodes {
-		if n.Decl.Body == nil || !inGoroutineScope(n.Pkg.Path) || prog.InTestFile(n.Decl.Pos()) {
+		if !served(n) {
 			continue
 		}
 		if isHandlerFunc(n.Fn) {
-			for _, leaf := range facts.Leaves(n, n.Name()+" handles an HTTP request") {
-				pass.ReportChain(leaf.Fact.Pos, leaf.Chain,
-					"%s on a path from handler %s; plumb the request context through",
-					leaf.Fact.Msg, n.Name())
-			}
 			checkFreshContext(pass, n)
 		}
 		checkParallelSubmissions(pass, n, facts)
@@ -118,6 +125,8 @@ func isHandlerFunc(fn *types.Func) bool {
 	return ok && isNamedType(ptr.Elem(), "net/http", "Request")
 }
 
+func isContextType(t types.Type) bool { return isNamedType(t, "context", "Context") }
+
 func isNamedType(t types.Type, pkgPath, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
@@ -129,7 +138,7 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 
 // checkFreshContext flags context.Background()/context.TODO() inside a
 // handler: the request already carries the context the work must inherit.
-func checkFreshContext(pass *ProgramPass, n *FuncNode) {
+func checkFreshContext(pass *Pass, n *FuncNode) {
 	info := n.Pkg.Info
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		sel, ok := node.(*ast.SelectorExpr)
@@ -152,7 +161,7 @@ func checkFreshContext(pass *ProgramPass, n *FuncNode) {
 // checkParallelSubmissions flags function literals handed to the parallel
 // package whose bodies block — directly or through a context-free call
 // chain — without consulting any context value.
-func checkParallelSubmissions(pass *ProgramPass, n *FuncNode, facts *Facts) {
+func checkParallelSubmissions(pass *Pass, n *FuncNode, facts *Facts) {
 	info := n.Pkg.Info
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		call, ok := node.(*ast.CallExpr)

@@ -7,38 +7,41 @@ import (
 	"strings"
 )
 
-// Determinism enforces reproducibility in the simulation packages and the
-// command-line binaries: the same seed and the same telemetry bytes must
-// yield bit-identical results every run (the archive/live parity test
-// depends on it). It forbids wall-clock and timer reads, the
-// globally-seeded math/rand functions, and order-dependent accumulation
-// across map iteration. The serving-library layer (telemetry, query) is
-// exempt — wall-clock latency measurement and deadlines are its job — but
-// the cmd/ trees ARE swept: a binary that seeds from the clock or walks a
-// map into its output silently breaks the byte-identical-rerun contract
-// the smoke targets compare on, so its few legitimate timing reads carry
-// explicit //lint:allow directives instead of a blanket exemption.
+// Determinism enforces reproducibility: the same seed and the same
+// telemetry bytes must yield bit-identical results every run (the parity
+// pins, and the smoke targets that cmp archives, depend on it). The
+// nondeterminism sources are a wall-clock or timer read, a draw from the
+// globally-seeded math/rand stream, order-dependent accumulation across a
+// map range, and a select racing several channels. They are forbidden in
+// two scopes, and a site in both is reported once:
+//
+//   - everything reachable, over the call graph, from a function annotated
+//     //lint:detroot (the simulation engine, what-if batch evaluation, the
+//     archive writer, federated reads, the stream operators). The diagnostic
+//     lands on the construct and carries the call chain from the first root
+//     that reaches it as notes, so a nondeterministic helper in any package
+//     is caught the moment a root can reach it;
+//   - every file of the simulation packages, tests included (parity tests
+//     compare bytes, and a wall clock in a test helper would silently
+//     weaken them), and the shipped files of the cmd/ binaries: one that
+//     seeds from the clock or walks a map into its output breaks the
+//     byte-identical-rerun contract the smoke targets compare on. Their
+//     tests poll servers against real clocks, which is fine.
+//
+// The serving libraries (telemetry, query, serve) are exempt unless a root
+// reaches them — wall-clock latency measurement and deadlines are their job.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall clocks, global math/rand, and map-iteration-order-dependent " +
-		"accumulation in simulation and cmd packages; use internal/rng and injected clocks",
-	Severity: SeverityError,
-	Skip: func(path string) bool {
-		if simPackages[pathBase(path)] {
-			return false
-		}
-		return !strings.HasPrefix(path, "repro/cmd/")
-	},
+	Doc: "forbid wall clocks, global math/rand, map-order accumulation and racing selects " +
+		"in simulation and cmd packages and in anything reachable from a //lint:detroot function",
 	Run: runDeterminism,
 }
 
 // simPackages are the packages whose outputs must be bit-reproducible.
 // stream is on the list because the batch/stream parity contract holds the
-// live operators bit-identical to the offline analyses: a wall-clock read
-// or map-order accumulation in an operator would break it silently.
-// source is on the list because the federation layer promises N-shard
-// scatter-gather reads bit-identical to a direct read; its one legitimate
-// timer (the hedged-request trigger) carries an explicit allow directive.
+// live operators bit-identical to the offline analyses; source because the
+// federation layer promises N-shard scatter-gather reads bit-identical to a
+// direct read (its hedge timer carries an explicit allow directive).
 var simPackages = map[string]bool{
 	"nodesim":   true,
 	"workload":  true,
@@ -70,59 +73,65 @@ var randConstructors = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	// In the cmd/ trees only the shipped binary is held reproducible; their
-	// tests poll servers and bound retries with real clocks, which is fine.
-	// Simulation-package tests stay covered — parity tests compare bytes,
-	// and a wall clock in a test helper would silently weaken them.
-	cmdPkg := strings.HasPrefix(scopePath(pass.Path), "repro/cmd/")
-	for _, f := range pass.Files {
-		if cmdPkg && pass.InTest(f.Pos()) {
-			continue
+	prog := pass.Prog
+	facts := prog.ComputeFacts(func(n *FuncNode) []Fact {
+		if n.Decl.Body == nil {
+			return nil
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				checkDeterminismSelector(pass, n)
-			case *ast.RangeStmt:
-				checkMapRangeAccumulation(pass, f, n)
+		return detSources(n.Pkg.Info, n.File, n.Decl.Body)
+	}, nil)
+	reported := pass.reportReached(facts, func(n *FuncNode) bool { return n.Detroot },
+		" is the annotated root", "%s, reachable from determinism root %s")
+	prog.EachFile(func(pkg *Package, f *ast.File) {
+		path := scopePath(pkg.Path)
+		shipped := strings.HasPrefix(path, "repro/cmd/") && !prog.InTestFile(f.Pos())
+		if !simPackages[pathBase(path)] && !shipped {
+			return
+		}
+		for _, src := range detSources(pkg.Info, f, f) {
+			if !reported[src.Pos] {
+				pass.Report(src.Pos, "%s", src.Msg)
 			}
-			return true
-		})
-	}
-}
-
-func checkDeterminismSelector(pass *Pass, sel *ast.SelectorExpr) {
-	pkgPath, ok := pass.PkgNameOf(sel.X)
-	if !ok {
-		return
-	}
-	name := sel.Sel.Name
-	switch pkgPath {
-	case "time":
-		if wallClockFuncs[name] {
-			pass.Report(sel.Pos(),
-				"time.%s reads the wall clock; inject a simulated clock instead", name)
 		}
-	case "math/rand", "math/rand/v2":
-		if _, isFunc := pass.Info.Uses[sel.Sel].(*types.Func); isFunc && !randConstructors[name] {
-			pass.Report(sel.Pos(),
-				"global rand.%s is not seed-reproducible; draw from internal/rng", name)
+	})
+}
+
+// detSources collects the nondeterminism sources under root (a function
+// body, literals included — they are attributed to their creator — or a
+// whole file), which lies in file.
+func detSources(info *types.Info, file *ast.File, root ast.Node) []Fact {
+	var out []Fact
+	ast.Inspect(root, func(node ast.Node) bool {
+		switch node := node.(type) {
+		case *ast.SelectorExpr:
+			pkg, _ := pkgNameOf(info, node.X)
+			name := node.Sel.Name
+			switch pkg {
+			case "time":
+				if wallClockFuncs[name] {
+					out = append(out, Fact{Pos: node.Pos(), Msg: "time." + name + " reads the wall clock"})
+				}
+			case "math/rand", "math/rand/v2":
+				if _, isFunc := info.Uses[node.Sel].(*types.Func); isFunc && !randConstructors[name] {
+					out = append(out, Fact{Pos: node.Pos(), Msg: "global rand." + name + " is not seed-reproducible"})
+				}
+			}
+		case *ast.SelectStmt:
+			comm := 0
+			for _, c := range node.Body.List {
+				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+					comm++
+				}
+			}
+			if comm >= 2 {
+				out = append(out, Fact{Pos: node.Pos(), Msg: "select racing multiple channels picks a ready case at random"})
+			}
+		case *ast.RangeStmt:
+			out = append(out, mapRangeFindings(info, file, node)...)
 		}
-	}
-}
-
-// checkMapRangeAccumulation reports order-dependent accumulation inside a
-// range over a map (see mapRangeFindings).
-func checkMapRangeAccumulation(pass *Pass, file *ast.File, rs *ast.RangeStmt) {
-	for _, f := range mapRangeFindings(pass.Info, file, rs) {
-		pass.Report(f.Pos, "%s", f.Msg)
-	}
-}
-
-// mapRangeFinding is one order-dependence site found by mapRangeFindings.
-type mapRangeFinding struct {
-	Pos token.Pos
-	Msg string
+		return true
+	})
+	return out
 }
 
 // mapRangeFindings flags order-dependent accumulation inside a range over
@@ -130,9 +139,8 @@ type mapRangeFinding struct {
 // or string. Integer compound assignment is exact and commutative, so it
 // is allowed — and so is the collect-then-sort idiom, where the appended
 // slice is handed to a sort call after the loop, which is exactly how
-// order-dependence is repaired. Shared by the per-package determinism
-// analyzer and the whole-program detreach analyzer.
-func mapRangeFindings(info *types.Info, file *ast.File, rs *ast.RangeStmt) []mapRangeFinding {
+// order-dependence is repaired.
+func mapRangeFindings(info *types.Info, file *ast.File, rs *ast.RangeStmt) []Fact {
 	t := info.TypeOf(rs.X)
 	if t == nil {
 		return nil
@@ -164,7 +172,7 @@ func mapRangeFindings(info *types.Info, file *ast.File, rs *ast.RangeStmt) []map
 		}
 		return false
 	}
-	var out []mapRangeFinding
+	var out []Fact
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -182,19 +190,19 @@ func mapRangeFindings(info *types.Info, file *ast.File, rs *ast.RangeStmt) []map
 				}
 				if bt, ok := lt.Underlying().(*types.Basic); ok &&
 					bt.Info()&(types.IsFloat|types.IsComplex|types.IsString) != 0 {
-					out = append(out, mapRangeFinding{as.Pos(), bt.Name() +
+					out = append(out, Fact{Pos: as.Pos(), Msg: bt.Name() +
 						" accumulation across map iteration is order-dependent; iterate over sorted keys"})
 				}
 			}
 		case token.ASSIGN:
 			for i, rhs := range as.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
-				if !ok || !isBuiltinInfo(info, call.Fun, "append") {
+				if !ok || !isBuiltin(info, call.Fun, "append") {
 					continue
 				}
 				if i < len(as.Lhs) && outer(as.Lhs[i]) && !sortedAfter(info, file, as.Lhs[i], rs.End()) {
-					out = append(out, mapRangeFinding{as.Pos(),
-						"append across map iteration is order-dependent; sort the result or iterate over sorted keys"})
+					out = append(out, Fact{Pos: as.Pos(),
+						Msg: "append across map iteration is order-dependent; sort the result or iterate over sorted keys"})
 				}
 			}
 		}
@@ -244,28 +252,11 @@ func sortedAfter(info *types.Info, file *ast.File, target ast.Expr, after token.
 	return sorted
 }
 
-func isBuiltin(pass *Pass, fun ast.Expr, name string) bool {
-	return isBuiltinInfo(pass.Info, fun, name)
-}
-
-func isBuiltinInfo(info *types.Info, fun ast.Expr, name string) bool {
+func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
 	id, ok := fun.(*ast.Ident)
 	if !ok || id.Name != name {
 		return false
 	}
 	_, ok = info.Uses[id].(*types.Builtin)
 	return ok
-}
-
-// pkgNameOf is PkgNameOf for callers that hold only a types.Info.
-func pkgNameOf(info *types.Info, expr ast.Expr) (string, bool) {
-	id, ok := expr.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok {
-		return "", false
-	}
-	return pn.Imported().Path(), true
 }

@@ -41,37 +41,37 @@ func inErrorDiscardScope(path string) bool {
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 func runErrWrap(pass *Pass) {
-	discardScope := inErrorDiscardScope(scopePath(pass.Path))
-	for _, f := range pass.Files {
+	pass.Prog.EachFile(func(pkg *Package, f *ast.File) {
+		discardScope := inErrorDiscardScope(scopePath(pkg.Path)) && !pass.Prog.InTestFile(f.Pos())
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkErrorfWrap(pass, n)
+				checkErrorfWrap(pass, pkg.Info, n)
 			case *ast.ExprStmt:
-				if discardScope && !pass.InTest(n.Pos()) {
-					checkDiscardedError(pass, n)
+				if discardScope {
+					checkDiscardedError(pass, pkg.Info, n)
 				}
 			}
 			return true
 		})
-	}
+	})
 }
 
 // isPkgFunc reports whether call invokes the named package-level function.
-func isPkgFunc(pass *Pass, call *ast.CallExpr, pkgPath, name string) bool {
+func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
 		return false
 	}
-	p, ok := pass.PkgNameOf(sel.X)
+	p, ok := pkgNameOf(info, sel.X)
 	return ok && p == pkgPath
 }
 
-func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
-	if !isPkgFunc(pass, call, "fmt", "Errorf") || len(call.Args) < 2 || call.Ellipsis.IsValid() {
+func checkErrorfWrap(pass *Pass, info *types.Info, call *ast.CallExpr) {
+	if !isPkgFunc(info, call, "fmt", "Errorf") || len(call.Args) < 2 || call.Ellipsis.IsValid() {
 		return
 	}
-	fv := constVal(pass, call.Args[0])
+	fv := constVal(info, call.Args[0])
 	if fv == nil || fv.Kind() != constant.String {
 		return
 	}
@@ -79,7 +79,7 @@ func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	for _, arg := range call.Args[1:] {
-		t := pass.Info.TypeOf(arg)
+		t := info.TypeOf(arg)
 		if t == nil || !types.Implements(t, errorIface) {
 			continue
 		}
@@ -91,12 +91,12 @@ func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 
 // checkDiscardedError flags `f()` statements whose dropped result is (or
 // ends in) an error.
-func checkDiscardedError(pass *Pass, stmt *ast.ExprStmt) {
+func checkDiscardedError(pass *Pass, info *types.Info, stmt *ast.ExprStmt) {
 	call, ok := stmt.X.(*ast.CallExpr)
 	if !ok {
 		return
 	}
-	t := pass.Info.TypeOf(call)
+	t := info.TypeOf(call)
 	if t == nil {
 		return
 	}

@@ -22,15 +22,13 @@ type Facts struct {
 	m map[*FuncNode][]Fact
 }
 
-// Of returns the function's facts (nil when the property does not hold).
-func (f *Facts) Of(n *FuncNode) []Fact { return f.m[n] }
-
 // Holds reports whether the property holds of n.
 func (f *Facts) Holds(n *FuncNode) bool { return len(f.m[n]) > 0 }
 
 // ComputeFacts propagates a property bottom-up: a function has facts when
 // direct(n) finds constructs in its body, or when a call edge admitted by
-// through(n, c) reaches a function that has facts. Within an SCC the
+// through(n, c) — every edge, when through is nil — reaches a function that
+// has facts. Within an SCC the
 // members are iterated to a fixed point, so mutual recursion converges.
 // The traversal order is deterministic (see Program.SCCs).
 func (prog *Program) ComputeFacts(direct func(*FuncNode) []Fact, through func(*FuncNode, Call) bool) *Facts {
@@ -38,7 +36,7 @@ func (prog *Program) ComputeFacts(direct func(*FuncNode) []Fact, through func(*F
 	inherit := func(n *FuncNode) bool {
 		changed := false
 		for _, c := range n.Calls {
-			if c.Callee == nil || !facts.Holds(c.Callee) || !through(n, c) {
+			if c.Callee == nil || !facts.Holds(c.Callee) || through != nil && !through(n, c) {
 				continue
 			}
 			if hasVia(facts.m[n], c.Callee) {
@@ -119,4 +117,25 @@ func (f *Facts) Leaves(root *FuncNode, rootMsg string) []Leaf {
 	}
 	walk(root, []ChainHop{{Pos: root.Decl.Pos(), Message: rootMsg}})
 	return out
+}
+
+// reportReached reports every construct the facts hold against a root
+// function — once each, however many roots reach it: under the first root
+// in node order, with that root's call chain as notes. rootMsg completes
+// "<root> ..." in the first note; format receives the fact's message and
+// the root's name. It returns the reported positions.
+func (p *Pass) reportReached(facts *Facts, isRoot func(*FuncNode) bool, rootMsg, format string) map[token.Pos]bool {
+	reported := map[token.Pos]bool{}
+	for _, root := range p.Prog.Nodes {
+		if !isRoot(root) {
+			continue
+		}
+		for _, leaf := range facts.Leaves(root, root.Name()+rootMsg) {
+			if !reported[leaf.Fact.Pos] {
+				reported[leaf.Fact.Pos] = true
+				p.ReportChain(leaf.Fact.Pos, leaf.Chain, format, leaf.Fact.Msg, root.Name())
+			}
+		}
+	}
+	return reported
 }

@@ -39,8 +39,8 @@ func toleranceHelperName(name string) bool {
 }
 
 func runFloatCompare(pass *Pass) {
-	for _, f := range pass.Files {
-		comparators := comparatorSpans(pass, f)
+	pass.Prog.EachFile(func(pkg *Package, f *ast.File) {
+		comparators := comparatorSpans(pkg.Info, f)
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && toleranceHelperName(fd.Name.Name) {
 				continue
@@ -49,12 +49,12 @@ func runFloatCompare(pass *Pass) {
 				be, ok := n.(*ast.BinaryExpr)
 				if ok && (be.Op == token.EQL || be.Op == token.NEQ) &&
 					!inSpan(comparators, be.Pos()) {
-					checkFloatCompare(pass, be)
+					checkFloatCompare(pass, pkg.Info, be)
 				}
 				return true
 			})
 		}
-	}
+	})
 }
 
 type span struct{ lo, hi token.Pos }
@@ -71,7 +71,7 @@ func inSpan(spans []span, pos token.Pos) bool {
 // comparatorSpans collects the source ranges of comparator closures handed
 // to sort.Slice-family and slices.Sort*Func calls. Exact comparison there
 // is required for deterministic tie-breaking.
-func comparatorSpans(pass *Pass, f *ast.File) []span {
+func comparatorSpans(info *types.Info, f *ast.File) []span {
 	var out []span
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -82,7 +82,7 @@ func comparatorSpans(pass *Pass, f *ast.File) []span {
 		if !ok {
 			return true
 		}
-		pkg, ok := pass.PkgNameOf(sel.X)
+		pkg, ok := pkgNameOf(info, sel.X)
 		if !ok {
 			return true
 		}
@@ -102,8 +102,8 @@ func comparatorSpans(pass *Pass, f *ast.File) []span {
 	return out
 }
 
-func isFloatExpr(pass *Pass, e ast.Expr) bool {
-	t := pass.Info.TypeOf(e)
+func isFloatExpr(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
 	if t == nil {
 		return false
 	}
@@ -112,18 +112,18 @@ func isFloatExpr(pass *Pass, e ast.Expr) bool {
 }
 
 // constVal returns the constant value of e, or nil.
-func constVal(pass *Pass, e ast.Expr) constant.Value {
-	if tv, ok := pass.Info.Types[e]; ok {
+func constVal(info *types.Info, e ast.Expr) constant.Value {
+	if tv, ok := info.Types[e]; ok {
 		return tv.Value
 	}
 	return nil
 }
 
-func checkFloatCompare(pass *Pass, be *ast.BinaryExpr) {
-	if !isFloatExpr(pass, be.X) && !isFloatExpr(pass, be.Y) {
+func checkFloatCompare(pass *Pass, info *types.Info, be *ast.BinaryExpr) {
+	if !isFloatExpr(info, be.X) && !isFloatExpr(info, be.Y) {
 		return
 	}
-	xv, yv := constVal(pass, be.X), constVal(pass, be.Y)
+	xv, yv := constVal(info, be.X), constVal(info, be.Y)
 	if xv != nil && yv != nil {
 		return // constant-folded; no runtime rounding involved
 	}
@@ -134,7 +134,7 @@ func checkFloatCompare(pass *Pass, be *ast.BinaryExpr) {
 		if (v.Kind() == constant.Int || v.Kind() == constant.Float) && constant.Sign(v) == 0 {
 			return // exact zero guard
 		}
-		if pass.InTest(be.Pos()) {
+		if pass.Prog.InTestFile(be.Pos()) {
 			return // golden expectation against a constant
 		}
 	}

@@ -13,49 +13,61 @@ func testdata(elem string) string {
 	return filepath.Join("testdata", "src", elem)
 }
 
-func TestDeterminismGolden(t *testing.T) {
-	linttest.Run(t, lint.Determinism, "example/core", testdata("determinism"))
+// fixture returns the real module import path of a fixture package (see
+// linttest.Module).
+func fixture(elem string) string {
+	return "repro/internal/lint/testdata/src/" + elem
 }
 
-// The serving layer is allowlisted wholesale: the same constructs that are
-// violations in example/core are silent under example/telemetry.
+func TestDeterminismGolden(t *testing.T) {
+	linttest.Run(t, lint.Determinism, linttest.Load(t, "example/determinism/core", testdata("determinism")))
+}
+
+// The serving layer is exempt wholesale: the same constructs that are
+// violations under a simulation-package path are silent under telemetry's.
 func TestDeterminismAllowsServingLayer(t *testing.T) {
-	linttest.Run(t, lint.Determinism, "example/telemetry", testdata("determinism_ok"))
+	linttest.Run(t, lint.Determinism, linttest.Load(t, "example/determinism_ok/telemetry", testdata("determinism_ok")))
+}
+
+// TestDeterminismCoversCmd pins the cmd/ scope: the same fixture that is a
+// violation under a simulation-package path must also be a violation when
+// loaded as a cmd/ package — the shipped binaries are swept too.
+func TestDeterminismCoversCmd(t *testing.T) {
+	linttest.Run(t, lint.Determinism, linttest.Load(t, "repro/cmd/example", testdata("determinism")))
+}
+
+// TestDeterminismCoversSimulationTests pins the other edge of the sweep: a
+// simulation package's _test.go files are held to the rule as well.
+func TestDeterminismCoversSimulationTests(t *testing.T) {
+	linttest.Run(t, lint.Determinism, linttest.Module(t, fixture("dettest/core"))...)
 }
 
 func TestUnitSafetyGolden(t *testing.T) {
-	linttest.Run(t, lint.UnitSafety, "example/facility", testdata("unitsafety"))
+	linttest.Run(t, lint.UnitSafety, linttest.Load(t, "example/facility", testdata("unitsafety")))
 }
 
 func TestFloatCompareGolden(t *testing.T) {
-	linttest.Run(t, lint.FloatCompare, "example/dsp", testdata("floatcompare"))
+	linttest.Run(t, lint.FloatCompare, linttest.Load(t, "example/dsp", testdata("floatcompare")))
 }
 
 func TestErrWrapGolden(t *testing.T) {
-	linttest.Run(t, lint.ErrWrap, "repro/internal/store", testdata("errwrap"))
+	linttest.Run(t, lint.ErrWrap, linttest.Load(t, "repro/internal/store/fixture", testdata("errwrap")))
 }
 
 // Outside store/source/query, statement-level error discards are not
 // errwrap's business.
 func TestErrWrapDiscardScope(t *testing.T) {
-	linttest.Run(t, lint.ErrWrap, "example/util", testdata("errwrap_ok"))
-}
-
-func TestLockSafetyGolden(t *testing.T) {
-	linttest.Run(t, lint.LockSafety, "example/telemetry", testdata("locksafety"))
-}
-
-func TestLockSafetyGoroutineScope(t *testing.T) {
-	linttest.Run(t, lint.LockSafety, "example/core", testdata("locksafety_ok"))
+	linttest.Run(t, lint.ErrWrap, linttest.Load(t, "example/util", testdata("errwrap_ok")))
 }
 
 // TestMalformedDirectives pins directive validation: a //lint:allow without
-// a reason or with an unknown analyzer name is reported as a violation and
-// suppresses nothing, while a well-formed directive suppresses its line.
+// a reason, or naming no analyzer of the suite (the retired detreach among
+// them), is reported as a violation and suppresses nothing, while a
+// well-formed directive suppresses its line.
 func TestMalformedDirectives(t *testing.T) {
-	pkg := linttest.Load(t, "example/core", testdata("directive"))
+	prog := lint.BuildProgram([]*lint.Package{linttest.Load(t, "example/directive/core", testdata("directive"))})
 	var malformed, determinism int
-	for _, d := range lint.Run(pkg, []*lint.Analyzer{lint.Determinism}) {
+	for _, d := range lint.Run(prog, []*lint.Analyzer{lint.Determinism}) {
 		switch d.Analyzer {
 		case "lint":
 			malformed++
@@ -68,90 +80,69 @@ func TestMalformedDirectives(t *testing.T) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	if malformed != 2 {
-		t.Errorf("got %d malformed-directive diagnostics, want 2", malformed)
+	if malformed != 3 {
+		t.Errorf("got %d malformed-directive diagnostics, want 3", malformed)
 	}
-	if determinism != 2 {
-		t.Errorf("got %d determinism diagnostics, want 2 (malformed directives must not suppress)", determinism)
+	if determinism != 3 {
+		t.Errorf("got %d determinism diagnostics, want 3 (malformed directives must not suppress)", determinism)
+	}
+	if extra := lint.Run(prog, nil); len(extra) != malformed {
+		t.Errorf("with no analyzer selected the runner reports %d directive diagnostics, want the same %d", len(extra), malformed)
 	}
 }
 
-// fixture returns the real module import path of a program-analyzer fixture
-// package. Program fixtures live under testdata (so go build skips them) but
-// are addressed by their true module paths, which lets them import each
-// other through the loader — the point of a cross-package call graph.
-func fixture(elem string) string {
-	return "repro/internal/lint/testdata/src/" + elem
+// reachFixture is the two-package reachability fixture: a wall-clock read
+// two packages away from the //lint:detroot functions.
+func reachFixture(t *testing.T) []*lint.Package {
+	return append(linttest.Module(t, fixture("detreach/root")), linttest.Module(t, fixture("detreach/clock"))...)
 }
 
-// TestDetReachGolden pins the tentpole case: a wall-clock read two packages
-// away from the //lint:detroot function is reported at the read, with the
-// call chain as notes, while an equally nondeterministic but unreachable
-// function stays unreported and a //lint:allow detreach site is suppressed.
+// TestDetReachGolden pins determinism's call-graph half: the read is
+// reported at the read — once, though two roots reach it — while an equally
+// nondeterministic but unreachable function in an unswept package stays
+// unreported and a //lint:allow determinism site is suppressed.
 func TestDetReachGolden(t *testing.T) {
-	linttest.RunProgram(t, lint.DetReach,
-		fixture("detreach/root"), fixture("detreach/clock"))
-}
-
-func TestAllocFreeGolden(t *testing.T) {
-	linttest.RunProgram(t, lint.AllocFree, fixture("allocfree/hot"))
-}
-
-func TestCtxFlowGolden(t *testing.T) {
-	linttest.RunProgram(t, lint.CtxFlow, fixture("ctxflow/query"))
-}
-
-func TestLeakCheckGolden(t *testing.T) {
-	linttest.RunProgram(t, lint.LeakCheck, fixture("leakcheck/leak"))
+	linttest.Run(t, lint.Determinism, reachFixture(t)...)
 }
 
 // TestDetReachChainNotes asserts the shape of the evidence trail: the
 // diagnostic at the time.Now call must carry the root hop first, then one
 // hop per call edge from the root to the leaf.
 func TestDetReachChainNotes(t *testing.T) {
-	l := linttest.Shared(t, ".")
-	var pkgs []*lint.Package
-	for _, path := range []string{fixture("detreach/root"), fixture("detreach/clock")} {
-		pkg, err := l.LoadPackage(path)
-		if err != nil || pkg == nil {
-			t.Fatalf("load %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	prog := lint.BuildProgram(pkgs)
-	var chained *lint.Diagnostic
-	for _, d := range lint.RunProgram(prog, []*lint.ProgramAnalyzer{lint.DetReach}) {
+	var chained []lint.Diagnostic
+	for _, d := range lint.Run(lint.BuildProgram(reachFixture(t)), []*lint.Analyzer{lint.Determinism}) {
 		if strings.Contains(d.Message, "time.Now reads the wall clock") {
-			d := d
-			chained = &d
+			chained = append(chained, d)
 		}
 	}
-	if chained == nil {
-		t.Fatal("no detreach diagnostic for the time.Now leaf")
-	}
-	if len(chained.Notes) < 3 {
-		t.Fatalf("want >= 3 chain notes (root, two call hops), got %d: %v", len(chained.Notes), chained.Notes)
+	if len(chained) != 1 {
+		t.Fatalf("want one diagnostic for the time.Now leaf, got %v", chained)
 	}
 	wantNotes := []string{
 		"root.Step is the annotated root",
 		"root.Step calls root.helper",
 		"root.helper calls clock.NowUnix",
 	}
+	if len(chained[0].Notes) != len(wantNotes) {
+		t.Fatalf("want %d chain notes (root, two call hops), got %v", len(wantNotes), chained[0].Notes)
+	}
 	for i, want := range wantNotes {
-		if got := chained.Notes[i].Message; got != want {
+		if got := chained[0].Notes[i].Message; got != want {
 			t.Errorf("note %d: got %q, want %q", i, got, want)
 		}
 	}
-	if chained.Severity != lint.SeverityError {
-		t.Errorf("detreach severity: got %v, want error", chained.Severity)
-	}
 }
 
-// TestDeterminismCoversCmd pins the widened scope: the same fixture that is
-// a violation under a simulation-package path must also be a violation when
-// loaded as a cmd/ package — the shipped binaries are swept too.
-func TestDeterminismCoversCmd(t *testing.T) {
-	linttest.Run(t, lint.Determinism, "repro/cmd/example", testdata("determinism"))
+func TestAllocFreeGolden(t *testing.T) {
+	linttest.Run(t, lint.AllocFree, linttest.Module(t, fixture("allocfree/hot"))...)
+}
+
+func TestCtxFlowGolden(t *testing.T) {
+	linttest.Run(t, lint.CtxFlow, linttest.Module(t, fixture("ctxflow/query"))...)
+}
+
+func TestLeakCheckGolden(t *testing.T) {
+	linttest.Run(t, lint.LeakCheck, linttest.Module(t, fixture("leakcheck/leak"))...)
 }
 
 // TestNoFalsePositivesOnUnits runs the full suite over the real
@@ -159,16 +150,7 @@ func TestDeterminismCoversCmd(t *testing.T) {
 // and requires silence in every view (plain, in-package tests, external
 // tests).
 func TestNoFalsePositivesOnUnits(t *testing.T) {
-	pkgs, err := linttest.Shared(t, ".").LoadVariants("repro/internal/units")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("no package views loaded for repro/internal/units")
-	}
-	for _, pkg := range pkgs {
-		for _, d := range lint.Run(pkg, lint.All()) {
-			t.Errorf("false positive in %s: %s", pkg.Path, d)
-		}
+	for _, d := range lint.Run(lint.BuildProgram(linttest.Module(t, "repro/internal/units")), lint.All()) {
+		t.Errorf("false positive: %s", d)
 	}
 }

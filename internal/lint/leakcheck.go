@@ -6,34 +6,28 @@ import (
 	"go/types"
 )
 
-// LeakCheck extends locksafety's goroutine-cancellation rule tree-wide and
-// through the call graph: every `go` statement must have a provable
+// LeakCheck requires every `go` statement, tree-wide, to have a provable
 // shutdown edge. A goroutine body that spins an unbounded for-loop with no
 // exit (no return, break, or goto) and no cancellation signal (no context
 // value, channel receive, select, or range over a channel) can never be
 // shut down — and neither can a goroutine that *calls into* such a
-// function, which the per-package check cannot see. The fact "spins an
-// unbounded loop with no exit" propagates bottom-up over the call graph,
-// and the diagnostic lands on the go statement with the call chain to the
-// loop as notes.
-//
-// Direct literal spins inside the serving packages stay locksafety's to
-// report (same rule, per-package scope); leakcheck reports them everywhere
-// else, plus the transitive cases everywhere. Spawns of external functions
-// and of function values are skipped — their bodies are out of reach.
-var LeakCheck = &ProgramAnalyzer{
+// function. The fact "spins an unbounded loop with no exit" propagates
+// bottom-up over the call graph, and the diagnostic lands on the go
+// statement with the call chain to the loop as notes. Spawns of external
+// functions and of function values are skipped — their bodies are out of
+// reach.
+var LeakCheck = &Analyzer{
 	Name: "leakcheck",
 	Doc: "require every go statement to have a provable shutdown edge, following " +
 		"named callees through the call graph",
-	Severity: SeverityWarning,
-	Run:      runLeakCheck,
+	Run: runLeakCheck,
 }
 
-func runLeakCheck(pass *ProgramPass) {
+func runLeakCheck(pass *Pass) {
 	prog := pass.Prog
-	facts := prog.ComputeFacts(spinDirect, func(_ *FuncNode, _ Call) bool { return true })
+	facts := prog.ComputeFacts(spinDirect, nil)
 	for _, n := range prog.Nodes {
-		if n.Decl.Body == nil || prog.InTestFile(n.Decl.Pos()) {
+		if n.Decl.Body == nil {
 			continue
 		}
 		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
@@ -63,12 +57,11 @@ func spinDirect(n *FuncNode) []Fact {
 	return out
 }
 
-func checkGoStmt(pass *ProgramPass, n *FuncNode, g *ast.GoStmt, facts *Facts) {
+func checkGoStmt(pass *Pass, n *FuncNode, g *ast.GoStmt, facts *Facts) {
 	info := n.Pkg.Info
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-		// Direct spins in the literal body: locksafety already owns these
-		// in its serving-layer scope; report them in the rest of the tree.
-		if !inGoroutineScope(scopePath(n.Pkg.Path)) && !consultsCancellation(info, lit.Body) {
+		// Direct spins in the literal body.
+		if !consultsCancellation(info, lit.Body) {
 			for _, pos := range unboundedLoops(lit.Body) {
 				pass.ReportChain(g.Pos(), []ChainHop{{Pos: pos, Message: "the loop with no exit"}},
 					"goroutine spins an unbounded loop with no cancellation path (context, channel receive, or return)")
@@ -99,7 +92,7 @@ func checkGoStmt(pass *ProgramPass, n *FuncNode, g *ast.GoStmt, facts *Facts) {
 
 // reportSpin emits one diagnostic per unexitable loop reachable from the
 // spawned function, at the go statement (where the shutdown edge belongs).
-func reportSpin(pass *ProgramPass, g *ast.GoStmt, target *FuncNode, facts *Facts) {
+func reportSpin(pass *Pass, g *ast.GoStmt, target *FuncNode, facts *Facts) {
 	for _, leaf := range facts.Leaves(target, target.Name()+" runs on the spawned goroutine") {
 		chain := append(leaf.Chain, ChainHop{Pos: leaf.Fact.Pos,
 			Message: "this loop has no exit and consults no cancellation signal"})
@@ -110,7 +103,6 @@ func reportSpin(pass *ProgramPass, g *ast.GoStmt, target *FuncNode, facts *Facts
 
 // unboundedLoops returns the positions of for-loops with no condition whose
 // bodies contain no exit (return, break, or goto outside nested literals).
-// Shared with locksafety's per-package goroutine rule.
 func unboundedLoops(body ast.Node) []token.Pos {
 	var out []token.Pos
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -142,7 +134,7 @@ func unboundedLoops(body ast.Node) []token.Pos {
 
 // consultsCancellation reports whether body consults anything that can end
 // it from outside: a context.Context value, a channel receive, a select
-// statement, or ranging over a channel. Shared with locksafety.
+// statement, or ranging over a channel.
 func consultsCancellation(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -2,20 +2,31 @@
 // suite. It enforces the invariants the reproduction depends on — bitwise
 // determinism of the simulation pipeline, unit-safe arithmetic, tolerance-
 // based float comparison, error-wrapping hygiene on the archive I/O paths,
-// and lock/goroutine discipline in the serving layer.
+// allocation-free hot loops, and context/goroutine discipline in the serving
+// layer. Lock copies are not its business: `go vet`'s copylocks pass, which
+// CI runs first, owns that rule.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis design (Analyzer,
 // Pass, Report, analysistest-style golden tests) but is implemented on the
 // standard library alone: this module is dependency-free, so the suite
 // type-checks packages itself via go/parser + go/types with a recursive
-// source importer (see load.go).
+// source importer (see load.go). Every analyzer sees the whole Program at
+// once — each linted view for the syntactic checks, plus a cross-package
+// call graph (callgraph.go) with bottom-up fact summaries (facts.go) for the
+// checks that follow calls.
 //
-// Intentional exceptions are annotated in source:
+// Three source directives drive the suite:
 //
-//	//lint:allow <analyzer> <reason>
+//	//lint:allow <analyzer> <reason>  — an intentional exception, on the
+//	                                    offending line or the line above it;
+//	                                    the reason is mandatory
+//	//lint:detroot                    — in a function's doc comment: no
+//	                                    nondeterminism source may be
+//	                                    reachable from it (determinism)
+//	//lint:allocfree                  — in a function's doc comment: it must
+//	                                    be transitively allocation-free
 //
-// placed on the offending line or the line directly above it. A directive
-// without a reason is itself reported as a violation.
+// Anything else spelled //lint: is itself reported as a violation.
 package lint
 
 import (
@@ -28,16 +39,6 @@ import (
 	"strings"
 )
 
-// Severity ranks a diagnostic. Every severity gates the build (reprolint
-// exits non-zero on any finding); the rank is carried into the JSON and
-// SARIF encodings so downstream tooling can triage.
-type Severity string
-
-const (
-	SeverityError   Severity = "error"
-	SeverityWarning Severity = "warning"
-)
-
 // Note is one step of supporting context attached to a diagnostic — the
 // call-graph analyzers use a note per hop to print the path from an
 // annotated root to the offending construct.
@@ -46,21 +47,13 @@ type Note struct {
 	Message string
 }
 
-// Diagnostic is one reported violation, with its position resolved.
+// Diagnostic is one reported violation, with its position resolved. Every
+// diagnostic gates the build: reprolint exits non-zero on any finding.
 type Diagnostic struct {
 	Analyzer string
-	Severity Severity // empty means SeverityError
 	Pos      token.Position
 	Message  string
 	Notes    []Note // optional call-chain context, root first
-}
-
-// EffectiveSeverity resolves the empty default.
-func (d Diagnostic) EffectiveSeverity() Severity {
-	if d.Severity == "" {
-		return SeverityError
-	}
-	return d.Severity
 }
 
 func (d Diagnostic) String() string {
@@ -73,110 +66,74 @@ func (d Diagnostic) String() string {
 	return b.String()
 }
 
-// Analyzer is one named check. Skip, when non-nil, exempts whole packages by
-// import path before Run is invoked (the coarse allowlist; //lint:allow is
-// the per-line escape hatch).
+// Analyzer is one named check over the whole Program.
 type Analyzer struct {
-	Name     string
-	Doc      string
-	Severity Severity // default SeverityError
-	Skip     func(pkgPath string) bool
-	Run      func(*Pass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
-// Pass carries one analyzer's view of one type-checked package.
+// Pass carries one analyzer's run over the Program.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Path     string // import path under analysis ("<path>_test" for external test packages)
-	Pkg      *types.Package
-	Info     *types.Info
+	Prog     *Program
 
 	diags []Diagnostic
 }
 
+// ChainHop is one step of a reported call chain.
+type ChainHop struct {
+	Pos     token.Pos
+	Message string
+}
+
 // Report records a violation at pos.
 func (p *Pass) Report(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
+	p.ReportChain(pos, nil, format, args...)
+}
+
+// ReportChain records a violation at pos with the call chain that reaches
+// it, rendered as one note per hop starting at the root.
+func (p *Pass) ReportChain(pos token.Pos, chain []ChainHop, format string, args ...any) {
+	d := Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.Severity,
-		Pos:      p.Fset.Position(pos),
+		Pos:      p.Prog.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// InTest reports whether pos lies in a _test.go file.
-func (p *Pass) InTest(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// PkgNameOf resolves expr to an imported package path, if expr is the
-// package side of a qualified identifier (e.g. the "time" in time.Now).
-func (p *Pass) PkgNameOf(expr ast.Expr) (string, bool) {
-	id, ok := expr.(*ast.Ident)
-	if !ok {
-		return "", false
 	}
-	pn, ok := p.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return "", false
+	for _, h := range chain {
+		d.Notes = append(d.Notes, Note{Pos: p.Prog.Fset.Position(h.Pos), Message: h.Message})
 	}
-	return pn.Imported().Path(), true
+	p.diags = append(p.diags, d)
 }
 
-// All returns the per-package suite in reporting order.
+// All returns the suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, UnitSafety, FloatCompare, ErrWrap, LockSafety}
+	return []*Analyzer{Determinism, UnitSafety, FloatCompare, ErrWrap, AllocFree, CtxFlow, LeakCheck}
 }
 
-// ProgramAnalyzers returns the whole-program (call-graph) suite in
-// reporting order.
-func ProgramAnalyzers() []*ProgramAnalyzer {
-	return []*ProgramAnalyzer{DetReach, AllocFree, CtxFlow, LeakCheck}
-}
-
-// AllNames returns every analyzer name of the full nine-analyzer suite, the
-// per-package checks first.
-func AllNames() []string {
-	var out []string
-	for _, a := range All() {
-		out = append(out, a.Name)
-	}
-	for _, a := range ProgramAnalyzers() {
-		out = append(out, a.Name)
-	}
-	return out
-}
-
-// ByName resolves names against the full suite, splitting them into the
-// per-package and whole-program analyzers they select.
-func ByName(names []string) ([]*Analyzer, []*ProgramAnalyzer, error) {
-	pkgIdx := make(map[string]*Analyzer)
-	for _, a := range All() {
-		pkgIdx[a.Name] = a
-	}
-	progIdx := make(map[string]*ProgramAnalyzer)
-	for _, a := range ProgramAnalyzers() {
-		progIdx[a.Name] = a
-	}
-	var pkgOut []*Analyzer
-	var progOut []*ProgramAnalyzer
+// ByName resolves analyzer names against the suite.
+func ByName(names []string) ([]*Analyzer, error) {
+	var out []*Analyzer
 	for _, n := range names {
-		if a, ok := pkgIdx[n]; ok {
-			pkgOut = append(pkgOut, a)
-			continue
+		a := byName(n)
+		if a == nil {
+			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
 		}
-		if a, ok := progIdx[n]; ok {
-			progOut = append(progOut, a)
-			continue
-		}
-		return nil, nil, fmt.Errorf("lint: unknown analyzer %q", n)
+		out = append(out, a)
 	}
-	return pkgOut, progOut, nil
+	return out, nil
 }
 
-// scopePath strips the external-test suffix so package allowlists treat a
+func byName(name string) *Analyzer {
+	for _, a := range All() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// scopePath strips the external-test suffix so package scopes treat a
 // _test package like the package it tests.
 func scopePath(path string) string { return strings.TrimSuffix(path, "_test") }
 
@@ -188,13 +145,27 @@ func pathBase(path string) string {
 	return path
 }
 
+// pkgNameOf resolves expr to an imported package path, if expr is the
+// package side of a qualified identifier (e.g. the "time" in time.Now).
+func pkgNameOf(info *types.Info, expr ast.Expr) (string, bool) {
+	id, ok := expr.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	pn, ok := info.Uses[id].(*types.PkgName)
+	if !ok {
+		return "", false
+	}
+	return pn.Imported().Path(), true
+}
+
 // allowRe matches //lint:allow directives. Group 1 is the analyzer name,
 // group 2 the (required) reason.
 var allowRe = regexp.MustCompile(`^//lint:allow\s+([a-z]+)(?:\s+(\S.*))?$`)
 
-// annotRe matches the whole-program annotation directives: //lint:detroot
-// marks a determinism root for detreach and //lint:allocfree an
-// allocation-free contract for allocfree. A trailing reason is optional.
+// annotRe matches the function annotations: //lint:detroot marks a
+// determinism root and //lint:allocfree an allocation-free contract. A
+// trailing reason is optional.
 var annotRe = regexp.MustCompile(`^//lint:(detroot|allocfree)(?:\s+\S.*)?$`)
 
 // allowKey identifies one suppressed (file, line, analyzer) site.
@@ -204,38 +175,49 @@ type allowKey struct {
 	analyzer string
 }
 
-// allowDirectives scans the package's comments for //lint: directives.
-// Malformed directives (unknown analyzer, missing reason, misspelled
-// annotation) are returned as diagnostics so they fail the build rather
-// than silently suppressing. Comment text is normalized for CRLF sources:
-// a trailing carriage return never leaks into an analyzer name or reason.
-func allowDirectives(fset *token.FileSet, files []*ast.File) (map[allowKey]bool, []Diagnostic) {
-	known := make(map[string]bool)
-	for _, n := range AllNames() {
-		known[n] = true
-	}
+// directives scans the files' comments for //lint: directives. Malformed
+// ones (unknown analyzer, missing reason, misspelled verb) and annotations
+// outside a function's doc comment — where they would silently do nothing —
+// are returned as diagnostics so they fail the build rather than quietly
+// suppressing or asserting nothing. Comment text is normalized for CRLF
+// sources: a trailing carriage return never leaks into a name or reason.
+func directives(fset *token.FileSet, files []*ast.File) (map[allowKey]bool, []Diagnostic) {
 	allowed := make(map[allowKey]bool)
 	var bad []Diagnostic
+	report := func(c *ast.Comment, msg string) {
+		bad = append(bad, Diagnostic{Analyzer: "lint", Pos: fset.Position(c.Pos()), Message: msg})
+	}
 	for _, f := range files {
+		docs := map[*ast.Comment]bool{}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+				for _, c := range fd.Doc.List {
+					docs[c] = true
+				}
+			}
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimRight(c.Text, "\r")
 				if !strings.HasPrefix(text, "//lint:") {
 					continue
 				}
-				pos := fset.Position(c.Pos())
 				if annotRe.MatchString(text) {
-					continue // consumed by BuildProgram
-				}
-				m := allowRe.FindStringSubmatch(text)
-				if m == nil || m[2] == "" || !known[m[1]] {
-					bad = append(bad, Diagnostic{
-						Analyzer: "lint",
-						Pos:      pos,
-						Message:  "malformed directive: want //lint:allow <analyzer> <reason>, //lint:detroot, or //lint:allocfree",
-					})
+					if !docs[c] {
+						report(c, "annotation must be in a function's doc comment")
+					}
 					continue
 				}
+				m := allowRe.FindStringSubmatch(text)
+				if m == nil || m[2] == "" {
+					report(c, "malformed directive: want //lint:allow <analyzer> <reason>, //lint:detroot, or //lint:allocfree")
+					continue
+				}
+				if byName(m[1]) == nil {
+					report(c, "malformed directive: unknown analyzer "+m[1])
+					continue
+				}
+				pos := fset.Position(c.Pos())
 				allowed[allowKey{pos.Filename, pos.Line, m[1]}] = true
 			}
 		}
@@ -243,40 +225,26 @@ func allowDirectives(fset *token.FileSet, files []*ast.File) (map[allowKey]bool,
 	return allowed, bad
 }
 
-// Run applies the analyzers to one loaded package and returns the surviving
-// diagnostics sorted by position. Package-level Skip allowlists and
-// //lint:allow line suppressions are applied here.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	allowed, out := allowDirectives(pkg.Fset, pkg.Files)
-	scope := scopePath(pkg.Path)
+// Run applies the analyzers to the program and returns the surviving
+// diagnostics sorted by position: a finding on a line carrying (or directly
+// below) a //lint:allow for its analyzer is dropped, and the program's
+// malformed or misplaced directives are reported once, whichever analyzers
+// run.
+func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
+	out := append([]Diagnostic(nil), prog.bad...)
 	for _, a := range analyzers {
-		if a.Skip != nil && a.Skip(scope) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Path:     pkg.Path,
-			Pkg:      pkg.Pkg,
-			Info:     pkg.Info,
-		}
+		pass := &Pass{Analyzer: a, Prog: prog}
 		a.Run(pass)
 		for _, d := range pass.diags {
-			if allowed[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] ||
-				allowed[allowKey{d.Pos.Filename, d.Pos.Line - 1, d.Analyzer}] {
+			if prog.allowed[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] ||
+				prog.allowed[allowKey{d.Pos.Filename, d.Pos.Line - 1, d.Analyzer}] {
 				continue
 			}
 			out = append(out, d)
 		}
 	}
-	sortDiagnostics(out)
-	return out
-}
-
-func sortDiagnostics(ds []Diagnostic) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -288,4 +256,5 @@ func sortDiagnostics(ds []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return out
 }

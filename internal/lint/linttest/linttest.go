@@ -12,6 +12,7 @@
 package linttest
 
 import (
+	"go/ast"
 	"os"
 	"regexp"
 	"strings"
@@ -22,41 +23,49 @@ import (
 )
 
 var (
-	loaderMu sync.Mutex
-	loader   *lint.Loader
+	loaderOnce sync.Once
+	loader     *lint.Loader
+	loaderErr  error
 )
 
 // Shared returns a loader shared by every golden test in the binary, rooted
 // at the module containing dir, so the standard-library dependencies of the
-// fixtures are type-checked once rather than once per test. The loader is
-// not safe for concurrent use; callers run sequentially under loaderMu via
-// Load, and direct callers must not run in parallel tests.
+// fixtures are type-checked once rather than once per test.
 func Shared(tb testing.TB, dir string) *lint.Loader {
 	tb.Helper()
-	loaderMu.Lock()
-	defer loaderMu.Unlock()
-	if loader == nil {
-		l, err := lint.NewLoader(dir)
-		if err != nil {
-			tb.Fatalf("loader: %v", err)
-		}
-		loader = l
+	loaderOnce.Do(func() { loader, loaderErr = lint.NewLoader(dir) })
+	if loaderErr != nil {
+		tb.Fatalf("loader: %v", loaderErr)
 	}
 	return loader
 }
 
-// Load parses and type-checks the package in dir under importPath using the
-// shared loader.
+// Load type-checks the package in dir under importPath with the shared
+// loader (Loader.LoadDir). The import path is what the analyzers' package
+// scopes see, so scoped behavior is exercised by loading the same kind of
+// fixture under an in-scope and an out-of-scope path; the loader remembers
+// each path, so every fixture directory needs its own.
 func Load(tb testing.TB, importPath, dir string) *lint.Package {
 	tb.Helper()
-	l := Shared(tb, dir)
-	loaderMu.Lock()
-	defer loaderMu.Unlock()
-	pkg, err := l.LoadDir(importPath, dir)
+	pkg, err := Shared(tb, dir).LoadDir(importPath, dir)
 	if err != nil {
 		tb.Fatalf("load %s: %v", dir, err)
 	}
 	return pkg
+}
+
+// Module loads every view of the module package at importPath with the
+// shared loader (Loader.LoadVariants). Fixtures addressed this way live
+// under testdata (so go build skips them) but keep their real module paths,
+// which lets them import each other through the loader — what exercising a
+// cross-package call graph requires — and carry _test.go files.
+func Module(tb testing.TB, importPath string) []*lint.Package {
+	tb.Helper()
+	pkgs, err := Shared(tb, ".").LoadVariants(importPath)
+	if err != nil || len(pkgs) == 0 {
+		tb.Fatalf("load %s: %d views, err %v", importPath, len(pkgs), err)
+	}
+	return pkgs
 }
 
 // wantRe matches one backquoted expectation; a line may carry several.
@@ -71,64 +80,20 @@ type expectation struct {
 	met  bool
 }
 
-// Run analyzes the package in dir under the given import path with one
-// analyzer and compares the diagnostics against the // want comments in the
-// package's files. The import path is what the analyzer's package allowlist
-// sees, so scoped behavior is exercised by loading the same kind of fixture
-// under an in-scope and an out-of-scope path.
-func Run(t *testing.T, a *lint.Analyzer, importPath, dir string) {
+// Run analyzes the program made of pkgs with one analyzer and compares the
+// diagnostics against the // want comments in the program's files.
+func Run(t *testing.T, a *lint.Analyzer, pkgs ...*lint.Package) {
 	t.Helper()
-	pkg := Load(t, importPath, dir)
-	wants, err := parseWants(pkg)
-	if err != nil {
-		t.Fatalf("parse want comments: %v", err)
-	}
-	for _, d := range lint.Run(pkg, []*lint.Analyzer{a}) {
-		if !claim(wants, d) {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for _, w := range wants {
-		if !w.met {
-			t.Errorf("%s:%d: no diagnostic matched want `%s`", w.file, w.line, w.raw)
-		}
-	}
-}
-
-// RunProgram loads the module packages at importPaths through the shared
-// loader, builds the whole-program view over them, analyzes it with one
-// program analyzer, and compares the diagnostics against the // want
-// comments across all the fixture packages. Fixture packages live under
-// testdata but are addressed by their real module import paths, so they can
-// import each other (and real module packages) through the normal loader —
-// which is exactly what exercising a cross-package call graph requires.
-func RunProgram(t *testing.T, a *lint.ProgramAnalyzer, importPaths ...string) {
-	t.Helper()
-	l := Shared(t, ".")
-	var pkgs []*lint.Package
+	prog := lint.BuildProgram(pkgs)
 	var wants []*expectation
-	loaderMu.Lock()
-	for _, path := range importPaths {
-		pkg, err := l.LoadPackage(path)
+	prog.EachFile(func(_ *lint.Package, f *ast.File) {
+		ws, err := parseWants(prog.Fset.Position(f.Pos()).Filename)
 		if err != nil {
-			loaderMu.Unlock()
-			t.Fatalf("load %s: %v", path, err)
-		}
-		if pkg == nil {
-			loaderMu.Unlock()
-			t.Fatalf("load %s: no non-test Go files", path)
-		}
-		pkgs = append(pkgs, pkg)
-		ws, err := parseWants(pkg)
-		if err != nil {
-			loaderMu.Unlock()
 			t.Fatalf("parse want comments: %v", err)
 		}
 		wants = append(wants, ws...)
-	}
-	loaderMu.Unlock()
-	prog := lint.BuildProgram(pkgs)
-	for _, d := range lint.RunProgram(prog, []*lint.ProgramAnalyzer{a}) {
+	})
+	for _, d := range lint.Run(prog, []*lint.Analyzer{a}) {
 		if !claim(wants, d) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
@@ -152,24 +117,20 @@ func claim(wants []*expectation, d lint.Diagnostic) bool {
 	return false
 }
 
-// parseWants scans the package's source files for want comments, in file
-// then line order.
-func parseWants(pkg *lint.Package) ([]*expectation, error) {
+// parseWants scans one source file for want comments, in line order.
+func parseWants(name string) ([]*expectation, error) {
+	data, err := os.ReadFile(name)
+	if err != nil {
+		return nil, err
+	}
 	var out []*expectation
-	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
-				re, err := regexp.Compile(m[1])
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, &expectation{file: name, line: i + 1, re: re, raw: m[1]})
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
+			re, err := regexp.Compile(m[1])
+			if err != nil {
+				return nil, err
 			}
+			out = append(out, &expectation{file: name, line: i + 1, re: re, raw: m[1]})
 		}
 	}
 	return out, nil

@@ -19,6 +19,7 @@ import (
 type Package struct {
 	Path  string // import path ("<path>_test" for external test packages)
 	Dir   string
+	Test  bool // a test view (in-package or external): linted, but outside the call graph
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
@@ -79,9 +80,6 @@ func NewLoader(dir string) (*Loader, error) {
 		loads:   map[string]*loadEntry{},
 	}, nil
 }
-
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
 
 // ModuleDir returns the module root directory.
 func (l *Loader) ModuleDir() string { return l.modDir }
@@ -182,26 +180,6 @@ func (l *Loader) load(key, dir string, files []string, withInfo bool) *loadEntry
 	return e
 }
 
-// LoadPackage loads the plain (non-test) view of a module package, with
-// full types.Info, through the singleflight cache: the returned Package is
-// canonical — importers of the package see the identical *types.Package.
-// A directory holding only test files returns (nil, nil).
-func (l *Loader) LoadPackage(path string) (*Package, error) {
-	dir, ok := l.inModule(path)
-	if !ok {
-		return nil, fmt.Errorf("lint: %q is not in module %s", path, l.modPath)
-	}
-	bp, err := l.importDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %s: %w", path, err)
-	}
-	if len(bp.GoFiles) == 0 {
-		return nil, nil
-	}
-	e := l.load(path, dir, bp.GoFiles, true)
-	return e.pkg, e.err
-}
-
 // check parses the named files in dir and type-checks them as one package.
 // withInfo controls whether the (memory-heavy) types.Info maps are filled;
 // they are only needed for packages under analysis, not dependencies.
@@ -255,8 +233,9 @@ func (l *Loader) importDir(dir string) (*build.Package, error) {
 
 // LoadVariants loads every linted view of the module package with the given
 // import path: the package itself, the package augmented with its in-package
-// test files, and its external _test package. The plain package is cached
-// for importers; test views are not.
+// test files, and its external _test package. The plain view goes through
+// the singleflight cache, so it is canonical — importers of the package see
+// the identical *types.Package; test views are not cached.
 func (l *Loader) LoadVariants(path string) ([]*Package, error) {
 	dir, ok := l.inModule(path)
 	if !ok {
@@ -268,17 +247,18 @@ func (l *Loader) LoadVariants(path string) ([]*Package, error) {
 	}
 	var out []*Package
 	if len(bp.GoFiles) > 0 {
-		pkg, err := l.LoadPackage(path)
-		if err != nil {
-			return nil, err
+		e := l.load(path, dir, bp.GoFiles, true)
+		if e.err != nil {
+			return nil, e.err
 		}
-		out = append(out, pkg)
+		out = append(out, e.pkg)
 	}
 	if len(bp.TestGoFiles) > 0 {
 		pkg, err := l.check(path, dir, append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...), true)
 		if err != nil {
 			return nil, err
 		}
+		pkg.Test = true
 		out = append(out, pkg)
 	}
 	if len(bp.XTestGoFiles) > 0 {
@@ -286,20 +266,29 @@ func (l *Loader) LoadVariants(path string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		pkg.Test = true
 		out = append(out, pkg)
 	}
 	return out, nil
 }
 
-// LoadDir type-checks every non-test Go file in dir under the given import
-// path, bypassing module resolution. Golden tests use it to analyze testdata
-// packages under the package paths the analyzers scope to.
+// LoadDir type-checks every non-test Go file in dir as the package
+// importPath, bypassing module resolution, and makes the result canonical:
+// later imports of importPath through this loader resolve to it. Golden
+// tests use it to analyze testdata packages under the paths the analyzers
+// scope to; the mutation table uses it to stand a mutated copy of a real
+// package in for the original. A path this loader has already loaded from
+// elsewhere is an error.
 func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
 	bp, err := l.importDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %w", dir, err)
 	}
-	return l.check(importPath, dir, bp.GoFiles, true)
+	e := l.load(importPath, dir, bp.GoFiles, true)
+	if e.err == nil && e.pkg.Dir != dir {
+		return nil, fmt.Errorf("lint: %s is already loaded from %s", importPath, e.pkg.Dir)
+	}
+	return e.pkg, e.err
 }
 
 // Expand resolves package patterns relative to base (a directory inside the

@@ -9,79 +9,23 @@ import (
 	"strings"
 )
 
-// This file is the whole-program layer of reprolint. The per-package
-// analyzers (lint.go) see one type-checked package at a time; the
-// ProgramAnalyzers below see a Program — every analyzed package plus a
+// This file is the Program every analyzer runs over: each linted view of
+// every analyzed package, plus — over the plain (non-test) views — a
 // cross-package, CHA-style call graph (callgraph.go) and per-function fact
-// summaries computed bottom-up over its SCC condensation (facts.go). That
-// is what turns "sim.Run was deterministic on the paths the parity tests
-// exercised" into "no path reachable from sim.Run can read a wall clock".
-//
-// Two source annotations drive the whole-program suite:
-//
-//	//lint:detroot    — the function is a determinism root: detreach proves
-//	                    no nondeterminism source is reachable from it.
-//	//lint:allocfree  — the function must be transitively free of
-//	                    allocating constructs (allocfree).
-//
-// Both are written in the function's doc comment.
-
-// ProgramAnalyzer is one whole-program check, run over the call graph of
-// every analyzed package at once rather than per package.
-type ProgramAnalyzer struct {
-	Name     string
-	Doc      string
-	Severity Severity // default SeverityError
-	Run      func(*ProgramPass)
-}
-
-// ProgramPass carries one whole-program analyzer's view of the Program.
-type ProgramPass struct {
-	Analyzer *ProgramAnalyzer
-	Prog     *Program
-
-	diags []Diagnostic
-}
-
-// Report records a violation at pos.
-func (p *ProgramPass) Report(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.Severity,
-		Pos:      p.Prog.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportChain records a violation at pos with the call chain that reaches
-// it, rendered as one note per hop starting at the root.
-func (p *ProgramPass) ReportChain(pos token.Pos, chain []ChainHop, format string, args ...any) {
-	d := Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.Severity,
-		Pos:      p.Prog.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	}
-	for _, h := range chain {
-		d.Notes = append(d.Notes, Note{
-			Pos:     p.Prog.Fset.Position(h.Pos),
-			Message: h.Message,
-		})
-	}
-	p.diags = append(p.diags, d)
-}
-
-// ChainHop is one step of a reported call chain.
-type ChainHop struct {
-	Pos     token.Pos
-	Message string
-}
+// summaries computed bottom-up over its SCC condensation (facts.go). The
+// call graph is what turns "sim.Run was deterministic on the paths the
+// parity tests exercised" into "no path reachable from sim.Run can read a
+// wall clock".
 
 // Program is the whole-program view: every analyzed package, an index of
 // their source functions, and the call graph over them.
 type Program struct {
 	Fset *token.FileSet
-	Pkgs []*Package // plain (non-test) views, sorted by import path
+
+	// Views lists every linted view. The plain (non-test) ones are the call
+	// graph's universe; the analyzers that read syntax rather than follow
+	// calls walk all of them with EachFile.
+	Views []*Package
 
 	// Funcs indexes every source function (and method) by its type-checker
 	// object; identity holds across packages because all packages were
@@ -93,7 +37,7 @@ type Program struct {
 	Nodes []*FuncNode
 
 	allowed map[allowKey]bool
-	bad     []Diagnostic // misplaced annotation directives
+	bad     []Diagnostic // malformed and misplaced directives
 
 	chaCache map[chaKey][]*FuncNode
 	sccOrder [][]*FuncNode
@@ -103,6 +47,7 @@ type Program struct {
 type FuncNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
+	File *ast.File
 	Pkg  *Package
 
 	// Calls lists the outgoing edges in source order, including calls made
@@ -151,28 +96,24 @@ type chaKey struct {
 	method string
 }
 
-// BuildProgram assembles the whole-program view over the given packages
-// (plain views, each type-checked with Info through one shared loader).
-func BuildProgram(pkgs []*Package) *Program {
+// BuildProgram assembles the program over the given views, each
+// type-checked with Info through one shared loader.
+func BuildProgram(views []*Package) *Program {
 	prog := &Program{
+		Views:    views,
 		Funcs:    map[*types.Func]*FuncNode{},
-		allowed:  map[allowKey]bool{},
 		chaCache: map[chaKey][]*FuncNode{},
 	}
-	sorted := append([]*Package(nil), pkgs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
-	prog.Pkgs = sorted
-	if len(sorted) > 0 {
-		prog.Fset = sorted[0].Fset
+	if len(views) > 0 {
+		prog.Fset = views[0].Fset
 	}
-	// Index every function declaration, with its annotations. Malformed
-	// //lint:allow directives are NOT collected here — reporting them is
-	// the per-package Run's job, and collecting them twice would duplicate
-	// the diagnostics when both suites run.
-	for _, pkg := range sorted {
-		allowed, _ := allowDirectives(pkg.Fset, pkg.Files)
-		for k := range allowed {
-			prog.allowed[k] = true
+	var files []*ast.File
+	prog.EachFile(func(_ *Package, f *ast.File) { files = append(files, f) })
+	prog.allowed, prog.bad = directives(prog.Fset, files)
+	// Index every function declaration, with its annotations.
+	for _, pkg := range views {
+		if pkg.Test {
+			continue
 		}
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -184,13 +125,12 @@ func BuildProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				node := &FuncNode{Fn: obj, Decl: fd, Pkg: pkg}
+				node := &FuncNode{Fn: obj, Decl: fd, File: f, Pkg: pkg}
 				node.Detroot, node.Allocfree = funcAnnotations(fd)
 				prog.Funcs[obj] = node
 				prog.Nodes = append(prog.Nodes, node)
 			}
 		}
-		prog.bad = append(prog.bad, misplacedAnnotations(pkg)...)
 	}
 	sort.Slice(prog.Nodes, func(i, j int) bool {
 		a, b := prog.Nodes[i], prog.Nodes[j]
@@ -208,6 +148,21 @@ func BuildProgram(pkgs []*Package) *Program {
 		prog.buildCalls(node)
 	}
 	return prog
+}
+
+// EachFile visits every source file under lint exactly once: a package's
+// own files through its plain view, its _test.go files through the test
+// view that type-checks them (a test view re-checks the plain files beside
+// them; those copies are skipped).
+func (prog *Program) EachFile(visit func(*Package, *ast.File)) {
+	for _, pkg := range prog.Views {
+		for _, f := range pkg.Files {
+			if pkg.Test && !prog.InTestFile(f.Pos()) {
+				continue
+			}
+			visit(pkg, f)
+		}
+	}
 }
 
 // funcAnnotations reads the //lint:detroot and //lint:allocfree markers
@@ -229,57 +184,6 @@ func funcAnnotations(fd *ast.FuncDecl) (detroot, allocfree bool) {
 		}
 	}
 	return detroot, allocfree
-}
-
-// misplacedAnnotations flags //lint:detroot / //lint:allocfree comments
-// that are not part of a function declaration's doc comment — anywhere
-// else they silently do nothing, which is worse than an error.
-func misplacedAnnotations(pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range pkg.Files {
-		docs := map[*ast.Comment]bool{}
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-				for _, c := range fd.Doc.List {
-					docs[c] = true
-				}
-			}
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !annotRe.MatchString(strings.TrimRight(c.Text, "\r")) || docs[c] {
-					continue
-				}
-				out = append(out, Diagnostic{
-					Analyzer: "lint",
-					Pos:      pkg.Fset.Position(c.Pos()),
-					Message:  "annotation must be in a function's doc comment",
-				})
-			}
-		}
-	}
-	return out
-}
-
-// RunProgram applies the whole-program analyzers and returns the surviving
-// diagnostics sorted by position. //lint:allow suppressions from every
-// analyzed package apply, keyed as for per-package analyzers: the
-// directive sits on the offending line or the line above it.
-func RunProgram(prog *Program, analyzers []*ProgramAnalyzer) []Diagnostic {
-	out := append([]Diagnostic(nil), prog.bad...)
-	for _, a := range analyzers {
-		pass := &ProgramPass{Analyzer: a, Prog: prog}
-		a.Run(pass)
-		for _, d := range pass.diags {
-			if prog.allowed[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] ||
-				prog.allowed[allowKey{d.Pos.Filename, d.Pos.Line - 1, d.Analyzer}] {
-				continue
-			}
-			out = append(out, d)
-		}
-	}
-	sortDiagnostics(out)
-	return out
 }
 
 // funcDisplayName renders a function object compactly: pkg.Func for

@@ -1,5 +1,5 @@
-// Package core is a determinism fixture loaded under the in-scope import
-// path example/core.
+// Package core is a determinism fixture loaded under in-scope import paths
+// (a simulation package's, a cmd/ binary's).
 package core
 
 import (
@@ -57,6 +57,26 @@ func UnsortedKeys(m map[string]float64) []string {
 		unsorted = append(unsorted, k) // want `append across map iteration is order-dependent`
 	}
 	return unsorted
+}
+
+// Race lets the scheduler pick which ready channel wins.
+func Race(a, b chan int) int {
+	select { // want `select racing multiple channels picks a ready case at random`
+	case v := <-a:
+		return v
+	case v := <-b:
+		return v
+	}
+}
+
+// Poll has one communication and a default: nothing races.
+func Poll(a chan int) int {
+	select {
+	case v := <-a:
+		return v
+	default:
+		return 0
+	}
 }
 
 // Annotated shows the per-line escape hatch.

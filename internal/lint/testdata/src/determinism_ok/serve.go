@@ -1,7 +1,6 @@
 // Package telemetry is the same kind of code as the determinism fixture but
-// loaded under the allowlisted serving-layer path example/telemetry, where
-// wall clocks and the global rand stream are legitimate. No diagnostics are
-// expected.
+// loaded under an exempt serving-layer path, where wall clocks and the
+// global rand stream are legitimate. No diagnostics are expected.
 package telemetry
 
 import (

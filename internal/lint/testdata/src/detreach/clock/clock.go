@@ -1,7 +1,6 @@
-// Package clock is the dependency half of the detreach fixture: it hides a
-// wall-clock read behind an innocent-looking helper in a *different*
-// package, which is exactly what the per-package determinism analyzer
-// cannot see and the whole-program analyzer must.
+// Package clock is the dependency half of the determinism reachability
+// fixture: it hides a wall-clock read behind an innocent-looking helper in
+// a *different* package, on no swept list — only the call graph finds it.
 package clock
 
 import "time"

@@ -1,4 +1,5 @@
-// Package root is the annotated half of the detreach fixture.
+// Package root is the annotated half of the determinism reachability
+// fixture.
 package root
 
 import (
@@ -16,16 +17,21 @@ func Step() int64 {
 	return helper() + clock.Frozen() + allowedHelper()
 }
 
+// Replay is a second root over the same helper: the wall-clock read is
+// still one site, reported once (under Step, the first root in order).
+//
+//lint:detroot
+func Replay() int64 { return helper() }
+
 func helper() int64 { return clock.NowUnix() }
 
-// allowedHelper pins //lint:allow suppression for program analyzers: the
-// read below is reachable from Step but explicitly sanctioned.
+// allowedHelper pins //lint:allow suppression of a reached site: the read
+// below is reachable from Step but explicitly sanctioned.
 func allowedHelper() int64 {
-	//lint:allow detreach fixture exception with a reason
+	//lint:allow determinism fixture exception with a reason
 	return time.Now().UnixNano()
 }
 
-// Unreached also reads the clock, but no detroot can reach it, so detreach
-// stays silent about it (the per-package determinism analyzer would be the
-// one to catch it in a scoped package).
+// Unreached also reads the clock, but no detroot can reach it and this
+// package is not on the swept list, so determinism stays silent about it.
 func Unreached() int64 { return time.Now().Unix() }

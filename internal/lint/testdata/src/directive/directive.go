@@ -1,5 +1,5 @@
 // Package core exercises //lint:allow directive validation; it is loaded
-// under example/core so the determinism analyzer applies. The malformed
+// under a simulation-package path so the determinism analyzer applies. The malformed
 // directives below must be reported rather than honored, and the violations
 // they fail to suppress must surface too.
 package core
@@ -16,6 +16,12 @@ func MissingReason() time.Time {
 // the wall-clock violation is still reported.
 func UnknownAnalyzer() time.Time {
 	return time.Now() //lint:allow clock skew is fine here
+}
+
+// RetiredName names an analyzer that no longer exists (its rule lives in
+// determinism now): malformed, and the violation is still reported.
+func RetiredName() time.Time {
+	return time.Now() //lint:allow detreach the hedge timer used to carry this
 }
 
 // Valid carries a well-formed directive and is suppressed.

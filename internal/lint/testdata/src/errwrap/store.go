@@ -1,5 +1,5 @@
-// Package store is an errwrap fixture loaded under repro/internal/store,
-// which puts it inside the error-discard scope.
+// Package store is an errwrap fixture loaded under a path below
+// repro/internal/store, which puts it inside the error-discard scope.
 package store
 
 import (

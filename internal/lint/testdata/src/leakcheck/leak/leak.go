@@ -1,8 +1,6 @@
 // Package leak is the leakcheck fixture: goroutines with and without a
 // provable shutdown edge, spawned as literals, named functions, and through
-// a call chain. Its directory basename is outside the serving-layer scope,
-// so the per-package locksafety rule is silent here and every finding below
-// is leakcheck's own.
+// a call chain. The rule is tree-wide: no package scope decides it.
 package leak
 
 func SpawnNamed() {

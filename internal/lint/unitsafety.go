@@ -20,8 +20,7 @@ var UnitSafety = &Analyzer{
 	Name: "unitsafety",
 	Doc: "flag magic-constant unit conversions and arithmetic mixing distinct " +
 		"physical unit types outside internal/units",
-	Skip: func(path string) bool { return pathBase(path) == "units" },
-	Run:  runUnitSafety,
+	Run: runUnitSafety,
 }
 
 // unitScaleFactors are the literal values that almost always mean a unit
@@ -32,25 +31,28 @@ var unitScaleFactors = []float64{1e3, 1e6, 1e9, 3600, 3.6e6, 3.6e9}
 const unitsPkgPath = "repro/internal/units"
 
 func runUnitSafety(pass *Pass) {
-	for _, f := range pass.Files {
+	pass.Prog.EachFile(func(pkg *Package, f *ast.File) {
+		if pathBase(scopePath(pkg.Path)) == "units" {
+			return // the one package allowed to define the scale factors
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
-				checkMagicScale(pass, n)
-				checkMixedUnits(pass, n)
+				checkMagicScale(pass, pkg.Info, n)
+				checkMixedUnits(pass, pkg.Info, n)
 			case *ast.CallExpr:
-				checkUnitCast(pass, n)
+				checkUnitCast(pass, pkg.Info, n)
 			}
 			return true
 		})
-	}
+	})
 }
 
 // checkMagicScale flags x*1000-style literals. Named constants (including
 // the sanctioned units.WattsPerKW family) never trigger it, so the fix is
 // always available. Test fixtures construct raw data freely and are exempt.
-func checkMagicScale(pass *Pass, be *ast.BinaryExpr) {
-	if be.Op != token.MUL && be.Op != token.QUO || pass.InTest(be.Pos()) {
+func checkMagicScale(pass *Pass, info *types.Info, be *ast.BinaryExpr) {
+	if be.Op != token.MUL && be.Op != token.QUO || pass.Prog.InTestFile(be.Pos()) {
 		return
 	}
 	for _, operand := range []ast.Expr{be.X, be.Y} {
@@ -58,7 +60,7 @@ func checkMagicScale(pass *Pass, be *ast.BinaryExpr) {
 		if !ok {
 			continue
 		}
-		tv, ok := pass.Info.Types[lit]
+		tv, ok := info.Types[lit]
 		if !ok || tv.Value == nil {
 			continue
 		}
@@ -79,18 +81,18 @@ func checkMagicScale(pass *Pass, be *ast.BinaryExpr) {
 // unitTypeOf returns the internal/units named type carried by expr: either
 // directly, or through a float64(...) cast of a units-typed value (the
 // idiomatic way unit values enter plain arithmetic).
-func unitTypeOf(pass *Pass, expr ast.Expr) *types.Named {
+func unitTypeOf(info *types.Info, expr ast.Expr) *types.Named {
 	expr = ast.Unparen(expr)
 	if call, ok := expr.(*ast.CallExpr); ok && len(call.Args) == 1 {
-		if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
+		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 			if bt, ok := tv.Type.Underlying().(*types.Basic); ok && bt.Info()&types.IsFloat != 0 {
-				if named := namedUnitType(pass.Info.TypeOf(call.Args[0])); named != nil {
+				if named := namedUnitType(info.TypeOf(call.Args[0])); named != nil {
 					return named
 				}
 			}
 		}
 	}
-	return namedUnitType(pass.Info.TypeOf(expr))
+	return namedUnitType(info.TypeOf(expr))
 }
 
 func namedUnitType(t types.Type) *types.Named {
@@ -113,13 +115,13 @@ func namedUnitType(t types.Type) *types.Named {
 
 // checkMixedUnits flags additive arithmetic whose operands carry two
 // different unit types, e.g. float64(watts) + float64(joules).
-func checkMixedUnits(pass *Pass, be *ast.BinaryExpr) {
+func checkMixedUnits(pass *Pass, info *types.Info, be *ast.BinaryExpr) {
 	switch be.Op {
 	case token.ADD, token.SUB:
 	default:
 		return
 	}
-	lt, rt := unitTypeOf(pass, be.X), unitTypeOf(pass, be.Y)
+	lt, rt := unitTypeOf(info, be.X), unitTypeOf(info, be.Y)
 	if lt == nil || rt == nil || lt.Obj().Name() == rt.Obj().Name() {
 		return
 	}
@@ -130,16 +132,16 @@ func checkMixedUnits(pass *Pass, be *ast.BinaryExpr) {
 // checkUnitCast flags units.T1(x) where x already carries a different unit
 // type T2: a raw cast relabels the quantity without converting it. The
 // conversion methods (Watts.Tons, Celsius.F, ...) are the sanctioned path.
-func checkUnitCast(pass *Pass, call *ast.CallExpr) {
+func checkUnitCast(pass *Pass, info *types.Info, call *ast.CallExpr) {
 	if len(call.Args) != 1 {
 		return
 	}
-	tv, ok := pass.Info.Types[call.Fun]
+	tv, ok := info.Types[call.Fun]
 	if !ok || !tv.IsType() {
 		return
 	}
 	dst := namedUnitType(tv.Type)
-	src := namedUnitType(pass.Info.TypeOf(call.Args[0]))
+	src := namedUnitType(info.TypeOf(call.Args[0]))
 	if dst == nil || src == nil || dst.Obj().Name() == src.Obj().Name() {
 		return
 	}

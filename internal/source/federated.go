@@ -280,13 +280,12 @@ func fetchOwned[T any](f *FederatedSource, p Partition, fetch func(RunSource) (T
 		}()
 	}
 	launch(owners[0], false)
-	//lint:allow detreach hedge trigger only; replica answers are byte-identical
 	timer := time.NewTimer(f.cfg.HedgeDelay) //lint:allow determinism hedge trigger only; replica answers are byte-identical
 	defer timer.Stop()
 	next, pending := 1, 1
 	var errs []error
 	for {
-		//lint:allow detreach the racing arms return byte-identical replica answers
+		//lint:allow determinism the racing arms return byte-identical replica answers
 		select {
 		case r := <-ch:
 			pending--

@@ -292,6 +292,8 @@ func emptied[T any](s []T, capacity int) []T {
 // WriteNodeDay returns, and the base's error is reported first. Nothing
 // orders the two renames: whatever binds a companion to its base (ROADMAP
 // item 1) has to hold between two concurrent writes.
+//
+//lint:detroot
 func WriteNodeDay(dir string, day int, rows *NodeRows, floor *topology.Floor) error {
 	if rows.Len() == 0 {
 		return nil
@@ -335,6 +337,8 @@ func writeNodeRollup(dir string, day int, tab *store.Table, floor *topology.Floo
 // day, and the job and failure logs. The run is read and dir checked before
 // the first byte is written: a directory still holding days of a longer run
 // is refused, because they would be served as part of this one.
+//
+//lint:detroot
 func WriteArchive(dir string, src RunSource) error {
 	m, err := src.Meta()
 	if err != nil {

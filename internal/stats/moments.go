@@ -130,12 +130,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	m := Summarize(xs)
-	return m.Std()
-}
-
 // ZScores returns (x-mean)/std for every element. If the standard deviation
 // is zero, all scores are zero. This is the thermal-extremity metric of
 // paper §6.1.

@@ -324,10 +324,6 @@ func CoolingOrder(s CPUSocket) []GPUSlot {
 	return []GPUSlot{3, 4, 5}
 }
 
-// CoolingRank returns the 0-based position of GPU slot g along its socket's
-// water path (0 = coolest water, 2 = warmest).
-func CoolingRank(g GPUSlot) int { return int(g) % 3 }
-
 // PCIAddress returns the PCI bus address string a V100 at slot g reports in
 // XID logs on an AC922 (domain 0004/0035 split by socket).
 func PCIAddress(g GPUSlot) string {

@@ -128,13 +128,3 @@ func WaterHeatPickup(load Watts, flow GPM) Celsius {
 	massFlowKgPerSec := float64(flow) * WaterKgPerGallon / 60.0
 	return Celsius(float64(load) / (massFlowKgPerSec * WaterHeatCapacityJPerKgK))
 }
-
-// FlowForHeatLoad returns the water flow required to absorb load with the
-// given allowable temperature rise.
-func FlowForHeatLoad(load Watts, rise Celsius) GPM {
-	if rise <= 0 {
-		return 0
-	}
-	massFlowKgPerSec := float64(load) / (float64(rise) * WaterHeatCapacityJPerKgK)
-	return GPM(massFlowKgPerSec * 60.0 / WaterKgPerGallon)
-}

@@ -88,13 +88,10 @@ func TestWaterHeatPickup(t *testing.T) {
 	if rise <= 0 || rise > 10 {
 		t.Errorf("2.3kW @ 1.5GPM rise = %v, want in (0, 10]°C", rise)
 	}
-	// Round-trip with FlowForHeatLoad.
-	flow := FlowForHeatLoad(2300, rise)
-	if !almostEqual(float64(flow), 1.5, 1e-9) {
-		t.Errorf("flow round-trip = %v, want 1.5", flow)
-	}
-	if got := FlowForHeatLoad(1000, 0); got != 0 {
-		t.Errorf("zero rise flow = %v, want 0", got)
+	// The rise carries the load away: ṁ·c·ΔT is the load again.
+	massFlowKgPerSec := 1.5 * WaterKgPerGallon / 60
+	if load := massFlowKgPerSec * WaterHeatCapacityJPerKgK * float64(rise); !almostEqual(load, 2300, 1e-9) {
+		t.Errorf("heat carried at that rise = %v W, want 2300", load)
 	}
 }
 

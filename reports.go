@@ -665,24 +665,3 @@ func ReportScheduling(d *RunData) Report {
 		Body:     tab.String(),
 	}
 }
-
-// ReportRunSummary renders the run-long statistics of every canonical
-// series a RunSource serves. It is plane-agnostic: pass NewMemorySource
-// after Simulate or OpenArchive over a written archive and the numbers
-// match bit for bit.
-func ReportRunSummary(src RunSource) (Report, error) {
-	rows, err := SummaryFromSource(src)
-	if err != nil {
-		return Report{}, err
-	}
-	tab := render.NewTable("series", "windows", "min", "mean", "max", "std")
-	for _, r := range rows {
-		tab.Row(r.Name, r.N, r.Min, r.Mean, r.Max, r.Std)
-	}
-	return Report{
-		ID:       "run-summary",
-		Title:    "Run series summary (RunSource view)",
-		PaperRef: "Datasets 0–13: ~10-second power/thermal/facility channels over the run",
-		Body:     tab.String(),
-	}, nil
-}

@@ -74,20 +74,6 @@ func Simulate(cfg Config) (*RunData, *Result, error) {
 	return core.CollectRun(cfg)
 }
 
-// FleetRun is one cluster's outcome in a multi-cluster simulation.
-type FleetRun = core.FleetRun
-
-// DeriveSeed derives cluster i's seed from a fleet base seed; distinct i
-// yield well-separated, reproducible streams.
-func DeriveSeed(base uint64, i int) uint64 { return sim.DeriveSeed(base, i) }
-
-// SimulateFleet runs every cluster config as an independent simulation on
-// one worker pool (workers <= 0 sizes it automatically). Each cluster's
-// output is bit-identical to simulating it alone with the same config.
-func SimulateFleet(cfgs []Config, workers int) ([]FleetRun, error) {
-	return core.CollectFleet(cfgs, workers, nil)
-}
-
 // SimulateWithVariability additionally captures per-GPU detail for the
 // run's exemplar (largest) job, for the Figure 17 analysis.
 func SimulateWithVariability(cfg Config) (*RunData, *core.VariabilityCollector, *Result, error) {
@@ -113,9 +99,6 @@ type RunSource = source.RunSource
 // ArchiveConfig parameterizes OpenArchive.
 type ArchiveConfig = source.ArchiveConfig
 
-// NewMemorySource wraps collected run data as a RunSource (the live plane).
-func NewMemorySource(d *RunData) RunSource { return d.Source() }
-
 // OpenArchive opens an archive directory written by WriteDatasets (or the
 // summitsim CLI) as a RunSource (the archived plane). Reads are
 // partition-pruned, column-selective and cached.
@@ -124,50 +107,6 @@ func OpenArchive(cfg ArchiveConfig) (RunSource, error) { return source.OpenArchi
 // WriteDatasets archives a run into dir as daily-partitioned columnar
 // datasets readable by OpenArchive, cmd/analyze and cmd/queryd.
 func WriteDatasets(dir string, d *RunData) error { return core.WriteDatasets(dir, d) }
-
-// Source-based analysis entry points: each works identically on either
-// plane (the parity test in internal/core holds them bit-identical).
-
-// EdgesFromSource detects cluster-level power edges (>|10 MW|-equivalent).
-func EdgesFromSource(src RunSource) ([]core.Edge, error) { return core.EdgesFromSource(src) }
-
-// SwingsFromSource measures steepest swings and the FFT swing spectrum.
-func SwingsFromSource(src RunSource) (*core.SwingReport, error) { return core.SwingsFromSource(src) }
-
-// ThermalBandsFromSource reduces GPU temperature band occupancy.
-func ThermalBandsFromSource(src RunSource) ([]core.BandSummary, error) {
-	return core.ThermalBandsFromSource(src)
-}
-
-// EarlyWarningFromSource evaluates the §6.1 precursor→outcome pairs.
-func EarlyWarningFromSource(src RunSource, window time.Duration) ([]core.PrecursorStats, error) {
-	return core.EarlyWarningFromSource(src, int64(window/time.Second))
-}
-
-// OvercoolingFromSource quantifies cooling delivered beyond the heat load.
-func OvercoolingFromSource(src RunSource) (*core.OvercoolingReport, error) {
-	return core.OvercoolingFromSource(src)
-}
-
-// ValidationFromSource compares MSB meters against sensor summation.
-func ValidationFromSource(src RunSource) (*core.ValidationReport, error) {
-	return core.ValidationFromSource(src)
-}
-
-// FailureCompositionFromSource tallies the failure log by XID type.
-func FailureCompositionFromSource(src RunSource) ([]core.FailureComposition, error) {
-	return core.FailureCompositionFromSource(src)
-}
-
-// FailureCorrelationFromSource computes failure co-occurrence correlation.
-func FailureCorrelationFromSource(src RunSource, alpha float64) ([]core.CorrelationCell, error) {
-	return core.FailureCorrelationFromSource(src, alpha)
-}
-
-// SummaryFromSource reduces every canonical series to run-long statistics.
-func SummaryFromSource(src RunSource) ([]core.SeriesSummary, error) {
-	return core.SummaryFromSource(src)
-}
 
 // Analysis entry points (one per paper table/figure). These are thin,
 // documented aliases over internal/core so downstream users never import
@@ -316,9 +255,4 @@ func EarlyWarningFromRun(d *RunData, window time.Duration) ([]core.PrecursorStat
 // model, quantifying the generation flip in failure thermal extremity.
 func CompareGenerations(seed uint64, nodes, steps int, rateScale float64) (*core.GenerationComparison, error) {
 	return core.CompareGenerations(seed, nodes, steps, rateScale)
-}
-
-// SchedulingByClass summarizes queue waits and usage per scheduling class.
-func SchedulingByClass(d *RunData) []core.SchedulingStats {
-	return core.SchedulingByClass(d)
 }
