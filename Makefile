@@ -247,14 +247,16 @@ scenario-smoke:
 # archive-smoke gates the one archive writer end to end: a single archive
 # with every optional dataset and a 2-cluster fleet are written and analyzed
 # by the built binaries; the same seed archived again on one core must be the
-# same files byte for byte (the day flush runs beside the simulation, and its
-# scheduling may not reach the archive); then a shorter run archived into the
-# same directory must be refused (its leftover days would otherwise be served
-# as one run).
+# same files byte for byte (the day flush runs beside the simulation and
+# WriteArchive encodes its partitions side by side, and neither's scheduling
+# may reach the archive); every partition is plain multi-member gzip
+# (`gzip -t`) and passes `analyze -cmd fsck`, which must exit 1 on a copy with
+# one byte flipped; then a shorter run archived into the same directory must
+# be refused (its leftover days would otherwise be served as one run).
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -jobseries -q
 	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-again
@@ -262,11 +264,21 @@ archive-smoke:
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd summary > /dev/null
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster summit-0 -cmd summary > /dev/null
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster frontier-1 -cmd summary > /dev/null
+	find /tmp/arcsmoke-single /tmp/arcsmoke-fleet -name '*.spwr' -exec gzip -t {} +
+	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd fsck > /dev/null
+	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cmd fsck > /dev/null
+	@set -eu; cp -r /tmp/arcsmoke-single /tmp/arcsmoke-flipped; f=/tmp/arcsmoke-flipped/node-power-day00001.spwr; \
+	mid=$$(( $$(wc -c < $$f) / 2 )); \
+	byte=$$(od -An -tu1 -j $$mid -N 1 $$f | tr -d ' '); \
+	printf "$$(printf '\\%03o' $$(( byte ^ 4 )))" | dd of=$$f bs=1 seek=$$mid conv=notrunc 2> /dev/null; \
+	if /tmp/arcsmoke-analyze -data /tmp/arcsmoke-flipped -cmd fsck > /tmp/arcsmoke-fsck.txt 2>&1; then \
+		echo "archive-smoke: fsck passed an archive with a flipped byte"; exit 1; fi; \
+	grep -q 'node-power-day00001.spwr: .*column "' /tmp/arcsmoke-fsck.txt || { cat /tmp/arcsmoke-fsck.txt; exit 1; }
 	@if /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 1 -seed 7 -nodedata -q 2> /tmp/arcsmoke-refusal.txt; then \
 		echo "archive-smoke: a 1-day run was archived over a 2-day run"; exit 1; fi; \
 	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
-	echo "archive-smoke: archives written and analyzed, re-run on one core byte-identical, shorter re-run refused"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt
+	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, a flipped byte caught, re-run on one core byte-identical, shorter re-run refused"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt
 
 # bench-report regenerates the checked-in markdown trend report from every
 # BENCH_*.json baseline.

@@ -624,7 +624,8 @@ func queryBenchDay(b *testing.B) *store.Dataset {
 }
 
 // BenchmarkDayMeta measures what queryd pays per partition at start: the
-// time axis decoded, every other column walked past.
+// file's first block read and the directory in its gzip header parsed (before
+// partitions had one: the time axis decoded, every other column walked past).
 func BenchmarkDayMeta(b *testing.B) {
 	ds := queryBenchDay(b)
 	b.ResetTimer()
@@ -635,8 +636,9 @@ func BenchmarkDayMeta(b *testing.B) {
 	}
 }
 
-// BenchmarkSkipDelta walks past all seven CodecDelta columns of that day:
-// the floor under every column-selective read (inflate plus the varint walk).
+// BenchmarkSkipDelta steps over all seven CodecDelta columns of that day: the
+// floor under every column-selective read — seven seeks by the directory's
+// member lengths (before: inflate plus the varint walk).
 func BenchmarkSkipDelta(b *testing.B) {
 	ds := queryBenchDay(b)
 	raw, err := os.ReadFile(filepath.Join(ds.Dir, ds.DayFile(0)))

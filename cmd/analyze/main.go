@@ -8,10 +8,15 @@
 // read through an N-shard federated source instead of directly — output is
 // bit-identical either way (the federation layer's parity guarantee).
 //
+// -cmd fsck is the one subcommand that opens no source: it reads every
+// partition file of the archive (of every member, for a fleet root without
+// -cluster) in full and exits 1 if any is damaged — opening an archive reads
+// partition headers only, so this is the check of the bodies.
+//
 // Usage:
 //
 //	analyze -data /path/to/archive [-cluster NAME] [-shards N]
-//	        [-cmd summary|edges|fft|failures|jobs|bands|earlywarning|validation|overcooling]
+//	        [-cmd summary|edges|fft|failures|jobs|bands|earlywarning|validation|overcooling|fsck]
 package main
 
 import (
@@ -21,12 +26,14 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/render"
 	"repro/internal/source"
+	"repro/internal/store"
 	"repro/internal/units"
 )
 
@@ -35,7 +42,7 @@ func main() {
 	log.SetPrefix("analyze: ")
 	dataDir := flag.String("data", "", "archive or fleet directory (required)")
 	cmd := flag.String("cmd", "summary",
-		"analysis: summary|edges|fft|failures|jobs|bands|earlywarning|validation|overcooling")
+		"analysis: summary|edges|fft|failures|jobs|bands|earlywarning|validation|overcooling|fsck")
 	cluster := flag.String("cluster", "", "fleet member to analyze (when -data is a fleet root)")
 	shards := flag.Int("shards", 1, "read through an N-shard federated source (1 = direct)")
 	nodes := flag.Int("nodes", 256, "system size fallback for archives without a run manifest")
@@ -53,6 +60,12 @@ func main() {
 	}
 	if *shards < 1 {
 		log.Fatalf("-shards must be >= 1, got %d", *shards)
+	}
+	if *cmd == "fsck" {
+		if err := fsck(os.Stdout, *dataDir, *cluster); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
 	dir, err := resolveDir(*dataDir, *cluster)
 	if err != nil {
@@ -90,6 +103,68 @@ func resolveDir(dataDir, cluster string) (string, error) {
 			cluster, strings.Join(manifest.Names(), ", "))
 	}
 	return entry.Path(dataDir), nil
+}
+
+// fsck verifies every partition under dataDir — one archive, or each member
+// of a fleet unless cluster picks one — with store's VerifyDay, and that each
+// rollup companion dataset covers exactly its base's days. One line per
+// dataset, one per problem; any problem is an error.
+func fsck(w io.Writer, dataDir, cluster string) error {
+	var dirs []string
+	if manifest, err := source.DiscoverFleet(dataDir); err == nil && cluster == "" {
+		for _, e := range manifest.Clusters {
+			dirs = append(dirs, e.Path(dataDir))
+		}
+	} else {
+		dir, err := resolveDir(dataDir, cluster)
+		if err != nil {
+			return err
+		}
+		dirs = []string{dir}
+	}
+	problems := 0
+	for _, dir := range dirs {
+		names, err := store.Datasets(dir)
+		if err != nil {
+			return err
+		}
+		if len(names) == 0 {
+			return fmt.Errorf("%s holds no partitions", dir)
+		}
+		days := map[string][]int{}
+		for _, name := range names {
+			ds := &store.Dataset{Dir: dir, Name: name}
+			if days[name], err = ds.Days(); err != nil {
+				return err
+			}
+			members := 0
+			var found []error
+			for _, day := range days[name] {
+				m, errs := ds.VerifyDay(day)
+				if m {
+					members++
+				}
+				found = append(found, errs...)
+			}
+			fmt.Fprintf(w, "%s: %s: %d partitions, %d framed as members, %d as one stream, %d problems\n",
+				dir, name, len(days[name]), members, len(days[name])-members, len(found))
+			for _, err := range found {
+				fmt.Fprintf(w, "%s: %v\n", dir, err)
+			}
+			problems += len(found)
+		}
+		for _, name := range names {
+			base, ok := strings.CutSuffix(name, source.RollupSuffix)
+			if ok && !slices.Equal(days[name], days[base]) {
+				fmt.Fprintf(w, "%s: %s holds days %v, its base %s days %v\n", dir, name, days[name], base, days[base])
+				problems++
+			}
+		}
+	}
+	if problems > 0 {
+		return fmt.Errorf("fsck: %d problems", problems)
+	}
+	return nil
 }
 
 // openSource opens the archive directly, or through a sharded federated

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -114,5 +118,109 @@ func TestJobsRankingKeepsLogOrderOnTies(t *testing.T) {
 		"7 jobs total\n"
 	if b.String() != want {
 		t.Errorf("jobs ranking changed:\n got:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// fsckArchive simulates a small run with the per-node dataset into a fresh
+// directory: six datasets, node-power and its rollup companion among them.
+func fsckArchive(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	data, _, err := core.CollectRun(repro.ScaledConfig(36, time.Hour), core.AttachNodeDataset(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteDatasets(dir, data); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestFsck: a fresh archive is clean, also with one partition re-framed the
+// way every earlier build wrote it; a flipped byte, a cut-off file, bytes
+// after the last member and a companion without its base's days each fail
+// the check, naming the partition (and the column, where one is damaged).
+func TestFsck(t *testing.T) {
+	rewrite := func(t *testing.T, path string, edit func([]byte) []byte) {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// singleStream is the partition as one gzip member: the same payload, no
+	// directory.
+	singleStream := func(raw []byte) []byte {
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		zw := gzip.NewWriter(&out)
+		if _, err := io.Copy(zw, zr); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	flipMiddle := func(raw []byte) []byte { raw[len(raw)/2] ^= 0x20; return raw }
+
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		want   []string // in the output of a failed check; nil: the check passes
+	}{
+		{"fresh", func(*testing.T, string) {}, nil},
+		{"one partition from an earlier build", func(t *testing.T, dir string) {
+			rewrite(t, filepath.Join(dir, "cluster-power-day00000.spwr"), singleStream)
+		}, nil},
+		{"flipped byte in a member", func(t *testing.T, dir string) {
+			rewrite(t, filepath.Join(dir, "node-power-day00000.spwr"), flipMiddle)
+		}, []string{"node-power-day00000.spwr", `column "input_power.`}},
+		{"flipped byte in a single stream", func(t *testing.T, dir string) {
+			rewrite(t, filepath.Join(dir, "gpu-xid-day00000.spwr"), func(raw []byte) []byte { return flipMiddle(singleStream(raw)) })
+		}, []string{"gpu-xid-day00000.spwr"}},
+		{"cut short", func(t *testing.T, dir string) {
+			rewrite(t, filepath.Join(dir, "job-records-day00000.spwr"), func(raw []byte) []byte { return raw[:len(raw)-9] })
+		}, []string{"job-records-day00000.spwr", `column "max_gpu_pwr"`}},
+		{"bytes after the last member", func(t *testing.T, dir string) {
+			rewrite(t, filepath.Join(dir, "run-meta-day00000.spwr"), func(raw []byte) []byte { return append(raw, 0) })
+		}, []string{"run-meta-day00000.spwr", "the last member ends at byte"}},
+		{"companion of a day its base lacks", func(t *testing.T, dir string) {
+			raw, err := os.ReadFile(filepath.Join(dir, "node-power.rollup-day00000.spwr"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "node-power.rollup-day00001.spwr"), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"node-power.rollup holds days [0 1], its base node-power days [0]"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := fsckArchive(t)
+			tc.damage(t, dir)
+			var out strings.Builder
+			err := fsck(&out, dir, "")
+			if tc.want == nil {
+				if err != nil || strings.Count(out.String(), ", 0 problems\n") != 6 {
+					t.Fatalf("fsck of a sound archive: %v\n%s", err, out.String())
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("fsck passed:\n%s", out.String())
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output does not say %q:\n%s", want, out.String())
+				}
+			}
+		})
 	}
 }

@@ -33,26 +33,28 @@ func flushPinConfigs() []sim.Config {
 
 // flushPins are the SHA-256 of every node-power and node-power.rollup
 // partition file flushPinConfigs archives — the files themselves, deflate
-// included, because the chunked encode and the concurrent writes claim not to
-// move one byte of them. Recorded at the commit before the day flush left
-// Observe (serial flush, one bufio.Write per value); a change that is not
-// meant to alter the archive never regenerates them. They are tied to the
-// toolchain's compress/flate: if a Go upgrade alone moves them,
-// source.TestArchiveLayoutPin (gunzipped payloads) still holds and these are
-// re-recorded in that upgrade's commit.
+// included, because the overlapped flush and the concurrent writes claim not
+// to move one byte of them whatever the thread count. Re-recorded once, at
+// the commit that framed partitions as a directory plus one gzip member per
+// column: that changed every file on purpose, and nothing under it — the
+// gunzipped payloads of source.TestArchiveLayoutPin, recorded before the
+// layout moved and untouched by that commit, are the proof. A change that is
+// not meant to alter the archive never regenerates them. They are tied to the
+// toolchain's compress/flate: if a Go upgrade alone moves them, the layout
+// pin still holds and these are re-recorded in that upgrade's commit.
 var flushPins = map[string]string{
-	"summit-0/node-power-day00000.spwr":          "0e65a0063aca979b89007d4e105005e0d3111cdebe0c3d58e2053e662abac53c",
-	"summit-0/node-power-day00001.spwr":          "cad72f241413413ce11611e449c67e3105e57eb836bb7d82dd5eb02a66994257",
-	"summit-0/node-power-day00002.spwr":          "20d1a5f0f201985e2f147af591f8874523a290cd624f9a1edd66a1c356360fda",
-	"summit-0/node-power.rollup-day00000.spwr":   "43a6cc36374d8f0c9f0322ce1ebe56c654ef7b9ccb2f8254b887efc3fdbe611a",
-	"summit-0/node-power.rollup-day00001.spwr":   "9ea39e1a9a30f93dd883f96abe244ceafc6cb670c4c22f9073633728e5e58b4e",
-	"summit-0/node-power.rollup-day00002.spwr":   "9129b355f3c3a709612a9b52baf8f4e36a14ffef495f2557c68e6cbfbf24927a",
-	"frontier-1/node-power-day00000.spwr":        "a332fd17f955f95947eedbcc4748c190ba9411b8f88062a6ebe7473866fb69d8",
-	"frontier-1/node-power-day00001.spwr":        "570165af7e06307e5ecc1e752dd0c371dc565968987fcf960f4a1b2f489d48e4",
-	"frontier-1/node-power-day00002.spwr":        "0a1d924e92e7452c6e5197853bfeb6a3d3e8ca2abb090ba4e470e1bddb6bf52b",
-	"frontier-1/node-power.rollup-day00000.spwr": "c1353b63b4b813b8ec3e5533d36ddd2b3d124fa776519a512cdcead5d606d28c",
-	"frontier-1/node-power.rollup-day00001.spwr": "94a57e0afa34356daba2e5a98bff4643dfbb842a0c17594531d0f66e8601c084",
-	"frontier-1/node-power.rollup-day00002.spwr": "df257d6bb653068fdda5f59975c3e6501592db8a1401cec26620a7e48c839f3c",
+	"summit-0/node-power-day00000.spwr":          "67c4ceaec995a181e631c5a63d7061559b98d60f2af9bed67ba979b43e19239e",
+	"summit-0/node-power-day00001.spwr":          "24f9de8ff32ced590c0d8951da244177b71fe3bb4a1ec34a3e3503702888615e",
+	"summit-0/node-power-day00002.spwr":          "f1965d95ca108fed5befc03bdb1958f0bf501f7b1ea72e054bf562922ab5e73e",
+	"summit-0/node-power.rollup-day00000.spwr":   "efe702da371d1fbdc88588756e637c90f3fb2bbeb629ed0bf8ce1abc369414a9",
+	"summit-0/node-power.rollup-day00001.spwr":   "df52e812b94f7414cbe4bca8e838718a5bddeddedea037b559f09114f3a78e13",
+	"summit-0/node-power.rollup-day00002.spwr":   "fe1dc371eaa9e1c5d29dba14b8abde0d44078a836a9454036de5a71a52733b48",
+	"frontier-1/node-power-day00000.spwr":        "4491e3280cf797f13c4067df3a8bad72d28d65f4e387b0bb14960322bd6f2137",
+	"frontier-1/node-power-day00001.spwr":        "17d5c1dc94e207299fd6e8a4fcaeb2da050a8709fe1f90d4e0209f193bc72d35",
+	"frontier-1/node-power-day00002.spwr":        "123ba032b7c86a703754b7e044a45561c88554a003ab292c93f98c55b31c4b86",
+	"frontier-1/node-power.rollup-day00000.spwr": "34935e47a931afeddd6c5ed12cb75d3b8efac5cc306a3d156bfd4b242edc65ea",
+	"frontier-1/node-power.rollup-day00001.spwr": "3d1c353674fdfa8bd684e6b1e865d74f2e7d92d4a596ff0dd5382b19d6e017a7",
+	"frontier-1/node-power.rollup-day00002.spwr": "f172c1323d05cba06a5bbb010182ba91261ba75ee1072c1b1d9f30f0647682a2",
 }
 
 // nodePartitionSums hashes every node-power* file in dir.

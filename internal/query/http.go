@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/source"
+	"repro/internal/store"
 )
 
 // ServerConfig bounds the HTTP serving layer. The raw query string is
@@ -266,6 +267,16 @@ func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 	}
 	snap["clusters"] = perCluster
 	snap["reply_cache"] = h.cache.Snapshot()
+	// How partitions have been read, process-wide: from their directories or
+	// by inflating them, and how many column members were stepped over or
+	// read to their checksum.
+	st := store.Stats()
+	snap["store"] = map[string]int64{
+		"partitions_indexed":  st.PartitionsIndexed,
+		"partitions_streamed": st.PartitionsStreamed,
+		"members_skipped":     st.MembersSkipped,
+		"members_verified":    st.MembersVerified,
+	}
 	serve.WriteJSON(w, http.StatusOK, snap)
 }
 

@@ -1,10 +1,16 @@
 package query
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +18,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/serve/servetest"
 	"repro/internal/source"
+	"repro/internal/store"
 )
 
 // singleHandler serves one anonymous cluster — the pre-fleet shape most
@@ -300,6 +307,99 @@ func TestHTTPLoadShedding(t *testing.T) {
 	release()
 	if code := getJSON(t, srv.URL+"/api/v1/datasets", nil); code != 200 {
 		t.Fatalf("post-shed status = %d", code)
+	}
+}
+
+// TestHTTPVarsStoreBlock pins the `store` block of /debug/vars on an archive
+// holding one day as every earlier build framed it — a single gzip member, no
+// directory — and one as WriteDay frames it now: the inventory indexes the
+// one and inflates the other, and a first-touch range reads the framed day's
+// time and value members to their checksums, seeks over the column between
+// them and never reaches the one after. /api/v1/datasets says the same about
+// both.
+func TestHTTPVarsStoreBlock(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := store.NewDataset(dir, "cluster-power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < 2; day++ {
+		t0 := int64(day) * daySec
+		if err := ds.WriteDay(day, &store.Table{Cols: []store.Column{
+			{Name: "timestamp", Ints: []int64{t0, t0 + 600, t0 + 1200}},
+			{Name: "pue", Floats: []float64{1.1, 1.2, 1.1}},
+			{Name: "sum_inp", Floats: []float64{5e6, 6e6, 7e6}},
+			{Name: "supply_c", Floats: []float64{20, 21, 20}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Day 0 becomes one gzip member holding the same payload.
+	path := filepath.Join(dir, ds.DayFile(0))
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy bytes.Buffer
+	zw := gzip.NewWriter(&legacy)
+	if _, err := io.Copy(zw, zr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(singleHandler(t, e, nil, ServerConfig{}))
+	defer srv.Close()
+	before := store.Stats()
+	var inv struct {
+		Datasets []struct {
+			Name             string
+			Days             int
+			Rows             int64
+			MinTime, MaxTime *int64
+			Columns          []string
+		}
+	}
+	if code := getJSON(t, srv.URL+"/api/v1/datasets", &inv); code != 200 || len(inv.Datasets) != 1 {
+		t.Fatalf("datasets: status %d, %+v", code, inv)
+	}
+	if d := inv.Datasets[0]; d.Days != 2 || d.Rows != 6 || len(d.Columns) != 4 {
+		t.Errorf("inventory %+v, want 2 days, 6 rows, 4 columns", d)
+	}
+	var reply struct{ Points []struct{ V float64 } }
+	if code := getJSON(t, srv.URL+"/api/v1/range?dataset=cluster-power&column=sum_inp", &reply); code != 200 || len(reply.Points) != 6 {
+		t.Fatalf("range: status %d, %d points", code, len(reply.Points))
+	}
+	var vars struct {
+		Store map[string]int64 `json:"store"`
+	}
+	if code := getJSON(t, srv.URL+"/debug/vars", &vars); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	got := map[string]int64{
+		"partitions_indexed":  vars.Store["partitions_indexed"] - before.PartitionsIndexed,
+		"partitions_streamed": vars.Store["partitions_streamed"] - before.PartitionsStreamed,
+		"members_skipped":     vars.Store["members_skipped"] - before.MembersSkipped,
+		// The header member at the inventory and again at the range, then
+		// the timestamp and sum_inp members.
+		"members_verified": vars.Store["members_verified"] - before.MembersVerified,
+	}
+	want := map[string]int64{"partitions_indexed": 1, "partitions_streamed": 1, "members_skipped": 1, "members_verified": 4}
+	if len(vars.Store) != 4 || !reflect.DeepEqual(got, want) {
+		t.Errorf("store block %v moved by %v, want %v", vars.Store, got, want)
 	}
 }
 

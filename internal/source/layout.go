@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/failures"
+	"repro/internal/parallel"
 	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
@@ -47,8 +48,9 @@ const (
 	nodeAxes        = 2  // leading node-power columns: timestamp, node
 )
 
-// TimeColumns are the time axes of the schemas below, in the order a reader
-// picks a partition's pruning axis by (companions are keyed by window).
+// TimeColumns are the time axes of the schemas below. A partition's pruning
+// axis is the first of its integer columns, in its own column order, named
+// here (companions are keyed by window).
 var TimeColumns = []string{colTimestamp, colBeginTime, RollupColWindow}
 
 // clusterColumns is the cluster-power schema after its timestamp axis, in
@@ -360,9 +362,15 @@ func WriteArchive(dir string, src RunSource) error {
 	if err := refuseStale(dir, max(days, logDay+1)); err != nil {
 		return err
 	}
-	if err := dataset(dir, DatasetRunMeta).WriteDayCodec(logDay, ManifestTable(m), store.CodecDelta); err != nil {
-		return err
+	// The partitions are independent files, each one's bytes a function of
+	// its table alone, so they are encoded side by side; their errors come
+	// back in the order listed here.
+	type partition struct {
+		dataset string
+		day     int
+		table   *store.Table
 	}
+	parts := []partition{{DatasetRunMeta, logDay, ManifestTable(m)}}
 	for day := 0; day < days; day++ {
 		t0 := m.StartTime + int64(day)*daySec
 		ts := make([]int64, series[0].Slice(t0, t0+daySec).Len())
@@ -373,14 +381,15 @@ func WriteArchive(dir string, src RunSource) error {
 		for i, s := range series {
 			tab.Cols = append(tab.Cols, store.Column{Name: names[i], Floats: s.Slice(t0, t0+daySec).Vals})
 		}
-		if err := dataset(dir, DatasetClusterPower).WriteDayCodec(day, tab, store.CodecDelta); err != nil {
-			return err
-		}
+		parts = append(parts, partition{DatasetClusterPower, day, tab})
 	}
-	if err := dataset(dir, DatasetJobRecords).WriteDayCodec(logDay, encodeRows(jobSchema, jobs), store.CodecDelta); err != nil {
-		return err
-	}
-	return dataset(dir, DatasetFailures).WriteDayCodec(logDay, encodeRows(failureSchema, evs), store.CodecDelta)
+	parts = append(parts,
+		partition{DatasetJobRecords, logDay, encodeRows(jobSchema, jobs)},
+		partition{DatasetFailures, logDay, encodeRows(failureSchema, evs)})
+	return parallel.ForEachErr(len(parts), 0, func(i int) error {
+		p := parts[i]
+		return dataset(dir, p.dataset).WriteDayCodec(p.day, p.table, store.CodecDelta)
+	})
 }
 
 // refuseStale fails, naming the files, when dir already holds a partition of

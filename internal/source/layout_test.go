@@ -2,7 +2,10 @@ package source_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -96,6 +99,61 @@ func TestWriteArchiveRefusesLeftoverDays(t *testing.T) {
 	}
 	if s, err := src.Series(source.SeriesClusterPower); err != nil || s.Len() != 288 {
 		t.Errorf("the refused write disturbed the archived run: %v", err)
+	}
+}
+
+// TestWriteArchiveSideBySide: WriteArchive encodes its partitions in
+// parallel, which may reach neither the files — one core and four write the
+// same bytes — nor the order failures are reported in: that is the
+// partitions' own, however the writes were scheduled.
+func TestWriteArchiveSideBySide(t *testing.T) {
+	run := syntheticRun(432, 3, nil, nil) // three days
+	files := func(procs int) map[string]string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dir := t.TempDir()
+		if err := source.WriteArchive(dir, run); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(raw)
+		}
+		return out
+	}
+	if one, four := files(1), files(4); len(one) != 6 || !reflect.DeepEqual(one, four) {
+		t.Errorf("GOMAXPROCS 1 wrote %d files, GOMAXPROCS 4 %d, or their bytes differ", len(one), len(four))
+	}
+
+	dir := t.TempDir()
+	blocked := []string{"cluster-power-day00001.spwr", "cluster-power-day00002.spwr", "gpu-xid-day00000.spwr"}
+	for _, name := range blocked {
+		if err := os.MkdirAll(filepath.Join(dir, name, "occupied"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	err := source.WriteArchive(dir, run)
+	if err == nil {
+		t.Fatal("three partition paths were blocked and WriteArchive succeeded")
+	}
+	at := -1
+	for _, name := range blocked {
+		i := strings.Index(err.Error(), name)
+		if i <= at {
+			t.Fatalf("error does not name %s after the partitions before it: %v", name, err)
+		}
+		at = i
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-records-day00000.spwr")); err != nil {
+		t.Errorf("a partition that could be written was not: %v", err)
 	}
 }
 

@@ -185,8 +185,8 @@ func iterColumns(r io.Reader, axes []string, value string, sc *IterScratch, fn f
 // columnIntsInto decodes the pending integer column into dst[:0], reusing
 // its capacity, and consumes it.
 func (r *Reader) columnIntsInto(dst []int64) ([]int64, error) {
-	if !r.pending {
-		return nil, fmt.Errorf("store: column read without Next")
+	if err := r.begin(); err != nil {
+		return nil, err
 	}
 	if !r.cur.Int {
 		return nil, fmt.Errorf("store: column %q is not integer-typed", r.cur.Name)
@@ -195,17 +195,15 @@ func (r *Reader) columnIntsInto(dst []int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.pending = false
-	r.read++
-	return out, nil
+	return out, r.end()
 }
 
 // columnValueBlocks streams the pending numeric column through fn as
 // float64 blocks in row order (integer columns are widened), reusing
 // iblock/fblock (equal lengths), and consumes it.
 func (r *Reader) columnValueBlocks(iblock []int64, fblock []float64, fn func(start int, vals []float64) error) error {
-	if !r.pending {
-		return fmt.Errorf("store: column read without Next")
+	if err := r.begin(); err != nil {
+		return err
 	}
 	if r.cur.Str {
 		return fmt.Errorf("store: column %q is string-typed, not numeric", r.cur.Name)
@@ -224,9 +222,7 @@ func (r *Reader) columnValueBlocks(iblock []int64, fblock []float64, fn func(sta
 	if err != nil {
 		return err
 	}
-	r.pending = false
-	r.read++
-	return nil
+	return r.end()
 }
 
 // gorillaPayload reads the pending CodecGorilla numeric column's

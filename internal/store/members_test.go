@@ -1,0 +1,394 @@
+package store
+
+import (
+	"bufio"
+	"bytes"
+	"compress/gzip"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"testing/iotest"
+)
+
+// writeSingleStream is the framing every build before the directory wrote:
+// the whole payload in one gzip member. It is the reference WriteCodec's
+// members are held to, and how the tests get a partition no directory
+// describes.
+func writeSingleStream(w io.Writer, t *Table, codec Codec) error {
+	zw, err := gzip.NewWriterLevel(w, codec.gzipLevel())
+	if err != nil {
+		return err
+	}
+	enc := encoder{bw: bufio.NewWriter(zw), codec: codec}
+	if err := enc.header(t); err != nil {
+		return err
+	}
+	for i := range t.Cols {
+		if err := enc.column(&t.Cols[i]); err != nil {
+			return err
+		}
+	}
+	if err := enc.bw.Flush(); err != nil {
+		return err
+	}
+	return zw.Close()
+}
+
+// framings are the two ways a table's payload is cut into gzip members.
+var framings = []struct {
+	name  string
+	write func(io.Writer, *Table, Codec) error
+}{{"members", WriteCodec}, {"single stream", writeSingleStream}}
+
+func encoded(t testing.TB, write func(io.Writer, *Table, Codec) error, tab *Table, codec Codec) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf, tab, codec); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMembersGunzipToTheSingleStream: cutting the payload into members moves
+// no byte of it, under any codec, for tables with rows, without rows and
+// without columns — so a build that has never heard of members reads the
+// stream it always read. And the cut itself is a pure function of the table.
+func TestMembersGunzipToTheSingleStream(t *testing.T) {
+	tables := map[string]*Table{
+		"fixture": fixtureTable(), "window": windowTable(), "no columns": {},
+		"no rows": {Cols: []Column{{Name: "timestamp", Ints: []int64{}}, {Name: "v", Floats: []float64{}}, {Name: "s", Strs: []string{}}}},
+	}
+	for name, tab := range tables {
+		for codec := Codec(0); codec < numCodecs; codec++ {
+			members := encoded(t, WriteCodec, tab, codec)
+			if !bytes.Equal(gunzipped(t, members), gunzipped(t, encoded(t, writeSingleStream, tab, codec))) {
+				t.Errorf("%s codec %d: members gunzip to a different payload than the single stream", name, codec)
+			}
+			if !bytes.Equal(members, encoded(t, WriteCodec, tab, codec)) {
+				t.Errorf("%s codec %d: the same table written twice differs", name, codec)
+			}
+			sr, err := NewReader(bytes.NewReader(members))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sr.dir == nil || sr.seek == nil || len(sr.dir.cols) != len(tab.Cols) {
+				t.Fatalf("%s codec %d: no directory read back (%v)", name, codec, sr.dirErr)
+			}
+			total := sr.next
+			for _, c := range sr.dir.cols {
+				total += c.size
+			}
+			if total != int64(len(members)) {
+				t.Errorf("%s codec %d: header and members add up to %d bytes, file has %d", name, codec, total, len(members))
+			}
+		}
+	}
+}
+
+// sameTable requires have to be want, column for column and bit for bit.
+func sameTable(t testing.TB, what string, want, have *Table) {
+	t.Helper()
+	if len(have.Cols) != len(want.Cols) {
+		t.Fatalf("%s: %d columns, want %d", what, len(have.Cols), len(want.Cols))
+	}
+	for i := range want.Cols {
+		if d := diffColumn(&want.Cols[i], &have.Cols[i]); d != "" {
+			t.Errorf("%s: %s", what, d)
+		}
+	}
+}
+
+// TestMemberFixtures: testdata/members-{delta,gorilla}.spwr were written
+// once, by the first WriteCodec that framed members, and are never
+// regenerated. Each must decode to fixtureTable by seeking, by streaming
+// (one byte at a time, the way a pipe might deliver it) and by the
+// byte-at-a-time reference decoder over `gunzip`'s view of the file — which
+// is how every earlier build sees it.
+func TestMemberFixtures(t *testing.T) {
+	want := fixtureTable()
+	for name, codec := range map[string]Codec{"members-delta": CodecDelta, "members-gorilla": CodecGorilla} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+".spwr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := Stats()
+		seek, err := Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: seek path: %v", name, err)
+		}
+		sameTable(t, name+" seek path", want, seek)
+		if d := Stats().MembersVerified - before.MembersVerified; d != int64(1+len(want.Cols)) {
+			t.Errorf("%s: %d members verified by a full read, want the header's and one per column", name, d)
+		}
+		stream, err := Read(iotest.OneByteReader(bytes.NewReader(raw)))
+		if err != nil {
+			t.Fatalf("%s: streaming path: %v", name, err)
+		}
+		sameTable(t, name+" streaming path", want, stream)
+		cols, err := decodePayload(gunzipped(t, raw), plainReader, refColumn)
+		if err != nil {
+			t.Fatalf("%s: reference decoder: %v", name, err)
+		}
+		sameTable(t, name+" reference decoder", want, &Table{Cols: cols})
+		legacy, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("codec%d.spwr", codec)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gunzipped(t, raw), gunzipped(t, legacy)) {
+			t.Errorf("%s: payload differs from codec%d.spwr's", name, codec)
+		}
+	}
+}
+
+// TestSkipIsASeek: a selective read of a partition with a directory touches
+// the members it decodes and steps over the rest without inflating them — a
+// skipped member may hold anything.
+func TestSkipIsASeek(t *testing.T) {
+	tab := windowTable()
+	enc := encoded(t, WriteCodec, tab, CodecDelta)
+	sr, err := NewReader(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := sr.next
+	for _, c := range sr.dir.cols {
+		if c.Name != "input_power.mean" {
+			for i := at; i < at+c.size; i++ {
+				enc[i] = 0xA5
+			}
+		}
+		at += c.size
+	}
+	before := Stats()
+	got, err := ReadColumns(bytes.NewReader(enc), []string{"input_power.mean"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTable(t, "one column of six", &Table{Cols: []Column{*tab.Col("input_power.mean")}}, got)
+	after := Stats()
+	if s, v := after.MembersSkipped-before.MembersSkipped, after.MembersVerified-before.MembersVerified; s != 5 || v != 2 {
+		t.Errorf("%d members skipped and %d verified, want 5 and 2 (the header's, the column's)", s, v)
+	}
+	if _, err := Read(bytes.NewReader(enc)); err == nil || !strings.Contains(err.Error(), `column "timestamp"`) {
+		t.Errorf("a full read of the overwritten members: %v, want an error naming the first of them", err)
+	}
+}
+
+// metaOf is readDayMeta with the archive's candidate time columns.
+func metaOf(r io.Reader) (DayMeta, error) {
+	return readDayMeta(r, 3, []string{"timestamp", "begin_time", "window"})
+}
+
+// TestDayMetaFromDirectoryEqualsTheScan: whatever the directory answers, the
+// scan of the same payload answers too — the time column is the first
+// candidate in file order whichever comes first, sorted or not, rows or none
+// — and only the scan inflates anything.
+func TestDayMetaFromDirectoryEqualsTheScan(t *testing.T) {
+	begin, ts := []int64{50, 40, 60}, []int64{100, 110, 120}
+	tables := map[string]*Table{
+		"begin_time first": {Cols: []Column{{Name: "begin_time", Ints: begin}, {Name: "timestamp", Ints: ts}, {Name: "v", Floats: []float64{1, 2, 3}}}},
+		"timestamp first":  {Cols: []Column{{Name: "tag", Strs: []string{"a", "b", "c"}}, {Name: "timestamp", Ints: ts}, {Name: "begin_time", Ints: begin}}},
+		"float namesake":   {Cols: []Column{{Name: "timestamp", Floats: []float64{1, 2, 3}}, {Name: "window", Ints: begin}}},
+		"no time column":   {Cols: []Column{{Name: "node", Ints: ts}}},
+		"no rows":          {Cols: []Column{{Name: "begin_time", Ints: []int64{}}, {Name: "timestamp", Ints: []int64{}}}},
+		"fixture":          fixtureTable(),
+		"extremes":         {Cols: []Column{{Name: "timestamp", Ints: []int64{math.MaxInt64, math.MinInt64, 0}}}},
+	}
+	wantColumn := map[string]string{"begin_time first": "begin_time", "timestamp first": "timestamp", "float namesake": "window", "no rows": "begin_time"}
+	for name, tab := range tables {
+		for _, codec := range []Codec{CodecDelta, CodecGorilla} {
+			before := Stats()
+			indexed, err := metaOf(bytes.NewReader(encoded(t, WriteCodec, tab, codec)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid := Stats()
+			scanned, err := metaOf(bytes.NewReader(encoded(t, writeSingleStream, tab, codec)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := Stats()
+			if !reflect.DeepEqual(indexed, scanned) {
+				t.Errorf("%s codec %d: directory says %+v, the scan %+v", name, codec, indexed, scanned)
+			}
+			if want, ok := wantColumn[name]; ok && indexed.TimeColumn != want {
+				t.Errorf("%s: time column %q, want %q", name, indexed.TimeColumn, want)
+			}
+			if mid.PartitionsIndexed-before.PartitionsIndexed != 1 || mid.PartitionsStreamed != before.PartitionsStreamed ||
+				mid.MembersVerified-before.MembersVerified != 1 {
+				t.Errorf("%s codec %d: a DayMeta with a directory moved the counters %+v -> %+v, want one partition indexed and the header member verified", name, codec, before, mid)
+			}
+			if after.PartitionsStreamed-mid.PartitionsStreamed != 1 || after.PartitionsIndexed != mid.PartitionsIndexed {
+				t.Errorf("%s codec %d: a DayMeta without a directory moved the counters %+v -> %+v, want one partition streamed", name, codec, mid, after)
+			}
+		}
+	}
+}
+
+// TestDirectoryThatDoesNotFit: the gzip extra field holds 65 535 bytes. A
+// table whose directory is larger is written without one — members all the
+// same — and read back as a stream.
+func TestDirectoryThatDoesNotFit(t *testing.T) {
+	tab := &Table{}
+	for i := 0; i < 700; i++ {
+		tab.Cols = append(tab.Cols, Column{Name: fmt.Sprintf("%s-%03d", strings.Repeat("n", 100), i), Ints: []int64{int64(i), 7}})
+	}
+	enc := encoded(t, WriteCodec, tab, CodecDelta)
+	sr, err := NewReader(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.dir != nil || sr.dirErr != nil || sr.seek != nil {
+		t.Fatalf("a %d-column table with 104-byte names has a directory (%v)", len(tab.Cols), sr.dirErr)
+	}
+	got, err := Read(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTable(t, "streamed members", tab, got)
+	if !bytes.Equal(gunzipped(t, enc), gunzipped(t, encoded(t, writeSingleStream, tab, CodecDelta))) {
+		t.Error("payload differs from the single stream's")
+	}
+}
+
+// flipTable is fixtureTable with its value column last: the block iterator
+// stops reading a partition at the last column it needs, and only a reader
+// that consumes the last column of a partition without a directory reaches
+// the stream's checksum (DESIGN.md §4 says what an earlier stop leaves
+// unverified).
+func flipTable() *Table {
+	f := fixtureTable()
+	return &Table{Cols: []Column{*f.Col("timestamp"), *f.Col("tag"), *f.Col("count"), *f.Col("power")}}
+}
+
+// TestFlippedBitIsAnErrorNeverANumber flips every bit of a small partition,
+// and one bit in every thirteenth byte of a larger one, under both production
+// codecs and both framings, and reads the damaged file through every entry
+// point. Each read must fail or return exactly what the intact file holds: a
+// flip may land in a byte no reader interprets (a gzip header's timestamp),
+// or in a member the read steps over, but it may never come back as a value.
+func TestFlippedBitIsAnErrorNeverANumber(t *testing.T) {
+	window := headRows(windowTable(), 700)
+	window.Cols = window.Cols[:5] // the numeric columns; input_power.std is last
+	cases := []struct {
+		name        string
+		tab         *Table
+		stride      int
+		selection   []string
+		axis, value string
+	}{
+		{"fixture", flipTable(), 1, []string{"count", "tag"}, "timestamp", "power"},
+		{"window", window, 13, []string{"node", "input_power.mean"}, "node", "input_power.std"},
+	}
+	for _, tc := range cases {
+		for _, codec := range []Codec{CodecDelta, CodecGorilla} {
+			for _, framing := range framings {
+				what := fmt.Sprintf("%s, codec %d, %s", tc.name, codec, framing.name)
+				good := encoded(t, framing.write, tc.tab, codec)
+				wantMeta, err := metaOf(bytes.NewReader(good))
+				if err != nil {
+					t.Fatal(err)
+				}
+				selected := &Table{}
+				for _, c := range tc.tab.Cols {
+					if c.Name == tc.selection[0] || c.Name == tc.selection[1] {
+						selected.Cols = append(selected.Cols, c)
+					}
+				}
+				wantVals := &Column{Name: tc.value, Floats: tc.tab.Col(tc.value).Floats}
+				flips, errors := 0, 0
+				bad := make([]byte, len(good))
+				for i := 0; i < len(good); i += tc.stride {
+					for bit := 0; bit < 8; bit++ {
+						if tc.stride > 1 && bit != i%8 {
+							continue
+						}
+						copy(bad, good)
+						bad[i] ^= 1 << bit
+						flips++
+						at := fmt.Sprintf("%s, bit %d of byte %d flipped", what, bit, i)
+
+						if tab, err := Read(bytes.NewReader(bad)); err == nil {
+							sameTable(t, at+": Read", tc.tab, tab)
+						} else {
+							errors++
+						}
+						if tab, err := ReadColumns(bytes.NewReader(bad), tc.selection); err == nil {
+							sameTable(t, at+": ReadColumns", selected, tab)
+						}
+						var sc IterScratch
+						var vals []float64
+						if _, err := iterColumns(bytes.NewReader(bad), []string{tc.axis}, tc.value, &sc, func(_ int, v []float64) error {
+							vals = append(vals, v...)
+							return nil
+						}); err == nil {
+							if d := diffColumn(wantVals, &Column{Name: tc.value, Floats: vals}); d != "" {
+								t.Errorf("%s: IterDayColumns: %s", at, d)
+							}
+							if d := diffColumn(tc.tab.Col(tc.axis), &Column{Name: tc.axis, Ints: sc.Axes[0]}); d != "" {
+								t.Errorf("%s: IterDayColumns axis: %s", at, d)
+							}
+						}
+						if meta, err := metaOf(bytes.NewReader(bad)); err == nil && !reflect.DeepEqual(meta, wantMeta) {
+							t.Errorf("%s: DayMeta %+v, want %+v", at, meta, wantMeta)
+						}
+					}
+				}
+				if t.Failed() {
+					t.Fatalf("%s: a flipped bit was served as data", what)
+				}
+				// Most bytes of a partition are compressed payload or a checksum
+				// over it (the rest: gzip headers, and the directory, without
+				// which a full read streams and still succeeds).
+				if errors < flips/2 {
+					t.Errorf("%s: only %d of %d flips failed a full read", what, errors, flips)
+				}
+			}
+		}
+	}
+}
+
+// TestCorruptMemberNamesPartitionAndColumn: the error of a damaged member
+// says which file and which column.
+func TestCorruptMemberNamesPartitionAndColumn(t *testing.T) {
+	ds := &Dataset{Dir: t.TempDir(), Name: "node-power"}
+	tab := windowTable()
+	if err := ds.WriteDayCodec(12, tab, CodecGorilla); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(ds.dayPath(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The middle of the fourth column's member, well inside its values.
+	at := sr.next + sr.dir.cols[0].size + sr.dir.cols[1].size + sr.dir.cols[2].size + sr.dir.cols[3].size/2
+	raw[at] ^= 0x10
+	if err := os.WriteFile(ds.dayPath(12), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for what, read := range map[string]func() error{
+		"ReadDay":        func() error { _, err := ds.ReadDay(12); return err },
+		"ReadDayColumns": func() error { _, err := ds.ReadDayColumns(12, []string{"input_power.mean"}); return err },
+		"IterDayColumns": func() error {
+			_, err := ds.IterDayColumns(12, []string{"timestamp"}, "input_power.mean", &IterScratch{}, func(int, []float64) error { return nil })
+			return err
+		},
+	} {
+		err := read()
+		if err == nil || !strings.Contains(err.Error(), "node-power-day00012.spwr") || !strings.Contains(err.Error(), `column "input_power.mean"`) {
+			t.Errorf("%s: %v, want an error naming node-power-day00012.spwr and column \"input_power.mean\"", what, err)
+		}
+	}
+	if _, err := ds.ReadDayColumns(12, []string{"timestamp", "input_power.std"}); err != nil {
+		t.Errorf("a read of the undamaged columns: %v", err)
+	}
+}

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 )
 
 // ColumnInfo describes one column of a table without its data.
@@ -16,17 +18,26 @@ type ColumnInfo struct {
 	Str  bool // string-typed (neither set = float)
 }
 
-// Reader streams a table written by Write one column at a time, letting the
+// Reader reads a table written by Write one column at a time, letting the
 // caller decode or skip each column. This is the serving-path primitive: a
-// query that touches two of fourteen columns pays the varint walk for all of
-// them (the format is variable-width) but allocates and retains only the two
-// it asked for.
+// query that touches two of fourteen columns allocates and retains only the
+// two it asked for.
+//
+// How it gets from column to column is decided by what it finds, never by
+// the caller. A partition whose gzip header carries a directory, read from an
+// io.Seeker, is read member by member: Next answers from the directory, Skip
+// is a seek past the column's member, and a decoded column's member is read to
+// its gzip trailer, so its CRC-32 and length have been checked when Column
+// returns. Anything else — a partition from before there were directories, a
+// directory that failed its checksum, a source that cannot seek — is one
+// gunzipped stream: Skip walks the column's bytes, and the stream's checksum
+// is reached only by a read that consumes the last column.
 //
 // Usage: NewReader, then repeat Next -> (Column | Skip) until Next returns
 // io.EOF, then Close.
 type Reader struct {
 	zr    *gzip.Reader
-	br    *bufio.Reader
+	br    *bufio.Reader // the gunzipped payload
 	codec Codec
 	nCols int
 	nRows int
@@ -35,64 +46,119 @@ type Reader struct {
 	pending bool // Next announced a column not yet consumed
 	cur     ColumnInfo
 
+	dir    *directory // nil: none found, or dirErr
+	dirErr error      // why the gzip header's extra field is not a directory
+
+	// Member-by-member reading; seek is nil when streaming.
+	seek io.Seeker
+	file countingReader // the source, counting what raw has taken from it
+	raw  *bufio.Reader  // the compressed bytes under zr
+	next int64          // offset of the next unread member, from where the source stood at NewReader
+
 	payload []byte   // reused scratch for length-prefixed CodecGorilla payloads
 	varints []uint64 // reused scratch of uvarints: one block of CodecDelta varints
 }
 
+// countingReader counts the bytes read through it: with raw's buffered count
+// that is where in the file the next compressed byte comes from.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // NewReader parses the header and positions the reader at the first column.
 func NewReader(r io.Reader) (*Reader, error) {
-	zr, err := gzip.NewReader(r)
+	sr := &Reader{file: countingReader{r: r}}
+	sr.raw = bufio.NewReader(&sr.file)
+	zr, err := gzip.NewReader(sr.raw)
 	if err != nil {
 		return nil, fmt.Errorf("store: gzip: %w", err)
 	}
-	sr, err := newPayloadReader(zr)
+	sr.zr = zr
+	sr.dir, sr.dirErr = parseDirectory(zr.Extra)
+	if sr.dir != nil {
+		sr.seek, _ = r.(io.Seeker)
+	}
+	if sr.seek != nil {
+		zr.Multistream(false)
+	}
+	err = sr.readHeader(zr)
+	if err == nil && sr.dir != nil && (len(sr.dir.cols) != sr.nCols || sr.dir.rows != sr.nRows) {
+		err = fmt.Errorf("store: directory lists %d columns x %d rows, header %d x %d",
+			len(sr.dir.cols), sr.dir.rows, sr.nCols, sr.nRows)
+	}
+	if err == nil {
+		switch {
+		case sr.seek != nil:
+			// Member 0 holds the header and nothing else; the first column's
+			// member starts wherever it ends.
+			sr.next, err = sr.endMember()
+		case sr.nCols == 0:
+			// No column's end will be the stream's: the header's is.
+			err = sr.payloadEnd()
+		}
+		if err != nil {
+			err = fmt.Errorf("store: header: %w", err)
+		}
+	}
 	if err != nil {
 		_ = zr.Close()
 		return nil, err
 	}
-	sr.zr = zr
 	return sr, nil
 }
 
-// newPayloadReader is NewReader over the gunzipped stream: everything the
-// Reader decodes goes through the one bufio window it builds here.
+// newPayloadReader is NewReader over the gunzipped stream.
 func newPayloadReader(payload io.Reader) (*Reader, error) {
+	sr := &Reader{}
+	return sr, sr.readHeader(payload)
+}
+
+// readHeader parses the table header off the payload: everything the Reader
+// decodes goes through the one bufio window built here.
+func (r *Reader) readHeader(payload io.Reader) error {
 	br := bufio.NewReader(payload)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("store: header: %w", err)
+		return fmt.Errorf("store: header: %w", err)
 	}
 	if string(head) != magic {
-		return nil, fmt.Errorf("store: bad magic %q", head)
+		return fmt.Errorf("store: bad magic %q", head)
 	}
 	ver, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ver != version && ver != versionStrings {
-		return nil, fmt.Errorf("store: unsupported version %d", ver)
+		return fmt.Errorf("store: unsupported version %d", ver)
 	}
 	codecByte, err := br.ReadByte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	codec := Codec(codecByte)
 	if codec >= numCodecs {
-		return nil, fmt.Errorf("store: unknown codec %d", codec)
+		return fmt.Errorf("store: unknown codec %d", codec)
 	}
 	nCols, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nRows, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	const maxCols, maxRows = 1 << 16, 1 << 32
 	if nCols > maxCols || nRows > maxRows {
-		return nil, fmt.Errorf("store: implausible dimensions %d x %d", nCols, nRows)
+		return fmt.Errorf("store: implausible dimensions %d x %d", nCols, nRows)
 	}
-	return &Reader{br: br, codec: codec, nCols: int(nCols), nRows: int(nRows)}, nil
+	r.br, r.codec, r.nCols, r.nRows = br, codec, int(nCols), int(nRows)
+	return nil
 }
 
 // NumCols returns the column count declared in the header.
@@ -114,11 +180,26 @@ func (r *Reader) Next() (ColumnInfo, error) {
 	if r.read >= r.nCols {
 		return ColumnInfo{}, io.EOF
 	}
+	if r.seek != nil {
+		r.cur = r.dir.cols[r.read].ColumnInfo
+	} else {
+		info, err := r.columnHeader()
+		if err != nil {
+			return ColumnInfo{}, err
+		}
+		r.cur = info
+	}
+	r.pending = true
+	return r.cur, nil
+}
+
+// columnHeader reads the name and kind that open a column's section.
+func (r *Reader) columnHeader() (ColumnInfo, error) {
 	nameLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		return ColumnInfo{}, fmt.Errorf("store: column %d header: %w", r.read, err)
 	}
-	if nameLen > 4096 {
+	if nameLen > maxNameLen {
 		return ColumnInfo{}, fmt.Errorf("store: column name too long")
 	}
 	name := make([]byte, nameLen)
@@ -134,15 +215,94 @@ func (r *Reader) Next() (ColumnInfo, error) {
 	default:
 		return ColumnInfo{}, fmt.Errorf("store: unknown column kind %d", kind)
 	}
-	r.cur = ColumnInfo{Name: string(name), Int: kind == colInt, Str: kind == colStr}
-	r.pending = true
-	return r.cur, nil
+	return ColumnInfo{Name: string(name), Int: kind == colInt, Str: kind == colStr}, nil
+}
+
+// position is the file offset of the next compressed byte.
+func (r *Reader) position() int64 { return r.file.n - int64(r.raw.Buffered()) }
+
+// begin readies the pending column's values for decoding. In the member
+// layout that opens the column's member, which has to start with the column
+// the directory announced.
+func (r *Reader) begin() error {
+	if !r.pending {
+		return fmt.Errorf("store: no column pending: call Next first")
+	}
+	if r.seek == nil {
+		return nil
+	}
+	err := r.zr.Reset(r.raw)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return fmt.Errorf("store: column %q: gzip: %w", r.cur.Name, err)
+	}
+	r.zr.Multistream(false)
+	r.br.Reset(r.zr)
+	info, err := r.columnHeader()
+	if err != nil {
+		return err
+	}
+	if info != r.cur {
+		return fmt.Errorf("store: column %q: its member holds %+v, the directory says %+v", r.cur.Name, info, r.cur)
+	}
+	return nil
+}
+
+// end consumes the pending column once its values are decoded, and checks
+// what that makes checkable: the column's member (and that it is as long as
+// the directory says), or — streaming, after the last column — the whole
+// stream.
+func (r *Reader) end() error {
+	r.pending = false
+	r.read++
+	var err error
+	switch {
+	case r.seek != nil:
+		var at int64
+		want := r.next + r.dir.cols[r.read-1].size
+		if at, err = r.endMember(); err == nil && at != want {
+			err = fmt.Errorf("member ends at byte %d, the directory says %d", at, want)
+		}
+		r.next = want
+	case r.read == r.nCols:
+		err = r.payloadEnd()
+	}
+	if err != nil {
+		return fmt.Errorf("store: column %q: %w", r.cur.Name, err)
+	}
+	return nil
+}
+
+// payloadEnd requires the payload under br to end here. Reading that end is
+// what makes gzip hold the bytes it inflated to the CRC-32 and length in the
+// trailer.
+func (r *Reader) payloadEnd() error {
+	switch _, err := r.br.ReadByte(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("payload continues past its last value")
+	default:
+		return err
+	}
+}
+
+// endMember closes the member just read — its payload ends here and its
+// trailer holds — and returns the file offset the next member starts at.
+func (r *Reader) endMember() (int64, error) {
+	if err := r.payloadEnd(); err != nil {
+		return 0, err
+	}
+	membersVerified.Add(1)
+	return r.position(), nil
 }
 
 // Column decodes the values of the column last announced by Next.
 func (r *Reader) Column() (*Column, error) {
-	if !r.pending {
-		return nil, fmt.Errorf("store: Column without Next")
+	if err := r.begin(); err != nil {
+		return nil, err
 	}
 	col := Column{Name: r.cur.Name}
 	var err error
@@ -157,23 +317,38 @@ func (r *Reader) Column() (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.pending = false
-	r.read++
-	return &col, nil
+	return &col, r.end()
 }
 
 // Skip discards the values of the column last announced by Next without
-// retaining them.
+// retaining them: in the member layout by moving past the column's member,
+// undecoded and unverified; streaming, by walking its bytes.
 func (r *Reader) Skip() error {
 	if !r.pending {
-		return fmt.Errorf("store: Skip without Next")
+		return fmt.Errorf("store: no column pending: call Next first")
+	}
+	if r.seek != nil {
+		size := r.dir.cols[r.read].size
+		r.next += size
+		if size <= int64(r.raw.Buffered()) {
+			_, _ = r.raw.Discard(int(size)) // cannot fail
+		} else {
+			if _, err := r.seek.Seek(r.next-r.file.n, io.SeekCurrent); err != nil {
+				return fmt.Errorf("store: column %q: %w", r.cur.Name, err)
+			}
+			r.file.n = r.next
+			r.raw.Reset(&r.file)
+		}
+		r.pending = false
+		r.read++
+		membersSkipped.Add(1)
+		return nil
 	}
 	var err error
 	switch {
 	case r.codec == CodecGorilla:
 		// Every gorilla column payload is length-prefixed: one uvarint and
-		// one Discard, no varint walk. This is what makes column-selective
-		// reads cheap under the new codec.
+		// one Discard, no varint walk.
 		bound := gorillaPayloadBound(r.nRows)
 		if r.cur.Str {
 			bound = uint64(r.nRows)*(maxStrLen+binary.MaxVarintLen64) + 16
@@ -212,9 +387,7 @@ func (r *Reader) Skip() error {
 			return fmt.Errorf("store: column %q: %w", r.cur.Name, err)
 		}
 	}
-	r.pending = false
-	r.read++
-	return nil
+	return r.end()
 }
 
 // maxPreallocRows bounds the rows allocated up front when decoding a
@@ -476,11 +649,12 @@ type DayMeta struct {
 	TimeSorted bool
 }
 
-// DayMeta scans the partition for the given day and returns its metadata.
-// timeCols lists candidate time-column names in priority order; empty
-// defaults to "timestamp". Only the matched time column is decoded — every
-// other column is skipped, so the scan allocates O(rows) once instead of
-// O(rows x cols).
+// DayMeta returns the metadata of the partition for the given day. timeCols
+// lists the candidate time-column names; empty defaults to "timestamp". The
+// partition's time column is the first integer column, in file order, that
+// is one of them. A partition with a directory answers from it — a read of
+// the file's first bytes, nothing inflated but the header. One without is
+// scanned: only the time column is decoded, every other column skipped.
 func (d *Dataset) DayMeta(day int, timeCols ...string) (DayMeta, error) {
 	if len(timeCols) == 0 {
 		timeCols = []string{"timestamp"}
@@ -508,6 +682,18 @@ func readDayMeta(r io.Reader, day int, timeCols []string) (DayMeta, error) {
 		isTime[n] = true
 	}
 	meta := DayMeta{Day: day, Rows: sr.NumRows()}
+	if sr.dir != nil {
+		partitionsIndexed.Add(1)
+		for _, c := range sr.dir.cols {
+			meta.Columns = append(meta.Columns, c.ColumnInfo)
+			if meta.TimeColumn == "" && c.Int && isTime[c.Name] {
+				meta.TimeColumn, meta.TimeSorted = c.Name, c.sorted
+				meta.HasTime, meta.MinTime, meta.MaxTime = meta.Rows > 0, c.min, c.max
+			}
+		}
+		return meta, nil
+	}
+	partitionsStreamed.Add(1)
 	for {
 		info, err := sr.Next()
 		if err == io.EOF {
@@ -517,30 +703,14 @@ func readDayMeta(r io.Reader, day int, timeCols []string) (DayMeta, error) {
 			return DayMeta{}, err
 		}
 		meta.Columns = append(meta.Columns, info)
-		if !meta.HasTime && info.Int && isTime[info.Name] {
+		if meta.TimeColumn == "" && info.Int && isTime[info.Name] {
 			col, err := sr.Column()
 			if err != nil {
 				return DayMeta{}, err
 			}
 			meta.TimeColumn = info.Name
-			meta.TimeSorted = true
-			if len(col.Ints) > 0 {
-				meta.HasTime = true
-				meta.MinTime, meta.MaxTime = col.Ints[0], col.Ints[0]
-				prev := col.Ints[0]
-				for _, t := range col.Ints[1:] {
-					if t < meta.MinTime {
-						meta.MinTime = t
-					}
-					if t > meta.MaxTime {
-						meta.MaxTime = t
-					}
-					if t < prev {
-						meta.TimeSorted = false
-					}
-					prev = t
-				}
-			}
+			meta.MinTime, meta.MaxTime, meta.TimeSorted = intStats(col.Ints)
+			meta.HasTime = len(col.Ints) > 0
 			continue
 		}
 		if err := sr.Skip(); err != nil {
@@ -548,6 +718,26 @@ func readDayMeta(r io.Reader, day int, timeCols []string) (DayMeta, error) {
 		}
 	}
 	return meta, nil
+}
+
+// Counters says how partitions have been read since the process started.
+type Counters struct {
+	PartitionsIndexed  int64 // DayMeta answered from a directory
+	PartitionsStreamed int64 // DayMeta that scanned the partition
+	MembersSkipped     int64 // columns stepped over by a seek
+	MembersVerified    int64 // gzip members read to their trailer, CRC-32 and length checked
+}
+
+var partitionsIndexed, partitionsStreamed, membersSkipped, membersVerified atomic.Int64
+
+// Stats returns the process-wide read counters.
+func Stats() Counters {
+	return Counters{
+		PartitionsIndexed:  partitionsIndexed.Load(),
+		PartitionsStreamed: partitionsStreamed.Load(),
+		MembersSkipped:     membersSkipped.Load(),
+		MembersVerified:    membersVerified.Load(),
+	}
 }
 
 // ReadDayColumns loads only the named columns of a day partition (nil loads

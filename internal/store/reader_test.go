@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func metaTable() *Table {
@@ -346,10 +347,21 @@ func TestRowCountBeyondPreallocCap(t *testing.T) {
 		}
 	}
 
-	// The same stream cut short still claims n rows in its header.
-	for _, names := range [][]string{{"i"}, {"f"}} {
-		if _, err := ReadColumns(bytes.NewReader(buf.Bytes()[:buf.Len()/4]), names); err == nil {
-			t.Errorf("truncated %v column of a %d-row claim decoded without error", names, n)
+	// The same file cut short inside a column's member still claims n rows in
+	// its header and its directory, seeking or streaming.
+	sr, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := sr.next
+	for _, c := range sr.dir.cols {
+		short := buf.Bytes()[:cut+c.size/2]
+		cut += c.size
+		if _, err := ReadColumns(bytes.NewReader(short), []string{c.Name}); err == nil {
+			t.Errorf("truncated %q column of a %d-row claim decoded without error", c.Name, n)
+		}
+		if _, err := ReadColumns(iotest.HalfReader(bytes.NewReader(short)), []string{c.Name}); err == nil {
+			t.Errorf("truncated %q column of a %d-row claim streamed without error", c.Name, n)
 		}
 	}
 }

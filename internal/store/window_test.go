@@ -44,9 +44,7 @@ func refColumn(r *Reader) (*Column, error) {
 			col.Floats = append(col.Floats, math.Float64frombits(fprev))
 		}
 	}
-	r.pending = false
-	r.read++
-	return &col, nil
+	return &col, r.end()
 }
 
 // decodePayload decodes every column of a gunzipped partition read through
@@ -127,6 +125,22 @@ func windowTable() *Table {
 	}}
 }
 
+// headRows cuts tab down to its first rows rows.
+func headRows(tab *Table, rows int) *Table {
+	for i := range tab.Cols {
+		c := &tab.Cols[i]
+		switch {
+		case c.IsInt():
+			c.Ints = c.Ints[:rows]
+		case c.IsStr():
+			c.Strs = c.Strs[:rows]
+		default:
+			c.Floats = c.Floats[:rows]
+		}
+	}
+	return tab
+}
+
 func gunzipped(t testing.TB, enc []byte) []byte {
 	t.Helper()
 	zr, err := gzip.NewReader(bytes.NewReader(enc))
@@ -147,17 +161,7 @@ func deltaPayloads(t testing.TB, rows int) map[string][]byte {
 	t.Helper()
 	tab := windowTable()
 	if rows > 0 {
-		for i := range tab.Cols {
-			c := &tab.Cols[i]
-			switch {
-			case c.IsInt():
-				c.Ints = c.Ints[:rows]
-			case c.IsStr():
-				c.Strs = c.Strs[:rows]
-			default:
-				c.Floats = c.Floats[:rows]
-			}
-		}
+		tab = headRows(tab, rows)
 	}
 	out := map[string][]byte{}
 	for _, codec := range []Codec{CodecDelta, CodecDeltaFast} {
