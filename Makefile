@@ -37,10 +37,12 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# stream-check gates the live streaming-analysis plane: the batch/stream
-# parity test plus the full internal/stream suite under the race detector
+# stream-check gates the live streaming-analysis plane: core's online
+# operators against their reference batch loops, the batch/stream parity
+# test, then the full internal/stream suite under the race detector
 # (backpressure, stalled-consumer shedding, graceful shutdown).
 stream-check:
+	$(GO) test -race -run 'TestOperatorsMatchReferences|TestEdgeDetectorResolvesDurationsLate' ./internal/core
 	$(GO) test -race -run TestBatchStreamParity ./internal/stream
 	$(GO) test -race ./internal/stream
 

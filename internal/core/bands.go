@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 	"repro/internal/tsagg"
@@ -49,16 +50,55 @@ type BandSummary struct {
 }
 
 // thermalBandsFrom reduces the per-window band counts to the §2 dashboard
-// view; total GPUs is nodes × GPUs per node.
+// view by folding them, window by window, through a BandOccupancy; a band
+// series shorter than the others reads as NaN past its end.
 func thermalBandsFrom(bands [NumTempBands]*tsagg.Series, nodes int) ([]BandSummary, error) {
 	if bands[0] == nil {
 		return nil, fmt.Errorf("core: run data has no band series")
 	}
+	windows := 0
+	for _, s := range bands {
+		windows = max(windows, s.Len())
+	}
+	var occ BandOccupancy
+	for i := 0; i < windows; i++ {
+		var counts [NumTempBands]float64
+		for b, s := range bands {
+			counts[b] = math.NaN()
+			if i < s.Len() {
+				counts[b] = s.Vals[i]
+			}
+		}
+		occ.Add(counts)
+	}
+	return occ.Summary(nodes), nil
+}
+
+// BandOccupancy is the §2 band-occupancy analysis as an online operator:
+// it folds one window's GPU count per band at a time, in window order, and
+// Summary reduces what it has seen to the run-long occupancy.
+type BandOccupancy struct {
+	acc [NumTempBands]stats.Moments
+}
+
+// Add folds one window's GPU count per band. A NaN count, a window the
+// band's series does not carry, leaves that band untouched.
+//
+//lint:detroot
+func (o *BandOccupancy) Add(counts [NumTempBands]float64) {
+	for b, v := range counts {
+		if !math.IsNaN(v) {
+			o.acc[b].Add(v)
+		}
+	}
+}
+
+// Summary reduces the windows folded so far; shares are of nodes × GPUs
+// per node.
+func (o *BandOccupancy) Summary(nodes int) []BandSummary {
 	totalGPUs := float64(nodes * units.GPUsPerNode)
 	out := make([]BandSummary, NumTempBands)
-	for b := 0; b < NumTempBands; b++ {
-		vals := bands[b].Clean()
-		m := stats.Summarize(vals)
+	for b, m := range o.acc {
 		out[b] = BandSummary{
 			Band:     b,
 			Label:    TempBandLabel(b),
@@ -69,5 +109,5 @@ func thermalBandsFrom(bands [NumTempBands]*tsagg.Series, nodes int) ([]BandSumma
 			out[b].MeanShare = m.Mean() / totalGPUs
 		}
 	}
-	return out, nil
+	return out
 }

@@ -51,48 +51,156 @@ func EarlyWarning(evs []failures.Event, precursor, outcome failures.Type,
 	if precursor == outcome {
 		return nil, fmt.Errorf("core: precursor equals outcome")
 	}
-	// Index outcome events per GPU, time-sorted.
-	type gpuKey struct {
-		node int
-		slot int
+	w := &EarlyWarningMonitor{windowSec: windowSec, pairs: []precursorPair{newPrecursorPair(precursor, outcome)}}
+	w.Observe(evs)
+	st := w.pairs[0].stats(windowSec, gpuWindows)
+	return &st, nil
+}
+
+// earlyWarningPairs evaluates the paper's precursor→outcome pairs over a
+// failure log, deriving the observation denominator from the run span and
+// system size.
+func earlyWarningPairs(evs []failures.Event, nodes int, spanSec, windowSec int64) []PrecursorStats {
+	w := NewEarlyWarningMonitor(windowSec)
+	w.Observe(evs)
+	return w.Summary(nodes, spanSec)
+}
+
+// EarlyWarningMonitor is the §6.1 analysis as an online operator over a
+// failure feed, for the paper's pairs: the headline microcontroller
+// warning → driver error-handling exception, plus the double-bit-error
+// retirement chain, where one type is the outcome of one pair and the
+// precursor of the next. Each precursor is followed by the first outcome
+// at or after it on the same GPU, ties included: an outcome logged in the
+// same second as its precursor follows it with lead 0 whichever of the two
+// arrives first. Events must arrive in non-decreasing time order per GPU.
+type EarlyWarningMonitor struct {
+	windowSec int64
+	pairs     []precursorPair
+}
+
+// NewEarlyWarningMonitor returns a monitor with the given horizon
+// (<= 0: one hour).
+func NewEarlyWarningMonitor(windowSec int64) *EarlyWarningMonitor {
+	if windowSec <= 0 {
+		windowSec = units.SecondsPerHour
 	}
-	outcomes := map[gpuKey][]int64{}
-	outcomeCount := 0
-	var precursors []failures.Event
-	for _, e := range evs {
-		k := gpuKey{int(e.Node), int(e.Slot)}
-		switch e.Type {
-		case outcome:
-			outcomes[k] = append(outcomes[k], e.Time)
-			outcomeCount++
-		case precursor:
-			precursors = append(precursors, e)
+	return &EarlyWarningMonitor{windowSec: windowSec, pairs: []precursorPair{
+		newPrecursorPair(failures.MicrocontrollerWarning, failures.DriverErrorHandling),
+		newPrecursorPair(failures.DoubleBitError, failures.PageRetirementEvent),
+		newPrecursorPair(failures.PageRetirementEvent, failures.PageRetirementFailure),
+	}}
+}
+
+// Observe feeds a batch of failure events, stably sorted by time first so
+// that same-second events keep their log order.
+//
+//lint:detroot
+func (w *EarlyWarningMonitor) Observe(evs []failures.Event) {
+	ordered := append([]failures.Event(nil), evs...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Time < ordered[j].Time })
+	for i := range ordered {
+		for j := range w.pairs {
+			w.pairs[j].observe(&ordered[i], w.windowSec)
 		}
 	}
-	for k := range outcomes {
-		sort.Slice(outcomes[k], func(a, b int) bool { return outcomes[k][a] < outcomes[k][b] })
+}
+
+// Summary reduces the events observed so far over a span of spanSec on
+// nodes nodes: the base rate's denominator is every GPU's horizon-length
+// windows in the span.
+func (w *EarlyWarningMonitor) Summary(nodes int, spanSec int64) []PrecursorStats {
+	gpuWindows := float64(nodes*units.GPUsPerNode) * float64(spanSec) / float64(w.windowSec)
+	out := make([]PrecursorStats, len(w.pairs))
+	for i := range w.pairs {
+		out[i] = w.pairs[i].stats(w.windowSec, gpuWindows)
 	}
-	st := &PrecursorStats{
-		Precursor: precursor, Outcome: outcome,
-		WindowSec: windowSec, Precursors: len(precursors),
+	return out
+}
+
+// gpuKey names one GPU of the failure log.
+type gpuKey struct {
+	node int
+	slot int
+}
+
+// precursorPair is the matching state of one (precursor, outcome) pair.
+type precursorPair struct {
+	precursor, outcome failures.Type
+
+	precursors int
+	followed   int
+	outcomes   int     // all outcome events (base-rate numerator)
+	leads      []int64 // lead times of followed precursors, arrival order
+	// pending holds unmatched precursor times per GPU, ascending.
+	pending map[gpuKey][]int64
+	// lastOutcome is each GPU's newest outcome time: a precursor in that
+	// same second is followed at once.
+	lastOutcome map[gpuKey]int64
+}
+
+func newPrecursorPair(precursor, outcome failures.Type) precursorPair {
+	return precursorPair{
+		precursor:   precursor,
+		outcome:     outcome,
+		pending:     map[gpuKey][]int64{},
+		lastOutcome: map[gpuKey]int64{},
 	}
-	if len(precursors) == 0 {
-		return st, nil
-	}
-	var leads []int64
-	for _, p := range precursors {
-		k := gpuKey{int(p.Node), int(p.Slot)}
-		times := outcomes[k]
-		// First outcome at or after the precursor within the window.
-		i := sort.Search(len(times), func(i int) bool { return times[i] >= p.Time })
-		if i < len(times) && times[i]-p.Time <= windowSec {
-			st.Followed++
-			leads = append(leads, times[i]-p.Time)
+}
+
+func (p *precursorPair) observe(e *failures.Event, windowSec int64) {
+	k := gpuKey{int(e.Node), int(e.Slot)}
+	switch e.Type {
+	case p.outcome:
+		p.outcomes++
+		p.lastOutcome[k] = e.Time
+		// The first outcome at or after every pending precursor on this
+		// GPU.
+		for _, pt := range p.pending[k] {
+			p.follow(e.Time-pt, windowSec)
 		}
+		delete(p.pending, k)
+	case p.precursor:
+		p.precursors++
+		if last, ok := p.lastOutcome[k]; ok && last == e.Time {
+			p.follow(0, windowSec)
+			return
+		}
+		// Expire horizons that can no longer be met to bound memory;
+		// correctness does not depend on it (expired entries would fail
+		// the horizon check anyway).
+		pend := p.pending[k]
+		keep := pend[:0]
+		for _, pt := range pend {
+			if e.Time-pt <= windowSec {
+				keep = append(keep, pt)
+			}
+		}
+		p.pending[k] = append(keep, e.Time)
 	}
-	st.HitRate = float64(st.Followed) / float64(st.Precursors)
+}
+
+// follow counts a precursor whose first outcome came lead seconds later,
+// if that is within the horizon.
+func (p *precursorPair) follow(lead, windowSec int64) {
+	if lead <= windowSec {
+		p.followed++
+		p.leads = append(p.leads, lead)
+	}
+}
+
+func (p *precursorPair) stats(windowSec int64, gpuWindows float64) PrecursorStats {
+	st := PrecursorStats{
+		Precursor: p.precursor, Outcome: p.outcome,
+		WindowSec: windowSec, Precursors: p.precursors,
+	}
+	if p.precursors == 0 {
+		return st
+	}
+	st.Followed = p.followed
+	st.HitRate = float64(p.followed) / float64(p.precursors)
 	if gpuWindows > 0 {
-		st.BaseRate = float64(outcomeCount) / gpuWindows
+		st.BaseRate = float64(p.outcomes) / gpuWindows
 		if st.BaseRate > 1 {
 			st.BaseRate = 1
 		}
@@ -100,34 +208,10 @@ func EarlyWarning(evs []failures.Event, precursor, outcome failures.Type,
 	if st.BaseRate > 0 {
 		st.Lift = st.HitRate / st.BaseRate
 	}
-	if len(leads) > 0 {
+	if len(p.leads) > 0 {
+		leads := append([]int64(nil), p.leads...)
 		sort.Slice(leads, func(a, b int) bool { return leads[a] < leads[b] })
 		st.MedianLeadSec = leads[len(leads)/2]
 	}
-	return st, nil
-}
-
-// earlyWarningPairs evaluates the paper's precursor→outcome pairs — the
-// headline microcontroller warning → driver error-handling exception, plus
-// the double-bit-error retirement chain — over a failure log, deriving the
-// observation denominator from the run span and system size.
-func earlyWarningPairs(evs []failures.Event, nodes int, spanSec, windowSec int64) ([]PrecursorStats, error) {
-	if windowSec <= 0 {
-		windowSec = 3600
-	}
-	gpuWindows := float64(nodes*units.GPUsPerNode) * float64(spanSec) / float64(windowSec)
-	pairs := [][2]failures.Type{
-		{failures.MicrocontrollerWarning, failures.DriverErrorHandling},
-		{failures.DoubleBitError, failures.PageRetirementEvent},
-		{failures.PageRetirementEvent, failures.PageRetirementFailure},
-	}
-	var out []PrecursorStats
-	for _, pr := range pairs {
-		st, err := EarlyWarning(evs, pr[0], pr[1], windowSec, gpuWindows)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *st)
-	}
-	return out, nil
+	return st
 }

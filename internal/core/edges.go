@@ -38,94 +38,133 @@ func DetectEdges(s *tsagg.Series, nodes int) []Edge {
 // DetectEdgesThreshold is DetectEdges with an explicit absolute threshold
 // in watts, used by the cluster-level snapshot analyses whose amplitude
 // classes are defined in (scale-equivalent) megawatts rather than per-node
-// terms.
+// terms. It runs an EdgeDetector over the finished series.
 func DetectEdgesThreshold(s *tsagg.Series, threshold float64) []Edge {
 	if s == nil || s.Len() < 2 || threshold <= 0 {
 		return nil
 	}
+	var found []*Edge
+	d := NewEdgeDetector(threshold, func(e *Edge) { found = append(found, e) })
+	for i, v := range s.Vals {
+		d.Push(s.TimeAt(i), v)
+	}
+	d.Flush()
 	var edges []Edge
-	i := 1
-	for i < s.Len() {
-		prev, cur := s.Vals[i-1], s.Vals[i]
-		if math.IsNaN(prev) || math.IsNaN(cur) {
-			i++
-			continue
-		}
-		d := cur - prev
-		if math.Abs(d) < threshold {
-			i++
-			continue
-		}
-		rising := d > 0
-		start := i - 1
-		amp := d
-		// Merge subsequent same-direction crossings.
-		j := i + 1
-		for j < s.Len() && !math.IsNaN(s.Vals[j]) {
-			dj := s.Vals[j] - s.Vals[j-1]
-			if math.Abs(dj) < threshold || (dj > 0) != rising {
-				break
-			}
-			amp += dj
-			j++
-		}
-		e := Edge{
-			StartIdx:   start,
-			EndIdx:     j - 1,
-			T:          s.TimeAt(j - 1),
-			Rising:     rising,
-			AmplitudeW: amp,
-		}
-		e.DurationSec = edgeDuration(s, e)
-		edges = append(edges, e)
-		i = j
+	for _, e := range found {
+		edges = append(edges, *e)
 	}
 	return edges
 }
 
-// edgeDuration implements the paper's duration definition for an edge:
-// follow the series past the edge, find the extreme (peak for rising,
-// trough for falling), and report the time from the edge start until the
-// value has come back 80 % of the way from that extreme toward the
-// pre-edge level. Returns -1 when the series ends before the return.
-func edgeDuration(s *tsagg.Series, e Edge) int64 {
-	base := s.Vals[e.StartIdx]
-	extreme := s.Vals[e.EndIdx]
-	for k := e.EndIdx; k < s.Len(); k++ {
-		v := s.Vals[k]
-		if math.IsNaN(v) {
-			continue
-		}
-		if e.Rising && v > extreme {
-			extreme = v
-		}
-		if !e.Rising && v < extreme {
-			extreme = v
-		}
-		// Return threshold recomputed against the running extreme.
-		ret := extreme - 0.8*(extreme-base)
-		if (e.Rising && v <= ret) || (!e.Rising && v >= ret) {
-			return s.TimeAt(k) - s.TimeAt(e.StartIdx)
-		}
-	}
-	return -1
+// EdgeDetector is the §4.2 edge analysis as an online operator: values of
+// a regular series arrive one at a time (NaN for missing windows) and
+// completed edges come out incrementally. A change of at least the
+// threshold over one step opens an edge, consecutive same-direction
+// crossings merge into it, and a NaN or any other step closes it — a
+// breaking step of at least the threshold opening the next edge. The
+// paper's duration — from the edge start until power has come back 80 % of
+// the way from its running extreme (peak for rising, trough for falling)
+// toward the pre-edge level — is resolved retroactively as later values
+// arrive, including values inside later edges.
+type EdgeDetector struct {
+	threshold float64
+	emit      func(*Edge)
+	idx       int     // index of the next value
+	prev      float64 // previous value; NaN before the first
+	prevT     int64
+	open      *durState   // the edge still merging; nil when none
+	pending   []*durState // emitted edges whose duration is unresolved
 }
 
-// FilterEdges returns the subset of edges matching rising and, when
-// minAmpW > 0, with |amplitude| >= minAmpW.
-func FilterEdges(edges []Edge, rising bool, minAmpW float64) []Edge {
-	var out []Edge
-	for _, e := range edges {
-		if e.Rising != rising {
-			continue
-		}
-		if minAmpW > 0 && math.Abs(e.AmplitudeW) < minAmpW {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
+// durState is one edge and the scan for its 80 %-return duration.
+type durState struct {
+	edge    *Edge
+	base    float64 // pre-edge level
+	extreme float64 // running peak (rising) or trough (falling)
+	startT  int64   // timestamp of the edge start
 }
+
+// NewEdgeDetector returns a detector with the given absolute threshold in
+// watts. Completed edges are handed to emit exactly once; their
+// DurationSec may still be -1 at that point and is filled in on the same
+// Edge when the series returns 80 % of the way to the pre-edge level.
+func NewEdgeDetector(threshold float64, emit func(*Edge)) *EdgeDetector {
+	if emit == nil {
+		panic("core: nil edge emit callback")
+	}
+	return &EdgeDetector{threshold: threshold, emit: emit, prev: math.NaN()}
+}
+
+// Threshold returns the detector's absolute threshold in watts.
+func (d *EdgeDetector) Threshold() float64 { return d.threshold }
+
+// Push feeds the next series value. t must advance by one series step per
+// call; v may be NaN for a missing window.
+//
+//lint:detroot
+func (d *EdgeDetector) Push(t int64, v float64) {
+	delta := v - d.prev // NaN across a missing value and before the first
+	if o := d.open; o != nil && math.Abs(delta) >= d.threshold && (delta > 0) == o.edge.Rising {
+		o.edge.AmplitudeW += delta
+		o.edge.EndIdx, o.edge.T = d.idx, t
+	} else {
+		d.closeEdge()
+		if math.Abs(delta) >= d.threshold {
+			d.open = &durState{
+				edge: &Edge{StartIdx: d.idx - 1, EndIdx: d.idx, T: t, Rising: delta > 0,
+					AmplitudeW: delta, DurationSec: -1},
+				base:   d.prev,
+				startT: d.prevT,
+			}
+		}
+	}
+	d.feedDurations(t, v)
+	d.idx++
+	d.prev, d.prevT = v, t
+}
+
+// closeEdge emits the merging edge, if any, and starts its duration scan
+// from its last value, d.prev.
+func (d *EdgeDetector) closeEdge() {
+	if o := d.open; o != nil {
+		d.open = nil
+		o.extreme = d.prev
+		d.emit(o.edge)
+		d.pending = append(d.pending, o)
+	}
+}
+
+// feedDurations advances every unresolved duration scan with value v at
+// time t.
+func (d *EdgeDetector) feedDurations(t int64, v float64) {
+	if len(d.pending) == 0 || math.IsNaN(v) {
+		return
+	}
+	keep := d.pending[:0]
+	for _, ds := range d.pending {
+		e := ds.edge
+		if e.Rising && v > ds.extreme {
+			ds.extreme = v
+		}
+		if !e.Rising && v < ds.extreme {
+			ds.extreme = v
+		}
+		// Return threshold recomputed against the running extreme.
+		ret := ds.extreme - 0.8*(ds.extreme-ds.base)
+		if (e.Rising && v <= ret) || (!e.Rising && v >= ret) {
+			e.DurationSec = t - ds.startT
+			continue
+		}
+		keep = append(keep, ds)
+	}
+	d.pending = keep
+}
+
+// Flush emits an edge still merging at series end, its run ending at the
+// last value. Unreturned durations stay -1. Afterwards the detector is
+// usable only for duration resolution; callers invoke it once when the
+// series ends.
+func (d *EdgeDetector) Flush() { d.closeEdge() }
 
 // BinEdges groups edges of the requested direction into amplitude bins of
 // the given width in watts; bin k holds |amplitude| in [k·w, (k+1)·w).

@@ -116,23 +116,6 @@ func TestEdgeDurationFalling(t *testing.T) {
 	}
 }
 
-func TestFilterEdges(t *testing.T) {
-	edges := []Edge{
-		{Rising: true, AmplitudeW: 1e6},
-		{Rising: true, AmplitudeW: 3e6},
-		{Rising: false, AmplitudeW: -5e6},
-	}
-	if got := FilterEdges(edges, true, 0); len(got) != 2 {
-		t.Errorf("rising filter = %d", len(got))
-	}
-	if got := FilterEdges(edges, true, 2e6); len(got) != 1 {
-		t.Errorf("amplitude filter = %d", len(got))
-	}
-	if got := FilterEdges(edges, false, 4e6); len(got) != 1 {
-		t.Errorf("falling amplitude filter = %d", len(got))
-	}
-}
-
 func TestBinEdgesByMW(t *testing.T) {
 	edges := []Edge{
 		{Rising: true, AmplitudeW: 1.5e6},

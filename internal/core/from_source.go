@@ -125,7 +125,7 @@ func EarlyWarningFromSource(src source.RunSource, windowSec int64) ([]PrecursorS
 	if err != nil {
 		return nil, err
 	}
-	return earlyWarningPairs(evs, meta.Nodes, meta.SpanSec(), windowSec)
+	return earlyWarningPairs(evs, meta.Nodes, meta.SpanSec(), windowSec), nil
 }
 
 // OvercoolingFromSource computes the §5 overcooling report.

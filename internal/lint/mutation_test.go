@@ -65,6 +65,12 @@ func mutations() []mutation {
 		mutation{name: "clock in core.DetectEdgesThreshold", pkg: "repro/internal/core", file: "edges.go", imp: "time",
 			with: []string{"repro/internal/whatif"}, want: "determinism", wantMsg: "time.Now reads the wall clock"}.
 			after("func DetectEdgesThreshold(s *tsagg.Series, threshold float64) []Edge {", probeClock),
+		// The online edge operator: the sweep, its own root and the live
+		// plane's Edges.Apply root all reach it; still one diagnostic. stats
+		// is loaded so that stream's allocfree path has no unknown callee.
+		mutation{name: "clock in core.(*EdgeDetector).Push", pkg: "repro/internal/core", file: "edges.go", imp: "time",
+			with: []string{"repro/internal/stream", "repro/internal/stats"}, want: "determinism", wantMsg: "time.Now reads the wall clock"}.
+			after("func (d *EdgeDetector) Push(t int64, v float64) {", probeClock),
 		mutation{name: "clock in source.WriteArchive", pkg: "repro/internal/source", file: "layout.go", imp: "time",
 			want: "determinism", wantMsg: "time.Now reads the wall clock"}.
 			after("func WriteArchive(dir string, src RunSource) error {", probeClock),

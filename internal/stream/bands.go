@@ -2,26 +2,21 @@ package stream
 
 import (
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/units"
 )
 
-// Bands maintains the rolling thermal-band classification (paper §2): the
-// per-window histogram of GPU core-temperature channels over the five
-// bands, plus the run-long occupancy summary. Accumulation order matches
-// the offline reduction (window order through stats.Moments), so the
-// summary is bit-identical to core.ThermalBandsFromSource over the same
-// windows.
+// Bands runs the §2 band-occupancy analysis, core.BandOccupancy, over each
+// frame's per-band GPU counts and keeps the latest window's histogram.
 type Bands struct {
-	totalGPUs float64
-	acc       [core.NumTempBands]stats.Moments
-	cur       [core.NumTempBands]float64
-	curT      int64
-	windows   int64
+	occ     core.BandOccupancy
+	nodes   int
+	cur     [core.NumTempBands]float64
+	curT    int64
+	windows int64
 }
 
 func newBands(cfg Config) *Bands {
-	return &Bands{totalGPUs: float64(cfg.Nodes * units.GPUsPerNode), curT: -1}
+	return &Bands{nodes: cfg.Nodes, curT: -1}
 }
 
 // Name implements Operator.
@@ -33,11 +28,10 @@ func (b *Bands) Name() string { return "bands" }
 //
 //lint:detroot
 func (b *Bands) Apply(f *Frame) {
-	for i := 0; i < core.NumTempBands; i++ {
-		v := float64(f.BandGPUs[i])
-		b.acc[i].Add(v)
-		b.cur[i] = v
+	for i, n := range f.BandGPUs {
+		b.cur[i] = float64(n)
 	}
+	b.occ.Add(b.cur)
 	b.curT = f.Start
 	b.windows++
 }
@@ -54,27 +48,14 @@ type BandsSnapshot struct {
 	Summary   []core.BandSummary         // run-long occupancy per band
 }
 
-// snapshotLocked reduces the accumulated occupancy exactly as the offline
-// thermalBandsFrom does. Caller holds the pipeline snapshot lock.
+// snapshotLocked copies the state. Caller holds the pipeline snapshot
+// lock.
 func (b *Bands) snapshotLocked() BandsSnapshot {
-	out := BandsSnapshot{
+	return BandsSnapshot{
 		T:         b.curT,
-		TotalGPUs: b.totalGPUs,
+		TotalGPUs: float64(b.nodes * units.GPUsPerNode),
 		Windows:   b.windows,
 		Current:   b.cur,
-		Summary:   make([]core.BandSummary, core.NumTempBands),
+		Summary:   b.occ.Summary(b.nodes),
 	}
-	for i := 0; i < core.NumTempBands; i++ {
-		m := b.acc[i]
-		out.Summary[i] = core.BandSummary{
-			Band:     i,
-			Label:    core.TempBandLabel(i),
-			MeanGPUs: m.Mean(),
-			MaxGPUs:  m.Max,
-		}
-		if b.totalGPUs > 0 {
-			out.Summary[i].MeanShare = m.Mean() / b.totalGPUs
-		}
-	}
-	return out
 }

@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"math"
@@ -6,30 +6,57 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/internal/tsagg"
 )
 
-// feedDetector runs the incremental detector over a complete series and
-// returns the edges in emission order, durations resolved.
-func feedDetector(s *tsagg.Series, threshold float64) []core.Edge {
-	var out []*core.Edge
-	d := NewEdgeDetector(threshold, func(e *core.Edge) { out = append(out, e) })
-	for i := 0; i < s.Len(); i++ {
-		d.Push(s.TimeAt(i), s.Vals[i])
+// liveEdges feeds s to a one-node pipeline — one input-power sample per
+// value, none for a NaN slot, which becomes a gap frame — and returns the
+// edges the live plane found, durations resolved. s must start with a
+// value: the pipeline's first frame is its first data.
+func liveEdges(t *testing.T, s *tsagg.Series, threshold float64) []core.Edge {
+	t.Helper()
+	p, err := stream.NewPipeline(stream.Config{
+		Nodes: 1, StartTime: s.Start, StepSec: s.Step, Shards: 1,
+		QueueDepth: s.Len() + 1, EdgeThresholdW: threshold, MaxEdges: s.Len(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.Flush()
-	edges := make([]core.Edge, len(out))
-	for i, e := range out {
-		edges[i] = *e
+	for i, v := range s.Vals {
+		if !math.IsNaN(v) {
+			p.Ingest([]telemetry.Sample{{Metric: telemetry.MetricInputPower, T: s.TimeAt(i), Value: v}})
+		}
 	}
+	p.Close()
+	if st := p.Snapshot().Ingest; st.Dropped != 0 || st.Late != 0 {
+		t.Fatalf("lossless feed lost data: %+v", st)
+	}
+	edges, _, _ := p.EdgesSnapshot(0)
 	return edges
 }
 
+// sameEdges compares edge lists field by field, amplitudes bit for bit.
+func sameEdges(t *testing.T, label string, got, want []core.Edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d edges, want %d\ngot  %+v\nwant %+v", label, len(got), len(want), got, want)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.StartIdx != w.StartIdx || g.EndIdx != w.EndIdx || g.T != w.T || g.Rising != w.Rising ||
+			!eqBits(g.AmplitudeW, w.AmplitudeW) || g.DurationSec != w.DurationSec {
+			t.Fatalf("%s edge %d:\ngot  %+v\nwant %+v", label, i, g, w)
+		}
+	}
+}
+
 // TestEdgeDetectorParity is the property test behind the streaming edge
-// operator: on randomized series — plateaus, ramps, spikes, NaN gaps —
-// the incremental detector reproduces core.DetectEdgesThreshold exactly:
-// same edges, same indices, same float-accumulated amplitudes, same
-// 80 %-return durations.
+// operator: on randomized series — plateaus, ramps, spikes, NaN gaps — the
+// live plane reproduces the reference batch detector exactly: same edges,
+// same indices, same float-accumulated amplitudes, same 80 %-return
+// durations.
 func TestEdgeDetectorParity(t *testing.T) {
 	r := rng.New(42)
 	const threshold = 50.0
@@ -40,7 +67,9 @@ func TestEdgeDetectorParity(t *testing.T) {
 		for i := 0; i < n; i++ {
 			switch r.IntN(10) {
 			case 0:
-				continue // leave NaN gap
+				if i > 0 {
+					continue // leave NaN gap
+				}
 			case 1, 2:
 				level += r.Uniform(-200, 200) // step
 			case 3:
@@ -48,17 +77,7 @@ func TestEdgeDetectorParity(t *testing.T) {
 			}
 			s.Vals[i] = level + r.Uniform(-5, 5)
 		}
-		want := core.DetectEdgesThreshold(s, threshold)
-		got := feedDetector(s, threshold)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d edges, want %d\ngot  %+v\nwant %+v",
-				trial, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d edge %d:\ngot  %+v\nwant %+v", trial, i, got[i], want[i])
-			}
-		}
+		sameEdges(t, "trial", liveEdges(t, s, threshold), refDetectEdges(s, threshold))
 	}
 }
 
@@ -76,16 +95,8 @@ func TestEdgeDetectorMergesAndBreaks(t *testing.T) {
 		205, 200,
 	}
 	s := &tsagg.Series{Start: 0, Step: 10, Vals: vals}
-	want := core.DetectEdgesThreshold(s, 150)
-	got := feedDetector(s, 150)
-	if len(got) != len(want) {
-		t.Fatalf("got %d edges, want %d: %+v vs %+v", len(got), len(want), got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("edge %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	got := liveEdges(t, s, 150)
+	sameEdges(t, "crafted", got, refDetectEdges(s, 150))
 	// Sanity on the scenario itself: at least one merged rising edge and
 	// one resolved duration.
 	var sawMerged, sawResolved bool
@@ -107,15 +118,9 @@ func TestEdgeDetectorMergesAndBreaks(t *testing.T) {
 // a series ending mid-edge.
 func TestEdgeDetectorFlushEmitsOpenEdge(t *testing.T) {
 	s := &tsagg.Series{Start: 0, Step: 10, Vals: []float64{100, 400, 700}}
-	want := core.DetectEdgesThreshold(s, 150)
-	got := feedDetector(s, 150)
-	if len(want) != 1 || len(got) != 1 {
-		t.Fatalf("got %d/%d edges, want 1/1", len(got), len(want))
-	}
-	if got[0] != want[0] {
-		t.Errorf("got %+v, want %+v", got[0], want[0])
-	}
-	if got[0].DurationSec != -1 {
-		t.Errorf("open edge duration = %d, want -1", got[0].DurationSec)
+	got := liveEdges(t, s, 150)
+	sameEdges(t, "open", got, refDetectEdges(s, 150))
+	if len(got) != 1 || got[0].DurationSec != -1 {
+		t.Errorf("got %+v, want one open edge with duration -1", got)
 	}
 }

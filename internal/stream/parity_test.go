@@ -2,14 +2,18 @@ package stream_test
 
 import (
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/failures"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/tsagg"
 	"repro/internal/units"
 )
 
@@ -20,8 +24,9 @@ func eqBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(
 // TestBatchStreamParity is the correctness anchor of the streaming plane:
 // one simulated run is collected offline (the batch plane) and
 // simultaneously exported as telemetry samples into a stream pipeline.
-// After Close, every streaming result must equal the offline
-// core.*FromSource analysis bit for bit — zero tolerance. The exported
+// After Close, every streaming result must equal the reference batch
+// loops of reference_test.go over the offline run's source bit for bit —
+// zero tolerance. The exported
 // per-node feed is one input-power sample and six GPU core-temperature
 // samples per observed node per window (each window's coarsened mean of a
 // single sample is that sample, exactly), so both planes see identical
@@ -149,25 +154,28 @@ func TestBatchStreamParity(t *testing.T) {
 	}
 
 	// --- Edges.
-	wantEdges, err := core.EdgesFromSource(src)
+	meta, err := src.Meta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Edges) != len(wantEdges) {
-		t.Fatalf("stream found %d edges, offline %d:\nstream  %+v\noffline %+v",
-			len(snap.Edges), len(wantEdges), snap.Edges, wantEdges)
+	power, err := src.Series(source.SeriesClusterPower)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range wantEdges {
-		if snap.Edges[i] != wantEdges[i] {
-			t.Errorf("edge %d: stream %+v, offline %+v", i, snap.Edges[i], wantEdges[i])
-		}
-	}
+	wantEdges := refDetectEdges(power, float64(units.EdgeThresholdPerNode)*float64(meta.Nodes))
+	sameEdges(t, "offline", snap.Edges, wantEdges)
 	if len(wantEdges) == 0 {
 		t.Error("run produced no edges; parity test needs a livelier workload")
 	}
 
 	// --- Thermal bands.
-	wantBands, err := core.ThermalBandsFromSource(src)
+	var bands [core.NumTempBands]*tsagg.Series
+	for b := range bands {
+		if bands[b], err = src.Series(source.GPUBandSeries(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantBands, err := refThermalBands(bands, meta.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +192,33 @@ func TestBatchStreamParity(t *testing.T) {
 	}
 
 	// --- Early warning.
-	wantEW, err := core.EarlyWarningFromSource(src, 3600)
+	evs, err := src.Failures()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.EarlyWarning) != len(wantEW) {
-		t.Fatalf("early-warning pairs: %d vs %d", len(snap.EarlyWarning), len(wantEW))
+	wantEW, err := refEarlyWarningPairs(evs, meta.Nodes, meta.SpanSec(), 3600)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range wantEW {
-		g, w := snap.EarlyWarning[i], wantEW[i]
+	samePrecursorStats(t, snap.EarlyWarning, wantEW)
+	var precursors int
+	for _, w := range wantEW {
+		precursors += w.Precursors
+	}
+	if precursors == 0 {
+		t.Error("run produced no precursor events; raise FailureRateScale")
+	}
+}
+
+// samePrecursorStats compares early-warning results field by field, rates
+// bit for bit.
+func samePrecursorStats(t *testing.T, got, want []core.PrecursorStats) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("early-warning pairs: %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
 		if g.Precursor != w.Precursor || g.Outcome != w.Outcome ||
 			g.WindowSec != w.WindowSec || g.Precursors != w.Precursors ||
 			g.Followed != w.Followed || g.MedianLeadSec != w.MedianLeadSec ||
@@ -201,11 +227,48 @@ func TestBatchStreamParity(t *testing.T) {
 			t.Errorf("pair %d: stream %+v, offline %+v", i, g, w)
 		}
 	}
-	var precursors int
-	for _, w := range wantEW {
-		precursors += w.Precursors
+}
+
+// TestLiveEarlyWarningCountsSameSecondTies: an outcome logged before its
+// precursor in the same second is still the first outcome at or after it,
+// so the live plane follows the precursor with lead 0, as the batch
+// analysis of the same log does.
+func TestLiveEarlyWarningCountsSameSecondTies(t *testing.T) {
+	evs := []failures.Event{
+		{Time: 100, Type: failures.DriverErrorHandling},
+		{Time: 100, Type: failures.MicrocontrollerWarning},
 	}
-	if precursors == 0 {
-		t.Error("run produced no precursor events; raise FailureRateScale")
+	pipe, err := stream.NewPipeline(stream.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.IngestEvents(evs)
+	pipe.Close()
+	want, err := core.EarlyWarning(evs, failures.MicrocontrollerWarning, failures.DriverErrorHandling, 3600, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Followed != 1 || want.MedianLeadSec != 0 {
+		t.Fatalf("batch analysis: %+v, want followed 1 with lead 0", want)
+	}
+	samePrecursorStats(t, pipe.EarlyWarningSnapshot()[:1], []core.PrecursorStats{*want})
+}
+
+// TestReferenceCopiesAgree: reference_test.go here and in internal/core
+// carry one oracle text below their imports.
+func TestReferenceCopiesAgree(t *testing.T) {
+	body := func(path string) string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, after, ok := strings.Cut(string(raw), "\n)\n")
+		if !ok {
+			t.Fatalf("%s has no import block", path)
+		}
+		return after
+	}
+	if body("reference_test.go") != body("../core/reference_test.go") {
+		t.Error("the two reference_test.go copies differ below their imports")
 	}
 }

@@ -2,9 +2,12 @@
 // reproduction: it consumes telemetry.Sample batches as they arrive from
 // the out-of-band transport and maintains, incrementally, the statistics
 // the paper computes over finished runs — per-channel windowed coarsening
-// (§3), fleet/cabinet/MSB power rollups, streaming edge detection (§4),
-// rolling thermal-band classification (§2), and early-warning lift
-// statistics over the failure feed (§6.1).
+// (§3), fleet/cabinet/MSB power rollups, edge detection (§4), thermal-band
+// occupancy (§2), and early-warning lift statistics over the failure feed
+// (§6.1). The last three are core's own analyses, core.EdgeDetector,
+// core.BandOccupancy and core.EarlyWarningMonitor, which the batch entry
+// points fold finished runs through; this package adds the rings, the
+// locking and the snapshot copies around them.
 //
 // Architecture: Ingest splits each batch across per-shard goroutines over
 // bounded queues — a full queue drops the batch and counts it rather than
@@ -27,7 +30,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -91,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LatenessSec <= 0 {
 		c.LatenessSec = int64(units.MaxTimestampDelaySec)
-	}
-	if c.EarlyWarningWindowSec <= 0 {
-		c.EarlyWarningWindowSec = 3600
 	}
 	if c.MaxWindows <= 0 {
 		c.MaxWindows = 4096
@@ -209,7 +208,7 @@ type Pipeline struct {
 	rollup     *Rollup
 	edges      *Edges
 	bands      *Bands
-	warn       *EarlyWarning
+	warn       *core.EarlyWarningMonitor // fed by IngestEvents, not by frames
 	ops        []Operator
 }
 
@@ -232,8 +231,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	p.rollup = newRollup(cfg)
 	p.edges = newEdges(cfg)
 	p.bands = newBands(cfg)
-	p.warn = newEarlyWarning(cfg)
-	p.ops = append([]Operator{p.rollup, p.edges, p.bands, p.warn}, cfg.Extra...)
+	p.warn = core.NewEarlyWarningMonitor(cfg.EarlyWarningWindowSec)
+	p.ops = append([]Operator{p.rollup, p.edges, p.bands}, cfg.Extra...)
 	for i := range p.shards {
 		own := (cfg.Nodes - i + cfg.Shards - 1) / cfg.Shards // nodes n with n % Shards == i
 		p.shards[i] = &shard{
@@ -332,14 +331,10 @@ func (p *Pipeline) IngestEvents(evs []failures.Event) {
 	if len(evs) == 0 {
 		return
 	}
-	ordered := append([]failures.Event(nil), evs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Time < ordered[j].Time })
-	p.events.Add(int64(len(ordered)))
+	p.events.Add(int64(len(evs)))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range ordered {
-		p.warn.observe(&ordered[i])
-	}
+	p.warn.Observe(evs)
 }
 
 // runShard drains one shard queue: coarsen per channel, advance the
@@ -640,11 +635,11 @@ func (p *Pipeline) snapshotLocked() *Snapshot {
 		LastWindowT: p.lastWindow.Load(),
 		SpanSec:     p.spanLocked(),
 		Rollup:      p.rollup.snapshotLocked(0),
-		EdgeThreshW: p.edges.Threshold(),
+		EdgeThreshW: p.edges.det.Threshold(),
 		Bands:       p.bands.snapshotLocked(),
 	}
 	s.Edges, s.EdgesTotal = p.edges.snapshotLocked(0)
-	s.EarlyWarning = p.warn.snapshotLocked(s.SpanSec)
+	s.EarlyWarning = p.warn.Summary(p.cfg.Nodes, s.SpanSec)
 	for _, sh := range p.shards {
 		s.Shards = append(s.Shards, ShardStat{QueueLen: len(sh.ch), QueueCap: cap(sh.ch)})
 	}
@@ -686,7 +681,7 @@ func (p *Pipeline) EdgesSnapshot(limit int) (edges []core.Edge, total int64, thr
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	edges, total = p.edges.snapshotLocked(limit)
-	return edges, total, p.edges.Threshold()
+	return edges, total, p.edges.det.Threshold()
 }
 
 // BandsSnapshot copies the thermal-band state.
@@ -701,7 +696,7 @@ func (p *Pipeline) BandsSnapshot() BandsSnapshot {
 func (p *Pipeline) EarlyWarningSnapshot() []core.PrecursorStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.warn.snapshotLocked(p.spanLocked())
+	return p.warn.Summary(p.cfg.Nodes, p.spanLocked())
 }
 
 // HealthState summarizes liveness for /api/v1/live/health.

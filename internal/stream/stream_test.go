@@ -400,7 +400,7 @@ func TestConfigValidation(t *testing.T) {
 	if p.cfg.StepSec != 10 || p.cfg.Shards != 1 || p.cfg.QueueDepth != 256 {
 		t.Errorf("defaults = step %d shards %d queue %d", p.cfg.StepSec, p.cfg.Shards, p.cfg.QueueDepth)
 	}
-	if p.edges.Threshold() != 868 {
-		t.Errorf("1-node edge threshold = %v, want 868", p.edges.Threshold())
+	if p.edges.det.Threshold() != 868 {
+		t.Errorf("1-node edge threshold = %v, want 868", p.edges.det.Threshold())
 	}
 }
