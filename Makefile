@@ -234,17 +234,19 @@ serve-smoke:
 
 # scenario-smoke gates the declarative scenario plane: the full-catalog
 # golden regression under the race detector, then an end-to-end check that
-# one scenario run at two worker counts archives byte-identical datasets
-# and reports (the bit-reproducibility contract).
+# one scenario run on one core and on all of them archives byte-identical
+# datasets, scenario.json and report.json (the bit-reproducibility contract).
 scenario-smoke:
 	$(GO) test -race -run 'TestGoldenCatalogReports|TestRunArchiveParity' ./internal/scenario
 	$(GO) build -o /tmp/scnsmoke-scenario ./cmd/scenario
+	$(GO) build -o /tmp/scnsmoke-summitsim ./cmd/summitsim
 	/tmp/scnsmoke-scenario -list
-	rm -rf /tmp/scnsmoke-w1 /tmp/scnsmoke-w4
-	/tmp/scnsmoke-scenario -run trace-replay -workers 1 -out /tmp/scnsmoke-w1
-	/tmp/scnsmoke-scenario -run trace-replay -workers 4 -out /tmp/scnsmoke-w4
-	diff -r /tmp/scnsmoke-w1 /tmp/scnsmoke-w4
-	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-w1 /tmp/scnsmoke-w4
+	rm -rf /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
+	GOMAXPROCS=1 /tmp/scnsmoke-summitsim -scenario trace-replay -q -out /tmp/scnsmoke-w1
+	/tmp/scnsmoke-summitsim -scenario trace-replay -q -out /tmp/scnsmoke-wn
+	test -s /tmp/scnsmoke-w1/scenario.json && test -s /tmp/scnsmoke-w1/report.json
+	diff -r /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
+	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-summitsim /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
 
 # archive-smoke gates the one archive writer end to end: a single archive
 # with every optional dataset and a 2-cluster fleet are written and analyzed
@@ -254,7 +256,8 @@ scenario-smoke:
 # may reach the archive); every partition is plain multi-member gzip
 # (`gzip -t`) and passes `analyze -cmd fsck`, which must exit 1 on a copy with
 # one byte flipped; then a shorter run archived into the same directory must
-# be refused (its leftover days would otherwise be served as one run).
+# be refused (its leftover days would otherwise be served as one run) and
+# leave the earlier run's scenario.json in place.
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
@@ -276,11 +279,13 @@ archive-smoke:
 	if /tmp/arcsmoke-analyze -data /tmp/arcsmoke-flipped -cmd fsck > /tmp/arcsmoke-fsck.txt 2>&1; then \
 		echo "archive-smoke: fsck passed an archive with a flipped byte"; exit 1; fi; \
 	grep -q 'node-power-day00001.spwr: .*column "' /tmp/arcsmoke-fsck.txt || { cat /tmp/arcsmoke-fsck.txt; exit 1; }
+	cp /tmp/arcsmoke-single/scenario.json /tmp/arcsmoke-scenario.json
 	@if /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 1 -seed 7 -nodedata -q 2> /tmp/arcsmoke-refusal.txt; then \
 		echo "archive-smoke: a 1-day run was archived over a 2-day run"; exit 1; fi; \
 	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
-	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, a flipped byte caught, re-run on one core byte-identical, shorter re-run refused"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt
+	cmp /tmp/arcsmoke-scenario.json /tmp/arcsmoke-single/scenario.json; \
+	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, a flipped byte caught, re-run on one core byte-identical, shorter re-run refused with scenario.json intact"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-scenario.json
 
 # bench-report regenerates the checked-in markdown trend report from every
 # BENCH_*.json baseline.

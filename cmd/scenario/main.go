@@ -7,14 +7,9 @@
 //
 //	scenario -list
 //	scenario -describe <name|spec.json>
-//	scenario -run <name|spec.json> -out dir [-workers N]
 //	scenario -diff <a>,<b> [-workers N]
 //
-// -run simulates the scenario, archives the datasets under -out, re-opens
-// the archive and reduces it to the same objective report the what-if
-// sweeps emit (a pure FromSource computation, so the report is identical
-// whether served from memory or the archive). The archive is byte-stable
-// for any -workers value.
+// To run a scenario and archive it, use summitsim -scenario.
 package main
 
 import (
@@ -24,13 +19,10 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/source"
 	"repro/internal/whatif"
 )
 
@@ -38,28 +30,23 @@ import (
 type options struct {
 	list     bool
 	describe string
-	runRef   string
 	diff     string
-	out      string
 	workers  int
 }
 
 // validate rejects inconsistent flag combinations before any work runs.
 func (o options) validate() error {
 	modes := 0
-	for _, on := range []bool{o.list, o.describe != "", o.runRef != "", o.diff != ""} {
+	for _, on := range []bool{o.list, o.describe != "", o.diff != ""} {
 		if on {
 			modes++
 		}
 	}
 	if modes != 1 {
-		return fmt.Errorf("exactly one of -list, -describe, -run, -diff is required")
+		return fmt.Errorf("exactly one of -list, -describe, -diff is required")
 	}
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
-	}
-	if o.runRef != "" && o.out == "" {
-		return fmt.Errorf("-run requires -out (the archive directory)")
 	}
 	if o.diff != "" && len(strings.Split(o.diff, ",")) != 2 {
 		return fmt.Errorf("-diff takes exactly two scenarios: -diff a,b")
@@ -73,10 +60,8 @@ func main() {
 	var o options
 	flag.BoolVar(&o.list, "list", false, "list the scenario catalog and exit")
 	flag.StringVar(&o.describe, "describe", "", "print a scenario's resolved spec and identity (catalog name or spec file)")
-	flag.StringVar(&o.runRef, "run", "", "run a scenario end to end (catalog name or spec file)")
 	flag.StringVar(&o.diff, "diff", "", "run two scenarios and diff their objective reports: -diff a,b")
-	flag.StringVar(&o.out, "out", "", "archive directory for -run")
-	flag.IntVar(&o.workers, "workers", 0, "simulation worker count (0 = all cores; the archive is identical for any value)")
+	flag.IntVar(&o.workers, "workers", 0, "simulation worker count (0 = all cores; the reports are identical for any value)")
 	flag.Parse()
 	if err := run(os.Stdout, o); err != nil {
 		log.Fatal(err)
@@ -93,11 +78,9 @@ func run(w io.Writer, o options) error {
 		return list(w)
 	case o.describe != "":
 		return describe(w, o.describe)
-	case o.diff != "":
+	default:
 		parts := strings.Split(o.diff, ",")
 		return diff(w, strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]), o.workers)
-	default:
-		return runScenario(w, o.runRef, o.out, o.workers)
 	}
 }
 
@@ -146,74 +129,6 @@ func describe(w io.Writer, ref string) error {
 	return nil
 }
 
-// runScenario is the end-to-end path: simulate, archive, re-open the
-// archive and assess it, leaving scenario.json and report.json beside the
-// datasets.
-func runScenario(w io.Writer, ref, out string, workers int) error {
-	r, err := scenario.Resolve(ref)
-	if err != nil {
-		return err
-	}
-	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	data, res, err := scenario.Run(r, workers)
-	if err != nil {
-		return err
-	}
-	if err := core.WriteDatasets(out, data); err != nil {
-		return err
-	}
-	arch, err := source.OpenArchive(source.ArchiveConfig{Dir: out})
-	if err != nil {
-		return err
-	}
-	rep, err := r.Assess(arch, whatif.Weights{})
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(filepath.Join(out, "scenario.json"), runManifest(r)); err != nil {
-		return err
-	}
-	if err := writeJSON(filepath.Join(out, "report.json"), rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "scenario %s (hash %s, run seed %d)\n", r.Spec.Name, r.Identity(), r.Seed)
-	fmt.Fprintf(w, "simulated %d windows on %d nodes: %d jobs, %d failures (%.1fs)\n",
-		res.Steps, r.Config.Nodes, len(res.Allocations), len(res.Failures),
-		time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
-	printReport(w, rep)
-	fmt.Fprintf(w, "archive: %s (scenario.json, report.json alongside the datasets)\n", out)
-	return nil
-}
-
-// manifest is the run provenance written next to the archive: the full
-// spec plus the derived identity and trace stats.
-type manifest struct {
-	Spec    scenario.Spec  `json:"spec"`
-	Hash    string         `json:"hash"`
-	RunSeed uint64         `json:"run_seed"`
-	Trace   *manifestTrace `json:"trace,omitempty"`
-}
-
-type manifestTrace struct {
-	Rows          int   `json:"rows"`
-	Jobs          int   `json:"jobs"`
-	ZeroDuration  int   `json:"zero_duration"`
-	BeyondHorizon int   `json:"beyond_horizon"`
-	PeakNodes     int   `json:"peak_nodes"`
-	SpanSec       int64 `json:"span_sec"`
-}
-
-func runManifest(r *scenario.Resolved) manifest {
-	m := manifest{Spec: r.Spec, Hash: r.Identity(), RunSeed: r.Seed}
-	if st := r.TraceStats; st.Rows > 0 {
-		m.Trace = &manifestTrace{
-			Rows: st.Rows, Jobs: st.Jobs, ZeroDuration: st.ZeroDuration,
-			BeyondHorizon: st.BeyondHorizon, PeakNodes: st.PeakNodes, SpanSec: st.SpanSec,
-		}
-	}
-	return m
-}
-
 // diff runs two scenarios and prints their objective reports side by side.
 func diff(w io.Writer, refA, refB string, workers int) error {
 	ra, err := scenario.Resolve(refA)
@@ -258,23 +173,4 @@ func diff(w io.Writer, refA, refB string, workers int) error {
 		fmt.Fprintf(w, "%-24s %16.4f %16.4f %+16.4f\n", row.name, row.a, row.b, row.b-row.a)
 	}
 	return nil
-}
-
-// printReport renders the objective block of one report.
-func printReport(w io.Writer, rep whatif.Report) {
-	fmt.Fprintf(w, "mean PUE %.4f, IT %.3f MWh, total %.3f MWh\n",
-		rep.MeanPUE, rep.ITEnergyMWh, rep.TotalEnergyMWh)
-	fmt.Fprintf(w, "violation %.0f s (%.0f GPU·s), overcooling %.1f ton·h\n",
-		rep.ViolationSec, rep.ViolationGPUSec, rep.OvercoolingTonH)
-	fmt.Fprintf(w, "%d failures, %d jobs completed, utilization %.1f%%, score %.3f\n",
-		rep.Failures, rep.JobsCompleted, rep.Utilization*100, rep.Score)
-}
-
-// writeJSON writes v to path as indented JSON with a trailing newline.
-func writeJSON(path string, v any) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

@@ -2,15 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/whatif"
 )
 
 func TestValidateModes(t *testing.T) {
@@ -22,8 +18,6 @@ func TestValidateModes(t *testing.T) {
 		{"none", options{}, false},
 		{"list", options{list: true}, true},
 		{"two modes", options{list: true, describe: "x"}, false},
-		{"run without out", options{runRef: "x"}, false},
-		{"run with out", options{runRef: "x", out: "d"}, true},
 		{"diff one arg", options{diff: "a"}, false},
 		{"diff pair", options{diff: "a,b"}, true},
 		{"neg workers", options{list: true, workers: -1}, false},
@@ -64,84 +58,6 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-// TestRunEndToEnd drives the full -run path on a catalog scenario and
-// checks the archive artifacts: report.json must equal a fresh in-memory
-// assessment byte for byte (the FromSource parity contract).
-func TestRunEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run(&buf, options{runRef: "trace-replay", out: dir, workers: 2}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "scenario trace-replay") || !strings.Contains(out, "mean PUE") {
-		t.Errorf("run summary incomplete:\n%s", out)
-	}
-
-	var m struct {
-		Spec    scenario.Spec `json:"spec"`
-		Hash    string        `json:"hash"`
-		RunSeed uint64        `json:"run_seed"`
-		Trace   *struct {
-			Jobs int `json:"jobs"`
-		} `json:"trace"`
-	}
-	readJSON(t, filepath.Join(dir, "scenario.json"), &m)
-	if m.Spec.Name != "trace-replay" || m.Hash == "" || m.RunSeed == 0 {
-		t.Errorf("scenario.json manifest incomplete: %+v", m)
-	}
-	if m.Trace == nil || m.Trace.Jobs == 0 {
-		t.Error("scenario.json lacks trace stats")
-	}
-
-	var rep whatif.Report
-	readJSON(t, filepath.Join(dir, "report.json"), &rep)
-	if rep.Label != "trace-replay" || rep.Hash != m.Hash || rep.Seed != m.RunSeed {
-		t.Errorf("report identity mismatch: %+v vs manifest %+v", rep, m)
-	}
-
-	// The archived report must match a fresh memory-source assessment.
-	r, err := scenario.Resolve("trace-replay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _, err := scenario.Run(r, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := r.Assess(data.Source(), whatif.Weights{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRaw, _ := json.Marshal(want)
-	gotRaw, _ := json.Marshal(rep)
-	if !bytes.Equal(wantRaw, gotRaw) {
-		t.Errorf("archived report differs from memory assessment:\n got %s\nwant %s", gotRaw, wantRaw)
-	}
-}
-
-func TestRunSpecFile(t *testing.T) {
-	dir := t.TempDir()
-	spec := scenario.Spec{
-		Version: scenario.Version, Name: "tiny", Nodes: 16, DurationSec: 3600,
-	}
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "tiny.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run(&buf, options{runRef: path, out: filepath.Join(dir, "out")}); err != nil {
-		t.Fatalf("run spec file: %v", err)
-	}
-	if !strings.Contains(buf.String(), "scenario tiny") {
-		t.Errorf("spec-file run summary wrong:\n%s", buf.String())
-	}
-}
-
 func TestDiff(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, options{diff: "winter-economizer,heatwave-summer", workers: 2}); err != nil {
@@ -152,16 +68,5 @@ func TestDiff(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("diff output lacks %q:\n%s", want, out)
 		}
-	}
-}
-
-func readJSON(t *testing.T, path string, v any) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, v); err != nil {
-		t.Fatalf("%s: %v", path, err)
 	}
 }

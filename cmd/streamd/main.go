@@ -97,8 +97,10 @@ type service struct {
 	srv  *http.Server
 	ln   net.Listener
 	// feed reports the embedded simulated feed's result; nil without
-	// -sim-minutes.
+	// -sim-minutes. sent is the number of samples the feed exported, set
+	// before its result is sent on feed.
 	feed chan error
+	sent int64
 }
 
 // newService builds the pipeline, binds the ingest and HTTP listeners, and
@@ -138,7 +140,11 @@ func newService(o options, out io.Writer) (*service, error) {
 	s := &service{pipe: pipe, tsrv: tsrv, ln: ln, srv: serve.NewServer(handler, o.timeout)}
 	if o.simMinutes > 0 {
 		s.feed = make(chan error, 1)
-		go func() { s.feed <- runFeed(simCfg, pipe, tsrv.Addr(), o.quiet, out) }()
+		go func() {
+			var err error
+			s.sent, err = runFeed(simCfg, pipe, tsrv.Addr(), o.quiet, out)
+			s.feed <- err
+		}()
 	}
 	return s, nil
 }
@@ -146,17 +152,19 @@ func newService(o options, out io.Writer) (*service, error) {
 // runFeed runs the simulation twin and exports every observed node's input
 // power and GPU core temperatures through per-shard TCP exporters into the
 // service's own ingest port; failure events go straight to the pipeline
-// (the paper's failure feed is a log, not a telemetry channel).
-func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out io.Writer) error {
+// (the paper's failure feed is a log, not a telemetry channel). It returns
+// the number of samples it sent: once the service has stopped ingesting, a
+// lossless run has the transport's Received equal to it.
+func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out io.Writer) (int64, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	shards := (cfg.Nodes + units.FanInRatio - 1) / units.FanInRatio
 	exporters := make([]*telemetry.Exporter, shards)
 	for i := range exporters {
 		if exporters[i], err = telemetry.Dial(addr); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	var pushErr error
@@ -195,15 +203,15 @@ func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out
 		}
 	}))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if pushErr != nil {
-		return pushErr
+		return 0, pushErr
 	}
 	var sent int64
 	for _, exp := range exporters {
 		if cerr := exp.Close(); cerr != nil {
-			return cerr
+			return 0, cerr
 		}
 		sent += exp.Sent()
 	}
@@ -211,7 +219,7 @@ func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out
 		fmt.Fprintf(out, "feed complete: %d simulated windows, %d samples over %d shard connections, %d failure events\n",
 			res.Steps, sent, shards, len(res.Failures))
 	}
-	return nil
+	return sent, nil
 }
 
 // stopIngest is the first half of stopping the service back to front: close

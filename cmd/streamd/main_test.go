@@ -131,4 +131,12 @@ func TestServiceEndToEnd(t *testing.T) {
 	if snap.Ingest.Frames < 60 {
 		t.Errorf("frames after flush = %d, want 60", snap.Ingest.Frames)
 	}
+	// No loss across the transport: every sample the feed sent arrived, and
+	// the pipeline dropped, refused as late or rejected none of them.
+	if got := s.tsrv.Received(); s.sent == 0 || got != s.sent {
+		t.Errorf("transport received %d samples, feed sent %d", got, s.sent)
+	}
+	if d := snap.Ingest.Dropped + snap.Ingest.Late + snap.Ingest.Rejected; d != 0 {
+		t.Errorf("pipeline lost %d samples: %+v", d, snap.Ingest)
+	}
 }

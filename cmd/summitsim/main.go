@@ -3,6 +3,14 @@
 // daily-partitioned columnar format (the reproduction's equivalent of the
 // paper's 8.5 TB/year archive, at configurable scale).
 //
+// Every run is a declarative scenario (internal/scenario). Without
+// -scenario it is the calibrated generator spec the flag defaults describe;
+// with -scenario it is that catalog entry or spec file. Each of -nodes,
+// -days, -seed, -setpoint, -placement and -powercap-mw given on the command
+// line then overrides one field of the spec. Beside the datasets every run
+// directory gets scenario.json (the spec and its identity) and report.json
+// (the run's objective report).
+//
 // With -clusters N (N >= 2) it simulates a heterogeneous fleet instead: N
 // independently-seeded clusters cycling through the -sites presets, archived
 // as one fleet root (out/<cluster>/ per member plus a fleet.json manifest)
@@ -11,11 +19,12 @@
 // Usage:
 //
 //	summitsim -out /path/to/archive [-nodes N] [-days D] [-seed S]
-//	summitsim -out /path/to/archive -scenario heatwave-summer
+//	summitsim -out /path/to/archive -scenario heatwave-summer [-nodes N]
 //	summitsim -out /path/to/fleet -clusters 2 [-sites summit,frontier]
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -27,60 +36,62 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/store"
-	"repro/internal/units"
+	"repro/internal/whatif"
 )
+
+// options is the parsed flag set; set names the flags given on the command
+// line.
+type options struct {
+	scenario  string
+	nodes     int
+	days      float64
+	seed      uint64
+	setpoint  float64
+	placement string
+	capMW     float64
+	clusters  int
+	sites     string
+	out       string
+	nodeData  bool
+	jobSeries bool
+	quiet     bool
+	set       map[string]bool
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("summitsim: ")
-	scenarioRef := flag.String("scenario", "",
-		"run a declarative scenario (catalog name or spec file) instead of building the config from flags")
-	nodes := flag.Int("nodes", 256, "system size in nodes (per cluster)")
-	days := flag.Float64("days", 1, "simulated span in days")
-	seed := flag.Uint64("seed", 2020, "simulation seed (fleet members derive per-cluster seeds)")
-	clusters := flag.Int("clusters", 1, "number of clusters; >= 2 archives a fleet root with a manifest")
-	sites := flag.String("sites", "summit", "comma-separated site presets cycled across fleet members")
-	out := flag.String("out", "", "archive directory (required)")
-	setpoint := flag.Float64("setpoint", 0, "MTW supply setpoint override in °C (0 = model default)")
-	placement := flag.String("placement", "", "scheduler placement policy: contiguous|packed|scatter")
-	capMW := flag.Float64("powercap-mw", 0, "cluster power cap in MW (0 = uncapped)")
-	nodeData := flag.Bool("nodedata", false, "also archive per-node window statistics (Dataset 0; large)")
-	jobSeries := flag.Bool("jobseries", false, "also archive per-job time series (Datasets 3/4/10/11)")
-	quiet := flag.Bool("q", false, "suppress progress output")
+	var o options
+	flag.StringVar(&o.scenario, "scenario", "",
+		"start from a declarative scenario (catalog name or spec file); the run flags given override its fields")
+	flag.IntVar(&o.nodes, "nodes", 256, "system size in nodes (per cluster)")
+	flag.Float64Var(&o.days, "days", 1, "simulated span in days (at least 600 s)")
+	flag.Uint64Var(&o.seed, "seed", 2020,
+		"simulation seed; 0 means the calibrated 2020, as in a spec (fleet members derive per-cluster seeds)")
+	flag.IntVar(&o.clusters, "clusters", 1, "number of clusters; >= 2 archives a fleet root with a manifest")
+	flag.StringVar(&o.sites, "sites", "summit", "comma-separated site presets cycled across fleet members")
+	flag.StringVar(&o.out, "out", "", "archive directory (required)")
+	flag.Float64Var(&o.setpoint, "setpoint", 0, "MTW supply setpoint override in °C (0 = model default)")
+	flag.StringVar(&o.placement, "placement", "", "scheduler placement policy: contiguous|packed|scatter")
+	flag.Float64Var(&o.capMW, "powercap-mw", 0, "cluster power cap in MW (0 = uncapped)")
+	flag.BoolVar(&o.nodeData, "nodedata", false, "also archive per-node window statistics (Dataset 0; large)")
+	flag.BoolVar(&o.jobSeries, "jobseries", false, "also archive per-job time series (Datasets 3/4/10/11)")
+	flag.BoolVar(&o.quiet, "q", false, "suppress progress output")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
-	if *out == "" {
+	if o.out == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *scenarioRef != "" {
-		// A scenario is a complete run description: every flag that would
-		// also shape the config conflicts rather than silently losing.
-		var conflicts []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "nodes", "days", "seed", "setpoint", "placement", "powercap-mw", "clusters", "sites":
-				conflicts = append(conflicts, "-"+f.Name)
-			}
-		})
-		if len(conflicts) > 0 {
-			log.Fatalf("-scenario describes the full run config; drop %s", strings.Join(conflicts, ", "))
-		}
-	}
-	if err := validateSize(*nodes, *days); err != nil {
-		log.Fatal(err)
-	}
-	if *clusters < 1 {
-		log.Fatalf("-clusters must be >= 1, got %d", *clusters)
-	}
+	o.set = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -119,116 +130,143 @@ func main() {
 			f.Close()
 		}()
 	}
-	var cfg repro.Config
-	if *scenarioRef != "" {
-		r, err := scenario.Resolve(*scenarioRef)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg = r.Config
-		if !*quiet {
-			fmt.Printf("scenario %s (hash %s, run seed %d)\n", r.Spec.Name, r.Identity(), r.Seed)
-		}
-	} else {
-		cfg = repro.ScaledConfig(*nodes, time.Duration(*days*24*float64(time.Hour)))
-		cfg.Seed = *seed
-		if *capMW < 0 {
-			log.Fatalf("-powercap-mw must be >= 0, got %g", *capMW)
-		}
-		cfg.Plant.SupplySetpointC = *setpoint
-		cfg.Placement = *placement
-		cfg.PowerCap = units.Watts(*capMW * units.WattsPerMW)
-		// The knob surface shares sim.Config's validation: a bad setpoint,
-		// placement name or cap fails here with the same wrapped errors the
-		// what-if plane reports.
-		if err := cfg.Validate(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *clusters >= 2 {
-		if err := runFleet(cfg, *clusters, *sites, *out, *nodeData, *jobSeries, *quiet); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	var attach []core.Attach
-	if *nodeData {
-		attach = append(attach, core.AttachNodeDataset(*out))
-	}
-	data, res, err := core.CollectRun(cfg, attach...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !*quiet {
-		fmt.Printf("simulated %d windows on %d nodes: %d jobs, %d failures, utilization %.1f%% (%.1fs)\n",
-			res.Steps, cfg.Nodes, len(res.Allocations), len(res.Failures),
-			res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
-	}
-	if err := archiveRun(*out, "", data, *nodeData, *jobSeries, *quiet); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runFleet simulates n independently-seeded clusters sharing the base
-// config's knobs (size, span, setpoint, placement, cap) and archives them
-// as a fleet root: out/<cluster>/ per member plus fleet.json.
-func runFleet(base repro.Config, n int, sites, out string, nodeData, jobSeries, quiet bool) error {
-	siteList := strings.Split(sites, ",")
+// resolve compiles the run o describes: the -scenario spec, or the generator
+// spec the flag defaults describe, with each run flag the user gave written
+// over its field. It also returns the directory trace paths resolve against.
+func resolve(o options) (*scenario.Resolved, string, error) {
+	spec := scenario.Spec{Version: scenario.Version, Name: "summitsim"}
+	dir := ""
+	if o.scenario != "" {
+		var err error
+		if spec, dir, err = scenario.Lookup(o.scenario); err != nil {
+			return nil, "", err
+		}
+	}
+	given := func(name string) bool { return o.scenario == "" || o.set[name] }
+	if given("nodes") {
+		spec.Nodes = o.nodes
+	}
+	if given("days") {
+		spec.DurationSec = int64(time.Duration(o.days*24*float64(time.Hour)) / time.Second)
+	}
+	if given("seed") {
+		spec.Seed = o.seed
+	}
+	if given("setpoint") {
+		spec.Tuning.SupplySetpointC = o.setpoint
+	}
+	if given("placement") {
+		spec.Placement = o.placement
+	}
+	if given("powercap-mw") {
+		spec.PowerCapMW = o.capMW
+	}
+	r, err := scenario.Compile(spec, dir)
+	return r, dir, err
+}
+
+// run simulates the run o describes and archives it under o.out, writing
+// progress to w.
+func run(w io.Writer, o options) error {
+	if o.clusters < 1 {
+		return fmt.Errorf("-clusters must be >= 1, got %d", o.clusters)
+	}
+	r, dir, err := resolve(o)
+	if err != nil {
+		return err
+	}
+	if o.clusters >= 2 {
+		return runFleet(w, r, dir, o)
+	}
+	if !o.quiet {
+		fmt.Fprintf(w, "scenario %s (hash %s, run seed %d)\n", r.Spec.Name, r.Identity(), r.Seed)
+	}
+	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
+	var attach []core.Attach
+	if o.nodeData {
+		attach = append(attach, core.AttachNodeDataset(o.out))
+	}
+	data, res, err := core.CollectRun(r.Config, attach...)
+	if err != nil {
+		return err
+	}
+	if !o.quiet {
+		fmt.Fprintf(w, "simulated %d windows on %d nodes: %d jobs, %d failures, utilization %.1f%% (%.1fs)\n",
+			res.Steps, r.Config.Nodes, len(res.Allocations), len(res.Failures),
+			res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
+	}
+	return archiveRun(w, o.out, "", r, data, o)
+}
+
+// runFleet simulates o.clusters clusters and archives them as a fleet root:
+// out/<cluster>/ per member plus fleet.json. Each member is compiled from
+// its own spec, the base spec with the member's site and derived seed.
+func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error {
+	siteList := strings.Split(o.sites, ",")
 	var manifest source.FleetManifest
-	cfgs := make([]repro.Config, n)
-	names := make([]string, n)
-	for i := range cfgs {
+	members := make([]*scenario.Resolved, o.clusters)
+	cfgs := make([]sim.Config, o.clusters)
+	for i := range members {
 		site := strings.TrimSpace(siteList[i%len(siteList)])
 		if site == "" {
-			return fmt.Errorf("empty site name in -sites %q", sites)
+			return fmt.Errorf("empty site name in -sites %q", o.sites)
+		}
+		spec := base.Spec
+		spec.Site = site
+		spec.Seed = sim.DeriveSeed(base.Config.Seed, i)
+		r, err := scenario.Compile(spec, dir)
+		if err != nil {
+			return err
 		}
 		name := fmt.Sprintf("%s-%d", site, i)
-		cfg := base
-		cfg.Seed = sim.DeriveSeed(base.Seed, i)
-		cfg.Cluster = name
-		cfg.Site = site
-		cfgs[i] = cfg
-		names[i] = name
+		r.Config.Cluster = name
+		members[i], cfgs[i] = r, r.Config
 		manifest.Clusters = append(manifest.Clusters, source.FleetEntry{
-			Name: name, Site: site, Nodes: cfg.Nodes, Dir: name,
+			Name: name, Site: site, Nodes: r.Config.Nodes, Dir: name,
 		})
 	}
 	var dirFor func(i int) string
-	if nodeData {
-		dirFor = func(i int) string { return filepath.Join(out, names[i]) }
+	if o.nodeData {
+		dirFor = func(i int) string { return filepath.Join(o.out, cfgs[i].Cluster) }
 	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
 	runs, err := core.CollectFleet(cfgs, 0, dirFor)
 	if err != nil {
 		return err
 	}
-	for i, run := range runs {
-		if !quiet {
-			fmt.Printf("%-12s simulated %d windows on %d nodes: %d jobs, %d failures, utilization %.1f%%\n",
-				names[i], run.Result.Steps, cfgs[i].Nodes, len(run.Result.Allocations),
-				len(run.Result.Failures), run.Result.Utilization*100)
+	for i, m := range runs {
+		name := cfgs[i].Cluster
+		if !o.quiet {
+			fmt.Fprintf(w, "%-12s simulated %d windows on %d nodes: %d jobs, %d failures, utilization %.1f%%\n",
+				name, m.Result.Steps, cfgs[i].Nodes, len(m.Result.Allocations),
+				len(m.Result.Failures), m.Result.Utilization*100)
 		}
-		if err := archiveRun(filepath.Join(out, names[i]), names[i], run.Data, nodeData, jobSeries, quiet); err != nil {
+		if err := archiveRun(w, filepath.Join(o.out, name), name, members[i], m.Data, o); err != nil {
 			return err
 		}
 	}
-	if err := source.WriteFleetManifest(out, manifest); err != nil {
+	if err := source.WriteFleetManifest(o.out, manifest); err != nil {
 		return err
 	}
-	if !quiet {
-		fmt.Printf("fleet of %d cluster(s) archived in %s (%.1fs)\n", n, out, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
+	if !o.quiet {
+		fmt.Fprintf(w, "fleet of %d cluster(s) archived in %s (%.1fs)\n", o.clusters, o.out, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
 	}
 	return nil
 }
 
-// archiveRun writes one run's datasets, scheduler CSV logs and per-dataset
-// footprint report into dir. prefix labels report lines in fleet mode.
-func archiveRun(dir, prefix string, data *repro.RunData, nodeData, jobSeries, quiet bool) error {
+// archiveRun writes one run's datasets, scheduler CSV logs, scenario.json
+// and report.json into dir, then reports the per-dataset footprint. prefix
+// labels report lines in fleet mode.
+func archiveRun(w io.Writer, dir, prefix string, r *scenario.Resolved, data *core.RunData, o options) error {
 	if err := core.WriteDatasets(dir, data); err != nil {
 		return err
 	}
-	if jobSeries {
+	if o.jobSeries {
 		if err := core.WriteJobSeriesDataset(dir, data); err != nil {
 			return err
 		}
@@ -244,13 +282,31 @@ func archiveRun(dir, prefix string, data *repro.RunData, nodeData, jobSeries, qu
 	}); err != nil {
 		return err
 	}
+	// Provenance goes last, so a run refused above leaves the previous
+	// run's record beside the previous run's datasets.
+	rep, err := r.Assess(data.Source(), whatif.Weights{})
+	if err != nil {
+		return err
+	}
+	if err := writeJSON(filepath.Join(dir, "scenario.json"), r.Manifest()); err != nil {
+		return err
+	}
+	if err := writeJSON(filepath.Join(dir, "report.json"), rep); err != nil {
+		return err
+	}
+	if o.quiet {
+		return nil
+	}
+	if prefix == "" {
+		printReport(w, rep)
+	}
 	// Report archive footprint per dataset (the paper tracks this
 	// closely: compression made the full-scale archive practical).
 	names := []string{source.DatasetClusterPower, source.DatasetJobRecords, source.DatasetFailures}
-	if nodeData {
+	if o.nodeData {
 		names = append(names, core.DatasetNodePower)
 	}
-	if jobSeries {
+	if o.jobSeries {
 		names = append(names, core.DatasetJobSeries)
 	}
 	for _, name := range names {
@@ -263,31 +319,34 @@ func archiveRun(dir, prefix string, data *repro.RunData, nodeData, jobSeries, qu
 			return err
 		}
 		days, _ := ds.Days()
-		if quiet {
-			continue
-		}
 		if prefix != "" {
-			fmt.Printf("%-12s dataset %-14s %3d partition(s) %8.1f KiB\n",
+			fmt.Fprintf(w, "%-12s dataset %-14s %3d partition(s) %8.1f KiB\n",
 				prefix, name, len(days), float64(size)/1024)
 		} else {
-			fmt.Printf("dataset %-14s %3d partition(s) %8.1f KiB\n",
+			fmt.Fprintf(w, "dataset %-14s %3d partition(s) %8.1f KiB\n",
 				name, len(days), float64(size)/1024)
 		}
 	}
 	return nil
 }
 
-// validateSize rejects nonsense run dimensions up front: ScaledConfig
-// would silently clamp a non-positive span to 600 s, archiving a run the
-// caller never asked for.
-func validateSize(nodes int, days float64) error {
-	if nodes <= 0 {
-		return fmt.Errorf("-nodes must be positive, got %d", nodes)
+// printReport renders the objective block of one report.
+func printReport(w io.Writer, rep whatif.Report) {
+	fmt.Fprintf(w, "mean PUE %.4f, IT %.3f MWh, total %.3f MWh\n",
+		rep.MeanPUE, rep.ITEnergyMWh, rep.TotalEnergyMWh)
+	fmt.Fprintf(w, "violation %.0f s (%.0f GPU·s), overcooling %.1f ton·h\n",
+		rep.ViolationSec, rep.ViolationGPUSec, rep.OvercoolingTonH)
+	fmt.Fprintf(w, "%d failures, %d jobs completed, utilization %.1f%%, score %.3f\n",
+		rep.Failures, rep.JobsCompleted, rep.Utilization*100, rep.Score)
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
 	}
-	if days <= 0 {
-		return fmt.Errorf("-days must be positive, got %g", days)
-	}
-	return nil
+	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 // writeCSV creates path and streams fn's output into it.

@@ -1,10 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro"
+	"repro/internal/scenario"
+	"repro/internal/whatif"
 )
 
+// TestValidateSize checks the run dimensions on the flag → spec path:
+// scenario.Compile rejects them, including a span sim.Scaled would
+// otherwise raise to 600 s.
 func TestValidateSize(t *testing.T) {
 	cases := []struct {
 		nodes int
@@ -13,22 +26,163 @@ func TestValidateSize(t *testing.T) {
 	}{
 		{256, 1, ""},
 		{1, 0.01, ""},
-		{0, 1, "-nodes must be positive"},
-		{-4, 1, "-nodes must be positive"},
-		{256, 0, "-days must be positive"},
-		{256, -0.5, "-days must be positive"},
+		{0, 1, "non-positive nodes"},
+		{-4, 1, "non-positive nodes"},
+		{256, 0, "duration_sec 0 below the 600 s minimum"},
+		{256, -0.5, "below the 600 s minimum"},
+		{256, 0.001, "duration_sec 86 below the 600 s minimum"},
 	}
 	for _, c := range cases {
-		err := validateSize(c.nodes, c.days)
+		_, _, err := resolve(options{nodes: c.nodes, days: c.days, seed: 2020})
 		if c.want == "" {
 			if err != nil {
-				t.Errorf("validateSize(%d, %g) = %v, want nil", c.nodes, c.days, err)
+				t.Errorf("nodes %d, days %g: %v, want nil", c.nodes, c.days, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("validateSize(%d, %g) = %v, want error containing %q",
-				c.nodes, c.days, err, c.want)
+			t.Errorf("nodes %d, days %g: %v, want error containing %q", c.nodes, c.days, err, c.want)
 		}
+	}
+}
+
+// TestFlagsAreASpec pins that a flag-built run compiles to
+// repro.ScaledConfig + seed + Validate (so flag-built archives keep their
+// bytes), that -seed 0 is a spec's seed 0, and that a flag given with
+// -scenario overrides only its field.
+func TestFlagsAreASpec(t *testing.T) {
+	for _, c := range []struct {
+		nodes int
+		days  float64
+		seed  uint64
+	}{{160, 1, 8}, {64, 4, 2}, {32, 0.25, 2020}, {36, 2, 2020}, {16, 1, 7}} {
+		r, _, err := resolve(options{nodes: c.nodes, days: c.days, seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := repro.ScaledConfig(c.nodes, time.Duration(c.days*24*float64(time.Hour)))
+		want.Seed = c.seed
+		if err := want.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Config, want) {
+			t.Errorf("%d nodes × %g days: compiled config\n%+v\nwant\n%+v", c.nodes, c.days, r.Config, want)
+		}
+	}
+
+	r, _, err := resolve(options{nodes: 16, days: 1, seed: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Config.Seed != 2020 {
+		t.Errorf("-seed 0 ran seed %d, want the calibrated 2020", r.Config.Seed)
+	}
+
+	cat, err := scenario.Resolve("heatwave-summer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err = resolve(options{scenario: "heatwave-summer", nodes: 32, days: 1, seed: 2020,
+		set: map[string]bool{"nodes": true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Config.Nodes != 32 || r.Spec.Weather != cat.Spec.Weather || r.Config.StartTime != cat.Config.StartTime ||
+		r.Config.DurationSec != cat.Config.DurationSec {
+		t.Errorf("-nodes 32 over heatwave-summer: %d nodes, weather %q, start %d, span %d s; want 32, %q, %d, %d s",
+			r.Config.Nodes, r.Spec.Weather, r.Config.StartTime, r.Config.DurationSec,
+			cat.Spec.Weather, cat.Config.StartTime, cat.Config.DurationSec)
+	}
+	if r.Hash == cat.Hash {
+		t.Error("overriding -nodes left the catalog entry's hash")
+	}
+}
+
+// TestRunEndToEnd drives the full -scenario path on a catalog scenario and
+// checks the archive artifacts: report.json must equal a fresh in-memory
+// assessment byte for byte (the FromSource parity contract).
+func TestRunEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := run(&buf, options{scenario: "trace-replay", clusters: 1, out: dir}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "scenario trace-replay") || !strings.Contains(out, "mean PUE") {
+		t.Errorf("run summary incomplete:\n%s", out)
+	}
+
+	var m struct {
+		Spec    scenario.Spec `json:"spec"`
+		Hash    string        `json:"hash"`
+		RunSeed uint64        `json:"run_seed"`
+		Trace   *struct {
+			Jobs int `json:"jobs"`
+		} `json:"trace"`
+	}
+	readJSON(t, filepath.Join(dir, "scenario.json"), &m)
+	if m.Spec.Name != "trace-replay" || m.Hash == "" || m.RunSeed == 0 {
+		t.Errorf("scenario.json manifest incomplete: %+v", m)
+	}
+	if m.Trace == nil || m.Trace.Jobs == 0 {
+		t.Error("scenario.json lacks trace stats")
+	}
+
+	var rep whatif.Report
+	readJSON(t, filepath.Join(dir, "report.json"), &rep)
+	if rep.Label != "trace-replay" || rep.Hash != m.Hash || rep.Seed != m.RunSeed {
+		t.Errorf("report identity mismatch: %+v vs manifest %+v", rep, m)
+	}
+
+	// The archived report must match a fresh memory-source assessment.
+	r, err := scenario.Resolve("trace-replay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := scenario.Run(r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.Assess(data.Source(), whatif.Weights{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRaw, _ := json.Marshal(want)
+	gotRaw, _ := json.Marshal(rep)
+	if !bytes.Equal(wantRaw, gotRaw) {
+		t.Errorf("archived report differs from memory assessment:\n got %s\nwant %s", gotRaw, wantRaw)
+	}
+}
+
+func TestRunSpecFile(t *testing.T) {
+	dir := t.TempDir()
+	spec := scenario.Spec{
+		Version: scenario.Version, Name: "tiny", Nodes: 16, DurationSec: 3600,
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "tiny.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, options{scenario: path, clusters: 1, out: filepath.Join(dir, "out")}); err != nil {
+		t.Fatalf("run spec file: %v", err)
+	}
+	if !strings.Contains(buf.String(), "scenario tiny") {
+		t.Errorf("spec-file run summary wrong:\n%s", buf.String())
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

@@ -88,7 +88,7 @@ func mutations() []mutation {
 			after("func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupRequest, g grid, cells []stats.Moments, qs *QueryStats) (bool, error) {", probeClock),
 		mutation{name: "seed from the clock in cmd/summitsim", pkg: "repro/cmd/summitsim", file: "main.go", imp: "time",
 			want: "determinism", wantMsg: "time.Now reads the wall clock"}.
-			replace("cfg.Seed = *seed", "cfg.Seed = *seed ^ uint64(probe.Now().UnixNano())"),
+			replace("spec.Seed = o.seed", "spec.Seed = o.seed ^ uint64(probe.Now().UnixNano())"),
 		mutation{name: "unsorted map-range append in core", pkg: "repro/internal/core", file: "edges.go",
 			want: "determinism", wantMsg: "append across map iteration is order-dependent"}.
 			add("\nfunc probeKeys(m map[string]int) []string {\n\tvar ks []string\n\tfor k := range m {\n\t\tks = append(ks, k)\n\t}\n\treturn ks\n}\n"),

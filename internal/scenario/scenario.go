@@ -153,8 +153,9 @@ func (s Spec) Validate() error {
 	if s.Nodes <= 0 {
 		return fmt.Errorf("%w: non-positive nodes %d", ErrScenario, s.Nodes)
 	}
-	if s.DurationSec <= 0 {
-		return fmt.Errorf("%w: non-positive duration %d", ErrScenario, s.DurationSec)
+	// sim.Scaled would silently run a shorter span as the minimum.
+	if s.DurationSec < sim.MinScaledSpanSec {
+		return fmt.Errorf("%w: duration_sec %d below the %d s minimum", ErrScenario, s.DurationSec, sim.MinScaledSpanSec)
 	}
 	if _, err := weatherOffsetSec(s.Weather); err != nil {
 		return err
@@ -416,21 +417,24 @@ func Load(path string) (Spec, error) {
 	return s, nil
 }
 
-// Resolve compiles a scenario given a catalog name or a spec-file path:
-// names containing a path separator or a .json suffix load from disk
-// (trace paths inside resolve against the file's directory), anything
+// Lookup finds a spec given a catalog name or a spec-file path: names
+// containing a path separator or a .json suffix load from disk and return
+// the file's directory, against which trace paths inside resolve; anything
 // else looks up the catalog.
-func Resolve(nameOrPath string) (*Resolved, error) {
+func Lookup(nameOrPath string) (Spec, string, error) {
 	if filepath.Ext(nameOrPath) == ".json" || filepath.Dir(nameOrPath) != "." {
 		spec, err := Load(nameOrPath)
-		if err != nil {
-			return nil, err
-		}
-		return Compile(spec, filepath.Dir(nameOrPath))
+		return spec, filepath.Dir(nameOrPath), err
 	}
 	spec, err := ByName(nameOrPath)
+	return spec, "", err
+}
+
+// Resolve compiles the spec Lookup finds.
+func Resolve(nameOrPath string) (*Resolved, error) {
+	spec, dir, err := Lookup(nameOrPath)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(spec, "")
+	return Compile(spec, dir)
 }

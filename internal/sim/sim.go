@@ -206,13 +206,17 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// MinScaledSpanSec is the shortest span Scaled runs.
+const MinScaledSpanSec = 600
+
 // Scaled returns a deterministic configuration for a scaled system of the
 // given node count over the given span in seconds, with workload volume
 // proportional to Summit's ~840k jobs/year and failure rates accelerated
-// so the error population stays analyzable.
+// so the error population stays analyzable. A span under MinScaledSpanSec
+// is raised to it.
 func Scaled(nodes int, spanSec int64) Config {
-	if spanSec < 600 {
-		spanSec = 600
+	if spanSec < MinScaledSpanSec {
+		spanSec = MinScaledSpanSec
 	}
 	// Summit saw ~840k jobs in 2020 on 4,626 nodes; scale by node-time.
 	jobs := int(840_000 * float64(nodes) / float64(units.SummitNodes) *

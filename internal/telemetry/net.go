@@ -166,8 +166,8 @@ type Stats struct {
 	Dropped  int64 // connections dropped for violations or stalls
 }
 
-// Stats returns all ingest counters in one call, for services that export
-// them together (e.g. streamd and telemetryd reporting transport health).
+// Stats returns all ingest counters in one call, for callers that report
+// them together.
 func (s *Server) Stats() Stats {
 	return Stats{
 		Received: s.received.Load(),
