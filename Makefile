@@ -156,11 +156,13 @@ optimize-smoke:
 	rm -f /tmp/optimize-smoke /tmp/whatif-w1.json /tmp/whatif-w4.json
 
 # federate-smoke gates the federated query plane: the golden N-shard
-# bit-parity test under the race detector, then an end-to-end check that a
-# 2-cluster fleet analyzed through a 2-shard federated source is
-# byte-identical to the direct read.
+# bit-parity test and the failure story under the race detector (a dead
+# shard degrades to NaN days, is counted, and is never stored in the reply
+# cache), then an end-to-end check that a 2-cluster fleet analyzed through
+# a 2-shard federated source is byte-identical to the direct read.
 federate-smoke:
 	$(GO) test -race -run 'TestFederatedParity|TestFederatedPartialDegradation' ./internal/source
+	$(GO) test -race -run 'TestMemoNeverStoresDegradedAnswers' ./internal/query
 	$(GO) build -o /tmp/fedsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/fedsmoke-analyze ./cmd/analyze
 	rm -rf /tmp/fedsmoke-fleet

@@ -109,20 +109,9 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	// Studies reference their base by scenario-catalog name (or any
-	// -scenario name/file override): resolve it to a sim.Config here —
-	// optimize sits above both planes in the dependency order.
-	baseRef := study.Scenario
-	if o.scenario != "" {
-		baseRef = o.scenario
-	}
-	resolved, err := scenario.Resolve(baseRef)
+	base, err := baseConfig(study, o)
 	if err != nil {
 		return err
-	}
-	base := resolved.Config
-	if o.seed != 0 {
-		base.Seed = o.seed
 	}
 	opt := whatif.Options{
 		Workers:            o.workers,
@@ -165,6 +154,30 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintf(w, "sweep log: %s\n", o.out)
 	}
 	return nil
+}
+
+// baseConfig compiles the sweep's base run the way summitsim compiles a
+// run: the study's scenario (or the -scenario name/file override) is looked
+// up, -seed overrides the spec's seed, and scenario.Compile builds and
+// validates the config — so a seeded trace replay is rebuilt with that seed.
+// optimize sits above both planes in the dependency order.
+func baseConfig(study whatif.Study, o options) (sim.Config, error) {
+	ref := study.Scenario
+	if o.scenario != "" {
+		ref = o.scenario
+	}
+	spec, dir, err := scenario.Lookup(ref)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	if o.seed != 0 {
+		spec.Seed = o.seed
+	}
+	r, err := scenario.Compile(spec, dir)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	return r.Config, nil
 }
 
 // evaluateFile scores an explicit scenario list (the declarative JSON

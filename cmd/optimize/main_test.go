@@ -3,8 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
+	"repro/internal/whatif"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -80,6 +84,54 @@ func TestRunScenarioFile(t *testing.T) {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("sweep log missing %s", want)
 		}
+	}
+}
+
+// TestBaseConfigMatchesSummitsim pins the one front door: the sweep base for
+// a scenario and seed is the config summitsim compiles for `-scenario X
+// -seed S` (Lookup, the seed written over the spec's, then Compile). A trace
+// replay builds its jobs from the seed, so patching Config.Seed after
+// compiling would keep the catalog seed's workload.
+func TestBaseConfigMatchesSummitsim(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed uint64
+	}{
+		{"trace-replay", 7},
+		{"trace-replay", 0},
+		{"heatwave-summer", 11},
+	} {
+		got, err := baseConfig(whatif.Study{Scenario: tc.name}, options{seed: tc.seed})
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", tc.name, tc.seed, err)
+		}
+		spec, dir, err := scenario.Lookup(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.seed != 0 {
+			spec.Seed = tc.seed
+		}
+		want, err := scenario.Compile(spec, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want.Config) {
+			t.Errorf("%s seed %d: base config differs from summitsim's", tc.name, tc.seed)
+		}
+	}
+
+	patched, err := scenario.Resolve("trace-replay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched.Config.Seed = 7
+	seeded, err := baseConfig(whatif.Study{Scenario: "trace-replay"}, options{seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(seeded.Workload, patched.Config.Workload) {
+		t.Error("seeded trace replay kept the catalog seed's workload")
 	}
 }
 

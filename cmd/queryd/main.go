@@ -56,8 +56,6 @@ type options struct {
 	workers       int
 	cacheMB       int
 	shards        int
-	replicas      int
-	hedge         time.Duration
 	timeout       time.Duration
 	maxConcurrent int
 	maxPoints     int
@@ -75,8 +73,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "parallel scan workers (0 = GOMAXPROCS)")
 	fs.IntVar(&o.cacheMB, "cache-mb", 256, "decoded-table cache budget in MiB (per cluster)")
 	fs.IntVar(&o.shards, "shards", 1, "serve each cluster's analyses through an N-shard federated source")
-	fs.IntVar(&o.replicas, "replicas", 1, "federation owners per day partition (with -shards > 1)")
-	fs.DurationVar(&o.hedge, "hedge", 0, "federation hedged-request delay, e.g. 20ms (0 = off)")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 32, "concurrent query limit (excess sheds with 503)")
 	fs.IntVar(&o.maxPoints, "max-points", 200_000, "points/windows budget per response")
@@ -113,8 +109,6 @@ func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, err
 			Archive:      source.ArchiveConfig{Dir: dir, Nodes: o.nodes, Workers: o.workers},
 			Shards:       o.shards,
 			CacheBytes:   int64(o.cacheMB) << 20,
-			Replicas:     o.replicas,
-			HedgeDelay:   o.hedge,
 			AllowPartial: true,
 			Workers:      o.workers,
 		})

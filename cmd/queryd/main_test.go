@@ -351,7 +351,7 @@ func TestQuerydFleet(t *testing.T) {
 	writeFleetRoot(t, root)
 	base := startQueryd(t,
 		"-data", root, "-addr", "127.0.0.1:0",
-		"-shards", "2", "-replicas", "2", "-q")
+		"-shards", "2", "-q")
 
 	// Inventory: both members, analysis enabled, federation configured.
 	var inv struct {
@@ -362,9 +362,8 @@ func TestQuerydFleet(t *testing.T) {
 			Windows    int    `json:"windows"`
 			Analysis   bool   `json:"analysis"`
 			Federation *struct {
-				Shards   int   `json:"shards"`
-				Replicas int   `json:"replicas"`
-				Fanouts  int64 `json:"fanouts"`
+				Shards  int   `json:"shards"`
+				Fanouts int64 `json:"fanouts"`
 			} `json:"federation"`
 		} `json:"clusters"`
 	}
@@ -378,7 +377,7 @@ func TestQuerydFleet(t *testing.T) {
 		if !c.Analysis || c.Federation == nil {
 			t.Fatalf("cluster %s: analysis=%v federation=%v", c.Name, c.Analysis, c.Federation)
 		}
-		if c.Federation.Shards != 2 || c.Federation.Replicas != 2 {
+		if c.Federation.Shards != 2 {
 			t.Errorf("cluster %s federation = %+v", c.Name, c.Federation)
 		}
 	}
@@ -521,6 +520,13 @@ func TestParseFlags(t *testing.T) {
 	}
 	if o.data != "/x" || o.nodes != 72 || o.cacheMB != 64 {
 		t.Errorf("options = %+v", o)
+	}
+	// A federation has one owner per partition: there is nothing to
+	// replicate or hedge across.
+	for _, retired := range [][]string{{"-replicas", "2"}, {"-hedge", "20ms"}} {
+		if _, err := parseFlags(append([]string{"-data", "/x", "-shards", "2"}, retired...)); err == nil {
+			t.Errorf("%s accepted", retired[0])
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ var Determinism = &Analyzer{
 // stream is on the list because the batch/stream parity contract holds the
 // live operators bit-identical to the offline analyses; source because the
 // federation layer promises N-shard scatter-gather reads bit-identical to a
-// direct read (its hedge timer carries an explicit allow directive).
+// direct read.
 var simPackages = map[string]bool{
 	"nodesim":   true,
 	"workload":  true,

@@ -21,7 +21,7 @@ func UnknownAnalyzer() time.Time {
 // RetiredName names an analyzer that no longer exists (its rule lives in
 // determinism now): malformed, and the violation is still reported.
 func RetiredName() time.Time {
-	return time.Now() //lint:allow detreach the hedge timer used to carry this
+	return time.Now() //lint:allow detreach the wall clock is only logged
 }
 
 // Valid carries a well-formed directive and is suppressed.

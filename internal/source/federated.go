@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/failures"
 	"repro/internal/parallel"
@@ -28,20 +27,11 @@ type FederatedConfig struct {
 	// (they seed the consistent-hash ring, so renaming a shard remaps its
 	// partitions).
 	Shards []Shard
-	// Replicas is how many distinct shards own each partition (clamped to
-	// [1, len(Shards)]). With replicas > 1 the coordinator can fail over —
-	// and, with HedgeDelay set, hedge — across owners.
-	Replicas int
 	// VNodes is the ring's virtual-node count per shard (<= 0:
 	// DefaultVNodes). Every process addressing the same fleet must use the
 	// same value.
 	VNodes int
-	// HedgeDelay, when > 0 and Replicas > 1, launches a hedged request to
-	// the next replica if the primary has not answered within the delay.
-	// Replicas serve byte-identical data, so hedging cannot change results —
-	// only tail latency.
-	HedgeDelay time.Duration
-	// AllowPartial degrades Series reads when a partition's owners all fail:
+	// AllowPartial degrades Series reads when a partition's owner fails:
 	// the failed days stay NaN and the per-shard errors are reported through
 	// SeriesDetail instead of failing the whole query.
 	AllowPartial bool
@@ -49,8 +39,8 @@ type FederatedConfig struct {
 	Workers int
 }
 
-// ShardError reports one failed partition read: which shard was primary for
-// the partition, which day, and the joined per-owner errors.
+// ShardError reports one failed partition read: the shard that owns the
+// partition, which day, and the shard's error.
 type ShardError struct {
 	Shard string
 	Day   int
@@ -77,11 +67,7 @@ type ShardStats struct {
 // exposed by queryd's /debug/vars.
 type FederationSnapshot struct {
 	Shards         int          `json:"shards"`
-	Replicas       int          `json:"replicas"`
 	Fanouts        int64        `json:"fanouts"`
-	HedgesFired    int64        `json:"hedges_fired"`
-	HedgeWins      int64        `json:"hedge_wins"`
-	Failovers      int64        `json:"failovers"`
 	PartialResults int64        `json:"partial_results"`
 	PerShard       []ShardStats `json:"per_shard"`
 }
@@ -90,29 +76,25 @@ type FederationSnapshot struct {
 // slices are sized at open and never resized, so the atomics never move.
 type federationStats struct {
 	fanouts   atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
-	failovers atomic.Int64
 	partials  atomic.Int64
 	shardReqs []atomic.Int64
 	shardErrs []atomic.Int64
 }
 
 // FederatedSource is the scatter-gather coordinator over a fleet of
-// RunSource shards. Day partitions route to owners by consistent hashing of
-// (cluster, day); reads fan out per day with bounded parallelism, fail over
-// across replicas (optionally hedged), and stitch back serially in day
-// order — so a federated read is bit-identical to the equivalent
-// single-source read for any shard count and worker count.
+// RunSource shards. Day partitions route to one owner each by consistent
+// hashing of (cluster, day); reads fan out per day with bounded
+// parallelism and stitch back serially in day order — so a federated read
+// is bit-identical to the equivalent single-source read for any shard count
+// and worker count.
 type FederatedSource struct {
-	cfg      FederatedConfig
-	replicas int
-	ring     *Ring
-	meta     Meta
-	days     int
-	names    []string
-	nameSet  map[string]bool
-	stats    federationStats
+	cfg     FederatedConfig
+	ring    *Ring
+	meta    Meta
+	days    int
+	names   []string
+	nameSet map[string]bool
+	stats   federationStats
 }
 
 var _ RunSource = (*FederatedSource)(nil)
@@ -140,17 +122,9 @@ func OpenFederated(cfg FederatedConfig) (*FederatedSource, error) {
 		seen[sh.Name] = true
 		names[i] = sh.Name
 	}
-	replicas := cfg.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(cfg.Shards) {
-		replicas = len(cfg.Shards)
-	}
 	f := &FederatedSource{
-		cfg:      cfg,
-		replicas: replicas,
-		ring:     NewRing(names, cfg.VNodes),
+		cfg:  cfg,
+		ring: NewRing(names, cfg.VNodes),
 	}
 	f.stats.shardReqs = make([]atomic.Int64, len(cfg.Shards))
 	f.stats.shardErrs = make([]atomic.Int64, len(cfg.Shards))
@@ -204,18 +178,12 @@ func (f *FederatedSource) Days() int { return f.days }
 func (f *FederatedSource) Stats() FederationSnapshot {
 	snap := FederationSnapshot{
 		Shards:         len(f.cfg.Shards),
-		Replicas:       f.replicas,
 		Fanouts:        f.stats.fanouts.Load(),
-		HedgesFired:    f.stats.hedges.Load(),
-		HedgeWins:      f.stats.hedgeWins.Load(),
-		Failovers:      f.stats.failovers.Load(),
 		PartialResults: f.stats.partials.Load(),
 	}
 	owned := make([]int, len(f.cfg.Shards))
 	for d := 0; d < f.days; d++ {
-		for _, sh := range f.ring.Owners(Partition{Cluster: f.meta.Cluster, Day: d}, f.replicas) {
-			owned[sh]++
-		}
+		owned[f.ring.Owner(Partition{Cluster: f.meta.Cluster, Day: d})]++
 	}
 	for i, sh := range f.cfg.Shards {
 		st := ShardStats{
@@ -232,89 +200,17 @@ func (f *FederatedSource) Stats() FederationSnapshot {
 	return snap
 }
 
-// fetchOwned routes one partition read across its owners: sequential
-// failover by default, hedged when configured. It returns the value, the
-// serving shard's name (the primary's on total failure), and the joined
-// per-owner errors when every owner failed.
-func fetchOwned[T any](f *FederatedSource, p Partition, fetch func(RunSource) (T, error)) (T, string, error) {
-	var zero T
-	owners := f.ring.Owners(p, f.replicas)
-	if len(owners) == 0 {
-		return zero, "", fmt.Errorf("source: no shard owns partition %s", p.Key())
+// fetchOwned reads one partition from the shard that owns it. A failed
+// read is a ShardError naming the owner and the day.
+func fetchOwned[T any](f *FederatedSource, p Partition, fetch func(RunSource) (T, error)) (T, error) {
+	sh := f.ring.Owner(p)
+	f.stats.shardReqs[sh].Add(1)
+	v, err := fetch(f.cfg.Shards[sh].Source)
+	if err != nil {
+		f.stats.shardErrs[sh].Add(1)
+		return v, ShardError{Shard: f.cfg.Shards[sh].Name, Day: p.Day, Err: err}
 	}
-	primary := f.cfg.Shards[owners[0]].Name
-	if len(owners) == 1 || f.cfg.HedgeDelay <= 0 {
-		var errs []error
-		for i, sh := range owners {
-			f.stats.shardReqs[sh].Add(1)
-			v, err := fetch(f.cfg.Shards[sh].Source)
-			if err == nil {
-				if i > 0 {
-					f.stats.failovers.Add(1)
-				}
-				return v, f.cfg.Shards[sh].Name, nil
-			}
-			f.stats.shardErrs[sh].Add(1)
-			errs = append(errs, fmt.Errorf("shard %s: %w", f.cfg.Shards[sh].Name, err))
-		}
-		return zero, primary, errors.Join(errs...)
-	}
-	// Hedged path: launch the primary, arm a timer, and if it fires before
-	// the primary answers, race the next replica. Each launch is a
-	// single-shot goroutine delivering into a channel buffered for every
-	// possible owner, so losers never block and nothing leaks. Replicas
-	// serve byte-identical data, so the race affects latency only — the
-	// bits of a successful read are owner-invariant.
-	type result struct {
-		v      T
-		shard  int
-		hedged bool
-		err    error
-	}
-	ch := make(chan result, len(owners))
-	launch := func(sh int, hedged bool) {
-		f.stats.shardReqs[sh].Add(1)
-		go func() {
-			v, err := fetch(f.cfg.Shards[sh].Source)
-			ch <- result{v, sh, hedged, err}
-		}()
-	}
-	launch(owners[0], false)
-	timer := time.NewTimer(f.cfg.HedgeDelay) //lint:allow determinism hedge trigger only; replica answers are byte-identical
-	defer timer.Stop()
-	next, pending := 1, 1
-	var errs []error
-	for {
-		//lint:allow determinism the racing arms return byte-identical replica answers
-		select {
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				if r.hedged {
-					f.stats.hedgeWins.Add(1)
-				}
-				return r.v, f.cfg.Shards[r.shard].Name, nil
-			}
-			f.stats.shardErrs[r.shard].Add(1)
-			errs = append(errs, fmt.Errorf("shard %s: %w", f.cfg.Shards[r.shard].Name, r.err))
-			if next < len(owners) {
-				// An error promotes the next replica immediately.
-				f.stats.failovers.Add(1)
-				launch(owners[next], false)
-				next++
-				pending++
-			} else if pending == 0 {
-				return zero, primary, errors.Join(errs...)
-			}
-		case <-timer.C:
-			if next < len(owners) {
-				f.stats.hedges.Add(1)
-				launch(owners[next], true)
-				next++
-				pending++
-			}
-		}
-	}
+	return v, nil
 }
 
 // dayIdxRange returns the coarsening-window index range [i0, i1) that day d
@@ -337,7 +233,7 @@ func (f *FederatedSource) Series(name string) (*tsagg.Series, error) {
 }
 
 // SeriesDetail is the federated read with explicit degradation reporting:
-// the stitched series, plus one ShardError per day whose owners all failed.
+// the stitched series, plus one ShardError per day whose owner failed.
 // Without AllowPartial any ShardError fails the read; with it, failed days
 // stay NaN and the caller decides whether a partial answer is acceptable.
 //
@@ -348,25 +244,24 @@ func (f *FederatedSource) SeriesDetail(name string) (*tsagg.Series, []ShardError
 	}
 	f.stats.fanouts.Add(1)
 	type dayResult struct {
-		s     *tsagg.Series
-		shard string
-		err   error
+		s   *tsagg.Series
+		err error
 	}
 	res := make([]dayResult, f.days)
-	// Scatter: each day routes to its ring owners independently. Slots are
+	// Scatter: each day routes to its ring owner independently. Slots are
 	// disjoint, so no locking; the stitch below runs serially in day order,
 	// which is what makes the result worker-count invariant.
 	parallel.ForEach(f.days, f.cfg.Workers, func(d int) {
 		t0 := f.meta.StartTime + int64(d)*86400
 		t1 := t0 + 86400
-		s, shard, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: d},
+		s, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: d},
 			func(src RunSource) (*tsagg.Series, error) {
 				if sr, ok := src.(seriesRanger); ok {
 					return sr.SeriesRange(name, t0, t1)
 				}
 				return src.Series(name)
 			})
-		res[d] = dayResult{s, shard, err}
+		res[d] = dayResult{s, err}
 	})
 	out := tsagg.NewSeries(f.meta.StartTime, f.meta.StepSec, 0)
 	var shardErrs []ShardError
@@ -374,8 +269,8 @@ func (f *FederatedSource) SeriesDetail(name string) (*tsagg.Series, []ShardError
 	for d := 0; d < f.days; d++ {
 		r := res[d]
 		if r.err != nil {
-			shardErrs = append(shardErrs, ShardError{Shard: r.shard, Day: d, Err: r.err})
-			errs = append(errs, ShardError{Shard: r.shard, Day: d, Err: r.err})
+			shardErrs = append(shardErrs, r.err.(ShardError))
+			errs = append(errs, r.err)
 			continue
 		}
 		if r.s == nil {
@@ -429,11 +324,11 @@ func (f *FederatedSource) MeterSeries() ([]*tsagg.Series, []*tsagg.Series, error
 }
 
 // JobRecords implements RunSource: the writer puts every job row in the
-// logDay partition, so the read routes to that partition's owners.
+// logDay partition, so the read routes to that partition's owner.
 //
 //lint:detroot
 func (f *FederatedSource) JobRecords() ([]JobRecord, error) {
-	recs, _, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: logDay},
+	recs, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: logDay},
 		func(src RunSource) ([]JobRecord, error) { return src.JobRecords() })
 	return recs, err
 }
@@ -442,17 +337,17 @@ func (f *FederatedSource) JobRecords() ([]JobRecord, error) {
 //
 //lint:detroot
 func (f *FederatedSource) Failures() ([]failures.Event, error) {
-	evs, _, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: logDay},
+	evs, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: logDay},
 		func(src RunSource) ([]failures.Event, error) { return src.Failures() })
 	return evs, err
 }
 
 // NodeWindows implements RunSource: day-addressed, so it routes directly to
-// the day's owners.
+// the day's owner.
 //
 //lint:detroot
 func (f *FederatedSource) NodeWindows(day int) (map[int][]tsagg.WindowStat, error) {
-	m, _, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: day},
+	m, err := fetchOwned(f, Partition{Cluster: f.meta.Cluster, Day: day},
 		func(src RunSource) (map[int][]tsagg.WindowStat, error) { return src.NodeWindows(day) })
 	return m, err
 }
@@ -467,11 +362,9 @@ type ShardedArchiveConfig struct {
 	// CacheBytes is the total decoded-table cache budget split evenly
 	// across shards (<= 0: 256 MiB), floored at 1 MiB per shard.
 	CacheBytes int64
-	// Replicas, VNodes, HedgeDelay, AllowPartial and Workers pass through
-	// to the federation; see FederatedConfig.
-	Replicas     int
+	// VNodes, AllowPartial and Workers pass through to the federation; see
+	// FederatedConfig.
 	VNodes       int
-	HedgeDelay   time.Duration
 	AllowPartial bool
 	Workers      int
 }
@@ -485,13 +378,6 @@ func OpenShardedArchive(cfg ShardedArchiveConfig) (*FederatedSource, error) {
 	n := cfg.Shards
 	if n <= 0 {
 		n = 1
-	}
-	replicas := cfg.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > n {
-		replicas = n
 	}
 	total := cfg.CacheBytes
 	if total <= 0 {
@@ -518,9 +404,8 @@ func OpenShardedArchive(cfg ShardedArchiveConfig) (*FederatedSource, error) {
 	ring := NewRing(names, cfg.VNodes)
 	ownedDays := make([][]int, n)
 	for d := 0; d < DayCount(meta); d++ {
-		for _, sh := range ring.Owners(Partition{Cluster: meta.Cluster, Day: d}, replicas) {
-			ownedDays[sh] = append(ownedDays[sh], d)
-		}
+		sh := ring.Owner(Partition{Cluster: meta.Cluster, Day: d})
+		ownedDays[sh] = append(ownedDays[sh], d)
 	}
 	shards := make([]Shard, n)
 	for i := 0; i < n; i++ {
@@ -536,9 +421,7 @@ func OpenShardedArchive(cfg ShardedArchiveConfig) (*FederatedSource, error) {
 	}
 	return OpenFederated(FederatedConfig{
 		Shards:       shards,
-		Replicas:     cfg.Replicas,
 		VNodes:       cfg.VNodes,
-		HedgeDelay:   cfg.HedgeDelay,
 		AllowPartial: cfg.AllowPartial,
 		Workers:      cfg.Workers,
 	})

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/failures"
@@ -77,9 +76,8 @@ func sameSeries(t *testing.T, what string, a, b *tsagg.Series) {
 
 // TestFederatedParity is the golden guarantee of the federation layer: a
 // federated N-shard query answers bit-identically (tolerance 0) to the
-// equivalent single-source read, for any shard count, any worker count, and
-// with replica fan-out and hedging enabled. Run under -race it also vets
-// the scatter-gather path for data races.
+// equivalent single-source read, for any shard count and any worker count.
+// Run under -race it also vets the scatter-gather path for data races.
 func TestFederatedParity(t *testing.T) {
 	dir := buildFleetArchive(t)
 	direct, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
@@ -99,20 +97,16 @@ func TestFederatedParity(t *testing.T) {
 	}
 
 	type variant struct {
-		label      string
-		shards     int
-		workers    int
-		replicas   int
-		hedgeDelay time.Duration
+		label   string
+		shards  int
+		workers int
 	}
 	variants := []variant{
-		{"n1", 1, 0, 0, 0},
-		{"n2-w1", 2, 1, 0, 0},
-		{"n2-w8", 2, 8, 0, 0},
-		{"n4-w1", 4, 1, 0, 0},
-		{"n4-w8", 4, 8, 0, 0},
-		{"n4-replicated", 4, 8, 2, 0},
-		{"n4-hedged", 4, 8, 2, time.Millisecond},
+		{"n1", 1, 0},
+		{"n2-w1", 2, 1},
+		{"n2-w8", 2, 8},
+		{"n4-w1", 4, 1},
+		{"n4-w8", 4, 8},
 	}
 	for _, v := range variants {
 		t.Run(v.label, func(t *testing.T) {
@@ -120,8 +114,6 @@ func TestFederatedParity(t *testing.T) {
 				Archive:    source.ArchiveConfig{Dir: dir},
 				Shards:     v.shards,
 				CacheBytes: 64 << 20,
-				Replicas:   v.replicas,
-				HedgeDelay: v.hedgeDelay,
 				Workers:    v.workers,
 			})
 			if err != nil {
@@ -242,8 +234,8 @@ func TestFederatedParity(t *testing.T) {
 			for _, sh := range snap.PerShard {
 				total += sh.OwnedDays
 			}
-			if want := fed.Days() * snap.Replicas; total != want {
-				t.Fatalf("ownership map covers %d day-replicas, want %d", total, want)
+			if total != fed.Days() {
+				t.Fatalf("ownership map covers %d days, want exactly %d", total, fed.Days())
 			}
 		})
 	}
@@ -275,10 +267,9 @@ func (d downSource) NodeWindows(int) (map[int][]tsagg.WindowStat, error) {
 }
 
 // TestFederatedPartialDegradation pins the degradation contract: with a
-// dead shard and no replicas, AllowPartial=false fails the read outright,
-// while AllowPartial=true serves the surviving days with NaN holes and
-// reports the failed partitions as ShardErrors. With replicas=2 the read
-// fails over and stays complete.
+// dead shard, AllowPartial=false fails the read outright, while
+// AllowPartial=true serves the surviving days with NaN holes and reports
+// the failed partitions as ShardErrors naming the dead owner.
 func TestFederatedPartialDegradation(t *testing.T) {
 	dir := buildFleetArchive(t)
 	direct, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
@@ -292,19 +283,14 @@ func TestFederatedPartialDegradation(t *testing.T) {
 	days := source.DayCount(meta)
 	names := []string{"shard-0", "shard-1"}
 
-	build := func(allowPartial bool, replicas int, killShard int) *source.FederatedSource {
+	ring := source.NewRing(names, 0)
+	owned := make([][]int, len(names))
+	for d := 0; d < days; d++ {
+		sh := ring.Owner(source.Partition{Cluster: meta.Cluster, Day: d})
+		owned[sh] = append(owned[sh], d)
+	}
+	build := func(allowPartial bool, killShard int) *source.FederatedSource {
 		t.Helper()
-		ring := source.NewRing(names, 0)
-		owned := make([][]int, len(names))
-		rep := replicas
-		if rep < 1 {
-			rep = 1
-		}
-		for d := 0; d < days; d++ {
-			for _, sh := range ring.Owners(source.Partition{Cluster: meta.Cluster, Day: d}, rep) {
-				owned[sh] = append(owned[sh], d)
-			}
-		}
 		shards := make([]source.Shard, len(names))
 		for i := range names {
 			a, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
@@ -318,7 +304,7 @@ func TestFederatedPartialDegradation(t *testing.T) {
 			shards[i] = source.Shard{Name: names[i], Source: src}
 		}
 		fed, err := source.OpenFederated(source.FederatedConfig{
-			Shards: shards, Replicas: replicas, AllowPartial: allowPartial,
+			Shards: shards, AllowPartial: allowPartial,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -326,19 +312,15 @@ func TestFederatedPartialDegradation(t *testing.T) {
 		return fed
 	}
 
-	// Which shard owns at least one day? Kill that one.
-	ring := source.NewRing(names, 0)
-	kill := -1
-	for d := 0; d < days && kill < 0; d++ {
-		kill = ring.Owners(source.Partition{Cluster: meta.Cluster, Day: d}, 1)[0]
-	}
+	// Kill the owner of day 0.
+	kill := ring.Owner(source.Partition{Cluster: meta.Cluster, Day: 0})
 
-	strict := build(false, 1, kill)
+	strict := build(false, kill)
 	if _, err := strict.Series(source.SeriesClusterPower); !errors.Is(err, errShardDown) {
 		t.Fatalf("strict federation with dead shard: got %v, want errShardDown", err)
 	}
 
-	lax := build(true, 1, kill)
+	lax := build(true, kill)
 	s, shardErrs, err := lax.SeriesDetail(source.SeriesClusterPower)
 	if err != nil {
 		t.Fatalf("partial federation should degrade, got %v", err)
@@ -375,20 +357,5 @@ func TestFederatedPartialDegradation(t *testing.T) {
 	}
 	if got := lax.Stats().PartialResults; got == 0 {
 		t.Fatalf("partials served not counted: %+v", lax.Stats())
-	}
-
-	// Replicas: the surviving owner serves every partition bit-identically.
-	replicated := build(true, 2, kill)
-	rs, rErrs, err := replicated.SeriesDetail(source.SeriesClusterPower)
-	if err != nil || len(rErrs) != 0 {
-		t.Fatalf("replicated federation should fail over cleanly: err %v, shard errors %v", err, rErrs)
-	}
-	ds, err := direct.Series(source.SeriesClusterPower)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSeries(t, "replicated failover series", ds, rs)
-	if got := replicated.Stats().Failovers; got == 0 {
-		t.Fatalf("failovers not counted: %+v", replicated.Stats())
 	}
 }

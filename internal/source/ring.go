@@ -25,7 +25,6 @@ type Partition struct {
 // metadata service.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	shards int
 }
 
 type ringPoint struct {
@@ -44,7 +43,7 @@ func NewRing(names []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{points: make([]ringPoint, 0, len(names)*vnodes), shards: len(names)}
+	r := &Ring{points: make([]ringPoint, 0, len(names)*vnodes)}
 	for i, name := range names {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
@@ -66,36 +65,17 @@ func NewRing(names []string, vnodes int) *Ring {
 // Key is the canonical hash key of a partition.
 func (p Partition) Key() string { return fmt.Sprintf("%s|day-%05d", p.Cluster, p.Day) }
 
-// Owners returns the distinct shards owning partition p, primary first,
-// walking clockwise from the partition's hash. replicas is clamped to
-// [1, shards]. The result is deterministic.
-func (r *Ring) Owners(p Partition, replicas int) []int {
-	if r.shards == 0 {
-		return nil
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > r.shards {
-		replicas = r.shards
+// Owner returns the shard owning partition p: the first ring point
+// clockwise from the partition's hash. It is deterministic, and -1 on an
+// empty ring.
+func (r *Ring) Owner(p Partition) int {
+	if len(r.points) == 0 {
+		return -1
 	}
 	h := hash64(p.Key())
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	owners := make([]int, 0, replicas)
-	seen := make(map[int]bool, replicas)
-	for i := 0; len(owners) < replicas && i < len(r.points); i++ {
-		pt := r.points[(start+i)%len(r.points)]
-		if seen[pt.shard] {
-			continue
-		}
-		seen[pt.shard] = true
-		owners = append(owners, pt.shard)
-	}
-	return owners
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return r.points[i%len(r.points)].shard
 }
-
-// Shards returns the shard count the ring was built over.
-func (r *Ring) Shards() int { return r.shards }
 
 // hash64 hashes a key onto the ring. Raw FNV-1a has almost no avalanche on
 // short keys that differ only in a trailing counter ("a#0", "a#1", …): the

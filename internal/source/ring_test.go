@@ -15,44 +15,30 @@ func TestRingDeterministic(t *testing.T) {
 	b := NewRing(names, 0)
 	for day := 0; day < 400; day++ {
 		p := Partition{Cluster: "summit-0", Day: day}
-		oa := a.Owners(p, 2)
-		ob := b.Owners(p, 2)
-		if len(oa) != 2 || len(ob) != 2 || oa[0] != ob[0] || oa[1] != ob[1] {
-			t.Fatalf("day %d: owners differ across identical rings: %v vs %v", day, oa, ob)
-		}
-		if oa[0] == oa[1] {
-			t.Fatalf("day %d: replicas landed on one shard: %v", day, oa)
+		oa, ob := a.Owner(p), b.Owner(p)
+		if oa != ob || oa < 0 || oa >= len(names) {
+			t.Fatalf("day %d: owner differs across identical rings: %d vs %d", day, oa, ob)
 		}
 	}
 }
 
 // TestRingSpread checks the vnode layout spreads a year of partitions over
-// every shard (no starving member) and that replica clamping works.
+// every shard (no starving member) and that an empty ring owns nothing.
 func TestRingSpread(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	r := NewRing(names, 0)
 	counts := make([]int, len(names))
 	for day := 0; day < 365; day++ {
-		owners := r.Owners(Partition{Cluster: "frontier-1", Day: day}, 1)
-		if len(owners) != 1 {
-			t.Fatalf("day %d: %d owners, want 1", day, len(owners))
-		}
-		counts[owners[0]]++
+		counts[r.Owner(Partition{Cluster: "frontier-1", Day: day})]++
 	}
 	for i, c := range counts {
 		if c == 0 {
 			t.Fatalf("shard %s owns no partitions: %v", names[i], counts)
 		}
 	}
-	if got := r.Owners(Partition{Day: 1}, 99); len(got) != len(names) {
-		t.Fatalf("replicas should clamp to shard count, got %d owners", len(got))
-	}
-	if got := r.Owners(Partition{Day: 1}, -5); len(got) != 1 {
-		t.Fatalf("replicas should clamp up to 1, got %d owners", len(got))
-	}
 	empty := NewRing(nil, 0)
-	if got := empty.Owners(Partition{Day: 0}, 1); got != nil {
-		t.Fatalf("empty ring returned owners: %v", got)
+	if got := empty.Owner(Partition{Day: 0}); got != -1 {
+		t.Fatalf("empty ring returned owner %d, want -1", got)
 	}
 }
 
@@ -63,8 +49,8 @@ func TestRingClusterSeparation(t *testing.T) {
 	same := 0
 	const days = 200
 	for day := 0; day < days; day++ {
-		a := r.Owners(Partition{Cluster: "summit-0", Day: day}, 1)[0]
-		b := r.Owners(Partition{Cluster: "frontier-1", Day: day}, 1)[0]
+		a := r.Owner(Partition{Cluster: "summit-0", Day: day})
+		b := r.Owner(Partition{Cluster: "frontier-1", Day: day})
 		if a == b {
 			same++
 		}

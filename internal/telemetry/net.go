@@ -159,23 +159,6 @@ func (s *Server) Frames() int64 { return s.frames.Load() }
 // stalls.
 func (s *Server) Dropped() int64 { return s.dropped.Load() }
 
-// Stats is a point-in-time copy of the server's ingest counters.
-type Stats struct {
-	Received int64 // samples ingested
-	Frames   int64 // frames ingested
-	Dropped  int64 // connections dropped for violations or stalls
-}
-
-// Stats returns all ingest counters in one call, for callers that report
-// them together.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Received: s.received.Load(),
-		Frames:   s.frames.Load(),
-		Dropped:  s.dropped.Load(),
-	}
-}
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {

@@ -276,35 +276,6 @@ func TestServerDropsUndecodableFrame(t *testing.T) {
 	}
 }
 
-func TestServerStats(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	exp, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := exp.Push(Sample{Node: 1, Metric: MetricInputPower, T: int64(i), Value: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "stats to settle", func() bool { return srv.Stats().Received == 3 })
-	st := srv.Stats()
-	if st.Received != srv.Received() || st.Frames != srv.Frames() || st.Dropped != srv.Dropped() {
-		t.Errorf("Stats %+v disagrees with counters %d/%d/%d",
-			st, srv.Received(), srv.Frames(), srv.Dropped())
-	}
-	if st.Frames == 0 || st.Dropped != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
 func TestServerRejectsNilSink(t *testing.T) {
 	if _, err := NewServer("127.0.0.1:0", nil); err == nil {
 		t.Error("nil sink accepted")
