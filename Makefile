@@ -256,8 +256,9 @@ scenario-smoke:
 # same files byte for byte (the day flush runs beside the simulation and
 # WriteArchive encodes its partitions side by side, and neither's scheduling
 # may reach the archive); every partition is plain multi-member gzip
-# (`gzip -t`) and passes `analyze -cmd fsck`, which must exit 1 on a copy with
-# one byte flipped; then a shorter run archived into the same directory must
+# (`gzip -t`) and passes `analyze -cmd fsck`, which must count both
+# node-power days as strided (each node XORed with itself a window back) and
+# no cluster-power day, and must exit 1 on a copy with one byte flipped; then a shorter run archived into the same directory must
 # be refused (its leftover days would otherwise be served as one run) and
 # leave the earlier run's scenario.json in place.
 archive-smoke:
@@ -272,7 +273,10 @@ archive-smoke:
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster summit-0 -cmd summary > /dev/null
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster frontier-1 -cmd summary > /dev/null
 	find /tmp/arcsmoke-single /tmp/arcsmoke-fleet -name '*.spwr' -exec gzip -t {} +
-	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd fsck > /dev/null
+	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd fsck > /tmp/arcsmoke-fsck.txt
+	@grep -q ': node-power: 2 partitions, .* 2 with strided columns, 0 problems' /tmp/arcsmoke-fsck.txt && \
+		grep -q ': cluster-power: 2 partitions, .* 0 with strided columns, 0 problems' /tmp/arcsmoke-fsck.txt || \
+		{ echo "archive-smoke: want both node-power days strided and no cluster-power day"; cat /tmp/arcsmoke-fsck.txt; exit 1; }
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cmd fsck > /dev/null
 	@set -eu; cp -r /tmp/arcsmoke-single /tmp/arcsmoke-flipped; f=/tmp/arcsmoke-flipped/node-power-day00001.spwr; \
 	mid=$$(( $$(wc -c < $$f) / 2 )); \

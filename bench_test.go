@@ -415,11 +415,10 @@ const (
 )
 
 // queryBenchArchive writes one shared node-power archive (4 days, 36 nodes,
-// 60 s cadence ≈ 207k rows) in the collector's real shape: seven columns in
-// day partitions written with the collector's codec (Dataset.WriteDay, i.e.
-// CodecDelta — see core.NodeDatasetWriter) plus the Gorilla-encoded
-// pre-aggregate companion, so the benchmarks exercise the same decode work
-// a summitsim archive would.
+// 60 s cadence ≈ 207k rows) through the collector's own writer,
+// source.WriteNodeDay: seven columns in day partitions under the collector's
+// codec plus the Gorilla-encoded pre-aggregate companion, so the benchmarks
+// exercise the same decode work a summitsim archive would.
 func queryBenchArchive(b *testing.B) string {
 	b.Helper()
 	queryBenchOnce.Do(func() {
@@ -436,14 +435,6 @@ func queryBenchArchive(b *testing.B) string {
 }
 
 func writeQueryBenchArchive(dir string) error {
-	ds, err := store.NewDataset(dir, "node-power")
-	if err != nil {
-		return err
-	}
-	rds, err := store.NewDataset(dir, source.RollupDatasetName("node-power"))
-	if err != nil {
-		return err
-	}
 	tcfg, err := topology.PresetScaled("", queryBenchNodes)
 	if err != nil {
 		return err
@@ -452,44 +443,15 @@ func writeQueryBenchArchive(dir string) error {
 	if err != nil {
 		return err
 	}
-	statCols := []string{
-		"input_power.count", "input_power.min", "input_power.max",
-		"input_power.mean", "input_power.std",
-	}
 	for day := 0; day < queryBenchDays; day++ {
-		var ts, node, count []int64
-		var mn, mx, mean, std []float64
-		red := source.NewRollupReducer(floor, statCols)
-		vals := make([]float64, len(statCols))
+		var rows source.NodeRows
 		for tm := int64(day) * 86400; tm < int64(day+1)*86400; tm += queryBenchStep {
-			for n := int64(0); n < queryBenchNodes; n++ {
+			for n := 0; n < queryBenchNodes; n++ {
 				v := 2000 + 10*float64(n) + float64(tm%3600)*0.01
-				ts = append(ts, tm)
-				node = append(node, n)
-				count = append(count, 6)
-				mn = append(mn, v-1)
-				mx = append(mx, v+1)
-				mean = append(mean, v)
-				std = append(std, 0.5)
-				vals[0], vals[1], vals[2], vals[3], vals[4] = 6, v-1, v+1, v, 0.5
-				if err := red.Add(tm, n, vals); err != nil {
-					return err
-				}
+				rows.Append(n, tsagg.WindowStat{T: tm, Count: 6, Min: v - 1, Max: v + 1, Mean: v, Std: 0.5})
 			}
 		}
-		tab := &store.Table{Cols: []store.Column{
-			{Name: "timestamp", Ints: ts},
-			{Name: "node", Ints: node},
-			{Name: "input_power.count", Ints: count},
-			{Name: "input_power.min", Floats: mn},
-			{Name: "input_power.max", Floats: mx},
-			{Name: "input_power.mean", Floats: mean},
-			{Name: "input_power.std", Floats: std},
-		}}
-		if err := ds.WriteDay(day, tab); err != nil {
-			return err
-		}
-		if err := rds.WriteDayCodec(day, red.Table(), store.CodecGorilla); err != nil {
+		if err := source.WriteNodeDay(dir, day, &rows, floor); err != nil {
 			return err
 		}
 	}
@@ -636,7 +598,7 @@ func BenchmarkDayMeta(b *testing.B) {
 	}
 }
 
-// BenchmarkSkipDelta steps over all seven CodecDelta columns of that day: the
+// BenchmarkSkipDelta steps over all seven columns of that day: the
 // floor under every column-selective read — seven seeks by the directory's
 // member lengths (before: inflate plus the varint walk).
 func BenchmarkSkipDelta(b *testing.B) {

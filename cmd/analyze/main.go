@@ -137,17 +137,20 @@ func fsck(w io.Writer, dataDir, cluster string) error {
 			if days[name], err = ds.Days(); err != nil {
 				return err
 			}
-			members := 0
+			members, strided := 0, 0
 			var found []error
 			for _, day := range days[name] {
-				m, errs := ds.VerifyDay(day)
-				if m {
+				c := ds.VerifyDay(day)
+				if c.Members {
 					members++
 				}
-				found = append(found, errs...)
+				if c.Strided {
+					strided++
+				}
+				found = append(found, c.Problems...)
 			}
-			fmt.Fprintf(w, "%s: %s: %d partitions, %d framed as members, %d as one stream, %d problems\n",
-				dir, name, len(days[name]), members, len(days[name])-members, len(found))
+			fmt.Fprintf(w, "%s: %s: %d partitions, %d framed as members, %d as one stream, %d with strided columns, %d problems\n",
+				dir, name, len(days[name]), members, len(days[name])-members, strided, len(found))
 			for _, err := range found {
 				fmt.Fprintf(w, "%s: %v\n", dir, err)
 			}

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"compress/gzip"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +10,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/source"
+	"repro/internal/store/storetest"
 	"repro/internal/units"
 )
 
@@ -151,23 +149,7 @@ func TestFsck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// singleStream is the partition as one gzip member: the same payload, no
-	// directory.
-	singleStream := func(raw []byte) []byte {
-		zr, err := gzip.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		zw := gzip.NewWriter(&out)
-		if _, err := io.Copy(zw, zr); err != nil {
-			t.Fatal(err)
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
+	singleStream := func(raw []byte) []byte { return storetest.SingleStream(t, raw) }
 	flipMiddle := func(raw []byte) []byte { raw[len(raw)/2] ^= 0x20; return raw }
 
 	cases := []struct {
@@ -210,6 +192,11 @@ func TestFsck(t *testing.T) {
 			if tc.want == nil {
 				if err != nil || strings.Count(out.String(), ", 0 problems\n") != 6 {
 					t.Fatalf("fsck of a sound archive: %v\n%s", err, out.String())
+				}
+				// node-power's base days XOR each node with itself a window
+				// back; nothing else is strided.
+				if strings.Count(out.String(), ", 0 with strided columns,") != 5 || !strings.Contains(out.String(), ": node-power: 1 partitions, 1 framed as members, 0 as one stream, 1 with strided columns,") {
+					t.Errorf("fsck of a sound archive, want node-power's one day strided and nothing else:\n%s", out.String())
 				}
 				return
 			}

@@ -5,13 +5,16 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
 )
@@ -41,20 +44,38 @@ func flushPinConfigs() []sim.Config {
 // layout moved and untouched by that commit, are the proof. A change that is
 // not meant to alter the archive never regenerates them. They are tied to the
 // toolchain's compress/flate: if a Go upgrade alone moves them, the layout
-// pin still holds and these are re-recorded in that upgrade's commit.
+// pin still holds and these are re-recorded in that upgrade's commit. The six
+// base days were re-recorded once more when node-power moved to
+// CodecDeltaFast with its float columns strided by the node count — a
+// deliberate format change, under which the values did not move:
+// TestStridedDaysDecodeToTheParentsValues holds them to deltaPins. The six
+// companions were not touched by it and keep their literals.
 var flushPins = map[string]string{
-	"summit-0/node-power-day00000.spwr":          "67c4ceaec995a181e631c5a63d7061559b98d60f2af9bed67ba979b43e19239e",
-	"summit-0/node-power-day00001.spwr":          "24f9de8ff32ced590c0d8951da244177b71fe3bb4a1ec34a3e3503702888615e",
-	"summit-0/node-power-day00002.spwr":          "f1965d95ca108fed5befc03bdb1958f0bf501f7b1ea72e054bf562922ab5e73e",
+	"summit-0/node-power-day00000.spwr":          "ea9f5517671bbe5b4dff5deac4494f21095ae024e8dc3e351d42760b29cb9df3",
+	"summit-0/node-power-day00001.spwr":          "6fd32189b3a83e196f2f5b9711962aa812a559a880e81a20a3607f2a60accb88",
+	"summit-0/node-power-day00002.spwr":          "e018b4bfa6d010f6ed3e748b29f100555cd1ba5010d25d3bd942a394a0a3cf13",
 	"summit-0/node-power.rollup-day00000.spwr":   "efe702da371d1fbdc88588756e637c90f3fb2bbeb629ed0bf8ce1abc369414a9",
 	"summit-0/node-power.rollup-day00001.spwr":   "df52e812b94f7414cbe4bca8e838718a5bddeddedea037b559f09114f3a78e13",
 	"summit-0/node-power.rollup-day00002.spwr":   "fe1dc371eaa9e1c5d29dba14b8abde0d44078a836a9454036de5a71a52733b48",
-	"frontier-1/node-power-day00000.spwr":        "4491e3280cf797f13c4067df3a8bad72d28d65f4e387b0bb14960322bd6f2137",
-	"frontier-1/node-power-day00001.spwr":        "17d5c1dc94e207299fd6e8a4fcaeb2da050a8709fe1f90d4e0209f193bc72d35",
-	"frontier-1/node-power-day00002.spwr":        "123ba032b7c86a703754b7e044a45561c88554a003ab292c93f98c55b31c4b86",
+	"frontier-1/node-power-day00000.spwr":        "ce1f2f5e215bc6228d7499da416a2b49e6bed68019892a8bae0583510c2da616",
+	"frontier-1/node-power-day00001.spwr":        "8feb805ae747ee36fdb9ce0363d68fd94fe4199034d0bdca9dfa7c5b75a1c16d",
+	"frontier-1/node-power-day00002.spwr":        "b450b9f20cf4c372a9d76ec966bdebdee1b65720a0273d70d4598731515c4dc6",
 	"frontier-1/node-power.rollup-day00000.spwr": "34935e47a931afeddd6c5ed12cb75d3b8efac5cc306a3d156bfd4b242edc65ea",
 	"frontier-1/node-power.rollup-day00001.spwr": "3d1c353674fdfa8bd684e6b1e865d74f2e7d92d4a596ff0dd5382b19d6e017a7",
 	"frontier-1/node-power.rollup-day00002.spwr": "f172c1323d05cba06a5bbb010182ba91261ba75ee1072c1b1d9f30f0647682a2",
+}
+
+// deltaPins are the base days of flushPins as every build before the strided
+// base wrote them: CodecDelta, each float XORed with the previous row. Those
+// bytes are a function of the values alone, so a strided day that decodes to
+// exactly these values re-encodes to exactly these files.
+var deltaPins = map[string]string{
+	"summit-0/node-power-day00000.spwr":   "67c4ceaec995a181e631c5a63d7061559b98d60f2af9bed67ba979b43e19239e",
+	"summit-0/node-power-day00001.spwr":   "24f9de8ff32ced590c0d8951da244177b71fe3bb4a1ec34a3e3503702888615e",
+	"summit-0/node-power-day00002.spwr":   "f1965d95ca108fed5befc03bdb1958f0bf501f7b1ea72e054bf562922ab5e73e",
+	"frontier-1/node-power-day00000.spwr": "4491e3280cf797f13c4067df3a8bad72d28d65f4e387b0bb14960322bd6f2137",
+	"frontier-1/node-power-day00001.spwr": "17d5c1dc94e207299fd6e8a4fcaeb2da050a8709fe1f90d4e0209f193bc72d35",
+	"frontier-1/node-power-day00002.spwr": "123ba032b7c86a703754b7e044a45561c88554a003ab292c93f98c55b31c4b86",
 }
 
 // nodePartitionSums hashes every node-power* file in dir.
@@ -122,6 +143,58 @@ func TestOverlappedFlushIsByteIdentical(t *testing.T) {
 	}
 	for i, cfg := range cfgs {
 		checkFlushPins(t, "fleet of two", cfg.Cluster, dirs[i])
+	}
+}
+
+// TestStridedDaysDecodeToTheParentsValues writes every node-power day of the
+// pinned fleet both ways: by the collector — CodecDeltaFast, float columns
+// strided by the node count — and, from what ReadDay decodes of that, the way
+// every earlier build wrote it, stride 1 under CodecDelta. The second file
+// must be the parent's to the byte (deltaPins), so the strided day holds the
+// parent's values to the last bit; ReadDay of the two must agree; and fsck
+// must see the strides, so a writer that silently fell back to the previous
+// row fails here.
+func TestStridedDaysDecodeToTheParentsValues(t *testing.T) {
+	cfgs := flushPinConfigs()
+	dirs := []string{t.TempDir(), t.TempDir()}
+	if _, err := CollectFleet(cfgs, 2, func(i int) string { return dirs[i] }); err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		strided := &store.Dataset{Dir: dirs[i], Name: DatasetNodePower}
+		delta := &store.Dataset{Dir: t.TempDir(), Name: DatasetNodePower}
+		for day := 0; day < 3; day++ {
+			what := cfg.Cluster + "/" + strided.DayFile(day)
+			if c := strided.VerifyDay(day); !c.Strided || len(c.Problems) > 0 {
+				t.Errorf("%s: fsck says strided %v, problems %v; want strided and clean", what, c.Strided, c.Problems)
+			}
+			want, err := strided.ReadDay(day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := delta.WriteDayCodec(day, want, store.CodecDelta); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join(delta.Dir, delta.DayFile(day)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != deltaPins[what] {
+				t.Errorf("%s: re-encoded as CodecDelta, sha256 %x, the parent's %s", what, sum, deltaPins[what])
+			}
+			have, err := delta.ReadDay(day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want.Cols {
+				w, h := &want.Cols[k], &have.Cols[k]
+				if w.Name != h.Name || !slices.Equal(w.Ints, h.Ints) || !slices.EqualFunc(w.Floats, h.Floats, func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+					t.Errorf("%s: column %q reads back differently from the two files", what, w.Name)
+				}
+			}
+		}
 	}
 }
 

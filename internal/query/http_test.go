@@ -1,10 +1,7 @@
 package query
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -19,6 +16,7 @@ import (
 	"repro/internal/serve/servetest"
 	"repro/internal/source"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 // singleHandler serves one anonymous cluster — the pre-fleet shape most
@@ -336,24 +334,11 @@ func TestHTTPVarsStoreBlock(t *testing.T) {
 	}
 	// Day 0 becomes one gzip member holding the same payload.
 	path := filepath.Join(dir, ds.DayFile(0))
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy bytes.Buffer
-	zw := gzip.NewWriter(&legacy)
-	if _, err := io.Copy(zw, zr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, storetest.SingleStream(t, raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

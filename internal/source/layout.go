@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"slices"
 	"strings"
 
 	"repro/internal/failures"
@@ -287,30 +288,50 @@ func emptied[T any](s []T, capacity int) []T {
 // the day's pre-aggregate companion, folded from the same rows in day-table
 // order — which is what makes a rollup answered from the companion
 // bit-identical to one scanned from the base. This is the one place the pair
-// is written and its codecs chosen: the collector's CodecDelta for the base,
-// Gorilla for the tiny, cold-read companion. The two are independent files
-// built from the same read-only columns, so the companion is folded and
-// written while the base deflates; both writes have finished when
-// WriteNodeDay returns, and the base's error is reported first. Nothing
-// orders the two renames: whatever binds a companion to its base (ROADMAP
-// item 1) has to hold between two concurrent writes.
+// is written and its codecs chosen: CodecDeltaFast for the base, its float
+// columns strided by the rows of one window so each value is XORed with the
+// same node's one window earlier, and Gorilla for the tiny, cold-read
+// companion. The two are independent files built from the same read-only
+// columns, so the companion is folded and written while the base deflates;
+// both writes have finished when WriteNodeDay returns, and the base's error
+// is reported first. Nothing orders the two renames: whatever binds a
+// companion to its base (ROADMAP item 1) has to hold between two concurrent
+// writes.
 //
 //lint:detroot
 func WriteNodeDay(dir string, day int, rows *NodeRows, floor *topology.Floor) error {
 	if rows.Len() == 0 {
 		return nil
 	}
-	tab, base := &store.Table{Cols: rows.c.cols}, dataset(dir, DatasetNodePower)
+	tab, base := &store.Table{Cols: slices.Clone(rows.c.cols)}, dataset(dir, DatasetNodePower)
+	if stride := windowRows(tab.Cols[0].Ints); stride <= store.MaxStride {
+		for k := range tab.Cols {
+			if !tab.Cols[k].IsInt() {
+				tab.Cols[k].Stride = stride
+			}
+		}
+	}
 	if floor == nil {
-		return base.WriteDayCodec(day, tab, store.CodecDelta)
+		return base.WriteDayCodec(day, tab, store.CodecDeltaFast)
 	}
 	companion := make(chan error, 1)
 	go func() { companion <- writeNodeRollup(dir, day, tab, floor) }()
-	err := base.WriteDayCodec(day, tab, store.CodecDelta)
+	err := base.WriteDayCodec(day, tab, store.CodecDeltaFast)
 	if cerr := <-companion; err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// windowRows is how many of the (time, node)-ordered rows share the first
+// row's timestamp: the nodes of one window, so the value that many rows back
+// is the same node's one window earlier.
+func windowRows(ts []int64) int {
+	n := 1
+	for n < len(ts) && ts[n] == ts[0] {
+		n++
+	}
+	return n
 }
 
 // writeNodeRollup folds one node-power day table into its companion partition.

@@ -65,14 +65,18 @@ func archivePinnedRun(t *testing.T) string {
 // were recorded at the commit before the layout moved behind
 // source.WriteArchive; never regenerate them for a refactor. A change that
 // is meant to alter the layout (a format version, a codec decision, a new
-// column) re-records them in the same commit and says so.
+// column) re-records them in the same commit and says so. node-power's was
+// re-recorded when its base days moved to CodecDeltaFast with float columns
+// strided by the node count (the header's codec byte, the strided kind and
+// the same-node XORs); core.TestStridedDaysDecodeToTheParentsValues shows
+// the values under it did not move.
 func TestArchiveLayoutPin(t *testing.T) {
 	dir := archivePinnedRun(t)
 	want := map[string]string{
 		"cluster-power-day00000.spwr":     "ffb95f9a36551e2163c040bf822c157c88ee90dd7f68016b8c2dcb8191c4b7d8",
 		"gpu-xid-day00000.spwr":           "e9e2b483751d1216babd0423857952014223c9e7a8bfe2225c3955868f8764a8",
 		"job-records-day00000.spwr":       "c376abe9b9e8ab2eca8760ef56635a4bce62b2ba61997159e20e9b84ad717009",
-		"node-power-day00000.spwr":        "0d84619de0e532a37e2dd0b74ebe69ad4555251a2c7247761941161f3242addf",
+		"node-power-day00000.spwr":        "b022758e27ad703dbb229b59b9ac8b977c7f0f315dd826f4acbb705cce507e23",
 		"node-power.rollup-day00000.spwr": "15533aed08a31d653f143a6eb904a459d099ede988331b0760947b589b0834f5",
 		"run-meta-day00000.spwr":          "d4e4dae4a35047d538fd8adfb5d5c4502b460e54925a3ead9d885aad5ff6893a",
 	}

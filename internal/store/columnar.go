@@ -21,6 +21,13 @@ type Column struct {
 	Ints   []int64
 	Floats []float64
 	Strs   []string
+	// Stride is a float column's predictor distance under a delta codec:
+	// each value is XORed with the one Stride rows before it, the first
+	// Stride rows with zero; 0 and 1 both mean the previous row. Rows in
+	// (time, node) order hold a node's value one window back at a stride of
+	// the node count. Reads leave it 0: it says how the values were
+	// encoded, not what they are.
+	Stride int
 }
 
 // IsInt reports whether the column is integer-typed. A column with no slice
@@ -89,9 +96,16 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("store: column %q has %d rows, want %d",
 				c.Name, c.Len(), t.NumRows())
 		}
+		if c.Stride < 0 || c.Stride > 1 && (c.IsInt() || c.IsStr() || c.Stride > min(t.NumRows(), MaxStride)) {
+			return fmt.Errorf("store: column %q: stride %d is not a float column's 1..min(%d rows, %d)",
+				c.Name, c.Stride, t.NumRows(), MaxStride)
+		}
 	}
 	return nil
 }
+
+// stride is the predictor distance c is encoded with.
+func (c *Column) stride() int { return max(c.Stride, 1) }
 
 // Format constants. Tables holding only numeric columns are written as
 // version 2, the format every earlier build of this repository reads; a
@@ -105,6 +119,10 @@ const (
 	colInt         = byte(0)
 	colFlt         = byte(1)
 	colStr         = byte(2)
+	// colFltStrided is a delta float column whose stride is not 1: the
+	// stride follows the kind byte as a uvarint. A build that predates it
+	// refuses the column as an unknown kind.
+	colFltStrided = byte(3)
 
 	// maxStrLen bounds one string value, on both the write and the decode
 	// side: the length prefix in a partition file is attacker-controlled,
@@ -114,6 +132,11 @@ const (
 	maxCols, maxRows, maxNameLen = 1 << 16, 1 << 32, 4096
 )
 
+// MaxStride is the largest stride a column may name. The stride is read from
+// the file and sizes the decoder's history of that many values, so a reader
+// refuses a larger one before allocating anything for it.
+const MaxStride = 1 << 16
+
 // Codec selects the column encoding and compression level. The default
 // (CodecDelta) is what the pipeline uses; the others exist for the
 // compression ablation benchmarks and for interoperability tests.
@@ -121,12 +144,16 @@ type Codec uint8
 
 // Codecs.
 const (
-	// CodecDelta: ints delta+zigzag+uvarint, floats XOR-prev+uvarint,
-	// default gzip. The production choice.
+	// CodecDelta: ints delta+zigzag+uvarint, floats XOR against the value
+	// Column.Stride rows back (by default the previous row) + uvarint,
+	// default gzip. The production choice for every dataset but node-power.
 	CodecDelta Codec = iota
 	// CodecRaw: fixed-width little-endian values, default gzip.
 	CodecRaw
-	// CodecDeltaFast: delta/XOR encoding with gzip.BestSpeed.
+	// CodecDeltaFast: delta/XOR encoding with gzip.BestSpeed. node-power's
+	// choice, with its float columns strided by the node count: the
+	// same-node XOR leaves deflate little to find at level 6 that level 1
+	// misses.
 	CodecDeltaFast
 	// CodecRawStore: fixed-width values, gzip store mode (no compression).
 	CodecRawStore
@@ -175,6 +202,11 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
+	for i := range t.Cols {
+		if c := &t.Cols[i]; c.stride() > 1 && !codec.delta() {
+			return fmt.Errorf("store: column %q: stride %d needs a delta codec, not codec %d", c.Name, c.Stride, codec)
+		}
+	}
 	var columns spill
 	zw, err := gzip.NewWriterLevel(&columns, codec.gzipLevel())
 	if err != nil {
@@ -201,7 +233,7 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 		}
 		e := &dir.cols[i]
 		e.ColumnInfo = ColumnInfo{Name: c.Name, Int: c.IsInt(), Str: c.IsStr()}
-		e.size = columns.n - start
+		e.size, e.stride = columns.n-start, c.stride()
 		if c.IsInt() {
 			e.min, e.max, e.sorted = intStats(c.Ints)
 		}
@@ -370,17 +402,28 @@ func (e *encoder) column(c *Column) error {
 			}
 		}
 	default:
-		if err := bw.WriteByte(colFlt); err != nil {
-			return err
+		stride := c.stride()
+		if stride == 1 {
+			if err := bw.WriteByte(colFlt); err != nil {
+				return err
+			}
+		} else {
+			if err := bw.WriteByte(colFltStrided); err != nil {
+				return err
+			}
+			if err := e.putUvarint(uint64(stride)); err != nil {
+				return err
+			}
 		}
 		if codec.delta() {
-			prev := uint64(0)
 			for j := 0; j < len(c.Floats); j += blockRows {
 				e.chunk = e.chunk[:0]
-				for _, v := range c.Floats[j:min(j+blockRows, len(c.Floats))] {
-					bits := math.Float64bits(v)
-					e.chunk = appendUvarint(e.chunk, bits^prev)
-					prev = bits
+				for i := j; i < min(j+blockRows, len(c.Floats)); i++ {
+					var prev uint64
+					if i >= stride {
+						prev = math.Float64bits(c.Floats[i-stride])
+					}
+					e.chunk = appendUvarint(e.chunk, math.Float64bits(c.Floats[i])^prev)
 				}
 				if _, err := bw.Write(e.chunk); err != nil {
 					return err

@@ -26,6 +26,9 @@ type directory struct {
 type dirColumn struct {
 	ColumnInfo
 	size int64 // bytes of the column's gzip member, header and trailer included
+	// stride is the column's predictor distance (Column.Stride): 1 but for
+	// a strided float column, whose entry carries it after the size.
+	stride int
 	// Integer columns only: the value range (zeros for an empty column) and
 	// whether the values are non-decreasing in row order.
 	min, max int64
@@ -76,12 +79,17 @@ func (d *directory) encode() []byte {
 			kind = colInt
 		case c.Str:
 			kind = colStr
+		case c.stride > 1:
+			kind = colFltStrided
 		}
 		if c.sorted {
 			kind |= dirSorted
 		}
 		b = append(b, kind)
 		b = appendUvarint(b, uint64(c.size))
+		if kind == colFltStrided {
+			b = appendUvarint(b, uint64(c.stride))
+		}
 		if c.Int {
 			b = appendUvarint(b, zigzag(c.min))
 			b = appendUvarint(b, zigzag(c.max))
@@ -132,7 +140,7 @@ func parseDirectory(extra []byte) (*directory, error) {
 		if !ok || n > maxNameLen || uint64(len(body)) < n+1 {
 			return nil, bad
 		}
-		c := dirColumn{ColumnInfo: ColumnInfo{Name: string(body[:n])}}
+		c := dirColumn{ColumnInfo: ColumnInfo{Name: string(body[:n])}, stride: 1}
 		kind := body[n]
 		body = body[n+1:]
 		c.sorted = kind&dirSorted != 0
@@ -141,7 +149,7 @@ func parseDirectory(extra []byte) (*directory, error) {
 			c.Int = true
 		case colStr:
 			c.Str = true
-		case colFlt:
+		case colFlt, colFltStrided:
 		default:
 			return nil, bad
 		}
@@ -150,6 +158,13 @@ func parseDirectory(extra []byte) (*directory, error) {
 			return nil, bad
 		}
 		c.size = int64(size)
+		if kind&^dirSorted == colFltStrided {
+			stride, ok := uvarint()
+			if !ok || checkStride(stride, d.rows) != nil {
+				return nil, bad
+			}
+			c.stride = int(stride)
+		}
 		if c.Int {
 			lo, ok1 := uvarint()
 			hi, ok2 := uvarint()

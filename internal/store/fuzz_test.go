@@ -29,11 +29,11 @@ func fuzzSeedTable() *Table {
 // path — header parse, per-column decode, column-subset skip, and the
 // metadata scan — and requires malformed input to come back as errors, never
 // panics or runaway allocations. The seed corpus is a genuinely encoded day
-// under every codec, plus truncated and bit-flipped variants so the fuzzer
-// starts past the gzip and magic-number gates.
+// under every codec, and with its float columns strided under both delta
+// codecs, plus truncated and bit-flipped variants so the fuzzer starts past
+// the gzip and magic-number gates.
 func FuzzReadDayColumns(f *testing.F) {
-	tab := fuzzSeedTable()
-	for codec := Codec(0); codec < numCodecs; codec++ {
+	seed := func(tab *Table, codec Codec) {
 		var buf bytes.Buffer
 		if err := WriteCodec(&buf, tab, codec); err != nil {
 			f.Fatal(err)
@@ -45,6 +45,14 @@ func FuzzReadDayColumns(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0xff
 		f.Add(flipped)
 	}
+	tab := fuzzSeedTable()
+	for codec := Codec(0); codec < numCodecs; codec++ {
+		seed(tab, codec)
+	}
+	strided := fuzzSeedTable()
+	strided.Cols[1].Stride, strided.Cols[2].Stride = 32, 7
+	seed(strided, CodecDelta)
+	seed(strided, CodecDeltaFast)
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

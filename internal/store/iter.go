@@ -248,7 +248,15 @@ func (r *Reader) floatBlocks(block []float64, fn func(start int, vals []float64)
 		}
 		dec.Reset(payload)
 	}
-	prev := uint64(0)
+	// A delta value is XORed with the one r.stride rows back: history holds
+	// the last r.stride values, zeros before the first row, and at is where
+	// the oldest of them sits. r.stride was checked when the column header
+	// was read, before it sizes anything here.
+	if cap(r.history) < r.stride {
+		r.history = make([]uint64, r.stride)
+	}
+	history, at := r.history[:r.stride], 0
+	clear(history)
 	for start := 0; start < r.nRows; {
 		n := min(r.nRows-start, len(block))
 		switch {
@@ -263,8 +271,12 @@ func (r *Reader) floatBlocks(block []float64, fn func(start int, vals []float64)
 					return err
 				}
 				for k, u := range raw {
-					prev ^= u
-					block[j+k] = math.Float64frombits(prev)
+					v := history[at] ^ u
+					history[at] = v
+					block[j+k] = math.Float64frombits(v)
+					if at++; at == len(history) {
+						at = 0
+					}
 				}
 			}
 		default:

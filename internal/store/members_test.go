@@ -55,16 +55,20 @@ func encoded(t testing.TB, write func(io.Writer, *Table, Codec) error, tab *Tabl
 }
 
 // TestMembersGunzipToTheSingleStream: cutting the payload into members moves
-// no byte of it, under any codec, for tables with rows, without rows and
-// without columns — so a build that has never heard of members reads the
+// no byte of it, under any codec, for tables with rows, without rows, without
+// columns and with strided columns — so a build that has never heard of members reads the
 // stream it always read. And the cut itself is a pure function of the table.
 func TestMembersGunzipToTheSingleStream(t *testing.T) {
 	tables := map[string]*Table{
 		"fixture": fixtureTable(), "window": windowTable(), "no columns": {},
 		"no rows": {Cols: []Column{{Name: "timestamp", Ints: []int64{}}, {Name: "v", Floats: []float64{}}, {Name: "s", Strs: []string{}}}},
+		"strided": stridedWindowTable(),
 	}
 	for name, tab := range tables {
 		for codec := Codec(0); codec < numCodecs; codec++ {
+			if name == "strided" && !codec.delta() {
+				continue // only a delta codec has a predictor to stride
+			}
 			members := encoded(t, WriteCodec, tab, codec)
 			if !bytes.Equal(gunzipped(t, members), gunzipped(t, encoded(t, writeSingleStream, tab, codec))) {
 				t.Errorf("%s codec %d: members gunzip to a different payload than the single stream", name, codec)
@@ -103,15 +107,27 @@ func sameTable(t testing.TB, what string, want, have *Table) {
 	}
 }
 
+// stridedFixtureTable is the table behind testdata/members-strided.spwr:
+// fixtureTable with its float column XORed against the value three rows back,
+// a stride that does not divide its seven rows.
+func stridedFixtureTable() *Table {
+	tab := fixtureTable()
+	tab.Col("power").Stride = 3
+	return tab
+}
+
 // TestMemberFixtures: testdata/members-{delta,gorilla}.spwr were written
-// once, by the first WriteCodec that framed members, and are never
-// regenerated. Each must decode to fixtureTable by seeking, by streaming
-// (one byte at a time, the way a pipe might deliver it) and by the
-// byte-at-a-time reference decoder over `gunzip`'s view of the file — which
-// is how every earlier build sees it.
+// once, by the first WriteCodec that framed members, and
+// members-strided.spwr (CodecDeltaFast, stridedFixtureTable) by the first
+// that wrote strides; none is ever regenerated. Each must decode to
+// fixtureTable by seeking, by streaming (one byte at a time, the way a pipe
+// might deliver it) and by the byte-at-a-time reference decoder over
+// `gunzip`'s view of the file — which is how every earlier build sees the
+// first two, whose payload is also codecN.spwr's. Every earlier build refuses
+// the third's strided column as an unknown kind.
 func TestMemberFixtures(t *testing.T) {
 	want := fixtureTable()
-	for name, codec := range map[string]Codec{"members-delta": CodecDelta, "members-gorilla": CodecGorilla} {
+	for name, codec := range map[string]Codec{"members-delta": CodecDelta, "members-gorilla": CodecGorilla, "members-strided": CodecDeltaFast} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name+".spwr"))
 		if err != nil {
 			t.Fatal(err)
@@ -135,6 +151,12 @@ func TestMemberFixtures(t *testing.T) {
 			t.Fatalf("%s: reference decoder: %v", name, err)
 		}
 		sameTable(t, name+" reference decoder", want, &Table{Cols: cols})
+		if name == "members-strided" {
+			if sr, err := NewReader(bytes.NewReader(raw)); err != nil || sr.Codec() != codec || sr.dir.cols[2].stride != 3 {
+				t.Errorf("%s: not a CodecDeltaFast partition with power at stride 3 (%v)", name, err)
+			}
+			continue
+		}
 		legacy, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("codec%d.spwr", codec)))
 		if err != nil {
 			t.Fatal(err)
@@ -268,25 +290,31 @@ func flipTable() *Table {
 
 // TestFlippedBitIsAnErrorNeverANumber flips every bit of a small partition,
 // and one bit in every thirteenth byte of a larger one, under both production
-// codecs and both framings, and reads the damaged file through every entry
+// codecs — the larger one also strided under CodecDeltaFast, as node-power is
+// written — and both framings, and reads the damaged file through every entry
 // point. Each read must fail or return exactly what the intact file holds: a
 // flip may land in a byte no reader interprets (a gzip header's timestamp),
 // or in a member the read steps over, but it may never come back as a value.
 func TestFlippedBitIsAnErrorNeverANumber(t *testing.T) {
 	window := headRows(windowTable(), 700)
 	window.Cols = window.Cols[:5] // the numeric columns; input_power.std is last
+	strided := headRows(stridedWindowTable(), 700)
+	strided.Cols = strided.Cols[:5]
+	production := []Codec{CodecDelta, CodecGorilla}
 	cases := []struct {
 		name        string
 		tab         *Table
-		stride      int
+		every       int // flip bits in every this many bytes
+		codecs      []Codec
 		selection   []string
 		axis, value string
 	}{
-		{"fixture", flipTable(), 1, []string{"count", "tag"}, "timestamp", "power"},
-		{"window", window, 13, []string{"node", "input_power.mean"}, "node", "input_power.std"},
+		{"fixture", flipTable(), 1, production, []string{"count", "tag"}, "timestamp", "power"},
+		{"window", window, 13, production, []string{"node", "input_power.mean"}, "node", "input_power.std"},
+		{"window strided", strided, 13, []Codec{CodecDeltaFast}, []string{"node", "input_power.mean"}, "node", "input_power.std"},
 	}
 	for _, tc := range cases {
-		for _, codec := range []Codec{CodecDelta, CodecGorilla} {
+		for _, codec := range tc.codecs {
 			for _, framing := range framings {
 				what := fmt.Sprintf("%s, codec %d, %s", tc.name, codec, framing.name)
 				good := encoded(t, framing.write, tc.tab, codec)
@@ -303,9 +331,9 @@ func TestFlippedBitIsAnErrorNeverANumber(t *testing.T) {
 				wantVals := &Column{Name: tc.value, Floats: tc.tab.Col(tc.value).Floats}
 				flips, errors := 0, 0
 				bad := make([]byte, len(good))
-				for i := 0; i < len(good); i += tc.stride {
+				for i := 0; i < len(good); i += tc.every {
 					for bit := 0; bit < 8; bit++ {
-						if tc.stride > 1 && bit != i%8 {
+						if tc.every > 1 && bit != i%8 {
 							continue
 						}
 						copy(bad, good)

@@ -45,6 +45,7 @@ type Reader struct {
 	read    int  // columns fully consumed
 	pending bool // Next announced a column not yet consumed
 	cur     ColumnInfo
+	stride  int // cur's predictor distance (Column.Stride), at least 1
 
 	dir    *directory // nil: none found, or dirErr
 	dirErr error      // why the gzip header's extra field is not a directory
@@ -57,6 +58,7 @@ type Reader struct {
 
 	payload []byte   // reused scratch for length-prefixed CodecGorilla payloads
 	varints []uint64 // reused scratch of uvarints: one block of CodecDelta varints
+	history []uint64 // reused scratch: the last stride values of a delta float column
 }
 
 // countingReader counts the bytes read through it: with raw's buffered count
@@ -181,41 +183,63 @@ func (r *Reader) Next() (ColumnInfo, error) {
 		return ColumnInfo{}, io.EOF
 	}
 	if r.seek != nil {
-		r.cur = r.dir.cols[r.read].ColumnInfo
+		e := &r.dir.cols[r.read]
+		r.cur, r.stride = e.ColumnInfo, e.stride
 	} else {
-		info, err := r.columnHeader()
+		info, stride, err := r.columnHeader()
 		if err != nil {
 			return ColumnInfo{}, err
 		}
-		r.cur = info
+		r.cur, r.stride = info, stride
 	}
 	r.pending = true
 	return r.cur, nil
 }
 
-// columnHeader reads the name and kind that open a column's section.
-func (r *Reader) columnHeader() (ColumnInfo, error) {
+// columnHeader reads the name, kind and (for a strided float column) stride
+// that open a column's section.
+func (r *Reader) columnHeader() (ColumnInfo, int, error) {
 	nameLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return ColumnInfo{}, fmt.Errorf("store: column %d header: %w", r.read, err)
+		return ColumnInfo{}, 0, fmt.Errorf("store: column %d header: %w", r.read, err)
 	}
 	if nameLen > maxNameLen {
-		return ColumnInfo{}, fmt.Errorf("store: column name too long")
+		return ColumnInfo{}, 0, fmt.Errorf("store: column name too long")
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(r.br, name); err != nil {
-		return ColumnInfo{}, fmt.Errorf("store: column %d name: %w", r.read, err)
+		return ColumnInfo{}, 0, fmt.Errorf("store: column %d name: %w", r.read, err)
 	}
 	kind, err := r.br.ReadByte()
 	if err != nil {
-		return ColumnInfo{}, fmt.Errorf("store: column %q kind: %w", name, err)
+		return ColumnInfo{}, 0, fmt.Errorf("store: column %q kind: %w", name, err)
 	}
+	stride := uint64(1)
 	switch kind {
 	case colInt, colFlt, colStr:
+	case colFltStrided:
+		if !r.codec.delta() {
+			return ColumnInfo{}, 0, fmt.Errorf("store: column %q: strided under codec %d", name, r.codec)
+		}
+		if stride, err = binary.ReadUvarint(r.br); err != nil {
+			return ColumnInfo{}, 0, fmt.Errorf("store: column %q stride: %w", name, err)
+		}
+		if err := checkStride(stride, r.nRows); err != nil {
+			return ColumnInfo{}, 0, fmt.Errorf("store: column %q: %w", name, err)
+		}
 	default:
-		return ColumnInfo{}, fmt.Errorf("store: unknown column kind %d", kind)
+		return ColumnInfo{}, 0, fmt.Errorf("store: unknown column kind %d", kind)
 	}
-	return ColumnInfo{Name: string(name), Int: kind == colInt, Str: kind == colStr}, nil
+	return ColumnInfo{Name: string(name), Int: kind == colInt, Str: kind == colStr}, int(stride), nil
+}
+
+// checkStride refuses a stride no writer writes. It comes from the file, and
+// the decoder allocates that many values of history for it.
+func checkStride(stride uint64, rows int) error {
+	if stride == 0 || stride > uint64(rows) || stride > MaxStride {
+		return fmt.Errorf("stride %d outside 1..min(%d rows, %d)", stride, rows, MaxStride)
+	}
+	return nil
 }
 
 // position is the file offset of the next compressed byte.
@@ -240,12 +264,13 @@ func (r *Reader) begin() error {
 	}
 	r.zr.Multistream(false)
 	r.br.Reset(r.zr)
-	info, err := r.columnHeader()
+	info, stride, err := r.columnHeader()
 	if err != nil {
 		return err
 	}
-	if info != r.cur {
-		return fmt.Errorf("store: column %q: its member holds %+v, the directory says %+v", r.cur.Name, info, r.cur)
+	if info != r.cur || stride != r.stride {
+		return fmt.Errorf("store: column %q: its member holds %+v at stride %d, the directory says %+v at stride %d",
+			r.cur.Name, info, stride, r.cur, r.stride)
 	}
 	return nil
 }

@@ -16,9 +16,10 @@ import (
 
 // refColumn decodes the pending column the way every CodecDelta value was
 // read before the windowed walk: one binary.ReadUvarint — an interface
-// ReadByte per byte — per value. It is the reference Reader.uvarints is held
-// to, values and error text alike. Other codecs and string columns never went
-// through the varint walk and are decoded by the Reader itself.
+// ReadByte per byte — per value, a float XORed with the decoded value stride
+// rows back. It is the reference Reader.uvarints and the decoder's history
+// are held to, values and error text alike. Other codecs and string columns
+// never went through the varint walk and are decoded by the Reader itself.
 func refColumn(r *Reader) (*Column, error) {
 	if !r.codec.delta() || r.cur.Str {
 		return r.Column()
@@ -30,7 +31,6 @@ func refColumn(r *Reader) (*Column, error) {
 		col.Floats = []float64{}
 	}
 	var iprev int64
-	var fprev uint64
 	for j := 0; j < r.nRows; j++ {
 		u, err := binary.ReadUvarint(r.br)
 		if err != nil {
@@ -40,8 +40,10 @@ func refColumn(r *Reader) (*Column, error) {
 			iprev += unzigzag(u)
 			col.Ints = append(col.Ints, iprev)
 		} else {
-			fprev ^= u
-			col.Floats = append(col.Floats, math.Float64frombits(fprev))
+			if j >= r.stride {
+				u ^= math.Float64bits(col.Floats[j-r.stride])
+			}
+			col.Floats = append(col.Floats, math.Float64frombits(u))
 		}
 	}
 	return &col, r.end()
@@ -125,6 +127,18 @@ func windowTable() *Table {
 	}}
 }
 
+// stridedWindowTable is windowTable with its float columns strided by its 36
+// nodes, as node-power's writer strides them.
+func stridedWindowTable() *Table {
+	tab := windowTable()
+	for i := range tab.Cols {
+		if c := &tab.Cols[i]; !c.IsInt() && !c.IsStr() {
+			c.Stride = 36
+		}
+	}
+	return tab
+}
+
 // headRows cuts tab down to its first rows rows.
 func headRows(tab *Table, rows int) *Table {
 	for i := range tab.Cols {
@@ -155,21 +169,23 @@ func gunzipped(t testing.TB, enc []byte) []byte {
 }
 
 // deltaPayloads returns the gunzipped partitions the windowed decode is
-// checked on: the generated table under both delta codecs (cut down to rows
-// rows when rows > 0) and every checked-in fixture.
+// checked on: the generated table under both delta codecs, at stride 1 and
+// strided (cut down to rows rows when rows > 0), and every checked-in
+// fixture.
 func deltaPayloads(t testing.TB, rows int) map[string][]byte {
 	t.Helper()
-	tab := windowTable()
-	if rows > 0 {
-		tab = headRows(tab, rows)
-	}
 	out := map[string][]byte{}
-	for _, codec := range []Codec{CodecDelta, CodecDeltaFast} {
-		var buf bytes.Buffer
-		if err := WriteCodec(&buf, tab, codec); err != nil {
-			t.Fatal(err)
+	for name, tab := range map[string]*Table{"generated": windowTable(), "generated strided": stridedWindowTable()} {
+		if rows > 0 {
+			tab = headRows(tab, rows)
 		}
-		out[fmt.Sprintf("generated codec %d", codec)] = gunzipped(t, buf.Bytes())
+		for _, codec := range []Codec{CodecDelta, CodecDeltaFast} {
+			var buf bytes.Buffer
+			if err := WriteCodec(&buf, tab, codec); err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s codec %d", name, codec)] = gunzipped(t, buf.Bytes())
+		}
 	}
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "codec*.spwr"))
 	if err != nil || len(fixtures) != int(numCodecs) {
