@@ -258,7 +258,8 @@ scenario-smoke:
 # may reach the archive); every partition is plain multi-member gzip
 # (`gzip -t`) and passes `analyze -cmd fsck`, which must count both
 # node-power days as strided (each node XORed with itself a window back) and
-# no cluster-power day, and must exit 1 on a copy with one byte flipped; then a shorter run archived into the same directory must
+# carrying their companion, and no cluster-power day as either; no companion
+# is a file of its own; fsck must exit 1 on a copy with one byte flipped; then a shorter run archived into the same directory must
 # be refused (its leftover days would otherwise be served as one run) and
 # leave the earlier run's scenario.json in place.
 archive-smoke:
@@ -274,9 +275,11 @@ archive-smoke:
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster frontier-1 -cmd summary > /dev/null
 	find /tmp/arcsmoke-single /tmp/arcsmoke-fleet -name '*.spwr' -exec gzip -t {} +
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd fsck > /tmp/arcsmoke-fsck.txt
-	@grep -q ': node-power: 2 partitions, .* 2 with strided columns, 0 problems' /tmp/arcsmoke-fsck.txt && \
-		grep -q ': cluster-power: 2 partitions, .* 0 with strided columns, 0 problems' /tmp/arcsmoke-fsck.txt || \
-		{ echo "archive-smoke: want both node-power days strided and no cluster-power day"; cat /tmp/arcsmoke-fsck.txt; exit 1; }
+	@grep -q ': node-power: 2 partitions, .* 2 with strided columns, 2 with a companion, 0 problems' /tmp/arcsmoke-fsck.txt && \
+		grep -q ': cluster-power: 2 partitions, .* 0 with strided columns, 0 with a companion, 0 problems' /tmp/arcsmoke-fsck.txt || \
+		{ echo "archive-smoke: want both node-power days strided and carrying a companion, and no cluster-power day"; cat /tmp/arcsmoke-fsck.txt; exit 1; }
+	@if ls /tmp/arcsmoke-single/node-power.rollup-* > /dev/null 2>&1; then \
+		echo "archive-smoke: a companion was written to a file of its own"; exit 1; fi
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cmd fsck > /dev/null
 	@set -eu; cp -r /tmp/arcsmoke-single /tmp/arcsmoke-flipped; f=/tmp/arcsmoke-flipped/node-power-day00001.spwr; \
 	mid=$$(( $$(wc -c < $$f) / 2 )); \
@@ -290,7 +293,7 @@ archive-smoke:
 		echo "archive-smoke: a 1-day run was archived over a 2-day run"; exit 1; fi; \
 	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
 	cmp /tmp/arcsmoke-scenario.json /tmp/arcsmoke-single/scenario.json; \
-	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, a flipped byte caught, re-run on one core byte-identical, shorter re-run refused with scenario.json intact"
+	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, re-run on one core byte-identical, shorter re-run refused with scenario.json intact"
 	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-scenario.json
 
 # bench-report regenerates the checked-in markdown trend report from every

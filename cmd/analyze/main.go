@@ -26,7 +26,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 
@@ -106,9 +105,9 @@ func resolveDir(dataDir, cluster string) (string, error) {
 }
 
 // fsck verifies every partition under dataDir — one archive, or each member
-// of a fleet unless cluster picks one — with store's VerifyDay, and that each
-// rollup companion dataset covers exactly its base's days. One line per
-// dataset, one per problem; any problem is an error.
+// of a fleet unless cluster picks one — with store's VerifyDay, the companion
+// a day's file carries after its partition included. One line per dataset,
+// one per problem; any problem is an error.
 func fsck(w io.Writer, dataDir, cluster string) error {
 	var dirs []string
 	if manifest, err := source.DiscoverFleet(dataDir); err == nil && cluster == "" {
@@ -131,15 +130,15 @@ func fsck(w io.Writer, dataDir, cluster string) error {
 		if len(names) == 0 {
 			return fmt.Errorf("%s holds no partitions", dir)
 		}
-		days := map[string][]int{}
 		for _, name := range names {
 			ds := &store.Dataset{Dir: dir, Name: name}
-			if days[name], err = ds.Days(); err != nil {
+			days, err := ds.Days()
+			if err != nil {
 				return err
 			}
-			members, strided := 0, 0
+			members, strided, companions := 0, 0, 0
 			var found []error
-			for _, day := range days[name] {
+			for _, day := range days {
 				c := ds.VerifyDay(day)
 				if c.Members {
 					members++
@@ -147,21 +146,17 @@ func fsck(w io.Writer, dataDir, cluster string) error {
 				if c.Strided {
 					strided++
 				}
+				if c.Companion {
+					companions++
+				}
 				found = append(found, c.Problems...)
 			}
-			fmt.Fprintf(w, "%s: %s: %d partitions, %d framed as members, %d as one stream, %d with strided columns, %d problems\n",
-				dir, name, len(days[name]), members, len(days[name])-members, strided, len(found))
+			fmt.Fprintf(w, "%s: %s: %d partitions, %d framed as members, %d as one stream, %d with strided columns, %d with a companion, %d problems\n",
+				dir, name, len(days), members, len(days)-members, strided, companions, len(found))
 			for _, err := range found {
 				fmt.Fprintf(w, "%s: %v\n", dir, err)
 			}
 			problems += len(found)
-		}
-		for _, name := range names {
-			base, ok := strings.CutSuffix(name, source.RollupSuffix)
-			if ok && !slices.Equal(days[name], days[base]) {
-				fmt.Fprintf(w, "%s: %s holds days %v, its base %s days %v\n", dir, name, days[name], base, days[base])
-				problems++
-			}
 		}
 	}
 	if problems > 0 {

@@ -120,7 +120,8 @@ func TestJobsRankingKeepsLogOrderOnTies(t *testing.T) {
 }
 
 // fsckArchive simulates a small run with the per-node dataset into a fresh
-// directory: six datasets, node-power and its rollup companion among them.
+// directory: five datasets, node-power among them, its one day carrying its
+// rollup companion.
 func fsckArchive(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -136,8 +137,9 @@ func fsckArchive(t *testing.T) string {
 
 // TestFsck: a fresh archive is clean, also with one partition re-framed the
 // way every earlier build wrote it; a flipped byte, a cut-off file, bytes
-// after the last member and a companion without its base's days each fail
-// the check, naming the partition (and the column, where one is damaged).
+// after the last member and a flipped byte in the companion a node-power day
+// carries each fail the check, naming the partition (and the column, where
+// one is damaged).
 func TestFsck(t *testing.T) {
 	rewrite := func(t *testing.T, path string, edit func([]byte) []byte) {
 		t.Helper()
@@ -173,15 +175,11 @@ func TestFsck(t *testing.T) {
 		{"bytes after the last member", func(t *testing.T, dir string) {
 			rewrite(t, filepath.Join(dir, "run-meta-day00000.spwr"), func(raw []byte) []byte { return append(raw, 0) })
 		}, []string{"run-meta-day00000.spwr", "the last member ends at byte"}},
-		{"companion of a day its base lacks", func(t *testing.T, dir string) {
-			raw, err := os.ReadFile(filepath.Join(dir, "node-power.rollup-day00000.spwr"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, "node-power.rollup-day00001.spwr"), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, []string{"node-power.rollup holds days [0 1], its base node-power days [0]"}},
+		{"flipped byte in the companion", func(t *testing.T, dir string) {
+			// The last column member of the companion appended to the day,
+			// a few bytes before its gzip trailer.
+			rewrite(t, filepath.Join(dir, "node-power-day00000.spwr"), func(raw []byte) []byte { raw[len(raw)-12] ^= 0x20; return raw })
+		}, []string{"node-power-day00000.spwr", `companion: store: column "input_power.std.m2"`}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,13 +188,13 @@ func TestFsck(t *testing.T) {
 			var out strings.Builder
 			err := fsck(&out, dir, "")
 			if tc.want == nil {
-				if err != nil || strings.Count(out.String(), ", 0 problems\n") != 6 {
+				if err != nil || strings.Count(out.String(), ", 0 problems\n") != 5 {
 					t.Fatalf("fsck of a sound archive: %v\n%s", err, out.String())
 				}
 				// node-power's base days XOR each node with itself a window
-				// back; nothing else is strided.
-				if strings.Count(out.String(), ", 0 with strided columns,") != 5 || !strings.Contains(out.String(), ": node-power: 1 partitions, 1 framed as members, 0 as one stream, 1 with strided columns,") {
-					t.Errorf("fsck of a sound archive, want node-power's one day strided and nothing else:\n%s", out.String())
+				// back and carry the companion; nothing else does either.
+				if strings.Count(out.String(), ", 0 with strided columns, 0 with a companion,") != 4 || !strings.Contains(out.String(), ": node-power: 1 partitions, 1 framed as members, 0 as one stream, 1 with strided columns, 1 with a companion,") {
+					t.Errorf("fsck of a sound archive, want node-power's one day strided and with a companion, and nothing else:\n%s", out.String())
 				}
 				return
 			}

@@ -21,8 +21,9 @@
 // The server reads the archive as it was at open: day partitions are listed
 // once and never change, so analysis answers are computed once and served
 // from their encoded bytes afterwards, and a fleet-wide range on the 600 s
-// grid is read from the rollup companions. Restart queryd to serve days
-// added since.
+// grid is read from the rollup companion each node-power day carries in its
+// file (a day without one is scanned). Restart queryd to serve days added
+// since.
 //
 // Usage:
 //

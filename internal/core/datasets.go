@@ -22,9 +22,9 @@ const DatasetNodePower = source.DatasetNodePower
 
 // NodeDatasetWriter is a sim.Observer that archives per-node input-power
 // window statistics day by day — the Dataset 0 equivalent. It only buffers
-// the day's rows; source.WriteNodeDay writes each day partition together
-// with its pre-aggregate companion, which the query tier answers aligned
-// rollups from without scanning a single per-node row.
+// the day's rows; source.WriteNodeDay writes each day as one file, the day
+// partition followed by its pre-aggregate companion, which the query tier
+// answers aligned rollups from without scanning a single per-node row.
 //
 // A finished day is flushed while the simulation runs on into the next: one
 // flush is in flight at most, over two day buffers that swap at midnight (the

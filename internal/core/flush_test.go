@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -35,7 +36,7 @@ func flushPinConfigs() []sim.Config {
 }
 
 // flushPins are the SHA-256 of every node-power and node-power.rollup
-// partition file flushPinConfigs archives — the files themselves, deflate
+// partition flushPinConfigs archives — the bytes themselves, deflate
 // included, because the overlapped flush and the concurrent writes claim not
 // to move one byte of them whatever the thread count. Re-recorded once, at
 // the commit that framed partitions as a directory plus one gzip member per
@@ -49,7 +50,9 @@ func flushPinConfigs() []sim.Config {
 // CodecDeltaFast with its float columns strided by the node count — a
 // deliberate format change, under which the values did not move:
 // TestStridedDaysDecodeToTheParentsValues holds them to deltaPins. The six
-// companions were not touched by it and keep their literals.
+// companions were not touched by it and keep their literals. Since a day's
+// companion is appended to its base in one file (nodePartitionSums cuts it
+// off again), the two halves of each file still match these same literals.
 var flushPins = map[string]string{
 	"summit-0/node-power-day00000.spwr":          "ea9f5517671bbe5b4dff5deac4494f21095ae024e8dc3e351d42760b29cb9df3",
 	"summit-0/node-power-day00001.spwr":          "6fd32189b3a83e196f2f5b9711962aa812a559a880e81a20a3607f2a60accb88",
@@ -78,21 +81,40 @@ var deltaPins = map[string]string{
 	"frontier-1/node-power-day00002.spwr": "123ba032b7c86a703754b7e044a45561c88554a003ab292c93f98c55b31c4b86",
 }
 
-// nodePartitionSums hashes every node-power* file in dir.
+// nodePartitionSums hashes every node-power file in dir cut where its base
+// partition ends: the base under the file's own name, the companion appended
+// to it under the name of the file earlier builds wrote it to alone — the
+// bytes are the same, so are the pins.
 func nodePartitionSums(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, DatasetNodePower+"*"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	hash := func(b []byte) string { sum := sha256.Sum256(b); return hex.EncodeToString(sum[:]) }
 	sums := map[string]string{}
 	for _, name := range names {
 		raw, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(raw)
-		sums[filepath.Base(name)] = hex.EncodeToString(sum[:])
+		base := filepath.Base(name)
+		if strings.Contains(base, ".rollup") {
+			t.Errorf("%s: a companion written to a file of its own", base)
+			continue
+		}
+		br := bytes.NewReader(raw)
+		err = store.SeekCompanion(br)
+		at := len(raw) - br.Len()
+		switch {
+		case errors.Is(err, store.ErrNoCompanion):
+			sums[base] = hash(raw)
+		case err != nil:
+			t.Fatalf("%s: %v", base, err)
+		default:
+			sums[base] = hash(raw[:at])
+			sums[strings.Replace(base, "-day", ".rollup-day", 1)] = hash(raw[at:])
+		}
 	}
 	return sums
 }

@@ -85,7 +85,7 @@ func mutations() []mutation {
 		// The serving layer times its own work: exempt, roots loaded or not.
 		mutation{name: "clock in query.(*Engine).preaggRollup", pkg: "repro/internal/query", file: "preagg.go", imp: "time",
 			with: []string{"repro/internal/source"}}.
-			after("func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupRequest, g grid, cells []stats.Moments, qs *QueryStats) (bool, error) {", probeClock),
+			after("func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, days []store.DayMeta, req RollupRequest, g grid, cells []stats.Moments, qs *QueryStats) (bool, error) {", probeClock),
 		mutation{name: "seed from the clock in cmd/summitsim", pkg: "repro/cmd/summitsim", file: "main.go", imp: "time",
 			want: "determinism", wantMsg: "time.Now reads the wall clock"}.
 			replace("spec.Seed = o.seed", "spec.Seed = o.seed ^ uint64(probe.Now().UnixNano())"),

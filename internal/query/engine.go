@@ -164,9 +164,10 @@ type QueryStats struct {
 	CacheHits   int64
 	CacheMisses int64
 	// Preagg marks a rollup — or a fleet-wide range on the pre-aggregation
-	// grid — answered entirely from persisted pre-aggregates; RowsScanned
-	// then counts accumulator rows, not per-node rows, and the Days and
-	// Cache fields count companion partitions.
+	// grid — answered entirely from persisted pre-aggregates, the companion
+	// each day's file carries after its base partition; RowsScanned then
+	// counts accumulator rows, not per-node rows, and the Cache fields count
+	// companion reads. False when any day in range has no companion.
 	Preagg bool
 	// Cached marks a reply served from the handler's reply cache: the scan
 	// counts above are then zero and Elapsed is the lookup's.
@@ -221,12 +222,12 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 		Dataset: req.Dataset, Column: req.Column, Node: req.Node,
 		T0: req.T0, T1: req.T1, Step: req.Step,
 	}
+	e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
 	spec := scanSpec{ds: x.Dataset(), column: req.Column}
 	if req.Node >= 0 {
 		spec.nodeUse, spec.readNodes = "node filter", true
 	}
 	if req.Step == 0 {
-		e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
 		res.Points, err = e.rangePoints(ctx, days, spec, req, &res.Stats)
 		return res, err
 	}
@@ -240,7 +241,7 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 	// late rule — which a rollup does not have — moves no row.
 	preagg := false
 	if req.Node < 0 && windowsInOrder(days, req.Step) {
-		preagg, err = e.preaggRollup(ctx, x, RollupRequest{
+		preagg, err = e.preaggRollup(ctx, x, days, RollupRequest{
 			Dataset: req.Dataset, Column: req.Column, Group: GroupFleet,
 			T0: req.T0, T1: req.T1, Step: req.Step,
 		}, g, cells, &res.Stats)
@@ -250,7 +251,6 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 	}
 	if !preagg {
 		clear(cells) // a pre-aggregate read may give up half way
-		e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
 		proto := windowSink{g: g, cells: cells, node: req.Node, late: true}
 		if err := e.windowScan(ctx, days, spec, proto, &res.Stats); err != nil {
 			return nil, err
@@ -363,16 +363,8 @@ func (e *Engine) Datasets() ([]DatasetInfo, error) {
 					info.Columns = append(info.Columns, c.Name)
 				}
 			}
-			if m.HasTime {
-				if !info.HasTime || m.MinTime < info.MinTime {
-					info.MinTime = m.MinTime
-				}
-				if !info.HasTime || m.MaxTime > info.MaxTime {
-					info.MaxTime = m.MaxTime
-				}
-				info.HasTime = true
-			}
 		}
+		info.MinTime, info.MaxTime, info.HasTime = store.Span(metas)
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -10,12 +11,19 @@ import (
 	"repro/internal/source"
 	"repro/internal/store"
 	"repro/internal/topology"
+	"repro/internal/tsagg"
 )
 
-// writePreaggCompanion persists the node-power pre-aggregate companion the
+// writePreaggCompanion persists the node-power pre-aggregate companions the
 // collector would have written: the same rows, in the same file order,
-// folded through the same reducer.
-func writePreaggCompanion(t testing.TB, dir string) {
+// folded through the same reducer, each appended to its day's file.
+func writePreaggCompanion(t testing.TB, dir string) { writeCompanions(t, dir, false) }
+
+// writeLegacyPreaggCompanion writes the same companions as the separate
+// node-power.rollup dataset earlier builds wrote beside the base days.
+func writeLegacyPreaggCompanion(t testing.TB, dir string) { writeCompanions(t, dir, true) }
+
+func writeCompanions(t testing.TB, dir string, legacy bool) {
 	t.Helper()
 	tcfg, err := topology.PresetScaled("", fixNodes)
 	if err != nil {
@@ -52,10 +60,23 @@ func writePreaggCompanion(t testing.TB, dir string) {
 				t.Fatal(err)
 			}
 		}
-		if err := rds.WriteDayCodec(day, red.Table(), store.CodecGorilla); err != nil {
+		if legacy {
+			err = rds.WriteDayCodec(day, red.Table(), store.CodecGorilla)
+		} else {
+			err = appendCompanion(base, day, tab, red.Table())
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// appendCompanion re-writes one day of base as tab followed by the
+// companion comp, the way source.WriteNodeDay writes a day with a floor.
+func appendCompanion(base *store.Dataset, day int, tab, comp *store.Table) error {
+	return base.WriteDayCompanion(day, tab, store.CodecDelta, func(w io.Writer) error {
+		return store.WriteCodec(w, comp, store.CodecGorilla)
+	})
 }
 
 // diffRollup reports the first bitwise divergence between two rollup
@@ -319,7 +340,9 @@ func TestWindowsInOrder(t *testing.T) {
 // shows range and rollup legitimately differ) with companions present: the
 // fleet range takes them only where no row can be late, and is the oracle's
 // answer either way. A column the companion lacks and a companion on a
-// foreign grid fall back too.
+// foreign grid fall back too, as do a day re-written without its companion
+// (the old one goes with it: nothing stale is ever served) and an archive
+// whose companions are the separate files earlier builds wrote.
 func TestFleetRangePreaggRefusals(t *testing.T) {
 	dir := t.TempDir()
 	writeSeamArchive(t, dir)
@@ -355,19 +378,23 @@ func TestFleetRangePreaggRefusals(t *testing.T) {
 		check(e, "column the companion lacks", "input_power.count", 0, daySec, false)
 	}
 	// A companion aggregated on another grid is refused row by row.
-	rds, err := store.NewDataset(dir, source.RollupDatasetName("node-power"))
+	base, err := store.NewDataset(dir, "node-power")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := rds.ReadDay(0)
+	tab, err := base.ReadDay(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	step := tab.Col(source.RollupColStep).Ints
+	comp, err := base.Companion(source.RollupDatasetName("node-power")).ReadDay(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := comp.Col(source.RollupColStep).Ints
 	for i := range step {
 		step[i] = 1200
 	}
-	if err := rds.WriteDayCodec(0, tab, store.CodecGorilla); err != nil {
+	if err := appendCompanion(base, 0, tab, comp); err != nil {
 		t.Fatal(err)
 	}
 	e, err := Open(Config{Dir: dir, Nodes: fixNodes})
@@ -375,4 +402,93 @@ func TestFleetRangePreaggRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(e, "foreign step_sec", "input_power.mean", 0, daySec, false)
+
+	// Three days archived with their companions, then day 1 re-written with
+	// every value shifted and no floor: its file now holds the base alone.
+	stale := t.TempDir()
+	tcfg, err := topology.PresetScaled("", fixNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := topology.New(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeDay := func(day int, shift float64, floor *topology.Floor) {
+		var rows source.NodeRows
+		for tm := int64(day) * daySec; tm < int64(day+1)*daySec; tm += source.RollupStepSec {
+			for n := 0; n < fixNodes; n++ {
+				v := fixPower(int64(n), tm) + shift
+				rows.Append(n, tsagg.WindowStat{T: tm, Count: 60, Min: v - 1, Max: v + 2, Mean: v, Std: 0.5})
+			}
+		}
+		if err := source.WriteNodeDay(stale, day, &rows, floor); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for day := 0; day < 3; day++ {
+		writeDay(day, 0, floor)
+	}
+	writeDay(1, 250, nil)
+	e, err = Open(Config{Dir: stale, Nodes: fixNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, span := range []struct {
+		name   string
+		t1     int64
+		preagg bool
+	}{{"days 0-2, day 1 re-written", 3 * daySec, false}, {"day 0 alone", daySec, true}} {
+		rreq := RollupRequest{Dataset: "node-power", Column: "input_power.mean", Group: GroupFleet, T0: 0, T1: span.t1, Step: 600}
+		ro, err := e.Rollup(ctx, rreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ro.Stats.Preagg != span.preagg {
+			t.Errorf("%s: rollup preagg=%v, want %v", span.name, ro.Stats.Preagg, span.preagg)
+		}
+		if d := diffRollup(&RollupResult{Series: oracleRollup(t, stale, floor, rreq)}, ro); d != "" {
+			t.Errorf("%s: rollup: %s", span.name, d)
+		}
+		req := RangeRequest{Dataset: "node-power", Column: "input_power.mean", Node: -1, T0: 0, T1: span.t1, Step: 600}
+		res, err := e.Range(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Preagg != span.preagg {
+			t.Errorf("%s: range preagg=%v, want %v", span.name, res.Stats.Preagg, span.preagg)
+		}
+		if _, ws := oracleRange(t, stale, req); diffRange(res, nil, ws) != "" {
+			t.Errorf("%s: range: %s", span.name, diffRange(res, nil, ws))
+		}
+	}
+
+	// Companions as earlier builds wrote them, a dataset of their own, are
+	// never read for pre-aggregates: the archive scans, and lists them.
+	legacy := t.TempDir()
+	writeTestArchive(t, legacy)
+	writeLegacyPreaggCompanion(t, legacy)
+	e, err = Open(Config{Dir: legacy, Nodes: fixNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rreq := RollupRequest{Dataset: "node-power", Column: "input_power.mean", Group: GroupFleet, T0: 0, T1: daySec, Step: 600}
+	ro, err := e.Rollup(ctx, rreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffRollup(&RollupResult{Series: oracleRollup(t, legacy, floor, rreq)}, ro); ro.Stats.Preagg || d != "" {
+		t.Errorf("legacy companions: preagg=%v, want a scan equal to the oracle (%s)", ro.Stats.Preagg, d)
+	}
+	infos, err := e.Datasets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := false
+	for _, info := range infos {
+		listed = listed || info.Name == source.RollupDatasetName("node-power")
+	}
+	if !listed {
+		t.Errorf("legacy companions: node-power.rollup is not listed as a dataset: %+v", infos)
+	}
 }

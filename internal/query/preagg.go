@@ -2,9 +2,7 @@ package query
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"slices"
+	"errors"
 
 	"repro/internal/source"
 	"repro/internal/stats"
@@ -14,22 +12,22 @@ import (
 
 // preaggRollup tries to answer a rollup — or the fleet-wide range that is
 // GroupFleet under another reply shape (see rangeQuery) — from the persisted
-// pre-aggregate companion dataset ("<base>.rollup", written by the collector
-// alongside the per-node partitions). It applies only when the requested window matches
-// the persisted aggregation grid and the range boundaries cannot split a
-// window: then every needed accumulator exists verbatim in the companion,
-// and the answer is bit-identical to a full scan — the companion stores the
-// exact Welford state the scan path would have computed, in the same
-// fold order. The accumulators land in cells, the dense [group][window]
-// table the scan would have filled. Returns ok=false (with no error)
-// whenever the archive has no answerable pre-aggregates, leaving the scan
-// to run (cells may then be partly written).
-func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupRequest, g grid, cells []stats.Moments, qs *QueryStats) (bool, error) {
+// pre-aggregates: the companion partition the collector appends to each
+// per-node partition in its file (store.Dataset.Companion), so a day and its
+// companion are always one write. It applies only when the requested window
+// matches the persisted aggregation grid and the range boundaries cannot
+// split a window: then every needed accumulator exists verbatim in the
+// companions, and the answer is bit-identical to a full scan — the companion
+// stores the exact Welford state the scan path would have computed, in the
+// same fold order. The accumulators land in cells, the dense [group][window]
+// table the scan would have filled; days are the partitions the range
+// keeps, whose companions hold every window the range overlaps. Returns
+// ok=false (with no error) whenever one of them has no answerable companion —
+// none at all, as in a day written without a floor or an archive with the
+// earlier separate ".rollup" files, or one without the column — leaving the
+// scan to run (cells may then be partly written).
+func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, days []store.DayMeta, req RollupRequest, g grid, cells []stats.Moments, qs *QueryStats) (bool, error) {
 	if req.Step != source.RollupStepSec {
-		return false, nil
-	}
-	rx, ok := e.datasets[req.Dataset+source.RollupSuffix]
-	if !ok || !slices.Equal(x.Days(), rx.Days()) {
 		return false, nil
 	}
 	metas, err := x.Metas()
@@ -39,20 +37,7 @@ func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupReq
 	// A range boundary inside a window would need a partial re-aggregation
 	// the companion cannot provide. Aligned bounds are safe, as are bounds
 	// beyond the data's time span (every populated window is then whole).
-	var hasTime bool
-	var minT, maxT int64
-	for _, m := range metas {
-		if !m.HasTime {
-			continue
-		}
-		if !hasTime || m.MinTime < minT {
-			minT = m.MinTime
-		}
-		if !hasTime || m.MaxTime > maxT {
-			maxT = m.MaxTime
-		}
-		hasTime = true
-	}
+	minT, maxT, hasTime := store.Span(metas)
 	if tsagg.FloorMod(req.T0, req.Step) != 0 && !(hasTime && req.T0 <= minT) {
 		return false, nil
 	}
@@ -74,31 +59,18 @@ func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupReq
 		source.RollupColGroup, source.RollupColStep,
 		colN, colMin, colMax, colMean, colM2,
 	}
-	// Prune companion partitions by window-start span: a window overlaps
-	// [T0, T1) iff its start lies in (T0-step, T1).
-	t0w := req.T0 - (req.Step - 1)
-	if t0w > req.T0 {
-		t0w = math.MinInt64 // clamp the underflow of a huge negative T0
-	}
-	scanDays, pruned, err := rx.Prune(t0w, req.T1)
-	if err != nil {
-		return false, err
-	}
-	for _, m := range scanDays {
-		for _, name := range need {
-			if _, ok := m.Column(name); !ok {
-				return false, nil // partition predates the column
-			}
-		}
-	}
+	rx := x.Dataset().Companion(source.RollupDatasetName(req.Dataset))
 	var rows, hits, misses int64
-	for _, m := range scanDays {
+	for _, m := range days {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
 		// Companions are small and every aligned rollup wants them: admit on
 		// first touch, no doorkeeper.
-		tab, hit, err := rx.Dataset().ReadDayColumnsCached(e.cache, m.Day, nil)
+		tab, hit, err := rx.ReadDayColumnsCached(e.cache, m.Day, nil)
+		if errors.Is(err, store.ErrNoCompanion) {
+			return false, nil
+		}
 		if err != nil {
 			return false, err
 		}
@@ -113,7 +85,7 @@ func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupReq
 		var cols [9]*store.Column
 		for i, name := range need {
 			if cols[i] = tab.Col(name); cols[i] == nil {
-				return false, fmt.Errorf("query: pre-aggregate partition day %d lost column %q", m.Day, name)
+				return false, nil // the companion predates the column
 			}
 		}
 		window, kind, group, step := cols[0].Ints, cols[1].Ints, cols[2].Ints, cols[3].Ints
@@ -134,7 +106,6 @@ func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, req RollupReq
 			rows++
 		}
 	}
-	e.bookDays(qs, len(x.Days()), len(scanDays), pruned)
 	qs.RowsScanned, qs.CacheHits, qs.CacheMisses, qs.Preagg = rows, hits, misses, true
 	e.met.PreaggQueries.Add(1)
 	e.met.RowsScanned.Add(rows)

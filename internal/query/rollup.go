@@ -124,11 +124,11 @@ func (e *Engine) rollup(ctx context.Context, req RollupRequest) (*RollupResult, 
 	proto.cells = make([]stats.Moments, groups*proto.g.n)
 	// Persisted pre-aggregates answer aligned rollups without touching a
 	// single per-node row.
-	if ok, err := e.preaggRollup(ctx, x, req, proto.g, proto.cells, &res.Stats); err != nil {
+	e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
+	if ok, err := e.preaggRollup(ctx, x, days, req, proto.g, proto.cells, &res.Stats); err != nil {
 		return nil, err
 	} else if !ok {
 		clear(proto.cells) // a pre-aggregate read may give up half way
-		e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
 		spec := scanSpec{ds: x.Dataset(), column: req.Column, nodeUse: "rollup", readNodes: proto.groupOf != nil}
 		if err := e.windowScan(ctx, days, spec, proto, &res.Stats); err != nil {
 			return nil, err

@@ -157,30 +157,16 @@ func (a *ArchiveSource) resolveMeta(metas []store.DayMeta) error {
 	if step <= 0 {
 		step = units.CoarsenWindowSec
 	}
-	m := Meta{StepSec: step, Nodes: a.cfg.Nodes}
-	first := true
-	var maxTime int64
+	start, end, ok := store.Span(metas)
+	if !ok {
+		return fmt.Errorf("source: cluster dataset in %s has no time column", a.cfg.Dir)
+	}
+	m := Meta{StepSec: step, Nodes: a.cfg.Nodes, StartTime: start, Windows: int((end-start)/step) + 1}
 	rows := 0
 	for _, dm := range metas {
 		rows += dm.Rows
-		if !dm.HasTime {
-			continue
-		}
-		if first || dm.MinTime < m.StartTime {
-			m.StartTime = dm.MinTime
-		}
-		if first || dm.MaxTime > maxTime {
-			maxTime = dm.MaxTime
-		}
-		first = false
 	}
-	if first {
-		return fmt.Errorf("source: cluster dataset in %s has no time column", a.cfg.Dir)
-	}
-	m.Windows = int((maxTime-m.StartTime)/step) + 1
-	if rows > m.Windows {
-		m.Windows = rows
-	}
+	m.Windows = max(m.Windows, rows)
 	a.meta = m
 	return nil
 }

@@ -3,6 +3,7 @@ package source
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"slices"
 	"strings"
@@ -284,26 +285,23 @@ func emptied[T any](s []T, capacity int) []T {
 
 // WriteNodeDay writes the buffered rows as one day of the node-power dataset
 // (an empty buffer writes nothing); the buffer is only read, and is the
-// caller's to Reset once WriteNodeDay returns. With a floor it also writes
-// the day's pre-aggregate companion, folded from the same rows in day-table
-// order — which is what makes a rollup answered from the companion
+// caller's to Reset once WriteNodeDay returns. With a floor the day's file
+// also carries its pre-aggregate companion, folded from the same rows in
+// day-table order — which is what makes a rollup answered from the companion
 // bit-identical to one scanned from the base. This is the one place the pair
 // is written and its codecs chosen: CodecDeltaFast for the base, its float
 // columns strided by the rows of one window so each value is XORed with the
 // same node's one window earlier, and Gorilla for the tiny, cold-read
-// companion. The two are independent files built from the same read-only
-// columns, so the companion is folded and written while the base deflates;
-// both writes have finished when WriteNodeDay returns, and the base's error
-// is reported first. Nothing orders the two renames: whatever binds a
-// companion to its base (ROADMAP item 1) has to hold between two concurrent
-// writes.
+// companion, which is folded and encoded while the base deflates and then
+// appended to it. One file and one rename: a day re-written without a floor
+// takes its old companion with it.
 //
 //lint:detroot
 func WriteNodeDay(dir string, day int, rows *NodeRows, floor *topology.Floor) error {
 	if rows.Len() == 0 {
 		return nil
 	}
-	tab, base := &store.Table{Cols: slices.Clone(rows.c.cols)}, dataset(dir, DatasetNodePower)
+	tab := &store.Table{Cols: slices.Clone(rows.c.cols)}
 	if stride := windowRows(tab.Cols[0].Ints); stride <= store.MaxStride {
 		for k := range tab.Cols {
 			if !tab.Cols[k].IsInt() {
@@ -311,16 +309,11 @@ func WriteNodeDay(dir string, day int, rows *NodeRows, floor *topology.Floor) er
 			}
 		}
 	}
-	if floor == nil {
-		return base.WriteDayCodec(day, tab, store.CodecDeltaFast)
+	var companion func(io.Writer) error
+	if floor != nil {
+		companion = func(w io.Writer) error { return writeNodeRollup(w, tab, floor) }
 	}
-	companion := make(chan error, 1)
-	go func() { companion <- writeNodeRollup(dir, day, tab, floor) }()
-	err := base.WriteDayCodec(day, tab, store.CodecDeltaFast)
-	if cerr := <-companion; err == nil {
-		err = cerr
-	}
-	return err
+	return dataset(dir, DatasetNodePower).WriteDayCompanion(day, tab, store.CodecDeltaFast, companion)
 }
 
 // windowRows is how many of the (time, node)-ordered rows share the first
@@ -335,7 +328,7 @@ func windowRows(ts []int64) int {
 }
 
 // writeNodeRollup folds one node-power day table into its companion partition.
-func writeNodeRollup(dir string, day int, tab *store.Table, floor *topology.Floor) error {
+func writeNodeRollup(w io.Writer, tab *store.Table, floor *topology.Floor) error {
 	red := NewRollupReducer(floor, NodeRollupCols)
 	ts, node, stat := tab.Cols[0].Ints, tab.Cols[1].Ints, tab.Cols[nodeAxes:]
 	vals := make([]float64, len(stat))
@@ -351,7 +344,7 @@ func writeNodeRollup(dir string, day int, tab *store.Table, floor *topology.Floo
 			return err
 		}
 	}
-	return dataset(dir, RollupDatasetName(DatasetNodePower)).WriteDayCodec(day, red.Table(), store.CodecGorilla)
+	return store.WriteCodec(w, red.Table(), store.CodecGorilla)
 }
 
 // WriteArchive archives the run src serves into dir as daily-partitioned

@@ -1,43 +1,62 @@
 package source_test
 
 import (
+	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // gunzippedSHA256 hashes every partition file in dir by its gunzipped
 // payload, keyed by file name: the hash pins the format (columns, order,
-// types, codec, bytes), not the deflate implementation around it.
+// types, codec, bytes), not the deflate implementation around it. A file
+// carrying a companion is cut where its base partition ends, and the
+// companion hashed under the name of the file earlier builds wrote it to.
 func gunzippedSHA256(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := map[string]string{}
-	for _, e := range entries {
-		f, err := os.Open(filepath.Join(dir, e.Name()))
+	gunzipped := func(name string, raw []byte) string {
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatal(err)
-		}
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		h := sha256.New()
 		if _, err := io.Copy(h, zr); err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		f.Close()
-		sums[e.Name()] = hex.EncodeToString(h.Sum(nil))
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	sums := map[string]string{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bytes.NewReader(raw)
+		err = store.SeekCompanion(br)
+		at := len(raw) - br.Len()
+		switch {
+		case errors.Is(err, store.ErrNoCompanion):
+			sums[e.Name()] = gunzipped(e.Name(), raw)
+		case err != nil:
+			t.Fatalf("%s: %v", e.Name(), err)
+		default:
+			sums[e.Name()] = gunzipped(e.Name(), raw[:at])
+			sums[strings.Replace(e.Name(), "-day", ".rollup-day", 1)] = gunzipped(e.Name(), raw[at:])
+		}
 	}
 	return sums
 }
@@ -69,7 +88,9 @@ func archivePinnedRun(t *testing.T) string {
 // re-recorded when its base days moved to CodecDeltaFast with float columns
 // strided by the node count (the header's codec byte, the strided kind and
 // the same-node XORs); core.TestStridedDaysDecodeToTheParentsValues shows
-// the values under it did not move.
+// the values under it did not move. node-power.rollup's is the companion
+// node-power-day00000.spwr carries after its base, which was its own file
+// when the literal was recorded: the payload did not move.
 func TestArchiveLayoutPin(t *testing.T) {
 	dir := archivePinnedRun(t)
 	want := map[string]string{

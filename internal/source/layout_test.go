@@ -85,7 +85,7 @@ func TestWriteArchiveRefusesLeftoverDays(t *testing.T) {
 	if err == nil {
 		t.Fatal("a 1-day run was archived over a 2-day run's directory")
 	}
-	for _, file := range []string{"cluster-power-day00001.spwr", "node-power-day00001.spwr", "node-power.rollup-day00001.spwr"} {
+	for _, file := range []string{"cluster-power-day00001.spwr", "node-power-day00001.spwr"} {
 		if !strings.Contains(err.Error(), file) {
 			t.Errorf("error does not name %s: %v", file, err)
 		}

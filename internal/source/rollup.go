@@ -10,18 +10,16 @@ import (
 	"repro/internal/tsagg"
 )
 
-// Rollup pre-aggregates: every per-node dataset can carry a companion
-// "<base>.rollup" dataset persisting, per coarse window, the exact Welford
-// accumulator state of every float column for every cabinet, every main
-// switchboard, and the fleet. The query tier answers aligned rollups from
-// these rows without touching a single per-node row — and because the
-// accumulator state round-trips bitwise (stats.Moments.State /
-// MomentsFromState) and the reducer folds rows in the same order the scan
-// path would, the answers are bit-identical to a full scan.
+// Rollup pre-aggregates: every per-node partition can carry a companion
+// partition, appended to it in its file (store.Dataset.Companion), persisting
+// per coarse window the exact Welford accumulator state of every float
+// column for every cabinet, every main switchboard, and the fleet. The query
+// tier answers aligned rollups from these rows without touching a single
+// per-node row — and because the accumulator state round-trips bitwise
+// (stats.Moments.State / MomentsFromState) and the reducer folds rows in the
+// same order the scan path would, the answers are bit-identical to a full
+// scan.
 const (
-	// RollupSuffix appended to a base dataset name names its pre-aggregate
-	// companion.
-	RollupSuffix = ".rollup"
 	// RollupStepSec is the pre-aggregation window. 600 s divides the daily
 	// partition span, so no window ever straddles two partitions of a
 	// day-aligned archive.
@@ -44,8 +42,9 @@ const (
 	RollupColStep   = "step_sec" // window size the row was aggregated at
 )
 
-// RollupDatasetName names the pre-aggregate companion of a base dataset.
-func RollupDatasetName(base string) string { return base + RollupSuffix }
+// RollupDatasetName names the pre-aggregate companion of a base dataset: the
+// store.Dataset.Companion handle's name, and so its table-cache key.
+func RollupDatasetName(base string) string { return base + ".rollup" }
 
 // RollupStatCols returns the five persisted per-column stat names: count,
 // min, max, running mean, and the Welford second moment M2.
@@ -164,45 +163,19 @@ func (r *RollupReducer) Table() *store.Table {
 		return a.group < b.group
 	})
 	n := len(keys)
-	window := make([]int64, n)
-	kind := make([]int64, n)
-	group := make([]int64, n)
-	step := make([]int64, n)
-	type statCols struct {
-		n                []int64
-		mn, mx, mean, m2 []float64
-	}
-	per := make([]statCols, len(r.cols))
-	for c := range per {
-		per[c] = statCols{
-			n: make([]int64, n), mn: make([]float64, n), mx: make([]float64, n),
-			mean: make([]float64, n), m2: make([]float64, n),
-		}
+	ints := func(name string) store.Column { return store.Column{Name: name, Ints: make([]int64, n)} }
+	floats := func(name string) store.Column { return store.Column{Name: name, Floats: make([]float64, n)} }
+	cols := []store.Column{ints(RollupColWindow), ints(RollupColKind), ints(RollupColGroup), ints(RollupColStep)}
+	for _, name := range r.cols {
+		cn, cmn, cmx, cmean, cm2 := RollupStatCols(name)
+		cols = append(cols, ints(cn), floats(cmn), floats(cmx), floats(cmean), floats(cm2))
 	}
 	for i, k := range keys {
-		window[i], kind[i], group[i], step[i] = k.window, k.kind, k.group, RollupStepSec
-		ms := r.acc[k]
-		for c := range r.cols {
-			cnt, mn, mx, mean, m2 := ms[c].State()
-			per[c].n[i], per[c].mn[i], per[c].mx[i] = cnt, mn, mx
-			per[c].mean[i], per[c].m2[i] = mean, m2
+		cols[0].Ints[i], cols[1].Ints[i], cols[2].Ints[i], cols[3].Ints[i] = k.window, k.kind, k.group, RollupStepSec
+		for c, m := range r.acc[k] {
+			st := cols[4+5*c:]
+			st[0].Ints[i], st[1].Floats[i], st[2].Floats[i], st[3].Floats[i], st[4].Floats[i] = m.State()
 		}
-	}
-	cols := []store.Column{
-		{Name: RollupColWindow, Ints: window},
-		{Name: RollupColKind, Ints: kind},
-		{Name: RollupColGroup, Ints: group},
-		{Name: RollupColStep, Ints: step},
-	}
-	for c, name := range r.cols {
-		cn, cmn, cmx, cmean, cm2 := RollupStatCols(name)
-		cols = append(cols,
-			store.Column{Name: cn, Ints: per[c].n},
-			store.Column{Name: cmn, Floats: per[c].mn},
-			store.Column{Name: cmx, Floats: per[c].mx},
-			store.Column{Name: cmean, Floats: per[c].mean},
-			store.Column{Name: cm2, Floats: per[c].m2},
-		)
 	}
 	return &store.Table{Cols: cols}
 }

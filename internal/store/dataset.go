@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,10 +15,22 @@ import (
 
 // Dataset is a named, daily-partitioned collection of tables in a
 // directory — the on-disk layout of the paper's archive (one file per day
-// per dataset).
+// per dataset). A partition may be followed in its file by one more whole
+// partition, its companion (WriteDayCompanion, Companion); every read of the
+// dataset stops where its own partition ends.
 type Dataset struct {
 	Dir  string
 	Name string
+	base string // set on a Companion handle: the dataset whose files it reads
+}
+
+// ErrNoCompanion is a companion read of a file holding its partition alone.
+var ErrNoCompanion = errors.New("store: no companion follows the partition")
+
+// Companion returns the handle, called name, that reads the companions of
+// d's partitions: d's days and files, each read from where d's partition ends.
+func (d *Dataset) Companion(name string) *Dataset {
+	return &Dataset{Dir: d.Dir, Name: name, base: d.Name}
 }
 
 // NewDataset validates the name and returns the handle. It touches nothing
@@ -30,9 +46,32 @@ func NewDataset(dir, name string) (*Dataset, error) {
 // DayFile returns the file name (without directory) of the given day's
 // partition. Partition naming — <dataset>-day<NNNNN>.spwr — is decided here
 // and in the inverse below, and nowhere else.
-func (d *Dataset) DayFile(day int) string { return fmt.Sprintf("%s-day%05d.spwr", d.Name, day) }
+func (d *Dataset) DayFile(day int) string {
+	return fmt.Sprintf("%s-day%05d.spwr", cmp.Or(d.base, d.Name), day)
+}
 
 func (d *Dataset) dayPath(day int) string { return filepath.Join(d.Dir, d.DayFile(day)) }
+
+// readDay runs read over the day's partition — for a Companion handle, from
+// where the base partition ends — naming the partition in any error.
+func readDay[T any](d *Dataset, day int, read func(io.Reader) (T, error)) (v T, err error) {
+	f, err := os.Open(d.dayPath(day))
+	if err != nil {
+		return v, fmt.Errorf("store: dataset %q day %d: %w", d.Name, day, err)
+	}
+	defer f.Close()
+	if d.base != "" {
+		err = SeekCompanion(f)
+	}
+	if err == nil {
+		v, err = read(f)
+	}
+	if err != nil {
+		var zero T
+		return zero, d.partitionErr(day, err)
+	}
+	return v, nil
+}
 
 // parseDayFile is DayFile's inverse. Only a name DayFile produces parses —
 // ReadDay(day) must open exactly this file — so "x-day7.spwr" is stray, not
@@ -82,8 +121,19 @@ func (d *Dataset) WriteDay(day int, t *Table) error {
 // WriteDayCodec stores the table as the partition for the given day index
 // with an explicit codec.
 func (d *Dataset) WriteDayCodec(day int, t *Table, codec Codec) error {
+	return d.WriteDayCompanion(day, t, codec, nil)
+}
+
+// WriteDayCompanion is WriteDayCodec followed, in the same file, by the
+// partition companion writes. companion runs, into memory, while the table
+// is encoded; one rename then publishes both, so a day is never read beside
+// another write's companion. nil writes the table alone.
+func (d *Dataset) WriteDayCompanion(day int, t *Table, codec Codec, companion func(io.Writer) error) error {
 	if day < 0 {
 		return fmt.Errorf("store: negative day %d", day)
+	}
+	if d.base != "" {
+		return fmt.Errorf("store: %q is a companion: it is written with its base", d.Name)
 	}
 	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
 		return fmt.Errorf("store: create dataset dir: %w", err)
@@ -93,7 +143,16 @@ func (d *Dataset) WriteDayCodec(day int, t *Table, codec Codec) error {
 	if err != nil {
 		return err
 	}
-	if err = WriteCodec(f, t, codec); err != nil {
+	var follow bytes.Buffer
+	followed := make(chan error, 1)
+	if companion == nil {
+		followed <- nil
+	} else {
+		go func() { followed <- companion(&follow) }()
+	}
+	if err = errors.Join(WriteCodec(f, t, codec), <-followed); err == nil {
+		_, err = f.Write(follow.Bytes())
+	} else {
 		err = d.partitionErr(day, err)
 	}
 	if cerr := f.Close(); err == nil {
@@ -117,23 +176,12 @@ func (d *Dataset) partitionErr(day int, err error) error {
 }
 
 // ReadDay loads the partition for the given day index.
-func (d *Dataset) ReadDay(day int) (*Table, error) {
-	f, err := os.Open(d.dayPath(day))
-	if err != nil {
-		return nil, fmt.Errorf("store: dataset %q day %d: %w", d.Name, day, err)
-	}
-	defer f.Close()
-	t, err := Read(f)
-	if err != nil {
-		return nil, d.partitionErr(day, err)
-	}
-	return t, nil
-}
+func (d *Dataset) ReadDay(day int) (*Table, error) { return d.ReadDayColumns(day, nil) }
 
 // Days lists the day indices present, sorted ascending.
 func (d *Dataset) Days() ([]int, error) {
 	parts, err := partitions(d.Dir)
-	days := parts[d.Name]
+	days := parts[cmp.Or(d.base, d.Name)]
 	sort.Ints(days)
 	return days, err
 }

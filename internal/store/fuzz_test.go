@@ -26,12 +26,13 @@ func fuzzSeedTable() *Table {
 }
 
 // FuzzReadDayColumns feeds arbitrary bytes through the full column-read
-// path — header parse, per-column decode, column-subset skip, and the
-// metadata scan — and requires malformed input to come back as errors, never
-// panics or runaway allocations. The seed corpus is a genuinely encoded day
-// under every codec, and with its float columns strided under both delta
-// codecs, plus truncated and bit-flipped variants so the fuzzer starts past
-// the gzip and magic-number gates.
+// path — header parse, per-column decode, column-subset skip, the metadata
+// scan and the read of a companion after the partition — and requires
+// malformed input to come back as errors, never panics or runaway
+// allocations. The seed corpus is a genuinely encoded day under every codec,
+// with its float columns strided under both delta codecs, and followed by a
+// companion, plus truncated and bit-flipped variants so the fuzzer starts
+// past the gzip and magic-number gates.
 func FuzzReadDayColumns(f *testing.F) {
 	seed := func(tab *Table, codec Codec) {
 		var buf bytes.Buffer
@@ -53,6 +54,16 @@ func FuzzReadDayColumns(f *testing.F) {
 	strided.Cols[1].Stride, strided.Cols[2].Stride = 32, 7
 	seed(strided, CodecDelta)
 	seed(strided, CodecDeltaFast)
+	var withCompanion bytes.Buffer
+	for _, part := range []struct {
+		tab   *Table
+		codec Codec
+	}{{strided, CodecDeltaFast}, {companionFixtureTable(), CodecGorilla}} {
+		if err := WriteCodec(&withCompanion, part.tab, part.codec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(withCompanion.Bytes())
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -64,5 +75,8 @@ func FuzzReadDayColumns(f *testing.F) {
 		}
 		_, _ = ReadColumns(bytes.NewReader(data), []string{"timestamp"})
 		_, _ = readDayMeta(bytes.NewReader(data), 0, []string{"timestamp"})
+		if br := bytes.NewReader(data); SeekCompanion(br) == nil {
+			_, _ = ReadColumns(br, nil)
+		}
 	})
 }

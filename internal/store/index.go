@@ -81,6 +81,20 @@ func (x *Index) Prune(t0, t1 int64) (keep []DayMeta, pruned int, err error) {
 	return keep, pruned, nil
 }
 
+// Span is the time span covered by the partitions that have one; ok is
+// false when none has.
+func Span(metas []DayMeta) (lo, hi int64, ok bool) {
+	for _, m := range metas {
+		if m.HasTime {
+			if !ok {
+				lo, hi, ok = m.MinTime, m.MaxTime, true
+			}
+			lo, hi = min(lo, m.MinTime), max(hi, m.MaxTime)
+		}
+	}
+	return lo, hi, ok
+}
+
 // Column finds a column in the partition's inventory.
 func (m DayMeta) Column(name string) (ColumnInfo, bool) {
 	for _, c := range m.Columns {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // This file is the streaming read path of the archive: a day partition is
@@ -72,16 +71,7 @@ func (sc *IterScratch) widen(src []int64, fn func(start int, vals []float64) err
 // The returned count is the partition's declared row count (every axis and
 // the value column decode to exactly that many rows).
 func (d *Dataset) IterDayColumns(day int, axes []string, value string, sc *IterScratch, fn func(start int, vals []float64) error) (int, error) {
-	f, err := os.Open(d.dayPath(day))
-	if err != nil {
-		return 0, fmt.Errorf("store: dataset %q day %d: %w", d.Name, day, err)
-	}
-	defer f.Close()
-	rows, err := iterColumns(f, axes, value, sc, fn)
-	if err != nil {
-		return 0, d.partitionErr(day, err)
-	}
-	return rows, nil
+	return readDay(d, day, func(r io.Reader) (int, error) { return iterColumns(r, axes, value, sc, fn) })
 }
 
 func iterColumns(r io.Reader, axes []string, value string, sc *IterScratch, fn func(start int, vals []float64) error) (int, error) {

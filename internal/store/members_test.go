@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -116,6 +117,20 @@ func stridedFixtureTable() *Table {
 	return tab
 }
 
+// companionFixtureTable is the companion testdata/members-companion.spwr
+// carries after fixtureTable: a pre-aggregate's shape — window and kind axes,
+// then one column's Welford state — in values and a row count no column of
+// fixtureTable has, so a read that returns one for the other cannot pass.
+func companionFixtureTable() *Table {
+	return &Table{Cols: []Column{
+		{Name: "window", Ints: []int64{0, 0, 600, 600, 1200}},
+		{Name: "kind", Ints: []int64{0, 2, 0, 2, 2}},
+		{Name: "power.n", Ints: []int64{3, 7, 2, 5, 1}},
+		{Name: "power.mean", Floats: []float64{412.5, 398.25, math.Copysign(0, -1), math.Inf(1), 1e-300}},
+		{Name: "power.m2", Floats: []float64{12.75, math.NaN(), 0, 3.5, 2.25}},
+	}}
+}
+
 // TestMemberFixtures: testdata/members-{delta,gorilla}.spwr were written
 // once, by the first WriteCodec that framed members, and
 // members-strided.spwr (CodecDeltaFast, stridedFixtureTable) by the first
@@ -164,6 +179,95 @@ func TestMemberFixtures(t *testing.T) {
 		if !bytes.Equal(gunzipped(t, raw), gunzipped(t, legacy)) {
 			t.Errorf("%s: payload differs from codec%d.spwr's", name, codec)
 		}
+	}
+	companionFixture(t, want)
+}
+
+// companionFixture: testdata/members-companion.spwr was written once, by the
+// first WriteDayCompanion — fixtureTable under CodecDelta, then
+// companionFixtureTable under CodecGorilla — and is never regenerated. Every
+// read of the day returns fixtureTable alone; the companion handle returns
+// the companion; fsck finds both whole. A base directory that fails its
+// checksum leaves the base to be streamed, and a stream that runs on into
+// the companion is an error naming the partition: the companion's payload is
+// never decoded as base rows. A file holding its base alone has no companion
+// to read; a companion that fails to encode publishes nothing.
+func companionFixture(t *testing.T, want *Table) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "members-companion.spwr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &Dataset{Dir: t.TempDir(), Name: "fixture"}
+	comp := ds.Companion("fixture.rollup")
+	write := func(raw []byte) {
+		if err := os.WriteFile(ds.dayPath(0), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(raw)
+	base, err := ds.ReadDay(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTable(t, "members-companion ReadDay", want, base)
+	if meta, err := ds.DayMeta(0); err != nil || meta.Rows != want.NumRows() || len(meta.Columns) != len(want.Cols) {
+		t.Errorf("members-companion DayMeta: %+v, %v; want the base's %d rows and %d columns", meta, err, want.NumRows(), len(want.Cols))
+	}
+	got, err := comp.ReadDay(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTable(t, "members-companion companion ReadDay", companionFixtureTable(), got)
+	delta, err := os.ReadFile(filepath.Join("testdata", "members-delta.spwr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bytes.NewReader(raw)
+	if err := SeekCompanion(br); err != nil || len(raw)-br.Len() != len(delta) || !bytes.HasPrefix(raw, delta) {
+		t.Errorf("members-companion: companion at byte %d (%v), want members-delta.spwr's %d bytes, unchanged, before it", len(raw)-br.Len(), err, len(delta))
+	}
+	if check := ds.VerifyDay(0); !check.Members || !check.Companion || len(check.Problems) > 0 {
+		t.Errorf("members-companion VerifyDay: %+v, want members, a companion and no problems", check)
+	}
+	if _, err := Read(iotest.OneByteReader(bytes.NewReader(raw))); err == nil {
+		t.Error("members-companion streamed: the base's stream ran on into its companion without an error")
+	}
+
+	// The directory's body starts after the gzip header (10 bytes), the
+	// extra field's length (2) and the subfield's id and length (4).
+	bad := append([]byte(nil), raw...)
+	bad[16] ^= 0x01
+	write(bad)
+	for what, read := range map[string]func() error{
+		"ReadDay":           func() error { _, err := ds.ReadDay(0); return err },
+		"DayMeta":           func() error { _, err := ds.DayMeta(0); return err },
+		"companion ReadDay": func() error { _, err := comp.ReadDay(0); return err },
+	} {
+		if err := read(); err == nil || !strings.Contains(err.Error(), "fixture-day00000.spwr") {
+			t.Errorf("members-companion with a damaged directory, %s: %v, want an error naming fixture-day00000.spwr", what, err)
+		}
+	}
+
+	write(raw[:len(raw)-len(encoded(t, WriteCodec, companionFixtureTable(), CodecGorilla))])
+	if _, err := comp.ReadDay(0); !errors.Is(err, ErrNoCompanion) {
+		t.Errorf("the base alone, companion ReadDay: %v, want ErrNoCompanion", err)
+	}
+
+	// A companion that fails publishes nothing: the day keeps the file it
+	// had and no .tmp is left. A companion handle writes nothing at all.
+	write(raw)
+	err = ds.WriteDayCompanion(0, companionFixtureTable(), CodecDelta, func(io.Writer) error { return errors.New("fold failed") })
+	if err == nil || !strings.Contains(err.Error(), "fixture-day00000.spwr") || !strings.Contains(err.Error(), "fold failed") {
+		t.Errorf("a failing companion: %v, want an error naming the partition and the cause", err)
+	}
+	if err := comp.WriteDay(0, want); err == nil {
+		t.Error("a companion handle wrote over its base's file")
+	}
+	if after, err := os.ReadFile(ds.dayPath(0)); err != nil || !bytes.Equal(after, raw) {
+		t.Errorf("the failed writes touched the day's file (%v)", err)
+	}
+	if entries, err := os.ReadDir(ds.Dir); err != nil || len(entries) != 1 {
+		t.Errorf("dir holds %v after the failed writes (%v), want the day's file alone", entries, err)
 	}
 }
 
@@ -292,7 +396,7 @@ func flipTable() *Table {
 // and one bit in every thirteenth byte of a larger one, under both production
 // codecs — the larger one also strided under CodecDeltaFast, as node-power is
 // written — and both framings, and reads the damaged file through every entry
-// point. Each read must fail or return exactly what the intact file holds: a
+// point; then every bit of a companion appended to the strided one. Each read must fail or return exactly what the intact file holds: a
 // flip may land in a byte no reader interprets (a gzip header's timestamp),
 // or in a member the read steps over, but it may never come back as a value.
 func TestFlippedBitIsAnErrorNeverANumber(t *testing.T) {
@@ -378,6 +482,47 @@ func TestFlippedBitIsAnErrorNeverANumber(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// A byte flipped inside the companion a partition carries: no read of
+	// the partition sees it, and a read of the companion fails or returns it
+	// whole.
+	good := encoded(t, WriteCodec, strided, CodecDeltaFast)
+	at := len(good)
+	good = append(good, encoded(t, WriteCodec, companionFixtureTable(), CodecGorilla)...)
+	flips, failed := 0, 0
+	for i := at; i < len(good); i++ {
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte(nil), good...)
+			bad[i] ^= 1 << bit
+			flips++
+			what := fmt.Sprintf("companion, bit %d of byte %d flipped", bit, i)
+			if tab, err := Read(bytes.NewReader(bad)); err != nil {
+				t.Fatalf("%s: Read of the partition: %v", what, err)
+			} else {
+				sameTable(t, what+": Read of the partition", strided, tab)
+			}
+			if _, err := metaOf(bytes.NewReader(bad)); err != nil {
+				t.Fatalf("%s: DayMeta of the partition: %v", what, err)
+			}
+			br := bytes.NewReader(bad)
+			err := SeekCompanion(br)
+			var tab *Table
+			if err == nil {
+				tab, err = Read(br)
+			}
+			if err == nil {
+				sameTable(t, what+": Read of the companion", companionFixtureTable(), tab)
+			} else {
+				failed++
+			}
+		}
+	}
+	if t.Failed() {
+		t.Fatal("a byte flipped in a companion was served as data")
+	}
+	if failed < flips/2 {
+		t.Errorf("companion: only %d of %d flips failed its read", failed, flips)
 	}
 }
 

@@ -2,12 +2,12 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync/atomic"
 )
 
@@ -114,6 +114,30 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, err
 	}
 	return sr, nil
+}
+
+// SeekCompanion moves r from the start of a partition file to the companion
+// after its partition: member 0's end plus the member sizes in the
+// partition's directory. Nothing after the partition, or no directory (a
+// partition from before there were companions), is ErrNoCompanion.
+func SeekCompanion(r io.ReadSeeker) error {
+	sr, err := NewReader(r)
+	if err != nil {
+		return err
+	}
+	_ = sr.Close()
+	if sr.dir == nil {
+		return cmp.Or(sr.dirErr, ErrNoCompanion)
+	}
+	end := sr.next
+	for _, c := range sr.dir.cols {
+		end += c.size
+	}
+	if size, err := r.Seek(0, io.SeekEnd); err != nil || end >= size {
+		return cmp.Or(err, ErrNoCompanion)
+	}
+	_, err = r.Seek(end, io.SeekStart)
+	return err
 }
 
 // newPayloadReader is NewReader over the gunzipped stream.
@@ -684,16 +708,7 @@ func (d *Dataset) DayMeta(day int, timeCols ...string) (DayMeta, error) {
 	if len(timeCols) == 0 {
 		timeCols = []string{"timestamp"}
 	}
-	f, err := os.Open(d.dayPath(day))
-	if err != nil {
-		return DayMeta{}, fmt.Errorf("store: dataset %q day %d: %w", d.Name, day, err)
-	}
-	defer f.Close()
-	meta, err := readDayMeta(f, day, timeCols)
-	if err != nil {
-		return DayMeta{}, d.partitionErr(day, err)
-	}
-	return meta, nil
+	return readDay(d, day, func(r io.Reader) (DayMeta, error) { return readDayMeta(r, day, timeCols) })
 }
 
 func readDayMeta(r io.Reader, day int, timeCols []string) (DayMeta, error) {
@@ -768,14 +783,5 @@ func Stats() Counters {
 // ReadDayColumns loads only the named columns of a day partition (nil loads
 // all, like ReadDay).
 func (d *Dataset) ReadDayColumns(day int, names []string) (*Table, error) {
-	f, err := os.Open(d.dayPath(day))
-	if err != nil {
-		return nil, fmt.Errorf("store: dataset %q day %d: %w", d.Name, day, err)
-	}
-	defer f.Close()
-	t, err := ReadColumns(f, names)
-	if err != nil {
-		return nil, d.partitionErr(day, err)
-	}
-	return t, nil
+	return readDay(d, day, func(r io.Reader) (*Table, error) { return ReadColumns(r, names) })
 }

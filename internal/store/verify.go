@@ -11,36 +11,67 @@ type DayCheck struct {
 	Members bool // read member by member, by its directory
 	// Strided: some float column XORs each value with one further back than
 	// the previous row (Column.Stride).
-	Strided  bool
-	Problems []error
+	Strided bool
+	// Companion: one more whole partition follows the day's own in its file
+	// (Dataset.Companion), and was read the same way.
+	Companion bool
+	Problems  []error
 }
 
 // VerifyDay is the offline check of one partition (`analyze -cmd fsck`): it
 // reads the day the way no serving read does — every column decoded, none
 // stepped over — so every gzip member's CRC-32 and length are checked, and
 // holds what the directory claims (member lengths, each column's kind and
-// stride, each integer column's range and order, no bytes after the last
-// member) to what was decoded. Each problem names the partition and, where
-// there is one, the column. Nothing after a column that fails to read is
-// looked at: where it ends is no longer known.
+// stride, each integer column's range and order) to what was decoded. What
+// follows the last member must be one whole partition, the day's companion,
+// checked the same way and ending with the file. Each problem names the
+// partition and, where there is one, the column. Nothing after a column that
+// fails to read is looked at: where it ends is no longer known.
 func (d *Dataset) VerifyDay(day int) (check DayCheck) {
 	fail := func(err error) { check.Problems = append(check.Problems, d.partitionErr(day, err)) }
 	f, err := os.Open(d.dayPath(day))
+	var sr *Reader
+	if err == nil {
+		defer f.Close()
+		sr, err = NewReader(f)
+	}
 	if err != nil {
 		fail(err)
 		return check
 	}
-	defer f.Close()
-	sr, err := NewReader(f)
-	if err != nil {
-		fail(err)
+	check.Members = sr.seek != nil
+	var end int64
+	end, check.Strided = verifyColumns(sr, fail)
+	fi, err := f.Stat()
+	if err != nil || end < 0 || end == fi.Size() {
+		if err != nil {
+			fail(err)
+		}
 		return check
 	}
+	if _, err = f.Seek(end, io.SeekStart); err == nil {
+		sr, err = NewReader(f)
+	}
+	if err != nil {
+		fail(fmt.Errorf("store: the last member ends at byte %d, the file at %d", end, fi.Size()))
+		return check
+	}
+	check.Companion = true
+	if cend, _ := verifyColumns(sr, func(err error) { fail(fmt.Errorf("companion: %w", err)) }); cend >= 0 && end+cend != fi.Size() {
+		fail(fmt.Errorf("store: the companion's last member ends at byte %d, the file at %d", end+cend, fi.Size()))
+	}
+	return check
+}
+
+// verifyColumns decodes every column of sr, reporting through fail what does
+// not hold. It returns where the partition ends, from where sr began — -1
+// when that is not known (it was streamed, or a column failed to read) — and
+// whether a float column is strided.
+func verifyColumns(sr *Reader, fail func(error)) (end int64, strided bool) {
 	defer sr.Close()
 	if sr.dirErr != nil {
 		fail(sr.dirErr) // and the partition is read as the stream it still is
 	}
-	check.Members = sr.seek != nil
 	for {
 		info, err := sr.Next()
 		if err == io.EOF {
@@ -52,10 +83,10 @@ func (d *Dataset) VerifyDay(day int) (check DayCheck) {
 		}
 		if err != nil {
 			fail(err)
-			return check
+			return -1, strided
 		}
-		check.Strided = check.Strided || sr.stride > 1
-		if check.Members && info.Int {
+		strided = strided || sr.stride > 1
+		if sr.seek != nil && info.Int {
 			e := sr.dir.cols[sr.read-1]
 			if lo, hi, sorted := intStats(col.Ints); lo != e.min || hi != e.max || sorted != e.sorted {
 				fail(fmt.Errorf("store: column %q: the directory says min %d, max %d, non-decreasing %v; the values say %d, %d, %v",
@@ -63,12 +94,8 @@ func (d *Dataset) VerifyDay(day int) (check DayCheck) {
 			}
 		}
 	}
-	if check.Members {
-		if fi, err := f.Stat(); err != nil {
-			fail(err)
-		} else if fi.Size() != sr.next {
-			fail(fmt.Errorf("store: the last member ends at byte %d, the file at %d", sr.next, fi.Size()))
-		}
+	if sr.seek == nil {
+		return -1, strided
 	}
-	return check
+	return sr.next, strided
 }
