@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
+.PHONY: all build test vet fmt lint race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
 
 all: check
 
@@ -57,7 +57,7 @@ check: build fmt vet lint test stream-check race
 
 # ci mirrors .github/workflows/ci.yml, step for step (the
 # pull-request-only bench-ab against the merge base aside).
-ci: fmt vet lint build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke federate-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
+ci: fmt vet lint build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -155,22 +155,29 @@ optimize-smoke:
 	cmp /tmp/whatif-w1.json /tmp/whatif-w4.json
 	rm -f /tmp/optimize-smoke /tmp/whatif-w1.json /tmp/whatif-w4.json
 
-# federate-smoke gates the federated query plane: the golden N-shard
-# bit-parity test and the failure story under the race detector (a dead
-# shard degrades to NaN days, is counted, and is never stored in the reply
-# cache), then an end-to-end check that a 2-cluster fleet analyzed through
-# a 2-shard federated source is byte-identical to the direct read.
-federate-smoke:
-	$(GO) test -race -run 'TestFederatedParity|TestFederatedPartialDegradation' ./internal/source
-	$(GO) test -race -run 'TestMemoNeverStoresDegradedAnswers' ./internal/query
-	$(GO) build -o /tmp/fedsmoke-summitsim ./cmd/summitsim
-	$(GO) build -o /tmp/fedsmoke-analyze ./cmd/analyze
-	rm -rf /tmp/fedsmoke-fleet
-	/tmp/fedsmoke-summitsim -out /tmp/fedsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -q
-	/tmp/fedsmoke-analyze -data /tmp/fedsmoke-fleet -cluster summit-0 > /tmp/fedsmoke-direct.txt
-	/tmp/fedsmoke-analyze -data /tmp/fedsmoke-fleet -cluster summit-0 -shards 2 > /tmp/fedsmoke-sharded.txt
-	cmp /tmp/fedsmoke-direct.txt /tmp/fedsmoke-sharded.txt
-	rm -rf /tmp/fedsmoke-fleet /tmp/fedsmoke-summitsim /tmp/fedsmoke-analyze /tmp/fedsmoke-direct.txt /tmp/fedsmoke-sharded.txt
+# fleet-smoke gates the multi-cluster fleet: a 2-cluster fleet is written,
+# each member analyzed through its one archive reader, the fleet identity and
+# queryd's fleet routes are tested under the race detector, and the retired
+# -shards flag is refused by both readers (the usage error names it).
+fleet-smoke:
+	$(GO) test -race -run 'TestFleetIdentityThroughArchive' ./internal/core
+	$(GO) test -race -run 'TestQuerydFleet' ./cmd/queryd
+	$(GO) build -o /tmp/fleetsmoke-summitsim ./cmd/summitsim
+	$(GO) build -o /tmp/fleetsmoke-analyze ./cmd/analyze
+	$(GO) build -o /tmp/fleetsmoke-queryd ./cmd/queryd
+	rm -rf /tmp/fleetsmoke-fleet
+	/tmp/fleetsmoke-summitsim -out /tmp/fleetsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -q
+	for c in summit-0 frontier-1; do \
+		/tmp/fleetsmoke-analyze -data /tmp/fleetsmoke-fleet -cluster $$c > /tmp/fleetsmoke-$$c.txt || exit 1; \
+		grep -q . /tmp/fleetsmoke-$$c.txt || { echo "fleet-smoke: empty summary for $$c"; exit 1; }; \
+	done
+	if /tmp/fleetsmoke-analyze -data /tmp/fleetsmoke-fleet -cluster summit-0 -shards 2 > /tmp/fleetsmoke-refused.txt 2>&1; then \
+		echo "fleet-smoke: analyze accepted -shards"; exit 1; fi
+	grep -q 'not defined: -shards' /tmp/fleetsmoke-refused.txt
+	if timeout 20 /tmp/fleetsmoke-queryd -data /tmp/fleetsmoke-fleet -addr 127.0.0.1:0 -shards 2 -q > /tmp/fleetsmoke-refused.txt 2>&1; then \
+		echo "fleet-smoke: queryd accepted -shards"; exit 1; fi
+	grep -q 'not defined: -shards' /tmp/fleetsmoke-refused.txt
+	rm -rf /tmp/fleetsmoke-fleet /tmp/fleetsmoke-summitsim /tmp/fleetsmoke-analyze /tmp/fleetsmoke-queryd /tmp/fleetsmoke-*.txt
 
 # queryd-smoke gates the warm dashboard path end to end over real HTTP: an
 # analysis fetched twice is byte-identical both times; a fleet-wide range on

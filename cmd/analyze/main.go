@@ -4,9 +4,7 @@
 // pipeline and queryd use — so results match the live data plane exactly.
 //
 // -data may also name a fleet root (as written by summitsim -clusters);
-// -cluster selects the member to analyze. With -shards N the archive is
-// read through an N-shard federated source instead of directly — output is
-// bit-identical either way (the federation layer's parity guarantee).
+// -cluster selects the member to analyze.
 //
 // -cmd fsck is the one subcommand that opens no source: it reads every
 // partition file of the archive (of every member, for a fleet root without
@@ -15,7 +13,7 @@
 //
 // Usage:
 //
-//	analyze -data /path/to/archive [-cluster NAME] [-shards N]
+//	analyze -data /path/to/archive [-cluster NAME]
 //	        [-cmd summary|edges|fft|failures|jobs|bands|earlywarning|validation|overcooling|fsck]
 package main
 
@@ -43,7 +41,6 @@ func main() {
 	cmd := flag.String("cmd", "summary",
 		"analysis: summary|edges|fft|failures|jobs|bands|earlywarning|validation|overcooling|fsck")
 	cluster := flag.String("cluster", "", "fleet member to analyze (when -data is a fleet root)")
-	shards := flag.Int("shards", 1, "read through an N-shard federated source (1 = direct)")
 	nodes := flag.Int("nodes", 256, "system size fallback for archives without a run manifest")
 	step := flag.Int64("step", 10, "coarsening window fallback for archives without a run manifest")
 	flag.Parse()
@@ -57,9 +54,6 @@ func main() {
 	if *step <= 0 {
 		log.Fatalf("-step must be positive, got %d", *step)
 	}
-	if *shards < 1 {
-		log.Fatalf("-shards must be >= 1, got %d", *shards)
-	}
 	if *cmd == "fsck" {
 		if err := fsck(os.Stdout, *dataDir, *cluster); err != nil {
 			log.Fatal(err)
@@ -70,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	src, err := openSource(dir, *shards, *step, *nodes)
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, StepSec: *step, Nodes: *nodes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -163,19 +157,6 @@ func fsck(w io.Writer, dataDir, cluster string) error {
 		return fmt.Errorf("fsck: %d problems", problems)
 	}
 	return nil
-}
-
-// openSource opens the archive directly, or through a sharded federated
-// coordinator when shards > 1.
-func openSource(dir string, shards int, step int64, nodes int) (source.RunSource, error) {
-	acfg := source.ArchiveConfig{Dir: dir, StepSec: step, Nodes: nodes}
-	if shards == 1 {
-		return source.OpenArchive(acfg)
-	}
-	return source.OpenShardedArchive(source.ShardedArchiveConfig{
-		Archive: acfg,
-		Shards:  shards,
-	})
 }
 
 // dispatch routes a subcommand to its analysis, writing to w.

@@ -56,7 +56,6 @@ type options struct {
 	nodes         int
 	workers       int
 	cacheMB       int
-	shards        int
 	timeout       time.Duration
 	maxConcurrent int
 	maxPoints     int
@@ -73,7 +72,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.nodes, "nodes", 0, "system size the archive was produced with (enables cabinet/MSB rollups; fleets read it per cluster)")
 	fs.IntVar(&o.workers, "workers", 0, "parallel scan workers (0 = GOMAXPROCS)")
 	fs.IntVar(&o.cacheMB, "cache-mb", 256, "decoded-table cache budget in MiB (per cluster)")
-	fs.IntVar(&o.shards, "shards", 1, "serve each cluster's analyses through an N-shard federated source")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 32, "concurrent query limit (excess sheds with 503)")
 	fs.IntVar(&o.maxPoints, "max-points", 200_000, "points/windows budget per response")
@@ -85,47 +83,24 @@ func parseFlags(args []string) (options, error) {
 	if o.data == "" {
 		return o, errors.New("queryd: -data is required")
 	}
-	if o.shards < 1 {
-		return o, errors.New("queryd: -shards must be >= 1")
-	}
 	return o, nil
 }
 
 // openCluster builds one serving member over an archive directory: its
-// query engine, and its analysis source — direct, or an N-shard federated
-// coordinator when -shards > 1.
+// query engine, and its analysis source.
 func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, error) {
 	// One decoded-table cache backs both the raw query tier and the
 	// archive-backed analyses: a byte decoded for /api/v1/range is a byte
-	// /api/v1/analysis/* does not decode again, and vice versa. In sharded
-	// mode each federation shard instead carries a private slice of the
-	// budget (its stats surface per shard in /debug/vars).
+	// /api/v1/analysis/* does not decode again, and vice versa.
 	cache := store.NewTableCache(int64(o.cacheMB) << 20)
 	var src source.RunSource
 	var meta source.Meta
-	var aerr error
-	if o.shards > 1 {
-		var fed *source.FederatedSource
-		fed, aerr = source.OpenShardedArchive(source.ShardedArchiveConfig{
-			Archive:      source.ArchiveConfig{Dir: dir, Nodes: o.nodes, Workers: o.workers},
-			Shards:       o.shards,
-			CacheBytes:   int64(o.cacheMB) << 20,
-			AllowPartial: true,
-			Workers:      o.workers,
-		})
-		if aerr == nil {
-			src = fed
-			meta, _ = fed.Meta()
-		}
-	} else {
-		var arc *source.ArchiveSource
-		arc, aerr = source.OpenArchive(source.ArchiveConfig{
-			Dir: dir, Nodes: o.nodes, Workers: o.workers, Cache: cache,
-		})
-		if aerr == nil {
-			src = arc
-			meta, _ = arc.Meta()
-		}
+	arc, aerr := source.OpenArchive(source.ArchiveConfig{
+		Dir: dir, Nodes: o.nodes, Workers: o.workers, Cache: cache,
+	})
+	if aerr == nil {
+		src = arc
+		meta, _ = arc.Meta()
 	}
 	// The analysis routes need the cluster dataset; serve raw queries
 	// regardless (e.g. node-power-only archives). src stays a nil

@@ -343,28 +343,22 @@ func writeFleetRoot(t *testing.T, root string) source.FleetManifest {
 	return manifest
 }
 
-// TestQuerydFleet serves a two-cluster fleet root through the federated
-// query plane: per-cluster routing via ?cluster=, the fleet inventory and
-// merge endpoints, and federation fan-out stats in /debug/vars.
+// TestQuerydFleet serves a two-cluster fleet root: per-cluster routing via
+// ?cluster=, the fleet inventory (a stored reply like every other route)
+// and the merge endpoints.
 func TestQuerydFleet(t *testing.T) {
 	root := t.TempDir()
 	writeFleetRoot(t, root)
-	base := startQueryd(t,
-		"-data", root, "-addr", "127.0.0.1:0",
-		"-shards", "2", "-q")
+	base := startQueryd(t, "-data", root, "-addr", "127.0.0.1:0", "-q")
 
-	// Inventory: both members, analysis enabled, federation configured.
+	// Inventory: both members, analysis enabled.
 	var inv struct {
 		Clusters []struct {
-			Name       string `json:"name"`
-			Site       string `json:"site"`
-			Nodes      int    `json:"nodes"`
-			Windows    int    `json:"windows"`
-			Analysis   bool   `json:"analysis"`
-			Federation *struct {
-				Shards  int   `json:"shards"`
-				Fanouts int64 `json:"fanouts"`
-			} `json:"federation"`
+			Name     string `json:"name"`
+			Site     string `json:"site"`
+			Nodes    int    `json:"nodes"`
+			Windows  int    `json:"windows"`
+			Analysis bool   `json:"analysis"`
 		} `json:"clusters"`
 	}
 	if code := getInto(t, base+"/api/v1/clusters", &inv); code != 200 {
@@ -374,15 +368,30 @@ func TestQuerydFleet(t *testing.T) {
 		t.Fatalf("inventory = %+v", inv.Clusters)
 	}
 	for _, c := range inv.Clusters {
-		if !c.Analysis || c.Federation == nil {
-			t.Fatalf("cluster %s: analysis=%v federation=%v", c.Name, c.Analysis, c.Federation)
-		}
-		if c.Federation.Shards != 2 {
-			t.Errorf("cluster %s federation = %+v", c.Name, c.Federation)
+		if !c.Analysis {
+			t.Fatalf("cluster %s: analysis disabled", c.Name)
 		}
 	}
 	if inv.Clusters[0].Site != "summit" || inv.Clusters[1].Site != "frontier" {
 		t.Errorf("sites = %s, %s", inv.Clusters[0].Site, inv.Clusters[1].Site)
+	}
+	// The inventory is a pure function of the archives as opened: the
+	// second GET is answered from the reply cache, with the ETag of the
+	// first, and If-None-Match with that tag is a 304.
+	second := fetch(t, base+"/api/v1/clusters")
+	etag := second.Header.Get("ETag")
+	if second.StatusCode != 200 || etag == "" || !strings.HasPrefix(second.Header.Get("Server-Timing"), "cache;desc=hit") {
+		t.Errorf("second inventory GET = %d, ETag %q, Server-Timing %q; want a stored reply",
+			second.StatusCode, etag, second.Header.Get("Server-Timing"))
+	}
+	var memo struct {
+		ReplyCache map[string]int64 `json:"reply_cache"`
+	}
+	if code := getInto(t, base+"/debug/vars", &memo); code != 200 || memo.ReplyCache["hits"] != 1 || memo.ReplyCache["computes"] != 1 {
+		t.Errorf("reply_cache after two inventory GETs = %v (vars %d), want 1 compute, 1 hit", memo.ReplyCache, code)
+	}
+	if cond := fetch(t, base+"/api/v1/clusters", "If-None-Match", etag); cond.StatusCode != http.StatusNotModified {
+		t.Errorf("If-None-Match %s = %d, want 304", etag, cond.StatusCode)
 	}
 
 	// Per-cluster routing: a multi-cluster server demands ?cluster=.
@@ -466,44 +475,27 @@ func TestQuerydFleet(t *testing.T) {
 	if code := getInto(t, u+"&clusters=nope", nil); code != 404 {
 		t.Errorf("unknown subset = %d, want 404", code)
 	}
+}
 
-	// Federation stats made it to /debug/vars, and the merges above drove
-	// fan-outs through every member's shards.
-	var vars struct {
-		Clusters map[string]struct {
-			Cache      map[string]int64 `json:"cache"`
-			Federation *struct {
-				Fanouts  int64 `json:"fanouts"`
-				PerShard []struct {
-					Shard    string `json:"name"`
-					OwnedDay int    `json:"owned_days"`
-					Requests int64  `json:"requests"`
-				} `json:"per_shard"`
-			} `json:"federation"`
-		} `json:"clusters"`
+// fetch GETs url with the given header name/value pairs and drains the body.
+func fetch(t *testing.T, url string, header ...string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := getInto(t, base+"/debug/vars", &vars); code != 200 {
-		t.Fatalf("vars = %d", code)
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
 	}
-	for _, name := range []string{"summit-0", "frontier-0"} {
-		c, ok := vars.Clusters[name]
-		if !ok || c.Federation == nil {
-			t.Fatalf("vars missing federation block for %s: %+v", name, vars.Clusters)
-		}
-		if c.Federation.Fanouts == 0 {
-			t.Errorf("%s: no fan-outs recorded", name)
-		}
-		if len(c.Federation.PerShard) != 2 {
-			t.Errorf("%s: per-shard stats = %+v", name, c.Federation.PerShard)
-		}
-		var reqs int64
-		for _, s := range c.Federation.PerShard {
-			reqs += s.Requests
-		}
-		if reqs == 0 {
-			t.Errorf("%s: shards served no requests", name)
-		}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 type fss2 struct {
@@ -521,10 +513,10 @@ func TestParseFlags(t *testing.T) {
 	if o.data != "/x" || o.nodes != 72 || o.cacheMB != 64 {
 		t.Errorf("options = %+v", o)
 	}
-	// A federation has one owner per partition: there is nothing to
-	// replicate or hedge across.
-	for _, retired := range [][]string{{"-replicas", "2"}, {"-hedge", "20ms"}} {
-		if _, err := parseFlags(append([]string{"-data", "/x", "-shards", "2"}, retired...)); err == nil {
+	// Each cluster is one archive read in one process: there is nothing to
+	// shard, replicate or hedge across.
+	for _, retired := range [][]string{{"-shards", "2"}, {"-replicas", "2"}, {"-hedge", "20ms"}} {
+		if _, err := parseFlags(append([]string{"-data", "/x"}, retired...)); err == nil {
 			t.Errorf("%s accepted", retired[0])
 		}
 	}

@@ -6,6 +6,7 @@ package core
 // live run (RunData.Source) and from an archive (source.OpenArchive).
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -206,13 +207,17 @@ var summaryOrder = []string{
 }
 
 // SummaryFromSource reduces the canonical cluster series to summary
-// statistics, skipping series the source does not carry.
+// statistics, skipping series the source does not carry; any other read
+// error (a damaged column) fails the summary rather than shortening it.
 func SummaryFromSource(src source.RunSource) ([]SeriesSummary, error) {
 	var out []SeriesSummary
 	for _, name := range summaryOrder {
 		s, err := src.Series(name)
-		if err != nil {
+		if errors.Is(err, source.ErrUnknownSeries) {
 			continue
+		}
+		if err != nil {
+			return nil, err
 		}
 		m := s.Stats()
 		out = append(out, SeriesSummary{

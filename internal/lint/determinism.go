@@ -17,7 +17,7 @@ import (
 //
 //   - everything reachable, over the call graph, from a function annotated
 //     //lint:detroot (the simulation engine, what-if batch evaluation, the
-//     archive writer, federated reads, the stream operators). The diagnostic
+//     archive writer, the stream operators). The diagnostic
 //     lands on the construct and carries the call chain from the first root
 //     that reaches it as notes, so a nondeterministic helper in any package
 //     is caught the moment a root can reach it;
@@ -40,8 +40,8 @@ var Determinism = &Analyzer{
 // simPackages are the packages whose outputs must be bit-reproducible.
 // stream is on the list because the batch/stream parity contract holds the
 // live operators bit-identical to the offline analyses; source because the
-// federation layer promises N-shard scatter-gather reads bit-identical to a
-// direct read.
+// archive it writes is byte-identical across reruns and its ranged reads are
+// bit-identical for any worker count.
 var simPackages = map[string]bool{
 	"nodesim":   true,
 	"workload":  true,

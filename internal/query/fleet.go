@@ -14,23 +14,28 @@ import (
 	"repro/internal/units"
 )
 
-// The fleet routes are the federated query plane's user-facing face: an
-// inventory of the member clusters and scatter-gather merges across them.
-// Merges walk the members in handler order (the fleet manifest's order), so
-// a fleet-wide answer is deterministic for a given member list.
+// The fleet routes are an inventory of the member clusters and merges
+// across them. Merges walk the members in handler order (the fleet
+// manifest's order), so a fleet-wide answer is deterministic for a given
+// member list.
 
 type apiClusterInfo struct {
-	Name       string                     `json:"name"`
-	Site       string                     `json:"site,omitempty"`
-	Nodes      int                        `json:"nodes"`
-	StartTime  int64                      `json:"start_time"`
-	StepSec    int64                      `json:"step_sec"`
-	Windows    int                        `json:"windows"`
-	Analysis   bool                       `json:"analysis"`
-	Federation *source.FederationSnapshot `json:"federation,omitempty"`
+	Name      string `json:"name"`
+	Site      string `json:"site,omitempty"`
+	Nodes     int    `json:"nodes"`
+	StartTime int64  `json:"start_time"`
+	StepSec   int64  `json:"step_sec"`
+	Windows   int    `json:"windows"`
+	Analysis  bool   `json:"analysis"`
 }
 
-func (h *handler) clustersRoute(ctx context.Context, q url.Values) (any, error) {
+// clustersRoute answers the inventory, which reads nothing from the request:
+// its key is empty.
+func (h *handler) clustersRoute(url.Values) (string, serve.Compute, error) {
+	return "", func(context.Context) (any, error) { return h.clustersReply() }, nil
+}
+
+func (h *handler) clustersReply() (any, error) {
 	out := make([]apiClusterInfo, 0, len(h.clusters))
 	for i := range h.clusters {
 		c := &h.clusters[i]
@@ -45,10 +50,6 @@ func (h *handler) clustersRoute(ctx context.Context, q url.Values) (any, error) 
 			info.StartTime = meta.StartTime
 			info.StepSec = meta.StepSec
 			info.Windows = meta.Windows
-			if fed, ok := c.Source.(*source.FederatedSource); ok {
-				snap := fed.Stats()
-				info.Federation = &snap
-			}
 		}
 		out = append(out, info)
 	}
@@ -109,9 +110,9 @@ func (h *handler) fleetSeries(q url.Values) (string, serve.Compute, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return requestKey(nil).str(name).members(members), whileHealthy(members, func() (any, error) {
+	return requestKey(nil).str(name).members(members), func(context.Context) (any, error) {
 		return h.fleetSeriesReply(name, members)
-	}), nil
+	}, nil
 }
 
 // members closes a fleet merge's cache key with the members it resolved to,
@@ -172,10 +173,10 @@ func (h *handler) fleetSummary(q url.Values) (string, serve.Compute, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return requestKey(nil).members(members), whileHealthy(members, func() (any, error) {
+	return requestKey(nil).members(members), func(context.Context) (any, error) {
 		h.metrics().AnalysisQueries.Add(1)
 		return fleetSummaryReply(members)
-	}), nil
+	}, nil
 }
 
 func fleetSummaryReply(members []*Cluster) (any, error) {

@@ -30,8 +30,7 @@ type ServerConfig struct {
 }
 
 // Cluster is one fleet member served by the handler: its raw-query engine
-// and (optionally) its analysis source, which may be a federated
-// coordinator over archive shards.
+// and (optionally) its analysis source.
 type Cluster struct {
 	// Name selects the cluster via ?cluster=; it must be unique. The empty
 	// name is legal only for a single-cluster handler (the pre-fleet API).
@@ -80,8 +79,7 @@ type handler struct {
 // and non-empty; a single cluster may be anonymous (the pre-fleet API, where
 // ?cluster= is optional). Every API route runs under the serving kernel's
 // guard: the concurrency limiter and per-request timeout of cfg, and the
-// request-size limit. Every route but the cluster inventory (whose reply
-// carries live federation counters) is a pure function of the parsed
+// request-size limit. Every API route is a pure function of the parsed
 // request over an archive frozen at open, and is answered from one
 // encoded-reply cache (serve.ReplyCache).
 func NewFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error) {
@@ -112,10 +110,10 @@ func NewFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error)
 	}
 	h.HandleFunc("/healthz", serve.Healthz)
 	h.HandleFunc("/debug/vars", h.vars)
-	h.HandleFunc("/api/v1/clusters", h.kernel.Guard("clusters", h.clustersRoute))
 	cached := func(name string, route serve.PureRoute) {
 		h.HandleFunc("/api/v1/"+name, h.kernel.GuardCached(name, h.cache, route))
 	}
+	cached("clusters", h.clustersRoute)
 	cached("datasets", h.datasets)
 	cached("range", h.rangeQuery)
 	cached("rollup", h.rollup)
@@ -135,33 +133,6 @@ type requestKey []byte
 
 func (k requestKey) str(s string) requestKey { return append(append(k, s...), 0) }
 func (k requestKey) int(v int64) requestKey  { return append(strconv.AppendInt(k, v, 10), 0) }
-
-// whileHealthy wraps a compute over members' analysis sources: an answer
-// computed while a federated member read degraded (AllowPartial left a day
-// NaN) is marked so the cache sends it and does not keep it — the next
-// request may find the shard healed. A concurrent degraded read of another
-// route marks it too, which only costs a recompute.
-func whileHealthy(members []*Cluster, compute func() (any, error)) serve.Compute {
-	return func(context.Context) (any, error) {
-		before := partialResults(members)
-		v, err := compute()
-		if err == nil && partialResults(members) != before {
-			v = serve.Degraded{Reply: v}
-		}
-		return v, err
-	}
-}
-
-// partialResults sums the degraded reads the members' federated sources
-// have answered so far.
-func partialResults(members []*Cluster) (n int64) {
-	for _, c := range members {
-		if fed, ok := c.Source.(*source.FederatedSource); ok {
-			n += fed.Stats().PartialResults
-		}
-	}
-	return n
-}
 
 // cluster resolves the member a request addresses: ?cluster= when given, or
 // the sole member for single-cluster handlers. A multi-cluster handler
@@ -203,11 +174,11 @@ func (h *handler) analysis(route analysisRoute) serve.PureRoute {
 			return "", nil, err
 		}
 		key := requestKey(nil).str(cl.Name).str(params)
-		return string(key), whileHealthy([]*Cluster{cl}, func() (any, error) {
+		return string(key), func(context.Context) (any, error) {
 			cl.Engine.Metrics().AnalysisQueries.Add(1)
 			v, err := compute(cl.Source)
 			return v, analysisErr(err)
-		}), nil
+		}, nil
 	}
 }
 
@@ -227,9 +198,8 @@ func sentinelStatus(err error) int {
 func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 	// Top-level shape is the historical single-cluster snapshot (first
 	// cluster) with the serving kernel's counters under the keys dashboards
-	// read them from; the fleet view nests one entry per member under
-	// "clusters", including the federation fan-out counters and per-shard
-	// cache occupancy when the cluster's source is a federated coordinator.
+	// read them from; the fleet view nests one entry per member, its cache
+	// occupancy, under "clusters".
 	primary := h.clusters[0].Engine
 	snap := primary.Metrics().Snapshot()
 	queries := snap["queries"].(map[string]int64)
@@ -253,17 +223,13 @@ func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 	for i := range h.clusters {
 		c := &h.clusters[i]
 		ce, cb := c.Engine.CacheStats()
-		entry := map[string]any{
+		perCluster[c.Name] = map[string]any{
 			"cache": map[string]int64{
 				"entries":   int64(ce),
 				"bytes":     cb,
 				"max_bytes": c.Engine.CacheBytesMax(),
 			},
 		}
-		if fed, ok := c.Source.(*source.FederatedSource); ok {
-			entry["federation"] = fed.Stats()
-		}
-		perCluster[c.Name] = entry
 	}
 	snap["clusters"] = perCluster
 	snap["reply_cache"] = h.cache.Snapshot()

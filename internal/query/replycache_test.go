@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,10 +10,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -412,60 +414,77 @@ func TestMemoSkipsOversizedReplies(t *testing.T) {
 	}
 }
 
-// failingShard fails every series read while down is set.
-type failingShard struct {
-	source.RunSource
-	down atomic.Bool
-}
-
-func (s *failingShard) Series(name string) (*tsagg.Series, error) {
-	if s.down.Load() {
-		return nil, fmt.Errorf("shard down")
+// TestCorruptColumnIsAnErrorNeverStored: a flipped byte inside a column
+// member the summary reads is answered 500 naming the partition — dataset
+// and day — and the column, every time: the error is computed again for
+// each request and never stored, so it carries no ETag.
+func TestCorruptColumnIsAnErrorNeverStored(t *testing.T) {
+	dir := t.TempDir()
+	writeSimArchive(t, dir)
+	flipColumnMember(t, filepath.Join(dir, "cluster-power-day00000.spwr"), source.SeriesPUE)
+	f := openMemoFixture(t, dir)
+	for i := int64(1); i <= 2; i++ {
+		rec := get(t, f.h, context.Background(), "/api/v1/analysis/summary")
+		var body struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("request %d: %v: %s", i, err, rec.Body)
+		}
+		if rec.Code != http.StatusInternalServerError || rec.Header().Get("ETag") != "" ||
+			!strings.Contains(body.Error, `dataset "cluster-power"`) || !strings.Contains(body.Error, "cluster-power-day00000.spwr") ||
+			!strings.Contains(body.Error, fmt.Sprintf("column %q", source.SeriesPUE)) {
+			t.Fatalf("request %d: %d %s, ETag %q; want a 500 naming dataset cluster-power, day file cluster-power-day00000.spwr and column %q",
+				i, rec.Code, rec.Body, rec.Header().Get("ETag"), source.SeriesPUE)
+		}
+		if m := memoVars(t, f.h); m["computes"] != i || m["entries"] != 0 {
+			t.Fatalf("request %d: reply_cache = %v, want %d computes and no entry", i, m, i)
+		}
 	}
-	return s.RunSource.Series(name)
 }
 
-// TestMemoNeverStoresDegradedAnswers: a federated source with a failing
-// shard answers degraded (NaN days), and that answer is not stored; once the
-// shard heals the full answer is computed, stored, and served from then on.
-func TestMemoNeverStoresDegradedAnswers(t *testing.T) {
-	f := newMemoFixture(t)
-	shards := []*failingShard{{RunSource: f.src}, {RunSource: f.src}}
-	fed, err := source.OpenFederated(source.FederatedConfig{
-		Shards:       []source.Shard{{Name: "a", Source: shards[0]}, {Name: "b", Source: shards[1]}},
-		AllowPartial: true,
-	})
+// flipColumnMember flips one byte in the middle of the gzip member that holds
+// column col of the partition at path (member 0 is the table header, then
+// one member per column in table order).
+func flipColumnMember(t *testing.T, path, col string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := singleHandler(t, f.eng, fed, ServerConfig{})
-	ctx := context.Background()
-	const url = "/api/v1/analysis/summary"
-	healthy := get(t, singleHandler(t, f.eng, f.src, ServerConfig{}), ctx, url).Body.Bytes()
-
-	for _, s := range shards {
-		s.down.Store(true)
+	sr, err := store.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := int64(1); i <= 2; i++ {
-		rec := get(t, h, ctx, url)
-		if rec.Code != 200 || bytes.Equal(rec.Body.Bytes(), healthy) {
-			t.Fatalf("degraded request %d: status %d, body equal to the healthy one: %v",
-				i, rec.Code, bytes.Equal(rec.Body.Bytes(), healthy))
+	member := -1
+	for i := 1; member < 0; i++ {
+		info, err := sr.Next()
+		if err != nil {
+			t.Fatalf("%s: no column %q: %v", path, col, err)
 		}
-		if m := memoVars(t, h); m["computes"] != i || m["not_stored_degraded"] != i || m["entries"] != 0 {
-			t.Fatalf("degraded request %d: reply_cache = %v, want it recomputed and not stored", i, m)
+		if info.Name == col {
+			member = i
+		} else if err := sr.Skip(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, s := range shards {
-		s.down.Store(false)
-	}
-	for i := 0; i < 2; i++ {
-		if rec := get(t, h, ctx, url); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), healthy) {
-			t.Fatalf("healed request %d: status %d, body differs from the direct source's", i, rec.Code)
+	// A bytes.Reader is a flate.Reader, so gzip reads it without buffering
+	// ahead: what is left of it after a member is where the next one starts.
+	r := bytes.NewReader(raw)
+	var start, end int
+	for i := 0; i <= member; i++ {
+		start = len(raw) - r.Len()
+		zr, err := gzip.NewReader(r)
+		if err != nil {
+			t.Fatal(err)
 		}
+		zr.Multistream(false)
+		if _, err := io.Copy(io.Discard, zr); err != nil {
+			t.Fatal(err)
+		}
+		end = len(raw) - r.Len()
 	}
-	if m := memoVars(t, h); m["computes"] != 3 || m["hits"] != 1 || m["entries"] != 1 {
-		t.Errorf("after healing: reply_cache = %v, want 3 computes, 1 hit, 1 entry", m)
+	raw[(start+end)/2] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

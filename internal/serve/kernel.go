@@ -31,8 +31,8 @@ type Route func(ctx context.Context, q url.Values) (any, error)
 // read it: defaults filled in, numbers as parsed, parameters it does not
 // read left out, so two spellings of one request share an entry and a
 // stray parameter makes none — and compute, which builds the reply value
-// (a Tailed, or anything encoding/json takes; wrapped in Degraded if it
-// must not be stored). An error is answered without a lookup.
+// (a Tailed, or anything encoding/json takes). An error is answered without
+// a lookup.
 type PureRoute func(q url.Values) (key string, compute Compute, err error)
 
 // Compute builds a pure route's reply value for one parsed request.
@@ -64,10 +64,6 @@ type Tail interface {
 	// request answered from stored bytes after elapsed.
 	AppendTail(b []byte, hit bool, elapsed time.Duration) []byte
 }
-
-// Degraded wraps a pure route's reply that was computed while something it
-// depends on was degraded: it is sent, and never stored.
-type Degraded struct{ Reply any }
 
 // Error is an error that knows its HTTP status; Msg is what the client
 // reads.
@@ -238,9 +234,6 @@ func (k *Kernel) GuardCached(name string, c *ReplyCache, route PureRoute) http.H
 // encode renders a pure route's reply value onto b, in the form the cache
 // keeps.
 func (k *Kernel) encode(b []byte, v any) (rep Encoded, err error) {
-	if d, ok := v.(Degraded); ok {
-		v, rep.Degraded = d.Reply, true
-	}
 	if t, ok := v.(Tailed); ok {
 		start := time.Now()
 		rep.Payload, rep.Tail = t.AppendPayload(b), t.Tail()

@@ -123,7 +123,7 @@ func TestReplySwitch(t *testing.T) {
 
 // pureService mounts two cached routes on a kernel: /pure?v=&n= answers a
 // Tailed reply keyed by v and the parsed n, /plain?v= a reflection-encoded
-// one; v=error and v=degraded are what they say.
+// one; v=error is what it says.
 func pureService() (http.Handler, *serve.Kernel, *serve.ReplyCache, *atomic.Int64) {
 	k := serve.NewKernel(time.Minute, 64, nil)
 	c := serve.NewReplyCache()
@@ -141,11 +141,8 @@ func pureService() (http.Handler, *serve.Kernel, *serve.ReplyCache, *atomic.Int6
 				if tailed {
 					reply = tailedReply{v}
 				}
-				switch v {
-				case "error":
+				if v == "error" {
 					return nil, &serve.Error{Status: http.StatusNotFound, Msg: "no such thing"}
-				case "degraded":
-					return serve.Degraded{Reply: reply}, nil
 				}
 				return reply, nil
 			}, nil
@@ -170,7 +167,7 @@ func serveGet(h http.Handler, target string, header ...string) *httptest.Respons
 // TestGuardCached: a pure route computes once per canonical key. The payload
 // of a hit is the miss's bytes, the tail and Server-Timing are the hit's
 // own, a stored reply carries an ETag that If-None-Match turns into a 304,
-// and an error or a degraded reply is answered and never kept.
+// and an error is answered and never kept.
 func TestGuardCached(t *testing.T) {
 	h, k, c, runs := pureService()
 	missTiming := regexp.MustCompile(`^cache;desc=miss, engine;dur=\d+\.\d{3}, encode;dur=\d+\.\d{3}$`)
@@ -224,7 +221,7 @@ func TestGuardCached(t *testing.T) {
 		}
 	}
 
-	// Never kept: errors (from the parse or from the compute) and degraded replies.
+	// Never kept: errors, from the parse or from the compute.
 	before := c.Snapshot()
 	for i := 0; i < 2; i++ {
 		if rec := serveGet(h, "/pure?v=x&n=1.5"); rec.Code != 400 {
@@ -233,15 +230,12 @@ func TestGuardCached(t *testing.T) {
 		if rec := serveGet(h, "/pure?v=error"); rec.Code != 404 || rec.Body.String() != `{"error":"no such thing"}`+"\n" || rec.Header().Get("ETag") != "" {
 			t.Errorf("error reply = %d %q", rec.Code, rec.Body)
 		}
-		if rec := serveGet(h, "/pure?v=degraded"); rec.Code != 200 || rec.Body.String() != `{"v":"degraded","cost":{"rows":42}}`+"\n" || rec.Header().Get("ETag") != "" {
-			t.Errorf("degraded reply = %d %q, ETag %q", rec.Code, rec.Body, rec.Header().Get("ETag"))
-		}
 	}
 	after := c.Snapshot()
-	if after["computes"]-before["computes"] != 4 || after["entries"] != before["entries"] || after["not_stored_degraded"] != 2 {
-		t.Errorf("cache went %v -> %v; want 4 computes (the 400s never looked), no new entry", before, after)
+	if after["computes"]-before["computes"] != 2 || after["entries"] != before["entries"] {
+		t.Errorf("cache went %v -> %v; want 2 computes (the 400s never looked), no new entry", before, after)
 	}
-	if lat := k.RouteLatencies(); lat["pure"]["count"] != 14 || lat["plain"]["count"] != 2 {
+	if lat := k.RouteLatencies(); lat["pure"]["count"] != 12 || lat["plain"]["count"] != 2 {
 		t.Errorf("route latencies = %v", lat)
 	}
 }

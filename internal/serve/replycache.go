@@ -22,10 +22,8 @@ import (
 // Nothing invalidates an entry: a route belongs here only if its answer is
 // a pure function of the parsed request for as long as the service runs.
 //
-// Never stored: an error, a reply computed while a dependency was degraded
-// (Encoded.Degraded — the next request may find it healed), and a reply
-// over the per-entry cap. Those go to the requests that shared the run and
-// are computed again for the next one. A waiter never fails with its
+// Never stored: an error and a reply over the per-entry cap. Those go to
+// the requests that shared the run and are computed again for the next one. A waiter never fails with its
 // leader's context.Canceled or DeadlineExceeded — that was the leader's
 // client, not the answer — it becomes, or waits for, the next leader.
 type ReplyCache struct {
@@ -38,9 +36,8 @@ type ReplyCache struct {
 	lru     list.List              // stored entries, most recently used first
 	bytes   int64
 
-	hits, computes, waits, evictions     atomic.Int64
-	notStoredDegraded, notStoredTooLarge atomic.Int64
-	notModified                          atomic.Int64
+	hits, computes, waits, evictions atomic.Int64
+	notStoredTooLarge, notModified   atomic.Int64
 }
 
 // The cache holds ReplyCacheBudget bytes of replies of at most
@@ -63,8 +60,6 @@ type Encoded struct {
 	// Tail closes a reply whose last block describes the request rather
 	// than the answer; nil for a reply that is all payload.
 	Tail Tail
-	// Degraded marks a reply that must not be stored.
-	Degraded bool
 	// ETag is set by the cache when it stores the reply: a weak validator
 	// over Payload, so it survives a restart over unchanged data.
 	ETag string
@@ -175,12 +170,9 @@ func (c *ReplyCache) lead(ctx context.Context, e *cacheEntry, compute func(conte
 	if err != nil {
 		return Encoded{}, "", err
 	}
-	switch {
-	case rep.Degraded:
-		c.notStoredDegraded.Add(1)
-	case int64(len(e.key)+len(rep.Payload)) > c.maxEntry:
+	if int64(len(e.key)+len(rep.Payload)) > c.maxEntry {
 		c.notStoredTooLarge.Add(1)
-	default:
+	} else {
 		sum := sha256.Sum256(rep.Payload)
 		rep.ETag = `W/"` + hex.EncodeToString(sum[:12]) + `"`
 		store = true
@@ -211,7 +203,6 @@ func (c *ReplyCache) Snapshot() map[string]int64 {
 		"hits":                 c.hits.Load(),
 		"computes":             c.computes.Load(),
 		"waits":                c.waits.Load(),
-		"not_stored_degraded":  c.notStoredDegraded.Load(),
 		"not_stored_too_large": c.notStoredTooLarge.Load(),
 		"not_modified":         c.notModified.Load(),
 		"evictions":            c.evictions.Load(),

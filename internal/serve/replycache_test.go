@@ -79,8 +79,8 @@ func TestReplyCacheComputesOnceUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestReplyCacheNeverStores: an error, a degraded reply and a reply over the
-// per-entry cap are answered and computed again for the next request.
+// TestReplyCacheNeverStores: an error and a reply over the per-entry cap are
+// answered and computed again for the next request.
 func TestReplyCacheNeverStores(t *testing.T) {
 	c := NewReplyCache()
 	c.budget, c.maxEntry = 1<<20, 64
@@ -90,21 +90,15 @@ func TestReplyCacheNeverStores(t *testing.T) {
 		if _, _, err := c.Do(ctx, "err", func(context.Context) (Encoded, error) { return Encoded{}, boom }); err != boom {
 			t.Fatalf("error run %d: %v", i, err)
 		}
-		rep, how, err := c.Do(ctx, "degraded", func(context.Context) (Encoded, error) {
-			return Encoded{Payload: []byte("partial"), Degraded: true}, nil
-		})
-		if err != nil || how != "miss" || string(rep.Payload) != "partial" || rep.ETag != "" {
-			t.Fatalf("degraded run %d: %q %s ETag %q, err %v", i, rep.Payload, how, rep.ETag, err)
-		}
 		big := make([]byte, 64) // + the key: over
-		rep, how, err = c.Do(ctx, "big", func(context.Context) (Encoded, error) { return Encoded{Payload: big}, nil })
+		rep, how, err := c.Do(ctx, "big", func(context.Context) (Encoded, error) { return Encoded{Payload: big}, nil })
 		if err != nil || how != "miss" || len(rep.Payload) != 64 || rep.ETag != "" {
 			t.Fatalf("oversize run %d: %d bytes %s ETag %q, err %v", i, len(rep.Payload), how, rep.ETag, err)
 		}
 		if &rep.Payload[0] != &big[0] {
 			t.Fatalf("oversize run %d: a reply nobody else reads was copied", i)
 		}
-		if s := c.Snapshot(); s["computes"] != 3*i || s["not_stored_degraded"] != i || s["not_stored_too_large"] != i ||
+		if s := c.Snapshot(); s["computes"] != 2*i || s["not_stored_too_large"] != i ||
 			s["entries"] != 0 || s["bytes"] != 0 || s["hits"] != 0 {
 			t.Fatalf("after round %d: cache = %v, want everything recomputed and nothing stored", i, s)
 		}

@@ -2,9 +2,12 @@ package source
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/tsagg"
 )
 
 // TestFleetManifestRoundTrip pins the fleet.json contract.
@@ -62,5 +65,48 @@ func TestDiscoverFleetScan(t *testing.T) {
 
 	if _, err := DiscoverFleet(t.TempDir()); !errors.Is(err, ErrNotFleet) {
 		t.Fatalf("plain dir: %v, want ErrNotFleet", err)
+	}
+}
+
+// TestSumSeries pins the fleet-merge semantics: index-aligned summation,
+// NaN treated as no contribution, misaligned grids rejected.
+func TestSumSeries(t *testing.T) {
+	a := tsagg.NewSeries(0, 10, 3)
+	a.Vals = []float64{1, 2, math.NaN()}
+	b := tsagg.NewSeries(10, 10, 3) // offset one window
+	b.Vals = []float64{10, 20, 30}
+	got, err := SumSeries([]*tsagg.Series{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{1, 12, 20, 30}
+	if got.Start != 0 || got.Step != 10 || len(got.Vals) != len(want) {
+		t.Fatalf("merged shape: %+v", got)
+	}
+	for i := range want {
+		if math.Float64bits(got.Vals[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("window %d: got %v, want %v", i, got.Vals[i], want[i])
+		}
+	}
+
+	allNaN := tsagg.NewSeries(0, 10, 2)
+	merged, err := SumSeries([]*tsagg.Series{allNaN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(merged.Vals[0]) || !math.IsNaN(merged.Vals[1]) {
+		t.Fatalf("windows missing everywhere must stay NaN: %v", merged.Vals)
+	}
+
+	badStep := tsagg.NewSeries(0, 30, 2)
+	if _, err := SumSeries([]*tsagg.Series{a, badStep}); err == nil {
+		t.Fatal("step mismatch not rejected")
+	}
+	misaligned := tsagg.NewSeries(5, 10, 2)
+	if _, err := SumSeries([]*tsagg.Series{a, misaligned}); err == nil {
+		t.Fatal("grid misalignment not rejected")
+	}
+	if _, err := SumSeries(nil); err == nil {
+		t.Fatal("empty merge not rejected")
 	}
 }
