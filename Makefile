@@ -184,12 +184,16 @@ fleet-smoke:
 # the 600 s grid is answered from the rollup companions, and asked again from
 # the reply cache — same payload, a stats block that says "cached", the
 # stored reply's ETag good for a 304 — with two computes and three hits to
-# show for the five requests.
+# show for the five requests. A -nodes that contradicts the archive's run
+# manifest must stop queryd at start, naming the flag.
 queryd-smoke:
 	$(GO) build -o /tmp/qdsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/qdsmoke-queryd ./cmd/queryd
 	rm -rf /tmp/qdsmoke-archive
 	/tmp/qdsmoke-summitsim -out /tmp/qdsmoke-archive -nodes 16 -days 1 -nodedata -q
+	if timeout 20 /tmp/qdsmoke-queryd -data /tmp/qdsmoke-archive -addr 127.0.0.1:0 -nodes 17 -q > /tmp/qdsmoke-refused.txt 2>&1; then \
+		echo "queryd-smoke: queryd accepted -nodes 17 on a 16-node archive"; exit 1; fi
+	grep -q -- '-nodes 17' /tmp/qdsmoke-refused.txt
 	@set -eu; base=http://127.0.0.1:18097; \
 	range="$$base/api/v1/range?dataset=node-power&column=input_power.mean&step=600"; \
 	/tmp/qdsmoke-queryd -data /tmp/qdsmoke-archive -addr 127.0.0.1:18097 -nodes 16 -q & pid=$$!; \
@@ -212,7 +216,7 @@ queryd-smoke:
 	grep -q '"reply_cache":{"bytes":[1-9][0-9]*,"computes":2,"entries":2,"evictions":0,"hits":3,"not_modified":1,' /tmp/qdsmoke-vars.json; \
 	grep -q '"routes":{.*"range":{"count":3,' /tmp/qdsmoke-vars.json; \
 	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304"
-	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-*.json /tmp/qdsmoke-range2.hdr
+	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-*.json /tmp/qdsmoke-range2.hdr /tmp/qdsmoke-refused.txt
 
 # serve-smoke drives both daemons' real mains through their whole life — the
 # only check that does: start the built queryd and streamd, fetch /healthz

@@ -69,7 +69,7 @@ func parseFlags(args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.data, "data", "", "archive or fleet directory (required)")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
-	fs.IntVar(&o.nodes, "nodes", 0, "system size the archive was produced with (enables cabinet/MSB rollups; fleets read it per cluster)")
+	fs.IntVar(&o.nodes, "nodes", 0, "system size of an archive without a run manifest (enables cabinet/MSB rollups); where a manifest exists it must match or be 0")
 	fs.IntVar(&o.workers, "workers", 0, "parallel scan workers (0 = GOMAXPROCS)")
 	fs.IntVar(&o.cacheMB, "cache-mb", 256, "decoded-table cache budget in MiB (per cluster)")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline")
@@ -107,6 +107,13 @@ func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, err
 	// interface on failure so the handler can tell.
 	if aerr != nil && !o.quiet {
 		fmt.Fprintf(out, "cluster %s: analysis endpoints disabled: %v\n", name, aerr)
+	}
+	// A run manifest records the size the archive was produced with (an
+	// archive without one takes -nodes as its size, so only a manifest can
+	// disagree). A contradicting -nodes would give the engine's
+	// cabinet/MSB rollups a different floor than the analyses: refuse it.
+	if aerr == nil && o.nodes != 0 && meta.Nodes != o.nodes {
+		return query.Cluster{}, fmt.Errorf("-nodes %d contradicts the run manifest of %s (%d nodes)", o.nodes, dir, meta.Nodes)
 	}
 	nodes := o.nodes
 	if nodes == 0 {

@@ -549,3 +549,50 @@ func TestPprofGate(t *testing.T) {
 		t.Fatalf("healthz behind pprof mux = %d", code)
 	}
 }
+
+// TestNodesMustMatchTheRunManifest: a -nodes that contradicts a cluster's
+// run manifest is refused at start, naming the cluster, the flag and the
+// manifest's size; a matching one, or none, serves.
+func TestNodesMustMatchTheRunManifest(t *testing.T) {
+	root := t.TempDir()
+	writeFleetRoot(t, root)
+	open := func(data string, nodes int) error {
+		o, err := parseFlags([]string{"-data", data, "-addr", "127.0.0.1:0", "-nodes", fmt.Sprint(nodes), "-q"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, ln, err := newServer(o, io.Discard)
+		if err == nil {
+			ln.Close()
+			srv.Close()
+		}
+		return err
+	}
+	single := filepath.Join(root, "summit-0")
+	for _, c := range []struct {
+		data  string
+		nodes int
+		want  []string // nil: the server starts
+	}{
+		{single, 18, nil},
+		{single, 0, nil},
+		{single, 900, []string{"-nodes 900", single, "(18 nodes)"}},
+		{single, 16, []string{"-nodes 16", single, "(18 nodes)"}},
+		{root, 18, []string{"cluster frontier-0", "-nodes 18", "(12 nodes)"}},
+		{root, 17, []string{"cluster summit-0", "-nodes 17", "(18 nodes)"}},
+	} {
+		err := open(c.data, c.nodes)
+		switch {
+		case c.want == nil && err != nil:
+			t.Errorf("%s -nodes %d: %v", c.data, c.nodes, err)
+		case c.want != nil && err == nil:
+			t.Errorf("%s -nodes %d: accepted", c.data, c.nodes)
+		case c.want != nil:
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s -nodes %d: error %q does not name %q", c.data, c.nodes, err, w)
+				}
+			}
+		}
+	}
+}

@@ -98,6 +98,11 @@ func mutations() []mutation {
 		mutation{name: "x*1000 in core", pkg: "repro/internal/core", file: "edges.go",
 			want: "unitsafety", wantMsg: "magic unit-scale constant 1000"}.
 			add("\nfunc probeKW(w float64) float64 { return w * 1000 }\n"),
+		// Exact equality on a computed float: no other gate sees it, so
+		// this row is what earns floatcompare its place.
+		mutation{name: "computed float == in core", pkg: "repro/internal/core", file: "edges.go",
+			want: "floatcompare", wantMsg: "floating-point == comparison is rounding-sensitive"}.
+			add("\nfunc probeSame(a, b float64) bool { return a*3 == b }\n"),
 		mutation{name: "append in an allocfree function", pkg: "repro/internal/stats", file: "moments.go",
 			want: "allocfree", wantMsg: "append may grow the backing array"}.
 			after("func (m *Moments) AddSlice(xs []float64) {", "xs = append(xs, 0)"),

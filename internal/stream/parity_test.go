@@ -58,7 +58,6 @@ func TestBatchStreamParity(t *testing.T) {
 		Nodes:      cfg.Nodes,
 		StartTime:  cfg.StartTime,
 		StepSec:    cfg.StepSec,
-		MSBs:       5,
 		QueueDepth: 4096,
 		MaxWindows: 8192,
 		MaxEdges:   8192,

@@ -49,11 +49,13 @@ type rollupSlot struct {
 	fleetW   float64
 }
 
+// newRollup sizes the rollup on Summit's floor: its cabinet width and its
+// switchboard count.
 func newRollup(cfg Config) *Rollup {
 	cabinets := (cfg.Nodes + units.NodesPerCabinet - 1) / units.NodesPerCabinet
 	return &Rollup{
 		nodes:    cfg.Nodes,
-		msbs:     cfg.MSBs,
+		msbs:     topology.SummitConfig().MSBs,
 		perCab:   units.NodesPerCabinet,
 		cabinets: cabinets,
 		max:      cfg.MaxWindows,

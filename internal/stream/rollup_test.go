@@ -22,7 +22,7 @@ func powerFrame(f *Frame, k int) *Frame {
 // ascending time, deep-copied, for every limit.
 func TestRollupRingWraps(t *testing.T) {
 	const max, frames = 8, 50
-	r := newRollup(Config{Nodes: 2, MSBs: 5, StepSec: 10, MaxWindows: max}.withDefaults())
+	r := newRollup(Config{Nodes: 2, StepSec: 10, MaxWindows: max}.withDefaults())
 	var f Frame
 	for k := 0; k < frames; k++ {
 		if k == 47 { // a gap frame inside the retained range
@@ -76,7 +76,7 @@ func TestRollupRingWraps(t *testing.T) {
 // TestRollupApplyOnAFullRingDoesNotAllocate: the ring neither shifts nor
 // allocates per frame.
 func TestRollupApplyOnAFullRingDoesNotAllocate(t *testing.T) {
-	r := newRollup(Config{Nodes: 2, MSBs: 5, StepSec: 10, MaxWindows: 8}.withDefaults())
+	r := newRollup(Config{Nodes: 2, StepSec: 10, MaxWindows: 8}.withDefaults())
 	var f Frame
 	for k := 0; k < 20; k++ {
 		r.Apply(powerFrame(&f, k))

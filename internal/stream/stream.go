@@ -50,8 +50,6 @@ type Config struct {
 	StartTime int64
 	// StepSec is the coarsening window (<= 0: the paper's 10 s).
 	StepSec int64
-	// MSBs is the switchboard count of the rollup (<= 0: Summit's 5).
-	MSBs int
 	// Shards is the fan-in parallelism (<= 0: one shard per 288 nodes,
 	// the paper's collection-tier ratio).
 	Shards int
@@ -65,8 +63,6 @@ type Config struct {
 	// EdgeThresholdW overrides the edge-detection threshold in watts
 	// (<= 0: 868 W × Nodes, the paper's per-node definition).
 	EdgeThresholdW float64
-	// EarlyWarningWindowSec is the §6.1 horizon (<= 0: one hour).
-	EarlyWarningWindowSec int64
 	// MaxWindows bounds the rollup ring (<= 0: 4096).
 	MaxWindows int
 	// MaxEdges bounds the retained edge ring (<= 0: 4096).
@@ -78,9 +74,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.StepSec <= 0 {
 		c.StepSec = units.CoarsenWindowSec
-	}
-	if c.MSBs <= 0 {
-		c.MSBs = 5
 	}
 	if c.Shards <= 0 {
 		c.Shards = (c.Nodes + units.FanInRatio - 1) / units.FanInRatio
@@ -231,7 +224,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	p.rollup = newRollup(cfg)
 	p.edges = newEdges(cfg)
 	p.bands = newBands(cfg)
-	p.warn = core.NewEarlyWarningMonitor(cfg.EarlyWarningWindowSec)
+	p.warn = core.NewEarlyWarningMonitor(units.SecondsPerHour)
 	p.ops = append([]Operator{p.rollup, p.edges, p.bands}, cfg.Extra...)
 	for i := range p.shards {
 		own := (cfg.Nodes - i + cfg.Shards - 1) / cfg.Shards // nodes n with n % Shards == i

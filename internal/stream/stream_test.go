@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/units"
 )
 
 func powerSample(node topology.NodeID, t int64, v float64) telemetry.Sample {
@@ -402,5 +403,20 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if p.edges.det.Threshold() != 868 {
 		t.Errorf("1-node edge threshold = %v, want 868", p.edges.det.Threshold())
+	}
+}
+
+// TestDefaultShardsFollowTheFanInRatio pins the paper's 288:1 collection
+// tier where it runs: with Shards unset, NewPipeline opens one shard per
+// 288 nodes, rounded up — 17 for Summit's 4 626.
+func TestDefaultShardsFollowTheFanInRatio(t *testing.T) {
+	for _, c := range []struct{ nodes, shards int }{
+		{288, 1}, {289, 2}, {units.SummitNodes, 17},
+	} {
+		p := mustPipeline(t, Config{Nodes: c.nodes})
+		if got := len(p.Snapshot().Shards); got != c.shards {
+			t.Errorf("%d nodes: %d shards, want %d", c.nodes, got, c.shards)
+		}
+		p.Close()
 	}
 }

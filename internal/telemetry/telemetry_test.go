@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/topology"
@@ -37,156 +36,10 @@ func TestMetricHelpers(t *testing.T) {
 	}
 }
 
-func TestDelayBoundsAndMean(t *testing.T) {
-	var sum float64
-	n := 0
-	for node := topology.NodeID(0); node < 50; node++ {
-		for m := Metric(0); m < NumMetrics; m++ {
-			for ts := int64(0); ts < 50; ts++ {
-				d := Delay(Sample{Node: node, Metric: m, T: ts})
-				if d < 0.5 || d > float64(units.MaxTimestampDelaySec) {
-					t.Fatalf("delay %v outside [0.5, 5]", d)
-				}
-				sum += d
-				n++
-			}
-		}
-	}
-	mean := sum / float64(n)
-	if mean < 2.0 || mean > 3.0 {
-		t.Errorf("mean delay = %v, want ≈2.5 (paper §3)", mean)
-	}
-}
-
-func TestDelayDeterministic(t *testing.T) {
-	s := Sample{Node: 3, Metric: MetricGPU2Power, T: 12345}
-	if Delay(s) != Delay(s) {
-		t.Error("delay not deterministic")
-	}
-}
-
-func TestChangeFilter(t *testing.T) {
-	f := NewChangeFilter()
-	s := Sample{Node: 1, Metric: MetricInputPower, T: 0, Value: 100}
-	if !f.Pass(s) {
-		t.Error("first observation must pass")
-	}
-	s.T = 1
-	if f.Pass(s) {
-		t.Error("unchanged value must be suppressed")
-	}
-	s.T = 2
-	s.Value = 101
-	if !f.Pass(s) {
-		t.Error("changed value must pass")
-	}
-	// Different channel with the same value is independent.
-	if !f.Pass(Sample{Node: 2, Metric: MetricInputPower, Value: 101}) {
-		t.Error("channels must be independent")
-	}
-	if !f.Pass(Sample{Node: 1, Metric: MetricP0Power, Value: 101}) {
-		t.Error("metrics must be independent")
-	}
-}
-
-func TestCollectorErrors(t *testing.T) {
-	if _, err := NewCollector(0, 288); err == nil {
-		t.Error("zero nodes accepted")
-	}
-	if _, err := NewCollector(100, 0); err == nil {
-		t.Error("zero fan-in accepted")
-	}
-}
-
-func TestCollectorShardCount(t *testing.T) {
-	c, err := NewCollector(units.SummitNodes, units.FanInRatio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ceil(4626/288) = 17 shards.
-	if c.Shards() != 17 {
-		t.Errorf("shards = %d, want 17", c.Shards())
-	}
-	c.Drain()
-}
-
-func TestCollectorPreservesAllSamples(t *testing.T) {
-	const nodes = 64
-	c, err := NewCollector(nodes, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	const perNode = 100
-	for n := 0; n < nodes; n++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for ts := int64(0); ts < perNode; ts++ {
-				c.Push(Sample{
-					Node: topology.NodeID(n), Metric: MetricInputPower,
-					T: ts, Value: float64(n*1000) + float64(ts),
-				})
-			}
-		}(n)
-	}
-	wg.Wait()
-	got := c.Drain()
-	if len(got) != nodes*perNode {
-		t.Fatalf("got %d arrivals, want %d", len(got), nodes*perNode)
-	}
-	// Arrival order must be non-decreasing in arrival time.
-	for i := 1; i < len(got); i++ {
-		if got[i].ArrivalT < got[i-1].ArrivalT {
-			t.Fatal("arrivals not sorted by arrival time")
-		}
-	}
-	// Every pushed sample present exactly once.
-	seen := map[[2]int64]bool{}
-	for _, a := range got {
-		k := [2]int64{int64(a.Node), a.T}
-		if seen[k] {
-			t.Fatalf("duplicate arrival %v", k)
-		}
-		seen[k] = true
-		if a.ArrivalT < float64(a.T)+0.5 || a.ArrivalT > float64(a.T)+5 {
-			t.Fatalf("arrival delay out of band: %v for t=%d", a.ArrivalT, a.T)
-		}
-	}
-}
-
 func TestIngestRate(t *testing.T) {
 	// Paper: ~460k metrics/s from 4,626 nodes at ~100 metrics each.
 	r := IngestRate(units.SummitNodes)
 	if r < 400e3 || r > 500e3 {
 		t.Errorf("ingest rate = %v, want ≈462k", r)
 	}
-}
-
-func BenchmarkFanIn(b *testing.B) {
-	// Throughput of the concurrent fan-in path.
-	c, err := NewCollector(1024, 288)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	workers := 8
-	per := b.N/workers + 1
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Push(Sample{
-					Node:   topology.NodeID((w*per + i) % 1024),
-					Metric: Metric(i % int(NumMetrics)),
-					T:      int64(i), Value: float64(i),
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	c.Drain()
 }
