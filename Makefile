@@ -2,12 +2,22 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
+.PHONY: all build cross-build test vet fmt lint race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# cross-build compiles every package for 32-bit x86, arm64 and ppc64le
+# (POWER9, Summit's ISA): code that only compiles on amd64 — a constant
+# that overflows a 32-bit int, a file without its architecture's twin —
+# fails here.
+cross-build:
+	for arch in 386 arm64 ppc64le; do \
+		echo "cross-build: GOARCH=$$arch"; \
+		GOARCH=$$arch $(GO) build ./... || exit 1; \
+	done
 
 test:
 	$(GO) test ./...
@@ -57,7 +67,7 @@ check: build fmt vet lint test stream-check race
 
 # ci mirrors .github/workflows/ci.yml, step for step (the
 # pull-request-only bench-ab against the merge base aside).
-ci: fmt vet lint build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
+ci: fmt vet lint build cross-build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

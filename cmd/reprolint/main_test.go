@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"go/ast"
+	"go/token"
+	"go/types"
 	"os"
+	"path"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -47,21 +53,164 @@ func TestUnknownAnalyzerFlag(t *testing.T) {
 	}
 }
 
+// module is the whole module, loaded once for the tests that read all of
+// it: every view of every package, as `make lint` loads them.
+var module struct {
+	once  sync.Once
+	dir   string
+	views []*lint.Package
+	err   error
+}
+
+func loadModule(t *testing.T) (dir string, views []*lint.Package) {
+	t.Helper()
+	module.once.Do(func() {
+		loader, err := lint.NewLoader(".")
+		if err != nil {
+			module.err = err
+			return
+		}
+		module.dir = loader.ModuleDir()
+		module.views, module.err = lint.LoadPackages(module.dir, nil)
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.dir, module.views
+}
+
 // TestRepoIsLintClean is the merge gate in test form: the whole module must
 // be violation-free under the full suite, matching what `make lint` runs.
 func TestRepoIsLintClean(t *testing.T) {
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.LintPackages(loader.ModuleDir(), nil, lint.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
+	_, views := loadModule(t)
+	for _, d := range lint.Run(lint.BuildProgram(views), lint.All()) {
 		t.Errorf("%s", d)
 	}
 }
+
+// keptUncalled lists the exported functions of internal/... that stay with
+// no caller outside tests, each with the reason it stays.
+var keptUncalled = map[string]string{
+	// The oracle of a named test.
+	"stats.StudentTCDF":      oracle + "TestStudentTTwoSidedP",
+	"tsagg.Coarsen":          oracle + "query.TestRangeDownsampleMatchesCoarsen",
+	"core.EarlyWarning":      oracle + "TestOperatorsMatchReferences",
+	"core.ReadAllocationCSV": oracle + "TestAllocationCSVRoundTrip (the reader of WriteAllocationCSV)",
+	"core.DomainByName":      oracle + "TestAllocationCSVRoundTrip (the reader of WriteAllocationCSV)",
+	"nodesim.NewState":       oracle + "TestFleetMatchesStateBitwise",
+	"dsp.IFFT":               oracle + "TestFFTRoundTrip",
+
+	// A test convenience.
+	"store.Write":               convenience + "one table to a stream, no dataset",
+	"store.Read":                convenience + "one table from a stream, no dataset",
+	"stream.NewWindowCoarsener": convenience + "a coarsener outside a pipeline",
+	"topology.ScaledConfig":     convenience + "a Summit-shaped floor of any size",
+	"topology.MustNew":          convenience + "a floor from a config known to be valid",
+	"trace.BuiltinSample":       convenience + "the checked-in sample trace",
+
+	// Kept with the telemetry metric catalogue when its unused fan-in
+	// model was deleted.
+	"telemetry.GPUPowerMetric":   metric,
+	"telemetry.GPUMemTempMetric": metric,
+	"telemetry.CPUPowerMetric":   metric,
+	"telemetry.CPUTempMetric":    metric,
+	"telemetry.IngestRate":       "the paper's ingest-rate arithmetic (460k metrics/s at Summit)",
+
+	// Dead, and scheduled for deletion with their tests in the next
+	// earn-or-delete round of ROADMAP.md.
+	"stats.Spearman":            nextRound,
+	"stats.BonferroniThreshold": nextRound,
+	"stats.NewHistogram":        nextRound,
+	"stats.ZScore":              nextRound,
+	"stats.ZScores":             nextRound,
+	"stats.NormalQuantile":      nextRound,
+	"dsp.Detrend":               nextRound,
+	"dsp.DominantSwingWindowed": nextRound,
+	"topology.SlotForPCI":       nextRound,
+}
+
+const (
+	oracle      = "the oracle of "
+	convenience = "a test convenience: "
+	metric      = "a per-slot index into the telemetry metric catalogue"
+	nextRound   = "waits for the next earn-or-delete round"
+)
+
+// TestExportedFunctionsHaveCallers is the earn-or-delete guard: every
+// exported package-level function of internal/... is referenced by a
+// non-test file of the module (cmd/, bench/, examples/ and the root package
+// included) outside its own body, or is listed in keptUncalled with the
+// reason it stays. The test-helper packages are exempt; methods are out of
+// scope.
+func TestExportedFunctionsHaveCallers(t *testing.T) {
+	dir, views := loadModule(t)
+	type decl struct {
+		pos, end token.Pos
+		used     bool
+	}
+	decls := map[*types.Func]*decl{}
+	var order []*types.Func
+	for _, v := range views {
+		rest, ok := strings.CutPrefix(v.Path, "repro/internal/")
+		if v.Test || !ok || testHelperPackages[path.Base(rest)] {
+			continue
+		}
+		for _, f := range v.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+					continue
+				}
+				fn := v.Info.Defs[fd.Name].(*types.Func)
+				decls[fn] = &decl{pos: fd.Pos(), end: fd.End()}
+				order = append(order, fn)
+			}
+		}
+	}
+	for _, v := range views {
+		if v.Test {
+			continue
+		}
+		for id, obj := range v.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			if d := decls[fn.Origin()]; d != nil && (id.Pos() < d.pos || id.Pos() >= d.end) {
+				d.used = true
+			}
+		}
+	}
+	fset := views[0].Fset
+	seen := map[string]bool{}
+	for _, fn := range order {
+		name := fn.Pkg().Name() + "." + fn.Name()
+		seen[name] = true
+		if decls[fn].used {
+			if _, kept := keptUncalled[name]; kept {
+				t.Errorf("%s is listed as kept without a caller, but has one: drop it from keptUncalled", name)
+			}
+			continue
+		}
+		if _, kept := keptUncalled[name]; !kept {
+			pos := fset.Position(fn.Pos())
+			rel, err := filepath.Rel(dir, pos.Filename)
+			if err != nil {
+				rel = pos.Filename
+			}
+			t.Errorf("%s:%d: %s has no caller outside tests: delete it, or list it in keptUncalled with its reason",
+				rel, pos.Line, name)
+		}
+	}
+	for name := range keptUncalled {
+		if !seen[name] {
+			t.Errorf("keptUncalled lists %s, which is not an exported function of internal/...", name)
+		}
+	}
+}
+
+// testHelperPackages exist to be called from tests.
+var testHelperPackages = map[string]bool{"storetest": true, "servetest": true, "linttest": true}
 
 // TestViolationsPrintAsRelativeTextWithChains drives the one output form end
 // to end over a fixture that violates leakcheck: exit status 1, one line per

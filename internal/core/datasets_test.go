@@ -14,6 +14,7 @@ import (
 	"repro/internal/source"
 	"repro/internal/store"
 	"repro/internal/topology"
+	"repro/internal/tsagg"
 )
 
 func simConfigForNodeDataset() sim.Config {
@@ -122,11 +123,7 @@ func TestNodeDatasetWriter(t *testing.T) {
 	if err := WriteDatasets(dir, d); err != nil {
 		t.Fatal(err)
 	}
-	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byNode, err := src.NodeWindows(0)
+	byNode, err := readNodeDay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +141,37 @@ func TestNodeDatasetWriter(t *testing.T) {
 			}
 		}
 	}
-	if _, err := src.NodeWindows(7); err == nil {
+	if _, err := readNodeDay(dir, 7); err == nil {
 		t.Error("missing day read succeeded")
 	}
+}
+
+// readNodeDay decodes one day of the node-power dataset through the store,
+// as the query tier reads it: rows grouped by node, in file order.
+func readNodeDay(dir string, day int) (map[int][]tsagg.WindowStat, error) {
+	ds, err := store.NewDataset(dir, source.DatasetNodePower)
+	if err != nil {
+		return nil, err
+	}
+	tab, err := ds.ReadDay(day)
+	if err != nil {
+		return nil, err
+	}
+	ts, node, count := tab.Col("timestamp"), tab.Col("node"), tab.Col("input_power.count")
+	mn, mx := tab.Col("input_power.min"), tab.Col("input_power.max")
+	mean, std := tab.Col("input_power.mean"), tab.Col("input_power.std")
+	for _, c := range []*store.Column{ts, node, count, mn, mx, mean, std} {
+		if c == nil {
+			return nil, fmt.Errorf("%s: missing column", ds.DayFile(day))
+		}
+	}
+	out := map[int][]tsagg.WindowStat{}
+	for i := 0; i < tab.NumRows(); i++ {
+		n := int(node.Ints[i])
+		out[n] = append(out[n], tsagg.WindowStat{T: ts.Ints[i], Count: count.Ints[i],
+			Min: mn.Floats[i], Max: mx.Floats[i], Mean: mean.Floats[i], Std: std.Floats[i]})
+	}
+	return out, nil
 }
 
 // TestCollectRunAttach pins what every former hand-rolled run-and-collect

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/store"
 	"repro/internal/topology"
 )
 
@@ -110,15 +111,48 @@ func TestFleetIdentityThroughArchive(t *testing.T) {
 	if meta.Cluster != "frontier-1" || meta.Site != topology.SiteFrontier {
 		t.Fatalf("identity lost through archive: %+v", meta)
 	}
-	if _, err := arc.NodeWindows(0); err != nil {
+	if _, err := readNodeDay(dir, 0); err != nil {
 		t.Fatalf("fleet node dataset unreadable: %v", err)
 	}
-	floor, err := arc.Floor()
+	// The floor the archive's identity names is the one its cabinet rollup
+	// was folded on: the node-power companion holds a cabinet row for every
+	// cabinet of the frontier preset at this size, and for no other.
+	floorCfg, err := topology.PresetScaled(meta.Site, meta.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := topology.New(floorCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if floor.Cabinets() == 0 {
 		t.Fatal("archive floor not built from the frontier preset")
+	}
+	nodePower, err := store.NewDataset(dir, source.DatasetNodePower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rollup, err := nodePower.Companion(source.RollupDatasetName(source.DatasetNodePower)).ReadDay(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, group := rollup.Col(source.RollupColKind), rollup.Col(source.RollupColGroup)
+	if kind == nil || group == nil {
+		t.Fatal("rollup companion lacks its kind/group axes")
+	}
+	cabinets := map[int64]bool{}
+	for i, k := range kind.Ints {
+		if k == source.RollupKindCabinet {
+			cabinets[group.Ints[i]] = true
+		}
+	}
+	for cab := 0; cab < floor.Cabinets(); cab++ {
+		if !cabinets[int64(cab)] {
+			t.Fatalf("cabinet %d of the %d-cabinet floor has no rollup row", cab, floor.Cabinets())
+		}
+	}
+	if len(cabinets) != floor.Cabinets() {
+		t.Fatalf("cabinet rollup groups %v, want the %d cabinets of the floor", cabinets, floor.Cabinets())
 	}
 }
 

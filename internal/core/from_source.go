@@ -150,11 +150,29 @@ func OvercoolingFromSource(src source.RunSource) (*OvercoolingReport, error) {
 	return overcoolingFrom(truePower, tower, chiller, meta.Nodes, meta.StepSec)
 }
 
-// ValidationFromSource computes the Figure 4 meter-vs-summation comparison.
+// ValidationFromSource computes the Figure 4 meter-vs-summation comparison
+// over the meter_power_<m> / msb_sensor_sum_<m> pairs, in switchboard order
+// up to the first absent meter. A meter without its sum is an error naming
+// the sum, never a report on fewer switchboards.
 func ValidationFromSource(src source.RunSource) (*ValidationReport, error) {
-	meters, sums, err := src.MeterSeries()
-	if err != nil {
-		return nil, err
+	var meters, sums []*tsagg.Series
+	for m := 0; ; m++ {
+		meter, err := src.Series(source.MeterSeriesName(m))
+		if errors.Is(err, source.ErrUnknownSeries) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		sum, err := src.Series(source.MSBSumSeriesName(m))
+		if err != nil {
+			return nil, err
+		}
+		meters, sums = append(meters, meter), append(sums, sum)
+	}
+	if len(meters) == 0 {
+		return nil, fmt.Errorf("core: no meter series (an archive from an older build lacks them): %w",
+			source.ErrUnavailable)
 	}
 	return validationFrom(meters, sums)
 }

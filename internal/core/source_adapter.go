@@ -59,8 +59,6 @@ func (d *RunData) Source() *source.MemorySource {
 			Site:      d.Site,
 		},
 		SeriesByName: byName,
-		Meters:       d.MeterPower,
-		MeterSums:    d.MSBSensorSum,
 		Jobs:         sourceJobRecords(d),
 		Events:       d.Failures,
 	}

@@ -3,10 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/store"
+	"repro/internal/tsagg"
 )
 
 // TestSourcePlaneParity is the golden guarantee of the RunSource layer: a
@@ -52,15 +56,17 @@ func TestSourcePlaneParity(t *testing.T) {
 		t.Fatalf("meta differs: mem %+v, archive %+v", memMeta, arcMeta)
 	}
 
-	// Every series both planes list must match bit for bit.
-	memNames, err := mem.SeriesNames()
-	if err != nil {
-		t.Fatal(err)
+	// The archive's series inventory — the float columns of its
+	// cluster-power partitions — is exactly the live plane's, and every
+	// series must match bit for bit.
+	var memNames []string
+	for name, s := range mem.SeriesByName {
+		if s != nil {
+			memNames = append(memNames, name)
+		}
 	}
-	arcNames, err := arc.SeriesNames()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sort.Strings(memNames)
+	arcNames := clusterFloatColumns(t, dir)
 	if fmt.Sprint(memNames) != fmt.Sprint(arcNames) {
 		t.Fatalf("series inventories differ:\nmem     %v\narchive %v", memNames, arcNames)
 	}
@@ -185,6 +191,86 @@ func TestSourcePlaneParity(t *testing.T) {
 	}
 }
 
+// TestValidationRefusesHalfMeterPair: Figure 4 compares whole pairs. A
+// meter whose sensor sum is missing — on the live plane, or in an archive
+// assembled by hand — fails the validation naming the missing sum, and is
+// never reported on as a shorter run of switchboards.
+func TestValidationRefusesHalfMeterPair(t *testing.T) {
+	const start, step, windows = int64(1_577_836_800), int64(600), 12
+	names := []string{source.MeterSeriesName(0), source.MSBSumSeriesName(0), source.MeterSeriesName(1)}
+	mem := &source.MemorySource{
+		RunMeta:      source.Meta{StartTime: start, StepSec: step, Nodes: 36, Windows: windows},
+		SeriesByName: map[string]*tsagg.Series{},
+	}
+	ts := make([]int64, windows)
+	cols := []store.Column{{Name: "timestamp", Ints: ts}}
+	for i, name := range names {
+		s := tsagg.NewSeries(start, step, windows)
+		for w := range s.Vals {
+			ts[w] = s.TimeAt(w)
+			s.Vals[w] = 1e5 + float64(i*100+w)
+		}
+		mem.SeriesByName[name] = s
+		cols = append(cols, store.Column{Name: name, Floats: s.Vals})
+	}
+	dir := t.TempDir()
+	cluster, err := store.NewDataset(dir, source.DatasetClusterPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.WriteDay(0, &store.Table{Cols: cols}); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := store.NewDataset(dir, source.DatasetRunMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := manifest.WriteDay(0, source.ManifestTable(mem.RunMeta)); err != nil {
+		t.Fatal(err)
+	}
+	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for plane, src := range map[string]source.RunSource{"memory": mem, "archive": arc} {
+		rep, err := ValidationFromSource(src)
+		if err == nil || !strings.Contains(err.Error(), source.MSBSumSeriesName(1)) {
+			t.Errorf("%s plane: validation of a half pair = %+v, %v; want an error naming %s",
+				plane, rep, err, source.MSBSumSeriesName(1))
+		}
+	}
+}
+
+// clusterFloatColumns lists, sorted, every float column of the archive's
+// cluster-power partitions: the series the archive plane serves.
+func clusterFloatColumns(t *testing.T, dir string) []string {
+	t.Helper()
+	ds, err := store.NewDataset(dir, source.DatasetClusterPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days, err := ds.Days()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var names []string
+	for _, day := range days {
+		dm, err := ds.DayMeta(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range dm.Columns {
+			if !c.Int && !c.Str && !seen[c.Name] {
+				seen[c.Name] = true
+				names = append(names, c.Name)
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 // TestArchiveSourcePruning verifies that a ranged read prunes partitions:
 // asking for a window inside day 0 must not decode day 1.
 func TestArchiveSourcePruning(t *testing.T) {
@@ -201,7 +287,8 @@ func TestArchiveSourcePruning(t *testing.T) {
 	if err := WriteDatasets(dir, d); err != nil {
 		t.Fatal(err)
 	}
-	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	cache := store.NewTableCache(256 << 20)
+	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +312,7 @@ func TestArchiveSourcePruning(t *testing.T) {
 		t.Fatalf("ranged read returned %d values, want %d", inRange, want)
 	}
 	// First touch streams through the column iterator: nothing admitted.
-	entries, _ := arc.CacheStats()
+	entries, _ := cache.Stats()
 	if entries != 0 {
 		t.Fatalf("cold pruned read cached %d partitions, want 0", entries)
 	}
@@ -244,7 +331,7 @@ func TestArchiveSourcePruning(t *testing.T) {
 			t.Fatalf("hot read diverged at slot %d: %v != %v", i, v, s.Vals[i])
 		}
 	}
-	if entries, _ = arc.CacheStats(); entries != 1 {
+	if entries, _ = cache.Stats(); entries != 1 {
 		t.Fatalf("hot pruned read cached %d partitions, want 1", entries)
 	}
 }

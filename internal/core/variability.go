@@ -23,7 +23,6 @@ type VarFrame struct {
 // raw material of Figure 17. Attach it to Sim.Run alongside the main
 // Collector.
 type VariabilityCollector struct {
-	allocIdx int
 	alloc    *scheduler.Allocation
 	nodeRank map[int]int // dense NodeID -> rank within allocation
 	Frames   []VarFrame
@@ -82,7 +81,6 @@ func NewVariabilityCollector(s *sim.Sim, allocIdx int) (*VariabilityCollector, e
 	}
 	a := &allocs[allocIdx]
 	vc := &VariabilityCollector{
-		allocIdx: allocIdx,
 		alloc:    a,
 		nodeRank: make(map[int]int, len(a.NodeIDs)),
 	}
@@ -91,9 +89,6 @@ func NewVariabilityCollector(s *sim.Sim, allocIdx int) (*VariabilityCollector, e
 	}
 	return vc, nil
 }
-
-// AllocIdx returns the captured allocation's index.
-func (vc *VariabilityCollector) AllocIdx() int { return vc.allocIdx }
 
 // Observe implements sim.Observer.
 func (vc *VariabilityCollector) Observe(snap *sim.Snapshot) {

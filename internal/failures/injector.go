@@ -317,9 +317,3 @@ func (in *Injector) emit(out []Event, sec Type, p float64, t int64,
 	}
 	return out
 }
-
-// NodePropensity exposes the node's multiplier for a type (for tests and
-// the reliability report).
-func (in *Injector) NodePropensity(node topology.NodeID, typ Type) float64 {
-	return in.propensity[node][typ]
-}

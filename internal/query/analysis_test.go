@@ -1,10 +1,16 @@
 package query
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/source"
+	"repro/internal/tsagg"
 )
 
 // analysisServer serves the shared fixture archive with its RunSource
@@ -109,6 +115,55 @@ func TestHTTPAnalysisUnavailable(t *testing.T) {
 	}
 	if code := getJSON(t, bare.URL+"/api/v1/datasets", nil); code != 200 {
 		t.Errorf("raw query tier broken without Source: status %d", code)
+	}
+}
+
+// TestValidationWithoutMeters: a run with no meter series has no Figure 4
+// on either plane. ValidationFromSource says so with source.ErrUnavailable
+// over memory and over the archive, the route answers 404 with that
+// message, and the reply cache stores nothing: every request computes
+// again.
+func TestValidationWithoutMeters(t *testing.T) {
+	dir := t.TempDir()
+	writeTestArchive(t, dir)
+	eng, err := Open(Config{Dir: dir, Nodes: fixNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, StepSec: fixStep, Nodes: fixNodes, Cache: eng.Cache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := &source.MemorySource{
+		RunMeta:      source.Meta{StepSec: fixStep, Nodes: fixNodes, Windows: 4},
+		SeriesByName: map[string]*tsagg.Series{source.SeriesClusterPower: tsagg.NewSeries(0, fixStep, 4)},
+	}
+	if _, err := core.ValidationFromSource(mem); !errors.Is(err, source.ErrUnavailable) {
+		t.Errorf("memory plane without meters: %v, want source.ErrUnavailable", err)
+	}
+	_, arcErr := core.ValidationFromSource(arc)
+	if !errors.Is(arcErr, source.ErrUnavailable) {
+		t.Fatalf("archive plane without meters: %v, want source.ErrUnavailable", arcErr)
+	}
+
+	h := singleHandler(t, eng, arc, ServerConfig{})
+	before := memoVars(t, h)
+	for i := 0; i < 2; i++ {
+		rec := get(t, h, context.Background(), "/api/v1/analysis/validation")
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("request %d: %v: %s", i, err, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusNotFound || body.Error != arcErr.Error() {
+			t.Errorf("request %d: %d %q, want 404 %q", i, rec.Code, body.Error, arcErr.Error())
+		}
+	}
+	after := memoVars(t, h)
+	if after["computes"] != before["computes"]+2 || after["entries"] != before["entries"] {
+		t.Errorf("reply cache computes %d -> %d, entries %d -> %d; want +2 computes and no entry",
+			before["computes"], after["computes"], before["entries"], after["entries"])
 	}
 }
 

@@ -8,10 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
-
-	"repro/internal/stats"
 )
 
 // Table is a simple aligned-column text table writer.
@@ -132,13 +129,6 @@ func CSV(w io.Writer, headers []string, cols ...[]float64) error {
 	return nil
 }
 
-// BoxRow formats a BoxPlot as a compact single-line summary.
-func BoxRow(b stats.BoxPlot) string {
-	return fmt.Sprintf("min=%s q1=%s med=%s q3=%s max=%s n=%d outliers=%d",
-		formatFloat(b.Min), formatFloat(b.Q1), formatFloat(b.Median),
-		formatFloat(b.Q3), formatFloat(b.Max), b.N, len(b.Outliers))
-}
-
 // Sparkline renders values as a unicode mini-chart (NaNs become spaces).
 func Sparkline(vals []float64) string {
 	ramp := []rune("▁▂▃▄▅▆▇█")
@@ -237,16 +227,6 @@ func CorrelationMatrix(w io.Writer, labels []string, get func(i, j int) (float64
 		}
 	}
 	return nil
-}
-
-// SortedKeys returns the sorted integer keys of a map for stable output.
-func SortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // DensityGrid renders a KDE grid as an ASCII intensity map (0-9 per cell,

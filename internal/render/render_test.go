@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func TestTable(t *testing.T) {
@@ -60,14 +58,6 @@ func TestCSV(t *testing.T) {
 	}
 	if err := CSV(&b, []string{"x"}, nil, nil); err == nil {
 		t.Error("mismatched header count accepted")
-	}
-}
-
-func TestBoxRow(t *testing.T) {
-	b := stats.NewBoxPlot([]float64{1, 2, 3, 4, 100})
-	s := BoxRow(b)
-	if !strings.Contains(s, "med=3") || !strings.Contains(s, "n=5") {
-		t.Errorf("box row = %q", s)
 	}
 }
 
@@ -141,14 +131,6 @@ func TestCorrelationMatrix(t *testing.T) {
 	}
 	if !strings.HasPrefix(out, "bb") {
 		t.Errorf("matrix starts with %q", out[:4])
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != 1 || keys[2] != 3 {
-		t.Errorf("keys = %v", keys)
 	}
 }
 

@@ -285,19 +285,3 @@ func sortAllocations(allocs []Allocation) {
 		return allocs[a].Job.ID < allocs[b].Job.ID
 	})
 }
-
-// ActiveAt returns the indices of allocations running at time t, given
-// allocations sorted by StartTime. It is a linear scan helper used by the
-// small-scale analyses; the simulator itself keeps an incremental view.
-func ActiveAt(allocs []Allocation, t int64) []int {
-	var out []int
-	for i := range allocs {
-		if allocs[i].StartTime > t {
-			break
-		}
-		if t < allocs[i].EndTime {
-			out = append(out, i)
-		}
-	}
-	return out
-}

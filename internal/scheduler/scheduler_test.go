@@ -229,26 +229,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestActiveAt(t *testing.T) {
-	jobs := []workload.Job{
-		mkJob(1, 0, 2, 100),
-		mkJob(2, 50, 2, 100),
-	}
-	res, err := Schedule(jobs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ActiveAt(res.Allocations, 75); len(got) != 2 {
-		t.Errorf("active at 75 = %v, want both", got)
-	}
-	if got := ActiveAt(res.Allocations, 120); len(got) != 1 {
-		t.Errorf("active at 120 = %v, want one", got)
-	}
-	if got := ActiveAt(res.Allocations, 500); len(got) != 0 {
-		t.Errorf("active at 500 = %v, want none", got)
-	}
-}
-
 func TestContains(t *testing.T) {
 	a := Allocation{NodeIDs: []topology.NodeID{2, 5, 9}}
 	for _, id := range []topology.NodeID{2, 5, 9} {

@@ -6,12 +6,10 @@ import (
 	"io/fs"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/failures"
 	"repro/internal/parallel"
 	"repro/internal/store"
-	"repro/internal/topology"
 	"repro/internal/tsagg"
 	"repro/internal/units"
 )
@@ -71,10 +69,6 @@ type ArchiveSource struct {
 	meta  Meta
 
 	cluster *store.Index // days + metadata: the pruning index of every series read
-
-	floorOnce sync.Once
-	floorErr  error
-	floor     *topology.Floor
 }
 
 var _ RunSource = (*ArchiveSource)(nil)
@@ -173,9 +167,6 @@ func (a *ArchiveSource) resolveMeta(metas []store.DayMeta) error {
 
 // Meta implements RunSource.
 func (a *ArchiveSource) Meta() (Meta, error) { return a.meta, nil }
-
-// CacheStats exposes the decoded-table cache occupancy (for tooling).
-func (a *ArchiveSource) CacheStats() (entries int, bytes int64) { return a.cache.Stats() }
 
 // hasFloatColumn reports whether any partition carries a float column of
 // the given name.
@@ -303,58 +294,6 @@ func (a *ArchiveSource) planGrid(metas []store.DayMeta, name string, t0, t1 int6
 	return days, bound, true
 }
 
-// SeriesNames implements RunSource: every float column of the cluster
-// dataset, sorted.
-func (a *ArchiveSource) SeriesNames() ([]string, error) {
-	metas, err := a.cluster.Metas()
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var names []string
-	for _, dm := range metas {
-		for _, c := range dm.Columns {
-			if c.Int || c.Str || seen[c.Name] {
-				continue
-			}
-			seen[c.Name] = true
-			names = append(names, c.Name)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// MeterSeries implements RunSource: the meter_power_<m> / msb_sensor_sum_<m>
-// column pairs, in switchboard order.
-func (a *ArchiveSource) MeterSeries() ([]*tsagg.Series, []*tsagg.Series, error) {
-	metas, err := a.cluster.Metas()
-	if err != nil {
-		return nil, nil, err
-	}
-	var meters, sums []*tsagg.Series
-	for m := 0; ; m++ {
-		if !hasFloatColumn(metas, MeterSeriesName(m)) || !hasFloatColumn(metas, MSBSumSeriesName(m)) {
-			break
-		}
-		meter, err := a.Series(MeterSeriesName(m))
-		if err != nil {
-			return nil, nil, err
-		}
-		sum, err := a.Series(MSBSumSeriesName(m))
-		if err != nil {
-			return nil, nil, err
-		}
-		meters = append(meters, meter)
-		sums = append(sums, sum)
-	}
-	if len(meters) == 0 {
-		return nil, nil, fmt.Errorf("source: archive has no meter columns (re-archive with a current build): %w",
-			ErrUnavailable)
-	}
-	return meters, sums, nil
-}
-
 // JobRecords implements RunSource.
 func (a *ArchiveSource) JobRecords() ([]JobRecord, error) {
 	return readLog(a, DatasetJobRecords, jobSchema)
@@ -378,44 +317,4 @@ func readLog[R any](a *ArchiveSource, name string, s schema[R]) ([]R, error) {
 	var out []R
 	err = decodeRows(s, name, tab, func(r *R) { out = append(out, *r) })
 	return out, err
-}
-
-// NodeWindows implements RunSource.
-func (a *ArchiveSource) NodeWindows(day int) (map[int][]tsagg.WindowStat, error) {
-	ds := dataset(a.cfg.Dir, DatasetNodePower)
-	days, err := ds.Days()
-	if err != nil {
-		return nil, err
-	}
-	if len(days) == 0 {
-		return nil, fmt.Errorf("source: archive has no %s dataset (run summitsim -nodedata): %w",
-			DatasetNodePower, ErrUnavailable)
-	}
-	tab, _, err := ds.ReadDayColumnsCached(a.cache, day, columnNames(nodeSchema))
-	if err != nil {
-		return nil, err
-	}
-	out := map[int][]tsagg.WindowStat{}
-	err = decodeRows(nodeSchema, DatasetNodePower, tab, func(r *nodeWindow) {
-		out[int(r.node)] = append(out[int(r.node)], r.st)
-	})
-	return out, err
-}
-
-// Floor lazily builds the floor topology for the archive's system size and
-// site preset (rollup-style consumers need it; plain analyses do not).
-func (a *ArchiveSource) Floor() (*topology.Floor, error) {
-	a.floorOnce.Do(func() {
-		if a.meta.Nodes <= 0 {
-			a.floorErr = fmt.Errorf("source: archive system size unknown: %w", ErrUnavailable)
-			return
-		}
-		cfg, err := topology.PresetScaled(a.meta.Site, a.meta.Nodes)
-		if err != nil {
-			a.floorErr = err
-			return
-		}
-		a.floor, a.floorErr = topology.New(cfg)
-	})
-	return a.floor, a.floorErr
 }

@@ -76,11 +76,11 @@ func TestOpenArchiveMetaFromManifest(t *testing.T) {
 }
 
 // TestConcurrentSeriesReads hammers one ArchiveSource from many goroutines:
-// the shared decoded-table cache and the lazily built topology floor must
-// hold under the race detector.
+// the shared decoded-table cache and the run dimensions must hold under the
+// race detector.
 func TestConcurrentSeriesReads(t *testing.T) {
 	dir := t.TempDir()
-	writeFixture(t, dir)
+	want := writeFixture(t, dir)
 	arc, err := OpenArchive(ArchiveConfig{Dir: dir, Cache: store.NewTableCache(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +107,13 @@ func TestConcurrentSeriesReads(t *testing.T) {
 						return
 					}
 				}
-				if _, err := arc.Floor(); err != nil {
+				got, err := arc.Meta()
+				if err != nil {
 					errs <- err
+					return
+				}
+				if got != want {
+					errs <- fmt.Errorf("goroutine %d: meta = %+v, want %+v", g, got, want)
 					return
 				}
 			}

@@ -68,6 +68,8 @@ var clusterColumns = []string{
 
 // clusterSeries fetches the cluster-power value columns src carries, in
 // archive column order; an indexed family ends at its first absent member.
+// A meter's sensor sum is required once the meter exists: Figure 4
+// validates pairs, and half of one archived would pass for a shorter run.
 func clusterSeries(src RunSource) (names []string, series []*tsagg.Series, err error) {
 	get := func(name string, optional bool) bool {
 		s, e := src.Series(name)
@@ -84,7 +86,7 @@ func clusterSeries(src RunSource) (names []string, series []*tsagg.Series, err e
 	for b := 0; get(GPUBandSeries(b), true); b++ {
 	}
 	for m := 0; get(MeterSeriesName(m), true); m++ {
-		get(MSBSumSeriesName(m), true)
+		get(MSBSumSeriesName(m), false)
 	}
 	return names, series, err
 }

@@ -1,6 +1,7 @@
 package source_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/failures"
 	"repro/internal/source"
+	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
 )
@@ -157,6 +159,29 @@ func TestWriteArchiveSideBySide(t *testing.T) {
 	}
 }
 
+// TestWriteArchiveRefusesHalfMeterPair: a meter without its sensor sum is
+// half a Figure 4 pair. WriteArchive refuses the run, naming the missing
+// column, and writes nothing, instead of archiving a meter no analysis can
+// validate.
+func TestWriteArchiveRefusesHalfMeterPair(t *testing.T) {
+	run := syntheticRun(3, 0, nil, nil)
+	for _, name := range []string{source.MeterSeriesName(0), source.MSBSumSeriesName(0), source.MeterSeriesName(1)} {
+		s := tsagg.NewSeries(run.RunMeta.StartTime, run.RunMeta.StepSec, run.RunMeta.Windows)
+		for w := range s.Vals {
+			s.Vals[w] = 1e5 + float64(w)
+		}
+		run.SeriesByName[name] = s
+	}
+	dir := t.TempDir()
+	err := source.WriteArchive(dir, run)
+	if err == nil || !strings.Contains(err.Error(), source.MSBSumSeriesName(1)) {
+		t.Fatalf("WriteArchive of a half meter pair = %v, want an error naming %s", err, source.MSBSumSeriesName(1))
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("refused write left %d entries (%v)", len(entries), err)
+	}
+}
+
 // TestWriteArchiveFixedPoint: archiving what an archive serves reproduces
 // the archive — the writer and the reader agree on every dataset's columns,
 // order and types with no schema knowledge in the test.
@@ -179,6 +204,34 @@ func TestWriteArchiveFixedPoint(t *testing.T) {
 	if len(want) < 4 || !reflect.DeepEqual(got, want) {
 		t.Errorf("re-archived partitions differ:\n got  %v\n want %v", got, want)
 	}
+}
+
+// readNodeDay decodes one day of the node-power dataset through the store,
+// as the query tier reads it: rows grouped by node, in file order.
+func readNodeDay(dir string, day int) (map[int][]tsagg.WindowStat, error) {
+	ds, err := store.NewDataset(dir, source.DatasetNodePower)
+	if err != nil {
+		return nil, err
+	}
+	tab, err := ds.ReadDay(day)
+	if err != nil {
+		return nil, err
+	}
+	ts, node, count := tab.Col("timestamp"), tab.Col("node"), tab.Col("input_power.count")
+	mn, mx := tab.Col("input_power.min"), tab.Col("input_power.max")
+	mean, std := tab.Col("input_power.mean"), tab.Col("input_power.std")
+	for _, c := range []*store.Column{ts, node, count, mn, mx, mean, std} {
+		if c == nil {
+			return nil, fmt.Errorf("%s: missing column", ds.DayFile(day))
+		}
+	}
+	out := map[int][]tsagg.WindowStat{}
+	for i := 0; i < tab.NumRows(); i++ {
+		n := int(node.Ints[i])
+		out[n] = append(out[n], tsagg.WindowStat{T: ts.Ints[i], Count: count.Ints[i],
+			Min: mn.Floats[i], Max: mx.Floats[i], Mean: mean.Floats[i], Std: std.Floats[i]})
+	}
+	return out, nil
 }
 
 // bitEqual compares two values of one struct type field by field, floats by
@@ -263,7 +316,7 @@ func TestSchemaRoundTripEdgeRows(t *testing.T) {
 					t.Errorf("failure row %d: %+v, want %+v", i, evs[i], tc.evs[i])
 				}
 			}
-			byNode, err := src.NodeWindows(0)
+			byNode, err := readNodeDay(dir, 0)
 			if len(tc.node) == 0 {
 				if err == nil {
 					t.Error("an empty node buffer wrote a partition")

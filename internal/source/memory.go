@@ -2,7 +2,6 @@ package source
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/failures"
 	"repro/internal/tsagg"
@@ -17,16 +16,11 @@ import (
 type MemorySource struct {
 	RunMeta Meta
 	// SeriesByName maps canonical series names (the Series* constants,
-	// GPUBandSeries, MeterSeriesName, MSBSumSeriesName) to their series.
+	// GPUBandSeries, MeterSeriesName, MSBSumSeriesName) to their series:
+	// the per-MSB meter pairs are reached by name like every other series.
 	SeriesByName map[string]*tsagg.Series
-	// Meters and MeterSums are the per-MSB validation pairs, parallel
-	// slices. Empty means the plane carries no meter data.
-	Meters    []*tsagg.Series
-	MeterSums []*tsagg.Series
-	Jobs      []JobRecord
-	Events    []failures.Event
-	// NodeDays optionally holds per-node window statistics by day index.
-	NodeDays map[int]map[int][]tsagg.WindowStat
+	Jobs         []JobRecord
+	Events       []failures.Event
 }
 
 var _ RunSource = (*MemorySource)(nil)
@@ -43,40 +37,8 @@ func (m *MemorySource) Series(name string) (*tsagg.Series, error) {
 	return s, nil
 }
 
-// SeriesNames implements RunSource.
-func (m *MemorySource) SeriesNames() ([]string, error) {
-	names := make([]string, 0, len(m.SeriesByName))
-	for name, s := range m.SeriesByName {
-		if s != nil {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// MeterSeries implements RunSource.
-func (m *MemorySource) MeterSeries() ([]*tsagg.Series, []*tsagg.Series, error) {
-	if len(m.Meters) == 0 || len(m.Meters) != len(m.MeterSums) {
-		return nil, nil, fmt.Errorf("source: no meter series: %w", ErrUnavailable)
-	}
-	return m.Meters, m.MeterSums, nil
-}
-
 // JobRecords implements RunSource.
 func (m *MemorySource) JobRecords() ([]JobRecord, error) { return m.Jobs, nil }
 
 // Failures implements RunSource.
 func (m *MemorySource) Failures() ([]failures.Event, error) { return m.Events, nil }
-
-// NodeWindows implements RunSource.
-func (m *MemorySource) NodeWindows(day int) (map[int][]tsagg.WindowStat, error) {
-	if m.NodeDays == nil {
-		return nil, fmt.Errorf("source: no per-node windows: %w", ErrUnavailable)
-	}
-	d, ok := m.NodeDays[day]
-	if !ok {
-		return nil, fmt.Errorf("source: no per-node windows for day %d: %w", day, ErrUnknownSeries)
-	}
-	return d, nil
-}

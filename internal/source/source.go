@@ -12,6 +12,11 @@
 // streaming decode, and the shared decoded-table cache). A simulated run
 // archived and re-opened must answer every accessor bit-identically to its
 // in-memory source — the parity test in internal/core enforces this.
+//
+// Every series is reached by name through Series, the per-MSB meter pairs
+// of Figure 4 included (MeterSeriesName, MSBSumSeriesName). The per-node
+// node-power dataset is not a RunSource accessor: this package writes it
+// (WriteNodeDay) and the query tier's engine serves it.
 package source
 
 import (
@@ -60,8 +65,7 @@ var (
 	// ErrUnknownSeries marks a series name the source does not carry.
 	ErrUnknownSeries = errors.New("source: unknown series")
 	// ErrUnavailable marks data the source cannot provide at all (e.g. an
-	// archive written without the optional per-node dataset, or one predating
-	// the meter columns).
+	// archive without its failure log, or a run with no meter series).
 	ErrUnavailable = errors.New("source: unavailable")
 )
 
@@ -108,9 +112,8 @@ type JobRecord struct {
 }
 
 // RunSource is the single data plane behind every analysis: cluster,
-// facility and thermal series on the coarsening grid, per-MSB meter
-// validation series, job records, the failure log, and (optionally)
-// per-node window statistics.
+// facility, thermal and per-MSB meter series on the coarsening grid, each
+// reached by name, plus job records and the failure log.
 //
 // Implementations must be safe for concurrent use: queryd runs analyses
 // from concurrent requests over one source.
@@ -120,17 +123,8 @@ type RunSource interface {
 	// Series returns the named series over the full run on the coarsening
 	// grid. Unknown names return ErrUnknownSeries.
 	Series(name string) (*tsagg.Series, error)
-	// SeriesNames lists every series Series can serve, sorted.
-	SeriesNames() ([]string, error)
-	// MeterSeries returns the per-MSB meter readings and per-node sensor
-	// summations (parallel slices, one entry per switchboard), or
-	// ErrUnavailable when the plane does not carry them.
-	MeterSeries() (meters, sums []*tsagg.Series, err error)
 	// JobRecords returns one row per observed job.
 	JobRecords() ([]JobRecord, error)
 	// Failures returns the run's failure log.
 	Failures() ([]failures.Event, error)
-	// NodeWindows returns one day's per-node window statistics grouped by
-	// node, or ErrUnavailable when per-node data was not collected.
-	NodeWindows(day int) (map[int][]tsagg.WindowStat, error)
 }

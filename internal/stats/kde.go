@@ -52,9 +52,6 @@ func NewKDE1D(xs []float64, h float64) *KDE1D {
 	return &KDE1D{xs: clean, h: h}
 }
 
-// Bandwidth returns the bandwidth in use.
-func (k *KDE1D) Bandwidth() float64 { return k.h }
-
 // At evaluates the density estimate at x.
 func (k *KDE1D) At(x float64) float64 {
 	n := len(k.xs)

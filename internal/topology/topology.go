@@ -135,7 +135,6 @@ func PresetScaled(site string, nodes int) (Config, error) {
 type Floor struct {
 	cfg      Config
 	cabinets int
-	rows     int
 	msbOf    []MSB // cabinet index -> MSB
 }
 
@@ -154,14 +153,13 @@ func New(cfg Config) (*Floor, error) {
 		return nil, fmt.Errorf("topology: non-positive MSB count %d", cfg.MSBs)
 	}
 	cabinets := (cfg.Nodes + cfg.NodesPerCabinet - 1) / cfg.NodesPerCabinet
-	rows := (cabinets + cfg.CabinetsPerRow - 1) / cfg.CabinetsPerRow
 	// MSBs feed contiguous blocks of cabinets, mirroring the physical
 	// power-distribution zoning of the floor.
 	msbOf := make([]MSB, cabinets)
 	for cab := range msbOf {
 		msbOf[cab] = cabinetMSB(cabinets, cfg.MSBs, cab)
 	}
-	return &Floor{cfg: cfg, cabinets: cabinets, rows: rows, msbOf: msbOf}, nil
+	return &Floor{cfg: cfg, cabinets: cabinets, msbOf: msbOf}, nil
 }
 
 // cabinetMSB assigns cabinet cab under the contiguous-block distribution of
@@ -206,9 +204,6 @@ func (f *Floor) Nodes() int { return f.cfg.Nodes }
 // Cabinets returns the cabinet count.
 func (f *Floor) Cabinets() int { return f.cabinets }
 
-// Rows returns the floor row count.
-func (f *Floor) Rows() int { return f.rows }
-
 // MSBs returns the switchboard count.
 func (f *Floor) MSBs() int { return f.cfg.MSBs }
 
@@ -248,9 +243,6 @@ func (f *Floor) NodeAt(loc Location) (NodeID, bool) {
 
 // MSBOf returns the switchboard feeding node id.
 func (f *Floor) MSBOf(id NodeID) MSB { return f.msbOf[f.Cabinet(id)] }
-
-// CabinetMSB returns the switchboard feeding cabinet cab.
-func (f *Floor) CabinetMSB(cab int) MSB { return f.msbOf[cab] }
 
 // NodesUnderMSB returns the IDs of all nodes fed by m, in order.
 func (f *Floor) NodesUnderMSB(m MSB) []NodeID {

@@ -5,7 +5,6 @@
 package tsagg
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/stats"
@@ -205,86 +204,6 @@ func (s *Series) Integrate() float64 {
 
 // Stats summarizes the non-NaN values.
 func (s *Series) Stats() stats.Moments { return stats.Summarize(s.Clean()) }
-
-// FromWindows builds a mean-valued series from window statistics, covering
-// [start, end) with the given step (normally the coarsening window).
-func FromWindows(ws []WindowStat, start, end, step int64) *Series {
-	n := int((end - start + step - 1) / step)
-	if n < 0 {
-		n = 0
-	}
-	s := NewSeries(start, step, n)
-	for _, w := range ws {
-		s.Set(w.T, w.Mean)
-	}
-	return s
-}
-
-// AggKind selects how Combine collapses values across series.
-type AggKind int
-
-// Aggregation kinds.
-const (
-	AggSum AggKind = iota
-	AggMean
-	AggMax
-	AggMin
-	AggCount // number of non-NaN contributors
-)
-
-// Combine collapses several aligned series element-wise into one. All series
-// must share Start, Step and Len; NaNs are skipped per-slot (a slot with no
-// contributors stays NaN, except AggCount which yields 0).
-func Combine(kind AggKind, series []*Series) (*Series, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("tsagg: Combine of no series")
-	}
-	first := series[0]
-	for i, s := range series {
-		if s.Start != first.Start || s.Step != first.Step || s.Len() != first.Len() {
-			return nil, fmt.Errorf("tsagg: series %d misaligned", i)
-		}
-	}
-	out := NewSeries(first.Start, first.Step, first.Len())
-	for i := 0; i < first.Len(); i++ {
-		var acc float64
-		n := 0
-		for _, s := range series {
-			v := s.Vals[i]
-			if math.IsNaN(v) {
-				continue
-			}
-			if n == 0 {
-				acc = v
-			} else {
-				switch kind {
-				case AggSum, AggMean:
-					acc += v
-				case AggMax:
-					if v > acc {
-						acc = v
-					}
-				case AggMin:
-					if v < acc {
-						acc = v
-					}
-				}
-			}
-			n++
-		}
-		switch {
-		case kind == AggCount:
-			out.Vals[i] = float64(n)
-		case n == 0:
-			// leave NaN
-		case kind == AggMean:
-			out.Vals[i] = acc / float64(n)
-		default:
-			out.Vals[i] = acc
-		}
-	}
-	return out, nil
-}
 
 // Downsample re-coarsens a series by an integer factor, averaging the
 // non-NaN values in each group. factor <= 1 returns a copy.

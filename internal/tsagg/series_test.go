@@ -337,69 +337,6 @@ func TestSeriesCleanAndStats(t *testing.T) {
 	}
 }
 
-func TestFromWindows(t *testing.T) {
-	ws := []WindowStat{{T: 10, Mean: 5}, {T: 30, Mean: 7}}
-	s := FromWindows(ws, 0, 40, 10)
-	if s.Len() != 4 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if s.At(10) != 5 || s.At(30) != 7 {
-		t.Errorf("values not placed: %v", s.Vals)
-	}
-	if !math.IsNaN(s.At(0)) || !math.IsNaN(s.At(20)) {
-		t.Error("gaps must stay NaN")
-	}
-}
-
-func TestCombine(t *testing.T) {
-	a := NewSeries(0, 10, 3)
-	b := NewSeries(0, 10, 3)
-	a.Vals = []float64{1, 2, math.NaN()}
-	b.Vals = []float64{3, math.NaN(), math.NaN()}
-	sum, err := Combine(AggSum, []*Series{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Vals[0] != 4 || sum.Vals[1] != 2 || !math.IsNaN(sum.Vals[2]) {
-		t.Errorf("sum = %v", sum.Vals)
-	}
-	mean, _ := Combine(AggMean, []*Series{a, b})
-	if mean.Vals[0] != 2 || mean.Vals[1] != 2 {
-		t.Errorf("mean = %v", mean.Vals)
-	}
-	max, _ := Combine(AggMax, []*Series{a, b})
-	if max.Vals[0] != 3 {
-		t.Errorf("max = %v", max.Vals)
-	}
-	min, _ := Combine(AggMin, []*Series{a, b})
-	if min.Vals[0] != 1 {
-		t.Errorf("min = %v", min.Vals)
-	}
-	cnt, _ := Combine(AggCount, []*Series{a, b})
-	if cnt.Vals[0] != 2 || cnt.Vals[1] != 1 || cnt.Vals[2] != 0 {
-		t.Errorf("count = %v", cnt.Vals)
-	}
-}
-
-func TestCombineErrors(t *testing.T) {
-	if _, err := Combine(AggSum, nil); err == nil {
-		t.Error("empty combine must error")
-	}
-	a := NewSeries(0, 10, 3)
-	b := NewSeries(5, 10, 3)
-	if _, err := Combine(AggSum, []*Series{a, b}); err == nil {
-		t.Error("misaligned start must error")
-	}
-	c := NewSeries(0, 5, 3)
-	if _, err := Combine(AggSum, []*Series{a, c}); err == nil {
-		t.Error("misaligned step must error")
-	}
-	d := NewSeries(0, 10, 4)
-	if _, err := Combine(AggSum, []*Series{a, d}); err == nil {
-		t.Error("misaligned length must error")
-	}
-}
-
 func TestDownsample(t *testing.T) {
 	s := NewSeries(0, 10, 6)
 	s.Vals = []float64{1, 3, math.NaN(), 5, 7, 9}
@@ -415,55 +352,6 @@ func TestDownsample(t *testing.T) {
 	cp.Vals[0] = 99
 	if s.Vals[0] == 99 {
 		t.Error("Downsample(1) shares storage")
-	}
-}
-
-func TestCombinePreservesSumProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		// Distribute values across 3 series, then Combine(AggSum) and
-		// compare with the direct total per slot.
-		n := 4
-		series := []*Series{NewSeries(0, 1, n), NewSeries(0, 1, n), NewSeries(0, 1, n)}
-		totals := make([]float64, n)
-		counts := make([]int, n)
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			v = math.Mod(v, 1e6)
-			slot := i % n
-			series[i%3].Vals[slot] = v // overwrite semantics
-		}
-		for slot := 0; slot < n; slot++ {
-			for _, s := range series {
-				if !math.IsNaN(s.Vals[slot]) {
-					totals[slot] += s.Vals[slot]
-					counts[slot]++
-				}
-			}
-		}
-		sum, err := Combine(AggSum, series)
-		if err != nil {
-			return false
-		}
-		for slot := 0; slot < n; slot++ {
-			if counts[slot] == 0 {
-				if !math.IsNaN(sum.Vals[slot]) {
-					return false
-				}
-				continue
-			}
-			if !approx(sum.Vals[slot], totals[slot], 1e-9*math.Max(1, math.Abs(totals[slot]))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

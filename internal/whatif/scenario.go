@@ -18,7 +18,6 @@ import (
 	"strconv"
 
 	"repro/internal/rng"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -37,19 +36,6 @@ const (
 	ParamPowerCapMW      Param = "power_cap_mw"
 	ParamPlacement       Param = "placement"
 )
-
-// Params lists every knob the surface knows, sorted by name.
-func Params() []Param {
-	return []Param{
-		ParamChillerKWPerTon,
-		ParamPlacement,
-		ParamPowerCapMW,
-		ParamStageDownFrac,
-		ParamStageUpFrac,
-		ParamSupplySetpointC,
-		ParamTowerKWPerTon,
-	}
-}
 
 // ErrScenario marks an invalid scenario; violations wrap it.
 var ErrScenario = errors.New("whatif: invalid scenario")
@@ -123,20 +109,6 @@ func (s Scenario) Apply(base sim.Config) (sim.Config, error) {
 		return cfg, fmt.Errorf("%w: %w", ErrScenario, err)
 	}
 	return cfg, nil
-}
-
-// Placement resolves the scenario's placement knob to the scheduler enum
-// (for display); the base placement when the knob is unset.
-func (s Scenario) Placement(base string) string {
-	if v, ok := s.Params[ParamPlacement]; ok {
-		if idx := int(v); idx >= 0 && idx < len(placementNames) {
-			return placementNames[idx]
-		}
-	}
-	if base == "" {
-		return scheduler.PlaceContiguous.String()
-	}
-	return base
 }
 
 // Hash returns the scenario's canonical content hash: FNV-1a over the
