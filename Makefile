@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross-build test vet fmt lint race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
+.PHONY: all build cross-build test vet fmt lint guard race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
 
 all: check
 
@@ -42,6 +42,13 @@ fmt:
 lint:
 	$(GO) run ./cmd/reprolint ./...
 
+# guard runs, on one module load, the lint gate in test form and the
+# earn-or-delete guard: every exported function and method of internal/...
+# has a caller outside tests, implements an interface that declares it, or
+# is listed in cmd/reprolint's keptUncalled with its reason.
+guard:
+	$(GO) test -run 'TestRepoIsLintClean|TestExportedFunctionsHaveCallers' ./cmd/reprolint
+
 # race runs every package under the race detector; the heavyweight
 # simulation tests are trimmed so this stays bounded.
 race:
@@ -67,7 +74,7 @@ check: build fmt vet lint test stream-check race
 
 # ci mirrors .github/workflows/ci.yml, step for step (the
 # pull-request-only bench-ab against the merge base aside).
-ci: fmt vet lint build cross-build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
+ci: fmt vet lint guard build cross-build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

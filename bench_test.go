@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -266,7 +267,7 @@ func BenchmarkAblationEdgeFidelity(b *testing.B) {
 	for _, factor := range []int{1, 6, 30} {
 		factor := factor
 		b.Run(benchName("downsample", int64(factor)), func(b *testing.B) {
-			series := d.ClusterPower.Downsample(factor)
+			series := coarsenSeries(d.ClusterPower, factor)
 			var edges int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -275,6 +276,24 @@ func BenchmarkAblationEdgeFidelity(b *testing.B) {
 			b.ReportMetric(float64(edges), "edges")
 		})
 	}
+}
+
+// coarsenSeries re-coarsens s into windows factor steps wide, each the mean
+// of its non-NaN values.
+func coarsenSeries(s *tsagg.Series, factor int) *tsagg.Series {
+	samples := make([]tsagg.Sample, 0, s.Len())
+	for i, v := range s.Vals {
+		if !math.IsNaN(v) {
+			samples = append(samples, tsagg.Sample{T: s.TimeAt(i), V: v})
+		}
+	}
+	window := s.Step * int64(factor)
+	ws := tsagg.Coarsen(samples, window)
+	out := tsagg.NewSeries(ws[0].T, window, int((ws[len(ws)-1].T-ws[0].T)/window)+1)
+	for _, w := range ws {
+		out.Set(w.T, w.Mean)
+	}
+	return out
 }
 
 // BenchmarkAblationWorkers sweeps the node-update parallelism of the twin.

@@ -114,7 +114,7 @@ func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, dataD
 		func() (repro.Report, error) { return repro.ReportFigure14(data), nil },
 		func() (repro.Report, error) { return repro.ReportFigure15(data), nil },
 		func() (repro.Report, error) { return repro.ReportFigure16(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure17(vc, data) },
+		func() (repro.Report, error) { return repro.ReportFigure17(vc) },
 		func() (repro.Report, error) { return repro.ReportFingerprints(data) },
 		func() (repro.Report, error) { return repro.ReportGenerations(seed) },
 	}

@@ -88,25 +88,33 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// keptUncalled lists the exported functions of internal/... that stay with
-// no caller outside tests, each with the reason it stays.
+// keptUncalled lists the exported functions and methods of internal/...
+// that stay with no caller outside tests, each with the reason it stays.
 var keptUncalled = map[string]string{
 	// The oracle of a named test.
-	"stats.StudentTCDF":      oracle + "TestStudentTTwoSidedP",
-	"tsagg.Coarsen":          oracle + "query.TestRangeDownsampleMatchesCoarsen",
-	"core.EarlyWarning":      oracle + "TestOperatorsMatchReferences",
-	"core.ReadAllocationCSV": oracle + "TestAllocationCSVRoundTrip (the reader of WriteAllocationCSV)",
-	"core.DomainByName":      oracle + "TestAllocationCSVRoundTrip (the reader of WriteAllocationCSV)",
-	"nodesim.NewState":       oracle + "TestFleetMatchesStateBitwise",
-	"dsp.IFFT":               oracle + "TestFFTRoundTrip",
+	"stats.StudentTCDF":            oracle + "TestStudentTTwoSidedP",
+	"tsagg.Coarsen":                oracle + "query.TestRangeDownsampleMatchesCoarsen",
+	"core.EarlyWarning":            oracle + "TestOperatorsMatchReferences",
+	"core.ReadAllocationCSV":       oracle + "TestAllocationCSVRoundTrip (the reader of WriteAllocationCSV)",
+	"core.DomainByName":            oracle + "TestAllocationCSVRoundTrip (the reader of WriteAllocationCSV)",
+	"nodesim.NewState":             oracle + "TestFleetMatchesStateBitwise",
+	"(*nodesim.State).Step":        oracle + "TestFleetMatchesStateBitwise",
+	"(*nodesim.State).CPUTemp":     oracle + "TestFleetMatchesStateBitwise",
+	"(*nodesim.State).GPUCoreTemp": oracle + "TestFleetMatchesStateBitwise",
+	"(*nodesim.State).GPUMemTemp":  oracle + "TestFleetMatchesStateBitwise",
+	"(*nodesim.State).ReturnTemp":  oracle + "TestFleetMatchesStateBitwise",
+	"dsp.IFFT":                     oracle + "TestFFTRoundTrip",
+	"(*topology.Floor).NodeAt":     oracle + "TestLocationRoundTrip and the hostname round trips (the inverse of LocationOf)",
+	"(*telemetry.Server).Received": oracle + "the transport tests and streamd's TestServiceEndToEnd lossless check",
+	"(*telemetry.Server).Frames":   oracle + "the transport tests' frame counts",
 
 	// A test convenience.
-	"store.Write":               convenience + "one table to a stream, no dataset",
-	"store.Read":                convenience + "one table from a stream, no dataset",
-	"stream.NewWindowCoarsener": convenience + "a coarsener outside a pipeline",
-	"topology.ScaledConfig":     convenience + "a Summit-shaped floor of any size",
-	"topology.MustNew":          convenience + "a floor from a config known to be valid",
-	"trace.BuiltinSample":       convenience + "the checked-in sample trace",
+	"store.Write":                        convenience + "one table to a stream, no dataset",
+	"store.Read":                         convenience + "one table from a stream, no dataset",
+	"stream.NewWindowCoarsener":          convenience + "a coarsener outside a pipeline",
+	"trace.BuiltinSample":                convenience + "the checked-in sample trace",
+	"(*lint.Loader).ModuleDir":           convenience + "the module root the reprolint tests load from",
+	"(*telemetry.Server).SetReadTimeout": convenience + "a stall test that does not wait two minutes",
 
 	// Kept with the telemetry metric catalogue when its unused fan-in
 	// model was deleted.
@@ -116,32 +124,42 @@ var keptUncalled = map[string]string{
 	"telemetry.CPUTempMetric":    metric,
 	"telemetry.IngestRate":       "the paper's ingest-rate arithmetic (460k metrics/s at Summit)",
 
-	// Dead, and scheduled for deletion with their tests in the next
-	// earn-or-delete round of ROADMAP.md.
-	"stats.Spearman":            nextRound,
-	"stats.BonferroniThreshold": nextRound,
-	"stats.NewHistogram":        nextRound,
-	"stats.ZScore":              nextRound,
-	"stats.ZScores":             nextRound,
-	"stats.NormalQuantile":      nextRound,
-	"dsp.Detrend":               nextRound,
-	"dsp.DominantSwingWindowed": nextRound,
-	"topology.SlotForPCI":       nextRound,
+	// Dead, and scheduled for deletion in the next earn-or-delete round of
+	// ROADMAP.md with the tests that go with them.
+	"stats.Spearman":                   nextRound + "3 tests",
+	"stats.BonferroniThreshold":        nextRound + "1 test",
+	"stats.NewHistogram":               nextRound + "2 tests, with BinCenter and Density",
+	"(*stats.Histogram).BinCenter":     nextRound + "TestHistogram, with NewHistogram",
+	"(*stats.Histogram).Density":       nextRound + "TestHistogram, with NewHistogram",
+	"stats.ZScore":                     nextRound + "2 tests, shared with ZScores",
+	"stats.ZScores":                    nextRound + "2 tests, shared with ZScore",
+	"stats.NormalCDF":                  nextRound + "1 test",
+	"(*stats.Moments).AddN":            nextRound + "1 test",
+	"dsp.DominantSwingWindowed":        nextRound + "1 test, and 4 more with the windowing only it runs",
+	"topology.SlotForPCI":              nextRound + "1 test",
+	"(*rng.Source).Exp":                nextRound + "1 test",
+	"(*scheduler.Result).MeanWaitSec":  nextRound + "1 test",
+	"(*scheduler.Allocation).Contains": nextRound + "1 test",
+	"(*nodesim.State).MaxGPUCoreTemp":  nextRound + "1 test",
+	"(workload.Profile).SwingPerNode":  nextRound + "1 test; 1 more reads it",
+	"(workload.Profile).Valid":         nextRound + "1 test; 3 more read it",
 }
 
 const (
 	oracle      = "the oracle of "
 	convenience = "a test convenience: "
 	metric      = "a per-slot index into the telemetry metric catalogue"
-	nextRound   = "waits for the next earn-or-delete round"
+	nextRound   = "waits for the next earn-or-delete round with its tests: "
 )
 
 // TestExportedFunctionsHaveCallers is the earn-or-delete guard: every
-// exported package-level function of internal/... is referenced by a
-// non-test file of the module (cmd/, bench/, examples/ and the root package
-// included) outside its own body, or is listed in keptUncalled with the
-// reason it stays. The test-helper packages are exempt; methods are out of
-// scope.
+// exported package-level function and every exported method of
+// internal/... is referenced by a non-test file of the module (cmd/, bench/,
+// examples/ and the root package included) outside its own body, or is
+// listed in keptUncalled with the reason it stays. A method also counts as
+// called when its receiver, as a value or a pointer, implements an
+// interface that declares it: its callers may hold the interface. The
+// test-helper packages are exempt.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
 	dir, views := loadModule(t)
 	type decl struct {
@@ -158,7 +176,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		for _, f := range v.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+				if !ok || !fd.Name.IsExported() {
 					continue
 				}
 				fn := v.Info.Defs[fd.Name].(*types.Func)
@@ -181,12 +199,13 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 			}
 		}
 	}
+	ifaces := interfacesByMethod(views)
 	fset := views[0].Fset
 	seen := map[string]bool{}
 	for _, fn := range order {
-		name := fn.Pkg().Name() + "." + fn.Name()
+		name := funcName(fn)
 		seen[name] = true
-		if decls[fn].used {
+		if decls[fn].used || implementsDeclarer(fn, ifaces[fn.Name()]) {
 			if _, kept := keptUncalled[name]; kept {
 				t.Errorf("%s is listed as kept without a caller, but has one: drop it from keptUncalled", name)
 			}
@@ -204,9 +223,98 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 	}
 	for name := range keptUncalled {
 		if !seen[name] {
-			t.Errorf("keptUncalled lists %s, which is not an exported function of internal/...", name)
+			t.Errorf("keptUncalled lists %s, which is not an exported function or method of internal/...", name)
 		}
 	}
+}
+
+// funcName names fn as keptUncalled does: "pkg.F" for a function,
+// "(*pkg.T).M" or "(pkg.T).M" for a method.
+func funcName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Pkg().Name() + "." + fn.Name()
+	}
+	return "(" + types.TypeString(recv.Type(), (*types.Package).Name) + ")." + fn.Name()
+}
+
+// interfacesByMethod indexes, by method name, every interface a method of
+// the module may be satisfying: the universe error, the package-level
+// interfaces of every package the module imports, directly or not, and
+// every interface type, named or literal, the module's non-test files use.
+func interfacesByMethod(views []*lint.Package) map[string][]*types.Interface {
+	byName := map[string][]*types.Interface{}
+	seen := map[*types.Interface]bool{}
+	add := func(typ types.Type) {
+		it, ok := typ.Underlying().(*types.Interface)
+		if !ok || seen[it] || !it.IsMethodSet() || isGeneric(typ) {
+			return
+		}
+		seen[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			byName[name] = append(byName[name], it)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	walked := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if walked[p] {
+			return
+		}
+		walked[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, v := range views {
+		if v.Test {
+			continue
+		}
+		walk(v.Pkg)
+		for _, tv := range v.Info.Types {
+			if tv.IsType() {
+				add(tv.Type)
+			}
+		}
+	}
+	return byName
+}
+
+// implementsDeclarer reports whether fn's receiver type, as a value or a
+// pointer, implements one of ifaces (each declares a method of fn's name).
+// The pointer's method set holds the value's, so one check covers both.
+func implementsDeclarer(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	if isGeneric(typ) {
+		return false
+	}
+	for _, it := range ifaces {
+		if types.Implements(types.NewPointer(typ), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// isGeneric reports whether typ is a named type with type parameters, for
+// which types.Implements is unspecified.
+func isGeneric(typ types.Type) bool {
+	named, ok := typ.(*types.Named)
+	return ok && named.TypeParams().Len() > 0
 }
 
 // testHelperPackages exist to be called from tests.

@@ -122,7 +122,7 @@ func newService(o options, out io.Writer) (*service, error) {
 	if err != nil {
 		return nil, err
 	}
-	tsrv, err := telemetry.NewServer(o.ingest, pipe.Ingest)
+	tsrv, err := telemetry.NewServer(o.ingest, pipe.Ingest, pipe.DroppedConns())
 	if err != nil {
 		pipe.Close()
 		return nil, err

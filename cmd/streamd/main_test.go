@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"testing"
 	"time"
@@ -131,12 +132,66 @@ func TestServiceEndToEnd(t *testing.T) {
 	if snap.Ingest.Frames < 60 {
 		t.Errorf("frames after flush = %d, want 60", snap.Ingest.Frames)
 	}
-	// No loss across the transport: every sample the feed sent arrived, and
-	// the pipeline dropped, refused as late or rejected none of them.
+	// No loss across the transport: every sample the feed sent arrived, no
+	// connection was dropped, and the pipeline dropped, refused as late or
+	// rejected none of them.
 	if got := s.tsrv.Received(); s.sent == 0 || got != s.sent {
 		t.Errorf("transport received %d samples, feed sent %d", got, s.sent)
 	}
-	if d := snap.Ingest.Dropped + snap.Ingest.Late + snap.Ingest.Rejected; d != 0 {
-		t.Errorf("pipeline lost %d samples: %+v", d, snap.Ingest)
+	if d := snap.Ingest.Dropped + snap.Ingest.Late + snap.Ingest.Rejected + snap.Ingest.DroppedConns; d != 0 {
+		t.Errorf("pipeline lost %d samples or connections: %+v", d, snap.Ingest)
+	}
+}
+
+// TestHealthCountsDroppedIngestConnections sends one oversized length
+// prefix to a running service: the transport drops that connection, and
+// live health must say so.
+func TestHealthCountsDroppedIngestConnections(t *testing.T) {
+	o := options{
+		addr:          "127.0.0.1:0",
+		ingest:        "127.0.0.1:0",
+		nodes:         18,
+		stepSec:       10,
+		lateness:      5,
+		queue:         1024,
+		timeout:       10 * time.Second,
+		maxConcurrent: 8,
+	}
+	s, err := newService(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	ran := make(chan error, 1)
+	go func() { ran <- serve.Run(ctx, s.srv, s.ln, s.stopIngest) }()
+	defer func() {
+		stop()
+		if err := <-ran; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", s.tsrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + s.ln.Addr().String()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		health := getJSON(t, base+"/api/v1/live/health")
+		if health["dropped_conns"] == 1.0 {
+			if health["status"] != "degraded" {
+				t.Errorf("a dropped connection left health %v", health)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("health never counted the dropped connection: %v", health)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

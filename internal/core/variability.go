@@ -7,6 +7,7 @@ import (
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -24,6 +25,7 @@ type VarFrame struct {
 // Collector.
 type VariabilityCollector struct {
 	alloc    *scheduler.Allocation
+	floor    *topology.Floor
 	nodeRank map[int]int // dense NodeID -> rank within allocation
 	Frames   []VarFrame
 }
@@ -82,6 +84,7 @@ func NewVariabilityCollector(s *sim.Sim, allocIdx int) (*VariabilityCollector, e
 	a := &allocs[allocIdx]
 	vc := &VariabilityCollector{
 		alloc:    a,
+		floor:    s.Floor(),
 		nodeRank: make(map[int]int, len(a.NodeIDs)),
 	}
 	for rank, id := range a.NodeIDs {
@@ -128,6 +131,7 @@ type VariabilityReport struct {
 	Nodes    int
 	GPUs     int
 	Duration int64
+	Cabinets int // on the run's floor: the heatmaps' extent
 	Instants []InstantView
 	// Spreads at the peak-power instant (paper: 62 W power vs 15.8 °C
 	// temperature non-outlier spread).
@@ -136,8 +140,8 @@ type VariabilityReport struct {
 }
 
 // Figure17Variability reduces the captured frames at k evenly spaced
-// instants. The allocation's node IDs are mapped to cabinets for the
-// heatmaps.
+// instants. The allocation's node IDs are mapped to cabinets of the run's
+// floor for the heatmaps.
 func Figure17Variability(vc *VariabilityCollector, k int) (*VariabilityReport, error) {
 	if len(vc.Frames) == 0 {
 		return nil, fmt.Errorf("core: variability collector captured no frames")
@@ -153,11 +157,12 @@ func Figure17Variability(vc *VariabilityCollector, k int) (*VariabilityReport, e
 		Nodes:    len(vc.alloc.NodeIDs),
 		GPUs:     len(vc.alloc.NodeIDs) * units.GPUsPerNode,
 		Duration: vc.alloc.EndTime - vc.alloc.StartTime,
+		Cabinets: vc.floor.Cabinets(),
 	}
 	// Rank -> cabinet mapping.
 	cabinetOf := make([]int, len(vc.alloc.NodeIDs))
 	for rank, id := range vc.alloc.NodeIDs {
-		cabinetOf[rank] = int(id) / units.NodesPerCabinet
+		cabinetOf[rank] = vc.floor.Cabinet(id)
 	}
 	var peakPower float64
 	var peakView *InstantView

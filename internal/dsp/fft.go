@@ -97,38 +97,6 @@ func Diff(xs []float64) []float64 {
 	return out
 }
 
-// Detrend removes the least-squares linear trend from xs in place-free
-// fashion, returning a new slice.
-func Detrend(xs []float64) []float64 {
-	n := len(xs)
-	if n < 2 {
-		return append([]float64(nil), xs...)
-	}
-	// Fit y = a + b·t with t = 0..n-1.
-	var st, sy, stt, sty float64
-	for i, y := range xs {
-		t := float64(i)
-		st += t
-		sy += y
-		stt += t * t
-		sty += t * y
-	}
-	fn := float64(n)
-	den := fn*stt - st*st
-	var a, b float64
-	if den != 0 {
-		b = (fn*sty - st*sy) / den
-		a = (sy - b*st) / fn
-	} else {
-		a = sy / fn
-	}
-	out := make([]float64, n)
-	for i, y := range xs {
-		out[i] = y - (a + b*float64(i))
-	}
-	return out
-}
-
 // Spectrum holds a one-sided amplitude spectrum.
 type Spectrum struct {
 	Freqs []float64 // Hz, excluding DC

@@ -148,38 +148,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestDetrend(t *testing.T) {
-	// A pure line detrends to ~zero.
-	xs := make([]float64, 50)
-	for i := range xs {
-		xs[i] = 3 + 2*float64(i)
-	}
-	d := Detrend(xs)
-	for _, v := range d {
-		if math.Abs(v) > 1e-9 {
-			t.Fatalf("line did not detrend to zero: %v", v)
-		}
-	}
-	// Line + sine keeps the sine.
-	for i := range xs {
-		xs[i] = 3 + 2*float64(i) + 10*math.Sin(2*math.Pi*float64(i)/10)
-	}
-	d = Detrend(xs)
-	var maxAbs float64
-	for _, v := range d {
-		if math.Abs(v) > maxAbs {
-			maxAbs = math.Abs(v)
-		}
-	}
-	if maxAbs < 8 || maxAbs > 12 {
-		t.Errorf("sine amplitude after detrend = %v, want ≈10", maxAbs)
-	}
-	// Degenerate inputs.
-	if got := Detrend([]float64{5}); len(got) != 1 || got[0] != 5 {
-		t.Errorf("Detrend single = %v", got)
-	}
-}
-
 func TestSpectrumPureTone(t *testing.T) {
 	// 0.05 Hz sine sampled at 1 Hz for 512 samples: peak at 0.05 Hz with
 	// amplitude ≈ 3 (bin-aligned: 512 samples, 0.05·512 = 25.6 — use an

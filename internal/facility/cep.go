@@ -306,9 +306,6 @@ func (c *CEP) PUE() float64 {
 	return (c.itLoadW + float64(c.CoolingPower())) / c.itLoadW
 }
 
-// OnChilledWater reports whether the trim chillers are carrying any load.
-func (c *CEP) OnChilledWater() bool { return c.chillerTons > 1 }
-
 // Per-unit capacities for equipment staging: the CEP has 8 cooling towers
 // and 5 chillers (paper Table 1); a 13 MW peak is ~3,700 tons, so each
 // tower stages ~550 tons and each chiller ~800 tons.

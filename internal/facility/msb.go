@@ -15,7 +15,6 @@ import (
 // distribution losses. NodeSensor applies the per-node gain; MeterPower
 // returns what the switchboard meter would read for the true power.
 type MSBMeters struct {
-	floor *topology.Floor
 	// nodeGain is each node sensor's multiplicative calibration bias.
 	nodeGain []float64
 	// msbOffsetW is each MSB meter's additive offset (switchgear loads
@@ -32,7 +31,6 @@ type MSBMeters struct {
 // NewMSBMeters draws per-node gains and per-MSB offsets from rs.
 func NewMSBMeters(floor *topology.Floor, rs *rng.Source) *MSBMeters {
 	m := &MSBMeters{
-		floor:            floor,
 		nodeGain:         make([]float64, floor.Nodes()),
 		msbOffsetW:       make([]float64, floor.MSBs()),
 		meterNoiseFrac:   0.003,
@@ -72,6 +70,3 @@ func (m *MSBMeters) MeterPower(msb topology.MSB, trueTotal units.Watts) units.Wa
 	}
 	return units.Watts(v)
 }
-
-// MSBs returns the number of switchboards metered.
-func (m *MSBMeters) MSBs() int { return m.floor.MSBs() }

@@ -110,12 +110,6 @@ func pickupDenom(flow units.GPM) float64 {
 	return massFlowKgPerSec * units.WaterHeatCapacityJPerKgK
 }
 
-// Nodes returns the fleet size.
-func (f *Fleet) Nodes() int { return f.n }
-
-// StepSec returns the fixed step the decay factors were computed for.
-func (f *Fleet) StepSec() float64 { return f.stepSec }
-
 // StepNode advances node i's thermal state by the fleet's fixed step under
 // the given component power and cabinet water supply temperature.
 //
@@ -185,6 +179,3 @@ func (f *Fleet) GPUMemTemp(i, g int) float64 { return f.gpuMem[i*units.GPUsPerNo
 
 // CPUTemp returns node i CPU socket c's temperature.
 func (f *Fleet) CPUTemp(i, c int) float64 { return f.cpu[i*units.CPUsPerNode+c] }
-
-// ReturnTemp returns node i's water return temperature from the last step.
-func (f *Fleet) ReturnTemp(i int) units.Celsius { return units.Celsius(f.returnC[i]) }

@@ -63,7 +63,7 @@ func TestFleetMatchesStateBitwise(t *testing.T) {
 					t.Fatalf("step %d node %d cpu %d: fleet %v != state %v", step, i, c, got, want)
 				}
 			}
-			if math.Float64bits(float64(fleet.ReturnTemp(i))) != math.Float64bits(float64(states[i].ReturnTemp())) {
+			if math.Float64bits(fleet.returnC[i]) != math.Float64bits(float64(states[i].ReturnTemp())) {
 				t.Fatalf("step %d node %d return temp diverged", step, i)
 			}
 		}
@@ -86,11 +86,11 @@ func TestFleetAccessorsShape(t *testing.T) {
 	rs := rng.New(1)
 	vars := []Variation{NewVariation(rs.SplitN("node", 0))}
 	f := NewFleet(vars, 10, 18)
-	if f.Nodes() != 1 {
-		t.Fatalf("Nodes() = %d", f.Nodes())
+	if f.n != 1 {
+		t.Fatalf("n = %d", f.n)
 	}
-	if f.StepSec() != 10 { //lint:allow floatcompare constructed with this exact value
-		t.Fatalf("StepSec() = %v", f.StepSec())
+	if f.stepSec != 10 { //lint:allow floatcompare constructed with this exact value
+		t.Fatalf("stepSec = %v", f.stepSec)
 	}
 	// Idle equilibrium temperatures must be physical.
 	for g := 0; g < units.GPUsPerNode; g++ {

@@ -41,9 +41,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 func (p *Pool) work(wake chan struct{}) {
 	for range wake { // closed by Close
 		for {

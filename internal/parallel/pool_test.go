@@ -52,8 +52,8 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 func TestPoolDefaultWorkers(t *testing.T) {
 	p := NewPool(0)
 	defer p.Close()
-	if p.Workers() != DefaultWorkers() {
-		t.Errorf("Workers() = %d, want %d", p.Workers(), DefaultWorkers())
+	if p.workers != DefaultWorkers() {
+		t.Errorf("workers = %d, want %d", p.workers, DefaultWorkers())
 	}
 	done := false
 	p.ForEach(1, func(i int) { done = true })

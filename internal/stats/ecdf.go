@@ -57,9 +57,6 @@ func (e *ECDF) Quantile(p float64) float64 {
 	return e.sorted[lo]*(1-frac) + e.sorted[lo+1]*frac
 }
 
-// Values returns the sorted sample (shared slice; treat as read-only).
-func (e *ECDF) Values() []float64 { return e.sorted }
-
 // Curve evaluates the ECDF on a grid of k points spanning the sample range,
 // returning parallel x and y slices. This is what the paper's CDF figures
 // (Figure 7, Figure 10) plot. k < 2 yields a single point at the maximum.

@@ -127,9 +127,6 @@ func NewKDE2D(xs, ys []float64, hx, hy float64) (*KDE2D, error) {
 	return &KDE2D{xs: cx, ys: cy, hx: hx, hy: hy}, nil
 }
 
-// N returns the retained sample size.
-func (k *KDE2D) N() int { return len(k.xs) }
-
 // At evaluates the joint density at (x, y).
 func (k *KDE2D) At(x, y float64) float64 {
 	n := len(k.xs)
@@ -190,27 +187,6 @@ func minMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// ContourLevels returns k density levels spanning (0, max] for rendering
-// contour-ring summaries of a grid, highest density first.
-func (g *Grid2D) ContourLevels(k int) []float64 {
-	if g == nil || k <= 0 {
-		return nil
-	}
-	max := 0.0
-	for _, row := range g.Z {
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	levels := make([]float64, k)
-	for i := 0; i < k; i++ {
-		levels[i] = max * float64(k-i) / float64(k+1)
-	}
-	return levels
 }
 
 // Modes returns local maxima of the grid with density at least minFrac of

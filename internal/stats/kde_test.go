@@ -65,8 +65,8 @@ func TestKDE2DBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.N() != 6 {
-		t.Fatalf("N = %d", k.N())
+	if len(k.xs) != 6 {
+		t.Fatalf("retained %d samples, want 6", len(k.xs))
 	}
 	// Density near clusters exceeds density in between.
 	if k.At(0, 0) <= k.At(5, 5) {
@@ -85,8 +85,8 @@ func TestKDE2DErrorsAndNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.N() != 1 {
-		t.Errorf("N = %d, want 1 (NaN pairs dropped)", k.N())
+	if len(k.xs) != 1 {
+		t.Errorf("retained %d samples, want 1 (NaN pairs dropped)", len(k.xs))
 	}
 }
 
@@ -122,24 +122,6 @@ func TestKDE2DGridDegenerate(t *testing.T) {
 	k2, _ := NewKDE2D([]float64{1}, []float64{1}, 1, 1)
 	if k2.Grid(1, 10) != nil {
 		t.Error("nx<2 must give nil grid")
-	}
-}
-
-func TestContourLevels(t *testing.T) {
-	k, _ := NewKDE2D([]float64{0, 1}, []float64{0, 1}, 1, 1)
-	g := k.Grid(20, 20)
-	levels := g.ContourLevels(5)
-	if len(levels) != 5 {
-		t.Fatalf("levels = %v", levels)
-	}
-	for i := 1; i < len(levels); i++ {
-		if levels[i] >= levels[i-1] {
-			t.Error("levels must be strictly decreasing")
-		}
-	}
-	var nilGrid *Grid2D
-	if nilGrid.ContourLevels(3) != nil {
-		t.Error("nil grid must give nil levels")
 	}
 }
 

@@ -102,23 +102,3 @@ func TestNormalCDF(t *testing.T) {
 		}
 	}
 }
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	f := func(raw float64) bool {
-		p := math.Abs(math.Mod(raw, 1))
-		if p < 1e-10 || p > 1-1e-10 {
-			return true
-		}
-		x := NormalQuantile(p)
-		return approx(NormalCDF(x), p, 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
-		t.Error("boundary quantiles must be infinite")
-	}
-	if !approx(NormalQuantile(0.975), 1.959963985, 1e-8) {
-		t.Errorf("q(0.975) = %v", NormalQuantile(0.975))
-	}
-}

@@ -59,8 +59,8 @@ func TestCodecFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sr.Codec() != codec {
-				t.Fatalf("fixture header says codec %d", sr.Codec())
+			if sr.codec != codec {
+				t.Fatalf("fixture header says codec %d", sr.codec)
 			}
 			_ = sr.Close()
 			ds := &Dataset{Dir: t.TempDir(), Name: "fx"}

@@ -266,9 +266,6 @@ func (d *gorillaFloatDecoder) DecodeBlock(dst []float64, total int) int {
 	return n
 }
 
-// Done reports whether every row has been decoded.
-func (d *gorillaFloatDecoder) Done(total int) bool { return !d.failed && d.row >= total }
-
 // readBits extracts n (1..64) bits starting at absolute bit offset off,
 // most significant first. Callers bound off+n by the buffer length.
 //
@@ -352,9 +349,6 @@ func (d *gorillaIntDecoder) DecodeBlock(dst []int64, total int) int {
 	d.pos = pos
 	return n
 }
-
-// Done reports whether every row has been decoded.
-func (d *gorillaIntDecoder) Done(total int) bool { return !d.failed && d.row >= total }
 
 // gorillaPayloadBound is the largest plausible payload for rows values;
 // length claims beyond it are rejected before allocation.

@@ -167,7 +167,7 @@ func TestMemberFixtures(t *testing.T) {
 		}
 		sameTable(t, name+" reference decoder", want, &Table{Cols: cols})
 		if name == "members-strided" {
-			if sr, err := NewReader(bytes.NewReader(raw)); err != nil || sr.Codec() != codec || sr.dir.cols[2].stride != 3 {
+			if sr, err := NewReader(bytes.NewReader(raw)); err != nil || sr.codec != codec || sr.dir.cols[2].stride != 3 {
 				t.Errorf("%s: not a CodecDeltaFast partition with power at stride 3 (%v)", name, err)
 			}
 			continue

@@ -187,14 +187,8 @@ func (r *Reader) readHeader(payload io.Reader) error {
 	return nil
 }
 
-// NumCols returns the column count declared in the header.
-func (r *Reader) NumCols() int { return r.nCols }
-
 // NumRows returns the row count declared in the header.
 func (r *Reader) NumRows() int { return r.nRows }
-
-// Codec returns the codec the table was written with.
-func (r *Reader) Codec() Codec { return r.codec }
 
 // Next announces the next column's name and type. It returns io.EOF after
 // the last column. The caller must consume the column with Column or Skip

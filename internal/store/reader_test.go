@@ -43,9 +43,9 @@ func TestReaderStreamsColumns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
 		}
-		if r.NumCols() != 4 || r.NumRows() != 500 || r.Codec() != codec {
+		if r.nCols != 4 || r.NumRows() != 500 || r.codec != codec {
 			t.Fatalf("codec %d header: cols=%d rows=%d codec=%d",
-				codec, r.NumCols(), r.NumRows(), r.Codec())
+				codec, r.nCols, r.NumRows(), r.codec)
 		}
 		// Skip timestamp and node, decode power, skip temp.
 		for i := 0; i < 2; i++ {

@@ -100,6 +100,3 @@ func (c *WindowCoarsener) CloseThrough(end int64, emit func(tsagg.WindowStat)) {
 	}
 	c.open = append(c.open[:0], c.open[n:]...)
 }
-
-// Open returns the number of in-flight windows (for tests and health).
-func (c *WindowCoarsener) Open() int { return len(c.open) }

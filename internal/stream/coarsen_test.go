@@ -86,7 +86,7 @@ func TestWindowCoarsenerGapWindows(t *testing.T) {
 	if len(starts) != 2 || starts[0] != 0 || starts[1] != 40 {
 		t.Fatalf("got window starts %v, want [0 40]", starts)
 	}
-	if c.Open() != 0 {
-		t.Errorf("open windows after flush: %d", c.Open())
+	if len(c.open) != 0 {
+		t.Errorf("open windows after flush: %d", len(c.open))
 	}
 }

@@ -291,7 +291,7 @@ func TestServerLendsItsBatchToThePipeline(t *testing.T) {
 					batch[i] = telemetry.Sample{Node: 3, Metric: telemetry.MetricInputPower, T: 1 << 40, Value: -1}
 				}
 			}
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

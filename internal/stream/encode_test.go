@@ -68,6 +68,7 @@ func legacyHealth(hs *HealthState) map[string]any {
 		"reasons":         hs.Reasons,
 		"received":        hs.Ingest.Received,
 		"dropped":         hs.Ingest.Dropped,
+		"dropped_conns":   hs.Ingest.DroppedConns,
 		"rejected":        hs.Ingest.Rejected,
 		"late":            hs.Ingest.Late,
 		"merge_late":      hs.Ingest.MergeLate,
@@ -138,7 +139,7 @@ func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 	healths := []*HealthState{
 		&healthy, &idle,
 		{Status: "degraded", Reasons: []string{"ingest queue overflow dropped samples", "a \"quoted\"\nreason"},
-			Ingest:     IngestStats{Received: 1 << 40, Dropped: 3, Rejected: 4, Late: 5, MergeLate: 6, Events: 7, Frames: 8, ChannelWindows: 9},
+			Ingest:     IngestStats{Received: 1 << 40, Dropped: 3, Rejected: 4, Late: 5, MergeLate: 6, Events: 7, Frames: 8, ChannelWindows: 9, DroppedConns: 10},
 			WatermarkT: -5, LastWindowT: math.MinInt64, Shards: []ShardStat{{QueueLen: 256, QueueCap: 256}, {QueueCap: 1}}},
 		{Status: "ok", Reasons: []string{}, WatermarkT: math.MinInt64, Shards: []ShardStat{}},
 	}

@@ -282,6 +282,7 @@ func (h *handler) health() serve.Encoder {
 func (hs *HealthState) AppendJSON(b []byte) []byte {
 	b = serve.AppendKeyInt(b, `{"channel_windows":`, hs.Ingest.ChannelWindows)
 	b = serve.AppendKeyInt(b, `,"dropped":`, hs.Ingest.Dropped)
+	b = serve.AppendKeyInt(b, `,"dropped_conns":`, hs.Ingest.DroppedConns)
 	b = serve.AppendKeyInt(b, `,"events":`, hs.Ingest.Events)
 	b = serve.AppendKeyInt(b, `,"frames":`, hs.Ingest.Frames)
 	b = serve.AppendKeyInt(b, `,"last_window_t":`, hs.LastWindowT)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/topology"
-	"repro/internal/units"
 )
 
 // RollupWindow is one finalized window of the fleet/cabinet/MSB power
@@ -24,9 +23,8 @@ type RollupWindow struct {
 // order, replicating the offline collector's accumulation order so fleet
 // and MSB sums are bit-identical to the batch plane.
 type Rollup struct {
-	nodes    int
+	floor    *topology.Floor
 	msbs     int
-	perCab   int
 	cabinets int
 	max      int
 	step     int64
@@ -49,15 +47,14 @@ type rollupSlot struct {
 	fleetW   float64
 }
 
-// newRollup sizes the rollup on Summit's floor: its cabinet width and its
-// switchboard count.
+// newRollup groups by a Summit-shaped floor of cfg.Nodes nodes (cfg has
+// been validated: Nodes > 0).
 func newRollup(cfg Config) *Rollup {
-	cabinets := (cfg.Nodes + units.NodesPerCabinet - 1) / units.NodesPerCabinet
+	floor := topology.MustNew(topology.ScaledConfig(cfg.Nodes))
 	return &Rollup{
-		nodes:    cfg.Nodes,
-		msbs:     topology.SummitConfig().MSBs,
-		perCab:   units.NodesPerCabinet,
-		cabinets: cabinets,
+		floor:    floor,
+		msbs:     floor.MSBs(),
+		cabinets: floor.Cabinets(),
 		max:      cfg.MaxWindows,
 		step:     cfg.StepSec,
 	}
@@ -108,8 +105,8 @@ func (r *Rollup) Apply(f *Frame) {
 			}
 			p := f.NodePower[i].Mean
 			w.fleetW += p
-			cab[i/r.perCab] += p
-			msb[topology.MSBForNode(r.nodes, r.msbs, i)] += p
+			cab[r.floor.Cabinet(topology.NodeID(i))] += p
+			msb[r.floor.MSBOf(topology.NodeID(i))] += p
 		}
 		r.energyJ += w.fleetW * float64(r.step)
 	}

@@ -188,6 +188,7 @@ type Pipeline struct {
 	events      atomic.Int64 // failure events observed
 	frames      atomic.Int64 // frames applied to the operator chain
 	chanWindows atomic.Int64 // per-channel windows finalized
+	conns       atomic.Int64 // ingest connections the transport dropped
 	wmark       atomic.Int64 // global watermark (min over active shards)
 
 	// mu guards the operator chain and the merge cursor: Apply runs under
@@ -586,6 +587,7 @@ type IngestStats struct {
 	Events         int64 // failure events observed
 	Frames         int64 // frames applied to the operator chain
 	ChannelWindows int64 // per-channel windows finalized
+	DroppedConns   int64 // ingest connections dropped by the transport
 }
 
 // ShardStat reports one shard queue's occupancy.
@@ -649,8 +651,13 @@ func (p *Pipeline) ingestStats() IngestStats {
 		Events:         p.events.Load(),
 		Frames:         p.frames.Load(),
 		ChannelWindows: p.chanWindows.Load(),
+		DroppedConns:   p.conns.Load(),
 	}
 }
+
+// DroppedConns is the counter the ingest transport adds each connection it
+// drops to (telemetry.NewServer); health reports it as dropped_conns.
+func (p *Pipeline) DroppedConns() *atomic.Int64 { return &p.conns }
 
 // spanLocked is the finalized observation span: frames applied × step.
 func (p *Pipeline) spanLocked() int64 {
@@ -726,6 +733,9 @@ func (p *Pipeline) Health() HealthState {
 	}
 	if st.MergeLate > 0 {
 		h.Reasons = append(h.Reasons, "windows finalized before a late shard contributed")
+	}
+	if st.DroppedConns > 0 {
+		h.Reasons = append(h.Reasons, "ingest connections dropped for bad frames or stalls")
 	}
 	if len(h.Reasons) > 0 {
 		h.Status = "degraded"

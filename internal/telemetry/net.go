@@ -112,8 +112,8 @@ type Server struct {
 	closed      atomic.Bool
 	received    atomic.Int64
 	frames      atomic.Int64
-	dropped     atomic.Int64 // connections dropped for violations or stalls
-	readTimeout atomic.Int64 // nanoseconds; 0 disables the deadline
+	dropped     *atomic.Int64 // connections dropped for violations or stalls
+	readTimeout atomic.Int64  // nanoseconds; 0 disables the deadline
 }
 
 // NewServer starts listening on addr (use "127.0.0.1:0" for tests) and
@@ -121,8 +121,10 @@ type Server struct {
 // from multiple goroutines concurrently. The batch is borrowed: each
 // connection decodes into one buffer it reuses, so the slice is valid only
 // until sink returns and a sink that keeps samples must copy them
-// (stream.Pipeline.Ingest does).
-func NewServer(addr string, sink func([]Sample)) (*Server, error) {
+// (stream.Pipeline.Ingest does). dropped counts the connections the server
+// drops for protocol violations (oversized, short or undecodable frames)
+// or read stalls; nil gives the server a counter of its own.
+func NewServer(addr string, sink func([]Sample), dropped *atomic.Int64) (*Server, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("telemetry: nil sink")
 	}
@@ -130,7 +132,10 @@ func NewServer(addr string, sink func([]Sample)) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, sink: sink}
+	if dropped == nil {
+		dropped = new(atomic.Int64)
+	}
+	s := &Server{ln: ln, sink: sink, dropped: dropped}
 	s.readTimeout.Store(int64(defaultReadTimeout))
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -153,11 +158,6 @@ func (s *Server) Received() int64 { return s.received.Load() }
 
 // Frames returns the total frames ingested.
 func (s *Server) Frames() int64 { return s.frames.Load() }
-
-// Dropped returns the connections the server terminated for protocol
-// violations (oversized or short frames, undecodable payloads) or read
-// stalls.
-func (s *Server) Dropped() int64 { return s.dropped.Load() }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()

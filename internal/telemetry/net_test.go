@@ -103,7 +103,7 @@ func TestServerExporterEndToEnd(t *testing.T) {
 		for _, s := range batch {
 			received[[2]int64{int64(s.Node), s.T}] = s.Value
 		}
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestServerDropsOversizedFramePrefix(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {})
+	srv, err := NewServer("127.0.0.1:0", func([]Sample) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestServerDropsOversizedFramePrefix(t *testing.T) {
 	if _, err := conn.Write(prefix[:]); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "oversized-frame drop", func() bool { return srv.Dropped() == 1 })
+	waitFor(t, "oversized-frame drop", func() bool { return srv.dropped.Load() == 1 })
 	// A short prefix (below the 2-byte count header) is also a violation.
 	conn2, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -212,11 +212,11 @@ func TestServerDropsOversizedFramePrefix(t *testing.T) {
 	if _, err := conn2.Write(prefix[:]); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "short-frame drop", func() bool { return srv.Dropped() == 2 })
+	waitFor(t, "short-frame drop", func() bool { return srv.dropped.Load() == 2 })
 }
 
 func TestServerReadDeadlineDropsStalledExporter(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {})
+	srv, err := NewServer("127.0.0.1:0", func([]Sample) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestServerReadDeadlineDropsStalledExporter(t *testing.T) {
 	if _, err := conn.Write(frame[:6]); err != nil { // prefix + 2 bytes of payload
 		t.Fatal(err)
 	}
-	waitFor(t, "stalled-connection drop", func() bool { return srv.Dropped() == 1 })
+	waitFor(t, "stalled-connection drop", func() bool { return srv.dropped.Load() == 1 })
 
 	// A healthy exporter on the same server still gets through afterwards.
 	exp, err := Dial(srv.Addr())
@@ -253,7 +253,7 @@ func TestServerReadDeadlineDropsStalledExporter(t *testing.T) {
 }
 
 func TestServerDropsUndecodableFrame(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {})
+	srv, err := NewServer("127.0.0.1:0", func([]Sample) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,20 +270,20 @@ func TestServerDropsUndecodableFrame(t *testing.T) {
 	if _, err := conn.Write(append(prefix[:], payload...)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "undecodable-frame drop", func() bool { return srv.Dropped() == 1 })
+	waitFor(t, "undecodable-frame drop", func() bool { return srv.dropped.Load() == 1 })
 	if srv.Frames() != 0 {
 		t.Errorf("bad frame counted as ingested")
 	}
 }
 
 func TestServerRejectsNilSink(t *testing.T) {
-	if _, err := NewServer("127.0.0.1:0", nil); err == nil {
+	if _, err := NewServer("127.0.0.1:0", nil, nil); err == nil {
 		t.Error("nil sink accepted")
 	}
 }
 
 func TestServerDoubleCloseSafe(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {})
+	srv, err := NewServer("127.0.0.1:0", func([]Sample) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestSinkBatchIsBorrowed(t *testing.T) {
 		defer mu.Unlock()
 		kept = append(kept, batch)
 		copied = append(copied, batch...)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestSinkBatchIsBorrowed(t *testing.T) {
 // nothing (it used to allocate the payload and the sample slice, 44 KB for
 // a 1792-sample frame).
 func TestServeDoesNotAllocatePerFrame(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {})
+	srv, err := NewServer("127.0.0.1:0", func([]Sample) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

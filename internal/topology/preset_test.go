@@ -19,8 +19,8 @@ func TestFrontierConfigGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Nodes() != 9408 || f.NodesPerCabinet() != 128 {
-		t.Fatalf("frontier size wrong: %d nodes, %d per cabinet", f.Nodes(), f.NodesPerCabinet())
+	if f.Nodes() != 9408 || f.cfg.NodesPerCabinet != 128 {
+		t.Fatalf("frontier size wrong: %d nodes, %d per cabinet", f.Nodes(), f.cfg.NodesPerCabinet)
 	}
 	if f.Cabinets() != 74 {
 		t.Fatalf("frontier cabinets = %d, want 74", f.Cabinets())
@@ -84,8 +84,8 @@ func TestPresetScaled(t *testing.T) {
 func TestFrontierHostnames(t *testing.T) {
 	f := MustNew(FrontierConfig())
 	name := f.Hostname(127) // cabinet 0 slot 127
-	id, err := f.ParseHostname(name)
-	if err != nil || id != 127 {
-		t.Fatalf("round trip of %q: id=%d err=%v", name, id, err)
+	id, ok := hostnameNode(f, name)
+	if !ok || id != 127 {
+		t.Fatalf("round trip of %q: id=%d ok=%v", name, id, ok)
 	}
 }

@@ -9,8 +9,6 @@ package topology
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/units"
 )
@@ -113,7 +111,8 @@ func Preset(site string) (Config, error) {
 }
 
 // ScaledConfig returns a reduced floor with the given node count preserving
-// Summit's cabinet and MSB structure, for tests and examples.
+// Summit's cabinet and MSB structure: the live plane's floor, and the one
+// tests and examples build.
 func ScaledConfig(nodes int) Config {
 	c := SummitConfig()
 	c.Nodes = nodes
@@ -164,8 +163,7 @@ func New(cfg Config) (*Floor, error) {
 
 // cabinetMSB assigns cabinet cab under the contiguous-block distribution of
 // cabinets over msbs switchboards: the first cabinets%msbs switchboards feed
-// one extra cabinet. Floor.MSBOf and MSBForNode both resolve through here,
-// so the two can never drift.
+// one extra cabinet.
 func cabinetMSB(cabinets, msbs, cab int) MSB {
 	base, rem := cabinets/msbs, cabinets%msbs
 	boundary := rem * (base + 1)
@@ -173,20 +171,6 @@ func cabinetMSB(cabinets, msbs, cab int) MSB {
 		return MSB(cab / (base + 1))
 	}
 	return MSB(rem + (cab-boundary)/base)
-}
-
-// MSBForNode returns the switchboard feeding the given node on a floor of
-// nodes total nodes and msbs switchboards with the standard Summit cabinet
-// size, without building a Floor. Out-of-range arguments clamp to MSB 0.
-func MSBForNode(nodes, msbs, node int) MSB {
-	if nodes <= 0 || msbs <= 0 || node < 0 {
-		return 0
-	}
-	cabinets := (nodes + units.NodesPerCabinet - 1) / units.NodesPerCabinet
-	if msbs > cabinets {
-		msbs = cabinets // more feeds than cabinets: trailing MSBs are unused
-	}
-	return cabinetMSB(cabinets, msbs, node/units.NodesPerCabinet)
 }
 
 // MustNew is New but panics on error; for use with known-good configs.
@@ -206,9 +190,6 @@ func (f *Floor) Cabinets() int { return f.cabinets }
 
 // MSBs returns the switchboard count.
 func (f *Floor) MSBs() int { return f.cfg.MSBs }
-
-// NodesPerCabinet returns nodes per cabinet.
-func (f *Floor) NodesPerCabinet() int { return f.cfg.NodesPerCabinet }
 
 // Cabinet returns the cabinet index of node id.
 func (f *Floor) Cabinet(id NodeID) int { return int(id) / f.cfg.NodesPerCabinet }
@@ -264,38 +245,6 @@ func (f *Floor) Hostname(id NodeID) string {
 }
 
 func rowToken(row int) string { return fmt.Sprintf("h%02d", row+9) }
-
-// ParseHostname inverts Hostname. It returns an error for malformed names or
-// locations outside the floor.
-func (f *Floor) ParseHostname(name string) (NodeID, error) {
-	if len(name) < 7 || name[0] != 'h' {
-		return 0, fmt.Errorf("topology: malformed hostname %q", name)
-	}
-	nIdx := strings.IndexByte(name, 'n')
-	if nIdx < 0 {
-		return 0, fmt.Errorf("topology: malformed hostname %q", name)
-	}
-	rowPart := name[1:3]
-	cabPart := name[3:nIdx]
-	slotPart := name[nIdx+1:]
-	row, err := strconv.Atoi(rowPart)
-	if err != nil {
-		return 0, fmt.Errorf("topology: bad row in %q: %w", name, err)
-	}
-	cab, err := strconv.Atoi(cabPart)
-	if err != nil {
-		return 0, fmt.Errorf("topology: bad cabinet in %q: %w", name, err)
-	}
-	slot, err := strconv.Atoi(slotPart)
-	if err != nil {
-		return 0, fmt.Errorf("topology: bad slot in %q: %w", name, err)
-	}
-	id, ok := f.NodeAt(Location{Row: row - 9, Cabinet: cab - 1, Slot: slot - 1})
-	if !ok {
-		return 0, fmt.Errorf("topology: hostname %q outside floor", name)
-	}
-	return id, nil
-}
 
 // CPUOf returns the CPU socket whose water loop serves GPU slot g.
 func CPUOf(g GPUSlot) CPUSocket {

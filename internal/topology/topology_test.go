@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -27,8 +28,8 @@ func TestSummitDimensions(t *testing.T) {
 	if f.MSBs() != 5 {
 		t.Errorf("MSBs = %d, want 5", f.MSBs())
 	}
-	if f.NodesPerCabinet() != 18 {
-		t.Errorf("nodes/cabinet = %d, want 18", f.NodesPerCabinet())
+	if f.cfg.NodesPerCabinet != 18 {
+		t.Errorf("nodes/cabinet = %d, want 18", f.cfg.NodesPerCabinet)
 	}
 }
 
@@ -92,20 +93,21 @@ func TestHostnameRoundTrip(t *testing.T) {
 			t.Fatalf("duplicate hostname %q", h)
 		}
 		seen[h] = true
-		back, err := f.ParseHostname(h)
-		if err != nil || back != id {
-			t.Fatalf("hostname round trip failed for %d (%q): %d, %v", id, h, back, err)
+		back, ok := hostnameNode(f, h)
+		if !ok || back != id {
+			t.Fatalf("hostname round trip failed for %d (%q): %d, %v", id, h, back, ok)
 		}
 	}
 }
 
-func TestParseHostnameErrors(t *testing.T) {
-	f := summit(t)
-	for _, name := range []string{"", "x09n05", "h09", "h09n", "hXXn01", "h0901n05x", "h99n01"} {
-		if _, err := f.ParseHostname(name); err == nil {
-			t.Errorf("ParseHostname(%q) accepted malformed/out-of-floor name", name)
-		}
+// hostnameNode reads a hostname's row, cabinet and slot tokens back into
+// the node NodeAt places there.
+func hostnameNode(f *Floor, name string) (NodeID, bool) {
+	var row, cab, slot int
+	if n, err := fmt.Sscanf(name, "h%2d%dn%d", &row, &cab, &slot); n != 3 || err != nil {
+		return 0, false
 	}
+	return f.NodeAt(Location{Row: row - 9, Cabinet: cab - 1, Slot: slot - 1})
 }
 
 func TestMSBPartition(t *testing.T) {
@@ -148,7 +150,7 @@ func TestMSBBalance(t *testing.T) {
 			max = n
 		}
 	}
-	if max-min > 2*f.NodesPerCabinet() {
+	if max-min > 2*f.cfg.NodesPerCabinet {
 		t.Errorf("MSB imbalance: min %d, max %d", min, max)
 	}
 }
@@ -220,33 +222,5 @@ func TestLocationRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMSBForNodeMatchesFloor(t *testing.T) {
-	for _, nodes := range []int{1, 17, 18, 19, 36, 90, 256, 500, 4626} {
-		for _, msbs := range []int{1, 2, 3, 5, 7} {
-			cfg := ScaledConfig(nodes)
-			cfg.MSBs = msbs
-			f := MustNew(cfg)
-			for id := NodeID(0); int(id) < nodes; id++ {
-				if got, want := MSBForNode(nodes, msbs, int(id)), f.MSBOf(id); got != want {
-					t.Fatalf("MSBForNode(%d, %d, %d) = %v, Floor says %v",
-						nodes, msbs, id, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestMSBForNodeClamps(t *testing.T) {
-	if got := MSBForNode(0, 5, 0); got != 0 {
-		t.Errorf("zero nodes: got %v", got)
-	}
-	if got := MSBForNode(100, 0, 0); got != 0 {
-		t.Errorf("zero msbs: got %v", got)
-	}
-	if got := MSBForNode(100, 5, -1); got != 0 {
-		t.Errorf("negative node: got %v", got)
 	}
 }

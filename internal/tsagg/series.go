@@ -204,29 +204,3 @@ func (s *Series) Integrate() float64 {
 
 // Stats summarizes the non-NaN values.
 func (s *Series) Stats() stats.Moments { return stats.Summarize(s.Clean()) }
-
-// Downsample re-coarsens a series by an integer factor, averaging the
-// non-NaN values in each group. factor <= 1 returns a copy.
-func (s *Series) Downsample(factor int) *Series {
-	if factor <= 1 {
-		cp := NewSeries(s.Start, s.Step, s.Len())
-		copy(cp.Vals, s.Vals)
-		return cp
-	}
-	n := (s.Len() + factor - 1) / factor
-	out := NewSeries(s.Start, s.Step*int64(factor), n)
-	for g := 0; g < n; g++ {
-		var sum float64
-		cnt := 0
-		for i := g * factor; i < (g+1)*factor && i < s.Len(); i++ {
-			if v := s.Vals[i]; !math.IsNaN(v) {
-				sum += v
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			out.Vals[g] = sum / float64(cnt)
-		}
-	}
-	return out
-}

@@ -337,24 +337,6 @@ func TestSeriesCleanAndStats(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	s := NewSeries(0, 10, 6)
-	s.Vals = []float64{1, 3, math.NaN(), 5, 7, 9}
-	d := s.Downsample(2)
-	if d.Step != 20 || d.Len() != 3 {
-		t.Fatalf("step/len = %d/%d", d.Step, d.Len())
-	}
-	if d.Vals[0] != 2 || d.Vals[1] != 5 || d.Vals[2] != 8 {
-		t.Errorf("downsample = %v", d.Vals)
-	}
-	// Factor <= 1 returns an independent copy.
-	cp := s.Downsample(1)
-	cp.Vals[0] = 99
-	if s.Vals[0] == 99 {
-		t.Error("Downsample(1) shares storage")
-	}
-}
-
 func BenchmarkCoarsen(b *testing.B) {
 	samples := make([]Sample, 86400)
 	for i := range samples {

@@ -68,25 +68,16 @@ func (w Watts) KW() float64 { return float64(w) / 1e3 }
 // MW returns the power in megawatts.
 func (w Watts) MW() float64 { return float64(w) / 1e6 }
 
-// BTUPerHour returns the equivalent thermal power in BTU/hr.
-func (w Watts) BTUPerHour() float64 { return float64(w) * BTUPerHourPerWatt }
-
 // Tons returns the equivalent cooling duty in tons of refrigeration.
 func (w Watts) Tons() TonsRefrigeration {
 	return TonsRefrigeration(float64(w) / WattsPerTon)
 }
-
-// Watts returns the heat-removal rate of t tons of refrigeration.
-func (t TonsRefrigeration) Watts() Watts { return Watts(float64(t) * WattsPerTon) }
 
 // KWh returns the energy in kilowatt-hours.
 func (j Joules) KWh() float64 { return float64(j) / JoulesPerKWh }
 
 // MWh returns the energy in megawatt-hours.
 func (j Joules) MWh() float64 { return float64(j) / (1e3 * JoulesPerKWh) }
-
-// F converts Celsius to Fahrenheit.
-func (c Celsius) F() Fahrenheit { return Fahrenheit(float64(c)*9/5 + 32) }
 
 // C converts Fahrenheit to Celsius.
 func (f Fahrenheit) C() Celsius { return Celsius((float64(f) - 32) * 5 / 9) }

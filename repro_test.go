@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/topology"
 )
 
 // Facade-level integration tests: the public API must run the whole
@@ -104,7 +105,7 @@ func TestAllReportsRender(t *testing.T) {
 		{"fig14", func() (Report, error) { return ReportFigure14(d), nil }},
 		{"fig15", func() (Report, error) { return ReportFigure15(d), nil }},
 		{"fig16", func() (Report, error) { return ReportFigure16(d), nil }},
-		{"fig17", func() (Report, error) { return ReportFigure17(vc, d) }},
+		{"fig17", func() (Report, error) { return ReportFigure17(vc) }},
 	}
 	for _, nr := range reports {
 		rep, err := nr.fn()
@@ -121,6 +122,37 @@ func TestAllReportsRender(t *testing.T) {
 		}
 		if rep.PaperRef == "" {
 			t.Errorf("%s: missing paper reference", nr.name)
+		}
+	}
+}
+
+// TestFrontierVariabilityCabinetsAreTheFloors runs Figure 17 on a
+// Frontier-shaped floor (128 nodes per cabinet): every heatmap cell must
+// name one of that floor's cabinets, not a Summit-sized 18-node slice.
+func TestFrontierVariabilityCabinetsAreTheFloors(t *testing.T) {
+	cfg := ScaledConfig(384, 3*time.Hour)
+	cfg.Site = topology.SiteFrontier
+	_, vc, _, err := SimulateWithVariability(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := topology.PresetScaled(topology.SiteFrontier, cfg.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := topology.New(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Figure17Variability(vc, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Instants {
+		for cab := range v.MeanByCabinet {
+			if cab < 0 || cab >= floor.Cabinets() {
+				t.Fatalf("instant %d files GPUs under cabinet %d; the floor has %d", v.T, cab, floor.Cabinets())
+			}
 		}
 	}
 }
