@@ -43,11 +43,13 @@ lint:
 	$(GO) run ./cmd/reprolint ./...
 
 # guard runs, on one module load, the lint gate in test form and the
-# earn-or-delete guard: every exported function and method of internal/...
+# earn-or-delete guards: every exported function and method of internal/...
 # has a caller outside tests, implements an interface that declares it, or
-# is listed in cmd/reprolint's keptUncalled with its reason.
+# is listed in cmd/reprolint's keptUncalled with its reason; and every
+# exported field of an exported struct type of internal/... is written
+# outside tests or is listed in keptUnset with its reason.
 guard:
-	$(GO) test -run 'TestRepoIsLintClean|TestExportedFunctionsHaveCallers' ./cmd/reprolint
+	$(GO) test -run 'TestRepoIsLintClean|TestExportedFunctionsHaveCallers|TestExportedFieldsAreSet' ./cmd/reprolint
 
 # race runs every package under the race detector; the heavyweight
 # simulation tests are trimmed so this stays bounded.

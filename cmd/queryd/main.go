@@ -71,7 +71,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
 	fs.IntVar(&o.nodes, "nodes", 0, "system size of an archive without a run manifest (enables cabinet/MSB rollups); where a manifest exists it must match or be 0")
 	fs.IntVar(&o.workers, "workers", 0, "parallel scan workers (0 = GOMAXPROCS)")
-	fs.IntVar(&o.cacheMB, "cache-mb", 256, "decoded-table cache budget in MiB (per cluster)")
+	fs.IntVar(&o.cacheMB, "cache-mb", 256, "decoded-table cache budget in MiB (per cluster; 0 = no cache)")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 32, "concurrent query limit (excess sheds with 503)")
 	fs.IntVar(&o.maxPoints, "max-points", 200_000, "points/windows budget per response")
@@ -82,6 +82,21 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.data == "" {
 		return o, errors.New("queryd: -data is required")
+	}
+	// The engine and the serving kernel map a bound <= 0 to their default;
+	// refuse one here rather than run on a value nobody asked for.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"timeout", int64(o.timeout)}, {"max-concurrent", int64(o.maxConcurrent)}, {"max-points", int64(o.maxPoints)},
+	} {
+		if f.v <= 0 {
+			return o, fmt.Errorf("queryd: -%s must be positive", f.name)
+		}
+	}
+	if o.cacheMB < 0 {
+		return o, errors.New("queryd: -cache-mb must not be negative")
 	}
 	return o, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -102,7 +103,6 @@ var keptUncalled = map[string]string{
 	"(*nodesim.State).CPUTemp":     oracle + "TestFleetMatchesStateBitwise",
 	"(*nodesim.State).GPUCoreTemp": oracle + "TestFleetMatchesStateBitwise",
 	"(*nodesim.State).GPUMemTemp":  oracle + "TestFleetMatchesStateBitwise",
-	"(*nodesim.State).ReturnTemp":  oracle + "TestFleetMatchesStateBitwise",
 	"dsp.IFFT":                     oracle + "TestFFTRoundTrip",
 	"(*topology.Floor).NodeAt":     oracle + "TestLocationRoundTrip and the hostname round trips (the inverse of LocationOf)",
 	"(*telemetry.Server).Received": oracle + "the transport tests and streamd's TestServiceEndToEnd lossless check",
@@ -126,20 +126,14 @@ var keptUncalled = map[string]string{
 
 	// Dead, and scheduled for deletion in the next earn-or-delete round of
 	// ROADMAP.md with the tests that go with them.
-	"stats.Spearman":                   nextRound + "3 tests",
+	"stats.Spearman":                   nextRound + "4 tests, with TestRanks of the ranks it alone runs",
 	"stats.BonferroniThreshold":        nextRound + "1 test",
-	"stats.NewHistogram":               nextRound + "2 tests, with BinCenter and Density",
-	"(*stats.Histogram).BinCenter":     nextRound + "TestHistogram, with NewHistogram",
-	"(*stats.Histogram).Density":       nextRound + "TestHistogram, with NewHistogram",
-	"stats.ZScore":                     nextRound + "2 tests, shared with ZScores",
-	"stats.ZScores":                    nextRound + "2 tests, shared with ZScore",
 	"stats.NormalCDF":                  nextRound + "1 test",
 	"(*stats.Moments).AddN":            nextRound + "1 test",
 	"dsp.DominantSwingWindowed":        nextRound + "1 test, and 4 more with the windowing only it runs",
 	"topology.SlotForPCI":              nextRound + "1 test",
 	"(*rng.Source).Exp":                nextRound + "1 test",
-	"(*scheduler.Result).MeanWaitSec":  nextRound + "1 test",
-	"(*scheduler.Allocation).Contains": nextRound + "1 test",
+	"(*scheduler.Allocation).Contains": nextRound + "1 test; 1 more reads it",
 	"(*nodesim.State).MaxGPUCoreTemp":  nextRound + "1 test",
 	"(workload.Profile).SwingPerNode":  nextRound + "1 test; 1 more reads it",
 	"(workload.Profile).Valid":         nextRound + "1 test; 3 more read it",
@@ -212,13 +206,8 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 			continue
 		}
 		if _, kept := keptUncalled[name]; !kept {
-			pos := fset.Position(fn.Pos())
-			rel, err := filepath.Rel(dir, pos.Filename)
-			if err != nil {
-				rel = pos.Filename
-			}
-			t.Errorf("%s:%d: %s has no caller outside tests: delete it, or list it in keptUncalled with its reason",
-				rel, pos.Line, name)
+			t.Errorf("%s: %s has no caller outside tests: delete it, or list it in keptUncalled with its reason",
+				where(dir, fset.Position(fn.Pos())), name)
 		}
 	}
 	for name := range keptUncalled {
@@ -226,6 +215,15 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 			t.Errorf("keptUncalled lists %s, which is not an exported function or method of internal/...", name)
 		}
 	}
+}
+
+// where is pos as file:line, the file relative to the module root dir.
+func where(dir string, pos token.Position) string {
+	rel, err := filepath.Rel(dir, pos.Filename)
+	if err != nil {
+		rel = pos.Filename
+	}
+	return fmt.Sprintf("%s:%d", rel, pos.Line)
 }
 
 // funcName names fn as keptUncalled does: "pkg.F" for a function,
@@ -315,6 +313,211 @@ func implementsDeclarer(fn *types.Func, ifaces []*types.Interface) bool {
 func isGeneric(typ types.Type) bool {
 	named, ok := typ.(*types.Named)
 	return ok && named.TypeParams().Len() > 0
+}
+
+// keptUnset lists the exported fields of internal/... that no non-test file
+// writes, each with the reason it stays. Keys are "pkg.T.F".
+var keptUnset = map[string]string{
+	"stream.Config.Shards":         "the shard-count invariance tests in dense_test.go and stream_test.go",
+	"stream.Config.Extra":          "the gate operator of TestBackpressureNeverBlocksIngest, TestHealthDoesNotWaitForTheOperatorChain and TestFrameGridMaterialized",
+	"sim.Config.FailureCheckSec":   "the 60 s sweeps that give TestSeedEngineParity and TestBatchStreamParity failures in short runs",
+	"sim.Config.TelemetryLossFrac": "the paper's missing-data model; its default waits for the paper-fidelity ledger (ROADMAP item 7), since turning it on re-records goldens",
+	"tsagg.Sample.T":               oracle + "tsagg.Coarsen, the input it takes",
+	"tsagg.Sample.V":               oracle + "tsagg.Coarsen, the input it takes",
+}
+
+// TestExportedFieldsAreSet is the earn-or-delete guard for knobs: every
+// exported field of an exported struct type of internal/... is written by a
+// non-test file of the module, or is listed in keptUnset with the reason it
+// stays. A write is a key of a keyed composite literal, any positional
+// literal of the type, the left side of an assignment or ++/-- (after
+// peeling index, star and paren expressions), the operand of &, or the
+// receiver of a pointer-method call. A write inside a method of the
+// field's own type does not count: a withDefaults filling its own zero
+// value earns nothing. A struct type with a tagged field is exempt, since
+// reflection fills it. The test-helper packages are exempt.
+func TestExportedFieldsAreSet(t *testing.T) {
+	dir, views := loadModule(t)
+	type field struct {
+		name  string
+		owner *types.TypeName
+		set   bool
+	}
+	fields := map[*types.Var]*field{}
+	var order []*types.Var
+	for _, v := range views {
+		rest, ok := strings.CutPrefix(v.Path, "repro/internal/")
+		if v.Test || !ok || testHelperPackages[path.Base(rest)] {
+			continue
+		}
+		scope := v.Pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || hasTag(st) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = &field{name: v.Pkg.Name() + "." + tn.Name() + "." + f.Name(), owner: tn}
+					order = append(order, f)
+				}
+			}
+		}
+	}
+	for _, v := range views {
+		if v.Test {
+			continue
+		}
+		for _, f := range v.Files {
+			// methods holds each method's span and its receiver's type name,
+			// so a write from inside a method of the field's own type is
+			// skipped.
+			type span struct {
+				pos, end token.Pos
+				recv     *types.TypeName
+			}
+			var methods []span
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					if named := receiverNamed(v.Info.Defs[fd.Name].(*types.Func)); named != nil {
+						methods = append(methods, span{fd.Pos(), fd.End(), named.Obj()})
+					}
+				}
+			}
+			mark := func(fv *types.Var) {
+				if fld := fields[fv.Origin()]; fld != nil {
+					fld.set = true
+				}
+			}
+			// markSelected marks the field a written operand selects, unless
+			// the write sits in a method of the field's own type.
+			markSelected := func(e ast.Expr) {
+				sel, ok := peelLHS(e).(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				s := v.Info.Selections[sel]
+				if s == nil || s.Kind() != types.FieldVal {
+					return
+				}
+				fv := s.Obj().(*types.Var)
+				if fld := fields[fv.Origin()]; fld != nil {
+					for _, m := range methods {
+						if m.recv == fld.owner && sel.Pos() >= m.pos && sel.Pos() < m.end {
+							return
+						}
+					}
+				}
+				mark(fv)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := v.Info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+						for _, e := range n.Elts {
+							if fv, ok := v.Info.Uses[e.(*ast.KeyValueExpr).Key.(*ast.Ident)].(*types.Var); ok {
+								mark(fv)
+							}
+						}
+						break
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						mark(st.Field(i))
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						markSelected(lhs)
+					}
+				case *ast.IncDecStmt:
+					markSelected(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						markSelected(n.X)
+					}
+				case *ast.CallExpr:
+					sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+					if !ok {
+						break
+					}
+					s := v.Info.Selections[sel]
+					if s == nil || s.Kind() != types.MethodVal {
+						break
+					}
+					if _, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+						markSelected(sel.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	fset := views[0].Fset
+	seen := map[string]bool{}
+	for _, fv := range order {
+		fld := fields[fv]
+		seen[fld.name] = true
+		_, kept := keptUnset[fld.name]
+		switch {
+		case fld.set && kept:
+			t.Errorf("%s is listed as kept unset, but a non-test file writes it: drop it from keptUnset", fld.name)
+		case !fld.set && !kept:
+			t.Errorf("%s: %s is written by no non-test file: delete it, or list it in keptUnset with its reason",
+				where(dir, fset.Position(fv.Pos())), fld.name)
+		}
+	}
+	for name := range keptUnset {
+		if !seen[name] {
+			t.Errorf("keptUnset lists %s, which is not an exported field of internal/...", name)
+		}
+	}
+}
+
+// hasTag reports whether any field of st carries a struct tag.
+func hasTag(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Tag(i) != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// receiverNamed is the named type fn is a method of, through a pointer and
+// a generic instantiation.
+func receiverNamed(fn *types.Func) *types.Named {
+	typ := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	named, _ := typ.(*types.Named)
+	return named
+}
+
+// peelLHS strips the index, star and paren expressions around a written
+// operand, so a[i].F, *p.F and (x.F) all reach their selector.
+func peelLHS(e ast.Expr) ast.Expr {
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return e
+		}
+	}
 }
 
 // testHelperPackages exist to be called from tests.

@@ -144,7 +144,7 @@ func diff(w io.Writer, refA, refB string, workers int) error {
 		if err != nil {
 			return whatif.Report{}, err
 		}
-		return r.Assess(data.Source(), whatif.Weights{})
+		return r.Assess(data.Source())
 	}
 	repA, err := assess(ra)
 	if err != nil {

@@ -28,7 +28,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,8 +81,18 @@ func parseFlags(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	if o.nodes <= 0 {
-		return o, errors.New("streamd: -nodes must be positive")
+	// The pipeline and the serving kernel map a bound <= 0 to their
+	// default; refuse one here rather than run on a value nobody asked for.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"nodes", int64(o.nodes)}, {"step", o.stepSec}, {"lateness", o.lateness}, {"queue", int64(o.queue)},
+		{"timeout", int64(o.timeout)}, {"max-concurrent", int64(o.maxConcurrent)},
+	} {
+		if f.v <= 0 {
+			return o, fmt.Errorf("streamd: -%s must be positive", f.name)
+		}
 	}
 	return o, nil
 }

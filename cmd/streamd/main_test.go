@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,8 +21,14 @@ func TestParseFlags(t *testing.T) {
 	if o.nodes != 72 || o.stepSec != 10 || o.lateness != 5 || o.queue != 256 {
 		t.Errorf("defaults = %+v", o)
 	}
-	if _, err := parseFlags([]string{"-nodes", "0"}); err == nil {
-		t.Error("zero nodes accepted")
+	// A bound <= 0 is refused, naming its flag, not replaced by a default.
+	for _, bad := range [][]string{
+		{"-nodes", "0"}, {"-step", "0"}, {"-lateness", "0"}, {"-lateness", "-5"}, {"-queue", "0"},
+		{"-timeout", "0s"}, {"-max-concurrent", "0"},
+	} {
+		if _, err := parseFlags(bad); err == nil || !strings.Contains(err.Error(), bad[0]+" ") {
+			t.Errorf("%s %s: err = %v, want a refusal naming %s", bad[0], bad[1], err, bad[0])
+		}
 	}
 	if _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
 		t.Error("unknown flag accepted")

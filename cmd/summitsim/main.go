@@ -284,7 +284,7 @@ func archiveRun(w io.Writer, dir, prefix string, r *scenario.Resolved, data *cor
 	}
 	// Provenance goes last, so a run refused above leaves the previous
 	// run's record beside the previous run's datasets.
-	rep, err := r.Assess(data.Source(), whatif.Weights{})
+	rep, err := r.Assess(data.Source())
 	if err != nil {
 		return err
 	}

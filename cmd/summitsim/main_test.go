@@ -143,7 +143,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.Assess(data.Source(), whatif.Weights{})
+	want, err := r.Assess(data.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

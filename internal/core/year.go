@@ -30,9 +30,6 @@ type YearSurveyConfig struct {
 	SpanPerMonthSec int64
 	// Jobs per month sample.
 	Jobs int
-	// Workers bounds the month-level parallelism (months are independent
-	// simulations; 0 = GOMAXPROCS).
-	Workers int
 }
 
 // YearSurvey reproduces the seasonal structure of Figure 5 by simulating a
@@ -52,7 +49,7 @@ func YearSurvey(cfg YearSurveyConfig) ([]MonthlyTrend, error) {
 	const yearStart = 1_577_836_800 // 2020-01-01 UTC
 	// Mid-month day-of-year offsets for 2020 (leap year).
 	midDay := [12]int{15, 45, 75, 106, 136, 167, 197, 228, 259, 289, 320, 350}
-	trends, err := parallel.MapErr(12, cfg.Workers, func(m int) (MonthlyTrend, error) {
+	trends, err := parallel.MapErr(12, 0, func(m int) (MonthlyTrend, error) {
 		scfg := sim.Config{
 			Seed:             cfg.Seed + uint64(m),
 			Nodes:            cfg.Nodes,

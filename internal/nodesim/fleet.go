@@ -34,7 +34,6 @@ type Fleet struct {
 
 	// Precomputed heat-pickup denominators: W / denom = °C rise.
 	loopDenom []float64 // n, per-CPU-loop flow (FlowGPM/2)
-	nodeDenom []float64 // n, whole-node flow (FlowGPM)
 
 	// Precomputed decay factors exp(-stepSec/τ) per component.
 	gpuDecay    []float64 // n×GPUsPerNode, core
@@ -45,7 +44,6 @@ type Fleet struct {
 	gpuCore []float64 // n×GPUsPerNode
 	gpuMem  []float64 // n×GPUsPerNode
 	cpu     []float64 // n×CPUsPerNode
-	returnC []float64 // n, water return temperature after the last step
 }
 
 // NewFleet builds the fleet state for the given per-node variations, a
@@ -60,14 +58,12 @@ func NewFleet(vars []Variation, stepSec float64, supplyC units.Celsius) *Fleet {
 		cpuRth:       make([]float64, n*units.CPUsPerNode),
 		supplyOffset: make([]float64, n),
 		loopDenom:    make([]float64, n),
-		nodeDenom:    make([]float64, n),
 		gpuDecay:     make([]float64, n*units.GPUsPerNode),
 		gpuMemDecay:  make([]float64, n*units.GPUsPerNode),
 		cpuDecay:     make([]float64, n*units.CPUsPerNode),
 		gpuCore:      make([]float64, n*units.GPUsPerNode),
 		gpuMem:       make([]float64, n*units.GPUsPerNode),
 		cpu:          make([]float64, n*units.CPUsPerNode),
-		returnC:      make([]float64, n),
 	}
 	for i, v := range vars {
 		for g := 0; g < units.GPUsPerNode; g++ {
@@ -81,7 +77,6 @@ func NewFleet(vars []Variation, stepSec float64, supplyC units.Celsius) *Fleet {
 		}
 		f.supplyOffset[i] = v.SupplyOffsetC
 		f.loopDenom[i] = pickupDenom(units.GPM(v.FlowGPM / 2))
-		f.nodeDenom[i] = pickupDenom(units.GPM(v.FlowGPM))
 	}
 	idle := workload.IdleNodePower()
 	for i := 0; i < n; i++ {
@@ -138,7 +133,6 @@ func (f *Fleet) step(i int, p *workload.NodePower, supplyC units.Celsius,
 	gbase, cbase := i*units.GPUsPerNode, i*units.CPUsPerNode
 	inlet := float64(supplyC) + f.supplyOffset[i]
 	loopDenom := f.loopDenom[i]
-	var totalPickup float64
 	for cpu := 0; cpu < units.CPUsPerNode; cpu++ {
 		water := inlet
 		// CPU cold plate first.
@@ -156,11 +150,7 @@ func (f *Fleet) step(i int, p *workload.NodePower, supplyC units.Celsius,
 			f.gpuMem[gbase+g] = relaxDecay(f.gpuMem[gbase+g], eqMem, gpuMemDecay[g])
 			water += gp / loopDenom
 		}
-		totalPickup += water - inlet
 	}
-	// Other (air-cooled via rear-door HX) heat also reaches the loop.
-	otherPickup := float64(p.Other) / f.nodeDenom[i]
-	f.returnC[i] = inlet + totalPickup/2 + otherPickup
 }
 
 // gpusPerLoop is the number of GPUs on each CPU socket's water loop.

@@ -71,8 +71,6 @@ type State struct {
 	gpuCore [units.GPUsPerNode]float64 // °C
 	gpuMem  [units.GPUsPerNode]float64
 	cpu     [units.CPUsPerNode]float64
-	// lastReturnC caches the node's water return temperature.
-	lastReturnC float64
 }
 
 // NewState returns a node initialized to thermal equilibrium at idle with
@@ -96,7 +94,6 @@ func (s *State) Step(dt float64, p workload.NodePower, supplyC units.Celsius) {
 func (s *State) step(dt float64, p workload.NodePower, supplyC units.Celsius) {
 	inlet := float64(supplyC) + s.v.SupplyOffsetC
 	loopFlow := units.GPM(s.v.FlowGPM / 2)
-	var totalPickup float64
 	for cpu := 0; cpu < units.CPUsPerNode; cpu++ {
 		water := inlet
 		// CPU cold plate first.
@@ -113,11 +110,7 @@ func (s *State) step(dt float64, p workload.NodePower, supplyC units.Celsius) {
 			s.gpuMem[g] = relax(s.gpuMem[g], eqMem, dt, s.v.GPUTau[g]*1.3)
 			water += float64(units.WaterHeatPickup(units.Watts(gp), loopFlow))
 		}
-		totalPickup += water - inlet
 	}
-	// Other (air-cooled via rear-door HX) heat also reaches the loop.
-	otherPickup := float64(units.WaterHeatPickup(p.Other, units.GPM(s.v.FlowGPM)))
-	s.lastReturnC = inlet + totalPickup/2 + otherPickup
 }
 
 // relax moves cur toward eq with first-order dynamics.
@@ -142,9 +135,6 @@ func (s *State) GPUMemTemp(g topology.GPUSlot) units.Celsius {
 func (s *State) CPUTemp(c topology.CPUSocket) units.Celsius {
 	return units.Celsius(s.cpu[c])
 }
-
-// ReturnTemp returns the node's water return temperature from the last step.
-func (s *State) ReturnTemp() units.Celsius { return units.Celsius(s.lastReturnC) }
 
 // MaxGPUCoreTemp returns the hottest GPU core on the node.
 func (s *State) MaxGPUCoreTemp() units.Celsius {

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/whatif"
 )
 
 // TestGoldenCatalogReports pins every catalog scenario by its full
@@ -32,7 +30,7 @@ func TestGoldenCatalogReports(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			rep, err := r.Assess(d.Source(), whatif.Weights{})
+			rep, err := r.Assess(d.Source())
 			if err != nil {
 				t.Fatalf("assess: %v", err)
 			}

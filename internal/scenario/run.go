@@ -24,11 +24,8 @@ func Run(r *Resolved, workers int) (*core.RunData, *sim.Result, error) {
 // the scenario's identity. It is pure FromSource (whatif.AssessSource), so
 // the report is byte-identical whether computed from the live run's memory
 // source or from the archive it was written to.
-func (r *Resolved) Assess(src source.RunSource, w whatif.Weights) (whatif.Report, error) {
-	if w == (whatif.Weights{}) {
-		w = whatif.DefaultWeights()
-	}
-	rep, err := whatif.AssessSource(src, w)
+func (r *Resolved) Assess(src source.RunSource) (whatif.Report, error) {
+	rep, err := whatif.AssessSource(src, whatif.DefaultWeights())
 	if err != nil {
 		return rep, err
 	}

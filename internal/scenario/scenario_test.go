@@ -347,11 +347,11 @@ func TestRunArchiveParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run workers=4: %v", err)
 	}
-	rep1, err := r.Assess(d1.Source(), whatif.Weights{})
+	rep1, err := r.Assess(d1.Source())
 	if err != nil {
 		t.Fatalf("assess memory: %v", err)
 	}
-	rep4, err := r.Assess(d4.Source(), whatif.Weights{})
+	rep4, err := r.Assess(d4.Source())
 	if err != nil {
 		t.Fatalf("assess workers=4: %v", err)
 	}
@@ -374,7 +374,7 @@ func TestRunArchiveParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open archive: %v", err)
 	}
-	repA, err := r.Assess(arch, whatif.Weights{})
+	repA, err := r.Assess(arch)
 	if err != nil {
 		t.Fatalf("assess archive: %v", err)
 	}

@@ -71,9 +71,6 @@ type Policy struct {
 	CapSchedule []CapStep
 	// Placement selects the node-placement strategy.
 	Placement Placement
-	// EstimateNodePower predicts a job's per-node draw for admission;
-	// nil selects DefaultNodePowerEstimate.
-	EstimateNodePower func(j *workload.Job) units.Watts
 }
 
 // Validate checks the policy's bounds with ErrPolicy-wrapped errors.
@@ -129,12 +126,8 @@ func DefaultNodePowerEstimate(j *workload.Job) units.Watts {
 }
 
 // estimate returns the job's whole-allocation power estimate.
-func (p *Policy) estimate(j *workload.Job) units.Watts {
-	fn := p.EstimateNodePower
-	if fn == nil {
-		fn = DefaultNodePowerEstimate
-	}
-	return units.Watts(float64(fn(j)) * float64(j.Nodes))
+func estimate(j *workload.Job) units.Watts {
+	return units.Watts(float64(DefaultNodePowerEstimate(j)) * float64(j.Nodes))
 }
 
 // ScheduleWithPolicy is Schedule with power-aware admission, cap
@@ -202,7 +195,7 @@ func ScheduleWithPolicy(jobs []workload.Job, nodes int, policy Policy) (*Result,
 				return
 			}
 			j := queue[i]
-			est := float64(policy.estimate(&j))
+			est := float64(estimate(&j))
 			idleShare := float64(workload.IdleNodePower().Total()) * float64(j.Nodes)
 			dynamic := est - idleShare
 			if dynamic < 0 {
@@ -268,7 +261,7 @@ func ScheduleWithPolicy(jobs []workload.Job, nodes int, policy Policy) (*Result,
 			j := jobs[next]
 			next++
 			idleShare := float64(workload.IdleNodePower().Total()) * float64(j.Nodes)
-			dynamic := float64(policy.estimate(&j)) - idleShare
+			dynamic := float64(estimate(&j)) - idleShare
 			// Under a constant cap an over-budget job can never start;
 			// under a schedule a later step may admit it, so it queues.
 			if j.Nodes > nodes || (!hasSchedule && dynamic > headroomAt(now)) {
@@ -298,16 +291,4 @@ func finalizeResult(res *Result) {
 		}
 		res.SpanSec = last - first
 	}
-}
-
-// MeanWaitSec returns the average queue wait across allocations.
-func (r *Result) MeanWaitSec() float64 {
-	if len(r.Allocations) == 0 {
-		return 0
-	}
-	var sum int64
-	for i := range r.Allocations {
-		sum += r.Allocations[i].WaitSec()
-	}
-	return float64(sum) / float64(len(r.Allocations))
 }

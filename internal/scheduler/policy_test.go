@@ -136,22 +136,6 @@ func TestScheduleWithPolicyErrors(t *testing.T) {
 	}
 }
 
-func TestMeanWaitSec(t *testing.T) {
-	jobs := []workload.Job{mkJob(1, 0, 8, 100), mkJob(2, 10, 8, 50)}
-	res, err := Schedule(jobs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Job 2 waits 90 s; job 1 waits 0.
-	if w := res.MeanWaitSec(); w != 45 {
-		t.Errorf("mean wait = %v, want 45", w)
-	}
-	empty := &Result{}
-	if empty.MeanWaitSec() != 0 {
-		t.Error("empty result wait must be 0")
-	}
-}
-
 func TestPolicyNoDoubleBooking(t *testing.T) {
 	var jobs []workload.Job
 	for i := int64(0); i < 40; i++ {

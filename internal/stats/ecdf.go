@@ -138,60 +138,3 @@ func (b BoxPlot) NonOutlierSpread() float64 {
 	}
 	return b.Hi - b.Lo
 }
-
-// Histogram is a fixed-width binned count of a sample.
-type Histogram struct {
-	Lo, Hi float64 // range covered
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples above Hi
-	N      int // total including under/overflow
-}
-
-// NewHistogram bins xs into k equal-width bins over [lo, hi).
-// It panics if k <= 0 or hi <= lo (programming errors, not data errors).
-func NewHistogram(xs []float64, lo, hi float64, k int) *Histogram {
-	if k <= 0 {
-		panic("stats: histogram with k <= 0 bins")
-	}
-	if hi <= lo {
-		panic("stats: histogram with hi <= lo")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, k)}
-	w := (hi - lo) / float64(k)
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		h.N++
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			i := int((x - lo) / w)
-			if i >= k { // float edge case at the top boundary
-				i = k - 1
-			}
-			h.Counts[i]++
-		}
-	}
-	return h
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density returns the normalized density value of bin i (integrates to the
-// in-range fraction of the sample).
-func (h *Histogram) Density(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.N) * w)
-}

@@ -187,46 +187,3 @@ func TestBoxPlotInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 9.99, -1, 10, math.NaN()}
-	h := NewHistogram(xs, 0, 10, 10)
-	if h.N != 9 {
-		t.Errorf("N = %d, want 9 (NaN dropped)", h.N)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("under/over = %d/%d, want 1/1", h.Under, h.Over)
-	}
-	if h.Counts[0] != 1 || h.Counts[9] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Errorf("bin center = %v", c)
-	}
-	// Density integrates to in-range fraction: 7/9.
-	total := 0.0
-	for i := range h.Counts {
-		total += h.Density(i) * 1.0 // bin width 1
-	}
-	if !approx(total, 7.0/9.0, 1e-12) {
-		t.Errorf("density integral = %v, want 7/9", total)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(nil, 0, 10, 0) },
-		func() { NewHistogram(nil, 10, 10, 5) },
-		func() { NewHistogram(nil, 11, 10, 5) },
-	} {
-		fn := fn
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -130,32 +130,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// ZScores returns (x-mean)/std for every element. If the standard deviation
-// is zero, all scores are zero. This is the thermal-extremity metric of
-// paper §6.1.
-func ZScores(xs []float64) []float64 {
-	m := Summarize(xs)
-	out := make([]float64, len(xs))
-	sd := m.Std()
-	if sd == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m.Mean()) / sd
-	}
-	return out
-}
-
-// ZScore returns the z-score of x within the population xs.
-func ZScore(x float64, xs []float64) float64 {
-	m := Summarize(xs)
-	sd := m.Std()
-	if sd == 0 {
-		return 0
-	}
-	return (x - m.Mean()) / sd
-}
-
 // MeanCI returns the mean of xs and the half-width of its normal-theory
 // confidence interval at the given z (1.96 ⇒ 95%), used by the snapshot
 // superposition plots (paper Figures 11–12).

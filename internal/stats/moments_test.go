@@ -154,36 +154,6 @@ func TestMomentsReset(t *testing.T) {
 	}
 }
 
-func TestZScores(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // mean 5, std 2
-	zs := ZScores(xs)
-	if !approx(zs[0], -1.5, 1e-12) {
-		t.Errorf("z[0] = %v, want -1.5", zs[0])
-	}
-	if !approx(zs[7], 2, 1e-12) {
-		t.Errorf("z[7] = %v, want 2", zs[7])
-	}
-	// Mean of z-scores is zero.
-	if m := Mean(zs); !approx(m, 0, 1e-12) {
-		t.Errorf("mean z = %v", m)
-	}
-	if z := ZScore(9, xs); !approx(z, 2, 1e-12) {
-		t.Errorf("ZScore(9) = %v, want 2", z)
-	}
-}
-
-func TestZScoresConstant(t *testing.T) {
-	zs := ZScores([]float64{5, 5, 5})
-	for _, z := range zs {
-		if z != 0 {
-			t.Fatal("constant sample must give zero z-scores")
-		}
-	}
-	if ZScore(7, []float64{5, 5}) != 0 {
-		t.Error("constant population z-score must be 0")
-	}
-}
-
 func TestMeanCI(t *testing.T) {
 	xs := make([]float64, 400)
 	for i := range xs {

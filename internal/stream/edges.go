@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/units"
 )
 
 // Edges runs the §4 edge analysis, core.EdgeDetector, over the fleet power
@@ -19,8 +20,9 @@ type Edges struct {
 }
 
 func newEdges(cfg Config) *Edges {
-	e := &Edges{ring: make([]*core.Edge, cfg.MaxEdges)}
-	e.det = core.NewEdgeDetector(cfg.edgeThreshold(), func(edge *core.Edge) {
+	e := &Edges{ring: make([]*core.Edge, ringDepth)}
+	// The paper's edge threshold: 868 W per node of the system.
+	e.det = core.NewEdgeDetector(float64(units.EdgeThresholdPerNode)*float64(cfg.Nodes), func(edge *core.Edge) {
 		// Overwrites the oldest once full; a pending duration scan keeps
 		// its pointer and harmlessly resolves the evicted edge.
 		e.ring[e.total%int64(len(e.ring))] = edge

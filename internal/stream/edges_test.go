@@ -9,17 +9,32 @@ import (
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/tsagg"
+	"repro/internal/units"
 )
+
+// threshold is the live plane's edge threshold for a one-node pipeline:
+// the paper's 868 W per node.
+const threshold = float64(units.EdgeThresholdPerNode)
+
+// scaled multiplies every value of s by threshold/was, so a fixture written
+// against a threshold of was crosses the live plane's threshold where it
+// crossed its own.
+func scaled(s *tsagg.Series, was float64) *tsagg.Series {
+	for i := range s.Vals {
+		s.Vals[i] *= threshold / was
+	}
+	return s
+}
 
 // liveEdges feeds s to a one-node pipeline — one input-power sample per
 // value, none for a NaN slot, which becomes a gap frame — and returns the
 // edges the live plane found, durations resolved. s must start with a
 // value: the pipeline's first frame is its first data.
-func liveEdges(t *testing.T, s *tsagg.Series, threshold float64) []core.Edge {
+func liveEdges(t *testing.T, s *tsagg.Series) []core.Edge {
 	t.Helper()
 	p, err := stream.NewPipeline(stream.Config{
 		Nodes: 1, StartTime: s.Start, StepSec: s.Step, Shards: 1,
-		QueueDepth: s.Len() + 1, EdgeThresholdW: threshold, MaxEdges: s.Len(),
+		QueueDepth: s.Len() + 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +74,6 @@ func sameEdges(t *testing.T, label string, got, want []core.Edge) {
 // durations.
 func TestEdgeDetectorParity(t *testing.T) {
 	r := rng.New(42)
-	const threshold = 50.0
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + r.IntN(120)
 		s := tsagg.NewSeries(1000, 10, n)
@@ -77,7 +91,8 @@ func TestEdgeDetectorParity(t *testing.T) {
 			}
 			s.Vals[i] = level + r.Uniform(-5, 5)
 		}
-		sameEdges(t, "trial", liveEdges(t, s, threshold), refDetectEdges(s, threshold))
+		scaled(s, 50)
+		sameEdges(t, "trial", liveEdges(t, s), refDetectEdges(s, threshold))
 	}
 }
 
@@ -94,9 +109,9 @@ func TestEdgeDetectorMergesAndBreaks(t *testing.T) {
 		200, 600, 210, // spike: rising then falling from the breaking delta
 		205, 200,
 	}
-	s := &tsagg.Series{Start: 0, Step: 10, Vals: vals}
-	got := liveEdges(t, s, 150)
-	sameEdges(t, "crafted", got, refDetectEdges(s, 150))
+	s := scaled(&tsagg.Series{Start: 0, Step: 10, Vals: vals}, 150)
+	got := liveEdges(t, s)
+	sameEdges(t, "crafted", got, refDetectEdges(s, threshold))
 	// Sanity on the scenario itself: at least one merged rising edge and
 	// one resolved duration.
 	var sawMerged, sawResolved bool
@@ -117,9 +132,9 @@ func TestEdgeDetectorMergesAndBreaks(t *testing.T) {
 // stream end is emitted with duration -1, as the batch detector does for
 // a series ending mid-edge.
 func TestEdgeDetectorFlushEmitsOpenEdge(t *testing.T) {
-	s := &tsagg.Series{Start: 0, Step: 10, Vals: []float64{100, 400, 700}}
-	got := liveEdges(t, s, 150)
-	sameEdges(t, "open", got, refDetectEdges(s, 150))
+	s := scaled(&tsagg.Series{Start: 0, Step: 10, Vals: []float64{100, 400, 700}}, 150)
+	got := liveEdges(t, s)
+	sameEdges(t, "open", got, refDetectEdges(s, threshold))
 	if len(got) != 1 || got[0].DurationSec != -1 {
 		t.Errorf("got %+v, want one open edge with duration -1", got)
 	}

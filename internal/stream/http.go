@@ -25,10 +25,6 @@ type ServeConfig struct {
 	MaxConcurrent int
 }
 
-// maxRollupWindows bounds the windows one rollup response may carry: the
-// default depth of the rollup ring (Config.MaxWindows).
-const maxRollupWindows = 4096
-
 // handler serves the live JSON API over a Pipeline: the routes on its mux,
 // each behind the kernel's guard.
 type handler struct {
@@ -149,8 +145,8 @@ func (h *handler) rollup(ctx context.Context, q url.Values) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if limit <= 0 || limit > maxRollupWindows {
-		limit = maxRollupWindows
+	if limit <= 0 || limit > ringDepth {
+		limit = ringDepth
 	}
 	out := &rollupReply{group: group}
 	switch group {

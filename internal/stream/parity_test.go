@@ -59,8 +59,6 @@ func TestBatchStreamParity(t *testing.T) {
 		StartTime:  cfg.StartTime,
 		StepSec:    cfg.StepSec,
 		QueueDepth: 4096,
-		MaxWindows: 8192,
-		MaxEdges:   8192,
 	})
 	if err != nil {
 		t.Fatal(err)

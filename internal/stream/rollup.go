@@ -26,18 +26,17 @@ type Rollup struct {
 	floor    *topology.Floor
 	msbs     int
 	cabinets int
-	max      int
 	step     int64
 	// The ring: window k of the stream (k counts from 0) lives in slot
-	// k % max, its cabinet sums at cab[slot*cabinets:] and its MSB sums at
-	// msb[slot*msbs:]. The backing doubles until it holds max slots (a
-	// short run never pays for 4096 windows); from then on nothing moves
-	// and nothing is allocated.
+	// k % ringDepth, its cabinet sums at cab[slot*cabinets:] and its MSB
+	// sums at msb[slot*msbs:]. The backing doubles until it holds ringDepth
+	// slots (a short run never pays for all of them); from then on nothing
+	// moves and nothing is allocated.
 	ring    []rollupSlot
 	cab     []float64
 	msb     []float64
 	energyJ float64 // Σ fleet power × step over observed windows
-	windows int64   // windows applied; the ring holds the last min(windows, max)
+	windows int64   // windows applied; the ring holds the last min(windows, ringDepth)
 }
 
 // rollupSlot is a ring entry without its per-group sums.
@@ -55,16 +54,15 @@ func newRollup(cfg Config) *Rollup {
 		floor:    floor,
 		msbs:     floor.MSBs(),
 		cabinets: floor.Cabinets(),
-		max:      cfg.MaxWindows,
 		step:     cfg.StepSec,
 	}
 }
 
-// grow doubles the ring's backing, up to max slots. Only called while the
-// ring has not wrapped, so slot k still holds window k and a plain copy
+// grow doubles the ring's backing, up to ringDepth slots. Only called while
+// the ring has not wrapped, so slot k still holds window k and a plain copy
 // keeps every window in place.
 func (r *Rollup) grow() {
-	n := min(r.max, max(16, 2*len(r.ring)))
+	n := min(ringDepth, max(16, 2*len(r.ring)))
 	r.ring = append(make([]rollupSlot, 0, n), r.ring...)[:n]
 	r.cab = append(make([]float64, 0, n*r.cabinets), r.cab...)[:n*r.cabinets]
 	r.msb = append(make([]float64, 0, n*r.msbs), r.msb...)[:n*r.msbs]
@@ -77,7 +75,7 @@ func (r *Rollup) Name() string { return "rollup" }
 //
 //lint:detroot
 func (r *Rollup) Apply(f *Frame) {
-	slot := int(r.windows % int64(r.max))
+	slot := int(r.windows % ringDepth)
 	if slot == len(r.ring) {
 		r.grow()
 	}
@@ -129,7 +127,7 @@ type RollupSnapshot struct {
 // snapshotLocked copies up to limit most-recent windows (limit <= 0: all
 // retained) in ascending time. Caller holds the pipeline snapshot lock.
 func (r *Rollup) snapshotLocked(limit int) RollupSnapshot {
-	n := int(min(r.windows, int64(r.max)))
+	n := int(min(r.windows, ringDepth))
 	if limit > 0 && n > limit {
 		n = limit
 	}
@@ -145,7 +143,7 @@ func (r *Rollup) snapshotLocked(limit int) RollupSnapshot {
 	// are capped so an append by the caller cannot reach its neighbour.
 	sums := make([]float64, n*(r.cabinets+r.msbs))
 	for i := range out.Recent {
-		slot := int((r.windows - int64(n-i)) % int64(r.max))
+		slot := int((r.windows - int64(n-i)) % ringDepth)
 		w := r.ring[slot]
 		cab, rest := sums[:r.cabinets:r.cabinets], sums[r.cabinets:]
 		msb := rest[:r.msbs:r.msbs]

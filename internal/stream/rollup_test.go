@@ -17,21 +17,21 @@ func powerFrame(f *Frame, k int) *Frame {
 	return f
 }
 
-// TestRollupRingWraps: once MaxWindows frames have been applied the ring
+// TestRollupRingWraps: once ringDepth frames have been applied the ring
 // overwrites in place, and a snapshot is still the last windows in
 // ascending time, deep-copied, for every limit.
 func TestRollupRingWraps(t *testing.T) {
-	const max, frames = 8, 50
-	r := newRollup(Config{Nodes: 2, StepSec: 10, MaxWindows: max}.withDefaults())
+	const max, frames, gap = ringDepth, ringDepth + 42, ringDepth + 39
+	r := newRollup(Config{Nodes: 2, StepSec: 10}.withDefaults())
 	var f Frame
 	for k := 0; k < frames; k++ {
-		if k == 47 { // a gap frame inside the retained range
-			r.Apply(&Frame{Start: 470, Step: 10, NodePower: make([]tsagg.WindowStat, 2)})
+		if k == gap { // a gap frame inside the retained range
+			r.Apply(&Frame{Start: gap * 10, Step: 10, NodePower: make([]tsagg.WindowStat, 2)})
 			continue
 		}
 		r.Apply(powerFrame(&f, k))
 	}
-	for _, limit := range []int{0, 3, 8, 100} {
+	for _, limit := range []int{0, 3, 8, max + 100} {
 		want := max
 		if limit > 0 && limit < max {
 			want = limit
@@ -43,7 +43,7 @@ func TestRollupRingWraps(t *testing.T) {
 		for i, w := range snap.Recent {
 			k := frames - want + i
 			fleet := float64(3 * k)
-			if k == 47 {
+			if k == gap {
 				fleet = math.NaN()
 			}
 			if w.T != int64(k)*10 || math.Float64bits(w.FleetW) != math.Float64bits(fleet) ||
@@ -64,7 +64,7 @@ func TestRollupRingWraps(t *testing.T) {
 	}
 	wantJ := 0.0
 	for k := 0; k < frames; k++ {
-		if k != 47 {
+		if k != gap {
 			wantJ += float64(3*k) * 10
 		}
 	}
@@ -76,28 +76,29 @@ func TestRollupRingWraps(t *testing.T) {
 // TestRollupApplyOnAFullRingDoesNotAllocate: the ring neither shifts nor
 // allocates per frame.
 func TestRollupApplyOnAFullRingDoesNotAllocate(t *testing.T) {
-	r := newRollup(Config{Nodes: 2, StepSec: 10, MaxWindows: 8}.withDefaults())
+	r := newRollup(Config{Nodes: 2, StepSec: 10}.withDefaults())
 	var f Frame
-	for k := 0; k < 20; k++ {
+	k := 0
+	for ; k < ringDepth+12; k++ {
 		r.Apply(powerFrame(&f, k))
 	}
-	k := 20
 	if allocs := testing.AllocsPerRun(100, func() { r.Apply(powerFrame(&f, k)); k++ }); allocs != 0 {
 		t.Errorf("Apply on a full ring allocates %.0f times, want 0", allocs)
 	}
 }
 
-// TestEdgesRingWraps: the edge ring keeps the newest MaxEdges edges in
+// TestEdgesRingWraps: the edge ring keeps the newest ringDepth edges in
 // detection order and the lifetime total.
 func TestEdgesRingWraps(t *testing.T) {
-	const max, swings = 8, 25
-	e := newEdges(Config{Nodes: 1, EdgeThresholdW: 100, MaxEdges: max}.withDefaults())
-	// A square wave: every step is an edge, closed by the next one.
+	const max, swings = ringDepth, ringDepth + 17
+	e := newEdges(Config{Nodes: 1}.withDefaults())
+	// A square wave over the one node's 868 W threshold: every step is an
+	// edge, closed by the next one.
 	for k := 0; k <= swings; k++ {
 		e.det.Push(int64(k)*10, float64(k%2)*1000)
 	}
 	e.Flush()
-	for _, limit := range []int{0, 3, 8, 100} {
+	for _, limit := range []int{0, 3, 8, max + 100} {
 		want := max
 		if limit > 0 && limit < max {
 			want = limit

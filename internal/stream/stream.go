@@ -60,13 +60,6 @@ type Config struct {
 	// behind their shard's newest timestamp are dropped (<= 0: the
 	// paper's 5 s maximum telemetry timestamp delay).
 	LatenessSec int64
-	// EdgeThresholdW overrides the edge-detection threshold in watts
-	// (<= 0: 868 W × Nodes, the paper's per-node definition).
-	EdgeThresholdW float64
-	// MaxWindows bounds the rollup ring (<= 0: 4096).
-	MaxWindows int
-	// MaxEdges bounds the retained edge ring (<= 0: 4096).
-	MaxEdges int
 	// Extra appends additional operators to the built-in chain.
 	Extra []Operator
 }
@@ -87,21 +80,12 @@ func (c Config) withDefaults() Config {
 	if c.LatenessSec <= 0 {
 		c.LatenessSec = int64(units.MaxTimestampDelaySec)
 	}
-	if c.MaxWindows <= 0 {
-		c.MaxWindows = 4096
-	}
-	if c.MaxEdges <= 0 {
-		c.MaxEdges = 4096
-	}
 	return c
 }
 
-func (c Config) edgeThreshold() float64 {
-	if c.EdgeThresholdW > 0 {
-		return c.EdgeThresholdW
-	}
-	return float64(units.EdgeThresholdPerNode) * float64(c.Nodes)
-}
+// ringDepth is how many windows the rollup ring and how many edges the
+// edge ring retain, and so the most windows one rollup reply may carry.
+const ringDepth = 4096
 
 // nodeStat is one node's finalized power window inside a shard message.
 type nodeStat struct {

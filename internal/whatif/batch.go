@@ -14,8 +14,6 @@ type Options struct {
 	// reports are bit-identical for every worker count: each scenario's
 	// evaluation is independent and writes only its own slot.
 	Workers int
-	// Weights scores each report; the zero value selects DefaultWeights.
-	Weights Weights
 	// IndependentStreams gives every scenario its own derived-seed
 	// weather/workload/failure streams instead of the default paired
 	// evaluation (all scenarios share the base config's streams, so knob
@@ -25,13 +23,6 @@ type Options struct {
 	// Off by default: the objective's failure term then reads 0 and
 	// sweeps run faster, matching the power-cap experiment's practice.
 	KeepFailures bool
-}
-
-func (o Options) weights() Weights {
-	if o.Weights == (Weights{}) {
-		return DefaultWeights()
-	}
-	return o.Weights
 }
 
 // Evaluate runs every scenario against the base configuration and
@@ -74,7 +65,7 @@ func Evaluate(base sim.Config, scns []Scenario, opt Options) ([]Report, error) {
 		}
 		cfgs[i] = cfg
 	}
-	weights := opt.weights()
+	weights := DefaultWeights()
 	return runPaired(cfgs, opt.Workers, func(i int, d *core.RunData, res *sim.Result) (Report, error) {
 		return Assess(d, res, scns[i], seeds[i], weights)
 	})

@@ -139,10 +139,6 @@ type GenConfig struct {
 	MaxNodes int
 	// Projects per domain (used to build project labels).
 	ProjectsPerDomain int
-	// DiurnalAmplitude in [0, 1) modulates submit density over the day:
-	// 0 = uniform arrivals; 0.5 = mid-afternoon submissions ~3x the
-	// overnight rate, matching production submit patterns.
-	DiurnalAmplitude float64
 }
 
 // Validate checks the configuration.
@@ -159,9 +155,6 @@ func (c GenConfig) Validate() error {
 	if c.ProjectsPerDomain <= 0 {
 		return fmt.Errorf("workload: non-positive projects per domain %d", c.ProjectsPerDomain)
 	}
-	if c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1 {
-		return fmt.Errorf("workload: diurnal amplitude %v outside [0, 1)", c.DiurnalAmplitude)
-	}
 	return nil
 }
 
@@ -174,12 +167,10 @@ func Generate(cfg GenConfig) ([]Job, error) {
 	rs := root.Split("jobgen")
 	arch := Archetypes()
 	jobs := make([]Job, cfg.Jobs)
-	// Uniform order statistics over the span give Poisson-like arrivals;
-	// with a diurnal amplitude, candidate times are thinned against the
-	// time-of-day intensity (peak at 15:00 UTC-ish, trough at 03:00).
+	// Uniform order statistics over the span give Poisson-like arrivals.
 	submits := make([]int64, cfg.Jobs)
 	for i := range submits {
-		submits[i] = cfg.StartTime + sampleSubmitOffset(rs, cfg.SpanSec, cfg.DiurnalAmplitude)
+		submits[i] = cfg.StartTime + int64(rs.Float64()*float64(cfg.SpanSec))
 	}
 	sortInt64(submits)
 	for i := range jobs {
@@ -206,23 +197,6 @@ func Generate(cfg GenConfig) ([]Job, error) {
 		}
 	}
 	return jobs, nil
-}
-
-// sampleSubmitOffset draws a submit offset in [0, span) under the diurnal
-// intensity 1 + amp·sin(phase) via rejection sampling.
-func sampleSubmitOffset(rs *rng.Source, span int64, amp float64) int64 {
-	if amp <= 0 {
-		return int64(rs.Float64() * float64(span))
-	}
-	for {
-		off := rs.Float64() * float64(span)
-		secOfDay := math.Mod(off, 86400)
-		// Peak intensity near 15:00, trough near 03:00.
-		intensity := 1 + amp*math.Sin(2*math.Pi*(secOfDay-32400)/86400)
-		if rs.Float64()*(1+amp) < intensity {
-			return int64(off)
-		}
-	}
 }
 
 func sortInt64(xs []int64) {

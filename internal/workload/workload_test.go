@@ -353,38 +353,3 @@ func BenchmarkNodePowerEval(b *testing.B) {
 		_ = p.Power(7, i%4096, float64(i%7200))
 	}
 }
-
-func TestDiurnalArrivals(t *testing.T) {
-	cfg := testGenConfig(30000)
-	cfg.DiurnalAmplitude = 0.6
-	jobs, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Afternoon (12:00-18:00) submissions must clearly outnumber
-	// small-hours (00:00-06:00) ones.
-	afternoon, night := 0, 0
-	for _, j := range jobs {
-		sec := j.SubmitTime % 86400
-		switch {
-		case sec >= 12*3600 && sec < 18*3600:
-			afternoon++
-		case sec < 6*3600:
-			night++
-		}
-	}
-	if afternoon < night*2 {
-		t.Errorf("afternoon %d vs night %d — diurnal modulation missing", afternoon, night)
-	}
-	// Validation.
-	bad := testGenConfig(10)
-	bad.DiurnalAmplitude = 1.0
-	if _, err := Generate(bad); err == nil {
-		t.Error("amplitude 1.0 accepted")
-	}
-	neg := testGenConfig(10)
-	neg.DiurnalAmplitude = -0.1
-	if _, err := Generate(neg); err == nil {
-		t.Error("negative amplitude accepted")
-	}
-}
