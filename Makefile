@@ -282,10 +282,13 @@ scenario-smoke:
 
 # archive-smoke gates the one archive writer end to end: a single archive
 # with every optional dataset and a 2-cluster fleet are written and analyzed
-# by the built binaries; the same seed archived again on one core must be the
-# same files byte for byte (the day flush runs beside the simulation and
-# WriteArchive encodes its partitions side by side, and neither's scheduling
-# may reach the archive); every partition is plain multi-member gzip
+# by the built binaries; the same seed archived again on one P and on four
+# (more Ps than a CI runner's cores, so Run's two stages interleave
+# differently) must be the same files byte for byte, and so must a 160-node
+# run, three sweep blocks, on one P and by default (the day flush runs beside
+# the simulation, the failure sweep and observers run beside the physics,
+# WriteArchive encodes its partitions side by side beside the last day's
+# flush, and no scheduling of theirs may reach the archive); every partition is plain multi-member gzip
 # (`gzip -t`) and passes `analyze -cmd fsck`, which must count both
 # node-power days as strided (each node XORed with itself a window back) and
 # carrying their companion, and no cluster-power day as either; no companion
@@ -295,10 +298,15 @@ scenario-smoke:
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -jobseries -q
 	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-again
+	GOMAXPROCS=4 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-procs4 -nodes 36 -days 2 -nodedata -jobseries -q
+	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-procs4
+	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-wide -nodes 160 -days 1 -nodedata -q
+	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-wide1 -nodes 160 -days 1 -nodedata -q
+	diff -r /tmp/arcsmoke-wide /tmp/arcsmoke-wide1
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd summary > /dev/null
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster summit-0 -cmd summary > /dev/null
@@ -323,8 +331,8 @@ archive-smoke:
 		echo "archive-smoke: a 1-day run was archived over a 2-day run"; exit 1; fi; \
 	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
 	cmp /tmp/arcsmoke-scenario.json /tmp/arcsmoke-single/scenario.json; \
-	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, re-run on one core byte-identical, shorter re-run refused with scenario.json intact"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-scenario.json
+	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, re-runs on one and on four Ps byte-identical (36 and 160 nodes), shorter re-run refused with scenario.json intact"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-scenario.json
 
 # bench-report regenerates the checked-in markdown trend report from every
 # BENCH_*.json baseline.

@@ -25,6 +25,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -188,11 +189,25 @@ func run(w io.Writer, o options) error {
 	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
 	var attach []core.Attach
+	var nodes *core.NodeDatasetWriter
 	if o.nodeData {
-		attach = append(attach, core.AttachNodeDataset(o.out))
+		// Attached as a bare observer, so CollectRun leaves the writer open:
+		// archiveRun closes it beside the archive write.
+		attach = append(attach, func(s *sim.Sim) (sim.Observer, error) {
+			cfg := s.Config()
+			w, err := core.NewNodeDatasetWriter(o.out, cfg.Nodes, cfg.Site)
+			if err != nil {
+				return nil, err
+			}
+			nodes = w
+			return sim.ObserverFunc(w.Observe), nil
+		})
 	}
 	data, res, err := core.CollectRun(r.Config, attach...)
 	if err != nil {
+		if nodes != nil {
+			err = errors.Join(err, nodes.Close())
+		}
 		return err
 	}
 	if !o.quiet {
@@ -200,7 +215,7 @@ func run(w io.Writer, o options) error {
 			res.Steps, r.Config.Nodes, len(res.Allocations), len(res.Failures),
 			res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
 	}
-	return archiveRun(w, o.out, "", r, data, o)
+	return archiveRun(w, o.out, "", r, data, nodes, o)
 }
 
 // runFleet simulates o.clusters clusters and archives them as a fleet root:
@@ -246,7 +261,7 @@ func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error
 				name, m.Result.Steps, cfgs[i].Nodes, len(m.Result.Allocations),
 				len(m.Result.Failures), m.Result.Utilization*100)
 		}
-		if err := archiveRun(w, filepath.Join(o.out, name), name, members[i], m.Data, o); err != nil {
+		if err := archiveRun(w, filepath.Join(o.out, name), name, members[i], m.Data, nil, o); err != nil {
 			return err
 		}
 	}
@@ -261,9 +276,18 @@ func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error
 
 // archiveRun writes one run's datasets, scheduler CSV logs, scenario.json
 // and report.json into dir, then reports the per-dataset footprint. prefix
-// labels report lines in fleet mode.
-func archiveRun(w io.Writer, dir, prefix string, r *scenario.Resolved, data *core.RunData, o options) error {
-	if err := core.WriteDatasets(dir, data); err != nil {
+// labels report lines in fleet mode. nodes, when not nil, is the run's
+// still-open node-power writer: its last day is flushed while the other
+// datasets are written.
+func archiveRun(w io.Writer, dir, prefix string, r *scenario.Resolved, data *core.RunData,
+	nodes *core.NodeDatasetWriter, o options) error {
+	closed := make(chan error, 1)
+	if nodes == nil {
+		closed <- nil
+	} else {
+		go func() { closed <- nodes.Close() }()
+	}
+	if err := errors.Join(core.WriteDatasets(dir, data), <-closed); err != nil {
 		return err
 	}
 	if o.jobSeries {

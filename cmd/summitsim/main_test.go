@@ -186,3 +186,27 @@ func readJSON(t *testing.T, path string, v any) {
 		t.Fatalf("%s: %v", path, err)
 	}
 }
+
+// TestNodeDataLastDayErrorIsReturned blocks the partition path of the only
+// node-power day, whose flush runs beside the archive write: the run must
+// still fail naming the partition, with the other datasets written and no
+// provenance beside them.
+func TestNodeDataLastDayErrorIsReturned(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "node-power-day00000.spwr"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run(&buf, options{nodes: 16, days: 1, seed: 5, clusters: 1, out: dir, nodeData: true, quiet: true})
+	if err == nil || !strings.Contains(err.Error(), "node-power-day00000.spwr") {
+		t.Fatalf("run = %v, want an error naming node-power-day00000.spwr", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cluster-power-day00000.spwr")); err != nil {
+		t.Errorf("the archive write beside the failed flush: %v", err)
+	}
+	for _, name := range []string{"scenario.json", "report.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s after a failed flush: stat = %v, want not exist", name, err)
+		}
+	}
+}

@@ -4,9 +4,12 @@
 // state and the central energy plant, reading the biased node sensors and
 // the MSB meters, and injecting GPU XID failures with live thermal context.
 //
-// Analyses consume the run through Observer callbacks; the per-step
-// Snapshot buffers are reused between steps, so observers must copy what
-// they keep.
+// Analyses consume the run through Observer callbacks. Observe runs on
+// Run's consumer goroutine, one call at a time, in window order. The
+// Snapshot it is handed lives in a slot of a ring Run reuses: the slot is
+// recycled once Observe returns, so an observer copies what it keeps. An
+// observer must not read the Sim — its live state is windows ahead of the
+// snapshot; what an observer needs beyond the snapshot it takes before Run.
 //
 // # Hot-loop design
 //
@@ -28,20 +31,35 @@
 //     offset) each window: the K nodes of a wide job share the
 //     deterministic base waveform (SampleBase) and apply only per-node
 //     noise.
+//   - An idle node's window (every sample is the idle draw) is computed
+//     once per run: only its sensor reading, one multiply by the node's
+//     gain, and the thermal step remain per node-window.
+//   - Run is a two-stage pipeline. The calling goroutine produces windows
+//     (allocation events, the memo, the block sweep, the roll-up, meters
+//     and plant); one consumer goroutine runs the failure sweep and then
+//     the observers, in window order. The failure sweep is one-way —
+//     nothing in the physics reads its events or the injector — so the
+//     stages overlap without changing a bit. Windows pass between them in
+//     a fixed ring of ringSlots slots of max(1, slotNodeWindows/Nodes)
+//     windows each.
 //   - All per-window scratch (roll-up accumulators, per-job temperature
-//     moments, the failure event buffer, the memo table) is reused across
-//     windows.
+//     moments, the failure event buffer, the memo table, the ring) is
+//     reused across windows.
 //
 // The engine's outputs are pinned bit-for-bit by TestSeedEngineParity
-// against a plain serial reference implementation (seedengine_test.go)
-// and by the Workers=1-vs-N determinism test.
+// against a plain serial reference implementation (seedengine_test.go),
+// by the Workers=1-vs-N determinism test, and — for the ring — by
+// TestSlowObserverSeesEveryWindowIntact, whose lagging observer must see
+// what a prompt one sees.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/facility"
 	"repro/internal/failures"
@@ -255,7 +273,8 @@ func failureScale(nodes int, spanSec int64) float64 {
 }
 
 // Snapshot is the per-window view delivered to observers. All slices are
-// indexed by dense NodeID and reused between steps.
+// indexed by dense NodeID and belong to a ring slot Run reuses once every
+// observer has returned.
 type Snapshot struct {
 	T int64 // window start
 
@@ -300,7 +319,11 @@ type Snapshot struct {
 	Failures []failures.Event
 }
 
-// Observer receives every window of a run.
+// Observer receives every window of a run. Observe is called on Run's
+// consumer goroutine, one call at a time, in window order; the snapshot's
+// slot is recycled once it returns, so it must copy what it keeps. It must
+// not read the Sim, whose live state runs ahead of the snapshot. A panic in
+// Observe stops the run and is raised again on Run's caller.
 type Observer interface {
 	Observe(s *Snapshot)
 }
@@ -488,22 +511,100 @@ type blockAcc struct {
 	_     [4]float64
 }
 
-// idlePower is the constant power draw of an unallocated node, hoisted out
-// of the per-sample loop.
-var idlePower = workload.IdleNodePower()
+// idlePower is the constant power draw of an unallocated node, and
+// idleTotal the ground-truth input power of each of its samples.
+var (
+	idlePower = workload.IdleNodePower()
+	idleTotal = float64(idlePower.Total())
+)
 
-// runState is the per-Run scratch reused across every window, plus the
-// per-window values the parallel block sweep reads.
+// ringSlots is how many snapshot slots circulate between Run's two stages,
+// and slotNodeWindows how many node-windows one slot carries: a slot holds
+// max(1, slotNodeWindows/Nodes) consecutive windows, so a small fleet is
+// handed over a batch of windows at a time and a large one a window at a
+// time. Like rollupBlockNodes they are structural constants, not options;
+// unlike it they shape only the hand-off, never a bit of the output.
+const (
+	ringSlots       = 8
+	slotNodeWindows = 1024
+)
+
+// slot is one hand-off unit of the ring: the first n of snaps are
+// consecutive windows.
+type slot struct {
+	snaps []Snapshot
+	n     int
+}
+
+// newRing allocates the ring's slots, perSlot snapshots each; every field
+// of every snapshot is cut from one backing array per field.
+func newRing(perSlot, nodes, msbs int) []slot {
+	total := ringSlots * perSlot
+	stat := make([]tsagg.WindowStat, total*nodes)
+	truth := make([]float64, total*nodes)
+	alloc := make([]int, total*nodes)
+	cpu := make([]float64, total*nodes)
+	gpu := make([]float64, total*nodes)
+	gpuEach := make([][units.GPUsPerNode]float64, total*nodes)
+	gpuCore := make([][units.GPUsPerNode]float64, total*nodes)
+	gpuMem := make([][units.GPUsPerNode]float64, total*nodes)
+	cpuTemp := make([][units.CPUsPerNode]float64, total*nodes)
+	meter := make([]units.Watts, total*msbs)
+	snaps := make([]Snapshot, total)
+	for k := range snaps {
+		snaps[k] = Snapshot{
+			NodeStat:     part(stat, k, nodes),
+			TruePower:    part(truth, k, nodes),
+			AllocIdx:     part(alloc, k, nodes),
+			CPUPower:     part(cpu, k, nodes),
+			GPUPower:     part(gpu, k, nodes),
+			GPUPowerEach: part(gpuEach, k, nodes),
+			GPUCoreTemp:  part(gpuCore, k, nodes),
+			GPUMemTemp:   part(gpuMem, k, nodes),
+			CPUTemp:      part(cpuTemp, k, nodes),
+			MeterPower:   part(meter, k, msbs),
+		}
+	}
+	ring := make([]slot, ringSlots)
+	for b := range ring {
+		ring[b].snaps = part(snaps, b, perSlot)
+	}
+	return ring
+}
+
+// part is the k-th length-n piece of a, capped so it cannot grow into the
+// next.
+func part[T any](a []T, k, n int) []T { return a[k*n : (k+1)*n : (k+1)*n] }
+
+// windowPower is one node-window's component power: the per-component
+// means, the CPU and GPU sums and the ground-truth total.
+type windowPower struct {
+	mean           workload.NodePower
+	cpuSum, gpuSum float64
+	truth          float64
+}
+
+// runState is the producer's per-Run scratch reused across every window,
+// plus the per-window values the parallel block sweep reads.
 type runState struct {
-	snap      *Snapshot
+	snap      *Snapshot // the window being produced
 	nodeAlloc []int
 	sub       int
 	step      float64 // StepSec / SamplesPerWindow
 	invSub    float64 // 1 / SamplesPerWindow
 	lossOn    bool
+	// idle is the window of an unallocated node. Every one of its samples
+	// is idlePower, so it is the same for every node and computed once.
+	idle windowPower
 
 	t      int64
 	supply units.Celsius
+
+	// Allocation start/end event walkers. Allocations come sorted by start
+	// time, so nextStart is the next allocation to start; ends holds the
+	// allocation indices in end order and nextEnd the next of them to end.
+	ends               []int
+	nextStart, nextEnd int
 
 	// Sharded roll-up.
 	blocks  []blockAcc
@@ -513,11 +614,309 @@ type runState struct {
 	active    []int
 	allocSlot []int32
 	memo      []workload.SampleBase
+}
 
-	// Failure-sweep scratch.
+// newRunState builds the producer's scratch for one run.
+func (s *Sim) newRunState() *runState {
+	cfg := s.cfg
+	n := cfg.Nodes
+	sub := cfg.SamplesPerWindow
+	nBlocks := (n + rollupBlockNodes - 1) / rollupBlockNodes
+	msbs := s.floor.MSBs()
+	rs := &runState{
+		nodeAlloc: make([]int, n),
+		sub:       sub,
+		step:      float64(cfg.StepSec) / float64(sub),
+		invSub:    1 / float64(sub),
+		lossOn:    cfg.TelemetryLossFrac > 0,
+		blocks:    make([]blockAcc, nBlocks),
+		msbTrue:   make([]float64, msbs),
+		allocSlot: make([]int32, len(s.allocs)),
+	}
+	for i := range rs.nodeAlloc {
+		rs.nodeAlloc[i] = -1
+	}
+	rs.ends = make([]int, len(s.allocs))
+	for i := range rs.ends {
+		rs.ends[i] = i
+	}
+	sort.Slice(rs.ends, func(a, b int) bool {
+		return s.allocs[rs.ends[a]].EndTime < s.allocs[rs.ends[b]].EndTime
+	})
+	// Back the per-block MSB partials with one slab, striding each block
+	// to a cache-line multiple so neighbours never share a line.
+	msbStride := (msbs + 7) &^ 7
+	msbSlab := make([]float64, nBlocks*msbStride)
+	for b := range rs.blocks {
+		rs.blocks[b].msb = msbSlab[b*msbStride:][:msbs:msbs]
+	}
+	// The idle window is the sample loop's, run once; its sensor statistic
+	// is per node (idleStat).
+	_, rs.idle = s.sampleWindow(0, rs, nil, nil)
+	return rs
+}
+
+// consumer is Run's second stage. On its own goroutine it runs, window by
+// window in order, the failure sweep and then every observer. It alone
+// touches the injector and the run's failure log, and the physics never
+// reads either, so the producer runs ahead of it.
+type consumer struct {
+	s        *Sim
+	obs      []Observer
+	result   *Result
+	endTime  int64
+	maxYield int // largest failure-sweep yield so far
+
+	// Failure-sweep scratch: per-allocation GPU temperature moments.
 	jobMoments []stats.Moments
 	jobSeen    []bool
 	jobTouched []int
+
+	// stopped is set once an observer panicked or exited its goroutine; the
+	// producer reads it at every hand-off. failure is the panic value (nil
+	// after runtime.Goexit, which a test's t.FailNow calls).
+	stopped atomic.Bool
+	failure any
+}
+
+// newConsumer builds Run's second stage over obs, with the run's result and
+// its event log pre-sized.
+func (s *Sim) newConsumer(obs []Observer, endTime int64) *consumer {
+	cfg := s.cfg
+	c := &consumer{
+		s:          s,
+		obs:        obs,
+		result:     &Result{Allocations: s.allocs, Skipped: s.skipped, Utilization: s.util},
+		endTime:    endTime,
+		jobMoments: make([]stats.Moments, len(s.allocs)),
+		jobSeen:    make([]bool, len(s.allocs)),
+	}
+	// Pre-size the event log from the injector's a-priori expectation so a
+	// typical run never regrows it. The estimate ignores thermal
+	// acceleration and cascade secondaries (together ~1.5× in practice),
+	// hence the 2× pad; the adaptive re-reserve in window remains the
+	// backstop when a run still outgrows it.
+	totalSweeps := int(cfg.DurationSec/cfg.FailureCheckSec) + 1
+	expect := s.injector.ExpectedEventsPerSweep(float64(cfg.FailureCheckSec), s.util)
+	if want := int(expect * float64(totalSweeps) * 2); want > 0 {
+		c.result.Failures = make([]failures.Event, 0, want)
+	}
+	return c
+}
+
+// Run executes the simulation, invoking every observer once per window.
+//
+// It runs in two stages. The calling goroutine produces the windows:
+// allocation events, the profile memo, the node block sweep, the roll-up,
+// the meters and the plant. One consumer goroutine then runs, in window
+// order, the failure sweep and the observers. Snapshots pass between them
+// over a fixed ring of ringSlots slots; a slot goes back to the producer
+// only once every observer has returned from each of its windows. An
+// observer's panic stops the producer at its next hand-off and is raised
+// again, with the same value, on the caller's goroutine.
+//
+//lint:detroot
+func (s *Sim) Run(obs ...Observer) (*Result, error) {
+	cfg := s.cfg
+	n := cfg.Nodes
+	endTime := cfg.StartTime + cfg.DurationSec
+	rs := s.newRunState()
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	if workers > len(rs.blocks) {
+		workers = len(rs.blocks)
+	}
+	pool := parallel.NewPool(workers)
+	defer pool.Close()
+	blockFn := func(b int) { s.runBlock(b, rs) } // one closure for the whole run
+
+	c := s.newConsumer(obs, endTime)
+	ring := newRing(max(1, slotNodeWindows/n), n, s.floor.MSBs())
+	full := make(chan int, ringSlots)
+	free := make(chan int, ringSlots)
+	for b := range ring {
+		free <- b
+	}
+	done := make(chan struct{})
+	go c.run(ring, full, free, done)
+	for t := cfg.StartTime; t < endTime; {
+		b := <-free
+		if c.stopped.Load() {
+			break
+		}
+		sl := &ring[b]
+		for sl.n = 0; sl.n < len(sl.snaps) && t < endTime; sl.n++ {
+			rs.snap = &sl.snaps[sl.n]
+			s.advance(t, rs, pool, blockFn)
+			t += cfg.StepSec
+		}
+		full <- b
+	}
+	close(full)
+	<-done
+	if c.stopped.Load() {
+		if c.failure != nil {
+			panic(c.failure)
+		}
+		runtime.Goexit()
+	}
+	return c.result, nil
+}
+
+// advance produces window t into rs.snap: it applies the allocation starts
+// and ends effective by t, memoizes the profile bases, sweeps the node
+// blocks, reduces the roll-up and steps the meters and the plant.
+func (s *Sim) advance(t int64, rs *runState, pool *parallel.Pool, blockFn func(int)) {
+	snap := rs.snap
+	for rs.nextEnd < len(rs.ends) && s.allocs[rs.ends[rs.nextEnd]].EndTime <= t {
+		idx := rs.ends[rs.nextEnd]
+		for _, id := range s.allocs[idx].NodeIDs {
+			if rs.nodeAlloc[id] == idx {
+				rs.nodeAlloc[id] = -1
+			}
+		}
+		rs.removeActive(idx)
+		rs.nextEnd++
+	}
+	for rs.nextStart < len(s.allocs) && s.allocs[rs.nextStart].StartTime <= t {
+		idx := rs.nextStart
+		for _, id := range s.allocs[idx].NodeIDs {
+			rs.nodeAlloc[id] = idx
+		}
+		rs.active = append(rs.active, idx)
+		rs.nextStart++
+	}
+	copy(snap.AllocIdx, rs.nodeAlloc)
+	snap.T = t
+	rs.t = t
+	rs.supply = s.cep.SupplyC()
+	// Memoize the shared profile waveform per (allocation, sample): every
+	// node of an allocation reuses the same SampleBase row.
+	sub := rs.sub
+	if need := len(rs.active) * sub; cap(rs.memo) < need {
+		rs.memo = make([]workload.SampleBase, need)
+	}
+	for slot, aIdx := range rs.active {
+		rs.allocSlot[aIdx] = int32(slot)
+		a := &s.allocs[aIdx]
+		dtBase := float64(t - a.StartTime)
+		row := rs.memo[slot*sub : (slot+1)*sub]
+		for k := range row {
+			row[k] = a.Job.Profile.BaseAt(dtBase + float64(k)*rs.step)
+		}
+	}
+	// Parallel per-node power evaluation, thermal stepping, and
+	// block-sharded roll-up accumulation.
+	pool.ForEach(len(rs.blocks), blockFn)
+	// Reduce the block partials once, in fixed block order. The sensor sum
+	// runs serially in node order to honour the streaming plane's bit-exact
+	// rollup contract; lost node-windows (Count 0) are absent from the
+	// telemetry view while ground truth still flows to the meters and the
+	// facility.
+	var sensorSum, trueSum float64
+	for i := range snap.NodeStat {
+		if st := &snap.NodeStat[i]; st.Count > 0 {
+			sensorSum += st.Mean
+		}
+	}
+	msbTrue := rs.msbTrue
+	for m := range msbTrue {
+		msbTrue[m] = 0
+	}
+	for b := range rs.blocks {
+		acc := &rs.blocks[b]
+		trueSum += acc.truth
+		for m := range msbTrue {
+			msbTrue[m] += acc.msb[m]
+		}
+	}
+	snap.ClusterSensorPower = units.Watts(sensorSum)
+	snap.ClusterTruePower = units.Watts(trueSum)
+	for m := range msbTrue {
+		snap.MeterPower[m] = s.meters.MeterPower(topology.MSB(m), units.Watts(msbTrue[m]))
+	}
+	// Facility responds to the true heat load.
+	s.cep.Step(t, float64(s.cfg.StepSec), units.Watts(trueSum))
+	cond := s.weather.At(t)
+	snap.SupplyC = s.cep.SupplyC()
+	snap.ReturnC = s.cep.ReturnC()
+	snap.TowerTons = s.cep.TowerTons()
+	snap.ChillerTons = s.cep.ChillerTons()
+	snap.ActiveTowers = s.cep.ActiveTowers()
+	snap.ActiveChillers = s.cep.ActiveChillers()
+	snap.PUE = s.cep.PUE()
+	snap.WetBulbC = cond.WetBulbC
+	snap.DryBulbC = cond.DryBulbC
+}
+
+// run consumes the slots the producer sends on full, handing each back on
+// free once its windows are observed, until full is closed. Should an
+// observer panic or exit the goroutine, it records why, sets stopped and
+// hands every later slot back unread, so the producer never blocks and
+// stops at its next hand-off.
+func (c *consumer) run(ring []slot, full <-chan int, free chan<- int, done chan<- struct{}) {
+	defer close(done)
+	finished := false
+	defer func() {
+		if finished {
+			return
+		}
+		c.failure = recover()
+		c.stopped.Store(true)
+		for b := range full {
+			free <- b
+		}
+	}()
+	for b := range full {
+		sl := &ring[b]
+		for k := 0; k < sl.n; k++ {
+			c.window(&sl.snaps[k])
+		}
+		free <- b
+	}
+	finished = true
+}
+
+// window runs the failure sweep on snap if it falls on the failure-check
+// grid, then every observer.
+func (c *consumer) window(snap *Snapshot) {
+	cfg := &c.s.cfg
+	res := c.result
+	// Events append straight into the run-level slice; the window's view is
+	// a capped sub-slice of it, so nothing is ever copied twice. Before each
+	// sweep the slice is re-reserved to carry the remaining sweeps at the
+	// largest per-sweep yield seen so far — yields grow as the fleet heats
+	// up, so a one-shot reservation after the first sweep would leave append
+	// regrowing a multi-thousand-event slice in the middle of the run.
+	snap.Failures = nil
+	if (snap.T-cfg.StartTime)%cfg.FailureCheckSec == 0 {
+		base := len(res.Failures)
+		remaining := int((c.endTime-snap.T)/cfg.FailureCheckSec) + 1
+		if want := base + c.maxYield*remaining*9/8; c.maxYield > 0 &&
+			cap(res.Failures) < want {
+			// Grow at least geometrically: the per-sweep max creeps upward
+			// as the fleet heats, and without the floor every small creep
+			// would re-reserve the full slice again.
+			if floor := cap(res.Failures) + cap(res.Failures)/2; want < floor {
+				want = floor
+			}
+			grown := make([]failures.Event, base, want)
+			copy(grown, res.Failures)
+			res.Failures = grown
+		}
+		res.Failures = c.injectFailures(snap, res.Failures)
+		n := len(res.Failures)
+		snap.Failures = res.Failures[base:n:n]
+		if y := n - base; y > c.maxYield {
+			c.maxYield = y
+		}
+	}
+	for _, o := range c.obs {
+		o.Observe(snap)
+	}
+	res.Steps++
 }
 
 // removeActive drops allocation idx from the active list.
@@ -528,206 +927,6 @@ func (rs *runState) removeActive(idx int) {
 			return
 		}
 	}
-}
-
-// Run executes the simulation, invoking every observer once per window.
-//
-//lint:detroot
-func (s *Sim) Run(obs ...Observer) (*Result, error) {
-	cfg := s.cfg
-	n := cfg.Nodes
-	snap := &Snapshot{
-		NodeStat:     make([]tsagg.WindowStat, n),
-		TruePower:    make([]float64, n),
-		AllocIdx:     make([]int, n),
-		CPUPower:     make([]float64, n),
-		GPUPower:     make([]float64, n),
-		GPUPowerEach: make([][units.GPUsPerNode]float64, n),
-		GPUCoreTemp:  make([][units.GPUsPerNode]float64, n),
-		GPUMemTemp:   make([][units.GPUsPerNode]float64, n),
-		CPUTemp:      make([][units.CPUsPerNode]float64, n),
-		MeterPower:   make([]units.Watts, s.floor.MSBs()),
-	}
-	// Allocation start/end event walkers.
-	starts := make([]int, 0, len(s.allocs)) // indices sorted by StartTime (already)
-	for i := range s.allocs {
-		starts = append(starts, i)
-	}
-	ends := make([]int, len(s.allocs))
-	copy(ends, starts)
-	sort.Slice(ends, func(a, b int) bool {
-		return s.allocs[ends[a]].EndTime < s.allocs[ends[b]].EndTime
-	})
-	nodeAlloc := make([]int, n)
-	for i := range nodeAlloc {
-		nodeAlloc[i] = -1
-	}
-	nextStart, nextEnd := 0, 0
-	result := &Result{Allocations: s.allocs, Skipped: s.skipped, Utilization: s.util}
-	endTime := cfg.StartTime + cfg.DurationSec
-	sub := cfg.SamplesPerWindow
-
-	nBlocks := (n + rollupBlockNodes - 1) / rollupBlockNodes
-	msbs := s.floor.MSBs()
-	rs := &runState{
-		snap:       snap,
-		nodeAlloc:  nodeAlloc,
-		sub:        sub,
-		step:       float64(cfg.StepSec) / float64(sub),
-		invSub:     1 / float64(sub),
-		lossOn:     cfg.TelemetryLossFrac > 0,
-		blocks:     make([]blockAcc, nBlocks),
-		msbTrue:    make([]float64, msbs),
-		allocSlot:  make([]int32, len(s.allocs)),
-		jobMoments: make([]stats.Moments, len(s.allocs)),
-		jobSeen:    make([]bool, len(s.allocs)),
-	}
-	// Back the per-block MSB partials with one slab, striding each block
-	// to a cache-line multiple so neighbours never share a line.
-	msbStride := (msbs + 7) &^ 7
-	msbSlab := make([]float64, nBlocks*msbStride)
-	for b := range rs.blocks {
-		rs.blocks[b].msb = msbSlab[b*msbStride:][:msbs:msbs]
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	if workers > nBlocks {
-		workers = nBlocks
-	}
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	blockFn := func(b int) { s.runBlock(b, rs) } // one closure for the whole run
-	maxSweepYield := 0                           // largest failure-sweep yield so far
-	// Pre-size the event log from the injector's a-priori expectation so a
-	// typical run never regrows it. The estimate ignores thermal
-	// acceleration and cascade secondaries (together ~1.5× in practice),
-	// hence the 2× pad; the adaptive re-reserve below remains the
-	// backstop when a run still outgrows it.
-	totalSweeps := int(cfg.DurationSec/cfg.FailureCheckSec) + 1
-	expect := s.injector.ExpectedEventsPerSweep(float64(cfg.FailureCheckSec), s.util)
-	if want := int(expect * float64(totalSweeps) * 2); want > 0 {
-		result.Failures = make([]failures.Event, 0, want)
-	}
-
-	for t := cfg.StartTime; t < endTime; t += cfg.StepSec {
-		// Apply allocation starts/ends effective by this window.
-		for nextEnd < len(ends) && s.allocs[ends[nextEnd]].EndTime <= t {
-			idx := ends[nextEnd]
-			for _, id := range s.allocs[idx].NodeIDs {
-				if nodeAlloc[id] == idx {
-					nodeAlloc[id] = -1
-				}
-			}
-			rs.removeActive(idx)
-			nextEnd++
-		}
-		for nextStart < len(starts) && s.allocs[starts[nextStart]].StartTime <= t {
-			idx := starts[nextStart]
-			for _, id := range s.allocs[idx].NodeIDs {
-				nodeAlloc[id] = idx
-			}
-			rs.active = append(rs.active, idx)
-			nextStart++
-		}
-		copy(snap.AllocIdx, nodeAlloc)
-		snap.T = t
-		rs.t = t
-		rs.supply = s.cep.SupplyC()
-		// Memoize the shared profile waveform per (allocation, sample):
-		// every node of an allocation reuses the same SampleBase row.
-		if need := len(rs.active) * sub; cap(rs.memo) < need {
-			rs.memo = make([]workload.SampleBase, need)
-		}
-		for slot, aIdx := range rs.active {
-			rs.allocSlot[aIdx] = int32(slot)
-			a := &s.allocs[aIdx]
-			dtBase := float64(t - a.StartTime)
-			row := rs.memo[slot*sub : (slot+1)*sub]
-			for k := range row {
-				row[k] = a.Job.Profile.BaseAt(dtBase + float64(k)*rs.step)
-			}
-		}
-		// Parallel per-node power evaluation, thermal stepping, and
-		// block-sharded roll-up accumulation.
-		pool.ForEach(nBlocks, blockFn)
-		// Reduce the block partials once, in fixed block order. The
-		// sensor sum runs serially in node order to honour the streaming
-		// plane's bit-exact rollup contract; lost node-windows (Count 0)
-		// are absent from the telemetry view while ground truth still
-		// flows to the meters and the facility.
-		var sensorSum, trueSum float64
-		for i := range snap.NodeStat {
-			if st := &snap.NodeStat[i]; st.Count > 0 {
-				sensorSum += st.Mean
-			}
-		}
-		msbTrue := rs.msbTrue
-		for m := range msbTrue {
-			msbTrue[m] = 0
-		}
-		for b := range rs.blocks {
-			acc := &rs.blocks[b]
-			trueSum += acc.truth
-			for m := range msbTrue {
-				msbTrue[m] += acc.msb[m]
-			}
-		}
-		snap.ClusterSensorPower = units.Watts(sensorSum)
-		snap.ClusterTruePower = units.Watts(trueSum)
-		for m := range msbTrue {
-			snap.MeterPower[m] = s.meters.MeterPower(topology.MSB(m), units.Watts(msbTrue[m]))
-		}
-		// Facility responds to the true heat load.
-		s.cep.Step(t, float64(cfg.StepSec), units.Watts(trueSum))
-		cond := s.weather.At(t)
-		snap.SupplyC = s.cep.SupplyC()
-		snap.ReturnC = s.cep.ReturnC()
-		snap.TowerTons = s.cep.TowerTons()
-		snap.ChillerTons = s.cep.ChillerTons()
-		snap.ActiveTowers = s.cep.ActiveTowers()
-		snap.ActiveChillers = s.cep.ActiveChillers()
-		snap.PUE = s.cep.PUE()
-		snap.WetBulbC = cond.WetBulbC
-		snap.DryBulbC = cond.DryBulbC
-		// Failure injection on its coarser grid. Events append straight
-		// into the run-level slice; the window's view is a capped
-		// sub-slice of it, so nothing is ever copied twice. Before each
-		// sweep the slice is re-reserved to carry the remaining sweeps at
-		// the largest per-sweep yield seen so far — yields grow as the
-		// fleet heats up, so a one-shot reservation after the first sweep
-		// would leave append regrowing a multi-thousand-event slice in
-		// the middle of the run.
-		snap.Failures = nil
-		if (t-cfg.StartTime)%cfg.FailureCheckSec == 0 {
-			base := len(result.Failures)
-			remaining := int((endTime-t)/cfg.FailureCheckSec) + 1
-			if want := base + maxSweepYield*remaining*9/8; maxSweepYield > 0 &&
-				cap(result.Failures) < want {
-				// Grow at least geometrically: the per-sweep max creeps
-				// upward as the fleet heats, and without the floor every
-				// small creep would re-reserve the full slice again.
-				if floor := cap(result.Failures) + cap(result.Failures)/2; want < floor {
-					want = floor
-				}
-				grown := make([]failures.Event, base, want)
-				copy(grown, result.Failures)
-				result.Failures = grown
-			}
-			result.Failures = s.injectFailures(t, rs, result.Failures)
-			n := len(result.Failures)
-			snap.Failures = result.Failures[base:n:n]
-			if y := n - base; y > maxSweepYield {
-				maxSweepYield = y
-			}
-		}
-		for _, o := range obs {
-			o.Observe(snap)
-		}
-		result.Steps++
-	}
-	return result, nil
 }
 
 // runBlock steps every node of block b and accumulates the block's share
@@ -758,38 +957,66 @@ func (s *Sim) runBlock(b int, rs *runState) {
 	}
 }
 
-// stepNode evaluates one node's window: sub-sampled power statistics from
-// the memoized job profile bases, sensor bias, and the thermal step.
+// stepNode evaluates one node's window — its power statistics, from the
+// memoized job profile bases or the run's idle window, then the thermal
+// step.
 //
 //lint:allocfree
 func (s *Sim) stepNode(i int, rs *runState) {
 	snap := rs.snap
 	id := topology.NodeID(i)
-	allocIdx := rs.nodeAlloc[i]
-	active := allocIdx >= 0
-	var profile workload.Profile
+	w := &rs.idle
+	var active windowPower
+	if allocIdx := rs.nodeAlloc[i]; allocIdx >= 0 {
+		slot := int(rs.allocSlot[allocIdx])
+		var stat stats.Moments
+		stat, active = s.sampleWindow(id, rs, &s.allocs[allocIdx], rs.memo[slot*rs.sub:(slot+1)*rs.sub])
+		snap.NodeStat[i] = tsagg.WindowStat{
+			T: rs.t, Count: stat.N, Min: stat.Min, Max: stat.Max,
+			Mean: stat.Mean(), Std: stat.Std(),
+		}
+		w = &active
+	} else {
+		snap.NodeStat[i] = s.idleStat(id, rs)
+	}
+	snap.TruePower[i] = w.truth
+	snap.CPUPower[i] = w.cpuSum
+	snap.GPUPower[i] = w.gpuSum
+	for g := 0; g < units.GPUsPerNode; g++ {
+		snap.GPUPowerEach[i][g] = float64(w.mean.GPU[g])
+	}
+	// Thermal step under the window-mean power.
+	s.fleet.StepNode(i, &w.mean, rs.supply)
+	for g := 0; g < units.GPUsPerNode; g++ {
+		snap.GPUCoreTemp[i][g] = s.fleet.GPUCoreTemp(i, g)
+		snap.GPUMemTemp[i][g] = s.fleet.GPUMemTemp(i, g)
+	}
+	for c := 0; c < units.CPUsPerNode; c++ {
+		snap.CPUTemp[i][c] = s.fleet.CPUTemp(i, c)
+	}
+}
+
+// sampleWindow runs node id's window through its rs.sub samples — each one
+// from allocation a's memoized bases, or idlePower when a is nil — and
+// returns the sensor-read statistic and the component means.
+//
+//lint:allocfree
+func (s *Sim) sampleWindow(id topology.NodeID, rs *runState, a *scheduler.Allocation, bases []workload.SampleBase) (stats.Moments, windowPower) {
 	var key uint64
 	var nodeRank int
-	var bases []workload.SampleBase
-	if active {
-		a := &s.allocs[allocIdx]
-		profile = a.Job.Profile
+	if a != nil {
 		key = uint64(a.Job.ID)
 		// Rank of the node within the allocation individualizes noise.
 		nodeRank = int(id) - int(a.NodeIDs[0])
-		slot := int(rs.allocSlot[allocIdx])
-		bases = rs.memo[slot*rs.sub : (slot+1)*rs.sub]
 	}
 	var stat stats.Moments
 	var cpuW [units.CPUsPerNode]float64
 	var gpuW [units.GPUsPerNode]float64
 	var otherW float64
 	for k := 0; k < rs.sub; k++ {
-		var np workload.NodePower
-		if active {
-			np = profile.PowerFromBase(bases[k], key, nodeRank)
-		} else {
-			np = idlePower
+		np := idlePower
+		if a != nil {
+			np = a.Job.Profile.PowerFromBase(bases[k], key, nodeRank)
 		}
 		truePower := float64(np.Total())
 		stat.Add(float64(s.meters.NodeSensor(id, units.Watts(truePower))))
@@ -803,63 +1030,57 @@ func (s *Sim) stepNode(i int, rs *runState) {
 		}
 		otherW += float64(np.Other)
 	}
-	var meanPower workload.NodePower
-	var cpuSum, gpuSum float64
+	var w windowPower
 	for c := range cpuW {
 		m := cpuW[c] * rs.invSub
-		meanPower.CPU[c] = units.Watts(m)
-		cpuSum += m
+		w.mean.CPU[c] = units.Watts(m)
+		w.cpuSum += m
 	}
 	for g := range gpuW {
 		m := gpuW[g] * rs.invSub
-		meanPower.GPU[g] = units.Watts(m)
-		gpuSum += m
+		w.mean.GPU[g] = units.Watts(m)
+		w.gpuSum += m
 	}
-	meanPower.Other = units.Watts(otherW * rs.invSub)
-	snap.NodeStat[i] = tsagg.WindowStat{
-		T: rs.t, Count: stat.N, Min: stat.Min, Max: stat.Max,
-		Mean: stat.Mean(), Std: stat.Std(),
-	}
-	snap.TruePower[i] = float64(meanPower.Total())
-	snap.CPUPower[i] = cpuSum
-	snap.GPUPower[i] = gpuSum
-	for g := 0; g < units.GPUsPerNode; g++ {
-		snap.GPUPowerEach[i][g] = float64(meanPower.GPU[g])
-	}
-	// Thermal step under the window-mean power.
-	s.fleet.StepNode(i, &meanPower, rs.supply)
-	for g := 0; g < units.GPUsPerNode; g++ {
-		snap.GPUCoreTemp[i][g] = s.fleet.GPUCoreTemp(i, g)
-		snap.GPUMemTemp[i][g] = s.fleet.GPUMemTemp(i, g)
-	}
-	for c := 0; c < units.CPUsPerNode; c++ {
-		snap.CPUTemp[i][c] = s.fleet.CPUTemp(i, c)
-	}
+	w.mean.Other = units.Watts(otherW * rs.invSub)
+	w.truth = float64(w.mean.Total())
+	return stat, w
 }
 
-// injectFailures samples XID events for every GPU with live job and thermal
-// context, computing the within-job temperature z-scores the reliability
-// analysis needs, appending into dst and returning the extended slice. The
-// per-allocation moment scratch is reused across sweeps.
-func (s *Sim) injectFailures(t int64, rs *runState, dst []failures.Event) []failures.Event {
+// idleStat is node id's sensor statistic over an idle window: rs.sub
+// samples of one reading x, whose Welford moments are exactly min = max =
+// mean = x and spread 0 — the sample loop's bits without the loop.
+//
+//lint:allocfree
+func (s *Sim) idleStat(id topology.NodeID, rs *runState) tsagg.WindowStat {
+	x := float64(s.meters.NodeSensor(id, units.Watts(idleTotal)))
+	return tsagg.WindowStat{T: rs.t, Count: int64(rs.sub), Min: x, Max: x, Mean: x}
+}
+
+// injectFailures samples XID events for every GPU of snap's window with
+// its job and thermal context, computing the within-job temperature
+// z-scores the reliability analysis needs, appending into dst and
+// returning the extended slice. It reads the job of each node from
+// snap.AllocIdx — the producer's live allocation table is windows ahead.
+// The per-allocation moment scratch is reused across sweeps.
+func (c *consumer) injectFailures(snap *Snapshot, dst []failures.Event) []failures.Event {
+	s := c.s
 	// Reset only the moments touched by the previous sweep.
-	for _, aIdx := range rs.jobTouched {
-		rs.jobMoments[aIdx].Reset()
-		rs.jobSeen[aIdx] = false
+	for _, aIdx := range c.jobTouched {
+		c.jobMoments[aIdx].Reset()
+		c.jobSeen[aIdx] = false
 	}
-	rs.jobTouched = rs.jobTouched[:0]
-	nodeAlloc := rs.nodeAlloc
-	snap := rs.snap
+	c.jobTouched = c.jobTouched[:0]
+	nodeAlloc := snap.AllocIdx
 	// Per-allocation GPU temperature moments for z-scores.
 	for i, a := range nodeAlloc {
 		if a < 0 {
 			continue
 		}
-		if !rs.jobSeen[a] {
-			rs.jobSeen[a] = true
-			rs.jobTouched = append(rs.jobTouched, a)
+		if !c.jobSeen[a] {
+			c.jobSeen[a] = true
+			c.jobTouched = append(c.jobTouched, a)
 		}
-		m := &rs.jobMoments[a]
+		m := &c.jobMoments[a]
 		for g := 0; g < units.GPUsPerNode; g++ {
 			if v := snap.GPUCoreTemp[i][g]; !math.IsNaN(v) {
 				m.Add(v)
@@ -877,7 +1098,7 @@ func (s *Sim) injectFailures(t int64, rs *runState, dst []failures.Event) []fail
 			ctx.JobID = a.Job.ID
 			ctx.Project = a.Job.Project
 			ctx.Active = true
-			m := &rs.jobMoments[aIdx]
+			m := &c.jobMoments[aIdx]
 			mean, sd = m.Mean(), m.Std()
 		}
 		for g := 0; g < units.GPUsPerNode; g++ {
@@ -890,7 +1111,7 @@ func (s *Sim) injectFailures(t int64, rs *runState, dst []failures.Event) []fail
 					ctx.TempZ = 0
 				}
 			}
-			out = s.injector.SampleInto(out, t, window, topology.NodeID(i),
+			out = s.injector.SampleInto(out, snap.T, window, topology.NodeID(i),
 				topology.GPUSlot(g), ctx)
 		}
 	}

@@ -144,13 +144,14 @@ func TestRunAllocationTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	busySeen := false
+	allocs := s.Allocations() // observers read the snapshot, never the Sim
 	if _, err := s.Run(ObserverFunc(func(snap *Snapshot) {
 		for i, aIdx := range snap.AllocIdx {
 			if aIdx < 0 {
 				continue
 			}
 			busySeen = true
-			a := s.Allocations()[aIdx]
+			a := allocs[aIdx]
 			if !a.Contains(topology.NodeID(i)) {
 				t.Fatalf("node %d marked under alloc %d which excludes it", i, aIdx)
 			}
