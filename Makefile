@@ -292,13 +292,15 @@ scenario-smoke:
 # (`gzip -t`) and passes `analyze -cmd fsck`, which must count both
 # node-power days as strided (each node XORed with itself a window back) and
 # carrying their companion, and no cluster-power day as either; no companion
-# is a file of its own; fsck must exit 1 on a copy with one byte flipped; then a shorter run archived into the same directory must
-# be refused (its leftover days would otherwise be served as one run) and
-# leave the earlier run's scenario.json in place.
+# is a file of its own; fsck must exit 1 on a copy with one byte flipped, and
+# summary and fsck on a copy without its run-meta (the commit record); then a
+# shorter run archived into the same directory must be refused (its leftover
+# days would otherwise be served as one run) and leave the sha256 of every
+# file of the earlier run unchanged.
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -jobseries -q
 	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-again
@@ -326,13 +328,20 @@ archive-smoke:
 	if /tmp/arcsmoke-analyze -data /tmp/arcsmoke-flipped -cmd fsck > /tmp/arcsmoke-fsck.txt 2>&1; then \
 		echo "archive-smoke: fsck passed an archive with a flipped byte"; exit 1; fi; \
 	grep -q 'node-power-day00001.spwr: .*column "' /tmp/arcsmoke-fsck.txt || { cat /tmp/arcsmoke-fsck.txt; exit 1; }
-	cp /tmp/arcsmoke-single/scenario.json /tmp/arcsmoke-scenario.json
+	@set -eu; rm -rf /tmp/arcsmoke-nometa; cp -r /tmp/arcsmoke-single /tmp/arcsmoke-nometa; rm /tmp/arcsmoke-nometa/run-meta-day00000.spwr; \
+	for cmd in summary fsck; do \
+		if /tmp/arcsmoke-analyze -data /tmp/arcsmoke-nometa -cmd $$cmd > /tmp/arcsmoke-fsck.txt 2>&1; then \
+			echo "archive-smoke: analyze -cmd $$cmd accepted an archive without run-meta"; cat /tmp/arcsmoke-fsck.txt; exit 1; fi; \
+		grep -q 'run-meta' /tmp/arcsmoke-fsck.txt || { cat /tmp/arcsmoke-fsck.txt; exit 1; }; \
+	done
+	cd /tmp/arcsmoke-single && find . -type f | sort | xargs sha256sum > /tmp/arcsmoke-sums.txt
 	@if /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 1 -seed 7 -nodedata -q 2> /tmp/arcsmoke-refusal.txt; then \
 		echo "archive-smoke: a 1-day run was archived over a 2-day run"; exit 1; fi; \
 	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
-	cmp /tmp/arcsmoke-scenario.json /tmp/arcsmoke-single/scenario.json; \
-	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, re-runs on one and on four Ps byte-identical (36 and 160 nodes), shorter re-run refused with scenario.json intact"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-scenario.json
+	cd /tmp/arcsmoke-single && find . -type f | sort | xargs sha256sum | diff /tmp/arcsmoke-sums.txt - || \
+		{ echo "archive-smoke: the refused re-run changed the archive"; exit 1; }; \
+	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by summary and fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes), shorter re-run refused with every file byte-identical"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt
 
 # bench-report regenerates the checked-in markdown trend report from every
 # BENCH_*.json baseline.

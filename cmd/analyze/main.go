@@ -6,10 +6,14 @@
 // -data may also name a fleet root (as written by summitsim -clusters);
 // -cluster selects the member to analyze.
 //
+// An archive without its run-meta, the commit record a run writes last, is
+// refused (exit 1, naming the directory), never analyzed on a guessed size.
+//
 // -cmd fsck is the one subcommand that opens no source: it reads every
 // partition file of the archive (of every member, for a fleet root without
-// -cluster) in full and exits 1 if any is damaged — opening an archive reads
-// partition headers only, so this is the check of the bodies.
+// -cluster) in full and checks the run-meta, and exits 1 if any is damaged
+// — opening an archive reads partition headers only, so this is the check
+// of the bodies.
 //
 // Usage:
 //
@@ -41,36 +45,30 @@ func main() {
 	cmd := flag.String("cmd", "summary",
 		"analysis: summary|edges|fft|failures|jobs|bands|earlywarning|validation|overcooling|fsck")
 	cluster := flag.String("cluster", "", "fleet member to analyze (when -data is a fleet root)")
-	nodes := flag.Int("nodes", 256, "system size fallback for archives without a run manifest")
-	step := flag.Int64("step", 10, "coarsening window fallback for archives without a run manifest")
 	flag.Parse()
 	if *dataDir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *nodes <= 0 {
-		log.Fatalf("-nodes must be positive, got %d", *nodes)
+	if err := run(os.Stdout, *dataDir, *cluster, *cmd); err != nil {
+		log.Fatal(err)
 	}
-	if *step <= 0 {
-		log.Fatalf("-step must be positive, got %d", *step)
+}
+
+// run answers -cmd over the archive -data and -cluster name, writing to w.
+func run(w io.Writer, dataDir, cluster, cmd string) error {
+	if cmd == "fsck" {
+		return fsck(w, dataDir, cluster)
 	}
-	if *cmd == "fsck" {
-		if err := fsck(os.Stdout, *dataDir, *cluster); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	dir, err := resolveDir(*dataDir, *cluster)
+	dir, err := resolveDir(dataDir, cluster)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, StepSec: *step, Nodes: *nodes})
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := dispatch(os.Stdout, *cmd, src); err != nil {
-		log.Fatal(err)
-	}
+	return dispatch(w, cmd, src)
 }
 
 // resolveDir maps -data/-cluster to the archive directory to open. A fleet
@@ -100,8 +98,10 @@ func resolveDir(dataDir, cluster string) (string, error) {
 
 // fsck verifies every partition under dataDir — one archive, or each member
 // of a fleet unless cluster picks one — with store's VerifyDay, the companion
-// a day's file carries after its partition included. One line per dataset,
-// one per problem; any problem is an error.
+// a day's file carries after its partition included, and each archive's
+// commit record: a run-meta with all its columns, and no partition at a day
+// outside its span. One line per dataset, one per problem; any problem is an
+// error.
 func fsck(w io.Writer, dataDir, cluster string) error {
 	var dirs []string
 	if manifest, err := source.DiscoverFleet(dataDir); err == nil && cluster == "" {
@@ -120,9 +120,6 @@ func fsck(w io.Writer, dataDir, cluster string) error {
 		names, err := store.Datasets(dir)
 		if err != nil {
 			return err
-		}
-		if len(names) == 0 {
-			return fmt.Errorf("%s holds no partitions", dir)
 		}
 		for _, name := range names {
 			ds := &store.Dataset{Dir: dir, Name: name}
@@ -152,11 +149,30 @@ func fsck(w io.Writer, dataDir, cluster string) error {
 			}
 			problems += len(found)
 		}
+		if err := checkRecord(dir); err != nil {
+			fmt.Fprintf(w, "%s: %v\n", dir, err)
+			problems++
+		}
 	}
 	if problems > 0 {
 		return fmt.Errorf("fsck: %d problems", problems)
 	}
 	return nil
+}
+
+// checkRecord reports what is wrong with dir's commit record: a missing or
+// incomplete run-meta, or partitions at a day index outside its span, which
+// no run of that span writes (the rule source.BeginArchive refuses by).
+func checkRecord(dir string) error {
+	m, err := source.ReadManifest(dir)
+	if err != nil {
+		return err
+	}
+	stale, err := source.StaleFiles(dir, m.SpanSec())
+	if err == nil && len(stale) > 0 {
+		err = fmt.Errorf("run-meta: partitions outside the run's %d s span: %s", m.SpanSec(), strings.Join(stale, ", "))
+	}
+	return err
 }
 
 // dispatch routes a subcommand to its analysis, writing to w.

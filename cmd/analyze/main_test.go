@@ -10,6 +10,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/source"
+	"repro/internal/store"
 	"repro/internal/store/storetest"
 	"repro/internal/units"
 )
@@ -139,7 +140,8 @@ func fsckArchive(t *testing.T) string {
 // way every earlier build wrote it; a flipped byte, a cut-off file, bytes
 // after the last member and a flipped byte in the companion a node-power day
 // carries each fail the check, naming the partition (and the column, where
-// one is damaged).
+// one is damaged); so do a missing or incomplete run-meta and a partition at
+// a day the run-meta's span does not reach, naming the file.
 func TestFsck(t *testing.T) {
 	rewrite := func(t *testing.T, path string, edit func([]byte) []byte) {
 		t.Helper()
@@ -175,6 +177,31 @@ func TestFsck(t *testing.T) {
 		{"bytes after the last member", func(t *testing.T, dir string) {
 			rewrite(t, filepath.Join(dir, "run-meta-day00000.spwr"), func(raw []byte) []byte { return append(raw, 0) })
 		}, []string{"run-meta-day00000.spwr", "the last member ends at byte"}},
+		{"no run-meta", func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, "run-meta-day00000.spwr")); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"run-meta-day00000.spwr", "no readable run-meta"}},
+		{"run-meta without its site column", func(t *testing.T, dir string) {
+			m, err := source.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := source.ManifestTable(m)
+			tab.Cols = tab.Cols[:len(tab.Cols)-1]
+			if err := (&store.Dataset{Dir: dir, Name: source.DatasetRunMeta}).WriteDay(0, tab); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"run-meta-day00000.spwr lacks column(s) site"}},
+		{"a day outside the run-meta's span", func(t *testing.T, dir string) {
+			raw, err := os.ReadFile(filepath.Join(dir, "cluster-power-day00000.spwr"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "cluster-power-day00001.spwr"), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"outside the run's 3600 s span: cluster-power-day00001.spwr"}},
 		{"flipped byte in the companion", func(t *testing.T, dir string) {
 			// The last column member of the companion appended to the day,
 			// a few bytes before its gzip trailer.
@@ -207,5 +234,40 @@ func TestFsck(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRefusesAnArchiveWithoutRunMeta: with its run-meta deleted, a 16-node
+// archive is refused by every subcommand, naming the directory, before a
+// line is printed — never analyzed on a guessed system size, which put the
+// edge threshold at 256 nodes' 0.22 MW. fsck fails it too.
+func TestRefusesAnArchiveWithoutRunMeta(t *testing.T) {
+	dir := t.TempDir()
+	data, _, err := repro.Simulate(repro.ScaledConfig(16, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteDatasets(dir, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "run-meta-day00000.spwr")); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"summary", "edges", "bands", "fsck"} {
+		var out strings.Builder
+		err := run(&out, dir, "", cmd)
+		if err == nil {
+			t.Errorf("%s: an archive without run-meta was analyzed:\n%s", cmd, out.String())
+			continue
+		}
+		if cmd == "fsck" {
+			if !strings.Contains(out.String(), "run-meta-day00000.spwr") {
+				t.Errorf("fsck does not name the missing run-meta:\n%s", out.String())
+			}
+			continue
+		}
+		if !strings.Contains(err.Error(), dir) || out.Len() != 0 {
+			t.Errorf("%s: %v, printing %q; want a refusal naming %s and no output", cmd, err, out.String(), dir)
+		}
 	}
 }

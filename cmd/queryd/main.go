@@ -14,9 +14,11 @@
 //	GET /debug/vars         — queries served, cache hit/miss, bytes decoded, latency histogram
 //	GET /debug/pprof/…      — Go profiling endpoints (only with -pprof)
 //
-// The analysis routes require a cluster dataset in the archive; without one
-// they answer 404 and the raw query routes still work. Both tiers share one
-// decoded-table cache budget (-cache-mb).
+// Every archive (every fleet member) must carry its run-meta, the commit
+// record a run writes last, and a cluster dataset: queryd refuses to start
+// without them, naming the directory. The run-meta sizes the cabinet/MSB
+// rollups and the analyses; -nodes, if given, must agree with it. Both tiers
+// share one decoded-table cache budget (-cache-mb).
 //
 // The server reads the archive as it was at open: day partitions are listed
 // once and never change, so analysis answers are computed once and served
@@ -69,7 +71,7 @@ func parseFlags(args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.data, "data", "", "archive or fleet directory (required)")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
-	fs.IntVar(&o.nodes, "nodes", 0, "system size of an archive without a run manifest (enables cabinet/MSB rollups); where a manifest exists it must match or be 0")
+	fs.IntVar(&o.nodes, "nodes", 0, "expected system size: 0, or the node count every archive's run-meta records (else queryd refuses to start)")
 	fs.IntVar(&o.workers, "workers", 0, "parallel scan workers (0 = GOMAXPROCS)")
 	fs.IntVar(&o.cacheMB, "cache-mb", 256, "decoded-table cache budget in MiB (per cluster; 0 = no cache)")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline")
@@ -102,41 +104,26 @@ func parseFlags(args []string) (options, error) {
 }
 
 // openCluster builds one serving member over an archive directory: its
-// query engine, and its analysis source.
+// analysis source, which refuses an archive without its run-meta (and a
+// -nodes that contradicts it), and its query engine on the run's floor.
 func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, error) {
 	// One decoded-table cache backs both the raw query tier and the
 	// archive-backed analyses: a byte decoded for /api/v1/range is a byte
 	// /api/v1/analysis/* does not decode again, and vice versa.
 	cache := store.NewTableCache(int64(o.cacheMB) << 20)
-	var src source.RunSource
-	var meta source.Meta
-	arc, aerr := source.OpenArchive(source.ArchiveConfig{
+	arc, err := source.OpenArchive(source.ArchiveConfig{
 		Dir: dir, Nodes: o.nodes, Workers: o.workers, Cache: cache,
 	})
-	if aerr == nil {
-		src = arc
-		meta, _ = arc.Meta()
+	if errors.Is(err, source.ErrNodesMismatch) {
+		err = fmt.Errorf("-nodes %d: %w", o.nodes, err)
 	}
-	// The analysis routes need the cluster dataset; serve raw queries
-	// regardless (e.g. node-power-only archives). src stays a nil
-	// interface on failure so the handler can tell.
-	if aerr != nil && !o.quiet {
-		fmt.Fprintf(out, "cluster %s: analysis endpoints disabled: %v\n", name, aerr)
+	if err != nil {
+		return query.Cluster{}, err
 	}
-	// A run manifest records the size the archive was produced with (an
-	// archive without one takes -nodes as its size, so only a manifest can
-	// disagree). A contradicting -nodes would give the engine's
-	// cabinet/MSB rollups a different floor than the analyses: refuse it.
-	if aerr == nil && o.nodes != 0 && meta.Nodes != o.nodes {
-		return query.Cluster{}, fmt.Errorf("-nodes %d contradicts the run manifest of %s (%d nodes)", o.nodes, dir, meta.Nodes)
-	}
-	nodes := o.nodes
-	if nodes == 0 {
-		nodes = meta.Nodes
-	}
+	meta, _ := arc.Meta()
 	eng, err := query.Open(query.Config{
 		Dir:     dir,
-		Nodes:   nodes,
+		Nodes:   meta.Nodes,
 		Site:    meta.Site,
 		Workers: o.workers,
 		Cache:   cache,
@@ -148,16 +135,13 @@ func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, err
 	if err != nil {
 		return query.Cluster{}, err
 	}
-	if len(infos) == 0 {
-		return query.Cluster{}, fmt.Errorf("queryd: no datasets found in %s", dir)
-	}
 	if !o.quiet {
 		for _, info := range infos {
 			fmt.Fprintf(out, "%-12s dataset %-14s %3d partition(s) %9d rows  span [%d, %d]\n",
 				name, info.Name, info.Days, info.Rows, info.MinTime, info.MaxTime)
 		}
 	}
-	return query.Cluster{Name: name, Engine: eng, Source: src}, nil
+	return query.Cluster{Name: name, Engine: eng, Source: arc}, nil
 }
 
 // newServer opens the engine(s) and binds the listener; the caller serves

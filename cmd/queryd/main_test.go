@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,23 +28,31 @@ func e2ePower(node, t int64) float64 {
 	return 2000 + 25*float64(node) + float64(t%7200)*0.005
 }
 
-// writeE2EArchive builds a multi-day archive through the store layer, exactly
-// as summitsim would.
+// writeE2EArchive builds a multi-day archive through the store layer, as
+// summitsim lays one out: node-power and cluster-power days, committed by
+// the run-meta written last.
 func writeE2EArchive(t *testing.T, dir string) {
 	t.Helper()
 	ds, err := store.NewDataset(dir, "node-power")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cluster, err := store.NewDataset(dir, source.DatasetClusterPower)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for day := 0; day < e2eDays; day++ {
-		var ts, node []int64
-		var val []float64
+		var ts, node, cts []int64
+		var val, sum []float64
 		for tm := int64(day) * e2eDay; tm < int64(day+1)*e2eDay; tm += e2eStep {
+			total := 0.0
 			for n := int64(0); n < e2eNodes; n++ {
 				ts = append(ts, tm)
 				node = append(node, n)
 				val = append(val, e2ePower(n, tm))
+				total += e2ePower(n, tm)
 			}
+			cts, sum = append(cts, tm), append(sum, total)
 		}
 		err := ds.WriteDay(day, &store.Table{Cols: []store.Column{
 			{Name: "timestamp", Ints: ts},
@@ -53,6 +62,21 @@ func writeE2EArchive(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		err = cluster.WriteDay(day, &store.Table{Cols: []store.Column{
+			{Name: "timestamp", Ints: cts},
+			{Name: source.SeriesClusterPower, Floats: sum},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	manifest, err := store.NewDataset(dir, source.DatasetRunMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := source.Meta{StepSec: e2eStep, Nodes: e2eNodes, Windows: int(e2eDays * e2eDay / e2eStep)}
+	if err := manifest.WriteDay(0, source.ManifestTable(meta)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -112,7 +136,7 @@ func TestQuerydEndToEnd(t *testing.T) {
 		t.Fatalf("datasets = %d", code)
 	}
 	wantRows := int64(e2eDays) * (e2eDay / e2eStep) * e2eNodes
-	if len(inv.Datasets) != 1 || inv.Datasets[0].Days != e2eDays || inv.Datasets[0].Rows != wantRows {
+	if len(inv.Datasets) != 3 || inv.Datasets[1].Name != "node-power" || inv.Datasets[1].Days != e2eDays || inv.Datasets[1].Rows != wantRows {
 		t.Fatalf("inventory = %+v", inv.Datasets)
 	}
 
@@ -351,14 +375,13 @@ func TestQuerydFleet(t *testing.T) {
 	writeFleetRoot(t, root)
 	base := startQueryd(t, "-data", root, "-addr", "127.0.0.1:0", "-q")
 
-	// Inventory: both members, analysis enabled.
+	// Inventory: both members, with their run dimensions.
 	var inv struct {
 		Clusters []struct {
-			Name     string `json:"name"`
-			Site     string `json:"site"`
-			Nodes    int    `json:"nodes"`
-			Windows  int    `json:"windows"`
-			Analysis bool   `json:"analysis"`
+			Name    string `json:"name"`
+			Site    string `json:"site"`
+			Nodes   int    `json:"nodes"`
+			Windows int    `json:"windows"`
 		} `json:"clusters"`
 	}
 	if code := getInto(t, base+"/api/v1/clusters", &inv); code != 200 {
@@ -368,8 +391,8 @@ func TestQuerydFleet(t *testing.T) {
 		t.Fatalf("inventory = %+v", inv.Clusters)
 	}
 	for _, c := range inv.Clusters {
-		if !c.Analysis {
-			t.Fatalf("cluster %s: analysis disabled", c.Name)
+		if c.Nodes == 0 || c.Windows == 0 {
+			t.Fatalf("cluster %s: no run dimensions: %+v", c.Name, c)
 		}
 	}
 	if inv.Clusters[0].Site != "summit" || inv.Clusters[1].Site != "frontier" {
@@ -540,6 +563,23 @@ func TestNewServerRejectsEmptyArchive(t *testing.T) {
 	}
 	if _, _, err := newServer(o, io.Discard); err == nil {
 		t.Fatal("empty archive accepted")
+	}
+}
+
+// TestNewServerRefusesAnArchiveWithoutRunMeta: queryd will not start on an
+// archive without its commit record, and says which directory lacks it.
+func TestNewServerRefusesAnArchiveWithoutRunMeta(t *testing.T) {
+	dir := t.TempDir()
+	writeE2EArchive(t, dir)
+	if err := os.Remove(filepath.Join(dir, "run-meta-day00000.spwr")); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseFlags([]string{"-data", dir, "-addr", "127.0.0.1:0", "-q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := newServer(o, io.Discard); err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "run-meta") {
+		t.Fatalf("newServer = %v, want a refusal naming %s and its run-meta", err, dir)
 	}
 }
 

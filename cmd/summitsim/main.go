@@ -187,12 +187,15 @@ func run(w io.Writer, o options) error {
 	if !o.quiet {
 		fmt.Fprintf(w, "scenario %s (hash %s, run seed %d)\n", r.Spec.Name, r.Identity(), r.Seed)
 	}
+	if err := source.BeginArchive(archiveSpan(r.Config), o.out); err != nil {
+		return err
+	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
 	var attach []core.Attach
 	var nodes *core.NodeDatasetWriter
 	if o.nodeData {
 		// Attached as a bare observer, so CollectRun leaves the writer open:
-		// archiveRun closes it beside the archive write.
+		// the archive write closes it beside its partitions.
 		attach = append(attach, func(s *sim.Sim) (sim.Observer, error) {
 			cfg := s.Config()
 			w, err := core.NewNodeDatasetWriter(o.out, cfg.Nodes, cfg.Site)
@@ -245,9 +248,16 @@ func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error
 			Name: name, Site: site, Nodes: r.Config.Nodes, Dir: name,
 		})
 	}
+	dirs := make([]string, o.clusters)
+	for i := range dirs {
+		dirs[i] = filepath.Join(o.out, cfgs[i].Cluster)
+	}
+	if err := source.BeginArchive(archiveSpan(base.Config), dirs...); err != nil {
+		return err
+	}
 	var dirFor func(i int) string
 	if o.nodeData {
-		dirFor = func(i int) string { return filepath.Join(o.out, cfgs[i].Cluster) }
+		dirFor = func(i int) string { return dirs[i] }
 	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
 	runs, err := core.CollectFleet(cfgs, 0, dirFor)
@@ -261,7 +271,7 @@ func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error
 				name, m.Result.Steps, cfgs[i].Nodes, len(m.Result.Allocations),
 				len(m.Result.Failures), m.Result.Utilization*100)
 		}
-		if err := archiveRun(w, filepath.Join(o.out, name), name, members[i], m.Data, nil, o); err != nil {
+		if err := archiveRun(w, dirs[i], name, members[i], m.Data, nil, o); err != nil {
 			return err
 		}
 	}
@@ -274,26 +284,31 @@ func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error
 	return nil
 }
 
+// archiveSpan is the span a run of cfg archives: its duration in whole
+// windows of its grid, as its run-meta will record it.
+func archiveSpan(cfg sim.Config) int64 {
+	return (cfg.DurationSec + cfg.StepSec - 1) / cfg.StepSec * cfg.StepSec
+}
+
 // archiveRun writes one run's datasets, scheduler CSV logs, scenario.json
 // and report.json into dir, then reports the per-dataset footprint. prefix
 // labels report lines in fleet mode. nodes, when not nil, is the run's
-// still-open node-power writer: its last day is flushed while the other
-// datasets are written.
+// still-open node-power writer: its last day, like the -jobseries dataset,
+// is written beside the other partitions, before the run-meta.
 func archiveRun(w io.Writer, dir, prefix string, r *scenario.Resolved, data *core.RunData,
 	nodes *core.NodeDatasetWriter, o options) error {
-	closed := make(chan error, 1)
-	if nodes == nil {
-		closed <- nil
-	} else {
-		go func() { closed <- nodes.Close() }()
-	}
-	if err := errors.Join(core.WriteDatasets(dir, data), <-closed); err != nil {
-		return err
+	var also []func() error
+	if nodes != nil {
+		also = append(also, nodes.Close)
 	}
 	if o.jobSeries {
-		if err := core.WriteJobSeriesDataset(dir, data); err != nil {
-			return err
+		also = append(also, func() error { return core.WriteJobSeriesDataset(dir, data) })
+	}
+	if err := core.WriteDatasets(dir, data, also...); err != nil {
+		if nodes != nil {
+			_ = nodes.Close() // waits for a flush the failed write did not reach; else a no-op
 		}
+		return err
 	}
 	// Job scheduler logs (Datasets C and D) as CSV for external tooling.
 	if err := writeCSV(filepath.Join(dir, "allocations.csv"), func(w io.Writer) error {

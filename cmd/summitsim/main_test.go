@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -204,9 +207,53 @@ func TestNodeDataLastDayErrorIsReturned(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "cluster-power-day00000.spwr")); err != nil {
 		t.Errorf("the archive write beside the failed flush: %v", err)
 	}
-	for _, name := range []string{"scenario.json", "report.json"} {
+	for _, name := range []string{"scenario.json", "report.json", "run-meta-day00000.spwr"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("%s after a failed flush: stat = %v, want not exist", name, err)
+		}
+	}
+}
+
+// fileSums maps every file under dir to its sha256.
+func fileSums(t *testing.T, dir string) map[string][32]byte {
+	t.Helper()
+	sums := map[string][32]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		sums[path] = sha256.Sum256(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
+}
+
+// TestRefusedRerunTouchesNothing: a shorter run into a longer run's
+// directory is refused before its first window, naming the days it would
+// leave behind, and every file of the earlier run — its node-power days and
+// run-meta included — keeps its bytes. The same holds for a fleet member.
+func TestRefusedRerunTouchesNothing(t *testing.T) {
+	for _, clusters := range []int{1, 2} {
+		dir := t.TempDir()
+		if err := run(io.Discard, options{nodes: 16, days: 3, seed: 2020, clusters: clusters, sites: "summit", out: dir, nodeData: true, quiet: true}); err != nil {
+			t.Fatal(err)
+		}
+		before := fileSums(t, dir)
+		err := run(io.Discard, options{nodes: 16, days: 1, seed: 99, clusters: clusters, sites: "summit", out: dir, nodeData: true, quiet: true})
+		if err == nil {
+			t.Fatalf("%d cluster(s): a 1-day run was archived over a 3-day run", clusters)
+		}
+		for _, name := range []string{"cluster-power-day00001.spwr", "cluster-power-day00002.spwr", "node-power-day00002.spwr"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%d cluster(s): refusal does not name %s: %v", clusters, name, err)
+			}
+		}
+		if after := fileSums(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%d cluster(s): the refused run changed the directory", clusters)
 		}
 	}
 }

@@ -31,10 +31,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := core.WriteDatasets(dir, data); err != nil {
-		log.Fatal(err)
-	}
-	if err := core.WriteJobSeriesDataset(dir, data); err != nil {
+	// The per-job dataset is written beside the others, before the
+	// run-meta that commits them all.
+	if err := core.WriteDatasets(dir, data, func() error { return core.WriteJobSeriesDataset(dir, data) }); err != nil {
 		log.Fatal(err)
 	}
 	var total int64

@@ -8,11 +8,12 @@ import (
 	"repro/internal/topology"
 )
 
-// WriteDatasets archives the run data into dir. The layout — datasets,
-// columns, codecs — is internal/source's; the run reaches its one writer as
-// the same RunSource the live analyses read.
-func WriteDatasets(dir string, d *RunData) error {
-	return source.WriteArchive(dir, d.Source())
+// WriteDatasets archives the run data into dir, the writers in also beside
+// it (source.WriteArchive). The layout — datasets, columns, codecs — is
+// internal/source's; the run reaches its one writer as the same RunSource
+// the live analyses read.
+func WriteDatasets(dir string, d *RunData, also ...func() error) error {
+	return source.WriteArchive(dir, d.Source(), also...)
 }
 
 // DatasetNodePower is the per-node window dataset (the paper's Dataset 0:

@@ -20,13 +20,6 @@ import (
 // over an archive that cannot change under the server, so it is computed
 // and encoded once and served from the handler's reply cache after that.
 
-// errSourceUnavailable reports an archive the analysis layer cannot serve
-// (no cluster dataset, so no RunSource was attached).
-var errSourceUnavailable = &serve.Error{
-	Status: http.StatusNotFound,
-	Msg:    "analysis endpoints unavailable: archive has no cluster dataset",
-}
-
 // analysisErr maps source-layer sentinels onto HTTP statuses.
 func analysisErr(err error) error {
 	if errors.Is(err, source.ErrUnavailable) || errors.Is(err, source.ErrUnknownSeries) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -23,12 +24,7 @@ func analysisServer(t *testing.T) (*httptest.Server, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := source.OpenArchive(source.ArchiveConfig{
-		Dir:     dir,
-		StepSec: fixStep,
-		Nodes:   fixNodes,
-		Cache:   eng.Cache(),
-	})
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Nodes: fixNodes, Cache: eng.Cache()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +85,11 @@ func TestHTTPAnalysisEdgesAndSwings(t *testing.T) {
 	}
 }
 
-// TestHTTPAnalysisUnavailable covers the two degraded modes: analyses whose
-// datasets the archive lacks answer 404, and a handler with no Source at
-// all answers 404 on every analysis route while raw queries still work.
+// TestHTTPAnalysisUnavailable: analyses whose datasets the archive lacks
+// answer 404, and a cluster without a source is refused at construction, as
+// one without an engine is.
 func TestHTTPAnalysisUnavailable(t *testing.T) {
-	srv, _ := analysisServer(t)
+	srv, eng := analysisServer(t)
 	for _, route := range []string{"bands", "validation", "earlywarning", "failures", "jobs"} {
 		var body struct {
 			Error string `json:"error"`
@@ -102,19 +98,8 @@ func TestHTTPAnalysisUnavailable(t *testing.T) {
 			t.Errorf("%s: status %d (%s), want 404", route, code, body.Error)
 		}
 	}
-
-	bare, _ := testServer(t, ServerConfig{}) // no Source
-	var body struct {
-		Error string `json:"error"`
-	}
-	if code := getJSON(t, bare.URL+"/api/v1/analysis/summary", &body); code != 404 {
-		t.Fatalf("nil-source status %d", code)
-	}
-	if body.Error == "" {
-		t.Error("nil-source 404 carries no error message")
-	}
-	if code := getJSON(t, bare.URL+"/api/v1/datasets", nil); code != 200 {
-		t.Errorf("raw query tier broken without Source: status %d", code)
+	if _, err := NewFleetHandler([]Cluster{{Name: "bare", Engine: eng}}, ServerConfig{}); err == nil || !strings.Contains(err.Error(), `"bare" has no source`) {
+		t.Errorf("a cluster without a source: %v, want a refusal naming it", err)
 	}
 }
 
@@ -130,7 +115,7 @@ func TestValidationWithoutMeters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, StepSec: fixStep, Nodes: fixNodes, Cache: eng.Cache()})
+	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Nodes: fixNodes, Cache: eng.Cache()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,8 @@ import (
 )
 
 // Archive fixture: a node-power dataset (timestamp, node, input_power.mean)
-// and a cluster-power dataset (timestamp, sum_inp), daily-partitioned.
+// and a cluster-power dataset (timestamp, sum_inp), daily-partitioned, and
+// the run-meta that commits them.
 const (
 	fixNodes = 20
 	fixDays  = 3
@@ -70,6 +71,14 @@ func writeTestArchive(t testing.TB, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	manifest, err := store.NewDataset(dir, source.DatasetRunMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := source.Meta{StepSec: fixStep, Nodes: fixNodes, Windows: int(fixDays * daySec / fixStep)}
+	if err := manifest.WriteDay(0, source.ManifestTable(meta)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -152,11 +161,11 @@ func TestOpenDiscoversDatasets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 2 {
-		t.Fatalf("found %d datasets, want 2", len(infos))
+	if len(infos) != 3 {
+		t.Fatalf("found %d datasets, want 3", len(infos))
 	}
-	if infos[0].Name != "cluster-power" || infos[1].Name != "node-power" {
-		t.Errorf("names = %s, %s", infos[0].Name, infos[1].Name)
+	if infos[0].Name != "cluster-power" || infos[1].Name != "node-power" || infos[2].Name != source.DatasetRunMeta {
+		t.Errorf("names = %s, %s, %s", infos[0].Name, infos[1].Name, infos[2].Name)
 	}
 	np := infos[1]
 	if np.Days != fixDays {
@@ -200,8 +209,8 @@ func TestOpenSkipsNonCanonicalPartitionNames(t *testing.T) {
 			t.Errorf("phantom dataset listed: %+v", info)
 		}
 	}
-	if len(infos) != 2 {
-		t.Errorf("found %d datasets, want 2", len(infos))
+	if len(infos) != 3 {
+		t.Errorf("found %d datasets, want 3", len(infos))
 	}
 }
 

@@ -26,7 +26,6 @@ type apiClusterInfo struct {
 	StartTime int64  `json:"start_time"`
 	StepSec   int64  `json:"step_sec"`
 	Windows   int    `json:"windows"`
-	Analysis  bool   `json:"analysis"`
 }
 
 // clustersRoute answers the inventory, which reads nothing from the request:
@@ -39,27 +38,20 @@ func (h *handler) clustersReply() (any, error) {
 	out := make([]apiClusterInfo, 0, len(h.clusters))
 	for i := range h.clusters {
 		c := &h.clusters[i]
-		info := apiClusterInfo{Name: c.Name, Analysis: c.Source != nil}
-		if c.Source != nil {
-			meta, err := c.Source.Meta()
-			if err != nil {
-				return nil, analysisErr(err)
-			}
-			info.Site = meta.Site
-			info.Nodes = meta.Nodes
-			info.StartTime = meta.StartTime
-			info.StepSec = meta.StepSec
-			info.Windows = meta.Windows
+		meta, err := c.Source.Meta()
+		if err != nil {
+			return nil, analysisErr(err)
 		}
-		out = append(out, info)
+		out = append(out, apiClusterInfo{
+			Name: c.Name, Site: meta.Site, Nodes: meta.Nodes,
+			StartTime: meta.StartTime, StepSec: meta.StepSec, Windows: meta.Windows,
+		})
 	}
 	return map[string]any{"clusters": out}, nil
 }
 
 // fleetMembers resolves the members a fleet merge addresses: all clusters,
-// or the comma-separated ?clusters= subset, in handler order. Members
-// without an analysis source are an error — a silent skip would present a
-// partial sum as the fleet total.
+// or the comma-separated ?clusters= subset, in handler order.
 func (h *handler) fleetMembers(q url.Values) ([]*Cluster, error) {
 	want := map[string]bool{}
 	if arg := q.Get("clusters"); arg != "" {
@@ -76,10 +68,6 @@ func (h *handler) fleetMembers(q url.Values) ([]*Cluster, error) {
 		c := &h.clusters[i]
 		if len(want) > 0 && !want[c.Name] {
 			continue
-		}
-		if c.Source == nil {
-			return nil, &serve.Error{Status: http.StatusNotFound,
-				Msg: fmt.Sprintf("cluster %q has no analysis source; fleet merge unavailable", c.Name)}
 		}
 		out = append(out, c)
 	}

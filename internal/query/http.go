@@ -30,15 +30,14 @@ type ServerConfig struct {
 }
 
 // Cluster is one fleet member served by the handler: its raw-query engine
-// and (optionally) its analysis source.
+// and its analysis source.
 type Cluster struct {
 	// Name selects the cluster via ?cluster=; it must be unique. The empty
 	// name is legal only for a single-cluster handler (the pre-fleet API).
 	Name string
 	// Engine serves the cluster's raw range/rollup/dataset queries.
 	Engine *Engine
-	// Source serves the cluster's analyses; nil disables them for this
-	// cluster (404).
+	// Source serves the cluster's analyses and its run dimensions.
 	Source source.RunSource
 }
 
@@ -99,6 +98,9 @@ func NewFleetHandler(clusters []Cluster, cfg ServerConfig) (http.Handler, error)
 		c := &h.clusters[i]
 		if c.Engine == nil {
 			return nil, fmt.Errorf("query: cluster %q has no engine", c.Name)
+		}
+		if c.Source == nil {
+			return nil, fmt.Errorf("query: cluster %q has no source", c.Name)
 		}
 		if c.Name == "" && len(clusters) > 1 {
 			return nil, errors.New("query: fleet members need names")
@@ -165,9 +167,6 @@ func (h *handler) analysis(route analysisRoute) serve.PureRoute {
 		cl, err := h.cluster(q)
 		if err != nil {
 			return "", nil, err
-		}
-		if cl.Source == nil {
-			return "", nil, errSourceUnavailable
 		}
 		params, compute, err := route(q)
 		if err != nil {

@@ -20,9 +20,17 @@ import (
 )
 
 // singleHandler serves one anonymous cluster — the pre-fleet shape most
-// tests use — and hands back the concrete handler.
+// tests use — and hands back the concrete handler. A nil src is the archive
+// the engine serves, opened on the engine's cache as cmd/queryd opens it.
 func singleHandler(t testing.TB, eng *Engine, src source.RunSource, cfg ServerConfig) *handler {
 	t.Helper()
+	if src == nil {
+		arc, err := source.OpenArchive(source.ArchiveConfig{Dir: eng.cfg.Dir, Cache: eng.Cache()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src = arc
+	}
 	h, err := NewFleetHandler([]Cluster{{Engine: eng, Source: src}}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +90,7 @@ func TestHTTPDatasets(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/api/v1/datasets", &body); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if len(body.Datasets) != 2 || body.Datasets[1].Name != "node-power" {
+	if len(body.Datasets) != 3 || body.Datasets[1].Name != "node-power" {
 		t.Fatalf("datasets = %+v", body.Datasets)
 	}
 	if body.Datasets[1].Days != fixDays || body.Datasets[1].MinTime == nil {
@@ -346,7 +354,9 @@ func TestHTTPVarsStoreBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(singleHandler(t, e, nil, ServerConfig{}))
+	// The analyses are not asked, so an empty source stands in for the
+	// archive's: the fixture is two cluster-power days and no run-meta.
+	srv := httptest.NewServer(singleHandler(t, e, &source.MemorySource{}, ServerConfig{}))
 	defer srv.Close()
 	before := store.Stats()
 	var inv struct {

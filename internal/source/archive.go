@@ -6,12 +6,12 @@ import (
 	"io/fs"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/failures"
 	"repro/internal/parallel"
 	"repro/internal/store"
 	"repro/internal/tsagg"
-	"repro/internal/units"
 )
 
 // Manifest column names.
@@ -26,9 +26,8 @@ const (
 
 // ManifestTable encodes run dimensions as the one-row run-meta table
 // WriteArchive stores and OpenArchive reads back. The cluster identity
-// columns are always written (as string columns, bumping the manifest file
-// — and only the manifest file — to the string-capable format version);
-// archives predating them read back with empty identity.
+// columns are string columns, which bumps the manifest file — and only the
+// manifest file — to the string-capable format version.
 func ManifestTable(m Meta) *store.Table {
 	return &store.Table{Cols: []store.Column{
 		{Name: manifestNodes, Ints: []int64{int64(m.Nodes)}},
@@ -40,15 +39,45 @@ func ManifestTable(m Meta) *store.Table {
 	}}
 }
 
+// ErrNodesMismatch marks an ArchiveConfig.Nodes the run-meta contradicts.
+var ErrNodesMismatch = errors.New("source: wrong node count")
+
+// ReadManifest reads dir's run-meta, the archive's commit record: the run's
+// dimensions, written after every other partition of the run. A missing
+// run-meta (an interrupted run, or one archived before the record was
+// required) or one lacking any of its six columns is an error naming dir.
+func ReadManifest(dir string) (Meta, error) {
+	ds := dataset(dir, DatasetRunMeta)
+	// One row read exactly once at open; not worth a cache slot.
+	tab, err := ds.ReadDay(logDay)
+	if err != nil {
+		return Meta{}, fmt.Errorf("source: %s has no readable run-meta, so no committed run: %w", dir, err)
+	}
+	var missing []string
+	for _, want := range ManifestTable(Meta{}).Cols {
+		if c := tab.Col(want.Name); c == nil || c.IsInt() != want.IsInt() || c.IsStr() != want.IsStr() || c.Len() != 1 {
+			missing = append(missing, want.Name)
+		}
+	}
+	if len(missing) > 0 {
+		return Meta{}, fmt.Errorf("source: %s: %s lacks column(s) %s", dir, ds.DayFile(logDay), strings.Join(missing, ", "))
+	}
+	num := func(name string) int64 { return tab.Col(name).Ints[0] }
+	m := Meta{StartTime: num(manifestStart), StepSec: num(manifestStepSec), Nodes: int(num(manifestNodes)),
+		Cluster: tab.Col(manifestCluster).Strs[0], Site: tab.Col(manifestSite).Strs[0]}
+	if m.StepSec <= 0 {
+		return Meta{}, fmt.Errorf("source: %s: %s records a %d s step", dir, ds.DayFile(logDay), m.StepSec)
+	}
+	m.Windows = int(num(manifestDuration) / m.StepSec)
+	return m, nil
+}
+
 // ArchiveConfig parameterizes OpenArchive.
 type ArchiveConfig struct {
 	// Dir is the archive directory, as written by summitsim / WriteArchive.
 	Dir string
-	// StepSec is the coarsening grid to assume when the archive predates
-	// the run manifest (<= 0: the paper's 10 s window).
-	StepSec int64
-	// Nodes is the system size to assume when the archive has no manifest
-	// (analyses needing a size fail cleanly when both are absent).
+	// Nodes, when not 0, is the system size the caller expects: an archive
+	// whose run-meta records another is refused (ErrNodesMismatch).
 	Nodes int
 	// Cache optionally shares a decoded-table cache with other consumers
 	// (queryd passes the engine's). Nil gives the source a private 256 MiB
@@ -73,17 +102,22 @@ type ArchiveSource struct {
 
 var _ RunSource = (*ArchiveSource)(nil)
 
-// OpenArchive opens dir as a RunSource. The cluster dataset must exist;
-// every other dataset is resolved lazily. Run dimensions come from the
-// archive's manifest when present, falling back to cfg and to the cluster
-// partitions' time metadata.
+// OpenArchive opens dir as a RunSource. The run dimensions are the
+// archive's run-meta (ReadManifest), without which it is refused; the
+// cluster dataset must exist, and every other dataset is resolved lazily.
 func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
+	meta, err := ReadManifest(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Nodes != 0 && cfg.Nodes != meta.Nodes {
+		return nil, fmt.Errorf("%w: %d contradicts the run-meta of %s (%d nodes)", ErrNodesMismatch, cfg.Nodes, cfg.Dir, meta.Nodes)
+	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = store.NewTableCache(256 << 20)
 	}
-	a := &ArchiveSource{cfg: cfg, cache: cache}
-	var err error
+	a := &ArchiveSource{cfg: cfg, cache: cache, meta: meta}
 	if a.cluster, err = store.OpenIndex(cfg.Dir, DatasetClusterPower, cfg.Workers); err != nil {
 		return nil, fmt.Errorf("source: open archive: %w", err)
 	}
@@ -92,77 +126,10 @@ func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 	}
 	// Load the pruning index now, so a corrupt cluster partition fails the
 	// open (naming the file) instead of the first analysis.
-	metas, err := a.cluster.Metas()
-	if err != nil {
-		return nil, err
-	}
-	if err := a.resolveMeta(metas); err != nil {
+	if _, err := a.cluster.Metas(); err != nil {
 		return nil, err
 	}
 	return a, nil
-}
-
-// resolveMeta fills a.meta from the manifest, falling back to the config
-// and the cluster partitions' time metadata.
-func (a *ArchiveSource) resolveMeta(metas []store.DayMeta) error {
-	manifest := dataset(a.cfg.Dir, DatasetRunMeta)
-	days, err := manifest.Days()
-	if err != nil {
-		return err
-	}
-	if len(days) > 0 {
-		// One row read exactly once at open; not worth a cache slot.
-		tab, err := manifest.ReadDay(days[0])
-		if err != nil {
-			return err
-		}
-		get := func(name string) (int64, bool) {
-			c := tab.Col(name)
-			if c == nil || !c.IsInt() || len(c.Ints) == 0 {
-				return 0, false
-			}
-			return c.Ints[0], true
-		}
-		getStr := func(name string) string {
-			c := tab.Col(name)
-			if c == nil || !c.IsStr() || len(c.Strs) == 0 {
-				return "" // archive predates the identity columns
-			}
-			return c.Strs[0]
-		}
-		nodes, okN := get(manifestNodes)
-		step, okS := get(manifestStepSec)
-		start, okT := get(manifestStart)
-		dur, okD := get(manifestDuration)
-		if okN && okS && okT && okD && step > 0 {
-			a.meta = Meta{
-				StartTime: start,
-				StepSec:   step,
-				Nodes:     int(nodes),
-				Windows:   int(dur / step),
-				Cluster:   getStr(manifestCluster),
-				Site:      getStr(manifestSite),
-			}
-			return nil
-		}
-	}
-	// Pre-manifest archive: dimensions from the caller and the partitions.
-	step := a.cfg.StepSec
-	if step <= 0 {
-		step = units.CoarsenWindowSec
-	}
-	start, end, ok := store.Span(metas)
-	if !ok {
-		return fmt.Errorf("source: cluster dataset in %s has no time column", a.cfg.Dir)
-	}
-	m := Meta{StepSec: step, Nodes: a.cfg.Nodes, StartTime: start, Windows: int((end-start)/step) + 1}
-	rows := 0
-	for _, dm := range metas {
-		rows += dm.Rows
-	}
-	m.Windows = max(m.Windows, rows)
-	a.meta = m
-	return nil
 }
 
 // Meta implements RunSource.

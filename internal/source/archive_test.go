@@ -1,9 +1,13 @@
 package source
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,6 +76,39 @@ func TestOpenArchiveMetaFromManifest(t *testing.T) {
 	}
 	if _, err := arc.Failures(); err == nil {
 		t.Error("missing failure dataset accepted")
+	}
+}
+
+// TestOpenArchiveRefusesWithoutRunMeta: the run-meta is the archive's
+// commit record. Without it, or without one of its six columns, the archive
+// is refused by an error naming the directory instead of read on a guessed
+// shape; so is a node count the caller expects that it contradicts.
+func TestOpenArchiveRefusesWithoutRunMeta(t *testing.T) {
+	dir := t.TempDir()
+	meta := writeFixture(t, dir)
+	manifest := dataset(dir, DatasetRunMeta)
+	if _, err := OpenArchive(ArchiveConfig{Dir: dir, Nodes: meta.Nodes}); err != nil {
+		t.Fatalf("the node count the run-meta records: %v", err)
+	}
+	_, err := OpenArchive(ArchiveConfig{Dir: dir, Nodes: meta.Nodes + 1})
+	if !errors.Is(err, ErrNodesMismatch) || !strings.Contains(err.Error(), dir) {
+		t.Errorf("a contradicting node count: %v, want ErrNodesMismatch naming %s", err, dir)
+	}
+
+	noSite := ManifestTable(meta)
+	noSite.Cols = noSite.Cols[:len(noSite.Cols)-1]
+	if err := manifest.WriteDay(logDay, noSite); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenArchive(ArchiveConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), manifestSite) {
+		t.Errorf("a run-meta without its %s column: %v, want a refusal naming %s and the column", manifestSite, err, dir)
+	}
+
+	if err := os.Remove(filepath.Join(dir, manifest.DayFile(logDay))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenArchive(ArchiveConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("an archive without run-meta: %v, want a refusal naming %s", err, dir)
 	}
 }
 

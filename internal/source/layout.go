@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 
@@ -350,14 +352,17 @@ func writeNodeRollup(w io.Writer, tab *store.Table, floor *topology.Floor) error
 }
 
 // WriteArchive archives the run src serves into dir as daily-partitioned
-// columnar files, the paper's one-file-per-day layout: the run-meta manifest
-// that makes the archive self-describing, the cluster-power series sliced by
-// day, and the job and failure logs. The run is read and dir checked before
-// the first byte is written: a directory still holding days of a longer run
-// is refused, because they would be served as part of this one.
+// columnar files, the paper's one-file-per-day layout: the cluster-power
+// series sliced by day, the job and failure logs, and last the run-meta
+// manifest that makes the archive self-describing. The run is read and dir
+// checked (BeginArchive) before the first byte is written. The writers in
+// also — the run's other datasets, such as the node-power writer's last day
+// — run beside the partitions; run-meta, the archive's commit record, is
+// written only once every partition and every one of them has succeeded, so
+// a failed or interrupted write leaves an archive every reader refuses.
 //
 //lint:detroot
-func WriteArchive(dir string, src RunSource) error {
+func WriteArchive(dir string, src RunSource, also ...func() error) error {
 	m, err := src.Meta()
 	if err != nil {
 		return err
@@ -374,20 +379,19 @@ func WriteArchive(dir string, src RunSource) error {
 	if err != nil {
 		return err
 	}
-	days := int((m.SpanSec() + daySec - 1) / daySec)
-	if err := refuseStale(dir, max(days, logDay+1)); err != nil {
+	if err := BeginArchive(m.SpanSec(), dir); err != nil {
 		return err
 	}
 	// The partitions are independent files, each one's bytes a function of
-	// its table alone, so they are encoded side by side; their errors come
-	// back in the order listed here.
+	// its table alone, so they are encoded side by side, after the writers
+	// of also have been started; errors come back in that order.
 	type partition struct {
 		dataset string
 		day     int
 		table   *store.Table
 	}
-	parts := []partition{{DatasetRunMeta, logDay, ManifestTable(m)}}
-	for day := 0; day < days; day++ {
+	var parts []partition
+	for day := 0; day < int((m.SpanSec()+daySec-1)/daySec); day++ {
 		t0 := m.StartTime + int64(day)*daySec
 		ts := make([]int64, series[0].Slice(t0, t0+daySec).Len())
 		for i := range ts {
@@ -402,36 +406,68 @@ func WriteArchive(dir string, src RunSource) error {
 	parts = append(parts,
 		partition{DatasetJobRecords, logDay, encodeRows(jobSchema, jobs)},
 		partition{DatasetFailures, logDay, encodeRows(failureSchema, evs)})
-	return parallel.ForEachErr(len(parts), 0, func(i int) error {
-		p := parts[i]
+	err = parallel.ForEachErr(len(also)+len(parts), 0, func(i int) error {
+		if i < len(also) {
+			return also[i]()
+		}
+		p := parts[i-len(also)]
 		return dataset(dir, p.dataset).WriteDayCodec(p.day, p.table, store.CodecDelta)
 	})
+	if err != nil {
+		return err
+	}
+	return dataset(dir, DatasetRunMeta).WriteDayCodec(logDay, ManifestTable(m), store.CodecDelta)
 }
 
-// refuseStale fails, naming the files, when dir already holds a partition of
-// any dataset at a day index a run of the given length in days will not
-// overwrite. Re-archiving over the same days stays legal.
-func refuseStale(dir string, days int) error {
+// spanDays is how many day partitions a run of spanSec seconds may hold:
+// its days, and at least the one the whole-run logs and run-meta live in.
+func spanDays(spanSec int64) int { return max(int((spanSec+daySec-1)/daySec), logDay+1) }
+
+// BeginArchive readies each of dirs for a run of spanSec seconds before any
+// partition is written: it refuses, naming the files, when any of them still
+// holds days of a longer run (StaleFiles), and only then removes their old
+// run-meta, so a refused run touches nothing and, from here until the run
+// commits its own, no directory holds a committed run.
+func BeginArchive(spanSec int64, dirs ...string) error {
+	for _, dir := range dirs {
+		stale, err := StaleFiles(dir, spanSec)
+		if err != nil {
+			return err
+		}
+		if len(stale) > 0 {
+			return fmt.Errorf("source: %s holds partitions of a longer run that this %d-day run would not overwrite (%s): archive into an empty directory or remove them",
+				dir, spanDays(spanSec), strings.Join(stale, ", "))
+		}
+	}
+	for _, dir := range dirs {
+		err := os.Remove(filepath.Join(dir, dataset(dir, DatasetRunMeta).DayFile(logDay)))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
+}
+
+// StaleFiles lists the partitions, of any dataset in dir, at a day index
+// outside a run of spanSec seconds: what such a run neither writes nor may be
+// read beside. A missing dir holds none.
+func StaleFiles(dir string, spanSec int64) ([]string, error) {
 	names, err := store.Datasets(dir)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) { // no directory: nothing archived here yet
-		return err
+		return nil, err
 	}
 	var stale []string
 	for _, name := range names {
 		ds := dataset(dir, name)
 		have, err := ds.Days()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, day := range have {
-			if day >= days {
+			if day >= spanDays(spanSec) {
 				stale = append(stale, ds.DayFile(day))
 			}
 		}
 	}
-	if len(stale) == 0 {
-		return nil
-	}
-	return fmt.Errorf("source: %s holds partitions of a longer run that this %d-day run would not overwrite (%s): archive into an empty directory or remove them",
-		dir, days, strings.Join(stale, ", "))
+	return stale, nil
 }

@@ -159,6 +159,29 @@ func TestWriteArchiveSideBySide(t *testing.T) {
 	}
 }
 
+// TestInterruptedWriteIsNotACommittedRun: a write over a committed archive
+// that fails part-way — here a directory squats on one partition's staging
+// path — removes the old run-meta first and never writes the new one, so
+// the mix of old and new days it leaves is refused by name, not served.
+func TestInterruptedWriteIsNotACommittedRun(t *testing.T) {
+	dir := t.TempDir()
+	if err := source.WriteArchive(dir, syntheticRun(288, 0, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "cluster-power-day00001.spwr.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := source.WriteArchive(dir, syntheticRun(288, 7, nil, nil)); err == nil {
+		t.Fatal("a write whose partition could not be staged succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "run-meta-day00000.spwr")); !os.IsNotExist(err) {
+		t.Errorf("run-meta after an interrupted write: stat = %v, want not exist", err)
+	}
+	if _, err := source.OpenArchive(source.ArchiveConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "run-meta") {
+		t.Errorf("open after an interrupted write: %v, want a refusal naming %s and its run-meta", err, dir)
+	}
+}
+
 // TestWriteArchiveRefusesHalfMeterPair: a meter without its sensor sum is
 // half a Figure 4 pair. WriteArchive refuses the run, naming the missing
 // column, and writes nothing, instead of archiving a meter no analysis can
