@@ -43,11 +43,11 @@ lint:
 	$(GO) run ./cmd/reprolint ./...
 
 # guard runs, on one module load, the lint gate in test form and the
-# earn-or-delete guards: every exported function and method of internal/...
-# has a caller outside tests, implements an interface that declares it, or
-# is listed in cmd/reprolint's keptUncalled with its reason; and every
-# exported field of an exported struct type of internal/... is written
-# outside tests or is listed in keptUnset with its reason.
+# earn-or-delete guards over the root package and internal/...: every
+# exported function and method has a caller outside tests, implements an
+# interface that declares it, or is listed in cmd/reprolint's keptUncalled
+# with its reason; and every exported field of an exported struct type is
+# written outside tests or is listed in keptUnset with its reason.
 guard:
 	$(GO) test -run 'TestRepoIsLintClean|TestExportedFunctionsHaveCallers|TestExportedFieldsAreSet' ./cmd/reprolint
 
@@ -296,11 +296,14 @@ scenario-smoke:
 # summary and fsck on a copy without its run-meta (the commit record); then a
 # shorter run archived into the same directory must be refused (its leftover
 # days would otherwise be served as one run) and leave the sha256 of every
-# file of the earlier run unchanged.
+# file of the earlier run unchanged; so must, with exit status 1 and every
+# file cmp-identical, a run without -nodedata and -jobseries into a
+# directory that holds those datasets' days (an earlier run's node-power
+# would otherwise be served beside the new run-meta).
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -jobseries -q
 	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-again
@@ -339,9 +342,20 @@ archive-smoke:
 		echo "archive-smoke: a 1-day run was archived over a 2-day run"; exit 1; fi; \
 	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
 	cd /tmp/arcsmoke-single && find . -type f | sort | xargs sha256sum | diff /tmp/arcsmoke-sums.txt - || \
-		{ echo "archive-smoke: the refused re-run changed the archive"; exit 1; }; \
-	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by summary and fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes), shorter re-run refused with every file byte-identical"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt
+		{ echo "archive-smoke: the refused re-run changed the archive"; exit 1; }
+	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-mixed -nodes 16 -days 1 -nodedata -jobseries -seed 1 -q
+	cp -r /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before
+	@code=0; /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-mixed -nodes 32 -days 1 -seed 1 -q 2> /tmp/arcsmoke-refusal.txt || code=$$?; \
+	test $$code -eq 1 || { echo "archive-smoke: a run without -nodedata into a -nodedata archive exited $$code, want 1"; exit 1; }; \
+	grep -q 'node-power-day00000.spwr' /tmp/arcsmoke-refusal.txt && grep -q 'job-series-day00000.spwr' /tmp/arcsmoke-refusal.txt || \
+		{ cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
+	(cd /tmp/arcsmoke-mixed-before && find . -type f | sort) > /tmp/arcsmoke-sums.txt; \
+	(cd /tmp/arcsmoke-mixed && find . -type f | sort) | diff /tmp/arcsmoke-sums.txt - || \
+		{ echo "archive-smoke: the refused run changed the set of files"; exit 1; }; \
+	while read f; do cmp /tmp/arcsmoke-mixed-before/$$f /tmp/arcsmoke-mixed/$$f || \
+		{ echo "archive-smoke: the refused run changed $$f"; exit 1; }; done < /tmp/arcsmoke-sums.txt; \
+	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by summary and fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes), a shorter re-run and a re-run without -nodedata/-jobseries refused with every file byte-identical"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt
 
 # bench-report regenerates the checked-in markdown trend report from every
 # BENCH_*.json baseline.

@@ -29,22 +29,23 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
+	"repro/internal/whatif"
 )
 
 var (
 	benchOnce sync.Once
-	benchData *RunData
+	benchData *core.RunData
 	benchVC   *core.VariabilityCollector
 	benchErr  error
 )
 
 // benchRun builds one shared scaled run for all analysis benchmarks so
 // each benchmark measures experiment regeneration, not simulation.
-func benchRun(b *testing.B) (*RunData, *core.VariabilityCollector) {
+func benchRun(b *testing.B) (*core.RunData, *core.VariabilityCollector) {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := ScaledConfig(128, 6*time.Hour)
-		benchData, benchVC, _, benchErr = SimulateWithVariability(cfg)
+		benchData, _, benchErr = core.CollectRun(cfg, core.AttachVariability(&benchVC))
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -58,7 +59,7 @@ func BenchmarkSimulateDay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := ScaledConfig(64, time.Hour)
 		cfg.Seed = uint64(i)
-		if _, _, err := Simulate(cfg); err != nil {
+		if _, _, err := core.CollectRun(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +114,7 @@ func BenchmarkFig4MeterValidation(b *testing.B) {
 	d, _ := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure4Validation(d); err != nil {
+		if _, err := core.ValidationFromSource(d.Source()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,7 +124,7 @@ func BenchmarkFig5YearTrends(b *testing.B) {
 	d, _ := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure5Trends(d); err != nil {
+		if _, err := core.Figure5Trends(d.Source()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,37 +132,37 @@ func BenchmarkFig5YearTrends(b *testing.B) {
 
 func BenchmarkFig6EnergyPowerKDE(b *testing.B) {
 	d, _ := benchRun(b)
-	recs := BuildJobRecords(d)
+	recs := core.BuildJobRecords(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure6EnergyPower(recs, 40)
+		_ = core.Figure6EnergyPower(recs, 40)
 	}
 }
 
 func BenchmarkFig7JobCDFs(b *testing.B) {
 	d, _ := benchRun(b)
-	recs := BuildJobRecords(d)
+	recs := core.BuildJobRecords(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure7JobCDFs(recs)
+		_ = core.Figure7JobCDFs(recs)
 	}
 }
 
 func BenchmarkFig8DomainBreakdown(b *testing.B) {
 	d, _ := benchRun(b)
-	recs := BuildJobRecords(d)
+	recs := core.BuildJobRecords(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure8DomainBreakdown(recs)
+		_ = core.Figure8DomainBreakdown(recs)
 	}
 }
 
 func BenchmarkFig9CPUGPUKde(b *testing.B) {
 	d, _ := benchRun(b)
-	recs := BuildJobRecords(d)
+	recs := core.BuildJobRecords(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure9ComponentKDE(recs, 40)
+		_ = core.Figure9ComponentKDE(recs, 40)
 	}
 }
 
@@ -169,39 +170,49 @@ func BenchmarkFig10PowerDynamics(b *testing.B) {
 	d, _ := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure10Dynamics(d)
+		_ = core.Figure10Dynamics(d)
 	}
 }
 
 func BenchmarkFig11EdgeSnapshots(b *testing.B) {
 	d, _ := benchRun(b)
+	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure11EdgeSnapshots(d, time.Minute, 4*time.Minute)
+		if _, err := core.Figure11EdgeSnapshots(src, 60, 240); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig12ThermalResponse(b *testing.B) {
 	d, _ := benchRun(b)
+	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure12ThermalResponse(d, time.Minute, 4*time.Minute)
+		if _, err := core.Figure12ThermalResponse(src, 60, 240); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkTable4FailureComposition(b *testing.B) {
 	d, _ := benchRun(b)
+	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Table4Composition(d)
+		if _, err := core.Table4Composition(src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig13FailureCorrelation(b *testing.B) {
 	d, _ := benchRun(b)
+	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure13Correlation(d, 0.05); err != nil {
+		if _, err := core.Figure13Correlation(src, 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,23 +222,29 @@ func BenchmarkFig14FailuresPerProject(b *testing.B) {
 	d, _ := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure14FailuresPerProject(d, false, 15)
+		_ = core.Figure14FailuresPerProject(d, false, 15)
 	}
 }
 
 func BenchmarkFig15ThermalExtremity(b *testing.B) {
 	d, _ := benchRun(b)
+	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure15ThermalExtremity(d)
+		if _, err := core.Figure15ThermalExtremity(src, 0.8); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig16PlacementCounts(b *testing.B) {
 	d, _ := benchRun(b)
+	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Figure16Placement(d, true)
+		if _, err := core.Figure16Placement(src, true); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -235,7 +252,7 @@ func BenchmarkFig17Variability(b *testing.B) {
 	_, vc := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure17Variability(vc, 6); err != nil {
+		if _, err := core.Figure17Variability(vc, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,12 +336,12 @@ func BenchmarkAblationWorkers(b *testing.B) {
 // BenchmarkAblationKDEGrid sweeps the KDE grid resolution of Figure 6.
 func BenchmarkAblationKDEGrid(b *testing.B) {
 	d, _ := benchRun(b)
-	recs := BuildJobRecords(d)
+	recs := core.BuildJobRecords(d)
 	for _, grid := range []int{20, 40, 80} {
 		grid := grid
 		b.Run(benchName("grid", int64(grid)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = Figure6EnergyPower(recs, grid)
+				_ = core.Figure6EnergyPower(recs, grid)
 			}
 		})
 	}
@@ -341,13 +358,13 @@ func benchName(k string, v int64) string {
 // parallel monthly simulations) — the heavyweight Figure 5 regenerator.
 func BenchmarkFig5YearSurvey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		trends, err := YearSurvey(YearSurveyConfig{
+		trends, err := core.YearSurvey(core.YearSurveyConfig{
 			Seed: uint64(i), Nodes: 36, SpanPerMonthSec: 3600, Jobs: 15,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = SummarizeYear(trends)
+		_ = core.SummarizeYear(trends)
 	}
 }
 
@@ -357,7 +374,7 @@ func BenchmarkSection2ThermalBands(b *testing.B) {
 	d, _ := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ThermalBandSummary(d); err != nil {
+		if _, err := core.ThermalBandsFromSource(d.Source()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,11 +386,11 @@ func BenchmarkSection9Fingerprints(b *testing.B) {
 	d, _ := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fps := BuildFingerprints(d)
-		if _, err := ClusterFingerprints(fps, 5, 9); err != nil {
+		fps := core.BuildFingerprints(d)
+		if _, err := core.ClusterFingerprints(fps, 5, 9); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := EvaluateFingerprintPrediction(fps); err != nil {
+		if _, err := core.EvaluateFingerprintPrediction(fps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -385,7 +402,7 @@ func BenchmarkSection8PowerCap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := ScaledConfig(48, 2*time.Hour)
 		base.Seed = uint64(i)
-		if _, err := PowerCapExperiment(base, []float64{0.85, 0.7}); err != nil {
+		if _, err := whatif.PowerCapExperiment(base, []float64{0.85, 0.7}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -401,7 +418,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 				cfg := ScaledConfig(48, 30*time.Minute)
 				cfg.SamplesPerWindow = samples
 				cfg.Seed = uint64(i)
-				if _, _, err := Simulate(cfg); err != nil {
+				if _, _, err := core.CollectRun(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,7 +430,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 // comparison experiment.
 func BenchmarkSection6Generations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := CompareGenerations(uint64(i), 32, 25, 30000); err != nil {
+		if _, err := core.CompareGenerations(uint64(i), 32, 25, 30000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -755,9 +772,9 @@ func BenchmarkQueryRangePreagg(b *testing.B) {
 // benchPoll times a dashboard's poll of one URL it has asked before: one
 // request through the whole handler (guard, reply cache, headers, body) into
 // a recorder, over data archived.
-func benchPoll(b *testing.B, data *RunData, url string) {
+func benchPoll(b *testing.B, data *core.RunData, url string) {
 	dir := b.TempDir()
-	if err := WriteDatasets(dir, data); err != nil {
+	if err := core.WriteDatasets(dir, data); err != nil {
 		b.Fatal(err)
 	}
 	eng, err := query.Open(query.Config{Dir: dir})
@@ -809,7 +826,7 @@ func BenchmarkHTTPRangeCached(b *testing.B) {
 // never stored — the path of an unstorable reply, which must cost what it
 // did before there was a cache.
 func BenchmarkHTTPRangeOversize(b *testing.B) {
-	data, _, err := Simulate(ScaledConfig(16, 24*time.Hour))
+	data, _, err := core.CollectRun(ScaledConfig(16, 24*time.Hour))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 // Command analyze runs ad-hoc analyses over an archived run produced by
-// summitsim (or `repro -data`). Every subcommand consumes the archive
-// through the source.RunSource layer — the same entry points the in-memory
-// pipeline and queryd use — so results match the live data plane exactly.
+// summitsim. Every subcommand consumes the archive through the
+// source.RunSource layer — the same entry points the in-memory pipeline and
+// queryd use — so results match the live data plane exactly. validation,
+// failures, bands and overcooling print the reports cmd/repro prints for
+// the same run: figure-4; table-4, figure-13 and figure-15;
+// section-2-bands; section-5-overcooling.
 //
 // -data may also name a fleet root (as written by summitsim -clusters);
 // -cluster selects the member to analyze.
@@ -31,6 +34,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/render"
 	"repro/internal/source"
@@ -185,17 +189,17 @@ func dispatch(w io.Writer, cmd string, src source.RunSource) error {
 	case "fft":
 		return fft(w, src)
 	case "failures":
-		return failureAnalysis(w, src)
+		return reports(w, src, repro.ReportTable4, repro.ReportFigure13, repro.ReportFigure15)
 	case "jobs":
 		return jobAnalysis(w, src)
 	case "bands":
-		return bandAnalysis(w, src)
+		return reports(w, src, repro.ReportThermalBands)
 	case "earlywarning":
 		return earlyWarningAnalysis(w, src)
 	case "validation":
-		return validationAnalysis(w, src)
+		return reports(w, src, repro.ReportFigure4)
 	case "overcooling":
-		return overcoolingAnalysis(w, src)
+		return reports(w, src, repro.ReportOvercooling)
 	default:
 		return fmt.Errorf("unknown -cmd %q", cmd)
 	}
@@ -259,49 +263,6 @@ func fft(w io.Writer, src source.RunSource) error {
 	return err
 }
 
-func failureAnalysis(w io.Writer, src source.RunSource) error {
-	rows, err := core.FailureCompositionFromSource(src)
-	if err != nil {
-		return err
-	}
-	tab := render.NewTable("GPU error", "count", "max/node", "max/node %")
-	for _, r := range rows {
-		tab.Row(r.Type.String(), r.Count, r.MaxPerNode,
-			fmt.Sprintf("%.1f%%", r.MaxPerNodeFrac*100))
-	}
-	if _, err := tab.WriteTo(w); err != nil {
-		return err
-	}
-	cells, err := core.FailureCorrelationFromSource(src, 0.05)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\n%d Bonferroni-significant co-occurrence pairs:\n", len(cells))
-	ctab := render.NewTable("type A", "type B", "r")
-	for _, c := range cells {
-		ctab.Row(c.A.String(), c.B.String(), c.R)
-	}
-	if _, err := ctab.WriteTo(w); err != nil {
-		return err
-	}
-	// Thermal context coverage.
-	evs, err := src.Failures()
-	if err != nil {
-		return err
-	}
-	withTemp := 0
-	for _, e := range evs {
-		if e.HasTemp() {
-			withTemp++
-		}
-	}
-	if len(evs) > 0 {
-		fmt.Fprintf(w, "\nthermal context present on %.1f%% of %d events\n",
-			100*float64(withTemp)/float64(len(evs)), len(evs))
-	}
-	return nil
-}
-
 func jobAnalysis(w io.Writer, src source.RunSource) error {
 	rows, err := src.JobRecords()
 	if err != nil {
@@ -326,22 +287,6 @@ func jobAnalysis(w io.Writer, src source.RunSource) error {
 	return nil
 }
 
-func bandAnalysis(w io.Writer, src source.RunSource) error {
-	rows, err := core.ThermalBandsFromSource(src)
-	if err != nil {
-		if errors.Is(err, source.ErrUnknownSeries) {
-			return fmt.Errorf("archive has no band columns (re-archive with a current build)")
-		}
-		return err
-	}
-	tab := render.NewTable("band", "mean GPUs", "max GPUs", "mean share")
-	for _, r := range rows {
-		tab.Row(r.Label, r.MeanGPUs, r.MaxGPUs, fmt.Sprintf("%.1f%%", r.MeanShare*100))
-	}
-	_, err = tab.WriteTo(w)
-	return err
-}
-
 func earlyWarningAnalysis(w io.Writer, src source.RunSource) error {
 	stats, err := core.EarlyWarningFromSource(src, units.SecondsPerHour)
 	if err != nil {
@@ -356,35 +301,14 @@ func earlyWarningAnalysis(w io.Writer, src source.RunSource) error {
 	return err
 }
 
-func validationAnalysis(w io.Writer, src source.RunSource) error {
-	rep, err := core.ValidationFromSource(src)
-	if err != nil {
-		return err
+// reports prints each report in turn, as cmd/repro does.
+func reports(w io.Writer, src source.RunSource, fns ...func(source.RunSource) (repro.Report, error)) error {
+	for _, fn := range fns {
+		rep, err := fn(src)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, rep.String())
 	}
-	tab := render.NewTable("MSB", "windows", "mean diff (kW)", "std (kW)", "corr", "meter mean (kW)", "sum mean (kW)")
-	for _, m := range rep.PerMSB {
-		tab.Row(m.MSB, m.N, m.MeanDiffW/units.WattsPerKW, m.StdDiffW/units.WattsPerKW, m.Corr,
-			m.MeanMeterW/units.WattsPerKW, m.MeanSumW/units.WattsPerKW)
-	}
-	if _, err := tab.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "mean difference %.2f kW, relative error %.2f%%\n",
-		rep.MeanDiffAllW/units.WattsPerKW, rep.RelativeError*100)
-	return nil
-}
-
-func overcoolingAnalysis(w io.Writer, src source.RunSource) error {
-	rep, err := core.OvercoolingFromSource(src)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "windows analyzed:   %d\n", rep.Windows)
-	fmt.Fprintf(w, "excess cooling:     %.1f ton-hours (%.1f%% of delivered)\n",
-		rep.ExcessTonHours, rep.ExcessFrac*100)
-	fmt.Fprintf(w, "deficit (transient): %.1f ton-hours\n", rep.DeficitTonHours)
-	fmt.Fprintf(w, "excess energy cost: %.1f kWh\n", rep.ExcessEnergyKWh)
-	fmt.Fprintf(w, "post-fall share:    %.1f%% within 10 min of falling edges\n",
-		rep.PostFallShare*100)
 	return nil
 }

@@ -24,7 +24,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	cfg := repro.ScaledConfig(36, time.Hour)
-	data, _, err := repro.Simulate(cfg)
+	data, _, err := core.CollectRun(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -243,7 +243,7 @@ func TestFsck(t *testing.T) {
 // edge threshold at 256 nodes' 0.22 MW. fsck fails it too.
 func TestRefusesAnArchiveWithoutRunMeta(t *testing.T) {
 	dir := t.TempDir()
-	data, _, err := repro.Simulate(repro.ScaledConfig(16, time.Hour))
+	data, _, err := core.CollectRun(repro.ScaledConfig(16, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Command queryd serves a telemetry archive (as written by summitsim or
-// cmd/repro -data) over HTTP: the online query tier of the reproduction,
+// Command queryd serves a telemetry archive (as written by summitsim) over
+// HTTP: the online query tier of the reproduction,
 // standing in for the interactive analyst workflow over the paper's 8.5 TB
 // parquet archive.
 //

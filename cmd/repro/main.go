@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	repro [-nodes N] [-hours H] [-seed S] [-out report.txt] [-data dir]
+//	repro [-nodes N] [-hours H] [-seed S] [-out report.txt] [-figdir dir]
 package main
 
 import (
@@ -28,7 +28,6 @@ func main() {
 	seed := flag.Uint64("seed", 2020, "simulation seed")
 	startDay := flag.Int("start", 14, "start day-of-year within 2020 (14 = mid-January, 196 = mid-July)")
 	out := flag.String("out", "", "write the report to this file (default stdout)")
-	dataDir := flag.String("data", "", "also archive the run's datasets into this directory")
 	figDir := flag.String("figdir", "", "also export plot-ready CSV data per figure into this directory")
 	year := flag.Bool("year", false, "additionally run the sampled-year seasonal survey (12 parallel monthly sims)")
 	powercap := flag.Bool("powercap", false, "additionally run the power-aware scheduling what-if")
@@ -43,7 +42,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := run(w, *nodes, *hours, *seed, *startDay, *dataDir, *figDir); err != nil {
+	if err := run(w, *nodes, *hours, *seed, *startDay, *figDir); err != nil {
 		log.Fatal(err)
 	}
 	if *year {
@@ -64,7 +63,7 @@ func main() {
 	}
 }
 
-func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, dataDir, figDir string) error {
+func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, figDir string) error {
 	cfg := repro.ScaledConfig(nodes, time.Duration(hours*float64(time.Hour)))
 	cfg.Seed = seed
 	cfg.StartTime = 1_577_836_800 + int64(startDay)*86400
@@ -73,7 +72,8 @@ func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, dataD
 		cfg.Nodes, hours, cfg.Seed, cfg.StepSec)
 
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	data, vc, res, err := repro.SimulateWithVariability(cfg)
+	var vc *core.VariabilityCollector
+	data, res, err := core.CollectRun(cfg, core.AttachVariability(&vc))
 	if err != nil {
 		return err
 	}
@@ -81,12 +81,6 @@ func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, dataD
 		res.Steps, len(res.Allocations), len(res.Failures),
 		res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
 
-	if dataDir != "" {
-		if err := core.WriteDatasets(dataDir, data); err != nil {
-			return fmt.Errorf("archive datasets: %w", err)
-		}
-		fmt.Fprintf(w, "datasets archived to %s\n\n", dataDir)
-	}
 	if figDir != "" {
 		files, err := repro.WriteFigureData(figDir, data, vc)
 		if err != nil {
@@ -95,25 +89,26 @@ func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, dataD
 		fmt.Fprintf(w, "%d figure data files exported to %s\n\n", len(files), figDir)
 	}
 
+	src := data.Source()
 	reports := []func() (repro.Report, error){
 		func() (repro.Report, error) { return repro.ReportTable3(), nil },
 		func() (repro.Report, error) { return repro.ReportScheduling(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure4(data) },
-		func() (repro.Report, error) { return repro.ReportFigure5(data) },
-		func() (repro.Report, error) { return repro.ReportFigure6(data) },
-		func() (repro.Report, error) { return repro.ReportFigure7(data) },
-		func() (repro.Report, error) { return repro.ReportFigure8(data) },
-		func() (repro.Report, error) { return repro.ReportFigure9(data) },
+		func() (repro.Report, error) { return repro.ReportFigure4(src) },
+		func() (repro.Report, error) { return repro.ReportFigure5(src) },
+		func() (repro.Report, error) { return repro.ReportFigure6(src) },
+		func() (repro.Report, error) { return repro.ReportFigure7(src) },
+		func() (repro.Report, error) { return repro.ReportFigure8(src) },
+		func() (repro.Report, error) { return repro.ReportFigure9(src) },
 		func() (repro.Report, error) { return repro.ReportFigure10(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure11(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure12(data), nil },
-		func() (repro.Report, error) { return repro.ReportThermalBands(data) },
-		func() (repro.Report, error) { return repro.ReportOvercooling(data) },
-		func() (repro.Report, error) { return repro.ReportTable4(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure13(data) },
+		func() (repro.Report, error) { return repro.ReportFigure11(src) },
+		func() (repro.Report, error) { return repro.ReportFigure12(src) },
+		func() (repro.Report, error) { return repro.ReportThermalBands(src) },
+		func() (repro.Report, error) { return repro.ReportOvercooling(src) },
+		func() (repro.Report, error) { return repro.ReportTable4(src) },
+		func() (repro.Report, error) { return repro.ReportFigure13(src) },
 		func() (repro.Report, error) { return repro.ReportFigure14(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure15(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure16(data), nil },
+		func() (repro.Report, error) { return repro.ReportFigure15(src) },
+		func() (repro.Report, error) { return repro.ReportFigure16(src) },
 		func() (repro.Report, error) { return repro.ReportFigure17(vc) },
 		func() (repro.Report, error) { return repro.ReportFingerprints(data) },
 		func() (repro.Report, error) { return repro.ReportGenerations(seed) },

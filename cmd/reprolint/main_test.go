@@ -89,8 +89,9 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// keptUncalled lists the exported functions and methods of internal/...
-// that stay with no caller outside tests, each with the reason it stays.
+// keptUncalled lists the exported functions and methods of the guarded
+// packages that stay with no caller outside tests, each with the reason it
+// stays.
 var keptUncalled = map[string]string{
 	// The oracle of a named test.
 	"stats.StudentTCDF":            oracle + "TestStudentTTwoSidedP",
@@ -127,9 +128,6 @@ var keptUncalled = map[string]string{
 	// Dead, and scheduled for deletion in the next earn-or-delete round of
 	// ROADMAP.md with the tests that go with them.
 	"stats.Spearman":                   nextRound + "4 tests, with TestRanks of the ranks it alone runs",
-	"stats.BonferroniThreshold":        nextRound + "1 test",
-	"stats.NormalCDF":                  nextRound + "1 test",
-	"(*stats.Moments).AddN":            nextRound + "1 test",
 	"dsp.DominantSwingWindowed":        nextRound + "1 test, and 4 more with the windowing only it runs",
 	"topology.SlotForPCI":              nextRound + "1 test",
 	"(*rng.Source).Exp":                nextRound + "1 test",
@@ -147,13 +145,14 @@ const (
 )
 
 // TestExportedFunctionsHaveCallers is the earn-or-delete guard: every
-// exported package-level function and every exported method of
-// internal/... is referenced by a non-test file of the module (cmd/, bench/,
-// examples/ and the root package included) outside its own body, or is
-// listed in keptUncalled with the reason it stays. A method also counts as
-// called when its receiver, as a value or a pointer, implements an
-// interface that declares it: its callers may hold the interface. The
-// test-helper packages are exempt.
+// exported package-level function and every exported method of the guarded
+// packages — the root package and internal/... — is referenced by a
+// non-test file of the module (cmd/, bench/, examples/ and the root package
+// included) outside its own body, or is listed in keptUncalled with the
+// reason it stays. A root function that only forwards to internal/...
+// therefore needs a caller of its own. A method also counts as called when
+// its receiver, as a value or a pointer, implements an interface that
+// declares it: its callers may hold the interface.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
 	dir, views := loadModule(t)
 	type decl struct {
@@ -163,8 +162,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 	decls := map[*types.Func]*decl{}
 	var order []*types.Func
 	for _, v := range views {
-		rest, ok := strings.CutPrefix(v.Path, "repro/internal/")
-		if v.Test || !ok || testHelperPackages[path.Base(rest)] {
+		if v.Test || !guarded(v.Path) {
 			continue
 		}
 		for _, f := range v.Files {
@@ -212,9 +210,17 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 	}
 	for name := range keptUncalled {
 		if !seen[name] {
-			t.Errorf("keptUncalled lists %s, which is not an exported function or method of internal/...", name)
+			t.Errorf("keptUncalled lists %s, which is not an exported function or method of a guarded package", name)
 		}
 	}
+}
+
+// guarded reports whether the earn-or-delete guards cover the package at
+// pkgPath: the root package and internal/..., the test-helper packages
+// (which exist to be called from tests) excepted.
+func guarded(pkgPath string) bool {
+	rest, ok := strings.CutPrefix(pkgPath, "repro/internal/")
+	return pkgPath == "repro" || ok && !testHelperPackages[path.Base(rest)]
 }
 
 // where is pos as file:line, the file relative to the module root dir.
@@ -315,8 +321,8 @@ func isGeneric(typ types.Type) bool {
 	return ok && named.TypeParams().Len() > 0
 }
 
-// keptUnset lists the exported fields of internal/... that no non-test file
-// writes, each with the reason it stays. Keys are "pkg.T.F".
+// keptUnset lists the exported fields of the guarded packages that no
+// non-test file writes, each with the reason it stays. Keys are "pkg.T.F".
 var keptUnset = map[string]string{
 	"stream.Config.Shards":         "the shard-count invariance tests in dense_test.go and stream_test.go",
 	"stream.Config.Extra":          "the gate operator of TestBackpressureNeverBlocksIngest, TestHealthDoesNotWaitForTheOperatorChain and TestFrameGridMaterialized",
@@ -327,15 +333,15 @@ var keptUnset = map[string]string{
 }
 
 // TestExportedFieldsAreSet is the earn-or-delete guard for knobs: every
-// exported field of an exported struct type of internal/... is written by a
-// non-test file of the module, or is listed in keptUnset with the reason it
-// stays. A write is a key of a keyed composite literal, any positional
+// exported field of an exported struct type of a guarded package is
+// written by a non-test file of the module, or is listed in keptUnset with
+// the reason it stays. A write is a key of a keyed composite literal, any positional
 // literal of the type, the left side of an assignment or ++/-- (after
 // peeling index, star and paren expressions), the operand of &, or the
 // receiver of a pointer-method call. A write inside a method of the
 // field's own type does not count: a withDefaults filling its own zero
 // value earns nothing. A struct type with a tagged field is exempt, since
-// reflection fills it. The test-helper packages are exempt.
+// reflection fills it.
 func TestExportedFieldsAreSet(t *testing.T) {
 	dir, views := loadModule(t)
 	type field struct {
@@ -346,8 +352,7 @@ func TestExportedFieldsAreSet(t *testing.T) {
 	fields := map[*types.Var]*field{}
 	var order []*types.Var
 	for _, v := range views {
-		rest, ok := strings.CutPrefix(v.Path, "repro/internal/")
-		if v.Test || !ok || testHelperPackages[path.Base(rest)] {
+		if v.Test || !guarded(v.Path) {
 			continue
 		}
 		scope := v.Pkg.Scope()
@@ -475,7 +480,7 @@ func TestExportedFieldsAreSet(t *testing.T) {
 	}
 	for name := range keptUnset {
 		if !seen[name] {
-			t.Errorf("keptUnset lists %s, which is not an exported field of internal/...", name)
+			t.Errorf("keptUnset lists %s, which is not an exported field of a guarded package", name)
 		}
 	}
 }

@@ -187,7 +187,7 @@ func run(w io.Writer, o options) error {
 	if !o.quiet {
 		fmt.Fprintf(w, "scenario %s (hash %s, run seed %d)\n", r.Spec.Name, r.Identity(), r.Seed)
 	}
-	if err := source.BeginArchive(archiveSpan(r.Config), o.out); err != nil {
+	if err := source.BeginArchive(archiveSpan(r.Config), o.datasets(), o.out); err != nil {
 		return err
 	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
@@ -252,7 +252,7 @@ func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error
 	for i := range dirs {
 		dirs[i] = filepath.Join(o.out, cfgs[i].Cluster)
 	}
-	if err := source.BeginArchive(archiveSpan(base.Config), dirs...); err != nil {
+	if err := source.BeginArchive(archiveSpan(base.Config), o.datasets(), dirs...); err != nil {
 		return err
 	}
 	var dirFor func(i int) string
@@ -288,6 +288,18 @@ func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error
 // windows of its grid, as its run-meta will record it.
 func archiveSpan(cfg sim.Config) int64 {
 	return (cfg.DurationSec + cfg.StepSec - 1) / cfg.StepSec * cfg.StepSec
+}
+
+// datasets names every dataset a run of o archives beside its run-meta.
+func (o options) datasets() []string {
+	names := []string{source.DatasetClusterPower, source.DatasetJobRecords, source.DatasetFailures}
+	if o.nodeData {
+		names = append(names, core.DatasetNodePower)
+	}
+	if o.jobSeries {
+		names = append(names, core.DatasetJobSeries)
+	}
+	return names
 }
 
 // archiveRun writes one run's datasets, scheduler CSV logs, scenario.json
@@ -341,14 +353,7 @@ func archiveRun(w io.Writer, dir, prefix string, r *scenario.Resolved, data *cor
 	}
 	// Report archive footprint per dataset (the paper tracks this
 	// closely: compression made the full-scale archive practical).
-	names := []string{source.DatasetClusterPower, source.DatasetJobRecords, source.DatasetFailures}
-	if o.nodeData {
-		names = append(names, core.DatasetNodePower)
-	}
-	if o.jobSeries {
-		names = append(names, core.DatasetJobSeries)
-	}
-	for _, name := range names {
+	for _, name := range o.datasets() {
 		ds, err := store.NewDataset(dir, name)
 		if err != nil {
 			return err

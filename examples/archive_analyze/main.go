@@ -27,7 +27,7 @@ func main() {
 
 	// --- Collection pass: simulate and archive. ---
 	cfg := repro.ScaledConfig(96, 4*time.Hour)
-	data, res, err := repro.Simulate(cfg)
+	data, res, err := core.CollectRun(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 		res.Steps, len(res.Allocations), len(res.Failures), float64(total)/1024)
 
 	// --- Analysis pass: restore and analyze without the live run. ---
-	src, err := repro.OpenArchive(repro.ArchiveConfig{Dir: dir})
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +72,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	comp := core.Table4Composition(evs, cfg.Nodes)
+	comp, err := core.Table4Composition(src)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("restored failure log: %d events, %d types; top: %s (%d)\n",
 		len(evs), len(comp), comp[0].Type, comp[0].Count)
 

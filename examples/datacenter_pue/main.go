@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 )
 
 func main() {
@@ -27,11 +28,11 @@ func main() {
 	for _, s := range seasons {
 		cfg := repro.ScaledConfig(nodes, span)
 		cfg.StartTime = s.start
-		data, _, err := repro.Simulate(cfg)
+		data, _, err := core.CollectRun(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		trend, err := repro.Figure5Trends(data)
+		trend, err := core.Figure5Trends(data.Source())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,21 +10,22 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 )
 
 func main() {
 	log.SetFlags(0)
 	cfg := repro.ScaledConfig(160, 8*time.Hour)
 	cfg.Seed = 17
-	data, _, err := repro.Simulate(cfg)
+	data, _, err := core.CollectRun(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fps := repro.BuildFingerprints(data)
+	fps := core.BuildFingerprints(data)
 	fmt.Printf("fingerprinted %d jobs (features: power/node, swing, dominant freq, GPU share)\n\n", len(fps))
 
-	portraits, err := repro.ClusterFingerprints(fps, 5, 9)
+	portraits, err := core.ClusterFingerprints(fps, 5, 9)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func main() {
 			i+1, len(p.Members), c[0]*2300, c[1]*2300, c[2], c[5])
 	}
 
-	pred, err := repro.EvaluateFingerprintPrediction(fps)
+	pred, err := core.EvaluateFingerprintPrediction(fps)
 	if err != nil {
 		log.Fatal(err)
 	}

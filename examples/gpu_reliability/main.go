@@ -10,27 +10,34 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 )
 
 func main() {
 	log.SetFlags(0)
 	cfg := repro.ScaledConfig(96, 6*time.Hour)
 	cfg.Seed = 11
-	data, result, err := repro.Simulate(cfg)
+	data, result, err := core.CollectRun(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("injected %d XID events over %d windows\n\n", len(result.Failures), result.Steps)
 
+	src := data.Source()
+
 	// Table 4: composition by type.
+	comp, err := core.Table4Composition(src)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("failure composition (Table 4 shape):")
-	for _, row := range repro.Table4Composition(data) {
+	for _, row := range comp {
 		fmt.Printf("  %-34s %6d   worst node holds %5.1f%%\n",
 			row.Type.String(), row.Count, row.MaxPerNodeFrac*100)
 	}
 
 	// Figure 13: co-occurrence.
-	cells, err := repro.Figure13Correlation(data, 0.05)
+	cells, err := core.Figure13Correlation(src, 0.05)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,21 +52,29 @@ func main() {
 
 	// Figure 14: which projects burn GPUs fastest?
 	fmt.Println("\ntop-5 projects by failures per node-hour:")
-	for _, p := range repro.Figure14FailuresPerProject(data, false, 5) {
+	for _, p := range core.Figure14FailuresPerProject(data, false, 5) {
 		fmt.Printf("  %-8s %6d failures over %8.0f node-hours  → %.4f/nh\n",
 			p.Project, p.Total, p.NodeHours, p.PerNodeHour)
 	}
 
 	// Figure 15: thermal extremity — are failures hot or cold events?
+	tes, err := core.Figure15ThermalExtremity(src, 0.8)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nthermal extremity by type (z-score skew; positive = colder-than-peers failures):")
-	for _, te := range repro.Figure15ThermalExtremity(data) {
+	for _, te := range tes {
 		fmt.Printf("  %-34s n=%5d  z-skew %+.2f  max temp %.1f°C\n",
 			te.Type.String(), te.N, te.ZSkew, te.MaxTempC)
 	}
 
 	// Figure 16: placement.
+	placement, err := core.Figure16Placement(src, true)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nfailures by GPU slot (highlighted types):")
-	for _, p := range repro.Figure16Placement(data, true) {
+	for _, p := range placement {
 		fmt.Printf("  %-34s %v\n", p.Type.String(), p.Counts)
 	}
 }

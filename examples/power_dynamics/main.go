@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/units"
 )
 
@@ -19,17 +20,17 @@ func main() {
 	// swings from leadership-style allocations.
 	cfg := repro.ScaledConfig(192, 8*time.Hour)
 	cfg.Seed = 7
-	data, _, err := repro.Simulate(cfg)
+	data, _, err := core.CollectRun(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	dyn := repro.Figure10Dynamics(data)
+	dyn := core.Figure10Dynamics(data)
 	fmt.Printf("jobs analyzed:        %d\n", len(dyn.PerJob))
 	fmt.Printf("jobs with no edges:   %.1f%%  (paper: 96.9%%)\n", dyn.FracNoEdges*100)
 
 	// Per-class edge behaviour: which class swings most?
-	for class := repro.Class1; class <= repro.Class5; class++ {
+	for class := units.Class1; class <= units.Class5; class++ {
 		cdf, ok := dyn.EdgeCountCDF[class]
 		if !ok {
 			continue
@@ -58,7 +59,10 @@ func main() {
 	}
 
 	// Cluster-level edges with superimposed snapshots (Figure 11).
-	sets := repro.Figure11EdgeSnapshots(data, time.Minute, 4*time.Minute)
+	sets, err := core.Figure11EdgeSnapshots(data.Source(), 60, 240)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ncluster edge threshold: %.2f MW\n", float64(cfg.Nodes)*868/units.WattsPerMW)
 	for _, s := range sets {
 		// Power at the aligned edge offset vs one minute before.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/units"
 )
 
@@ -17,7 +18,7 @@ func main() {
 	// A 128-node system over 2 hours; everything is deterministic in the
 	// seed, so this program always prints the same numbers.
 	cfg := repro.ScaledConfig(128, 2*time.Hour)
-	data, result, err := repro.Simulate(cfg)
+	data, result, err := core.CollectRun(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func main() {
 		pue.Mean(), pue.Min, pue.Max)
 
 	// Job-level records: who used the most energy?
-	recs := repro.BuildJobRecords(data)
+	recs := core.BuildJobRecords(data)
 	var biggest struct {
 		id     int64
 		energy float64
@@ -43,7 +44,7 @@ func main() {
 	}
 	for _, r := range recs {
 		if r.EnergyJ > biggest.energy {
-			biggest.id, biggest.energy, biggest.nodes = r.JobID, r.EnergyJ, r.Nodes
+			biggest.id, biggest.energy, biggest.nodes = r.AllocationID, r.EnergyJ, r.Nodes
 		}
 	}
 	if biggest.id != 0 {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/render"
@@ -15,7 +14,7 @@ import (
 // WriteFigureData exports the plot-ready data behind every figure as CSV
 // files in dir (one or more files per figure), so the paper's plots can be
 // regenerated with any external plotting tool. Returns the files written.
-func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]string, error) {
+func WriteFigureData(dir string, d *core.RunData, vc *core.VariabilityCollector) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -37,8 +36,10 @@ func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]s
 		return nil
 	}
 
+	src := d.Source()
+
 	// Figure 4: per-window meter-vs-summation differences.
-	if rep, err := Figure4Validation(d); err == nil {
+	if rep, err := core.ValidationFromSource(src); err == nil {
 		if err := emit("fig4_diff_samples.csv",
 			[]string{"meter_minus_summation_w"}, rep.DiffSamples); err != nil {
 			return written, err
@@ -56,16 +57,16 @@ func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]s
 		return written, err
 	}
 
-	recs := BuildJobRecords(d)
+	recs := src.Jobs
 
 	// Figure 6: per-job (energy, max power) scatter with class labels.
 	var e6, p6, c6 []float64
 	for _, r := range recs {
-		if r.EnergyJ <= 0 || r.MaxPower <= 0 {
+		if r.EnergyJ <= 0 || r.MaxPowerW <= 0 {
 			continue
 		}
 		e6 = append(e6, math.Log10(r.EnergyJ))
-		p6 = append(p6, math.Log10(r.MaxPower))
+		p6 = append(p6, math.Log10(r.MaxPowerW))
 		c6 = append(c6, float64(r.Class))
 	}
 	if err := emit("fig6_energy_power.csv",
@@ -74,7 +75,7 @@ func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]s
 	}
 
 	// Figure 7: CDF curves per leadership class.
-	for _, c := range Figure7JobCDFs(recs) {
+	for _, c := range core.Figure7JobCDFs(recs) {
 		xs, ys := c.MaxMW.Curve(100)
 		wx, wy := c.WallHrs.Curve(100)
 		name := fmt.Sprintf("fig7_cdf_%s.csv", c.Class)
@@ -86,7 +87,7 @@ func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]s
 	}
 
 	// Figure 10: per-job dynamics scatter.
-	dyn := Figure10Dynamics(d)
+	dyn := core.Figure10Dynamics(d)
 	var edges10, freq10, amp10, class10 []float64
 	for _, j := range dyn.PerJob {
 		if j.EdgeCount == 0 {
@@ -109,7 +110,11 @@ func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]s
 	}
 
 	// Figures 11/12: superimposed snapshot stacks per amplitude bin.
-	for _, set := range Figure12ThermalResponse(d, time.Minute, 4*time.Minute) {
+	sets, err := core.Figure12ThermalResponse(src, snapshotBeforeSec, snapshotAfterSec)
+	if err != nil {
+		return written, err
+	}
+	for _, set := range sets {
 		dirn := "rise"
 		if !set.Rising {
 			dirn = "fall"
@@ -132,7 +137,11 @@ func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]s
 	}
 
 	// Figure 15: per-type z-score densities.
-	for _, te := range Figure15ThermalExtremity(d) {
+	tes, err := core.Figure15ThermalExtremity(src, 0.8)
+	if err != nil {
+		return written, err
+	}
+	for _, te := range tes {
 		kde := stats.NewKDE1D(te.ZScores, 0)
 		xs, ys := kde.Curve(100)
 		if xs == nil {
@@ -146,7 +155,11 @@ func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]s
 
 	// Figure 16: per-slot counts.
 	var slotType, slot16, count16 []float64
-	for _, p := range Figure16Placement(d, true) {
+	placement, err := core.Figure16Placement(src, true)
+	if err != nil {
+		return written, err
+	}
+	for _, p := range placement {
 		for s, c := range p.Counts {
 			slotType = append(slotType, float64(p.Type))
 			slot16 = append(slot16, float64(s))
@@ -160,7 +173,7 @@ func WriteFigureData(dir string, d *RunData, vc *core.VariabilityCollector) ([]s
 
 	// Figure 17: per-instant GPU power/temperature distributions.
 	if vc != nil {
-		if rep, err := Figure17Variability(vc, 6); err == nil {
+		if rep, err := core.Figure17Variability(vc, 6); err == nil {
 			var inst, pMed, pLo, pHi, tMed, tLo, tHi []float64
 			for i, v := range rep.Instants {
 				inst = append(inst, float64(i+1))

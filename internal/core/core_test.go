@@ -111,7 +111,7 @@ func TestFigure4Validation(t *testing.T) {
 
 func TestFigure5Trends(t *testing.T) {
 	d := testData(t)
-	rep, err := Figure5Trends(d)
+	rep, err := Figure5Trends(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,24 +152,24 @@ func TestFigure6EnergyPower(t *testing.T) {
 
 func TestJobRecordInvariants(t *testing.T) {
 	d := testData(t)
-	recs := BuildJobRecords(d)
-	for _, r := range recs {
-		if r.MaxPower < r.MeanPower {
-			t.Fatalf("job %d: max %v < mean %v", r.JobID, r.MaxPower, r.MeanPower)
+	windows := map[int64]int64{}
+	for i := range d.Jobs {
+		windows[d.Allocations[d.Jobs[i].AllocIdx].Job.ID] = d.Jobs[i].SumPower.Stats().N
+	}
+	for _, r := range BuildJobRecords(d) {
+		if r.MaxPowerW < r.MeanPowerW {
+			t.Fatalf("job %d: max %v < mean %v", r.AllocationID, r.MaxPowerW, r.MeanPowerW)
 		}
 		if r.EnergyJ < 0 {
-			t.Fatalf("job %d: negative energy", r.JobID)
+			t.Fatalf("job %d: negative energy", r.AllocationID)
 		}
-		if r.PowerDiff() < 0 {
-			t.Fatalf("job %d: negative diff", r.JobID)
-		}
-		if r.MaxGPUPower < r.MeanGPUPower*0.99 {
-			t.Fatalf("job %d: GPU max %v < mean %v", r.JobID, r.MaxGPUPower, r.MeanGPUPower)
+		if r.MaxGPUPowerW < r.MeanGPUPowerW*0.99 {
+			t.Fatalf("job %d: GPU max %v < mean %v", r.AllocationID, r.MaxGPUPowerW, r.MeanGPUPowerW)
 		}
 		// Energy consistency: mean power × observed duration ≈ energy.
-		expect := r.MeanPower * float64(d.Jobs[r.AllocIdx].SumPower.Stats().N) * float64(d.StepSec)
+		expect := r.MeanPowerW * float64(windows[r.AllocationID]) * float64(d.StepSec)
 		if expect > 0 && math.Abs(r.EnergyJ-expect)/expect > 0.01 {
-			t.Fatalf("job %d: energy %v vs mean×t %v", r.JobID, r.EnergyJ, expect)
+			t.Fatalf("job %d: energy %v vs mean×t %v", r.AllocationID, r.EnergyJ, expect)
 		}
 	}
 }
@@ -245,7 +245,10 @@ func TestFigure10Dynamics(t *testing.T) {
 
 func TestFigure11EdgeSnapshots(t *testing.T) {
 	d := testData(t)
-	sets := Figure11EdgeSnapshots(d, 60, 240)
+	sets, err := Figure11EdgeSnapshots(d.Source(), 60, 240)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range sets {
 		if s.Count == 0 || s.Power == nil || s.PUE == nil {
 			t.Errorf("snapshot set malformed: MW=%d count=%d", s.AmplitudeMW, s.Count)
@@ -258,7 +261,10 @@ func TestFigure11EdgeSnapshots(t *testing.T) {
 
 func TestFigure12ThermalResponse(t *testing.T) {
 	d := testData(t)
-	sets := Figure12ThermalResponse(d, 60, 240)
+	sets, err := Figure12ThermalResponse(d.Source(), 60, 240)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range sets {
 		if s.GPUTempMean == nil || s.SupplyC == nil || s.TowerTons == nil {
 			t.Errorf("thermal set %d missing stacks", s.AmplitudeMW)
@@ -279,7 +285,10 @@ func TestSteepestSwings(t *testing.T) {
 
 func TestTable4Composition(t *testing.T) {
 	d := testData(t)
-	rows := Table4Composition(d.Failures, d.Nodes)
+	rows, err := Table4Composition(d.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) == 0 {
 		t.Fatal("no composition rows")
 	}
@@ -314,7 +323,7 @@ func TestTable4Composition(t *testing.T) {
 
 func TestFigure13Correlation(t *testing.T) {
 	d := testData(t)
-	cells, err := Figure13Correlation(d.Failures, d.Nodes, 0.05)
+	cells, err := Figure13Correlation(d.Source(), 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +386,10 @@ func TestFigure14FailuresPerProject(t *testing.T) {
 
 func TestFigure15ThermalExtremity(t *testing.T) {
 	d := testData(t)
-	tes := Figure15ThermalExtremity(d.Failures, d.Nodes, 0.8)
+	tes, err := Figure15ThermalExtremity(d.Source(), 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tes) == 0 {
 		t.Fatal("no thermal extremity rows")
 	}
@@ -406,7 +418,10 @@ func TestFigure15ThermalExtremity(t *testing.T) {
 
 func TestFigure16Placement(t *testing.T) {
 	d := testData(t)
-	rows := Figure16Placement(d.Failures, true)
+	rows, err := Figure16Placement(d.Source(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		switch r.Type {
 		case failures.PageRetirementEvent, failures.DoubleBitError,
@@ -415,7 +430,10 @@ func TestFigure16Placement(t *testing.T) {
 			t.Errorf("unexpected type %v in highlight view", r.Type)
 		}
 	}
-	all := Figure16Placement(d.Failures, false)
+	all, err := Figure16Placement(d.Source(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for _, r := range all {
 		for _, c := range r.Counts {

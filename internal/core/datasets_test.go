@@ -77,8 +77,14 @@ func TestWriteReadDatasets(t *testing.T) {
 		}
 	}
 	// Analyses run identically on restored failures.
-	orig := Table4Composition(d.Failures, d.Nodes)
-	restored := Table4Composition(evs, d.Nodes)
+	orig, err := Table4Composition(d.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Table4Composition(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(orig) != len(restored) {
 		t.Fatal("composition differs after round trip")
 	}

@@ -66,7 +66,7 @@ func TestDropoutClusterViewDegradesGracefully(t *testing.T) {
 
 func TestDropoutAnalysesStillRun(t *testing.T) {
 	d := dropoutData(t)
-	if _, err := Figure5Trends(d); err != nil {
+	if _, err := Figure5Trends(d.Source()); err != nil {
 		t.Errorf("trends: %v", err)
 	}
 	recs := BuildJobRecords(d)
@@ -74,8 +74,8 @@ func TestDropoutAnalysesStillRun(t *testing.T) {
 		t.Error("no job records under dropout")
 	}
 	for _, r := range recs {
-		if math.IsNaN(r.MeanPower) || math.IsNaN(r.EnergyJ) {
-			t.Fatalf("job %d has NaN aggregates", r.JobID)
+		if math.IsNaN(r.MeanPowerW) || math.IsNaN(r.EnergyJ) {
+			t.Fatalf("job %d has NaN aggregates", r.AllocationID)
 		}
 	}
 	_ = Figure10Dynamics(d)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/dsp"
+	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/tsagg"
 	"repro/internal/units"
@@ -113,12 +114,20 @@ type EdgeSnapshotSet struct {
 // bins them by MW amplitude, and superimposes the surrounding
 // [-beforeSec, +afterSec] power and PUE windows. Bins are returned in
 // ascending amplitude order.
-func Figure11EdgeSnapshots(d *RunData, beforeSec, afterSec int64) []EdgeSnapshotSet {
+func Figure11EdgeSnapshots(src source.RunSource, beforeSec, afterSec int64) ([]EdgeSnapshotSet, error) {
+	meta, err := src.Meta()
+	if err != nil {
+		return nil, err
+	}
+	s, err := seriesOf(src, source.SeriesClusterPower, source.SeriesPUE)
+	if err != nil {
+		return nil, err
+	}
+	power, pue := s[0], s[1]
 	// Amplitude classes are defined in full-scale-equivalent megawatts so
 	// the analysis produces the paper's 1–7 MW columns at any system size.
-	binW := ScaleEquivalentMW(d.Nodes)
-	edges := DetectEdgesThreshold(d.ClusterPower, binW)
-	bins := BinEdges(edges, binW, true)
+	binW := ScaleEquivalentMW(meta.Nodes)
+	bins := BinEdges(DetectEdgesThreshold(power, binW), binW, true)
 	var mws []int
 	for mw := range bins {
 		mws = append(mws, mw)
@@ -130,11 +139,11 @@ func Figure11EdgeSnapshots(d *RunData, beforeSec, afterSec int64) []EdgeSnapshot
 		out = append(out, EdgeSnapshotSet{
 			AmplitudeMW: mw,
 			Count:       len(times),
-			Power:       SuperimposeAround(d.ClusterPower, times, beforeSec, afterSec),
-			PUE:         SuperimposeAround(d.PUE, times, beforeSec, afterSec),
+			Power:       SuperimposeAround(power, times, beforeSec, afterSec),
+			PUE:         SuperimposeAround(pue, times, beforeSec, afterSec),
 		})
 	}
-	return out
+	return out, nil
 }
 
 // ClusterEdgeThresholdMW returns the cluster-level edge threshold in MW

@@ -1,9 +1,10 @@
 package core
 
-// This file holds the analysis entry points over source.RunSource: each
-// fetches exactly the series and records it needs and delegates to the
-// shared series-level computation, so identical results come back from a
-// live run (RunData.Source) and from an archive (source.OpenArchive).
+// This file holds the source.RunSource entry points of the analyses that
+// have no file of their own (the paper's figures and tables sit beside
+// their report types). Every entry point fetches exactly the series and
+// records it needs, so identical results come back from a live run
+// (RunData.Source) and from an archive (source.OpenArchive).
 
 import (
 	"errors"
@@ -15,6 +16,19 @@ import (
 	"repro/internal/source"
 	"repro/internal/tsagg"
 )
+
+// seriesOf reads the named series of src, in order.
+func seriesOf(src source.RunSource, names ...string) ([]*tsagg.Series, error) {
+	out := make([]*tsagg.Series, len(names))
+	for i, name := range names {
+		s, err := src.Series(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
+}
 
 // EdgesFromSource detects cluster power edges at the per-node threshold of
 // the run's system size (§4.2).
@@ -127,81 +141,6 @@ func EarlyWarningFromSource(src source.RunSource, windowSec int64) ([]PrecursorS
 		return nil, err
 	}
 	return earlyWarningPairs(evs, meta.Nodes, meta.SpanSec(), windowSec), nil
-}
-
-// OvercoolingFromSource computes the §5 overcooling report.
-func OvercoolingFromSource(src source.RunSource) (*OvercoolingReport, error) {
-	meta, err := src.Meta()
-	if err != nil {
-		return nil, err
-	}
-	truePower, err := src.Series(source.SeriesClusterTruePower)
-	if err != nil {
-		return nil, err
-	}
-	tower, err := src.Series(source.SeriesTowerTons)
-	if err != nil {
-		return nil, err
-	}
-	chiller, err := src.Series(source.SeriesChillerTons)
-	if err != nil {
-		return nil, err
-	}
-	return overcoolingFrom(truePower, tower, chiller, meta.Nodes, meta.StepSec)
-}
-
-// ValidationFromSource computes the Figure 4 meter-vs-summation comparison
-// over the meter_power_<m> / msb_sensor_sum_<m> pairs, in switchboard order
-// up to the first absent meter. A meter without its sum is an error naming
-// the sum, never a report on fewer switchboards.
-func ValidationFromSource(src source.RunSource) (*ValidationReport, error) {
-	var meters, sums []*tsagg.Series
-	for m := 0; ; m++ {
-		meter, err := src.Series(source.MeterSeriesName(m))
-		if errors.Is(err, source.ErrUnknownSeries) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		sum, err := src.Series(source.MSBSumSeriesName(m))
-		if err != nil {
-			return nil, err
-		}
-		meters, sums = append(meters, meter), append(sums, sum)
-	}
-	if len(meters) == 0 {
-		return nil, fmt.Errorf("core: no meter series (an archive from an older build lacks them): %w",
-			source.ErrUnavailable)
-	}
-	return validationFrom(meters, sums)
-}
-
-// FailureCompositionFromSource tallies the failure log by type (Table 4).
-func FailureCompositionFromSource(src source.RunSource) ([]FailureComposition, error) {
-	meta, err := src.Meta()
-	if err != nil {
-		return nil, err
-	}
-	evs, err := src.Failures()
-	if err != nil {
-		return nil, err
-	}
-	return Table4Composition(evs, meta.Nodes), nil
-}
-
-// FailureCorrelationFromSource computes the Figure 13 Bonferroni-corrected
-// per-node co-occurrence correlations.
-func FailureCorrelationFromSource(src source.RunSource, alpha float64) ([]CorrelationCell, error) {
-	meta, err := src.Meta()
-	if err != nil {
-		return nil, err
-	}
-	evs, err := src.Failures()
-	if err != nil {
-		return nil, err
-	}
-	return Figure13Correlation(evs, meta.Nodes, alpha)
 }
 
 // SeriesSummary is the per-series roll-up of SummaryFromSource.

@@ -4,41 +4,18 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// JobRecord is the job-level aggregate row (paper Datasets 5–7): one row
-// per allocation with its power, component and energy summary.
-type JobRecord struct {
-	AllocIdx int
-	JobID    int64
-	Class    units.SchedulingClass
-	Domain   workload.Domain
-	Project  string
-	Nodes    int
-	WallSec  int64
-	// Power aggregates of the job-level sum series (W).
-	MaxPower  float64
-	MeanPower float64
-	// EnergyJ integrates the job's sum power over its runtime.
-	EnergyJ float64
-	// Per-node component power aggregates (W).
-	MeanCPUPower float64 // mean over time of across-node mean
-	MaxCPUPower  float64 // max over time of across-node max
-	MeanGPUPower float64
-	MaxGPUPower  float64
-}
-
-// PowerDiff returns MaxPower - MeanPower, the paper's Figure 7 fifth panel.
-func (r *JobRecord) PowerDiff() float64 { return r.MaxPower - r.MeanPower }
-
-// BuildJobRecords reduces every job's series into a JobRecord. Jobs whose
-// series hold no observations (entirely outside the run window) are
-// omitted.
-func BuildJobRecords(d *RunData) []JobRecord {
-	var out []JobRecord
+// BuildJobRecords reduces every job's series to its summary row (paper
+// Datasets 5–7), the neutral form both data planes serve: RunData.Source
+// serves these rows and WriteDatasets archives them. Jobs whose series hold
+// no observations (entirely outside the run window) are omitted.
+func BuildJobRecords(d *RunData) []source.JobRecord {
+	var out []source.JobRecord
 	for i := range d.Jobs {
 		js := &d.Jobs[i]
 		sum := js.SumPower.Stats()
@@ -46,23 +23,21 @@ func BuildJobRecords(d *RunData) []JobRecord {
 			continue
 		}
 		a := &d.Allocations[js.AllocIdx]
-		rec := JobRecord{
-			AllocIdx:  js.AllocIdx,
-			JobID:     a.Job.ID,
-			Class:     a.Job.Class,
-			Domain:    a.Job.Domain,
-			Project:   a.Job.Project,
-			Nodes:     a.Job.Nodes,
-			WallSec:   a.EndTime - a.StartTime,
-			MaxPower:  sum.Max,
-			MeanPower: sum.Mean(),
-			EnergyJ:   js.SumPower.Integrate(),
-		}
-		rec.MeanCPUPower = js.MeanCPUPower.Stats().Mean()
-		rec.MaxCPUPower = js.MaxCPUPower.Stats().Max
-		rec.MeanGPUPower = js.MeanGPUPower.Stats().Mean()
-		rec.MaxGPUPower = js.MaxGPUPower.Stats().Max
-		out = append(out, rec)
+		out = append(out, source.JobRecord{
+			AllocationID:  a.Job.ID,
+			Class:         int(a.Job.Class),
+			Domain:        int(a.Job.Domain),
+			Nodes:         a.Job.Nodes,
+			BeginTime:     a.StartTime,
+			EndTime:       a.EndTime,
+			MaxPowerW:     sum.Max,
+			MeanPowerW:    sum.Mean(),
+			EnergyJ:       js.SumPower.Integrate(),
+			MeanCPUPowerW: js.MeanCPUPower.Stats().Mean(),
+			MaxCPUPowerW:  js.MaxCPUPower.Stats().Max,
+			MeanGPUPowerW: js.MeanGPUPower.Stats().Mean(),
+			MaxGPUPowerW:  js.MaxGPUPower.Stats().Max,
+		})
 	}
 	return out
 }
@@ -78,7 +53,7 @@ type EnergyPowerKDE struct {
 
 // Figure6EnergyPower computes the per-class joint KDEs. Classes with fewer
 // than 3 jobs are skipped.
-func Figure6EnergyPower(recs []JobRecord, gridN int) []EnergyPowerKDE {
+func Figure6EnergyPower(recs []source.JobRecord, gridN int) []EnergyPowerKDE {
 	if gridN < 2 {
 		gridN = 40
 	}
@@ -86,11 +61,11 @@ func Figure6EnergyPower(recs []JobRecord, gridN int) []EnergyPowerKDE {
 	for c := units.Class1; c <= units.Class5; c++ {
 		var xs, ys []float64
 		for _, r := range recs {
-			if r.Class != c || r.EnergyJ <= 0 || r.MaxPower <= 0 {
+			if r.Class != int(c) || r.EnergyJ <= 0 || r.MaxPowerW <= 0 {
 				continue
 			}
 			xs = append(xs, math.Log10(r.EnergyJ))
-			ys = append(ys, math.Log10(r.MaxPower))
+			ys = append(ys, math.Log10(r.MaxPowerW))
 		}
 		if len(xs) < 3 {
 			continue
@@ -128,19 +103,19 @@ type JobCDFs struct {
 }
 
 // Figure7JobCDFs builds the CDF panels for the two leadership classes.
-func Figure7JobCDFs(recs []JobRecord) []JobCDFs {
+func Figure7JobCDFs(recs []source.JobRecord) []JobCDFs {
 	var out []JobCDFs
 	for _, c := range []units.SchedulingClass{units.Class1, units.Class2} {
 		var nodes, wall, mean, max, diff []float64
 		for _, r := range recs {
-			if r.Class != c {
+			if r.Class != int(c) {
 				continue
 			}
 			nodes = append(nodes, float64(r.Nodes))
-			wall = append(wall, float64(r.WallSec)/units.SecondsPerHour)
-			mean = append(mean, r.MeanPower/units.WattsPerMW)
-			max = append(max, r.MaxPower/units.WattsPerMW)
-			diff = append(diff, r.PowerDiff()/units.WattsPerMW)
+			wall = append(wall, float64(r.EndTime-r.BeginTime)/units.SecondsPerHour)
+			mean = append(mean, r.MeanPowerW/units.WattsPerMW)
+			max = append(max, r.MaxPowerW/units.WattsPerMW)
+			diff = append(diff, (r.MaxPowerW-r.MeanPowerW)/units.WattsPerMW)
 		}
 		if len(nodes) == 0 {
 			continue
@@ -176,20 +151,20 @@ type DomainBreakdown struct {
 
 // Figure8DomainBreakdown summarizes max power and energy per domain for
 // the two leadership classes, ordered by descending median max power.
-func Figure8DomainBreakdown(recs []JobRecord) []DomainBreakdown {
+func Figure8DomainBreakdown(recs []source.JobRecord) []DomainBreakdown {
 	var out []DomainBreakdown
 	for _, c := range []units.SchedulingClass{units.Class1, units.Class2} {
-		perDomain := map[workload.Domain][]JobRecord{}
+		perDomain := map[workload.Domain][]source.JobRecord{}
 		for _, r := range recs {
-			if r.Class == c {
-				perDomain[r.Domain] = append(perDomain[r.Domain], r)
+			if r.Class == int(c) {
+				perDomain[workload.Domain(r.Domain)] = append(perDomain[workload.Domain(r.Domain)], r)
 			}
 		}
 		var rows []DomainBreakdown
 		for dom, rs := range perDomain {
 			var power, energy []float64
 			for _, r := range rs {
-				power = append(power, r.MaxPower)
+				power = append(power, r.MaxPowerW)
 				energy = append(energy, r.EnergyJ)
 			}
 			rows = append(rows, DomainBreakdown{
@@ -220,7 +195,7 @@ type ComponentKDE struct {
 
 // Figure9ComponentKDE builds the two class-group panels the paper shows:
 // leadership (classes 1–2) and small (classes 3–5).
-func Figure9ComponentKDE(recs []JobRecord, gridN int) []ComponentKDE {
+func Figure9ComponentKDE(recs []source.JobRecord, gridN int) []ComponentKDE {
 	if gridN < 2 {
 		gridN = 40
 	}
@@ -240,13 +215,13 @@ func Figure9ComponentKDE(recs []JobRecord, gridN int) []ComponentKDE {
 		}
 		var mcpu, mgpu, xcpu, xgpu []float64
 		for _, r := range recs {
-			if !in(r.Class) {
+			if !in(units.SchedulingClass(r.Class)) {
 				continue
 			}
-			mcpu = append(mcpu, r.MeanCPUPower)
-			mgpu = append(mgpu, r.MeanGPUPower)
-			xcpu = append(xcpu, r.MaxCPUPower)
-			xgpu = append(xgpu, r.MaxGPUPower)
+			mcpu = append(mcpu, r.MeanCPUPowerW)
+			mgpu = append(mgpu, r.MeanGPUPowerW)
+			xcpu = append(xcpu, r.MaxCPUPowerW)
+			xgpu = append(xgpu, r.MaxGPUPowerW)
 		}
 		if len(mcpu) < 3 {
 			continue

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/tsagg"
+	"repro/internal/source"
 	"repro/internal/units"
 )
 
@@ -32,17 +32,24 @@ type OvercoolingReport struct {
 
 const postFallWindowSec = 600
 
-// overcoolingFrom computes the report from a run's cooling and power series.
-func overcoolingFrom(truePower, towerTonsS, chillerTonsS *tsagg.Series, nodes int, stepSec int64) (*OvercoolingReport, error) {
-	if towerTonsS == nil || chillerTonsS == nil || truePower == nil {
-		return nil, fmt.Errorf("core: run data missing cooling series")
+// OvercoolingFromSource computes the §5 overcooling report from the run's
+// true cluster power and its tower and chiller tonnage.
+func OvercoolingFromSource(src source.RunSource) (*OvercoolingReport, error) {
+	meta, err := src.Meta()
+	if err != nil {
+		return nil, err
 	}
+	s, err := seriesOf(src, source.SeriesClusterTruePower, source.SeriesTowerTons, source.SeriesChillerTons)
+	if err != nil {
+		return nil, err
+	}
+	truePower, towerTonsS, chillerTonsS := s[0], s[1], s[2]
 	n := towerTonsS.Len()
 	if n == 0 || truePower.Len() != n {
 		return nil, fmt.Errorf("core: run data missing cooling series")
 	}
 	// Falling-edge windows for attribution.
-	edges := DetectEdgesThreshold(truePower, ScaleEquivalentMW(nodes))
+	edges := DetectEdgesThreshold(truePower, ScaleEquivalentMW(meta.Nodes))
 	inPostFall := make([]bool, n)
 	for _, e := range edges {
 		if e.Rising {
@@ -53,7 +60,7 @@ func overcoolingFrom(truePower, towerTonsS, chillerTonsS *tsagg.Series, nodes in
 		}
 	}
 	rep := &OvercoolingReport{}
-	stepHours := float64(stepSec) / units.SecondsPerHour
+	stepHours := float64(meta.StepSec) / units.SecondsPerHour
 	var deliveredTonHours, postFallExcess float64
 	// Blended electric cost per ton from the run itself.
 	var towerTons, chillerTons float64

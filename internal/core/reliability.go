@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/failures"
+	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -23,7 +24,11 @@ type FailureComposition struct {
 
 // Table4Composition tallies the failure log by type, sorted by descending
 // count as in the paper.
-func Table4Composition(evs []failures.Event, nodes int) []FailureComposition {
+func Table4Composition(src source.RunSource) ([]FailureComposition, error) {
+	nodes, evs, err := failureLog(src)
+	if err != nil {
+		return nil, err
+	}
 	perType := make([]int, failures.NumTypes)
 	perNode := make([][]int, failures.NumTypes)
 	for t := range perNode {
@@ -63,7 +68,17 @@ func Table4Composition(evs []failures.Event, nodes int) []FailureComposition {
 		}
 		return out[i].Type < out[j].Type
 	})
-	return out
+	return out, nil
+}
+
+// failureLog reads the run's system size and failure log from src.
+func failureLog(src source.RunSource) (int, []failures.Event, error) {
+	meta, err := src.Meta()
+	if err != nil {
+		return 0, nil, err
+	}
+	evs, err := src.Failures()
+	return meta.Nodes, evs, err
 }
 
 // CorrelationCell is one significant pair of Figure 13.
@@ -78,7 +93,11 @@ type CorrelationCell struct {
 // at the given family-wise alpha (the paper uses 0.05). Only significant
 // pairs are returned, strongest first. Types with no events are excluded
 // from the family.
-func Figure13Correlation(evs []failures.Event, nodes int, alpha float64) ([]CorrelationCell, error) {
+func Figure13Correlation(src source.RunSource, alpha float64) ([]CorrelationCell, error) {
+	nodes, evs, err := failureLog(src)
+	if err != nil {
+		return nil, err
+	}
 	counts := make([][]float64, failures.NumTypes)
 	seen := make([]bool, failures.NumTypes)
 	for t := range counts {
@@ -196,7 +215,11 @@ type ThermalExtremity struct {
 // type, excluding events without temperature data and, following the
 // paper, excluding the NVLink super-offender node (any node holding more
 // than excludeFrac of a type's events).
-func Figure15ThermalExtremity(evs []failures.Event, nodes int, excludeFrac float64) []ThermalExtremity {
+func Figure15ThermalExtremity(src source.RunSource, excludeFrac float64) ([]ThermalExtremity, error) {
+	evs, err := src.Failures()
+	if err != nil {
+		return nil, err
+	}
 	// Identify super-offender nodes per type.
 	perTypeNode := map[failures.Type]map[int]int{}
 	perTypeTotal := map[failures.Type]int{}
@@ -246,7 +269,7 @@ func Figure15ThermalExtremity(evs []failures.Event, nodes int, excludeFrac float
 		te.ZSkew = skewness(te.ZScores)
 		out = append(out, *te)
 	}
-	return out
+	return out, nil
 }
 
 // skewness returns the Pearson moment coefficient of skewness.
@@ -274,7 +297,11 @@ type PlacementCounts struct {
 // Figure16Placement tallies per-slot counts for the four types the paper
 // highlights (page retirement events, double-bit errors, microcontroller
 // warnings, off-the-bus), or for all types when highlight is false.
-func Figure16Placement(evs []failures.Event, highlightOnly bool) []PlacementCounts {
+func Figure16Placement(src source.RunSource, highlightOnly bool) ([]PlacementCounts, error) {
+	evs, err := src.Failures()
+	if err != nil {
+		return nil, err
+	}
 	want := map[failures.Type]bool{
 		failures.PageRetirementEvent:    true,
 		failures.DoubleBitError:         true,
@@ -302,5 +329,5 @@ func Figure16Placement(evs []failures.Event, highlightOnly bool) []PlacementCoun
 			out = append(out, *p)
 		}
 	}
-	return out
+	return out, nil
 }

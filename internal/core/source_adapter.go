@@ -59,33 +59,7 @@ func (d *RunData) Source() *source.MemorySource {
 			Site:      d.Site,
 		},
 		SeriesByName: byName,
-		Jobs:         sourceJobRecords(d),
+		Jobs:         BuildJobRecords(d),
 		Events:       d.Failures,
 	}
-}
-
-// sourceJobRecords reduces the run's job series to the neutral row form.
-// WriteDatasets archives these very rows, so both planes agree.
-func sourceJobRecords(d *RunData) []source.JobRecord {
-	recs := BuildJobRecords(d)
-	out := make([]source.JobRecord, len(recs))
-	for i, r := range recs {
-		a := &d.Allocations[r.AllocIdx]
-		out[i] = source.JobRecord{
-			AllocationID:  r.JobID,
-			Class:         int(r.Class),
-			Domain:        int(r.Domain),
-			Nodes:         r.Nodes,
-			BeginTime:     a.StartTime,
-			EndTime:       a.EndTime,
-			MaxPowerW:     r.MaxPower,
-			MeanPowerW:    r.MeanPower,
-			EnergyJ:       r.EnergyJ,
-			MeanCPUPowerW: r.MeanCPUPower,
-			MaxCPUPowerW:  r.MaxCPUPower,
-			MeanGPUPowerW: r.MeanGPUPower,
-			MaxGPUPowerW:  r.MaxGPUPower,
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -132,63 +133,90 @@ func TestSourcePlaneParity(t *testing.T) {
 		}
 	}
 
-	// Every refactored analysis must produce identical output from both
-	// planes. Reports are plain data; %#v captures every field.
-	check := func(what string, fromMem, fromArc any, errM, errA error) {
-		t.Helper()
+	// Every analysis on the source must produce identical output from both
+	// planes. Reports are plain data; show prints every field at %#v,
+	// through pointers.
+	analyses := []struct {
+		what string
+		run  func(source.RunSource, []source.JobRecord) (any, error)
+	}{
+		{"edges", func(s source.RunSource, _ []source.JobRecord) (any, error) { return EdgesFromSource(s) }},
+		{"swings", func(s source.RunSource, _ []source.JobRecord) (any, error) { return SwingsFromSource(s) }},
+		{"bands", func(s source.RunSource, _ []source.JobRecord) (any, error) { return ThermalBandsFromSource(s) }},
+		{"earlywarning", func(s source.RunSource, _ []source.JobRecord) (any, error) { return EarlyWarningFromSource(s, 3600) }},
+		{"overcooling", func(s source.RunSource, _ []source.JobRecord) (any, error) { return OvercoolingFromSource(s) }},
+		{"validation", func(s source.RunSource, _ []source.JobRecord) (any, error) { return ValidationFromSource(s) }},
+		{"summary", func(s source.RunSource, _ []source.JobRecord) (any, error) { return SummaryFromSource(s) }},
+		{"figure 5", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure5Trends(s) }},
+		{"figure 6", func(_ source.RunSource, r []source.JobRecord) (any, error) { return Figure6EnergyPower(r, 24), nil }},
+		{"figure 7", func(_ source.RunSource, r []source.JobRecord) (any, error) { return Figure7JobCDFs(r), nil }},
+		{"figure 8", func(_ source.RunSource, r []source.JobRecord) (any, error) { return Figure8DomainBreakdown(r), nil }},
+		{"figure 9", func(_ source.RunSource, r []source.JobRecord) (any, error) { return Figure9ComponentKDE(r, 24), nil }},
+		{"figure 11", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure11EdgeSnapshots(s, 60, 240) }},
+		{"figure 12", func(s source.RunSource, _ []source.JobRecord) (any, error) {
+			return Figure12ThermalResponse(s, 60, 240)
+		}},
+		{"table 4", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Table4Composition(s) }},
+		{"figure 13", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure13Correlation(s, 0.05) }},
+		{"figure 15", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure15ThermalExtremity(s, 0.8) }},
+		{"figure 16", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure16Placement(s, false) }},
+	}
+	for _, a := range analyses {
+		fromMem, errM := a.run(mem, memJobs)
+		fromArc, errA := a.run(arc, arcJobs)
 		if errM != nil || errA != nil {
-			t.Fatalf("%s: mem err %v, archive err %v", what, errM, errA)
+			t.Fatalf("%s: mem err %v, archive err %v", a.what, errM, errA)
 		}
-		gm, ga := fmt.Sprintf("%#v", fromMem), fmt.Sprintf("%#v", fromArc)
-		if gm != ga {
-			t.Errorf("%s differs:\nmem     %.400s\narchive %.400s", what, gm, ga)
+		if gm, ga := show(fromMem), show(fromArc); gm != ga {
+			t.Errorf("%s differs:\nmem     %.400s\narchive %.400s", a.what, gm, ga)
 		}
 	}
-	{
-		a, e1 := EdgesFromSource(mem)
-		b, e2 := EdgesFromSource(arc)
-		check("edges", a, b, e1, e2)
+}
+
+// show prints v at %#v, following pointers and interfaces to the values
+// they hold, so two results compare by content rather than by address.
+func show(v any) string {
+	var b strings.Builder
+	var walk func(reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			if v.IsNil() {
+				b.WriteString("nil")
+				return
+			}
+			walk(v.Elem())
+		case reflect.Struct:
+			b.WriteString(v.Type().String() + "{")
+			for i := 0; i < v.NumField(); i++ {
+				b.WriteString(v.Type().Field(i).Name + ":")
+				walk(v.Field(i))
+				b.WriteString(", ")
+			}
+			b.WriteString("}")
+		case reflect.Slice, reflect.Array:
+			b.WriteString("[")
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+				b.WriteString(", ")
+			}
+			b.WriteString("]")
+		case reflect.Map:
+			keys := v.MapKeys()
+			sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+			b.WriteString("map[")
+			for _, k := range keys {
+				fmt.Fprintf(&b, "%#v:", k)
+				walk(v.MapIndex(k))
+				b.WriteString(", ")
+			}
+			b.WriteString("]")
+		default:
+			fmt.Fprintf(&b, "%#v", v)
+		}
 	}
-	{
-		a, e1 := SwingsFromSource(mem)
-		b, e2 := SwingsFromSource(arc)
-		check("swings", a, b, e1, e2)
-	}
-	{
-		a, e1 := ThermalBandsFromSource(mem)
-		b, e2 := ThermalBandsFromSource(arc)
-		check("bands", a, b, e1, e2)
-	}
-	{
-		a, e1 := EarlyWarningFromSource(mem, 3600)
-		b, e2 := EarlyWarningFromSource(arc, 3600)
-		check("earlywarning", a, b, e1, e2)
-	}
-	{
-		a, e1 := OvercoolingFromSource(mem)
-		b, e2 := OvercoolingFromSource(arc)
-		check("overcooling", a, b, e1, e2)
-	}
-	{
-		a, e1 := ValidationFromSource(mem)
-		b, e2 := ValidationFromSource(arc)
-		check("validation", a, b, e1, e2)
-	}
-	{
-		a, e1 := FailureCompositionFromSource(mem)
-		b, e2 := FailureCompositionFromSource(arc)
-		check("composition", a, b, e1, e2)
-	}
-	{
-		a, e1 := FailureCorrelationFromSource(mem, 0.05)
-		b, e2 := FailureCorrelationFromSource(arc, 0.05)
-		check("correlation", a, b, e1, e2)
-	}
-	{
-		a, e1 := SummaryFromSource(mem)
-		b, e2 := SummaryFromSource(arc)
-		check("summary", a, b, e1, e2)
-	}
+	walk(reflect.ValueOf(v))
+	return b.String()
 }
 
 // TestValidationRefusesHalfMeterPair: Figure 4 compares whole pairs. A

@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/source"
+)
 
 // ThermalResponseSet is one panel column of Figure 12: the system's
 // component temperatures and cooling-plant state superimposed around a set
@@ -30,26 +34,44 @@ type ThermalResponseSet struct {
 // every rising-edge amplitude bin plus one falling-edge column at the
 // largest falling amplitude present (mirroring the paper's 4 MW/6 MW/7 MW
 // rises + 7 MW fall layout at full scale).
-func Figure12ThermalResponse(d *RunData, beforeSec, afterSec int64) []ThermalResponseSet {
-	binW := ScaleEquivalentMW(d.Nodes)
-	edges := DetectEdgesThreshold(d.ClusterPower, binW)
+func Figure12ThermalResponse(src source.RunSource, beforeSec, afterSec int64) ([]ThermalResponseSet, error) {
+	meta, err := src.Meta()
+	if err != nil {
+		return nil, err
+	}
+	series, err := seriesOf(src,
+		source.SeriesClusterPower, source.SeriesPUE,
+		source.SeriesGPUTempMean, source.SeriesGPUTempMax,
+		source.SeriesCPUTempMean, source.SeriesCPUTempMax,
+		source.SeriesSupplyC, source.SeriesReturnC,
+		source.SeriesTowerTons, source.SeriesChillerTons,
+		source.SeriesTowerCount, source.SeriesChillerCount)
+	if err != nil {
+		return nil, err
+	}
+	binW := ScaleEquivalentMW(meta.Nodes)
+	edges := DetectEdgesThreshold(series[0], binW)
 	build := func(mw int, rising bool, times []int64) ThermalResponseSet {
+		stack := make([]*SnapshotStack, len(series))
+		for i, s := range series {
+			stack[i] = SuperimposeAround(s, times, beforeSec, afterSec)
+		}
 		return ThermalResponseSet{
 			AmplitudeMW:  mw,
 			Rising:       rising,
 			Count:        len(times),
-			Power:        SuperimposeAround(d.ClusterPower, times, beforeSec, afterSec),
-			PUE:          SuperimposeAround(d.PUE, times, beforeSec, afterSec),
-			GPUTempMean:  SuperimposeAround(d.GPUTempMean, times, beforeSec, afterSec),
-			GPUTempMax:   SuperimposeAround(d.GPUTempMax, times, beforeSec, afterSec),
-			CPUTempMean:  SuperimposeAround(d.CPUTempMean, times, beforeSec, afterSec),
-			CPUTempMax:   SuperimposeAround(d.CPUTempMax, times, beforeSec, afterSec),
-			SupplyC:      SuperimposeAround(d.SupplyC, times, beforeSec, afterSec),
-			ReturnC:      SuperimposeAround(d.ReturnC, times, beforeSec, afterSec),
-			TowerTons:    SuperimposeAround(d.TowerTons, times, beforeSec, afterSec),
-			ChillerTons:  SuperimposeAround(d.ChillerTons, times, beforeSec, afterSec),
-			TowerCount:   SuperimposeAround(d.TowerCount, times, beforeSec, afterSec),
-			ChillerCount: SuperimposeAround(d.ChillerCount, times, beforeSec, afterSec),
+			Power:        stack[0],
+			PUE:          stack[1],
+			GPUTempMean:  stack[2],
+			GPUTempMax:   stack[3],
+			CPUTempMean:  stack[4],
+			CPUTempMax:   stack[5],
+			SupplyC:      stack[6],
+			ReturnC:      stack[7],
+			TowerTons:    stack[8],
+			ChillerTons:  stack[9],
+			TowerCount:   stack[10],
+			ChillerCount: stack[11],
 		}
 	}
 	var out []ThermalResponseSet
@@ -73,7 +95,7 @@ func Figure12ThermalResponse(d *RunData, beforeSec, afterSec int64) []ThermalRes
 	if best > 0 {
 		out = append(out, build(best, false, EdgeTimes(falling[best])))
 	}
-	return out
+	return out, nil
 }
 
 // CoolingLagSec estimates the cooling plant's response delay to a rising

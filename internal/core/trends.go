@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/source"
 	"repro/internal/stats"
 )
 
@@ -33,27 +34,35 @@ type TrendReport struct {
 
 // Figure5Trends summarizes the run week by week. Runs shorter than one
 // week produce a single partial "week".
-func Figure5Trends(d *RunData) (*TrendReport, error) {
-	if d.ClusterPower == nil || d.ClusterPower.Len() == 0 {
+func Figure5Trends(src source.RunSource) (*TrendReport, error) {
+	meta, err := src.Meta()
+	if err != nil {
+		return nil, err
+	}
+	s, err := seriesOf(src, source.SeriesClusterPower, source.SeriesPUE, source.SeriesChillerTons)
+	if err != nil {
+		return nil, err
+	}
+	power, pue, chiller := s[0], s[1], s[2]
+	if power.Len() == 0 {
 		return nil, fmt.Errorf("core: no cluster power series")
 	}
 	const weekSec = 7 * 86400
 	rep := &TrendReport{}
-	end := d.ClusterPower.End()
+	end := power.End()
 	week := 0
-	for t0 := d.StartTime; t0 < end; t0 += weekSec {
+	for t0 := meta.StartTime; t0 < end; t0 += weekSec {
 		t1 := t0 + weekSec
-		power := d.ClusterPower.Slice(t0, t1)
-		pue := d.PUE.Slice(t0, t1)
-		pvals := power.Clean()
+		wpower := power.Slice(t0, t1)
+		pvals := wpower.Clean()
 		if len(pvals) > 0 {
 			box := stats.NewBoxPlot(pvals)
 			rep.PowerWeekly = append(rep.PowerWeekly, WeeklyTrend{
 				Week: week, Box: box, Max: box.Max,
 			})
-			rep.EnergyWeekly = append(rep.EnergyWeekly, power.Integrate())
+			rep.EnergyWeekly = append(rep.EnergyWeekly, wpower.Integrate())
 		}
-		if uvals := pue.Clean(); len(uvals) > 0 {
+		if uvals := pue.Slice(t0, t1).Clean(); len(uvals) > 0 {
 			box := stats.NewBoxPlot(uvals)
 			rep.PUEWeekly = append(rep.PUEWeekly, WeeklyTrend{
 				Week: week, Box: box, Max: box.Max,
@@ -64,14 +73,14 @@ func Figure5Trends(d *RunData) (*TrendReport, error) {
 	// Annual PUE summaries: overall mean, and mean restricted to windows
 	// where the chillers carry load (the "summer" condition).
 	var pueSum, pueN, chillSum, chillN float64
-	for i := 0; i < d.PUE.Len(); i++ {
-		u := d.PUE.Vals[i]
+	for i := 0; i < pue.Len(); i++ {
+		u := pue.Vals[i]
 		if math.IsNaN(u) {
 			continue
 		}
 		pueSum += u
 		pueN++
-		if c := d.ChillerTons.Vals[i]; !math.IsNaN(c) && c > 1 {
+		if c := chiller.Vals[i]; !math.IsNaN(c) && c > 1 {
 			chillSum += u
 			chillN++
 		}
@@ -85,8 +94,8 @@ func Figure5Trends(d *RunData) (*TrendReport, error) {
 	}
 	// Inverse proportionality of power and PUE.
 	var ps, us []float64
-	for i := 0; i < d.PUE.Len() && i < d.ClusterPower.Len(); i++ {
-		p, u := d.ClusterPower.Vals[i], d.PUE.Vals[i]
+	for i := 0; i < pue.Len() && i < power.Len(); i++ {
+		p, u := power.Vals[i], pue.Vals[i]
 		if math.IsNaN(p) || math.IsNaN(u) {
 			continue
 		}

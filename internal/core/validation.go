@@ -1,11 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"repro/internal/source"
 	"repro/internal/stats"
-	"repro/internal/tsagg"
 )
 
 // MSBValidation is the Figure 4 comparison for one main switchboard:
@@ -33,19 +34,28 @@ type ValidationReport struct {
 	DiffSamples []float64
 }
 
-// validationFrom compares the per-node summation against the MSB meters
-// over the run (Figure 4).
-func validationFrom(meters, sums []*tsagg.Series) (*ValidationReport, error) {
-	if len(meters) == 0 || len(meters) != len(sums) {
-		return nil, fmt.Errorf("core: run data has no meter series")
-	}
+// ValidationFromSource computes the Figure 4 meter-vs-summation comparison
+// over the meter_power_<m> / msb_sensor_sum_<m> pairs, in switchboard order
+// up to the first absent meter. A meter without its sum is an error naming
+// the sum, never a report on fewer switchboards.
+func ValidationFromSource(src source.RunSource) (*ValidationReport, error) {
 	rep := &ValidationReport{}
 	var diffSum float64
-	var diffN int
+	var pairs, diffN int
 	var meterTotal, sumTotal float64
-	for m := range meters {
-		meter := meters[m]
-		sum := sums[m]
+	for m := 0; ; m++ {
+		meter, err := src.Series(source.MeterSeriesName(m))
+		if errors.Is(err, source.ErrUnknownSeries) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		sum, err := src.Series(source.MSBSumSeriesName(m))
+		if err != nil {
+			return nil, err
+		}
+		pairs++
 		var diffs []float64
 		var meterVals, sumVals []float64
 		for i := 0; i < meter.Len() && i < sum.Len(); i++ {
@@ -82,6 +92,10 @@ func validationFrom(meters, sums []*tsagg.Series) (*ValidationReport, error) {
 		diffN += len(diffs)
 		meterTotal += mm
 		sumTotal += ms
+	}
+	if pairs == 0 {
+		return nil, fmt.Errorf("core: no meter series (an archive from an older build lacks them): %w",
+			source.ErrUnavailable)
 	}
 	if diffN == 0 {
 		return nil, fmt.Errorf("core: no overlapping meter/summation windows")

@@ -70,6 +70,19 @@ func PickExemplarAllocation(allocs []scheduler.Allocation, winStart, winEnd int6
 	return best
 }
 
+// AttachVariability is the CollectRun attachment that captures the run's
+// exemplar (largest) job GPU by GPU, for Figure 17, into *vc.
+func AttachVariability(vc **VariabilityCollector) Attach {
+	return func(s *sim.Sim) (sim.Observer, error) {
+		c, err := NewVariabilityCollector(s, -1)
+		if err != nil {
+			return nil, err
+		}
+		*vc = c
+		return c, nil
+	}
+}
+
 // NewVariabilityCollector captures allocation allocIdx of the sim. Pass a
 // negative index to auto-select the exemplar.
 func NewVariabilityCollector(s *sim.Sim, allocIdx int) (*VariabilityCollector, error) {

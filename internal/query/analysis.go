@@ -261,11 +261,11 @@ type apiCorrelation struct {
 }
 
 func failuresReply(src source.RunSource) (any, error) {
-	rows, err := core.FailureCompositionFromSource(src)
+	rows, err := core.Table4Composition(src)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := core.FailureCorrelationFromSource(src, 0.05)
+	cells, err := core.Figure13Correlation(src, 0.05)
 	if err != nil {
 		return nil, err
 	}

@@ -379,7 +379,7 @@ func WriteArchive(dir string, src RunSource, also ...func() error) error {
 	if err != nil {
 		return err
 	}
-	if err := BeginArchive(m.SpanSec(), dir); err != nil {
+	if err := BeginArchive(m.SpanSec(), nil, dir); err != nil {
 		return err
 	}
 	// The partitions are independent files, each one's bytes a function of
@@ -423,12 +423,15 @@ func WriteArchive(dir string, src RunSource, also ...func() error) error {
 // its days, and at least the one the whole-run logs and run-meta live in.
 func spanDays(spanSec int64) int { return max(int((spanSec+daySec-1)/daySec), logDay+1) }
 
-// BeginArchive readies each of dirs for a run of spanSec seconds before any
-// partition is written: it refuses, naming the files, when any of them still
-// holds days of a longer run (StaleFiles), and only then removes their old
-// run-meta, so a refused run touches nothing and, from here until the run
-// commits its own, no directory holds a committed run.
-func BeginArchive(spanSec int64, dirs ...string) error {
+// BeginArchive readies each of dirs, before any partition is written, for a
+// run of spanSec seconds that writes its run-meta and the datasets named in
+// writes (nil: it may write any). It refuses, naming the files, when any of
+// them still holds days of a longer run (StaleFiles) or partitions of a
+// dataset outside writes, which would be read beside the run as its own;
+// only then does it remove their old run-meta, so a refused run touches
+// nothing and, from here until the run commits its own, no directory holds
+// a committed run.
+func BeginArchive(spanSec int64, writes []string, dirs ...string) error {
 	for _, dir := range dirs {
 		stale, err := StaleFiles(dir, spanSec)
 		if err != nil {
@@ -437,6 +440,31 @@ func BeginArchive(spanSec int64, dirs ...string) error {
 		if len(stale) > 0 {
 			return fmt.Errorf("source: %s holds partitions of a longer run that this %d-day run would not overwrite (%s): archive into an empty directory or remove them",
 				dir, spanDays(spanSec), strings.Join(stale, ", "))
+		}
+		if writes == nil {
+			continue
+		}
+		names, err := store.Datasets(dir)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		var foreign []string
+		for _, name := range names {
+			if name == DatasetRunMeta || slices.Contains(writes, name) {
+				continue
+			}
+			ds := dataset(dir, name)
+			days, err := ds.Days()
+			if err != nil {
+				return err
+			}
+			for _, day := range days {
+				foreign = append(foreign, ds.DayFile(day))
+			}
+		}
+		if len(foreign) > 0 {
+			return fmt.Errorf("source: %s holds partitions of datasets this run does not write (%s): archive into an empty directory or remove them",
+				dir, strings.Join(foreign, ", "))
 		}
 	}
 	for _, dir := range dirs {

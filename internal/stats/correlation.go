@@ -96,15 +96,6 @@ func PairwiseCorrelation(vars [][]float64, alpha float64) ([]CorrResult, error) 
 	return out, nil
 }
 
-// BonferroniThreshold returns the per-test significance threshold for a
-// family of m tests at family-wise rate alpha.
-func BonferroniThreshold(alpha float64, m int) float64 {
-	if m <= 0 {
-		return alpha
-	}
-	return alpha / float64(m)
-}
-
 // Spearman returns the Spearman rank correlation coefficient: Pearson on
 // the ranks, with average ranks for ties. It is robust to monotone
 // nonlinearity, which suits the GPU power→temperature relation (monotone

@@ -150,19 +150,6 @@ func TestPairwiseCorrelationErrors(t *testing.T) {
 	}
 }
 
-func TestBonferroniThreshold(t *testing.T) {
-	if got := BonferroniThreshold(0.05, 10); !approx(got, 0.005, 1e-15) {
-		t.Errorf("threshold = %v", got)
-	}
-	if got := BonferroniThreshold(0.05, 0); got != 0.05 {
-		t.Errorf("m=0 must return alpha, got %v", got)
-	}
-	// Paper: 16 failure types → 120 pairs → threshold ≈ 4.17e-4.
-	if got := BonferroniThreshold(0.05, 120); !approx(got, 0.05/120, 1e-15) {
-		t.Errorf("paper threshold = %v", got)
-	}
-}
-
 func TestSpearmanMonotone(t *testing.T) {
 	// Any strictly monotone transform gives rho = 1.
 	x := []float64{1, 2, 3, 4, 5}

@@ -34,13 +34,6 @@ func (m *Moments) Add(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// AddN incorporates x with weight (repetition count) n.
-func (m *Moments) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		m.Add(x)
-	}
-}
-
 // Merge combines another accumulator into m (parallel merge, Chan et al.).
 func (m *Moments) Merge(o Moments) {
 	if o.N == 0 {

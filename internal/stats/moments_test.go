@@ -134,17 +134,6 @@ func TestMomentsMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestMomentsAddN(t *testing.T) {
-	var a, b Moments
-	a.AddN(5, 3)
-	for i := 0; i < 3; i++ {
-		b.Add(5)
-	}
-	if a != b {
-		t.Error("AddN differs from repeated Add")
-	}
-}
-
 func TestMomentsReset(t *testing.T) {
 	var m Moments
 	m.Add(1)

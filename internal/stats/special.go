@@ -107,8 +107,3 @@ func StudentTTwoSidedP(t, df float64) float64 {
 	x := df / (df + t*t)
 	return RegIncBeta(df/2, 0.5, x)
 }
-
-// NormalCDF returns the standard normal CDF Φ(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}

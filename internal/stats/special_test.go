@@ -88,17 +88,3 @@ func TestStudentTTwoSidedP(t *testing.T) {
 		t.Errorf("p at t=0 = %v, want 1", got)
 	}
 }
-
-func TestNormalCDF(t *testing.T) {
-	cases := []struct{ x, want, tol float64 }{
-		{0, 0.5, 1e-15},
-		{1.959963985, 0.975, 1e-9},
-		{-1.959963985, 0.025, 1e-9},
-		{3, 0.998650101968370, 1e-12},
-	}
-	for _, c := range cases {
-		if got := NormalCDF(c.x); !approx(got, c.want, c.tol) {
-			t.Errorf("Phi(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}

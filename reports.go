@@ -10,7 +10,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/failures"
 	"repro/internal/render"
+	"repro/internal/source"
 	"repro/internal/units"
+	"repro/internal/whatif"
 )
 
 // Report is a rendered experiment: an identifier, the paper's reference
@@ -37,8 +39,8 @@ func (r Report) String() string {
 }
 
 // ReportFigure4 renders the meter-validation experiment.
-func ReportFigure4(d *RunData) (Report, error) {
-	rep, err := Figure4Validation(d)
+func ReportFigure4(src source.RunSource) (Report, error) {
+	rep, err := core.ValidationFromSource(src)
 	if err != nil {
 		return Report{}, err
 	}
@@ -59,8 +61,8 @@ func ReportFigure4(d *RunData) (Report, error) {
 }
 
 // ReportFigure5 renders the power/energy/PUE trend experiment.
-func ReportFigure5(d *RunData) (Report, error) {
-	rep, err := Figure5Trends(d)
+func ReportFigure5(src source.RunSource) (Report, error) {
+	rep, err := core.Figure5Trends(src)
 	if err != nil {
 		return Report{}, err
 	}
@@ -88,9 +90,12 @@ func ReportFigure5(d *RunData) (Report, error) {
 }
 
 // ReportFigure6 renders the per-class energy/power joint distribution.
-func ReportFigure6(d *RunData) (Report, error) {
-	recs := BuildJobRecords(d)
-	kdes := Figure6EnergyPower(recs, 40)
+func ReportFigure6(src source.RunSource) (Report, error) {
+	recs, err := src.JobRecords()
+	if err != nil {
+		return Report{}, err
+	}
+	kdes := core.Figure6EnergyPower(recs, 40)
 	tab := render.NewTable("class", "jobs", "modes", "log10E range", "log10P range")
 	for _, k := range kdes {
 		tab.Row(k.Class.String(), k.N, k.Modes,
@@ -128,9 +133,12 @@ func ReportFigure6(d *RunData) (Report, error) {
 }
 
 // ReportFigure7 renders the job feature CDFs.
-func ReportFigure7(d *RunData) (Report, error) {
-	recs := BuildJobRecords(d)
-	cdfs := Figure7JobCDFs(recs)
+func ReportFigure7(src source.RunSource) (Report, error) {
+	recs, err := src.JobRecords()
+	if err != nil {
+		return Report{}, err
+	}
+	cdfs := core.Figure7JobCDFs(recs)
 	tab := render.NewTable("class", "jobs", "p80 nodes", "p80 wall (h)", "p80 mean (MW)", "p80 max (MW)", "p80 diff (MW)")
 	for _, c := range cdfs {
 		tab.Row(c.Class.String(), c.N, c.P80Nodes, c.P80Wall, c.P80Mean, c.P80Max, c.P80Diff)
@@ -144,9 +152,12 @@ func ReportFigure7(d *RunData) (Report, error) {
 }
 
 // ReportFigure8 renders the domain breakdown.
-func ReportFigure8(d *RunData) (Report, error) {
-	recs := BuildJobRecords(d)
-	rows := Figure8DomainBreakdown(recs)
+func ReportFigure8(src source.RunSource) (Report, error) {
+	recs, err := src.JobRecords()
+	if err != nil {
+		return Report{}, err
+	}
+	rows := core.Figure8DomainBreakdown(recs)
 	tab := render.NewTable("class", "domain", "jobs", "max power median (MW)", "energy median (GJ)")
 	for _, r := range rows {
 		tab.Row(r.Class.String(), r.Domain.String(), r.N,
@@ -161,9 +172,12 @@ func ReportFigure8(d *RunData) (Report, error) {
 }
 
 // ReportFigure9 renders the component power distribution.
-func ReportFigure9(d *RunData) (Report, error) {
-	recs := BuildJobRecords(d)
-	kdes := Figure9ComponentKDE(recs, 40)
+func ReportFigure9(src source.RunSource) (Report, error) {
+	recs, err := src.JobRecords()
+	if err != nil {
+		return Report{}, err
+	}
+	kdes := core.Figure9ComponentKDE(recs, 40)
 	tab := render.NewTable("classes", "jobs", "view", "CPU range (W)", "GPU range (W)")
 	for _, k := range kdes {
 		var cls []string
@@ -187,8 +201,8 @@ func ReportFigure9(d *RunData) (Report, error) {
 }
 
 // ReportFigure10 renders the power dynamics overview.
-func ReportFigure10(d *RunData) Report {
-	rep := Figure10Dynamics(d)
+func ReportFigure10(d *core.RunData) Report {
+	rep := core.Figure10Dynamics(d)
 	var b strings.Builder
 	fmt.Fprintf(&b, "jobs with no edges: %.1f%%\n", rep.FracNoEdges*100)
 	tab := render.NewTable("class", "jobs w/ edges", "median edges", "median duration (min)", "median freq (Hz)", "median amp (W)")
@@ -229,8 +243,11 @@ func median(xs []float64) float64 {
 }
 
 // ReportFigure11 renders the edge snapshot superposition.
-func ReportFigure11(d *RunData) Report {
-	sets := Figure11EdgeSnapshots(d, time.Minute, 4*time.Minute)
+func ReportFigure11(src source.RunSource) (Report, error) {
+	sets, err := core.Figure11EdgeSnapshots(src, snapshotBeforeSec, snapshotAfterSec)
+	if err != nil {
+		return Report{}, err
+	}
 	var b strings.Builder
 	if len(sets) == 0 {
 		b.WriteString("no >=1 MW rising edges in this run\n")
@@ -245,8 +262,11 @@ func ReportFigure11(d *RunData) Report {
 		Title:    "Rising edge time-series snapshots",
 		PaperRef: "power/PUE symmetric and inversely proportional; transitions complete within tens of seconds",
 		Body:     b.String(),
-	}
+	}, nil
 }
+
+// The window Figures 11 and 12 superimpose around each edge.
+const snapshotBeforeSec, snapshotAfterSec = 60, 240
 
 func scale(xs []float64, k float64) []float64 {
 	out := make([]float64, len(xs))
@@ -257,8 +277,11 @@ func scale(xs []float64, k float64) []float64 {
 }
 
 // ReportFigure12 renders the thermal response superposition.
-func ReportFigure12(d *RunData) Report {
-	sets := Figure12ThermalResponse(d, time.Minute, 4*time.Minute)
+func ReportFigure12(src source.RunSource) (Report, error) {
+	sets, err := core.Figure12ThermalResponse(src, snapshotBeforeSec, snapshotAfterSec)
+	if err != nil {
+		return Report{}, err
+	}
 	var b strings.Builder
 	if len(sets) == 0 {
 		b.WriteString("no >=1 MW edges in this run\n")
@@ -286,12 +309,15 @@ func ReportFigure12(d *RunData) Report {
 		Title:    "Thermal response of the cooling system",
 		PaperRef: "GPU temps track power tightly; CPU temps comparatively flat; ~1 min cooling lag; de-staging slower than staging",
 		Body:     b.String(),
-	}
+	}, nil
 }
 
 // ReportTable4 renders the failure composition.
-func ReportTable4(d *RunData) Report {
-	rows := Table4Composition(d)
+func ReportTable4(src source.RunSource) (Report, error) {
+	rows, err := core.Table4Composition(src)
+	if err != nil {
+		return Report{}, err
+	}
 	tab := render.NewTable("GPU error", "count", "max/node", "max/node %")
 	total := 0
 	for _, r := range rows {
@@ -305,12 +331,12 @@ func ReportTable4(d *RunData) Report {
 		Title:    "GPU failure composition",
 		PaperRef: "251,859 errors in 2020; memory page faults dominate; one node holds 96.9% of NVLink errors",
 		Body:     body,
-	}
+	}, nil
 }
 
 // ReportFigure13 renders the failure co-occurrence matrix.
-func ReportFigure13(d *RunData) (Report, error) {
-	cells, err := Figure13Correlation(d, 0.05)
+func ReportFigure13(src source.RunSource) (Report, error) {
+	cells, err := core.Figure13Correlation(src, 0.05)
 	if err != nil {
 		return Report{}, err
 	}
@@ -367,10 +393,10 @@ func shortTypeLabel(t failures.Type) string {
 }
 
 // ReportFigure14 renders per-project failure rates.
-func ReportFigure14(d *RunData) Report {
+func ReportFigure14(d *core.RunData) Report {
 	var b strings.Builder
 	for _, hw := range []bool{false, true} {
-		rows := Figure14FailuresPerProject(d, hw, 15)
+		rows := core.Figure14FailuresPerProject(d, hw, 15)
 		label := "all failures"
 		if hw {
 			label = "hardware failures"
@@ -390,9 +416,17 @@ func ReportFigure14(d *RunData) Report {
 	}
 }
 
-// ReportFigure15 renders the thermal extremity analysis.
-func ReportFigure15(d *RunData) Report {
-	tes := Figure15ThermalExtremity(d)
+// ReportFigure15 renders the thermal extremity analysis, and on how many
+// of the run's failures the thermal context was captured.
+func ReportFigure15(src source.RunSource) (Report, error) {
+	tes, err := core.Figure15ThermalExtremity(src, 0.8)
+	if err != nil {
+		return Report{}, err
+	}
+	evs, err := src.Failures()
+	if err != nil {
+		return Report{}, err
+	}
 	tab := render.NewTable("type", "n", "z mean", "z skew", "max temp (°C)")
 	for _, te := range tes {
 		var zm float64
@@ -404,17 +438,31 @@ func ReportFigure15(d *RunData) Report {
 		}
 		tab.Row(te.Type.String(), te.N, zm, te.ZSkew, te.MaxTempC)
 	}
+	body := tab.String()
+	if len(evs) > 0 {
+		withTemp := 0
+		for _, e := range evs {
+			if e.HasTemp() {
+				withTemp++
+			}
+		}
+		body += fmt.Sprintf("thermal context present on %.1f%% of %d events\n",
+			100*float64(withTemp)/float64(len(evs)), len(evs))
+	}
 	return Report{
 		ID:       "figure-15",
 		Title:    "Failure thermal extremity (z-scores)",
 		PaperRef: "no left skew anywhere; DBE/off-bus/µC-warning/retirement-failure right-skewed (colder GPUs); DBE max 46.1 °C",
-		Body:     tab.String(),
-	}
+		Body:     body,
+	}, nil
 }
 
 // ReportFigure16 renders per-slot failure counts.
-func ReportFigure16(d *RunData) Report {
-	rows := Figure16Placement(d, true)
+func ReportFigure16(src source.RunSource) (Report, error) {
+	rows, err := core.Figure16Placement(src, true)
+	if err != nil {
+		return Report{}, err
+	}
 	tab := render.NewTable("type", "GPU0", "GPU1", "GPU2", "GPU3", "GPU4", "GPU5")
 	for _, r := range rows {
 		tab.Row(r.Type.String(), r.Counts[0], r.Counts[1], r.Counts[2],
@@ -425,12 +473,12 @@ func ReportFigure16(d *RunData) Report {
 		Title:    "GPU failures by physical slot",
 		PaperRef: "no increase along the water path (reverse, if anything); GPU0 high (single-GPU jobs); GPU4 DBE anomaly",
 		Body:     tab.String(),
-	}
+	}, nil
 }
 
 // ReportFigure17 renders the variability analysis.
 func ReportFigure17(vc *core.VariabilityCollector) (Report, error) {
-	rep, err := Figure17Variability(vc, 6)
+	rep, err := core.Figure17Variability(vc, 6)
 	if err != nil {
 		return Report{}, err
 	}
@@ -475,18 +523,9 @@ func ReportTable3() Report {
 	}
 }
 
-// PaperFailureCounts exposes the Table 4 reference counts for comparisons.
-func PaperFailureCounts() map[string]int {
-	out := map[string]int{}
-	for t := failures.Type(0); t < failures.NumTypes; t++ {
-		out[t.String()] = t.PaperCount()
-	}
-	return out
-}
-
 // ReportFingerprints renders the future-work fingerprinting analysis
 // (paper §9): portrait clusters and the prediction evaluation.
-func ReportFingerprints(d *RunData) (Report, error) {
+func ReportFingerprints(d *core.RunData) (Report, error) {
 	fps := core.BuildFingerprints(d)
 	if len(fps) < 3 {
 		return Report{
@@ -529,7 +568,7 @@ func ReportFingerprints(d *RunData) (Report, error) {
 // ReportYearSurvey renders the sampled-year seasonal analysis — the full
 // Figure 5 story (power boxes, PUE seasonality, chilled-water season).
 func ReportYearSurvey(nodes int, seed uint64, spanPerMonth time.Duration, jobs int) (Report, error) {
-	trends, err := YearSurvey(YearSurveyConfig{
+	trends, err := core.YearSurvey(core.YearSurveyConfig{
 		Seed:            seed,
 		Nodes:           nodes,
 		SpanPerMonthSec: int64(spanPerMonth / time.Second),
@@ -544,7 +583,7 @@ func ReportYearSurvey(nodes int, seed uint64, spanPerMonth time.Duration, jobs i
 		tab.Row(t.Month, t.WetBulbMean, t.Power.Median/units.WattsPerMW, t.Power.Max/units.WattsPerMW,
 			t.EnergyJ/units.JoulesPerMWh, t.MeanPUE, t.MaxPUE, t.ChillerFrac*100)
 	}
-	sum := SummarizeYear(trends)
+	sum := core.SummarizeYear(trends)
 	body := tab.String() + fmt.Sprintf(
 		"annual PUE %.3f   chiller-season PUE %.3f over %d months   chilled-water fraction %.1f%%\n",
 		sum.MeanPUE, sum.ChillerPUE, sum.ChillerMonths, sum.ChillerFrac*100)
@@ -560,7 +599,7 @@ func ReportYearSurvey(nodes int, seed uint64, spanPerMonth time.Duration, jobs i
 // "aggressive power and energy aware ... scheduling policies can have
 // impact even on HPC deployments like Summit").
 func ReportPowerCap(base Config, capFracs []float64) (Report, error) {
-	outcomes, err := PowerCapExperiment(base, capFracs)
+	outcomes, err := whatif.PowerCapExperiment(base, capFracs)
 	if err != nil {
 		return Report{}, err
 	}
@@ -589,8 +628,8 @@ func ReportPowerCap(base Config, capFracs []float64) (Report, error) {
 // ReportThermalBands renders the facility's component-temperature
 // histogram summary (paper §2): how many GPUs sit in each band, and
 // whether the hot bands stay empty.
-func ReportThermalBands(d *RunData) (Report, error) {
-	rows, err := ThermalBandSummary(d)
+func ReportThermalBands(src source.RunSource) (Report, error) {
+	rows, err := core.ThermalBandsFromSource(src)
 	if err != nil {
 		return Report{}, err
 	}
@@ -607,8 +646,8 @@ func ReportThermalBands(d *RunData) (Report, error) {
 }
 
 // ReportOvercooling renders the §5 overcooling quantification.
-func ReportOvercooling(d *RunData) (Report, error) {
-	rep, err := Overcooling(d)
+func ReportOvercooling(src source.RunSource) (Report, error) {
+	rep, err := core.OvercoolingFromSource(src)
 	if err != nil {
 		return Report{}, err
 	}
@@ -630,7 +669,7 @@ func ReportOvercooling(d *RunData) (Report, error) {
 
 // ReportGenerations renders the Titan-vs-Summit thermal-extremity flip.
 func ReportGenerations(seed uint64) (Report, error) {
-	cmp, err := CompareGenerations(seed, 48, 40, 30000)
+	cmp, err := core.CompareGenerations(seed, 48, 40, 30000)
 	if err != nil {
 		return Report{}, err
 	}
@@ -649,7 +688,7 @@ func ReportGenerations(seed uint64) (Report, error) {
 }
 
 // ReportScheduling renders the per-class queueing summary (Dataset C view).
-func ReportScheduling(d *RunData) Report {
+func ReportScheduling(d *core.RunData) Report {
 	rows := core.SchedulingByClass(d)
 	tab := render.NewTable("class", "jobs", "mean wait (min)", "p90 wait (min)",
 		"mean runtime (min)", "node-hours")

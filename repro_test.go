@@ -9,29 +9,32 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/source"
 	"repro/internal/topology"
+	"repro/internal/units"
+	"repro/internal/whatif"
 )
 
-// Facade-level integration tests: the public API must run the whole
-// pipeline and every report must render non-trivially.
+// Integration tests: the whole pipeline must run and every report must
+// render non-trivially.
 
 var (
-	facadeOnce sync.Once
-	facadeData *RunData
-	facadeVC   *core.VariabilityCollector
-	facadeErr  error
+	runOnce sync.Once
+	runData *core.RunData
+	runVC   *core.VariabilityCollector
+	runErr  error
 )
 
-func testFacadeRun(t *testing.T) (*RunData, *core.VariabilityCollector) {
+func testRun(t *testing.T) (*core.RunData, *core.VariabilityCollector) {
 	t.Helper()
-	facadeOnce.Do(func() {
+	runOnce.Do(func() {
 		cfg := ScaledConfig(108, 5*time.Hour)
-		facadeData, facadeVC, _, facadeErr = SimulateWithVariability(cfg)
+		runData, _, runErr = core.CollectRun(cfg, core.AttachVariability(&runVC))
 	})
-	if facadeErr != nil {
-		t.Fatal(facadeErr)
+	if runErr != nil {
+		t.Fatal(runErr)
 	}
-	return facadeData, facadeVC
+	return runData, runVC
 }
 
 func TestScaledConfig(t *testing.T) {
@@ -54,7 +57,7 @@ func TestScaledConfig(t *testing.T) {
 		t.Errorf("tiny span = %d, want floor of 600", tiny.DurationSec)
 	}
 	// Full-scale year: rate scale ~1, job count ~840k.
-	full := ScaledConfig(SummitNodes, 365*24*time.Hour)
+	full := ScaledConfig(units.SummitNodes, 365*24*time.Hour)
 	if full.Jobs < 800_000 || full.Jobs > 880_000 {
 		t.Errorf("full-scale jobs = %d, want ≈840k", full.Jobs)
 	}
@@ -65,11 +68,11 @@ func TestScaledConfig(t *testing.T) {
 
 func TestSimulateDeterministic(t *testing.T) {
 	cfg := ScaledConfig(36, time.Hour)
-	a, _, err := Simulate(cfg)
+	a, _, err := core.CollectRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Simulate(cfg)
+	b, _, err := core.CollectRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,27 +87,28 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestAllReportsRender(t *testing.T) {
-	d, vc := testFacadeRun(t)
+	d, vc := testRun(t)
+	src := d.Source()
 	type namedReport struct {
 		name string
 		fn   func() (Report, error)
 	}
 	reports := []namedReport{
 		{"table3", func() (Report, error) { return ReportTable3(), nil }},
-		{"fig4", func() (Report, error) { return ReportFigure4(d) }},
-		{"fig5", func() (Report, error) { return ReportFigure5(d) }},
-		{"fig6", func() (Report, error) { return ReportFigure6(d) }},
-		{"fig7", func() (Report, error) { return ReportFigure7(d) }},
-		{"fig8", func() (Report, error) { return ReportFigure8(d) }},
-		{"fig9", func() (Report, error) { return ReportFigure9(d) }},
+		{"fig4", func() (Report, error) { return ReportFigure4(src) }},
+		{"fig5", func() (Report, error) { return ReportFigure5(src) }},
+		{"fig6", func() (Report, error) { return ReportFigure6(src) }},
+		{"fig7", func() (Report, error) { return ReportFigure7(src) }},
+		{"fig8", func() (Report, error) { return ReportFigure8(src) }},
+		{"fig9", func() (Report, error) { return ReportFigure9(src) }},
 		{"fig10", func() (Report, error) { return ReportFigure10(d), nil }},
-		{"fig11", func() (Report, error) { return ReportFigure11(d), nil }},
-		{"fig12", func() (Report, error) { return ReportFigure12(d), nil }},
-		{"table4", func() (Report, error) { return ReportTable4(d), nil }},
-		{"fig13", func() (Report, error) { return ReportFigure13(d) }},
+		{"fig11", func() (Report, error) { return ReportFigure11(src) }},
+		{"fig12", func() (Report, error) { return ReportFigure12(src) }},
+		{"table4", func() (Report, error) { return ReportTable4(src) }},
+		{"fig13", func() (Report, error) { return ReportFigure13(src) }},
 		{"fig14", func() (Report, error) { return ReportFigure14(d), nil }},
-		{"fig15", func() (Report, error) { return ReportFigure15(d), nil }},
-		{"fig16", func() (Report, error) { return ReportFigure16(d), nil }},
+		{"fig15", func() (Report, error) { return ReportFigure15(src) }},
+		{"fig16", func() (Report, error) { return ReportFigure16(src) }},
 		{"fig17", func() (Report, error) { return ReportFigure17(vc) }},
 	}
 	for _, nr := range reports {
@@ -126,14 +130,58 @@ func TestAllReportsRender(t *testing.T) {
 	}
 }
 
+// sourceReports are the reports whose inputs an archive holds.
+var sourceReports = map[string]func(source.RunSource) (Report, error){
+	"figure-4": ReportFigure4, "figure-5": ReportFigure5, "figure-6": ReportFigure6,
+	"figure-7": ReportFigure7, "figure-8": ReportFigure8, "figure-9": ReportFigure9,
+	"figure-11": ReportFigure11, "figure-12": ReportFigure12, "section-2-bands": ReportThermalBands,
+	"section-5-overcooling": ReportOvercooling, "table-4": ReportTable4, "figure-13": ReportFigure13,
+	"figure-15": ReportFigure15, "figure-16": ReportFigure16,
+}
+
+// TestReportsFromAnArchive: every report that reads a RunSource renders the
+// same text, byte for byte, from a run in memory and from its archive.
+func TestReportsFromAnArchive(t *testing.T) {
+	d, _, err := core.CollectRun(ScaledConfig(36, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := core.WriteDatasets(dir, d); err != nil {
+		t.Fatal(err)
+	}
+	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, report := range sourceReports {
+		fromMem, err := report(d.Source())
+		if err != nil {
+			t.Errorf("%s from memory: %v", id, err)
+			continue
+		}
+		fromArc, err := report(arc)
+		if err != nil {
+			t.Errorf("%s from the archive: %v", id, err)
+			continue
+		}
+		if fromMem.ID != id {
+			t.Errorf("%s renders report %s", id, fromMem.ID)
+		}
+		if fromMem.String() != fromArc.String() {
+			t.Errorf("%s differs:\nmemory:\n%s\narchive:\n%s", id, fromMem, fromArc)
+		}
+	}
+}
+
 // TestFrontierVariabilityCabinetsAreTheFloors runs Figure 17 on a
 // Frontier-shaped floor (128 nodes per cabinet): every heatmap cell must
 // name one of that floor's cabinets, not a Summit-sized 18-node slice.
 func TestFrontierVariabilityCabinetsAreTheFloors(t *testing.T) {
 	cfg := ScaledConfig(384, 3*time.Hour)
 	cfg.Site = topology.SiteFrontier
-	_, vc, _, err := SimulateWithVariability(cfg)
-	if err != nil {
+	var vc *core.VariabilityCollector
+	if _, _, err := core.CollectRun(cfg, core.AttachVariability(&vc)); err != nil {
 		t.Fatal(err)
 	}
 	fc, err := topology.PresetScaled(topology.SiteFrontier, cfg.Nodes)
@@ -144,7 +192,7 @@ func TestFrontierVariabilityCabinetsAreTheFloors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Figure17Variability(vc, 6)
+	rep, err := core.Figure17Variability(vc, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +206,11 @@ func TestFrontierVariabilityCabinetsAreTheFloors(t *testing.T) {
 }
 
 func TestReportTable4MatchesPaperShape(t *testing.T) {
-	d, _ := testFacadeRun(t)
-	rep := ReportTable4(d)
+	d, _ := testRun(t)
+	rep, err := ReportTable4(d.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The dominant row must be memory page faults, as in the paper.
 	lines := strings.Split(rep.Body, "\n")
 	found := false
@@ -174,33 +225,10 @@ func TestReportTable4MatchesPaperShape(t *testing.T) {
 	}
 }
 
-func TestPaperFailureCounts(t *testing.T) {
-	counts := PaperFailureCounts()
-	if counts["Memory page fault"] != 186496 {
-		t.Errorf("paper count table wrong: %v", counts["Memory page fault"])
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 251859 {
-		t.Errorf("paper total = %d", total)
-	}
-}
-
-func TestClassConstantsExported(t *testing.T) {
-	if Class1.String() != "Class1" || Class5.String() != "Class5" {
-		t.Error("class re-exports broken")
-	}
-	if SummitNodes != 4626 {
-		t.Error("SummitNodes wrong")
-	}
-}
-
 func TestExtensionReports(t *testing.T) {
-	d, _ := testFacadeRun(t)
+	d, _ := testRun(t)
 	// Thermal bands (operator dashboard).
-	bands, err := ReportThermalBands(d)
+	bands, err := ReportThermalBands(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +253,7 @@ func TestIdentityPinPowerCap(t *testing.T) {
 		Seed: 13, Nodes: 48, StartTime: 1_577_836_800, DurationSec: 3 * 3600,
 		StepSec: 10, SamplesPerWindow: 1, Jobs: 80,
 	}
-	outcomes, err := PowerCapExperiment(base, []float64{0.9, 0.75})
+	outcomes, err := whatif.PowerCapExperiment(base, []float64{0.9, 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +320,7 @@ func TestReportYearSurveyRenders(t *testing.T) {
 }
 
 func TestWriteFigureData(t *testing.T) {
-	d, vc := testFacadeRun(t)
+	d, vc := testRun(t)
 	dir := t.TempDir()
 	files, err := WriteFigureData(dir, d, vc)
 	if err != nil {
@@ -329,22 +357,22 @@ func TestWriteFigureData(t *testing.T) {
 }
 
 func TestOvercoolingAndEarlyWarningFacade(t *testing.T) {
-	d, _ := testFacadeRun(t)
-	oc, err := Overcooling(d)
+	d, _ := testRun(t)
+	oc, err := core.OvercoolingFromSource(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oc.Windows == 0 {
 		t.Error("no windows in overcooling report")
 	}
-	rep, err := ReportOvercooling(d)
+	rep, err := ReportOvercooling(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(rep.Body, "ton-hours") {
 		t.Errorf("overcooling report body: %q", rep.Body)
 	}
-	ew, err := EarlyWarningFromRun(d, time.Hour)
+	ew, err := core.EarlyWarningFromSource(d.Source(), 3600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +389,13 @@ func TestPaperShapeProperties(t *testing.T) {
 		t.Skip("moderate-scale shape test skipped in -short mode")
 	}
 	cfg := ScaledConfig(1152, 3*time.Hour) // quarter-scale floor
-	d, res, err := Simulate(cfg)
+	d, res, err := core.CollectRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := d.Source()
 	// §3/Fig4: summation above meters by ~11%, in phase.
-	val, err := Figure4Validation(d)
+	val, err := core.ValidationFromSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +411,7 @@ func TestPaperShapeProperties(t *testing.T) {
 		}
 	}
 	// Fig5: PUE inverse to power; plausible winter PUE.
-	trends, err := Figure5Trends(d)
+	trends, err := core.Figure5Trends(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,12 +422,15 @@ func TestPaperShapeProperties(t *testing.T) {
 		t.Errorf("PUE %v out of plausible band", trends.MeanPUE)
 	}
 	// Fig10: majority of jobs show no edges.
-	dyn := Figure10Dynamics(d)
+	dyn := core.Figure10Dynamics(d)
 	if dyn.FracNoEdges < 0.6 {
 		t.Errorf("Fig10: no-edge fraction %v, want clear majority", dyn.FracNoEdges)
 	}
 	// Table4: memory page faults dominate; NVLink concentrated.
-	comp := Table4Composition(d)
+	comp, err := core.Table4Composition(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(comp) == 0 || comp[0].Type.String() != "Memory page fault" {
 		t.Errorf("Table4: top type wrong: %+v", comp[:minInt(2, len(comp))])
 	}
@@ -410,7 +442,11 @@ func TestPaperShapeProperties(t *testing.T) {
 		}
 	}
 	// Fig16: failures do not increase along the water path.
-	for _, p := range Figure16Placement(d, false) {
+	placement, err := core.Figure16Placement(src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range placement {
 		total := 0
 		for _, c := range p.Counts {
 			total += c
