@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross-build test vet fmt lint guard race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke bench-report loc clean
+.PHONY: all build cross-build test vet fmt lint guard race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke fuzz-smoke bench-report loc clean
 
 all: check
 
@@ -76,7 +76,7 @@ check: build fmt vet lint test stream-check race
 
 # ci mirrors .github/workflows/ci.yml, step for step (the
 # pull-request-only bench-ab against the merge base aside).
-ci: fmt vet lint guard build cross-build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke
+ci: fmt vet lint guard build cross-build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke fuzz-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -285,7 +285,8 @@ scenario-smoke:
 # by the built binaries; the same seed archived again on one P and on four
 # (more Ps than a CI runner's cores, so Run's two stages interleave
 # differently) must be the same files byte for byte, and so must a 160-node
-# run, three sweep blocks, on one P and by default (the day flush runs beside
+# run, three sweep blocks, and a two-cluster -nodedata fleet (each member's
+# last day flushed beside its own archive write), on one P and by default (the day flush runs beside
 # the simulation, the failure sweep and observers run beside the physics,
 # WriteArchive encodes its partitions side by side beside the last day's
 # flush, and no scheduling of theirs may reach the archive); every partition is plain multi-member gzip
@@ -303,7 +304,7 @@ scenario-smoke:
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -jobseries -q
 	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-again
@@ -313,6 +314,8 @@ archive-smoke:
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-wide1 -nodes 160 -days 1 -nodedata -q
 	diff -r /tmp/arcsmoke-wide /tmp/arcsmoke-wide1
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
+	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet1 -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
+	diff -r /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd summary > /dev/null
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster summit-0 -cmd summary > /dev/null
 	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster frontier-1 -cmd summary > /dev/null
@@ -354,8 +357,21 @@ archive-smoke:
 		{ echo "archive-smoke: the refused run changed the set of files"; exit 1; }; \
 	while read f; do cmp /tmp/arcsmoke-mixed-before/$$f /tmp/arcsmoke-mixed/$$f || \
 		{ echo "archive-smoke: the refused run changed $$f"; exit 1; }; done < /tmp/arcsmoke-sums.txt; \
-	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by summary and fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes), a shorter re-run and a re-run without -nodedata/-jobseries refused with every file byte-identical"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt
+	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by summary and fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes, and a two-cluster fleet), a shorter re-run and a re-run without -nodedata/-jobseries refused with every file byte-identical"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt
+
+# fuzz-smoke runs every fuzz target for FUZZTIME (stdlib go test -fuzz, one
+# target per invocation). A crasher fails the run and is written under its
+# package's testdata/fuzz/, where it stays as a regression seed once fixed.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = telemetry:FuzzDecodeFrame trace:FuzzParseTrace serve:FuzzAppendJSONFloat \
+	query:FuzzAppendJSONFloat lint:FuzzAllowDirectives topology:FuzzHostname \
+	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta
+fuzz-smoke:
+	for t in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $${t#*:} in ./internal/$${t%%:*}"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./internal/$${t%%:*} || exit 1; \
+	done
 
 # bench-report regenerates the checked-in markdown trend report from every
 # BENCH_*.json baseline.

@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/store"
 	"repro/internal/store/storetest"
@@ -126,7 +127,10 @@ func TestJobsRankingKeepsLogOrderOnTies(t *testing.T) {
 func fsckArchive(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	data, _, err := core.CollectRun(repro.ScaledConfig(36, time.Hour), core.AttachNodeDataset(dir))
+	cfg := repro.ScaledConfig(36, time.Hour)
+	data, _, err := core.CollectRun(cfg, func(*sim.Sim) (sim.Observer, error) {
+		return core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

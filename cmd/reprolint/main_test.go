@@ -129,10 +129,8 @@ var keptUncalled = map[string]string{
 	// ROADMAP.md with the tests that go with them.
 	"stats.Spearman":                   nextRound + "4 tests, with TestRanks of the ranks it alone runs",
 	"dsp.DominantSwingWindowed":        nextRound + "1 test, and 4 more with the windowing only it runs",
-	"topology.SlotForPCI":              nextRound + "1 test",
-	"(*rng.Source).Exp":                nextRound + "1 test",
-	"(*scheduler.Allocation).Contains": nextRound + "1 test; 1 more reads it",
-	"(*nodesim.State).MaxGPUCoreTemp":  nextRound + "1 test",
+	"topology.PCIAddress":              nextRound + "TestPCIRoundTrip (its one caller, SlotForPCI, is gone)",
+	"(*scheduler.Allocation).Contains": nextRound + "TestContains; TestPolicyNoDoubleBooking and sim's TestRunAllocationTracking read it too",
 	"(workload.Profile).SwingPerNode":  nextRound + "1 test; 1 more reads it",
 	"(workload.Profile).Valid":         nextRound + "1 test; 3 more read it",
 }

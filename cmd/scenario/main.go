@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/whatif"
 )
@@ -140,7 +141,9 @@ func diff(w io.Writer, refA, refB string, workers int) error {
 		return err
 	}
 	assess := func(r *scenario.Resolved) (whatif.Report, error) {
-		data, _, err := scenario.Run(r, workers)
+		cfg := r.Config
+		cfg.Workers = workers
+		data, _, err := core.CollectRun(cfg)
 		if err != nil {
 			return whatif.Report{}, err
 		}

@@ -171,115 +171,129 @@ func resolve(o options) (*scenario.Resolved, string, error) {
 	return r, dir, err
 }
 
-// run simulates the run o describes and archives it under o.out, writing
-// progress to w.
-func run(w io.Writer, o options) error {
-	if o.clusters < 1 {
-		return fmt.Errorf("-clusters must be >= 1, got %d", o.clusters)
-	}
-	r, dir, err := resolve(o)
-	if err != nil {
-		return err
-	}
-	if o.clusters >= 2 {
-		return runFleet(w, r, dir, o)
-	}
-	if !o.quiet {
-		fmt.Fprintf(w, "scenario %s (hash %s, run seed %d)\n", r.Spec.Name, r.Identity(), r.Seed)
-	}
-	if err := source.BeginArchive(archiveSpan(r.Config), o.datasets(), o.out); err != nil {
-		return err
-	}
-	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	var attach []core.Attach
-	var nodes *core.NodeDatasetWriter
-	if o.nodeData {
-		// Attached as a bare observer, so CollectRun leaves the writer open:
-		// the archive write closes it beside its partitions.
-		attach = append(attach, func(s *sim.Sim) (sim.Observer, error) {
-			cfg := s.Config()
-			w, err := core.NewNodeDatasetWriter(o.out, cfg.Nodes, cfg.Site)
-			if err != nil {
-				return nil, err
-			}
-			nodes = w
-			return sim.ObserverFunc(w.Observe), nil
-		})
-	}
-	data, res, err := core.CollectRun(r.Config, attach...)
-	if err != nil {
-		if nodes != nil {
-			err = errors.Join(err, nodes.Close())
-		}
-		return err
-	}
-	if !o.quiet {
-		fmt.Fprintf(w, "simulated %d windows on %d nodes: %d jobs, %d failures, utilization %.1f%% (%.1fs)\n",
-			res.Steps, r.Config.Nodes, len(res.Allocations), len(res.Failures),
-			res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
-	}
-	return archiveRun(w, o.out, "", r, data, nodes, o)
+// member is one cluster of a run: its compiled scenario, the directory it
+// is archived into, and its fleet name ("" for a run of one cluster, which
+// keeps the spec's own identity and writes into -out itself).
+type member struct {
+	r    *scenario.Resolved
+	dir  string
+	name string
 }
 
-// runFleet simulates o.clusters clusters and archives them as a fleet root:
-// out/<cluster>/ per member plus fleet.json. Each member is compiled from
-// its own spec, the base spec with the member's site and derived seed.
-func runFleet(w io.Writer, base *scenario.Resolved, dir string, o options) error {
-	siteList := strings.Split(o.sites, ",")
+// members resolves the clusters of the run o describes. One cluster is the
+// base run in o.out. A fleet's member i is compiled from the base spec with
+// the i-th -sites preset (cycled) and a seed derived from the base seed,
+// named <site>-<i>, under o.out/<name>/, and listed in the fleet manifest.
+func members(base *scenario.Resolved, dir string, o options) ([]member, source.FleetManifest, error) {
 	var manifest source.FleetManifest
-	members := make([]*scenario.Resolved, o.clusters)
-	cfgs := make([]sim.Config, o.clusters)
-	for i := range members {
+	if o.clusters == 1 {
+		return []member{{r: base, dir: o.out}}, manifest, nil
+	}
+	siteList := strings.Split(o.sites, ",")
+	ms := make([]member, o.clusters)
+	for i := range ms {
 		site := strings.TrimSpace(siteList[i%len(siteList)])
 		if site == "" {
-			return fmt.Errorf("empty site name in -sites %q", o.sites)
+			return nil, manifest, fmt.Errorf("empty site name in -sites %q", o.sites)
 		}
 		spec := base.Spec
 		spec.Site = site
 		spec.Seed = sim.DeriveSeed(base.Config.Seed, i)
 		r, err := scenario.Compile(spec, dir)
 		if err != nil {
-			return err
+			return nil, manifest, err
 		}
 		name := fmt.Sprintf("%s-%d", site, i)
 		r.Config.Cluster = name
-		members[i], cfgs[i] = r, r.Config
+		ms[i] = member{r: r, dir: filepath.Join(o.out, name), name: name}
 		manifest.Clusters = append(manifest.Clusters, source.FleetEntry{
 			Name: name, Site: site, Nodes: r.Config.Nodes, Dir: name,
 		})
 	}
-	dirs := make([]string, o.clusters)
-	for i := range dirs {
-		dirs[i] = filepath.Join(o.out, cfgs[i].Cluster)
+	return ms, manifest, nil
+}
+
+// run simulates the run o describes and archives it, writing progress to
+// w. Every member is simulated at once (core.CollectFleet), then archived
+// in turn into its own directory; a fleet root also gets fleet.json. A
+// member's node-power writer is a bare observer, so the run leaves it open
+// and its member's archive write closes it beside the partitions; however
+// run returns, every writer has been closed.
+func run(w io.Writer, o options) (err error) {
+	if o.clusters < 1 {
+		return fmt.Errorf("-clusters must be >= 1, got %d", o.clusters)
+	}
+	base, dir, err := resolve(o)
+	if err != nil {
+		return err
+	}
+	ms, manifest, err := members(base, dir, o)
+	if err != nil {
+		return err
+	}
+	if len(ms) == 1 && !o.quiet {
+		fmt.Fprintf(w, "scenario %s (hash %s, run seed %d)\n", base.Spec.Name, base.Identity(), base.Seed)
+	}
+	dirs := make([]string, len(ms))
+	cfgs := make([]sim.Config, len(ms))
+	for i, m := range ms {
+		dirs[i], cfgs[i] = m.dir, m.r.Config
 	}
 	if err := source.BeginArchive(archiveSpan(base.Config), o.datasets(), dirs...); err != nil {
 		return err
 	}
-	var dirFor func(i int) string
-	if o.nodeData {
-		dirFor = func(i int) string { return dirs[i] }
-	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	runs, err := core.CollectFleet(cfgs, 0, dirFor)
+	nodes := make([]*core.NodeDatasetWriter, len(ms))
+	archived := 0 // members whose archive write has closed their writer
+	defer func() {
+		for _, n := range nodes[archived:] {
+			if err != nil && n != nil {
+				err = errors.Join(err, n.Close()) // a failed run leaves no writer open
+			}
+		}
+	}()
+	var attach func(i int) []core.Attach
+	if o.nodeData {
+		attach = func(i int) []core.Attach {
+			return []core.Attach{func(s *sim.Sim) (sim.Observer, error) {
+				cfg := s.Config()
+				n, err := core.NewNodeDatasetWriter(dirs[i], cfg.Nodes, cfg.Site)
+				if err != nil {
+					return nil, err
+				}
+				nodes[i] = n
+				return sim.ObserverFunc(n.Observe), nil
+			}}
+		}
+	}
+	runs, err := core.CollectFleet(cfgs, 0, attach)
 	if err != nil {
 		return err
 	}
-	for i, m := range runs {
-		name := cfgs[i].Cluster
+	for i, m := range ms {
+		res := runs[i].Result
 		if !o.quiet {
-			fmt.Fprintf(w, "%-12s simulated %d windows on %d nodes: %d jobs, %d failures, utilization %.1f%%\n",
-				name, m.Result.Steps, cfgs[i].Nodes, len(m.Result.Allocations),
-				len(m.Result.Failures), m.Result.Utilization*100)
+			line := fmt.Sprintf("simulated %d windows on %d nodes: %d jobs, %d failures, utilization %.1f%%",
+				res.Steps, cfgs[i].Nodes, len(res.Allocations), len(res.Failures), res.Utilization*100)
+			if m.name == "" {
+				fmt.Fprintf(w, "%s (%.1fs)\n", line, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
+			} else {
+				fmt.Fprintf(w, "%-12s %s\n", m.name, line)
+			}
 		}
-		if err := archiveRun(w, dirs[i], name, members[i], m.Data, nil, o); err != nil {
+		archived++
+		if err := archiveRun(w, m, runs[i].Data, nodes[i], o); err != nil {
 			return err
 		}
+	}
+	if len(ms) == 1 {
+		return nil
 	}
 	if err := source.WriteFleetManifest(o.out, manifest); err != nil {
 		return err
 	}
 	if !o.quiet {
-		fmt.Fprintf(w, "fleet of %d cluster(s) archived in %s (%.1fs)\n", o.clusters, o.out, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
+		fmt.Fprintf(w, "fleet of %d cluster(s) archived in %s (%.1fs)\n", len(ms), o.out, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
 	}
 	return nil
 }
@@ -302,59 +316,59 @@ func (o options) datasets() []string {
 	return names
 }
 
-// archiveRun writes one run's datasets, scheduler CSV logs, scenario.json
-// and report.json into dir, then reports the per-dataset footprint. prefix
-// labels report lines in fleet mode. nodes, when not nil, is the run's
-// still-open node-power writer: its last day, like the -jobseries dataset,
-// is written beside the other partitions, before the run-meta.
-func archiveRun(w io.Writer, dir, prefix string, r *scenario.Resolved, data *core.RunData,
-	nodes *core.NodeDatasetWriter, o options) error {
+// archiveRun writes member m's datasets, scheduler CSV logs, scenario.json
+// and report.json into its directory, then reports the per-dataset
+// footprint, each line labelled with the member's fleet name. nodes, when
+// not nil, is the member's still-open node-power writer: its last day, like
+// the -jobseries dataset, is written beside the other partitions, before
+// the run-meta.
+func archiveRun(w io.Writer, m member, data *core.RunData, nodes *core.NodeDatasetWriter, o options) error {
 	var also []func() error
 	if nodes != nil {
 		also = append(also, nodes.Close)
 	}
 	if o.jobSeries {
-		also = append(also, func() error { return core.WriteJobSeriesDataset(dir, data) })
+		also = append(also, func() error { return core.WriteJobSeriesDataset(m.dir, data) })
 	}
-	if err := core.WriteDatasets(dir, data, also...); err != nil {
+	if err := core.WriteDatasets(m.dir, data, also...); err != nil {
 		if nodes != nil {
 			_ = nodes.Close() // waits for a flush the failed write did not reach; else a no-op
 		}
 		return err
 	}
 	// Job scheduler logs (Datasets C and D) as CSV for external tooling.
-	if err := writeCSV(filepath.Join(dir, "allocations.csv"), func(w io.Writer) error {
+	if err := writeCSV(filepath.Join(m.dir, "allocations.csv"), func(w io.Writer) error {
 		return core.WriteAllocationCSV(w, data)
 	}); err != nil {
 		return err
 	}
-	if err := writeCSV(filepath.Join(dir, "allocations-per-node.csv"), func(w io.Writer) error {
+	if err := writeCSV(filepath.Join(m.dir, "allocations-per-node.csv"), func(w io.Writer) error {
 		return core.WritePerNodeCSV(w, data)
 	}); err != nil {
 		return err
 	}
 	// Provenance goes last, so a run refused above leaves the previous
 	// run's record beside the previous run's datasets.
-	rep, err := r.Assess(data.Source())
+	rep, err := m.r.Assess(data.Source())
 	if err != nil {
 		return err
 	}
-	if err := writeJSON(filepath.Join(dir, "scenario.json"), r.Manifest()); err != nil {
+	if err := writeJSON(filepath.Join(m.dir, "scenario.json"), m.r.Manifest()); err != nil {
 		return err
 	}
-	if err := writeJSON(filepath.Join(dir, "report.json"), rep); err != nil {
+	if err := writeJSON(filepath.Join(m.dir, "report.json"), rep); err != nil {
 		return err
 	}
 	if o.quiet {
 		return nil
 	}
-	if prefix == "" {
+	if m.name == "" {
 		printReport(w, rep)
 	}
 	// Report archive footprint per dataset (the paper tracks this
 	// closely: compression made the full-scale archive practical).
 	for _, name := range o.datasets() {
-		ds, err := store.NewDataset(dir, name)
+		ds, err := store.NewDataset(m.dir, name)
 		if err != nil {
 			return err
 		}
@@ -363,13 +377,10 @@ func archiveRun(w io.Writer, dir, prefix string, r *scenario.Resolved, data *cor
 			return err
 		}
 		days, _ := ds.Days()
-		if prefix != "" {
-			fmt.Fprintf(w, "%-12s dataset %-14s %3d partition(s) %8.1f KiB\n",
-				prefix, name, len(days), float64(size)/1024)
-		} else {
-			fmt.Fprintf(w, "dataset %-14s %3d partition(s) %8.1f KiB\n",
-				name, len(days), float64(size)/1024)
+		if m.name != "" {
+			fmt.Fprintf(w, "%-12s ", m.name)
 		}
+		fmt.Fprintf(w, "dataset %-14s %3d partition(s) %8.1f KiB\n", name, len(days), float64(size)/1024)
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/whatif"
 )
@@ -142,7 +143,9 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := scenario.Run(r, 1)
+	cfg := r.Config
+	cfg.Workers = 1
+	data, _, err := core.CollectRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,25 +194,40 @@ func readJSON(t *testing.T, path string, v any) {
 }
 
 // TestNodeDataLastDayErrorIsReturned blocks the partition path of the only
-// node-power day, whose flush runs beside the archive write: the run must
-// still fail naming the partition, with the other datasets written and no
-// provenance beside them.
+// node-power day, whose flush runs beside its member's archive write: the
+// run must still fail naming the partition, once, with that member's other
+// datasets written and no provenance beside them. In a fleet the blocked
+// member is the first one archived, and the other member's writer is still
+// closed: its day is on disk.
 func TestNodeDataLastDayErrorIsReturned(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir, "node-power-day00000.spwr"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err := run(&buf, options{nodes: 16, days: 1, seed: 5, clusters: 1, out: dir, nodeData: true, quiet: true})
-	if err == nil || !strings.Contains(err.Error(), "node-power-day00000.spwr") {
-		t.Fatalf("run = %v, want an error naming node-power-day00000.spwr", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "cluster-power-day00000.spwr")); err != nil {
-		t.Errorf("the archive write beside the failed flush: %v", err)
-	}
-	for _, name := range []string{"scenario.json", "report.json", "run-meta-day00000.spwr"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("%s after a failed flush: stat = %v, want not exist", name, err)
+	for _, clusters := range []int{1, 2} {
+		out := t.TempDir()
+		dir := out
+		if clusters > 1 {
+			dir = filepath.Join(out, "summit-0")
+		}
+		if err := os.MkdirAll(filepath.Join(dir, "node-power-day00000.spwr"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		err := run(io.Discard, options{nodes: 16, days: 1, seed: 5, clusters: clusters, sites: "summit", out: out, nodeData: true, quiet: true})
+		if err == nil || !strings.Contains(err.Error(), "node-power-day00000.spwr") {
+			t.Fatalf("%d cluster(s): run = %v, want an error naming node-power-day00000.spwr", clusters, err)
+		}
+		if strings.Count(err.Error(), "node-power-day00000.spwr:") != 1 {
+			t.Errorf("%d cluster(s): the failed flush is not reported exactly once: %v", clusters, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "cluster-power-day00000.spwr")); err != nil {
+			t.Errorf("%d cluster(s): the archive write beside the failed flush: %v", clusters, err)
+		}
+		for _, name := range []string{"scenario.json", "report.json", "run-meta-day00000.spwr"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+				t.Errorf("%d cluster(s): %s after a failed flush: stat = %v, want not exist", clusters, name, err)
+			}
+		}
+		if clusters > 1 {
+			if _, err := os.Stat(filepath.Join(out, "summit-1", "node-power-day00000.spwr")); err != nil {
+				t.Errorf("the second member's writer was left open: %v", err)
+			}
 		}
 	}
 }

@@ -62,15 +62,6 @@ func NewNodeDatasetWriter(dir string, nodes int, site string) (*NodeDatasetWrite
 	return w, nil
 }
 
-// AttachNodeDataset is the CollectRun attachment that archives the run's
-// per-node dataset into dir, on the run's own floor.
-func AttachNodeDataset(dir string) Attach {
-	return func(s *sim.Sim) (sim.Observer, error) {
-		cfg := s.Config()
-		return NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
-	}
-}
-
 // Observe implements sim.Observer.
 func (w *NodeDatasetWriter) Observe(snap *sim.Snapshot) {
 	if w.err != nil {

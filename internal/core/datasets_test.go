@@ -122,7 +122,7 @@ func TestReadDatasetsErrors(t *testing.T) {
 func TestNodeDatasetWriter(t *testing.T) {
 	dir := t.TempDir()
 	cfg := simConfigForNodeDataset()
-	d, _, err := CollectRun(cfg, AttachNodeDataset(dir))
+	d, _, err := CollectRun(cfg, attachNodeWriter(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +150,21 @@ func TestNodeDatasetWriter(t *testing.T) {
 	if _, err := readNodeDay(dir, 7); err == nil {
 		t.Error("missing day read succeeded")
 	}
+}
+
+// attachNodeWriter is the CollectRun attachment that archives the run's
+// per-node dataset into dir, on the run's own floor; CollectRun closes it.
+func attachNodeWriter(dir string) Attach {
+	return func(s *sim.Sim) (sim.Observer, error) {
+		cfg := s.Config()
+		return NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	}
+}
+
+// nodeWriters is CollectFleet's attach for cluster i's node writer in
+// dirs[i].
+func nodeWriters(dirs ...string) func(int) []Attach {
+	return func(i int) []Attach { return []Attach{attachNodeWriter(dirs[i])} }
 }
 
 // readNodeDay decodes one day of the node-power dataset through the store,
@@ -192,11 +207,11 @@ func TestCollectRunAttach(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir, fleetDir := t.TempDir(), t.TempDir()
-	got, gotRes, err := CollectRun(cfg, AttachNodeDataset(dir))
+	got, gotRes, err := CollectRun(cfg, attachNodeWriter(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CollectFleet([]sim.Config{cfg}, 1, func(int) string { return fleetDir }); err != nil {
+	if _, err := CollectFleet([]sim.Config{cfg}, 1, nodeWriters(fleetDir)); err != nil {
 		t.Fatal(err)
 	}
 	names, err := filepath.Glob(filepath.Join(fleetDir, "*"))

@@ -18,17 +18,24 @@ type FleetRun struct {
 // CollectRun. Each cluster is an independent simulation —
 // own seed, own preset, own floor — so runs are embarrassingly parallel
 // and each cluster's output is bit-identical to simulating it alone.
-// nodeDataDir, when non-nil, names the directory that receives cluster i's
-// per-node dataset ("" skips it for that cluster). workers <= 0 uses one
-// worker per cluster up to GOMAXPROCS.
-func CollectFleet(cfgs []sim.Config, workers int, nodeDataDir func(i int) string) ([]FleetRun, error) {
+// attach, when non-nil, returns cluster i's extra attachments. An error of
+// a larger fleet names its cluster; a fleet of one returns CollectRun's
+// error as it is. workers <= 0 uses one worker per cluster up to
+// GOMAXPROCS.
+func CollectFleet(cfgs []sim.Config, workers int, attach func(i int) []Attach) ([]FleetRun, error) {
 	if len(cfgs) == 0 {
 		return nil, errors.New("core: fleet has no clusters")
+	}
+	named := func(i int, err error) error {
+		if len(cfgs) == 1 {
+			return err
+		}
+		return fmt.Errorf("core: cluster %d (%s): %w", i, cfgs[i].Cluster, err)
 	}
 	seen := map[string]bool{}
 	for i := range cfgs {
 		if err := cfgs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("core: cluster %d (%s): %w", i, cfgs[i].Cluster, err)
+			return nil, named(i, err)
 		}
 		if name := cfgs[i].Cluster; name != "" {
 			if seen[name] {
@@ -41,15 +48,13 @@ func CollectFleet(cfgs []sim.Config, workers int, nodeDataDir func(i int) string
 		workers = min(workers, parallel.DefaultWorkers())
 	}
 	return parallel.MapErr(len(cfgs), workers, func(i int) (FleetRun, error) {
-		var attach []Attach
-		if nodeDataDir != nil {
-			if dir := nodeDataDir(i); dir != "" {
-				attach = append(attach, AttachNodeDataset(dir))
-			}
+		var extra []Attach
+		if attach != nil {
+			extra = attach(i)
 		}
-		d, res, err := CollectRun(cfgs[i], attach...)
+		d, res, err := CollectRun(cfgs[i], extra...)
 		if err != nil {
-			return FleetRun{}, fmt.Errorf("core: cluster %d (%s): %w", i, cfgs[i].Cluster, err)
+			return FleetRun{}, named(i, err)
 		}
 		return FleetRun{Data: d, Result: res}, nil
 	})

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -85,6 +87,36 @@ func TestCollectFleetValidation(t *testing.T) {
 	if _, err := CollectFleet(bad, 0, nil); err == nil {
 		t.Fatal("unknown site accepted")
 	}
+
+	// A fleet of one reads as its run; a larger fleet names the cluster.
+	boom := func(int) []Attach {
+		return []Attach{func(*sim.Sim) (sim.Observer, error) { return nil, errors.New("boom") }}
+	}
+	_, _, solo := CollectRun(bad[0])
+	if _, err := CollectFleet(bad, 0, boom); err == nil || solo == nil || err.Error() != solo.Error() {
+		t.Errorf("invalid fleet of one: %v, want CollectRun's %v", err, solo)
+	}
+	if _, err := CollectFleet(cfgsOf("c0"), 0, boom); err == nil || err.Error() != "boom" {
+		t.Errorf("failed attach in a fleet of one: %v, want boom", err)
+	}
+	for _, attach := range []func(int) []Attach{nil, boom} { // a validation error, a run error
+		cfgs := cfgsOf("c0", "c1")
+		if attach == nil {
+			cfgs[1].Site = "atlantis"
+		}
+		if _, err := CollectFleet(cfgs, 0, attach); err == nil || !strings.Contains(err.Error(), "core: cluster 1 (c1): ") {
+			t.Errorf("fleet of two: %v, want an error naming cluster 1 (c1)", err)
+		}
+	}
+}
+
+// cfgsOf is a fleet of small configs with the given cluster names.
+func cfgsOf(names ...string) []sim.Config {
+	cfgs := make([]sim.Config, len(names))
+	for i, name := range names {
+		cfgs[i] = fleetTestConfig(name, "", uint64(i+1))
+	}
+	return cfgs
 }
 
 // TestFleetIdentityThroughArchive closes the loop: a fleet member archived
@@ -93,7 +125,7 @@ func TestFleetIdentityThroughArchive(t *testing.T) {
 	dir := t.TempDir()
 	runs, err := CollectFleet([]sim.Config{
 		fleetTestConfig("frontier-1", topology.SiteFrontier, 7),
-	}, 0, func(int) string { return dir })
+	}, 0, nodeWriters(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,14 +153,14 @@ func TestOverlappedFlushIsByteIdentical(t *testing.T) {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			dir := t.TempDir()
-			if _, _, err := CollectRun(cfgs[0], AttachNodeDataset(dir)); err != nil {
+			if _, _, err := CollectRun(cfgs[0], attachNodeWriter(dir)); err != nil {
 				t.Fatal(err)
 			}
 			checkFlushPins(t, fmt.Sprintf("GOMAXPROCS %d", procs), cfgs[0].Cluster, dir)
 		}()
 	}
 	dirs := []string{t.TempDir(), t.TempDir()}
-	if _, err := CollectFleet(cfgs, 2, func(i int) string { return dirs[i] }); err != nil {
+	if _, err := CollectFleet(cfgs, 2, nodeWriters(dirs...)); err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
@@ -179,7 +179,7 @@ func TestOverlappedFlushIsByteIdentical(t *testing.T) {
 func TestStridedDaysDecodeToTheParentsValues(t *testing.T) {
 	cfgs := flushPinConfigs()
 	dirs := []string{t.TempDir(), t.TempDir()}
-	if _, err := CollectFleet(cfgs, 2, func(i int) string { return dirs[i] }); err != nil {
+	if _, err := CollectFleet(cfgs, 2, nodeWriters(dirs...)); err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {

@@ -135,14 +135,3 @@ func (s *State) GPUMemTemp(g topology.GPUSlot) units.Celsius {
 func (s *State) CPUTemp(c topology.CPUSocket) units.Celsius {
 	return units.Celsius(s.cpu[c])
 }
-
-// MaxGPUCoreTemp returns the hottest GPU core on the node.
-func (s *State) MaxGPUCoreTemp() units.Celsius {
-	max := s.gpuCore[0]
-	for _, t := range s.gpuCore[1:] {
-		if t > max {
-			max = t
-		}
-	}
-	return units.Celsius(max)
-}

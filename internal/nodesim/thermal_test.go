@@ -175,23 +175,6 @@ func TestSupplyTemperatureTracksThrough(t *testing.T) {
 	}
 }
 
-func TestMaxGPUCoreTemp(t *testing.T) {
-	s := NewState(neutralVariation(), supply)
-	for i := 0; i < 400; i++ {
-		s.Step(1, fullLoad(), supply)
-	}
-	max := s.MaxGPUCoreTemp()
-	for g := topology.GPUSlot(0); g < units.GPUsPerNode; g++ {
-		if s.GPUCoreTemp(g) > max {
-			t.Error("MaxGPUCoreTemp not the maximum")
-		}
-	}
-	// With serial cooling the max is the last GPU in a loop (slot 2 or 5).
-	if max != s.GPUCoreTemp(2) && max != s.GPUCoreTemp(5) { //lint:allow floatcompare max must equal one of its inputs exactly
-		t.Error("hottest GPU should be at the end of a loop")
-	}
-}
-
 func BenchmarkNodeStep(b *testing.B) {
 	s := NewState(neutralVariation(), supply)
 	p := fullLoad()

@@ -156,15 +156,6 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
 }
 
-// Exp returns an exponential sample with the given mean. A non-positive mean
-// returns 0.
-func (s *Source) Exp(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return s.r.ExpFloat64() * mean
-}
-
 // Pareto returns a sample from a Pareto distribution with scale xm > 0 and
 // shape alpha > 0. Heavy-tailed job walltimes and failure bursts use this.
 func (s *Source) Pareto(xm, alpha float64) float64 {

@@ -143,21 +143,6 @@ func TestPoisson(t *testing.T) {
 	}
 }
 
-func TestExp(t *testing.T) {
-	s := New(8)
-	if s.Exp(0) != 0 || s.Exp(-1) != 0 {
-		t.Error("non-positive mean must return 0")
-	}
-	const n = 100_000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Exp(3)
-	}
-	if mean := sum / n; math.Abs(mean-3) > 0.1 {
-		t.Errorf("exp mean = %v, want ≈3", mean)
-	}
-}
-
 func TestCategorical(t *testing.T) {
 	s := New(10)
 	w := []float64{1, 0, 3}

@@ -26,7 +26,7 @@ func TestGoldenCatalogReports(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			d, _, err := Run(r, 2)
+			d, err := runOn(r, 2)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

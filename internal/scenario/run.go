@@ -1,23 +1,9 @@
 package scenario
 
 import (
-	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/whatif"
 )
-
-// Run executes the compiled scenario and returns the collected run data
-// and the sim result. The run is bit-reproducible for any worker count
-// (the engine's block-sharded roll-up contract), so the same scenario
-// hash always yields byte-identical archives.
-//
-//lint:detroot
-func Run(r *Resolved, workers int) (*core.RunData, *sim.Result, error) {
-	cfg := r.Config
-	cfg.Workers = workers
-	return core.CollectRun(cfg)
-}
 
 // Assess reduces a RunSource holding one run of this scenario to its
 // objective report — the same shape the what-if sweeps emit, stamped with

@@ -330,6 +330,14 @@ func TestFailureRegimes(t *testing.T) {
 	}
 }
 
+// runOn runs r's config with its Workers set to workers.
+func runOn(r *Resolved, workers int) (*core.RunData, error) {
+	cfg := r.Config
+	cfg.Workers = workers
+	d, _, err := core.CollectRun(cfg)
+	return d, err
+}
+
 // TestRunArchiveParity is the subsystem's end-to-end invariant: run a
 // trace-replay scenario, archive it, and require the FromSource report to
 // be byte-identical whether computed from the live memory source or from
@@ -339,11 +347,11 @@ func TestRunArchiveParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	d1, _, err := Run(r, 1)
+	d1, err := runOn(r, 1)
 	if err != nil {
 		t.Fatalf("run workers=1: %v", err)
 	}
-	d4, _, err := Run(r, 4)
+	d4, err := runOn(r, 4)
 	if err != nil {
 		t.Fatalf("run workers=4: %v", err)
 	}

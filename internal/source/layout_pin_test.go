@@ -69,7 +69,9 @@ func archivePinnedRun(t *testing.T) string {
 	cfg.Seed = sim.DeriveSeed(2020, 1)
 	cfg.Cluster, cfg.Site = "frontier-1", "frontier"
 	dir := t.TempDir()
-	d, _, err := core.CollectRun(cfg, core.AttachNodeDataset(dir))
+	d, _, err := core.CollectRun(cfg, func(*sim.Sim) (sim.Observer, error) {
+		return core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,10 +73,11 @@ func DecodeFrame(payload []byte) ([]Sample, error) {
 }
 
 // frameCount validates a frame payload and returns its sample count: the
-// length must be exactly what the count header announces.
+// length must be within the frame cap, as EncodeFrame's are, and exactly
+// what the count header announces.
 func frameCount(payload []byte) (int, error) {
-	if len(payload) < 2 {
-		return 0, fmt.Errorf("telemetry: short frame (%d bytes)", len(payload))
+	if len(payload) < 2 || len(payload) > maxFrameSize {
+		return 0, fmt.Errorf("telemetry: frame payload of %d bytes outside [2, %d]", len(payload), maxFrameSize)
 	}
 	n := int(binary.LittleEndian.Uint16(payload))
 	if want := 2 + n*sampleWire; len(payload) != want {

@@ -275,13 +275,3 @@ func PCIAddress(g GPUSlot) string {
 	bus := 4 + (int(g)%3)*1
 	return fmt.Sprintf("%s:%02x:00.0", domain, bus)
 }
-
-// SlotForPCI inverts PCIAddress. The boolean is false for unknown addresses.
-func SlotForPCI(addr string) (GPUSlot, bool) {
-	for g := GPUSlot(0); g < units.GPUsPerNode; g++ {
-		if PCIAddress(g) == addr {
-			return g, true
-		}
-	}
-	return 0, false
-}
