@@ -111,20 +111,22 @@ bench-query-smoke:
 	$(GO) test -run xxx -bench '$(QUERY_BENCH)' -benchmem -benchtime 1x .
 	$(GO) run ./cmd/benchjson -report - BENCH_query.json >/dev/null
 
-# bench-stream records the live plane's in-process benchmark (one fleet
-# window through Ingest, the shards, the merger and the operators, drain
-# included) in BENCH_stream.json under LABEL. To add a label for another
-# commit, run the same target in a checkout of it with this bench_test.go's
-# BenchmarkStreamIngest and -out pointing back here.
+# bench-stream records the live plane's in-process benchmarks (one
+# 256-node fleet window, and one Summit-scale event-second, through Ingest,
+# the fold goroutine and the operators, drain included) in BENCH_stream.json
+# under LABEL. To add a label for another commit, run the same target in a
+# checkout of it with this bench_test.go's stream benchmarks and -out
+# pointing back here.
+STREAM_BENCH = ^BenchmarkStreamIngest(Summit)?$$
 bench-stream:
-	$(GO) test -run xxx -bench 'BenchmarkStreamIngest' -benchmem -count 3 . | \
+	$(GO) test -run xxx -bench '$(STREAM_BENCH)' -benchmem -count 3 . | \
 		$(GO) run ./cmd/benchjson -out BENCH_stream.json -label $(LABEL)
 
-# bench-stream-smoke is the CI guard: one iteration of the stream benchmark
-# (it fails on any dropped sample), plus a parse check of the tracked
+# bench-stream-smoke is the CI guard: one iteration of each stream benchmark
+# (both fail on any dropped sample), plus a parse check of the tracked
 # BENCH_stream.json.
 bench-stream-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkStreamIngest' -benchmem -benchtime 1x .
+	$(GO) test -run xxx -bench '$(STREAM_BENCH)' -benchmem -benchtime 1x .
 	$(GO) run ./cmd/benchjson -report - BENCH_stream.json >/dev/null
 
 # bench-whatif measures what-if scenario-evaluation throughput (runs/sec)
@@ -364,7 +366,7 @@ archive-smoke:
 # target per invocation). A crasher fails the run and is written under its
 # package's testdata/fuzz/, where it stays as a regression seed once fixed.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = telemetry:FuzzDecodeFrame trace:FuzzParseTrace serve:FuzzAppendJSONFloat \
+FUZZ_TARGETS = telemetry:FuzzDecodeFrame telemetry:FuzzServerReadLoop trace:FuzzParseTrace serve:FuzzAppendJSONFloat \
 	query:FuzzAppendJSONFloat lint:FuzzAllowDirectives topology:FuzzHostname \
 	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta
 fuzz-smoke:

@@ -29,6 +29,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
+	"repro/internal/units"
 	"repro/internal/whatif"
 )
 
@@ -665,21 +666,15 @@ func BenchmarkSkipDelta(b *testing.B) {
 
 // BenchmarkStreamIngest measures the live plane end to end in-process:
 // one iteration pushes a full fleet window (256 nodes × power + 6 GPU
-// temperatures) through Pipeline.Ingest and on through the sharded
-// coarsen → merge → operator chain. The producer is paced the way the
-// end-to-end benchmark's in-process replay is — it waits while any shard
-// queue is more than half full — so nothing is ever dropped, and the timed
-// region ends after Close has drained the queues: ns/op and B/op are per
-// ingested window, all goroutines included; divide by 7×nodes for the
-// per-sample cost.
+// temperatures) through Pipeline.Ingest and on through the fold goroutine's
+// coarsen → operator chain. The producer is paced the way the end-to-end
+// benchmark's in-process replay is — it waits while the queue is more than
+// half full — so nothing is ever dropped, and the timed region ends after
+// Close has drained the queue: ns/op and B/op are per ingested window, all
+// goroutines included; divide by 7×nodes for the per-sample cost.
 func BenchmarkStreamIngest(b *testing.B) {
 	const nodes = 256
-	pipe, err := stream.NewPipeline(stream.Config{
-		Nodes:      nodes,
-		StepSec:    10,
-		Shards:     4,
-		QueueDepth: 4096,
-	})
+	pipe, err := stream.NewPipeline(stream.Config{Nodes: nodes, StepSec: 10, QueueDepth: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -687,20 +682,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := int64(i) * 10
-		batch = batch[:0]
-		for n := 0; n < nodes; n++ {
-			batch = append(batch, telemetry.Sample{
-				Node: topology.NodeID(n), Metric: telemetry.MetricInputPower,
-				T: t, Value: float64(10_000 + n + i%50),
-			})
-			for g := topology.GPUSlot(0); g < 6; g++ {
-				batch = append(batch, telemetry.Sample{
-					Node: topology.NodeID(n), Metric: telemetry.GPUCoreTempMetric(g),
-					T: t, Value: float64(30 + (n+int(g)+i)%40),
-				})
-			}
-		}
+		batch = appendFleetSecond(batch[:0], 0, nodes, int64(i)*10, i)
 		pipe.Ingest(batch)
 		for overHalfFull(pipe) {
 			time.Sleep(20 * time.Microsecond)
@@ -710,20 +692,66 @@ func BenchmarkStreamIngest(b *testing.B) {
 	b.StopTimer()
 	snap := pipe.Snapshot()
 	if snap.Ingest.Dropped > 0 {
-		b.Fatalf("benchmark overran the queues: %+v", snap.Ingest)
+		b.Fatalf("benchmark overran the queue: %+v", snap.Ingest)
 	}
 	b.ReportMetric(float64(snap.Ingest.Frames)/float64(b.N), "frames/op")
 }
 
-// overHalfFull reports whether any shard queue of the pipeline is more
-// than half full.
-func overHalfFull(p *stream.Pipeline) bool {
-	for _, sh := range p.Health().Shards {
-		if 2*sh.QueueLen > sh.QueueCap {
-			return true
+// BenchmarkStreamIngestSummit is the live plane at Summit's size with its
+// default configuration: one iteration is one event-second of the whole
+// fleet (4 626 nodes × power + 6 GPU temperatures), ingested in batches of
+// 1 792 samples (256 nodes), paced as BenchmarkStreamIngest is. It fails on
+// any dropped sample and reports ns/sample, all goroutines included.
+func BenchmarkStreamIngestSummit(b *testing.B) {
+	const nodes, perBatch = units.SummitNodes, 256
+	pipe, err := stream.NewPipeline(stream.Config{Nodes: nodes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]telemetry.Sample, 0, perBatch*7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for n0 := 0; n0 < nodes; n0 += perBatch {
+			batch = appendFleetSecond(batch[:0], n0, min(n0+perBatch, nodes), int64(i), i)
+			pipe.Ingest(batch)
+			for overHalfFull(pipe) {
+				time.Sleep(20 * time.Microsecond)
+			}
 		}
 	}
-	return false
+	pipe.Close()
+	b.StopTimer()
+	st := pipe.Snapshot().Ingest
+	if st.Dropped > 0 || st.Received != int64(b.N)*nodes*7 {
+		b.Fatalf("benchmark lost samples: %+v", st)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Received), "ns/sample")
+}
+
+// appendFleetSecond appends the samples of nodes [from, to) at time t —
+// each node's input power and six GPU core temperatures — with values
+// varied by iteration i.
+func appendFleetSecond(batch []telemetry.Sample, from, to int, t int64, i int) []telemetry.Sample {
+	for n := from; n < to; n++ {
+		batch = append(batch, telemetry.Sample{
+			Node: topology.NodeID(n), Metric: telemetry.MetricInputPower,
+			T: t, Value: float64(10_000 + n + i%50),
+		})
+		for g := topology.GPUSlot(0); g < 6; g++ {
+			batch = append(batch, telemetry.Sample{
+				Node: topology.NodeID(n), Metric: telemetry.GPUCoreTempMetric(g),
+				T: t, Value: float64(30 + (n+int(g)+i)%40),
+			})
+		}
+	}
+	return batch
+}
+
+// overHalfFull reports whether the pipeline's queue is more than half full.
+func overHalfFull(p *stream.Pipeline) bool {
+	q := p.Health().Shards[0]
+	return 2*q.QueueLen > q.QueueCap
 }
 
 // BenchmarkQueryRangeCached is the same off-grid query against a warm cache

@@ -127,12 +127,10 @@ var keptUncalled = map[string]string{
 
 	// Dead, and scheduled for deletion in the next earn-or-delete round of
 	// ROADMAP.md with the tests that go with them.
-	"stats.Spearman":                   nextRound + "4 tests, with TestRanks of the ranks it alone runs",
-	"dsp.DominantSwingWindowed":        nextRound + "1 test, and 4 more with the windowing only it runs",
-	"topology.PCIAddress":              nextRound + "TestPCIRoundTrip (its one caller, SlotForPCI, is gone)",
-	"(*scheduler.Allocation).Contains": nextRound + "TestContains; TestPolicyNoDoubleBooking and sim's TestRunAllocationTracking read it too",
-	"(workload.Profile).SwingPerNode":  nextRound + "1 test; 1 more reads it",
-	"(workload.Profile).Valid":         nextRound + "1 test; 3 more read it",
+	"stats.Spearman":                  nextRound + "4 tests, with TestRanks of the ranks it alone runs",
+	"dsp.DominantSwingWindowed":       nextRound + "1 test, and 4 more with the windowing only it runs",
+	"(workload.Profile).SwingPerNode": nextRound + "1 test; 1 more reads it",
+	"(workload.Profile).Valid":        nextRound + "1 test; 3 more read it",
 }
 
 const (
@@ -322,7 +320,6 @@ func isGeneric(typ types.Type) bool {
 // keptUnset lists the exported fields of the guarded packages that no
 // non-test file writes, each with the reason it stays. Keys are "pkg.T.F".
 var keptUnset = map[string]string{
-	"stream.Config.Shards":         "the shard-count invariance tests in dense_test.go and stream_test.go",
 	"stream.Config.Extra":          "the gate operator of TestBackpressureNeverBlocksIngest, TestHealthDoesNotWaitForTheOperatorChain and TestFrameGridMaterialized",
 	"sim.Config.FailureCheckSec":   "the 60 s sweeps that give TestSeedEngineParity and TestBatchStreamParity failures in short runs",
 	"sim.Config.TelemetryLossFrac": "the paper's missing-data model; its default waits for the paper-fidelity ledger (ROADMAP item 7), since turning it on re-records goldens",

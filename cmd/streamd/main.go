@@ -5,9 +5,9 @@
 // queryd, which serves the same analyses over the finished archive.
 //
 // Samples arrive over the length-prefixed TCP transport on -ingest, flow
-// through the sharded stream.Pipeline (windowed coarsening, fleet/cabinet/
-// MSB rollups, edge detection, thermal bands, early warning), and are
-// queryable at:
+// through stream.Pipeline's one queue and fold goroutine (windowed
+// coarsening, fleet/cabinet/MSB rollups, edge detection, thermal bands,
+// early warning), and are queryable at:
 //
 //	GET /api/v1/live/rollup        — fleet/cabinet/MSB power windows
 //	GET /api/v1/live/edges         — detected power edges
@@ -72,7 +72,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&o.stepSec, "step", units.CoarsenWindowSec, "coarsening window in seconds")
 	fs.Int64Var(&o.lateness, "lateness", int64(units.MaxTimestampDelaySec),
 		"out-of-order tolerance in seconds; samples further behind are dropped")
-	fs.IntVar(&o.queue, "queue", 256, "per-shard ingest queue depth in batches (full queues drop, never block)")
+	fs.IntVar(&o.queue, "queue", 256, "ingest queue depth in batches (a full queue drops, never blocks)")
 	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-request deadline")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 32, "concurrent query limit (excess sheds with 503)")
 	fs.Float64Var(&o.simMinutes, "sim-minutes", 0,
@@ -159,18 +159,18 @@ func newService(o options, out io.Writer) (*service, error) {
 }
 
 // runFeed runs the simulation twin and exports every observed node's input
-// power and GPU core temperatures through per-shard TCP exporters into the
-// service's own ingest port; failure events go straight to the pipeline
-// (the paper's failure feed is a log, not a telemetry channel). It returns
-// the number of samples it sent: once the service has stopped ingesting, a
-// lossless run has the transport's Received equal to it.
+// power and GPU core temperatures into the service's own ingest port
+// through one TCP exporter per 288 nodes, the paper's 288:1 fan-in tier;
+// failure events go straight to the pipeline (the paper's failure feed is
+// a log, not a telemetry channel). It returns the number of samples it
+// sent: once the service has stopped ingesting, a lossless run has the
+// transport's Received equal to it.
 func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out io.Writer) (int64, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	shards := (cfg.Nodes + units.FanInRatio - 1) / units.FanInRatio
-	exporters := make([]*telemetry.Exporter, shards)
+	exporters := make([]*telemetry.Exporter, (cfg.Nodes+units.FanInRatio-1)/units.FanInRatio)
 	for i := range exporters {
 		if exporters[i], err = telemetry.Dial(addr); err != nil {
 			return 0, err
@@ -185,7 +185,7 @@ func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out
 			if snap.NodeStat[i].Count == 0 {
 				continue // node unobserved this window (telemetry loss)
 			}
-			exp := exporters[i/units.FanInRatio%shards]
+			exp := exporters[i/units.FanInRatio]
 			if perr := exp.Push(telemetry.Sample{
 				Node: topology.NodeID(i), Metric: telemetry.MetricInputPower,
 				T: snap.T, Value: snap.NodeStat[i].Mean,
@@ -225,8 +225,8 @@ func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out
 		sent += exp.Sent()
 	}
 	if !quiet {
-		fmt.Fprintf(out, "feed complete: %d simulated windows, %d samples over %d shard connections, %d failure events\n",
-			res.Steps, sent, shards, len(res.Failures))
+		fmt.Fprintf(out, "feed complete: %d simulated windows, %d samples over %d exporter connections, %d failure events\n",
+			res.Steps, sent, len(exporters), len(res.Failures))
 	}
 	return sent, nil
 }

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/units"
@@ -152,7 +153,7 @@ func TestPolicyNoDoubleBooking(t *testing.T) {
 			}
 			if a.StartTime < b.EndTime && b.StartTime < a.EndTime {
 				for _, id := range a.NodeIDs {
-					if b.Contains(id) {
+					if slices.Contains(b.NodeIDs, id) {
 						t.Fatalf("node %d double-booked by %d and %d", id, a.Job.ID, b.Job.ID)
 					}
 				}

@@ -31,13 +31,6 @@ type Allocation struct {
 // WaitSec returns the queue wait in seconds.
 func (a *Allocation) WaitSec() int64 { return a.StartTime - a.Job.SubmitTime }
 
-// Contains reports whether the allocation includes node id.
-func (a *Allocation) Contains(id topology.NodeID) bool {
-	// NodeIDs are sorted ascending.
-	i := sort.Search(len(a.NodeIDs), func(i int) bool { return a.NodeIDs[i] >= id })
-	return i < len(a.NodeIDs) && a.NodeIDs[i] == id
-}
-
 // Result is the outcome of scheduling a job population.
 type Result struct {
 	Allocations []Allocation // ordered by start time

@@ -229,20 +229,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	a := Allocation{NodeIDs: []topology.NodeID{2, 5, 9}}
-	for _, id := range []topology.NodeID{2, 5, 9} {
-		if !a.Contains(id) {
-			t.Errorf("Contains(%d) = false", id)
-		}
-	}
-	for _, id := range []topology.NodeID{0, 3, 10} {
-		if a.Contains(id) {
-			t.Errorf("Contains(%d) = true", id)
-		}
-	}
-}
-
 func TestScheduleRealisticPopulation(t *testing.T) {
 	cfg := workload.GenConfig{
 		Seed: 3, StartTime: 0, SpanSec: 7 * 86400, Jobs: 2000,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -152,7 +153,7 @@ func TestRunAllocationTracking(t *testing.T) {
 			}
 			busySeen = true
 			a := allocs[aIdx]
-			if !a.Contains(topology.NodeID(i)) {
+			if !slices.Contains(a.NodeIDs, topology.NodeID(i)) {
 				t.Fatalf("node %d marked under alloc %d which excludes it", i, aIdx)
 			}
 			if snap.T < a.StartTime || snap.T >= a.EndTime {

@@ -76,7 +76,7 @@ func TestWindowCoarsenerOutOfOrder(t *testing.T) {
 }
 
 // TestWindowCoarsenerGapWindows verifies windows with no samples are
-// simply absent (the merger materializes the grid, not the coarsener).
+// simply absent (the pipeline materializes the grid, not the coarsener).
 func TestWindowCoarsenerGapWindows(t *testing.T) {
 	c := NewWindowCoarsener(10)
 	c.Add(0, 1)

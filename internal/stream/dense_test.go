@@ -14,15 +14,15 @@ import (
 	"repro/internal/tsagg"
 )
 
-// mapShard is the channel table the dense one replaced, kept as the
+// mapTable is the channel table the dense one replaced, kept as the
 // test-only oracle: a map keyed node<<8|metric whose keys are sorted at
 // every collect, windows gathered in a map and sorted again.
-type mapShard struct {
-	shard // id, watermark and advance are shared with the code under test
+type mapTable struct {
+	table // the watermark and advance are shared with the code under test
 	chans map[uint32]*WindowCoarsener
 }
 
-func (s *mapShard) fold(batch []telemetry.Sample, step int64) (maxT, late int64) {
+func (s *mapTable) fold(batch []telemetry.Sample, step int64) (maxT, late int64) {
 	maxT = math.MinInt64
 	for _, smp := range batch {
 		maxT = max(maxT, smp.T)
@@ -37,20 +37,20 @@ func (s *mapShard) fold(batch []telemetry.Sample, step int64) (maxT, late int64)
 	return maxT, late
 }
 
-func (s *mapShard) collect(end int64) mergeMsg {
+func (s *mapTable) collect(end int64) []window {
 	keys := make([]uint32, 0, len(s.chans))
 	for key := range s.chans {
 		keys = append(keys, key)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	wins := map[int64]*shardWindow{}
+	wins := map[int64]*window{}
 	var starts []int64
 	for _, key := range keys {
 		node, metric := int32(key>>8), telemetry.Metric(key&0xff)
 		s.chans[key].CloseThrough(end, func(ws tsagg.WindowStat) {
 			w := wins[ws.T]
 			if w == nil {
-				w = &shardWindow{start: ws.T}
+				w = &window{start: ws.T}
 				wins[ws.T] = w
 				starts = append(starts, ws.T)
 			}
@@ -66,26 +66,22 @@ func (s *mapShard) collect(end int64) mergeMsg {
 		})
 	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	msg := mergeMsg{shard: s.id, watermark: end}
-	if end != math.MaxInt64 {
-		msg.watermark = s.watermark
-	}
+	out := make([]window, 0, len(starts))
 	for _, t := range starts {
-		msg.windows = append(msg.windows, *wins[t])
+		out = append(out, *wins[t])
 	}
-	return msg
+	return out
 }
 
-// sameMsg compares two merge messages bit for bit, including the node
-// order of each window's power entries.
-func sameMsg(t *testing.T, where string, got, want mergeMsg) {
+// sameWindows compares two collects bit for bit, including the node order
+// of each window's power entries.
+func sameWindows(t *testing.T, where string, got, want []window) {
 	t.Helper()
-	if got.shard != want.shard || got.watermark != want.watermark || len(got.windows) != len(want.windows) {
-		t.Fatalf("%s: message shard %d wm %d with %d windows, oracle shard %d wm %d with %d windows",
-			where, got.shard, got.watermark, len(got.windows), want.shard, want.watermark, len(want.windows))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d windows, oracle %d", where, len(got), len(want))
 	}
-	for i := range want.windows {
-		g, w := got.windows[i], want.windows[i]
+	for i := range want {
+		g, w := got[i], want[i]
 		if g.start != w.start || g.chanWindows != w.chanWindows || g.bands != w.bands || len(g.power) != len(w.power) {
 			t.Fatalf("%s window %d: start %d chan %d bands %v power %d, oracle start %d chan %d bands %v power %d",
 				where, i, g.start, g.chanWindows, g.bands, len(g.power), w.start, w.chanWindows, w.bands, len(w.power))
@@ -106,10 +102,9 @@ func sameMsg(t *testing.T, where string, got, want mergeMsg) {
 // seededFeed is a shuffled live feed with per-sample jitter inside the
 // lateness bound and NaN temperatures. With hazards it adds what the
 // lateness rule must handle — stragglers far beyond the bound, and a block
-// of nodes whose first sample arrives only after the shard's cursor has
-// passed the window it names — whose fate past the shard depends on how
-// far the other shards have got, so pipeline-level comparisons leave them
-// out.
+// of nodes whose first sample arrives only after the pipeline's cursor has
+// passed the window it names — whose fate depends on how the feed is cut
+// into batches, so end-to-end comparisons leave them out.
 func seededFeed(seed int64, nodes, seconds int, hazards bool) [][]telemetry.Sample {
 	rng := rand.New(rand.NewSource(seed))
 	lateJoin := nodes // nodes above it stay silent for the first half
@@ -151,66 +146,50 @@ func seededFeed(seed int64, nodes, seconds int, hazards bool) [][]telemetry.Samp
 }
 
 // TestDenseTableMatchesMapOracle drives the dense channel table and the
-// map it replaced through the same per-shard batches and demands identical
-// merge messages — every window, every power entry in order, every band
-// count, the late counts and the watermarks — for shard counts that do and
-// do not divide the node count.
+// map it replaced through the same batches and demands identical collects
+// — every window, every power entry in order, every band count — and
+// identical late counts and watermarks.
 func TestDenseTableMatchesMapOracle(t *testing.T) {
 	const step, lateness = 10, 5
-	for _, tc := range []struct{ nodes, shards int }{{7, 1}, {10, 3}, {10, 4}, {37, 4}, {2, 3}} {
+	for _, nodes := range []int{7, 10, 37, 2} {
 		for seed := int64(1); seed <= 3; seed++ {
-			p := mustPipeline(t, Config{Nodes: tc.nodes, Shards: tc.shards, StepSec: step, LatenessSec: lateness})
-			p.Close() // only the shards' tables are used; their goroutines are gone
-			oracles := make([]*mapShard, tc.shards)
-			for i := range oracles {
-				oracles[i] = &mapShard{shard: shard{id: i, watermark: math.MinInt64, lastBoundary: math.MinInt64},
-					chans: map[uint32]*WindowCoarsener{}}
-			}
-			var late, msgs int64
-			for k, tick := range seededFeed(seed, tc.nodes, 90, true) {
-				per := make([][]telemetry.Sample, tc.shards)
-				for _, smp := range tick {
-					per[int(smp.Node)%tc.shards] = append(per[int(smp.Node)%tc.shards], smp)
+			dense := newTable(nodes)
+			oracle := &mapTable{table: newTable(0), chans: map[uint32]*WindowCoarsener{}}
+			var wins []window
+			var late, collects int64
+			for k, tick := range seededFeed(seed, nodes, 90, true) {
+				maxD, lateD := dense.fold(tick, step)
+				maxM, lateM := oracle.fold(tick, step)
+				late += lateD
+				if maxD != maxM || lateD != lateM {
+					t.Fatalf("tick %d: fold = (%d, %d late), oracle (%d, %d late)", k, maxD, lateD, maxM, lateM)
 				}
-				for i, batch := range per {
-					if len(batch) == 0 {
-						continue
-					}
-					dense, oracle := p.shards[i], oracles[i]
-					maxD, lateD := dense.fold(batch, step)
-					maxM, lateM := oracle.fold(batch, step)
-					late += lateD
-					if maxD != maxM || lateD != lateM {
-						t.Fatalf("tick %d shard %d: fold = (%d, %d late), oracle (%d, %d late)", k, i, maxD, lateD, maxM, lateM)
-					}
-					crossD, crossM := dense.advance(maxD, step, lateness), oracle.advance(maxM, step, lateness)
-					if crossD != crossM {
-						t.Fatalf("tick %d shard %d: boundary crossed %v, oracle %v", k, i, crossD, crossM)
-					}
-					if crossD {
-						msgs++
-						sameMsg(t, "collect", dense.collect(dense.watermark), oracle.collect(oracle.watermark))
-					}
+				crossD, crossM := dense.advance(maxD, step, lateness), oracle.advance(maxM, step, lateness)
+				if crossD != crossM || dense.watermark != oracle.watermark {
+					t.Fatalf("tick %d: boundary crossed %v at wm %d, oracle %v at %d", k, crossD, dense.watermark, crossM, oracle.watermark)
+				}
+				if crossD {
+					collects++
+					wins = dense.collect(dense.watermark, wins)
+					sameWindows(t, "collect", wins, oracle.collect(oracle.watermark))
 				}
 			}
-			for i := range oracles {
-				sameMsg(t, "flush", p.shards[i].collect(math.MaxInt64), oracles[i].collect(math.MaxInt64))
-			}
-			if late == 0 || msgs == 0 {
-				t.Fatalf("nodes %d shards %d seed %d: feed exercised nothing (%d late, %d messages)",
-					tc.nodes, tc.shards, seed, late, msgs)
+			sameWindows(t, "flush", dense.collect(math.MaxInt64, wins), oracle.collect(math.MaxInt64))
+			if late == 0 || collects == 0 {
+				t.Fatalf("nodes %d seed %d: feed exercised nothing (%d late, %d collects)", nodes, seed, late, collects)
 			}
 		}
 	}
 }
 
 // TestLateActivatedChannelIsAcceptedNotLate: a channel whose first sample
-// names a window its shard finalized long ago is a new channel, not a late
-// sample — it is folded, shipped, and counted merge_late by the merger.
-// The dense table visits that channel's slot at every collect before the
-// sample arrives; closing the unused slot would flip the count to late.
+// names a window the pipeline finalized long ago is a new channel, not a
+// late sample — it is folded, collected, and counted merge_late because its
+// frame already went out. The dense table visits that channel's slot at
+// every collect before the sample arrives; closing the unused slot would
+// flip the count to late.
 func TestLateActivatedChannelIsAcceptedNotLate(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 2, Shards: 1, StepSec: 10, LatenessSec: 5})
+	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, LatenessSec: 5})
 	for k := int64(0); k <= 100; k += 10 {
 		p.Ingest([]telemetry.Sample{powerSample(0, k, 100)})
 		for queued(p) { // one batch at a time, so every boundary is collected
@@ -225,22 +204,15 @@ func TestLateActivatedChannelIsAcceptedNotLate(t *testing.T) {
 	}
 }
 
-// queued reports whether a shard queue still holds a batch (without
+// queued reports whether the queue still holds a batch (without
 // allocating: the allocation guard spins on it).
-func queued(p *Pipeline) bool {
-	for _, sh := range p.shards {
-		if len(sh.ch) > 0 {
-			return true
-		}
-	}
-	return false
-}
+func queued(p *Pipeline) bool { return len(p.queue) > 0 }
 
 // TestIngestBorrowsItsBatch: Ingest copies, so a caller that overwrites its
 // slice the moment Ingest returns changes nothing downstream.
 func TestIngestBorrowsItsBatch(t *testing.T) {
 	run := func(scribble bool) *Snapshot {
-		p := mustPipeline(t, Config{Nodes: 10, Shards: 3, StepSec: 10, QueueDepth: 4096})
+		p := mustPipeline(t, Config{Nodes: 10, StepSec: 10, QueueDepth: 4096})
 		for _, tick := range seededFeed(5, 10, 60, false) {
 			buf := append([]telemetry.Sample(nil), tick...)
 			p.Ingest(buf)
@@ -283,7 +255,7 @@ func sameSnapshot(t *testing.T, got, want *Snapshot) {
 func TestServerLendsItsBatchToThePipeline(t *testing.T) {
 	feed := seededFeed(9, 12, 40, false)
 	run := func(scribble bool) *Snapshot {
-		p := mustPipeline(t, Config{Nodes: 12, Shards: 4, StepSec: 10, QueueDepth: 4096})
+		p := mustPipeline(t, Config{Nodes: 12, StepSec: 10, QueueDepth: 4096})
 		srv, err := telemetry.NewServer("127.0.0.1:0", func(batch []telemetry.Sample) {
 			p.Ingest(batch)
 			if scribble {
@@ -326,9 +298,8 @@ func TestServerLendsItsBatchToThePipeline(t *testing.T) {
 
 // TestSteadyStateIngestAllocatesPerWindowNotPerSample is the guard on the
 // 0.8 MB per event-second the scatter, the channel map and the collect used
-// to allocate: after warm-up, an event-second through Ingest and the shard
-// and merge goroutines costs at most 8 allocations (the shipped windows),
-// whatever its sample count.
+// to allocate: after warm-up, an event-second through Ingest and the fold
+// goroutine costs at most 8 allocations, whatever its sample count.
 func TestSteadyStateIngestAllocatesPerWindowNotPerSample(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -338,7 +309,7 @@ func TestSteadyStateIngestAllocatesPerWindowNotPerSample(t *testing.T) {
 		}
 	}
 	const nodes, frames = 256, 4
-	p := mustPipeline(t, Config{Nodes: nodes, Shards: 4, StepSec: 10})
+	p := mustPipeline(t, Config{Nodes: nodes, StepSec: 10})
 	defer p.Close()
 	tick := make([]telemetry.Sample, 0, nodes*7)
 	second := func(k int64) {

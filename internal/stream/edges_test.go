@@ -33,7 +33,7 @@ func scaled(s *tsagg.Series, was float64) *tsagg.Series {
 func liveEdges(t *testing.T, s *tsagg.Series) []core.Edge {
 	t.Helper()
 	p, err := stream.NewPipeline(stream.Config{
-		Nodes: 1, StartTime: s.Start, StepSec: s.Step, Shards: 1,
+		Nodes: 1, StartTime: s.Start, StepSec: s.Step,
 		QueueDepth: s.Len() + 1,
 	})
 	if err != nil {

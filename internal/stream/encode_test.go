@@ -133,22 +133,22 @@ func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 	}
 
 	healthy := p.Health()
-	fresh := mustPipeline(t, Config{Nodes: 600}) // three shards, no data: watermark_t null
+	fresh := mustPipeline(t, Config{Nodes: 600}) // no data: watermark_t null
 	defer fresh.Close()
 	idle := fresh.Health()
 	healths := []*HealthState{
 		&healthy, &idle,
 		{Status: "degraded", Reasons: []string{"ingest queue overflow dropped samples", "a \"quoted\"\nreason"},
 			Ingest:     IngestStats{Received: 1 << 40, Dropped: 3, Rejected: 4, Late: 5, MergeLate: 6, Events: 7, Frames: 8, ChannelWindows: 9, DroppedConns: 10},
-			WatermarkT: -5, LastWindowT: math.MinInt64, Shards: []ShardStat{{QueueLen: 256, QueueCap: 256}, {QueueCap: 1}}},
-		{Status: "ok", Reasons: []string{}, WatermarkT: math.MinInt64, Shards: []ShardStat{}},
+			WatermarkT: -5, LastWindowT: math.MinInt64, Shards: []QueueStat{{QueueLen: 256, QueueCap: 256}, {QueueCap: 1}}},
+		{Status: "ok", Reasons: []string{}, WatermarkT: math.MinInt64, Shards: []QueueStat{}},
 	}
 	for i, hs := range healths {
 		if got, want := append(hs.AppendJSON(nil), '\n'), stdJSON(t, legacyHealth(hs)); !bytes.Equal(got, want) {
 			t.Errorf("health %d:\n got %s\nwant %s", i, got, want)
 		}
 	}
-	if healthy.Reasons != nil || idle.WatermarkT != math.MinInt64 || len(idle.Shards) != 3 {
+	if healthy.Reasons != nil || idle.WatermarkT != math.MinInt64 || len(idle.Shards) != 1 {
 		t.Errorf("fixtures lost their point: reasons %v, idle %+v", healthy.Reasons, idle)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // pair — enough to give every route non-trivial content.
 func servedPipeline(t *testing.T) *Pipeline {
 	t.Helper()
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, Shards: 1})
+	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10})
 	for w := int64(0); w < 3; w++ {
 		p.Ingest([]telemetry.Sample{
 			powerSample(0, w*10, 1000),
@@ -253,7 +253,7 @@ func TestHTTPHealthReportsDegradation(t *testing.T) {
 // differently and carries no validator; /debug/vars serves the kernel's
 // counters with both polls under the route's name.
 func TestHTTPLiveRepliesAreNeverStored(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, Shards: 1})
+	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10})
 	h := NewHandler(p, ServeConfig{})
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

@@ -5,8 +5,8 @@ import (
 	"repro/internal/tsagg"
 )
 
-// Frame is one finalized event-time window of the whole system: the merged
-// output of every shard for one coarsening interval. The pipeline reuses a
+// Frame is one finalized event-time window of the whole system: every
+// channel's window for one coarsening interval. The pipeline reuses a
 // single Frame across Apply calls; operators must copy anything they keep.
 type Frame struct {
 	Start int64 // window start (unix seconds, grid-aligned)
@@ -26,7 +26,7 @@ type Frame struct {
 
 // Operator is one incremental analysis in the pipeline. Apply observes
 // finalized frames in strictly ascending event time; Flush runs once after
-// the last frame when the pipeline closes. Both are called from the merge
+// the last frame when the pipeline closes. Both are called from the fold
 // goroutine under the pipeline's snapshot lock, so implementations need no
 // locking of their own but must stay cheap.
 type Operator interface {

@@ -9,19 +9,19 @@
 // points fold finished runs through; this package adds the rings, the
 // locking and the snapshot copies around them.
 //
-// Architecture: Ingest splits each batch across per-shard goroutines over
-// bounded queues — a full queue drops the batch and counts it rather than
-// ever stalling the out-of-band path. Each shard coarsens its channels
-// with event-time windows and a bounded-lateness watermark (samples more
-// than LatenessSec behind a shard's newest timestamp are dropped and
-// counted). The path is allocation-free in steady state: per-shard batches
-// come from a pool and go back to it once folded, and a shard's channels
-// are a dense table of coarsener values, not a map. A single merge
-// goroutine orders the shards' finalized windows by the minimum shard
-// watermark into system-wide frames and applies the operator chain to
-// each, so every operator observes windows in strictly ascending event
-// time — which is what lets the streaming results match the offline batch
-// analyses bit for bit (see parity_test.go).
+// Architecture: Ingest validates each batch and copies it onto one bounded
+// queue — a full queue drops the batch and counts it rather than ever
+// stalling the out-of-band path. One goroutine drains the queue: it folds
+// each sample into a dense table of per-channel event-time coarseners and
+// advances the one watermark (the newest sample time less LatenessSec;
+// a sample for a window the watermark has finalized is dropped and
+// counted). At each window boundary it collects the finalized windows and
+// applies them as system-wide frames to the operator chain, so every
+// operator observes windows in strictly ascending event time — which is
+// what lets the streaming results match the offline batch analyses bit for
+// bit (see parity_test.go). The path is allocation-free in steady state:
+// queued batches come from a pool and go back to it once folded, and the
+// collected windows reuse their buffers.
 //
 // Snapshot returns a consistent point-in-time copy of all operator state
 // under one lock acquisition.
@@ -50,15 +50,12 @@ type Config struct {
 	StartTime int64
 	// StepSec is the coarsening window (<= 0: the paper's 10 s).
 	StepSec int64
-	// Shards is the fan-in parallelism (<= 0: one shard per 288 nodes,
-	// the paper's collection-tier ratio).
-	Shards int
-	// QueueDepth bounds each shard's ingest queue in batches (<= 0: 256).
-	// A full queue drops, never blocks.
+	// QueueDepth bounds the ingest queue in batches (<= 0: 256). A full
+	// queue drops, never blocks.
 	QueueDepth int
 	// LatenessSec bounds out-of-order tolerance: samples more than this
-	// behind their shard's newest timestamp are dropped (<= 0: the
-	// paper's 5 s maximum telemetry timestamp delay).
+	// behind the newest timestamp are dropped (<= 0: the paper's 5 s
+	// maximum telemetry timestamp delay).
 	LatenessSec int64
 	// Extra appends additional operators to the built-in chain.
 	Extra []Operator
@@ -67,12 +64,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.StepSec <= 0 {
 		c.StepSec = units.CoarsenWindowSec
-	}
-	if c.Shards <= 0 {
-		c.Shards = (c.Nodes + units.FanInRatio - 1) / units.FanInRatio
-		if c.Shards < 1 {
-			c.Shards = 1
-		}
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -84,67 +75,145 @@ func (c Config) withDefaults() Config {
 }
 
 // ringDepth is how many windows the rollup ring and how many edges the
-// edge ring retain, and so the most windows one rollup reply may carry.
+// edge ring retain, and so the most windows one rollup reply may carry. It
+// is also Ingest's horizon: a sample more than ringDepth windows ahead of
+// the watermark is rejected, which bounds the empty frames one sample can
+// make the pipeline apply.
 const ringDepth = 4096
 
-// nodeStat is one node's finalized power window inside a shard message.
+// beyondReason is health's reason once the horizon has rejected a sample.
+var beyondReason = fmt.Sprintf("samples more than %d windows ahead of the watermark were rejected", ringDepth)
+
+// nodeStat is one node's finalized power window.
 type nodeStat struct {
 	node int32
 	stat tsagg.WindowStat
 }
 
-// shardWindow is one finalized window of one shard.
-type shardWindow struct {
+// window is one finalized event-time window as collect gathers it from
+// the channel table.
+type window struct {
 	start       int64
-	power       []nodeStat
+	power       []nodeStat // node ascending
 	bands       [core.NumTempBands]int64
 	chanWindows int64
 }
 
-// mergeMsg carries a shard's finalized windows, ascending by start, and
-// its watermark advance.
-type mergeMsg struct {
-	shard     int
-	watermark int64
-	windows   []shardWindow
-}
-
-// windowAt returns the message's window starting at t, inserting it in
-// ascending order when absent. Bounded lateness keeps the list at a
-// handful of entries and channels close their oldest window first, so the
-// scan from the back ends at once. nodes sizes a new window's power list.
-func (m *mergeMsg) windowAt(t int64, nodes int) *shardWindow {
-	i := len(m.windows)
-	for i > 0 && m.windows[i-1].start > t {
-		i--
-	}
-	if i > 0 && m.windows[i-1].start == t {
-		return &m.windows[i-1]
-	}
-	m.windows = append(m.windows, shardWindow{})
-	copy(m.windows[i+1:], m.windows[i:])
-	m.windows[i] = shardWindow{start: t, power: make([]nodeStat, 0, nodes)}
-	return &m.windows[i]
-}
-
-// shard is one ingest partition: a bounded queue drained by a goroutine
-// that owns the shard's part of the channel table.
-type shard struct {
-	id     int
-	stride int // the pipeline's shard count: node n lives in shard n % stride
-	// ch carries pooled batches; the shard goroutine returns each to the
-	// pool once folded.
-	ch chan *[]telemetry.Sample
-	// chans is the dense channel table: the coarsener of (node, metric)
-	// is chans[(node/stride)*NumMetrics + metric], so walking it in index
-	// order visits channels node ascending, metric ascending. A slot with a
-	// zero step has never seen a sample and is skipped everywhere, exactly
-	// as an absent key of the map this replaced.
+// table is the fold goroutine's channel state.
+type table struct {
+	// chans is the dense channel table: the coarsener of (node, metric) is
+	// chans[node*NumMetrics + metric], so walking it in index order visits
+	// channels node ascending, metric ascending. A slot with a zero step
+	// has never seen a sample and is skipped everywhere, exactly as an
+	// absent key of the map this replaced.
 	chans []WindowCoarsener
-	// watermark = newest sample time − lateness; lastBoundary is the
-	// highest window boundary already scanned for finalization.
+	// watermark = newest folded sample time − lateness; lastBoundary is
+	// the highest window boundary already scanned for finalization.
 	watermark    int64
 	lastBoundary int64
+}
+
+func newTable(nodes int) table {
+	return table{
+		chans:        make([]WindowCoarsener, nodes*int(telemetry.NumMetrics)),
+		watermark:    math.MinInt64,
+		lastBoundary: math.MinInt64,
+	}
+}
+
+// fold adds one batch (every sample validated by Ingest) to the
+// coarseners and returns the newest timestamp and how many samples fell
+// behind the lateness bound.
+//
+//lint:allocfree
+func (t *table) fold(batch []telemetry.Sample, step int64) (maxT, late int64) {
+	maxT = math.MinInt64
+	for i := range batch {
+		smp := &batch[i]
+		maxT = max(maxT, smp.T)
+		c := &t.chans[int(smp.Node)*int(telemetry.NumMetrics)+int(smp.Metric)]
+		if c.step == 0 {
+			c.step, c.closedEnd = step, math.MinInt64
+		}
+		if !c.Add(smp.T, smp.Value) {
+			late++
+		}
+	}
+	return maxT, late
+}
+
+// advance raises the watermark to maxT − lateness and reports whether it
+// crossed a window boundary: only then can anything new finalize, so only
+// then is the table scanned.
+func (t *table) advance(maxT, step, lateness int64) bool {
+	if maxT == math.MinInt64 {
+		return false // empty batch
+	}
+	if wm := maxT - lateness; wm > t.watermark {
+		t.watermark = wm
+	}
+	b := alignWindow(t.watermark, step)
+	if b <= t.lastBoundary {
+		return false
+	}
+	t.lastBoundary = b
+	return true
+}
+
+// collect finalizes every window closable at end and returns them in
+// wins, ascending by start, reusing its buffers. Walking the table in
+// index order visits channels node ascending, metric ascending, so the
+// result, including the node order of each window's power entries, is
+// fully deterministic.
+func (t *table) collect(end int64, wins []window) []window {
+	wins = wins[:0]
+	const metrics = int(telemetry.NumMetrics)
+	var node int32
+	var metric telemetry.Metric
+	emit := func(ws tsagg.WindowStat) {
+		// Channels close their oldest window first and bounded lateness
+		// keeps the list short, so the scan from the back ends at once.
+		i := len(wins)
+		for i > 0 && wins[i-1].start > ws.T {
+			i--
+		}
+		if i == 0 || wins[i-1].start != ws.T {
+			// Insert at i; the new window takes the buffer of the slot
+			// the list grows into.
+			n := len(wins)
+			if n < cap(wins) {
+				wins = wins[:n+1]
+			} else {
+				wins = append(wins, window{})
+			}
+			spare := wins[n].power[:0]
+			copy(wins[i+1:], wins[i:n])
+			wins[i] = window{start: ws.T, power: spare}
+			i++
+		}
+		w := &wins[i-1]
+		w.chanWindows++
+		switch {
+		case metric == telemetry.MetricInputPower:
+			w.power = append(w.power, nodeStat{node: node, stat: ws})
+		case metric >= telemetry.MetricGPU0CoreTemp && metric <= telemetry.MetricGPU5CoreTemp:
+			if !math.IsNaN(ws.Mean) {
+				w.bands[core.TempBandOf(ws.Mean)]++
+			}
+		}
+	}
+	for i := range t.chans {
+		c := &t.chans[i]
+		if c.step == 0 {
+			// Never used. Closing it would raise its closedEnd and turn a
+			// late-activated channel's first samples from accepted (and
+			// counted merge_late) into late.
+			continue
+		}
+		node, metric = int32(i/metrics), telemetry.Metric(i%metrics)
+		c.CloseThrough(end, emit)
+	}
+	return wins
 }
 
 // Pipeline is the live streaming-analysis plane. Create with NewPipeline;
@@ -153,36 +222,42 @@ type shard struct {
 type Pipeline struct {
 	cfg Config
 
-	ingestMu sync.RWMutex // guards shard channels against Close
+	ingestMu sync.RWMutex // guards the queue against Close
 	closed   atomic.Bool
+	// queue carries pooled batches; the fold goroutine returns each to the
+	// pool once folded, and closes done when it has flushed.
+	queue   chan *[]telemetry.Sample
+	batches sync.Pool // *[]telemetry.Sample, emptied, capacity kept
+	done    chan struct{}
 
-	shards  []*shard
-	active  []atomic.Bool // shard has ever accepted a batch
-	batches sync.Pool     // *[]telemetry.Sample, emptied, capacity kept
-	mergeCh chan mergeMsg
-	wg      sync.WaitGroup
-	mergeWG sync.WaitGroup
+	// The fold goroutine's own state: the channel table, the windows of
+	// the last collect, and the start of the next frame to apply.
+	tab  table
+	wins []window
+	next int64
 
 	// Counters (atomic: read by Snapshot and health without the lock).
 	received    atomic.Int64 // samples presented to Ingest
-	dropped     atomic.Int64 // samples dropped on full shard queues
-	rejected    atomic.Int64 // samples with out-of-range node or time
+	dropped     atomic.Int64 // samples dropped on a full queue
+	rejected    atomic.Int64 // samples with out-of-range node, metric or time
+	beyond      atomic.Int64 // the part of rejected beyond the horizon
+	newest      atomic.Int64 // newest timestamp Ingest has accepted, queued or dropped
 	late        atomic.Int64 // samples behind the lateness bound
-	mergeLate   atomic.Int64 // shard windows arriving behind the merge cursor
+	mergeLate   atomic.Int64 // windows collected after their frame was applied
 	events      atomic.Int64 // failure events observed
 	frames      atomic.Int64 // frames applied to the operator chain
 	chanWindows atomic.Int64 // per-channel windows finalized
 	conns       atomic.Int64 // ingest connections the transport dropped
-	wmark       atomic.Int64 // global watermark (min over active shards)
+	wmark       atomic.Int64 // watermark at the last window boundary
 
-	// mu guards the operator chain and the merge cursor: Apply runs under
-	// it, so Snapshot sees every operator at the same frame boundary.
+	// mu guards the operator chain: Apply runs under it, so Snapshot sees
+	// every operator at the same frame boundary.
 	mu sync.Mutex
 	// lastWindow is the start of the newest applied frame. Written under
 	// mu, so Snapshot reads it consistently with the operators; atomic so
 	// Health reads it without waiting for the operator chain.
 	lastWindow atomic.Int64
-	anyFrame   bool
+	anyFrame   bool // written by the fold goroutine only, under mu
 	rollup     *Rollup
 	edges      *Edges
 	bands      *Bands
@@ -190,54 +265,46 @@ type Pipeline struct {
 	ops        []Operator
 }
 
-// NewPipeline validates cfg, applies defaults, and starts the shard and
-// merge goroutines.
+// NewPipeline validates cfg, applies defaults, and starts the fold
+// goroutine.
 func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("stream: non-positive node count %d", cfg.Nodes)
 	}
 	cfg = cfg.withDefaults()
+	grid := alignWindow(cfg.StartTime, cfg.StepSec)
 	p := &Pipeline{
-		cfg:     cfg,
-		shards:  make([]*shard, cfg.Shards),
-		active:  make([]atomic.Bool, cfg.Shards),
-		mergeCh: make(chan mergeMsg, cfg.Shards*4),
+		cfg:   cfg,
+		queue: make(chan *[]telemetry.Sample, cfg.QueueDepth),
+		done:  make(chan struct{}),
+		tab:   newTable(cfg.Nodes),
+		next:  grid,
 	}
 	p.batches.New = func() any { return new([]telemetry.Sample) }
-	p.lastWindow.Store(alignWindow(cfg.StartTime, cfg.StepSec) - cfg.StepSec)
+	p.lastWindow.Store(grid - cfg.StepSec)
 	p.wmark.Store(math.MinInt64)
+	p.newest.Store(math.MinInt64)
 	p.rollup = newRollup(cfg)
 	p.edges = newEdges(cfg)
 	p.bands = newBands(cfg)
 	p.warn = core.NewEarlyWarningMonitor(units.SecondsPerHour)
 	p.ops = append([]Operator{p.rollup, p.edges, p.bands}, cfg.Extra...)
-	for i := range p.shards {
-		own := (cfg.Nodes - i + cfg.Shards - 1) / cfg.Shards // nodes n with n % Shards == i
-		p.shards[i] = &shard{
-			id:           i,
-			stride:       cfg.Shards,
-			ch:           make(chan *[]telemetry.Sample, cfg.QueueDepth),
-			chans:        make([]WindowCoarsener, own*int(telemetry.NumMetrics)),
-			watermark:    math.MinInt64,
-			lastBoundary: math.MinInt64,
-		}
-	}
-	for _, s := range p.shards {
-		p.wg.Add(1)
-		go p.runShard(s)
-	}
-	p.mergeWG.Add(1)
-	go p.runMerge()
+	go p.run()
 	return p, nil
 }
 
-// Ingest feeds one telemetry batch. It never blocks: each shard's part is
-// enqueued with a non-blocking send, and a full queue drops that part and
-// counts it — the out-of-band path must not stall (paper §2). The batch is
-// only borrowed: samples are copied into pooled per-shard batches before
-// Ingest returns, so the caller may reuse its slice at once. A pooled batch
-// belongs to Ingest until the send, then to the shard goroutine, which
-// returns it to the pool once folded; a refused one goes straight back.
+// Ingest feeds one telemetry batch. It never blocks: the valid samples are
+// copied into a pooled batch and enqueued with a non-blocking send, and a
+// full queue drops the batch and counts it — the out-of-band path must not
+// stall (paper §2). A sample is rejected when its node, metric or time is
+// out of range, or when it lies beyond the horizon: more than ringDepth
+// windows ahead of the watermark of the newest sample accepted before it.
+// The horizon follows the order of Ingest calls, not how far the fold
+// goroutine has got, so one connection's feed meets the same decisions
+// every time. The caller's batch is only borrowed, so it may reuse its
+// slice as soon as Ingest returns. A pooled batch belongs to Ingest until
+// the send, then to the fold goroutine; a refused one goes straight back
+// to the pool.
 func (p *Pipeline) Ingest(batch []telemetry.Sample) {
 	if len(batch) == 0 {
 		return
@@ -247,55 +314,66 @@ func (p *Pipeline) Ingest(batch []telemetry.Sample) {
 		p.dropped.Add(int64(len(batch)))
 		return
 	}
-	// Ingest runs concurrently (one caller per connection), so the scatter
-	// table is the caller's: on the stack up to 32 shards (Summit has 17).
-	var stack [32]*[]telemetry.Sample
-	per := stack[:min(p.cfg.Shards, len(stack))]
-	if p.cfg.Shards > len(stack) {
-		per = make([]*[]telemetry.Sample, p.cfg.Shards)
-	}
 	grid := alignWindow(p.cfg.StartTime, p.cfg.StepSec)
-	var rejected int64
+	newest := p.newest.Load()
+	top, end := newest, p.horizonEnd(newest)
+	var beyond int64
+	b := p.batches.Get().(*[]telemetry.Sample)
 	for i := range batch {
 		s := &batch[i]
 		if int(s.Node) < 0 || int(s.Node) >= p.cfg.Nodes || s.Metric >= telemetry.NumMetrics || s.T < grid {
-			rejected++
 			continue
 		}
-		k := int(s.Node) % len(per)
-		if per[k] == nil {
-			per[k] = p.batches.Get().(*[]telemetry.Sample)
+		if s.T > end {
+			beyond++
+			continue
 		}
-		*per[k] = append(*per[k], *s)
+		if s.T > top {
+			top, end = s.T, p.horizonEnd(s.T)
+		}
+		*b = append(*b, *s)
 	}
-	if rejected > 0 {
-		p.rejected.Add(rejected)
+	for top > newest && !p.newest.CompareAndSwap(newest, top) {
+		newest = p.newest.Load()
+	}
+	if rejected := len(batch) - len(*b); rejected > 0 {
+		p.rejected.Add(int64(rejected))
+	}
+	if beyond > 0 {
+		p.beyond.Add(beyond)
+	}
+	if len(*b) == 0 {
+		p.recycle(b)
+		return
 	}
 	p.ingestMu.RLock()
 	defer p.ingestMu.RUnlock()
-	closed := p.closed.Load()
-	var dropped int64
-	for k, sub := range per {
-		if sub == nil {
-			continue
+	if !p.closed.Load() {
+		select {
+		case p.queue <- b:
+			return
+		default:
 		}
-		if !closed {
-			select {
-			case p.shards[k].ch <- sub:
-				p.active[k].Store(true)
-				continue
-			default:
-			}
-		}
-		dropped += int64(len(*sub))
-		p.recycle(sub)
 	}
-	if dropped > 0 {
-		p.dropped.Add(dropped)
-	}
+	p.dropped.Add(int64(len(*b)))
+	p.recycle(b)
 }
 
-// recycle empties a per-shard batch and returns it to the pool.
+// horizonEnd is the latest timestamp the horizon admits after a sample at
+// newest: ringDepth windows past its watermark. Before the first sample
+// (newest = math.MinInt64) there is no bound.
+func (p *Pipeline) horizonEnd(newest int64) int64 {
+	if newest == math.MinInt64 {
+		return math.MaxInt64
+	}
+	horizon := ringDepth * p.cfg.StepSec
+	if wm := newest - p.cfg.LatenessSec; wm <= math.MaxInt64-horizon {
+		return wm + horizon
+	}
+	return math.MaxInt64
+}
+
+// recycle empties a pooled batch and returns it to the pool.
 func (p *Pipeline) recycle(b *[]telemetry.Sample) {
 	*b = (*b)[:0]
 	p.batches.Put(b)
@@ -315,198 +393,26 @@ func (p *Pipeline) IngestEvents(evs []failures.Event) {
 	p.warn.Observe(evs)
 }
 
-// runShard drains one shard queue: coarsen per channel, advance the
-// watermark, and ship finalized windows to the merger. The blocking send
-// to mergeCh is safe: the merger drains until every shard exits.
-func (p *Pipeline) runShard(s *shard) {
-	defer p.wg.Done()
+// run is the fold goroutine: it drains the queue, folds each batch into
+// the channel table, and at each window boundary applies the finalized
+// windows as frames. When the queue closes it flushes every open window
+// and runs the operators' end-of-stream hooks.
+func (p *Pipeline) run() {
+	defer close(p.done)
 	step := p.cfg.StepSec
-	for batch := range s.ch {
-		maxT, late := s.fold(*batch, step)
-		p.recycle(batch)
+	frame := &Frame{Step: step, NodePower: make([]tsagg.WindowStat, p.cfg.Nodes)}
+	for b := range p.queue {
+		maxT, late := p.tab.fold(*b, step)
+		p.recycle(b)
 		if late > 0 {
 			p.late.Add(late)
 		}
-		if s.advance(maxT, step, p.cfg.LatenessSec) {
-			p.mergeCh <- s.collect(s.watermark)
+		if p.tab.advance(maxT, step, p.cfg.LatenessSec) {
+			p.wmark.Store(p.tab.watermark)
+			p.applyThrough(frame, p.tab.watermark)
 		}
 	}
-	// Queue closed: flush every open window and release the watermark.
-	p.mergeCh <- s.collect(math.MaxInt64)
-}
-
-// advance raises the watermark to maxT − lateness and reports whether it
-// crossed a window boundary: only then can anything new finalize, so only
-// then is the channel table scanned.
-func (s *shard) advance(maxT, step, lateness int64) bool {
-	if maxT == math.MinInt64 {
-		return false // empty batch
-	}
-	if wm := maxT - lateness; wm > s.watermark {
-		s.watermark = wm
-	}
-	b := alignWindow(s.watermark, step)
-	if b <= s.lastBoundary {
-		return false
-	}
-	s.lastBoundary = b
-	return true
-}
-
-// fold adds one batch (every sample validated by Ingest) to the shard's
-// coarseners and returns the newest timestamp and how many samples fell
-// behind the lateness bound.
-//
-//lint:allocfree
-func (s *shard) fold(batch []telemetry.Sample, step int64) (maxT, late int64) {
-	maxT = math.MinInt64
-	for i := range batch {
-		smp := &batch[i]
-		if smp.T > maxT {
-			maxT = smp.T
-		}
-		c := &s.chans[int(smp.Node)/s.stride*int(telemetry.NumMetrics)+int(smp.Metric)]
-		if c.step == 0 {
-			c.step, c.closedEnd = step, math.MinInt64
-		}
-		if !c.Add(smp.T, smp.Value) {
-			late++
-		}
-	}
-	return maxT, late
-}
-
-// collect finalizes all shard windows closable at the given watermark and
-// packages them, ascending by start, into a merge message. Walking the
-// table in index order visits channels node ascending, metric ascending,
-// so the message, including the node order of each window's power
-// entries, is fully deterministic.
-func (s *shard) collect(end int64) mergeMsg {
-	msg := mergeMsg{shard: s.id, watermark: end}
-	if end != math.MaxInt64 {
-		msg.watermark = s.watermark
-	}
-	const metrics = int(telemetry.NumMetrics)
-	own := len(s.chans) / metrics
-	var node int32
-	var metric telemetry.Metric
-	emit := func(ws tsagg.WindowStat) {
-		w := msg.windowAt(ws.T, own)
-		w.chanWindows++
-		switch {
-		case metric == telemetry.MetricInputPower:
-			w.power = append(w.power, nodeStat{node: node, stat: ws})
-		case metric >= telemetry.MetricGPU0CoreTemp && metric <= telemetry.MetricGPU5CoreTemp:
-			if !math.IsNaN(ws.Mean) {
-				w.bands[core.TempBandOf(ws.Mean)]++
-			}
-		}
-	}
-	for i := range s.chans {
-		c := &s.chans[i]
-		if c.step == 0 {
-			// Never used. Closing it would raise its closedEnd and turn a
-			// late-activated channel's first samples from accepted (and
-			// counted merge_late) into late.
-			continue
-		}
-		node, metric = int32(i/metrics*s.stride+s.id), telemetry.Metric(i%metrics)
-		c.CloseThrough(end, emit)
-	}
-	return msg
-}
-
-// mergeWin accumulates shard contributions to one pending frame.
-type mergeWin struct {
-	power       []nodeStat
-	bands       [core.NumTempBands]int64
-	chanWindows int64
-}
-
-// runMerge is the single consumer of shard output: it orders finalized
-// windows behind the minimum active-shard watermark and applies complete
-// frames, in ascending event time, to the operator chain.
-func (p *Pipeline) runMerge() {
-	defer p.mergeWG.Done()
-	nShards := len(p.shards)
-	shardWM := make([]int64, nShards)
-	for i := range shardWM {
-		shardWM[i] = math.MinInt64
-	}
-	pending := map[int64]*mergeWin{}
-	maxSeen := int64(math.MinInt64)
-	step := p.cfg.StepSec
-	nextEmit := alignWindow(p.cfg.StartTime, step)
-	frame := &Frame{Step: step, NodePower: make([]tsagg.WindowStat, p.cfg.Nodes)}
-	for msg := range p.mergeCh {
-		if msg.watermark > shardWM[msg.shard] {
-			shardWM[msg.shard] = msg.watermark
-		}
-		for i := range msg.windows {
-			w := &msg.windows[i]
-			if w.start < nextEmit {
-				// Behind the merge cursor: the frame already shipped
-				// (possible only for a shard activated after others had
-				// advanced the cursor).
-				p.mergeLate.Add(w.chanWindows)
-				continue
-			}
-			mw := pending[w.start]
-			if mw == nil {
-				mw = &mergeWin{power: make([]nodeStat, 0, p.cfg.Nodes)}
-				pending[w.start] = mw
-			}
-			mw.power = append(mw.power, w.power...)
-			for b := range w.bands {
-				mw.bands[b] += w.bands[b]
-			}
-			mw.chanWindows += w.chanWindows
-			if w.start > maxSeen {
-				maxSeen = w.start
-			}
-		}
-		// Global watermark: the minimum over shards that have ever
-		// accepted data. Shards that never saw a sample do not hold the
-		// pipeline back; their late activation is counted above.
-		g := int64(math.MaxInt64)
-		activeAny := false
-		for i := 0; i < nShards; i++ {
-			if !p.active[i].Load() && shardWM[i] == math.MinInt64 {
-				continue
-			}
-			activeAny = true
-			if shardWM[i] < g {
-				g = shardWM[i]
-			}
-		}
-		if !activeAny || g == math.MinInt64 {
-			continue
-		}
-		if g != math.MaxInt64 {
-			p.wmark.Store(g)
-		}
-		// Before the first frame, fast-forward to the first data so a
-		// live feed anchored far from StartTime does not emit years of
-		// empty frames. p.anyFrame is only written by this goroutine.
-		if !p.anyFrame && len(pending) > 0 {
-			first := int64(math.MaxInt64)
-			for t := range pending {
-				if t < first {
-					first = t
-				}
-			}
-			if first > nextEmit {
-				nextEmit = first
-			}
-		}
-		for nextEmit+step <= g && nextEmit <= maxSeen {
-			p.applyFrame(frame, pending, nextEmit)
-			delete(pending, nextEmit)
-			nextEmit += step
-		}
-	}
-	// All shards flushed with watermark MaxInt64, so the loop above has
-	// emitted everything; run the operators' end-of-stream hooks.
+	p.applyThrough(frame, math.MaxInt64)
 	p.mu.Lock()
 	for _, op := range p.ops {
 		op.Flush()
@@ -514,24 +420,48 @@ func (p *Pipeline) runMerge() {
 	p.mu.Unlock()
 }
 
-// applyFrame builds the frame for window start (empty when no shard
-// contributed) and applies the operator chain under the snapshot lock.
-func (p *Pipeline) applyFrame(frame *Frame, pending map[int64]*mergeWin, start int64) {
-	for i := range frame.NodePower {
-		frame.NodePower[i] = tsagg.WindowStat{}
+// applyThrough collects every window that closes at or before end and
+// applies it, and the empty frames of the grid between, in ascending
+// order. A window whose frame already went out belongs to a channel first
+// seen after that frame: it is counted merge_late, not applied. Before the
+// first frame the grid fast-forwards to the first data, so a live feed
+// anchored far from StartTime does not emit years of empty frames.
+func (p *Pipeline) applyThrough(frame *Frame, end int64) {
+	p.wins = p.tab.collect(end, p.wins)
+	step := p.cfg.StepSec
+	for i := range p.wins {
+		w := &p.wins[i]
+		if w.start < p.next {
+			p.mergeLate.Add(w.chanWindows)
+			continue
+		}
+		if !p.anyFrame {
+			p.next = w.start
+		}
+		for ; p.next < w.start; p.next += step {
+			p.applyFrame(frame, nil, p.next)
+		}
+		p.applyFrame(frame, w, w.start)
+		p.next = w.start + step
 	}
+}
+
+// applyFrame builds the frame for window start from w (empty when w is
+// nil) and applies the operator chain under the snapshot lock.
+func (p *Pipeline) applyFrame(frame *Frame, w *window, start int64) {
+	clear(frame.NodePower)
 	frame.BandGPUs = [core.NumTempBands]int64{}
 	frame.Start = start
 	frame.Observed = 0
-	if mw := pending[start]; mw != nil {
-		for _, ns := range mw.power {
-			if int(ns.node) < len(frame.NodePower) && ns.stat.Count > 0 {
+	if w != nil {
+		for _, ns := range w.power {
+			if ns.stat.Count > 0 {
 				frame.NodePower[ns.node] = ns.stat
 				frame.Observed++
 			}
 		}
-		frame.BandGPUs = mw.bands
-		p.chanWindows.Add(mw.chanWindows)
+		frame.BandGPUs = w.bands
+		p.chanWindows.Add(w.chanWindows)
 	}
 	p.mu.Lock()
 	for _, op := range p.ops {
@@ -544,38 +474,32 @@ func (p *Pipeline) applyFrame(frame *Frame, pending map[int64]*mergeWin, start i
 }
 
 // Close stops ingestion, flushes every open window through the operator
-// chain, and waits for the shard and merge goroutines. Idempotent.
-// Samples offered to Ingest after Close are counted as dropped.
+// chain, and waits for the fold goroutine. Idempotent. Samples offered to
+// Ingest after Close are counted as dropped.
 func (p *Pipeline) Close() {
 	p.ingestMu.Lock()
-	if p.closed.Swap(true) {
-		p.ingestMu.Unlock()
-		return
-	}
-	for _, s := range p.shards {
-		close(s.ch)
+	if !p.closed.Swap(true) {
+		close(p.queue)
 	}
 	p.ingestMu.Unlock()
-	p.wg.Wait()
-	close(p.mergeCh)
-	p.mergeWG.Wait()
+	<-p.done
 }
 
 // IngestStats is the counter block of a snapshot.
 type IngestStats struct {
 	Received       int64 // samples presented to Ingest
 	Dropped        int64 // dropped on full queues or after Close
-	Rejected       int64 // out-of-range node or pre-StartTime timestamp
-	Late           int64 // behind the lateness bound at a shard
-	MergeLate      int64 // shard windows behind the merge cursor
+	Rejected       int64 // out-of-range node, pre-StartTime or beyond the horizon
+	Late           int64 // behind the lateness bound
+	MergeLate      int64 // channel windows collected after their frame was applied
 	Events         int64 // failure events observed
 	Frames         int64 // frames applied to the operator chain
 	ChannelWindows int64 // per-channel windows finalized
 	DroppedConns   int64 // ingest connections dropped by the transport
 }
 
-// ShardStat reports one shard queue's occupancy.
-type ShardStat struct {
+// QueueStat reports the ingest queue's occupancy in batches.
+type QueueStat struct {
 	QueueLen int
 	QueueCap int
 }
@@ -583,14 +507,13 @@ type ShardStat struct {
 // Snapshot is a consistent point-in-time view of the pipeline.
 type Snapshot struct {
 	Ingest IngestStats
-	// WatermarkT is the global event-time watermark; math.MinInt64 before
-	// any data.
+	// WatermarkT is the event-time watermark as of the last window
+	// boundary; math.MinInt64 before any.
 	WatermarkT int64
 	// LastWindowT is the start of the newest applied frame.
 	LastWindowT int64
 	// SpanSec is the finalized observation span from StartTime.
 	SpanSec      int64
-	Shards       []ShardStat
 	Rollup       RollupSnapshot
 	Edges        []core.Edge
 	EdgesTotal   int64
@@ -619,9 +542,6 @@ func (p *Pipeline) snapshotLocked() *Snapshot {
 	}
 	s.Edges, s.EdgesTotal = p.edges.snapshotLocked(0)
 	s.EarlyWarning = p.warn.Summary(p.cfg.Nodes, s.SpanSec)
-	for _, sh := range p.shards {
-		s.Shards = append(s.Shards, ShardStat{QueueLen: len(sh.ch), QueueCap: cap(sh.ch)})
-	}
 	return s
 }
 
@@ -692,7 +612,9 @@ type HealthState struct {
 	Ingest      IngestStats
 	WatermarkT  int64
 	LastWindowT int64
-	Shards      []ShardStat
+	// Shards holds the ingest queue's occupancy, as the one entry of the
+	// health reply's `shards` list.
+	Shards []QueueStat
 }
 
 // Health reports ingest health from atomics and queue lengths only: it
@@ -704,10 +626,7 @@ func (p *Pipeline) Health() HealthState {
 		Ingest:      st,
 		WatermarkT:  p.wmark.Load(),
 		LastWindowT: p.lastWindow.Load(),
-		Shards:      make([]ShardStat, len(p.shards)),
-	}
-	for i, sh := range p.shards {
-		h.Shards[i] = ShardStat{QueueLen: len(sh.ch), QueueCap: cap(sh.ch)}
+		Shards:      []QueueStat{{QueueLen: len(p.queue), QueueCap: cap(p.queue)}},
 	}
 	if st.Dropped > 0 {
 		h.Reasons = append(h.Reasons, "ingest queue overflow dropped samples")
@@ -715,8 +634,11 @@ func (p *Pipeline) Health() HealthState {
 	if st.Late > 0 {
 		h.Reasons = append(h.Reasons, "samples beyond the lateness bound were dropped")
 	}
+	if p.beyond.Load() > 0 {
+		h.Reasons = append(h.Reasons, beyondReason)
+	}
 	if st.MergeLate > 0 {
-		h.Reasons = append(h.Reasons, "windows finalized before a late shard contributed")
+		h.Reasons = append(h.Reasons, "windows of a channel first seen after their frames were applied")
 	}
 	if st.DroppedConns > 0 {
 		h.Reasons = append(h.Reasons, "ingest connections dropped for bad frames or stalls")

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/units"
 )
 
 func powerSample(node topology.NodeID, t int64, v float64) telemetry.Sample {
@@ -30,7 +29,7 @@ func mustPipeline(t *testing.T, cfg Config) *Pipeline {
 
 // gateOp is an Extra operator whose Apply — after letting `free` frames
 // through — blocks until the gate is closed: a deliberately stalled
-// consumer. It signals entry exactly once so the test knows the merge
+// consumer. It signals entry exactly once so the test knows the fold
 // goroutine is wedged inside the chain.
 type gateOp struct {
 	free    int
@@ -65,14 +64,13 @@ func TestBackpressureNeverBlocksIngest(t *testing.T) {
 	p := mustPipeline(t, Config{
 		Nodes:      4,
 		StepSec:    10,
-		Shards:     1,
 		QueueDepth: 1,
 		Extra:      []Operator{op},
 	})
 
 	// Advance the watermark until the first frame reaches the gate. The
 	// depth-1 queue may drop bursts along the way — that is the design —
-	// so keep offering batches until the merge goroutine is wedged in
+	// so keep offering batches until the fold goroutine is wedged in
 	// Apply. Bounded: if the frame never arrives, fail instead of hanging.
 	ts := int64(0)
 	wedged := false
@@ -89,8 +87,8 @@ func TestBackpressureNeverBlocksIngest(t *testing.T) {
 		t.Fatal("first frame never reached the gated operator")
 	}
 
-	// Bursty producer against a wedged consumer: the shard queue (depth 1)
-	// and the merge channel fill, then every further batch is dropped. The
+	// Bursty producer against a wedged consumer: the queue (depth 1)
+	// fills, then every further batch is dropped. The
 	// loop is bounded — if Ingest ever blocked, or nothing was ever
 	// dropped, the test fails rather than hanging.
 	base := p.dropped.Load()
@@ -151,13 +149,13 @@ func (c *countOp) Apply(f *Frame) {
 	c.starts = append(c.starts, f.Start)
 }
 
-// TestFrameGridMaterialized verifies the merger materializes the full
+// TestFrameGridMaterialized verifies the pipeline materializes the full
 // window grid between the first and last data: sparse input still yields
 // one frame per step, with Observed==0 on the gaps, and operators see
 // strictly ascending starts.
 func TestFrameGridMaterialized(t *testing.T) {
 	op := &countOp{}
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, Shards: 1, Extra: []Operator{op}})
+	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, Extra: []Operator{op}})
 	p.Ingest([]telemetry.Sample{powerSample(0, 0, 50), powerSample(1, 3, 70)})
 	p.Ingest([]telemetry.Sample{powerSample(0, 100, 80)})
 	p.Close()
@@ -201,13 +199,12 @@ func TestFrameGridMaterialized(t *testing.T) {
 	}
 }
 
-// TestShardedMergeOrdersFrames runs multiple shards and checks the merged
-// fleet rollup equals the node-order sum each window — the merge cursor
-// must wait for the slowest shard's watermark, never emitting a frame a
-// shard could still contribute to.
+// TestShardedMergeOrdersFrames feeds every node in each batch and checks
+// each frame's fleet rollup equals the node-order sum — a frame waits for
+// the watermark, never going out while a node could still contribute.
 func TestShardedMergeOrdersFrames(t *testing.T) {
 	const nodes, windows = 8, 12
-	p := mustPipeline(t, Config{Nodes: nodes, StepSec: 10, Shards: 4, QueueDepth: 64})
+	p := mustPipeline(t, Config{Nodes: nodes, StepSec: 10, QueueDepth: 64})
 	for w := 0; w < windows; w++ {
 		var batch []telemetry.Sample
 		for n := 0; n < nodes; n++ {
@@ -237,10 +234,10 @@ func TestShardedMergeOrdersFrames(t *testing.T) {
 	}
 }
 
-// TestLateSampleDropped pins the lateness bound: once a shard's watermark
+// TestLateSampleDropped pins the lateness bound: once the watermark
 // has finalized a window, a straggler for it is dropped and counted.
 func TestLateSampleDropped(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, Shards: 1, LatenessSec: 5})
+	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, LatenessSec: 5})
 	p.Ingest([]telemetry.Sample{powerSample(0, 100, 1)}) // watermark 95
 	p.Ingest([]telemetry.Sample{powerSample(0, 12, 2)})  // window 10 long closed
 	p.Close()
@@ -253,8 +250,64 @@ func TestLateSampleDropped(t *testing.T) {
 	}
 }
 
+// TestFarFutureSampleIsRefusedDeterministically runs the probe that made
+// the answer depend on goroutine order: node 0 at 100 s and 110 s, then
+// node 1 thirty days later, into a 1 024-node pipeline. The far sample
+// lies beyond the horizon of ringDepth windows ahead of the watermark, so
+// it is rejected — not applied as 259 200 empty frames — and every run,
+// whether the probe comes as three batches or as one, gives the same
+// counters and the same two frames.
+func TestFarFutureSampleIsRefusedDeterministically(t *testing.T) {
+	const month = 30 * 86400
+	probe := []telemetry.Sample{powerSample(0, 100, 1), powerSample(0, 110, 1), powerSample(1, 100+month, 1)}
+	var first HealthState
+	for run := 0; run < 50; run++ {
+		p := mustPipeline(t, Config{Nodes: 1024, StepSec: 10})
+		if run%2 == 0 {
+			for i := range probe {
+				p.Ingest(probe[i : i+1])
+			}
+		} else {
+			p.Ingest(probe)
+		}
+		p.Close()
+		h := p.Health()
+		if st := h.Ingest; st.Frames != 2 || st.Rejected != 1 || st.Late != 0 || st.MergeLate != 0 {
+			t.Fatalf("run %d: frames %d rejected %d late %d merge_late %d, want 2, 1, 0, 0",
+				run, st.Frames, st.Rejected, st.Late, st.MergeLate)
+		}
+		if run == 0 {
+			first = h
+			if len(h.Reasons) != 1 || !strings.Contains(h.Reasons[0], "4096 windows") {
+				t.Fatalf("reasons %q do not name the horizon", h.Reasons)
+			}
+			continue
+		}
+		if h.Ingest != first.Ingest || h.WatermarkT != first.WatermarkT || h.LastWindowT != first.LastWindowT {
+			t.Fatalf("run %d: health %+v, run 0 %+v", run, h, first)
+		}
+	}
+}
+
+// TestHorizonStartsAtTheFirstSample: before any sample there is no
+// watermark, so a feed anchored far from StartTime is accepted; after it,
+// a sample exactly ringDepth windows ahead of the watermark is accepted
+// and one a second further is refused.
+func TestHorizonStartsAtTheFirstSample(t *testing.T) {
+	const far = 1 << 32
+	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, LatenessSec: 5})
+	p.Ingest([]telemetry.Sample{powerSample(0, far, 1)}) // watermark far-5
+	p.Ingest([]telemetry.Sample{powerSample(0, far-5+ringDepth*10+1, 1)})
+	p.Ingest([]telemetry.Sample{powerSample(0, far-5+ringDepth*10, 1)})
+	p.Close()
+	st := p.Snapshot().Ingest
+	if st.Rejected != 1 || st.Frames != ringDepth+1 {
+		t.Errorf("rejected %d frames %d, want 1 and %d", st.Rejected, st.Frames, ringDepth+1)
+	}
+}
+
 // TestIngestValidation checks rejection counting and that rejected
-// samples never reach a shard.
+// samples never reach the channel table.
 func TestIngestValidation(t *testing.T) {
 	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, StartTime: 1000})
 	p.Ingest([]telemetry.Sample{
@@ -273,7 +326,7 @@ func TestIngestValidation(t *testing.T) {
 		t.Errorf("valid sample lost: %+v", snap.Rollup.Recent)
 	}
 	if snap.Ingest.ChannelWindows != 1 {
-		t.Errorf("channel windows = %d, want 1: a rejected sample reached a shard", snap.Ingest.ChannelWindows)
+		t.Errorf("channel windows = %d, want 1: a rejected sample reached the channel table", snap.Ingest.ChannelWindows)
 	}
 }
 
@@ -282,7 +335,7 @@ func TestIngestValidation(t *testing.T) {
 // (node<<8 | metric) with metric 0 — input power — of node 1 and fold into
 // its window.
 func TestMetricBeyondTableIsRejected(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, Shards: 1})
+	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10})
 	p.Ingest([]telemetry.Sample{
 		{Node: 0, Metric: 256, T: 0, Value: 9000},
 		powerSample(1, 0, 500),
@@ -297,13 +350,13 @@ func TestMetricBeyondTableIsRejected(t *testing.T) {
 	}
 }
 
-// TestHealthDoesNotWaitForTheOperatorChain: with the merge goroutine stuck
+// TestHealthDoesNotWaitForTheOperatorChain: with the fold goroutine stuck
 // inside an operator — holding the snapshot lock — Health and the health
 // route still answer, and report the last frame that completed.
 func TestHealthDoesNotWaitForTheOperatorChain(t *testing.T) {
 	op := newGateOp()
 	op.free = 1
-	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, Shards: 1, Extra: []Operator{op}})
+	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, Extra: []Operator{op}})
 	defer p.Close()
 	defer close(op.gate)
 	for k := int64(0); k <= 40; k += 10 {
@@ -364,7 +417,7 @@ func TestCloseIdempotentAndIngestAfterClose(t *testing.T) {
 // ingestion; the race detector is the real assertion, plus monotonicity
 // of the frame counter and span.
 func TestSnapshotConsistentUnderLoad(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 4, StepSec: 10, Shards: 2, QueueDepth: 512})
+	p := mustPipeline(t, Config{Nodes: 4, StepSec: 10, QueueDepth: 512})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -398,25 +451,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	p := mustPipeline(t, Config{Nodes: 1})
 	defer p.Close()
-	if p.cfg.StepSec != 10 || p.cfg.Shards != 1 || p.cfg.QueueDepth != 256 {
-		t.Errorf("defaults = step %d shards %d queue %d", p.cfg.StepSec, p.cfg.Shards, p.cfg.QueueDepth)
+	if p.cfg.StepSec != 10 || p.cfg.QueueDepth != 256 {
+		t.Errorf("defaults = step %d queue %d", p.cfg.StepSec, p.cfg.QueueDepth)
 	}
 	if p.edges.det.Threshold() != 868 {
 		t.Errorf("1-node edge threshold = %v, want 868", p.edges.det.Threshold())
-	}
-}
-
-// TestDefaultShardsFollowTheFanInRatio pins the paper's 288:1 collection
-// tier where it runs: with Shards unset, NewPipeline opens one shard per
-// 288 nodes, rounded up — 17 for Summit's 4 626.
-func TestDefaultShardsFollowTheFanInRatio(t *testing.T) {
-	for _, c := range []struct{ nodes, shards int }{
-		{288, 1}, {289, 2}, {units.SummitNodes, 17},
-	} {
-		p := mustPipeline(t, Config{Nodes: c.nodes})
-		if got := len(p.Snapshot().Shards); got != c.shards {
-			t.Errorf("%d nodes: %d shards, want %d", c.nodes, got, c.shards)
-		}
-		p.Close()
 	}
 }

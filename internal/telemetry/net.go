@@ -171,18 +171,24 @@ func (s *Server) acceptLoop() {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
-			s.serve(conn)
+			s.serve(conn, new(connBuffers))
 		}()
 	}
 }
 
-func (s *Server) serve(conn net.Conn) {
+// connBuffers are one connection's payload and sample buffers, grown to
+// the largest frame seen (at most maxFrameSize) and lent to the sink.
+type connBuffers struct {
+	payload []byte
+	samples []Sample
+}
+
+// serve reads frames from conn and hands each to the sink until the peer
+// closes between frames, a frame breaks the protocol, or a read breaks or
+// stalls; each of the last three counts one dropped connection.
+func (s *Server) serve(conn net.Conn, buf *connBuffers) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var lenBuf [4]byte
-	// One payload buffer and one sample buffer per connection, grown to the
-	// largest frame seen (at most maxFrameSize) and lent to the sink.
-	var payload []byte
-	var samples []Sample
 	// arm pushes the read deadline forward before each wire read so a
 	// connection that stops sending mid-frame (or between frames) times out
 	// instead of pinning this goroutine.
@@ -210,24 +216,29 @@ func (s *Server) serve(conn net.Conn) {
 			s.dropped.Add(1)
 			return // protocol violation: drop the connection
 		}
-		payload = slices.Grow(payload[:0], int(size))[:size]
+		if cap(buf.payload) < int(size) {
+			// Exactly the frame: append's growth rule would overshoot the
+			// cap by up to a quarter.
+			buf.payload = make([]byte, size)
+		}
+		buf.payload = buf.payload[:size]
 		if !arm() {
 			return
 		}
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if _, err := io.ReadFull(br, buf.payload); err != nil {
 			s.dropped.Add(1) // truncated frame
 			return
 		}
-		n, err := frameCount(payload)
+		n, err := frameCount(buf.payload)
 		if err != nil {
 			s.dropped.Add(1)
 			return
 		}
-		samples = slices.Grow(samples[:0], n)[:n]
-		decodeSamples(samples, payload[2:])
+		buf.samples = slices.Grow(buf.samples[:0], n)[:n]
+		decodeSamples(buf.samples, buf.payload[2:])
 		s.frames.Add(1)
-		s.received.Add(int64(len(samples)))
-		s.sink(samples)
+		s.received.Add(int64(n))
+		s.sink(buf.samples)
 	}
 }
 

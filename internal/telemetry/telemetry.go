@@ -2,7 +2,8 @@
 // (paper §2, Figure 3): the per-node metric catalogue the BMCs emit at
 // 1 Hz, the Sample they push, the length-prefixed frame codec, and the TCP
 // Server and Exporter that carry frames from the emitters to the live
-// plane. The 288:1 fan-in tier itself is stream.Pipeline's shards.
+// plane. The 288:1 fan-in tier itself is streamd's feed, which dials one
+// Exporter per 288 nodes.
 //
 // The collection is out-of-band: nothing here back-pressures the compute
 // simulation, mirroring the real system's no-application-impact property.

@@ -246,14 +246,6 @@ func (f *Floor) Hostname(id NodeID) string {
 
 func rowToken(row int) string { return fmt.Sprintf("h%02d", row+9) }
 
-// CPUOf returns the CPU socket whose water loop serves GPU slot g.
-func CPUOf(g GPUSlot) CPUSocket {
-	if g < 3 {
-		return 0
-	}
-	return 1
-}
-
 // CoolingOrder returns the order in which the node-internal water path
 // visits components on socket s: the CPU cold plate first, then its three
 // GPUs in slot order. Components later in the order receive "second-hand"
@@ -263,15 +255,4 @@ func CoolingOrder(s CPUSocket) []GPUSlot {
 		return []GPUSlot{0, 1, 2}
 	}
 	return []GPUSlot{3, 4, 5}
-}
-
-// PCIAddress returns the PCI bus address string a V100 at slot g reports in
-// XID logs on an AC922 (domain 0004/0035 split by socket).
-func PCIAddress(g GPUSlot) string {
-	domain := "0004"
-	if CPUOf(g) == 1 {
-		domain = "0035"
-	}
-	bus := 4 + (int(g)%3)*1
-	return fmt.Sprintf("%s:%02x:00.0", domain, bus)
 }

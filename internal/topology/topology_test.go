@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/units"
 )
 
 func summit(t *testing.T) *Floor {
@@ -167,26 +165,6 @@ func TestCoolingOrder(t *testing.T) {
 	}
 	if got := CoolingOrder(1); len(got) != 3 || got[0] != 3 || got[2] != 5 {
 		t.Errorf("CoolingOrder(1) = %v", got)
-	}
-	for g := GPUSlot(0); g < units.GPUsPerNode; g++ {
-		wantCPU := CPUSocket(0)
-		if g >= 3 {
-			wantCPU = 1
-		}
-		if CPUOf(g) != wantCPU {
-			t.Errorf("CPUOf(%d) = %v, want %v", g, CPUOf(g), wantCPU)
-		}
-	}
-}
-
-func TestPCIRoundTrip(t *testing.T) {
-	seen := map[string]bool{}
-	for g := GPUSlot(0); g < units.GPUsPerNode; g++ {
-		addr := PCIAddress(g)
-		if seen[addr] {
-			t.Fatalf("duplicate PCI address %q", addr)
-		}
-		seen[addr] = true
 	}
 }
 
