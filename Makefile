@@ -205,8 +205,9 @@ fleet-smoke:
 # the 600 s grid is answered from the rollup companions, and asked again from
 # the reply cache — same payload, a stats block that says "cached", the
 # stored reply's ETag good for a 304 — with two computes and three hits to
-# show for the five requests. A -nodes that contradicts the archive's run
-# manifest must stop queryd at start, naming the flag.
+# show for the five requests. The archive is opened once: its five
+# partitions have each had their header read once. A -nodes that contradicts
+# the archive's run manifest must stop queryd at start, naming the flag.
 queryd-smoke:
 	$(GO) build -o /tmp/qdsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/qdsmoke-queryd ./cmd/queryd
@@ -236,7 +237,8 @@ queryd-smoke:
 	curl -sf $$base/debug/vars > /tmp/qdsmoke-vars.json; \
 	grep -q '"reply_cache":{"bytes":[1-9][0-9]*,"computes":2,"entries":2,"evictions":0,"hits":3,"not_modified":1,' /tmp/qdsmoke-vars.json; \
 	grep -q '"routes":{.*"range":{"count":3,' /tmp/qdsmoke-vars.json; \
-	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304"
+	grep -q '"partitions_indexed":5,' /tmp/qdsmoke-vars.json; \
+	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304; each partition indexed once"
 	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-*.json /tmp/qdsmoke-range2.hdr /tmp/qdsmoke-refused.txt
 
 # serve-smoke drives both daemons' real mains through their whole life — the
@@ -368,7 +370,7 @@ archive-smoke:
 FUZZTIME ?= 10s
 FUZZ_TARGETS = telemetry:FuzzDecodeFrame telemetry:FuzzServerReadLoop trace:FuzzParseTrace serve:FuzzAppendJSONFloat \
 	query:FuzzAppendJSONFloat lint:FuzzAllowDirectives topology:FuzzHostname \
-	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta
+	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta source:FuzzReadManifest source:FuzzDiscoverFleet
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $${t#*:} in ./internal/$${t%%:*}"; \

@@ -455,7 +455,8 @@ const (
 // 60 s cadence ≈ 207k rows) through the collector's own writer,
 // source.WriteNodeDay: seven columns in day partitions under the collector's
 // codec plus the Gorilla-encoded pre-aggregate companion, so the benchmarks
-// exercise the same decode work a summitsim archive would.
+// exercise the same decode work a summitsim archive would. A stub
+// cluster-power day and the run-meta record commit it.
 func queryBenchArchive(b *testing.B) string {
 	b.Helper()
 	queryBenchOnce.Do(func() {
@@ -492,7 +493,24 @@ func writeQueryBenchArchive(dir string) error {
 			return err
 		}
 	}
-	return nil
+	// Commit it as a run: the one-row cluster-power day and the run-meta
+	// record, last, that every archive open requires.
+	cluster, err := store.NewDataset(dir, source.DatasetClusterPower)
+	if err != nil {
+		return err
+	}
+	if err := cluster.WriteDay(0, &store.Table{Cols: []store.Column{
+		{Name: "timestamp", Ints: []int64{0}}, {Name: "sum_inp", Floats: []float64{0}},
+	}}); err != nil {
+		return err
+	}
+	manifest, err := store.NewDataset(dir, source.DatasetRunMeta)
+	if err != nil {
+		return err
+	}
+	return manifest.WriteDay(0, source.ManifestTable(source.Meta{
+		StepSec: queryBenchStep, Nodes: queryBenchNodes, Windows: int(queryBenchDays * 86400 / queryBenchStep),
+	}))
 }
 
 func queryBenchEngine(b *testing.B) *query.Engine {
@@ -809,11 +827,7 @@ func benchPoll(b *testing.B, data *core.RunData, url string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Cache: eng.Cache()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := query.NewFleetHandler([]query.Cluster{{Engine: eng, Source: src}}, query.ServerConfig{})
+	h, err := query.NewFleetHandler([]query.Cluster{{Engine: eng, Source: eng.Source()}}, query.ServerConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

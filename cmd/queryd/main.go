@@ -103,31 +103,23 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// openCluster builds one serving member over an archive directory: its
-// analysis source, which refuses an archive without its run-meta (and a
-// -nodes that contradicts it), and its query engine on the run's floor.
+// openCluster builds one serving member over an archive directory: one
+// open (query.Open), which refuses an archive without its run-meta (and a
+// -nodes that contradicts it), serving the raw routes from its engine and
+// the analyses from the same handle.
 func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, error) {
 	// One decoded-table cache backs both the raw query tier and the
 	// archive-backed analyses: a byte decoded for /api/v1/range is a byte
 	// /api/v1/analysis/* does not decode again, and vice versa.
-	cache := store.NewTableCache(int64(o.cacheMB) << 20)
-	arc, err := source.OpenArchive(source.ArchiveConfig{
-		Dir: dir, Nodes: o.nodes, Workers: o.workers, Cache: cache,
+	eng, err := query.Open(query.Config{
+		Dir:     dir,
+		Nodes:   o.nodes,
+		Workers: o.workers,
+		Cache:   store.NewTableCache(int64(o.cacheMB) << 20),
 	})
 	if errors.Is(err, source.ErrNodesMismatch) {
 		err = fmt.Errorf("-nodes %d: %w", o.nodes, err)
 	}
-	if err != nil {
-		return query.Cluster{}, err
-	}
-	meta, _ := arc.Meta()
-	eng, err := query.Open(query.Config{
-		Dir:     dir,
-		Nodes:   meta.Nodes,
-		Site:    meta.Site,
-		Workers: o.workers,
-		Cache:   cache,
-	})
 	if err != nil {
 		return query.Cluster{}, err
 	}
@@ -141,12 +133,12 @@ func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, err
 				name, info.Name, info.Days, info.Rows, info.MinTime, info.MaxTime)
 		}
 	}
-	return query.Cluster{Name: name, Engine: eng, Source: arc}, nil
+	return query.Cluster{Name: name, Engine: eng, Source: eng.Source()}, nil
 }
 
 // newServer opens the engine(s) and binds the listener; the caller serves
 // and shuts down (serve.Run). -data may be a single archive or a fleet root
-// (fleet.json, or one subdirectory per cluster).
+// (a directory with a fleet.json).
 func newServer(o options, out io.Writer) (*http.Server, net.Listener, error) {
 	var clusters []query.Cluster
 	manifest, ferr := source.DiscoverFleet(o.data)

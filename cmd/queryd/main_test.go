@@ -6,12 +6,16 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro"
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/store"
@@ -306,6 +310,73 @@ func TestQuerydEndToEnd(t *testing.T) {
 	// Error surface.
 	if code := getInto(t, base+"/api/v1/range?dataset=nope&column=x", nil); code != 404 {
 		t.Errorf("unknown dataset = %d", code)
+	}
+}
+
+// TestOneOpenPerArchive: a cluster is opened once. Serving the inventory, a
+// fleet-wide range and an analysis of a summitsim -nodes 16 -days 1
+// -nodedata archive reads each partition's header exactly once — cluster-power
+// included, which the engine and the analyses share.
+func TestOneOpenPerArchive(t *testing.T) {
+	dir := t.TempDir()
+	var nodes *core.NodeDatasetWriter
+	data, _, err := core.CollectRun(repro.ScaledConfig(16, 24*time.Hour), func(s *sim.Sim) (sim.Observer, error) {
+		cfg := s.Config()
+		n, err := core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+		nodes = n
+		return sim.ObserverFunc(n.Observe), err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteDatasets(dir, data); err != nil {
+		t.Fatal(err)
+	}
+	names, err := store.Datasets(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partitions := 0
+	for _, name := range names {
+		days, err := (&store.Dataset{Dir: dir, Name: name}).Days()
+		if err != nil {
+			t.Fatal(err)
+		}
+		partitions += len(days)
+	}
+	if partitions != 5 {
+		t.Fatalf("archive holds %d partitions (%v), want 5", partitions, names)
+	}
+
+	before := store.Stats().PartitionsIndexed
+	o, err := parseFlags([]string{"-data", dir, "-q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := openCluster(o, "", dir, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := query.NewFleetHandler([]query.Cluster{c}, query.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	for _, url := range []string{
+		"/api/v1/datasets",
+		"/api/v1/range?dataset=node-power&column=input_power.mean&step=600",
+		"/api/v1/analysis/bands",
+	} {
+		if code := getInto(t, srv.URL+url, nil); code != 200 {
+			t.Fatalf("%s: status %d", url, code)
+		}
+	}
+	if got := store.Stats().PartitionsIndexed - before; got != int64(partitions) {
+		t.Errorf("serving read %d partition headers for %d partitions", got, partitions)
 	}
 }
 

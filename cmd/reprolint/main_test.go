@@ -127,10 +127,7 @@ var keptUncalled = map[string]string{
 
 	// Dead, and scheduled for deletion in the next earn-or-delete round of
 	// ROADMAP.md with the tests that go with them.
-	"stats.Spearman":                  nextRound + "4 tests, with TestRanks of the ranks it alone runs",
-	"dsp.DominantSwingWindowed":       nextRound + "1 test, and 4 more with the windowing only it runs",
-	"(workload.Profile).SwingPerNode": nextRound + "1 test; 1 more reads it",
-	"(workload.Profile).Valid":        nextRound + "1 test; 3 more read it",
+	"dsp.DominantSwingWindowed": nextRound + "1 test, and 4 more with the windowing only it runs",
 }
 
 const (

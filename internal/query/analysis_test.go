@@ -24,11 +24,7 @@ func analysisServer(t *testing.T) (*httptest.Server, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Nodes: fixNodes, Cache: eng.Cache()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(singleHandler(t, eng, src, ServerConfig{}))
+	srv := httptest.NewServer(singleHandler(t, eng, nil, ServerConfig{}))
 	t.Cleanup(srv.Close)
 	return srv, eng
 }
@@ -115,10 +111,7 @@ func TestValidationWithoutMeters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Nodes: fixNodes, Cache: eng.Cache()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	arc := eng.Source()
 	mem := &source.MemorySource{
 		RunMeta:      source.Meta{StepSec: fixStep, Nodes: fixNodes, Windows: 4},
 		SeriesByName: map[string]*tsagg.Series{source.SeriesClusterPower: tsagg.NewSeries(0, fixStep, 4)},

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/source"
@@ -39,67 +38,60 @@ var (
 type Config struct {
 	// Dir is the archive directory (as written by summitsim / store).
 	Dir string
-	// Nodes is the floor size the archive was produced with; required for
-	// topology rollups (0 disables them).
+	// Nodes, when not 0, is the floor size the caller expects: an archive
+	// whose run-meta records another is refused (source.ErrNodesMismatch).
+	// The rollup floor is always the run-meta's.
 	Nodes int
-	// Site is the floor preset the archive's cluster instantiates
-	// ("" = summit); rollup geometry follows it. See topology.Preset.
+	// Site, when not "", is the floor preset the caller expects: an archive
+	// whose run-meta names another is refused. See topology.Preset.
 	Site string
 	// Workers bounds the parallel partition scan (<= 0: GOMAXPROCS).
 	Workers int
-	// Cache optionally supplies a shared decoded-table cache so the query
-	// tier and the archive-backed analyses draw on one byte budget. Nil
-	// gives the engine a private 256 MiB cache.
+	// Cache optionally supplies the decoded-table cache the raw queries and
+	// the archive-backed analyses share. Nil gives the archive a private
+	// 256 MiB cache.
 	Cache *store.TableCache
 }
 
 // Engine serves range, downsample and rollup queries over every dataset of
-// one archive directory. Safe for concurrent use.
+// one archive directory, through the archive's one handle. Safe for
+// concurrent use.
 type Engine struct {
 	cfg   Config
+	src   *source.ArchiveSource
 	floor *topology.Floor
 	// cabinetOf and msbOf map a node ID to its rollup group; built once at
 	// Open so a rollup row costs an index, not a topology call.
 	cabinetOf, msbOf []int32
-	cache            *store.TableCache
 	met              *Metrics
-	datasets         map[string]*store.Index // immutable after Open
 }
 
-// Open scans dir for datasets and returns an engine over them.
+// Open opens the archive (source.OpenArchive: its run-meta, its one
+// directory listing, an index per dataset) and returns an engine over it,
+// on the floor the run-meta records.
 func Open(cfg Config) (*Engine, error) {
-	names, err := store.Datasets(cfg.Dir)
+	src, err := source.OpenArchive(source.ArchiveConfig{
+		Dir: cfg.Dir, Nodes: cfg.Nodes, Workers: cfg.Workers, Cache: cfg.Cache,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("query: open archive: %w", err)
+		return nil, err
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = store.NewTableCache(256 << 20)
+	meta, _ := src.Meta()
+	if cfg.Site != "" && cfg.Site != meta.Site {
+		return nil, fmt.Errorf("query: site %q contradicts the run-meta of %s (site %q)", cfg.Site, cfg.Dir, meta.Site)
 	}
-	e := &Engine{
-		cfg:      cfg,
-		cache:    cache,
-		met:      &Metrics{},
-		datasets: make(map[string]*store.Index, len(names)),
+	tcfg, err := topology.PresetScaled(meta.Site, meta.Nodes)
+	if err != nil {
+		return nil, fmt.Errorf("query: floor: %w", err)
 	}
-	if cfg.Nodes > 0 {
-		tcfg, err := topology.PresetScaled(cfg.Site, cfg.Nodes)
-		if err != nil {
-			return nil, fmt.Errorf("query: floor: %w", err)
-		}
-		if e.floor, err = topology.New(tcfg); err != nil {
-			return nil, fmt.Errorf("query: floor: %w", err)
-		}
-		e.cabinetOf, e.msbOf = make([]int32, e.floor.Nodes()), make([]int32, e.floor.Nodes())
-		for n := range e.cabinetOf {
-			id := topology.NodeID(n)
-			e.cabinetOf[n], e.msbOf[n] = int32(e.floor.Cabinet(id)), int32(e.floor.MSBOf(id))
-		}
+	e := &Engine{cfg: cfg, src: src, met: &Metrics{}}
+	if e.floor, err = topology.New(tcfg); err != nil {
+		return nil, fmt.Errorf("query: floor: %w", err)
 	}
-	for _, name := range names {
-		if e.datasets[name], err = store.OpenIndex(cfg.Dir, name, cfg.Workers, source.TimeColumns...); err != nil {
-			return nil, err
-		}
+	e.cabinetOf, e.msbOf = make([]int32, e.floor.Nodes()), make([]int32, e.floor.Nodes())
+	for n := range e.cabinetOf {
+		id := topology.NodeID(n)
+		e.cabinetOf[n], e.msbOf[n] = int32(e.floor.Cabinet(id)), int32(e.floor.MSBOf(id))
 	}
 	return e, nil
 }
@@ -107,24 +99,17 @@ func Open(cfg Config) (*Engine, error) {
 // Metrics returns the engine's instrumentation counters.
 func (e *Engine) Metrics() *Metrics { return e.met }
 
-// Cache returns the engine's decoded-table cache so other archive readers
-// (the source layer, notably) can share its byte budget.
-func (e *Engine) Cache() *store.TableCache { return e.cache }
-
-// CacheStats returns the resident entry count and byte total of the decoded
-// table cache.
-func (e *Engine) CacheStats() (entries int, bytes int64) { return e.cache.Stats() }
-
-// CacheBytesMax returns the cache's byte budget.
-func (e *Engine) CacheBytesMax() int64 { return e.cache.Max() }
+// Source returns the archive handle the engine reads: the analysis source of
+// the same archive, on the same indexes and cache.
+func (e *Engine) Source() *source.ArchiveSource { return e.src }
 
 // FlushCache drops every cached table (benchmarks use this to measure the
 // cold path).
-func (e *Engine) FlushCache() { e.cache.Flush() }
+func (e *Engine) FlushCache() { e.src.Cache().Flush() }
 
 // index resolves a dataset's partition index by name.
 func (e *Engine) index(name string) (*store.Index, error) {
-	x, ok := e.datasets[name]
+	x, ok := e.src.Index(name)
 	if !ok {
 		return nil, fmt.Errorf("query: dataset %q: %w", name, ErrNotFound)
 	}
@@ -346,8 +331,10 @@ type DatasetInfo struct {
 // sorted by name.
 func (e *Engine) Datasets() ([]DatasetInfo, error) {
 	e.met.DatasetQueries.Add(1)
-	out := make([]DatasetInfo, 0, len(e.datasets))
-	for name, x := range e.datasets {
+	names := e.src.Datasets()
+	out := make([]DatasetInfo, 0, len(names))
+	for _, name := range names {
+		x, _ := e.src.Index(name)
 		metas, err := x.Metas()
 		if err != nil {
 			e.met.Errors.Add(1)
@@ -367,6 +354,5 @@ func (e *Engine) Datasets() ([]DatasetInfo, error) {
 		info.MinTime, info.MaxTime, info.HasTime = store.Span(metas)
 		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }

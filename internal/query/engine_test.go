@@ -72,11 +72,30 @@ func writeTestArchive(t testing.TB, dir string) {
 			t.Fatal(err)
 		}
 	}
+	commitArchive(t, dir, fixNodes)
+}
+
+// commitArchive makes the datasets in dir an archive the engine opens: it
+// adds a one-row cluster-power day if dir holds none, then writes the
+// run-meta, recording nodes, last, as a run commits.
+func commitArchive(t testing.TB, dir string, nodes int) {
+	t.Helper()
+	cluster, err := store.NewDataset(dir, source.DatasetClusterPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if days, err := cluster.Days(); err != nil || len(days) == 0 {
+		if err := cluster.WriteDay(0, &store.Table{Cols: []store.Column{
+			{Name: "timestamp", Ints: []int64{0}}, {Name: "sum_inp", Floats: []float64{0}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	manifest, err := store.NewDataset(dir, source.DatasetRunMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := source.Meta{StepSec: fixStep, Nodes: fixNodes, Windows: int(fixDays * daySec / fixStep)}
+	meta := source.Meta{StepSec: fixStep, Nodes: nodes, Windows: int(fixDays * daySec / fixStep)}
 	if err := manifest.WriteDay(0, source.ManifestTable(meta)); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +136,22 @@ func TestOpenMissingPathCreatesNothing(t *testing.T) {
 	}
 	if tab, err := ds.ReadDay(0); err != nil || tab.NumRows() != 1 {
 		t.Fatalf("read back after the first write: %v", err)
+	}
+}
+
+// TestOpenChecksTheRunMeta: the floor is always the run-meta's, so a node
+// count or a site the caller expects only checks against it.
+func TestOpenChecksTheRunMeta(t *testing.T) {
+	dir := t.TempDir()
+	writeTestArchive(t, dir)
+	if _, err := Open(Config{Dir: dir, Nodes: fixNodes + 1}); !errors.Is(err, source.ErrNodesMismatch) {
+		t.Errorf("a contradicting node count: %v, want source.ErrNodesMismatch", err)
+	}
+	if _, err := Open(Config{Dir: dir, Site: "frontier"}); err == nil || !strings.Contains(err.Error(), `"frontier"`) {
+		t.Errorf("a contradicting site: %v, want a refusal naming it", err)
+	}
+	if _, err := Open(Config{Dir: dir, Nodes: fixNodes}); err != nil {
+		t.Errorf("the run-meta's own node count: %v", err)
 	}
 }
 
@@ -346,7 +381,7 @@ func TestRangeCacheHits(t *testing.T) {
 	if e.Metrics().BytesDecoded.Load() != 0 {
 		t.Error("first-touch scan materialized a table")
 	}
-	if entries, _ := e.CacheStats(); entries != 0 {
+	if entries, _ := e.Source().Cache().Stats(); entries != 0 {
 		t.Fatalf("first-touch scan admitted %d entries", entries)
 	}
 	second, err := e.Range(context.Background(), req)
@@ -359,7 +394,7 @@ func TestRangeCacheHits(t *testing.T) {
 	if e.Metrics().BytesDecoded.Load() == 0 {
 		t.Error("bytes decoded not counted")
 	}
-	if entries, _ := e.CacheStats(); entries != 2 {
+	if entries, _ := e.Source().Cache().Stats(); entries != 2 {
 		t.Fatalf("second touch admitted %d entries, want 2", entries)
 	}
 	third, err := e.Range(context.Background(), req)
@@ -392,7 +427,7 @@ func TestRangeCacheHits(t *testing.T) {
 	if flushed.Stats.CacheMisses != 2 {
 		t.Errorf("post-flush query misses = %d", flushed.Stats.CacheMisses)
 	}
-	if entries, _ := e.CacheStats(); entries != 0 {
+	if entries, _ := e.Source().Cache().Stats(); entries != 0 {
 		t.Fatalf("post-flush first touch admitted %d entries", entries)
 	}
 }
@@ -512,26 +547,7 @@ func TestRollupMSBAndFleet(t *testing.T) {
 }
 
 func TestRollupErrors(t *testing.T) {
-	dir := t.TempDir()
-	writeTestArchive(t, dir)
-	noFloor, err := Open(Config{Dir: dir}) // Nodes unset
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	if _, err := noFloor.Rollup(ctx, RollupRequest{
-		Dataset: "node-power", Column: "input_power.mean",
-		Group: GroupCabinet, T0: 0, T1: 3600, Step: 600,
-	}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("cabinet rollup without floor: %v", err)
-	}
-	// Fleet rollup works without a floor.
-	if _, err := noFloor.Rollup(ctx, RollupRequest{
-		Dataset: "node-power", Column: "input_power.mean",
-		Group: GroupFleet, T0: 0, T1: 3600, Step: 600,
-	}); err != nil {
-		t.Errorf("fleet rollup without floor: %v", err)
-	}
 	e := testEngine(t)
 	if _, err := e.Rollup(ctx, RollupRequest{
 		Dataset: "node-power", Column: "input_power.mean",
@@ -553,10 +569,14 @@ func TestRollupErrors(t *testing.T) {
 	}
 }
 
+// TestRollupNodeOutsideFloor: a node-power row whose node the run-meta's
+// floor does not hold — here a 4-node run-meta over 20 nodes of data — is a
+// refused request naming the node, never an index out of range.
 func TestRollupNodeOutsideFloor(t *testing.T) {
 	dir := t.TempDir()
 	writeTestArchive(t, dir)
-	small, err := Open(Config{Dir: dir, Nodes: 4}) // archive has 20 nodes
+	commitArchive(t, dir, 4)
+	small, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +584,7 @@ func TestRollupNodeOutsideFloor(t *testing.T) {
 		Dataset: "node-power", Column: "input_power.mean",
 		Group: GroupCabinet, T0: 0, T1: 3600, Step: 600,
 	})
-	if !errors.Is(err, ErrBadRequest) {
+	if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "4-node floor") {
 		t.Errorf("undersized floor: %v", err)
 	}
 }

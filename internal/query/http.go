@@ -206,27 +206,29 @@ func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 	queries["inflight"] = h.kernel.InFlight.Load()
 	snap["encode_ns"] = h.kernel.EncodeLatency.Snapshot()
 	snap["routes"] = h.kernel.RouteLatencies()
-	entries, bytes := primary.CacheStats()
+	tables := primary.src.Cache()
+	entries, bytes := tables.Stats()
 	cache := snap["cache"].(map[string]int64)
 	cache["entries"] = int64(entries)
 	cache["bytes"] = bytes
-	cache["max_bytes"] = primary.CacheBytesMax()
+	cache["max_bytes"] = tables.Max()
 	// The store-level counters cover every consumer of the shared cache
 	// (the analysis source layer included), where the engine's own
 	// hits/misses count only its queries.
-	sc := primary.Cache().Counters()
+	sc := tables.Counters()
 	cache["store_hits"] = sc.Hits
 	cache["store_misses"] = sc.Misses
 	cache["store_evictions"] = sc.Evictions
 	perCluster := make(map[string]any, len(h.clusters))
 	for i := range h.clusters {
 		c := &h.clusters[i]
-		ce, cb := c.Engine.CacheStats()
+		tables := c.Engine.src.Cache()
+		ce, cb := tables.Stats()
 		perCluster[c.Name] = map[string]any{
 			"cache": map[string]int64{
 				"entries":   int64(ce),
 				"bytes":     cb,
-				"max_bytes": c.Engine.CacheBytesMax(),
+				"max_bytes": tables.Max(),
 			},
 		}
 	}

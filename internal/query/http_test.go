@@ -20,16 +20,12 @@ import (
 )
 
 // singleHandler serves one anonymous cluster — the pre-fleet shape most
-// tests use — and hands back the concrete handler. A nil src is the archive
-// the engine serves, opened on the engine's cache as cmd/queryd opens it.
+// tests use — and hands back the concrete handler. A nil src is the
+// engine's own archive handle, as cmd/queryd serves it.
 func singleHandler(t testing.TB, eng *Engine, src source.RunSource, cfg ServerConfig) *handler {
 	t.Helper()
 	if src == nil {
-		arc, err := source.OpenArchive(source.ArchiveConfig{Dir: eng.cfg.Dir, Cache: eng.Cache()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src = arc
+		src = eng.Source()
 	}
 	h, err := NewFleetHandler([]Cluster{{Engine: eng, Source: src}}, cfg)
 	if err != nil {
@@ -317,12 +313,13 @@ func TestHTTPLoadShedding(t *testing.T) {
 }
 
 // TestHTTPVarsStoreBlock pins the `store` block of /debug/vars on an archive
-// holding one day as every earlier build framed it — a single gzip member, no
-// directory — and one as WriteDay frames it now: the inventory indexes the
-// one and inflates the other, and a first-touch range reads the framed day's
-// time and value members to their checksums, seeks over the column between
-// them and never reaches the one after. /api/v1/datasets says the same about
-// both.
+// holding one cluster-power day as every earlier build framed it — a single
+// gzip member, no directory — and one as WriteDay frames it now: the open
+// indexes the one and inflates the other, the inventory indexes only the
+// run-meta beside them, and a first-touch range reads the framed day's time
+// and value members to their checksums, seeks over the column between them
+// and never reaches the one after. /api/v1/datasets says the same about both
+// days.
 func TestHTTPVarsStoreBlock(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := store.NewDataset(dir, "cluster-power")
@@ -350,15 +347,15 @@ func TestHTTPVarsStoreBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	commitArchive(t, dir, fixNodes)
+
+	before := store.Stats()
 	e, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The analyses are not asked, so an empty source stands in for the
-	// archive's: the fixture is two cluster-power days and no run-meta.
-	srv := httptest.NewServer(singleHandler(t, e, &source.MemorySource{}, ServerConfig{}))
+	srv := httptest.NewServer(singleHandler(t, e, nil, ServerConfig{}))
 	defer srv.Close()
-	before := store.Stats()
 	var inv struct {
 		Datasets []struct {
 			Name             string
@@ -368,7 +365,7 @@ func TestHTTPVarsStoreBlock(t *testing.T) {
 			Columns          []string
 		}
 	}
-	if code := getJSON(t, srv.URL+"/api/v1/datasets", &inv); code != 200 || len(inv.Datasets) != 1 {
+	if code := getJSON(t, srv.URL+"/api/v1/datasets", &inv); code != 200 || len(inv.Datasets) != 2 || inv.Datasets[0].Name != "cluster-power" {
 		t.Fatalf("datasets: status %d, %+v", code, inv)
 	}
 	if d := inv.Datasets[0]; d.Days != 2 || d.Rows != 6 || len(d.Columns) != 4 {
@@ -388,11 +385,12 @@ func TestHTTPVarsStoreBlock(t *testing.T) {
 		"partitions_indexed":  vars.Store["partitions_indexed"] - before.PartitionsIndexed,
 		"partitions_streamed": vars.Store["partitions_streamed"] - before.PartitionsStreamed,
 		"members_skipped":     vars.Store["members_skipped"] - before.MembersSkipped,
-		// The header member at the inventory and again at the range, then
-		// the timestamp and sum_inp members.
+		// The run-meta's header and six columns at open, the framed day's
+		// header at open and the run-meta's at the inventory, then the framed
+		// day's header, timestamp and sum_inp members at the range.
 		"members_verified": vars.Store["members_verified"] - before.MembersVerified,
 	}
-	want := map[string]int64{"partitions_indexed": 1, "partitions_streamed": 1, "members_skipped": 1, "members_verified": 4}
+	want := map[string]int64{"partitions_indexed": 2, "partitions_streamed": 1, "members_skipped": 1, "members_verified": 12}
 	if len(vars.Store) != 4 || !reflect.DeepEqual(got, want) {
 		t.Errorf("store block %v moved by %v, want %v", vars.Store, got, want)
 	}

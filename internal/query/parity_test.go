@@ -430,6 +430,7 @@ func TestFleetRangePreaggRefusals(t *testing.T) {
 		writeDay(day, 0, floor)
 	}
 	writeDay(1, 250, nil)
+	commitArchive(t, stale, fixNodes)
 	e, err = Open(Config{Dir: stale, Nodes: fixNodes})
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, days []store.
 		}
 		// Companions are small and every aligned rollup wants them: admit on
 		// first touch, no doorkeeper.
-		tab, hit, err := rx.ReadDayColumnsCached(e.cache, m.Day, nil)
+		tab, hit, err := rx.ReadDayColumnsCached(e.src.Cache(), m.Day, nil)
 		if errors.Is(err, store.ErrNoCompanion) {
 			return false, nil
 		}

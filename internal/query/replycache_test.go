@@ -84,9 +84,7 @@ func openMemoFixture(t testing.TB, dir string) *memoFixture {
 	if f.eng, err = Open(Config{Dir: dir, Nodes: 18}); err != nil {
 		t.Fatal(err)
 	}
-	if f.src, err = source.OpenArchive(source.ArchiveConfig{Dir: dir, Nodes: 18, Cache: f.eng.Cache()}); err != nil {
-		t.Fatal(err)
-	}
+	f.src = f.eng.Source()
 	f.h = singleHandler(t, f.eng, f.src, ServerConfig{})
 	return f
 }

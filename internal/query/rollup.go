@@ -62,8 +62,8 @@ type RollupResult struct {
 }
 
 // Rollup executes a fleet rollup: per-cabinet or per-MSB aggregation of a
-// per-node dataset column over aligned windows. Requires the engine to have
-// been opened with the archive's node count.
+// per-node dataset column over aligned windows, on the floor the archive's
+// run-meta records.
 func (e *Engine) Rollup(ctx context.Context, req RollupRequest) (*RollupResult, error) {
 	start := time.Now()
 	e.met.RollupQueries.Add(1)
@@ -91,10 +91,6 @@ func (e *Engine) rollup(ctx context.Context, req RollupRequest) (*RollupResult, 
 	case GroupCabinet, GroupMSB, GroupFleet:
 	default:
 		return nil, fmt.Errorf("query: unknown rollup group %q: %w", req.Group, ErrBadRequest)
-	}
-	if e.floor == nil && req.Group != GroupFleet {
-		return nil, fmt.Errorf("query: %s rollup needs the floor size (engine opened without Nodes): %w",
-			req.Group, ErrBadRequest)
 	}
 	x, err := e.index(req.Dataset)
 	if err != nil {

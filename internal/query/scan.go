@@ -114,7 +114,7 @@ func (e *Engine) visitDay(m store.DayMeta, spec scanSpec, out *chunkScan, s sink
 		}
 	}
 	b := block{sorted: m.TimeSorted}
-	how, err := spec.ds.ScanDay(e.cache, m.Day, nil, axes, spec.column, &out.iter, func(start int, vals []float64) error {
+	how, err := spec.ds.ScanDay(e.src.Cache(), m.Day, nil, axes, spec.column, &out.iter, func(start int, vals []float64) error {
 		end := start + len(vals)
 		b.times, b.vals = out.iter.Axes[0][start:end], vals
 		if spec.readNodes {
@@ -308,7 +308,7 @@ func (s *windowSink) consume(b block) error {
 		if s.groupOf != nil {
 			n := b.nodes[i]
 			if n < 0 || n >= int64(len(s.groupOf)) {
-				return fmt.Errorf("query: node %d outside the %d-node floor (check -nodes): %w",
+				return fmt.Errorf("query: node %d outside the %d-node floor: %w",
 					n, len(s.groupOf), ErrBadRequest)
 			}
 			g = int(s.groupOf[n])

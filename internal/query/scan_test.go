@@ -212,6 +212,7 @@ func writeSeamArchive(t testing.TB, dir string) {
 			t.Fatal(err)
 		}
 	}
+	commitArchive(t, dir, fixNodes)
 }
 
 func TestDayMetaRecordsTimeSorted(t *testing.T) {
@@ -329,6 +330,7 @@ func TestLateSamplesJoinTheOpenWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	commitArchive(t, dir, 1)
 	e, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -443,6 +445,7 @@ func TestWarmFleetRangeAllocatesPerWindow(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	commitArchive(t, dir, nodes)
 	e, err := Open(Config{Dir: dir, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@ package source
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,10 +42,16 @@ func ManifestTable(m Meta) *store.Table {
 // ErrNodesMismatch marks an ArchiveConfig.Nodes the run-meta contradicts.
 var ErrNodesMismatch = errors.New("source: wrong node count")
 
+// MaxManifestNodes is the largest system a run-meta may claim: far above
+// Frontier's 9 408 nodes, and small enough that a floor table sized by the
+// claim stays a few megabytes.
+const MaxManifestNodes = 1 << 20
+
 // ReadManifest reads dir's run-meta, the archive's commit record: the run's
 // dimensions, written after every other partition of the run. A missing
 // run-meta (an interrupted run, or one archived before the record was
-// required) or one lacking any of its six columns is an error naming dir.
+// required), one lacking any of its six columns, and one whose node count,
+// step or duration no run can have are errors naming dir.
 func ReadManifest(dir string) (Meta, error) {
 	ds := dataset(dir, DatasetRunMeta)
 	// One row read exactly once at open; not worth a cache slot.
@@ -63,13 +69,21 @@ func ReadManifest(dir string) (Meta, error) {
 		return Meta{}, fmt.Errorf("source: %s: %s lacks column(s) %s", dir, ds.DayFile(logDay), strings.Join(missing, ", "))
 	}
 	num := func(name string) int64 { return tab.Col(name).Ints[0] }
-	m := Meta{StartTime: num(manifestStart), StepSec: num(manifestStepSec), Nodes: int(num(manifestNodes)),
-		Cluster: tab.Col(manifestCluster).Strs[0], Site: tab.Col(manifestSite).Strs[0]}
-	if m.StepSec <= 0 {
-		return Meta{}, fmt.Errorf("source: %s: %s records a %d s step", dir, ds.DayFile(logDay), m.StepSec)
+	nodes, step, span := num(manifestNodes), num(manifestStepSec), num(manifestDuration)
+	var bad string
+	switch {
+	case nodes < 1 || nodes > MaxManifestNodes:
+		bad = fmt.Sprintf("%d nodes (want 1 to %d)", nodes, MaxManifestNodes)
+	case step <= 0:
+		bad = fmt.Sprintf("a %d s step", step)
+	case span < 0 || int64(int(span/step)) != span/step:
+		bad = fmt.Sprintf("a %d s duration", span)
 	}
-	m.Windows = int(num(manifestDuration) / m.StepSec)
-	return m, nil
+	if bad != "" {
+		return Meta{}, fmt.Errorf("source: %s: %s records %s", dir, ds.DayFile(logDay), bad)
+	}
+	return Meta{StartTime: num(manifestStart), StepSec: step, Nodes: int(nodes), Windows: int(span / step),
+		Cluster: tab.Col(manifestCluster).Strs[0], Site: tab.Col(manifestSite).Strs[0]}, nil
 }
 
 // ArchiveConfig parameterizes OpenArchive.
@@ -79,32 +93,36 @@ type ArchiveConfig struct {
 	// Nodes, when not 0, is the system size the caller expects: an archive
 	// whose run-meta records another is refused (ErrNodesMismatch).
 	Nodes int
-	// Cache optionally shares a decoded-table cache with other consumers
-	// (queryd passes the engine's). Nil gives the source a private 256 MiB
-	// cache.
+	// Cache optionally shares a decoded-table cache with other consumers.
+	// Nil gives the source a private 256 MiB cache.
 	Cache *store.TableCache
 	// Workers bounds the parallel partition scan (<= 0: GOMAXPROCS).
 	Workers int
 }
 
 // ArchiveSource is the archived plane: a RunSource over a store-backed
-// archive directory. Reads follow the shared hot path — prune partitions by
-// per-day row-range metadata, stream only the requested columns, keep
-// decoded tables in the (possibly shared) LRU cache. Safe for concurrent
-// use.
+// archive directory, and the one handle an archive is opened through — the
+// query engine serves its raw routes from the same indexes. Reads follow the
+// shared hot path — prune partitions by per-day row-range metadata, stream
+// only the requested columns, keep decoded tables in the (possibly shared)
+// LRU cache. Safe for concurrent use.
 type ArchiveSource struct {
 	cfg   ArchiveConfig
 	cache *store.TableCache
 	meta  Meta
 
-	cluster *store.Index // days + metadata: the pruning index of every series read
+	// datasets holds the partition index of every dataset listed at open;
+	// immutable after it, so the archive is read as it was then.
+	datasets map[string]*store.Index
+	cluster  *store.Index // days + metadata: the pruning index of every series read
 }
 
 var _ RunSource = (*ArchiveSource)(nil)
 
 // OpenArchive opens dir as a RunSource. The run dimensions are the
-// archive's run-meta (ReadManifest), without which it is refused; the
-// cluster dataset must exist, and every other dataset is resolved lazily.
+// archive's run-meta (ReadManifest), without which it is refused. The
+// directory is listed once: every dataset's partitions are indexed then, and
+// the cluster dataset, which must exist, has its metadata loaded.
 func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 	meta, err := ReadManifest(cfg.Dir)
 	if err != nil {
@@ -118,10 +136,10 @@ func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 		cache = store.NewTableCache(256 << 20)
 	}
 	a := &ArchiveSource{cfg: cfg, cache: cache, meta: meta}
-	if a.cluster, err = store.OpenIndex(cfg.Dir, DatasetClusterPower, cfg.Workers); err != nil {
+	if a.datasets, err = store.OpenIndexes(cfg.Dir, cfg.Workers, TimeColumns...); err != nil {
 		return nil, fmt.Errorf("source: open archive: %w", err)
 	}
-	if len(a.cluster.Days()) == 0 {
+	if a.cluster = a.datasets[DatasetClusterPower]; a.cluster == nil {
 		return nil, fmt.Errorf("source: no %s partitions in %s", DatasetClusterPower, cfg.Dir)
 	}
 	// Load the pruning index now, so a corrupt cluster partition fails the
@@ -131,6 +149,26 @@ func OpenArchive(cfg ArchiveConfig) (*ArchiveSource, error) {
 	}
 	return a, nil
 }
+
+// Index returns the partition index of the named dataset, as listed at
+// open; false when the archive held no partition of it.
+func (a *ArchiveSource) Index(name string) (*store.Index, bool) {
+	x, ok := a.datasets[name]
+	return x, ok
+}
+
+// Datasets lists the datasets the archive held at open, sorted.
+func (a *ArchiveSource) Datasets() []string {
+	names := make([]string, 0, len(a.datasets))
+	for name := range a.datasets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Cache returns the decoded-table cache every read of the archive draws on.
+func (a *ArchiveSource) Cache() *store.TableCache { return a.cache }
 
 // Meta implements RunSource.
 func (a *ArchiveSource) Meta() (Meta, error) { return a.meta, nil }
@@ -272,12 +310,14 @@ func (a *ArchiveSource) Failures() ([]failures.Event, error) {
 }
 
 // readLog decodes a whole-run log — its one partition, the schema's columns
-// only — through its schema.
+// only — through its schema. A log the archive did not hold at open is
+// unavailable.
 func readLog[R any](a *ArchiveSource, name string, s schema[R]) ([]R, error) {
-	tab, _, err := dataset(a.cfg.Dir, name).ReadDayColumnsCached(a.cache, logDay, columnNames(s))
-	if errors.Is(err, fs.ErrNotExist) {
-		err = fmt.Errorf("source: dataset %q has no partition in %s: %w", name, a.cfg.Dir, ErrUnavailable)
+	x, ok := a.datasets[name]
+	if !ok || !slices.Contains(x.Days(), logDay) {
+		return nil, fmt.Errorf("source: dataset %q has no partition in %s: %w", name, a.cfg.Dir, ErrUnavailable)
 	}
+	tab, _, err := x.Dataset().ReadDayColumnsCached(a.cache, logDay, columnNames(s))
 	if err != nil {
 		return nil, err
 	}

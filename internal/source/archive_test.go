@@ -112,6 +112,117 @@ func TestOpenArchiveRefusesWithoutRunMeta(t *testing.T) {
 	}
 }
 
+// TestReadManifestRefusesImpossibleDimensions: a run-meta sizes the floor
+// tables an engine allocates, so a claim no run can make — more nodes than
+// MaxManifestNodes, none, a step that is not positive, a negative duration —
+// is refused, naming the directory and the file, before anything is sized
+// by it.
+func TestReadManifestRefusesImpossibleDimensions(t *testing.T) {
+	dir := t.TempDir()
+	meta := writeFixture(t, dir)
+	manifest := dataset(dir, DatasetRunMeta)
+	for _, c := range []struct {
+		name string
+		col  string
+		v    int64
+	}{
+		{"2^40 nodes", manifestNodes, 1 << 40},
+		{"one node too many", manifestNodes, MaxManifestNodes + 1},
+		{"no nodes", manifestNodes, 0},
+		{"zero step", manifestStepSec, 0},
+		{"negative duration", manifestDuration, -600},
+	} {
+		tab := ManifestTable(meta)
+		tab.Col(c.col).Ints[0] = c.v
+		if err := manifest.WriteDay(logDay, tab); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadManifest(dir)
+		if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), manifest.DayFile(logDay)) {
+			t.Errorf("%s: %v, want a refusal naming %s and its run-meta", c.name, err, dir)
+		}
+	}
+	tab := ManifestTable(meta)
+	tab.Col(manifestNodes).Ints[0] = MaxManifestNodes
+	if err := manifest.WriteDay(logDay, tab); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadManifest(dir); err != nil || got.Nodes != MaxManifestNodes {
+		t.Errorf("MaxManifestNodes nodes: %+v, %v", got, err)
+	}
+}
+
+// FuzzReadManifest holds run-meta decoding at open to its bounds: any bytes
+// in the run-meta partition give either dimensions a run can have — nodes
+// within 1..MaxManifestNodes, a positive step, no negative window count — or
+// an error naming the directory, and never a panic.
+func FuzzReadManifest(f *testing.F) {
+	run, err := os.ReadFile(filepath.Join("testdata", "summitsim-run-meta.spwr"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(run)
+	seeds := f.TempDir()
+	for _, tweak := range []func(*store.Table){
+		func(tab *store.Table) { tab.Col(manifestNodes).Ints[0] = 1 << 40 },
+		func(tab *store.Table) { tab.Col(manifestDuration).Ints[0] = -1 },
+		func(tab *store.Table) { tab.Col(manifestStepSec).Ints[0] = 0 },
+	} {
+		tab := ManifestTable(Meta{StepSec: 10, Nodes: 16, Windows: 8640, Site: "summit"})
+		tweak(tab)
+		ds := dataset(seeds, DatasetRunMeta)
+		if err := ds.WriteDay(logDay, tab); err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(seeds, ds.DayFile(logDay)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "run-meta-day00000.spwr"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			if !strings.Contains(err.Error(), dir) {
+				t.Fatalf("error does not name %s: %v", dir, err)
+			}
+			return
+		}
+		if m.Nodes < 1 || m.Nodes > MaxManifestNodes || m.StepSec <= 0 || m.Windows < 0 {
+			t.Fatalf("accepted impossible dimensions %+v", m)
+		}
+	})
+}
+
+// TestLogsAreFrozenAtOpen: the whole-run logs are read through the indexes
+// listed at open, like every series: a log written after the open is not
+// there for the source that was opened before it.
+func TestLogsAreFrozenAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir)
+	arc, err := OpenArchive(ArchiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset(dir, DatasetFailures).WriteDay(logDay, encodeRows(failureSchema, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arc.Failures(); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("a log written after the open: %v, want ErrUnavailable", err)
+	}
+	reopened, err := OpenArchive(ArchiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs, err := reopened.Failures(); err != nil || len(evs) != 0 {
+		t.Errorf("after a reopen: %d events, %v", len(evs), err)
+	}
+}
+
 // TestConcurrentSeriesReads hammers one ArchiveSource from many goroutines:
 // the shared decoded-table cache and the run dimensions must hold under the
 // race detector.

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/tsagg"
 )
@@ -68,46 +68,37 @@ func WriteFleetManifest(root string, m FleetManifest) error {
 	return os.WriteFile(filepath.Join(root, FleetManifestName), append(b, '\n'), 0o644)
 }
 
-// DiscoverFleet resolves the fleet layout under root: fleet.json when
-// present, otherwise a scan of immediate subdirectories for cluster-power
-// partitions (a manually assembled fleet). A root that is itself a plain
-// single-cluster archive returns ErrNotFleet.
+// ErrNotFleet marks a root without a fleet.json: a single archive.
 var ErrNotFleet = errors.New("source: not a fleet directory")
 
+// DiscoverFleet reads root's fleet.json, a fleet's only declaration. A root
+// without one returns ErrNotFleet; a manifest that does not parse, lists no
+// cluster, or names a cluster "" or twice is an error naming the file.
 func DiscoverFleet(root string) (FleetManifest, error) {
-	b, err := os.ReadFile(filepath.Join(root, FleetManifestName))
-	switch {
-	case err == nil:
-		var m FleetManifest
-		if err := json.Unmarshal(b, &m); err != nil {
-			return FleetManifest{}, fmt.Errorf("source: parse %s: %w", FleetManifestName, err)
-		}
-		if len(m.Clusters) == 0 {
-			return FleetManifest{}, fmt.Errorf("source: %s lists no clusters", FleetManifestName)
-		}
-		return m, nil
-	case !os.IsNotExist(err):
-		return FleetManifest{}, err
+	path := filepath.Join(root, FleetManifestName)
+	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return FleetManifest{}, fmt.Errorf("%w: %s has no %s", ErrNotFleet, root, FleetManifestName)
 	}
-	entries, err := os.ReadDir(root)
 	if err != nil {
 		return FleetManifest{}, err
 	}
 	var m FleetManifest
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		days, err := dataset(filepath.Join(root, e.Name()), DatasetClusterPower).Days()
-		if err != nil || len(days) == 0 {
-			continue
-		}
-		m.Clusters = append(m.Clusters, FleetEntry{Name: e.Name(), Dir: e.Name()})
+	if err := json.Unmarshal(b, &m); err != nil {
+		return FleetManifest{}, fmt.Errorf("source: parse %s: %w", path, err)
 	}
-	sort.Slice(m.Clusters, func(i, j int) bool { return m.Clusters[i].Name < m.Clusters[j].Name })
 	if len(m.Clusters) == 0 {
-		return FleetManifest{}, fmt.Errorf("%w: %s has neither %s nor cluster subdirectories",
-			ErrNotFleet, root, FleetManifestName)
+		return FleetManifest{}, fmt.Errorf("source: %s lists no clusters", path)
+	}
+	seen := make(map[string]bool, len(m.Clusters))
+	for i, e := range m.Clusters {
+		switch {
+		case e.Name == "":
+			return FleetManifest{}, fmt.Errorf("source: %s: cluster %d has no name", path, i)
+		case seen[e.Name]:
+			return FleetManifest{}, fmt.Errorf("source: %s names cluster %q twice", path, e.Name)
+		}
+		seen[e.Name] = true
 	}
 	return m, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/tsagg"
@@ -38,8 +39,9 @@ func TestFleetManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiscoverFleetScan covers the manifest-less fallback: subdirectories
-// holding cluster-power partitions are members; everything else is not.
+// TestDiscoverFleetScan: fleet.json is a fleet's only declaration. A root
+// without one is not a fleet, whatever its subdirectories hold, and a
+// manifest that names a cluster "" or twice is refused, naming the file.
 func TestDiscoverFleetScan(t *testing.T) {
 	root := t.TempDir()
 	for _, name := range []string{"beta", "alpha"} {
@@ -52,20 +54,62 @@ func TestDiscoverFleetScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.MkdirAll(filepath.Join(root, "notes"), 0o755); err != nil {
-		t.Fatal(err)
+	if _, err := DiscoverFleet(root); !errors.Is(err, ErrNotFleet) {
+		t.Fatalf("cluster subdirectories without %s: %v, want ErrNotFleet", FleetManifestName, err)
 	}
-	m, err := DiscoverFleet(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Clusters) != 2 || m.Clusters[0].Name != "alpha" || m.Clusters[1].Name != "beta" {
-		t.Fatalf("scan found %+v", m.Clusters)
-	}
-
 	if _, err := DiscoverFleet(t.TempDir()); !errors.Is(err, ErrNotFleet) {
 		t.Fatalf("plain dir: %v, want ErrNotFleet", err)
 	}
+
+	for _, names := range [][]string{{"alpha", "beta", "alpha"}, {"alpha", ""}} {
+		var m FleetManifest
+		for _, name := range names {
+			m.Clusters = append(m.Clusters, FleetEntry{Name: name, Dir: name})
+		}
+		if err := WriteFleetManifest(root, m); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DiscoverFleet(root)
+		if err == nil || errors.Is(err, ErrNotFleet) || !strings.Contains(err.Error(), filepath.Join(root, FleetManifestName)) {
+			t.Errorf("clusters %q: %v, want an error naming %s", names, err, FleetManifestName)
+		}
+	}
+}
+
+// FuzzDiscoverFleet holds fleet.json decoding to its rules: any bytes give
+// either a manifest listing at least one cluster, each named once and not
+// "", or an error naming the file.
+func FuzzDiscoverFleet(f *testing.F) {
+	f.Add([]byte(`{"clusters":[{"name":"summit-0","site":"summit","nodes":36,"dir":"summit-0"},{"name":"frontier-1","site":"frontier","nodes":36,"dir":"frontier-1"}]}`))
+	f.Add([]byte(`{"clusters":[{"name":"a","dir":"a"},{"name":"a","dir":"b"}]}`))
+	f.Add([]byte(`{"clusters":[{"dir":"a"}]}`))
+	f.Add([]byte(`{"clusters":[]}`))
+	f.Add([]byte(`{"clusters":null}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		root := t.TempDir()
+		path := filepath.Join(root, FleetManifestName)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := DiscoverFleet(root)
+		if err != nil {
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("error does not name %s: %v", path, err)
+			}
+			return
+		}
+		if len(m.Clusters) == 0 {
+			t.Fatal("accepted a manifest without clusters")
+		}
+		seen := map[string]bool{}
+		for _, e := range m.Clusters {
+			if e.Name == "" || seen[e.Name] {
+				t.Fatalf("accepted cluster name %q in %+v", e.Name, m.Clusters)
+			}
+			seen[e.Name] = true
+		}
+	})
 }
 
 // TestSumSeries pins the fleet-merge semantics: index-aligned summation,

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Pearson returns the Pearson correlation coefficient between x and y.
@@ -94,43 +93,4 @@ func PairwiseCorrelation(vars [][]float64, alpha float64) ([]CorrResult, error) 
 		}
 	}
 	return out, nil
-}
-
-// Spearman returns the Spearman rank correlation coefficient: Pearson on
-// the ranks, with average ranks for ties. It is robust to monotone
-// nonlinearity, which suits the GPU power→temperature relation (monotone
-// but not exactly linear through the serial water path).
-func Spearman(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: Spearman length mismatch %d vs %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return 0, fmt.Errorf("stats: Spearman needs >= 2 pairs, got %d", len(x))
-	}
-	return Pearson(ranks(x), ranks(y))
-}
-
-// ranks returns average ranks (1-based) with ties sharing the mean rank.
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, n)
-	i := 0
-	for i < n {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] { //lint:allow floatcompare rank ties are defined by exact equality
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
 }

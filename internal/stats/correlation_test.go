@@ -149,62 +149,3 @@ func TestPairwiseCorrelationErrors(t *testing.T) {
 		t.Error("ragged input must error")
 	}
 }
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly monotone transform gives rho = 1.
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 8, 27, 64, 125} // x³: nonlinear but monotone
-	rho, err := Spearman(x, y)
-	if err != nil || !approx(rho, 1, 1e-12) {
-		t.Errorf("rho = %v, err = %v, want 1", rho, err)
-	}
-	// Monotone decreasing gives -1.
-	yDec := []float64{100, 10, 1, 0.1, 0.01}
-	rho, _ = Spearman(x, yDec)
-	if !approx(rho, -1, 1e-12) {
-		t.Errorf("rho = %v, want -1", rho)
-	}
-	// Pearson on the same data is < 1 (nonlinear), Spearman saturates.
-	r, _ := Pearson(x, y)
-	if r >= 0.999 {
-		t.Errorf("pearson on cubic = %v, expected < 1", r)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	// Ties get average ranks; a constant-vs-varying pair is NaN (zero
-	// variance in ranks).
-	rho, err := Spearman([]float64{1, 1, 1}, []float64{1, 2, 3})
-	if err != nil || !math.IsNaN(rho) {
-		t.Errorf("constant ranks must give NaN, got %v, %v", rho, err)
-	}
-	// Partial ties still work.
-	rho, err = Spearman([]float64{1, 2, 2, 3}, []float64{10, 20, 20, 30})
-	if err != nil || !approx(rho, 1, 1e-12) {
-		t.Errorf("tied monotone rho = %v, want 1", rho)
-	}
-}
-
-func TestSpearmanErrors(t *testing.T) {
-	if _, err := Spearman([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Spearman([]float64{1}, []float64{1}); err == nil {
-		t.Error("n<2 accepted")
-	}
-}
-
-func TestRanks(t *testing.T) {
-	got := ranks([]float64{30, 10, 20})
-	want := []float64{3, 1, 2}
-	for i := range want {
-		if got[i] != want[i] { //lint:allow floatcompare ranks are exact small-integer arithmetic
-			t.Fatalf("ranks = %v, want %v", got, want)
-		}
-	}
-	// Tie group averaging: {5, 5} -> 1.5, 1.5.
-	got = ranks([]float64{5, 5, 9})
-	if got[0] != 1.5 || got[1] != 1.5 || got[2] != 3 {
-		t.Fatalf("tied ranks = %v", got)
-	}
-}

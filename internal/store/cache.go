@@ -226,12 +226,8 @@ func CacheKey(dataset string, day int, cols []string) string {
 
 // ReadDayColumnsCached is the shared hot-path read: load the named columns
 // of one day partition (nil = all) through the cache. The boolean reports a
-// cache hit. A nil cache degrades to an uncached read.
+// cache hit.
 func (d *Dataset) ReadDayColumnsCached(c *TableCache, day int, names []string) (*Table, bool, error) {
-	if c == nil {
-		t, err := d.ReadDayColumns(day, names)
-		return t, false, err
-	}
 	key := CacheKey(d.Name, day, names)
 	if tab, ok := c.Get(key); ok {
 		return tab, true, nil

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/parallel"
@@ -21,20 +22,26 @@ type Index struct {
 	metas []DayMeta // parallel to days; nil until a load succeeds
 }
 
-// OpenIndex lists the partitions of dataset name in dir. It reads no
-// partition and creates nothing; a missing dir is an fs.ErrNotExist error.
-// workers bounds the parallel metadata load (<= 0: GOMAXPROCS); timeCols are
-// the candidate time columns, as for Dataset.DayMeta.
-func OpenIndex(dir, name string, workers int, timeCols ...string) (*Index, error) {
-	ds, err := NewDataset(dir, name)
+// OpenIndexes lists dir once and returns the partition index of every
+// dataset holding a partition there, by name. It reads no partition and
+// creates nothing; a missing dir is an fs.ErrNotExist error. workers bounds
+// each index's parallel metadata load (<= 0: GOMAXPROCS); timeCols are the
+// candidate time columns, as for Dataset.DayMeta.
+func OpenIndexes(dir string, workers int, timeCols ...string) (map[string]*Index, error) {
+	parts, err := partitions(dir)
 	if err != nil {
 		return nil, err
 	}
-	days, err := ds.Days()
-	if err != nil {
-		return nil, err
+	out := make(map[string]*Index, len(parts))
+	for name, days := range parts {
+		ds, err := NewDataset(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		sort.Ints(days)
+		out[name] = &Index{ds: ds, days: days, workers: workers, timeCols: timeCols}
 	}
-	return &Index{ds: ds, days: days, workers: workers, timeCols: timeCols}, nil
+	return out, nil
 }
 
 // Dataset returns the indexed dataset.

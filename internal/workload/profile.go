@@ -67,15 +67,6 @@ type Profile struct {
 	NoiseFrac float64
 }
 
-// Valid reports whether the profile parameters are physically meaningful.
-func (p Profile) Valid() bool {
-	return p.GPUUtil >= 0 && p.GPUUtil <= 1 &&
-		p.CPUUtil >= 0 && p.CPUUtil <= 1 &&
-		p.PeriodSec > 0 && p.Duty > 0 && p.Duty <= 1 &&
-		p.SwingFrac >= 0 && p.SwingFrac <= 1 &&
-		p.RampSec >= 0 && p.NoiseFrac >= 0
-}
-
 // Component idle draws. GPU idle on a V100 is ~45 W; a P9 socket idles
 // around 60 W; the remainder of the node (memory, fans, NVMe, HCA, PSU
 // losses) idles near 150 W, rising with load.
@@ -259,20 +250,4 @@ func MeanPowerProfile(target units.Watts) Profile {
 		PeriodSec: 300, Duty: 1, // flat: always in the high phase
 		SwingFrac: 0, RampSec: 60, NoiseFrac: 0.04,
 	}
-}
-
-// SwingPerNode returns the profile's peak-to-trough per-node power swing in
-// watts — the quantity compared against the 868 W edge threshold.
-func (p Profile) SwingPerNode() units.Watts {
-	q := p
-	q.NoiseFrac = 0 // noise must not perturb the structural swing metric
-	// Evaluate past the ramp: offset by enough whole periods.
-	base := math.Ceil(q.RampSec/q.PeriodSec+1) * q.PeriodSec
-	high := q.Power(0, 0, base+q.PeriodSec*q.Duty/2)
-	low := q.Power(0, 0, base+q.PeriodSec*(q.Duty+(1-q.Duty)/2))
-	d := high.Total() - low.Total()
-	if d < 0 {
-		d = 0
-	}
-	return d
 }

@@ -8,10 +8,44 @@ import (
 	"repro/internal/units"
 )
 
+// validProfile reports whether the profile parameters are physically
+// meaningful.
+func validProfile(p Profile) bool {
+	return p.GPUUtil >= 0 && p.GPUUtil <= 1 &&
+		p.CPUUtil >= 0 && p.CPUUtil <= 1 &&
+		p.PeriodSec > 0 && p.Duty > 0 && p.Duty <= 1 &&
+		p.SwingFrac >= 0 && p.SwingFrac <= 1 &&
+		p.RampSec >= 0 && p.NoiseFrac >= 0
+}
+
+// swingPerNode is the profile's peak-to-trough per-node power swing in
+// watts, noise off and past the ramp: the quantity compared against the
+// 868 W edge threshold.
+func swingPerNode(p Profile) units.Watts {
+	p.NoiseFrac = 0
+	base := math.Ceil(p.RampSec/p.PeriodSec+1) * p.PeriodSec
+	high := p.Power(0, 0, base+p.PeriodSec*p.Duty/2)
+	low := p.Power(0, 0, base+p.PeriodSec*(p.Duty+(1-p.Duty)/2))
+	return max(high.Total()-low.Total(), 0)
+}
+
 func TestArchetypesValid(t *testing.T) {
 	for _, a := range Archetypes() {
-		if !a.Profile.Valid() {
+		if !validProfile(a.Profile) {
 			t.Errorf("archetype %q has invalid profile %+v", a.Name, a.Profile)
+		}
+		// The edge calibration: gpu_phasic swings past the 868 W threshold,
+		// gpu_steady and cpu_heavy stay below it.
+		s := swingPerNode(a.Profile)
+		switch a.Name {
+		case "gpu_phasic":
+			if s < units.EdgeThresholdPerNode {
+				t.Errorf("gpu_phasic swing %v must reach the edge threshold", s)
+			}
+		case "gpu_steady", "cpu_heavy":
+			if s >= units.EdgeThresholdPerNode {
+				t.Errorf("%s swing %v must stay below the edge threshold", a.Name, s)
+			}
 		}
 	}
 	if len(Archetypes()) != len(domainArchetypeWeights[0]) {
@@ -121,26 +155,6 @@ func TestPeakPowerEnvelope(t *testing.T) {
 	}
 }
 
-func TestSwingPerNode(t *testing.T) {
-	arch := Archetypes()
-	for _, a := range arch {
-		s := a.Profile.SwingPerNode()
-		if s < 0 {
-			t.Errorf("%s: negative swing %v", a.Name, s)
-		}
-		switch a.Name {
-		case "gpu_phasic":
-			if float64(s) < float64(units.EdgeThresholdPerNode) {
-				t.Errorf("gpu_phasic swing %v must exceed edge threshold", s)
-			}
-		case "gpu_steady", "cpu_heavy":
-			if float64(s) >= float64(units.EdgeThresholdPerNode) {
-				t.Errorf("%s swing %v must stay below edge threshold", a.Name, s)
-			}
-		}
-	}
-}
-
 func TestDomainString(t *testing.T) {
 	if Materials.String() != "Materials" {
 		t.Error("domain stringer broken")
@@ -211,7 +225,7 @@ func TestGeneratePopulation(t *testing.T) {
 		if j.WalltimeReq > int64(p.MaxWallHour*3600) {
 			t.Fatalf("job %d: request %d exceeds class cap", j.ID, j.WalltimeReq)
 		}
-		if !j.Profile.Valid() {
+		if !validProfile(j.Profile) {
 			t.Fatalf("job %d: invalid profile", j.ID)
 		}
 		if j.SubmitTime < cfg.StartTime || j.SubmitTime >= cfg.StartTime+cfg.SpanSec {
@@ -321,7 +335,7 @@ func TestEdgeBearingJobsAreMinority(t *testing.T) {
 	}
 	withEdges := 0
 	for _, j := range jobs {
-		if float64(j.Profile.SwingPerNode()) >= float64(units.EdgeThresholdPerNode) {
+		if float64(swingPerNode(j.Profile)) >= float64(units.EdgeThresholdPerNode) {
 			withEdges++
 		}
 	}
