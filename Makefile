@@ -177,28 +177,29 @@ optimize-smoke:
 	rm -f /tmp/optimize-smoke /tmp/whatif-w1.json /tmp/whatif-w4.json
 
 # fleet-smoke gates the multi-cluster fleet: a 2-cluster fleet is written,
-# each member analyzed through its one archive reader, the fleet identity and
-# queryd's fleet routes are tested under the race detector, and the retired
-# -shards flag is refused by both readers (the usage error names it).
+# each member's reports printed by `repro -data` through its one archive
+# reader, the fleet root refused by it (exit 1, naming fleet.json), the
+# fleet identity and queryd's fleet routes tested under the race detector,
+# and the retired -shards flag refused by queryd (the usage error names it).
 fleet-smoke:
 	$(GO) test -race -run 'TestFleetIdentityThroughArchive' ./internal/core
 	$(GO) test -race -run 'TestQuerydFleet' ./cmd/queryd
 	$(GO) build -o /tmp/fleetsmoke-summitsim ./cmd/summitsim
-	$(GO) build -o /tmp/fleetsmoke-analyze ./cmd/analyze
+	$(GO) build -o /tmp/fleetsmoke-repro ./cmd/repro
 	$(GO) build -o /tmp/fleetsmoke-queryd ./cmd/queryd
 	rm -rf /tmp/fleetsmoke-fleet
 	/tmp/fleetsmoke-summitsim -out /tmp/fleetsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -q
 	for c in summit-0 frontier-1; do \
-		/tmp/fleetsmoke-analyze -data /tmp/fleetsmoke-fleet -cluster $$c > /tmp/fleetsmoke-$$c.txt || exit 1; \
-		grep -q . /tmp/fleetsmoke-$$c.txt || { echo "fleet-smoke: empty summary for $$c"; exit 1; }; \
+		/tmp/fleetsmoke-repro -data /tmp/fleetsmoke-fleet/$$c > /tmp/fleetsmoke-$$c.txt || exit 1; \
+		grep -q '^== figure-4 ' /tmp/fleetsmoke-$$c.txt || { echo "fleet-smoke: no reports for $$c"; exit 1; }; \
 	done
-	if /tmp/fleetsmoke-analyze -data /tmp/fleetsmoke-fleet -cluster summit-0 -shards 2 > /tmp/fleetsmoke-refused.txt 2>&1; then \
-		echo "fleet-smoke: analyze accepted -shards"; exit 1; fi
-	grep -q 'not defined: -shards' /tmp/fleetsmoke-refused.txt
+	@code=0; /tmp/fleetsmoke-repro -data /tmp/fleetsmoke-fleet > /tmp/fleetsmoke-refused.txt 2>&1 || code=$$?; \
+	test $$code -eq 1 || { echo "fleet-smoke: repro -data on the fleet root exited $$code, want 1"; exit 1; }; \
+	grep -q 'fleet.json' /tmp/fleetsmoke-refused.txt || { cat /tmp/fleetsmoke-refused.txt; exit 1; }
 	if timeout 20 /tmp/fleetsmoke-queryd -data /tmp/fleetsmoke-fleet -addr 127.0.0.1:0 -shards 2 -q > /tmp/fleetsmoke-refused.txt 2>&1; then \
 		echo "fleet-smoke: queryd accepted -shards"; exit 1; fi
 	grep -q 'not defined: -shards' /tmp/fleetsmoke-refused.txt
-	rm -rf /tmp/fleetsmoke-fleet /tmp/fleetsmoke-summitsim /tmp/fleetsmoke-analyze /tmp/fleetsmoke-queryd /tmp/fleetsmoke-*.txt
+	rm -rf /tmp/fleetsmoke-fleet /tmp/fleetsmoke-summitsim /tmp/fleetsmoke-repro /tmp/fleetsmoke-queryd /tmp/fleetsmoke-*.txt
 
 # queryd-smoke gates the warm dashboard path end to end over real HTTP: an
 # analysis fetched twice is byte-identical both times; a fleet-wide range on
@@ -285,8 +286,8 @@ scenario-smoke:
 	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-summitsim /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
 
 # archive-smoke gates the one archive writer end to end: a single archive
-# with every optional dataset and a 2-cluster fleet are written and analyzed
-# by the built binaries; the same seed archived again on one P and on four
+# with every optional dataset and a 2-cluster fleet are written, and their
+# reports printed by `repro -data` (each fleet member's directory in turn); the same seed archived again on one P and on four
 # (more Ps than a CI runner's cores, so Run's two stages interleave
 # differently) must be the same files byte for byte, and so must a 160-node
 # run, three sweep blocks, and a two-cluster -nodedata fleet (each member's
@@ -294,11 +295,11 @@ scenario-smoke:
 # the simulation, the failure sweep and observers run beside the physics,
 # WriteArchive encodes its partitions side by side beside the last day's
 # flush, and no scheduling of theirs may reach the archive); every partition is plain multi-member gzip
-# (`gzip -t`) and passes `analyze -cmd fsck`, which must count both
+# (`gzip -t`) and passes `summitsim -fsck`, which must count both
 # node-power days as strided (each node XORed with itself a window back) and
 # carrying their companion, and no cluster-power day as either; no companion
 # is a file of its own; fsck must exit 1 on a copy with one byte flipped, and
-# summary and fsck on a copy without its run-meta (the commit record); then a
+# `repro -data` and fsck on a copy without its run-meta (the commit record); then a
 # shorter run archived into the same directory must be refused (its leftover
 # days would otherwise be served as one run) and leave the sha256 of every
 # file of the earlier run unchanged; so must, with exit status 1 and every
@@ -307,7 +308,7 @@ scenario-smoke:
 # would otherwise be served beside the new run-meta).
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
-	$(GO) build -o /tmp/arcsmoke-analyze ./cmd/analyze
+	$(GO) build -o /tmp/arcsmoke-repro ./cmd/repro
 	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -jobseries -q
@@ -320,28 +321,28 @@ archive-smoke:
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet1 -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
 	diff -r /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1
-	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd summary > /dev/null
-	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster summit-0 -cmd summary > /dev/null
-	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cluster frontier-1 -cmd summary > /dev/null
+	/tmp/arcsmoke-repro -data /tmp/arcsmoke-single > /dev/null
+	/tmp/arcsmoke-repro -data /tmp/arcsmoke-fleet/summit-0 > /dev/null
+	/tmp/arcsmoke-repro -data /tmp/arcsmoke-fleet/frontier-1 > /dev/null
 	find /tmp/arcsmoke-single /tmp/arcsmoke-fleet -name '*.spwr' -exec gzip -t {} +
-	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-single -cmd fsck > /tmp/arcsmoke-fsck.txt
+	/tmp/arcsmoke-summitsim -fsck /tmp/arcsmoke-single > /tmp/arcsmoke-fsck.txt
 	@grep -q ': node-power: 2 partitions, .* 2 with strided columns, 2 with a companion, 0 problems' /tmp/arcsmoke-fsck.txt && \
 		grep -q ': cluster-power: 2 partitions, .* 0 with strided columns, 0 with a companion, 0 problems' /tmp/arcsmoke-fsck.txt || \
 		{ echo "archive-smoke: want both node-power days strided and carrying a companion, and no cluster-power day"; cat /tmp/arcsmoke-fsck.txt; exit 1; }
 	@if ls /tmp/arcsmoke-single/node-power.rollup-* > /dev/null 2>&1; then \
 		echo "archive-smoke: a companion was written to a file of its own"; exit 1; fi
-	/tmp/arcsmoke-analyze -data /tmp/arcsmoke-fleet -cmd fsck > /dev/null
+	/tmp/arcsmoke-summitsim -fsck /tmp/arcsmoke-fleet > /dev/null
 	@set -eu; cp -r /tmp/arcsmoke-single /tmp/arcsmoke-flipped; f=/tmp/arcsmoke-flipped/node-power-day00001.spwr; \
 	mid=$$(( $$(wc -c < $$f) / 2 )); \
 	byte=$$(od -An -tu1 -j $$mid -N 1 $$f | tr -d ' '); \
 	printf "$$(printf '\\%03o' $$(( byte ^ 4 )))" | dd of=$$f bs=1 seek=$$mid conv=notrunc 2> /dev/null; \
-	if /tmp/arcsmoke-analyze -data /tmp/arcsmoke-flipped -cmd fsck > /tmp/arcsmoke-fsck.txt 2>&1; then \
+	if /tmp/arcsmoke-summitsim -fsck /tmp/arcsmoke-flipped > /tmp/arcsmoke-fsck.txt 2>&1; then \
 		echo "archive-smoke: fsck passed an archive with a flipped byte"; exit 1; fi; \
 	grep -q 'node-power-day00001.spwr: .*column "' /tmp/arcsmoke-fsck.txt || { cat /tmp/arcsmoke-fsck.txt; exit 1; }
 	@set -eu; rm -rf /tmp/arcsmoke-nometa; cp -r /tmp/arcsmoke-single /tmp/arcsmoke-nometa; rm /tmp/arcsmoke-nometa/run-meta-day00000.spwr; \
-	for cmd in summary fsck; do \
-		if /tmp/arcsmoke-analyze -data /tmp/arcsmoke-nometa -cmd $$cmd > /tmp/arcsmoke-fsck.txt 2>&1; then \
-			echo "archive-smoke: analyze -cmd $$cmd accepted an archive without run-meta"; cat /tmp/arcsmoke-fsck.txt; exit 1; fi; \
+	for cmd in "repro -data" "summitsim -fsck"; do \
+		if /tmp/arcsmoke-$$cmd /tmp/arcsmoke-nometa > /tmp/arcsmoke-fsck.txt 2>&1; then \
+			echo "archive-smoke: $$cmd accepted an archive without run-meta"; cat /tmp/arcsmoke-fsck.txt; exit 1; fi; \
 		grep -q 'run-meta' /tmp/arcsmoke-fsck.txt || { cat /tmp/arcsmoke-fsck.txt; exit 1; }; \
 	done
 	cd /tmp/arcsmoke-single && find . -type f | sort | xargs sha256sum > /tmp/arcsmoke-sums.txt
@@ -361,8 +362,8 @@ archive-smoke:
 		{ echo "archive-smoke: the refused run changed the set of files"; exit 1; }; \
 	while read f; do cmp /tmp/arcsmoke-mixed-before/$$f /tmp/arcsmoke-mixed/$$f || \
 		{ echo "archive-smoke: the refused run changed $$f"; exit 1; }; done < /tmp/arcsmoke-sums.txt; \
-	echo "archive-smoke: archives written, analyzed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by summary and fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes, and a two-cluster fleet), a shorter re-run and a re-run without -nodedata/-jobseries refused with every file byte-identical"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-summitsim /tmp/arcsmoke-analyze /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt
+	echo "archive-smoke: archives written, reports printed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by repro -data and summitsim -fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes, and a two-cluster fleet), a shorter re-run and a re-run without -nodedata/-jobseries refused with every file byte-identical"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-summitsim /tmp/arcsmoke-repro /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt
 
 # fuzz-smoke runs every fuzz target for FUZZTIME (stdlib go test -fuzz, one
 # target per invocation). A crasher fails the run and is written under its
@@ -370,7 +371,8 @@ archive-smoke:
 FUZZTIME ?= 10s
 FUZZ_TARGETS = telemetry:FuzzDecodeFrame telemetry:FuzzServerReadLoop trace:FuzzParseTrace serve:FuzzAppendJSONFloat \
 	query:FuzzAppendJSONFloat lint:FuzzAllowDirectives topology:FuzzHostname \
-	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta source:FuzzReadManifest source:FuzzDiscoverFleet
+	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta source:FuzzReadManifest source:FuzzDiscoverFleet \
+	scenario:FuzzLoadCompile
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $${t#*:} in ./internal/$${t%%:*}"; \

@@ -1,54 +1,105 @@
 // Command repro regenerates every table and figure of the paper's
-// evaluation from a scaled simulation of the Summit data center, printing
-// one report per experiment with the paper's full-scale reference values
-// alongside the measured results.
+// evaluation, printing one report per experiment with the paper's
+// full-scale reference values alongside the measured results.
+//
+// By default it simulates a scaled Summit data center in memory. With
+// -data it reads an archive summitsim wrote instead: it prints Table 3,
+// every report whose inputs an archive holds (repro.SourceReports, the
+// same text the in-memory run prints for them), and one line for each
+// report an archive cannot give, naming it and why. A fleet root is
+// refused: each member directory is an archive of its own.
+//
+// A report that fails is named on a "!!" line where it would have printed;
+// repro prints everything else and then exits 1.
 //
 // Usage:
 //
-//	repro [-nodes N] [-hours H] [-seed S] [-out report.txt] [-figdir dir]
+//	repro [-nodes N] [-hours H] [-seed S] [-start DAY] [-out report.txt] [-figdir dir] [-year] [-powercap]
+//	repro -data /path/to/archive [-out report.txt]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/source"
+	"repro/internal/topology"
+	"repro/internal/units"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("repro: ")
-	nodes := flag.Int("nodes", 256, "system size in nodes")
-	hours := flag.Float64("hours", 12, "simulated span in hours")
-	seed := flag.Uint64("seed", 2020, "simulation seed")
-	startDay := flag.Int("start", 14, "start day-of-year within 2020 (14 = mid-January, 196 = mid-July)")
-	out := flag.String("out", "", "write the report to this file (default stdout)")
-	figDir := flag.String("figdir", "", "also export plot-ready CSV data per figure into this directory")
-	year := flag.Bool("year", false, "additionally run the sampled-year seasonal survey (12 parallel monthly sims)")
-	powercap := flag.Bool("powercap", false, "additionally run the power-aware scheduling what-if")
-	flag.Parse()
+	if err := cli(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
+// simFlags shape a simulation; an archive's run is already simulated, so
+// they are refused with -data.
+var simFlags = []string{"nodes", "hours", "seed", "start", "figdir", "year", "powercap"}
+
+// cli parses args and prints the reports to stdout, or to -out.
+func cli(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("repro", flag.ExitOnError)
+	nodes := fs.Int("nodes", 256, "system size in nodes")
+	hours := fs.Float64("hours", 12, "simulated span in hours (at least 600 s)")
+	seed := fs.Uint64("seed", 2020, "simulation seed")
+	startDay := fs.Int("start", 14, "start day-of-year within 2020 (14 = mid-January, 196 = mid-July)")
+	out := fs.String("out", "", "write the report to this file (default stdout)")
+	figDir := fs.String("figdir", "", "also export plot-ready CSV data per figure into this directory")
+	year := fs.Bool("year", false, "additionally run the sampled-year seasonal survey (12 parallel monthly sims)")
+	powercap := fs.Bool("powercap", false, "additionally run the power-aware scheduling what-if")
+	dataDir := fs.String("data", "", "print the reports from this archive (a summitsim -out directory) instead of simulating")
+	if err = fs.Parse(args); err != nil {
+		return err
+	}
+	if *dataDir != "" {
+		var given []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(simFlags, f.Name) {
+				given = append(given, "-"+f.Name)
+			}
+		})
+		if len(given) > 0 {
+			return fmt.Errorf("%s cannot be given with -data: the archive's run is already simulated", strings.Join(given, ", "))
 		}
-		defer f.Close()
+	}
+
+	w := stdout
+	if *out != "" {
+		f, cerr := os.Create(*out)
+		if cerr != nil {
+			return cerr
+		}
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		w = f
 	}
-	if err := run(w, *nodes, *hours, *seed, *startDay, *figDir); err != nil {
-		log.Fatal(err)
+	if *dataDir != "" {
+		return runArchive(w, *dataDir)
+	}
+	err = run(w, *nodes, *hours, *seed, *startDay, *figDir)
+	if err != nil && !errors.Is(err, errReportFailed) {
+		return err
 	}
 	if *year {
 		rep, err := repro.ReportYearSurvey(*nodes, *seed, 3*time.Hour, 60)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintln(w, rep.String())
 	}
@@ -57,69 +108,165 @@ func main() {
 		cfg.Seed = *seed
 		rep, err := repro.ReportPowerCap(cfg, []float64{0.9, 0.8, 0.7})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintln(w, rep.String())
 	}
+	return err
 }
 
-func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, figDir string) error {
-	cfg := repro.ScaledConfig(nodes, time.Duration(hours*float64(time.Hour)))
+// simConfig is the run the simulation flags describe. A size or a span
+// sim.Scaled would silently raise is refused, naming its flag.
+func simConfig(nodes int, hours float64, seed uint64, startDay int) (repro.Config, error) {
+	if nodes <= 0 {
+		return repro.Config{}, fmt.Errorf("-nodes %d: want at least 1", nodes)
+	}
+	span := time.Duration(hours * float64(time.Hour))
+	if !units.Finite(hours) || span < sim.MinScaledSpanSec*time.Second {
+		return repro.Config{}, fmt.Errorf("-hours %g is below the %d s minimum", hours, sim.MinScaledSpanSec)
+	}
+	cfg := repro.ScaledConfig(nodes, span)
 	cfg.Seed = seed
 	cfg.StartTime = 1_577_836_800 + int64(startDay)*86400
-	fmt.Fprintf(w, "Summit power/energy/thermal reproduction (SC '21)\n")
-	fmt.Fprintf(w, "system: %d nodes, span %.1f h, seed %d, step %d s\n\n",
-		cfg.Nodes, hours, cfg.Seed, cfg.StepSec)
+	return cfg, nil
+}
 
-	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	var vc *core.VariabilityCollector
-	data, res, err := core.CollectRun(cfg, core.AttachVariability(&vc))
+// run simulates the run the flags describe in memory and prints every
+// report.
+func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, figDir string) error {
+	cfg, err := simConfig(nodes, hours, seed, startDay)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "Summit power/energy/thermal reproduction (SC '21)\n")
+	fmt.Fprintf(w, "system: %d nodes, span %.1f h, seed %d, step %d s\n\n",
+		cfg.Nodes, float64(cfg.DurationSec)/units.SecondsPerHour, cfg.Seed, cfg.StepSec)
+
+	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
+	m := &memRun{seed: seed}
+	data, res, err := core.CollectRun(cfg, core.AttachVariability(&m.vc))
+	if err != nil {
+		return err
+	}
+	m.data = data
 	fmt.Fprintf(w, "simulated %d windows, %d jobs placed, %d failures injected, utilization %.1f%% (%.1fs wall)\n\n",
 		res.Steps, len(res.Allocations), len(res.Failures),
 		res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
 
 	if figDir != "" {
-		files, err := repro.WriteFigureData(figDir, data, vc)
+		files, err := repro.WriteFigureData(figDir, data, m.vc)
 		if err != nil {
 			return fmt.Errorf("export figure data: %w", err)
 		}
 		fmt.Fprintf(w, "%d figure data files exported to %s\n\n", len(files), figDir)
 	}
+	return printReports(w, data.Source(), m)
+}
 
-	src := data.Source()
-	reports := []func() (repro.Report, error){
-		func() (repro.Report, error) { return repro.ReportTable3(), nil },
-		func() (repro.Report, error) { return repro.ReportScheduling(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure4(src) },
-		func() (repro.Report, error) { return repro.ReportFigure5(src) },
-		func() (repro.Report, error) { return repro.ReportFigure6(src) },
-		func() (repro.Report, error) { return repro.ReportFigure7(src) },
-		func() (repro.Report, error) { return repro.ReportFigure8(src) },
-		func() (repro.Report, error) { return repro.ReportFigure9(src) },
-		func() (repro.Report, error) { return repro.ReportFigure10(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure11(src) },
-		func() (repro.Report, error) { return repro.ReportFigure12(src) },
-		func() (repro.Report, error) { return repro.ReportThermalBands(src) },
-		func() (repro.Report, error) { return repro.ReportOvercooling(src) },
-		func() (repro.Report, error) { return repro.ReportTable4(src) },
-		func() (repro.Report, error) { return repro.ReportFigure13(src) },
-		func() (repro.Report, error) { return repro.ReportFigure14(data), nil },
-		func() (repro.Report, error) { return repro.ReportFigure15(src) },
-		func() (repro.Report, error) { return repro.ReportFigure16(src) },
-		func() (repro.Report, error) { return repro.ReportFigure17(vc) },
-		func() (repro.Report, error) { return repro.ReportFingerprints(data) },
-		func() (repro.Report, error) { return repro.ReportGenerations(seed) },
+// runArchive prints the reports from the archive in dir.
+func runArchive(w io.Writer, dir string) error {
+	if fleet, err := source.DiscoverFleet(dir); err == nil {
+		members := make([]string, len(fleet.Clusters))
+		for i, e := range fleet.Clusters {
+			members[i] = e.Path(dir)
+		}
+		return fmt.Errorf("%s is a fleet root (%s); give -data one member's directory: %s",
+			dir, source.FleetManifestName, strings.Join(members, ", "))
+	} else if !errors.Is(err, source.ErrNotFleet) {
+		return err
 	}
-	for _, fn := range reports {
-		rep, err := fn()
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	if err != nil {
+		return err
+	}
+	meta, err := src.Meta()
+	if err != nil {
+		return err
+	}
+	site := meta.Site
+	if site == "" {
+		site = topology.SiteSummit
+	}
+	fmt.Fprintf(w, "Summit power/energy/thermal reproduction (SC '21)\n")
+	fmt.Fprintf(w, "archive %s: site %s, %d nodes, span %.1f h, step %d s, start %s\n\n",
+		dir, site, meta.Nodes, float64(meta.SpanSec())/units.SecondsPerHour, meta.StepSec,
+		time.Unix(meta.StartTime, 0).UTC().Format(time.RFC3339))
+	return printReports(w, src, nil)
+}
+
+// memRun is what the reports an archive cannot give read: the in-memory
+// run's data and variability collector, and its seed.
+type memRun struct {
+	data *core.RunData
+	vc   *core.VariabilityCollector
+	seed uint64
+}
+
+// runReport is a report an archive cannot give. It prints after the report
+// named after; without an in-memory run, a line saying why takes its place.
+type runReport struct {
+	id, after, why string
+	render         func(*memRun) (repro.Report, error)
+}
+
+var runReports = []runReport{
+	{"dataset-c", "table-3", "reads the in-memory allocation log", func(m *memRun) (repro.Report, error) {
+		return repro.ReportScheduling(m.data), nil
+	}},
+	{"figure-10", "figure-9", "reads the in-memory per-job power series", func(m *memRun) (repro.Report, error) {
+		return repro.ReportFigure10(m.data), nil
+	}},
+	{"figure-14", "figure-13", "reads the in-memory allocation log", func(m *memRun) (repro.Report, error) {
+		return repro.ReportFigure14(m.data), nil
+	}},
+	{"figure-17", "figure-16", "reads the in-memory per-GPU variability collector", func(m *memRun) (repro.Report, error) {
+		return repro.ReportFigure17(m.vc)
+	}},
+	{"section-9", "figure-16", "reads the in-memory per-job power series", func(m *memRun) (repro.Report, error) {
+		return repro.ReportFingerprints(m.data)
+	}},
+	{"section-6-generations", "figure-16", "runs its own simulations", func(m *memRun) (repro.Report, error) {
+		return repro.ReportGenerations(m.seed)
+	}},
+}
+
+// errReportFailed marks a run in which some report failed.
+var errReportFailed = errors.New("report(s) failed")
+
+// printReports prints Table 3 and every source report over src, in the
+// paper's order, each run-bound report after the one it follows (m nil:
+// why it is missing instead). It returns errReportFailed, naming them,
+// when any report failed.
+func printReports(w io.Writer, src source.RunSource, m *memRun) error {
+	var failed []string
+	emit := func(id string, rep repro.Report, err error) {
 		if err != nil {
-			fmt.Fprintf(w, "!! experiment failed: %v\n\n", err)
-			continue
+			fmt.Fprintf(w, "!! experiment failed: %s: %v\n\n", id, err)
+			failed = append(failed, id)
+			return
 		}
 		fmt.Fprintln(w, rep.String())
+	}
+	report := func(id string, rep repro.Report, err error) {
+		emit(id, rep, err)
+		for _, r := range runReports {
+			switch {
+			case r.after != id:
+			case m == nil:
+				fmt.Fprintf(w, "-- %s is not in an archive: it %s\n\n", r.id, r.why)
+			default:
+				rep, err := r.render(m)
+				emit(r.id, rep, err)
+			}
+		}
+	}
+	report("table-3", repro.ReportTable3(), nil)
+	for _, r := range repro.SourceReports {
+		rep, err := r.Render(src)
+		report(r.ID, rep, err)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%w: %s", errReportFailed, strings.Join(failed, ", "))
 	}
 	return nil
 }

@@ -124,17 +124,12 @@ var keptUncalled = map[string]string{
 	"telemetry.CPUPowerMetric":   metric,
 	"telemetry.CPUTempMetric":    metric,
 	"telemetry.IngestRate":       "the paper's ingest-rate arithmetic (460k metrics/s at Summit)",
-
-	// Dead, and scheduled for deletion in the next earn-or-delete round of
-	// ROADMAP.md with the tests that go with them.
-	"dsp.DominantSwingWindowed": nextRound + "1 test, and 4 more with the windowing only it runs",
 }
 
 const (
 	oracle      = "the oracle of "
 	convenience = "a test convenience: "
 	metric      = "a per-slot index into the telemetry metric catalogue"
-	nextRound   = "waits for the next earn-or-delete round with its tests: "
 )
 
 // TestExportedFunctionsHaveCallers is the earn-or-delete guard: every

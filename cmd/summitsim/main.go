@@ -14,13 +14,20 @@
 // With -clusters N (N >= 2) it simulates a heterogeneous fleet instead: N
 // independently-seeded clusters cycling through the -sites presets, archived
 // as one fleet root (out/<cluster>/ per member plus a fleet.json manifest)
-// that queryd and analyze consume directly.
+// that queryd serves directly; each member directory is an archive of its
+// own, which repro -data reads.
+//
+// -fsck DIR runs nothing: it decodes every partition of the archive DIR (of
+// every member, for a fleet root) in full and checks its run-meta, and exits
+// 1 if any is damaged — opening an archive reads partition headers only, so
+// this is the check of the bodies. It takes no other flag.
 //
 // Usage:
 //
 //	summitsim -out /path/to/archive [-nodes N] [-days D] [-seed S]
 //	summitsim -out /path/to/archive -scenario heatwave-summer [-nodes N]
 //	summitsim -out /path/to/fleet -clusters 2 [-sites summit,frontier]
+//	summitsim -fsck /path/to/archive-or-fleet
 package main
 
 import (
@@ -86,13 +93,29 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
+	fsckDir := flag.String("fsck", "", "check every partition of this archive or fleet root, run nothing, exit 1 on any problem")
 	flag.Parse()
+	o.set = map[string]bool{}
+	var others []string
+	flag.Visit(func(f *flag.Flag) {
+		o.set[f.Name] = true
+		if f.Name != "fsck" {
+			others = append(others, "-"+f.Name)
+		}
+	})
+	if *fsckDir != "" {
+		if len(others) > 0 {
+			log.Fatalf("%s cannot be given with -fsck", strings.Join(others, ", "))
+		}
+		if err := fsck(os.Stdout, *fsckDir); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	if o.out == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	o.set = map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -170,58 +170,3 @@ func DominantSwing(power []float64, rate float64) (freqHz, ampW float64, ok bool
 	f, a := s.Peak()
 	return f, a, true
 }
-
-// HannWindow returns the Hann taper of length n. Applying it before the
-// FFT reduces spectral leakage when a job's dominant period is not
-// bin-aligned — the common case for the paper's ~200 s swings on
-// arbitrary-length jobs.
-func HannWindow(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return w
-}
-
-// ApplyWindow multiplies xs by the window element-wise into a new slice,
-// compensating the window's coherent gain so sinusoid amplitudes survive.
-// Mismatched lengths panic (programming error).
-func ApplyWindow(xs, window []float64) []float64 {
-	if len(xs) != len(window) {
-		panic("dsp: window length mismatch")
-	}
-	var gain float64
-	for _, w := range window {
-		gain += w
-	}
-	if gain == 0 {
-		return append([]float64(nil), xs...)
-	}
-	gain /= float64(len(window))
-	out := make([]float64, len(xs))
-	for i := range xs {
-		out[i] = xs[i] * window[i] / gain
-	}
-	return out
-}
-
-// DominantSwingWindowed is DominantSwing with a Hann taper applied to the
-// differenced series, trading a little amplitude accuracy for much less
-// leakage on non-bin-aligned periods.
-func DominantSwingWindowed(power []float64, rate float64) (freqHz, ampW float64, ok bool) {
-	d := Diff(power)
-	if len(d) < 2 {
-		return 0, 0, false
-	}
-	d = ApplyWindow(d, HannWindow(len(d)))
-	s, err := NewSpectrum(d, rate)
-	if err != nil {
-		return 0, 0, false
-	}
-	f, a := s.Peak()
-	return f, a, true
-}

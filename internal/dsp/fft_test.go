@@ -248,94 +248,3 @@ func BenchmarkDominantSwing(b *testing.B) {
 		_, _, _ = DominantSwing(xs, 0.1)
 	}
 }
-
-func TestHannWindow(t *testing.T) {
-	w := HannWindow(11)
-	if w[0] != 0 || w[10] != 0 {
-		t.Errorf("Hann endpoints = %v, %v, want 0", w[0], w[10])
-	}
-	if !approx(w[5], 1, 1e-12) {
-		t.Errorf("Hann midpoint = %v, want 1", w[5])
-	}
-	if got := HannWindow(1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("HannWindow(1) = %v", got)
-	}
-}
-
-func TestApplyWindowGainCompensation(t *testing.T) {
-	// A bin-aligned sine keeps its amplitude (±10%) after windowing.
-	n := 512
-	freq := 32.0 / float64(n)
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = 5 * math.Sin(2*math.Pi*freq*float64(i))
-	}
-	windowed := ApplyWindow(xs, HannWindow(n))
-	s, err := NewSpectrum(windowed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, pa := s.Peak()
-	if !approx(pf, freq, 2.0/float64(n)) {
-		t.Errorf("peak freq = %v, want %v", pf, freq)
-	}
-	if pa < 4.5 || pa > 5.5 {
-		t.Errorf("peak amp = %v, want ≈5", pa)
-	}
-}
-
-func TestApplyWindowPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched lengths did not panic")
-		}
-	}()
-	ApplyWindow([]float64{1, 2}, []float64{1})
-}
-
-func TestWindowedLeakageReduction(t *testing.T) {
-	// A NON-bin-aligned tone: the windowed spectrum must concentrate more
-	// energy at the peak than the rectangular one (less leakage).
-	n := 512
-	freq := 32.5 / float64(n) // deliberately between bins
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Sin(2*math.Pi*freq*float64(i) + 0.3)
-	}
-	rect, err := NewSpectrum(xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hann, err := NewSpectrum(ApplyWindow(xs, HannWindow(n)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	concentration := func(s *Spectrum) float64 {
-		_, peak := s.Peak()
-		var total float64
-		for _, a := range s.Amps {
-			total += a * a
-		}
-		return peak * peak / total
-	}
-	if concentration(hann) <= concentration(rect) {
-		t.Errorf("Hann concentration %v not above rectangular %v",
-			concentration(hann), concentration(rect))
-	}
-}
-
-func TestDominantSwingWindowed(t *testing.T) {
-	n := 1024
-	want := 51.0 * 0.1 / float64(n)
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = 7e6 + 2e6*math.Sin(2*math.Pi*want*float64(i)/0.1)
-	}
-	f, a, ok := DominantSwingWindowed(xs, 0.1)
-	if !ok || !approx(f, want, 0.001) || a <= 0 {
-		t.Errorf("windowed swing = %v Hz, %v W, ok=%v", f, a, ok)
-	}
-	if _, _, ok := DominantSwingWindowed([]float64{1, 2}, 1); ok {
-		t.Error("short series accepted")
-	}
-}

@@ -12,7 +12,7 @@ import (
 )
 
 // The /api/v1/analysis/* routes run the paper's analyses server-side over
-// the archive's RunSource — the same entry points cmd/analyze and the
+// the archive's RunSource — the same entry points cmd/repro -data and the
 // in-memory pipeline use — so a dashboard can ask for "the edge report"
 // instead of re-deriving it from raw range queries. All routes share the
 // engine's decoded-table cache through the source layer: one byte budget

@@ -28,6 +28,7 @@ import (
 	"repro/internal/facility"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/whatif"
@@ -153,6 +154,10 @@ func (s Spec) Validate() error {
 	if s.Nodes <= 0 {
 		return fmt.Errorf("%w: non-positive nodes %d", ErrScenario, s.Nodes)
 	}
+	// An archive's readers refuse a run-meta that claims more.
+	if s.Nodes > source.MaxManifestNodes {
+		return fmt.Errorf("%w: nodes %d above the %d an archive may record", ErrScenario, s.Nodes, source.MaxManifestNodes)
+	}
 	// sim.Scaled would silently run a shorter span as the minimum.
 	if s.DurationSec < sim.MinScaledSpanSec {
 		return fmt.Errorf("%w: duration_sec %d below the %d s minimum", ErrScenario, s.DurationSec, sim.MinScaledSpanSec)
@@ -257,7 +262,7 @@ func Compile(s Spec, baseDir string) (*Resolved, error) {
 		cfg.Jobs = s.Workload.Jobs
 	}
 	if err := buildWorkload(r, &cfg, traceRaw); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrScenario, err)
 	}
 	switch s.Failures.Regime {
 	case FailureOff:

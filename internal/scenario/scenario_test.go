@@ -197,6 +197,7 @@ func TestValidateRejects(t *testing.T) {
 		"version":        func(s *Spec) { s.Version = 99 },
 		"no name":        func(s *Spec) { s.Name = "" },
 		"no nodes":       func(s *Spec) { s.Nodes = 0 },
+		"many nodes":     func(s *Spec) { s.Nodes = source.MaxManifestNodes + 1 },
 		"no duration":    func(s *Spec) { s.DurationSec = 0 },
 		"bad weather":    func(s *Spec) { s.Weather = "monsoon" },
 		"bad source":     func(s *Spec) { s.Workload.Source = "oracle" },

@@ -40,25 +40,6 @@ type FleetManifest struct {
 	Clusters []FleetEntry `json:"clusters"`
 }
 
-// Find returns the entry with the given cluster name.
-func (m FleetManifest) Find(name string) (FleetEntry, bool) {
-	for _, e := range m.Clusters {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return FleetEntry{}, false
-}
-
-// Names lists the member cluster names in manifest order.
-func (m FleetManifest) Names() []string {
-	names := make([]string, len(m.Clusters))
-	for i, e := range m.Clusters {
-		names[i] = e.Name
-	}
-	return names
-}
-
 // WriteFleetManifest writes fleet.json at the fleet root.
 func WriteFleetManifest(root string, m FleetManifest) error {
 	b, err := json.MarshalIndent(m, "", "  ")

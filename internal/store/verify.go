@@ -18,7 +18,7 @@ type DayCheck struct {
 	Problems  []error
 }
 
-// VerifyDay is the offline check of one partition (`analyze -cmd fsck`): it
+// VerifyDay is the offline check of one partition (`summitsim -fsck`): it
 // reads the day the way no serving read does — every column decoded, none
 // stepped over — so every gzip member's CRC-32 and length are checked, and
 // holds what the directory claims (member lengths, each column's kind and

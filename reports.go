@@ -38,6 +38,32 @@ func (r Report) String() string {
 	return b.String()
 }
 
+// SourceReport is a report whose inputs an archive holds: it reads a
+// source.RunSource, so it renders the same text from a run in memory and
+// from that run's archive.
+type SourceReport struct {
+	ID     string
+	Render func(source.RunSource) (Report, error)
+}
+
+// SourceReports lists the source reports in the order cmd/repro prints them.
+var SourceReports = []SourceReport{
+	{"figure-4", ReportFigure4},
+	{"figure-5", ReportFigure5},
+	{"figure-6", ReportFigure6},
+	{"figure-7", ReportFigure7},
+	{"figure-8", ReportFigure8},
+	{"figure-9", ReportFigure9},
+	{"figure-11", ReportFigure11},
+	{"figure-12", ReportFigure12},
+	{"section-2-bands", ReportThermalBands},
+	{"section-5-overcooling", ReportOvercooling},
+	{"table-4", ReportTable4},
+	{"figure-13", ReportFigure13},
+	{"figure-15", ReportFigure15},
+	{"figure-16", ReportFigure16},
+}
+
 // ReportFigure4 renders the meter-validation experiment.
 func ReportFigure4(src source.RunSource) (Report, error) {
 	rep, err := core.ValidationFromSource(src)

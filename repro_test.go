@@ -130,15 +130,6 @@ func TestAllReportsRender(t *testing.T) {
 	}
 }
 
-// sourceReports are the reports whose inputs an archive holds.
-var sourceReports = map[string]func(source.RunSource) (Report, error){
-	"figure-4": ReportFigure4, "figure-5": ReportFigure5, "figure-6": ReportFigure6,
-	"figure-7": ReportFigure7, "figure-8": ReportFigure8, "figure-9": ReportFigure9,
-	"figure-11": ReportFigure11, "figure-12": ReportFigure12, "section-2-bands": ReportThermalBands,
-	"section-5-overcooling": ReportOvercooling, "table-4": ReportTable4, "figure-13": ReportFigure13,
-	"figure-15": ReportFigure15, "figure-16": ReportFigure16,
-}
-
 // TestReportsFromAnArchive: every report that reads a RunSource renders the
 // same text, byte for byte, from a run in memory and from its archive.
 func TestReportsFromAnArchive(t *testing.T) {
@@ -154,7 +145,8 @@ func TestReportsFromAnArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, report := range sourceReports {
+	for _, r := range SourceReports {
+		id, report := r.ID, r.Render
 		fromMem, err := report(d.Source())
 		if err != nil {
 			t.Errorf("%s from memory: %v", id, err)
