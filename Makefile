@@ -178,7 +178,9 @@ optimize-smoke:
 
 # fleet-smoke gates the multi-cluster fleet: a 2-cluster fleet is written,
 # each member's reports printed by `repro -data` through its one archive
-# reader, the fleet root refused by it (exit 1, naming fleet.json), the
+# reader (Table 3 and the 19 reports that read a run, and one line naming
+# section-6-generations, which runs simulations of its own), the fleet root
+# refused by it (exit 1, naming fleet.json), the
 # fleet identity and queryd's fleet routes tested under the race detector,
 # and the retired -shards flag refused by queryd (the usage error names it).
 fleet-smoke:
@@ -191,7 +193,9 @@ fleet-smoke:
 	/tmp/fleetsmoke-summitsim -out /tmp/fleetsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -q
 	for c in summit-0 frontier-1; do \
 		/tmp/fleetsmoke-repro -data /tmp/fleetsmoke-fleet/$$c > /tmp/fleetsmoke-$$c.txt || exit 1; \
-		grep -q '^== figure-4 ' /tmp/fleetsmoke-$$c.txt || { echo "fleet-smoke: no reports for $$c"; exit 1; }; \
+		test "$$(grep -c '^== ' /tmp/fleetsmoke-$$c.txt)" = 20 && test "$$(grep -c '^-- ' /tmp/fleetsmoke-$$c.txt)" = 1 && \
+			grep -q '^-- section-6-generations ' /tmp/fleetsmoke-$$c.txt || \
+			{ echo "fleet-smoke: $$c, want 20 reports and section-6-generations named missing"; cat /tmp/fleetsmoke-$$c.txt; exit 1; }; \
 	done
 	@code=0; /tmp/fleetsmoke-repro -data /tmp/fleetsmoke-fleet > /tmp/fleetsmoke-refused.txt 2>&1 || code=$$?; \
 	test $$code -eq 1 || { echo "fleet-smoke: repro -data on the fleet root exited $$code, want 1"; exit 1; }; \
@@ -206,7 +210,7 @@ fleet-smoke:
 # the 600 s grid is answered from the rollup companions, and asked again from
 # the reply cache — same payload, a stats block that says "cached", the
 # stored reply's ETag good for a 304 — with two computes and three hits to
-# show for the five requests. The archive is opened once: its five
+# show for the five requests. The archive is opened once: its eight
 # partitions have each had their header read once. A -nodes that contradicts
 # the archive's run manifest must stop queryd at start, naming the flag.
 queryd-smoke:
@@ -238,7 +242,7 @@ queryd-smoke:
 	curl -sf $$base/debug/vars > /tmp/qdsmoke-vars.json; \
 	grep -q '"reply_cache":{"bytes":[1-9][0-9]*,"computes":2,"entries":2,"evictions":0,"hits":3,"not_modified":1,' /tmp/qdsmoke-vars.json; \
 	grep -q '"routes":{.*"range":{"count":3,' /tmp/qdsmoke-vars.json; \
-	grep -q '"partitions_indexed":5,' /tmp/qdsmoke-vars.json; \
+	grep -q '"partitions_indexed":8,' /tmp/qdsmoke-vars.json; \
 	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304; each partition indexed once"
 	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-*.json /tmp/qdsmoke-range2.hdr /tmp/qdsmoke-refused.txt
 
@@ -286,8 +290,11 @@ scenario-smoke:
 	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-summitsim /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
 
 # archive-smoke gates the one archive writer end to end: a single archive
-# with every optional dataset and a 2-cluster fleet are written, and their
-# reports printed by `repro -data` (each fleet member's directory in turn); the same seed archived again on one P and on four
+# with the optional node-power dataset and a 2-cluster fleet are written, and
+# their reports printed by `repro -data` (each fleet member's directory in
+# turn: Table 3 and the 19 reports that read a run, and one line naming
+# section-6-generations); `repro -data -figdir` on the single archive writes
+# the figure files the in-memory run of its config writes; the same seed archived again on one P and on four
 # (more Ps than a CI runner's cores, so Run's two stages interleave
 # differently) must be the same files byte for byte, and so must a 160-node
 # run, three sweep blocks, and a two-cluster -nodedata fleet (each member's
@@ -303,17 +310,17 @@ scenario-smoke:
 # shorter run archived into the same directory must be refused (its leftover
 # days would otherwise be served as one run) and leave the sha256 of every
 # file of the earlier run unchanged; so must, with exit status 1 and every
-# file cmp-identical, a run without -nodedata and -jobseries into a
-# directory that holds those datasets' days (an earlier run's node-power
-# would otherwise be served beside the new run-meta).
+# file cmp-identical, a run without -nodedata into a directory that holds
+# node-power days (an earlier run's node-power would otherwise be served
+# beside the new run-meta).
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-repro ./cmd/repro
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before
-	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -jobseries -q
-	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -jobseries -q
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata
+	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -q
+	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -q
 	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-again
-	GOMAXPROCS=4 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-procs4 -nodes 36 -days 2 -nodedata -jobseries -q
+	GOMAXPROCS=4 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-procs4 -nodes 36 -days 2 -nodedata -q
 	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-procs4
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-wide -nodes 160 -days 1 -nodedata -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-wide1 -nodes 160 -days 1 -nodedata -q
@@ -321,9 +328,16 @@ archive-smoke:
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-fleet1 -clusters 2 -sites summit,frontier -nodes 36 -days 1 -nodedata -q
 	diff -r /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1
-	/tmp/arcsmoke-repro -data /tmp/arcsmoke-single > /dev/null
-	/tmp/arcsmoke-repro -data /tmp/arcsmoke-fleet/summit-0 > /dev/null
-	/tmp/arcsmoke-repro -data /tmp/arcsmoke-fleet/frontier-1 > /dev/null
+	@set -eu; for a in single fleet/summit-0 fleet/frontier-1; do \
+		/tmp/arcsmoke-repro -data /tmp/arcsmoke-$$a > /tmp/arcsmoke-reports.txt; \
+		test "$$(grep -c '^== ' /tmp/arcsmoke-reports.txt)" = 20 && test "$$(grep -c '^-- ' /tmp/arcsmoke-reports.txt)" = 1 && \
+			grep -q '^-- section-6-generations ' /tmp/arcsmoke-reports.txt || \
+			{ echo "archive-smoke: $$a, want 20 reports and section-6-generations named missing"; cat /tmp/arcsmoke-reports.txt; exit 1; }; \
+	done
+	/tmp/arcsmoke-repro -nodes 36 -hours 48 -seed 2020 -start 0 -figdir /tmp/arcsmoke-figmem > /dev/null
+	/tmp/arcsmoke-repro -data /tmp/arcsmoke-single -figdir /tmp/arcsmoke-figdata > /dev/null
+	@ls /tmp/arcsmoke-figmem > /tmp/arcsmoke-sums.txt; ls /tmp/arcsmoke-figdata | diff /tmp/arcsmoke-sums.txt - || \
+		{ echo "archive-smoke: repro -data -figdir wrote other figure files than the in-memory run"; exit 1; }
 	find /tmp/arcsmoke-single /tmp/arcsmoke-fleet -name '*.spwr' -exec gzip -t {} +
 	/tmp/arcsmoke-summitsim -fsck /tmp/arcsmoke-single > /tmp/arcsmoke-fsck.txt
 	@grep -q ': node-power: 2 partitions, .* 2 with strided columns, 2 with a companion, 0 problems' /tmp/arcsmoke-fsck.txt && \
@@ -351,19 +365,19 @@ archive-smoke:
 	grep -q 'cluster-power-day00001.spwr' /tmp/arcsmoke-refusal.txt || { cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
 	cd /tmp/arcsmoke-single && find . -type f | sort | xargs sha256sum | diff /tmp/arcsmoke-sums.txt - || \
 		{ echo "archive-smoke: the refused re-run changed the archive"; exit 1; }
-	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-mixed -nodes 16 -days 1 -nodedata -jobseries -seed 1 -q
+	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-mixed -nodes 16 -days 1 -nodedata -seed 1 -q
 	cp -r /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before
 	@code=0; /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-mixed -nodes 32 -days 1 -seed 1 -q 2> /tmp/arcsmoke-refusal.txt || code=$$?; \
 	test $$code -eq 1 || { echo "archive-smoke: a run without -nodedata into a -nodedata archive exited $$code, want 1"; exit 1; }; \
-	grep -q 'node-power-day00000.spwr' /tmp/arcsmoke-refusal.txt && grep -q 'job-series-day00000.spwr' /tmp/arcsmoke-refusal.txt || \
+	grep -q 'node-power-day00000.spwr' /tmp/arcsmoke-refusal.txt || \
 		{ cat /tmp/arcsmoke-refusal.txt; exit 1; }; \
 	(cd /tmp/arcsmoke-mixed-before && find . -type f | sort) > /tmp/arcsmoke-sums.txt; \
 	(cd /tmp/arcsmoke-mixed && find . -type f | sort) | diff /tmp/arcsmoke-sums.txt - || \
 		{ echo "archive-smoke: the refused run changed the set of files"; exit 1; }; \
 	while read f; do cmp /tmp/arcsmoke-mixed-before/$$f /tmp/arcsmoke-mixed/$$f || \
 		{ echo "archive-smoke: the refused run changed $$f"; exit 1; }; done < /tmp/arcsmoke-sums.txt; \
-	echo "archive-smoke: archives written, reports printed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by repro -data and summitsim -fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes, and a two-cluster fleet), a shorter re-run and a re-run without -nodedata/-jobseries refused with every file byte-identical"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-summitsim /tmp/arcsmoke-repro /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt
+	echo "archive-smoke: archives written, reports printed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by repro -data and summitsim -fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes, and a two-cluster fleet), a shorter re-run and a re-run without -nodedata refused with every file byte-identical"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata /tmp/arcsmoke-summitsim /tmp/arcsmoke-repro /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt /tmp/arcsmoke-reports.txt
 
 # fuzz-smoke runs every fuzz target for FUZZTIME (stdlib go test -fuzz, one
 # target per invocation). A crasher fails the run and is written under its
@@ -372,7 +386,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = telemetry:FuzzDecodeFrame telemetry:FuzzServerReadLoop trace:FuzzParseTrace serve:FuzzAppendJSONFloat \
 	query:FuzzAppendJSONFloat lint:FuzzAllowDirectives topology:FuzzHostname \
 	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta source:FuzzReadManifest source:FuzzDiscoverFleet \
-	scenario:FuzzLoadCompile
+	scenario:FuzzLoadCompile query:FuzzQueryParams
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $${t#*:} in ./internal/$${t%%:*}"; \

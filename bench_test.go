@@ -36,22 +36,21 @@ import (
 var (
 	benchOnce sync.Once
 	benchData *core.RunData
-	benchVC   *core.VariabilityCollector
 	benchErr  error
 )
 
 // benchRun builds one shared scaled run for all analysis benchmarks so
 // each benchmark measures experiment regeneration, not simulation.
-func benchRun(b *testing.B) (*core.RunData, *core.VariabilityCollector) {
+func benchRun(b *testing.B) *core.RunData {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := ScaledConfig(128, 6*time.Hour)
-		benchData, _, benchErr = core.CollectRun(cfg, core.AttachVariability(&benchVC))
+		benchData, _, benchErr = core.CollectRun(cfg)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return benchData, benchVC
+	return benchData
 }
 
 func BenchmarkSimulateDay(b *testing.B) {
@@ -112,7 +111,7 @@ func BenchmarkTable3Classes(b *testing.B) {
 }
 
 func BenchmarkFig4MeterValidation(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.ValidationFromSource(d.Source()); err != nil {
@@ -122,7 +121,7 @@ func BenchmarkFig4MeterValidation(b *testing.B) {
 }
 
 func BenchmarkFig5YearTrends(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Figure5Trends(d.Source()); err != nil {
@@ -132,7 +131,7 @@ func BenchmarkFig5YearTrends(b *testing.B) {
 }
 
 func BenchmarkFig6EnergyPowerKDE(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	recs := core.BuildJobRecords(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,7 +140,7 @@ func BenchmarkFig6EnergyPowerKDE(b *testing.B) {
 }
 
 func BenchmarkFig7JobCDFs(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	recs := core.BuildJobRecords(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -150,7 +149,7 @@ func BenchmarkFig7JobCDFs(b *testing.B) {
 }
 
 func BenchmarkFig8DomainBreakdown(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	recs := core.BuildJobRecords(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -159,7 +158,7 @@ func BenchmarkFig8DomainBreakdown(b *testing.B) {
 }
 
 func BenchmarkFig9CPUGPUKde(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	recs := core.BuildJobRecords(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -168,15 +167,17 @@ func BenchmarkFig9CPUGPUKde(b *testing.B) {
 }
 
 func BenchmarkFig10PowerDynamics(b *testing.B) {
-	d, _ := benchRun(b)
+	src := benchRun(b).Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.Figure10Dynamics(d)
+		if _, err := core.Figure10Dynamics(src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig11EdgeSnapshots(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,7 +188,7 @@ func BenchmarkFig11EdgeSnapshots(b *testing.B) {
 }
 
 func BenchmarkFig12ThermalResponse(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -198,7 +199,7 @@ func BenchmarkFig12ThermalResponse(b *testing.B) {
 }
 
 func BenchmarkTable4FailureComposition(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -209,7 +210,7 @@ func BenchmarkTable4FailureComposition(b *testing.B) {
 }
 
 func BenchmarkFig13FailureCorrelation(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -220,15 +221,17 @@ func BenchmarkFig13FailureCorrelation(b *testing.B) {
 }
 
 func BenchmarkFig14FailuresPerProject(b *testing.B) {
-	d, _ := benchRun(b)
+	src := benchRun(b).Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.Figure14FailuresPerProject(d, false, 15)
+		if _, err := core.Figure14FailuresPerProject(src, false, 15); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig15ThermalExtremity(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -239,7 +242,7 @@ func BenchmarkFig15ThermalExtremity(b *testing.B) {
 }
 
 func BenchmarkFig16PlacementCounts(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	src := d.Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -250,10 +253,10 @@ func BenchmarkFig16PlacementCounts(b *testing.B) {
 }
 
 func BenchmarkFig17Variability(b *testing.B) {
-	_, vc := benchRun(b)
+	src := benchRun(b).Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure17Variability(vc, 6); err != nil {
+		if _, err := core.Figure17Variability(src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,7 +284,7 @@ func BenchmarkAblationCoarsenWindow(b *testing.B) {
 // BenchmarkAblationEdgeFidelity measures how the coarsening window affects
 // detected edge counts (reported via b.ReportMetric) and detection cost.
 func BenchmarkAblationEdgeFidelity(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	for _, factor := range []int{1, 6, 30} {
 		factor := factor
 		b.Run(benchName("downsample", int64(factor)), func(b *testing.B) {
@@ -336,7 +339,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 
 // BenchmarkAblationKDEGrid sweeps the KDE grid resolution of Figure 6.
 func BenchmarkAblationKDEGrid(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	recs := core.BuildJobRecords(d)
 	for _, grid := range []int{20, 40, 80} {
 		grid := grid
@@ -372,7 +375,7 @@ func BenchmarkFig5YearSurvey(b *testing.B) {
 // BenchmarkSection2ThermalBands regenerates the operator-dashboard band
 // summary.
 func BenchmarkSection2ThermalBands(b *testing.B) {
-	d, _ := benchRun(b)
+	d := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.ThermalBandsFromSource(d.Source()); err != nil {
@@ -384,10 +387,13 @@ func BenchmarkSection2ThermalBands(b *testing.B) {
 // BenchmarkSection9Fingerprints regenerates the future-work fingerprint
 // clustering and prediction evaluation.
 func BenchmarkSection9Fingerprints(b *testing.B) {
-	d, _ := benchRun(b)
+	src := benchRun(b).Source()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fps := core.BuildFingerprints(d)
+		fps, err := core.BuildFingerprints(src)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := core.ClusterFingerprints(fps, 5, 9); err != nil {
 			b.Fatal(err)
 		}
@@ -850,7 +856,7 @@ func benchPoll(b *testing.B, data *core.RunData, url string) {
 // BenchmarkHTTPAnalysisBands polls a stored analysis (a small body, all
 // payload).
 func BenchmarkHTTPAnalysisBands(b *testing.B) {
-	data, _ := benchRun(b)
+	data := benchRun(b)
 	benchPoll(b, data, "/api/v1/analysis/bands")
 }
 
@@ -859,7 +865,7 @@ func BenchmarkHTTPAnalysisBands(b *testing.B) {
 // reply cache covered range queries this was the engine scan and the float
 // encode every time.
 func BenchmarkHTTPRangeCached(b *testing.B) {
-	data, _ := benchRun(b)
+	data := benchRun(b)
 	benchPoll(b, data, "/api/v1/range?dataset=cluster-power&column=sum_inp&step=60")
 }
 

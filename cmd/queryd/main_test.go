@@ -347,8 +347,8 @@ func TestOneOpenPerArchive(t *testing.T) {
 		}
 		partitions += len(days)
 	}
-	if partitions != 5 {
-		t.Fatalf("archive holds %d partitions (%v), want 5", partitions, names)
+	if partitions != 8 {
+		t.Fatalf("archive holds %d partitions (%v), want 8", partitions, names)
 	}
 
 	before := store.Stats().PartitionsIndexed

@@ -3,19 +3,21 @@
 // full-scale reference values alongside the measured results.
 //
 // By default it simulates a scaled Summit data center in memory. With
-// -data it reads an archive summitsim wrote instead: it prints Table 3,
-// every report whose inputs an archive holds (repro.SourceReports, the
-// same text the in-memory run prints for them), and one line for each
-// report an archive cannot give, naming it and why. A fleet root is
-// refused: each member directory is an archive of its own.
+// -data it reads an archive summitsim wrote instead: it prints Table 3 and
+// every report that reads a run (repro.SourceReports, the same text the
+// in-memory run prints for them), and, in place of section-6-generations,
+// which runs simulations of its own, one line saying so. -figdir exports
+// the same figure data from either. A fleet root is refused: each member
+// directory is an archive of its own.
 //
 // A report that fails is named on a "!!" line where it would have printed;
-// repro prints everything else and then exits 1.
+// repro prints everything else and then exits 1. So does a write to the
+// output that fails, naming the output.
 //
 // Usage:
 //
 //	repro [-nodes N] [-hours H] [-seed S] [-start DAY] [-out report.txt] [-figdir dir] [-year] [-powercap]
-//	repro -data /path/to/archive [-out report.txt]
+//	repro -data /path/to/archive [-out report.txt] [-figdir dir]
 package main
 
 import (
@@ -47,7 +49,26 @@ func main() {
 
 // simFlags shape a simulation; an archive's run is already simulated, so
 // they are refused with -data.
-var simFlags = []string{"nodes", "hours", "seed", "start", "figdir", "year", "powercap"}
+var simFlags = []string{"nodes", "hours", "seed", "start", "year", "powercap"}
+
+// output is the one writer every line repro prints goes through. It keeps
+// the first write error, after which it writes nothing more.
+type output struct {
+	w    io.Writer
+	name string
+	err  error
+}
+
+func (o *output) Write(p []byte) (int, error) {
+	if o.err != nil {
+		return 0, o.err
+	}
+	n, err := o.w.Write(p)
+	if err != nil {
+		o.err = fmt.Errorf("writing %s: %w", o.name, err)
+	}
+	return n, err
+}
 
 // cli parses args and prints the reports to stdout, or to -out.
 func cli(args []string, stdout io.Writer) (err error) {
@@ -76,21 +97,27 @@ func cli(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
-	w := stdout
+	w := &output{w: stdout, name: "standard output"}
 	if *out != "" {
 		f, cerr := os.Create(*out)
 		if cerr != nil {
 			return cerr
 		}
 		defer func() {
-			if cerr := f.Close(); err == nil {
-				err = cerr
+			if cerr := f.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("writing %s: %w", *out, cerr)
 			}
 		}()
-		w = f
+		w = &output{w: f, name: *out}
 	}
+	// A failed write outranks everything else: what was printed is short.
+	defer func() {
+		if w.err != nil {
+			err = w.err
+		}
+	}()
 	if *dataDir != "" {
-		return runArchive(w, *dataDir)
+		return runArchive(w, *dataDir, *figDir)
 	}
 	err = run(w, *nodes, *hours, *seed, *startDay, *figDir)
 	if err != nil && !errors.Is(err, errReportFailed) {
@@ -143,28 +170,18 @@ func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, figDi
 		cfg.Nodes, float64(cfg.DurationSec)/units.SecondsPerHour, cfg.Seed, cfg.StepSec)
 
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	m := &memRun{seed: seed}
-	data, res, err := core.CollectRun(cfg, core.AttachVariability(&m.vc))
+	data, res, err := core.CollectRun(cfg)
 	if err != nil {
 		return err
 	}
-	m.data = data
 	fmt.Fprintf(w, "simulated %d windows, %d jobs placed, %d failures injected, utilization %.1f%% (%.1fs wall)\n\n",
 		res.Steps, len(res.Allocations), len(res.Failures),
 		res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
-
-	if figDir != "" {
-		files, err := repro.WriteFigureData(figDir, data, m.vc)
-		if err != nil {
-			return fmt.Errorf("export figure data: %w", err)
-		}
-		fmt.Fprintf(w, "%d figure data files exported to %s\n\n", len(files), figDir)
-	}
-	return printReports(w, data.Source(), m)
+	return printReports(w, data.Source(), figDir, func() (repro.Report, error) { return repro.ReportGenerations(seed) })
 }
 
 // runArchive prints the reports from the archive in dir.
-func runArchive(w io.Writer, dir string) error {
+func runArchive(w io.Writer, dir, figDir string) error {
 	if fleet, err := source.DiscoverFleet(dir); err == nil {
 		members := make([]string, len(fleet.Clusters))
 		for i, e := range fleet.Clusters {
@@ -191,55 +208,26 @@ func runArchive(w io.Writer, dir string) error {
 	fmt.Fprintf(w, "archive %s: site %s, %d nodes, span %.1f h, step %d s, start %s\n\n",
 		dir, site, meta.Nodes, float64(meta.SpanSec())/units.SecondsPerHour, meta.StepSec,
 		time.Unix(meta.StartTime, 0).UTC().Format(time.RFC3339))
-	return printReports(w, src, nil)
-}
-
-// memRun is what the reports an archive cannot give read: the in-memory
-// run's data and variability collector, and its seed.
-type memRun struct {
-	data *core.RunData
-	vc   *core.VariabilityCollector
-	seed uint64
-}
-
-// runReport is a report an archive cannot give. It prints after the report
-// named after; without an in-memory run, a line saying why takes its place.
-type runReport struct {
-	id, after, why string
-	render         func(*memRun) (repro.Report, error)
-}
-
-var runReports = []runReport{
-	{"dataset-c", "table-3", "reads the in-memory allocation log", func(m *memRun) (repro.Report, error) {
-		return repro.ReportScheduling(m.data), nil
-	}},
-	{"figure-10", "figure-9", "reads the in-memory per-job power series", func(m *memRun) (repro.Report, error) {
-		return repro.ReportFigure10(m.data), nil
-	}},
-	{"figure-14", "figure-13", "reads the in-memory allocation log", func(m *memRun) (repro.Report, error) {
-		return repro.ReportFigure14(m.data), nil
-	}},
-	{"figure-17", "figure-16", "reads the in-memory per-GPU variability collector", func(m *memRun) (repro.Report, error) {
-		return repro.ReportFigure17(m.vc)
-	}},
-	{"section-9", "figure-16", "reads the in-memory per-job power series", func(m *memRun) (repro.Report, error) {
-		return repro.ReportFingerprints(m.data)
-	}},
-	{"section-6-generations", "figure-16", "runs its own simulations", func(m *memRun) (repro.Report, error) {
-		return repro.ReportGenerations(m.seed)
-	}},
+	return printReports(w, src, figDir, nil)
 }
 
 // errReportFailed marks a run in which some report failed.
 var errReportFailed = errors.New("report(s) failed")
 
-// printReports prints Table 3 and every source report over src, in the
-// paper's order, each run-bound report after the one it follows (m nil:
-// why it is missing instead). It returns errReportFailed, naming them,
-// when any report failed.
-func printReports(w io.Writer, src source.RunSource, m *memRun) error {
+// printReports exports src's figure data into figDir (when set), then prints
+// Table 3, every source report over src, in the paper's order, and last
+// section-6-generations (nil: a line saying why it is missing instead). It
+// returns errReportFailed, naming them, when any report failed.
+func printReports(w io.Writer, src source.RunSource, figDir string, generations func() (repro.Report, error)) error {
+	if figDir != "" {
+		files, err := repro.WriteFigureData(figDir, src)
+		if err != nil {
+			return fmt.Errorf("export figure data: %w", err)
+		}
+		fmt.Fprintf(w, "%d figure data files exported to %s\n\n", len(files), figDir)
+	}
 	var failed []string
-	emit := func(id string, rep repro.Report, err error) {
+	report := func(id string, rep repro.Report, err error) {
 		if err != nil {
 			fmt.Fprintf(w, "!! experiment failed: %s: %v\n\n", id, err)
 			failed = append(failed, id)
@@ -247,23 +235,16 @@ func printReports(w io.Writer, src source.RunSource, m *memRun) error {
 		}
 		fmt.Fprintln(w, rep.String())
 	}
-	report := func(id string, rep repro.Report, err error) {
-		emit(id, rep, err)
-		for _, r := range runReports {
-			switch {
-			case r.after != id:
-			case m == nil:
-				fmt.Fprintf(w, "-- %s is not in an archive: it %s\n\n", r.id, r.why)
-			default:
-				rep, err := r.render(m)
-				emit(r.id, rep, err)
-			}
-		}
-	}
 	report("table-3", repro.ReportTable3(), nil)
 	for _, r := range repro.SourceReports {
 		rep, err := r.Render(src)
 		report(r.ID, rep, err)
+	}
+	if generations == nil {
+		fmt.Fprintf(w, "-- section-6-generations is not in an archive: it runs its own simulations\n\n")
+	} else {
+		rep, err := generations()
+		report("section-6-generations", rep, err)
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("%w: %s", errReportFailed, strings.Join(failed, ", "))

@@ -2,9 +2,11 @@ package main
 
 import (
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -13,6 +15,8 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/source"
+	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // The whole-paper harness must run end to end at tiny scale and emit
@@ -88,45 +92,174 @@ func blocks(out string) map[string]string {
 }
 
 // TestDataMatchesTheInMemoryRun pins the one report path: the archive of
-// the run repro simulates prints, with -data, Table 3 and every source
-// report byte for byte as the in-memory run does, and names each report an
-// archive cannot give instead of printing it.
+// the run repro simulates prints, with -data, Table 3 and every report that
+// reads a run byte for byte as the in-memory run does, in January and in
+// July, and names section-6-generations, which runs simulations of its own,
+// as the one report it cannot give.
 func TestDataMatchesTheInMemoryRun(t *testing.T) {
-	const nodes, hours, seed, startDay = 36, 1.0, 7, 14
-	var mem strings.Builder
-	if err := run(&mem, nodes, hours, seed, startDay, ""); err != nil {
+	const nodes, hours, seed = 36, 1.0, 7
+	for _, c := range []struct {
+		startDay int
+		start    string
+	}{{14, "2020-01-15T00:00:00Z"}, {196, "2020-07-15T00:00:00Z"}} {
+		var mem strings.Builder
+		if err := run(&mem, nodes, hours, seed, c.startDay, ""); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := simConfig(nodes, hours, seed, c.startDay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := archiveOf(t, cfg)
+		var arc strings.Builder
+		if err := cli([]string{"-data", dir}, &arc); err != nil {
+			t.Fatal(err)
+		}
+		want := blocks(mem.String())
+		got := blocks(arc.String())
+		ids := []string{"table-3"}
+		for _, r := range repro.SourceReports {
+			ids = append(ids, r.ID)
+		}
+		if len(ids) != 20 {
+			t.Errorf("Table 3 and %d source reports, want the 19 that read a run", len(ids)-1)
+		}
+		for _, id := range ids {
+			if want[id] == "" || got[id] != want[id] {
+				t.Errorf("day %d: %s from the archive:\n%s\nin memory:\n%s", c.startDay, id, got[id], want[id])
+			}
+		}
+		if len(got) != len(ids) || len(want) != len(ids)+1 {
+			t.Errorf("day %d: -data printed %d report blocks and the run %d, want %d and %d:\n%s",
+				c.startDay, len(got), len(want), len(ids), len(ids)+1, arc.String())
+		}
+		missing := regexp.MustCompile(`(?m)^-- .*$`).FindAllString(arc.String(), -1)
+		if len(missing) != 1 || missing[0] != "-- section-6-generations is not in an archive: it runs its own simulations" {
+			t.Errorf("day %d: -data names %q as missing, want section-6-generations alone", c.startDay, missing)
+		}
+		if header := "archive " + dir + ": site summit, 36 nodes, span 1.0 h, step 10 s, start " + c.start + "\n"; !strings.Contains(arc.String(), header) {
+			t.Errorf("-data header, want %q:\n%s", header, arc.String())
+		}
+	}
+}
+
+// TestFigureDataFromAnArchive: -figdir with -data writes the files the
+// in-memory run of the archived config writes, with the same bytes.
+func TestFigureDataFromAnArchive(t *testing.T) {
+	const nodes, hours, seed, startDay = 36, 0.5, 3, 14
+	memDir, arcDir := t.TempDir(), t.TempDir()
+	if err := run(io.Discard, nodes, hours, seed, startDay, memDir); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := simConfig(nodes, hours, seed, startDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := archiveOf(t, cfg)
-	var arc strings.Builder
-	if err := cli([]string{"-data", dir}, &arc); err != nil {
+	if err := cli([]string{"-data", archiveOf(t, cfg), "-figdir", arcDir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	want := blocks(mem.String())
-	got := blocks(arc.String())
-	ids := []string{"table-3"}
-	for _, r := range repro.SourceReports {
-		ids = append(ids, r.ID)
+	want, got := dirFiles(t, memDir), dirFiles(t, arcDir)
+	if len(want) < 5 || !reflect.DeepEqual(got, want) {
+		t.Errorf("-data -figdir wrote %d files, the run %d, or their bytes differ", len(got), len(want))
 	}
-	for _, id := range ids {
-		if want[id] == "" || got[id] != want[id] {
-			t.Errorf("%s from the archive:\n%s\nin memory:\n%s", id, got[id], want[id])
+}
+
+// dirFiles maps every file in dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(raw)
+	}
+	return out
+}
+
+// TestAnArchiveWithoutTheRunLogs: an archive written before the allocation
+// log, the job series and the exemplar frames were archived still prints,
+// and each of the five reports that read them fails on its "!!" line naming
+// the dataset it lacks.
+func TestAnArchiveWithoutTheRunLogs(t *testing.T) {
+	dir := archiveOf(t, repro.ScaledConfig(16, time.Hour))
+	for _, name := range []string{source.DatasetAllocations, source.DatasetJobSeries, source.DatasetExemplar} {
+		if err := os.Remove(filepath.Join(dir, name+"-day00000.spwr")); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(got) != len(ids) {
-		t.Errorf("-data printed %d report blocks, want %d:\n%s", len(got), len(ids), arc.String())
+	var out strings.Builder
+	err := cli([]string{"-data", dir}, &out)
+	if !errors.Is(err, errReportFailed) {
+		t.Fatalf("%v, want errReportFailed", err)
 	}
-	for _, r := range runReports {
-		if !strings.Contains(arc.String(), "-- "+r.id+" is not in an archive: it "+r.why+"\n") {
-			t.Errorf("-data does not name %s as missing:\n%s", r.id, arc.String())
+	for _, c := range []struct{ id, dataset string }{
+		{"dataset-c", source.DatasetAllocations}, {"figure-10", source.DatasetAllocations},
+		{"figure-14", source.DatasetAllocations}, {"figure-17", source.DatasetExemplar},
+		{"section-9", source.DatasetAllocations},
+	} {
+		line := regexp.MustCompile(`(?m)^!! experiment failed: ` + c.id + `: .*$`).FindString(out.String())
+		if !strings.Contains(line, `"`+c.dataset+`"`) || !strings.Contains(err.Error(), c.id) {
+			t.Errorf("%s: %q, want a failure naming %s", c.id, line, c.dataset)
 		}
 	}
-	if header := "archive " + dir + ": site summit, 36 nodes, span 1.0 h, step 10 s, start 2020-01-15T00:00:00Z\n"; !strings.Contains(arc.String(), header) {
-		t.Errorf("-data header, want %q:\n%s", header, arc.String())
+	if n := strings.Count(out.String(), "!! "); n != 5 {
+		t.Errorf("%d reports failed, want 5:\n%s", n, out.String())
+	}
+}
+
+// TestARunWithoutAJobToPick: a run whose one job starts after the span has
+// no exemplar for Figure 17. The run completes, and only figure-17 fails,
+// on its "!!" line naming the empty dataset.
+func TestARunWithoutAJobToPick(t *testing.T) {
+	cfg, err := simConfig(36, 1, 7, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := cfg.StartTime + cfg.DurationSec + 3600
+	cfg.Workload = []workload.Job{{ID: 1, User: "u", Project: "p", Class: units.Class5, Nodes: 2,
+		SubmitTime: late, WalltimeReq: 3600, Duration: 600}}
+	data, _, err := core.CollectRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err = printReports(&out, data.Source(), "", nil)
+	if !errors.Is(err, errReportFailed) || !strings.HasSuffix(err.Error(), ": figure-17") {
+		t.Fatalf("%v, want errReportFailed naming figure-17 alone", err)
+	}
+	if !strings.Contains(out.String(), "!! experiment failed: figure-17: core: "+source.DatasetExemplar+" holds no frames") {
+		t.Errorf("figure-17's failure does not name %s:\n%s", source.DatasetExemplar, out.String())
+	}
+}
+
+// failingWriter refuses every write after its first n bytes.
+type failingWriter struct{ n int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n := f.n
+		f.n = 0
+		return n, errors.New("device full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestAFailedWriteIsAnError: output that cannot be written fails the run,
+// naming the output, however much of it was written.
+func TestAFailedWriteIsAnError(t *testing.T) {
+	dir := archiveOf(t, repro.ScaledConfig(16, time.Hour))
+	for _, n := range []int{0, 500} {
+		err := cli([]string{"-data", dir}, &failingWriter{n: n})
+		if err == nil || !strings.Contains(err.Error(), "writing standard output") || !strings.Contains(err.Error(), "device full") {
+			t.Errorf("after %d bytes: %v, want the write error naming standard output", n, err)
+		}
 	}
 }
 

@@ -97,8 +97,6 @@ var keptUncalled = map[string]string{
 	"stats.StudentTCDF":            oracle + "TestStudentTTwoSidedP",
 	"tsagg.Coarsen":                oracle + "query.TestRangeDownsampleMatchesCoarsen",
 	"core.EarlyWarning":            oracle + "TestOperatorsMatchReferences",
-	"core.ReadAllocationCSV":       oracle + "TestAllocationCSVRoundTrip (the reader of WriteAllocationCSV)",
-	"core.DomainByName":            oracle + "TestAllocationCSVRoundTrip (the reader of WriteAllocationCSV)",
 	"nodesim.NewState":             oracle + "TestFleetMatchesStateBitwise",
 	"(*nodesim.State).Step":        oracle + "TestFleetMatchesStateBitwise",
 	"(*nodesim.State).CPUTemp":     oracle + "TestFleetMatchesStateBitwise",
@@ -112,6 +110,7 @@ var keptUncalled = map[string]string{
 	// A test convenience.
 	"store.Write":                        convenience + "one table to a stream, no dataset",
 	"store.Read":                         convenience + "one table from a stream, no dataset",
+	"(*store.Dataset).WriteDay":          convenience + "a test fixture's day at the default codec",
 	"stream.NewWindowCoarsener":          convenience + "a coarsener outside a pipeline",
 	"trace.BuiltinSample":                convenience + "the checked-in sample trace",
 	"(*lint.Loader).ModuleDir":           convenience + "the module root the reprolint tests load from",

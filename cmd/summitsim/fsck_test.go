@@ -16,7 +16,7 @@ import (
 )
 
 // fsckArchive simulates a small run with the per-node dataset into a fresh
-// directory: five datasets, node-power among them, its one day carrying its
+// directory: eight datasets, node-power among them, its one day carrying its
 // rollup companion.
 func fsckArchive(t *testing.T) string {
 	t.Helper()
@@ -113,12 +113,12 @@ func TestFsck(t *testing.T) {
 			var out strings.Builder
 			err := fsck(&out, dir)
 			if tc.want == nil {
-				if err != nil || strings.Count(out.String(), ", 0 problems\n") != 5 {
+				if err != nil || strings.Count(out.String(), ", 0 problems\n") != 8 {
 					t.Fatalf("fsck of a sound archive: %v\n%s", err, out.String())
 				}
 				// node-power's base days XOR each node with itself a window
 				// back and carry the companion; nothing else does either.
-				if strings.Count(out.String(), ", 0 with strided columns, 0 with a companion,") != 4 || !strings.Contains(out.String(), ": node-power: 1 partitions, 1 framed as members, 0 as one stream, 1 with strided columns, 1 with a companion,") {
+				if strings.Count(out.String(), ", 0 with strided columns, 0 with a companion,") != 7 || !strings.Contains(out.String(), ": node-power: 1 partitions, 1 framed as members, 0 as one stream, 1 with strided columns, 1 with a companion,") {
 					t.Errorf("fsck of a sound archive, want node-power's one day strided and with a companion, and nothing else:\n%s", out.String())
 				}
 				return

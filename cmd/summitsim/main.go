@@ -66,7 +66,6 @@ type options struct {
 	sites     string
 	out       string
 	nodeData  bool
-	jobSeries bool
 	quiet     bool
 	set       map[string]bool
 }
@@ -88,7 +87,6 @@ func main() {
 	flag.StringVar(&o.placement, "placement", "", "scheduler placement policy: contiguous|packed|scatter")
 	flag.Float64Var(&o.capMW, "powercap-mw", 0, "cluster power cap in MW (0 = uncapped)")
 	flag.BoolVar(&o.nodeData, "nodedata", false, "also archive per-node window statistics (Dataset 0; large)")
-	flag.BoolVar(&o.jobSeries, "jobseries", false, "also archive per-job time series (Datasets 3/4/10/11)")
 	flag.BoolVar(&o.quiet, "q", false, "suppress progress output")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -262,7 +260,7 @@ func run(w io.Writer, o options) (err error) {
 	for i, m := range ms {
 		dirs[i], cfgs[i] = m.dir, m.r.Config
 	}
-	if err := source.BeginArchive(archiveSpan(base.Config), o.datasets(), dirs...); err != nil {
+	if err := source.BeginArchive(archiveSpan(base.Config), source.RunDatasets(o.nodeData), dirs...); err != nil {
 		return err
 	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
@@ -327,31 +325,15 @@ func archiveSpan(cfg sim.Config) int64 {
 	return (cfg.DurationSec + cfg.StepSec - 1) / cfg.StepSec * cfg.StepSec
 }
 
-// datasets names every dataset a run of o archives beside its run-meta.
-func (o options) datasets() []string {
-	names := []string{source.DatasetClusterPower, source.DatasetJobRecords, source.DatasetFailures}
-	if o.nodeData {
-		names = append(names, core.DatasetNodePower)
-	}
-	if o.jobSeries {
-		names = append(names, core.DatasetJobSeries)
-	}
-	return names
-}
-
-// archiveRun writes member m's datasets, scheduler CSV logs, scenario.json
-// and report.json into its directory, then reports the per-dataset
-// footprint, each line labelled with the member's fleet name. nodes, when
-// not nil, is the member's still-open node-power writer: its last day, like
-// the -jobseries dataset, is written beside the other partitions, before
-// the run-meta.
+// archiveRun writes member m's datasets, its per-node allocation CSV,
+// scenario.json and report.json into its directory, then reports the
+// per-dataset footprint, each line labelled with the member's fleet name.
+// nodes, when not nil, is the member's still-open node-power writer: its
+// last day is written beside the other partitions, before the run-meta.
 func archiveRun(w io.Writer, m member, data *core.RunData, nodes *core.NodeDatasetWriter, o options) error {
 	var also []func() error
 	if nodes != nil {
 		also = append(also, nodes.Close)
-	}
-	if o.jobSeries {
-		also = append(also, func() error { return core.WriteJobSeriesDataset(m.dir, data) })
 	}
 	if err := core.WriteDatasets(m.dir, data, also...); err != nil {
 		if nodes != nil {
@@ -359,12 +341,8 @@ func archiveRun(w io.Writer, m member, data *core.RunData, nodes *core.NodeDatas
 		}
 		return err
 	}
-	// Job scheduler logs (Datasets C and D) as CSV for external tooling.
-	if err := writeCSV(filepath.Join(m.dir, "allocations.csv"), func(w io.Writer) error {
-		return core.WriteAllocationCSV(w, data)
-	}); err != nil {
-		return err
-	}
+	// The per-node allocation history (Dataset D) as CSV for external
+	// tooling: no dataset holds an allocation's node list.
 	if err := writeCSV(filepath.Join(m.dir, "allocations-per-node.csv"), func(w io.Writer) error {
 		return core.WritePerNodeCSV(w, data)
 	}); err != nil {
@@ -390,7 +368,7 @@ func archiveRun(w io.Writer, m member, data *core.RunData, nodes *core.NodeDatas
 	}
 	// Report archive footprint per dataset (the paper tracks this
 	// closely: compression made the full-scale archive practical).
-	for _, name := range o.datasets() {
+	for _, name := range source.RunDatasets(o.nodeData) {
 		ds, err := store.NewDataset(m.dir, name)
 		if err != nil {
 			return err

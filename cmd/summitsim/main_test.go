@@ -278,21 +278,21 @@ func TestRefusedRerunTouchesNothing(t *testing.T) {
 
 // TestRerunWithoutADatasetIsRefused: a run into a directory that holds
 // partitions of a dataset the run does not write — an earlier run's
-// -nodedata or -jobseries days — is refused before its first window, naming
-// them, and every file keeps its bytes. Otherwise the earlier run's
-// node-power would be read beside the new run's run-meta as its own.
+// -nodedata days — is refused before its first window, naming them, and
+// every file keeps its bytes. Otherwise the earlier run's node-power would
+// be read beside the new run's run-meta as its own.
 func TestRerunWithoutADatasetIsRefused(t *testing.T) {
 	for _, clusters := range []int{1, 2} {
 		dir := t.TempDir()
-		if err := run(io.Discard, options{nodes: 16, days: 1, seed: 1, clusters: clusters, sites: "summit", out: dir, nodeData: true, jobSeries: true, quiet: true}); err != nil {
+		if err := run(io.Discard, options{nodes: 16, days: 1, seed: 1, clusters: clusters, sites: "summit", out: dir, nodeData: true, quiet: true}); err != nil {
 			t.Fatal(err)
 		}
 		before := fileSums(t, dir)
 		err := run(io.Discard, options{nodes: 32, days: 1, seed: 1, clusters: clusters, sites: "summit", out: dir, quiet: true})
 		if err == nil {
-			t.Fatalf("%d cluster(s): a run without -nodedata and -jobseries was archived beside their days", clusters)
+			t.Fatalf("%d cluster(s): a run without -nodedata was archived beside its days", clusters)
 		}
-		for _, name := range []string{"node-power-day00000.spwr", "job-series-day00000.spwr"} {
+		for _, name := range []string{"node-power-day00000.spwr"} {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("%d cluster(s): refusal does not name %s: %v", clusters, name, err)
 			}

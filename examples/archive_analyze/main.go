@@ -31,14 +31,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The per-job dataset is written beside the others, before the
-	// run-meta that commits them all.
-	if err := core.WriteDatasets(dir, data, func() error { return core.WriteJobSeriesDataset(dir, data) }); err != nil {
+	if err := core.WriteDatasets(dir, data); err != nil {
 		log.Fatal(err)
 	}
 	var total int64
-	for _, name := range []string{source.DatasetClusterPower, source.DatasetJobRecords,
-		source.DatasetFailures, core.DatasetJobSeries} {
+	for _, name := range source.RunDatasets(false) {
 		ds, err := store.NewDataset(dir, name)
 		if err != nil {
 			log.Fatal(err)
@@ -79,19 +76,23 @@ func main() {
 	fmt.Printf("restored failure log: %d events, %d types; top: %s (%d)\n",
 		len(evs), len(comp), comp[0].Type, comp[0].Count)
 
-	jobs, err := core.ReadJobSeriesDataset(dir, cfg.StepSec)
+	windows, err := src.JobPower()
 	if err != nil {
 		log.Fatal(err)
 	}
+	perJob := map[int64]int{}
 	var longest int64
-	var longestN int
-	for id, v := range jobs {
-		if n := len(v.SumPower.Clean()); n > longestN {
-			longestN = n
-			longest = id
+	for _, w := range windows {
+		if perJob[w.AllocationID]++; perJob[w.AllocationID] > perJob[longest] {
+			longest = w.AllocationID
 		}
 	}
 	fmt.Printf("restored %d job series; longest job %d spans %d windows\n",
-		len(jobs), longest, longestN)
+		len(perJob), longest, perJob[longest])
+	dyn, err := core.Figure10Dynamics(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("restored Figure 10: %.1f%% of %d jobs without edges\n", dyn.FracNoEdges*100, len(dyn.PerJob))
 	fmt.Println("archive → restore → analyze round trip complete")
 }

@@ -22,7 +22,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fps := core.BuildFingerprints(data)
+	fps, err := core.BuildFingerprints(data.Source())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("fingerprinted %d jobs (features: power/node, swing, dominant freq, GPU share)\n\n", len(fps))
 
 	portraits, err := core.ClusterFingerprints(fps, 5, 9)

@@ -52,7 +52,11 @@ func main() {
 
 	// Figure 14: which projects burn GPUs fastest?
 	fmt.Println("\ntop-5 projects by failures per node-hour:")
-	for _, p := range core.Figure14FailuresPerProject(data, false, 5) {
+	rates, err := core.Figure14FailuresPerProject(src, false, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range rates {
 		fmt.Printf("  %-8s %6d failures over %8.0f node-hours  → %.4f/nh\n",
 			p.Project, p.Total, p.NodeHours, p.PerNodeHour)
 	}

@@ -25,7 +25,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dyn := core.Figure10Dynamics(data)
+	dyn, err := core.Figure10Dynamics(data.Source())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("jobs analyzed:        %d\n", len(dyn.PerJob))
 	fmt.Printf("jobs with no edges:   %.1f%%  (paper: 96.9%%)\n", dyn.FracNoEdges*100)
 

@@ -8,13 +8,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/render"
+	"repro/internal/source"
 	"repro/internal/stats"
+	"repro/internal/tsagg"
 )
 
-// WriteFigureData exports the plot-ready data behind every figure as CSV
-// files in dir (one or more files per figure), so the paper's plots can be
-// regenerated with any external plotting tool. Returns the files written.
-func WriteFigureData(dir string, d *core.RunData, vc *core.VariabilityCollector) ([]string, error) {
+// WriteFigureData exports the plot-ready data behind every figure of the
+// run src serves — in memory or archived — as CSV files in dir (one or more
+// files per figure), so the paper's plots can be regenerated with any
+// external plotting tool. Returns the files written.
+func WriteFigureData(dir string, src source.RunSource) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -36,8 +39,6 @@ func WriteFigureData(dir string, d *core.RunData, vc *core.VariabilityCollector)
 		return nil
 	}
 
-	src := d.Source()
-
 	// Figure 4: per-window meter-vs-summation differences.
 	if rep, err := core.ValidationFromSource(src); err == nil {
 		if err := emit("fig4_diff_samples.csv",
@@ -47,17 +48,27 @@ func WriteFigureData(dir string, d *core.RunData, vc *core.VariabilityCollector)
 	}
 
 	// Figure 5: the cluster power / PUE time series.
-	times := make([]float64, d.ClusterPower.Len())
+	var fig5 [4]*tsagg.Series
+	for i, name := range []string{source.SeriesClusterPower, source.SeriesPUE, source.SeriesTowerTons, source.SeriesChillerTons} {
+		var err error
+		if fig5[i], err = src.Series(name); err != nil {
+			return written, err
+		}
+	}
+	times := make([]float64, fig5[0].Len())
 	for i := range times {
-		times[i] = float64(d.ClusterPower.TimeAt(i))
+		times[i] = float64(fig5[0].TimeAt(i))
 	}
 	if err := emit("fig5_cluster_series.csv",
 		[]string{"timestamp", "power_w", "pue", "tower_tons", "chiller_tons"},
-		times, d.ClusterPower.Vals, d.PUE.Vals, d.TowerTons.Vals, d.ChillerTons.Vals); err != nil {
+		times, fig5[0].Vals, fig5[1].Vals, fig5[2].Vals, fig5[3].Vals); err != nil {
 		return written, err
 	}
 
-	recs := src.Jobs
+	recs, err := src.JobRecords()
+	if err != nil {
+		return written, err
+	}
 
 	// Figure 6: per-job (energy, max power) scatter with class labels.
 	var e6, p6, c6 []float64
@@ -87,7 +98,10 @@ func WriteFigureData(dir string, d *core.RunData, vc *core.VariabilityCollector)
 	}
 
 	// Figure 10: per-job dynamics scatter.
-	dyn := core.Figure10Dynamics(d)
+	dyn, err := core.Figure10Dynamics(src)
+	if err != nil {
+		return written, err
+	}
 	var edges10, freq10, amp10, class10 []float64
 	for _, j := range dyn.PerJob {
 		if j.EdgeCount == 0 {
@@ -171,25 +185,24 @@ func WriteFigureData(dir string, d *core.RunData, vc *core.VariabilityCollector)
 		return written, err
 	}
 
-	// Figure 17: per-instant GPU power/temperature distributions.
-	if vc != nil {
-		if rep, err := core.Figure17Variability(vc, 6); err == nil {
-			var inst, pMed, pLo, pHi, tMed, tLo, tHi []float64
-			for i, v := range rep.Instants {
-				inst = append(inst, float64(i+1))
-				pMed = append(pMed, v.PowerBox.Median)
-				pLo = append(pLo, v.PowerBox.Q1)
-				pHi = append(pHi, v.PowerBox.Q3)
-				tMed = append(tMed, v.TempBox.Median)
-				tLo = append(tLo, v.TempBox.Q1)
-				tHi = append(tHi, v.TempBox.Q3)
-			}
-			if err := emit("fig17_instants.csv",
-				[]string{"instant", "power_median_w", "power_q1", "power_q3",
-					"temp_median_c", "temp_q1", "temp_q3"},
-				inst, pMed, pLo, pHi, tMed, tLo, tHi); err != nil {
-				return written, err
-			}
+	// Figure 17: per-instant GPU power/temperature distributions, when the
+	// run had a job to pick.
+	if rep, err := core.Figure17Variability(src); err == nil {
+		var inst, pMed, pLo, pHi, tMed, tLo, tHi []float64
+		for i, v := range rep.Instants {
+			inst = append(inst, float64(i+1))
+			pMed = append(pMed, v.PowerBox.Median)
+			pLo = append(pLo, v.PowerBox.Q1)
+			pHi = append(pHi, v.PowerBox.Q3)
+			tMed = append(tMed, v.TempBox.Median)
+			tLo = append(tLo, v.TempBox.Q1)
+			tHi = append(tHi, v.TempBox.Q3)
+		}
+		if err := emit("fig17_instants.csv",
+			[]string{"instant", "power_median_w", "power_q1", "power_q3",
+				"temp_median_c", "temp_q1", "temp_q3"},
+			inst, pMed, pLo, pHi, tMed, tLo, tHi); err != nil {
+			return written, err
 		}
 	}
 	return written, nil

@@ -13,6 +13,7 @@ import (
 	"repro/internal/failures"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
 	"repro/internal/units"
@@ -25,20 +26,12 @@ type JobSeries struct {
 	AllocIdx int
 	// SumPower is Σ over the job's nodes of sensor input power (W).
 	SumPower *tsagg.Series
-	// MaxNodePower / MeanNodePower are across-node max/mean of per-node
-	// input power (W).
-	MaxNodePower  *tsagg.Series
-	MeanNodePower *tsagg.Series
 	// MeanCPUPower / MaxCPUPower are across-node stats of per-node CPU
 	// component power (W, both sockets combined); GPU likewise.
 	MeanCPUPower *tsagg.Series
 	MaxCPUPower  *tsagg.Series
 	MeanGPUPower *tsagg.Series
 	MaxGPUPower  *tsagg.Series
-	// GPUTempMean / GPUTempMax summarize GPU core temperatures across the
-	// job's GPUs (°C).
-	GPUTempMean *tsagg.Series
-	GPUTempMax  *tsagg.Series
 }
 
 // RunData is everything the analyses need from one simulated span: the
@@ -93,6 +86,11 @@ type RunData struct {
 
 	// Job-aware series (Datasets 3–6), parallel to Allocations.
 	Jobs []JobSeries
+
+	// Exemplar is Figure 17's per-GPU detail: the frames of the exemplar
+	// job (PickExemplarAllocation) at the windows the figure reads. Empty
+	// when the run has no job to pick.
+	Exemplar []source.GPUSample
 }
 
 // Collector accumulates RunData from a simulation. Use NewCollector, pass
@@ -110,16 +108,19 @@ type Collector struct {
 	jobAcc     []jobWindowAcc // indexed by allocation index
 	jobTouched []int          // allocation indices active this window
 	msbSum     []float64
+	// exemplar is Figure 17's job (nil: none), and frames the times of the
+	// windows of it still to capture, ascending.
+	exemplar *scheduler.Allocation
+	frames   []int64
 }
 
 // jobWindowAcc collapses one job's node rows for a single window.
 type jobWindowAcc struct {
-	sum, maxNode         float64
-	cpuSum, cpuMax       float64
-	gpuSum, gpuMax       float64
-	tempSum, tempMax     float64
-	tempCount, nodeCount float64
-	touched              bool
+	sum            float64
+	cpuSum, cpuMax float64
+	gpuSum, gpuMax float64
+	nodeCount      float64
+	touched        bool
 }
 
 // NewCollector sizes the collector for the run described by cfg and the
@@ -175,23 +176,23 @@ func NewCollector(s *sim.Sim, cfg sim.Config) *Collector {
 		}
 		mkJob := func() *tsagg.Series { return tsagg.NewSeries(start, cfg.StepSec, n) }
 		data.Jobs[i] = JobSeries{
-			AllocIdx:      i,
-			SumPower:      mkJob(),
-			MaxNodePower:  mkJob(),
-			MeanNodePower: mkJob(),
-			MeanCPUPower:  mkJob(),
-			MaxCPUPower:   mkJob(),
-			MeanGPUPower:  mkJob(),
-			MaxGPUPower:   mkJob(),
-			GPUTempMean:   mkJob(),
-			GPUTempMax:    mkJob(),
+			AllocIdx:     i,
+			SumPower:     mkJob(),
+			MeanCPUPower: mkJob(),
+			MaxCPUPower:  mkJob(),
+			MeanGPUPower: mkJob(),
+			MaxGPUPower:  mkJob(),
 		}
 	}
 	msbOf := make([]int32, cfg.Nodes)
 	for i := range msbOf {
 		msbOf[i] = int32(s.Floor().MSBOf(topology.NodeID(i)))
 	}
-	return &Collector{data: data, msbOf: msbOf}
+	c := &Collector{data: data, msbOf: msbOf}
+	if i := PickExemplarAllocation(allocs, cfg.StartTime, cfg.StartTime+cfg.DurationSec); i >= 0 {
+		c.exemplar, c.frames = &allocs[i], exemplarFrames(&allocs[i], cfg)
+	}
+	return c
 }
 
 // Observe implements sim.Observer.
@@ -300,14 +301,10 @@ func (c *Collector) Observe(snap *sim.Snapshot) {
 		}
 		a := &c.jobAcc[aIdx]
 		if !a.touched {
-			*a = jobWindowAcc{touched: true, maxNode: math.Inf(-1),
-				cpuMax: math.Inf(-1), gpuMax: math.Inf(-1), tempMax: math.Inf(-1)}
+			*a = jobWindowAcc{touched: true, cpuMax: math.Inf(-1), gpuMax: math.Inf(-1)}
 			c.jobTouched = append(c.jobTouched, aIdx)
 		}
 		a.sum += nodePower
-		if nodePower > a.maxNode {
-			a.maxNode = nodePower
-		}
 		a.cpuSum += snap.CPUPower[i]
 		if snap.CPUPower[i] > a.cpuMax {
 			a.cpuMax = snap.CPUPower[i]
@@ -315,17 +312,6 @@ func (c *Collector) Observe(snap *sim.Snapshot) {
 		a.gpuSum += snap.GPUPower[i]
 		if snap.GPUPower[i] > a.gpuMax {
 			a.gpuMax = snap.GPUPower[i]
-		}
-		for g := 0; g < units.GPUsPerNode; g++ {
-			v := snap.GPUCoreTemp[i][g]
-			if math.IsNaN(v) {
-				continue
-			}
-			a.tempSum += v
-			a.tempCount++
-			if v > a.tempMax {
-				a.tempMax = v
-			}
 		}
 		a.nodeCount++
 	}
@@ -336,15 +322,19 @@ func (c *Collector) Observe(snap *sim.Snapshot) {
 		a := &c.jobAcc[aIdx]
 		js := &d.Jobs[aIdx]
 		js.SumPower.Set(t, a.sum)
-		js.MaxNodePower.Set(t, a.maxNode)
-		js.MeanNodePower.Set(t, a.sum/a.nodeCount)
 		js.MeanCPUPower.Set(t, a.cpuSum/a.nodeCount)
 		js.MaxCPUPower.Set(t, a.cpuMax)
 		js.MeanGPUPower.Set(t, a.gpuSum/a.nodeCount)
 		js.MaxGPUPower.Set(t, a.gpuMax)
-		if a.tempCount > 0 {
-			js.GPUTempMean.Set(t, a.tempSum/a.tempCount)
-			js.GPUTempMax.Set(t, a.tempMax)
+	}
+	if len(c.frames) > 0 && t == c.frames[0] {
+		c.frames = c.frames[1:]
+		a := c.exemplar
+		for _, id := range a.NodeIDs {
+			for g := 0; g < units.GPUsPerNode; g++ {
+				d.Exemplar = append(d.Exemplar, source.GPUSample{T: t, AllocationID: a.Job.ID, Node: int(id), Slot: g,
+					PowerW: snap.GPUPowerEach[id][g], TempC: snap.GPUCoreTemp[id][g]})
+			}
 		}
 	}
 }
@@ -361,7 +351,7 @@ func (c *Collector) SetFailures(evs []failures.Event) { c.data.Failures = evs }
 func (c *Collector) Data() *RunData { return c.data }
 
 // Attach builds one extra observer for a run once its sim exists (the
-// variability collector sizes itself from the sim's allocations).
+// node-dataset writer sizes its floor from the sim's configuration).
 type Attach func(s *sim.Sim) (sim.Observer, error)
 
 // CollectRun is the one run-and-collect sequence: build the sim from cfg,

@@ -217,8 +217,10 @@ func TestFigure9ComponentKDE(t *testing.T) {
 }
 
 func TestFigure10Dynamics(t *testing.T) {
-	d := testData(t)
-	rep := Figure10Dynamics(d)
+	rep, err := Figure10Dynamics(testData(t).Source())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.PerJob) == 0 {
 		t.Fatal("no per-job dynamics")
 	}
@@ -364,9 +366,9 @@ func TestFigure13Correlation(t *testing.T) {
 }
 
 func TestFigure14FailuresPerProject(t *testing.T) {
-	d := testData(t)
-	all := Figure14FailuresPerProject(d, false, 15)
-	if len(all) == 0 {
+	src := testData(t).Source()
+	all, err := Figure14FailuresPerProject(src, false, 15)
+	if err != nil || len(all) == 0 {
 		t.Fatal("no project rates")
 	}
 	for i := 1; i < len(all); i++ {
@@ -374,7 +376,10 @@ func TestFigure14FailuresPerProject(t *testing.T) {
 			t.Fatal("rates not sorted descending")
 		}
 	}
-	hw := Figure14FailuresPerProject(d, true, 15)
+	hw, err := Figure14FailuresPerProject(src, true, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range hw {
 		for typ := range p.ByType {
 			if !typ.Hardware() {
@@ -456,22 +461,15 @@ func TestVariabilityEndToEnd(t *testing.T) {
 		Jobs:             60,
 		FailureRateScale: 1,
 	}
-	s, err := sim.New(cfg)
+	d, _, err := CollectRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := NewVariabilityCollector(s, -1)
+	rep, err := Figure17Variability(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(vc); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Figure17Variability(vc, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Nodes == 0 || rep.GPUs != rep.Nodes*units.GPUsPerNode {
+	if rep.Nodes == 0 || rep.GPUs != rep.Nodes*units.GPUsPerNode || len(rep.Instants) != variabilityInstants {
 		t.Errorf("report shape: %+v", rep)
 	}
 	if len(rep.Instants) == 0 {
@@ -521,8 +519,8 @@ func statsPearson(a, b []float64) (float64, error) {
 
 func TestSchedulingByClass(t *testing.T) {
 	d := testData(t)
-	rows := SchedulingByClass(d)
-	if len(rows) == 0 {
+	rows, err := SchedulingByClass(d.Source())
+	if err != nil || len(rows) == 0 {
 		t.Fatal("no scheduling stats")
 	}
 	totalJobs := 0

@@ -51,13 +51,11 @@ type NodeDatasetWriter struct {
 func NewNodeDatasetWriter(dir string, nodes int, site string) (*NodeDatasetWriter, error) {
 	w := &NodeDatasetWriter{dir: dir, rows: new(source.NodeRows), spare: new(source.NodeRows)}
 	if nodes > 0 {
-		tcfg, err := topology.PresetScaled(site, nodes)
+		floor, err := siteFloor(site, nodes)
 		if err != nil {
 			return nil, fmt.Errorf("core: node dataset pre-aggregates: %w", err)
 		}
-		if w.floor, err = topology.New(tcfg); err != nil {
-			return nil, fmt.Errorf("core: node dataset pre-aggregates: %w", err)
-		}
+		w.floor = floor
 	}
 	return w, nil
 }

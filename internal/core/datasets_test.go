@@ -298,37 +298,40 @@ func assertRunDataBitEqual(t *testing.T, a, b *RunData) {
 	}
 }
 
-func TestJobSeriesDatasetRoundTrip(t *testing.T) {
+// TestJobSeriesRoundTrip: every job's Σ input power series comes back from
+// the archive's job-series with identical values in every observed window,
+// and an archive without the dataset says so.
+func TestJobSeriesRoundTrip(t *testing.T) {
 	d := testData(t)
 	dir := t.TempDir()
-	if err := WriteJobSeriesDataset(dir, d); err != nil {
+	if err := WriteDatasets(dir, d); err != nil {
 		t.Fatal(err)
 	}
-	views, err := ReadJobSeriesDataset(dir, d.StepSec)
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every job with observations must restore with identical values.
+	_, views, _, err := jobPowerSeries(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	restored := 0
 	for i := range d.Jobs {
 		js := &d.Jobs[i]
 		a := &d.Allocations[js.AllocIdx]
-		clean := js.SumPower.Clean()
-		if len(clean) == 0 {
+		v, ok := views[a.Job.ID]
+		if len(js.SumPower.Clean()) == 0 {
+			if ok {
+				t.Fatalf("job %d has no observed window but a restored series", a.Job.ID)
+			}
 			continue
 		}
-		v, ok := views[a.Job.ID]
 		if !ok {
 			t.Fatalf("job %d missing from restore", a.Job.ID)
 		}
 		restored++
-		for w := 0; w < js.SumPower.Len(); w++ {
-			orig := js.SumPower.Vals[w]
-			if math.IsNaN(orig) {
-				continue
-			}
-			got := v.SumPower.At(js.SumPower.TimeAt(w))
-			if got != orig { //lint:allow floatcompare archive round-trip is lossless by design
+		for w, orig := range js.SumPower.Vals {
+			if got := v.At(js.SumPower.TimeAt(w)); math.Float64bits(got) != math.Float64bits(orig) {
 				t.Fatalf("job %d window %d: %v != %v", a.Job.ID, w, got, orig)
 			}
 		}
@@ -336,16 +339,14 @@ func TestJobSeriesDatasetRoundTrip(t *testing.T) {
 	if restored == 0 {
 		t.Fatal("no jobs restored")
 	}
-	// Restored series feed the same edge detection.
-	for allocID, v := range views {
-		_ = allocID
-		_ = DetectEdgesThreshold(v.SumPower, 1e5)
+	if err := os.Remove(filepath.Join(dir, source.DatasetJobSeries+"-day00000.spwr")); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadJobSeriesDataset(dir, 0); err == nil {
-		t.Error("zero step accepted")
+	if src, err = source.OpenArchive(source.ArchiveConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadJobSeriesDataset(t.TempDir(), 10); err == nil {
-		t.Error("missing dataset read succeeded")
+	if _, err := src.JobPower(); !errors.Is(err, source.ErrUnavailable) || !strings.Contains(err.Error(), source.DatasetJobSeries) {
+		t.Errorf("job series of an archive without them: %v, want ErrUnavailable naming %s", err, source.DatasetJobSeries)
 	}
 }
 

@@ -78,7 +78,9 @@ func TestDropoutAnalysesStillRun(t *testing.T) {
 			t.Fatalf("job %d has NaN aggregates", r.AllocationID)
 		}
 	}
-	_ = Figure10Dynamics(d)
+	if _, err := Figure10Dynamics(d.Source()); err != nil {
+		t.Fatal(err)
+	}
 	rows, err := ThermalBandsFromSource(d.Source())
 	if err != nil {
 		t.Fatal(err)

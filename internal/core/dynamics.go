@@ -39,10 +39,50 @@ type DynamicsReport struct {
 	Amps  map[units.SchedulingClass][]float64
 }
 
-// Figure10Dynamics analyzes every job's power series: edge counts and
-// durations (job-size-weighted threshold) and the FFT of the differenced
-// series. Jobs shorter than 3 windows are counted but carry no FFT.
-func Figure10Dynamics(d *RunData) *DynamicsReport {
+// jobPowerSeries returns the run's allocation log and, by allocation ID,
+// each observed job's Σ input power series on the coarsening grid, from its
+// first observed window to its last (a window no node of the job reported
+// in is NaN), with the grid step.
+func jobPowerSeries(src source.RunSource) ([]source.Allocation, map[int64]*tsagg.Series, int64, error) {
+	meta, err := src.Meta()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	allocs, err := src.Allocations()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	rows, err := src.JobPower()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	step := meta.StepSec
+	series := map[int64]*tsagg.Series{}
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j].AllocationID == rows[i].AllocationID {
+			j++
+		}
+		job := rows[i:j]
+		s := tsagg.NewSeries(job[0].T, step, int((job[len(job)-1].T-job[0].T)/step)+1)
+		for _, r := range job {
+			s.Set(r.T, r.PowerW)
+		}
+		series[rows[i].AllocationID] = s
+		i = j
+	}
+	return allocs, series, step, nil
+}
+
+// Figure10Dynamics analyzes every observed job's power series: edge counts
+// and durations (job-size-weighted threshold) and the FFT of the
+// differenced series. Jobs shorter than 3 windows are counted but carry no
+// FFT.
+func Figure10Dynamics(src source.RunSource) (*DynamicsReport, error) {
+	allocs, series, step, err := jobPowerSeries(src)
+	if err != nil {
+		return nil, err
+	}
 	rep := &DynamicsReport{
 		EdgeCountCDF: map[units.SchedulingClass]*stats.ECDF{},
 		DurationCDF:  map[units.SchedulingClass]*stats.ECDF{},
@@ -52,19 +92,19 @@ func Figure10Dynamics(d *RunData) *DynamicsReport {
 	counts := map[units.SchedulingClass][]float64{}
 	durations := map[units.SchedulingClass][]float64{}
 	noEdges, total := 0, 0
-	rate := 1.0 / float64(d.StepSec)
-	for i := range d.Jobs {
-		js := &d.Jobs[i]
-		a := &d.Allocations[js.AllocIdx]
-		vals := js.SumPower.Clean()
-		if len(vals) == 0 {
+	rate := 1.0 / float64(step)
+	for i := range allocs {
+		a := &allocs[i]
+		s, ok := series[a.AllocationID]
+		if !ok {
 			continue
 		}
+		vals := s.Clean()
 		total++
 		jd := JobDynamics{
-			AllocIdx: js.AllocIdx,
-			Class:    a.Job.Class,
-			Edges:    DetectEdges(js.SumPower, a.Job.Nodes),
+			AllocIdx: i,
+			Class:    units.SchedulingClass(a.Class),
+			Edges:    DetectEdges(s, a.Nodes),
 		}
 		jd.EdgeCount = len(jd.Edges)
 		if jd.EdgeCount == 0 {
@@ -98,7 +138,7 @@ func Figure10Dynamics(d *RunData) *DynamicsReport {
 	for c, xs := range durations {
 		rep.DurationCDF[c] = stats.NewECDF(xs)
 	}
-	return rep
+	return rep, nil
 }
 
 // EdgeSnapshotSet is one amplitude bin of Figure 11: superimposed cluster

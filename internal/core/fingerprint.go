@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/rng"
+	"repro/internal/source"
 	"repro/internal/stats"
 )
 
@@ -43,22 +44,42 @@ func (f *Fingerprint) Vector() []float64 {
 }
 
 // BuildFingerprints extracts a fingerprint from every job with enough
-// observations (>= 3 windows).
-func BuildFingerprints(d *RunData) []Fingerprint {
+// observations (>= 3 windows); the component share comes from the job's
+// record.
+func BuildFingerprints(src source.RunSource) ([]Fingerprint, error) {
+	allocs, series, step, err := jobPowerSeries(src)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := src.JobRecords()
+	if err != nil {
+		return nil, err
+	}
+	recOf := make(map[int64]*source.JobRecord, len(recs))
+	for i := range recs {
+		recOf[recs[i].AllocationID] = &recs[i]
+	}
 	var out []Fingerprint
-	rate := 1.0 / float64(d.StepSec)
-	for i := range d.Jobs {
-		js := &d.Jobs[i]
-		a := &d.Allocations[js.AllocIdx]
-		vals := js.SumPower.Clean()
+	rate := 1.0 / float64(step)
+	for i := range allocs {
+		a := &allocs[i]
+		s, ok := series[a.AllocationID]
+		if !ok {
+			continue
+		}
+		vals := s.Clean()
 		if len(vals) < 3 {
 			continue
 		}
+		rec, ok := recOf[a.AllocationID]
+		if !ok {
+			return nil, fmt.Errorf("core: job %d has power windows but no %s row", a.AllocationID, source.DatasetJobRecords)
+		}
 		m := stats.Summarize(vals)
-		nodes := float64(a.Job.Nodes)
+		nodes := float64(a.Nodes)
 		fp := Fingerprint{
-			AllocIdx:         js.AllocIdx,
-			Project:          a.Job.Project,
+			AllocIdx:         i,
+			Project:          a.Project,
 			MeanPowerPerNode: m.Mean() / nodes,
 			MaxPowerPerNode:  m.Max / nodes,
 		}
@@ -71,14 +92,12 @@ func BuildFingerprints(d *RunData) []Fingerprint {
 				fp.DominantAmpFrac = amp / m.Mean()
 			}
 		}
-		gpu := js.MeanGPUPower.Stats().Mean()
-		cpu := js.MeanCPUPower.Stats().Mean()
-		if gpu+cpu > 0 {
+		if gpu, cpu := rec.MeanGPUPowerW, rec.MeanCPUPowerW; gpu+cpu > 0 {
 			fp.GPUShare = gpu / (gpu + cpu)
 		}
 		out = append(out, fp)
 	}
-	return out
+	return out, nil
 }
 
 // Portrait is one cluster of fingerprints: a centroid and its members.

@@ -5,9 +5,18 @@ import (
 	"testing"
 )
 
+// testFingerprints fingerprints the shared test run.
+func testFingerprints(t *testing.T) []Fingerprint {
+	t.Helper()
+	fps, err := BuildFingerprints(testData(t).Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fps
+}
+
 func TestBuildFingerprints(t *testing.T) {
-	d := testData(t)
-	fps := BuildFingerprints(d)
+	fps := testFingerprints(t)
 	if len(fps) == 0 {
 		t.Fatal("no fingerprints")
 	}
@@ -37,8 +46,7 @@ func TestBuildFingerprints(t *testing.T) {
 }
 
 func TestClusterFingerprints(t *testing.T) {
-	d := testData(t)
-	fps := BuildFingerprints(d)
+	fps := testFingerprints(t)
 	portraits, err := ClusterFingerprints(fps, 4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +147,7 @@ func TestClusterSeparatesObviousGroups(t *testing.T) {
 }
 
 func TestEvaluateFingerprintPrediction(t *testing.T) {
-	d := testData(t)
-	fps := BuildFingerprints(d)
+	fps := testFingerprints(t)
 	rep, err := EvaluateFingerprintPrediction(fps)
 	if err != nil {
 		t.Fatal(err)

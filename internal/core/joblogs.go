@@ -2,60 +2,18 @@ package core
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
 	"repro/internal/topology"
-	"repro/internal/units"
-	"repro/internal/workload"
 )
 
-// CSV job logs: the paper's Dataset C (job scheduler allocation history,
-// one row per job) and Dataset D (per-node allocation history, one row per
-// job-node pair, keyed by hostname). These are the interop surface for
-// external tooling and mirror the artifact appendix's single-CSV layout.
-
-var allocationCSVHeader = []string{
-	"allocation_id", "user", "project", "domain", "class",
-	"num_nodes", "submit_time", "begin_time", "end_time",
-}
-
-// WriteAllocationCSV emits the Dataset C equivalent.
-func WriteAllocationCSV(w io.Writer, d *RunData) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(allocationCSVHeader); err != nil {
-		return err
-	}
-	for i := range d.Allocations {
-		a := &d.Allocations[i]
-		rec := []string{
-			strconv.FormatInt(a.Job.ID, 10),
-			a.Job.User,
-			a.Job.Project,
-			a.Job.Domain.String(),
-			strconv.Itoa(int(a.Job.Class)),
-			strconv.Itoa(a.Job.Nodes),
-			strconv.FormatInt(a.Job.SubmitTime, 10),
-			strconv.FormatInt(a.StartTime, 10),
-			strconv.FormatInt(a.EndTime, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WritePerNodeCSV emits the Dataset D equivalent: one row per (job, node),
-// with Summit-style hostnames resolved through the floor layout.
+// WritePerNodeCSV emits the paper's Dataset D (per-node allocation history)
+// for external tooling, as the artifact appendix's CSV: one row per
+// (job, node), with Summit-style hostnames resolved through the floor
+// layout. No archive dataset holds an allocation's node list.
 func WritePerNodeCSV(w io.Writer, d *RunData) error {
-	tcfg, err := topology.PresetScaled(d.Site, d.Nodes)
-	if err != nil {
-		return err
-	}
-	floor, err := topology.New(tcfg)
+	floor, err := siteFloor(d.Site, d.Nodes)
 	if err != nil {
 		return err
 	}
@@ -81,92 +39,12 @@ func WritePerNodeCSV(w io.Writer, d *RunData) error {
 	return cw.Error()
 }
 
-// AllocationRow is one parsed Dataset C record.
-type AllocationRow struct {
-	ID         int64
-	User       string
-	Project    string
-	Domain     string
-	Class      units.SchedulingClass
-	Nodes      int
-	SubmitTime int64
-	BeginTime  int64
-	EndTime    int64
-}
-
-// ReadAllocationCSV parses a Dataset C file back.
-func ReadAllocationCSV(r io.Reader) ([]AllocationRow, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+// siteFloor builds the floor a run of nodes on the named site preset ("" =
+// summit) instantiates: the layout sim.New gives it.
+func siteFloor(site string, nodes int) (*topology.Floor, error) {
+	tcfg, err := topology.PresetScaled(site, nodes)
 	if err != nil {
-		return nil, fmt.Errorf("core: allocation csv header: %w", err)
+		return nil, err
 	}
-	if len(header) != len(allocationCSVHeader) {
-		return nil, fmt.Errorf("core: allocation csv has %d columns, want %d",
-			len(header), len(allocationCSVHeader))
-	}
-	for i, h := range allocationCSVHeader {
-		if header[i] != h {
-			return nil, fmt.Errorf("core: allocation csv column %d is %q, want %q",
-				i, header[i], h)
-		}
-	}
-	var out []AllocationRow
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		row, err := parseAllocationRow(rec)
-		if err != nil {
-			return nil, fmt.Errorf("core: allocation csv line %d: %w", line, err)
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func parseAllocationRow(rec []string) (AllocationRow, error) {
-	var row AllocationRow
-	var err error
-	if row.ID, err = strconv.ParseInt(rec[0], 10, 64); err != nil {
-		return row, fmt.Errorf("allocation_id: %w", err)
-	}
-	row.User, row.Project, row.Domain = rec[1], rec[2], rec[3]
-	class, err := strconv.Atoi(rec[4])
-	if err != nil || class < 1 || class > 5 {
-		return row, fmt.Errorf("class %q invalid", rec[4])
-	}
-	row.Class = units.SchedulingClass(class)
-	if row.Nodes, err = strconv.Atoi(rec[5]); err != nil || row.Nodes <= 0 {
-		return row, fmt.Errorf("num_nodes %q invalid", rec[5])
-	}
-	if row.SubmitTime, err = strconv.ParseInt(rec[6], 10, 64); err != nil {
-		return row, fmt.Errorf("submit_time: %w", err)
-	}
-	if row.BeginTime, err = strconv.ParseInt(rec[7], 10, 64); err != nil {
-		return row, fmt.Errorf("begin_time: %w", err)
-	}
-	if row.EndTime, err = strconv.ParseInt(rec[8], 10, 64); err != nil {
-		return row, fmt.Errorf("end_time: %w", err)
-	}
-	if row.EndTime < row.BeginTime || row.BeginTime < row.SubmitTime {
-		return row, fmt.Errorf("times out of order: %d/%d/%d",
-			row.SubmitTime, row.BeginTime, row.EndTime)
-	}
-	return row, nil
-}
-
-// DomainByName resolves a domain label from the CSV back to the enum; the
-// boolean is false for unknown labels.
-func DomainByName(name string) (workload.Domain, bool) {
-	for d := workload.Domain(0); d < workload.NumDomains; d++ {
-		if d.String() == name {
-			return d, true
-		}
-	}
-	return 0, false
+	return topology.New(tcfg)
 }

@@ -5,16 +5,23 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/source"
 	"repro/internal/topology"
 )
 
-func TestAllocationCSVRoundTrip(t *testing.T) {
+// TestAllocationLogRoundTrip: the archived allocation log holds every
+// allocation of the run, in order, with all nine Dataset C columns.
+func TestAllocationLogRoundTrip(t *testing.T) {
 	d := testData(t)
-	var buf bytes.Buffer
-	if err := WriteAllocationCSV(&buf, d); err != nil {
+	dir := t.TempDir()
+	if err := WriteDatasets(dir, d); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ReadAllocationCSV(&buf)
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := src.Allocations()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,13 +30,11 @@ func TestAllocationCSVRoundTrip(t *testing.T) {
 	}
 	for i, row := range rows {
 		a := &d.Allocations[i]
-		if row.ID != a.Job.ID || row.Nodes != a.Job.Nodes ||
-			row.BeginTime != a.StartTime || row.EndTime != a.EndTime ||
-			row.Class != a.Job.Class || row.Project != a.Job.Project {
-			t.Fatalf("row %d mismatch: %+v vs alloc %+v", i, row, a)
-		}
-		if dom, ok := DomainByName(row.Domain); !ok || dom != a.Job.Domain {
-			t.Fatalf("row %d domain %q unresolvable", i, row.Domain)
+		want := source.Allocation{AllocationID: a.Job.ID, User: a.Job.User, Project: a.Job.Project,
+			Domain: int(a.Job.Domain), Class: int(a.Job.Class), Nodes: a.Job.Nodes,
+			SubmitTime: a.Job.SubmitTime, BeginTime: a.StartTime, EndTime: a.EndTime}
+		if row != want || row.User == "" || row.Project == "" {
+			t.Fatalf("row %d: %+v, want %+v", i, row, want)
 		}
 	}
 }
@@ -65,41 +70,5 @@ func TestPerNodeCSV(t *testing.T) {
 		if !hosts[fields[1]] {
 			t.Fatalf("hostname %q names no node of the floor", fields[1])
 		}
-	}
-}
-
-func TestReadAllocationCSVErrors(t *testing.T) {
-	cases := []string{
-		"",      // no header
-		"a,b,c", // wrong column count
-		// Wrong column name.
-		"allocation_id,user,project,domain,class,num_nodes,submit_time,begin_time,WRONG\n",
-		// Bad class value.
-		"allocation_id,user,project,domain,class,num_nodes,submit_time,begin_time,end_time\n" +
-			"1,u,p,d,9,4,0,10,20\n",
-		// Times out of order.
-		"allocation_id,user,project,domain,class,num_nodes,submit_time,begin_time,end_time\n" +
-			"1,u,p,d,3,100,50,40,60\n",
-		// Non-numeric node count.
-		"allocation_id,user,project,domain,class,num_nodes,submit_time,begin_time,end_time\n" +
-			"1,u,p,d,3,xx,0,10,20\n",
-	}
-	for i, in := range cases {
-		if _, err := ReadAllocationCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted: %q", i, in)
-		}
-	}
-	// Valid single row parses.
-	good := "allocation_id,user,project,domain,class,num_nodes,submit_time,begin_time,end_time\n" +
-		"7,user001,MAT01,Materials,3,100,5,10,20\n"
-	rows, err := ReadAllocationCSV(strings.NewReader(good))
-	if err != nil || len(rows) != 1 || rows[0].ID != 7 {
-		t.Errorf("good row failed: %v, %v", rows, err)
-	}
-}
-
-func TestDomainByNameUnknown(t *testing.T) {
-	if _, ok := DomainByName("Astrology"); ok {
-		t.Error("unknown domain resolved")
 	}
 }

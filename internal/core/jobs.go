@@ -252,25 +252,29 @@ type SchedulingStats struct {
 	MeanDuration float64 // seconds
 }
 
-// SchedulingByClass reduces the allocation history per class.
-func SchedulingByClass(d *RunData) []SchedulingStats {
+// SchedulingByClass reduces the allocation log per class.
+func SchedulingByClass(src source.RunSource) ([]SchedulingStats, error) {
+	allocs, err := src.Allocations()
+	if err != nil {
+		return nil, err
+	}
 	type acc struct {
 		waits  []float64
 		durSum float64
 		nh     float64
 	}
 	accs := map[units.SchedulingClass]*acc{}
-	for i := range d.Allocations {
-		a := &d.Allocations[i]
-		c := a.Job.Class
+	for i := range allocs {
+		a := &allocs[i]
+		c := units.SchedulingClass(a.Class)
 		x, ok := accs[c]
 		if !ok {
 			x = &acc{}
 			accs[c] = x
 		}
-		x.waits = append(x.waits, float64(a.WaitSec()))
-		x.durSum += float64(a.EndTime - a.StartTime)
-		x.nh += float64(a.EndTime-a.StartTime) / units.SecondsPerHour * float64(a.Job.Nodes)
+		x.waits = append(x.waits, float64(a.BeginTime-a.SubmitTime))
+		x.durSum += float64(a.EndTime - a.BeginTime)
+		x.nh += float64(a.EndTime-a.BeginTime) / units.SecondsPerHour * float64(a.Nodes)
 	}
 	var out []SchedulingStats
 	for c := units.Class1; c <= units.Class5; c++ {
@@ -287,5 +291,5 @@ func SchedulingByClass(d *RunData) []SchedulingStats {
 			MeanDuration: x.durSum / float64(len(x.waits)),
 		})
 	}
-	return out
+	return out, nil
 }

@@ -151,30 +151,42 @@ type ProjectFailureRate struct {
 }
 
 // Figure14FailuresPerProject computes per-project failure rates normalized
-// by allocated node-hours. When hardwareOnly is set, only the Figure 14-(b)
-// hardware subset counts. The topN highest-rate projects are returned.
-func Figure14FailuresPerProject(d *RunData, hardwareOnly bool, topN int) []ProjectFailureRate {
+// by allocated node-hours. A failure's project is its job's, joined from the
+// allocation log on the allocation ID. When hardwareOnly is set, only the
+// Figure 14-(b) hardware subset counts. The topN highest-rate projects are
+// returned.
+func Figure14FailuresPerProject(src source.RunSource, hardwareOnly bool, topN int) ([]ProjectFailureRate, error) {
+	allocs, err := src.Allocations()
+	if err != nil {
+		return nil, err
+	}
+	evs, err := src.Failures()
+	if err != nil {
+		return nil, err
+	}
 	nodeHours := map[string]float64{}
-	for i := range d.Allocations {
-		a := &d.Allocations[i]
-		hours := float64(a.EndTime-a.StartTime) / units.SecondsPerHour * float64(a.Job.Nodes)
-		nodeHours[a.Job.Project] += hours
+	projectOf := make(map[int64]string, len(allocs))
+	for i := range allocs {
+		a := &allocs[i]
+		nodeHours[a.Project] += float64(a.EndTime-a.BeginTime) / units.SecondsPerHour * float64(a.Nodes)
+		projectOf[a.AllocationID] = a.Project
 	}
 	byProject := map[string]*ProjectFailureRate{}
-	for _, e := range d.Failures {
-		if e.Project == "" {
-			continue
+	for _, e := range evs {
+		project := projectOf[e.JobID]
+		if project == "" {
+			continue // no job context
 		}
 		if hardwareOnly && !e.Type.Hardware() {
 			continue
 		}
-		p, ok := byProject[e.Project]
+		p, ok := byProject[project]
 		if !ok {
 			p = &ProjectFailureRate{
-				Project: e.Project,
+				Project: project,
 				ByType:  map[failures.Type]int{},
 			}
-			byProject[e.Project] = p
+			byProject[project] = p
 		}
 		p.ByType[e.Type]++
 		p.Total++
@@ -197,7 +209,7 @@ func Figure14FailuresPerProject(d *RunData, hardwareOnly bool, topN int) []Proje
 	if topN > 0 && len(out) > topN {
 		out = out[:topN]
 	}
-	return out
+	return out, nil
 }
 
 // ThermalExtremity is the Figure 15 content for one failure type: the

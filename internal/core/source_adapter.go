@@ -1,12 +1,14 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/source"
 	"repro/internal/tsagg"
 )
 
 // Source adapts collected run data into the live data plane: a MemorySource
-// serving the canonical series names, job rows and failure log. It is the
+// serving the canonical series names and the run's logs. It is the
 // only RunData → layout mapping — WriteDatasets archives what it serves — so
 // analyses written against source.RunSource run unchanged over live and
 // archived data, and the parity test holds the two planes bit-identical.
@@ -61,5 +63,43 @@ func (d *RunData) Source() *source.MemorySource {
 		SeriesByName: byName,
 		Jobs:         BuildJobRecords(d),
 		Events:       d.Failures,
+		Allocs:       allocationLog(d),
+		JobWindows:   jobWindows(d),
+		Exemplar:     d.Exemplar,
 	}
+}
+
+// allocationLog is the scheduler's log of the run, allocation by allocation.
+func allocationLog(d *RunData) []source.Allocation {
+	out := make([]source.Allocation, len(d.Allocations))
+	for i := range d.Allocations {
+		a := &d.Allocations[i]
+		out[i] = source.Allocation{
+			AllocationID: a.Job.ID,
+			User:         a.Job.User,
+			Project:      a.Job.Project,
+			Domain:       int(a.Job.Domain),
+			Class:        int(a.Job.Class),
+			Nodes:        a.Job.Nodes,
+			SubmitTime:   a.Job.SubmitTime,
+			BeginTime:    a.StartTime,
+			EndTime:      a.EndTime,
+		}
+	}
+	return out
+}
+
+// jobWindows lists every job's observed Σ input power windows, job by job.
+func jobWindows(d *RunData) []source.JobWindow {
+	var out []source.JobWindow
+	for i := range d.Jobs {
+		js := &d.Jobs[i]
+		id := d.Allocations[js.AllocIdx].Job.ID
+		for w, v := range js.SumPower.Vals {
+			if !math.IsNaN(v) {
+				out = append(out, source.JobWindow{AllocationID: id, T: js.SumPower.TimeAt(w), PowerW: v})
+			}
+		}
+	}
+	return out
 }

@@ -110,8 +110,8 @@ func TestSourcePlaneParity(t *testing.T) {
 		}
 	}
 
-	// Failure log event for event. The archive cannot carry project
-	// strings, so Project is excluded from the comparison.
+	// Failure log event for event (a failure's project is its job's, in
+	// the allocation log).
 	memEvs, err := mem.Failures()
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +130,33 @@ func TestSourcePlaneParity(t *testing.T) {
 			math.Float64bits(a.TempC) != math.Float64bits(b.TempC) ||
 			math.Float64bits(a.TempZ) != math.Float64bits(b.TempZ) {
 			t.Fatalf("failure %d differs:\nmem     %+v\narchive %+v", i, a, b)
+		}
+	}
+
+	// The scheduler's allocation log, the job series and the exemplar
+	// frames row for row, floats by bit pattern.
+	logs := []struct {
+		what string
+		rows func(source.RunSource) (any, error)
+	}{
+		{"allocations", func(s source.RunSource) (any, error) { return s.Allocations() }},
+		{"job series", func(s source.RunSource) (any, error) { return s.JobPower() }},
+		{"exemplar frames", func(s source.RunSource) (any, error) { return s.ExemplarGPUs() }},
+	}
+	for _, l := range logs {
+		fromMem, errM := l.rows(mem)
+		fromArc, errA := l.rows(arc)
+		if errM != nil || errA != nil {
+			t.Fatalf("%s: mem err %v, archive err %v", l.what, errM, errA)
+		}
+		m, a := reflect.ValueOf(fromMem), reflect.ValueOf(fromArc)
+		if m.Len() == 0 || m.Len() != a.Len() {
+			t.Fatalf("%s: mem %d rows, archive %d", l.what, m.Len(), a.Len())
+		}
+		for i := 0; i < m.Len(); i++ {
+			if !rowBitsEqual(m.Index(i), a.Index(i)) {
+				t.Fatalf("%s row %d differs:\nmem     %+v\narchive %+v", l.what, i, m.Index(i), a.Index(i))
+			}
 		}
 	}
 
@@ -160,6 +187,16 @@ func TestSourcePlaneParity(t *testing.T) {
 		{"figure 13", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure13Correlation(s, 0.05) }},
 		{"figure 15", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure15ThermalExtremity(s, 0.8) }},
 		{"figure 16", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure16Placement(s, false) }},
+		{"dataset C", func(s source.RunSource, _ []source.JobRecord) (any, error) { return SchedulingByClass(s) }},
+		{"figure 10", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure10Dynamics(s) }},
+		{"figure 14", func(s source.RunSource, _ []source.JobRecord) (any, error) {
+			return Figure14FailuresPerProject(s, false, 0)
+		}},
+		{"figure 14 (hardware)", func(s source.RunSource, _ []source.JobRecord) (any, error) {
+			return Figure14FailuresPerProject(s, true, 0)
+		}},
+		{"figure 17", func(s source.RunSource, _ []source.JobRecord) (any, error) { return Figure17Variability(s) }},
+		{"section 9", func(s source.RunSource, _ []source.JobRecord) (any, error) { return BuildFingerprints(s) }},
 	}
 	for _, a := range analyses {
 		fromMem, errM := a.run(mem, memJobs)
@@ -171,6 +208,22 @@ func TestSourcePlaneParity(t *testing.T) {
 			t.Errorf("%s differs:\nmem     %.400s\narchive %.400s", a.what, gm, ga)
 		}
 	}
+}
+
+// rowBitsEqual compares two rows of one struct type field by field, floats
+// by bit pattern (NaN == NaN, -0 != +0).
+func rowBitsEqual(a, b reflect.Value) bool {
+	for i := 0; i < a.NumField(); i++ {
+		fa, fb := a.Field(i), b.Field(i)
+		if fa.Kind() == reflect.Float64 {
+			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+				return false
+			}
+		} else if !fa.Equal(fb) {
+			return false
+		}
+	}
+	return true
 }
 
 // show prints v at %#v, following pointers and interfaces to the values

@@ -3,57 +3,27 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
-// VarFrame is one captured window of the exemplar job: per-GPU power and
-// core temperature for every node in the allocation (indexed by the node's
-// rank within the allocation).
-type VarFrame struct {
-	T     int64
-	Power [][units.GPUsPerNode]float64
-	Temp  [][units.GPUsPerNode]float64
-}
-
-// VariabilityCollector captures per-GPU detail for one allocation — the
-// raw material of Figure 17. Attach it to Sim.Run alongside the main
-// Collector.
-type VariabilityCollector struct {
-	alloc    *scheduler.Allocation
-	floor    *topology.Floor
-	nodeRank map[int]int // dense NodeID -> rank within allocation
-	Frames   []VarFrame
-}
-
 // PickExemplarAllocation returns the index of the best "compute-intense
 // large job" among allocations overlapping [winStart, winEnd) — the paper
 // selects a near-full-utilization BerkeleyGW run; the score here prefers
-// large, GPU-hot, long-overlapping allocations. Pass winEnd <= winStart to
-// consider every allocation. Returns -1 when nothing qualifies.
+// large, GPU-hot, long-overlapping allocations. Returns -1 when nothing
+// qualifies.
 func PickExemplarAllocation(allocs []scheduler.Allocation, winStart, winEnd int64) int {
-	unbounded := winEnd <= winStart
-	overlap := func(a *scheduler.Allocation) int64 {
-		s, e := a.StartTime, a.EndTime
-		if !unbounded {
-			if s < winStart {
-				s = winStart
-			}
-			if e > winEnd {
-				e = winEnd
-			}
-		}
-		return e - s
-	}
 	best := -1
 	var bestScore float64
 	for i := range allocs {
 		a := &allocs[i]
-		ov := overlap(a)
+		ov := min(a.EndTime, winEnd) - max(a.StartTime, winStart)
 		if ov <= 0 {
 			continue
 		}
@@ -70,57 +40,29 @@ func PickExemplarAllocation(allocs []scheduler.Allocation, winStart, winEnd int6
 	return best
 }
 
-// AttachVariability is the CollectRun attachment that captures the run's
-// exemplar (largest) job GPU by GPU, for Figure 17, into *vc.
-func AttachVariability(vc **VariabilityCollector) Attach {
-	return func(s *sim.Sim) (sim.Observer, error) {
-		c, err := NewVariabilityCollector(s, -1)
-		if err != nil {
-			return nil, err
-		}
-		*vc = c
-		return c, nil
-	}
-}
+// variabilityInstants is how many windows of the exemplar job Figure 17
+// reads, evenly spaced over the job's windows in the run.
+const variabilityInstants = 6
 
-// NewVariabilityCollector captures allocation allocIdx of the sim. Pass a
-// negative index to auto-select the exemplar.
-func NewVariabilityCollector(s *sim.Sim, allocIdx int) (*VariabilityCollector, error) {
-	allocs := s.Allocations()
-	if allocIdx < 0 {
-		cfg := s.Config()
-		allocIdx = PickExemplarAllocation(allocs, cfg.StartTime, cfg.StartTime+cfg.DurationSec)
+// exemplarFrames returns the times of the run windows Figure 17 reads of
+// allocation a: variabilityInstants (or every one, when a holds fewer) of the
+// windows the run observes inside a, evenly spaced, its first and last
+// included. They are chosen before the run, so only they are captured.
+func exemplarFrames(a *scheduler.Allocation, cfg sim.Config) []int64 {
+	step := cfg.StepSec
+	// The run's windows start at StartTime + w·step, before its end.
+	window := func(t int64) int64 { return (t - cfg.StartTime + step - 1) / step }
+	first := window(max(a.StartTime, cfg.StartTime))
+	n := int(window(min(a.EndTime, cfg.StartTime+cfg.DurationSec)) - first)
+	if n <= 0 {
+		return nil
 	}
-	if allocIdx < 0 || allocIdx >= len(allocs) {
-		return nil, fmt.Errorf("core: no allocation to capture")
+	k := min(variabilityInstants, n)
+	out := make([]int64, k)
+	for i := range out {
+		out[i] = cfg.StartTime + (first+int64(i*(n-1)/max(k-1, 1)))*step
 	}
-	a := &allocs[allocIdx]
-	vc := &VariabilityCollector{
-		alloc:    a,
-		floor:    s.Floor(),
-		nodeRank: make(map[int]int, len(a.NodeIDs)),
-	}
-	for rank, id := range a.NodeIDs {
-		vc.nodeRank[int(id)] = rank
-	}
-	return vc, nil
-}
-
-// Observe implements sim.Observer.
-func (vc *VariabilityCollector) Observe(snap *sim.Snapshot) {
-	if snap.T < vc.alloc.StartTime || snap.T >= vc.alloc.EndTime {
-		return
-	}
-	frame := VarFrame{
-		T:     snap.T,
-		Power: make([][units.GPUsPerNode]float64, len(vc.alloc.NodeIDs)),
-		Temp:  make([][units.GPUsPerNode]float64, len(vc.alloc.NodeIDs)),
-	}
-	for nodeID, rank := range vc.nodeRank {
-		frame.Power[rank] = snap.GPUPowerEach[nodeID]
-		frame.Temp[rank] = snap.GPUCoreTemp[nodeID]
-	}
-	vc.Frames = append(vc.Frames, frame)
+	return out
 }
 
 // InstantView is Figure 17 at one time instant: distributions of per-GPU
@@ -152,53 +94,64 @@ type VariabilityReport struct {
 	TempSpreadC  float64
 }
 
-// Figure17Variability reduces the captured frames at k evenly spaced
-// instants. The allocation's node IDs are mapped to cabinets of the run's
-// floor for the heatmaps.
-func Figure17Variability(vc *VariabilityCollector, k int) (*VariabilityReport, error) {
-	if len(vc.Frames) == 0 {
-		return nil, fmt.Errorf("core: variability collector captured no frames")
+// Figure17Variability reduces the exemplar frames src holds, instant by
+// instant. The job's nodes are mapped to cabinets of the run's floor for the
+// heatmaps; its duration comes from the allocation log.
+func Figure17Variability(src source.RunSource) (*VariabilityReport, error) {
+	samples, err := src.ExemplarGPUs()
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		k = 6
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("core: %s holds no frames: the run had no job to pick", source.DatasetExemplar)
 	}
-	if k > len(vc.Frames) {
-		k = len(vc.Frames)
+	meta, err := src.Meta()
+	if err != nil {
+		return nil, err
+	}
+	allocs, err := src.Allocations()
+	if err != nil {
+		return nil, err
+	}
+	id := samples[0].AllocationID
+	i := slices.IndexFunc(allocs, func(a source.Allocation) bool { return a.AllocationID == id })
+	if i < 0 {
+		return nil, fmt.Errorf("core: exemplar job %d is not in %s", id, source.DatasetAllocations)
+	}
+	floor, err := siteFloor(meta.Site, meta.Nodes)
+	if err != nil {
+		return nil, err
+	}
+	// Each frame is every GPU of the job, its nodes in allocation order.
+	gpus := allocs[i].Nodes * units.GPUsPerNode
+	if gpus == 0 || len(samples)%gpus != 0 {
+		return nil, fmt.Errorf("core: %s: %d samples do not form frames of job %d's %d GPUs", source.DatasetExemplar, len(samples), id, gpus)
 	}
 	rep := &VariabilityReport{
-		JobID:    vc.alloc.Job.ID,
-		Nodes:    len(vc.alloc.NodeIDs),
-		GPUs:     len(vc.alloc.NodeIDs) * units.GPUsPerNode,
-		Duration: vc.alloc.EndTime - vc.alloc.StartTime,
-		Cabinets: vc.floor.Cabinets(),
-	}
-	// Rank -> cabinet mapping.
-	cabinetOf := make([]int, len(vc.alloc.NodeIDs))
-	for rank, id := range vc.alloc.NodeIDs {
-		cabinetOf[rank] = vc.floor.Cabinet(id)
+		JobID:    id,
+		Nodes:    allocs[i].Nodes,
+		GPUs:     gpus,
+		Duration: allocs[i].EndTime - allocs[i].BeginTime,
+		Cabinets: floor.Cabinets(),
 	}
 	var peakPower float64
 	var peakView *InstantView
-	for i := 0; i < k; i++ {
-		fi := i * (len(vc.Frames) - 1) / max(k-1, 1)
-		f := &vc.Frames[fi]
+	for f := 0; f < len(samples); f += gpus {
+		frame := samples[f : f+gpus]
 		var power, temp []float64
 		meanCab := map[int]*stats.Moments{}
 		maxCab := map[int]float64{}
-		for rank := range f.Power {
-			cab := cabinetOf[rank]
+		for _, g := range frame {
+			cab := floor.Cabinet(topology.NodeID(g.Node))
 			if _, ok := meanCab[cab]; !ok {
 				meanCab[cab] = &stats.Moments{}
 				maxCab[cab] = math.Inf(-1)
 			}
-			for g := 0; g < units.GPUsPerNode; g++ {
-				p, tc := f.Power[rank][g], f.Temp[rank][g]
-				power = append(power, p)
-				temp = append(temp, tc)
-				meanCab[cab].Add(tc)
-				if tc > maxCab[cab] {
-					maxCab[cab] = tc
-				}
+			power = append(power, g.PowerW)
+			temp = append(temp, g.TempC)
+			meanCab[cab].Add(g.TempC)
+			if g.TempC > maxCab[cab] {
+				maxCab[cab] = g.TempC
 			}
 		}
 		corr, err := stats.Pearson(power, temp)
@@ -206,7 +159,7 @@ func Figure17Variability(vc *VariabilityCollector, k int) (*VariabilityReport, e
 			corr = math.NaN()
 		}
 		view := InstantView{
-			T:             f.T,
+			T:             frame[0].T,
 			PowerBox:      stats.NewBoxPlot(power),
 			TempBox:       stats.NewBoxPlot(temp),
 			Corr:          corr,

@@ -274,7 +274,7 @@ func (in *Injector) record(t int64, node topology.NodeID, slot topology.GPUSlot,
 	typ Type, ctx Context) Event {
 	e := Event{
 		Time: t, Node: node, Slot: slot, Type: typ,
-		JobID: ctx.JobID, Project: ctx.Project,
+		JobID: ctx.JobID,
 		TempC: ctx.TempC, TempZ: ctx.TempZ,
 	}
 	if in.rs.Bool(in.cfg.MissingTempFrac) {

@@ -160,12 +160,11 @@ func (t Type) baseRatePerGPUHour() float64 {
 
 // Event is one injected XID error with the context captured at occurrence.
 type Event struct {
-	Time    int64
-	Node    topology.NodeID
-	Slot    topology.GPUSlot
-	Type    Type
-	JobID   int64  // 0 when no job context
-	Project string // "" when no job context
+	Time  int64
+	Node  topology.NodeID
+	Slot  topology.GPUSlot
+	Type  Type
+	JobID int64 // the allocation the GPU ran (its project is in the allocation log); 0 when none
 	// TempC is the 10-second mean GPU core temperature at occurrence;
 	// NaN models the paper's missing spring/summer telemetry.
 	TempC float64

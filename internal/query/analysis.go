@@ -171,7 +171,7 @@ type apiPrecursor struct {
 }
 
 func earlyWarningRoute(q url.Values) (string, func(source.RunSource) (any, error), error) {
-	windowSec, err := serve.QueryInt(q.Get("window"), 3600)
+	windowSec, err := serve.QueryInt(q, "window", 3600)
 	if err != nil {
 		return "", nil, err
 	}

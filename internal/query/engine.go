@@ -308,7 +308,7 @@ func (e *Engine) bookDays(qs *QueryStats, total, scanned, pruned int) {
 
 func validateRange(t0, t1, step int64) error {
 	if t1 <= t0 {
-		return fmt.Errorf("query: empty time range [%d, %d): %w", t0, t1, ErrBadRequest)
+		return fmt.Errorf("query: empty time range: t1 %d is not after t0 %d: %w", t1, t0, ErrBadRequest)
 	}
 	if step < 0 {
 		return fmt.Errorf("query: negative step %d: %w", step, ErrBadRequest)

@@ -298,7 +298,7 @@ func (h *handler) rangeQuery(q url.Values) (string, serve.Compute, error) {
 		Limit:   h.cfg.MaxPoints,
 	}
 	var err error
-	if req.Node, err = serve.QueryInt(q.Get("node"), -1); err != nil {
+	if req.Node, err = serve.QueryInt(q, "node", -1); err != nil {
 		return "", nil, err
 	}
 	if req.T0, req.T1, req.Step, err = h.qSpan(q, 0); err != nil {
@@ -317,13 +317,13 @@ func (h *handler) rangeQuery(q url.Values) (string, serve.Compute, error) {
 // span/step implies more windows than the point budget before any partition
 // is touched.
 func (h *handler) qSpan(q url.Values, defStep int64) (t0, t1, step int64, err error) {
-	if t0, err = serve.QueryInt(q.Get("t0"), 0); err != nil {
+	if t0, err = serve.QueryInt(q, "t0", 0); err != nil {
 		return
 	}
-	if t1, err = serve.QueryInt(q.Get("t1"), math.MaxInt64); err != nil {
+	if t1, err = serve.QueryInt(q, "t1", math.MaxInt64); err != nil {
 		return
 	}
-	if step, err = serve.QueryInt(q.Get("step"), defStep); err != nil {
+	if step, err = serve.QueryInt(q, "step", defStep); err != nil {
 		return
 	}
 	if t1 > t0 && step > 0 { // anything else is refused downstream

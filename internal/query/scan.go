@@ -96,7 +96,7 @@ func (e *Engine) scan(ctx context.Context, days []store.DayMeta,
 // a dataset).
 func (e *Engine) visitDay(m store.DayMeta, spec scanSpec, out *chunkScan, s sink) error {
 	if m.TimeColumn == "" {
-		return fmt.Errorf("query: partition day %d has no time column: %w", m.Day, ErrBadRequest)
+		return fmt.Errorf("query: dataset %q has no time column (day %d): %w", spec.ds.Name, m.Day, ErrBadRequest)
 	}
 	if c, ok := m.Column(spec.column); !ok {
 		return fmt.Errorf("query: dataset %q has no column %q: %w", spec.ds.Name, spec.column, ErrNotFound)
@@ -230,7 +230,7 @@ func newGrid(days []store.DayMeta, t0, t1, step int64, groups, limit int) (grid,
 		return g, nil // no timed rows in range: an empty axis filters everything
 	}
 	if lo < math.MinInt64+step || hi > math.MaxInt64-step {
-		return g, fmt.Errorf("query: time span [%d, %d] leaves no room for %d s windows: %w", lo, hi, step, ErrBadRequest)
+		return g, fmt.Errorf("query: time span [%d, %d] leaves no room for step %d s windows: %w", lo, hi, step, ErrBadRequest)
 	}
 	g.w0 = lo - tsagg.FloorMod(lo, step)
 	n := (uint64(hi)-uint64(g.w0))/uint64(step) + 1

@@ -19,8 +19,8 @@ import (
 // source.MaxManifestNodes nodes, at least sim.MinScaledSpanSec — whose
 // manifest spec, written and loaded again, compiles to the same identity.
 // Only the builtin trace is read: a spec naming any other file is skipped,
-// and so is a mixed workload large enough that generating it at compile
-// time would take the fuzzer's memory.
+// and so is a mixed workload on a floor or span large enough that the job
+// count Validate allows it would take the fuzzer's memory to generate.
 func FuzzLoadCompile(f *testing.F) {
 	for _, s := range Catalog() {
 		raw, err := json.Marshal(s)
@@ -32,6 +32,7 @@ func FuzzLoadCompile(f *testing.F) {
 	f.Add([]byte(`{"version":1,"name":"x","nodes":1048577,"duration_sec":600}`))
 	f.Add([]byte(`{"version":1,"name":"x","nodes":1048576,"duration_sec":3153600000}`))
 	f.Add([]byte(`{"version":1,"name":"x","nodes":16,"duration_sec":599}`))
+	f.Add([]byte(`{"version":1,"name":"x","nodes":64,"duration_sec":604800,"workload":{"source":"mixed","jobs":100000000,"trace_path":"` + trace.BuiltinSampleName + `"}}`))
 	f.Add([]byte(`{"version":1,"name":"x","nodes":1,"duration_sec":600,"workload":{"source":"trace","trace_path":"` + trace.BuiltinSampleName + `"}}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
@@ -49,7 +50,7 @@ func FuzzLoadCompile(f *testing.F) {
 		if p := spec.Workload.TracePath; p != "" && p != trace.BuiltinSampleName {
 			t.Skip("names a trace file")
 		}
-		if spec.Workload.Source == SourceMixed && (spec.Nodes > 64 || spec.DurationSec > 7*86400 || spec.Workload.Jobs > 1000) {
+		if spec.Workload.Source == SourceMixed && (spec.Nodes > 64 || spec.DurationSec > 7*86400) {
 			t.Skip("a mixed workload this large is generated in full at compile time")
 		}
 		r, err := Compile(spec, "")

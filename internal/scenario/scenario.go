@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -180,6 +181,10 @@ func (s Spec) Validate() error {
 	if s.Workload.Jobs < 0 {
 		return fmt.Errorf("%w: negative job count %d", ErrScenario, s.Workload.Jobs)
 	}
+	if limit := maxJobs(s.Nodes, s.DurationSec); float64(s.Workload.Jobs) > limit {
+		return fmt.Errorf("%w: workload.jobs %d above the %.0f a %d-node, %d s run may ask for",
+			ErrScenario, s.Workload.Jobs, limit, s.Nodes, s.DurationSec)
+	}
 	switch s.Failures.Regime {
 	case "", FailureNominal, FailureOff, FailureEpidemic:
 	default:
@@ -203,6 +208,17 @@ func (s Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// maxJobs bounds workload.jobs by the run's node-time. The paper's year ran
+// 840 k jobs on Summit's 4 626 nodes, about half a job per node-day; a spec
+// may ask for a hundred times that density, and for 1 000 jobs on any span,
+// but no more: a mixed workload is generated in full at compile time, before
+// any run or archive check, and 1 M jobs peaked at 431 MB there.
+func maxJobs(nodes int, durationSec int64) float64 {
+	const paperYearJobs, density, floor = 840_000, 100, 1000
+	perNodeSec := float64(density*paperYearJobs) / (units.SummitNodes * 365 * 24 * units.SecondsPerHour)
+	return max(floor, math.Ceil(perNodeSec*float64(nodes)*float64(durationSec)))
 }
 
 // Resolved is a compiled scenario: the spec, its canonical identity, the

@@ -213,6 +213,8 @@ func TestValidateRejects(t *testing.T) {
 		"nan cap":        func(s *Spec) { s.PowerCapMW = math.NaN() },
 		"inf cap":        func(s *Spec) { s.PowerCapMW = math.Inf(1) },
 		"nan cap step":   func(s *Spec) { s.CapSchedule = []CapStep{{CapMW: math.NaN()}} },
+		"many jobs":      func(s *Spec) { s.Workload.Jobs = 1001 },
+		"huge mixed":     func(s *Spec) { s.Workload = WorkloadSpec{Source: SourceMixed, TracePath: "x.csv", Jobs: 100_000_000} },
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("baseline spec invalid: %v", err)
@@ -222,6 +224,24 @@ func TestValidateRejects(t *testing.T) {
 		mut(&s)
 		if err := s.Validate(); !errors.Is(err, ErrScenario) {
 			t.Errorf("%s: err = %v, want ErrScenario", name, err)
+		}
+	}
+	// The job bound scales with node-time: the paper's year density a
+	// hundredfold, and 1 000 jobs on any span.
+	for _, c := range []struct {
+		nodes    int
+		duration int64
+		jobs     int
+		ok       bool
+	}{
+		{8, 3600, 1000, true}, {8, 3600, 1001, false},
+		{4626, 365 * 86400, 84_000_000, true}, {4626, 365 * 86400, 84_000_001, false},
+	} {
+		s := ok
+		s.Nodes, s.DurationSec, s.Workload.Jobs = c.nodes, c.duration, c.jobs
+		err := s.Validate()
+		if c.ok && err != nil || !c.ok && (!errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), "workload.jobs")) {
+			t.Errorf("%d jobs on %d nodes over %d s: %v", c.jobs, c.nodes, c.duration, err)
 		}
 	}
 	// Plant tuning is checked where the compiled config validates.

@@ -395,15 +395,16 @@ func Healthz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = io.WriteString(w, "ok\n")
 }
 
-// QueryInt parses an optional integer query parameter; a value that is not
-// an integer is a 400.
-func QueryInt(s string, def int64) (int64, error) {
+// QueryInt parses the optional integer query parameter name (def when
+// absent); a value that is not an integer is a 400 naming the parameter.
+func QueryInt(q url.Values, name string, def int64) (int64, error) {
+	s := q.Get(name)
 	if s == "" {
 		return def, nil
 	}
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, &Error{http.StatusBadRequest, fmt.Sprintf("bad integer %q", s)}
+		return 0, &Error{http.StatusBadRequest, fmt.Sprintf("%s=%q is not an integer", name, s)}
 	}
 	return v, nil
 }

@@ -55,7 +55,7 @@ func toyService(timeout time.Duration, maxConcurrent int) (http.Handler, *serve.
 	mux.HandleFunc("/healthz", serve.Healthz)
 	mux.HandleFunc("/open", k.Unguarded("open", func() serve.Encoder { return reply{"open"} }))
 	mux.HandleFunc("/api", k.Guard("api", func(_ context.Context, q url.Values) (any, error) {
-		if _, err := serve.QueryInt(q.Get("n"), 0); err != nil {
+		if _, err := serve.QueryInt(q, "n", 0); err != nil {
 			return nil, err
 		}
 		switch q.Get("reply") {
@@ -130,7 +130,7 @@ func pureService() (http.Handler, *serve.Kernel, *serve.ReplyCache, *atomic.Int6
 	runs := new(atomic.Int64)
 	route := func(tailed bool) serve.PureRoute {
 		return func(q url.Values) (string, func(context.Context) (any, error), error) {
-			n, err := serve.QueryInt(q.Get("n"), 7)
+			n, err := serve.QueryInt(q, "n", 7)
 			if err != nil {
 				return "", nil, err
 			}

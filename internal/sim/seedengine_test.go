@@ -327,7 +327,7 @@ func diffEvents(t *testing.T, where string, got, want []failures.Event) {
 	for i := range got {
 		g, w := got[i], want[i]
 		same := g.Time == w.Time && g.Node == w.Node && g.Slot == w.Slot &&
-			g.Type == w.Type && g.JobID == w.JobID && g.Project == w.Project &&
+			g.Type == w.Type && g.JobID == w.JobID &&
 			eqBits(g.TempC, w.TempC) && eqBits(g.TempZ, w.TempZ)
 		if !same {
 			t.Fatalf("%s: event %d diverged:\n got %+v\nwant %+v", where, i, g, w)

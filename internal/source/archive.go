@@ -309,6 +309,21 @@ func (a *ArchiveSource) Failures() ([]failures.Event, error) {
 	return readLog(a, DatasetFailures, failureSchema)
 }
 
+// Allocations implements RunSource.
+func (a *ArchiveSource) Allocations() ([]Allocation, error) {
+	return readLog(a, DatasetAllocations, allocationSchema)
+}
+
+// JobPower implements RunSource.
+func (a *ArchiveSource) JobPower() ([]JobWindow, error) {
+	return readLog(a, DatasetJobSeries, jobWindowSchema)
+}
+
+// ExemplarGPUs implements RunSource.
+func (a *ArchiveSource) ExemplarGPUs() ([]GPUSample, error) {
+	return readLog(a, DatasetExemplar, gpuSampleSchema)
+}
+
 // readLog decodes a whole-run log — its one partition, the schema's columns
 // only — through its schema. A log the archive did not hold at open is
 // unavailable.

@@ -30,6 +30,9 @@ const (
 	DatasetJobRecords   = "job-records"   // Datasets 5–7
 	DatasetFailures     = "gpu-xid"       // Dataset E
 	DatasetNodePower    = "node-power"    // Dataset 0 (opt-in, large)
+	DatasetAllocations  = "allocations"   // Dataset C
+	DatasetJobSeries    = "job-series"    // Datasets 3/4: Σ input power per job window
+	DatasetExemplar     = "gpu-exemplar"  // Figure 17's per-GPU frames
 	// DatasetRunMeta is the one-row manifest WriteArchive emits so an
 	// archive is self-describing: system size, coarsening grid and span.
 	DatasetRunMeta = "run-meta"
@@ -40,8 +43,7 @@ const (
 func dataset(dir, name string) *store.Dataset { return &store.Dataset{Dir: dir, Name: name} }
 
 const (
-	// logDay is the one partition the whole-run logs (job-records, gpu-xid)
-	// and run-meta live in; every other dataset is sliced into daySec days.
+	// logDay is the one partition the whole-run logs and run-meta live in; every other dataset is sliced into daySec days.
 	logDay = 0
 	daySec = 86400
 
@@ -141,6 +143,19 @@ func bindFloat(c *rowCodec, name string, p *float64) {
 	c.k++
 }
 
+// bindStr binds the next column, a string one, to *p.
+func bindStr(c *rowCodec, name string, p *string) {
+	switch c.mode {
+	case declareCols:
+		c.cols = append(c.cols, store.Column{Name: name, Strs: []string{}})
+	case appendRow:
+		c.cols[c.k].Strs = append(c.cols[c.k].Strs, *p)
+	case readRow:
+		*p = c.cols[c.k].Strs[c.row]
+	}
+	c.k++
+}
+
 // declare runs s over a zero row, leaving a codec that holds the dataset's
 // columns — named, typed, empty — ready to append rows to.
 func declare[R any](s schema[R]) *rowCodec {
@@ -176,7 +191,7 @@ func decodeRows[R any](s schema[R], name string, tab *store.Table, emit func(*R)
 	for k, want := range c.cols {
 		got := tab.Col(want.Name)
 		// An empty column reads back untyped, so only rows can be mistyped.
-		if got == nil || n > 0 && (got.IsStr() || got.IsInt() != want.IsInt()) {
+		if got == nil || n > 0 && (got.IsStr() != want.IsStr() || got.IsInt() != want.IsInt()) {
 			return fmt.Errorf("source: dataset %s: missing or mistyped column %q", name, want.Name)
 		}
 		c.cols[k] = *got
@@ -208,8 +223,7 @@ func jobSchema(c *rowCodec, r *JobRecord) {
 	bindFloat(c, "max_gpu_pwr", &r.MaxGPUPowerW)
 }
 
-// failureSchema is the gpu-xid dataset: the failure log (the event's
-// project is scheduler context, not telemetry, and is not archived).
+// failureSchema is the gpu-xid dataset: the failure log.
 func failureSchema(c *rowCodec, e *failures.Event) {
 	bindInt(c, colTimestamp, &e.Time)
 	bindInt(c, "node", &e.Node)
@@ -218,6 +232,39 @@ func failureSchema(c *rowCodec, e *failures.Event) {
 	bindInt(c, "allocation_id", &e.JobID)
 	bindFloat(c, "gpu_core_temp", &e.TempC)
 	bindFloat(c, "temp_zscore", &e.TempZ)
+}
+
+// allocationSchema is the allocations dataset: the scheduler's log, one row
+// per allocation, the columns of the paper's Dataset C.
+func allocationSchema(c *rowCodec, r *Allocation) {
+	bindInt(c, "allocation_id", &r.AllocationID)
+	bindStr(c, "user", &r.User)
+	bindStr(c, "project", &r.Project)
+	bindInt(c, "domain", &r.Domain)
+	bindInt(c, "class", &r.Class)
+	bindInt(c, "num_nodes", &r.Nodes)
+	bindInt(c, "submit_time", &r.SubmitTime)
+	bindInt(c, colBeginTime, &r.BeginTime)
+	bindInt(c, "end_time", &r.EndTime)
+}
+
+// jobWindowSchema is the job-series dataset: one row per (job, observed
+// window).
+func jobWindowSchema(c *rowCodec, r *JobWindow) {
+	bindInt(c, "allocation_id", &r.AllocationID)
+	bindInt(c, colTimestamp, &r.T)
+	bindFloat(c, "sum_inp", &r.PowerW)
+}
+
+// gpuSampleSchema is the gpu-exemplar dataset: one row per GPU of the
+// exemplar job per captured window.
+func gpuSampleSchema(c *rowCodec, r *GPUSample) {
+	bindInt(c, colTimestamp, &r.T)
+	bindInt(c, "allocation_id", &r.AllocationID)
+	bindInt(c, "node", &r.Node)
+	bindInt(c, "slot", &r.Slot)
+	bindFloat(c, "gpu_power", &r.PowerW)
+	bindFloat(c, "gpu_core_temp", &r.TempC)
 }
 
 // nodeWindow is one node-power row: a node's input-power statistics over
@@ -351,10 +398,21 @@ func writeNodeRollup(w io.Writer, tab *store.Table, floor *topology.Floor) error
 	return store.WriteCodec(w, red.Table(), store.CodecGorilla)
 }
 
+// RunDatasets names every dataset a run archives beside its run-meta: the
+// ones WriteArchive writes, and node-power when the run's observer writes it.
+func RunDatasets(nodePower bool) []string {
+	names := []string{DatasetClusterPower, DatasetJobRecords, DatasetFailures,
+		DatasetAllocations, DatasetJobSeries, DatasetExemplar}
+	if nodePower {
+		names = append(names, DatasetNodePower)
+	}
+	return names
+}
+
 // WriteArchive archives the run src serves into dir as daily-partitioned
 // columnar files, the paper's one-file-per-day layout: the cluster-power
-// series sliced by day, the job and failure logs, and last the run-meta
-// manifest that makes the archive self-describing. The run is read and dir
+// series sliced by day, the run's logs, and last the run-meta manifest that
+// makes the archive self-describing. The run is read and dir
 // checked (BeginArchive) before the first byte is written. The writers in
 // also — the run's other datasets, such as the node-power writer's last day
 // — run beside the partitions; run-meta, the archive's commit record, is
@@ -376,6 +434,18 @@ func WriteArchive(dir string, src RunSource, also ...func() error) error {
 		return err
 	}
 	evs, err := src.Failures()
+	if err != nil {
+		return err
+	}
+	allocs, err := src.Allocations()
+	if err != nil {
+		return err
+	}
+	windows, err := src.JobPower()
+	if err != nil {
+		return err
+	}
+	exemplar, err := src.ExemplarGPUs()
 	if err != nil {
 		return err
 	}
@@ -405,7 +475,10 @@ func WriteArchive(dir string, src RunSource, also ...func() error) error {
 	}
 	parts = append(parts,
 		partition{DatasetJobRecords, logDay, encodeRows(jobSchema, jobs)},
-		partition{DatasetFailures, logDay, encodeRows(failureSchema, evs)})
+		partition{DatasetFailures, logDay, encodeRows(failureSchema, evs)},
+		partition{DatasetAllocations, logDay, encodeRows(allocationSchema, allocs)},
+		partition{DatasetJobSeries, logDay, encodeRows(jobWindowSchema, windows)},
+		partition{DatasetExemplar, logDay, encodeRows(gpuSampleSchema, exemplar)})
 	err = parallel.ForEachErr(len(also)+len(parts), 0, func(i int) error {
 		if i < len(also) {
 			return also[i]()

@@ -92,13 +92,18 @@ func archivePinnedRun(t *testing.T) string {
 // the same-node XORs); core.TestStridedDaysDecodeToTheParentsValues shows
 // the values under it did not move. node-power.rollup's is the companion
 // node-power-day00000.spwr carries after its base, which was its own file
-// when the literal was recorded: the payload did not move.
+// when the literal was recorded: the payload did not move. allocations,
+// job-series and gpu-exemplar were recorded when the run's logs they hold
+// were first archived; the six literals before them did not move.
 func TestArchiveLayoutPin(t *testing.T) {
 	dir := archivePinnedRun(t)
 	want := map[string]string{
+		"allocations-day00000.spwr":       "f188804a8028f461531d6af301773362128a3c855d784e3a8699c3069f2ae03d",
 		"cluster-power-day00000.spwr":     "ffb95f9a36551e2163c040bf822c157c88ee90dd7f68016b8c2dcb8191c4b7d8",
+		"gpu-exemplar-day00000.spwr":      "de7de0e85dc71cb78c0a1cbbde71060d91b22d8970c4c3af8e82683e03c3bf72",
 		"gpu-xid-day00000.spwr":           "e9e2b483751d1216babd0423857952014223c9e7a8bfe2225c3955868f8764a8",
 		"job-records-day00000.spwr":       "c376abe9b9e8ab2eca8760ef56635a4bce62b2ba61997159e20e9b84ad717009",
+		"job-series-day00000.spwr":        "59c09d13552c6dd15cb0e816b33a3418ab355aff9a752352713dd0c23d6f5a7f",
 		"node-power-day00000.spwr":        "b022758e27ad703dbb229b59b9ac8b977c7f0f315dd826f4acbb705cce507e23",
 		"node-power.rollup-day00000.spwr": "15533aed08a31d653f143a6eb904a459d099ede988331b0760947b589b0834f5",
 		"run-meta-day00000.spwr":          "d4e4dae4a35047d538fd8adfb5d5c4502b460e54925a3ead9d885aad5ff6893a",

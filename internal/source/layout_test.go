@@ -130,7 +130,7 @@ func TestWriteArchiveSideBySide(t *testing.T) {
 		}
 		return out
 	}
-	if one, four := files(1), files(4); len(one) != 6 || !reflect.DeepEqual(one, four) {
+	if one, four := files(1), files(4); len(one) != 9 || !reflect.DeepEqual(one, four) {
 		t.Errorf("GOMAXPROCS 1 wrote %d files, GOMAXPROCS 4 %d, or their bytes differ", len(one), len(four))
 	}
 
@@ -274,16 +274,33 @@ func bitEqual(a, b any) bool {
 	return true
 }
 
+// sameRows checks that read returns want, row for row, floats by bit pattern.
+func sameRows[R any](t *testing.T, what string, want []R, read func() ([]R, error)) {
+	t.Helper()
+	got, err := read()
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("%s rows: %d, %v; want %d", what, len(got), err, len(want))
+	}
+	for i := range got {
+		if !bitEqual(got[i], want[i]) {
+			t.Errorf("%s row %d: %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestSchemaRoundTripEdgeRows drives rows no simulated run produces through
 // every row schema, writer to reader.
 func TestSchemaRoundTripEdgeRows(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
 	for _, tc := range []struct {
-		name string
-		jobs []source.JobRecord
-		evs  []failures.Event
-		node []tsagg.WindowStat // one node's windows
+		name   string
+		jobs   []source.JobRecord
+		evs    []failures.Event
+		allocs []source.Allocation
+		power  []source.JobWindow
+		gpus   []source.GPUSample
+		node   []tsagg.WindowStat // one node's windows
 	}{
 		{name: "empty logs"},
 		{
@@ -298,6 +315,20 @@ func TestSchemaRoundTripEdgeRows(t *testing.T) {
 				{Time: -1, Node: -3, Slot: -1, Type: failures.Type(-7), JobID: -9, TempC: nan, TempZ: -inf},
 				{Time: math.MaxInt64, Node: 4625, Slot: 5, Type: failures.DoubleBitError, JobID: 0, TempC: negZero, TempZ: inf},
 			},
+			allocs: []source.Allocation{
+				{AllocationID: -1, User: "", Project: "ünï,cødé\n\"q\"", Domain: -3, Class: math.MaxInt32, Nodes: 0,
+					SubmitTime: math.MinInt64, BeginTime: -1, EndTime: math.MaxInt64},
+				{AllocationID: math.MaxInt64, User: "u", Project: "", Nodes: 4608},
+			},
+			power: []source.JobWindow{
+				{AllocationID: -1, T: math.MinInt64, PowerW: nan},
+				{AllocationID: -1, T: math.MaxInt64, PowerW: negZero},
+				{AllocationID: 0, T: 0, PowerW: -inf},
+			},
+			gpus: []source.GPUSample{
+				{T: -10, AllocationID: 3, Node: -1, Slot: 6, PowerW: inf, TempC: nan},
+				{T: 1 << 40, AllocationID: math.MinInt64, Node: 4625, Slot: 0, PowerW: math.SmallestNonzeroFloat64, TempC: negZero},
+			},
 			node: []tsagg.WindowStat{
 				{T: 1_577_836_800, Count: 0, Min: nan, Max: nan, Mean: nan, Std: nan},
 				{T: 1_577_836_810, Count: -1, Min: inf, Max: -inf, Mean: negZero, Std: 0},
@@ -306,7 +337,9 @@ func TestSchemaRoundTripEdgeRows(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := source.WriteArchive(dir, syntheticRun(3, 0, tc.jobs, tc.evs)); err != nil {
+			run := syntheticRun(3, 0, tc.jobs, tc.evs)
+			run.Allocs, run.JobWindows, run.Exemplar = tc.allocs, tc.power, tc.gpus
+			if err := source.WriteArchive(dir, run); err != nil {
 				t.Fatal(err)
 			}
 			var rows source.NodeRows
@@ -339,6 +372,9 @@ func TestSchemaRoundTripEdgeRows(t *testing.T) {
 					t.Errorf("failure row %d: %+v, want %+v", i, evs[i], tc.evs[i])
 				}
 			}
+			sameRows(t, "allocation", tc.allocs, src.Allocations)
+			sameRows(t, "job window", tc.power, src.JobPower)
+			sameRows(t, "exemplar", tc.gpus, src.ExemplarGPUs)
 			byNode, err := readNodeDay(dir, 0)
 			if len(tc.node) == 0 {
 				if err == nil {

@@ -21,6 +21,9 @@ type MemorySource struct {
 	SeriesByName map[string]*tsagg.Series
 	Jobs         []JobRecord
 	Events       []failures.Event
+	Allocs       []Allocation
+	JobWindows   []JobWindow
+	Exemplar     []GPUSample
 }
 
 var _ RunSource = (*MemorySource)(nil)
@@ -42,3 +45,12 @@ func (m *MemorySource) JobRecords() ([]JobRecord, error) { return m.Jobs, nil }
 
 // Failures implements RunSource.
 func (m *MemorySource) Failures() ([]failures.Event, error) { return m.Events, nil }
+
+// Allocations implements RunSource.
+func (m *MemorySource) Allocations() ([]Allocation, error) { return m.Allocs, nil }
+
+// JobPower implements RunSource.
+func (m *MemorySource) JobPower() ([]JobWindow, error) { return m.JobWindows, nil }
+
+// ExemplarGPUs implements RunSource.
+func (m *MemorySource) ExemplarGPUs() ([]GPUSample, error) { return m.Exemplar, nil }

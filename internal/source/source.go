@@ -14,9 +14,11 @@
 // in-memory source — the parity test in internal/core enforces this.
 //
 // Every series is reached by name through Series, the per-MSB meter pairs
-// of Figure 4 included (MeterSeriesName, MSBSumSeriesName). The per-node
-// node-power dataset is not a RunSource accessor: this package writes it
-// (WriteNodeDay) and the query tier's engine serves it.
+// of Figure 4 included (MeterSeriesName, MSBSumSeriesName). Each whole-run
+// log — job records, failures, the scheduler's allocations, the per-job
+// power series and Figure 17's exemplar frames — has one accessor. The
+// per-node node-power dataset is not a RunSource accessor: this package
+// writes it (WriteNodeDay) and the query tier's engine serves it.
 package source
 
 import (
@@ -111,9 +113,43 @@ type JobRecord struct {
 	MaxGPUPowerW  float64
 }
 
+// Allocation is one row of the scheduler's allocation log (the paper's
+// Dataset C): every job the run scheduled, those set to start after the
+// span included. Class and Domain are the raw identifiers, as in JobRecord.
+type Allocation struct {
+	AllocationID int64
+	User         string
+	Project      string
+	Domain       int
+	Class        int
+	Nodes        int
+	SubmitTime   int64
+	BeginTime    int64
+	EndTime      int64
+}
+
+// JobWindow is one job's Σ node input power over one coarsening window in
+// which at least one of its nodes reported (the paper's Datasets 3/4).
+type JobWindow struct {
+	AllocationID int64
+	T            int64
+	PowerW       float64
+}
+
+// GPUSample is one GPU of Figure 17's exemplar job at one of the windows
+// that figure reads.
+type GPUSample struct {
+	T            int64
+	AllocationID int64
+	Node         int
+	Slot         int
+	PowerW       float64
+	TempC        float64
+}
+
 // RunSource is the single data plane behind every analysis: cluster,
 // facility, thermal and per-MSB meter series on the coarsening grid, each
-// reached by name, plus job records and the failure log.
+// reached by name, plus the run's logs.
 //
 // Implementations must be safe for concurrent use: queryd runs analyses
 // from concurrent requests over one source.
@@ -127,4 +163,13 @@ type RunSource interface {
 	JobRecords() ([]JobRecord, error)
 	// Failures returns the run's failure log.
 	Failures() ([]failures.Event, error)
+	// Allocations returns the scheduler's allocation log, in start order.
+	Allocations() ([]Allocation, error)
+	// JobPower returns every job's observed windows, job by job in
+	// allocation order, each job's windows in time order.
+	JobPower() ([]JobWindow, error)
+	// ExemplarGPUs returns Figure 17's frames of its exemplar job: window
+	// by window, each the job's nodes in allocation order, each node's GPUs
+	// by slot. Empty when the run had no job to pick.
+	ExemplarGPUs() ([]GPUSample, error)
 }

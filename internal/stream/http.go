@@ -141,7 +141,7 @@ func (h *handler) rollup(ctx context.Context, q url.Values) (any, error) {
 	if group == "" {
 		group = "fleet"
 	}
-	limit, err := serve.QueryInt(q.Get("limit"), 360)
+	limit, err := serve.QueryInt(q, "limit", 360)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ type apiEdge struct {
 }
 
 func (h *handler) edges(ctx context.Context, q url.Values) (any, error) {
-	limit, err := serve.QueryInt(q.Get("limit"), 256)
+	limit, err := serve.QueryInt(q, "limit", 256)
 	if err != nil {
 		return nil, err
 	}

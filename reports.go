@@ -48,20 +48,25 @@ type SourceReport struct {
 
 // SourceReports lists the source reports in the order cmd/repro prints them.
 var SourceReports = []SourceReport{
+	{"dataset-c", ReportScheduling},
 	{"figure-4", ReportFigure4},
 	{"figure-5", ReportFigure5},
 	{"figure-6", ReportFigure6},
 	{"figure-7", ReportFigure7},
 	{"figure-8", ReportFigure8},
 	{"figure-9", ReportFigure9},
+	{"figure-10", ReportFigure10},
 	{"figure-11", ReportFigure11},
 	{"figure-12", ReportFigure12},
 	{"section-2-bands", ReportThermalBands},
 	{"section-5-overcooling", ReportOvercooling},
 	{"table-4", ReportTable4},
 	{"figure-13", ReportFigure13},
+	{"figure-14", ReportFigure14},
 	{"figure-15", ReportFigure15},
 	{"figure-16", ReportFigure16},
+	{"figure-17", ReportFigure17},
+	{"section-9", ReportFingerprints},
 }
 
 // ReportFigure4 renders the meter-validation experiment.
@@ -227,8 +232,11 @@ func ReportFigure9(src source.RunSource) (Report, error) {
 }
 
 // ReportFigure10 renders the power dynamics overview.
-func ReportFigure10(d *core.RunData) Report {
-	rep := core.Figure10Dynamics(d)
+func ReportFigure10(src source.RunSource) (Report, error) {
+	rep, err := core.Figure10Dynamics(src)
+	if err != nil {
+		return Report{}, err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "jobs with no edges: %.1f%%\n", rep.FracNoEdges*100)
 	tab := render.NewTable("class", "jobs w/ edges", "median edges", "median duration (min)", "median freq (Hz)", "median amp (W)")
@@ -251,7 +259,7 @@ func ReportFigure10(d *core.RunData) Report {
 		tab.Row(c.String(), e.N(), e.Quantile(0.5), durMed, freqMed, ampMed)
 	}
 	b.WriteString(tab.String())
-	if sw, err := core.SwingsFromSource(d.Source()); err == nil {
+	if sw, err := core.SwingsFromSource(src); err == nil {
 		fmt.Fprintf(&b, "steepest 10s rise: %.2f MW, fall: %.2f MW\n", sw.MaxRiseW/units.WattsPerMW, sw.MaxFallW/units.WattsPerMW)
 	}
 	return Report{
@@ -259,7 +267,7 @@ func ReportFigure10(d *core.RunData) Report {
 		Title:    "Power consumption dynamics",
 		PaperRef: "96.9% of jobs have no edges; ~0.005 Hz (200 s) swings dominate; steepest ±5.8/−5.9 MW per 10 s",
 		Body:     b.String(),
-	}
+	}, nil
 }
 
 func median(xs []float64) float64 {
@@ -419,10 +427,13 @@ func shortTypeLabel(t failures.Type) string {
 }
 
 // ReportFigure14 renders per-project failure rates.
-func ReportFigure14(d *core.RunData) Report {
+func ReportFigure14(src source.RunSource) (Report, error) {
 	var b strings.Builder
 	for _, hw := range []bool{false, true} {
-		rows := core.Figure14FailuresPerProject(d, hw, 15)
+		rows, err := core.Figure14FailuresPerProject(src, hw, 15)
+		if err != nil {
+			return Report{}, err
+		}
 		label := "all failures"
 		if hw {
 			label = "hardware failures"
@@ -439,7 +450,7 @@ func ReportFigure14(d *core.RunData) Report {
 		Title:    "GPU failures per node-hour by project",
 		PaperRef: "failure frequency varies strongly with project/domain; distinct workloads stress GPUs differently",
 		Body:     b.String(),
-	}
+	}, nil
 }
 
 // ReportFigure15 renders the thermal extremity analysis, and on how many
@@ -503,8 +514,8 @@ func ReportFigure16(src source.RunSource) (Report, error) {
 }
 
 // ReportFigure17 renders the variability analysis.
-func ReportFigure17(vc *core.VariabilityCollector) (Report, error) {
-	rep, err := core.Figure17Variability(vc, 6)
+func ReportFigure17(src source.RunSource) (Report, error) {
+	rep, err := core.Figure17Variability(src)
 	if err != nil {
 		return Report{}, err
 	}
@@ -551,8 +562,11 @@ func ReportTable3() Report {
 
 // ReportFingerprints renders the future-work fingerprinting analysis
 // (paper §9): portrait clusters and the prediction evaluation.
-func ReportFingerprints(d *core.RunData) (Report, error) {
-	fps := core.BuildFingerprints(d)
+func ReportFingerprints(src source.RunSource) (Report, error) {
+	fps, err := core.BuildFingerprints(src)
+	if err != nil {
+		return Report{}, err
+	}
 	if len(fps) < 3 {
 		return Report{
 			ID:       "section-9",
@@ -714,8 +728,11 @@ func ReportGenerations(seed uint64) (Report, error) {
 }
 
 // ReportScheduling renders the per-class queueing summary (Dataset C view).
-func ReportScheduling(d *core.RunData) Report {
-	rows := core.SchedulingByClass(d)
+func ReportScheduling(src source.RunSource) (Report, error) {
+	rows, err := core.SchedulingByClass(src)
+	if err != nil {
+		return Report{}, err
+	}
 	tab := render.NewTable("class", "jobs", "mean wait (min)", "p90 wait (min)",
 		"mean runtime (min)", "node-hours")
 	for _, r := range rows {
@@ -727,5 +744,5 @@ func ReportScheduling(d *core.RunData) Report {
 		Title:    "Scheduling summary by class",
 		PaperRef: "allocation-history view: class mix, waits, node-hours (Dataset C)",
 		Body:     tab.String(),
-	}
+	}, nil
 }

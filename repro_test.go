@@ -21,20 +21,19 @@ import (
 var (
 	runOnce sync.Once
 	runData *core.RunData
-	runVC   *core.VariabilityCollector
 	runErr  error
 )
 
-func testRun(t *testing.T) (*core.RunData, *core.VariabilityCollector) {
+func testRun(t *testing.T) *core.RunData {
 	t.Helper()
 	runOnce.Do(func() {
 		cfg := ScaledConfig(108, 5*time.Hour)
-		runData, _, runErr = core.CollectRun(cfg, core.AttachVariability(&runVC))
+		runData, _, runErr = core.CollectRun(cfg)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	return runData, runVC
+	return runData
 }
 
 func TestScaledConfig(t *testing.T) {
@@ -87,8 +86,7 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestAllReportsRender(t *testing.T) {
-	d, vc := testRun(t)
-	src := d.Source()
+	src := testRun(t).Source()
 	type namedReport struct {
 		name string
 		fn   func() (Report, error)
@@ -101,15 +99,16 @@ func TestAllReportsRender(t *testing.T) {
 		{"fig7", func() (Report, error) { return ReportFigure7(src) }},
 		{"fig8", func() (Report, error) { return ReportFigure8(src) }},
 		{"fig9", func() (Report, error) { return ReportFigure9(src) }},
-		{"fig10", func() (Report, error) { return ReportFigure10(d), nil }},
+		{"dataset-c", func() (Report, error) { return ReportScheduling(src) }},
+		{"fig10", func() (Report, error) { return ReportFigure10(src) }},
 		{"fig11", func() (Report, error) { return ReportFigure11(src) }},
 		{"fig12", func() (Report, error) { return ReportFigure12(src) }},
 		{"table4", func() (Report, error) { return ReportTable4(src) }},
 		{"fig13", func() (Report, error) { return ReportFigure13(src) }},
-		{"fig14", func() (Report, error) { return ReportFigure14(d), nil }},
+		{"fig14", func() (Report, error) { return ReportFigure14(src) }},
 		{"fig15", func() (Report, error) { return ReportFigure15(src) }},
 		{"fig16", func() (Report, error) { return ReportFigure16(src) }},
-		{"fig17", func() (Report, error) { return ReportFigure17(vc) }},
+		{"fig17", func() (Report, error) { return ReportFigure17(src) }},
 	}
 	for _, nr := range reports {
 		rep, err := nr.fn()
@@ -172,8 +171,8 @@ func TestReportsFromAnArchive(t *testing.T) {
 func TestFrontierVariabilityCabinetsAreTheFloors(t *testing.T) {
 	cfg := ScaledConfig(384, 3*time.Hour)
 	cfg.Site = topology.SiteFrontier
-	var vc *core.VariabilityCollector
-	if _, _, err := core.CollectRun(cfg, core.AttachVariability(&vc)); err != nil {
+	d, _, err := core.CollectRun(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fc, err := topology.PresetScaled(topology.SiteFrontier, cfg.Nodes)
@@ -184,7 +183,7 @@ func TestFrontierVariabilityCabinetsAreTheFloors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Figure17Variability(vc, 6)
+	rep, err := core.Figure17Variability(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestFrontierVariabilityCabinetsAreTheFloors(t *testing.T) {
 }
 
 func TestReportTable4MatchesPaperShape(t *testing.T) {
-	d, _ := testRun(t)
+	d := testRun(t)
 	rep, err := ReportTable4(d.Source())
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +217,7 @@ func TestReportTable4MatchesPaperShape(t *testing.T) {
 }
 
 func TestExtensionReports(t *testing.T) {
-	d, _ := testRun(t)
+	d := testRun(t)
 	// Thermal bands (operator dashboard).
 	bands, err := ReportThermalBands(d.Source())
 	if err != nil {
@@ -228,7 +227,7 @@ func TestExtensionReports(t *testing.T) {
 		t.Errorf("bands report missing band labels: %q", bands.Body)
 	}
 	// Fingerprints (future work).
-	fp, err := ReportFingerprints(d)
+	fp, err := ReportFingerprints(d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +311,9 @@ func TestReportYearSurveyRenders(t *testing.T) {
 }
 
 func TestWriteFigureData(t *testing.T) {
-	d, vc := testRun(t)
+	d := testRun(t)
 	dir := t.TempDir()
-	files, err := WriteFigureData(dir, d, vc)
+	files, err := WriteFigureData(dir, d.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +348,7 @@ func TestWriteFigureData(t *testing.T) {
 }
 
 func TestOvercoolingAndEarlyWarningFacade(t *testing.T) {
-	d, _ := testRun(t)
+	d := testRun(t)
 	oc, err := core.OvercoolingFromSource(d.Source())
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +413,10 @@ func TestPaperShapeProperties(t *testing.T) {
 		t.Errorf("PUE %v out of plausible band", trends.MeanPUE)
 	}
 	// Fig10: majority of jobs show no edges.
-	dyn := core.Figure10Dynamics(d)
+	dyn, err := core.Figure10Dynamics(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dyn.FracNoEdges < 0.6 {
 		t.Errorf("Fig10: no-edge fraction %v, want clear majority", dyn.FracNoEdges)
 	}
