@@ -46,10 +46,12 @@ lint:
 # earn-or-delete guards over the root package and internal/...: every
 # exported function and method has a caller outside tests, implements an
 # interface that declares it, or is listed in cmd/reprolint's keptUncalled
-# with its reason; and every exported field of an exported struct type is
-# written outside tests or is listed in keptUnset with its reason.
+# with its reason; every exported field of an exported struct type is
+# written outside tests or is listed in keptUnset with its reason; and every
+# flag a command registers is listed in keptFlags with its caller file, its
+# documented run, or as a deployment setting.
 guard:
-	$(GO) test -run 'TestRepoIsLintClean|TestExportedFunctionsHaveCallers|TestExportedFieldsAreSet' ./cmd/reprolint
+	$(GO) test -run 'TestRepoIsLintClean|TestExportedFunctionsHaveCallers|TestExportedFieldsAreSet|TestFlagsHaveCallers' ./cmd/reprolint
 
 # race runs every package under the race detector; the heavyweight
 # simulation tests are trimmed so this stays bounded.
@@ -386,7 +388,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = telemetry:FuzzDecodeFrame telemetry:FuzzServerReadLoop trace:FuzzParseTrace serve:FuzzAppendJSONFloat \
 	query:FuzzAppendJSONFloat lint:FuzzAllowDirectives topology:FuzzHostname \
 	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta source:FuzzReadManifest source:FuzzDiscoverFleet \
-	scenario:FuzzLoadCompile query:FuzzQueryParams
+	scenario:FuzzLoadCompile query:FuzzQueryParams stream:FuzzLiveParams
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $${t#*:} in ./internal/$${t%%:*}"; \

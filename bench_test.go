@@ -698,7 +698,7 @@ func BenchmarkSkipDelta(b *testing.B) {
 // goroutines included; divide by 7×nodes for the per-sample cost.
 func BenchmarkStreamIngest(b *testing.B) {
 	const nodes = 256
-	pipe, err := stream.NewPipeline(stream.Config{Nodes: nodes, StepSec: 10, QueueDepth: 4096})
+	pipe, err := stream.NewPipeline(stream.Config{Nodes: nodes, QueueDepth: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,14 +37,8 @@ type options struct {
 	strategy  string
 	scenarios string // path to a scenario-list JSON file (skips search)
 	workers   int
-	rounds    int // coordinate-descent rounds
-	pop       int // CEM population
-	elite     int // CEM elites
-	iters     int // CEM iterations
 	seed      uint64
 	out       string
-	indep     bool
-	keepFail  bool
 }
 
 // validate rejects inconsistent flag combinations before any simulation
@@ -57,16 +51,6 @@ func (o options) validate() error {
 	}
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
-	}
-	if o.rounds < 0 {
-		return fmt.Errorf("-rounds must be >= 0, got %d", o.rounds)
-	}
-	if o.pop < 0 || o.elite < 0 || o.iters < 0 {
-		return fmt.Errorf("CEM sizes must be >= 0, got -pop %d -elite %d -iters %d",
-			o.pop, o.elite, o.iters)
-	}
-	if o.elite > o.pop && o.pop > 0 {
-		return fmt.Errorf("-elite %d exceeds -pop %d", o.elite, o.pop)
 	}
 	return nil
 }
@@ -82,15 +66,8 @@ func main() {
 	flag.StringVar(&o.strategy, "strategy", "grid", "search strategy: grid|cd|cem")
 	flag.StringVar(&o.scenarios, "scenarios", "", "JSON file with explicit scenarios to evaluate (skips search)")
 	flag.IntVar(&o.workers, "workers", 0, "scenario-level parallelism (0 = all cores)")
-	flag.IntVar(&o.rounds, "rounds", 0, "coordinate-descent rounds (0 = default)")
-	flag.IntVar(&o.pop, "pop", 0, "CEM population per iteration (0 = default)")
-	flag.IntVar(&o.elite, "elite", 0, "CEM elite count (0 = default)")
-	flag.IntVar(&o.iters, "iters", 0, "CEM iterations (0 = default)")
 	flag.Uint64Var(&o.seed, "seed", 0, "override the study's base seed (0 = keep)")
 	flag.StringVar(&o.out, "out", "", "write the machine-readable sweep log to this file")
-	flag.BoolVar(&o.indep, "independent-streams", false,
-		"give each scenario independent weather/workload streams instead of paired runs")
-	flag.BoolVar(&o.keepFail, "keep-failures", false, "retain failure injection during sweeps")
 	flag.Parse()
 	if err := run(os.Stdout, o); err != nil {
 		log.Fatal(err)
@@ -113,11 +90,7 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	opt := whatif.Options{
-		Workers:            o.workers,
-		IndependentStreams: o.indep,
-		KeepFailures:       o.keepFail,
-	}
+	opt := whatif.Options{Workers: o.workers}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
 	var res *whatif.SweepResult
 	switch {
@@ -126,10 +99,9 @@ func run(w io.Writer, o options) error {
 	case o.strategy == "grid":
 		res, err = whatif.RunGrid(base, study.Axes, opt)
 	case o.strategy == "cd":
-		res, err = whatif.RunCoordinateDescent(base, study.Axes, o.rounds, opt)
+		res, err = whatif.RunCoordinateDescent(base, study.Axes, opt)
 	default: // cem — validate() already rejected anything else
-		cem := whatif.CEMConfig{Population: o.pop, Elite: o.elite, Iterations: o.iters}
-		res, err = whatif.RunCEM(base, study.Axes, cem, opt)
+		res, err = whatif.RunCEM(base, study.Axes, opt)
 	}
 	if err != nil {
 		return err

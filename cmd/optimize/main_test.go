@@ -19,9 +19,7 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []options{
 		{strategy: "anneal"},
 		{strategy: "grid", workers: -1},
-		{strategy: "cd", rounds: -2},
-		{strategy: "cem", pop: -1},
-		{strategy: "cem", pop: 4, elite: 8},
+		{strategy: "cem", workers: -2},
 	}
 	for i, o := range bad {
 		if err := o.validate(); err == nil {

@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"time"
 
 	"repro/internal/query"
 	"repro/internal/serve"
@@ -53,16 +52,12 @@ import (
 
 // options is the parsed flag set.
 type options struct {
-	data          string
-	addr          string
-	nodes         int
-	workers       int
-	cacheMB       int
-	timeout       time.Duration
-	maxConcurrent int
-	maxPoints     int
-	pprof         bool
-	quiet         bool
+	data    string
+	addr    string
+	nodes   int
+	cacheMB int
+	pprof   bool
+	quiet   bool
 }
 
 // parseFlags parses args (without the program name).
@@ -72,11 +67,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.data, "data", "", "archive or fleet directory (required)")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
 	fs.IntVar(&o.nodes, "nodes", 0, "expected system size: 0, or the node count every archive's run-meta records (else queryd refuses to start)")
-	fs.IntVar(&o.workers, "workers", 0, "parallel scan workers (0 = GOMAXPROCS)")
 	fs.IntVar(&o.cacheMB, "cache-mb", 256, "decoded-table cache budget in MiB (per cluster; 0 = no cache)")
-	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline")
-	fs.IntVar(&o.maxConcurrent, "max-concurrent", 32, "concurrent query limit (excess sheds with 503)")
-	fs.IntVar(&o.maxPoints, "max-points", 200_000, "points/windows budget per response")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose Go profiling endpoints under /debug/pprof/")
 	fs.BoolVar(&o.quiet, "q", false, "suppress startup output")
 	if err := fs.Parse(args); err != nil {
@@ -84,18 +75,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.data == "" {
 		return o, errors.New("queryd: -data is required")
-	}
-	// The engine and the serving kernel map a bound <= 0 to their default;
-	// refuse one here rather than run on a value nobody asked for.
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"timeout", int64(o.timeout)}, {"max-concurrent", int64(o.maxConcurrent)}, {"max-points", int64(o.maxPoints)},
-	} {
-		if f.v <= 0 {
-			return o, fmt.Errorf("queryd: -%s must be positive", f.name)
-		}
 	}
 	if o.cacheMB < 0 {
 		return o, errors.New("queryd: -cache-mb must not be negative")
@@ -112,10 +91,9 @@ func openCluster(o options, name, dir string, out io.Writer) (query.Cluster, err
 	// archive-backed analyses: a byte decoded for /api/v1/range is a byte
 	// /api/v1/analysis/* does not decode again, and vice versa.
 	eng, err := query.Open(query.Config{
-		Dir:     dir,
-		Nodes:   o.nodes,
-		Workers: o.workers,
-		Cache:   store.NewTableCache(int64(o.cacheMB) << 20),
+		Dir:   dir,
+		Nodes: o.nodes,
+		Cache: store.NewTableCache(int64(o.cacheMB) << 20),
 	})
 	if errors.Is(err, source.ErrNodesMismatch) {
 		err = fmt.Errorf("-nodes %d: %w", o.nodes, err)
@@ -160,11 +138,7 @@ func newServer(o options, out io.Writer) (*http.Server, net.Listener, error) {
 	default:
 		return nil, nil, ferr
 	}
-	handler, err := query.NewFleetHandler(clusters, query.ServerConfig{
-		Timeout:       o.timeout,
-		MaxConcurrent: o.maxConcurrent,
-		MaxPoints:     o.maxPoints,
-	})
+	handler, err := query.NewFleetHandler(clusters, query.ServerConfig{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,7 +161,7 @@ func newServer(o options, out io.Writer) (*http.Server, net.Listener, error) {
 		mux.Handle("/", handler)
 		root = mux
 	}
-	return serve.NewServer(root, o.timeout), ln, nil
+	return serve.NewServer(root, query.DefaultTimeout), ln, nil
 }
 
 func main() {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -311,11 +313,17 @@ func isGeneric(typ types.Type) bool {
 // keptUnset lists the exported fields of the guarded packages that no
 // non-test file writes, each with the reason it stays. Keys are "pkg.T.F".
 var keptUnset = map[string]string{
-	"stream.Config.Extra":          "the gate operator of TestBackpressureNeverBlocksIngest, TestHealthDoesNotWaitForTheOperatorChain and TestFrameGridMaterialized",
-	"sim.Config.FailureCheckSec":   "the 60 s sweeps that give TestSeedEngineParity and TestBatchStreamParity failures in short runs",
-	"sim.Config.TelemetryLossFrac": "the paper's missing-data model; its default waits for the paper-fidelity ledger (ROADMAP item 7), since turning it on re-records goldens",
-	"tsagg.Sample.T":               oracle + "tsagg.Coarsen, the input it takes",
-	"tsagg.Sample.V":               oracle + "tsagg.Coarsen, the input it takes",
+	"query.Config.Workers":             "the worker counts 1, 2 and 7 of TestSinksMatchLegacyOracles, TestGoldenThreePathParity and TestFleetRangePreaggRefusals",
+	"query.ServerConfig.Timeout":       "the short deadline of query.TestKernelContract",
+	"query.ServerConfig.MaxConcurrent": "the one slot of TestHTTPLoadShedding and query.TestKernelContract",
+	"query.ServerConfig.MaxPoints":     "the small budgets of TestHTTPRangeErrors, TestHTTPBudgetRefusesBeforeMaterializing and FuzzQueryParams",
+	"stream.ServeConfig.Timeout":       "the short deadline of stream.TestKernelContract",
+	"stream.ServeConfig.MaxConcurrent": "the one slot of TestHTTPShedsAtConcurrencyLimit and stream.TestKernelContract",
+	"stream.Config.Extra":              "the gate operator of TestBackpressureNeverBlocksIngest, TestHealthDoesNotWaitForTheOperatorChain and TestFrameGridMaterialized",
+	"sim.Config.FailureCheckSec":       "the 60 s sweeps that give TestSeedEngineParity and TestBatchStreamParity failures in short runs",
+	"sim.Config.TelemetryLossFrac":     "the paper's missing-data model; its default waits for the paper-fidelity ledger (ROADMAP item 7), since turning it on re-records goldens",
+	"tsagg.Sample.T":                   oracle + "tsagg.Coarsen, the input it takes",
+	"tsagg.Sample.V":                   oracle + "tsagg.Coarsen, the input it takes",
 }
 
 // TestExportedFieldsAreSet is the earn-or-delete guard for knobs: every
@@ -509,6 +517,199 @@ func peelLHS(e ast.Expr) ast.Expr {
 			return e
 		}
 	}
+}
+
+// keptFlags lists every flag a command under cmd/ registers, keyed
+// "command.flag", with the reason it stays: a non-test file passes it
+// (passedBy: the Makefile, the CI workflow, bench/ or examples/), it is a
+// deployment setting (an address, a directory, an output or profile file),
+// or it selects a run README.md or EXPERIMENTS.md shows (selects).
+var keptFlags = map[string]string{
+	"benchjson.out":    passedBy("Makefile"),
+	"benchjson.label":  passedBy("Makefile"),
+	"benchjson.report": passedBy("Makefile"),
+
+	"optimize.list":      passedBy("Makefile"),
+	"optimize.study":     passedBy("Makefile"),
+	"optimize.scenario":  passedBy("bench/whatif.go"),
+	"optimize.strategy":  passedBy("Makefile"),
+	"optimize.scenarios": selects("README.md", "an explicit scenario list scored against a study's base"),
+	"optimize.workers":   passedBy("Makefile"),
+	"optimize.seed":      selects("README.md", "the CEM sweep over seed 7's draw of weather and workload"),
+	"optimize.out":       passedBy("Makefile"),
+
+	"queryd.data":     passedBy("Makefile"),
+	"queryd.addr":     passedBy("Makefile"),
+	"queryd.nodes":    passedBy("Makefile"),
+	"queryd.cache-mb": passedBy("bench/query.go"),
+	"queryd.pprof":    selects("EXPERIMENTS.md", "the read path profiled under real HTTP load"),
+	"queryd.q":        passedBy("Makefile"),
+
+	"repro.nodes":    passedBy("Makefile"),
+	"repro.hours":    passedBy("Makefile"),
+	"repro.seed":     passedBy("Makefile"),
+	"repro.start":    passedBy("Makefile"),
+	"repro.out":      deployment + "the report's output file",
+	"repro.figdir":   passedBy("Makefile"),
+	"repro.year":     selects("README.md", "the sampled-year seasonal survey"),
+	"repro.powercap": selects("README.md", "the §8 power-aware scheduling what-if"),
+	"repro.data":     passedBy("Makefile"),
+
+	"reprolint.list":      selects("README.md", "the analyzer listing"),
+	"reprolint.analyzers": selects("README.md", "one analyzer over a fixture"),
+
+	"scenario.list":     passedBy("Makefile"),
+	"scenario.describe": selects("README.md", "a scenario's resolved spec and identity"),
+	"scenario.diff":     selects("README.md", "two scenarios' objective reports side by side"),
+
+	"streamd.addr":        passedBy("Makefile"),
+	"streamd.ingest":      passedBy("Makefile"),
+	"streamd.nodes":       passedBy("Makefile"),
+	"streamd.sim-minutes": passedBy("Makefile"),
+	"streamd.q":           passedBy("Makefile"),
+
+	"summitsim.scenario":    passedBy("Makefile"),
+	"summitsim.nodes":       passedBy("Makefile"),
+	"summitsim.days":        passedBy("Makefile"),
+	"summitsim.seed":        passedBy("Makefile"),
+	"summitsim.clusters":    passedBy("Makefile"),
+	"summitsim.sites":       passedBy("Makefile"),
+	"summitsim.out":         passedBy("Makefile"),
+	"summitsim.setpoint":    selects("README.md", "a scenario with its MTW supply setpoint overridden"),
+	"summitsim.placement":   selects("README.md", "a scenario with its placement policy overridden"),
+	"summitsim.powercap-mw": selects("README.md", "a scenario with its cluster power cap overridden"),
+	"summitsim.nodedata":    passedBy("Makefile"),
+	"summitsim.q":           passedBy("Makefile"),
+	"summitsim.cpuprofile":  deployment + "a CPU profile file",
+	"summitsim.memprofile":  deployment + "a heap profile file",
+	"summitsim.trace":       deployment + "an execution trace file",
+	"summitsim.fsck":        passedBy("Makefile"),
+}
+
+const (
+	passedByPrefix = "passed by "
+	deployment     = "a deployment setting: "
+	selectsPrefix  = "selects a run "
+)
+
+// passedBy is the reason of a flag the non-test file (module-relative)
+// passes.
+func passedBy(file string) string { return passedByPrefix + file }
+
+// selects is the reason of a flag that selects the run doc shows.
+func selects(doc, run string) string { return selectsPrefix + doc + " shows: " + run }
+
+// flagRegistrars are the flag package's registration functions and
+// *FlagSet methods, each with the index of its name argument.
+var flagRegistrars = map[string]int{
+	"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "Float64": 0, "String": 0, "Duration": 0,
+	"Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1, "Float64Var": 1, "StringVar": 1,
+	"DurationVar": 1, "Var": 1, "TextVar": 1,
+}
+
+// TestFlagsHaveCallers is the earn-or-delete guard for the command line:
+// every flag a non-test file of a cmd/ package registers is a key of
+// keptFlags, and every key names a registered flag. A reason that names a
+// caller file or a document holds only if that file shows the flag.
+func TestFlagsHaveCallers(t *testing.T) {
+	dir, views := loadModule(t)
+	fset := views[0].Fset
+	registered := map[string]bool{}
+	for _, v := range views {
+		if v.Test || !strings.HasPrefix(v.Path, "repro/cmd/") {
+			continue
+		}
+		cmd := path.Base(v.Path)
+		for _, f := range v.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calledFunc(v.Info, call)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+					return true
+				}
+				arg, ok := flagRegistrars[fn.Name()]
+				if !ok {
+					return true
+				}
+				at := where(dir, fset.Position(call.Pos()))
+				tv := v.Info.Types[call.Args[arg]]
+				if tv.Value == nil || tv.Value.Kind() != constant.String {
+					t.Errorf("%s: %s registers a flag whose name is not a constant string", at, cmd)
+					return true
+				}
+				name := constant.StringVal(tv.Value)
+				key := cmd + "." + name
+				registered[key] = true
+				reason, kept := keptFlags[key]
+				if !kept {
+					t.Errorf("%s: %s -%s has no caller: delete it, or list it in keptFlags with its reason", at, cmd, name)
+					return true
+				}
+				if err := checkFlagReason(dir, name, reason); err != nil {
+					t.Errorf("%s: %s -%s: %v", at, cmd, name, err)
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("%d flags registered", len(registered))
+	for key := range keptFlags {
+		if !registered[key] {
+			t.Errorf("keptFlags lists %s, which no command registers", key)
+		}
+	}
+}
+
+// calledFunc is the function or method call invokes, or nil.
+func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// checkFlagReason checks reason, the keptFlags entry of the flag name: a
+// caller file must be a non-test file of the Makefile, the CI workflow,
+// bench/ or examples/, and a document README.md or EXPERIMENTS.md; either
+// must contain -name.
+func checkFlagReason(dir, name, reason string) error {
+	var file string
+	if rest, ok := strings.CutPrefix(reason, passedByPrefix); ok {
+		file = rest
+		caller := file == "Makefile" || file == ".github/workflows/ci.yml" ||
+			strings.HasPrefix(file, "bench/") || strings.HasPrefix(file, "examples/")
+		if !caller || strings.HasSuffix(file, "_test.go") {
+			return fmt.Errorf("keptFlags names %s as its caller, which is not a non-test file of the Makefile, the CI workflow, bench/ or examples/", file)
+		}
+	} else if rest, ok := strings.CutPrefix(reason, selectsPrefix); ok {
+		file, _, _ = strings.Cut(rest, " ")
+		if file != "README.md" && file != "EXPERIMENTS.md" {
+			return fmt.Errorf("keptFlags says it selects a run %s shows, which is neither README.md nor EXPERIMENTS.md", file)
+		}
+	} else if what, ok := strings.CutPrefix(reason, deployment); ok && what != "" {
+		return nil
+	} else {
+		return fmt.Errorf("keptFlags reason %q names no caller file, no documented run and no deployment setting", reason)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, file))
+	if err != nil {
+		return err
+	}
+	if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`).Match(raw) {
+		return fmt.Errorf("keptFlags names %s, which does not contain -%s", file, name)
+	}
+	return nil
 }
 
 // testHelperPackages exist to be called from tests.

@@ -7,7 +7,7 @@
 //
 //	scenario -list
 //	scenario -describe <name|spec.json>
-//	scenario -diff <a>,<b> [-workers N]
+//	scenario -diff <a>,<b>
 //
 // To run a scenario and archive it, use summitsim -scenario.
 package main
@@ -32,7 +32,6 @@ type options struct {
 	list     bool
 	describe string
 	diff     string
-	workers  int
 }
 
 // validate rejects inconsistent flag combinations before any work runs.
@@ -45,9 +44,6 @@ func (o options) validate() error {
 	}
 	if modes != 1 {
 		return fmt.Errorf("exactly one of -list, -describe, -diff is required")
-	}
-	if o.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
 	}
 	if o.diff != "" && len(strings.Split(o.diff, ",")) != 2 {
 		return fmt.Errorf("-diff takes exactly two scenarios: -diff a,b")
@@ -62,7 +58,6 @@ func main() {
 	flag.BoolVar(&o.list, "list", false, "list the scenario catalog and exit")
 	flag.StringVar(&o.describe, "describe", "", "print a scenario's resolved spec and identity (catalog name or spec file)")
 	flag.StringVar(&o.diff, "diff", "", "run two scenarios and diff their objective reports: -diff a,b")
-	flag.IntVar(&o.workers, "workers", 0, "simulation worker count (0 = all cores; the reports are identical for any value)")
 	flag.Parse()
 	if err := run(os.Stdout, o); err != nil {
 		log.Fatal(err)
@@ -81,7 +76,7 @@ func run(w io.Writer, o options) error {
 		return describe(w, o.describe)
 	default:
 		parts := strings.Split(o.diff, ",")
-		return diff(w, strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]), o.workers)
+		return diff(w, strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]))
 	}
 }
 
@@ -131,7 +126,7 @@ func describe(w io.Writer, ref string) error {
 }
 
 // diff runs two scenarios and prints their objective reports side by side.
-func diff(w io.Writer, refA, refB string, workers int) error {
+func diff(w io.Writer, refA, refB string) error {
 	ra, err := scenario.Resolve(refA)
 	if err != nil {
 		return err
@@ -141,9 +136,7 @@ func diff(w io.Writer, refA, refB string, workers int) error {
 		return err
 	}
 	assess := func(r *scenario.Resolved) (whatif.Report, error) {
-		cfg := r.Config
-		cfg.Workers = workers
-		data, _, err := core.CollectRun(cfg)
+		data, _, err := core.CollectRun(r.Config)
 		if err != nil {
 			return whatif.Report{}, err
 		}

@@ -20,7 +20,6 @@ func TestValidateModes(t *testing.T) {
 		{"two modes", options{list: true, describe: "x"}, false},
 		{"diff one arg", options{diff: "a"}, false},
 		{"diff pair", options{diff: "a,b"}, true},
-		{"neg workers", options{list: true, workers: -1}, false},
 	}
 	for _, c := range cases {
 		if err := c.o.validate(); (err == nil) != c.ok {
@@ -60,7 +59,7 @@ func TestDescribe(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, options{diff: "winter-economizer,heatwave-summer", workers: 2}); err != nil {
+	if err := run(&buf, options{diff: "winter-economizer,heatwave-summer"}); err != nil {
 		t.Fatalf("diff: %v", err)
 	}
 	out := buf.String()

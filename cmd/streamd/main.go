@@ -50,16 +50,11 @@ import (
 
 // options is the parsed flag set.
 type options struct {
-	addr          string
-	ingest        string
-	nodes         int
-	stepSec       int64
-	lateness      int64
-	queue         int
-	timeout       time.Duration
-	maxConcurrent int
-	simMinutes    float64
-	quiet         bool
+	addr       string
+	ingest     string
+	nodes      int
+	simMinutes float64
+	quiet      bool
 }
 
 // parseFlags parses args (without the program name).
@@ -69,30 +64,14 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8090", "HTTP listen address")
 	fs.StringVar(&o.ingest, "ingest", "127.0.0.1:9090", "telemetry ingest (TCP) listen address")
 	fs.IntVar(&o.nodes, "nodes", 72, "system size in nodes")
-	fs.Int64Var(&o.stepSec, "step", units.CoarsenWindowSec, "coarsening window in seconds")
-	fs.Int64Var(&o.lateness, "lateness", int64(units.MaxTimestampDelaySec),
-		"out-of-order tolerance in seconds; samples further behind are dropped")
-	fs.IntVar(&o.queue, "queue", 256, "ingest queue depth in batches (a full queue drops, never blocks)")
-	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-request deadline")
-	fs.IntVar(&o.maxConcurrent, "max-concurrent", 32, "concurrent query limit (excess sheds with 503)")
 	fs.Float64Var(&o.simMinutes, "sim-minutes", 0,
 		"feed the service from an embedded simulated run of this many simulated minutes (0 = external feed only)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress startup output")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	// The pipeline and the serving kernel map a bound <= 0 to their
-	// default; refuse one here rather than run on a value nobody asked for.
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"nodes", int64(o.nodes)}, {"step", o.stepSec}, {"lateness", o.lateness}, {"queue", int64(o.queue)},
-		{"timeout", int64(o.timeout)}, {"max-concurrent", int64(o.maxConcurrent)},
-	} {
-		if f.v <= 0 {
-			return o, fmt.Errorf("streamd: -%s must be positive", f.name)
-		}
+	if o.nodes <= 0 {
+		return o, fmt.Errorf("streamd: -nodes must be positive")
 	}
 	return o, nil
 }
@@ -121,13 +100,7 @@ func newService(o options, out io.Writer) (*service, error) {
 		simCfg = repro.ScaledConfig(o.nodes, time.Duration(o.simMinutes*float64(time.Minute)))
 		startTime = simCfg.StartTime
 	}
-	pipe, err := stream.NewPipeline(stream.Config{
-		Nodes:       o.nodes,
-		StartTime:   startTime,
-		StepSec:     o.stepSec,
-		LatenessSec: o.lateness,
-		QueueDepth:  o.queue,
-	})
+	pipe, err := stream.NewPipeline(stream.Config{Nodes: o.nodes, StartTime: startTime})
 	if err != nil {
 		return nil, err
 	}
@@ -142,11 +115,8 @@ func newService(o options, out io.Writer) (*service, error) {
 		pipe.Close()
 		return nil, err
 	}
-	handler := stream.NewHandler(pipe, stream.ServeConfig{
-		Timeout:       o.timeout,
-		MaxConcurrent: o.maxConcurrent,
-	})
-	s := &service{pipe: pipe, tsrv: tsrv, ln: ln, srv: serve.NewServer(handler, o.timeout)}
+	handler := stream.NewHandler(pipe, stream.ServeConfig{})
+	s := &service{pipe: pipe, tsrv: tsrv, ln: ln, srv: serve.NewServer(handler, stream.DefaultTimeout)}
 	if o.simMinutes > 0 {
 		s.feed = make(chan error, 1)
 		go func() {

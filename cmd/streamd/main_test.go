@@ -18,20 +18,21 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.nodes != 72 || o.stepSec != 10 || o.lateness != 5 || o.queue != 256 {
+	if o.nodes != 72 || o.simMinutes != 0 {
 		t.Errorf("defaults = %+v", o)
 	}
-	// A bound <= 0 is refused, naming its flag, not replaced by a default.
-	for _, bad := range [][]string{
-		{"-nodes", "0"}, {"-step", "0"}, {"-lateness", "0"}, {"-lateness", "-5"}, {"-queue", "0"},
-		{"-timeout", "0s"}, {"-max-concurrent", "0"},
-	} {
-		if _, err := parseFlags(bad); err == nil || !strings.Contains(err.Error(), bad[0]+" ") {
-			t.Errorf("%s %s: err = %v, want a refusal naming %s", bad[0], bad[1], err, bad[0])
-		}
+	if _, err := parseFlags([]string{"-nodes", "0"}); err == nil || !strings.Contains(err.Error(), "-nodes ") {
+		t.Errorf("-nodes 0: err = %v, want a refusal naming -nodes", err)
 	}
-	if _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
-		t.Error("unknown flag accepted")
+	// The window grid and lateness bound are the paper's, and the queue
+	// and serving bounds the pipeline's and the handler's defaults.
+	for _, gone := range [][]string{
+		{"-no-such-flag"}, {"-step", "10"}, {"-lateness", "5"}, {"-queue", "256"},
+		{"-timeout", "10s"}, {"-max-concurrent", "32"},
+	} {
+		if _, err := parseFlags(gone); err == nil {
+			t.Errorf("%s accepted", gone[0])
+		}
 	}
 }
 
@@ -59,16 +60,11 @@ func getJSON(t *testing.T, url string) map[string]any {
 // acceptance run for the live plane.
 func TestServiceEndToEnd(t *testing.T) {
 	o := options{
-		addr:          "127.0.0.1:0",
-		ingest:        "127.0.0.1:0",
-		nodes:         18,
-		stepSec:       10,
-		lateness:      5,
-		queue:         1024,
-		timeout:       10 * time.Second,
-		maxConcurrent: 8,
-		simMinutes:    10,
-		quiet:         true,
+		addr:       "127.0.0.1:0",
+		ingest:     "127.0.0.1:0",
+		nodes:      18,
+		simMinutes: 10,
+		quiet:      true,
 	}
 	s, err := newService(o, io.Discard)
 	if err != nil {
@@ -155,14 +151,9 @@ func TestServiceEndToEnd(t *testing.T) {
 // live health must say so.
 func TestHealthCountsDroppedIngestConnections(t *testing.T) {
 	o := options{
-		addr:          "127.0.0.1:0",
-		ingest:        "127.0.0.1:0",
-		nodes:         18,
-		stepSec:       10,
-		lateness:      5,
-		queue:         1024,
-		timeout:       10 * time.Second,
-		maxConcurrent: 8,
+		addr:   "127.0.0.1:0",
+		ingest: "127.0.0.1:0",
+		nodes:  18,
 	}
 	s, err := newService(o, io.Discard)
 	if err != nil {

@@ -15,10 +15,14 @@ import (
 	"repro/internal/store"
 )
 
+// DefaultTimeout is the per-request deadline queryd serves with.
+const DefaultTimeout = 30 * time.Second
+
 // ServerConfig bounds the HTTP serving layer. The raw query string is
-// bounded by serve.MaxQueryLen.
+// bounded by serve.MaxQueryLen. queryd serves with the zero value: every
+// bound at its default.
 type ServerConfig struct {
-	// Timeout is the per-request deadline (<= 0: 30 s).
+	// Timeout is the per-request deadline (<= 0: DefaultTimeout).
 	Timeout time.Duration
 	// MaxConcurrent bounds in-flight queries; excess requests are shed
 	// with 503 (<= 0: 32).
@@ -43,7 +47,7 @@ type Cluster struct {
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
+		c.Timeout = DefaultTimeout
 	}
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = 200_000

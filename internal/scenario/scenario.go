@@ -326,7 +326,7 @@ func loadTrace(path, baseDir string) ([]byte, error) {
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: trace: %w", err)
+		return nil, fmt.Errorf("%w: trace: %w", ErrScenario, err)
 	}
 	return raw, nil
 }

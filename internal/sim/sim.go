@@ -183,6 +183,17 @@ func (c *Config) Validate() error {
 	if c.Jobs <= 0 && len(c.Workload) == 0 {
 		return fmt.Errorf("sim: no workload (set Jobs or Workload)")
 	}
+	// A job ID keys the job's power series, allocation and project in
+	// every analysis: two jobs sharing one would be merged.
+	if len(c.Workload) > 0 {
+		at := make(map[int64]int, len(c.Workload))
+		for i, j := range c.Workload {
+			if first, dup := at[j.ID]; dup {
+				return fmt.Errorf("%w: workload jobs %d and %d share job ID %d", ErrConfig, first, i, j.ID)
+			}
+			at[j.ID] = i
+		}
+	}
 	if !units.Finite(c.FailureRateScale) {
 		return fmt.Errorf("%w: non-finite failure rate scale %v", ErrConfig, c.FailureRateScale)
 	}

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 func smallConfig() Config {
@@ -33,6 +36,36 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted invalid config", cfg)
 		}
+	}
+}
+
+// TestWorkloadRefusesDuplicateJobIDs: a workload whose two jobs share ID 7
+// is refused, naming the ID and both indices. Accepted, such a 16-node run
+// keys both jobs to one power series, so Figure 10's per-job dynamics
+// report two entries built from the one merged series.
+func TestWorkloadRefusesDuplicateJobIDs(t *testing.T) {
+	cfg := Scaled(16, 3600)
+	job := workload.Job{ID: 7, User: "u", Project: "p", Class: units.Class5, Nodes: 2,
+		SubmitTime: cfg.StartTime, WalltimeReq: 3600, Duration: 1800}
+	other := job
+	other.Project = "q"
+	cfg.Workload = []workload.Job{job, other}
+	err := cfg.Validate()
+	if !errors.Is(err, ErrConfig) {
+		t.Fatalf("Validate = %v, want ErrConfig", err)
+	}
+	for _, want := range []string{"jobs 0 and 1", "job ID 7"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if _, err := New(cfg); !errors.Is(err, ErrConfig) {
+		t.Errorf("New = %v, want ErrConfig", err)
+	}
+	other.ID = 8
+	cfg.Workload = []workload.Job{job, other}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("distinct IDs refused: %v", err)
 	}
 }
 

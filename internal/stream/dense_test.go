@@ -189,7 +189,7 @@ func TestDenseTableMatchesMapOracle(t *testing.T) {
 // every collect before the sample arrives; closing the unused slot would
 // flip the count to late.
 func TestLateActivatedChannelIsAcceptedNotLate(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, LatenessSec: 5})
+	p := mustPipeline(t, Config{Nodes: 2})
 	for k := int64(0); k <= 100; k += 10 {
 		p.Ingest([]telemetry.Sample{powerSample(0, k, 100)})
 		for queued(p) { // one batch at a time, so every boundary is collected
@@ -212,7 +212,7 @@ func queued(p *Pipeline) bool { return len(p.queue) > 0 }
 // slice the moment Ingest returns changes nothing downstream.
 func TestIngestBorrowsItsBatch(t *testing.T) {
 	run := func(scribble bool) *Snapshot {
-		p := mustPipeline(t, Config{Nodes: 10, StepSec: 10, QueueDepth: 4096})
+		p := mustPipeline(t, Config{Nodes: 10, QueueDepth: 4096})
 		for _, tick := range seededFeed(5, 10, 60, false) {
 			buf := append([]telemetry.Sample(nil), tick...)
 			p.Ingest(buf)
@@ -255,7 +255,7 @@ func sameSnapshot(t *testing.T, got, want *Snapshot) {
 func TestServerLendsItsBatchToThePipeline(t *testing.T) {
 	feed := seededFeed(9, 12, 40, false)
 	run := func(scribble bool) *Snapshot {
-		p := mustPipeline(t, Config{Nodes: 12, StepSec: 10, QueueDepth: 4096})
+		p := mustPipeline(t, Config{Nodes: 12, QueueDepth: 4096})
 		srv, err := telemetry.NewServer("127.0.0.1:0", func(batch []telemetry.Sample) {
 			p.Ingest(batch)
 			if scribble {
@@ -309,7 +309,7 @@ func TestSteadyStateIngestAllocatesPerWindowNotPerSample(t *testing.T) {
 		}
 	}
 	const nodes, frames = 256, 4
-	p := mustPipeline(t, Config{Nodes: nodes, StepSec: 10})
+	p := mustPipeline(t, Config{Nodes: nodes})
 	defer p.Close()
 	tick := make([]telemetry.Sample, 0, nodes*7)
 	second := func(k int64) {

@@ -29,13 +29,14 @@ func scaled(s *tsagg.Series, was float64) *tsagg.Series {
 // liveEdges feeds s to a one-node pipeline — one input-power sample per
 // value, none for a NaN slot, which becomes a gap frame — and returns the
 // edges the live plane found, durations resolved. s must start with a
-// value: the pipeline's first frame is its first data.
+// value, the pipeline's first frame being its first data, and be on the
+// pipeline's 10 s grid.
 func liveEdges(t *testing.T, s *tsagg.Series) []core.Edge {
 	t.Helper()
-	p, err := stream.NewPipeline(stream.Config{
-		Nodes: 1, StartTime: s.Start, StepSec: s.Step,
-		QueueDepth: s.Len() + 1,
-	})
+	if s.Step != units.CoarsenWindowSec {
+		t.Fatalf("series step %d s, want the pipeline's %d s", s.Step, units.CoarsenWindowSec)
+	}
+	p, err := stream.NewPipeline(stream.Config{Nodes: 1, StartTime: s.Start, QueueDepth: s.Len() + 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 		{group: "msb", snap: empty, val: msbW, groups: 0, label: msbLabel},             // series omitted
 	}
 	// Real answers: a feed with a gap window (NaN sums).
-	p := mustPipeline(t, Config{Nodes: 40, StepSec: 10})
+	p := mustPipeline(t, Config{Nodes: 40})
 	p.Ingest([]telemetry.Sample{powerSample(0, 0, 500.25), powerSample(39, 3, 1e-7)})
 	p.Ingest([]telemetry.Sample{powerSample(7, 30, 812.5)})
 	p.Close()

@@ -13,12 +13,16 @@ import (
 	"repro/internal/topology"
 )
 
+// DefaultTimeout is the per-request deadline streamd serves with.
+const DefaultTimeout = 10 * time.Second
+
 // ServeConfig bounds the live HTTP serving layer, mirroring the queryd
 // discipline (both run on the serve.Kernel): GET-only routes behind a
 // concurrency limiter and a per-request deadline, the query string bounded
-// by serve.MaxQueryLen.
+// by serve.MaxQueryLen. streamd serves with the zero value: every bound at
+// its default.
 type ServeConfig struct {
-	// Timeout is the per-request deadline (<= 0: 10 s).
+	// Timeout is the per-request deadline (<= 0: DefaultTimeout).
 	Timeout time.Duration
 	// MaxConcurrent bounds in-flight requests; excess requests are shed
 	// with 503 (<= 0: 32).
@@ -48,10 +52,11 @@ type handler struct {
 // must answer precisely when the service is swamped. Every reply is a
 // snapshot of live state, so none goes through a reply cache.
 func NewHandler(p *Pipeline, cfg ServeConfig) http.Handler {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
+	timeout := cfg.Timeout
+	if timeout <= 0 {
+		timeout = DefaultTimeout
 	}
-	h := &handler{ServeMux: http.NewServeMux(), p: p, kernel: serve.NewKernel(cfg.Timeout, cfg.MaxConcurrent, nil)}
+	h := &handler{ServeMux: http.NewServeMux(), p: p, kernel: serve.NewKernel(timeout, cfg.MaxConcurrent, nil)}
 	guard := h.kernel.Guard
 	h.HandleFunc("/healthz", serve.Healthz)
 	h.HandleFunc("/debug/vars", h.kernel.Vars)
@@ -182,8 +187,12 @@ func (h *handler) edges(ctx context.Context, q url.Values) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	edges, total, thresh := h.p.EdgesSnapshot(int(limit))
 	rising := q.Get("rising")
+	if rising != "" && rising != "true" && rising != "false" {
+		return nil, &serve.Error{Status: http.StatusBadRequest,
+			Msg: fmt.Sprintf("rising=%q is neither true nor false", rising)}
+	}
+	edges, total, thresh := h.p.EdgesSnapshot(int(limit))
 	out := make([]apiEdge, 0, len(edges))
 	for _, e := range edges {
 		if rising == "true" && !e.Rising || rising == "false" && e.Rising {

@@ -20,7 +20,7 @@ import (
 // pair — enough to give every route non-trivial content.
 func servedPipeline(t *testing.T) *Pipeline {
 	t.Helper()
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10})
+	p := mustPipeline(t, Config{Nodes: 2})
 	for w := int64(0); w < 3; w++ {
 		p.Ingest([]telemetry.Sample{
 			powerSample(0, w*10, 1000),
@@ -135,7 +135,7 @@ func TestHTTPRoutes(t *testing.T) {
 // TestHTTPGapWindowsAreNull: NaN rollup values (gap windows) must render
 // as JSON null, never as invalid literals.
 func TestHTTPGapWindowsAreNull(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10})
+	p := mustPipeline(t, Config{Nodes: 1})
 	p.Ingest([]telemetry.Sample{powerSample(0, 0, 500)})
 	p.Ingest([]telemetry.Sample{powerSample(0, 30, 500)})
 	p.Close()
@@ -233,7 +233,7 @@ func TestHTTPShedsAtConcurrencyLimit(t *testing.T) {
 // TestHTTPHealthReportsDegradation: a pipeline that dropped late samples
 // must say so on the health route.
 func TestHTTPHealthReportsDegradation(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, LatenessSec: 5})
+	p := mustPipeline(t, Config{Nodes: 1})
 	p.Ingest([]telemetry.Sample{powerSample(0, 100, 1)})
 	p.Ingest([]telemetry.Sample{powerSample(0, 12, 2)}) // late
 	p.Close()
@@ -253,7 +253,7 @@ func TestHTTPHealthReportsDegradation(t *testing.T) {
 // differently and carries no validator; /debug/vars serves the kernel's
 // counters with both polls under the route's name.
 func TestHTTPLiveRepliesAreNeverStored(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10})
+	p := mustPipeline(t, Config{Nodes: 2})
 	h := NewHandler(p, ServeConfig{})
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

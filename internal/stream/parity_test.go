@@ -57,7 +57,6 @@ func TestBatchStreamParity(t *testing.T) {
 	pipe, err := stream.NewPipeline(stream.Config{
 		Nodes:      cfg.Nodes,
 		StartTime:  cfg.StartTime,
-		StepSec:    cfg.StepSec,
 		QueueDepth: 4096,
 	})
 	if err != nil {

@@ -26,7 +26,6 @@ type Rollup struct {
 	floor    *topology.Floor
 	msbs     int
 	cabinets int
-	step     int64
 	// The ring: window k of the stream (k counts from 0) lives in slot
 	// k % ringDepth, its cabinet sums at cab[slot*cabinets:] and its MSB
 	// sums at msb[slot*msbs:]. The backing doubles until it holds ringDepth
@@ -54,7 +53,6 @@ func newRollup(cfg Config) *Rollup {
 		floor:    floor,
 		msbs:     floor.MSBs(),
 		cabinets: floor.Cabinets(),
-		step:     cfg.StepSec,
 	}
 }
 
@@ -106,7 +104,7 @@ func (r *Rollup) Apply(f *Frame) {
 			cab[r.floor.Cabinet(topology.NodeID(i))] += p
 			msb[r.floor.MSBOf(topology.NodeID(i))] += p
 		}
-		r.energyJ += w.fleetW * float64(r.step)
+		r.energyJ += w.fleetW * float64(stepSec)
 	}
 	r.windows++
 }
@@ -132,7 +130,7 @@ func (r *Rollup) snapshotLocked(limit int) RollupSnapshot {
 		n = limit
 	}
 	out := RollupSnapshot{
-		Step:     r.step,
+		Step:     stepSec,
 		Windows:  r.windows,
 		EnergyJ:  r.energyJ,
 		Cabinets: r.cabinets,

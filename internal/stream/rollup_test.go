@@ -22,7 +22,7 @@ func powerFrame(f *Frame, k int) *Frame {
 // ascending time, deep-copied, for every limit.
 func TestRollupRingWraps(t *testing.T) {
 	const max, frames, gap = ringDepth, ringDepth + 42, ringDepth + 39
-	r := newRollup(Config{Nodes: 2, StepSec: 10}.withDefaults())
+	r := newRollup(Config{Nodes: 2}.withDefaults())
 	var f Frame
 	for k := 0; k < frames; k++ {
 		if k == gap { // a gap frame inside the retained range
@@ -76,7 +76,7 @@ func TestRollupRingWraps(t *testing.T) {
 // TestRollupApplyOnAFullRingDoesNotAllocate: the ring neither shifts nor
 // allocates per frame.
 func TestRollupApplyOnAFullRingDoesNotAllocate(t *testing.T) {
-	r := newRollup(Config{Nodes: 2, StepSec: 10}.withDefaults())
+	r := newRollup(Config{Nodes: 2}.withDefaults())
 	var f Frame
 	k := 0
 	for ; k < ringDepth+12; k++ {

@@ -13,7 +13,7 @@
 // queue — a full queue drops the batch and counts it rather than ever
 // stalling the out-of-band path. One goroutine drains the queue: it folds
 // each sample into a dense table of per-channel event-time coarseners and
-// advances the one watermark (the newest sample time less LatenessSec;
+// advances the one watermark (the newest sample time less latenessSec;
 // a sample for a window the watermark has finalized is dropped and
 // counted). At each window boundary it collects the finalized windows and
 // applies them as system-wide frames to the operator chain, so every
@@ -48,31 +48,27 @@ type Config struct {
 	// before it are rejected. The first frame starts at the first window
 	// with data at or after StartTime.
 	StartTime int64
-	// StepSec is the coarsening window (<= 0: the paper's 10 s).
-	StepSec int64
 	// QueueDepth bounds the ingest queue in batches (<= 0: 256). A full
 	// queue drops, never blocks.
 	QueueDepth int
-	// LatenessSec bounds out-of-order tolerance: samples more than this
-	// behind the newest timestamp are dropped (<= 0: the paper's 5 s
-	// maximum telemetry timestamp delay).
-	LatenessSec int64
 	// Extra appends additional operators to the built-in chain.
 	Extra []Operator
 }
 
 func (c Config) withDefaults() Config {
-	if c.StepSec <= 0 {
-		c.StepSec = units.CoarsenWindowSec
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.LatenessSec <= 0 {
-		c.LatenessSec = int64(units.MaxTimestampDelaySec)
-	}
 	return c
 }
+
+// The pipeline's window grid and out-of-order tolerance are the paper's
+// (§3): 10 s coarsening windows, and a sample more than the 5 s maximum
+// telemetry timestamp delay behind the newest timestamp is dropped.
+const (
+	stepSec     int64 = units.CoarsenWindowSec
+	latenessSec int64 = units.MaxTimestampDelaySec
+)
 
 // ringDepth is how many windows the rollup ring and how many edges the
 // edge ring retain, and so the most windows one rollup reply may carry. It
@@ -272,7 +268,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("stream: non-positive node count %d", cfg.Nodes)
 	}
 	cfg = cfg.withDefaults()
-	grid := alignWindow(cfg.StartTime, cfg.StepSec)
+	grid := alignWindow(cfg.StartTime, stepSec)
 	p := &Pipeline{
 		cfg:   cfg,
 		queue: make(chan *[]telemetry.Sample, cfg.QueueDepth),
@@ -281,7 +277,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		next:  grid,
 	}
 	p.batches.New = func() any { return new([]telemetry.Sample) }
-	p.lastWindow.Store(grid - cfg.StepSec)
+	p.lastWindow.Store(grid - stepSec)
 	p.wmark.Store(math.MinInt64)
 	p.newest.Store(math.MinInt64)
 	p.rollup = newRollup(cfg)
@@ -314,7 +310,7 @@ func (p *Pipeline) Ingest(batch []telemetry.Sample) {
 		p.dropped.Add(int64(len(batch)))
 		return
 	}
-	grid := alignWindow(p.cfg.StartTime, p.cfg.StepSec)
+	grid := alignWindow(p.cfg.StartTime, stepSec)
 	newest := p.newest.Load()
 	top, end := newest, p.horizonEnd(newest)
 	var beyond int64
@@ -366,8 +362,8 @@ func (p *Pipeline) horizonEnd(newest int64) int64 {
 	if newest == math.MinInt64 {
 		return math.MaxInt64
 	}
-	horizon := ringDepth * p.cfg.StepSec
-	if wm := newest - p.cfg.LatenessSec; wm <= math.MaxInt64-horizon {
+	horizon := ringDepth * stepSec
+	if wm := newest - latenessSec; wm <= math.MaxInt64-horizon {
 		return wm + horizon
 	}
 	return math.MaxInt64
@@ -399,15 +395,14 @@ func (p *Pipeline) IngestEvents(evs []failures.Event) {
 // and runs the operators' end-of-stream hooks.
 func (p *Pipeline) run() {
 	defer close(p.done)
-	step := p.cfg.StepSec
-	frame := &Frame{Step: step, NodePower: make([]tsagg.WindowStat, p.cfg.Nodes)}
+	frame := &Frame{Step: stepSec, NodePower: make([]tsagg.WindowStat, p.cfg.Nodes)}
 	for b := range p.queue {
-		maxT, late := p.tab.fold(*b, step)
+		maxT, late := p.tab.fold(*b, stepSec)
 		p.recycle(b)
 		if late > 0 {
 			p.late.Add(late)
 		}
-		if p.tab.advance(maxT, step, p.cfg.LatenessSec) {
+		if p.tab.advance(maxT, stepSec, latenessSec) {
 			p.wmark.Store(p.tab.watermark)
 			p.applyThrough(frame, p.tab.watermark)
 		}
@@ -428,7 +423,6 @@ func (p *Pipeline) run() {
 // anchored far from StartTime does not emit years of empty frames.
 func (p *Pipeline) applyThrough(frame *Frame, end int64) {
 	p.wins = p.tab.collect(end, p.wins)
-	step := p.cfg.StepSec
 	for i := range p.wins {
 		w := &p.wins[i]
 		if w.start < p.next {
@@ -438,11 +432,11 @@ func (p *Pipeline) applyThrough(frame *Frame, end int64) {
 		if !p.anyFrame {
 			p.next = w.start
 		}
-		for ; p.next < w.start; p.next += step {
+		for ; p.next < w.start; p.next += stepSec {
 			p.applyFrame(frame, nil, p.next)
 		}
 		p.applyFrame(frame, w, w.start)
-		p.next = w.start + step
+		p.next = w.start + stepSec
 	}
 }
 
@@ -568,7 +562,7 @@ func (p *Pipeline) spanLocked() int64 {
 	if !p.anyFrame {
 		return 0
 	}
-	return p.lastWindow.Load() + p.cfg.StepSec - alignWindow(p.cfg.StartTime, p.cfg.StepSec)
+	return p.lastWindow.Load() + stepSec - alignWindow(p.cfg.StartTime, stepSec)
 }
 
 // RollupSnapshot copies the rollup state with up to limit recent windows

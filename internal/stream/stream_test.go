@@ -18,7 +18,7 @@ func powerSample(node topology.NodeID, t int64, v float64) telemetry.Sample {
 	return telemetry.Sample{Node: node, Metric: telemetry.MetricInputPower, T: t, Value: v}
 }
 
-func mustPipeline(t *testing.T, cfg Config) *Pipeline {
+func mustPipeline(t testing.TB, cfg Config) *Pipeline {
 	t.Helper()
 	p, err := NewPipeline(cfg)
 	if err != nil {
@@ -63,7 +63,6 @@ func TestBackpressureNeverBlocksIngest(t *testing.T) {
 	op := newGateOp()
 	p := mustPipeline(t, Config{
 		Nodes:      4,
-		StepSec:    10,
 		QueueDepth: 1,
 		Extra:      []Operator{op},
 	})
@@ -155,7 +154,7 @@ func (c *countOp) Apply(f *Frame) {
 // strictly ascending starts.
 func TestFrameGridMaterialized(t *testing.T) {
 	op := &countOp{}
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, Extra: []Operator{op}})
+	p := mustPipeline(t, Config{Nodes: 2, Extra: []Operator{op}})
 	p.Ingest([]telemetry.Sample{powerSample(0, 0, 50), powerSample(1, 3, 70)})
 	p.Ingest([]telemetry.Sample{powerSample(0, 100, 80)})
 	p.Close()
@@ -204,7 +203,7 @@ func TestFrameGridMaterialized(t *testing.T) {
 // the watermark, never going out while a node could still contribute.
 func TestShardedMergeOrdersFrames(t *testing.T) {
 	const nodes, windows = 8, 12
-	p := mustPipeline(t, Config{Nodes: nodes, StepSec: 10, QueueDepth: 64})
+	p := mustPipeline(t, Config{Nodes: nodes, QueueDepth: 64})
 	for w := 0; w < windows; w++ {
 		var batch []telemetry.Sample
 		for n := 0; n < nodes; n++ {
@@ -237,7 +236,7 @@ func TestShardedMergeOrdersFrames(t *testing.T) {
 // TestLateSampleDropped pins the lateness bound: once the watermark
 // has finalized a window, a straggler for it is dropped and counted.
 func TestLateSampleDropped(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, LatenessSec: 5})
+	p := mustPipeline(t, Config{Nodes: 1})
 	p.Ingest([]telemetry.Sample{powerSample(0, 100, 1)}) // watermark 95
 	p.Ingest([]telemetry.Sample{powerSample(0, 12, 2)})  // window 10 long closed
 	p.Close()
@@ -262,7 +261,7 @@ func TestFarFutureSampleIsRefusedDeterministically(t *testing.T) {
 	probe := []telemetry.Sample{powerSample(0, 100, 1), powerSample(0, 110, 1), powerSample(1, 100+month, 1)}
 	var first HealthState
 	for run := 0; run < 50; run++ {
-		p := mustPipeline(t, Config{Nodes: 1024, StepSec: 10})
+		p := mustPipeline(t, Config{Nodes: 1024})
 		if run%2 == 0 {
 			for i := range probe {
 				p.Ingest(probe[i : i+1])
@@ -295,7 +294,7 @@ func TestFarFutureSampleIsRefusedDeterministically(t *testing.T) {
 // and one a second further is refused.
 func TestHorizonStartsAtTheFirstSample(t *testing.T) {
 	const far = 1 << 32
-	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, LatenessSec: 5})
+	p := mustPipeline(t, Config{Nodes: 1})
 	p.Ingest([]telemetry.Sample{powerSample(0, far, 1)}) // watermark far-5
 	p.Ingest([]telemetry.Sample{powerSample(0, far-5+ringDepth*10+1, 1)})
 	p.Ingest([]telemetry.Sample{powerSample(0, far-5+ringDepth*10, 1)})
@@ -309,7 +308,7 @@ func TestHorizonStartsAtTheFirstSample(t *testing.T) {
 // TestIngestValidation checks rejection counting and that rejected
 // samples never reach the channel table.
 func TestIngestValidation(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10, StartTime: 1000})
+	p := mustPipeline(t, Config{Nodes: 2, StartTime: 1000})
 	p.Ingest([]telemetry.Sample{
 		powerSample(5, 1000, 1),  // node out of range
 		powerSample(-1, 1000, 1), // negative node
@@ -335,7 +334,7 @@ func TestIngestValidation(t *testing.T) {
 // (node<<8 | metric) with metric 0 — input power — of node 1 and fold into
 // its window.
 func TestMetricBeyondTableIsRejected(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 2, StepSec: 10})
+	p := mustPipeline(t, Config{Nodes: 2})
 	p.Ingest([]telemetry.Sample{
 		{Node: 0, Metric: 256, T: 0, Value: 9000},
 		powerSample(1, 0, 500),
@@ -356,7 +355,7 @@ func TestMetricBeyondTableIsRejected(t *testing.T) {
 func TestHealthDoesNotWaitForTheOperatorChain(t *testing.T) {
 	op := newGateOp()
 	op.free = 1
-	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10, Extra: []Operator{op}})
+	p := mustPipeline(t, Config{Nodes: 1, Extra: []Operator{op}})
 	defer p.Close()
 	defer close(op.gate)
 	for k := int64(0); k <= 40; k += 10 {
@@ -399,7 +398,7 @@ func TestHealthDoesNotWaitForTheOperatorChain(t *testing.T) {
 // TestCloseIdempotentAndIngestAfterClose: Close twice is safe; batches
 // offered after Close are counted as dropped, not delivered.
 func TestCloseIdempotentAndIngestAfterClose(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 1, StepSec: 10})
+	p := mustPipeline(t, Config{Nodes: 1})
 	p.Ingest([]telemetry.Sample{powerSample(0, 0, 1)})
 	p.Close()
 	p.Close()
@@ -417,7 +416,7 @@ func TestCloseIdempotentAndIngestAfterClose(t *testing.T) {
 // ingestion; the race detector is the real assertion, plus monotonicity
 // of the frame counter and span.
 func TestSnapshotConsistentUnderLoad(t *testing.T) {
-	p := mustPipeline(t, Config{Nodes: 4, StepSec: 10, QueueDepth: 512})
+	p := mustPipeline(t, Config{Nodes: 4, QueueDepth: 512})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -451,8 +450,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 	p := mustPipeline(t, Config{Nodes: 1})
 	defer p.Close()
-	if p.cfg.StepSec != 10 || p.cfg.QueueDepth != 256 {
-		t.Errorf("defaults = step %d queue %d", p.cfg.StepSec, p.cfg.QueueDepth)
+	if p.cfg.QueueDepth != 256 {
+		t.Errorf("default queue = %d", p.cfg.QueueDepth)
 	}
 	if p.edges.det.Threshold() != 868 {
 		t.Errorf("1-node edge threshold = %v, want 868", p.edges.det.Threshold())

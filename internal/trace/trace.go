@@ -13,7 +13,7 @@
 // JSON traces are an array of objects. Recognized columns (aliases in
 // parentheses; times are unix seconds):
 //
-//	job_id   (id)                  optional  stable job identity; default row order
+//	job_id   (id)                  optional  unique job identity; default row number
 //	user                           optional
 //	project                        optional  also selects the simulated science domain
 //	submit   (submit_time)         *         submit time; defaults to start
@@ -272,7 +272,8 @@ type Stats struct {
 
 // Jobs converts parsed trace rows into a workload job population sorted by
 // submit time with deterministic tie-breaking (submit, job ID, input
-// order), validating sizes against the system capacity, rebasing onto the
+// order), validating sizes against the system capacity and job IDs for
+// uniqueness (a job ID keys the job in every analysis), rebasing onto the
 // simulated span, and clipping to the horizon.
 //
 //lint:detroot
@@ -289,6 +290,7 @@ func Jobs(rows []Row, opt Options) ([]workload.Job, Stats, error) {
 		duration int64
 	}
 	cands := make([]cand, 0, len(rows))
+	rowOf := make(map[int64]int, len(rows)) // job ID -> the row that has it
 	for i, row := range rows {
 		if row.Nodes <= 0 {
 			return nil, st, fmt.Errorf("%w: row %d: non-positive nodes %d", ErrTrace, i+1, row.Nodes)
@@ -297,6 +299,13 @@ func Jobs(rows []Row, opt Options) ([]workload.Job, Stats, error) {
 			return nil, st, fmt.Errorf("%w: row %d: %d nodes exceed the %d-node system",
 				ErrTrace, i+1, row.Nodes, opt.MaxNodes)
 		}
+		if row.ID == 0 {
+			row.ID = int64(i + 1)
+		}
+		if first, dup := rowOf[row.ID]; dup {
+			return nil, st, fmt.Errorf("%w: rows %d and %d share job ID %d", ErrTrace, first, i+1, row.ID)
+		}
+		rowOf[row.ID] = i + 1
 		submit := row.Submit
 		if submit == 0 {
 			submit = row.Start
@@ -323,9 +332,6 @@ func Jobs(rows []Row, opt Options) ([]workload.Job, Stats, error) {
 		if dur == 0 {
 			st.ZeroDuration++
 			continue
-		}
-		if row.ID == 0 {
-			row.ID = int64(i + 1)
 		}
 		cands = append(cands, cand{row: row, order: i, submit: submit, duration: dur})
 	}

@@ -193,19 +193,27 @@ func TestJobsRebaseAndHorizon(t *testing.T) {
 func TestJobsInvalidRows(t *testing.T) {
 	cases := []struct {
 		name string
-		row  Row
+		csv  string
+		want string // in the error, when set
 	}{
-		{"no nodes", Row{Submit: 1, Duration: 60}},
-		{"no times", Row{Nodes: 1, Duration: 60}},
-		{"start before submit", Row{Nodes: 1, Submit: 100, Start: 50, Duration: 60}},
-		{"end before start", Row{Nodes: 1, Submit: 100, Start: 100, End: 40}},
+		{"no nodes", "submit,duration,nodes\n1,60,\n", ""},
+		{"no times", "duration,nodes\n60,1\n", ""},
+		{"start before submit", "submit,start,duration,nodes\n100,50,60,1\n", ""},
+		{"end before start", "submit,start,end,nodes\n100,100,40,1\n", ""},
+		{"duplicate job ID", duplicateIDTrace, "rows 1 and 3 share job ID 7"},
+		{"job ID repeating a row number", "job_id,submit,duration,nodes\n,100,60,1\n1,200,60,1\n", "rows 1 and 2 share job ID 1"},
 	}
 	for _, c := range cases {
-		if _, _, err := Jobs([]Row{c.row}, Options{MaxNodes: 4}); !errors.Is(err, ErrTrace) {
-			t.Errorf("%s: err = %v, want ErrTrace", c.name, err)
+		_, _, err := Jobs(mustParse(t, c.csv), Options{MaxNodes: 4})
+		if !errors.Is(err, ErrTrace) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want ErrTrace naming %q", c.name, err, c.want)
 		}
 	}
 }
+
+// duplicateIDTrace repeats job ID 7 on rows 1 and 3. Replayed, both jobs
+// would key one power series and one project in every analysis.
+const duplicateIDTrace = "job_id,submit,duration,nodes\n7,100,600,2\n8,150,600,1\n7,200,600,2\n"
 
 func TestJobsProfileResolution(t *testing.T) {
 	rows := []Row{

@@ -14,25 +14,18 @@ type Options struct {
 	// reports are bit-identical for every worker count: each scenario's
 	// evaluation is independent and writes only its own slot.
 	Workers int
-	// IndependentStreams gives every scenario its own derived-seed
-	// weather/workload/failure streams instead of the default paired
-	// evaluation (all scenarios share the base config's streams, so knob
-	// effects are not confounded with stream noise).
-	IndependentStreams bool
-	// KeepFailures retains failure injection at the base config's rate.
-	// Off by default: the objective's failure term then reads 0 and
-	// sweeps run faster, matching the power-cap experiment's practice.
-	KeepFailures bool
 }
 
 // Evaluate runs every scenario against the base configuration and
 // returns one objective report per scenario, in scenario order.
 //
 // The workload is frozen once from the base seed, so every scenario
-// schedules the same submitted job stream (the paired-comparison design
-// of the power-cap experiment); the knobs may still change what starts
-// and when. Evaluations fan out over runPaired and are bit-reproducible
-// for any worker count.
+// schedules the same submitted job stream on the base config's weather
+// (the paired-comparison design of the power-cap experiment: knob effects
+// are not confounded with stream noise); the knobs may still change what
+// starts and when. Failure injection is off, as in that experiment: the
+// objective's failure term reads 0 and sweeps run faster. Evaluations fan
+// out over runPaired and are bit-reproducible for any worker count.
 //
 //lint:detroot
 func Evaluate(base sim.Config, scns []Scenario, opt Options) ([]Report, error) {
@@ -55,14 +48,8 @@ func Evaluate(base sim.Config, scns []Scenario, opt Options) ([]Report, error) {
 		// The batch parallelizes across scenarios; each run stays serial so
 		// worker slots map one-to-one onto evaluations.
 		cfg.Workers = 1
+		cfg.FailureRateScale = sim.FailureRateOff
 		seeds[i] = Seed(base.Seed, scn)
-		if opt.IndependentStreams {
-			cfg.Seed = seeds[i]
-			cfg.Workload = nil // regenerate the job stream from the derived seed
-		}
-		if !opt.KeepFailures {
-			cfg.FailureRateScale = sim.FailureRateOff // sweep throughput
-		}
 		cfgs[i] = cfg
 	}
 	weights := DefaultWeights()

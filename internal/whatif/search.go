@@ -306,16 +306,16 @@ func RunGrid(base sim.Config, axes []Axis, opt Options) (*SweepResult, error) {
 	return cache.finish("grid", axes), nil
 }
 
+// cdRounds bounds coordinate descent's rounds of line minimizations.
+const cdRounds = 2
+
 // RunCoordinateDescent starts from the nominal point and sweeps one axis
-// at a time, pinning each knob at its line minimum, for the given number
-// of rounds (or until a round changes nothing). Revisited points hit the
-// evaluation cache.
-func RunCoordinateDescent(base sim.Config, axes []Axis, rounds int, opt Options) (*SweepResult, error) {
+// at a time, pinning each knob at its line minimum, for cdRounds rounds
+// (or until a round changes nothing). Revisited points hit the evaluation
+// cache.
+func RunCoordinateDescent(base sim.Config, axes []Axis, opt Options) (*SweepResult, error) {
 	if err := validateAxes(axes); err != nil {
 		return nil, err
-	}
-	if rounds <= 0 {
-		rounds = 2
 	}
 	cache := newEvalCache(base, opt)
 	if _, err := cache.run([]Scenario{{Name: "nominal"}}); err != nil {
@@ -327,7 +327,7 @@ func RunCoordinateDescent(base sim.Config, axes []Axis, rounds int, opt Options)
 	for _, ax := range axes {
 		valueOf[ax.Param] = ax.Values
 	}
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < cdRounds; round++ {
 		changed := false
 		for _, ax := range axes {
 			line := make([]Scenario, 0, len(ax.Values))
@@ -358,33 +358,21 @@ func RunCoordinateDescent(base sim.Config, axes []Axis, rounds int, opt Options)
 	return cache.finish("cd", axes), nil
 }
 
-// CEMConfig sizes the cross-entropy search.
-type CEMConfig struct {
-	Population int // samples per iteration (default 16)
-	Elite      int // elites refitting the distribution (default 4)
-	Iterations int // refinement rounds (default 4)
-}
+// The cross-entropy search's sizes.
+const (
+	cemPopulation = 16 // samples per iteration
+	cemElite      = 4  // elites refitting the distribution
+	cemIterations = 4  // refinement rounds
+)
 
 // RunCEM searches the axes with a small cross-entropy method: sample
 // knob vectors from per-axis truncated normals quantized to the axis
 // values, score them, refit mean/std on the elite fraction, and repeat.
 // All randomness derives from the base seed, so the sweep is exactly
 // reproducible.
-func RunCEM(base sim.Config, axes []Axis, cem CEMConfig, opt Options) (*SweepResult, error) {
+func RunCEM(base sim.Config, axes []Axis, opt Options) (*SweepResult, error) {
 	if err := validateAxes(axes); err != nil {
 		return nil, err
-	}
-	if cem.Population <= 0 {
-		cem.Population = 16
-	}
-	if cem.Elite <= 0 {
-		cem.Elite = 4
-	}
-	if cem.Elite > cem.Population {
-		cem.Elite = cem.Population
-	}
-	if cem.Iterations <= 0 {
-		cem.Iterations = 4
 	}
 	cache := newEvalCache(base, opt)
 	if _, err := cache.run([]Scenario{{Name: "nominal"}}); err != nil {
@@ -402,8 +390,8 @@ func RunCEM(base sim.Config, axes []Axis, cem CEMConfig, opt Options) (*SweepRes
 			std[a] = 1
 		}
 	}
-	for iter := 0; iter < cem.Iterations; iter++ {
-		batch := make([]Scenario, cem.Population)
+	for iter := 0; iter < cemIterations; iter++ {
+		batch := make([]Scenario, cemPopulation)
 		for s := range batch {
 			p := make(map[Param]float64, len(axes))
 			for a, ax := range axes {
@@ -427,12 +415,12 @@ func RunCEM(base sim.Config, axes []Axis, cem CEMConfig, opt Options) (*SweepRes
 		// Refit on the elites, with a floor keeping exploration alive.
 		for a, ax := range axes {
 			var m, m2 float64
-			for e := 0; e < cem.Elite; e++ {
+			for e := 0; e < cemElite; e++ {
 				v := reports[order[e]].Scenario.Params[ax.Param]
 				m += v
 				m2 += v * v
 			}
-			n := float64(cem.Elite)
+			n := float64(cemElite)
 			m /= n
 			variance := m2/n - m*m
 			if variance < 0 {

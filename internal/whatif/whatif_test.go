@@ -332,7 +332,7 @@ func TestCoordinateDescentConverges(t *testing.T) {
 		{Param: ParamSupplySetpointC, Values: []float64{18.0, 21.1, 24.0}},
 		{Param: ParamStageDownFrac, Values: []float64{0.86, 0.92}},
 	}
-	res, err := RunCoordinateDescent(goldenBase(), axes, 3, Options{})
+	res, err := RunCoordinateDescent(goldenBase(), axes, Options{})
 	if err != nil {
 		t.Fatalf("RunCoordinateDescent: %v", err)
 	}
@@ -348,12 +348,11 @@ func TestCoordinateDescentConverges(t *testing.T) {
 
 func TestCEMReproducible(t *testing.T) {
 	axes := goldenAxes()
-	cem := CEMConfig{Population: 6, Elite: 2, Iterations: 2}
-	a, err := RunCEM(goldenBase(), axes, cem, Options{Workers: 1})
+	a, err := RunCEM(goldenBase(), axes, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("RunCEM: %v", err)
 	}
-	b, err := RunCEM(goldenBase(), axes, cem, Options{Workers: 4})
+	b, err := RunCEM(goldenBase(), axes, Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("RunCEM: %v", err)
 	}
