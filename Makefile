@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross-build test vet fmt lint guard race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke fuzz-smoke bench-report loc clean
+.PHONY: all build cross-build test vet fmt lint guard race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-stream bench-stream-smoke bench-whatif bench-ab optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke fuzz-smoke examples-smoke bench-report loc clean
 
 all: check
 
@@ -78,7 +78,7 @@ check: build fmt vet lint test stream-check race
 
 # ci mirrors .github/workflows/ci.yml, step for step (the
 # pull-request-only bench-ab against the merge base aside).
-ci: fmt vet lint guard build cross-build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke fuzz-smoke
+ci: fmt vet lint guard build cross-build test stream-check race bench-smoke bench-query-smoke bench-stream-smoke optimize-smoke fleet-smoke queryd-smoke serve-smoke scenario-smoke archive-smoke fuzz-smoke examples-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -177,6 +177,18 @@ optimize-smoke:
 	/tmp/optimize-smoke -study heatwave-setpoint -strategy grid -workers 4 -out /tmp/whatif-w4.json
 	cmp /tmp/whatif-w1.json /tmp/whatif-w4.json
 	rm -f /tmp/optimize-smoke /tmp/whatif-w1.json /tmp/whatif-w4.json
+
+# examples-smoke builds every program under examples/ into a temporary
+# directory and runs each one; a non-zero exit fails it, printing the
+# program's output. The build gates compile the examples; this runs them.
+examples-smoke:
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	for dir in examples/*/; do \
+		name=$$(basename $$dir); \
+		$(GO) build -o "$$bin/$$name" ./$$dir; \
+		"$$bin/$$name" > "$$bin/$$name.out" 2>&1 || { code=$$?; echo "examples-smoke: $$name exited $$code"; cat "$$bin/$$name.out"; exit 1; }; \
+		echo "examples-smoke: $$name ok"; \
+	done
 
 # fleet-smoke gates the multi-cluster fleet: a 2-cluster fleet is written,
 # each member's reports printed by `repro -data` through its one archive

@@ -131,8 +131,7 @@ func BenchmarkFig5YearTrends(b *testing.B) {
 }
 
 func BenchmarkFig6EnergyPowerKDE(b *testing.B) {
-	d := benchRun(b)
-	recs := core.BuildJobRecords(d)
+	recs := benchRun(b).Source().Jobs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.Figure6EnergyPower(recs, 40)
@@ -140,8 +139,7 @@ func BenchmarkFig6EnergyPowerKDE(b *testing.B) {
 }
 
 func BenchmarkFig7JobCDFs(b *testing.B) {
-	d := benchRun(b)
-	recs := core.BuildJobRecords(d)
+	recs := benchRun(b).Source().Jobs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.Figure7JobCDFs(recs)
@@ -149,8 +147,7 @@ func BenchmarkFig7JobCDFs(b *testing.B) {
 }
 
 func BenchmarkFig8DomainBreakdown(b *testing.B) {
-	d := benchRun(b)
-	recs := core.BuildJobRecords(d)
+	recs := benchRun(b).Source().Jobs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.Figure8DomainBreakdown(recs)
@@ -158,8 +155,7 @@ func BenchmarkFig8DomainBreakdown(b *testing.B) {
 }
 
 func BenchmarkFig9CPUGPUKde(b *testing.B) {
-	d := benchRun(b)
-	recs := core.BuildJobRecords(d)
+	recs := benchRun(b).Source().Jobs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.Figure9ComponentKDE(recs, 40)
@@ -284,15 +280,15 @@ func BenchmarkAblationCoarsenWindow(b *testing.B) {
 // BenchmarkAblationEdgeFidelity measures how the coarsening window affects
 // detected edge counts (reported via b.ReportMetric) and detection cost.
 func BenchmarkAblationEdgeFidelity(b *testing.B) {
-	d := benchRun(b)
+	src := benchRun(b).Source()
 	for _, factor := range []int{1, 6, 30} {
 		factor := factor
 		b.Run(benchName("downsample", int64(factor)), func(b *testing.B) {
-			series := coarsenSeries(d.ClusterPower, factor)
+			series := coarsenSeries(src.SeriesByName[source.SeriesClusterPower], factor)
 			var edges int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				edges = len(core.DetectEdges(series, d.Nodes))
+				edges = len(core.DetectEdges(series, src.RunMeta.Nodes))
 			}
 			b.ReportMetric(float64(edges), "edges")
 		})
@@ -339,8 +335,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 
 // BenchmarkAblationKDEGrid sweeps the KDE grid resolution of Figure 6.
 func BenchmarkAblationKDEGrid(b *testing.B) {
-	d := benchRun(b)
-	recs := core.BuildJobRecords(d)
+	recs := benchRun(b).Source().Jobs
 	for _, grid := range []int{20, 40, 80} {
 		grid := grid
 		b.Run(benchName("grid", int64(grid)), func(b *testing.B) {

@@ -10,6 +10,8 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/source"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -36,11 +38,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		wet := data.WetBulbC.Stats()
-		supply := data.SupplyC.Stats()
-		ret := data.ReturnC.Stats()
-		tower := data.TowerTons.Stats()
-		chiller := data.ChillerTons.Stats()
+		stat := func(name string) stats.Moments {
+			series, err := data.Source().Series(name)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return series.Stats()
+		}
+		wet, supply, ret := stat(source.SeriesWetBulbC), stat(source.SeriesSupplyC), stat(source.SeriesReturnC)
+		tower, chiller := stat(source.SeriesTowerTons), stat(source.SeriesChillerTons)
 		fmt.Printf("%s\n", s.name)
 		fmt.Printf("  wet bulb:      %.1f°C mean (%.1f–%.1f)\n", wet.Mean(), wet.Min, wet.Max)
 		fmt.Printf("  MTW supply:    %.1f°C mean   return: %.1f°C mean\n", supply.Mean(), ret.Mean())

@@ -10,6 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/source"
 	"repro/internal/units"
 )
 
@@ -23,20 +24,33 @@ func main() {
 		log.Fatal(err)
 	}
 
-	power := data.ClusterPower.Stats()
+	// The run is served by series name, as an archived run would be.
+	src := data.Source()
+	clusterPower, err := src.Series(source.SeriesClusterPower)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pueSeries, err := src.Series(source.SeriesPUE)
+	if err != nil {
+		log.Fatal(err)
+	}
+	power := clusterPower.Stats()
 	fmt.Printf("simulated %d windows on %d nodes\n", result.Steps, cfg.Nodes)
 	fmt.Printf("jobs placed:        %d (utilization %.1f%%)\n",
 		len(result.Allocations), result.Utilization*100)
 	fmt.Printf("cluster power:      min %.1f kW  mean %.1f kW  max %.1f kW\n",
 		power.Min/units.WattsPerKW, power.Mean()/units.WattsPerKW, power.Max/units.WattsPerKW)
-	fmt.Printf("energy consumed:    %.1f kWh\n", data.ClusterPower.Integrate()/units.JoulesPerKWh)
+	fmt.Printf("energy consumed:    %.1f kWh\n", clusterPower.Integrate()/units.JoulesPerKWh)
 
-	pue := data.PUE.Stats()
+	pue := pueSeries.Stats()
 	fmt.Printf("PUE:                mean %.3f (min %.3f, max %.3f)\n",
 		pue.Mean(), pue.Min, pue.Max)
 
 	// Job-level records: who used the most energy?
-	recs := core.BuildJobRecords(data)
+	recs, err := src.JobRecords()
+	if err != nil {
+		log.Fatal(err)
+	}
 	var biggest struct {
 		id     int64
 		energy float64

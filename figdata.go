@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -39,12 +40,15 @@ func WriteFigureData(dir string, src source.RunSource) ([]string, error) {
 		return nil
 	}
 
-	// Figure 4: per-window meter-vs-summation differences.
+	// Figure 4: per-window meter-vs-summation differences, when the run
+	// has meters.
 	if rep, err := core.ValidationFromSource(src); err == nil {
 		if err := emit("fig4_diff_samples.csv",
 			[]string{"meter_minus_summation_w"}, rep.DiffSamples); err != nil {
 			return written, err
 		}
+	} else if !errors.Is(err, source.ErrUnavailable) {
+		return written, fmt.Errorf("figure 4: %w", err)
 	}
 
 	// Figure 5: the cluster power / PUE time series.
@@ -204,6 +208,8 @@ func WriteFigureData(dir string, src source.RunSource) ([]string, error) {
 			inst, pMed, pLo, pHi, tMed, tLo, tHi); err != nil {
 			return written, err
 		}
+	} else if !errors.Is(err, source.ErrUnavailable) {
+		return written, fmt.Errorf("figure 17: %w", err)
 	}
 	return written, nil
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/source"
+	"repro/internal/tsagg"
 )
 
 func TestTempBandOf(t *testing.T) {
@@ -40,7 +43,7 @@ func TestThermalBandSummary(t *testing.T) {
 	if len(rows) != NumTempBands {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	totalGPUs := float64(d.Nodes * 6)
+	totalGPUs := float64(d.Source().RunMeta.Nodes * 6)
 	var shareSum float64
 	for _, r := range rows {
 		if r.MeanGPUs < 0 || r.MaxGPUs > totalGPUs {
@@ -58,10 +61,14 @@ func TestThermalBandSummary(t *testing.T) {
 		t.Errorf(">=60°C band holds %.1f%% on average", rows[4].MeanShare*100)
 	}
 	// Per-window band counts sum to the GPU population.
-	for w := 0; w < d.GPUTempBands[0].Len(); w += 97 {
+	var bands [NumTempBands]*tsagg.Series
+	for b := range bands {
+		bands[b] = runSeries(t, d, source.GPUBandSeries(b))
+	}
+	for w := 0; w < bands[0].Len(); w += 97 {
 		var sum float64
-		for b := 0; b < NumTempBands; b++ {
-			sum += d.GPUTempBands[b].Vals[w]
+		for b := range bands {
+			sum += bands[b].Vals[w]
 		}
 		if sum != totalGPUs { //lint:allow floatcompare band populations must account for every GPU exactly
 			t.Fatalf("window %d band total %v != %v GPUs", w, sum, totalGPUs)

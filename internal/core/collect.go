@@ -14,104 +14,79 @@ import (
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
 	"repro/internal/units"
 )
 
-// JobSeries is the job-aware collapse of per-node telemetry for one
-// allocation (the paper's Datasets 3–6): cluster-of-the-job power and
-// component series on the coarsening grid.
-type JobSeries struct {
-	AllocIdx int
-	// SumPower is Σ over the job's nodes of sensor input power (W).
-	SumPower *tsagg.Series
-	// MeanCPUPower / MaxCPUPower are across-node stats of per-node CPU
-	// component power (W, both sockets combined); GPU likewise.
-	MeanCPUPower *tsagg.Series
-	MaxCPUPower  *tsagg.Series
-	MeanGPUPower *tsagg.Series
-	MaxGPUPower  *tsagg.Series
-}
-
-// RunData is everything the analyses need from one simulated span: the
-// in-memory equivalent of the paper's pre-processed Datasets 0–13.
+// RunData is one simulated span: its source, which serves the run under
+// the archive's names (the in-memory equivalent of the paper's
+// pre-processed Datasets 0–13), and the scheduler's allocations, whose node
+// lists only the per-node CSV reads.
 type RunData struct {
-	StartTime int64
-	StepSec   int64
-	Nodes     int
-	// Cluster and Site carry the run's cluster identity ("" = the
-	// anonymous single-cluster run): they flow into the run-meta manifest,
-	// the source layer's Meta, and every analysis output that names its
-	// origin.
-	Cluster string
-	Site    string
-
 	Allocations []scheduler.Allocation
-	Failures    []failures.Event
-
-	// Cluster-level series (Datasets 1–2).
-	ClusterPower     *tsagg.Series // Σ sensor input power
-	ClusterTruePower *tsagg.Series
-	ClusterCPUPower  *tsagg.Series
-	ClusterGPUPower  *tsagg.Series
-
-	// Facility series (Datasets B/12).
-	PUE         *tsagg.Series
-	SupplyC     *tsagg.Series
-	ReturnC     *tsagg.Series
-	TowerTons   *tsagg.Series
-	ChillerTons *tsagg.Series
-	// TowerCount / ChillerCount are the staged equipment counts — the
-	// "stages and de-stages cooling capacity" signal of the paper's
-	// future-work discussion.
-	TowerCount   *tsagg.Series
-	ChillerCount *tsagg.Series
-	WetBulbC     *tsagg.Series
-
-	// Thermal cluster series (Datasets 8–9).
-	GPUTempMean *tsagg.Series
-	GPUTempMax  *tsagg.Series
-	CPUTempMean *tsagg.Series
-	CPUTempMax  *tsagg.Series
-	// GPUTempBands counts GPUs per core-temperature band per window —
-	// the histogram-based component summary the facility engineers watch
-	// in near real time (paper §2). Band edges are TempBandEdges.
-	GPUTempBands [NumTempBands]*tsagg.Series
-
-	// Meter validation series (Dataset 13): per MSB, the meter reading
-	// and the per-node sensor summation under that MSB.
-	MeterPower   []*tsagg.Series
-	MSBSensorSum []*tsagg.Series
-
-	// Job-aware series (Datasets 3–6), parallel to Allocations.
-	Jobs []JobSeries
-
-	// Exemplar is Figure 17's per-GPU detail: the frames of the exemplar
-	// job (PickExemplarAllocation) at the windows the figure reads. Empty
-	// when the run has no job to pick.
-	Exemplar []source.GPUSample
+	src         *source.MemorySource
 }
 
-// Collector accumulates RunData from a simulation. Use NewCollector, pass
-// it to Sim.Run as an observer, then call Data.
+// Source returns the run's source, the live data plane: WriteDatasets
+// archives what it serves, so analyses written against source.RunSource
+// run unchanged over live and archived data, and the parity test holds the
+// two planes bit-identical. Every call returns the same source, complete
+// once the collector's SetFailures has run; treat it as immutable then.
+func (d *RunData) Source() *source.MemorySource { return d.src }
+
+// windowSeries names the cluster, thermal and facility series (Datasets
+// 1–2, 8–9 and B/12) the collector fills every window, in the order Observe
+// lists their values.
+var windowSeries = [...]string{
+	source.SeriesClusterPower, source.SeriesClusterTruePower, source.SeriesCPUPower, source.SeriesGPUPower,
+	source.SeriesGPUTempMean, source.SeriesGPUTempMax, source.SeriesCPUTempMean, source.SeriesCPUTempMax,
+	source.SeriesPUE, source.SeriesSupplyC, source.SeriesReturnC, source.SeriesTowerTons,
+	source.SeriesChillerTons, source.SeriesTowerCount, source.SeriesChillerCount, source.SeriesWetBulbC,
+}
+
+// Collector fills a run's source from a simulation. Use NewCollector, pass
+// it to Sim.Run as an observer, then call SetFailures and Data.
 type Collector struct {
 	data *RunData
+	// The source's series, held here for the per-window pass: those of
+	// windowSeries in its order, the GPU temperature-band counts (band
+	// edges TempBandEdges: the §2 dashboard histogram), and per MSB the
+	// meter reading and the sensor summation under it (Dataset 13).
+	series          [len(windowSeries)]*tsagg.Series
+	bands           [NumTempBands]*tsagg.Series
+	meters, msbSums []*tsagg.Series
 	// msbOf maps dense NodeID to MSB index, precomputed from the sim's
 	// floor so the per-window node pass does no modular arithmetic and —
 	// more importantly — follows the run's actual site geometry rather
 	// than assuming Summit cabinets.
 	msbOf []int32
-	// Per-window scratch reused across Observe calls: Observe sits on the
-	// simulation hot path, and a fresh map plus accumulator allocations
-	// every window were a measurable share of run cost.
-	jobAcc     []jobWindowAcc // indexed by allocation index
-	jobTouched []int          // allocation indices active this window
+	// jobs accumulates each allocation's record and windows (Datasets
+	// 3–7), indexed by allocation index. Per-window scratch is reused
+	// across Observe calls: Observe sits on the simulation hot path.
+	jobs       []jobAcc
+	jobTouched []int // allocation indices active this window
 	msbSum     []float64
 	// exemplar is Figure 17's job (nil: none), and frames the times of the
 	// windows of it still to capture, ascending.
 	exemplar *scheduler.Allocation
 	frames   []int64
+}
+
+// jobAcc is one job's running summary over the windows of the run it
+// keeps: from its start, clipped to the run, to its end, clipped likewise
+// and rounded up to a whole window.
+type jobAcc struct {
+	start, end int64
+	// sum is the job's Σ input power per window, cpuMean … gpuMax its
+	// per-window across-node CPU and GPU component statistics (W, both
+	// sockets or all six GPUs combined), energy Σ sum·step.
+	sum, cpuMean, cpuMax, gpuMean, gpuMax stats.Moments
+	energy                                float64
+	windows                               []source.JobWindow
+	// win collapses the job's node rows of the current window.
+	win jobWindowAcc
 }
 
 // jobWindowAcc collapses one job's node rows for a single window.
@@ -120,76 +95,66 @@ type jobWindowAcc struct {
 	cpuSum, cpuMax float64
 	gpuSum, gpuMax float64
 	nodeCount      float64
-	touched        bool
 }
 
-// NewCollector sizes the collector for the run described by cfg and the
-// sim's allocations.
+// NewCollector creates the source of the run described by cfg and the sim's
+// allocations, every series under its source name.
 func NewCollector(s *sim.Sim, cfg sim.Config) *Collector {
 	steps := int(cfg.DurationSec / cfg.StepSec)
-	mk := func() *tsagg.Series {
-		return tsagg.NewSeries(cfg.StartTime, cfg.StepSec, steps)
-	}
 	allocs := s.Allocations()
-	data := &RunData{
-		StartTime:        cfg.StartTime,
-		StepSec:          cfg.StepSec,
-		Nodes:            cfg.Nodes,
-		Cluster:          cfg.Cluster,
-		Site:             cfg.Site,
-		Allocations:      allocs,
-		ClusterPower:     mk(),
-		ClusterTruePower: mk(),
-		ClusterCPUPower:  mk(),
-		ClusterGPUPower:  mk(),
-		PUE:              mk(),
-		SupplyC:          mk(),
-		ReturnC:          mk(),
-		TowerTons:        mk(),
-		ChillerTons:      mk(),
-		TowerCount:       mk(),
-		ChillerCount:     mk(),
-		WetBulbC:         mk(),
-		GPUTempMean:      mk(),
-		GPUTempMax:       mk(),
-		CPUTempMean:      mk(),
-		CPUTempMax:       mk(),
-		Jobs:             make([]JobSeries, len(allocs)),
+	src := &source.MemorySource{
+		RunMeta: source.Meta{
+			StartTime: cfg.StartTime,
+			StepSec:   cfg.StepSec,
+			Nodes:     cfg.Nodes,
+			Windows:   steps,
+			Cluster:   cfg.Cluster,
+			Site:      cfg.Site,
+		},
+		SeriesByName: map[string]*tsagg.Series{},
+		Allocs:       make([]source.Allocation, len(allocs)),
 	}
-	for b := range data.GPUTempBands {
-		data.GPUTempBands[b] = mk()
+	c := &Collector{data: &RunData{Allocations: allocs, src: src}, jobs: make([]jobAcc, len(allocs))}
+	mk := func(name string) *tsagg.Series {
+		series := tsagg.NewSeries(cfg.StartTime, cfg.StepSec, steps)
+		src.SeriesByName[name] = series
+		return series
 	}
+	for k, name := range windowSeries {
+		c.series[k] = mk(name)
+	}
+	for b := range c.bands {
+		c.bands[b] = mk(source.GPUBandSeries(b))
+	}
+	msbs := s.Floor().MSBs()
+	c.msbSum = make([]float64, msbs)
+	for m := 0; m < msbs; m++ {
+		c.meters = append(c.meters, mk(source.MeterSeriesName(m)))
+		c.msbSums = append(c.msbSums, mk(source.MSBSumSeriesName(m)))
+	}
+	runEnd := cfg.StartTime + cfg.DurationSec
 	for i := range allocs {
 		a := &allocs[i]
-		// Clip the job series to the run window.
-		start := a.StartTime
-		if start < cfg.StartTime {
-			start = cfg.StartTime
+		src.Allocs[i] = source.Allocation{
+			AllocationID: a.Job.ID,
+			User:         a.Job.User,
+			Project:      a.Job.Project,
+			Domain:       int(a.Job.Domain),
+			Class:        int(a.Job.Class),
+			Nodes:        a.Job.Nodes,
+			SubmitTime:   a.Job.SubmitTime,
+			BeginTime:    a.StartTime,
+			EndTime:      a.EndTime,
 		}
-		end := a.EndTime
-		if end > cfg.StartTime+cfg.DurationSec {
-			end = cfg.StartTime + cfg.DurationSec
-		}
-		n := int((end - start + cfg.StepSec - 1) / cfg.StepSec)
-		if n < 0 {
-			n = 0
-		}
-		mkJob := func() *tsagg.Series { return tsagg.NewSeries(start, cfg.StepSec, n) }
-		data.Jobs[i] = JobSeries{
-			AllocIdx:     i,
-			SumPower:     mkJob(),
-			MeanCPUPower: mkJob(),
-			MaxCPUPower:  mkJob(),
-			MeanGPUPower: mkJob(),
-			MaxGPUPower:  mkJob(),
-		}
+		start := max(a.StartTime, cfg.StartTime)
+		n := max((min(a.EndTime, runEnd)-start+cfg.StepSec-1)/cfg.StepSec, 0)
+		c.jobs[i].start, c.jobs[i].end = start, start+n*cfg.StepSec
 	}
-	msbOf := make([]int32, cfg.Nodes)
-	for i := range msbOf {
-		msbOf[i] = int32(s.Floor().MSBOf(topology.NodeID(i)))
+	c.msbOf = make([]int32, cfg.Nodes)
+	for i := range c.msbOf {
+		c.msbOf[i] = int32(s.Floor().MSBOf(topology.NodeID(i)))
 	}
-	c := &Collector{data: data, msbOf: msbOf}
-	if i := PickExemplarAllocation(allocs, cfg.StartTime, cfg.StartTime+cfg.DurationSec); i >= 0 {
+	if i := PickExemplarAllocation(allocs, cfg.StartTime, runEnd); i >= 0 {
 		c.exemplar, c.frames = &allocs[i], exemplarFrames(&allocs[i], cfg)
 	}
 	return c
@@ -197,11 +162,7 @@ func NewCollector(s *sim.Sim, cfg sim.Config) *Collector {
 
 // Observe implements sim.Observer.
 func (c *Collector) Observe(snap *sim.Snapshot) {
-	d := c.data
 	t := snap.T
-	// Cluster roll-ups.
-	d.ClusterPower.Set(t, float64(snap.ClusterSensorPower))
-	d.ClusterTruePower.Set(t, float64(snap.ClusterTruePower))
 	var cpuSum, gpuSum float64
 	var gpuTempMean, cpuTempMean float64
 	var gpuTempN, cpuTempN float64
@@ -241,52 +202,40 @@ func (c *Collector) Observe(snap *sim.Snapshot) {
 			}
 		}
 	}
-	if observed > 0 {
-		d.ClusterCPUPower.Set(t, cpuSum)
-		d.ClusterGPUPower.Set(t, gpuSum)
+	// A window with nothing observed stores NaN, the series' "missing".
+	if observed == 0 {
+		cpuSum, gpuSum = math.NaN(), math.NaN()
 	}
 	if gpuTempN > 0 {
-		d.GPUTempMean.Set(t, gpuTempMean/gpuTempN)
-		d.GPUTempMax.Set(t, gpuTempMax)
+		gpuTempMean /= gpuTempN
+	} else {
+		gpuTempMean, gpuTempMax = math.NaN(), math.NaN()
 	}
 	if cpuTempN > 0 {
-		d.CPUTempMean.Set(t, cpuTempMean/cpuTempN)
-		d.CPUTempMax.Set(t, cpuTempMax)
+		cpuTempMean /= cpuTempN
+	} else {
+		cpuTempMean, cpuTempMax = math.NaN(), math.NaN()
 	}
-	for b := range bands {
-		d.GPUTempBands[b].Set(t, bands[b])
+	vals := [len(windowSeries)]float64{
+		float64(snap.ClusterSensorPower), float64(snap.ClusterTruePower), cpuSum, gpuSum,
+		gpuTempMean, gpuTempMax, cpuTempMean, cpuTempMax,
+		snap.PUE, float64(snap.SupplyC), float64(snap.ReturnC), float64(snap.TowerTons),
+		float64(snap.ChillerTons), float64(snap.ActiveTowers), float64(snap.ActiveChillers), snap.WetBulbC,
 	}
-	// Facility.
-	d.PUE.Set(t, snap.PUE)
-	d.SupplyC.Set(t, float64(snap.SupplyC))
-	d.ReturnC.Set(t, float64(snap.ReturnC))
-	d.TowerTons.Set(t, float64(snap.TowerTons))
-	d.ChillerTons.Set(t, float64(snap.ChillerTons))
-	d.TowerCount.Set(t, float64(snap.ActiveTowers))
-	d.ChillerCount.Set(t, float64(snap.ActiveChillers))
-	d.WetBulbC.Set(t, snap.WetBulbC)
-	// Meters (lazily sized on first window).
-	if d.MeterPower == nil {
-		for range snap.MeterPower {
-			d.MeterPower = append(d.MeterPower, likeSeries(d.ClusterPower))
-			d.MSBSensorSum = append(d.MSBSensorSum, likeSeries(d.ClusterPower))
-		}
+	for k, s := range c.series {
+		s.Set(t, vals[k])
 	}
-	for m := range snap.MeterPower {
-		d.MeterPower[m].Set(t, float64(snap.MeterPower[m]))
+	for b, s := range c.bands {
+		s.Set(t, bands[b])
+	}
+	for m, s := range c.meters {
+		s.Set(t, float64(snap.MeterPower[m]))
 	}
 	// Per-MSB sensor summation and job-aware collapse in one node pass,
 	// on reused scratch.
-	if c.msbSum == nil {
-		c.msbSum = make([]float64, len(snap.MeterPower))
-		c.jobAcc = make([]jobWindowAcc, len(d.Jobs))
-	}
 	msbSum := c.msbSum
 	for m := range msbSum {
 		msbSum[m] = 0
-	}
-	for _, aIdx := range c.jobTouched {
-		c.jobAcc[aIdx] = jobWindowAcc{}
 	}
 	c.jobTouched = c.jobTouched[:0]
 	for i := range snap.NodeStat {
@@ -299,55 +248,100 @@ func (c *Collector) Observe(snap *sim.Snapshot) {
 		if aIdx < 0 {
 			continue
 		}
-		a := &c.jobAcc[aIdx]
-		if !a.touched {
-			*a = jobWindowAcc{touched: true, cpuMax: math.Inf(-1), gpuMax: math.Inf(-1)}
+		w := &c.jobs[aIdx].win
+		if w.nodeCount == 0 {
+			*w = jobWindowAcc{cpuMax: math.Inf(-1), gpuMax: math.Inf(-1)}
 			c.jobTouched = append(c.jobTouched, aIdx)
 		}
-		a.sum += nodePower
-		a.cpuSum += snap.CPUPower[i]
-		if snap.CPUPower[i] > a.cpuMax {
-			a.cpuMax = snap.CPUPower[i]
+		w.sum += nodePower
+		w.cpuSum += snap.CPUPower[i]
+		if snap.CPUPower[i] > w.cpuMax {
+			w.cpuMax = snap.CPUPower[i]
 		}
-		a.gpuSum += snap.GPUPower[i]
-		if snap.GPUPower[i] > a.gpuMax {
-			a.gpuMax = snap.GPUPower[i]
+		w.gpuSum += snap.GPUPower[i]
+		if snap.GPUPower[i] > w.gpuMax {
+			w.gpuMax = snap.GPUPower[i]
 		}
-		a.nodeCount++
+		w.nodeCount++
 	}
-	for m := range msbSum {
-		d.MSBSensorSum[m].Set(t, msbSum[m])
+	for m, s := range c.msbSums {
+		s.Set(t, msbSum[m])
 	}
 	for _, aIdx := range c.jobTouched {
-		a := &c.jobAcc[aIdx]
-		js := &d.Jobs[aIdx]
-		js.SumPower.Set(t, a.sum)
-		js.MeanCPUPower.Set(t, a.cpuSum/a.nodeCount)
-		js.MaxCPUPower.Set(t, a.cpuMax)
-		js.MeanGPUPower.Set(t, a.gpuSum/a.nodeCount)
-		js.MaxGPUPower.Set(t, a.gpuMax)
+		c.jobs[aIdx].observe(t, c.data.src.RunMeta.StepSec, c.data.Allocations[aIdx].Job.ID)
 	}
 	if len(c.frames) > 0 && t == c.frames[0] {
 		c.frames = c.frames[1:]
 		a := c.exemplar
+		src := c.data.src
 		for _, id := range a.NodeIDs {
 			for g := 0; g < units.GPUsPerNode; g++ {
-				d.Exemplar = append(d.Exemplar, source.GPUSample{T: t, AllocationID: a.Job.ID, Node: int(id), Slot: g,
+				src.Exemplar = append(src.Exemplar, source.GPUSample{T: t, AllocationID: a.Job.ID, Node: int(id), Slot: g,
 					PowerW: snap.GPUPowerEach[id][g], TempC: snap.GPUCoreTemp[id][g]})
 			}
 		}
 	}
 }
 
-// likeSeries clones the shape of s with fresh NaN storage.
-func likeSeries(s *tsagg.Series) *tsagg.Series {
-	return tsagg.NewSeries(s.Start, s.Step, s.Len())
+// observe folds the job's collapsed window at t into its summary and clears
+// it. A window outside the job's kept span counts nowhere, and a NaN
+// statistic is missing from its own summary only.
+func (j *jobAcc) observe(t, step, id int64) {
+	w := j.win
+	j.win = jobWindowAcc{}
+	if t < j.start || t >= j.end {
+		return
+	}
+	add := func(m *stats.Moments, v float64) {
+		if !math.IsNaN(v) {
+			m.Add(v)
+		}
+	}
+	if !math.IsNaN(w.sum) {
+		j.sum.Add(w.sum)
+		j.energy += w.sum * float64(step)
+		// The window is stamped on the job's grid, which starts at its
+		// clipped start.
+		j.windows = append(j.windows, source.JobWindow{AllocationID: id, T: j.start + (t-j.start)/step*step, PowerW: w.sum})
+	}
+	add(&j.cpuMean, w.cpuSum/w.nodeCount)
+	add(&j.cpuMax, w.cpuMax)
+	add(&j.gpuMean, w.gpuSum/w.nodeCount)
+	add(&j.gpuMax, w.gpuMax)
 }
 
-// SetFailures attaches the run's failure log after Run completes.
-func (c *Collector) SetFailures(evs []failures.Event) { c.data.Failures = evs }
+// SetFailures attaches the run's failure log after Run completes and
+// completes the run's source: the record of every job with a kept window
+// (Datasets 5–7) and the jobs' windows, both in allocation order.
+func (c *Collector) SetFailures(evs []failures.Event) {
+	d := c.data
+	d.src.Events, d.src.Jobs, d.src.JobWindows = evs, nil, nil
+	for i := range c.jobs {
+		j := &c.jobs[i]
+		if j.sum.N == 0 {
+			continue
+		}
+		a := &d.Allocations[i]
+		d.src.Jobs = append(d.src.Jobs, source.JobRecord{
+			AllocationID:  a.Job.ID,
+			Class:         int(a.Job.Class),
+			Domain:        int(a.Job.Domain),
+			Nodes:         a.Job.Nodes,
+			BeginTime:     a.StartTime,
+			EndTime:       a.EndTime,
+			MaxPowerW:     j.sum.Max,
+			MeanPowerW:    j.sum.Mean(),
+			EnergyJ:       j.energy,
+			MeanCPUPowerW: j.cpuMean.Mean(),
+			MaxCPUPowerW:  j.cpuMax.Max,
+			MeanGPUPowerW: j.gpuMean.Mean(),
+			MaxGPUPowerW:  j.gpuMax.Max,
+		})
+		d.src.JobWindows = append(d.src.JobWindows, j.windows...)
+	}
+}
 
-// Data returns the accumulated run data.
+// Data returns the run: its source is complete once SetFailures has run.
 func (c *Collector) Data() *RunData { return c.data }
 
 // Attach builds one extra observer for a run once its sim exists (the

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/failures"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/stats"
+	"repro/internal/tsagg"
 	"repro/internal/units"
 )
 
@@ -39,40 +41,54 @@ func testData(t *testing.T) *RunData {
 	return d
 }
 
+// runSeries returns the named series of d's source.
+func runSeries(t *testing.T, d *RunData, name string) *tsagg.Series {
+	t.Helper()
+	s, err := d.Source().Series(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestCollectRunBasics(t *testing.T) {
 	d := testData(t)
-	if d.ClusterPower.Len() != int(4*3600/10) {
-		t.Errorf("cluster series length = %d", d.ClusterPower.Len())
+	src := d.Source()
+	power := runSeries(t, d, source.SeriesClusterPower)
+	if power.Len() != int(4*3600/10) {
+		t.Errorf("cluster series length = %d", power.Len())
 	}
-	clean := d.ClusterPower.Clean()
-	if len(clean) != d.ClusterPower.Len() {
-		t.Errorf("cluster power has %d gaps", d.ClusterPower.Len()-len(clean))
+	clean := power.Clean()
+	if len(clean) != power.Len() {
+		t.Errorf("cluster power has %d gaps", power.Len()-len(clean))
 	}
-	if len(d.Jobs) != len(d.Allocations) {
-		t.Error("job series not parallel to allocations")
+	if len(src.Allocs) != len(d.Allocations) {
+		t.Error("allocation log not parallel to allocations")
 	}
-	if len(d.MeterPower) == 0 || len(d.MeterPower) != len(d.MSBSensorSum) {
-		t.Error("meter series missing")
+	if _, err := src.Series(source.MeterSeriesName(0)); err != nil {
+		t.Errorf("meter series missing: %v", err)
 	}
-	if len(d.Failures) == 0 {
+	if _, err := src.Series(source.MSBSumSeriesName(0)); err != nil {
+		t.Errorf("MSB sum series missing: %v", err)
+	}
+	if len(src.Events) == 0 {
 		t.Error("no failures collected")
 	}
-	// Job series must contain data within their allocation windows.
-	withData := 0
-	for i := range d.Jobs {
-		if d.Jobs[i].SumPower.Stats().N > 0 {
-			withData++
-		}
+	// Jobs must have captured data within their allocation windows.
+	if len(src.Jobs) == 0 || len(src.JobWindows) == 0 {
+		t.Error("no job captured data")
 	}
-	if withData == 0 {
-		t.Error("no job series captured data")
+	if d.Source() != src {
+		t.Error("Source rebuilt the run's source")
 	}
 	// Cluster CPU+GPU component sums must be below total input power.
-	for i := 0; i < d.ClusterPower.Len(); i++ {
-		comp := d.ClusterCPUPower.Vals[i] + d.ClusterGPUPower.Vals[i]
-		if comp >= d.ClusterTruePower.Vals[i] {
+	cpu, gpu := runSeries(t, d, source.SeriesCPUPower), runSeries(t, d, source.SeriesGPUPower)
+	truePower := runSeries(t, d, source.SeriesClusterTruePower)
+	for i := 0; i < power.Len(); i++ {
+		comp := cpu.Vals[i] + gpu.Vals[i]
+		if comp >= truePower.Vals[i] {
 			t.Fatalf("components %v exceed node input %v at %d",
-				comp, d.ClusterTruePower.Vals[i], i)
+				comp, truePower.Vals[i], i)
 		}
 	}
 }
@@ -135,7 +151,7 @@ func TestFigure5Trends(t *testing.T) {
 
 func TestFigure6EnergyPower(t *testing.T) {
 	d := testData(t)
-	recs := BuildJobRecords(d)
+	recs := d.Source().Jobs
 	if len(recs) == 0 {
 		t.Fatal("no job records")
 	}
@@ -152,11 +168,12 @@ func TestFigure6EnergyPower(t *testing.T) {
 
 func TestJobRecordInvariants(t *testing.T) {
 	d := testData(t)
+	src := d.Source()
 	windows := map[int64]int64{}
-	for i := range d.Jobs {
-		windows[d.Allocations[d.Jobs[i].AllocIdx].Job.ID] = d.Jobs[i].SumPower.Stats().N
+	for _, w := range src.JobWindows {
+		windows[w.AllocationID]++
 	}
-	for _, r := range BuildJobRecords(d) {
+	for _, r := range src.Jobs {
 		if r.MaxPowerW < r.MeanPowerW {
 			t.Fatalf("job %d: max %v < mean %v", r.AllocationID, r.MaxPowerW, r.MeanPowerW)
 		}
@@ -167,7 +184,7 @@ func TestJobRecordInvariants(t *testing.T) {
 			t.Fatalf("job %d: GPU max %v < mean %v", r.AllocationID, r.MaxGPUPowerW, r.MeanGPUPowerW)
 		}
 		// Energy consistency: mean power × observed duration ≈ energy.
-		expect := r.MeanPowerW * float64(windows[r.AllocationID]) * float64(d.StepSec)
+		expect := r.MeanPowerW * float64(windows[r.AllocationID]) * float64(src.RunMeta.StepSec)
 		if expect > 0 && math.Abs(r.EnergyJ-expect)/expect > 0.01 {
 			t.Fatalf("job %d: energy %v vs mean×t %v", r.AllocationID, r.EnergyJ, expect)
 		}
@@ -175,8 +192,7 @@ func TestJobRecordInvariants(t *testing.T) {
 }
 
 func TestFigure7JobCDFs(t *testing.T) {
-	d := testData(t)
-	recs := BuildJobRecords(d)
+	recs := testData(t).Source().Jobs
 	cdfs := Figure7JobCDFs(recs)
 	// At 72 nodes, "class 1" can't exist; ClassForNodes(72) = Class4 —
 	// the scaled run classifies per actual node counts, so the leadership
@@ -192,8 +208,7 @@ func TestFigure7JobCDFs(t *testing.T) {
 }
 
 func TestFigure8DomainBreakdown(t *testing.T) {
-	d := testData(t)
-	recs := BuildJobRecords(d)
+	recs := testData(t).Source().Jobs
 	rows := Figure8DomainBreakdown(recs)
 	for _, r := range rows {
 		if r.N == 0 || r.MaxPower.N == 0 {
@@ -203,8 +218,7 @@ func TestFigure8DomainBreakdown(t *testing.T) {
 }
 
 func TestFigure9ComponentKDE(t *testing.T) {
-	d := testData(t)
-	recs := BuildJobRecords(d)
+	recs := testData(t).Source().Jobs
 	kdes := Figure9ComponentKDE(recs, 25)
 	if len(kdes) == 0 {
 		t.Fatal("no component KDEs")
@@ -310,8 +324,8 @@ func TestTable4Composition(t *testing.T) {
 			t.Errorf("%v max-per-node frac = %v", r.Type, r.MaxPerNodeFrac)
 		}
 	}
-	if total != len(d.Failures) {
-		t.Errorf("composition total %d != %d events", total, len(d.Failures))
+	if total != len(d.Source().Events) {
+		t.Errorf("composition total %d != %d events", total, len(d.Source().Events))
 	}
 	// NVLink concentration: the super-offender should hold most events.
 	for _, r := range rows {
@@ -340,7 +354,7 @@ func TestFigure13Correlation(t *testing.T) {
 	// The engineered cascade (microcontroller warning → driver error
 	// handling) must surface as significant if both types occurred.
 	hasWarn, hasDrv := false, false
-	for _, e := range d.Failures {
+	for _, e := range d.Source().Events {
 		if e.Type == failures.MicrocontrollerWarning {
 			hasWarn = true
 		}
@@ -445,8 +459,8 @@ func TestFigure16Placement(t *testing.T) {
 			total += c
 		}
 	}
-	if total != len(d.Failures) {
-		t.Errorf("placement total %d != %d", total, len(d.Failures))
+	if total != len(d.Source().Events) {
+		t.Errorf("placement total %d != %d", total, len(d.Source().Events))
 	}
 }
 

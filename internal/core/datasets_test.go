@@ -42,12 +42,13 @@ func TestWriteReadDatasets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if power.Len() < d.ClusterPower.Len() {
-		t.Fatalf("restored %d windows, want >= %d", power.Len(), d.ClusterPower.Len())
+	mem := runSeries(t, d, source.SeriesClusterPower)
+	if power.Len() < mem.Len() {
+		t.Fatalf("restored %d windows, want >= %d", power.Len(), mem.Len())
 	}
-	for i := 0; i < d.ClusterPower.Len(); i++ {
-		want := d.ClusterPower.Vals[i]
-		got := power.At(d.ClusterPower.TimeAt(i))
+	for i := 0; i < mem.Len(); i++ {
+		want := mem.Vals[i]
+		got := power.At(mem.TimeAt(i))
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("window %d: %v != %v", i, got, want)
 		}
@@ -63,11 +64,11 @@ func TestWriteReadDatasets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != len(d.Failures) {
-		t.Fatalf("restored %d failures, want %d", len(evs), len(d.Failures))
+	if len(evs) != len(d.Source().Events) {
+		t.Fatalf("restored %d failures, want %d", len(evs), len(d.Source().Events))
 	}
 	for i := range evs {
-		a, b := evs[i], d.Failures[i]
+		a, b := evs[i], d.Source().Events[i]
 		if a.Time != b.Time || a.Node != b.Node || a.Slot != b.Slot ||
 			a.Type != b.Type || a.JobID != b.JobID {
 			t.Fatalf("failure %d mismatch: %+v vs %+v", i, a, b)
@@ -298,9 +299,9 @@ func assertRunDataBitEqual(t *testing.T, a, b *RunData) {
 	}
 }
 
-// TestJobSeriesRoundTrip: every job's Σ input power series comes back from
-// the archive's job-series with identical values in every observed window,
-// and an archive without the dataset says so.
+// TestJobSeriesRoundTrip: every job's Σ input power windows come back from
+// the archive's job-series with identical values and no other window, and
+// an archive without the dataset says so.
 func TestJobSeriesRoundTrip(t *testing.T) {
 	d := testData(t)
 	dir := t.TempDir()
@@ -315,28 +316,23 @@ func TestJobSeriesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := 0
-	for i := range d.Jobs {
-		js := &d.Jobs[i]
-		a := &d.Allocations[js.AllocIdx]
-		v, ok := views[a.Job.ID]
-		if len(js.SumPower.Clean()) == 0 {
-			if ok {
-				t.Fatalf("job %d has no observed window but a restored series", a.Job.ID)
-			}
-			continue
-		}
+	windows := map[int64]int{}
+	for _, w := range d.Source().JobWindows {
+		v, ok := views[w.AllocationID]
 		if !ok {
-			t.Fatalf("job %d missing from restore", a.Job.ID)
+			t.Fatalf("job %d missing from restore", w.AllocationID)
 		}
-		restored++
-		for w, orig := range js.SumPower.Vals {
-			if got := v.At(js.SumPower.TimeAt(w)); math.Float64bits(got) != math.Float64bits(orig) {
-				t.Fatalf("job %d window %d: %v != %v", a.Job.ID, w, got, orig)
-			}
+		if got := v.At(w.T); math.Float64bits(got) != math.Float64bits(w.PowerW) {
+			t.Fatalf("job %d window %d: %v != %v", w.AllocationID, w.T, got, w.PowerW)
+		}
+		windows[w.AllocationID]++
+	}
+	for id, v := range views {
+		if n := len(v.Clean()); n != windows[id] {
+			t.Fatalf("job %d restored %d windows, observed %d", id, n, windows[id])
 		}
 	}
-	if restored == 0 {
+	if len(windows) == 0 {
 		t.Fatal("no jobs restored")
 	}
 	if err := os.Remove(filepath.Join(dir, source.DatasetJobSeries+"-day00000.spwr")); err != nil {

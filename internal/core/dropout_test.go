@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/units"
 )
 
@@ -46,17 +47,18 @@ func TestDropoutConfigValidation(t *testing.T) {
 
 func TestDropoutClusterViewDegradesGracefully(t *testing.T) {
 	d := dropoutData(t)
+	power, truePower := runSeries(t, d, source.SeriesClusterPower), runSeries(t, d, source.SeriesClusterTruePower)
 	// Cluster power still has a value every window (losses are per node).
-	clean := d.ClusterPower.Clean()
-	if len(clean) != d.ClusterPower.Len() {
-		t.Errorf("cluster power has %d empty windows", d.ClusterPower.Len()-len(clean))
+	clean := power.Clean()
+	if len(clean) != power.Len() {
+		t.Errorf("cluster power has %d empty windows", power.Len()-len(clean))
 	}
 	// The telemetry view undercounts the truth: sensors read ~11% high,
 	// so with ~15% + dark-cabinet loss the sums drop below bias*truth.
 	var sensorSum, trueSum float64
-	for i := 0; i < d.ClusterPower.Len(); i++ {
-		sensorSum += d.ClusterPower.Vals[i]
-		trueSum += d.ClusterTruePower.Vals[i]
+	for i := 0; i < power.Len(); i++ {
+		sensorSum += power.Vals[i]
+		trueSum += truePower.Vals[i]
 	}
 	ratio := sensorSum / trueSum
 	if ratio > 1.05 || ratio < 0.6 {
@@ -69,7 +71,7 @@ func TestDropoutAnalysesStillRun(t *testing.T) {
 	if _, err := Figure5Trends(d.Source()); err != nil {
 		t.Errorf("trends: %v", err)
 	}
-	recs := BuildJobRecords(d)
+	recs := d.Source().Jobs
 	if len(recs) == 0 {
 		t.Error("no job records under dropout")
 	}
@@ -90,7 +92,7 @@ func TestDropoutAnalysesStillRun(t *testing.T) {
 	for _, r := range rows {
 		meanSum += r.MeanGPUs
 	}
-	total := float64(d.Nodes * units.GPUsPerNode)
+	total := float64(d.Source().RunMeta.Nodes * units.GPUsPerNode)
 	if meanSum >= total {
 		t.Errorf("band mean coverage %v not reduced below %v by dropout", meanSum, total)
 	}

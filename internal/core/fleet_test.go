@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -51,21 +49,10 @@ func TestCollectFleetMatchesSoloRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := runs[i].Data
-			if got.Cluster != cfg.Cluster || got.Site != cfg.Site {
-				t.Fatalf("run %d lost identity: %q/%q", i, got.Cluster, got.Site)
+			if m := got.Source().RunMeta; m.Cluster != cfg.Cluster || m.Site != cfg.Site {
+				t.Fatalf("run %d lost identity: %q/%q", i, m.Cluster, m.Site)
 			}
-			a, b := solo.ClusterPower, got.ClusterPower
-			if a.Len() != b.Len() {
-				t.Fatalf("run %d window counts differ: %d vs %d", i, a.Len(), b.Len())
-			}
-			for w := range a.Vals {
-				if math.Float64bits(a.Vals[w]) != math.Float64bits(b.Vals[w]) {
-					t.Fatalf("run %d window %d: solo %v, fleet %v", i, w, a.Vals[w], b.Vals[w])
-				}
-			}
-			if fmt.Sprintf("%+v", solo.Failures) != fmt.Sprintf("%+v", got.Failures) {
-				t.Fatalf("run %d failure logs differ", i)
-			}
+			assertRunDataBitEqual(t, solo, got)
 		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 // (job, node), with Summit-style hostnames resolved through the floor
 // layout. No archive dataset holds an allocation's node list.
 func WritePerNodeCSV(w io.Writer, d *RunData) error {
-	floor, err := siteFloor(d.Site, d.Nodes)
+	m := d.src.RunMeta
+	floor, err := siteFloor(m.Site, m.Nodes)
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ func TestPerNodeCSV(t *testing.T) {
 		t.Fatalf("lines = %d, want %d (+header)", len(lines), wantRows+1)
 	}
 	// Every hostname must name a node of the floor.
-	floor, err := topology.New(topology.ScaledConfig(d.Nodes))
+	floor, err := topology.New(topology.ScaledConfig(d.Source().RunMeta.Nodes))
 	if err != nil {
 		t.Fatal(err)
 	}

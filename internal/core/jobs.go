@@ -10,38 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// BuildJobRecords reduces every job's series to its summary row (paper
-// Datasets 5–7), the neutral form both data planes serve: RunData.Source
-// serves these rows and WriteDatasets archives them. Jobs whose series hold
-// no observations (entirely outside the run window) are omitted.
-func BuildJobRecords(d *RunData) []source.JobRecord {
-	var out []source.JobRecord
-	for i := range d.Jobs {
-		js := &d.Jobs[i]
-		sum := js.SumPower.Stats()
-		if sum.N == 0 {
-			continue
-		}
-		a := &d.Allocations[js.AllocIdx]
-		out = append(out, source.JobRecord{
-			AllocationID:  a.Job.ID,
-			Class:         int(a.Job.Class),
-			Domain:        int(a.Job.Domain),
-			Nodes:         a.Job.Nodes,
-			BeginTime:     a.StartTime,
-			EndTime:       a.EndTime,
-			MaxPowerW:     sum.Max,
-			MeanPowerW:    sum.Mean(),
-			EnergyJ:       js.SumPower.Integrate(),
-			MeanCPUPowerW: js.MeanCPUPower.Stats().Mean(),
-			MaxCPUPowerW:  js.MaxCPUPower.Stats().Max,
-			MeanGPUPowerW: js.MeanGPUPower.Stats().Mean(),
-			MaxGPUPowerW:  js.MaxGPUPower.Stats().Max,
-		})
-	}
-	return out
-}
-
 // EnergyPowerKDE is one class's joint density of (log10 energy, log10 max
 // power) — paper Figure 6 (the paper plots on log-log axes).
 type EnergyPowerKDE struct {

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/source"
+)
 
 func TestOvercooling(t *testing.T) {
 	d := testData(t)
@@ -31,7 +35,7 @@ func TestOvercooling(t *testing.T) {
 }
 
 func TestOvercoolingErrors(t *testing.T) {
-	if _, err := OvercoolingFromSource((&RunData{}).Source()); err == nil {
+	if _, err := OvercoolingFromSource(&source.MemorySource{}); err == nil {
 		t.Error("empty run data accepted")
 	}
 }

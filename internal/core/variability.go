@@ -103,7 +103,7 @@ func Figure17Variability(src source.RunSource) (*VariabilityReport, error) {
 		return nil, err
 	}
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: %s holds no frames: the run had no job to pick", source.DatasetExemplar)
+		return nil, fmt.Errorf("core: %s holds no frames: the run had no job to pick: %w", source.DatasetExemplar, source.ErrUnavailable)
 	}
 	meta, err := src.Meta()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -64,15 +65,16 @@ func YearSurvey(cfg YearSurveyConfig) ([]MonthlyTrend, error) {
 		if err != nil {
 			return MonthlyTrend{}, err
 		}
+		series := data.Source().SeriesByName
+		power, pue, chiller := series[source.SeriesClusterPower], series[source.SeriesPUE], series[source.SeriesChillerTons]
 		t := MonthlyTrend{
 			Month:   m + 1,
-			Power:   stats.NewBoxPlot(data.ClusterPower.Clean()),
-			EnergyJ: data.ClusterPower.Integrate(),
+			Power:   stats.NewBoxPlot(power.Clean()),
+			EnergyJ: power.Integrate(),
 		}
 		var pueSum, pueMax float64
 		var pueN, chillN, winN float64
-		for i := 0; i < data.PUE.Len(); i++ {
-			u := data.PUE.Vals[i]
+		for i, u := range pue.Vals {
 			if !math.IsNaN(u) {
 				pueSum += u
 				pueN++
@@ -80,7 +82,7 @@ func YearSurvey(cfg YearSurveyConfig) ([]MonthlyTrend, error) {
 					pueMax = u
 				}
 			}
-			if c := data.ChillerTons.Vals[i]; !math.IsNaN(c) {
+			if c := chiller.Vals[i]; !math.IsNaN(c) {
 				winN++
 				if c > 1 {
 					chillN++
@@ -94,7 +96,7 @@ func YearSurvey(cfg YearSurveyConfig) ([]MonthlyTrend, error) {
 		if winN > 0 {
 			t.ChillerFrac = chillN / winN
 		}
-		t.WetBulbMean = stats.Mean(data.WetBulbC.Clean())
+		t.WetBulbMean = stats.Mean(series[source.SeriesWetBulbC].Clean())
 		return t, nil
 	})
 	if err != nil {

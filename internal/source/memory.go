@@ -8,8 +8,8 @@ import (
 )
 
 // MemorySource is the live plane: a RunSource over series and records
-// already resident in memory. internal/core builds one from collected
-// RunData (see RunData.Source); tests may also assemble one by hand.
+// already resident in memory. internal/core's collector fills one window
+// by window (see RunData.Source); tests may also assemble one by hand.
 //
 // The struct is populated once and then treated as immutable, which makes
 // it trivially safe for concurrent readers.

@@ -112,8 +112,7 @@ func TestBatchStreamParity(t *testing.T) {
 	col.SetFailures(res.Failures)
 	pipe.Close()
 
-	d := col.Data()
-	src := d.Source()
+	src := col.Data().Source()
 	snap := pipe.Snapshot()
 
 	// The parity claim assumes lossless streaming; anything dropped would
@@ -124,21 +123,22 @@ func TestBatchStreamParity(t *testing.T) {
 
 	// --- Rollups: fleet bit-equals the cluster sensor series; MSB sums
 	// bit-equal the offline per-MSB summation; cabinets match the oracle.
-	windows := d.ClusterPower.Len()
+	power := src.SeriesByName[source.SeriesClusterPower]
+	windows := power.Len()
 	if len(snap.Rollup.Recent) != windows {
 		t.Fatalf("stream finalized %d windows, offline has %d", len(snap.Rollup.Recent), windows)
 	}
 	for k, w := range snap.Rollup.Recent {
-		if w.T != d.ClusterPower.TimeAt(k) {
-			t.Fatalf("window %d: stream t=%d, offline t=%d", k, w.T, d.ClusterPower.TimeAt(k))
+		if w.T != power.TimeAt(k) {
+			t.Fatalf("window %d: stream t=%d, offline t=%d", k, w.T, power.TimeAt(k))
 		}
-		if !eqBits(w.FleetW, d.ClusterPower.Vals[k]) {
-			t.Errorf("window %d fleet: stream %v, offline %v", k, w.FleetW, d.ClusterPower.Vals[k])
+		if !eqBits(w.FleetW, power.Vals[k]) {
+			t.Errorf("window %d fleet: stream %v, offline %v", k, w.FleetW, power.Vals[k])
 		}
 		for m := range w.MSBW {
-			if !eqBits(w.MSBW[m], d.MSBSensorSum[m].Vals[k]) {
+			if !eqBits(w.MSBW[m], src.SeriesByName[source.MSBSumSeriesName(m)].Vals[k]) {
 				t.Errorf("window %d MSB %d: stream %v, offline %v",
-					k, m, w.MSBW[m], d.MSBSensorSum[m].Vals[k])
+					k, m, w.MSBW[m], src.SeriesByName[source.MSBSumSeriesName(m)].Vals[k])
 			}
 		}
 		for c := range w.CabinetW {
@@ -151,10 +151,6 @@ func TestBatchStreamParity(t *testing.T) {
 
 	// --- Edges.
 	meta, err := src.Meta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	power, err := src.Series(source.SeriesClusterPower)
 	if err != nil {
 		t.Fatal(err)
 	}

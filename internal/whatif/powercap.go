@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -74,7 +75,9 @@ func PowerCapExperiment(base sim.Config, capFracs []float64) ([]PowerCapOutcome,
 
 // capOutcome reduces one arm's run to its outcome.
 func capOutcome(cfg sim.Config, d *core.RunData, res *sim.Result) (PowerCapOutcome, error) {
-	power := d.ClusterTruePower.Clean()
+	series := d.Source().SeriesByName
+	truePower := series[source.SeriesClusterTruePower]
+	power := truePower.Clean()
 	if len(power) == 0 {
 		return PowerCapOutcome{}, fmt.Errorf("whatif: cap arm produced no power data")
 	}
@@ -87,9 +90,9 @@ func capOutcome(cfg sim.Config, d *core.RunData, res *sim.Result) (PowerCapOutco
 		JobsPlaced:  len(res.Allocations),
 		JobsSkipped: res.Skipped,
 		Utilization: res.Utilization,
-		EdgeCount:   len(core.DetectEdgesThreshold(d.ClusterTruePower, core.ScaleEquivalentMW(cfg.Nodes))),
+		EdgeCount:   len(core.DetectEdgesThreshold(truePower, core.ScaleEquivalentMW(cfg.Nodes))),
 	}
-	if pue := d.PUE.Clean(); len(pue) > 0 {
+	if pue := series[source.SeriesPUE].Clean(); len(pue) > 0 {
 		if out.MeanPUE = stats.Mean(pue); math.IsNaN(out.MeanPUE) {
 			out.MeanPUE = 0
 		}
