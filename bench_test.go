@@ -454,7 +454,7 @@ const (
 
 // queryBenchArchive writes one shared node-power archive (4 days, 36 nodes,
 // 60 s cadence ≈ 207k rows) through the collector's own writer,
-// source.WriteNodeDay: seven columns in day partitions under the collector's
+// source.NodeDayWriter: seven columns in day partitions under the collector's
 // codec plus the Gorilla-encoded pre-aggregate companion, so the benchmarks
 // exercise the same decode work a summitsim archive would. A stub
 // cluster-power day and the run-meta record commit it.
@@ -482,15 +482,19 @@ func writeQueryBenchArchive(dir string) error {
 	if err != nil {
 		return err
 	}
+	w := source.NewNodeDayWriter(dir, queryBenchNodes, floor)
 	for day := 0; day < queryBenchDays; day++ {
-		var rows source.NodeRows
 		for tm := int64(day) * 86400; tm < int64(day+1)*86400; tm += queryBenchStep {
-			for n := 0; n < queryBenchNodes; n++ {
+			rows := make([]source.NodeWindow, queryBenchNodes)
+			for n := range rows {
 				v := 2000 + 10*float64(n) + float64(tm%3600)*0.01
-				rows.Append(n, tsagg.WindowStat{T: tm, Count: 6, Min: v - 1, Max: v + 1, Mean: v, Std: 0.5})
+				rows[n] = source.NodeWindow{Node: int64(n), Stat: tsagg.WindowStat{T: tm, Count: 6, Min: v - 1, Max: v + 1, Mean: v, Std: 0.5}}
+			}
+			if err := w.Append(rows); err != nil {
+				return err
 			}
 		}
-		if err := source.WriteNodeDay(dir, day, &rows, floor); err != nil {
+		if err := w.Commit(day); err != nil {
 			return err
 		}
 	}
@@ -592,17 +596,20 @@ func BenchmarkQueryRollupScan(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteNodeDay measures the collector's day flush: one simulated
-// 64-node day at the 10 s cadence (553k rows, the shape summitsim -nodedata
-// flushes) through source.WriteNodeDay — the base partition's delta +
-// deflate, the rollup fold and the Gorilla companion. The buffer is rebuilt
-// off the clock every iteration, so the same benchmark runs on commits whose
-// WriteNodeDay consumed it.
+// BenchmarkWriteNodeDay measures the collector's node-power day: one
+// simulated 64-node day at the 10 s cadence (553k rows, the shape summitsim
+// -nodedata writes) fed to a source.NodeDayWriter in the collector's blocks
+// of 1<<14 rows, then committed — the base partition's delta + deflate, the
+// rollup fold and the Gorilla companion.
 func BenchmarkWriteNodeDay(b *testing.B) {
-	const nodes = 64
-	var day []tsagg.WindowStat
+	const nodes, block = 64, 1 << 14
+	var day []source.NodeWindow
 	_, _, err := core.CollectRun(ScaledConfig(nodes, 24*time.Hour), func(*sim.Sim) (sim.Observer, error) {
-		return sim.ObserverFunc(func(s *sim.Snapshot) { day = append(day, s.NodeStat...) }), nil
+		return sim.ObserverFunc(func(s *sim.Snapshot) {
+			for n, st := range s.NodeStat {
+				day = append(day, source.NodeWindow{Node: int64(n), Stat: st})
+			}
+		}), nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -618,13 +625,13 @@ func BenchmarkWriteNodeDay(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		var rows source.NodeRows
-		for r, st := range day {
-			rows.Append(r%nodes, st)
+		w := source.NewNodeDayWriter(dir, nodes, floor)
+		for j := 0; j < len(day); j += block {
+			if err := w.Append(day[j:min(j+block, len(day))]); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.StartTimer()
-		if err := source.WriteNodeDay(dir, 0, &rows, floor); err != nil {
+		if err := w.Commit(0); err != nil {
 			b.Fatal(err)
 		}
 	}

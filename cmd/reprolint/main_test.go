@@ -110,7 +110,6 @@ var keptUncalled = map[string]string{
 	"(*telemetry.Server).Frames":   oracle + "the transport tests' frame counts",
 
 	// A test convenience.
-	"store.Write":                        convenience + "one table to a stream, no dataset",
 	"store.Read":                         convenience + "one table from a stream, no dataset",
 	"(*store.Dataset).WriteDay":          convenience + "a test fixture's day at the default codec",
 	"stream.NewWindowCoarsener":          convenience + "a coarsener outside a pipeline",

@@ -22,76 +22,81 @@ func WriteDatasets(dir string, d *RunData, also ...func() error) error {
 const DatasetNodePower = source.DatasetNodePower
 
 // NodeDatasetWriter is a sim.Observer that archives per-node input-power
-// window statistics day by day — the Dataset 0 equivalent. It only buffers
-// the day's rows; source.WriteNodeDay writes each day as one file, the day
-// partition followed by its pre-aggregate companion, which the query tier
-// answers aligned rollups from without scanning a single per-node row.
+// window statistics — the Dataset 0 equivalent — through a
+// source.NodeDayWriter: one file per day, the day partition followed by the
+// pre-aggregate companion the query tier answers aligned rollups from.
 //
-// A finished day is flushed while the simulation runs on into the next: one
-// flush is in flight at most, over two day buffers that swap at midnight (the
-// second sized by the first day, so neither grows again), and a midnight
-// waits for the flush of the day before. The first flush error stops every
-// later write and is what Close returns. Close must be called: it alone
-// waits for the last flush.
+// Rows are encoded while the simulation runs on: one flush is in flight at
+// most, over two buffers of nodeBlockRows rows that swap when one fills, and
+// a midnight's flush commits the day. The first flush error stops every later
+// write and is what Close returns. Close must be called: it alone waits for
+// the last flush and commits the last day.
 type NodeDatasetWriter struct {
-	dir    string
-	floor  *topology.Floor // nil: no pre-aggregate companion
+	days   *source.NodeDayWriter
 	day    int
-	dayEnd int64 // 0: nothing observed yet
-	rows   *source.NodeRows
-	spare  *source.NodeRows // the other day buffer, being flushed while flushed != nil
+	dayEnd int64               // 0: nothing observed yet
+	rows   []source.NodeWindow // the buffer being filled
+	spare  []source.NodeWindow // the other buffer, being flushed while flushed != nil
 	// flushed delivers the result of the flush in flight; nil when none is.
 	flushed chan error
 	err     error
 }
 
+// nodeBlockRows is the size of a NodeDatasetWriter buffer.
+const nodeBlockRows = 1 << 14
+
 // NewNodeDatasetWriter archives into dir. site selects the floor preset the
 // cluster instantiates ("" = summit), whose cabinet/switchboard geometry the
-// pre-aggregate companion follows; nodes <= 0 disables the companion.
+// pre-aggregate companion follows; nodes <= 0 disables the companion and the
+// stride.
 func NewNodeDatasetWriter(dir string, nodes int, site string) (*NodeDatasetWriter, error) {
-	w := &NodeDatasetWriter{dir: dir, rows: new(source.NodeRows), spare: new(source.NodeRows)}
+	var floor *topology.Floor
 	if nodes > 0 {
-		floor, err := siteFloor(site, nodes)
-		if err != nil {
+		var err error
+		if floor, err = siteFloor(site, nodes); err != nil {
 			return nil, fmt.Errorf("core: node dataset pre-aggregates: %w", err)
 		}
-		w.floor = floor
 	}
-	return w, nil
+	return &NodeDatasetWriter{
+		days: source.NewNodeDayWriter(dir, nodes, floor),
+		rows: make([]source.NodeWindow, 0, nodeBlockRows), spare: make([]source.NodeWindow, 0, nodeBlockRows),
+	}, nil
 }
 
 // Observe implements sim.Observer.
 func (w *NodeDatasetWriter) Observe(snap *sim.Snapshot) {
-	if w.err != nil {
-		return
-	}
 	if w.dayEnd == 0 {
 		w.dayEnd = snap.T + 86400
 	}
-	if snap.T >= w.dayEnd {
-		if w.flush(); w.err != nil {
-			return
-		}
+	if snap.T >= w.dayEnd && w.err == nil {
+		w.flush(true)
 		w.day++
 		w.dayEnd += 86400
 	}
-	for i := range snap.NodeStat {
-		w.rows.Append(i, snap.NodeStat[i])
+	for i := 0; i < len(snap.NodeStat) && w.err == nil; i++ {
+		if len(w.rows) == cap(w.rows) {
+			w.flush(false)
+		}
+		w.rows = append(w.rows, source.NodeWindow{Node: int64(i), Stat: snap.NodeStat[i]})
 	}
 }
 
-// flush hands the buffered day to a flush of its own and swaps in the other
-// buffer, once the flush that was reading that one is done.
-func (w *NodeDatasetWriter) flush() {
+// flush hands the full buffer — with commit, its day's last rows — to a flush
+// of its own and swaps in the other buffer, once the flush that was reading
+// that one is done.
+func (w *NodeDatasetWriter) flush(commit bool) {
 	if w.wait(); w.err != nil {
 		return
 	}
-	day, full := w.day, w.rows
-	w.rows, w.spare = w.spare, full
-	w.rows.Reset(full.Len())
+	day, block := w.day, w.rows
+	w.rows, w.spare = w.spare[:0], block
 	w.flushed = make(chan error, 1)
 	go func(done chan<- error) {
-		done <- source.WriteNodeDay(w.dir, day, full, w.floor)
+		err := w.days.Append(block)
+		if err == nil && commit {
+			err = w.days.Commit(day)
+		}
+		done <- err
 	}(w.flushed)
 }
 
@@ -106,12 +111,14 @@ func (w *NodeDatasetWriter) wait() {
 	w.flushed = nil
 }
 
-// Close writes the final partition once the flush before it is done, and
-// reports the first error of any flush.
+// Close commits the last day once the flush before it is done, and reports
+// the first error of any flush.
 func (w *NodeDatasetWriter) Close() error {
 	if w.wait(); w.err == nil {
-		w.err = source.WriteNodeDay(w.dir, w.day, w.rows, w.floor)
-		w.rows.Reset(0)
+		if w.err = w.days.Append(w.rows); w.err == nil {
+			w.err = w.days.Commit(w.day)
+		}
+		w.rows = w.rows[:0]
 	}
 	return w.err
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -124,5 +125,39 @@ func TestDarkCabinetFullyAbsent(t *testing.T) {
 	}
 	if reported != 0 {
 		t.Errorf("dark cabinet reported %d node-windows, want 0", reported)
+	}
+}
+
+// TestOneCabinetFloorKeepsItsTelemetry: a floor of one cabinet has no dark
+// cabinet — darkening its only one would leave the run without telemetry,
+// cluster power reading 0 W in every window and no job observed. A 36-node
+// frontier run (one cabinet) at 5 % loss archives job records and a finite,
+// positive cluster power in every window.
+func TestOneCabinetFloorKeepsItsTelemetry(t *testing.T) {
+	cfg := sim.Scaled(36, 8640)
+	cfg.Site, cfg.TelemetryLossFrac = topology.SiteFrontier, 0.05
+	d, _, err := CollectRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := WriteDatasets(dir, d); err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs, err := src.JobRecords(); err != nil || len(jobs) == 0 {
+		t.Errorf("%d job records archived (%v), want some", len(jobs), err)
+	}
+	power, err := src.Series(source.SeriesClusterPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range power.Vals {
+		if !(v > 0) || math.IsInf(v, 0) {
+			t.Fatalf("window %d of %d: cluster power %v W, want finite and positive", i, power.Len(), v)
+		}
 	}
 }

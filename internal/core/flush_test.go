@@ -277,7 +277,7 @@ func flushGoroutines() int {
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "source.WriteNodeDay") || strings.Contains(g, "source.writeNodeRollup") {
+		if strings.Contains(g, "(*NodeDatasetWriter).flush") || strings.Contains(g, "source.(*NodeDayWriter)") {
 			n++
 		}
 	}
@@ -326,4 +326,41 @@ func TestCollectRunClosesEveryObserver(t *testing.T) {
 	if _, _, err := CollectRun(cfg, ok.attach); err != nil || ok.closed != 1 {
 		t.Errorf("clean run: error %v, closed %d times", err, ok.closed)
 	}
+}
+
+// TestNodeWriterHoldsNoDayOfRows: a 64-node day at the 10 s cadence is 553k
+// rows, a 31 MB day table. Once it is observed the writer holds its two
+// buffers of rows, its compressors and the day's compressed columns: less
+// than one day table.
+func TestNodeWriterHoldsNoDayOfRows(t *testing.T) {
+	const nodes, windows, t0 = 64, 8640, int64(1_577_836_800)
+	w, err := NewNodeDatasetWriter(t.TempDir(), nodes, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	snap := &sim.Snapshot{NodeStat: make([]tsagg.WindowStat, nodes)}
+	before := heap()
+	for k := 0; k < windows; k++ {
+		snap.T = t0 + int64(k)*10
+		for n := range snap.NodeStat {
+			v := math.Round(4*(400+150*math.Sin(float64(k)/300+float64(n)))+float64((k*31+n*17)%97)) / 4
+			snap.NodeStat[n] = tsagg.WindowStat{T: snap.T, Count: 10, Min: v - 9, Max: v + 11, Mean: v, Std: 2 + v/1e3}
+		}
+		w.Observe(snap)
+	}
+	w.wait()
+	held, dayTable := int64(heap())-int64(before), int64(nodes*windows*7*8)
+	if held >= dayTable {
+		t.Errorf("after a day of rows the writer holds %d bytes, a day table is %d", held, dayTable)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("held %.1f MB of a %.1f MB day table", float64(held)/1e6, float64(dayTable)/1e6)
 }

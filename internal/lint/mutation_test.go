@@ -77,7 +77,7 @@ func mutations() []mutation {
 		// Neither store nor tsagg is on the swept list: only the archive
 		// writer's roots, through the call graph, reach these two.
 		mutation{name: "clock in store.WriteCodec", pkg: "repro/internal/store", file: "columnar.go", imp: "time",
-			with: []string{"repro/internal/source"}, want: "determinism", wantMsg: "reachable from determinism root source.WriteNodeDay"}.
+			with: []string{"repro/internal/source"}, want: "determinism", wantMsg: "reachable from determinism root (*source.NodeDayWriter).Commit"}.
 			after("func WriteCodec(w io.Writer, t *Table, codec Codec) error {", probeClock),
 		mutation{name: "clock in tsagg.NewSeries", pkg: "repro/internal/tsagg", file: "series.go", imp: "time",
 			with: []string{"repro/internal/source"}, want: "determinism", wantMsg: "reachable from determinism root"}.

@@ -72,9 +72,12 @@ func writeCompanions(t testing.TB, dir string, legacy bool) {
 }
 
 // appendCompanion re-writes one day of base as tab followed by the
-// companion comp, the way source.WriteNodeDay writes a day with a floor.
+// companion comp, the way source.NodeDayWriter writes a day with a floor.
 func appendCompanion(base *store.Dataset, day int, tab, comp *store.Table) error {
-	return base.WriteDayCompanion(day, tab, store.CodecDelta, func(w io.Writer) error {
+	return base.WriteDayFunc(day, func(w io.Writer) error {
+		if err := store.WriteCodec(w, tab, store.CodecDelta); err != nil {
+			return err
+		}
 		return store.WriteCodec(w, comp, store.CodecGorilla)
 	})
 }
@@ -415,14 +418,18 @@ func TestFleetRangePreaggRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeDay := func(day int, shift float64, floor *topology.Floor) {
-		var rows source.NodeRows
+		w := source.NewNodeDayWriter(stale, fixNodes, floor)
+		var rows []source.NodeWindow
 		for tm := int64(day) * daySec; tm < int64(day+1)*daySec; tm += source.RollupStepSec {
 			for n := 0; n < fixNodes; n++ {
 				v := fixPower(int64(n), tm) + shift
-				rows.Append(n, tsagg.WindowStat{T: tm, Count: 60, Min: v - 1, Max: v + 2, Mean: v, Std: 0.5})
+				rows = append(rows, source.NodeWindow{Node: int64(n), Stat: tsagg.WindowStat{T: tm, Count: 60, Min: v - 1, Max: v + 2, Mean: v, Std: 0.5}})
 			}
 		}
-		if err := source.WriteNodeDay(stale, day, &rows, floor); err != nil {
+		if err := w.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(day); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -133,7 +133,7 @@ func refRun(t *testing.T, cfg Config) ([]*Snapshot, *Result) {
 	step := float64(cfg.StepSec) / float64(sub)
 	invSub := 1 / float64(sub)
 	darkCab := -1
-	if s.floor.Cabinets() > 0 {
+	if s.floor.Cabinets() > 1 {
 		darkCab = int(cfg.Seed) % s.floor.Cabinets()
 	}
 	var rec []*Snapshot

@@ -1154,9 +1154,10 @@ func lossMix(z uint64) uint64 {
 }
 
 // darkCabinet returns the index of the fully-dark cabinet (the "bright
-// green cabinet"): a fixed mid-floor cabinet derived from the seed.
+// green cabinet"): a fixed mid-floor cabinet derived from the seed. A floor
+// of one cabinet keeps it: darkening it would leave no telemetry at all.
 func (s *Sim) darkCabinet() int {
-	if s.floor.Cabinets() == 0 {
+	if s.floor.Cabinets() < 2 {
 		return -1
 	}
 	return int(s.cfg.Seed) % s.floor.Cabinets()

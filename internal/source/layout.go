@@ -19,7 +19,7 @@ import (
 
 // The archive layout: every dataset's name, columns, column order, row type
 // and codec is decided in this file and nowhere else (DESIGN.md §4 is this
-// file as a table). WriteArchive and WriteNodeDay are the only writers,
+// file as a table). WriteArchive and NodeDayWriter are the only writers,
 // ArchiveSource the reader, and each row dataset goes both ways through one
 // schema function. What a partition file is called is internal/store's.
 
@@ -267,135 +267,120 @@ func gpuSampleSchema(c *rowCodec, r *GPUSample) {
 	bindFloat(c, "gpu_core_temp", &r.TempC)
 }
 
-// nodeWindow is one node-power row: a node's input-power statistics over
+// NodeWindow is one node-power row: a node's input-power statistics over
 // one coarsening window.
-type nodeWindow struct {
-	node int64
-	st   tsagg.WindowStat
+type NodeWindow struct {
+	Node int64
+	Stat tsagg.WindowStat
 }
 
 // nodeSchema is the node-power dataset: the (timestamp, node) axes, then the
 // value columns.
-func nodeSchema(c *rowCodec, r *nodeWindow) {
-	bindInt(c, colTimestamp, &r.st.T)
-	bindInt(c, "node", &r.node)
-	bindInt(c, "input_power.count", &r.st.Count)
-	bindFloat(c, "input_power.min", &r.st.Min)
-	bindFloat(c, "input_power.max", &r.st.Max)
-	bindFloat(c, "input_power.mean", &r.st.Mean)
-	bindFloat(c, "input_power.std", &r.st.Std)
+func nodeSchema(c *rowCodec, r *NodeWindow) {
+	bindInt(c, colTimestamp, &r.Stat.T)
+	bindInt(c, "node", &r.Node)
+	bindInt(c, "input_power.count", &r.Stat.Count)
+	bindFloat(c, "input_power.min", &r.Stat.Min)
+	bindFloat(c, "input_power.max", &r.Stat.Max)
+	bindFloat(c, "input_power.mean", &r.Stat.Mean)
+	bindFloat(c, "input_power.std", &r.Stat.Std)
 }
 
 // NodeRollupCols lists the node-power columns pre-aggregated into the rollup
 // companion: every value column (the count widened to float, as a scan reads it).
 var NodeRollupCols = columnNames(nodeSchema)[nodeAxes:]
 
-// NodeRows buffers one day of node-power rows column-wise, in file order.
-// The zero value is an empty buffer.
-type NodeRows struct{ c *rowCodec }
-
-// Append adds one node's statistics for one window.
-func (b *NodeRows) Append(node int, st tsagg.WindowStat) {
-	if b.c == nil {
-		b.c = declare(nodeSchema)
-	}
-	b.c.k = 0
-	nodeSchema(b.c, &nodeWindow{node: int64(node), st: st})
+// NodeDayWriter writes the node-power dataset as its rows arrive, in (time,
+// node) order, one row per node per window. Append encodes them into the
+// open day's base partition and folds the same rows, in the same order, into
+// its pre-aggregate companion — what makes a rollup answered from the
+// companion bit-identical to one scanned from the base. Commit writes the day
+// as one file, base then companion, through one .tmp and a rename: a day
+// re-written without a floor takes its old companion with it. This is the
+// one place the pair's codecs are chosen: CodecDeltaFast for the base, its
+// float columns strided by the node count so each value is XORed with the
+// same node's one window earlier, and Gorilla for the tiny, cold-read
+// companion. It holds a day's compressed columns, never its rows.
+type NodeDayWriter struct {
+	dir   string
+	floor *topology.Floor        // nil: no companion
+	block *rowCodec              // one Append's rows as columns, and the day's declaration
+	base  *store.PartitionWriter // nil: no day open
+	red   *RollupReducer
 }
 
-// Len returns the number of buffered rows.
-func (b *NodeRows) Len() int {
-	if b.c == nil {
-		return 0
-	}
-	return b.c.cols[0].Len()
-}
-
-// Reset empties the buffer for another day, keeping its columns' storage when
-// that holds capacity rows and allocating exactly that otherwise — a day
-// buffer that is recycled never grows.
-func (b *NodeRows) Reset(capacity int) {
-	if b.c == nil {
-		b.c = declare(nodeSchema)
-	}
-	for k := range b.c.cols {
-		if col := &b.c.cols[k]; col.IsInt() {
-			col.Ints = emptied(col.Ints, capacity)
-		} else {
-			col.Floats = emptied(col.Floats, capacity)
+// NewNodeDayWriter writes into dir the node-power days of a run of nodes
+// nodes; with a floor each day carries its companion.
+func NewNodeDayWriter(dir string, nodes int, floor *topology.Floor) *NodeDayWriter {
+	w := &NodeDayWriter{dir: dir, floor: floor, block: declare(nodeSchema)}
+	for k := range w.block.cols {
+		if !w.block.cols[k].IsInt() && nodes <= store.MaxStride { // else the previous row, as before strides
+			w.block.cols[k].Stride = max(nodes, 0)
 		}
 	}
+	return w
 }
 
-func emptied[T any](s []T, capacity int) []T {
-	if cap(s) < capacity {
-		return make([]T, 0, capacity)
-	}
-	return s[:0]
-}
-
-// WriteNodeDay writes the buffered rows as one day of the node-power dataset
-// (an empty buffer writes nothing); the buffer is only read, and is the
-// caller's to Reset once WriteNodeDay returns. With a floor the day's file
-// also carries its pre-aggregate companion, folded from the same rows in
-// day-table order — which is what makes a rollup answered from the companion
-// bit-identical to one scanned from the base. This is the one place the pair
-// is written and its codecs chosen: CodecDeltaFast for the base, its float
-// columns strided by the rows of one window so each value is XORed with the
-// same node's one window earlier, and Gorilla for the tiny, cold-read
-// companion, which is folded and encoded while the base deflates and then
-// appended to it. One file and one rename: a day re-written without a floor
-// takes its old companion with it.
+// Append encodes rows as the next rows of the open day, opening one if none
+// is open; no rows open nothing.
 //
 //lint:detroot
-func WriteNodeDay(dir string, day int, rows *NodeRows, floor *topology.Floor) error {
-	if rows.Len() == 0 {
+func (w *NodeDayWriter) Append(rows []NodeWindow) (err error) {
+	if len(rows) == 0 {
 		return nil
 	}
-	tab := &store.Table{Cols: slices.Clone(rows.c.cols)}
-	if stride := windowRows(tab.Cols[0].Ints); stride <= store.MaxStride {
-		for k := range tab.Cols {
-			if !tab.Cols[k].IsInt() {
-				tab.Cols[k].Stride = stride
-			}
+	c := w.block
+	if w.base == nil {
+		if w.base, err = store.NewPartitionWriter(store.CodecDeltaFast, c.cols); err != nil {
+			return err
+		}
+		if w.floor != nil {
+			w.red = NewRollupReducer(w.floor, NodeRollupCols)
 		}
 	}
-	var companion func(io.Writer) error
-	if floor != nil {
-		companion = func(w io.Writer) error { return writeNodeRollup(w, tab, floor) }
+	for k := range c.cols {
+		col := &c.cols[k]
+		col.Ints, col.Floats = col.Ints[:0], col.Floats[:0]
 	}
-	return dataset(dir, DatasetNodePower).WriteDayCompanion(day, tab, store.CodecDeltaFast, companion)
-}
-
-// windowRows is how many of the (time, node)-ordered rows share the first
-// row's timestamp: the nodes of one window, so the value that many rows back
-// is the same node's one window earlier.
-func windowRows(ts []int64) int {
-	n := 1
-	for n < len(ts) && ts[n] == ts[0] {
-		n++
+	for i := range rows {
+		c.k = 0
+		nodeSchema(c, &rows[i])
 	}
-	return n
-}
-
-// writeNodeRollup folds one node-power day table into its companion partition.
-func writeNodeRollup(w io.Writer, tab *store.Table, floor *topology.Floor) error {
-	red := NewRollupReducer(floor, NodeRollupCols)
-	ts, node, stat := tab.Cols[0].Ints, tab.Cols[1].Ints, tab.Cols[nodeAxes:]
-	vals := make([]float64, len(stat))
-	for i := range ts {
-		for c := range stat {
-			if stat[c].IsInt() {
-				vals[c] = float64(stat[c].Ints[i])
+	if err := w.base.Append(&store.Table{Cols: c.cols}); err != nil || w.red == nil {
+		return err
+	}
+	stat, vals := c.cols[nodeAxes:], make([]float64, len(NodeRollupCols))
+	for i := range rows {
+		for k := range stat {
+			if stat[k].IsInt() {
+				vals[k] = float64(stat[k].Ints[i])
 			} else {
-				vals[c] = stat[c].Floats[i]
+				vals[k] = stat[k].Floats[i]
 			}
 		}
-		if err := red.Add(ts[i], node[i], vals); err != nil {
+		if err := w.red.Add(rows[i].Stat.T, rows[i].Node, vals); err != nil {
+			w.base = nil // a base its companion does not match is never committed
 			return err
 		}
 	}
-	return store.WriteCodec(w, red.Table(), store.CodecGorilla)
+	return nil
+}
+
+// Commit writes the open day as day of the dataset and closes it, whether or
+// not that succeeds; with no day open it writes nothing.
+//
+//lint:detroot
+func (w *NodeDayWriter) Commit(day int) error {
+	base, red := w.base, w.red
+	if w.base, w.red = nil, nil; base == nil {
+		return nil
+	}
+	return dataset(w.dir, DatasetNodePower).WriteDayFunc(day, func(f io.Writer) error {
+		if err := base.Close(f); err != nil || red == nil {
+			return err
+		}
+		return store.WriteCodec(f, red.Table(), store.CodecGorilla)
+	})
 }
 
 // RunDatasets names every dataset a run archives beside its run-meta: the

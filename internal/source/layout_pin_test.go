@@ -121,8 +121,8 @@ func TestArchiveLayoutPin(t *testing.T) {
 
 // TestArchiveLayoutPinUnderLoss freezes the pinned member with 5 % of its
 // node-windows lost, on the summit floor: two 18-node cabinets, one of them
-// dark (a 36-node frontier floor is one cabinet, which the dark cabinet
-// would blank whole, leaving no job a window). The collector's cluster
+// dark (a 36-node frontier floor is one cabinet, which is never darkened:
+// there would be no telemetry left). The collector's cluster
 // sums, job records and per-job windows must skip exactly the node-windows
 // the telemetry lost. The literals were recorded before the collector wrote
 // its run straight into the memory source; never regenerate them for a

@@ -54,14 +54,18 @@ func writeNodeDays(t *testing.T, dir string, days int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := source.NewNodeDayWriter(dir, 36, floor)
 	for day := 0; day < days; day++ {
-		var rows source.NodeRows
-		for w := int64(0); w < 144; w++ {
-			for n := 0; n < 36; n++ {
-				rows.Append(n, tsagg.WindowStat{T: 1_577_836_800 + int64(day)*86400 + w*600, Count: 2, Min: 1, Max: 3, Mean: 2, Std: 1})
+		for win := int64(0); win < 144; win++ {
+			rows := make([]source.NodeWindow, 36)
+			for n := range rows {
+				rows[n] = source.NodeWindow{Node: int64(n), Stat: tsagg.WindowStat{T: 1_577_836_800 + int64(day)*86400 + win*600, Count: 2, Min: 1, Max: 3, Mean: 2, Std: 1}}
+			}
+			if err := w.Append(rows); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err := source.WriteNodeDay(dir, day, &rows, floor); err != nil {
+		if err := w.Commit(day); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,12 +346,16 @@ func TestSchemaRoundTripEdgeRows(t *testing.T) {
 			if err := source.WriteArchive(dir, run); err != nil {
 				t.Fatal(err)
 			}
-			var rows source.NodeRows
+			var rows []source.NodeWindow
 			for _, st := range tc.node {
-				rows.Append(7, st)
+				rows = append(rows, source.NodeWindow{Node: 7, Stat: st})
 			}
 			// No floor: the reducer (rightly) has no accumulator for a NaN row.
-			if err := source.WriteNodeDay(dir, 0, &rows, nil); err != nil {
+			w := source.NewNodeDayWriter(dir, 1, nil)
+			if err := w.Append(rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Commit(0); err != nil {
 				t.Fatal(err)
 			}
 			src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})

@@ -18,7 +18,7 @@
 // log — job records, failures, the scheduler's allocations, the per-job
 // power series and Figure 17's exemplar frames — has one accessor. The
 // per-node node-power dataset is not a RunSource accessor: this package
-// writes it (WriteNodeDay) and the query tier's engine serves it.
+// writes it (NodeDayWriter) and the query tier's engine serves it.
 package source
 
 import (

@@ -6,9 +6,8 @@
 package store
 
 import (
-	"bufio"
 	"compress/gzip"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -71,7 +70,8 @@ func (t *Table) Col(name string) *Column {
 	return nil
 }
 
-// Validate checks that all columns have equal length and unique names.
+// Validate checks that all columns have equal length and unique names, and
+// that only a float column names a stride, at most MaxStride.
 func (t *Table) Validate() error {
 	seen := map[string]bool{}
 	for i := range t.Cols {
@@ -96,9 +96,8 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("store: column %q has %d rows, want %d",
 				c.Name, c.Len(), t.NumRows())
 		}
-		if c.Stride < 0 || c.Stride > 1 && (c.IsInt() || c.IsStr() || c.Stride > min(t.NumRows(), MaxStride)) {
-			return fmt.Errorf("store: column %q: stride %d is not a float column's 1..min(%d rows, %d)",
-				c.Name, c.Stride, t.NumRows(), MaxStride)
+		if c.Stride < 0 || c.Stride > 1 && (c.IsInt() || c.IsStr() || c.Stride > MaxStride) {
+			return fmt.Errorf("store: column %q: stride %d is not a float column's 1..%d", c.Name, c.Stride, MaxStride)
 		}
 	}
 	return nil
@@ -138,8 +137,8 @@ const (
 const MaxStride = 1 << 16
 
 // Codec selects the column encoding and compression level. The default
-// (CodecDelta) is what the pipeline uses; the others exist for the
-// compression ablation benchmarks and for interoperability tests.
+// (CodecDelta) is what the pipeline uses. CodecRaw and CodecRawStore are
+// read, never written: partitions of builds that wrote them still decode.
 type Codec uint8
 
 // Codecs.
@@ -148,14 +147,14 @@ const (
 	// Column.Stride rows back (by default the previous row) + uvarint,
 	// default gzip. The production choice for every dataset but node-power.
 	CodecDelta Codec = iota
-	// CodecRaw: fixed-width little-endian values, default gzip.
+	// CodecRaw: fixed-width little-endian values, default gzip (read only).
 	CodecRaw
 	// CodecDeltaFast: delta/XOR encoding with gzip.BestSpeed. node-power's
 	// choice, with its float columns strided by the node count: the
 	// same-node XOR leaves deflate little to find at level 6 that level 1
 	// misses.
 	CodecDeltaFast
-	// CodecRawStore: fixed-width values, gzip store mode (no compression).
+	// CodecRawStore: fixed-width values, gzip store mode (read only).
 	CodecRawStore
 	// CodecGorilla: ints delta-of-delta + zigzag + uvarint, floats Gorilla
 	// XOR with leading/trailing-zero windows (bit-packed), gzip store mode —
@@ -173,86 +172,257 @@ func (c Codec) gzipLevel() int {
 	switch c {
 	case CodecDeltaFast:
 		return gzip.BestSpeed
-	case CodecRawStore, CodecGorilla:
+	case CodecGorilla:
 		return gzip.NoCompression
 	default:
 		return gzip.DefaultCompression
 	}
 }
 
-// Write serializes the table with the default codec. Integer columns are
-// delta + zigzag + uvarint; float columns are XOR with the previous value +
-// uvarint (a simplified Gorilla scheme), which compresses the slowly-changing
-// telemetry well.
-func Write(w io.Writer, t *Table) error {
-	return WriteCodec(w, t, CodecDelta)
-}
-
-// WriteCodec serializes the table with an explicit codec, framed as
-// directory.go describes: a gzip member holding the table header, its gzip
-// header carrying the directory, then one gzip member per column. The column
-// members are compressed into memory first — the directory lists their
-// lengths and precedes them — so one compressed partition is held before the
-// first byte reaches w. Members are compressed one after another with no
-// clock or thread count in reach, so the same table is the same bytes.
+// WriteCodec serializes the table: a PartitionWriter fed the whole table as
+// its one block.
 func WriteCodec(w io.Writer, t *Table, codec Codec) error {
-	if codec >= numCodecs {
-		return fmt.Errorf("store: unknown codec %d", codec)
+	p, err := NewPartitionWriter(codec, t.Cols)
+	if err == nil {
+		err = p.append(t, true)
 	}
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	for i := range t.Cols {
-		if c := &t.Cols[i]; c.stride() > 1 && !codec.delta() {
-			return fmt.Errorf("store: column %q: stride %d needs a delta codec, not codec %d", c.Name, c.Stride, codec)
-		}
-	}
-	var columns spill
-	zw, err := gzip.NewWriterLevel(&columns, codec.gzipLevel())
 	if err != nil {
 		return err
 	}
-	enc := encoder{bw: bufio.NewWriter(zw), codec: codec}
-	member := func(dst io.Writer, extra []byte, payload func() error) error {
-		zw.Reset(dst)
-		zw.Extra = extra
-		enc.bw.Reset(zw)
-		if err := payload(); err != nil {
+	return p.Close(w)
+}
+
+// PartitionWriter writes one partition whose rows arrive in blocks, framed as
+// directory.go describes: a gzip member holding the table header, its gzip
+// header carrying the directory, then one gzip member per column. A column's
+// member is compressed into memory as its values arrive; the predictors, the
+// Gorilla state and the directory's integer summary carry from block to
+// block, so how the rows are cut into blocks moves no byte. The directory
+// lists the members' lengths and precedes them, so Close writes everything.
+// No clock or thread count is in reach: the same rows are the same bytes.
+type PartitionWriter struct {
+	codec Codec
+	cols  []columnWriter
+	rows  int
+	zw    *gzip.Writer // a compressor no open member holds
+	chunk []byte       // encoded bytes on their way into a member
+	err   error        // the first failure; once closed, that it is
+}
+
+// columnWriter is one column's member and what its encoders keep of the rows
+// before the current block.
+type columnWriter struct {
+	dirColumn               // size is set when the member closes
+	zw        *gzip.Writer  // the open member
+	out       spill         // the member's compressed bytes
+	last      int64         // an integer column's previous value
+	hist      []uint64      // a delta float column's last stride values' bits, a ring
+	at        int           // hist's oldest slot
+	gorilla   gorillaColumn // a CodecGorilla column's payload so far
+}
+
+// NewPartitionWriter starts a partition of the given columns: their names,
+// types (the slice that is set, possibly empty) and strides. CodecRaw and
+// CodecRawStore are read, not written.
+func NewPartitionWriter(codec Codec, cols []Column) (*PartitionWriter, error) {
+	if codec != CodecGorilla && !codec.delta() {
+		return nil, fmt.Errorf("store: codec %d is not written", codec)
+	}
+	if err := (&Table{Cols: cols}).Validate(); err != nil {
+		return nil, err
+	}
+	p := &PartitionWriter{codec: codec, cols: make([]columnWriter, len(cols))}
+	for i := range cols {
+		c, cw := &cols[i], &p.cols[i]
+		if c.stride() > 1 && !codec.delta() {
+			return nil, fmt.Errorf("store: column %q: stride %d needs a delta codec, not codec %d", c.Name, c.Stride, codec)
+		}
+		cw.ColumnInfo = ColumnInfo{Name: c.Name, Int: c.IsInt(), Str: c.IsStr()}
+		cw.stride, cw.sorted, cw.hist = c.stride(), cw.Int, make([]uint64, c.stride())
+	}
+	return p, nil
+}
+
+// Append encodes block's rows as the partition's next rows. Its columns are
+// the partition's, in order; an empty one may be untyped.
+func (p *PartitionWriter) Append(block *Table) error { return p.append(block, false) }
+
+// append is Append; last says no block follows, so each column's member is
+// closed once its values are in and one compressor serves them all.
+func (p *PartitionWriter) append(block *Table, last bool) error {
+	n := block.NumRows()
+	if len(block.Cols) != len(p.cols) && p.err == nil {
+		p.err = fmt.Errorf("store: block has %d columns, the partition %d", len(block.Cols), len(p.cols))
+	}
+	for i := 0; p.err == nil && i < len(p.cols); i++ {
+		c, cw := &block.Cols[i], &p.cols[i]
+		if c.Name != cw.Name || c.Len() != n || n > 0 && (c.IsInt() != cw.Int || c.IsStr() != cw.Str) {
+			p.err = fmt.Errorf("store: block column %d (%q, %d of %d rows) is not the partition's %q", i, c.Name, c.Len(), n, cw.Name)
+		} else if p.err = p.add(cw, c); p.err == nil && last {
+			p.err = p.closeMember(cw)
+		}
+	}
+	p.rows += n
+	return p.err
+}
+
+// add encodes c's values as cw's next ones, a block of rows at a time: into
+// the open member or, for a Gorilla column, into the payload its member gets
+// whole, behind its length, when it closes.
+func (p *PartitionWriter) add(cw *columnWriter, c *Column) error {
+	// An integer's delta is from the row before the block, zero at the first.
+	prev, gorilla := cw.last, p.codec == CodecGorilla
+	if cw.Int && len(c.Ints) > 0 {
+		cw.summarize(c.Ints, prev, p.rows == 0)
+		cw.last = c.Ints[len(c.Ints)-1]
+	}
+	if cw.zw == nil && !gorilla {
+		if err := p.open(cw); err != nil {
 			return err
 		}
-		if err := enc.bw.Flush(); err != nil {
-			return err
-		}
-		return zw.Close()
 	}
-	dir := directory{rows: t.NumRows(), cols: make([]dirColumn, len(t.Cols))}
-	for i := range t.Cols {
-		c, start := &t.Cols[i], columns.n
-		if err := member(&columns, nil, func() error { return enc.column(c) }); err != nil {
-			return err
+	for j := 0; j < c.Len(); j += blockRows {
+		b, k := p.chunk[:0], min(j+blockRows, c.Len())
+		if gorilla {
+			b = cw.gorilla.w.buf
 		}
-		e := &dir.cols[i]
-		e.ColumnInfo = ColumnInfo{Name: c.Name, Int: c.IsInt(), Str: c.IsStr()}
-		e.size, e.stride = columns.n-start, c.stride()
-		if c.IsInt() {
-			e.min, e.max, e.sorted = intStats(c.Ints)
+		switch {
+		case cw.Str:
+			// Length-prefixed raw bytes under every codec.
+			for _, v := range c.Strs[j:k] {
+				if len(v) > maxStrLen {
+					return fmt.Errorf("store: column %q string value too long (%d bytes)", cw.Name, len(v))
+				}
+				b = append(appendUvarint(b, uint64(len(v))), v...)
+			}
+		case gorilla && cw.Int:
+			b = cw.gorilla.ints(b, c.Ints[j:k])
+		case gorilla:
+			b = cw.gorilla.floats(b, c.Floats[j:k])
+		case cw.Int:
+			for _, v := range c.Ints[j:k] {
+				b, prev = appendUvarint(b, zigzag(v-prev)), v
+			}
+		default:
+			hist, at := cw.hist, cw.at
+			for _, v := range c.Floats[j:k] {
+				bits := math.Float64bits(v)
+				b, hist[at] = appendUvarint(b, bits^hist[at]), bits
+				if at++; at == len(hist) {
+					at = 0
+				}
+			}
+			cw.at = at
 		}
-	}
-	if err := member(w, dir.encode(), func() error { return enc.header(t) }); err != nil {
-		return err
-	}
-	for _, chunk := range columns.chunks {
-		if _, err := w.Write(chunk); err != nil {
+		if gorilla {
+			cw.gorilla.w.buf = b
+			continue
+		}
+		p.chunk = b
+		if _, err := cw.zw.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// spill is where WriteCodec holds the compressed column members: a list of
-// chunks that are filled once and never copied, so holding a partition costs
-// its size — not the doublings of one growing slice, which at a 7 MB day
-// were 20 MB allocated and 50 MB of summitsim's peak RSS.
+// member readies the gzip member that compresses into dst, on the
+// compressor no open member holds.
+func (p *PartitionWriter) member(dst io.Writer) (zw *gzip.Writer, err error) {
+	if zw, p.zw = p.zw, nil; zw == nil {
+		return gzip.NewWriterLevel(dst, p.codec.gzipLevel())
+	}
+	zw.Reset(dst)
+	return zw, nil
+}
+
+// open starts cw's member with the column's section header: its name, kind
+// and, when strided, its stride.
+func (p *PartitionWriter) open(cw *columnWriter) (err error) {
+	if cw.zw, err = p.member(&cw.out); err != nil {
+		return err
+	}
+	b := append(appendUvarint(p.chunk[:0], uint64(len(cw.Name))), cw.Name...)
+	if b = append(b, cw.kind()); cw.kind() == colFltStrided {
+		b = appendUvarint(b, uint64(cw.stride))
+	}
+	p.chunk = b
+	_, err = cw.zw.Write(b)
+	return err
+}
+
+// closeMember finishes cw's member, opening it if no value did, and hands its
+// compressor on.
+func (p *PartitionWriter) closeMember(cw *columnWriter) error {
+	if cw.zw == nil {
+		if err := p.open(cw); err != nil {
+			return err
+		}
+	}
+	if p.codec == CodecGorilla {
+		payload := cw.gorilla.w.finish()
+		if _, err := cw.zw.Write(append(appendUvarint(p.chunk[:0], uint64(len(payload))), payload...)); err != nil {
+			return err
+		}
+	}
+	if err := cw.zw.Close(); err != nil {
+		return err
+	}
+	cw.size, p.zw, cw.zw = cw.out.n, cw.zw, nil
+	return nil
+}
+
+// Close finishes every member and writes the partition to w: member 0 — the
+// table header, its gzip header carrying the directory — then the column
+// members, each let go once written. The writer is spent after it.
+func (p *PartitionWriter) Close(w io.Writer) error {
+	if p.err != nil {
+		return p.err
+	}
+	p.err = errors.New("store: partition writer already closed")
+	dir := directory{rows: p.rows, cols: make([]dirColumn, len(p.cols))}
+	ver := uint64(version)
+	for i := range p.cols {
+		cw := &p.cols[i]
+		if cw.stride > max(p.rows, 1) {
+			return fmt.Errorf("store: column %q: stride %d is beyond its %d rows", cw.Name, cw.stride, p.rows)
+		}
+		if cw.size == 0 {
+			if err := p.closeMember(cw); err != nil {
+				return err
+			}
+		}
+		if dir.cols[i] = cw.dirColumn; cw.Str {
+			ver = versionStrings
+		}
+	}
+	zw, err := p.member(w)
+	if err != nil {
+		return err
+	}
+	zw.Extra = dir.encode()
+	b := append(appendUvarint(append(p.chunk[:0], magic...), ver), byte(p.codec))
+	if _, err := zw.Write(appendUvarint(appendUvarint(b, uint64(len(p.cols))), uint64(p.rows))); err != nil {
+		return err
+	}
+	if err := zw.Close(); err != nil {
+		return err
+	}
+	for i := range p.cols {
+		for k, chunk := range p.cols[i].out.chunks {
+			if _, err := w.Write(chunk); err != nil {
+				return err
+			}
+			p.cols[i].out.chunks[k] = nil
+		}
+	}
+	return nil
+}
+
+// spill is where a PartitionWriter holds a compressed column member: a list
+// of chunks that are filled once and never copied, so holding a partition
+// costs its size — not the doublings of one growing slice, which at a 7 MB
+// day were 20 MB allocated and 50 MB of summitsim's peak RSS.
 type spill struct {
 	chunks [][]byte
 	n      int64 // bytes held
@@ -271,175 +441,6 @@ func (s *spill) Write(p []byte) (int, error) {
 	}
 	s.n += int64(len(p))
 	return len(p), nil
-}
-
-// encoder writes the pieces of a table's payload — the header, then each
-// column's section — to bw. The payload is the format; how it is cut into
-// gzip members is WriteCodec's business.
-type encoder struct {
-	bw      *bufio.Writer
-	codec   Codec
-	scratch [binary.MaxVarintLen64]byte
-	gorilla []byte // reused payload scratch for CodecGorilla columns
-	// A delta column's varints are appended to chunk and reach bw a block of
-	// rows at a time instead of one Write per value.
-	chunk []byte
-}
-
-func (e *encoder) putUvarint(v uint64) error {
-	n := binary.PutUvarint(e.scratch[:], v)
-	_, err := e.bw.Write(e.scratch[:n])
-	return err
-}
-
-// header writes magic, version, codec and the table's dimensions.
-func (e *encoder) header(t *Table) error {
-	if _, err := e.bw.WriteString(magic); err != nil {
-		return err
-	}
-	ver := uint64(version)
-	for i := range t.Cols {
-		if t.Cols[i].IsStr() {
-			ver = versionStrings
-			break
-		}
-	}
-	if err := e.putUvarint(ver); err != nil {
-		return err
-	}
-	if err := e.bw.WriteByte(byte(e.codec)); err != nil {
-		return err
-	}
-	if err := e.putUvarint(uint64(len(t.Cols))); err != nil {
-		return err
-	}
-	return e.putUvarint(uint64(t.NumRows()))
-}
-
-// column writes one column's section: name, kind, values.
-func (e *encoder) column(c *Column) error {
-	bw, codec := e.bw, e.codec
-	if err := e.putUvarint(uint64(len(c.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(c.Name); err != nil {
-		return err
-	}
-	if codec == CodecGorilla {
-		// Gorilla columns are encoded to a buffer first so the payload
-		// can be length-prefixed (what lets a streaming reader step over
-		// one without decoding it).
-		buf := e.gorilla[:0]
-		kind := colFlt
-		switch {
-		case c.IsStr():
-			kind = colStr
-			for _, v := range c.Strs {
-				if len(v) > maxStrLen {
-					return fmt.Errorf("store: column %q string value too long (%d bytes)", c.Name, len(v))
-				}
-				buf = appendUvarint(buf, uint64(len(v)))
-				buf = append(buf, v...)
-			}
-		case c.IsInt():
-			kind = colInt
-			buf = encodeGorillaInts(buf, c.Ints)
-		default:
-			buf = encodeGorillaFloats(buf, c.Floats)
-		}
-		e.gorilla = buf
-		if err := bw.WriteByte(kind); err != nil {
-			return err
-		}
-		if err := e.putUvarint(uint64(len(buf))); err != nil {
-			return err
-		}
-		_, err := bw.Write(buf)
-		return err
-	}
-	switch {
-	case c.IsStr():
-		// Strings are length-prefixed raw bytes under every codec:
-		// there is no delta structure to exploit, and gzip already
-		// folds repeated values.
-		if err := bw.WriteByte(colStr); err != nil {
-			return err
-		}
-		for _, v := range c.Strs {
-			if len(v) > maxStrLen {
-				return fmt.Errorf("store: column %q string value too long (%d bytes)", c.Name, len(v))
-			}
-			if err := e.putUvarint(uint64(len(v))); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(v); err != nil {
-				return err
-			}
-		}
-	case c.IsInt():
-		if err := bw.WriteByte(colInt); err != nil {
-			return err
-		}
-		if codec.delta() {
-			prev := int64(0)
-			for j := 0; j < len(c.Ints); j += blockRows {
-				e.chunk = e.chunk[:0]
-				for _, v := range c.Ints[j:min(j+blockRows, len(c.Ints))] {
-					e.chunk = appendUvarint(e.chunk, zigzag(v-prev))
-					prev = v
-				}
-				if _, err := bw.Write(e.chunk); err != nil {
-					return err
-				}
-			}
-		} else {
-			var raw [8]byte
-			for _, v := range c.Ints {
-				binary.LittleEndian.PutUint64(raw[:], uint64(v))
-				if _, err := bw.Write(raw[:]); err != nil {
-					return err
-				}
-			}
-		}
-	default:
-		stride := c.stride()
-		if stride == 1 {
-			if err := bw.WriteByte(colFlt); err != nil {
-				return err
-			}
-		} else {
-			if err := bw.WriteByte(colFltStrided); err != nil {
-				return err
-			}
-			if err := e.putUvarint(uint64(stride)); err != nil {
-				return err
-			}
-		}
-		if codec.delta() {
-			for j := 0; j < len(c.Floats); j += blockRows {
-				e.chunk = e.chunk[:0]
-				for i := j; i < min(j+blockRows, len(c.Floats)); i++ {
-					var prev uint64
-					if i >= stride {
-						prev = math.Float64bits(c.Floats[i-stride])
-					}
-					e.chunk = appendUvarint(e.chunk, math.Float64bits(c.Floats[i])^prev)
-				}
-				if _, err := bw.Write(e.chunk); err != nil {
-					return err
-				}
-			}
-		} else {
-			var raw [8]byte
-			for _, v := range c.Floats {
-				binary.LittleEndian.PutUint64(raw[:], math.Float64bits(v))
-				if _, err := bw.Write(raw[:]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Read deserializes a table written by Write. It is ReadColumns with every

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -16,7 +15,7 @@ import (
 // Dataset is a named, daily-partitioned collection of tables in a
 // directory — the on-disk layout of the paper's archive (one file per day
 // per dataset). A partition may be followed in its file by one more whole
-// partition, its companion (WriteDayCompanion, Companion); every read of the
+// partition, its companion (WriteDayFunc, Companion); every read of the
 // dataset stops where its own partition ends.
 type Dataset struct {
 	Dir  string
@@ -121,14 +120,15 @@ func (d *Dataset) WriteDay(day int, t *Table) error {
 // WriteDayCodec stores the table as the partition for the given day index
 // with an explicit codec.
 func (d *Dataset) WriteDayCodec(day int, t *Table, codec Codec) error {
-	return d.WriteDayCompanion(day, t, codec, nil)
+	return d.WriteDayFunc(day, func(w io.Writer) error { return WriteCodec(w, t, codec) })
 }
 
-// WriteDayCompanion is WriteDayCodec followed, in the same file, by the
-// partition companion writes. companion runs, into memory, while the table
-// is encoded; one rename then publishes both, so a day is never read beside
-// another write's companion. nil writes the table alone.
-func (d *Dataset) WriteDayCompanion(day int, t *Table, codec Codec, companion func(io.Writer) error) error {
+// WriteDayFunc stores what write writes — a partition, and after it in the
+// same file its companion, if any — as the file of the given day: into a
+// .tmp, then one rename, so a reader finds the day's old file or all of the
+// new one, and a day is never read beside another write's companion. A failed
+// write leaves the old file and no .tmp.
+func (d *Dataset) WriteDayFunc(day int, write func(io.Writer) error) error {
 	if day < 0 {
 		return fmt.Errorf("store: negative day %d", day)
 	}
@@ -143,16 +143,7 @@ func (d *Dataset) WriteDayCompanion(day int, t *Table, codec Codec, companion fu
 	if err != nil {
 		return err
 	}
-	var follow bytes.Buffer
-	followed := make(chan error, 1)
-	if companion == nil {
-		followed <- nil
-	} else {
-		go func() { followed <- companion(&follow) }()
-	}
-	if err = errors.Join(WriteCodec(f, t, codec), <-followed); err == nil {
-		_, err = f.Write(follow.Bytes())
-	} else {
+	if err = write(f); err != nil {
 		err = d.partitionErr(day, err)
 	}
 	if cerr := f.Close(); err == nil {

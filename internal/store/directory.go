@@ -50,17 +50,33 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // intStats is the directory's summary of one integer column.
 func intStats(v []int64) (lo, hi int64, sorted bool) {
-	if len(v) == 0 {
-		return 0, 0, true
+	c := dirColumn{sorted: true}
+	c.summarize(v, 0, true)
+	return c.min, c.max, c.sorted
+}
+
+// summarize folds an integer column's next values, which follow prev, into
+// the entry's range and sorted flag; first says they start the column.
+func (c *dirColumn) summarize(vals []int64, prev int64, first bool) {
+	for i, v := range vals {
+		if first && i == 0 {
+			c.min, c.max, prev = v, v, v
+		}
+		c.min, c.max, c.sorted, prev = min(c.min, v), max(c.max, v), c.sorted && v >= prev, v
 	}
-	lo, hi, sorted = v[0], v[0], true
-	prev := v[0]
-	for _, x := range v[1:] {
-		lo, hi = min(lo, x), max(hi, x)
-		sorted = sorted && x >= prev
-		prev = x
+}
+
+// kind is the column's kind byte, in the directory and its section header.
+func (c *dirColumn) kind() byte {
+	switch {
+	case c.Int:
+		return colInt
+	case c.Str:
+		return colStr
+	case c.stride > 1:
+		return colFltStrided
 	}
-	return lo, hi, sorted
+	return colFlt
 }
 
 // encode returns the gzip extra field carrying d, or nil when d does not fit
@@ -73,15 +89,7 @@ func (d *directory) encode() []byte {
 	for _, c := range d.cols {
 		b = appendUvarint(b, uint64(len(c.Name)))
 		b = append(b, c.Name...)
-		kind := colFlt
-		switch {
-		case c.Int:
-			kind = colInt
-		case c.Str:
-			kind = colStr
-		case c.stride > 1:
-			kind = colFltStrided
-		}
+		kind := c.kind()
 		if c.sorted {
 			kind |= dirSorted
 		}

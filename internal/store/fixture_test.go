@@ -9,6 +9,10 @@ import (
 	"testing"
 )
 
+// writtenCodecs are the codecs WriteCodec writes; the reader decodes
+// CodecRaw and CodecRawStore too.
+var writtenCodecs = []Codec{CodecDelta, CodecDeltaFast, CodecGorilla}
+
 // fixtureTable is the table behind testdata/codec{0..4}.spwr. Those files
 // were written once, by the WriteCodec of the commit before the whole-column
 // and block decoders were merged, and are never regenerated: they pin that

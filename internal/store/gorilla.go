@@ -71,25 +71,34 @@ func appendUvarint(buf []byte, v uint64) []byte {
 	return append(buf, byte(v))
 }
 
-func zigzag64(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
-
-// encodeGorillaFloats encodes vals as a Gorilla XOR bit stream, appending
-// to dst.
-func encodeGorillaFloats(dst []byte, vals []float64) []byte {
-	w := bitWriter{buf: dst}
-	var prev uint64
+// gorillaColumn is a CodecGorilla column's payload as its values arrive:
+// what the encoders keep of the values before carries from block to block.
+type gorillaColumn struct {
+	w bitWriter // the payload
+	n int       // values encoded
+	// prev is the previous value — a float's bits, an integer's two's
+	// complement — and prevDelta an integer column's previous delta.
+	prev      uint64
+	prevDelta int64
 	// lead/sig describe the previous meaningful-bit window; sig == 0 marks
 	// "no window yet", forcing the first non-zero XOR to encode one.
-	var lead, sig uint
-	for i, v := range vals {
+	lead, sig uint
+}
+
+// floats appends vals to b, the payload, as the Gorilla XOR bit stream's
+// next values; a partial last byte waits in g.
+func (g *gorillaColumn) floats(b []byte, vals []float64) []byte {
+	w := &g.w
+	w.buf = b
+	for _, v := range vals {
 		bits := math.Float64bits(v)
-		if i == 0 {
+		if g.n++; g.n == 1 {
 			w.writeBits(bits, 64)
-			prev = bits
+			g.prev = bits
 			continue
 		}
-		xor := bits ^ prev
-		prev = bits
+		xor := bits ^ g.prev
+		g.prev = bits
 		if xor == 0 {
 			w.writeBit(0)
 			continue
@@ -101,42 +110,39 @@ func encodeGorillaFloats(dst []byte, vals []float64) []byte {
 		}
 		t := uint(trailingZeros64(xor))
 		s := 64 - l - t
-		if sig > 0 && l >= lead && s <= sig && 64-lead-sig <= t {
+		if g.sig > 0 && l >= g.lead && s <= g.sig && 64-g.lead-g.sig <= t {
 			// Fits the previous window: reuse it.
 			w.writeBit(0)
-			w.writeBits(xor>>(64-lead-sig), sig)
+			w.writeBits(xor>>(64-g.lead-g.sig), g.sig)
 			continue
 		}
-		lead, sig = l, s
+		g.lead, g.sig = l, s
 		w.writeBit(1)
-		w.writeBits(uint64(lead), 6)
-		w.writeBits(uint64(sig-1), 6)
-		w.writeBits(xor>>t, sig)
+		w.writeBits(uint64(g.lead), 6)
+		w.writeBits(uint64(g.sig-1), 6)
+		w.writeBits(xor>>t, g.sig)
 	}
-	return w.finish()
+	return w.buf
 }
 
-// encodeGorillaInts appends vals as delta-of-delta zigzag uvarints: the
-// first value raw (zigzagged), then first-order deltas for row 1, then
-// second-order deltas. Regular time axes (constant cadence) collapse to a
-// run of zero bytes.
-func encodeGorillaInts(dst []byte, vals []int64) []byte {
-	var prev, prevDelta int64
-	for i, v := range vals {
-		switch i {
-		case 0:
-			dst = appendUvarint(dst, zigzag64(v))
+// ints appends vals to b, the payload, as the next delta-of-delta zigzag
+// uvarints: the first value raw (zigzagged), then first-order deltas for row
+// 1, then second-order deltas. Regular time axes (constant cadence) collapse
+// to a run of zero bytes.
+func (g *gorillaColumn) ints(b []byte, vals []int64) []byte {
+	for _, v := range vals {
+		d := v - int64(g.prev)
+		switch g.n++; g.n {
 		case 1:
-			prevDelta = v - prev
-			dst = appendUvarint(dst, zigzag64(prevDelta))
+			b = appendUvarint(b, zigzag(v))
+		case 2:
+			b = appendUvarint(b, zigzag(d))
 		default:
-			d := v - prev
-			dst = appendUvarint(dst, zigzag64(d-prevDelta))
-			prevDelta = d
+			b = appendUvarint(b, zigzag(d-g.prevDelta))
 		}
-		prev = v
+		g.prev, g.prevDelta = uint64(v), d
 	}
-	return dst
+	return b
 }
 
 // leadingZeros64 / trailingZeros64 mirror math/bits without the import (the

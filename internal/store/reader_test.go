@@ -34,7 +34,7 @@ func metaTable() *Table {
 
 func TestReaderStreamsColumns(t *testing.T) {
 	tab := metaTable()
-	for codec := Codec(0); codec < numCodecs; codec++ {
+	for _, codec := range writtenCodecs {
 		var buf bytes.Buffer
 		if err := WriteCodec(&buf, tab, codec); err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestReaderStreamsColumns(t *testing.T) {
 
 func TestReaderMisuse(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, metaTable()); err != nil {
+	if err := WriteCodec(&buf, metaTable(), CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewReader(&buf)
@@ -121,7 +121,7 @@ func TestReaderHeaderErrors(t *testing.T) {
 func TestReadColumnsSubset(t *testing.T) {
 	tab := metaTable()
 	var buf bytes.Buffer
-	if err := Write(&buf, tab); err != nil {
+	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadColumns(bytes.NewReader(buf.Bytes()), []string{"timestamp", "gpu0_core_temp.mean"})
@@ -306,7 +306,7 @@ func TestReadDayErrorsNamePartition(t *testing.T) {
 	}
 	// Truncated partition: valid header, cut mid-stream.
 	var buf bytes.Buffer
-	if err := Write(&buf, metaTable()); err != nil {
+	if err := WriteCodec(&buf, metaTable(), CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

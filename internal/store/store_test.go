@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,7 +32,7 @@ func sampleTable() *Table {
 func TestRoundTrip(t *testing.T) {
 	tab := sampleTable()
 	var buf bytes.Buffer
-	if err := Write(&buf, tab); err != nil {
+	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -63,7 +65,7 @@ func TestRoundTripSpecialFloats(t *testing.T) {
 		Floats: []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), -0.0, 1e-300, 1e300},
 	}}}
 	var buf bytes.Buffer
-	if err := Write(&buf, tab); err != nil {
+	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -95,7 +97,7 @@ func TestRoundTripProperty(t *testing.T) {
 			{Name: "f", Floats: append([]float64{}, floats[:n]...)},
 		}}
 		var buf bytes.Buffer
-		if err := Write(&buf, tab); err != nil {
+		if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 			return false
 		}
 		got, err := Read(&buf)
@@ -120,7 +122,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestEmptyTable(t *testing.T) {
 	tab := &Table{Cols: []Column{{Name: "x", Floats: []float64{}}}}
 	var buf bytes.Buffer
-	if err := Write(&buf, tab); err != nil {
+	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -132,7 +134,7 @@ func TestEmptyTable(t *testing.T) {
 	}
 	// Entirely empty table.
 	var buf2 bytes.Buffer
-	if err := Write(&buf2, &Table{}); err != nil {
+	if err := WriteCodec(&buf2, &Table{}, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := Read(&buf2); err != nil || len(got.Cols) != 0 {
@@ -152,7 +154,7 @@ func TestValidateErrors(t *testing.T) {
 			t.Errorf("table %d validated", i)
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, tab); err == nil {
+		if err := WriteCodec(&buf, tab, CodecDelta); err == nil {
 			t.Errorf("table %d written", i)
 		}
 	}
@@ -166,7 +168,7 @@ func TestReadErrors(t *testing.T) {
 	// Valid gzip, bad magic.
 	var buf bytes.Buffer
 	tab := &Table{Cols: []Column{{Name: "x", Floats: []float64{1}}}}
-	if err := Write(&buf, tab); err != nil {
+	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	// Truncated stream.
@@ -191,7 +193,7 @@ func TestCompressionEffective(t *testing.T) {
 	tab := sampleTable()
 	raw := tab.NumRows() * (8 + 8 + 8)
 	var buf bytes.Buffer
-	if err := Write(&buf, tab); err != nil {
+	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	ratio := float64(buf.Len()) / float64(raw)
@@ -302,7 +304,7 @@ func BenchmarkWriteTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := Write(&buf, tab); err != nil {
+		if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -311,7 +313,7 @@ func BenchmarkWriteTable(b *testing.B) {
 func BenchmarkReadTable(b *testing.B) {
 	tab := sampleTable()
 	var buf bytes.Buffer
-	if err := Write(&buf, tab); err != nil {
+	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -329,7 +331,7 @@ func writeBytes(path string, data []byte) error {
 
 func TestAllCodecsRoundTrip(t *testing.T) {
 	tab := sampleTable()
-	for codec := Codec(0); codec < numCodecs; codec++ {
+	for _, codec := range writtenCodecs {
 		var buf bytes.Buffer
 		if err := WriteCodec(&buf, tab, codec); err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
@@ -354,36 +356,46 @@ func TestAllCodecsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := WriteCodec(&bytes.Buffer{}, tab, numCodecs); err == nil {
-		t.Error("unknown codec accepted")
+	for _, codec := range []Codec{CodecRaw, CodecRawStore, numCodecs} {
+		if err := WriteCodec(&bytes.Buffer{}, tab, codec); err == nil {
+			t.Errorf("codec %d written", codec)
+		}
 	}
 }
 
 func TestCodecSizeOrdering(t *testing.T) {
-	// On slowly-varying telemetry the delta codec must beat raw, and both
-	// gzipped forms must beat the uncompressed store codec.
+	// On slowly-varying telemetry the delta codec must beat the same values
+	// at fixed width under gzip, and gzip must beat the fixed-width bytes.
 	tab := sampleTable()
-	size := func(c Codec) int {
-		var buf bytes.Buffer
-		if err := WriteCodec(&buf, tab, c); err != nil {
-			t.Fatal(err)
+	var delta, gz bytes.Buffer
+	if err := WriteCodec(&delta, tab, CodecDelta); err != nil {
+		t.Fatal(err)
+	}
+	var raw []byte
+	for _, c := range tab.Cols {
+		for _, v := range c.Ints {
+			raw = binary.LittleEndian.AppendUint64(raw, uint64(v))
 		}
-		return buf.Len()
+		for _, v := range c.Floats {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+		}
 	}
-	delta, raw, rawStore := size(CodecDelta), size(CodecRaw), size(CodecRawStore)
-	if delta >= raw {
-		t.Errorf("delta (%d) must beat raw (%d) on telemetry", delta, raw)
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write(raw); err != nil || zw.Close() != nil {
+		t.Fatal(err)
 	}
-	if raw >= rawStore {
-		t.Errorf("gzip raw (%d) must beat store mode (%d)", raw, rawStore)
+	if delta.Len() >= gz.Len() {
+		t.Errorf("delta (%d) must beat gzipped fixed-width values (%d) on telemetry", delta.Len(), gz.Len())
+	}
+	if gz.Len() >= len(raw) {
+		t.Errorf("gzip (%d) must beat the fixed-width bytes (%d)", gz.Len(), len(raw))
 	}
 }
 
 func BenchmarkCodecAblation(b *testing.B) {
 	tab := sampleTable()
 	for codec, name := range map[Codec]string{
-		CodecDelta: "delta-gzip", CodecRaw: "raw-gzip",
-		CodecDeltaFast: "delta-fast", CodecRawStore: "raw-store",
+		CodecDelta: "delta-gzip", CodecDeltaFast: "delta-fast", CodecGorilla: "gorilla",
 	} {
 		codec := codec
 		b.Run(name, func(b *testing.B) {

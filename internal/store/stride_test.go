@@ -50,7 +50,6 @@ func TestStrideRoundTrip(t *testing.T) {
 		"string column":  func(t *Table) Codec { t.Col("tag").Stride = 36; return CodecDelta },
 		"beyond rows":    func(t *Table) Codec { t.Col("input_power.mean").Stride = t.NumRows() + 1; return CodecDelta },
 		"gorilla":        func(t *Table) Codec { return CodecGorilla },
-		"raw":            func(t *Table) Codec { return CodecRaw },
 	}
 	for name, edit := range refused {
 		tab := stridedWindowTable()

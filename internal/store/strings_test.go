@@ -18,7 +18,7 @@ func stringTable() *Table {
 }
 
 func TestStringColumnRoundTrip(t *testing.T) {
-	for codec := Codec(0); codec < numCodecs; codec++ {
+	for _, codec := range writtenCodecs {
 		tab := stringTable()
 		var buf bytes.Buffer
 		if err := WriteCodec(&buf, tab, codec); err != nil {
@@ -72,10 +72,10 @@ func headerVersion(t *testing.T, b []byte) uint64 {
 // a string column is bumped to version 3.
 func TestStringVersionGating(t *testing.T) {
 	var numeric, withStr bytes.Buffer
-	if err := Write(&numeric, sampleTable()); err != nil {
+	if err := WriteCodec(&numeric, sampleTable(), CodecDelta); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&withStr, stringTable()); err != nil {
+	if err := WriteCodec(&withStr, stringTable(), CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	if v := headerVersion(t, numeric.Bytes()); v != version {
@@ -88,9 +88,9 @@ func TestStringVersionGating(t *testing.T) {
 
 // TestStringColumnSkip exercises the skip path: a column-selective read
 // that does not ask for the string column must walk past it correctly
-// under both the delta and raw codecs.
+// under the delta codec and the length-prefixed Gorilla one.
 func TestStringColumnSkip(t *testing.T) {
-	for _, codec := range []Codec{CodecDelta, CodecRaw} {
+	for _, codec := range []Codec{CodecDelta, CodecGorilla} {
 		var buf bytes.Buffer
 		if err := WriteCodec(&buf, stringTable(), codec); err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestStringColumnSkip(t *testing.T) {
 func TestStringTooLongRejected(t *testing.T) {
 	tab := &Table{Cols: []Column{{Name: "s", Strs: []string{strings.Repeat("x", maxStrLen+1)}}}}
 	var buf bytes.Buffer
-	if err := Write(&buf, tab); err == nil {
+	if err := WriteCodec(&buf, tab, CodecDelta); err == nil {
 		t.Fatal("oversized string value accepted")
 	}
 }

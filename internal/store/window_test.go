@@ -248,7 +248,7 @@ func TestWindowedDecodeTruncation(t *testing.T) {
 // whether the window holds them all or one byte at a time.
 func TestWindowedDecodeRejectsOverlongVarint(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &Table{Cols: []Column{{Name: "v", Ints: []int64{7, 8, 9}}}}); err != nil {
+	if err := WriteCodec(&buf, &Table{Cols: []Column{{Name: "v", Ints: []int64{7, 8, 9}}}}, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	payload := gunzipped(t, buf.Bytes())
