@@ -311,15 +311,16 @@ scenario-smoke:
 # the figure files the in-memory run of its config writes; the same seed archived again on one P and on four
 # (more Ps than a CI runner's cores, so Run's two stages interleave
 # differently) must be the same files byte for byte, and so must a 160-node
-# run, three sweep blocks, and a two-cluster -nodedata fleet (each member's
-# last day flushed beside its own archive write), on one P and by default (the day flush runs beside
-# the simulation, the failure sweep and observers run beside the physics,
-# WriteArchive encodes its partitions side by side beside the last day's
-# flush, and no scheduling of theirs may reach the archive); every partition is plain multi-member gzip
+# run, three sweep blocks, and a two-cluster -nodedata fleet, on one P and by
+# default (the day flush runs beside the simulation, the failure sweep and
+# observers run beside the physics, WriteArchive encodes its partitions side
+# by side, and no scheduling of theirs may reach the archive); every partition is plain multi-member gzip
 # (`gzip -t`) and passes `summitsim -fsck`, which must count both
 # node-power days as strided (each node XORed with itself a window back) and
 # carrying their companion, and no cluster-power day as either; no companion
-# is a file of its own; fsck must exit 1 on a copy with one byte flipped, and
+# is a file of its own; a span that is no whole number of windows (-days
+# 1.0001) passes fsck too; no run directory holds anything but its partitions,
+# scenario.json and report.json (and a fleet root its fleet.json); fsck must exit 1 on a copy with one byte flipped, and
 # `repro -data` and fsck on a copy without its run-meta (the commit record); then a
 # shorter run archived into the same directory must be refused (its leftover
 # days would otherwise be served as one run) and leave the sha256 of every
@@ -330,7 +331,7 @@ scenario-smoke:
 archive-smoke:
 	$(GO) build -o /tmp/arcsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/arcsmoke-repro ./cmd/repro
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-half /tmp/arcsmoke-half1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-offgrid /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-half /tmp/arcsmoke-half1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata
 	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-single -nodes 36 -days 2 -nodedata -q
 	GOMAXPROCS=1 /tmp/arcsmoke-summitsim -out /tmp/arcsmoke-again -nodes 36 -days 2 -nodedata -q
 	diff -r /tmp/arcsmoke-single /tmp/arcsmoke-again
@@ -363,6 +364,11 @@ archive-smoke:
 	@if ls /tmp/arcsmoke-single/node-power.rollup-* > /dev/null 2>&1; then \
 		echo "archive-smoke: a companion was written to a file of its own"; exit 1; fi
 	/tmp/arcsmoke-summitsim -fsck /tmp/arcsmoke-fleet > /dev/null
+	/tmp/arcsmoke-summitsim -out /tmp/arcsmoke-offgrid -nodes 8 -days 1.0001 -nodedata -q
+	/tmp/arcsmoke-summitsim -fsck /tmp/arcsmoke-offgrid > /dev/null
+	@extra=$$(find /tmp/arcsmoke-single /tmp/arcsmoke-half /tmp/arcsmoke-wide /tmp/arcsmoke-fleet /tmp/arcsmoke-offgrid -type f \
+		! -name '*.spwr' ! -name scenario.json ! -name report.json ! -path /tmp/arcsmoke-fleet/fleet.json); \
+	test -z "$$extra" || { echo "archive-smoke: files beside the datasets and the run's provenance:"; echo "$$extra"; exit 1; }
 	@set -eu; cp -r /tmp/arcsmoke-single /tmp/arcsmoke-flipped; f=/tmp/arcsmoke-flipped/node-power-day00001.spwr; \
 	mid=$$(( $$(wc -c < $$f) / 2 )); \
 	byte=$$(od -An -tu1 -j $$mid -N 1 $$f | tr -d ' '); \
@@ -393,8 +399,8 @@ archive-smoke:
 		{ echo "archive-smoke: the refused run changed the set of files"; exit 1; }; \
 	while read f; do cmp /tmp/arcsmoke-mixed-before/$$f /tmp/arcsmoke-mixed/$$f || \
 		{ echo "archive-smoke: the refused run changed $$f"; exit 1; }; done < /tmp/arcsmoke-sums.txt; \
-	echo "archive-smoke: archives written, reports printed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by repro -data and summitsim -fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes, a day and a half, and a two-cluster fleet), a shorter re-run and a re-run without -nodedata refused with every file byte-identical"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-half /tmp/arcsmoke-half1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata /tmp/arcsmoke-summitsim /tmp/arcsmoke-repro /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt /tmp/arcsmoke-reports.txt
+	echo "archive-smoke: archives written, reports printed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by repro -data and summitsim -fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes, a day and a half, and a two-cluster fleet), an off-grid span fsck-clean, nothing in a run directory but partitions and provenance, a shorter re-run and a re-run without -nodedata refused with every file byte-identical"
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-offgrid /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-half /tmp/arcsmoke-half1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata /tmp/arcsmoke-summitsim /tmp/arcsmoke-repro /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt /tmp/arcsmoke-reports.txt
 
 # fuzz-smoke runs every fuzz target for FUZZTIME (stdlib go test -fuzz, one
 # target per invocation). A crasher fails the run and is written under its

@@ -483,20 +483,18 @@ func writeQueryBenchArchive(dir string) error {
 		return err
 	}
 	w := source.NewNodeDayWriter(dir, queryBenchNodes, floor)
-	for day := 0; day < queryBenchDays; day++ {
-		for tm := int64(day) * 86400; tm < int64(day+1)*86400; tm += queryBenchStep {
-			rows := make([]source.NodeWindow, queryBenchNodes)
-			for n := range rows {
-				v := 2000 + 10*float64(n) + float64(tm%3600)*0.01
-				rows[n] = source.NodeWindow{Node: int64(n), Stat: tsagg.WindowStat{T: tm, Count: 6, Min: v - 1, Max: v + 1, Mean: v, Std: 0.5}}
-			}
-			if err := w.Append(rows); err != nil {
-				return err
-			}
+	for tm := int64(0); tm < queryBenchDays*86400; tm += queryBenchStep {
+		rows := make([]source.NodeWindow, queryBenchNodes)
+		for n := range rows {
+			v := 2000 + 10*float64(n) + float64(tm%3600)*0.01
+			rows[n] = source.NodeWindow{Node: int64(n), Stat: tsagg.WindowStat{T: tm, Count: 6, Min: v - 1, Max: v + 1, Mean: v, Std: 0.5}}
 		}
-		if err := w.Commit(day); err != nil {
+		if err := w.Append(rows); err != nil {
 			return err
 		}
+	}
+	if err := w.Close(); err != nil {
+		return err
 	}
 	// Commit it as a run: the one-row cluster-power day and the run-meta
 	// record, last, that every archive open requires.
@@ -604,13 +602,11 @@ func BenchmarkQueryRollupScan(b *testing.B) {
 func BenchmarkWriteNodeDay(b *testing.B) {
 	const nodes, block = 64, 1 << 14
 	var day []source.NodeWindow
-	_, _, err := core.CollectRun(ScaledConfig(nodes, 24*time.Hour), func(*sim.Sim) (sim.Observer, error) {
-		return sim.ObserverFunc(func(s *sim.Snapshot) {
-			for n, st := range s.NodeStat {
-				day = append(day, source.NodeWindow{Node: int64(n), Stat: st})
-			}
-		}), nil
-	})
+	_, _, err := core.CollectRun(ScaledConfig(nodes, 24*time.Hour), sim.ObserverFunc(func(s *sim.Snapshot) {
+		for n, st := range s.NodeStat {
+			day = append(day, source.NodeWindow{Node: int64(n), Stat: st})
+		}
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -631,7 +627,7 @@ func BenchmarkWriteNodeDay(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := w.Commit(0); err != nil {
+		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

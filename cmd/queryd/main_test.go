@@ -319,17 +319,13 @@ func TestQuerydEndToEnd(t *testing.T) {
 // included, which the engine and the analyses share.
 func TestOneOpenPerArchive(t *testing.T) {
 	dir := t.TempDir()
-	var nodes *core.NodeDatasetWriter
-	data, _, err := core.CollectRun(repro.ScaledConfig(16, 24*time.Hour), func(s *sim.Sim) (sim.Observer, error) {
-		cfg := s.Config()
-		n, err := core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
-		nodes = n
-		return sim.ObserverFunc(n.Observe), err
-	})
+	cfg := repro.ScaledConfig(16, 24*time.Hour)
+	nodes, err := core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes.Close(); err != nil {
+	data, _, err := core.CollectRun(cfg, nodes)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := core.WriteDatasets(dir, data); err != nil {

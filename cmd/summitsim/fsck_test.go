@@ -9,7 +9,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/store"
 	"repro/internal/store/storetest"
@@ -22,9 +21,11 @@ func fsckArchive(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := repro.ScaledConfig(36, time.Hour)
-	data, _, err := core.CollectRun(cfg, func(*sim.Sim) (sim.Observer, error) {
-		return core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
-	})
+	nodes, err := core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := core.CollectRun(cfg, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,13 +32,14 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
 	"strings"
@@ -146,6 +147,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			runtime.GC() // the profile is as of the last GC: make that now
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 				log.Fatal(err)
 			}
@@ -174,7 +176,7 @@ func resolve(o options) (*scenario.Resolved, string, error) {
 		spec.Nodes = o.nodes
 	}
 	if given("days") {
-		spec.DurationSec = int64(time.Duration(o.days*24*float64(time.Hour)) / time.Second)
+		spec.DurationSec = int64(math.Round(o.days * 86400))
 	}
 	if given("seed") {
 		spec.Seed = o.seed
@@ -235,12 +237,11 @@ func members(base *scenario.Resolved, dir string, o options) ([]member, source.F
 }
 
 // run simulates the run o describes and archives it, writing progress to
-// w. Every member is simulated at once (core.CollectFleet), then archived
-// in turn into its own directory; a fleet root also gets fleet.json. A
-// member's node-power writer is a bare observer, so the run leaves it open
-// and its member's archive write closes it beside the partitions; however
-// run returns, every writer has been closed.
-func run(w io.Writer, o options) (err error) {
+// w. Every member is simulated at once (core.CollectFleet), its node-power
+// writer, with -nodedata, closed by the run; then each is archived in turn
+// into its own directory, and a fleet root also gets fleet.json. A run that
+// fails, a node-power flush included, writes nothing more.
+func run(w io.Writer, o options) error {
 	if o.clusters < 1 {
 		return fmt.Errorf("-clusters must be >= 1, got %d", o.clusters)
 	}
@@ -257,37 +258,22 @@ func run(w io.Writer, o options) (err error) {
 	}
 	dirs := make([]string, len(ms))
 	cfgs := make([]sim.Config, len(ms))
+	extra := make([][]sim.Observer, len(ms))
 	for i, m := range ms {
 		dirs[i], cfgs[i] = m.dir, m.r.Config
+		if o.nodeData {
+			n, err := core.NewNodeDatasetWriter(m.dir, cfgs[i].Nodes, cfgs[i].Site)
+			if err != nil {
+				return err
+			}
+			extra[i] = []sim.Observer{n}
+		}
 	}
-	if err := source.BeginArchive(archiveSpan(base.Config), source.RunDatasets(o.nodeData), dirs...); err != nil {
+	if err := source.BeginArchive(base.Config.DurationSec, source.RunDatasets(o.nodeData), dirs...); err != nil {
 		return err
 	}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
-	nodes := make([]*core.NodeDatasetWriter, len(ms))
-	archived := 0 // members whose archive write has closed their writer
-	defer func() {
-		for _, n := range nodes[archived:] {
-			if err != nil && n != nil {
-				err = errors.Join(err, n.Close()) // a failed run leaves no writer open
-			}
-		}
-	}()
-	var attach func(i int) []core.Attach
-	if o.nodeData {
-		attach = func(i int) []core.Attach {
-			return []core.Attach{func(s *sim.Sim) (sim.Observer, error) {
-				cfg := s.Config()
-				n, err := core.NewNodeDatasetWriter(dirs[i], cfg.Nodes, cfg.Site)
-				if err != nil {
-					return nil, err
-				}
-				nodes[i] = n
-				return sim.ObserverFunc(n.Observe), nil
-			}}
-		}
-	}
-	runs, err := core.CollectFleet(cfgs, 0, attach)
+	runs, err := core.CollectFleet(cfgs, 0, func(i int) []sim.Observer { return extra[i] })
 	if err != nil {
 		return err
 	}
@@ -302,8 +288,7 @@ func run(w io.Writer, o options) (err error) {
 				fmt.Fprintf(w, "%-12s %s\n", m.name, line)
 			}
 		}
-		archived++
-		if err := archiveRun(w, m, runs[i].Data, nodes[i], o); err != nil {
+		if err := archiveRun(w, m, runs[i].Data, o); err != nil {
 			return err
 		}
 	}
@@ -319,33 +304,11 @@ func run(w io.Writer, o options) (err error) {
 	return nil
 }
 
-// archiveSpan is the span a run of cfg archives: its duration in whole
-// windows of its grid, as its run-meta will record it.
-func archiveSpan(cfg sim.Config) int64 {
-	return (cfg.DurationSec + cfg.StepSec - 1) / cfg.StepSec * cfg.StepSec
-}
-
-// archiveRun writes member m's datasets, its per-node allocation CSV,
-// scenario.json and report.json into its directory, then reports the
-// per-dataset footprint, each line labelled with the member's fleet name.
-// nodes, when not nil, is the member's still-open node-power writer: its
-// last day is written beside the other partitions, before the run-meta.
-func archiveRun(w io.Writer, m member, data *core.RunData, nodes *core.NodeDatasetWriter, o options) error {
-	var also []func() error
-	if nodes != nil {
-		also = append(also, nodes.Close)
-	}
-	if err := core.WriteDatasets(m.dir, data, also...); err != nil {
-		if nodes != nil {
-			_ = nodes.Close() // waits for a flush the failed write did not reach; else a no-op
-		}
-		return err
-	}
-	// The per-node allocation history (Dataset D) as CSV for external
-	// tooling: no dataset holds an allocation's node list.
-	if err := writeCSV(filepath.Join(m.dir, "allocations-per-node.csv"), func(w io.Writer) error {
-		return core.WritePerNodeCSV(w, data)
-	}); err != nil {
+// archiveRun writes member m's datasets, scenario.json and report.json into
+// its directory, then reports the per-dataset footprint, each line labelled
+// with the member's fleet name.
+func archiveRun(w io.Writer, m member, data *core.RunData, o options) error {
+	if err := core.WriteDatasets(m.dir, data); err != nil {
 		return err
 	}
 	// Provenance goes last, so a run refused above leaves the previous
@@ -403,17 +366,4 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// writeCSV creates path and streams fn's output into it.
-func writeCSV(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

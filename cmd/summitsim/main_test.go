@@ -16,6 +16,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/source"
 	"repro/internal/whatif"
 )
 
@@ -194,11 +195,10 @@ func readJSON(t *testing.T, path string, v any) {
 }
 
 // TestNodeDataLastDayErrorIsReturned blocks the partition path of the only
-// node-power day, whose flush runs beside its member's archive write: the
-// run must still fail naming the partition, once, with that member's other
-// datasets written and no provenance beside them. In a fleet the blocked
-// member is the first one archived, and the other member's writer is still
-// closed: its day is on disk.
+// node-power day, which its writer commits when the run closes it: the run
+// must fail naming the partition, once, and write nothing more — no dataset
+// of its archive, no provenance. In a fleet the blocked member is the first
+// one, and the other member's writer is still closed: its day is on disk.
 func TestNodeDataLastDayErrorIsReturned(t *testing.T) {
 	for _, clusters := range []int{1, 2} {
 		out := t.TempDir()
@@ -216,10 +216,7 @@ func TestNodeDataLastDayErrorIsReturned(t *testing.T) {
 		if strings.Count(err.Error(), "node-power-day00000.spwr:") != 1 {
 			t.Errorf("%d cluster(s): the failed flush is not reported exactly once: %v", clusters, err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "cluster-power-day00000.spwr")); err != nil {
-			t.Errorf("%d cluster(s): the archive write beside the failed flush: %v", clusters, err)
-		}
-		for _, name := range []string{"scenario.json", "report.json", "run-meta-day00000.spwr"} {
+		for _, name := range []string{"cluster-power-day00000.spwr", "scenario.json", "report.json", "run-meta-day00000.spwr"} {
 			if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 				t.Errorf("%d cluster(s): %s after a failed flush: stat = %v, want not exist", clusters, name, err)
 			}
@@ -299,6 +296,63 @@ func TestRerunWithoutADatasetIsRefused(t *testing.T) {
 		}
 		if after := fileSums(t, dir); !reflect.DeepEqual(after, before) {
 			t.Errorf("%d cluster(s): the refused run changed the directory", clusters)
+		}
+	}
+}
+
+// TestOffGridSpanIsOneRun: a -days that is no whole number of windows —
+// 0.3 days is 25 919.99… s, 1.0001 days runs 8.64 s past midnight — is one
+// run to the simulator, the collector and the node-power writer alike: the
+// archive passes fsck, node-power holds nodes × run-meta windows rows, and
+// no cluster-power or job-series row lies outside the run-meta's span.
+func TestOffGridSpanIsOneRun(t *testing.T) {
+	for _, days := range []float64{0.3, 1.0001} {
+		dir := t.TempDir()
+		if err := run(io.Discard, options{nodes: 8, days: days, seed: 3, clusters: 1, out: dir, nodeData: true, quiet: true}); err != nil {
+			t.Fatalf("-days %g: %v", days, err)
+		}
+		if err := fsck(io.Discard, dir); err != nil {
+			t.Errorf("-days %g: fsck: %v", days, err)
+		}
+		src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, _ := src.Meta()
+		end := meta.StartTime + meta.SpanSec()
+		rows := map[string]int{}
+		for _, name := range []string{source.DatasetNodePower, source.DatasetClusterPower} {
+			x, ok := src.Index(name)
+			if !ok {
+				t.Fatalf("-days %g: no %s", days, name)
+			}
+			for _, day := range x.Days() {
+				tab, err := x.Dataset().ReadDay(day)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ts := range tab.Col("timestamp").Ints {
+					if ts < meta.StartTime || ts >= end {
+						t.Errorf("-days %g: %s row at %d outside the span [%d, %d)", days, name, ts, meta.StartTime, end)
+						break
+					}
+				}
+				rows[name] += tab.NumRows()
+			}
+		}
+		if rows[source.DatasetNodePower] != 8*meta.Windows || rows[source.DatasetClusterPower] != meta.Windows {
+			t.Errorf("-days %g: %d node-power and %d cluster-power rows, want 8 × %d and %d run-meta windows",
+				days, rows[source.DatasetNodePower], rows[source.DatasetClusterPower], meta.Windows, meta.Windows)
+		}
+		windows, err := src.JobPower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range windows {
+			if w.T < meta.StartTime || w.T >= end {
+				t.Errorf("-days %g: job %d's window at %d outside the span [%d, %d)", days, w.AllocationID, w.T, meta.StartTime, end)
+				break
+			}
 		}
 	}
 }

@@ -22,11 +22,9 @@ import (
 
 // RunData is one simulated span: its source, which serves the run under
 // the archive's names (the in-memory equivalent of the paper's
-// pre-processed Datasets 0–13), and the scheduler's allocations, whose node
-// lists only the per-node CSV reads.
+// pre-processed Datasets 0–13).
 type RunData struct {
-	Allocations []scheduler.Allocation
-	src         *source.MemorySource
+	src *source.MemorySource
 }
 
 // Source returns the run's source, the live data plane: WriteDatasets
@@ -49,7 +47,8 @@ var windowSeries = [...]string{
 // Collector fills a run's source from a simulation. Use NewCollector, pass
 // it to Sim.Run as an observer, then call SetFailures and Data.
 type Collector struct {
-	data *RunData
+	data   *RunData
+	allocs []scheduler.Allocation // the sim's, indexed as Snapshot.AllocIdx
 	// The source's series, held here for the per-window pass: those of
 	// windowSeries in its order, the GPU temperature-band counts (band
 	// edges TempBandEdges: the §2 dashboard histogram), and per MSB the
@@ -100,7 +99,7 @@ type jobWindowAcc struct {
 // NewCollector creates the source of the run described by cfg and the sim's
 // allocations, every series under its source name.
 func NewCollector(s *sim.Sim, cfg sim.Config) *Collector {
-	steps := int(cfg.DurationSec / cfg.StepSec)
+	steps := int(cfg.DurationSec / cfg.StepSec) // whole windows: cfg is validated
 	allocs := s.Allocations()
 	src := &source.MemorySource{
 		RunMeta: source.Meta{
@@ -114,7 +113,7 @@ func NewCollector(s *sim.Sim, cfg sim.Config) *Collector {
 		SeriesByName: map[string]*tsagg.Series{},
 		Allocs:       make([]source.Allocation, len(allocs)),
 	}
-	c := &Collector{data: &RunData{Allocations: allocs, src: src}, jobs: make([]jobAcc, len(allocs))}
+	c := &Collector{data: &RunData{src: src}, allocs: allocs, jobs: make([]jobAcc, len(allocs))}
 	mk := func(name string) *tsagg.Series {
 		series := tsagg.NewSeries(cfg.StartTime, cfg.StepSec, steps)
 		src.SeriesByName[name] = series
@@ -268,7 +267,7 @@ func (c *Collector) Observe(snap *sim.Snapshot) {
 		s.Set(t, msbSum[m])
 	}
 	for _, aIdx := range c.jobTouched {
-		c.jobs[aIdx].observe(t, c.data.src.RunMeta.StepSec, c.data.Allocations[aIdx].Job.ID)
+		c.jobs[aIdx].observe(t, c.data.src.RunMeta.StepSec, c.allocs[aIdx].Job.ID)
 	}
 	if len(c.frames) > 0 && t == c.frames[0] {
 		c.frames = c.frames[1:]
@@ -321,7 +320,7 @@ func (c *Collector) SetFailures(evs []failures.Event) {
 		if j.sum.N == 0 {
 			continue
 		}
-		a := &d.Allocations[i]
+		a := &c.allocs[i]
 		d.src.Jobs = append(d.src.Jobs, source.JobRecord{
 			AllocationID:  a.Job.ID,
 			Class:         int(a.Job.Class),
@@ -344,32 +343,20 @@ func (c *Collector) SetFailures(evs []failures.Event) {
 // Data returns the run: its source is complete once SetFailures has run.
 func (c *Collector) Data() *RunData { return c.data }
 
-// Attach builds one extra observer for a run once its sim exists (the
-// node-dataset writer sizes its floor from the sim's configuration).
-type Attach func(s *sim.Sim) (sim.Observer, error)
-
 // CollectRun is the one run-and-collect sequence: build the sim from cfg,
-// attach the standard collector plus the extra observers, run, and return
-// the run data with the sim result. An attach error aborts before the run
-// starts. However the run ends, every extra observer that holds files (an
-// io.Closer, such as the node-dataset writer and its flush in flight) is
-// closed before CollectRun returns, and every error is reported.
-func CollectRun(cfg sim.Config, attach ...Attach) (*RunData, *sim.Result, error) {
+// run it with the standard collector and the extra observers, and return the
+// run data with the sim result. However it returns — the config refused, the
+// run failed, an observer's Close failed — every extra observer that holds
+// files (an io.Closer, such as the node-dataset writer and its flush in
+// flight) has been closed once, and every error is reported.
+func CollectRun(cfg sim.Config, extra ...sim.Observer) (*RunData, *sim.Result, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, errors.Join(err, closeObservers(extra))
 	}
 	col := NewCollector(s, s.Config())
-	observers := []sim.Observer{col}
-	for _, a := range attach {
-		o, err := a(s)
-		if err != nil {
-			return nil, nil, errors.Join(err, closeObservers(observers))
-		}
-		observers = append(observers, o)
-	}
-	res, err := s.Run(observers...)
-	if err = errors.Join(err, closeObservers(observers)); err != nil {
+	res, err := s.Run(append([]sim.Observer{col}, extra...)...)
+	if err = errors.Join(err, closeObservers(extra)); err != nil {
 		return nil, nil, err
 	}
 	col.SetFailures(res.Failures)

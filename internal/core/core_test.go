@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/failures"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/stats"
@@ -13,9 +14,12 @@ import (
 	"repro/internal/units"
 )
 
-// testRun executes one small deterministic run shared by the integration
-// tests (cached per package run).
-var cachedData *RunData
+// testData executes one small deterministic run shared by the integration
+// tests (cached per package run, with its sim result).
+var (
+	cachedData *RunData
+	cachedRes  *sim.Result
+)
 
 func testData(t *testing.T) *RunData {
 	t.Helper()
@@ -33,12 +37,18 @@ func testData(t *testing.T) *RunData {
 		FailureRateScale: 2000,
 		FailureCheckSec:  120,
 	}
-	d, _, err := CollectRun(cfg)
+	d, res, err := CollectRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedData = d
+	cachedData, cachedRes = d, res
 	return d
+}
+
+// testAllocations is the scheduler's allocations of testData's run.
+func testAllocations(t *testing.T) []scheduler.Allocation {
+	testData(t)
+	return cachedRes.Allocations
 }
 
 // runSeries returns the named series of d's source.
@@ -62,7 +72,7 @@ func TestCollectRunBasics(t *testing.T) {
 	if len(clean) != power.Len() {
 		t.Errorf("cluster power has %d gaps", power.Len()-len(clean))
 	}
-	if len(src.Allocs) != len(d.Allocations) {
+	if len(src.Allocs) != len(testAllocations(t)) {
 		t.Error("allocation log not parallel to allocations")
 	}
 	if _, err := src.Series(source.MeterSeriesName(0)); err != nil {
@@ -547,8 +557,8 @@ func TestSchedulingByClass(t *testing.T) {
 			t.Fatalf("%v: usage stats invalid: %+v", r.Class, r)
 		}
 	}
-	if totalJobs != len(d.Allocations) {
-		t.Errorf("stats cover %d of %d jobs", totalJobs, len(d.Allocations))
+	if allocs := testAllocations(t); totalJobs != len(allocs) {
+		t.Errorf("stats cover %d of %d jobs", totalJobs, len(allocs))
 	}
 }
 

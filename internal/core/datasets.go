@@ -8,12 +8,11 @@ import (
 	"repro/internal/topology"
 )
 
-// WriteDatasets archives the run data into dir, the writers in also beside
-// it (source.WriteArchive). The layout — datasets, columns, codecs — is
-// internal/source's; the run reaches its one writer as the same RunSource
-// the live analyses read.
-func WriteDatasets(dir string, d *RunData, also ...func() error) error {
-	return source.WriteArchive(dir, d.Source(), also...)
+// WriteDatasets archives the run data into dir (source.WriteArchive). The
+// layout — datasets, columns, codecs — is internal/source's; the run reaches
+// its one writer as the same RunSource the live analyses read.
+func WriteDatasets(dir string, d *RunData) error {
+	return source.WriteArchive(dir, d.Source())
 }
 
 // DatasetNodePower is the per-node window dataset (the paper's Dataset 0:
@@ -27,16 +26,14 @@ const DatasetNodePower = source.DatasetNodePower
 // pre-aggregate companion the query tier answers aligned rollups from.
 //
 // Rows are encoded while the simulation runs on: one flush is in flight at
-// most, over two buffers of nodeBlockRows rows that swap when one fills, and
-// a midnight's flush commits the day. The first flush error stops every later
-// write and is what Close returns. Close must be called: it alone waits for
-// the last flush and commits the last day.
+// most, over two buffers of nodeBlockRows rows that swap when one fills; the
+// day writer cuts a buffer at midnight and commits the day it closes. The
+// first flush error stops every later write and is what Close returns. Close
+// must be called: it alone waits for the last flush and commits the last day.
 type NodeDatasetWriter struct {
-	days   *source.NodeDayWriter
-	day    int
-	dayEnd int64               // 0: nothing observed yet
-	rows   []source.NodeWindow // the buffer being filled
-	spare  []source.NodeWindow // the other buffer, being flushed while flushed != nil
+	days  *source.NodeDayWriter
+	rows  []source.NodeWindow // the buffer being filled
+	spare []source.NodeWindow // the other buffer, being flushed while flushed != nil
 	// flushed delivers the result of the flush in flight; nil when none is.
 	flushed chan error
 	err     error
@@ -65,39 +62,24 @@ func NewNodeDatasetWriter(dir string, nodes int, site string) (*NodeDatasetWrite
 
 // Observe implements sim.Observer.
 func (w *NodeDatasetWriter) Observe(snap *sim.Snapshot) {
-	if w.dayEnd == 0 {
-		w.dayEnd = snap.T + 86400
-	}
-	if snap.T >= w.dayEnd && w.err == nil {
-		w.flush(true)
-		w.day++
-		w.dayEnd += 86400
-	}
 	for i := 0; i < len(snap.NodeStat) && w.err == nil; i++ {
 		if len(w.rows) == cap(w.rows) {
-			w.flush(false)
+			w.flush()
 		}
 		w.rows = append(w.rows, source.NodeWindow{Node: int64(i), Stat: snap.NodeStat[i]})
 	}
 }
 
-// flush hands the full buffer — with commit, its day's last rows — to a flush
-// of its own and swaps in the other buffer, once the flush that was reading
-// that one is done.
-func (w *NodeDatasetWriter) flush(commit bool) {
+// flush hands the full buffer to a flush of its own and swaps in the other
+// buffer, once the flush that was reading that one is done.
+func (w *NodeDatasetWriter) flush() {
 	if w.wait(); w.err != nil {
 		return
 	}
-	day, block := w.day, w.rows
+	block := w.rows
 	w.rows, w.spare = w.spare[:0], block
 	w.flushed = make(chan error, 1)
-	go func(done chan<- error) {
-		err := w.days.Append(block)
-		if err == nil && commit {
-			err = w.days.Commit(day)
-		}
-		done <- err
-	}(w.flushed)
+	go func(done chan<- error) { done <- w.days.Append(block) }(w.flushed)
 }
 
 // wait blocks until no flush is in flight and keeps the first error.
@@ -112,13 +94,24 @@ func (w *NodeDatasetWriter) wait() {
 }
 
 // Close commits the last day once the flush before it is done, and reports
-// the first error of any flush.
+// the first error of any flush. A writer that observed no window writes
+// nothing.
 func (w *NodeDatasetWriter) Close() error {
 	if w.wait(); w.err == nil {
 		if w.err = w.days.Append(w.rows); w.err == nil {
-			w.err = w.days.Commit(w.day)
+			w.err = w.days.Close()
 		}
 		w.rows = w.rows[:0]
 	}
 	return w.err
+}
+
+// siteFloor builds the floor a run of nodes on the named site preset ("" =
+// summit) instantiates: the layout sim.New gives it.
+func siteFloor(site string, nodes int) (*topology.Floor, error) {
+	tcfg, err := topology.PresetScaled(site, nodes)
+	if err != nil {
+		return nil, err
+	}
+	return topology.New(tcfg)
 }

@@ -123,7 +123,7 @@ func TestReadDatasetsErrors(t *testing.T) {
 func TestNodeDatasetWriter(t *testing.T) {
 	dir := t.TempDir()
 	cfg := simConfigForNodeDataset()
-	d, _, err := CollectRun(cfg, attachNodeWriter(dir))
+	d, _, err := CollectRun(cfg, nodeWriter(t, dir, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,19 +153,26 @@ func TestNodeDatasetWriter(t *testing.T) {
 	}
 }
 
-// attachNodeWriter is the CollectRun attachment that archives the run's
-// per-node dataset into dir, on the run's own floor; CollectRun closes it.
-func attachNodeWriter(dir string) Attach {
-	return func(s *sim.Sim) (sim.Observer, error) {
-		cfg := s.Config()
-		return NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+// nodeWriter is the observer that archives the per-node dataset of a run of
+// cfg into dir, on the run's own floor; CollectRun closes it.
+func nodeWriter(t *testing.T, dir string, cfg sim.Config) sim.Observer {
+	t.Helper()
+	w, err := NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return w
 }
 
-// nodeWriters is CollectFleet's attach for cluster i's node writer in
-// dirs[i].
-func nodeWriters(dirs ...string) func(int) []Attach {
-	return func(i int) []Attach { return []Attach{attachNodeWriter(dirs[i])} }
+// nodeWriters is CollectFleet's extra: cluster i's node writer in dirs[i],
+// built before the fleet runs.
+func nodeWriters(t *testing.T, cfgs []sim.Config, dirs ...string) func(int) []sim.Observer {
+	t.Helper()
+	obs := make([][]sim.Observer, len(dirs))
+	for i, dir := range dirs {
+		obs[i] = []sim.Observer{nodeWriter(t, dir, cfgs[i])}
+	}
+	return func(i int) []sim.Observer { return obs[i] }
 }
 
 // readNodeDay decodes one day of the node-power dataset through the store,
@@ -196,23 +203,22 @@ func readNodeDay(dir string, day int) (map[int][]tsagg.WindowStat, error) {
 	return out, nil
 }
 
-// TestCollectRunAttach pins what every former hand-rolled run-and-collect
-// copy relied on: an attached node writer produces byte-for-byte the
-// partitions CollectFleet writes for the same config as a one-member
-// fleet, attaching observers does not perturb the collected run, and an
-// attach constructor that fails aborts before anything runs.
-func TestCollectRunAttach(t *testing.T) {
+// TestCollectRunObservers pins what every former hand-rolled run-and-collect
+// copy relied on: a node writer handed to CollectRun produces byte-for-byte
+// the partitions CollectFleet writes for the same config as a one-member
+// fleet, and extra observers do not perturb the collected run.
+func TestCollectRunObservers(t *testing.T) {
 	cfg := simConfigForNodeDataset()
 	plain, plainRes, err := CollectRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir, fleetDir := t.TempDir(), t.TempDir()
-	got, gotRes, err := CollectRun(cfg, attachNodeWriter(dir))
+	got, gotRes, err := CollectRun(cfg, nodeWriter(t, dir, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CollectFleet([]sim.Config{cfg}, 1, nodeWriters(fleetDir)); err != nil {
+	if _, err := CollectFleet([]sim.Config{cfg}, 1, nodeWriters(t, []sim.Config{cfg}, fleetDir)); err != nil {
 		t.Fatal(err)
 	}
 	names, err := filepath.Glob(filepath.Join(fleetDir, "*"))
@@ -237,39 +243,21 @@ func TestCollectRunAttach(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want, have) {
-			t.Errorf("%s differs between CollectRun attach and CollectFleet", base)
+			t.Errorf("%s differs between CollectRun and CollectFleet", base)
 		}
 	}
 	if nodeParts == 0 || rollupParts != 0 {
 		t.Fatalf("fleet wrote %d node-power and %d separate rollup partitions, want some and none (a day's file carries its companion)", nodeParts, rollupParts)
 	}
 	if mine, _ := filepath.Glob(filepath.Join(dir, "*")); len(mine) != len(names) {
-		t.Errorf("attach wrote %d files, fleet wrote %d", len(mine), len(names))
+		t.Errorf("CollectRun wrote %d files, fleet wrote %d", len(mine), len(names))
 	}
 
-	// The attached run is the same run.
+	// The observed run is the same run.
 	if fmt.Sprintf("%+v", plainRes) != fmt.Sprintf("%+v", gotRes) {
-		t.Error("sim result differs with an observer attached")
+		t.Error("sim result differs with an extra observer")
 	}
 	assertRunDataBitEqual(t, plain, got)
-
-	// A failing constructor aborts before the run: later attachments are
-	// never built and nothing observes a window.
-	boom := errors.New("boom")
-	built, observed := false, false
-	_, _, err = CollectRun(cfg,
-		func(*sim.Sim) (sim.Observer, error) {
-			return sim.ObserverFunc(func(*sim.Snapshot) { observed = true }), nil
-		},
-		func(*sim.Sim) (sim.Observer, error) { return nil, boom },
-		func(*sim.Sim) (sim.Observer, error) { built = true; return nil, nil },
-	)
-	if !errors.Is(err, boom) {
-		t.Errorf("attach error = %v, want boom", err)
-	}
-	if built || observed {
-		t.Errorf("run continued past a failed attach (built=%v observed=%v)", built, observed)
-	}
 }
 
 // assertRunDataBitEqual compares every series of two runs at tolerance 0

@@ -76,24 +76,43 @@ func TestCollectFleetValidation(t *testing.T) {
 	}
 
 	// A fleet of one reads as its run; a larger fleet names the cluster.
-	boom := func(int) []Attach {
-		return []Attach{func(*sim.Sim) (sim.Observer, error) { return nil, errors.New("boom") }}
+	// Every member's observers are closed however the fleet returns: a
+	// refused config, or a Close that fails.
+	boom := errors.New("boom")
+	failing := func(spies []*closeSpy) func(int) []sim.Observer {
+		for i := range spies {
+			spies[i] = &closeSpy{err: boom}
+		}
+		return func(i int) []sim.Observer { return []sim.Observer{spies[i]} }
 	}
-	_, _, solo := CollectRun(bad[0])
-	if _, err := CollectFleet(bad, 0, boom); err == nil || solo == nil || err.Error() != solo.Error() {
+	closedOnce := func(what string, spies []*closeSpy) {
+		for i, s := range spies {
+			if s.closed != 1 {
+				t.Errorf("%s: member %d's observer closed %d times, want once", what, i, s.closed)
+			}
+		}
+	}
+	_, _, solo := CollectRun(bad[0], &closeSpy{err: boom})
+	spies := make([]*closeSpy, 1)
+	if _, err := CollectFleet(bad, 0, failing(spies)); err == nil || solo == nil || err.Error() != solo.Error() {
 		t.Errorf("invalid fleet of one: %v, want CollectRun's %v", err, solo)
 	}
-	if _, err := CollectFleet(cfgsOf("c0"), 0, boom); err == nil || err.Error() != "boom" {
-		t.Errorf("failed attach in a fleet of one: %v, want boom", err)
+	closedOnce("invalid fleet of one", spies)
+	if _, err := CollectFleet(cfgsOf("c0"), 0, failing(spies)); err == nil || err.Error() != "boom" {
+		t.Errorf("failed Close in a fleet of one: %v, want boom", err)
 	}
-	for _, attach := range []func(int) []Attach{nil, boom} { // a validation error, a run error
+	closedOnce("failed Close in a fleet of one", spies)
+	for _, invalid := range []bool{true, false} { // a validation error, a run error
 		cfgs := cfgsOf("c0", "c1")
-		if attach == nil {
+		if invalid {
 			cfgs[1].Site = "atlantis"
 		}
-		if _, err := CollectFleet(cfgs, 0, attach); err == nil || !strings.Contains(err.Error(), "core: cluster 1 (c1): ") {
-			t.Errorf("fleet of two: %v, want an error naming cluster 1 (c1)", err)
+		spies := make([]*closeSpy, 2)
+		_, err := CollectFleet(cfgs, 0, failing(spies))
+		if err == nil || !strings.Contains(err.Error(), "core: cluster 1 (c1): ") || !errors.Is(err, boom) {
+			t.Errorf("fleet of two: %v, want an error naming cluster 1 (c1) and the close error", err)
 		}
+		closedOnce("fleet of two", spies)
 	}
 }
 
@@ -110,9 +129,8 @@ func cfgsOf(names ...string) []sim.Config {
 // and re-opened reports its cluster identity through source.Meta.
 func TestFleetIdentityThroughArchive(t *testing.T) {
 	dir := t.TempDir()
-	runs, err := CollectFleet([]sim.Config{
-		fleetTestConfig("frontier-1", topology.SiteFrontier, 7),
-	}, 0, nodeWriters(dir))
+	cfgs := []sim.Config{fleetTestConfig("frontier-1", topology.SiteFrontier, 7)}
+	runs, err := CollectFleet(cfgs, 0, nodeWriters(t, cfgs, dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,14 +153,14 @@ func TestOverlappedFlushIsByteIdentical(t *testing.T) {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			dir := t.TempDir()
-			if _, _, err := CollectRun(cfgs[0], attachNodeWriter(dir)); err != nil {
+			if _, _, err := CollectRun(cfgs[0], nodeWriter(t, dir, cfgs[0])); err != nil {
 				t.Fatal(err)
 			}
 			checkFlushPins(t, fmt.Sprintf("GOMAXPROCS %d", procs), cfgs[0].Cluster, dir)
 		}()
 	}
 	dirs := []string{t.TempDir(), t.TempDir()}
-	if _, err := CollectFleet(cfgs, 2, nodeWriters(dirs...)); err != nil {
+	if _, err := CollectFleet(cfgs, 2, nodeWriters(t, cfgs, dirs...)); err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
@@ -179,7 +179,7 @@ func TestOverlappedFlushIsByteIdentical(t *testing.T) {
 func TestStridedDaysDecodeToTheParentsValues(t *testing.T) {
 	cfgs := flushPinConfigs()
 	dirs := []string{t.TempDir(), t.TempDir()}
-	if _, err := CollectFleet(cfgs, 2, nodeWriters(dirs...)); err != nil {
+	if _, err := CollectFleet(cfgs, 2, nodeWriters(t, cfgs, dirs...)); err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
@@ -294,18 +294,16 @@ type closeSpy struct {
 func (c *closeSpy) Observe(*sim.Snapshot) {}
 func (c *closeSpy) Close() error          { c.closed++; return c.err }
 
-func (c *closeSpy) attach(*sim.Sim) (sim.Observer, error) { return c, nil }
-
 // TestCollectRunClosesEveryObserver: an observer may own a flush in flight,
 // so no return path of CollectRun may leave one open — not an earlier
-// observer's failed Close, not a later attachment that fails to build — and
+// observer's failed Close, not a config the sim refuses before the run — and
 // every error reaches the caller.
 func TestCollectRunClosesEveryObserver(t *testing.T) {
 	cfg := simConfigForNodeDataset()
-	errFirst, errSecond, errAttach := errors.New("first close"), errors.New("second close"), errors.New("attach")
+	errFirst, errSecond := errors.New("first close"), errors.New("second close")
 
 	first, second, last := &closeSpy{err: errFirst}, &closeSpy{err: errSecond}, &closeSpy{}
-	_, _, err := CollectRun(cfg, first.attach, second.attach, last.attach)
+	_, _, err := CollectRun(cfg, first, second, last)
 	if !errors.Is(err, errFirst) || !errors.Is(err, errSecond) {
 		t.Errorf("error %v, want both close errors", err)
 	}
@@ -313,17 +311,18 @@ func TestCollectRunClosesEveryObserver(t *testing.T) {
 		t.Errorf("closed %d/%d/%d times after a failed Close, want once each", first.closed, second.closed, last.closed)
 	}
 
-	built := &closeSpy{err: errFirst}
-	_, _, err = CollectRun(cfg, built.attach, func(*sim.Sim) (sim.Observer, error) { return nil, errAttach })
-	if !errors.Is(err, errAttach) || !errors.Is(err, errFirst) {
-		t.Errorf("error %v, want the attach error and the close error", err)
+	refused, failing := cfg, &closeSpy{err: errFirst}
+	refused.Nodes = 0
+	_, _, err = CollectRun(refused, failing)
+	if err == nil || !strings.Contains(err.Error(), "non-positive node count") || !errors.Is(err, errFirst) {
+		t.Errorf("error %v, want the refused config and the close error", err)
 	}
-	if built.closed != 1 {
-		t.Errorf("observer built before a failed attach closed %d times, want once", built.closed)
+	if failing.closed != 1 {
+		t.Errorf("observer of a refused config closed %d times, want once", failing.closed)
 	}
 
 	ok := &closeSpy{}
-	if _, _, err := CollectRun(cfg, ok.attach); err != nil || ok.closed != 1 {
+	if _, _, err := CollectRun(cfg, ok); err != nil || ok.closed != 1 {
 		t.Errorf("clean run: error %v, closed %d times", err, ok.closed)
 	}
 }

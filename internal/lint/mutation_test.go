@@ -73,11 +73,11 @@ func mutations() []mutation {
 			after("func (d *EdgeDetector) Push(t int64, v float64) {", probeClock),
 		mutation{name: "clock in source.WriteArchive", pkg: "repro/internal/source", file: "layout.go", imp: "time",
 			want: "determinism", wantMsg: "time.Now reads the wall clock"}.
-			after("func WriteArchive(dir string, src RunSource, also ...func() error) error {", probeClock),
+			after("func WriteArchive(dir string, src RunSource) error {", probeClock),
 		// Neither store nor tsagg is on the swept list: only the archive
 		// writer's roots, through the call graph, reach these two.
 		mutation{name: "clock in store.WriteCodec", pkg: "repro/internal/store", file: "columnar.go", imp: "time",
-			with: []string{"repro/internal/source"}, want: "determinism", wantMsg: "reachable from determinism root (*source.NodeDayWriter).Commit"}.
+			with: []string{"repro/internal/source"}, want: "determinism", wantMsg: "reachable from determinism root (*source.NodeDayWriter).Append"}.
 			after("func WriteCodec(w io.Writer, t *Table, codec Codec) error {", probeClock),
 		mutation{name: "clock in tsagg.NewSeries", pkg: "repro/internal/tsagg", file: "series.go", imp: "time",
 			with: []string{"repro/internal/source"}, want: "determinism", wantMsg: "reachable from determinism root"}.

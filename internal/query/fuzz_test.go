@@ -38,9 +38,11 @@ var fuzzParams = []string{"dataset", "column", "node", "t0", "t1", "step", "grou
 func FuzzQueryParams(f *testing.F) {
 	dir := f.TempDir()
 	cfg := sim.Scaled(16, 2*3600)
-	data, _, err := core.CollectRun(cfg, func(s *sim.Sim) (sim.Observer, error) {
-		return core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
-	})
+	nodes, err := core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, _, err := core.CollectRun(cfg, nodes)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -417,10 +419,10 @@ func TestFleetRangePreaggRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeDay := func(day int, shift float64, floor *topology.Floor) {
-		w := source.NewNodeDayWriter(stale, fixNodes, floor)
+	writeDays := func(dir string, days int, shift float64, floor *topology.Floor) {
+		w := source.NewNodeDayWriter(dir, fixNodes, floor)
 		var rows []source.NodeWindow
-		for tm := int64(day) * daySec; tm < int64(day+1)*daySec; tm += source.RollupStepSec {
+		for tm := int64(0); tm < int64(days)*daySec; tm += source.RollupStepSec {
 			for n := 0; n < fixNodes; n++ {
 				v := fixPower(int64(n), tm) + shift
 				rows = append(rows, source.NodeWindow{Node: int64(n), Stat: tsagg.WindowStat{T: tm, Count: 60, Min: v - 1, Max: v + 2, Mean: v, Std: 0.5}})
@@ -429,14 +431,17 @@ func TestFleetRangePreaggRefusals(t *testing.T) {
 		if err := w.Append(rows); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Commit(day); err != nil {
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for day := 0; day < 3; day++ {
-		writeDay(day, 0, floor)
+	writeDays(stale, 3, 0, floor)
+	shifted := t.TempDir()
+	writeDays(shifted, 2, 250, nil)
+	day1 := (&store.Dataset{Dir: stale, Name: "node-power"}).DayFile(1)
+	if err := os.Rename(filepath.Join(shifted, day1), filepath.Join(stale, day1)); err != nil {
+		t.Fatal(err)
 	}
-	writeDay(1, 250, nil)
 	commitArchive(t, stale, fixNodes)
 	e, err = Open(Config{Dir: stale, Nodes: fixNodes})
 	if err != nil {

@@ -89,7 +89,8 @@ type Config struct {
 	Site      string
 	Nodes     int   // system size
 	StartTime int64 // unix seconds
-	// DurationSec is the simulated span.
+	// DurationSec is the simulated span; Validate cuts it down to whole
+	// windows of StepSec.
 	DurationSec int64
 	// StepSec is the coarsening window the run advances by (the paper's
 	// analyses operate on 10-second windows).
@@ -170,6 +171,12 @@ func (c *Config) Validate() error {
 	}
 	if c.StepSec <= 0 {
 		c.StepSec = units.CoarsenWindowSec
+	}
+	// A run is a whole number of windows: Run steps while t < end and the
+	// collector and run-meta count DurationSec/StepSec windows, which agree
+	// only on a span cut down to the grid.
+	if c.DurationSec -= c.DurationSec % c.StepSec; c.DurationSec == 0 {
+		return fmt.Errorf("sim: duration shorter than one %d s window", c.StepSec)
 	}
 	if c.SamplesPerWindow <= 0 {
 		c.SamplesPerWindow = 1

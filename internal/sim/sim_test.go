@@ -39,6 +39,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSpanIsWholeWindows: Validate cuts a span down to whole windows, so Run
+// produces the DurationSec/StepSec windows the collector and run-meta count,
+// and refuses a span shorter than one window.
+func TestSpanIsWholeWindows(t *testing.T) {
+	cfg := Scaled(4, 3600)
+	cfg.DurationSec = 3605
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Config().DurationSec; got != 3600 {
+		t.Errorf("a 3605 s span validated to %d s, want 3600", got)
+	}
+	n := 0
+	if _, err := s.Run(ObserverFunc(func(*Snapshot) { n++ })); err != nil {
+		t.Fatal(err)
+	}
+	if want := int(3600 / cfg.StepSec); n != want {
+		t.Errorf("Run produced %d windows, want %d", n, want)
+	}
+	cfg.DurationSec = cfg.StepSec - 1
+	if err := cfg.Validate(); err == nil {
+		t.Errorf("a %d s span with a %d s step validated", cfg.DurationSec, cfg.StepSec)
+	}
+}
+
 // TestWorkloadRefusesDuplicateJobIDs: a workload whose two jobs share ID 7
 // is refused, naming the ID and both indices. Accepted, such a 16-node run
 // keys both jobs to one power series, so Figure 10's per-job dynamics

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/failures"
@@ -291,22 +292,30 @@ func nodeSchema(c *rowCodec, r *NodeWindow) {
 var NodeRollupCols = columnNames(nodeSchema)[nodeAxes:]
 
 // NodeDayWriter writes the node-power dataset as its rows arrive, in (time,
-// node) order, one row per node per window. Append encodes them into the
-// open day's base partition and folds the same rows, in the same order, into
-// its pre-aggregate companion — what makes a rollup answered from the
-// companion bit-identical to one scanned from the base. Commit writes the day
-// as one file, base then companion, through one .tmp and a rename: a day
+// node) order, one row per node per window. Days count from the first row's
+// time in daySec steps, like the run's other datasets. Append encodes the
+// rows into their day's base partition and folds the same rows, in the same
+// order, into its pre-aggregate companion — what makes a rollup answered
+// from the companion bit-identical to one scanned from the base. A day is
+// committed as one file, base then companion, through one .tmp and a rename,
+// when a row of a later day arrives, and the last day at Close; a day
 // re-written without a floor takes its old companion with it. This is the
 // one place the pair's codecs are chosen: CodecDeltaFast for the base, its
 // float columns strided by the node count so each value is XORed with the
 // same node's one window earlier, and Gorilla for the tiny, cold-read
-// companion. It holds a day's compressed columns, never its rows.
+// companion. It holds a day's compressed columns, never its rows. After an
+// error it must not be appended to again; the day the error was in is never
+// committed.
 type NodeDayWriter struct {
-	dir   string
-	floor *topology.Floor        // nil: no companion
-	block *rowCodec              // one Append's rows as columns, and the day's declaration
-	base  *store.PartitionWriter // nil: no day open
-	red   *RollupReducer
+	dir    string
+	floor  *topology.Floor        // nil: no companion
+	block  *rowCodec              // one Append's rows as columns, and the day's declaration
+	origin int64                  // the first row's time, from which days count
+	day    int                    // the open day
+	base   *store.PartitionWriter // nil: no day open
+	red    *RollupReducer
+	// started is set by the first row, which sets origin.
+	started bool
 }
 
 // NewNodeDayWriter writes into dir the node-power days of a run of nodes
@@ -321,23 +330,45 @@ func NewNodeDayWriter(dir string, nodes int, floor *topology.Floor) *NodeDayWrit
 	return w
 }
 
-// Append encodes rows as the next rows of the open day, opening one if none
-// is open; no rows open nothing.
+// Append encodes rows as the next rows of the dataset. A row of a later day
+// than the open one commits the open day first, so a block that crosses a
+// midnight is cut there.
 //
 //lint:detroot
-func (w *NodeDayWriter) Append(rows []NodeWindow) (err error) {
-	if len(rows) == 0 {
-		return nil
-	}
-	c := w.block
-	if w.base == nil {
-		if w.base, err = store.NewPartitionWriter(store.CodecDeltaFast, c.cols); err != nil {
+func (w *NodeDayWriter) Append(rows []NodeWindow) error {
+	for len(rows) > 0 {
+		if !w.started {
+			w.origin, w.started = rows[0].Stat.T, true
+		}
+		day := int((rows[0].Stat.T - w.origin) / daySec)
+		if w.base != nil && day != w.day {
+			if err := w.commit(); err != nil {
+				return err
+			}
+		}
+		if w.base == nil {
+			var err error
+			if w.base, err = store.NewPartitionWriter(store.CodecDeltaFast, w.block.cols); err != nil {
+				return err
+			}
+			if w.day = day; w.floor != nil {
+				w.red = NewRollupReducer(w.floor, NodeRollupCols)
+			}
+		}
+		end := w.origin + int64(day+1)*daySec
+		n := sort.Search(len(rows), func(i int) bool { return rows[i].Stat.T >= end })
+		if err := w.encode(rows[:n]); err != nil {
+			w.base = nil // a day its rows did not all reach is never committed
 			return err
 		}
-		if w.floor != nil {
-			w.red = NewRollupReducer(w.floor, NodeRollupCols)
-		}
+		rows = rows[n:]
 	}
+	return nil
+}
+
+// encode appends rows, all of the open day, to its base and its companion.
+func (w *NodeDayWriter) encode(rows []NodeWindow) error {
+	c := w.block
 	for k := range c.cols {
 		col := &c.cols[k]
 		col.Ints, col.Floats = col.Ints[:0], col.Floats[:0]
@@ -359,23 +390,24 @@ func (w *NodeDayWriter) Append(rows []NodeWindow) (err error) {
 			}
 		}
 		if err := w.red.Add(rows[i].Stat.T, rows[i].Node, vals); err != nil {
-			w.base = nil // a base its companion does not match is never committed
 			return err
 		}
 	}
 	return nil
 }
 
-// Commit writes the open day as day of the dataset and closes it, whether or
-// not that succeeds; with no day open it writes nothing.
+// Close commits the open day; with none open it writes nothing.
 //
 //lint:detroot
-func (w *NodeDayWriter) Commit(day int) error {
+func (w *NodeDayWriter) Close() error { return w.commit() }
+
+// commit writes the open day and closes it, whether or not that succeeds.
+func (w *NodeDayWriter) commit() error {
 	base, red := w.base, w.red
 	if w.base, w.red = nil, nil; base == nil {
 		return nil
 	}
-	return dataset(w.dir, DatasetNodePower).WriteDayFunc(day, func(f io.Writer) error {
+	return dataset(w.dir, DatasetNodePower).WriteDayFunc(w.day, func(f io.Writer) error {
 		if err := base.Close(f); err != nil || red == nil {
 			return err
 		}
@@ -397,15 +429,15 @@ func RunDatasets(nodePower bool) []string {
 // WriteArchive archives the run src serves into dir as daily-partitioned
 // columnar files, the paper's one-file-per-day layout: the cluster-power
 // series sliced by day, the run's logs, and last the run-meta manifest that
-// makes the archive self-describing. The run is read and dir
-// checked (BeginArchive) before the first byte is written. The writers in
-// also — the run's other datasets, such as the node-power writer's last day
-// — run beside the partitions; run-meta, the archive's commit record, is
-// written only once every partition and every one of them has succeeded, so
-// a failed or interrupted write leaves an archive every reader refuses.
+// makes the archive self-describing. The run is read and dir checked
+// (BeginArchive) before the first byte is written. run-meta, the archive's
+// commit record, is written only once every partition has succeeded, so a
+// failed or interrupted write leaves an archive every reader refuses. A run's
+// node-power days are its observer's (NodeDayWriter), closed before this
+// commits.
 //
 //lint:detroot
-func WriteArchive(dir string, src RunSource, also ...func() error) error {
+func WriteArchive(dir string, src RunSource) error {
 	m, err := src.Meta()
 	if err != nil {
 		return err
@@ -438,8 +470,8 @@ func WriteArchive(dir string, src RunSource, also ...func() error) error {
 		return err
 	}
 	// The partitions are independent files, each one's bytes a function of
-	// its table alone, so they are encoded side by side, after the writers
-	// of also have been started; errors come back in that order.
+	// its table alone, so they are encoded side by side; errors come back in
+	// partition order.
 	type partition struct {
 		dataset string
 		day     int
@@ -464,11 +496,8 @@ func WriteArchive(dir string, src RunSource, also ...func() error) error {
 		partition{DatasetAllocations, logDay, encodeRows(allocationSchema, allocs)},
 		partition{DatasetJobSeries, logDay, encodeRows(jobWindowSchema, windows)},
 		partition{DatasetExemplar, logDay, encodeRows(gpuSampleSchema, exemplar)})
-	err = parallel.ForEachErr(len(also)+len(parts), 0, func(i int) error {
-		if i < len(also) {
-			return also[i]()
-		}
-		p := parts[i-len(also)]
+	err = parallel.ForEachErr(len(parts), 0, func(i int) error {
+		p := parts[i]
 		return dataset(dir, p.dataset).WriteDayCodec(p.day, p.table, store.CodecDelta)
 	})
 	if err != nil {

@@ -79,9 +79,11 @@ func archivePinnedRun(t *testing.T) string { return archiveRun(t, pinnedMember()
 func archiveRun(t *testing.T, cfg sim.Config) string {
 	t.Helper()
 	dir := t.TempDir()
-	d, _, err := core.CollectRun(cfg, func(*sim.Sim) (sim.Observer, error) {
-		return core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
-	})
+	nodes, err := core.NewNodeDatasetWriter(dir, cfg.Nodes, cfg.Site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := core.CollectRun(cfg, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,19 +55,17 @@ func writeNodeDays(t *testing.T, dir string, days int) {
 		t.Fatal(err)
 	}
 	w := source.NewNodeDayWriter(dir, 36, floor)
-	for day := 0; day < days; day++ {
-		for win := int64(0); win < 144; win++ {
-			rows := make([]source.NodeWindow, 36)
-			for n := range rows {
-				rows[n] = source.NodeWindow{Node: int64(n), Stat: tsagg.WindowStat{T: 1_577_836_800 + int64(day)*86400 + win*600, Count: 2, Min: 1, Max: 3, Mean: 2, Std: 1}}
-			}
-			if err := w.Append(rows); err != nil {
-				t.Fatal(err)
-			}
+	for win := int64(0); win < int64(days)*144; win++ {
+		rows := make([]source.NodeWindow, 36)
+		for n := range rows {
+			rows[n] = source.NodeWindow{Node: int64(n), Stat: tsagg.WindowStat{T: 1_577_836_800 + win*600, Count: 2, Min: 1, Max: 3, Mean: 2, Std: 1}}
 		}
-		if err := w.Commit(day); err != nil {
+		if err := w.Append(rows); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -355,7 +353,7 @@ func TestSchemaRoundTripEdgeRows(t *testing.T) {
 			if err := w.Append(rows); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Commit(0); err != nil {
+			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
 			src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})

@@ -74,11 +74,24 @@ func nodeRows(t0 int64, windows, nodes, lost int) []source.NodeWindow {
 	return rows
 }
 
+// appendBlocks feeds rows to w in blocks of every size.
+func appendBlocks(t *testing.T, w *source.NodeDayWriter, rows []source.NodeWindow) {
+	t.Helper()
+	for at, k := 0, 0; at < len(rows); k++ {
+		n := min([]int{1, 7, 0, 1000, 36*5 + 11, 1 << 14}[k%6], len(rows)-at)
+		if err := w.Append(rows[at : at+n]); err != nil {
+			t.Fatal(err)
+		}
+		at += n
+	}
+}
+
 // TestNodeDayWriterMatchesTheWholeDay: a node-power day written block by
-// block — blocks of every size, a window cut across them — is the file its
-// rows encoded whole make, companion included: with lost node-windows among
-// them, for a short last day after a full one, and for more nodes than a
-// stride may name, where the floats fall back to the previous row.
+// block — blocks of every size, a window cut across them, a midnight too —
+// is the file its rows encoded whole make, companion included: with lost
+// node-windows among them, for a short last day after a full one, and for
+// more nodes than a stride may name, where the floats fall back to the
+// previous row.
 func TestNodeDayWriterMatchesTheWholeDay(t *testing.T) {
 	tcfg, err := topology.PresetScaled("", 36)
 	if err != nil {
@@ -103,17 +116,13 @@ func TestNodeDayWriterMatchesTheWholeDay(t *testing.T) {
 		dir := t.TempDir()
 		w := source.NewNodeDayWriter(dir, tc.nodes, tc.floor)
 		ds := &store.Dataset{Dir: dir, Name: source.DatasetNodePower}
+		for _, rows := range tc.days {
+			appendBlocks(t, w, rows)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 		for day, rows := range tc.days {
-			for at, k := 0, 0; at < len(rows); k++ {
-				n := min([]int{1, 7, 0, 1000, 36*5 + 11, 1 << 14}[k%6], len(rows)-at)
-				if err := w.Append(rows[at : at+n]); err != nil {
-					t.Fatal(err)
-				}
-				at += n
-			}
-			if err := w.Commit(day); err != nil {
-				t.Fatal(err)
-			}
 			got, err := os.ReadFile(filepath.Join(dir, ds.DayFile(day)))
 			if err != nil {
 				t.Fatal(err)
@@ -125,12 +134,62 @@ func TestNodeDayWriterMatchesTheWholeDay(t *testing.T) {
 				t.Errorf("%s, day %d: fsck %+v; want strided %v, a companion %v, no problems", tc.name, day, c, tc.strided, tc.floor != nil)
 			}
 		}
-		if err := w.Commit(len(tc.days)); err != nil {
+		if days, err := ds.Days(); err != nil || len(days) != len(tc.days) {
+			t.Errorf("%s: days %v (%v), want %d", tc.name, days, err, len(tc.days))
+		}
+	}
+}
+
+// TestNodeDayWriterCutsAtMidnight: 36 nodes over a day and a half, fed in
+// blocks that straddle the midnight, write the same bytes as the same rows
+// fed one day at a time, a block ending at the midnight; the days count from
+// the first row, and a writer fed nothing writes nothing.
+func TestNodeDayWriterCutsAtMidnight(t *testing.T) {
+	tcfg, err := topology.PresetScaled("", 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := topology.New(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const t0 = int64(1_577_836_800 + 3600) // days count from the first row, not the calendar's midnight
+	rows := nodeRows(t0, 216, 36, 17)      // 1.5 days at 600 s
+	write := func(blocks ...[]source.NodeWindow) string {
+		dir := t.TempDir()
+		w := source.NewNodeDayWriter(dir, 36, floor)
+		for _, b := range blocks {
+			if err := w.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, ds.DayFile(len(tc.days)))); err == nil {
-			t.Errorf("%s: a commit with no rows wrote a day", tc.name)
+		return dir
+	}
+	cut := 144 * 36
+	want := write(rows[:cut], rows[cut:])
+	ds := &store.Dataset{Dir: want, Name: source.DatasetNodePower}
+	if days, err := ds.Days(); err != nil || len(days) != 2 {
+		t.Fatalf("days cut at midnight: %v (%v), want 2", days, err)
+	}
+	for _, straddle := range []int{1, 36, 100, cut - 1} {
+		got := write(rows[:cut-straddle], rows[cut-straddle:])
+		for day := 0; day < 2; day++ {
+			a, errA := os.ReadFile(filepath.Join(want, ds.DayFile(day)))
+			b, errB := os.ReadFile(filepath.Join(got, ds.DayFile(day)))
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Errorf("a block straddling midnight by %d rows: day %d differs (%v, %v)", straddle, day, errA, errB)
+			}
 		}
+	}
+	blocks := write(rows) // one block holding both days
+	if files, _ := os.ReadDir(blocks); len(files) != 2 {
+		t.Errorf("one block of both days wrote %d files, want 2", len(files))
+	}
+	if files, err := os.ReadDir(write()); err != nil || len(files) != 0 {
+		t.Errorf("a writer fed nothing left %v (%v)", files, err)
 	}
 }
 
@@ -156,7 +215,7 @@ func TestNodeDayWriterDropsAFailedDay(t *testing.T) {
 	if err := w.Append(rows[36:]); err == nil {
 		t.Fatal("a node outside the floor was folded")
 	}
-	if err := w.Commit(0); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
