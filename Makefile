@@ -262,29 +262,36 @@ queryd-smoke:
 
 # serve-smoke drives both daemons' real mains through their whole life — the
 # only check that does: start the built queryd and streamd, fetch /healthz
-# and one guarded route from each, send SIGTERM, and require exit status 0
-# from both (serve.Run drained cleanly; streamd closed its transport and
-# flushed the pipeline first).
+# and one guarded route from each, hold an idle ingest connection open on
+# streamd, send SIGTERM, and require exit status 0 from both (serve.Run
+# drained cleanly; streamd closed its transport, cutting off the held
+# connection after its grace, and flushed the pipeline first), streamd's
+# within 10 s.
 serve-smoke:
 	$(GO) build -o /tmp/svsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/svsmoke-queryd ./cmd/queryd
 	$(GO) build -o /tmp/svsmoke-streamd ./cmd/streamd
 	rm -rf /tmp/svsmoke-archive
 	/tmp/svsmoke-summitsim -out /tmp/svsmoke-archive -nodes 16 -days 1 -q
-	@set -eu; q=http://127.0.0.1:18098; s=http://127.0.0.1:18099; \
+	@set -eu; q=http://127.0.0.1:18098; s=http://127.0.0.1:18099; hold=; \
 	/tmp/svsmoke-queryd -data /tmp/svsmoke-archive -addr 127.0.0.1:18098 -q & qpid=$$!; \
 	/tmp/svsmoke-streamd -addr 127.0.0.1:18099 -ingest 127.0.0.1:19099 -nodes 16 -sim-minutes 5 -q & spid=$$!; \
-	trap 'kill $$qpid $$spid 2>/dev/null || true' EXIT; \
+	trap 'kill $$qpid $$spid $$hold 2>/dev/null || true' EXIT; \
 	for base in $$q $$s; do \
 		for i in $$(seq 1 120); do curl -sf -o /dev/null $$base/healthz && break; sleep 0.25; done; \
 		test "$$(curl -sf $$base/healthz)" = ok; \
 	done; \
+	bash -c 'exec 3<>/dev/tcp/127.0.0.1/19099 && exec sleep 60' & hold=$$!; \
 	curl -sf $$q/api/v1/datasets | grep -q '"datasets":\['; \
 	curl -sf "$$s/api/v1/live/rollup?group=cabinet" | grep -q '"group":"cabinet"'; \
+	sleep 0.5; kill -0 $$hold || { echo "serve-smoke: could not hold an ingest connection open"; exit 1; }; \
 	kill -TERM $$qpid $$spid; \
 	wait $$qpid || { echo "serve-smoke: queryd exited $$? on SIGTERM"; exit 1; }; \
+	for i in $$(seq 1 40); do kill -0 $$spid 2>/dev/null || break; sleep 0.25; done; \
+	if kill -0 $$spid 2>/dev/null; then echo "serve-smoke: streamd still running 10 s after SIGTERM with an ingest connection open"; exit 1; fi; \
 	wait $$spid || { echo "serve-smoke: streamd exited $$? on SIGTERM"; exit 1; }; \
-	echo "serve-smoke: queryd and streamd served, drained and exited 0 on SIGTERM"
+	kill $$hold; \
+	echo "serve-smoke: queryd and streamd served, drained and exited 0 on SIGTERM, an ingest connection held open"
 	rm -rf /tmp/svsmoke-archive /tmp/svsmoke-summitsim /tmp/svsmoke-queryd /tmp/svsmoke-streamd
 
 # scenario-smoke gates the declarative scenario plane: the full-catalog

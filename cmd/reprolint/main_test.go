@@ -106,16 +106,12 @@ var keptUncalled = map[string]string{
 	"(*nodesim.State).GPUMemTemp":  oracle + "TestFleetMatchesStateBitwise",
 	"dsp.IFFT":                     oracle + "TestFFTRoundTrip",
 	"(*topology.Floor).NodeAt":     oracle + "TestLocationRoundTrip and the hostname round trips (the inverse of LocationOf)",
-	"(*telemetry.Server).Received": oracle + "the transport tests and streamd's TestServiceEndToEnd lossless check",
-	"(*telemetry.Server).Frames":   oracle + "the transport tests' frame counts",
 
 	// A test convenience.
-	"store.Read":                         convenience + "one table from a stream, no dataset",
-	"(*store.Dataset).WriteDay":          convenience + "a test fixture's day at the default codec",
-	"stream.NewWindowCoarsener":          convenience + "a coarsener outside a pipeline",
-	"trace.BuiltinSample":                convenience + "the checked-in sample trace",
-	"(*lint.Loader).ModuleDir":           convenience + "the module root the reprolint tests load from",
-	"(*telemetry.Server).SetReadTimeout": convenience + "a stall test that does not wait two minutes",
+	"store.Read":                convenience + "one table from a stream, no dataset",
+	"(*store.Dataset).WriteDay": convenience + "a test fixture's day at the default codec",
+	"trace.BuiltinSample":       convenience + "the checked-in sample trace",
+	"(*lint.Loader).ModuleDir":  convenience + "the module root the reprolint tests load from",
 
 	// Kept with the telemetry metric catalogue when its unused fan-in
 	// model was deleted.
@@ -322,7 +318,6 @@ var keptUnset = map[string]string{
 	"query.ServerConfig.MaxPoints":     "the small budgets of TestHTTPRangeErrors, TestHTTPBudgetRefusesBeforeMaterializing and FuzzQueryParams",
 	"stream.ServeConfig.Timeout":       "the short deadline of stream.TestKernelContract",
 	"stream.ServeConfig.MaxConcurrent": "the one slot of TestHTTPShedsAtConcurrencyLimit and stream.TestKernelContract",
-	"stream.Config.Extra":              "the gate operator of TestBackpressureNeverBlocksIngest, TestHealthDoesNotWaitForTheOperatorChain and TestFrameGridMaterialized",
 	"sim.Config.FailureCheckSec":       "the 60 s sweeps that give TestSeedEngineParity and TestBatchStreamParity failures in short runs",
 	"sim.Config.TelemetryLossFrac":     "the paper's missing-data model; its default waits for the paper-fidelity ledger (ROADMAP item 7), since turning it on re-records goldens",
 	"tsagg.Sample.T":                   oracle + "tsagg.Coarsen, the input it takes",

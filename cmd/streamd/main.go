@@ -28,6 +28,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -72,6 +73,9 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.nodes <= 0 {
 		return o, fmt.Errorf("streamd: -nodes must be positive")
+	}
+	if !(o.simMinutes >= 0) || math.IsInf(o.simMinutes, 1) {
+		return o, fmt.Errorf("streamd: -sim-minutes must be finite and not negative")
 	}
 	return o, nil
 }
@@ -134,17 +138,30 @@ func newService(o options, out io.Writer) (*service, error) {
 // failure events go straight to the pipeline (the paper's failure feed is
 // a log, not a telemetry channel). It returns the number of samples it
 // sent: once the service has stopped ingesting, a lossless run has the
-// transport's Received equal to it.
+// pipeline's Received equal to it. Every exporter it dialed is closed
+// however it returns.
 func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out io.Writer) (int64, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	exporters := make([]*telemetry.Exporter, (cfg.Nodes+units.FanInRatio-1)/units.FanInRatio)
-	for i := range exporters {
-		if exporters[i], err = telemetry.Dial(addr); err != nil {
-			return 0, err
+	var exporters []*telemetry.Exporter
+	// closeAll flushes and closes every exporter dialed and returns the
+	// samples they sent.
+	closeAll := func() (sent int64, err error) {
+		for _, exp := range exporters {
+			err = errors.Join(err, exp.Close())
+			sent += exp.Sent()
 		}
+		return sent, err
+	}
+	for range (cfg.Nodes + units.FanInRatio - 1) / units.FanInRatio {
+		exp, err := telemetry.Dial(addr)
+		if err != nil {
+			_, cerr := closeAll()
+			return 0, errors.Join(err, cerr)
+		}
+		exporters = append(exporters, exp)
 	}
 	var pushErr error
 	res, err := s.Run(sim.ObserverFunc(func(snap *sim.Snapshot) {
@@ -181,18 +198,9 @@ func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out
 			pipe.IngestEvents(append([]failures.Event(nil), snap.Failures...))
 		}
 	}))
-	if err != nil {
+	sent, cerr := closeAll()
+	if err := errors.Join(err, pushErr, cerr); err != nil {
 		return 0, err
-	}
-	if pushErr != nil {
-		return 0, pushErr
-	}
-	var sent int64
-	for _, exp := range exporters {
-		if cerr := exp.Close(); cerr != nil {
-			return 0, cerr
-		}
-		sent += exp.Sent()
 	}
 	if !quiet {
 		fmt.Fprintf(out, "feed complete: %d simulated windows, %d samples over %d exporter connections, %d failure events\n",

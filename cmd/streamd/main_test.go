@@ -24,6 +24,12 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-nodes", "0"}); err == nil || !strings.Contains(err.Error(), "-nodes ") {
 		t.Errorf("-nodes 0: err = %v, want a refusal naming -nodes", err)
 	}
+	// A negative or non-finite feed length used to start no feed, silently.
+	for _, m := range []string{"-5", "NaN", "+Inf", "-Inf"} {
+		if _, err := parseFlags([]string{"-sim-minutes", m}); err == nil || !strings.Contains(err.Error(), "-sim-minutes ") {
+			t.Errorf("-sim-minutes %s: err = %v, want a refusal naming -sim-minutes", m, err)
+		}
+	}
 	// The window grid and lateness bound are the paper's, and the queue
 	// and serving bounds the pipeline's and the handler's defaults.
 	for _, gone := range [][]string{
@@ -138,8 +144,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	// No loss across the transport: every sample the feed sent arrived, no
 	// connection was dropped, and the pipeline dropped, refused as late or
 	// rejected none of them.
-	if got := s.tsrv.Received(); s.sent == 0 || got != s.sent {
-		t.Errorf("transport received %d samples, feed sent %d", got, s.sent)
+	if got := snap.Ingest.Received; s.sent == 0 || got != s.sent {
+		t.Errorf("pipeline received %d samples, feed sent %d", got, s.sent)
 	}
 	if d := snap.Ingest.Dropped + snap.Ingest.Late + snap.Ingest.Rejected + snap.Ingest.DroppedConns; d != 0 {
 		t.Errorf("pipeline lost %d samples or connections: %+v", d, snap.Ingest)

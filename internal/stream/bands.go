@@ -19,14 +19,9 @@ func newBands(cfg Config) *Bands {
 	return &Bands{nodes: cfg.Nodes, curT: -1}
 }
 
-// Name implements Operator.
-func (b *Bands) Name() string { return "bands" }
-
-// Apply implements Operator. Gap frames contribute zero counts, exactly
-// like the offline collector, which sets every band series slot on every
-// window.
-//
-//lint:detroot
+// Apply adds frame f's band counts. Gap frames contribute zero counts,
+// exactly like the offline collector, which sets every band series slot on
+// every window.
 func (b *Bands) Apply(f *Frame) {
 	for i, n := range f.BandGPUs {
 		b.cur[i] = float64(n)
@@ -35,9 +30,6 @@ func (b *Bands) Apply(f *Frame) {
 	b.curT = f.Start
 	b.windows++
 }
-
-// Flush implements Operator.
-func (b *Bands) Flush() {}
 
 // BandsSnapshot is a consistent copy of the thermal-band state.
 type BandsSnapshot struct {

@@ -23,7 +23,7 @@ type openWindow struct {
 	m     stats.Moments
 }
 
-// WindowCoarsener is the event-time streaming counterpart of
+// windowCoarsener is the event-time streaming counterpart of
 // tsagg.Coarsener. Where the batch coarsener assumes almost-ordered input
 // and folds any straggler into whatever window is currently open, this one
 // keeps every window open until a watermark says no more samples for it can
@@ -31,7 +31,7 @@ type openWindow struct {
 // two agree exactly on in-order input (see TestWindowCoarsenerParity); they
 // diverge only on samples later than the configured lateness bound, which
 // the batch path absorbs into the wrong window and this path drops.
-type WindowCoarsener struct {
+type windowCoarsener struct {
 	step int64
 	// closedEnd is the high-water mark of finalization: every window whose
 	// end (start+step) is <= closedEnd has been emitted and will not
@@ -42,18 +42,20 @@ type WindowCoarsener struct {
 	open []openWindow
 }
 
-// NewWindowCoarsener returns a coarsener with the given window size in
-// seconds. It panics if step <= 0 (a programming error).
-func NewWindowCoarsener(step int64) *WindowCoarsener {
+// newWindowCoarsener returns a coarsener with the given window size in
+// seconds. It panics if step <= 0 (a programming error). The pipeline's
+// table builds its coarseners in place (table.fold); this one stands
+// alone, for the tests' map oracle.
+func newWindowCoarsener(step int64) *windowCoarsener {
 	if step <= 0 {
 		panic("stream: non-positive coarsening window")
 	}
-	return &WindowCoarsener{step: step, closedEnd: math.MinInt64}
+	return &windowCoarsener{step: step, closedEnd: math.MinInt64}
 }
 
 // Add feeds one sample, returning false when the sample's window has
 // already been finalized (the sample is too late and must be dropped).
-func (c *WindowCoarsener) Add(t int64, v float64) bool {
+func (c *windowCoarsener) Add(t int64, v float64) bool {
 	ws := alignWindow(t, c.step)
 	if c.closedEnd != math.MinInt64 && ws+c.step <= c.closedEnd {
 		return false
@@ -78,7 +80,7 @@ func (c *WindowCoarsener) Add(t int64, v float64) bool {
 // end, reporting each to emit in ascending start order, and raises the
 // rejection floor so those windows cannot reopen. Pass math.MaxInt64 to
 // flush everything.
-func (c *WindowCoarsener) CloseThrough(end int64, emit func(tsagg.WindowStat)) {
+func (c *windowCoarsener) CloseThrough(end int64, emit func(tsagg.WindowStat)) {
 	if c.closedEnd != math.MinInt64 && end <= c.closedEnd {
 		return
 	}

@@ -20,7 +20,7 @@ func TestWindowCoarsenerParity(t *testing.T) {
 	}
 	want := tsagg.Coarsen(samples, 10)
 
-	c := NewWindowCoarsener(10)
+	c := newWindowCoarsener(10)
 	var got []tsagg.WindowStat
 	for _, s := range samples {
 		if !c.Add(s.T, s.V) {
@@ -44,7 +44,7 @@ func TestWindowCoarsenerParity(t *testing.T) {
 // (the batch path folds it into whatever window is current), and a
 // straggler behind the finalization floor is rejected.
 func TestWindowCoarsenerOutOfOrder(t *testing.T) {
-	c := NewWindowCoarsener(10)
+	c := newWindowCoarsener(10)
 	for _, ts := range []int64{5, 25, 12} { // 12 arrives after 25
 		if !c.Add(ts, float64(ts)) {
 			t.Fatalf("sample at t=%d rejected while window open", ts)
@@ -78,7 +78,7 @@ func TestWindowCoarsenerOutOfOrder(t *testing.T) {
 // TestWindowCoarsenerGapWindows verifies windows with no samples are
 // simply absent (the pipeline materializes the grid, not the coarsener).
 func TestWindowCoarsenerGapWindows(t *testing.T) {
-	c := NewWindowCoarsener(10)
+	c := newWindowCoarsener(10)
 	c.Add(0, 1)
 	c.Add(40, 2)
 	var starts []int64

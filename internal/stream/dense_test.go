@@ -19,7 +19,7 @@ import (
 // every collect, windows gathered in a map and sorted again.
 type mapTable struct {
 	table // the watermark and advance are shared with the code under test
-	chans map[uint32]*WindowCoarsener
+	chans map[uint32]*windowCoarsener
 }
 
 func (s *mapTable) fold(batch []telemetry.Sample, step int64) (maxT, late int64) {
@@ -28,7 +28,7 @@ func (s *mapTable) fold(batch []telemetry.Sample, step int64) (maxT, late int64)
 		maxT = max(maxT, smp.T)
 		key := uint32(smp.Node)<<8 | uint32(smp.Metric)
 		if s.chans[key] == nil {
-			s.chans[key] = NewWindowCoarsener(step)
+			s.chans[key] = newWindowCoarsener(step)
 		}
 		if !s.chans[key].Add(smp.T, smp.Value) {
 			late++
@@ -154,7 +154,7 @@ func TestDenseTableMatchesMapOracle(t *testing.T) {
 	for _, nodes := range []int{7, 10, 37, 2} {
 		for seed := int64(1); seed <= 3; seed++ {
 			dense := newTable(nodes)
-			oracle := &mapTable{table: newTable(0), chans: map[uint32]*WindowCoarsener{}}
+			oracle := &mapTable{table: newTable(0), chans: map[uint32]*windowCoarsener{}}
 			var wins []window
 			var late, collects int64
 			for k, tick := range seededFeed(seed, nodes, 90, true) {
@@ -284,7 +284,7 @@ func TestServerLendsItsBatchToThePipeline(t *testing.T) {
 		if err := exp.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for srv.Received() < sent {
+		for p.received.Load() < sent {
 			runtime.Gosched()
 		}
 		if err := srv.Close(); err != nil {

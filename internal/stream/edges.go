@@ -1,16 +1,14 @@
 package stream
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/units"
 )
 
 // Edges runs the §4 edge analysis, core.EdgeDetector, over the fleet power
-// rollup: each finalized frame contributes one series value (NaN on gap
-// frames, matching the offline series' missing slots) and detected edges
-// accumulate in a bounded ring.
+// rollup: each finalized frame pushes the fleet sum Rollup.Apply stored
+// (NaN on gap frames, matching the offline series' missing slots), and
+// detected edges accumulate in a bounded ring.
 type Edges struct {
 	det *core.EdgeDetector
 	// ring holds the last min(total, len(ring)) edges: edge k of the
@@ -30,31 +28,6 @@ func newEdges(cfg Config) *Edges {
 	})
 	return e
 }
-
-// Name implements Operator.
-func (e *Edges) Name() string { return "edges" }
-
-// Apply implements Operator. The fleet value replicates the rollup's
-// node-order summation so the detector sees exactly the offline cluster
-// power series.
-//
-//lint:detroot
-func (e *Edges) Apply(f *Frame) {
-	v := math.NaN()
-	if f.Observed > 0 {
-		v = 0
-		for i := range f.NodePower {
-			if f.NodePower[i].Count == 0 {
-				continue
-			}
-			v += f.NodePower[i].Mean
-		}
-	}
-	e.det.Push(f.Start, v)
-}
-
-// Flush implements Operator.
-func (e *Edges) Flush() { e.det.Flush() }
 
 // snapshotLocked copies up to limit most-recent edges (limit <= 0: all
 // retained), ascending by detection time. Caller holds the pipeline

@@ -66,13 +66,9 @@ func (r *Rollup) grow() {
 	r.msb = append(make([]float64, 0, n*r.msbs), r.msb...)[:n*r.msbs]
 }
 
-// Name implements Operator.
-func (r *Rollup) Name() string { return "rollup" }
-
-// Apply implements Operator.
-//
-//lint:detroot
-func (r *Rollup) Apply(f *Frame) {
+// Apply adds frame f to the ring and returns its fleet sum (NaN on a gap
+// frame), the value the edge detector is pushed.
+func (r *Rollup) Apply(f *Frame) float64 {
 	slot := int(r.windows % ringDepth)
 	if slot == len(r.ring) {
 		r.grow()
@@ -107,10 +103,8 @@ func (r *Rollup) Apply(f *Frame) {
 		r.energyJ += w.fleetW * float64(stepSec)
 	}
 	r.windows++
+	return w.fleetW
 }
-
-// Flush implements Operator.
-func (r *Rollup) Flush() {}
 
 // RollupSnapshot is a consistent copy of the rollup state.
 type RollupSnapshot struct {

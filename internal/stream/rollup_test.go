@@ -97,7 +97,7 @@ func TestEdgesRingWraps(t *testing.T) {
 	for k := 0; k <= swings; k++ {
 		e.det.Push(int64(k)*10, float64(k%2)*1000)
 	}
-	e.Flush()
+	e.det.Flush()
 	for _, limit := range []int{0, 3, 8, max + 100} {
 		want := max
 		if limit > 0 && limit < max {

@@ -16,10 +16,10 @@
 // advances the one watermark (the newest sample time less latenessSec;
 // a sample for a window the watermark has finalized is dropped and
 // counted). At each window boundary it collects the finalized windows and
-// applies them as system-wide frames to the operator chain, so every
-// operator observes windows in strictly ascending event time — which is
-// what lets the streaming results match the offline batch analyses bit for
-// bit (see parity_test.go). The path is allocation-free in steady state:
+// applies them as system-wide frames to the fixed operator chain (rollup,
+// edges, bands), so every operator observes windows in strictly ascending
+// event time — which is what lets the streaming results match the offline
+// batch analyses bit for bit (see parity_test.go). The path is allocation-free in steady state:
 // queued batches come from a pool and go back to it once folded, and the
 // collected windows reuse their buffers.
 //
@@ -51,8 +51,6 @@ type Config struct {
 	// QueueDepth bounds the ingest queue in batches (<= 0: 256). A full
 	// queue drops, never blocks.
 	QueueDepth int
-	// Extra appends additional operators to the built-in chain.
-	Extra []Operator
 }
 
 func (c Config) withDefaults() Config {
@@ -102,7 +100,7 @@ type table struct {
 	// channels node ascending, metric ascending. A slot with a zero step
 	// has never seen a sample and is skipped everywhere, exactly as an
 	// absent key of the map this replaced.
-	chans []WindowCoarsener
+	chans []windowCoarsener
 	// watermark = newest folded sample time − lateness; lastBoundary is
 	// the highest window boundary already scanned for finalization.
 	watermark    int64
@@ -111,7 +109,7 @@ type table struct {
 
 func newTable(nodes int) table {
 	return table{
-		chans:        make([]WindowCoarsener, nodes*int(telemetry.NumMetrics)),
+		chans:        make([]windowCoarsener, nodes*int(telemetry.NumMetrics)),
 		watermark:    math.MinInt64,
 		lastBoundary: math.MinInt64,
 	}
@@ -212,6 +210,26 @@ func (t *table) collect(end int64, wins []window) []window {
 	return wins
 }
 
+// Frame is one finalized event-time window of the whole system: every
+// channel's window for one coarsening interval. The pipeline reuses a
+// single Frame across applyFrame calls; operators must copy anything they
+// keep.
+type Frame struct {
+	Start int64 // window start (unix seconds, grid-aligned)
+	Step  int64 // window length in seconds
+	// Observed counts the nodes with an input-power window this frame. A
+	// frame with Observed == 0 is a telemetry gap: the grid slot exists
+	// (so downstream NaN handling matches the offline series) but carries
+	// no data.
+	Observed int
+	// NodePower holds the per-node input-power window statistics, indexed
+	// by node ID; Count == 0 marks a node absent this window.
+	NodePower []tsagg.WindowStat
+	// BandGPUs counts GPU core-temperature channels per thermal band
+	// (integer counts; core.TempBandOf of each channel's window mean).
+	BandGPUs [core.NumTempBands]int64
+}
+
 // Pipeline is the live streaming-analysis plane. Create with NewPipeline;
 // feed with Ingest (telemetry) and IngestEvents (failures); read with
 // Snapshot; Close flushes every open window through the operators.
@@ -246,8 +264,8 @@ type Pipeline struct {
 	conns       atomic.Int64 // ingest connections the transport dropped
 	wmark       atomic.Int64 // watermark at the last window boundary
 
-	// mu guards the operator chain: Apply runs under it, so Snapshot sees
-	// every operator at the same frame boundary.
+	// mu guards the operator chain: applyFrame runs it under mu, so
+	// Snapshot sees every operator at the same frame boundary.
 	mu sync.Mutex
 	// lastWindow is the start of the newest applied frame. Written under
 	// mu, so Snapshot reads it consistently with the operators; atomic so
@@ -258,7 +276,6 @@ type Pipeline struct {
 	edges      *Edges
 	bands      *Bands
 	warn       *core.EarlyWarningMonitor // fed by IngestEvents, not by frames
-	ops        []Operator
 }
 
 // NewPipeline validates cfg, applies defaults, and starts the fold
@@ -284,7 +301,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	p.edges = newEdges(cfg)
 	p.bands = newBands(cfg)
 	p.warn = core.NewEarlyWarningMonitor(units.SecondsPerHour)
-	p.ops = append([]Operator{p.rollup, p.edges, p.bands}, cfg.Extra...)
 	go p.run()
 	return p, nil
 }
@@ -392,7 +408,7 @@ func (p *Pipeline) IngestEvents(evs []failures.Event) {
 // run is the fold goroutine: it drains the queue, folds each batch into
 // the channel table, and at each window boundary applies the finalized
 // windows as frames. When the queue closes it flushes every open window
-// and runs the operators' end-of-stream hooks.
+// and resolves the edge detector's pending durations.
 func (p *Pipeline) run() {
 	defer close(p.done)
 	frame := &Frame{Step: stepSec, NodePower: make([]tsagg.WindowStat, p.cfg.Nodes)}
@@ -409,9 +425,7 @@ func (p *Pipeline) run() {
 	}
 	p.applyThrough(frame, math.MaxInt64)
 	p.mu.Lock()
-	for _, op := range p.ops {
-		op.Flush()
-	}
+	p.edges.det.Flush()
 	p.mu.Unlock()
 }
 
@@ -441,7 +455,11 @@ func (p *Pipeline) applyThrough(frame *Frame, end int64) {
 }
 
 // applyFrame builds the frame for window start from w (empty when w is
-// nil) and applies the operator chain under the snapshot lock.
+// nil) and applies the operator chain under the snapshot lock: the rollup,
+// then the edge detector on the fleet sum the rollup just stored, then the
+// bands.
+//
+//lint:detroot
 func (p *Pipeline) applyFrame(frame *Frame, w *window, start int64) {
 	clear(frame.NodePower)
 	frame.BandGPUs = [core.NumTempBands]int64{}
@@ -458,9 +476,8 @@ func (p *Pipeline) applyFrame(frame *Frame, w *window, start int64) {
 		p.chanWindows.Add(w.chanWindows)
 	}
 	p.mu.Lock()
-	for _, op := range p.ops {
-		op.Apply(frame)
-	}
+	p.edges.det.Push(start, p.rollup.Apply(frame))
+	p.bands.Apply(frame)
 	p.lastWindow.Store(start)
 	p.anyFrame = true
 	p.mu.Unlock()

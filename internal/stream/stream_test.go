@@ -5,8 +5,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,63 +27,49 @@ func mustPipeline(t testing.TB, cfg Config) *Pipeline {
 	return p
 }
 
-// gateOp is an Extra operator whose Apply — after letting `free` frames
-// through — blocks until the gate is closed: a deliberately stalled
-// consumer. It signals entry exactly once so the test knows the fold
-// goroutine is wedged inside the chain.
-type gateOp struct {
-	free    int
-	entered chan struct{}
-	gate    chan struct{}
-	once    sync.Once
-	frames  int
-}
-
-func newGateOp() *gateOp {
-	return &gateOp{entered: make(chan struct{}), gate: make(chan struct{})}
-}
-
-func (g *gateOp) Name() string { return "gate" }
-func (g *gateOp) Flush()       {}
-func (g *gateOp) Apply(f *Frame) {
-	if g.frames++; g.frames <= g.free {
-		return
+// waitUntil polls cond until it holds, failing the test after 10 s: a
+// hang must fail, not block the suite.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second) //lint:allow determinism test deadline: a hang must fail, not block the suite
+	for !cond() {
+		if time.Now().After(deadline) { //lint:allow determinism test deadline: a hang must fail, not block the suite
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
 	}
-	g.once.Do(func() { close(g.entered) })
-	<-g.gate
 }
 
-// TestBackpressureNeverBlocksIngest is the ISSUE's load-shedding
-// acceptance test: with a stalled consumer wedged in the operator chain
-// and a bursty producer, Ingest must keep returning immediately, dropping
-// and counting instead of stalling the fan-in path. Releasing the gate
-// must drain cleanly, Close must return, and health must report the
-// degradation.
+// TestBackpressureNeverBlocksIngest is the load-shedding
+// acceptance test: with a stalled consumer — the test holds the snapshot
+// lock, so the fold goroutine waits inside applyFrame — and a bursty
+// producer, Ingest must keep returning immediately, dropping and counting
+// instead of stalling the fan-in path. Releasing the lock must drain
+// cleanly, Close must return, and health must report the degradation.
 func TestBackpressureNeverBlocksIngest(t *testing.T) {
-	op := newGateOp()
 	p := mustPipeline(t, Config{
 		Nodes:      4,
 		QueueDepth: 1,
-		Extra:      []Operator{op},
 	})
+	p.mu.Lock()
 
-	// Advance the watermark until the first frame reaches the gate. The
+	// Advance the watermark until the first frame reaches applyFrame,
+	// which counts its channel windows before it waits for the lock. The
 	// depth-1 queue may drop bursts along the way — that is the design —
-	// so keep offering batches until the fold goroutine is wedged in
-	// Apply. Bounded: if the frame never arrives, fail instead of hanging.
+	// so keep offering batches until the fold goroutine is wedged.
+	// Bounded: if the frame never arrives, fail instead of hanging.
 	ts := int64(0)
 	wedged := false
 	for i := 0; i < 1_000_000 && !wedged; i++ {
-		select {
-		case <-op.entered:
+		if p.chanWindows.Load() > 0 {
 			wedged = true
-		default:
+		} else {
 			p.Ingest([]telemetry.Sample{powerSample(0, ts, 100)})
 			ts += 10
 		}
 	}
 	if !wedged {
-		t.Fatal("first frame never reached the gated operator")
+		t.Fatal("first frame never reached the operator chain")
 	}
 
 	// Bursty producer against a wedged consumer: the queue (depth 1)
@@ -104,7 +90,7 @@ func TestBackpressureNeverBlocksIngest(t *testing.T) {
 		t.Fatal("stalled consumer never caused a drop; is the queue unbounded?")
 	}
 
-	close(op.gate) // consumer recovers
+	p.mu.Unlock() // consumer recovers
 	p.Close()
 
 	h := p.Health()
@@ -124,28 +110,12 @@ func TestBackpressureNeverBlocksIngest(t *testing.T) {
 	if snap.Ingest.Dropped == 0 {
 		t.Error("snapshot lost the drop count")
 	}
-	if snap.Ingest.Frames == 0 || op.frames == 0 {
-		t.Errorf("no frames applied: pipeline=%d gate=%d", snap.Ingest.Frames, op.frames)
+	if snap.Ingest.Frames == 0 || snap.Rollup.Windows == 0 {
+		t.Errorf("no frames applied: pipeline=%d rollup=%d", snap.Ingest.Frames, snap.Rollup.Windows)
 	}
-	if int64(op.frames) != snap.Ingest.Frames {
-		t.Errorf("extra operator saw %d frames, pipeline applied %d", op.frames, snap.Ingest.Frames)
+	if snap.Rollup.Windows != snap.Ingest.Frames {
+		t.Errorf("rollup saw %d frames, pipeline applied %d", snap.Rollup.Windows, snap.Ingest.Frames)
 	}
-}
-
-// countOp records what the operator chain delivered.
-type countOp struct {
-	frames   int
-	observed []int
-	starts   []int64
-	flushed  bool
-}
-
-func (c *countOp) Name() string { return "count" }
-func (c *countOp) Flush()       { c.flushed = true }
-func (c *countOp) Apply(f *Frame) {
-	c.frames++
-	c.observed = append(c.observed, f.Observed)
-	c.starts = append(c.starts, f.Start)
 }
 
 // TestFrameGridMaterialized verifies the pipeline materializes the full
@@ -153,32 +123,29 @@ func (c *countOp) Apply(f *Frame) {
 // one frame per step, with Observed==0 on the gaps, and operators see
 // strictly ascending starts.
 func TestFrameGridMaterialized(t *testing.T) {
-	op := &countOp{}
-	p := mustPipeline(t, Config{Nodes: 2, Extra: []Operator{op}})
+	p := mustPipeline(t, Config{Nodes: 2})
 	p.Ingest([]telemetry.Sample{powerSample(0, 0, 50), powerSample(1, 3, 70)})
 	p.Ingest([]telemetry.Sample{powerSample(0, 100, 80)})
 	p.Close()
 
-	if op.frames != 11 {
-		t.Fatalf("frames = %d, want 11 (t=0..100 inclusive): starts %v", op.frames, op.starts)
+	snap := p.Snapshot()
+	r := snap.Rollup
+	if r.Windows != 11 || len(r.Recent) != 11 {
+		t.Fatalf("frames = %d (%d retained), want 11 (t=0..100 inclusive): %+v", r.Windows, len(r.Recent), r.Recent)
 	}
-	for i, s := range op.starts {
-		if s != int64(i)*10 {
-			t.Fatalf("frame %d start = %d, want %d", i, s, i*10)
+	for i, w := range r.Recent {
+		if w.T != int64(i)*10 {
+			t.Fatalf("frame %d start = %d, want %d", i, w.T, i*10)
 		}
 	}
-	if op.observed[0] != 2 || op.observed[10] != 1 {
-		t.Errorf("edge frames observed = %d,%d, want 2,1", op.observed[0], op.observed[10])
+	if r.Recent[0].Observed != 2 || r.Recent[10].Observed != 1 {
+		t.Errorf("edge frames observed = %d,%d, want 2,1", r.Recent[0].Observed, r.Recent[10].Observed)
 	}
 	for i := 1; i < 10; i++ {
-		if op.observed[i] != 0 {
-			t.Errorf("gap frame %d observed = %d, want 0", i, op.observed[i])
+		if r.Recent[i].Observed != 0 {
+			t.Errorf("gap frame %d observed = %d, want 0", i, r.Recent[i].Observed)
 		}
 	}
-	if !op.flushed {
-		t.Error("Flush not called at end of stream")
-	}
-	snap := p.Snapshot()
 	if snap.SpanSec != 110 {
 		t.Errorf("SpanSec = %d, want 110", snap.SpanSec)
 	}
@@ -186,10 +153,6 @@ func TestFrameGridMaterialized(t *testing.T) {
 		t.Errorf("Frames counter = %d, want 11", snap.Ingest.Frames)
 	}
 	// Gap windows roll up as NaN (nothing observed), edges as real sums.
-	r := snap.Rollup
-	if len(r.Recent) != 11 {
-		t.Fatalf("rollup windows = %d, want 11", len(r.Recent))
-	}
 	if r.Recent[0].FleetW != 120 || r.Recent[10].FleetW != 80 {
 		t.Errorf("rollup edges = %v, %v, want 120, 80", r.Recent[0].FleetW, r.Recent[10].FleetW)
 	}
@@ -350,23 +313,23 @@ func TestMetricBeyondTableIsRejected(t *testing.T) {
 }
 
 // TestHealthDoesNotWaitForTheOperatorChain: with the fold goroutine stuck
-// inside an operator — holding the snapshot lock — Health and the health
-// route still answer, and report the last frame that completed.
+// inside applyFrame — waiting for the snapshot lock the test holds — Health
+// and the health route still answer, and report the last frame that
+// completed.
 func TestHealthDoesNotWaitForTheOperatorChain(t *testing.T) {
-	op := newGateOp()
-	op.free = 1
-	p := mustPipeline(t, Config{Nodes: 1, Extra: []Operator{op}})
+	p := mustPipeline(t, Config{Nodes: 1})
 	defer p.Close()
-	defer close(op.gate)
-	for k := int64(0); k <= 40; k += 10 {
+	for k := int64(0); k <= 20; k += 10 {
 		p.Ingest([]telemetry.Sample{powerSample(0, k, 100)})
 	}
-	//lint:allow determinism only the deadline arm races, and it fails the test
-	select {
-	case <-op.entered: // frame 0 applied, frame 10 stuck in the chain
-	case <-time.After(10 * time.Second): //lint:allow determinism test deadline: a hang must fail, not block the suite
-		t.Fatal("second frame never reached the stalled operator")
+	waitUntil(t, "frame 0 applied", func() bool { return p.frames.Load() == 1 })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k := int64(30); k <= 40; k += 10 {
+		p.Ingest([]telemetry.Sample{powerSample(0, k, 100)})
 	}
+	// applyFrame counts a frame's channel windows before it takes the lock.
+	waitUntil(t, "frame 10 stuck in the operator chain", func() bool { return p.chanWindows.Load() == 2 })
 	within := func(what string, lastWindow func() int64) {
 		t.Helper()
 		done := make(chan int64, 1)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,11 @@ const (
 	// batch from every BMC at least once a second; two minutes of silence
 	// means the exporter is gone or wedged.
 	defaultReadTimeout = 2 * time.Minute
+
+	// closeGrace is how long Close lets the open connections keep
+	// delivering: what a peer sent before it hung up is read to its end
+	// within it, and a peer that stays connected is cut off after it.
+	closeGrace = time.Second
 )
 
 // EncodeFrame serializes a batch of samples.
@@ -110,11 +116,14 @@ type Server struct {
 	ln          net.Listener
 	sink        func([]Sample)
 	wg          sync.WaitGroup
-	closed      atomic.Bool
-	received    atomic.Int64
-	frames      atomic.Int64
 	dropped     *atomic.Int64 // connections dropped for violations or stalls
-	readTimeout atomic.Int64  // nanoseconds; 0 disables the deadline
+	readTimeout time.Duration // the idle limit between reads
+	// closeBy is Close's final read deadline (unix nanoseconds), 0 until
+	// Close, which sets it once; conns are the connections being served,
+	// for Close to set it on.
+	closeBy atomic.Int64
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
 }
 
 // NewServer starts listening on addr (use "127.0.0.1:0" for tests) and
@@ -124,8 +133,13 @@ type Server struct {
 // until sink returns and a sink that keeps samples must copy them
 // (stream.Pipeline.Ingest does). dropped counts the connections the server
 // drops for protocol violations (oversized, short or undecodable frames)
-// or read stalls; nil gives the server a counter of its own.
+// or read stalls of two minutes; nil gives the server a counter of its own.
 func NewServer(addr string, sink func([]Sample), dropped *atomic.Int64) (*Server, error) {
+	return newServer(addr, sink, dropped, defaultReadTimeout)
+}
+
+// newServer is NewServer with the idle limit between reads given.
+func newServer(addr string, sink func([]Sample), dropped *atomic.Int64, readTimeout time.Duration) (*Server, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("telemetry: nil sink")
 	}
@@ -136,29 +150,14 @@ func NewServer(addr string, sink func([]Sample), dropped *atomic.Int64) (*Server
 	if dropped == nil {
 		dropped = new(atomic.Int64)
 	}
-	s := &Server{ln: ln, sink: sink, dropped: dropped}
-	s.readTimeout.Store(int64(defaultReadTimeout))
+	s := &Server{ln: ln, sink: sink, dropped: dropped, readTimeout: readTimeout, conns: map[net.Conn]struct{}{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
-// SetReadTimeout replaces the per-connection read deadline (default two
-// minutes). A connection that produces no bytes for this long is dropped so
-// a stalled exporter cannot wedge a serving goroutine forever. d <= 0
-// disables the deadline. Applies to reads started after the call.
-func (s *Server) SetReadTimeout(d time.Duration) {
-	s.readTimeout.Store(int64(d))
-}
-
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Received returns the total samples ingested.
-func (s *Server) Received() int64 { return s.received.Load() }
-
-// Frames returns the total frames ingested.
-func (s *Server) Frames() int64 { return s.frames.Load() }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
@@ -167,11 +166,17 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
 			s.serve(conn, new(connBuffers))
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
 		}()
 	}
 }
@@ -184,20 +189,33 @@ type connBuffers struct {
 }
 
 // serve reads frames from conn and hands each to the sink until the peer
-// closes between frames, a frame breaks the protocol, or a read breaks or
-// stalls; each of the last three counts one dropped connection.
+// closes between frames, a frame breaks the protocol, a read breaks or
+// stalls, or Close's final deadline passes; the middle two count one
+// dropped connection.
 func (s *Server) serve(conn net.Conn, buf *connBuffers) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var lenBuf [4]byte
 	// arm pushes the read deadline forward before each wire read so a
 	// connection that stops sending mid-frame (or between frames) times out
-	// instead of pinning this goroutine.
+	// instead of pinning this goroutine. Once Close has begun the deadline
+	// is its final one: Close stores it before setting it on the open
+	// connections, so a push made before this load is overwritten by Close
+	// and one made after it is replaced here.
 	arm := func() bool {
-		d := time.Duration(s.readTimeout.Load())
-		if d <= 0 {
-			return conn.SetReadDeadline(time.Time{}) == nil
+		if conn.SetReadDeadline(time.Now().Add(s.readTimeout)) != nil {
+			return false
 		}
-		return conn.SetReadDeadline(time.Now().Add(d)) == nil
+		if by := s.closeBy.Load(); by != 0 {
+			return conn.SetReadDeadline(time.Unix(0, by)) == nil
+		}
+		return true
+	}
+	// lost counts a read error as a dropped connection unless Close's final
+	// deadline ended it.
+	lost := func(err error) {
+		if s.closeBy.Load() == 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			s.dropped.Add(1)
+		}
 	}
 	for {
 		if !arm() {
@@ -205,7 +223,7 @@ func (s *Server) serve(conn net.Conn, buf *connBuffers) {
 		}
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			if !errors.Is(err, io.EOF) {
-				s.dropped.Add(1) // stalled or broken mid-stream
+				lost(err) // stalled or broken mid-stream
 			}
 			return // EOF is a clean session end
 		}
@@ -226,7 +244,7 @@ func (s *Server) serve(conn net.Conn, buf *connBuffers) {
 			return
 		}
 		if _, err := io.ReadFull(br, buf.payload); err != nil {
-			s.dropped.Add(1) // truncated frame
+			lost(err) // truncated frame
 			return
 		}
 		n, err := frameCount(buf.payload)
@@ -236,18 +254,25 @@ func (s *Server) serve(conn net.Conn, buf *connBuffers) {
 		}
 		buf.samples = slices.Grow(buf.samples[:0], n)[:n]
 		decodeSamples(buf.samples, buf.payload[2:])
-		s.frames.Add(1)
-		s.received.Add(int64(n))
 		s.sink(buf.samples)
 	}
 }
 
-// Close stops accepting and waits for in-flight connections to finish.
+// Close stops accepting, gives every open connection closeGrace to deliver
+// what its peer has sent, and waits for them to finish. A peer that hung
+// up is read to its end; one still connected when the grace runs out is
+// cut off, and that is not a dropped connection.
 func (s *Server) Close() error {
-	if s.closed.Swap(true) {
-		return nil
+	by := time.Now().Add(closeGrace) //lint:allow determinism the shutdown grace bounds a wait; no sample or reply depends on it
+	if !s.closeBy.CompareAndSwap(0, by.UnixNano()) {
+		return nil // closed already
 	}
 	err := s.ln.Close()
+	s.mu.Lock()
+	for conn := range s.conns {
+		_ = conn.SetReadDeadline(by) // fails only on a connection that is closing already
+	}
+	s.mu.Unlock()
 	s.wg.Wait()
 	return err
 }

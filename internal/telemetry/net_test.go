@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -97,12 +98,15 @@ func TestDecodeFrameErrors(t *testing.T) {
 func TestServerExporterEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	received := map[[2]int64]float64{}
+	var samples, frames atomic.Int64
 	srv, err := NewServer("127.0.0.1:0", func(batch []Sample) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, s := range batch {
 			received[[2]int64{int64(s.Node), s.T}] = s.Value
 		}
+		samples.Add(int64(len(batch)))
+		frames.Add(1)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +151,7 @@ func TestServerExporterEndToEnd(t *testing.T) {
 	// still be waiting in the accept backlog, and Close only waits for
 	// accepted connections. Wait for the data before shutting down.
 	waitFor(t, "all samples", func() bool {
-		return srv.Received() == exporters*perExporter
+		return samples.Load() == exporters*perExporter
 	})
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -165,7 +169,7 @@ func TestServerExporterEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if srv.Frames() == 0 {
+	if frames.Load() == 0 {
 		t.Error("no frames counted")
 	}
 }
@@ -216,12 +220,12 @@ func TestServerDropsOversizedFramePrefix(t *testing.T) {
 }
 
 func TestServerReadDeadlineDropsStalledExporter(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {}, nil)
+	var received atomic.Int64
+	srv, err := newServer("127.0.0.1:0", func(b []Sample) { received.Add(int64(len(b))) }, nil, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.SetReadTimeout(50 * time.Millisecond)
 
 	// A connection that writes half a frame and then stalls.
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -249,11 +253,12 @@ func TestServerReadDeadlineDropsStalledExporter(t *testing.T) {
 	if err := exp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "healthy frame after stall", func() bool { return srv.Received() == 1 })
+	waitFor(t, "healthy frame after stall", func() bool { return received.Load() == 1 })
 }
 
 func TestServerDropsUndecodableFrame(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {}, nil)
+	var frames atomic.Int64
+	srv, err := NewServer("127.0.0.1:0", func([]Sample) { frames.Add(1) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +276,7 @@ func TestServerDropsUndecodableFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "undecodable-frame drop", func() bool { return srv.dropped.Load() == 1 })
-	if srv.Frames() != 0 {
+	if frames.Load() != 0 {
 		t.Errorf("bad frame counted as ingested")
 	}
 }
@@ -322,11 +327,13 @@ func TestSinkBatchIsBorrowed(t *testing.T) {
 	var mu sync.Mutex
 	var kept [][]Sample // what a careless sink retains
 	var copied []Sample // what a correct sink keeps
+	var frameCount atomic.Int64
 	srv, err := NewServer("127.0.0.1:0", func(batch []Sample) {
 		mu.Lock()
 		defer mu.Unlock()
 		kept = append(kept, batch)
 		copied = append(copied, batch...)
+		frameCount.Add(1)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +353,7 @@ func TestSinkBatchIsBorrowed(t *testing.T) {
 	if err := exp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "all frames", func() bool { return srv.Frames() == frames })
+	waitFor(t, "all frames", func() bool { return frameCount.Load() == frames })
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +380,8 @@ func TestSinkBatchIsBorrowed(t *testing.T) {
 // nothing (it used to allocate the payload and the sample slice, 44 KB for
 // a 1792-sample frame).
 func TestServeDoesNotAllocatePerFrame(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func([]Sample) {}, nil)
+	var delivered atomic.Int64
+	srv, err := NewServer("127.0.0.1:0", func([]Sample) { delivered.Add(1) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,13 +397,13 @@ func TestServeDoesNotAllocatePerFrame(t *testing.T) {
 	}
 	send := func(n int) {
 		t.Helper()
-		want := srv.Frames() + int64(n)
+		want := delivered.Load() + int64(n)
 		for i := 0; i < n; i++ {
 			if _, err := conn.Write(frame); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for srv.Frames() < want {
+		for delivered.Load() < want {
 			runtime.Gosched()
 		}
 	}
@@ -407,5 +415,95 @@ func TestServeDoesNotAllocatePerFrame(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := float64(after.Mallocs-before.Mallocs) / frames; per > 0.01 {
 		t.Errorf("%.3f allocations per frame, want 0", per)
+	}
+}
+
+// TestCloseEndsConnectionsThatStayOpen: Close returns although one peer
+// stays connected and idle and another keeps sending, and every sample of
+// an exporter that sent its frames and hung up before Close still reaches
+// the sink; none of the three counts as a dropped connection. Connections
+// are accepted in the order they were dialed, so once the sender's first
+// frame is in, all three are being served.
+func TestCloseEndsConnectionsThatStayOpen(t *testing.T) {
+	const closedSamples = 1000
+	var fromClosed, fromSender atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv, err := NewServer("127.0.0.1:0", func(b []Sample) {
+		switch b[0].Node {
+		case 1: // the closed exporter's first frame waits until Close has begun
+			once.Do(func() { close(entered); <-release })
+			fromClosed.Add(int64(len(b)))
+		case 2:
+			fromSender.Add(int64(len(b)))
+		}
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	exp, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.BatchSize = 100
+	for i := 0; i < closedSamples; i++ {
+		if err := exp.Push(Sample{Node: 1, Metric: MetricInputPower, T: int64(i), Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the closed exporter's first frame", func() bool {
+		select {
+		case <-entered:
+			return true
+		default:
+			return false
+		}
+	})
+	sender, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, sending := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sending)
+		defer sender.Close()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+			if sender.Push(Sample{Node: 2, Metric: MetricInputPower, T: int64(i), Value: 2}) != nil || sender.Flush() != nil {
+				return // the server has cut the connection off
+			}
+		}
+	}()
+	defer func() { close(stop); <-sending }()
+	waitFor(t, "the sender's first frame", func() bool { return fromSender.Load() > 0 })
+
+	time.AfterFunc(100*time.Millisecond, func() { close(release) })
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still waits on its peers 2 s after the call")
+	}
+	if got := fromClosed.Load(); got != closedSamples {
+		t.Errorf("the sink saw %d of the closed exporter's %d samples", got, closedSamples)
+	}
+	if d := srv.dropped.Load(); d != 0 {
+		t.Errorf("dropped %d connections, want 0: Close's cut is not a drop", d)
 	}
 }
