@@ -106,7 +106,9 @@ func BenchmarkSimSteadyState(b *testing.B) {
 
 func BenchmarkTable3Classes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = ReportTable3()
+		if _, _, err := table3(nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

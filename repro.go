@@ -1,14 +1,17 @@
 // Package repro renders the evaluation of the Summit power/energy/thermal
-// reproduction (Shin et al., SC '21): one Report* function per table and
-// figure, over a closed-loop digital twin of the Summit HPC data center.
+// reproduction (Shin et al., SC '21): one entry of SourceReports per table
+// and figure, over a closed-loop digital twin of the Summit HPC data center.
 //
-// A report whose inputs an archive holds reads a source.RunSource, so it
-// renders the same text from a run just simulated and from its archive:
+// Each entry reads a source.RunSource once for its text and its figure data,
+// so it renders the same from a run just simulated and from its archive:
 //
 //	data, _, err := core.CollectRun(repro.ScaledConfig(256, 6*time.Hour))
-//	rep, err := repro.ReportFigure4(data.Source())
+//	reports := repro.Render(data.Source())
 //	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
-//	rep, err = repro.ReportFigure4(src)
+//	reports = repro.Render(src)
+//
+// The three reports that run simulations of their own (ReportYearSurvey,
+// ReportPowerCap, ReportGenerations) are functions.
 //
 // The analyses themselves live in internal/core.
 package repro
