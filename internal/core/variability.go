@@ -88,6 +88,9 @@ type VariabilityReport struct {
 	Duration int64
 	Cabinets int // on the run's floor: the heatmaps' extent
 	Instants []InstantView
+	// Peak indexes the peak-power instant of Instants: the one with the
+	// highest median GPU power, -1 when no instant draws power.
+	Peak int
 	// Spreads at the peak-power instant (paper: 62 W power vs 15.8 °C
 	// temperature non-outlier spread).
 	PowerSpreadW float64
@@ -133,9 +136,9 @@ func Figure17Variability(src source.RunSource) (*VariabilityReport, error) {
 		GPUs:     gpus,
 		Duration: allocs[i].EndTime - allocs[i].BeginTime,
 		Cabinets: floor.Cabinets(),
+		Peak:     -1,
 	}
 	var peakPower float64
-	var peakView *InstantView
 	for f := 0; f < len(samples); f += gpus {
 		frame := samples[f : f+gpus]
 		var power, temp []float64
@@ -172,12 +175,13 @@ func Figure17Variability(src source.RunSource) (*VariabilityReport, error) {
 		rep.Instants = append(rep.Instants, view)
 		if view.PowerBox.Median > peakPower {
 			peakPower = view.PowerBox.Median
-			peakView = &rep.Instants[len(rep.Instants)-1]
+			rep.Peak = len(rep.Instants) - 1
 		}
 	}
-	if peakView != nil {
-		rep.PowerSpreadW = peakView.PowerBox.NonOutlierSpread()
-		rep.TempSpreadC = peakView.TempBox.NonOutlierSpread()
+	if rep.Peak >= 0 {
+		peak := rep.Instants[rep.Peak]
+		rep.PowerSpreadW = peak.PowerBox.NonOutlierSpread()
+		rep.TempSpreadC = peak.TempBox.NonOutlierSpread()
 	}
 	return rep, nil
 }
