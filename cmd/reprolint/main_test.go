@@ -105,7 +105,7 @@ var keptUncalled = map[string]string{
 	"(*nodesim.State).GPUCoreTemp": oracle + "TestFleetMatchesStateBitwise",
 	"(*nodesim.State).GPUMemTemp":  oracle + "TestFleetMatchesStateBitwise",
 	"dsp.IFFT":                     oracle + "TestFFTRoundTrip",
-	"(*topology.Floor).NodeAt":     oracle + "TestLocationRoundTrip and the hostname round trips (the inverse of LocationOf)",
+	"(*topology.Floor).NodeAt":     oracle + "TestLocationRoundTrip and FuzzLocationRoundTrip (the inverse of LocationOf)",
 
 	// A test convenience.
 	"store.Read":                convenience + "one table from a stream, no dataset",
@@ -121,9 +121,9 @@ var keptUncalled = map[string]string{
 	"telemetry.CPUTempMetric":    metric,
 	"telemetry.IngestRate":       "the paper's ingest-rate arithmetic (460k metrics/s at Summit)",
 
-	// Kept when its one caller, the per-node allocation CSV (Dataset D),
-	// stopped being written: the hostname round-trip tests pin it.
-	"(*topology.Floor).Hostname": "the paper's Summit node names (h09n05)",
+	// Kept when its one caller, Floor.Hostname, went: the floor's physical
+	// placement, which the location round-trip tests pin against NodeAt.
+	"(*topology.Floor).LocationOf": "a node's row, cabinet and slot on the floor",
 }
 
 const (

@@ -2,11 +2,11 @@ package topology
 
 import "testing"
 
-// FuzzHostname checks the hostname round trip on arbitrary floor shapes:
-// for every populated node, Hostname(id) must read back to id, on
-// the Summit preset and the Frontier preset alike (Frontier exercises the
-// 3-digit slot tokens, e.g. "n128").
-func FuzzHostname(f *testing.F) {
+// FuzzLocationRoundTrip checks the LocationOf → NodeAt round trip on
+// arbitrary floor shapes: for every populated node, NodeAt(LocationOf(id))
+// must read back to id, on the Summit preset and the Frontier preset alike
+// (Frontier's cabinets hold 128 nodes).
+func FuzzLocationRoundTrip(f *testing.F) {
 	f.Add(4626, 0, false)
 	f.Add(4626, 4625, false)
 	f.Add(256, 17, false)
@@ -32,13 +32,10 @@ func FuzzHostname(f *testing.F) {
 		if id < 0 || id >= nodes {
 			id = ((id % nodes) + nodes) % nodes
 		}
-		name := fl.Hostname(NodeID(id))
-		got, ok := hostnameNode(fl, name)
-		if !ok {
-			t.Fatalf("site %s nodes %d: Hostname(%d)=%q did not parse", site, nodes, id, name)
-		}
-		if got != NodeID(id) {
-			t.Fatalf("site %s nodes %d: round trip %d -> %q -> %d", site, nodes, id, name, got)
+		loc := fl.LocationOf(NodeID(id))
+		got, ok := fl.NodeAt(loc)
+		if !ok || got != NodeID(id) {
+			t.Fatalf("site %s nodes %d: round trip %d -> %+v -> %d (%v)", site, nodes, id, loc, got, ok)
 		}
 	})
 }

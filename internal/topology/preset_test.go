@@ -78,14 +78,3 @@ func TestPresetScaled(t *testing.T) {
 		t.Fatal("unknown preset accepted")
 	}
 }
-
-// TestFrontierHostnames spot-checks the 3-digit slot tokens the 128-node
-// cabinets produce.
-func TestFrontierHostnames(t *testing.T) {
-	f := MustNew(FrontierConfig())
-	name := f.Hostname(127) // cabinet 0 slot 127
-	id, ok := hostnameNode(f, name)
-	if !ok || id != 127 {
-		t.Fatalf("round trip of %q: id=%d ok=%v", name, id, ok)
-	}
-}

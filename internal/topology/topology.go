@@ -236,16 +236,6 @@ func (f *Floor) NodesUnderMSB(m MSB) []NodeID {
 	return ids
 }
 
-// Hostname returns the Summit-style hostname for node id, e.g. "h09n05" with
-// a cabinet letter: rows are named h<row+9>, nodes n<slot+1>, and the cabinet
-// within the row is a letter suffix on the row token.
-func (f *Floor) Hostname(id NodeID) string {
-	loc := f.LocationOf(id)
-	return fmt.Sprintf("%s%02dn%02d", rowToken(loc.Row), loc.Cabinet+1, loc.Slot+1)
-}
-
-func rowToken(row int) string { return fmt.Sprintf("h%02d", row+9) }
-
 // CoolingOrder returns the order in which the node-internal water path
 // visits components on socket s: the CPU cold plate first, then its three
 // GPUs in slot order. Components later in the order receive "second-hand"

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -80,32 +79,6 @@ func TestNodeAtRejectsOutside(t *testing.T) {
 			t.Errorf("NodeAt(%+v) accepted out-of-floor location", loc)
 		}
 	}
-}
-
-func TestHostnameRoundTrip(t *testing.T) {
-	f := summit(t)
-	seen := map[string]bool{}
-	for id := NodeID(0); int(id) < f.Nodes(); id++ {
-		h := f.Hostname(id)
-		if seen[h] {
-			t.Fatalf("duplicate hostname %q", h)
-		}
-		seen[h] = true
-		back, ok := hostnameNode(f, h)
-		if !ok || back != id {
-			t.Fatalf("hostname round trip failed for %d (%q): %d, %v", id, h, back, ok)
-		}
-	}
-}
-
-// hostnameNode reads a hostname's row, cabinet and slot tokens back into
-// the node NodeAt places there.
-func hostnameNode(f *Floor, name string) (NodeID, bool) {
-	var row, cab, slot int
-	if n, err := fmt.Sscanf(name, "h%2d%dn%d", &row, &cab, &slot); n != 3 || err != nil {
-		return 0, false
-	}
-	return f.NodeAt(Location{Row: row - 9, Cabinet: cab - 1, Slot: slot - 1})
 }
 
 func TestMSBPartition(t *testing.T) {
