@@ -34,11 +34,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint runs reprolint, the repository's own static-analysis suite (see
-# internal/lint): seven analyzers over one program — determinism (wall
+# internal/lint): six analyzers over one program — determinism (wall
 # clocks, global math/rand, map-order accumulation and racing selects, in
 # the simulation and cmd packages and in anything a //lint:detroot function
-# reaches), unitsafety, floatcompare, errwrap, allocfree, ctxflow and
-# leakcheck. Its output is text and its only green state is zero findings.
+# reaches), unitsafety, errwrap, allocfree, ctxflow and leakcheck. Its
+# output is text and its only green state is zero findings.
 lint:
 	$(GO) run ./cmd/reprolint ./...
 
@@ -415,7 +415,7 @@ archive-smoke:
 # package's testdata/fuzz/, where it stays as a regression seed once fixed.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = telemetry:FuzzDecodeFrame telemetry:FuzzServerReadLoop trace:FuzzParseTrace serve:FuzzAppendJSONFloat \
-	query:FuzzAppendJSONFloat lint:FuzzAllowDirectives topology:FuzzLocationRoundTrip \
+	query:FuzzAppendJSONFloat lint:FuzzAllowDirectives topology:FuzzScaledFloor \
 	store:FuzzReadDayColumns store:FuzzCodecRoundTrip store:FuzzReadDelta source:FuzzReadManifest source:FuzzDiscoverFleet \
 	scenario:FuzzLoadCompile query:FuzzQueryParams stream:FuzzLiveParams
 fuzz-smoke:

@@ -194,7 +194,7 @@ func TestQuerydEndToEnd(t *testing.T) {
 		t.Fatalf("range returned %d points, direct scan %d", len(rr.Points), len(want))
 	}
 	for i, p := range rr.Points {
-		if p.T != want[i].T || p.V != want[i].V { //lint:allow floatcompare serving must return archived values bit-exactly
+		if p.T != want[i].T || p.V != want[i].V {
 			t.Fatalf("point %d = %+v, direct scan %+v", i, p, want[i])
 		}
 	}

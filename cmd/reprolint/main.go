@@ -1,5 +1,5 @@
 // Command reprolint runs the repository's static-analysis suite (see
-// internal/lint) over module packages: seven analyzers over one Program —
+// internal/lint) over module packages: six analyzers over one Program —
 // every linted view plus the cross-package call graph. It is the
 // multichecker `make ci` runs; stock `go vet` runs before it in the same CI
 // target, covering the standard passes (copylocks among them: lock copies

@@ -18,7 +18,7 @@ import (
 	"repro/internal/lint"
 )
 
-// TestListAnalyzers pins the suite: exactly these seven, in this order.
+// TestListAnalyzers pins the suite: exactly these six, in this order.
 func TestListAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
@@ -28,7 +28,7 @@ func TestListAnalyzers(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
 		got = append(got, strings.Fields(line)[0])
 	}
-	want := "determinism unitsafety floatcompare errwrap allocfree ctxflow leakcheck"
+	want := "determinism unitsafety errwrap allocfree ctxflow leakcheck"
 	if strings.Join(got, " ") != want {
 		t.Errorf("-list names:\n got %s\nwant %s", strings.Join(got, " "), want)
 	}
@@ -105,7 +105,6 @@ var keptUncalled = map[string]string{
 	"(*nodesim.State).GPUCoreTemp": oracle + "TestFleetMatchesStateBitwise",
 	"(*nodesim.State).GPUMemTemp":  oracle + "TestFleetMatchesStateBitwise",
 	"dsp.IFFT":                     oracle + "TestFFTRoundTrip",
-	"(*topology.Floor).NodeAt":     oracle + "TestLocationRoundTrip and FuzzLocationRoundTrip (the inverse of LocationOf)",
 
 	// A test convenience.
 	"store.Read":                convenience + "one table from a stream, no dataset",
@@ -120,10 +119,6 @@ var keptUncalled = map[string]string{
 	"telemetry.CPUPowerMetric":   metric,
 	"telemetry.CPUTempMetric":    metric,
 	"telemetry.IngestRate":       "the paper's ingest-rate arithmetic (460k metrics/s at Summit)",
-
-	// Kept when its one caller, Floor.Hostname, went: the floor's physical
-	// placement, which the location round-trip tests pin against NodeAt.
-	"(*topology.Floor).LocationOf": "a node's row, cabinet and slot on the floor",
 }
 
 const (

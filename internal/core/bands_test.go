@@ -70,7 +70,7 @@ func TestThermalBandSummary(t *testing.T) {
 		for b := range bands {
 			sum += bands[b].Vals[w]
 		}
-		if sum != totalGPUs { //lint:allow floatcompare band populations must account for every GPU exactly
+		if sum != totalGPUs {
 			t.Fatalf("window %d band total %v != %v GPUs", w, sum, totalGPUs)
 		}
 	}

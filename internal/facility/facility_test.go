@@ -249,7 +249,7 @@ func TestMSBMeterDeterministicGains(t *testing.T) {
 	a := NewMSBMeters(floor, rng.New(5))
 	b := NewMSBMeters(floor, rng.New(5))
 	for id := topology.NodeID(0); int(id) < 64; id++ {
-		if a.NodeSensor(id, 1500) != b.NodeSensor(id, 1500) { //lint:allow floatcompare same seed must give bit-identical sensor readings
+		if a.NodeSensor(id, 1500) != b.NodeSensor(id, 1500) {
 			t.Fatal("sensor gains not deterministic")
 		}
 	}

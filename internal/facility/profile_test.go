@@ -31,7 +31,7 @@ func TestProfileDirectLiquid(t *testing.T) {
 	if c.SupplySetpointC <= float64(units.MTWSupplyNominalF.C()) {
 		t.Fatalf("direct-liquid supply %g not warmer than Summit nominal", c.SupplySetpointC)
 	}
-	if c.SupplyC() != units.Celsius(c.SupplySetpointC) { //lint:allow floatcompare loop must settle exactly at the new set point
+	if c.SupplyC() != units.Celsius(c.SupplySetpointC) {
 		t.Fatalf("loop not re-settled: supply %v", c.SupplyC())
 	}
 	if c.TowerKWPerTon >= 0.14 || c.ChillerKWPerTon >= 0.75 {
@@ -42,7 +42,7 @@ func TestProfileDirectLiquid(t *testing.T) {
 	if err := c.Tune(Tuning{SupplySetpointC: 28}); err != nil {
 		t.Fatal(err)
 	}
-	if c.SupplySetpointC != 28 { //lint:allow floatcompare Tune assigns this exact value
+	if c.SupplySetpointC != 28 {
 		t.Fatalf("tuning did not override profile: %g", c.SupplySetpointC)
 	}
 }

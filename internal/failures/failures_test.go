@@ -253,7 +253,7 @@ func TestProjectMultiplierMemoized(t *testing.T) {
 	in := NewInjector(DefaultConfig(1, 4))
 	a := in.ProjectMultiplier("MAT01")
 	b := in.ProjectMultiplier("MAT01")
-	if a != b { //lint:allow floatcompare same seed must give bit-identical failure draws
+	if a != b {
 		t.Error("project multiplier not memoized")
 	}
 	if in.ProjectMultiplier("") != 1 {

@@ -89,6 +89,14 @@ func checkErrorfWrap(pass *Pass, info *types.Info, call *ast.CallExpr) {
 	}
 }
 
+// constVal returns the constant value of e, or nil.
+func constVal(info *types.Info, e ast.Expr) constant.Value {
+	if tv, ok := info.Types[e]; ok {
+		return tv.Value
+	}
+	return nil
+}
+
 // checkDiscardedError flags `f()` statements whose dropped result is (or
 // ends in) an error.
 func checkDiscardedError(pass *Pass, info *types.Info, stmt *ast.ExprStmt) {

@@ -46,10 +46,6 @@ func TestUnitSafetyGolden(t *testing.T) {
 	linttest.Run(t, lint.UnitSafety, linttest.Load(t, "example/facility", testdata("unitsafety")))
 }
 
-func TestFloatCompareGolden(t *testing.T) {
-	linttest.Run(t, lint.FloatCompare, linttest.Load(t, "example/dsp", testdata("floatcompare")))
-}
-
 func TestErrWrapGolden(t *testing.T) {
 	linttest.Run(t, lint.ErrWrap, linttest.Load(t, "repro/internal/store/fixture", testdata("errwrap")))
 }

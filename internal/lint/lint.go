@@ -1,10 +1,10 @@
 // Package lint implements reprolint, the repository's static-analysis
 // suite. It enforces the invariants the reproduction depends on — bitwise
-// determinism of the simulation pipeline, unit-safe arithmetic, tolerance-
-// based float comparison, error-wrapping hygiene on the archive I/O paths,
-// allocation-free hot loops, and context/goroutine discipline in the serving
-// layer. Lock copies are not its business: `go vet`'s copylocks pass, which
-// CI runs first, owns that rule.
+// determinism of the simulation pipeline, unit-safe arithmetic,
+// error-wrapping hygiene on the archive I/O paths, allocation-free hot
+// loops, and context/goroutine discipline in the serving layer. Lock copies
+// are not its business: `go vet`'s copylocks pass, which CI runs first, owns
+// that rule.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis design (Analyzer,
 // Pass, Report, analysistest-style golden tests) but is implemented on the
@@ -108,7 +108,7 @@ func (p *Pass) ReportChain(pos token.Pos, chain []ChainHop, format string, args 
 
 // All returns the suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, UnitSafety, FloatCompare, ErrWrap, AllocFree, CtxFlow, LeakCheck}
+	return []*Analyzer{Determinism, UnitSafety, ErrWrap, AllocFree, CtxFlow, LeakCheck}
 }
 
 // ByName resolves analyzer names against the suite.

@@ -40,6 +40,15 @@ func Shared(tb testing.TB, dir string) *lint.Loader {
 	return loader
 }
 
+// Fork returns a fork of the shared loader (Loader.Fork): it reuses the
+// standard library the binary has already type-checked and checks this
+// module's packages afresh, so a package stood in with LoadDir is seen by
+// the fork alone.
+func Fork(tb testing.TB) *lint.Loader {
+	tb.Helper()
+	return Shared(tb, ".").Fork()
+}
+
 // Load type-checks the package in dir under importPath with the shared
 // loader (Loader.LoadDir). The import path is what the analyzers' package
 // scopes see, so scoped behavior is exercised by loading the same kind of

@@ -45,10 +45,19 @@ type Loader struct {
 	modPath string
 	modDir  string
 
-	mu sync.Mutex
-	// loads holds one singleflight entry per resolved import path.
+	// module holds this loader's packages of the module, and whatever
+	// LoadDir stood in; goroot holds every import that resolves outside the
+	// module, and is shared with the loader's forks.
+	module, goroot *entries
+}
+
+// entries holds one singleflight slot per resolved import path.
+type entries struct {
+	mu    sync.Mutex
 	loads map[string]*loadEntry
 }
+
+func newEntries() *entries { return &entries{loads: map[string]*loadEntry{}} }
 
 // loadEntry is the singleflight slot for one package: the first requester
 // creates it and closes ready when the check completes; everyone else
@@ -77,8 +86,20 @@ func NewLoader(dir string) (*Loader, error) {
 		ctxt:    ctxt,
 		modPath: modPath,
 		modDir:  modDir,
-		loads:   map[string]*loadEntry{},
+		module:  newEntries(),
+		goroot:  newEntries(),
 	}, nil
+}
+
+// Fork returns a loader over the same module that shares l's file set and
+// its checks of every package outside the module, but none of its module
+// packages: the fork type-checks those afresh, so a package it stands in
+// with LoadDir is seen by it alone, while the standard library is checked
+// once for l and all its forks.
+func (l *Loader) Fork() *Loader {
+	f := *l
+	f.module = newEntries()
+	return &f
 }
 
 // ModuleDir returns the module root directory.
@@ -133,13 +154,13 @@ func (l *Loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Pac
 	}
 	var dir, key string
 	var files []string
-	module := false
+	cache := l.goroot
 	if mdir, ok := l.inModule(path); ok {
 		bp, err := l.ctxt.ImportDir(mdir, 0)
 		if err != nil {
 			return nil, fmt.Errorf("lint: import %q: %w", path, err)
 		}
-		dir, files, key, module = mdir, bp.GoFiles, path, true
+		dir, files, key, cache = mdir, bp.GoFiles, path, l.module
 	} else {
 		bp, err := l.ctxt.Import(path, srcDir, 0)
 		if err != nil {
@@ -147,28 +168,28 @@ func (l *Loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Pac
 		}
 		dir, files, key = bp.Dir, bp.GoFiles, bp.ImportPath
 	}
-	e := l.load(key, dir, files, module)
+	e := l.load(cache, key, dir, files, cache == l.module)
 	if e.err != nil {
 		return nil, e.err
 	}
 	return e.tpkg, nil
 }
 
-// load returns the singleflight entry for key, creating it (and running the
-// check) on first request. Module packages are checked with full Info so
+// load returns cache's singleflight entry for key, creating it (and running
+// the check) on first request. Module packages are checked with full Info so
 // the cached *types.Package is the same one analysis sees. Import cycles
 // would deadlock here, but cycles are already illegal Go and rejected by
 // the type checker on legal inputs.
-func (l *Loader) load(key, dir string, files []string, withInfo bool) *loadEntry {
-	l.mu.Lock()
-	if e, ok := l.loads[key]; ok {
-		l.mu.Unlock()
+func (l *Loader) load(cache *entries, key, dir string, files []string, withInfo bool) *loadEntry {
+	cache.mu.Lock()
+	if e, ok := cache.loads[key]; ok {
+		cache.mu.Unlock()
 		<-e.ready
 		return e
 	}
 	e := &loadEntry{ready: make(chan struct{})}
-	l.loads[key] = e
-	l.mu.Unlock()
+	cache.loads[key] = e
+	cache.mu.Unlock()
 	e.pkg, e.err = l.check(key, dir, files, withInfo)
 	if e.pkg != nil {
 		e.tpkg = e.pkg.Pkg
@@ -247,7 +268,7 @@ func (l *Loader) LoadVariants(path string) ([]*Package, error) {
 	}
 	var out []*Package
 	if len(bp.GoFiles) > 0 {
-		e := l.load(path, dir, bp.GoFiles, true)
+		e := l.load(l.module, path, dir, bp.GoFiles, true)
 		if e.err != nil {
 			return nil, e.err
 		}
@@ -274,17 +295,17 @@ func (l *Loader) LoadVariants(path string) ([]*Package, error) {
 
 // LoadDir type-checks every non-test Go file in dir as the package
 // importPath, bypassing module resolution, and makes the result canonical:
-// later imports of importPath through this loader resolve to it. Golden
-// tests use it to analyze testdata packages under the paths the analyzers
-// scope to; the mutation table uses it to stand a mutated copy of a real
-// package in for the original. A path this loader has already loaded from
-// elsewhere is an error.
+// later imports of importPath through this loader — not its parent, not its
+// forks — resolve to it. Golden tests use it to analyze testdata packages
+// under the paths the analyzers scope to; the mutation table uses it to
+// stand a mutated copy of a real package in for the original, in a fork of
+// its own. A path this loader has already loaded from elsewhere is an error.
 func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
 	bp, err := l.importDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %w", dir, err)
 	}
-	e := l.load(importPath, dir, bp.GoFiles, true)
+	e := l.load(l.module, importPath, dir, bp.GoFiles, true)
 	if e.err == nil && e.pkg.Dir != dir {
 		return nil, fmt.Errorf("lint: %s is already loaded from %s", importPath, e.pkg.Dir)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/lint/linttest"
 )
 
 // The seeded-mutation table (ROADMAP item 6's method): each row copies one
@@ -98,11 +99,6 @@ func mutations() []mutation {
 		mutation{name: "x*1000 in core", pkg: "repro/internal/core", file: "edges.go",
 			want: "unitsafety", wantMsg: "magic unit-scale constant 1000"}.
 			add("\nfunc probeKW(w float64) float64 { return w * 1000 }\n"),
-		// Exact equality on a computed float: no other gate sees it, so
-		// this row is what earns floatcompare its place.
-		mutation{name: "computed float == in core", pkg: "repro/internal/core", file: "edges.go",
-			want: "floatcompare", wantMsg: "floating-point == comparison is rounding-sensitive"}.
-			add("\nfunc probeSame(a, b float64) bool { return a*3 == b }\n"),
 		mutation{name: "append in an allocfree function", pkg: "repro/internal/stats", file: "moments.go",
 			want: "allocfree", wantMsg: "append may grow the backing array"}.
 			after("func (m *Moments) AddSlice(xs []float64) {", "xs = append(xs, 0)"),
@@ -165,12 +161,10 @@ func mutate(t *testing.T, moduleDir string, m mutation) string {
 
 // run plants the row's defect and asserts who reports it.
 func (m mutation) run(t *testing.T) {
-	// A loader of its own: the mutant must be the only package this loader
-	// ever sees under m.pkg.
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A fork of its own: the mutant must be the only package this loader
+	// ever sees under m.pkg, and the standard library is checked once for
+	// every row.
+	loader := linttest.Fork(t)
 	dir := mutate(t, loader.ModuleDir(), m)
 	if m.want == goVet {
 		dir = vetMutant(t, m, dir)
@@ -232,9 +226,12 @@ func vetMutant(t *testing.T, m mutation, mutantDir string) string {
 
 func runRows(t *testing.T, rows []mutation) {
 	if raceDetector {
-		// Every row type-checks the standard library afresh: minutes under
-		// the detector, with nothing in it for it to find (the loader's own
-		// concurrency runs under cmd/reprolint's TestRepoIsLintClean).
+		// The rows share one standard-library load, but each still checks
+		// its module packages afresh: on two cores the package takes about
+		// 53 s under the detector with them and 24 s without, and they
+		// add nothing for it to find — a fork's concurrency runs in
+		// TestForksShareOnlyOutsideTheModule, the loader's worker pool in
+		// cmd/reprolint's TestRepoIsLintClean.
 		t.Skip("seeded mutations are not run under the race detector")
 	}
 	for _, m := range rows {

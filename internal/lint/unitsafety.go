@@ -69,7 +69,7 @@ func checkMagicScale(pass *Pass, info *types.Info, be *ast.BinaryExpr) {
 			continue
 		}
 		for _, scale := range unitScaleFactors {
-			if v == scale { //lint:allow floatcompare scale factors are exactly representable
+			if v == scale {
 				pass.Report(lit.Pos(),
 					"magic unit-scale constant %s; use the named constants or conversion methods of internal/units", lit.Value)
 				break

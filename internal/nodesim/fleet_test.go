@@ -85,7 +85,7 @@ func TestFleetAccessorsShape(t *testing.T) {
 	if f.n != 1 {
 		t.Fatalf("n = %d", f.n)
 	}
-	if f.stepSec != 10 { //lint:allow floatcompare constructed with this exact value
+	if f.stepSec != 10 {
 		t.Fatalf("stepSec = %v", f.stepSec)
 	}
 	// Idle equilibrium temperatures must be physical.

@@ -115,12 +115,12 @@ func TestThermalResponseTimescale(t *testing.T) {
 func TestStepDtHandling(t *testing.T) {
 	s := NewState(neutralVariation(), supply)
 	before := s.GPUCoreTemp(0)
-	s.Step(0, fullLoad(), supply)   // no time: no change
-	if s.GPUCoreTemp(0) != before { //lint:allow floatcompare thermal state must be bit-stable across idle steps
+	s.Step(0, fullLoad(), supply) // no time: no change
+	if s.GPUCoreTemp(0) != before {
 		t.Error("dt=0 changed state")
 	}
 	s.Step(-5, fullLoad(), supply)
-	if s.GPUCoreTemp(0) != before { //lint:allow floatcompare thermal state must be bit-stable across idle steps
+	if s.GPUCoreTemp(0) != before {
 		t.Error("negative dt changed state")
 	}
 }

@@ -320,7 +320,7 @@ func TestRangeNodeFilter(t *testing.T) {
 		t.Fatalf("got %d points", len(res.Points))
 	}
 	for _, p := range res.Points {
-		if p.V != fixPower(node, p.T) { //lint:allow floatcompare query plane must return stored values bit-exactly
+		if p.V != fixPower(node, p.T) {
 			t.Fatalf("point %+v, want v=%v", p, fixPower(node, p.T))
 		}
 	}
@@ -346,7 +346,7 @@ func TestRangeDownsampleMatchesCoarsen(t *testing.T) {
 	}
 	for i := range want {
 		g, w := res.Windows[i], want[i]
-		if g.T != w.T || g.Count != w.Count || g.Min != w.Min || g.Max != w.Max || //lint:allow floatcompare rollup must be bit-identical to direct aggregation
+		if g.T != w.T || g.Count != w.Count || g.Min != w.Min || g.Max != w.Max ||
 			math.Abs(g.Mean-w.Mean) > 1e-9 {
 			t.Fatalf("window %d = %+v, want %+v", i, g, w)
 		}
@@ -504,7 +504,7 @@ func TestRollupCabinet(t *testing.T) {
 				}
 			}
 			if w.Count != count || math.Abs(w.Sum-sum) > 1e-6 ||
-				w.Min != minV || w.Max != maxV || //lint:allow floatcompare rollup must be bit-identical to direct aggregation
+				w.Min != minV || w.Max != maxV ||
 				math.Abs(w.Mean-sum/float64(count)) > 1e-9 {
 				t.Fatalf("cabinet %d window %d = %+v, want count=%d sum=%v min=%v max=%v",
 					gs.Group, w.T, w, count, sum, minV, maxV)

@@ -132,7 +132,7 @@ func TestHTTPRange(t *testing.T) {
 		t.Fatalf("%d points", len(body.Points))
 	}
 	for _, p := range body.Points {
-		if p.V == nil || *p.V != fixPower(3, p.T) { //lint:allow floatcompare HTTP plane must return stored values bit-exactly
+		if p.V == nil || *p.V != fixPower(3, p.T) {
 			t.Fatalf("point %+v", p)
 		}
 	}

@@ -40,7 +40,7 @@ func formatFloat(x float64) string {
 		return "NaN"
 	case math.Abs(x) >= 1e7 || (x != 0 && math.Abs(x) < 1e-3):
 		return fmt.Sprintf("%.3e", x)
-	case x == math.Trunc(x): //lint:allow floatcompare integrality test is exact by definition
+	case x == math.Trunc(x):
 		return fmt.Sprintf("%.0f", x)
 	default:
 		return fmt.Sprintf("%.3f", x)
@@ -176,7 +176,7 @@ func Heatmap(w io.Writer, cells map[int]float64, cabinets, perRow int) error {
 		switch {
 		case !ok:
 			cell = "  . "
-		case hi == lo: //lint:allow floatcompare degenerate-range guard is exact by design
+		case hi == lo:
 			cell = "  5 "
 		default:
 			cell = fmt.Sprintf(" %2.0f ", (v-lo)/(hi-lo)*9)

@@ -9,7 +9,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 1000; i++ {
-		if a.Float64() != b.Float64() { //lint:allow floatcompare identical seeds must yield bit-identical streams
+		if a.Float64() != b.Float64() {
 			t.Fatalf("same seed diverged at draw %d", i)
 		}
 	}
@@ -19,7 +19,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Float64() == b.Float64() { //lint:allow floatcompare distinct labels must yield diverging streams
+		if a.Float64() == b.Float64() {
 			same++
 		}
 	}
@@ -36,7 +36,7 @@ func TestSplitIndependentOfConsumption(t *testing.T) {
 	}
 	ca, cb := a.Split("workload"), b.Split("workload")
 	for i := 0; i < 100; i++ {
-		if ca.Float64() != cb.Float64() { //lint:allow floatcompare identical seeds must yield bit-identical streams
+		if ca.Float64() != cb.Float64() {
 			t.Fatal("Split depends on parent consumption")
 		}
 	}
@@ -47,7 +47,7 @@ func TestSplitLabelsDisjoint(t *testing.T) {
 	a, b := root.Split("alpha"), root.Split("beta")
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Float64() == b.Float64() { //lint:allow floatcompare distinct indices must yield diverging streams
+		if a.Float64() == b.Float64() {
 			same++
 		}
 	}

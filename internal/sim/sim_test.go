@@ -192,7 +192,7 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal("trace lengths differ")
 	}
 	for i := range a {
-		if a[i] != b[i] { //lint:allow floatcompare same seed must reproduce the run bitwise
+		if a[i] != b[i] {
 			t.Fatalf("runs diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}

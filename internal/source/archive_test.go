@@ -250,7 +250,7 @@ func TestConcurrentSeriesReads(t *testing.T) {
 					if math.IsNaN(v) {
 						continue
 					}
-					if want := fixVal(s.TimeAt(j)); v != want { //lint:allow floatcompare archived bytes must decode bit-exactly
+					if want := fixVal(s.TimeAt(j)); v != want {
 						t.Errorf("goroutine %d: value at %d = %v, want %v", g, s.TimeAt(j), v, want)
 						return
 					}

@@ -123,7 +123,7 @@ func SumSeries(series []*tsagg.Series) (*tsagg.Series, error) {
 	for _, s := range in {
 		off := int((s.Start - start) / step)
 		for i, v := range s.Vals {
-			if v != v { // NaN: no contribution //lint:allow floatcompare NaN self-test
+			if v != v { // NaN: no contribution
 				continue
 			}
 			idx := off + i

@@ -65,7 +65,7 @@ func (e *ECDF) Curve(k int) (xs, ys []float64) {
 		return nil, nil
 	}
 	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
-	if k < 2 || lo == hi { //lint:allow floatcompare degenerate-range guard is exact by design
+	if k < 2 || lo == hi {
 		return []float64{hi}, []float64{1}
 	}
 	xs = make([]float64, k)

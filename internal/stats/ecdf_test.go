@@ -16,7 +16,7 @@ func TestECDFBasic(t *testing.T) {
 		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.5}, {4, 1}, {10, 1},
 	}
 	for _, c := range cases {
-		if got := e.At(c.x); got != c.want { //lint:allow floatcompare ECDF evaluates stored sample points exactly
+		if got := e.At(c.x); got != c.want {
 			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}

@@ -112,7 +112,7 @@ func TestMomentsMergeEquivalence(t *testing.T) {
 		return merged.N == all.N &&
 			approx(merged.Mean(), all.Mean(), 1e-7*math.Max(1, math.Abs(all.Mean()))) &&
 			approx(merged.Variance(), all.Variance(), tol) &&
-			merged.Min == all.Min && merged.Max == all.Max //lint:allow floatcompare merged extrema must equal the exact min/max
+			merged.Min == all.Min && merged.Max == all.Max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

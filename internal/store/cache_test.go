@@ -162,7 +162,7 @@ func TestScanDayTouchSequence(t *testing.T) {
 					return fmt.Errorf("block starts at row %d, want %d", start, n)
 				}
 				for j, got := range vals {
-					if sc.Axes[0][start+j] != ts[start+j] || got != tc.want(start+j) { //lint:allow floatcompare decode must be lossless
+					if sc.Axes[0][start+j] != ts[start+j] || got != tc.want(start+j) {
 						return fmt.Errorf("row %d = (%d, %v)", start+j, sc.Axes[0][start+j], got)
 					}
 				}

@@ -99,7 +99,7 @@ func TestIterDayColumnsIntWiden(t *testing.T) {
 	}
 	_, vals, _ := iterCollect(t, ds, 0, []string{"timestamp"}, "count")
 	for i, want := range tab.Cols[1].Ints {
-		if vals[i] != float64(want) { //lint:allow floatcompare exact widening
+		if vals[i] != float64(want) {
 			t.Fatalf("row %d: %v != %v", i, vals[i], float64(want))
 		}
 	}
@@ -121,7 +121,7 @@ func TestIterDayColumnsValueIsAxis(t *testing.T) {
 	}
 	_, vals, _ := iterCollect(t, ds, 0, []string{"timestamp"}, "timestamp")
 	for i, want := range tab.Cols[0].Ints {
-		if vals[i] != float64(want) { //lint:allow floatcompare exact widening
+		if vals[i] != float64(want) {
 			t.Fatalf("row %d: %v != %v", i, vals[i], float64(want))
 		}
 	}

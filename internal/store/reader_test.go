@@ -138,7 +138,7 @@ func TestReadColumnsSubset(t *testing.T) {
 		t.Fatal("unrequested column decoded")
 	}
 	for j, v := range got.Col("gpu0_core_temp.mean").Floats {
-		if v != tab.Cols[3].Floats[j] { //lint:allow floatcompare column decode must be lossless
+		if v != tab.Cols[3].Floats[j] {
 			t.Fatalf("row %d mismatch", j)
 		}
 	}

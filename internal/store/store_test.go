@@ -52,7 +52,7 @@ func TestRoundTrip(t *testing.T) {
 				if want.Ints[j] != have.Ints[j] {
 					t.Fatalf("col %q row %d: %d != %d", want.Name, j, have.Ints[j], want.Ints[j])
 				}
-			} else if want.Floats[j] != have.Floats[j] { //lint:allow floatcompare codec round-trip must be lossless
+			} else if want.Floats[j] != have.Floats[j] {
 				t.Fatalf("col %q row %d: %v != %v", want.Name, j, have.Floats[j], want.Floats[j])
 			}
 		}

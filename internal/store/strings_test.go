@@ -37,7 +37,7 @@ func TestStringColumnRoundTrip(t *testing.T) {
 				t.Fatalf("codec %d row %d: %q != %q", codec, j, c.Strs[j], want)
 			}
 		}
-		if got.Col("timestamp").Ints[2] != 120 || got.Col("power").Floats[2] != 3.5 { //lint:allow floatcompare codec round-trip must be lossless
+		if got.Col("timestamp").Ints[2] != 120 || got.Col("power").Floats[2] != 3.5 {
 			t.Fatalf("codec %d: numeric columns corrupted by string neighbor", codec)
 		}
 	}
@@ -102,7 +102,7 @@ func TestStringColumnSkip(t *testing.T) {
 		if len(got.Cols) != 1 || got.Col("power") == nil {
 			t.Fatalf("codec %d: selective read got %d cols", codec, len(got.Cols))
 		}
-		if got.Col("power").Floats[1] != 2.5 { //lint:allow floatcompare codec round-trip must be lossless
+		if got.Col("power").Floats[1] != 2.5 {
 			t.Fatalf("codec %d: value corrupted after string skip", codec)
 		}
 	}

@@ -164,7 +164,7 @@ func TestServerExporterEndToEnd(t *testing.T) {
 			if !ok {
 				t.Fatalf("sample (%d, %d) lost", e, i)
 			}
-			if v != float64(e*100000+i) { //lint:allow floatcompare wire transport must be lossless
+			if v != float64(e*100000+i) {
 				t.Fatalf("sample (%d, %d) corrupted: %v", e, i, v)
 			}
 		}

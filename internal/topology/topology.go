@@ -1,7 +1,6 @@
 // Package topology models the physical layout of the Summit compute floor:
-// rows of cabinets, 18 nodes per cabinet, the main switchboard (MSB) power
-// feeds, the serial water-cooling order inside a node, and the hostname and
-// PCI addressing schemes the telemetry and failure logs use.
+// cabinets of 18 nodes, the main switchboard (MSB) power feeds, and the
+// serial water-cooling order inside a node.
 //
 // The layout is configurable so the same analysis code runs on the full
 // 4,626-node floor and on the scaled-down systems used by tests.
@@ -23,13 +22,6 @@ type GPUSlot int
 
 // CPUSocket is the physical CPU position within a node, 0 or 1.
 type CPUSocket int
-
-// Location is a node's physical placement on the floor.
-type Location struct {
-	Row     int // row on the compute floor (h-row index)
-	Cabinet int // cabinet within the row
-	Slot    int // node height within the cabinet, 0 (bottom) .. 17 (top)
-}
 
 // MSB identifies one of the main switchboards feeding the floor.
 type MSB int
@@ -59,7 +51,6 @@ type Config struct {
 	Name            string  // site preset name ("" = unnamed custom floor)
 	Nodes           int     // total compute nodes
 	NodesPerCabinet int     // nodes per cabinet (Summit: 18)
-	CabinetsPerRow  int     // cabinets per floor row
 	MSBs            int     // number of main switchboards
 	Cooling         Cooling // facility cooling architecture ("" = hybrid)
 }
@@ -70,7 +61,6 @@ func SummitConfig() Config {
 		Name:            SiteSummit,
 		Nodes:           units.SummitNodes,
 		NodesPerCabinet: units.NodesPerCabinet,
-		CabinetsPerRow:  8, // h-rows hold 8 cabinets (h09..h36 naming)
 		MSBs:            5,
 		Cooling:         CoolingHybridAirWater,
 	}
@@ -84,7 +74,6 @@ func FrontierConfig() Config {
 		Name:            SiteFrontier,
 		Nodes:           units.FrontierNodes,
 		NodesPerCabinet: units.FrontierNodesPerCabinet,
-		CabinetsPerRow:  16,
 		MSBs:            4,
 		Cooling:         CoolingDirectLiquid,
 	}
@@ -145,9 +134,6 @@ func New(cfg Config) (*Floor, error) {
 	if cfg.NodesPerCabinet <= 0 {
 		return nil, fmt.Errorf("topology: non-positive nodes per cabinet %d", cfg.NodesPerCabinet)
 	}
-	if cfg.CabinetsPerRow <= 0 {
-		return nil, fmt.Errorf("topology: non-positive cabinets per row %d", cfg.CabinetsPerRow)
-	}
 	if cfg.MSBs <= 0 {
 		return nil, fmt.Errorf("topology: non-positive MSB count %d", cfg.MSBs)
 	}
@@ -193,34 +179,6 @@ func (f *Floor) MSBs() int { return f.cfg.MSBs }
 
 // Cabinet returns the cabinet index of node id.
 func (f *Floor) Cabinet(id NodeID) int { return int(id) / f.cfg.NodesPerCabinet }
-
-// LocationOf returns the physical placement of node id.
-func (f *Floor) LocationOf(id NodeID) Location {
-	cab := f.Cabinet(id)
-	return Location{
-		Row:     cab / f.cfg.CabinetsPerRow,
-		Cabinet: cab % f.cfg.CabinetsPerRow,
-		Slot:    int(id) % f.cfg.NodesPerCabinet,
-	}
-}
-
-// NodeAt is the inverse of LocationOf. The boolean is false if the location
-// is outside the floor or beyond the last populated node.
-func (f *Floor) NodeAt(loc Location) (NodeID, bool) {
-	if loc.Row < 0 || loc.Cabinet < 0 || loc.Slot < 0 ||
-		loc.Cabinet >= f.cfg.CabinetsPerRow || loc.Slot >= f.cfg.NodesPerCabinet {
-		return 0, false
-	}
-	cab := loc.Row*f.cfg.CabinetsPerRow + loc.Cabinet
-	if cab >= f.cabinets {
-		return 0, false
-	}
-	id := NodeID(cab*f.cfg.NodesPerCabinet + loc.Slot)
-	if int(id) >= f.cfg.Nodes {
-		return 0, false
-	}
-	return id, true
-}
 
 // MSBOf returns the switchboard feeding node id.
 func (f *Floor) MSBOf(id NodeID) MSB { return f.msbOf[f.Cabinet(id)] }

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func summit(t *testing.T) *Floor {
 	t.Helper()
@@ -32,10 +29,9 @@ func TestSummitDimensions(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Nodes: 0, NodesPerCabinet: 18, CabinetsPerRow: 8, MSBs: 5},
-		{Nodes: 10, NodesPerCabinet: 0, CabinetsPerRow: 8, MSBs: 5},
-		{Nodes: 10, NodesPerCabinet: 18, CabinetsPerRow: 0, MSBs: 5},
-		{Nodes: 10, NodesPerCabinet: 18, CabinetsPerRow: 8, MSBs: 0},
+		{Nodes: 0, NodesPerCabinet: 18, MSBs: 5},
+		{Nodes: 10, NodesPerCabinet: 0, MSBs: 5},
+		{Nodes: 10, NodesPerCabinet: 18, MSBs: 0},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -51,34 +47,6 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew(Config{})
-}
-
-func TestLocationRoundTrip(t *testing.T) {
-	f := summit(t)
-	for id := NodeID(0); int(id) < f.Nodes(); id++ {
-		loc := f.LocationOf(id)
-		back, ok := f.NodeAt(loc)
-		if !ok || back != id {
-			t.Fatalf("LocationOf/NodeAt round trip failed for %d: %+v -> %d (%v)", id, loc, back, ok)
-		}
-	}
-}
-
-func TestNodeAtRejectsOutside(t *testing.T) {
-	f := summit(t)
-	bad := []Location{
-		{Row: -1, Cabinet: 0, Slot: 0},
-		{Row: 0, Cabinet: -1, Slot: 0},
-		{Row: 0, Cabinet: 0, Slot: -1},
-		{Row: 0, Cabinet: 99, Slot: 0},
-		{Row: 0, Cabinet: 0, Slot: 18},
-		{Row: 9999, Cabinet: 0, Slot: 0},
-	}
-	for _, loc := range bad {
-		if _, ok := f.NodeAt(loc); ok {
-			t.Errorf("NodeAt(%+v) accepted out-of-floor location", loc)
-		}
-	}
 }
 
 func TestMSBPartition(t *testing.T) {
@@ -148,23 +116,5 @@ func TestScaledConfig(t *testing.T) {
 	}
 	if f.Cabinets() != 4 {
 		t.Errorf("scaled cabinets = %d, want 4 (ceil(64/18))", f.Cabinets())
-	}
-	// Round trips must hold at small scale too.
-	for id := NodeID(0); int(id) < f.Nodes(); id++ {
-		if back, ok := f.NodeAt(f.LocationOf(id)); !ok || back != id {
-			t.Fatalf("scaled round trip failed for %d", id)
-		}
-	}
-}
-
-func TestLocationRoundTripProperty(t *testing.T) {
-	f := MustNew(ScaledConfig(500))
-	fn := func(raw uint16) bool {
-		id := NodeID(int(raw) % f.Nodes())
-		back, ok := f.NodeAt(f.LocationOf(id))
-		return ok && back == id
-	}
-	if err := quick.Check(fn, nil); err != nil {
-		t.Error(err)
 	}
 }

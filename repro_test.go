@@ -80,7 +80,7 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 	pa, pb := a.Source().SeriesByName[source.SeriesClusterPower], b.Source().SeriesByName[source.SeriesClusterPower]
 	for i := 0; i < pa.Len(); i++ {
-		if pa.Vals[i] != pb.Vals[i] { //lint:allow floatcompare live/archive parity is bitwise by design
+		if pa.Vals[i] != pb.Vals[i] {
 			t.Fatalf("cluster power diverged at window %d", i)
 		}
 	}
