@@ -225,7 +225,10 @@ fleet-smoke:
 # the reply cache — same payload, a stats block that says "cached", the
 # stored reply's ETag good for a 304 — with two computes and three hits to
 # show for the five requests. The archive is opened once: its eight
-# partitions have each had their header read once. A -nodes that contradicts
+# partitions have each had their header read once. Three node-filtered raw
+# ranges over the one node-power day are three different replies, so each
+# reaches the decoded-table cache: the first misses and streams, the second
+# misses and admits the day, the third hits it. A -nodes that contradicts
 # the archive's run manifest must stop queryd at start, naming the flag.
 queryd-smoke:
 	$(GO) build -o /tmp/qdsmoke-summitsim ./cmd/summitsim
@@ -257,7 +260,18 @@ queryd-smoke:
 	grep -q '"reply_cache":{"bytes":[1-9][0-9]*,"computes":2,"entries":2,"evictions":0,"hits":3,"not_modified":1,' /tmp/qdsmoke-vars.json; \
 	grep -q '"routes":{.*"range":{"count":3,' /tmp/qdsmoke-vars.json; \
 	grep -q '"partitions_indexed":8,' /tmp/qdsmoke-vars.json; \
-	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304; each partition indexed once"
+	tables() { curl -sf $$base/debug/vars | grep -o '"cache":{[^}]*}' | head -1; }; \
+	field() { echo "$$1" | sed -n "s/.*\"$$2\":\([0-9]*\).*/\1/p"; }; \
+	before=$$(tables); \
+	for n in 1 2 3; do \
+		curl -sf "$$base/api/v1/range?dataset=node-power&column=input_power.mean&node=$$n" | grep -q '"points":\[{'; \
+	done; \
+	after=$$(tables); \
+	misses=$$(( $$(field "$$after" store_misses) - $$(field "$$before" store_misses) )); \
+	hits=$$(( $$(field "$$after" store_hits) - $$(field "$$before" store_hits) )); \
+	if [ $$misses -ne 2 ] || [ $$hits -lt 1 ] || [ $$(field "$$after" entries) -le $$(field "$$before" entries) ]; then \
+		echo "queryd-smoke: three node ranges over one day: table cache went from $$before to $$after, want +2 misses, one more entry, then a hit on it"; exit 1; fi; \
+	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304; each partition indexed once; a node-power day streamed, then admitted, then served resident"
 	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-*.json /tmp/qdsmoke-range2.hdr /tmp/qdsmoke-refused.txt
 
 # serve-smoke drives both daemons' real mains through their whole life — the

@@ -22,12 +22,12 @@ func cacheTestTable(rows int) *Table {
 func TestCacheHitAndPromote(t *testing.T) {
 	c := NewTableCache(1 << 20)
 	tab := cacheTestTable(10)
-	c.Put("a", tab)
-	got, ok := c.Get("a")
+	c.put("a", tab)
+	got, ok := c.get("a")
 	if !ok || got != tab {
 		t.Fatal("cached table lost")
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.get("b"); ok {
 		t.Fatal("phantom hit")
 	}
 	entries, bytes := c.Stats()
@@ -37,55 +37,78 @@ func TestCacheHitAndPromote(t *testing.T) {
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
-	// Budget of ~32 tables, 200 inserted: eviction must kick in and the
-	// global byte accounting must stay under budget throughout.
-	budget := int64(cacheShards) * (TableBytes(cacheTestTable(100)) * 2)
+	// Budget of 32 tables, 200 inserted: eviction must kick in and the
+	// byte accounting must stay under budget throughout.
+	budget := 32 * TableBytes(cacheTestTable(100))
 	c := NewTableCache(budget)
 	evicted := 0
 	for i := 0; i < 200; i++ {
-		evicted += c.Put(fmt.Sprintf("k%d", i), cacheTestTable(100))
+		evicted += c.put(fmt.Sprintf("k%d", i), cacheTestTable(100))
 	}
-	if evicted == 0 {
-		t.Error("no evictions despite exceeding the budget")
+	if evicted != 200-32 {
+		t.Errorf("%d evictions, want %d", evicted, 200-32)
 	}
-	_, bytes := c.Stats()
-	if bytes > budget {
-		t.Errorf("resident bytes %d exceed budget %d", bytes, budget)
+	if entries, bytes := c.Stats(); entries != 32 || bytes > budget {
+		t.Errorf("%d entries of %d bytes, want 32 within the budget %d", entries, bytes, budget)
+	}
+}
+
+// TestCacheEvictsLeastRecentlyUsedFirst pins the eviction order across the
+// whole budget: with k0…k7 filling it and k0 read since, admitting k8 must
+// evict exactly k1, the least recently used table, and nothing else.
+func TestCacheEvictsLeastRecentlyUsedFirst(t *testing.T) {
+	c := NewTableCache(8 * TableBytes(cacheTestTable(100)))
+	for i := 0; i < 8; i++ {
+		c.put(fmt.Sprintf("k%d", i), cacheTestTable(100))
+	}
+	if _, ok := c.get("k0"); !ok {
+		t.Fatal("k0 not resident in a cache sized for eight tables")
+	}
+	if n := c.put("k8", cacheTestTable(100)); n != 1 {
+		t.Errorf("admitting k8 evicted %d tables, want 1", n)
+	}
+	for i := 0; i <= 8; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if _, ok := c.get(key); ok == (i == 1) {
+			t.Errorf("%s resident = %v, want only k1 evicted", key, ok)
+		}
 	}
 }
 
 func TestCacheOversizedEntryNotCached(t *testing.T) {
 	c := NewTableCache(1024) // smaller than any real table: nothing fits
-	c.Put("big", cacheTestTable(1000))
-	if _, ok := c.Get("big"); ok {
+	c.put("big", cacheTestTable(1000))
+	if _, ok := c.get("big"); ok {
 		t.Error("oversized table cached")
 	}
 }
 
-func TestCacheAdmitsEntryLargerThanShardShare(t *testing.T) {
-	// The budget is global: a table bigger than budget/shards (one day of
-	// per-node telemetry vs the default budget) must still be cached, with
-	// eviction spilling into other shards to make room.
+func TestCacheAdmitsEntryUpToTheWholeBudget(t *testing.T) {
+	// One day of per-node telemetry decodes to tens of megabytes: a table
+	// that fills the whole budget must still be cached, by evicting
+	// everything else.
 	big := cacheTestTable(2000)
-	budget := TableBytes(big) + TableBytes(big)/2
+	budget := TableBytes(big)
 	c := NewTableCache(budget)
 	for i := 0; i < 32; i++ {
-		c.Put(fmt.Sprintf("small%d", i), cacheTestTable(10))
+		c.put(fmt.Sprintf("small%d", i), cacheTestTable(10))
 	}
-	c.Put("big", big)
-	if _, ok := c.Get("big"); !ok {
-		t.Fatal("table over the per-shard share was not cached")
+	if n := c.put("big", big); n != 32 {
+		t.Errorf("admitting the budget-sized table evicted %d tables, want all 32", n)
 	}
-	if _, bytes := c.Stats(); bytes > budget {
-		t.Errorf("resident bytes %d exceed budget %d", bytes, budget)
+	if _, ok := c.get("big"); !ok {
+		t.Fatal("table the size of the budget was not cached")
+	}
+	if entries, bytes := c.Stats(); entries != 1 || bytes != budget {
+		t.Errorf("stats = %d entries, %d bytes, want 1 entry of %d", entries, bytes, budget)
 	}
 }
 
 func TestCacheFlush(t *testing.T) {
 	c := NewTableCache(1 << 20)
-	c.Put("a", cacheTestTable(5))
+	c.put("a", cacheTestTable(5))
 	c.Flush()
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.get("a"); ok {
 		t.Error("Flush left entries behind")
 	}
 	if entries, bytes := c.Stats(); entries != 0 || bytes != 0 {
@@ -95,10 +118,10 @@ func TestCacheFlush(t *testing.T) {
 
 func TestCacheUpdateSameKey(t *testing.T) {
 	c := NewTableCache(1 << 20)
-	c.Put("a", cacheTestTable(5))
+	c.put("a", cacheTestTable(5))
 	bigger := cacheTestTable(50)
-	c.Put("a", bigger)
-	got, ok := c.Get("a")
+	c.put("a", bigger)
+	got, ok := c.get("a")
 	if !ok || got != bigger {
 		t.Fatal("update lost")
 	}
@@ -116,8 +139,8 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (w*31+i)%64)
-				if _, ok := c.Get(key); !ok {
-					c.Put(key, cacheTestTable(20))
+				if _, ok := c.get(key); !ok {
+					c.put(key, cacheTestTable(20))
 				}
 			}
 		}(w)
@@ -185,7 +208,7 @@ func TestScanDayTouchSequence(t *testing.T) {
 	if _, err := ds.ScanDay(c, 1, nil, []string{"count"}, "v", &sc, func(int, []float64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	tab, _ := c.Get(CacheKey("x", 0, nil))
+	tab, _ := c.get(cacheKey("x", 0, nil))
 	for i, got := range tab.Col("timestamp").Ints {
 		if got != ts[i] {
 			t.Fatalf("resident timestamp column overwritten at row %d: %d, want %d", i, got, ts[i])
