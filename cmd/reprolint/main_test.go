@@ -107,7 +107,7 @@ var keptUncalled = map[string]string{
 	"dsp.IFFT":                     oracle + "TestFFTRoundTrip",
 
 	// A test convenience.
-	"store.Read":                convenience + "one table from a stream, no dataset",
+	"store.Read":                convenience + "one table from a seekable partition, no dataset",
 	"(*store.Dataset).WriteDay": convenience + "a test fixture's day at the default codec",
 	"trace.BuiltinSample":       convenience + "the checked-in sample trace",
 	"(*lint.Loader).ModuleDir":  convenience + "the module root the reprolint tests load from",
@@ -706,7 +706,7 @@ func checkFlagReason(dir, name, reason string) error {
 }
 
 // testHelperPackages exist to be called from tests.
-var testHelperPackages = map[string]bool{"storetest": true, "servetest": true, "linttest": true}
+var testHelperPackages = map[string]bool{"servetest": true, "linttest": true}
 
 // TestViolationsPrintAsRelativeTextWithChains drives the one output form end
 // to end over a fixture that violates leakcheck: exit status 1, one line per

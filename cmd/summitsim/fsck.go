@@ -39,13 +39,10 @@ func fsck(w io.Writer, dir string) error {
 			if err != nil {
 				return err
 			}
-			members, strided, companions := 0, 0, 0
+			strided, companions := 0, 0
 			var found []error
 			for _, day := range days {
 				c := ds.VerifyDay(day)
-				if c.Members {
-					members++
-				}
 				if c.Strided {
 					strided++
 				}
@@ -54,8 +51,8 @@ func fsck(w io.Writer, dir string) error {
 				}
 				found = append(found, c.Problems...)
 			}
-			fmt.Fprintf(w, "%s: %s: %d partitions, %d framed as members, %d as one stream, %d with strided columns, %d with a companion, %d problems\n",
-				dir, name, len(days), members, len(days)-members, strided, companions, len(found))
+			fmt.Fprintf(w, "%s: %s: %d partitions, %d with strided columns, %d with a companion, %d problems\n",
+				dir, name, len(days), strided, companions, len(found))
 			for _, err := range found {
 				fmt.Fprintf(w, "%s: %v\n", dir, err)
 			}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/source"
 	"repro/internal/store"
-	"repro/internal/store/storetest"
 )
 
 // fsckArchive simulates a small run with the per-node dataset into a fresh
@@ -35,12 +34,13 @@ func fsckArchive(t *testing.T) string {
 	return dir
 }
 
-// TestFsck: a fresh archive is clean, also with one partition re-framed the
-// way every earlier build wrote it; a flipped byte, a cut-off file, bytes
-// after the last member and a flipped byte in the companion a node-power day
-// carries each fail the check, naming the partition (and the column, where
-// one is damaged); so do a missing or incomplete run-meta and a partition at
-// a day the run-meta's span does not reach, naming the file.
+// TestFsck: a fresh archive is clean; a partition as the builds before
+// column directories wrote it (the checked-in codec0.spwr), whole or with a
+// flipped byte, a flipped byte, a cut-off file, bytes after the last member
+// and a flipped byte in the companion a node-power day carries each fail the
+// check, naming the partition (and the column, where one is damaged); so do
+// a missing or incomplete run-meta and a partition at a day the run-meta's
+// span does not reach, naming the file.
 func TestFsck(t *testing.T) {
 	rewrite := func(t *testing.T, path string, edit func([]byte) []byte) {
 		t.Helper()
@@ -52,8 +52,12 @@ func TestFsck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	singleStream := func(raw []byte) []byte { return storetest.SingleStream(t, raw) }
 	flipMiddle := func(raw []byte) []byte { raw[len(raw)/2] ^= 0x20; return raw }
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "codec0.spwr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromEarlierBuild := func([]byte) []byte { return append([]byte(nil), legacy...) }
 
 	cases := []struct {
 		name   string
@@ -62,14 +66,14 @@ func TestFsck(t *testing.T) {
 	}{
 		{"fresh", func(*testing.T, string) {}, nil},
 		{"one partition from an earlier build", func(t *testing.T, dir string) {
-			rewrite(t, filepath.Join(dir, "cluster-power-day00000.spwr"), singleStream)
-		}, nil},
+			rewrite(t, filepath.Join(dir, "cluster-power-day00000.spwr"), fromEarlierBuild)
+		}, []string{"cluster-power-day00000.spwr: store: no directory"}},
 		{"flipped byte in a member", func(t *testing.T, dir string) {
 			rewrite(t, filepath.Join(dir, "node-power-day00000.spwr"), flipMiddle)
 		}, []string{"node-power-day00000.spwr", `column "input_power.`}},
 		{"flipped byte in a single stream", func(t *testing.T, dir string) {
-			rewrite(t, filepath.Join(dir, "gpu-xid-day00000.spwr"), func(raw []byte) []byte { return flipMiddle(singleStream(raw)) })
-		}, []string{"gpu-xid-day00000.spwr"}},
+			rewrite(t, filepath.Join(dir, "gpu-xid-day00000.spwr"), func(raw []byte) []byte { return flipMiddle(fromEarlierBuild(raw)) })
+		}, []string{"gpu-xid-day00000.spwr: store: no directory"}},
 		{"cut short", func(t *testing.T, dir string) {
 			rewrite(t, filepath.Join(dir, "job-records-day00000.spwr"), func(raw []byte) []byte { return raw[:len(raw)-9] })
 		}, []string{"job-records-day00000.spwr", `column "max_gpu_pwr"`}},
@@ -119,7 +123,7 @@ func TestFsck(t *testing.T) {
 				}
 				// node-power's base days XOR each node with itself a window
 				// back and carry the companion; nothing else does either.
-				if strings.Count(out.String(), ", 0 with strided columns, 0 with a companion,") != 7 || !strings.Contains(out.String(), ": node-power: 1 partitions, 1 framed as members, 0 as one stream, 1 with strided columns, 1 with a companion,") {
+				if strings.Count(out.String(), ", 0 with strided columns, 0 with a companion,") != 7 || !strings.Contains(out.String(), ": node-power: 1 partitions, 1 with strided columns, 1 with a companion,") {
 					t.Errorf("fsck of a sound archive, want node-power's one day strided and with a companion, and nothing else:\n%s", out.String())
 				}
 				return

@@ -238,15 +238,14 @@ func (h *handler) vars(w http.ResponseWriter, r *http.Request) {
 	}
 	snap["clusters"] = perCluster
 	snap["reply_cache"] = h.cache.Snapshot()
-	// How partitions have been read, process-wide: from their directories or
-	// by inflating them, and how many column members were stepped over or
-	// read to their checksum.
+	// How partitions have been read, process-wide: how many were indexed
+	// from their directories, and how many column members were stepped over
+	// or read to their checksum.
 	st := store.Stats()
 	snap["store"] = map[string]int64{
-		"partitions_indexed":  st.PartitionsIndexed,
-		"partitions_streamed": st.PartitionsStreamed,
-		"members_skipped":     st.MembersSkipped,
-		"members_verified":    st.MembersVerified,
+		"partitions_indexed": st.PartitionsIndexed,
+		"members_skipped":    st.MembersSkipped,
+		"members_verified":   st.MembersVerified,
 	}
 	serve.WriteJSON(w, http.StatusOK, snap)
 }

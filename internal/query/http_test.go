@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +14,6 @@ import (
 	"repro/internal/serve/servetest"
 	"repro/internal/source"
 	"repro/internal/store"
-	"repro/internal/store/storetest"
 )
 
 // singleHandler serves one anonymous cluster — the pre-fleet shape most
@@ -313,13 +310,10 @@ func TestHTTPLoadShedding(t *testing.T) {
 }
 
 // TestHTTPVarsStoreBlock pins the `store` block of /debug/vars on an archive
-// holding one cluster-power day as every earlier build framed it — a single
-// gzip member, no directory — and one as WriteDay frames it now: the open
-// indexes the one and inflates the other, the inventory indexes only the
-// run-meta beside them, and a first-touch range reads the framed day's time
-// and value members to their checksums, seeks over the column between them
-// and never reaches the one after. /api/v1/datasets says the same about both
-// days.
+// holding two cluster-power days: the open indexes both, the inventory
+// indexes only the run-meta beside them, and a first-touch range reads each
+// day's time and value members to their checksums, seeks over the column
+// between them and never reaches the one after.
 func TestHTTPVarsStoreBlock(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := store.NewDataset(dir, "cluster-power")
@@ -337,16 +331,6 @@ func TestHTTPVarsStoreBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Day 0 becomes one gzip member holding the same payload.
-	path := filepath.Join(dir, ds.DayFile(0))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, storetest.SingleStream(t, raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	commitArchive(t, dir, fixNodes)
 
 	before := store.Stats()
@@ -382,16 +366,15 @@ func TestHTTPVarsStoreBlock(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	got := map[string]int64{
-		"partitions_indexed":  vars.Store["partitions_indexed"] - before.PartitionsIndexed,
-		"partitions_streamed": vars.Store["partitions_streamed"] - before.PartitionsStreamed,
-		"members_skipped":     vars.Store["members_skipped"] - before.MembersSkipped,
-		// The run-meta's header and six columns at open, the framed day's
-		// header at open and the run-meta's at the inventory, then the framed
-		// day's header, timestamp and sum_inp members at the range.
+		"partitions_indexed": vars.Store["partitions_indexed"] - before.PartitionsIndexed,
+		"members_skipped":    vars.Store["members_skipped"] - before.MembersSkipped,
+		// The run-meta's header and six columns at open, each day's header
+		// at open and the run-meta's at the inventory, then each day's
+		// header, timestamp and sum_inp members at the range.
 		"members_verified": vars.Store["members_verified"] - before.MembersVerified,
 	}
-	want := map[string]int64{"partitions_indexed": 2, "partitions_streamed": 1, "members_skipped": 1, "members_verified": 12}
-	if len(vars.Store) != 4 || !reflect.DeepEqual(got, want) {
+	want := map[string]int64{"partitions_indexed": 3, "members_skipped": 2, "members_verified": 16}
+	if len(vars.Store) != 3 || !reflect.DeepEqual(got, want) {
 		t.Errorf("store block %v moved by %v, want %v", vars.Store, got, want)
 	}
 }

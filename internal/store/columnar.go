@@ -137,8 +137,9 @@ const (
 const MaxStride = 1 << 16
 
 // Codec selects the column encoding and compression level. The default
-// (CodecDelta) is what the pipeline uses. CodecRaw and CodecRawStore are
-// read, never written: partitions of builds that wrote them still decode.
+// (CodecDelta) is what the pipeline uses. A codec's value is the byte in the
+// table header; bytes 1 and 3 were fixed-width codecs that only partitions
+// without a directory hold, and are refused.
 type Codec uint8
 
 // Codecs.
@@ -146,27 +147,23 @@ const (
 	// CodecDelta: ints delta+zigzag+uvarint, floats XOR against the value
 	// Column.Stride rows back (by default the previous row) + uvarint,
 	// default gzip. The production choice for every dataset but node-power.
-	CodecDelta Codec = iota
-	// CodecRaw: fixed-width little-endian values, default gzip (read only).
-	CodecRaw
+	CodecDelta Codec = 0
 	// CodecDeltaFast: delta/XOR encoding with gzip.BestSpeed. node-power's
 	// choice, with its float columns strided by the node count: the
 	// same-node XOR leaves deflate little to find at level 6 that level 1
 	// misses.
-	CodecDeltaFast
-	// CodecRawStore: fixed-width values, gzip store mode (read only).
-	CodecRawStore
+	CodecDeltaFast Codec = 2
 	// CodecGorilla: ints delta-of-delta + zigzag + uvarint, floats Gorilla
 	// XOR with leading/trailing-zero windows (bit-packed), gzip store mode —
 	// the bit packing replaces deflate, so decode skips the inflate pass.
-	// Every column payload carries a byte-length prefix, so readers skip
-	// unwanted columns in O(1) instead of walking their varints. See
-	// gorilla.go.
-	CodecGorilla
-	numCodecs
+	// Every column payload carries a byte-length prefix. See gorilla.go.
+	CodecGorilla Codec = 4
 )
 
 func (c Codec) delta() bool { return c == CodecDelta || c == CodecDeltaFast }
+
+// known reports whether c is a codec this build writes and reads.
+func (c Codec) known() bool { return c.delta() || c == CodecGorilla }
 
 func (c Codec) gzipLevel() int {
 	switch c {
@@ -222,10 +219,9 @@ type columnWriter struct {
 }
 
 // NewPartitionWriter starts a partition of the given columns: their names,
-// types (the slice that is set, possibly empty) and strides. CodecRaw and
-// CodecRawStore are read, not written.
+// types (the slice that is set, possibly empty) and strides.
 func NewPartitionWriter(codec Codec, cols []Column) (*PartitionWriter, error) {
-	if codec != CodecGorilla && !codec.delta() {
+	if !codec.known() {
 		return nil, fmt.Errorf("store: codec %d is not written", codec)
 	}
 	if err := (&Table{Cols: cols}).Validate(); err != nil {
@@ -374,7 +370,8 @@ func (p *PartitionWriter) closeMember(cw *columnWriter) error {
 
 // Close finishes every member and writes the partition to w: member 0 — the
 // table header, its gzip header carrying the directory — then the column
-// members, each let go once written. The writer is spent after it.
+// members, each let go once written. A directory too large for the gzip
+// header is an error before any byte reaches w. The writer is spent after it.
 func (p *PartitionWriter) Close(w io.Writer) error {
 	if p.err != nil {
 		return p.err
@@ -396,11 +393,15 @@ func (p *PartitionWriter) Close(w io.Writer) error {
 			ver = versionStrings
 		}
 	}
+	extra, err := dir.encode()
+	if err != nil {
+		return err
+	}
 	zw, err := p.member(w)
 	if err != nil {
 		return err
 	}
-	zw.Extra = dir.encode()
+	zw.Extra = extra
 	b := append(appendUvarint(append(p.chunk[:0], magic...), ver), byte(p.codec))
 	if _, err := zw.Write(appendUvarint(appendUvarint(b, uint64(len(p.cols))), uint64(p.rows))); err != nil {
 		return err
@@ -443,10 +444,9 @@ func (s *spill) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Read deserializes a table written by Write. It is ReadColumns with every
-// column selected; the streaming Reader in reader.go is the single decode
-// path.
-func Read(r io.Reader) (*Table, error) {
+// Read deserializes a table written by WriteCodec. It is ReadColumns with
+// every column selected; the Reader in reader.go is the single decode path.
+func Read(r io.ReadSeeker) (*Table, error) {
 	return ReadColumns(r, nil)
 }
 

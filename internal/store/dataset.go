@@ -53,7 +53,7 @@ func (d *Dataset) dayPath(day int) string { return filepath.Join(d.Dir, d.DayFil
 
 // readDay runs read over the day's partition — for a Companion handle, from
 // where the base partition ends — naming the partition in any error.
-func readDay[T any](d *Dataset, day int, read func(io.Reader) (T, error)) (v T, err error) {
+func readDay[T any](d *Dataset, day int, read func(io.ReadSeeker) (T, error)) (v T, err error) {
 	f, err := os.Open(d.dayPath(day))
 	if err != nil {
 		return v, fmt.Errorf("store: dataset %q day %d: %w", d.Name, day, err)

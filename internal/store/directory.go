@@ -3,18 +3,20 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 )
 
 // A partition is a run of gzip members: member 0 holds the table header, and
 // each column's section follows in a member of its own. Gunzipped end to end
-// they are the one stream every earlier build wrote and reads, so the framing
-// needs no version. What it adds is the directory below, carried in the
-// RFC 1952 extra field of member 0's gzip header — outside the payload,
-// ahead of every compressed byte — so a reader learns the column inventory,
-// the time span and where each column's member ends from the first bytes of
-// the file. The directory is an accelerator, never the source of the values:
-// a reader that does not find one, or finds one damaged, streams the payload.
+// they are one stream, the payload of format version 2 (3 with a string
+// column), so `gunzip` and `gzip -t` read a partition as any gzip file.
+// The directory below rides in the RFC 1952 extra field of member 0's gzip
+// header — outside the payload, ahead of every compressed byte — so a reader
+// learns the column inventory, the time span and where each column's member
+// ends from the first bytes of the file. The values come from the members,
+// never from the directory, but the members are found only through it: a
+// partition without an intact directory is refused.
 
 // directory is what member 0's gzip header says about the members after it.
 type directory struct {
@@ -79,10 +81,9 @@ func (c *dirColumn) kind() byte {
 	return colFlt
 }
 
-// encode returns the gzip extra field carrying d, or nil when d does not fit
-// the field's 16-bit length: that partition is written without a directory
-// and read like one from before there was any.
-func (d *directory) encode() []byte {
+// encode returns the gzip extra field carrying d, or an error when d does
+// not fit the field's 16-bit length.
+func (d *directory) encode() ([]byte, error) {
 	b := []byte{dirID1, dirID2, 0, 0}
 	b = appendUvarint(b, uint64(d.rows))
 	b = appendUvarint(b, uint64(len(d.cols)))
@@ -105,18 +106,18 @@ func (d *directory) encode() []byte {
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[4:], castagnoli))
 	if len(b) > maxExtra {
-		return nil
+		return nil, fmt.Errorf("store: the directory of %d columns is %d bytes, over the %d bytes a gzip extra field holds",
+			len(d.cols), len(b)-4, maxExtra-4)
 	}
 	binary.LittleEndian.PutUint16(b[2:], uint16(len(b)-4))
-	return b
+	return b, nil
 }
 
-// parseDirectory decodes a gzip extra field. No field is no directory and no
-// error; a field that is not one intact directory is an error, which a reader
-// takes as "stream the payload" and fsck reports.
+// parseDirectory decodes a gzip extra field. Anything but one intact
+// directory — no field at all included — is an error.
 func parseDirectory(extra []byte) (*directory, error) {
 	if len(extra) == 0 {
-		return nil, nil
+		return nil, errors.New("store: no directory in member 0's gzip header")
 	}
 	if len(extra) < 8 || extra[0] != dirID1 || extra[1] != dirID2 ||
 		int(binary.LittleEndian.Uint16(extra[2:])) != len(extra)-4 {

@@ -1,22 +1,23 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// writtenCodecs are the codecs WriteCodec writes; the reader decodes
-// CodecRaw and CodecRawStore too.
+// writtenCodecs are the codecs WriteCodec writes and the reader reads.
 var writtenCodecs = []Codec{CodecDelta, CodecDeltaFast, CodecGorilla}
 
-// fixtureTable is the table behind testdata/codec{0..4}.spwr. Those files
-// were written once, by the WriteCodec of the commit before the whole-column
-// and block decoders were merged, and are never regenerated: they pin that
-// bytes already on disk keep decoding to exactly these values.
+// fixtureTable is the table behind testdata/codec{0..4}.spwr and
+// members-{delta,gorilla}.spwr. The codec files were written once, by the
+// WriteCodec of the commit before the whole-column and block decoders were
+// merged, as one gzip stream without a directory; the members files by the
+// first WriteCodec that framed members. None is ever regenerated.
 func fixtureTable() *Table {
 	return &Table{Cols: []Column{
 		{Name: "timestamp", Ints: []int64{1577836800, 1577836810, 1577836820, 1577836820, 1577836840, 1577836830, 1577836900}},
@@ -49,90 +50,74 @@ func diffColumn(want, have *Column) string {
 	return ""
 }
 
-// TestCodecFixtures decodes one checked-in partition per codec byte through
-// every read entry point and requires the original values bit for bit.
+// TestCodecFixtures: a partition without an intact directory — the
+// checked-in codec{0..4}.spwr, one gzip stream each, and members-delta.spwr
+// with its directory's CRC32C flipped — is refused by every read entry point
+// and by fsck, each error naming the dataset, the partition and what is wrong
+// with its directory; no read returns a table or a row.
 func TestCodecFixtures(t *testing.T) {
-	want := fixtureTable()
-	for codec := Codec(0); codec < numCodecs; codec++ {
-		t.Run(fmt.Sprintf("codec%d", codec), func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("codec%d.spwr", codec)))
+	fixtures := map[string]func() ([]byte, error){}
+	for codec := 0; codec <= 4; codec++ {
+		name := fmt.Sprintf("codec%d", codec)
+		fixtures[name] = func() ([]byte, error) { return os.ReadFile(filepath.Join("testdata", name+".spwr")) }
+	}
+	fixtures["members-delta, directory CRC32C flipped"] = func() ([]byte, error) {
+		raw, err := os.ReadFile(filepath.Join("testdata", "members-delta.spwr"))
+		if err == nil {
+			// The extra field's length (2 bytes after the 10-byte gzip
+			// header) is followed by the subfield, whose last 4 bytes are
+			// the CRC32C.
+			raw[12+int(binary.LittleEndian.Uint16(raw[10:]))-1] ^= 0x01
+		}
+		return raw, err
+	}
+	for name, load := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			raw, err := load()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sr, err := NewReader(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sr.codec != codec {
-				t.Fatalf("fixture header says codec %d", sr.codec)
-			}
-			_ = sr.Close()
 			ds := &Dataset{Dir: t.TempDir(), Name: "fx"}
 			if err := os.WriteFile(ds.dayPath(0), raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-
-			full, err := ds.ReadDay(0)
-			if err != nil {
-				t.Fatal(err)
+			why := "no directory"
+			if strings.HasPrefix(name, "members") {
+				why = "directory: CRC32C mismatch"
 			}
-			if len(full.Cols) != len(want.Cols) {
-				t.Fatalf("Read: %d columns, want %d", len(full.Cols), len(want.Cols))
-			}
-			for i := range want.Cols {
-				if d := diffColumn(&want.Cols[i], &full.Cols[i]); d != "" {
-					t.Errorf("Read: %s", d)
+			refused := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), `dataset "fx"`) || !strings.Contains(err.Error(), "fx-day00000.spwr") ||
+					!strings.Contains(err.Error(), why) {
+					t.Errorf("%s: %v, want an error naming dataset \"fx\", fx-day00000.spwr and %q", what, err, why)
 				}
 			}
-
+			tab, err := ds.ReadDay(0)
+			refused("ReadDay", err)
 			sub, err := ds.ReadDayColumns(0, []string{"power", "count"})
-			if err != nil {
-				t.Fatal(err)
+			refused("ReadDayColumns", err)
+			if tab != nil || sub != nil {
+				t.Error("a refused partition returned a table")
 			}
-			if len(sub.Cols) != 2 {
-				t.Fatalf("ReadColumns subset: %d columns, want 2", len(sub.Cols))
+			_, err = ds.DayMeta(0)
+			refused("DayMeta", err)
+			rows := 0
+			count := func(_ int, vals []float64) error { rows += len(vals); return nil }
+			_, err = ds.IterDayColumns(0, []string{"timestamp"}, "power", &IterScratch{}, count)
+			refused("IterDayColumns", err)
+			c := NewTableCache(1 << 20)
+			for touch := 1; touch <= 2; touch++ { // the first streams, the second materializes
+				_, err = ds.ScanDay(c, 0, nil, []string{"timestamp"}, "power", &IterScratch{}, count)
+				refused(fmt.Sprintf("ScanDay, touch %d", touch), err)
 			}
-			for _, name := range []string{"count", "power"} {
-				if d := diffColumn(want.Col(name), sub.Col(name)); d != "" {
-					t.Errorf("ReadColumns subset: %s", d)
-				}
+			if rows != 0 {
+				t.Errorf("%d rows of a refused partition reached a callback", rows)
 			}
-
-			m, err := ds.DayMeta(0)
-			if err != nil {
-				t.Fatal(err)
+			check := ds.VerifyDay(0)
+			if len(check.Problems) != 1 {
+				t.Fatalf("VerifyDay: %v, want one problem", check.Problems)
 			}
-			if m.Rows != 7 || len(m.Columns) != 4 || m.TimeColumn != "timestamp" || !m.HasTime ||
-				m.MinTime != 1577836800 || m.MaxTime != 1577836900 || m.TimeSorted {
-				t.Errorf("DayMeta = %+v", m)
-			}
-			if c, ok := m.Column("tag"); !ok || !c.Str {
-				t.Errorf("DayMeta.Column(tag) = %+v, %v", c, ok)
-			}
-
-			var sc IterScratch
-			for _, value := range []string{"power", "count"} {
-				var got []float64
-				rows, err := ds.IterDayColumns(0, []string{"timestamp"}, value, &sc, func(start int, vals []float64) error {
-					got = append(got, vals...)
-					return nil
-				})
-				if err != nil || rows != 7 {
-					t.Fatalf("IterDayColumns(%s): rows %d, err %v", value, rows, err)
-				}
-				wantVals := want.Col(value).Floats
-				if wantVals == nil {
-					for _, v := range want.Col(value).Ints {
-						wantVals = append(wantVals, float64(v))
-					}
-				}
-				if d := diffColumn(&Column{Name: value, Floats: wantVals}, &Column{Name: value, Floats: got}); d != "" {
-					t.Errorf("IterDayColumns: %s", d)
-				}
-				if d := diffColumn(want.Col("timestamp"), &Column{Name: "timestamp", Ints: sc.Axes[0]}); d != "" {
-					t.Errorf("IterDayColumns axis: %s", d)
-				}
-			}
+			refused("VerifyDay", check.Problems[0])
 		})
 	}
 }

@@ -2,9 +2,6 @@ package store
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -29,13 +26,14 @@ func fuzzSeedTable() *Table {
 }
 
 // FuzzReadDayColumns feeds arbitrary bytes through the full column-read
-// path — header parse, per-column decode, column-subset skip, the metadata
-// scan and the read of a companion after the partition — and requires
-// malformed input to come back as errors, never panics or runaway
+// path — directory and header parse, per-column decode, column-subset skip,
+// the metadata read and the read of a companion after the partition — and
+// requires malformed input to come back as errors, never panics or runaway
 // allocations. The seed corpus is a genuinely encoded day under every codec,
-// with its float columns strided under both delta codecs, and followed by a
-// companion, plus truncated and bit-flipped variants so the fuzzer starts
-// past the gzip and magic-number gates.
+// the fixture table's special floats and strings under both production
+// codecs, the day's float columns strided under both delta codecs, and a day
+// followed by a companion, plus truncated and bit-flipped variants so the
+// fuzzer starts past the gzip and magic-number gates.
 func FuzzReadDayColumns(f *testing.F) {
 	add := func(enc []byte) {
 		f.Add(append([]byte(nil), enc...))
@@ -51,19 +49,11 @@ func FuzzReadDayColumns(f *testing.F) {
 		}
 		add(buf.Bytes())
 	}
-	tab := fuzzSeedTable()
-	for codec := Codec(0); codec < numCodecs; codec++ {
-		if codec == CodecRaw || codec == CodecRawStore {
-			// Read, no longer written: the checked-in partition seeds them.
-			raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("codec%d.spwr", codec)))
-			if err != nil {
-				f.Fatal(err)
-			}
-			add(raw)
-			continue
-		}
-		seed(tab, codec)
+	for _, codec := range writtenCodecs {
+		seed(fuzzSeedTable(), codec)
 	}
+	seed(fixtureTable(), CodecDelta)
+	seed(fixtureTable(), CodecGorilla)
 	strided := fuzzSeedTable()
 	strided.Cols[1].Stride, strided.Cols[2].Stride = 32, 7
 	seed(strided, CodecDelta)

@@ -16,9 +16,9 @@ import (
 // pass.
 //
 // Unlike the varint codecs, every CodecGorilla column payload is prefixed
-// with its encoded byte length, so a reader can skip an unwanted column
-// with one seek instead of walking its values — the property the streaming
-// column iterator's column-selective reads are built on.
+// with its encoded byte length. The prefix stays because it is on disk: it
+// bounds the payload before anything is allocated for it. Skipping a column
+// goes through the directory's member sizes, as under every codec.
 
 // gorillaMaxBytesPerValue bounds the encoded size of one float value: worst
 // case is 2 control bits + 6 leading bits + 6 size bits + 64 payload bits

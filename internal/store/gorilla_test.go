@@ -14,7 +14,7 @@ func gorillaRoundTrip(t *testing.T, tab *Table) *Table {
 	if err := WriteCodec(&buf, tab, CodecGorilla); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			checkWholeVsBlocks(t, fmt.Sprintf("codec %d", codec), enc)
 			checkWholeVsBlocks(t, fmt.Sprintf("codec %d truncated", codec), enc[:uint64(i0)%uint64(len(enc))])
 			checkWholeVsBlocks(t, fmt.Sprintf("codec %d bit-flipped", codec), flipped)
-			got, err := Read(&buf)
+			got, err := Read(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("codec %d read: %v", codec, err)
 			}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -71,10 +70,10 @@ func (sc *IterScratch) widen(src []int64, fn func(start int, vals []float64) err
 // The returned count is the partition's declared row count (every axis and
 // the value column decode to exactly that many rows).
 func (d *Dataset) IterDayColumns(day int, axes []string, value string, sc *IterScratch, fn func(start int, vals []float64) error) (int, error) {
-	return readDay(d, day, func(r io.Reader) (int, error) { return iterColumns(r, axes, value, sc, fn) })
+	return readDay(d, day, func(r io.ReadSeeker) (int, error) { return iterColumns(r, axes, value, sc, fn) })
 }
 
-func iterColumns(r io.Reader, axes []string, value string, sc *IterScratch, fn func(start int, vals []float64) error) (int, error) {
+func iterColumns(r io.ReadSeeker, axes []string, value string, sc *IterScratch, fn func(start int, vals []float64) error) (int, error) {
 	sr, err := NewReader(r)
 	if err != nil {
 		return 0, err
@@ -226,8 +225,8 @@ func (r *Reader) gorillaPayload() ([]byte, error) {
 }
 
 // floatBlocks decodes the pending float column in blocks of len(block) — the
-// one float decode loop of every codec. It does not consume the column;
-// callers manage that state.
+// one float decode loop of the Gorilla and delta codecs (NewReader refused
+// any other). It does not consume the column; callers manage that state.
 func (r *Reader) floatBlocks(block []float64, fn func(start int, vals []float64) error) error {
 	var dec gorillaFloatDecoder
 	var payload []byte
@@ -249,12 +248,11 @@ func (r *Reader) floatBlocks(block []float64, fn func(start int, vals []float64)
 	clear(history)
 	for start := 0; start < r.nRows; {
 		n := min(r.nRows-start, len(block))
-		switch {
-		case r.codec == CodecGorilla:
+		if r.codec == CodecGorilla {
 			if n = dec.DecodeBlock(block[:n], r.nRows); n <= 0 {
 				return errTruncatedPayload(r.cur.Name, start)
 			}
-		case r.codec.delta():
+		} else {
 			for j := 0; j < n; j += blockRows {
 				raw, err := r.uvarints(min(n-j, blockRows), start+j)
 				if err != nil {
@@ -268,14 +266,6 @@ func (r *Reader) floatBlocks(block []float64, fn func(start int, vals []float64)
 						at = 0
 					}
 				}
-			}
-		default:
-			var raw [8]byte
-			for j := 0; j < n; j++ {
-				if _, err := io.ReadFull(r.br, raw[:]); err != nil {
-					return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, start+j, err)
-				}
-				block[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
 			}
 		}
 		if err := fn(start, block[:n]); err != nil {
@@ -303,12 +293,11 @@ func (r *Reader) intBlocks(block []int64, fn func(start int, vals []int64) error
 	prev := int64(0)
 	for start := 0; start < r.nRows; {
 		n := min(r.nRows-start, len(block))
-		switch {
-		case r.codec == CodecGorilla:
+		if r.codec == CodecGorilla {
 			if n = dec.DecodeBlock(block[:n], r.nRows); n <= 0 {
 				return errTruncatedPayload(r.cur.Name, start)
 			}
-		case r.codec.delta():
+		} else {
 			for j := 0; j < n; j += blockRows {
 				raw, err := r.uvarints(min(n-j, blockRows), start+j)
 				if err != nil {
@@ -318,14 +307,6 @@ func (r *Reader) intBlocks(block []int64, fn func(start int, vals []int64) error
 					prev += unzigzag(u)
 					block[j+k] = prev
 				}
-			}
-		default:
-			var raw [8]byte
-			for j := 0; j < n; j++ {
-				if _, err := io.ReadFull(r.br, raw[:]); err != nil {
-					return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, start+j, err)
-				}
-				block[j] = int64(binary.LittleEndian.Uint64(raw[:]))
 			}
 		}
 		if err := fn(start, block[:n]); err != nil {

@@ -10,29 +10,31 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
-	"testing/iotest"
 )
 
-// writeSingleStream is the framing every build before the directory wrote:
-// the whole payload in one gzip member, its values encoded here one by one,
-// apart from the PartitionWriter. It is the reference WriteCodec's members
-// are held to, and how the tests get a partition no directory describes.
-func writeSingleStream(w io.Writer, t *Table, codec Codec) error {
-	if err := t.Validate(); err != nil {
-		return err
+// referencePayload is what a partition of tab gunzips to — the table
+// header, then each column's name, kind and values — encoded here value by
+// value, apart from the PartitionWriter. It is the reference WriteCodec's
+// members are held to.
+func referencePayload(t testing.TB, tab *Table, codec Codec) []byte {
+	t.Helper()
+	if err := tab.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	ver := byte(version)
-	for i := range t.Cols {
-		if t.Cols[i].IsStr() {
+	for i := range tab.Cols {
+		if tab.Cols[i].IsStr() {
 			ver = versionStrings
 		}
 	}
-	b := appendUvarint(append([]byte(magic), ver, byte(codec)), uint64(len(t.Cols)))
-	b = appendUvarint(b, uint64(t.NumRows()))
-	for i := range t.Cols {
-		c, kind := &t.Cols[i], colFlt
+	b := appendUvarint(append([]byte(magic), ver, byte(codec)), uint64(len(tab.Cols)))
+	b = appendUvarint(b, uint64(tab.NumRows()))
+	for i := range tab.Cols {
+		c, kind := &tab.Cols[i], colFlt
 		var vals []byte
 		var g gorillaColumn
 		switch {
@@ -76,35 +78,80 @@ func writeSingleStream(w io.Writer, t *Table, codec Codec) error {
 		}
 		b = append(b, vals...)
 	}
-	zw, err := gzip.NewWriterLevel(w, codec.gzipLevel())
-	if err != nil {
-		return err
-	}
-	if _, err := zw.Write(b); err != nil {
-		return err
-	}
-	return zw.Close()
+	return b
 }
 
-// framings are the two ways a table's payload is cut into gzip members.
-var framings = []struct {
-	name  string
-	write func(io.Writer, *Table, Codec) error
-}{{"members", WriteCodec}, {"single stream", writeSingleStream}}
-
-func encoded(t testing.TB, write func(io.Writer, *Table, Codec) error, tab *Table, codec Codec) []byte {
+func encoded(t testing.TB, tab *Table, codec Codec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := write(&buf, tab, codec); err != nil {
+	if err := WriteCodec(&buf, tab, codec); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// splitMembers cuts a partition into what its members hold, gunzipped: the
+// table header and each column's section, and the directory.
+func splitMembers(t testing.TB, enc []byte) (header []byte, dir *directory, sections [][]byte) {
+	t.Helper()
+	sr, err := NewReader(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := sr.next
+	for _, c := range sr.dir.cols {
+		sections = append(sections, gunzipped(t, enc[at:at+c.size]))
+		at += c.size
+	}
+	return gunzipped(t, enc[:sr.next]), sr.dir, sections
+}
+
+// frameMembers is splitMembers' inverse: the header and each section
+// gzipped into a member, the directory — whatever else it claims — told each
+// member's size. flush > 0 ends a deflate block after every flush bytes of a
+// section, so the inflater under a Reader hands on at most that many bytes a
+// Read.
+func frameMembers(t testing.TB, header []byte, dir *directory, sections [][]byte, flush int) []byte {
+	t.Helper()
+	var out, members bytes.Buffer
+	gz := func(dst *bytes.Buffer, extra, payload []byte) {
+		zw := gzip.NewWriter(dst)
+		zw.Extra = extra
+		for len(payload) > 0 {
+			k := len(payload)
+			if flush > 0 {
+				k = min(k, flush)
+			}
+			if _, err := zw.Write(payload[:k]); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			payload = payload[k:]
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, section := range sections {
+		start := members.Len()
+		gz(&members, nil, section)
+		dir.cols[i].size = int64(members.Len() - start)
+	}
+	extra, err := dir.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz(&out, extra, header)
+	return append(out.Bytes(), members.Bytes()...)
+}
+
 // TestMembersGunzipToTheSingleStream: cutting the payload into members moves
 // no byte of it, under any codec, for tables with rows, without rows, without
-// columns and with strided columns — so a build that has never heard of members reads the
-// stream it always read. And the cut itself is a pure function of the table.
+// columns and with strided columns — `gunzip` sees the single stream of the
+// payload format, encoded value by value. And the cut itself is a pure
+// function of the table.
 func TestMembersGunzipToTheSingleStream(t *testing.T) {
 	tables := map[string]*Table{
 		"fixture": fixtureTable(), "window": windowTable(), "no columns": {},
@@ -116,19 +163,19 @@ func TestMembersGunzipToTheSingleStream(t *testing.T) {
 			if name == "strided" && !codec.delta() {
 				continue // only a delta codec has a predictor to stride
 			}
-			members := encoded(t, WriteCodec, tab, codec)
-			if !bytes.Equal(gunzipped(t, members), gunzipped(t, encoded(t, writeSingleStream, tab, codec))) {
-				t.Errorf("%s codec %d: members gunzip to a different payload than the single stream", name, codec)
+			members := encoded(t, tab, codec)
+			if !bytes.Equal(gunzipped(t, members), referencePayload(t, tab, codec)) {
+				t.Errorf("%s codec %d: members gunzip to a different payload than the reference", name, codec)
 			}
-			if !bytes.Equal(members, encoded(t, WriteCodec, tab, codec)) {
+			if !bytes.Equal(members, encoded(t, tab, codec)) {
 				t.Errorf("%s codec %d: the same table written twice differs", name, codec)
 			}
 			sr, err := NewReader(bytes.NewReader(members))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sr.dir == nil || sr.seek == nil || len(sr.dir.cols) != len(tab.Cols) {
-				t.Fatalf("%s codec %d: no directory read back (%v)", name, codec, sr.dirErr)
+			if len(sr.dir.cols) != len(tab.Cols) {
+				t.Fatalf("%s codec %d: the directory lists %d columns, want %d", name, codec, len(sr.dir.cols), len(tab.Cols))
 			}
 			total := sr.next
 			for _, c := range sr.dir.cols {
@@ -181,11 +228,10 @@ func companionFixtureTable() *Table {
 // once, by the first WriteCodec that framed members, and
 // members-strided.spwr (CodecDeltaFast, stridedFixtureTable) by the first
 // that wrote strides; none is ever regenerated. Each must decode to
-// fixtureTable by seeking, by streaming (one byte at a time, the way a pipe
-// might deliver it) and by the byte-at-a-time reference decoder over
-// `gunzip`'s view of the file — which is how every earlier build sees the
-// first two, whose payload is also codecN.spwr's. Every earlier build refuses
-// the third's strided column as an unknown kind.
+// fixtureTable from a source handing over every byte at once, from one
+// handing over one byte a Read, and by the byte-at-a-time reference decoder.
+// The first two gunzip to the payload of codec0.spwr and codec4.spwr, which
+// have not moved a byte since before there were members.
 func TestMemberFixtures(t *testing.T) {
 	want := fixtureTable()
 	for name, codec := range map[string]Codec{"members-delta": CodecDelta, "members-gorilla": CodecGorilla, "members-strided": CodecDeltaFast} {
@@ -194,20 +240,20 @@ func TestMemberFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := Stats()
-		seek, err := Read(bytes.NewReader(raw))
+		got, err := Read(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("%s: seek path: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		sameTable(t, name+" seek path", want, seek)
+		sameTable(t, name, want, got)
 		if d := Stats().MembersVerified - before.MembersVerified; d != int64(1+len(want.Cols)) {
 			t.Errorf("%s: %d members verified by a full read, want the header's and one per column", name, d)
 		}
-		stream, err := Read(iotest.OneByteReader(bytes.NewReader(raw)))
+		dribbled, err := Read(oneByte(bytes.NewReader(raw)))
 		if err != nil {
-			t.Fatalf("%s: streaming path: %v", name, err)
+			t.Fatalf("%s, one byte a Read: %v", name, err)
 		}
-		sameTable(t, name+" streaming path", want, stream)
-		cols, err := decodePayload(gunzipped(t, raw), plainReader, refColumn)
+		sameTable(t, name+", one byte a Read", want, dribbled)
+		cols, err := decodeMembers(raw, plainReader, refColumn)
 		if err != nil {
 			t.Fatalf("%s: reference decoder: %v", name, err)
 		}
@@ -234,10 +280,9 @@ func TestMemberFixtures(t *testing.T) {
 // companionFixtureTable under CodecGorilla — and is never regenerated. Every
 // read of the day returns fixtureTable alone; the companion handle returns
 // the companion; fsck finds both whole. A base directory that fails its
-// checksum leaves the base to be streamed, and a stream that runs on into
-// the companion is an error naming the partition: the companion's payload is
-// never decoded as base rows. A file holding its base alone has no companion
-// to read; a companion that fails to encode publishes nothing.
+// checksum is an error naming the partition for the base and the companion
+// alike: without it neither can be found. A file holding its base alone has
+// no companion to read; a companion that fails to encode publishes nothing.
 func companionFixture(t *testing.T, want *Table) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "members-companion.spwr"))
 	if err != nil {
@@ -272,11 +317,8 @@ func companionFixture(t *testing.T, want *Table) {
 	if err := SeekCompanion(br); err != nil || len(raw)-br.Len() != len(delta) || !bytes.HasPrefix(raw, delta) {
 		t.Errorf("members-companion: companion at byte %d (%v), want members-delta.spwr's %d bytes, unchanged, before it", len(raw)-br.Len(), err, len(delta))
 	}
-	if check := ds.VerifyDay(0); !check.Members || !check.Companion || len(check.Problems) > 0 {
-		t.Errorf("members-companion VerifyDay: %+v, want members, a companion and no problems", check)
-	}
-	if _, err := Read(iotest.OneByteReader(bytes.NewReader(raw))); err == nil {
-		t.Error("members-companion streamed: the base's stream ran on into its companion without an error")
+	if check := ds.VerifyDay(0); !check.Companion || len(check.Problems) > 0 {
+		t.Errorf("members-companion VerifyDay: %+v, want a companion and no problems", check)
 	}
 
 	// The directory's body starts after the gzip header (10 bytes), the
@@ -289,12 +331,12 @@ func companionFixture(t *testing.T, want *Table) {
 		"DayMeta":           func() error { _, err := ds.DayMeta(0); return err },
 		"companion ReadDay": func() error { _, err := comp.ReadDay(0); return err },
 	} {
-		if err := read(); err == nil || !strings.Contains(err.Error(), "fixture-day00000.spwr") {
-			t.Errorf("members-companion with a damaged directory, %s: %v, want an error naming fixture-day00000.spwr", what, err)
+		if err := read(); err == nil || !strings.Contains(err.Error(), "fixture-day00000.spwr") || !strings.Contains(err.Error(), "CRC32C") {
+			t.Errorf("members-companion with a damaged directory, %s: %v, want an error naming fixture-day00000.spwr and the CRC32C", what, err)
 		}
 	}
 
-	write(raw[:len(raw)-len(encoded(t, WriteCodec, companionFixtureTable(), CodecGorilla))])
+	write(raw[:len(raw)-len(encoded(t, companionFixtureTable(), CodecGorilla))])
 	if _, err := comp.ReadDay(0); !errors.Is(err, ErrNoCompanion) {
 		t.Errorf("the base alone, companion ReadDay: %v, want ErrNoCompanion", err)
 	}
@@ -327,7 +369,7 @@ func companionFixture(t *testing.T, want *Table) {
 // skipped member may hold anything.
 func TestSkipIsASeek(t *testing.T) {
 	tab := windowTable()
-	enc := encoded(t, WriteCodec, tab, CodecDelta)
+	enc := encoded(t, tab, CodecDelta)
 	sr, err := NewReader(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
@@ -357,14 +399,34 @@ func TestSkipIsASeek(t *testing.T) {
 }
 
 // metaOf is readDayMeta with the archive's candidate time columns.
-func metaOf(r io.Reader) (DayMeta, error) {
-	return readDayMeta(r, 3, []string{"timestamp", "begin_time", "window"})
+func metaOf(r io.ReadSeeker) (DayMeta, error) {
+	return readDayMeta(r, 3, timeCandidates)
 }
 
-// TestDayMetaFromDirectoryEqualsTheScan: whatever the directory answers, the
-// scan of the same payload answers too — the time column is the first
-// candidate in file order whichever comes first, sorted or not, rows or none
-// — and only the scan inflates anything.
+var timeCandidates = []string{"timestamp", "begin_time", "window"}
+
+// scannedMeta is what DayMeta must say of tab, found from its values: the
+// time column is the first integer column in file order among the
+// candidates, with its range and whether it is non-decreasing.
+func scannedMeta(tab *Table) DayMeta {
+	meta := DayMeta{Day: 3, Rows: tab.NumRows()}
+	for _, c := range tab.Cols {
+		meta.Columns = append(meta.Columns, ColumnInfo{Name: c.Name, Int: c.IsInt(), Str: c.IsStr()})
+		if meta.TimeColumn != "" || !c.IsInt() || !slices.Contains(timeCandidates, c.Name) {
+			continue
+		}
+		meta.TimeColumn, meta.HasTime, meta.TimeSorted = c.Name, len(c.Ints) > 0, slices.IsSorted(c.Ints)
+		if meta.HasTime {
+			meta.MinTime, meta.MaxTime = slices.Min(c.Ints), slices.Max(c.Ints)
+		}
+	}
+	return meta
+}
+
+// TestDayMetaFromDirectoryEqualsTheScan: what the directory answers is what a
+// scan of the values finds — the time column is the first candidate in file
+// order whichever comes first, sorted or not, rows or none — and answering
+// it inflates nothing but the header.
 func TestDayMetaFromDirectoryEqualsTheScan(t *testing.T) {
 	begin, ts := []int64{50, 40, 60}, []int64{100, 110, 120}
 	tables := map[string]*Table{
@@ -379,65 +441,52 @@ func TestDayMetaFromDirectoryEqualsTheScan(t *testing.T) {
 	wantColumn := map[string]string{"begin_time first": "begin_time", "timestamp first": "timestamp", "float namesake": "window", "no rows": "begin_time"}
 	for name, tab := range tables {
 		for _, codec := range []Codec{CodecDelta, CodecGorilla} {
+			enc := encoded(t, tab, codec)
 			before := Stats()
-			indexed, err := metaOf(bytes.NewReader(encoded(t, WriteCodec, tab, codec)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			mid := Stats()
-			scanned, err := metaOf(bytes.NewReader(encoded(t, writeSingleStream, tab, codec)))
+			indexed, err := metaOf(bytes.NewReader(enc))
 			if err != nil {
 				t.Fatal(err)
 			}
 			after := Stats()
-			if !reflect.DeepEqual(indexed, scanned) {
-				t.Errorf("%s codec %d: directory says %+v, the scan %+v", name, codec, indexed, scanned)
+			if want := scannedMeta(tab); !reflect.DeepEqual(indexed, want) {
+				t.Errorf("%s codec %d: directory says %+v, the values %+v", name, codec, indexed, want)
 			}
 			if want, ok := wantColumn[name]; ok && indexed.TimeColumn != want {
 				t.Errorf("%s: time column %q, want %q", name, indexed.TimeColumn, want)
 			}
-			if mid.PartitionsIndexed-before.PartitionsIndexed != 1 || mid.PartitionsStreamed != before.PartitionsStreamed ||
-				mid.MembersVerified-before.MembersVerified != 1 {
-				t.Errorf("%s codec %d: a DayMeta with a directory moved the counters %+v -> %+v, want one partition indexed and the header member verified", name, codec, before, mid)
-			}
-			if after.PartitionsStreamed-mid.PartitionsStreamed != 1 || after.PartitionsIndexed != mid.PartitionsIndexed {
-				t.Errorf("%s codec %d: a DayMeta without a directory moved the counters %+v -> %+v, want one partition streamed", name, codec, mid, after)
+			if after.PartitionsIndexed-before.PartitionsIndexed != 1 || after.MembersVerified-before.MembersVerified != 1 {
+				t.Errorf("%s codec %d: DayMeta moved the counters %+v -> %+v, want one partition indexed and the header member verified", name, codec, before, after)
 			}
 		}
 	}
 }
 
 // TestDirectoryThatDoesNotFit: the gzip extra field holds 65 535 bytes. A
-// table whose directory is larger is written without one — members all the
-// same — and read back as a stream.
+// table whose directory is larger is refused by the writer, naming the
+// directory's size and the limit, before a byte is written; a day of it
+// leaves neither its file nor a .tmp.
 func TestDirectoryThatDoesNotFit(t *testing.T) {
 	tab := &Table{}
 	for i := 0; i < 700; i++ {
 		tab.Cols = append(tab.Cols, Column{Name: fmt.Sprintf("%s-%03d", strings.Repeat("n", 100), i), Ints: []int64{int64(i), 7}})
 	}
-	enc := encoded(t, WriteCodec, tab, CodecDelta)
-	sr, err := NewReader(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	err := WriteCodec(&buf, tab, CodecDelta)
+	if err == nil || !regexp.MustCompile(`directory of 700 columns is [0-9]+ bytes, over the 65531 bytes`).MatchString(err.Error()) || buf.Len() > 0 {
+		t.Fatalf("a %d-column table with 104-byte names: %v, %d bytes written; want an error naming the directory's size and the limit, and nothing", len(tab.Cols), err, buf.Len())
 	}
-	if sr.dir != nil || sr.dirErr != nil || sr.seek != nil {
-		t.Fatalf("a %d-column table with 104-byte names has a directory (%v)", len(tab.Cols), sr.dirErr)
+	ds := &Dataset{Dir: t.TempDir(), Name: "wide"}
+	if err := ds.WriteDayCodec(0, tab, CodecDelta); err == nil || !strings.Contains(err.Error(), "wide-day00000.spwr") {
+		t.Errorf("WriteDayCodec: %v, want an error naming wide-day00000.spwr", err)
 	}
-	got, err := Read(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTable(t, "streamed members", tab, got)
-	if !bytes.Equal(gunzipped(t, enc), gunzipped(t, encoded(t, writeSingleStream, tab, CodecDelta))) {
-		t.Error("payload differs from the single stream's")
+	if entries, err := os.ReadDir(ds.Dir); err != nil || len(entries) != 0 {
+		t.Errorf("the refused day left %v (%v), want nothing", entries, err)
 	}
 }
 
 // flipTable is fixtureTable with its value column last: the block iterator
-// stops reading a partition at the last column it needs, and only a reader
-// that consumes the last column of a partition without a directory reaches
-// the stream's checksum (DESIGN.md §4 says what an earlier stop leaves
-// unverified).
+// stops reading a partition at the last column it needs, and every column
+// before it is a member the read either verifies or steps over.
 func flipTable() *Table {
 	f := fixtureTable()
 	return &Table{Cols: []Column{*f.Col("timestamp"), *f.Col("tag"), *f.Col("count"), *f.Col("power")}}
@@ -446,7 +495,7 @@ func flipTable() *Table {
 // TestFlippedBitIsAnErrorNeverANumber flips every bit of a small partition,
 // and one bit in every thirteenth byte of a larger one, under both production
 // codecs — the larger one also strided under CodecDeltaFast, as node-power is
-// written — and both framings, and reads the damaged file through every entry
+// written — and reads the damaged file through every entry
 // point; then every bit of a companion appended to the strided one. Each read must fail or return exactly what the intact file holds: a
 // flip may land in a byte no reader interprets (a gzip header's timestamp),
 // or in a member the read steps over, but it may never come back as a value.
@@ -470,67 +519,65 @@ func TestFlippedBitIsAnErrorNeverANumber(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, codec := range tc.codecs {
-			for _, framing := range framings {
-				what := fmt.Sprintf("%s, codec %d, %s", tc.name, codec, framing.name)
-				good := encoded(t, framing.write, tc.tab, codec)
-				wantMeta, err := metaOf(bytes.NewReader(good))
-				if err != nil {
-					t.Fatal(err)
+			what := fmt.Sprintf("%s, codec %d", tc.name, codec)
+			good := encoded(t, tc.tab, codec)
+			wantMeta, err := metaOf(bytes.NewReader(good))
+			if err != nil {
+				t.Fatal(err)
+			}
+			selected := &Table{}
+			for _, c := range tc.tab.Cols {
+				if c.Name == tc.selection[0] || c.Name == tc.selection[1] {
+					selected.Cols = append(selected.Cols, c)
 				}
-				selected := &Table{}
-				for _, c := range tc.tab.Cols {
-					if c.Name == tc.selection[0] || c.Name == tc.selection[1] {
-						selected.Cols = append(selected.Cols, c)
+			}
+			wantVals := &Column{Name: tc.value, Floats: tc.tab.Col(tc.value).Floats}
+			flips, errors := 0, 0
+			bad := make([]byte, len(good))
+			for i := 0; i < len(good); i += tc.every {
+				for bit := 0; bit < 8; bit++ {
+					if tc.every > 1 && bit != i%8 {
+						continue
 					}
-				}
-				wantVals := &Column{Name: tc.value, Floats: tc.tab.Col(tc.value).Floats}
-				flips, errors := 0, 0
-				bad := make([]byte, len(good))
-				for i := 0; i < len(good); i += tc.every {
-					for bit := 0; bit < 8; bit++ {
-						if tc.every > 1 && bit != i%8 {
-							continue
-						}
-						copy(bad, good)
-						bad[i] ^= 1 << bit
-						flips++
-						at := fmt.Sprintf("%s, bit %d of byte %d flipped", what, bit, i)
+					copy(bad, good)
+					bad[i] ^= 1 << bit
+					flips++
+					at := fmt.Sprintf("%s, bit %d of byte %d flipped", what, bit, i)
 
-						if tab, err := Read(bytes.NewReader(bad)); err == nil {
-							sameTable(t, at+": Read", tc.tab, tab)
-						} else {
-							errors++
+					if tab, err := Read(bytes.NewReader(bad)); err == nil {
+						sameTable(t, at+": Read", tc.tab, tab)
+					} else {
+						errors++
+					}
+					if tab, err := ReadColumns(bytes.NewReader(bad), tc.selection); err == nil {
+						sameTable(t, at+": ReadColumns", selected, tab)
+					}
+					var sc IterScratch
+					var vals []float64
+					if _, err := iterColumns(bytes.NewReader(bad), []string{tc.axis}, tc.value, &sc, func(_ int, v []float64) error {
+						vals = append(vals, v...)
+						return nil
+					}); err == nil {
+						if d := diffColumn(wantVals, &Column{Name: tc.value, Floats: vals}); d != "" {
+							t.Errorf("%s: IterDayColumns: %s", at, d)
 						}
-						if tab, err := ReadColumns(bytes.NewReader(bad), tc.selection); err == nil {
-							sameTable(t, at+": ReadColumns", selected, tab)
-						}
-						var sc IterScratch
-						var vals []float64
-						if _, err := iterColumns(bytes.NewReader(bad), []string{tc.axis}, tc.value, &sc, func(_ int, v []float64) error {
-							vals = append(vals, v...)
-							return nil
-						}); err == nil {
-							if d := diffColumn(wantVals, &Column{Name: tc.value, Floats: vals}); d != "" {
-								t.Errorf("%s: IterDayColumns: %s", at, d)
-							}
-							if d := diffColumn(tc.tab.Col(tc.axis), &Column{Name: tc.axis, Ints: sc.Axes[0]}); d != "" {
-								t.Errorf("%s: IterDayColumns axis: %s", at, d)
-							}
-						}
-						if meta, err := metaOf(bytes.NewReader(bad)); err == nil && !reflect.DeepEqual(meta, wantMeta) {
-							t.Errorf("%s: DayMeta %+v, want %+v", at, meta, wantMeta)
+						if d := diffColumn(tc.tab.Col(tc.axis), &Column{Name: tc.axis, Ints: sc.Axes[0]}); d != "" {
+							t.Errorf("%s: IterDayColumns axis: %s", at, d)
 						}
 					}
+					if meta, err := metaOf(bytes.NewReader(bad)); err == nil && !reflect.DeepEqual(meta, wantMeta) {
+						t.Errorf("%s: DayMeta %+v, want %+v", at, meta, wantMeta)
+					}
 				}
-				if t.Failed() {
-					t.Fatalf("%s: a flipped bit was served as data", what)
-				}
-				// Most bytes of a partition are compressed payload or a checksum
-				// over it (the rest: gzip headers, and the directory, without
-				// which a full read streams and still succeeds).
-				if errors < flips/2 {
-					t.Errorf("%s: only %d of %d flips failed a full read", what, errors, flips)
-				}
+			}
+			if t.Failed() {
+				t.Fatalf("%s: a flipped bit was served as data", what)
+			}
+			// Most bytes of a partition are compressed payload, the
+			// directory or a checksum over one of them (the rest: gzip
+			// headers).
+			if errors < flips/2 {
+				t.Errorf("%s: only %d of %d flips failed a full read", what, errors, flips)
 			}
 		}
 	}
@@ -538,9 +585,9 @@ func TestFlippedBitIsAnErrorNeverANumber(t *testing.T) {
 	// A byte flipped inside the companion a partition carries: no read of
 	// the partition sees it, and a read of the companion fails or returns it
 	// whole.
-	good := encoded(t, WriteCodec, strided, CodecDeltaFast)
+	good := encoded(t, strided, CodecDeltaFast)
 	at := len(good)
-	good = append(good, encoded(t, WriteCodec, companionFixtureTable(), CodecGorilla)...)
+	good = append(good, encoded(t, companionFixtureTable(), CodecGorilla)...)
 	flips, failed := 0, 0
 	for i := at; i < len(good); i++ {
 		for bit := 0; bit < 8; bit++ {

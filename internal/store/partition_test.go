@@ -68,7 +68,7 @@ func TestAnySplitWritesTheSameBytes(t *testing.T) {
 		rows := []int{0, 1, 2, 3, 37, 500, 2*blockRows + 3}[trial%7]
 		for _, codec := range writtenCodecs {
 			tab := splitTable(rng, rows, codec)
-			want := encoded(t, WriteCodec, tab, codec)
+			want := encoded(t, tab, codec)
 			p, err := NewPartitionWriter(codec, tab.Cols)
 			if err != nil {
 				t.Fatal(err)
@@ -139,7 +139,7 @@ func TestPartitionWriterRefusals(t *testing.T) {
 	if err := p.Close(&buf); err == nil {
 		t.Error("closed twice")
 	}
-	for _, codec := range []Codec{CodecRaw, CodecRawStore, numCodecs} {
+	for _, codec := range []Codec{1, 3, 5} {
 		if _, err := NewPartitionWriter(codec, cols[:1]); err == nil {
 			t.Errorf("codec %d: a writer", codec)
 		}

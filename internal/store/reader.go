@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 )
 
@@ -18,26 +19,22 @@ type ColumnInfo struct {
 	Str  bool // string-typed (neither set = float)
 }
 
-// Reader reads a table written by Write one column at a time, letting the
-// caller decode or skip each column. This is the serving-path primitive: a
-// query that touches two of fourteen columns allocates and retains only the
+// Reader reads a table written by WriteCodec one column at a time, letting
+// the caller decode or skip each column. This is the serving-path primitive:
+// a query that touches two of fourteen columns allocates and retains only the
 // two it asked for.
 //
-// How it gets from column to column is decided by what it finds, never by
-// the caller. A partition whose gzip header carries a directory, read from an
-// io.Seeker, is read member by member: Next answers from the directory, Skip
-// is a seek past the column's member, and a decoded column's member is read to
-// its gzip trailer, so its CRC-32 and length have been checked when Column
-// returns. Anything else — a partition from before there were directories, a
-// directory that failed its checksum, a source that cannot seek — is one
-// gunzipped stream: Skip walks the column's bytes, and the stream's checksum
-// is reached only by a read that consumes the last column.
+// A partition is read member by member, by the directory in member 0's gzip
+// header: Next answers from the directory, Skip is a seek past the column's
+// member, and a decoded column's member is read to its gzip trailer, so its
+// CRC-32 and length have been checked when Column returns. A partition
+// without an intact directory is refused by NewReader.
 //
 // Usage: NewReader, then repeat Next -> (Column | Skip) until Next returns
 // io.EOF, then Close.
 type Reader struct {
 	zr    *gzip.Reader
-	br    *bufio.Reader // the gunzipped payload
+	br    *bufio.Reader // the gunzipped member being read
 	codec Codec
 	nCols int
 	nRows int
@@ -47,11 +44,7 @@ type Reader struct {
 	cur     ColumnInfo
 	stride  int // cur's predictor distance (Column.Stride), at least 1
 
-	dir    *directory // nil: none found, or dirErr
-	dirErr error      // why the gzip header's extra field is not a directory
-
-	// Member-by-member reading; seek is nil when streaming.
-	seek io.Seeker
+	dir  *directory     // member 0's, intact and agreeing with the header
 	file countingReader // the source, counting what raw has taken from it
 	raw  *bufio.Reader  // the compressed bytes under zr
 	next int64          // offset of the next unread member, from where the source stood at NewReader
@@ -64,7 +57,7 @@ type Reader struct {
 // countingReader counts the bytes read through it: with raw's buffered count
 // that is where in the file the next compressed byte comes from.
 type countingReader struct {
-	r io.Reader
+	r io.ReadSeeker
 	n int64
 }
 
@@ -74,38 +67,31 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// NewReader parses the header and positions the reader at the first column.
-func NewReader(r io.Reader) (*Reader, error) {
+// NewReader parses member 0 — the directory in its gzip header, the table
+// header in its payload — and positions the reader at the first column. It
+// refuses a partition whose directory is missing, fails its CRC32C or
+// disagrees with the header.
+func NewReader(r io.ReadSeeker) (*Reader, error) {
 	sr := &Reader{file: countingReader{r: r}}
 	sr.raw = bufio.NewReader(&sr.file)
 	zr, err := gzip.NewReader(sr.raw)
 	if err != nil {
 		return nil, fmt.Errorf("store: gzip: %w", err)
 	}
+	zr.Multistream(false)
 	sr.zr = zr
-	sr.dir, sr.dirErr = parseDirectory(zr.Extra)
-	if sr.dir != nil {
-		sr.seek, _ = r.(io.Seeker)
+	sr.dir, err = parseDirectory(zr.Extra)
+	if err == nil {
+		err = sr.readHeader()
 	}
-	if sr.seek != nil {
-		zr.Multistream(false)
-	}
-	err = sr.readHeader(zr)
-	if err == nil && sr.dir != nil && (len(sr.dir.cols) != sr.nCols || sr.dir.rows != sr.nRows) {
+	if err == nil && (len(sr.dir.cols) != sr.nCols || sr.dir.rows != sr.nRows) {
 		err = fmt.Errorf("store: directory lists %d columns x %d rows, header %d x %d",
 			len(sr.dir.cols), sr.dir.rows, sr.nCols, sr.nRows)
 	}
 	if err == nil {
-		switch {
-		case sr.seek != nil:
-			// Member 0 holds the header and nothing else; the first column's
-			// member starts wherever it ends.
-			sr.next, err = sr.endMember()
-		case sr.nCols == 0:
-			// No column's end will be the stream's: the header's is.
-			err = sr.payloadEnd()
-		}
-		if err != nil {
+		// Member 0 holds the header and nothing else; the first column's
+		// member starts wherever it ends.
+		if sr.next, err = sr.endMember(); err != nil {
 			err = fmt.Errorf("store: header: %w", err)
 		}
 	}
@@ -118,17 +104,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // SeekCompanion moves r from the start of a partition file to the companion
 // after its partition: member 0's end plus the member sizes in the
-// partition's directory. Nothing after the partition, or no directory (a
-// partition from before there were companions), is ErrNoCompanion.
+// partition's directory. Nothing after the partition is ErrNoCompanion.
 func SeekCompanion(r io.ReadSeeker) error {
 	sr, err := NewReader(r)
 	if err != nil {
 		return err
 	}
 	_ = sr.Close()
-	if sr.dir == nil {
-		return cmp.Or(sr.dirErr, ErrNoCompanion)
-	}
 	end := sr.next
 	for _, c := range sr.dir.cols {
 		end += c.size
@@ -140,16 +122,10 @@ func SeekCompanion(r io.ReadSeeker) error {
 	return err
 }
 
-// newPayloadReader is NewReader over the gunzipped stream.
-func newPayloadReader(payload io.Reader) (*Reader, error) {
-	sr := &Reader{}
-	return sr, sr.readHeader(payload)
-}
-
-// readHeader parses the table header off the payload: everything the Reader
-// decodes goes through the one bufio window built here.
-func (r *Reader) readHeader(payload io.Reader) error {
-	br := bufio.NewReader(payload)
+// readHeader parses the table header off member 0's payload, through the
+// one bufio window every member is decoded through.
+func (r *Reader) readHeader() error {
+	br := bufio.NewReader(r.zr)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return fmt.Errorf("store: header: %w", err)
@@ -169,7 +145,7 @@ func (r *Reader) readHeader(payload io.Reader) error {
 		return err
 	}
 	codec := Codec(codecByte)
-	if codec >= numCodecs {
+	if !codec.known() {
 		return fmt.Errorf("store: unknown codec %d", codec)
 	}
 	nCols, err := binary.ReadUvarint(br)
@@ -190,9 +166,9 @@ func (r *Reader) readHeader(payload io.Reader) error {
 // NumRows returns the row count declared in the header.
 func (r *Reader) NumRows() int { return r.nRows }
 
-// Next announces the next column's name and type. It returns io.EOF after
-// the last column. The caller must consume the column with Column or Skip
-// before calling Next again.
+// Next announces the next column's name and type, from the directory. It
+// returns io.EOF after the last column. The caller must consume the column
+// with Column or Skip before calling Next again.
 func (r *Reader) Next() (ColumnInfo, error) {
 	if r.pending {
 		return ColumnInfo{}, fmt.Errorf("store: column %q not consumed", r.cur.Name)
@@ -200,53 +176,48 @@ func (r *Reader) Next() (ColumnInfo, error) {
 	if r.read >= r.nCols {
 		return ColumnInfo{}, io.EOF
 	}
-	if r.seek != nil {
-		e := &r.dir.cols[r.read]
-		r.cur, r.stride = e.ColumnInfo, e.stride
-	} else {
-		info, stride, err := r.columnHeader()
-		if err != nil {
-			return ColumnInfo{}, err
-		}
-		r.cur, r.stride = info, stride
-	}
-	r.pending = true
+	e := &r.dir.cols[r.read]
+	r.cur, r.stride, r.pending = e.ColumnInfo, e.stride, true
 	return r.cur, nil
 }
 
 // columnHeader reads the name, kind and (for a strided float column) stride
-// that open a column's section.
+// that open a column's member. Errors name the column the directory
+// announced.
 func (r *Reader) columnHeader() (ColumnInfo, int, error) {
+	fail := func(what string, err error) (ColumnInfo, int, error) {
+		return ColumnInfo{}, 0, fmt.Errorf("store: column %q %s: %w", r.cur.Name, what, err)
+	}
 	nameLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return ColumnInfo{}, 0, fmt.Errorf("store: column %d header: %w", r.read, err)
+		return fail("header", err)
 	}
 	if nameLen > maxNameLen {
-		return ColumnInfo{}, 0, fmt.Errorf("store: column name too long")
+		return fail("header", errors.New("name too long"))
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(r.br, name); err != nil {
-		return ColumnInfo{}, 0, fmt.Errorf("store: column %d name: %w", r.read, err)
+		return fail("name", err)
 	}
 	kind, err := r.br.ReadByte()
 	if err != nil {
-		return ColumnInfo{}, 0, fmt.Errorf("store: column %q kind: %w", name, err)
+		return fail("kind", err)
 	}
 	stride := uint64(1)
 	switch kind {
 	case colInt, colFlt, colStr:
 	case colFltStrided:
 		if !r.codec.delta() {
-			return ColumnInfo{}, 0, fmt.Errorf("store: column %q: strided under codec %d", name, r.codec)
+			return fail("kind", fmt.Errorf("strided under codec %d", r.codec))
 		}
 		if stride, err = binary.ReadUvarint(r.br); err != nil {
-			return ColumnInfo{}, 0, fmt.Errorf("store: column %q stride: %w", name, err)
+			return fail("stride", err)
 		}
 		if err := checkStride(stride, r.nRows); err != nil {
-			return ColumnInfo{}, 0, fmt.Errorf("store: column %q: %w", name, err)
+			return fail("stride", err)
 		}
 	default:
-		return ColumnInfo{}, 0, fmt.Errorf("store: unknown column kind %d", kind)
+		return fail("kind", fmt.Errorf("unknown column kind %d", kind))
 	}
 	return ColumnInfo{Name: string(name), Int: kind == colInt, Str: kind == colStr}, int(stride), nil
 }
@@ -263,15 +234,12 @@ func checkStride(stride uint64, rows int) error {
 // position is the file offset of the next compressed byte.
 func (r *Reader) position() int64 { return r.file.n - int64(r.raw.Buffered()) }
 
-// begin readies the pending column's values for decoding. In the member
-// layout that opens the column's member, which has to start with the column
-// the directory announced.
+// begin readies the pending column's values for decoding: it opens the
+// column's member, which has to start with the column the directory
+// announced.
 func (r *Reader) begin() error {
 	if !r.pending {
 		return fmt.Errorf("store: no column pending: call Next first")
-	}
-	if r.seek == nil {
-		return nil
 	}
 	err := r.zr.Reset(r.raw)
 	if err == io.EOF {
@@ -293,49 +261,33 @@ func (r *Reader) begin() error {
 	return nil
 }
 
-// end consumes the pending column once its values are decoded, and checks
-// what that makes checkable: the column's member (and that it is as long as
-// the directory says), or — streaming, after the last column — the whole
-// stream.
+// end consumes the pending column once its values are decoded: its member
+// must end here, pass its CRC-32 and length, and be as long as the
+// directory says.
 func (r *Reader) end() error {
 	r.pending = false
 	r.read++
-	var err error
-	switch {
-	case r.seek != nil:
-		var at int64
-		want := r.next + r.dir.cols[r.read-1].size
-		if at, err = r.endMember(); err == nil && at != want {
-			err = fmt.Errorf("member ends at byte %d, the directory says %d", at, want)
-		}
-		r.next = want
-	case r.read == r.nCols:
-		err = r.payloadEnd()
+	want := r.next + r.dir.cols[r.read-1].size
+	at, err := r.endMember()
+	if err == nil && at != want {
+		err = fmt.Errorf("member ends at byte %d, the directory says %d", at, want)
 	}
+	r.next = want
 	if err != nil {
 		return fmt.Errorf("store: column %q: %w", r.cur.Name, err)
 	}
 	return nil
 }
 
-// payloadEnd requires the payload under br to end here. Reading that end is
+// endMember closes the member just read — its payload ends here, which is
 // what makes gzip hold the bytes it inflated to the CRC-32 and length in the
-// trailer.
-func (r *Reader) payloadEnd() error {
+// trailer — and returns the file offset the next member starts at.
+func (r *Reader) endMember() (int64, error) {
 	switch _, err := r.br.ReadByte(); err {
 	case io.EOF:
-		return nil
 	case nil:
-		return errors.New("payload continues past its last value")
+		return 0, errors.New("payload continues past its last value")
 	default:
-		return err
-	}
-}
-
-// endMember closes the member just read — its payload ends here and its
-// trailer holds — and returns the file offset the next member starts at.
-func (r *Reader) endMember() (int64, error) {
-	if err := r.payloadEnd(); err != nil {
 		return 0, err
 	}
 	membersVerified.Add(1)
@@ -363,74 +315,27 @@ func (r *Reader) Column() (*Column, error) {
 	return &col, r.end()
 }
 
-// Skip discards the values of the column last announced by Next without
-// retaining them: in the member layout by moving past the column's member,
-// undecoded and unverified; streaming, by walking its bytes.
+// Skip discards the column last announced by Next by moving past its
+// member, undecoded and unverified.
 func (r *Reader) Skip() error {
 	if !r.pending {
 		return fmt.Errorf("store: no column pending: call Next first")
 	}
-	if r.seek != nil {
-		size := r.dir.cols[r.read].size
-		r.next += size
-		if size <= int64(r.raw.Buffered()) {
-			_, _ = r.raw.Discard(int(size)) // cannot fail
-		} else {
-			if _, err := r.seek.Seek(r.next-r.file.n, io.SeekCurrent); err != nil {
-				return fmt.Errorf("store: column %q: %w", r.cur.Name, err)
-			}
-			r.file.n = r.next
-			r.raw.Reset(&r.file)
-		}
-		r.pending = false
-		r.read++
-		membersSkipped.Add(1)
-		return nil
-	}
-	var err error
-	switch {
-	case r.codec == CodecGorilla:
-		// Every gorilla column payload is length-prefixed: one uvarint and
-		// one Discard, no varint walk.
-		bound := gorillaPayloadBound(r.nRows)
-		if r.cur.Str {
-			bound = uint64(r.nRows)*(maxStrLen+binary.MaxVarintLen64) + 16
-		}
-		n, err := r.payloadLen(bound)
-		if err != nil {
-			return err
-		}
-		if _, err := r.br.Discard(n); err != nil {
+	size := r.dir.cols[r.read].size
+	r.next += size
+	if size <= int64(r.raw.Buffered()) {
+		_, _ = r.raw.Discard(int(size)) // cannot fail
+	} else {
+		if _, err := r.file.r.Seek(r.next-r.file.n, io.SeekCurrent); err != nil {
 			return fmt.Errorf("store: column %q: %w", r.cur.Name, err)
 		}
-	case r.cur.Str:
-		// Strings are length-prefixed under every codec; walk and
-		// discard value by value.
-		for j := 0; j < r.nRows; j++ {
-			n, err := binary.ReadUvarint(r.br)
-			if err != nil {
-				return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, j, err)
-			}
-			if n > maxStrLen {
-				return fmt.Errorf("store: column %q row %d: string too long (%d bytes)", r.cur.Name, j, n)
-			}
-			if _, err := r.br.Discard(int(n)); err != nil {
-				return fmt.Errorf("store: column %q row %d: %w", r.cur.Name, j, err)
-			}
-		}
-	case r.codec.delta():
-		// Variable-width: the varints must still be walked.
-		for j := 0; j < r.nRows; j += blockRows {
-			if _, err = r.uvarints(min(r.nRows-j, blockRows), j); err != nil {
-				return err
-			}
-		}
-	default:
-		if _, err = r.br.Discard(8 * r.nRows); err != nil {
-			return fmt.Errorf("store: column %q: %w", r.cur.Name, err)
-		}
+		r.file.n = r.next
+		r.raw.Reset(&r.file)
 	}
-	return r.end()
+	r.pending = false
+	r.read++
+	membersSkipped.Add(1)
+	return nil
 }
 
 // maxPreallocRows bounds the rows allocated up front when decoding a
@@ -445,7 +350,7 @@ const blockRows = 4096
 
 // uvarints reads the next n <= blockRows varints of the pending CodecDelta
 // column — rows row, row+1, ... — into the reader's scratch. It is the one
-// varint walk under the int and float decode loops and Skip. Values are
+// varint walk under the int and float decode loops. Values are
 // decoded straight from the bytes bufio already holds (a one-byte value — a
 // repeated reading, a steady cadence — by a compare, any other by one
 // binary.Uvarint; one Discard per window) instead of through an interface
@@ -630,13 +535,14 @@ func (r *Reader) decodeStrs() ([]string, error) {
 }
 
 // Close releases the underlying gzip reader. It does not close the wrapped
-// io.Reader.
+// io.ReadSeeker.
 func (r *Reader) Close() error { return r.zr.Close() }
 
 // ReadColumns deserializes only the named columns of a table written by
-// Write (nil selects every column, making it equivalent to Read). Requested
-// names absent from the table are ignored; check the result with Col.
-func ReadColumns(r io.Reader, names []string) (*Table, error) {
+// WriteCodec (nil selects every column, making it equivalent to Read).
+// Requested names absent from the table are ignored; check the result with
+// Col.
+func ReadColumns(r io.ReadSeeker, names []string) (*Table, error) {
 	sr, err := NewReader(r)
 	if err != nil {
 		return nil, err
@@ -692,63 +598,31 @@ type DayMeta struct {
 	TimeSorted bool
 }
 
-// DayMeta returns the metadata of the partition for the given day. timeCols
-// lists the candidate time-column names; empty defaults to "timestamp". The
-// partition's time column is the first integer column, in file order, that
-// is one of them. A partition with a directory answers from it — a read of
-// the file's first bytes, nothing inflated but the header. One without is
-// scanned: only the time column is decoded, every other column skipped.
+// DayMeta returns the metadata of the partition for the given day, from its
+// directory: a read of the file's first bytes, nothing inflated but the
+// header. timeCols lists the candidate time-column names; empty defaults to
+// "timestamp". The partition's time column is the first integer column, in
+// file order, that is one of them.
 func (d *Dataset) DayMeta(day int, timeCols ...string) (DayMeta, error) {
 	if len(timeCols) == 0 {
 		timeCols = []string{"timestamp"}
 	}
-	return readDay(d, day, func(r io.Reader) (DayMeta, error) { return readDayMeta(r, day, timeCols) })
+	return readDay(d, day, func(r io.ReadSeeker) (DayMeta, error) { return readDayMeta(r, day, timeCols) })
 }
 
-func readDayMeta(r io.Reader, day int, timeCols []string) (DayMeta, error) {
+func readDayMeta(r io.ReadSeeker, day int, timeCols []string) (DayMeta, error) {
 	sr, err := NewReader(r)
 	if err != nil {
 		return DayMeta{}, err
 	}
 	defer sr.Close()
-	isTime := make(map[string]bool, len(timeCols))
-	for _, n := range timeCols {
-		isTime[n] = true
-	}
+	partitionsIndexed.Add(1)
 	meta := DayMeta{Day: day, Rows: sr.NumRows()}
-	if sr.dir != nil {
-		partitionsIndexed.Add(1)
-		for _, c := range sr.dir.cols {
-			meta.Columns = append(meta.Columns, c.ColumnInfo)
-			if meta.TimeColumn == "" && c.Int && isTime[c.Name] {
-				meta.TimeColumn, meta.TimeSorted = c.Name, c.sorted
-				meta.HasTime, meta.MinTime, meta.MaxTime = meta.Rows > 0, c.min, c.max
-			}
-		}
-		return meta, nil
-	}
-	partitionsStreamed.Add(1)
-	for {
-		info, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return DayMeta{}, err
-		}
-		meta.Columns = append(meta.Columns, info)
-		if meta.TimeColumn == "" && info.Int && isTime[info.Name] {
-			col, err := sr.Column()
-			if err != nil {
-				return DayMeta{}, err
-			}
-			meta.TimeColumn = info.Name
-			meta.MinTime, meta.MaxTime, meta.TimeSorted = intStats(col.Ints)
-			meta.HasTime = len(col.Ints) > 0
-			continue
-		}
-		if err := sr.Skip(); err != nil {
-			return DayMeta{}, err
+	for _, c := range sr.dir.cols {
+		meta.Columns = append(meta.Columns, c.ColumnInfo)
+		if meta.TimeColumn == "" && c.Int && slices.Contains(timeCols, c.Name) {
+			meta.TimeColumn, meta.TimeSorted = c.Name, c.sorted
+			meta.HasTime, meta.MinTime, meta.MaxTime = meta.Rows > 0, c.min, c.max
 		}
 	}
 	return meta, nil
@@ -756,26 +630,24 @@ func readDayMeta(r io.Reader, day int, timeCols []string) (DayMeta, error) {
 
 // Counters says how partitions have been read since the process started.
 type Counters struct {
-	PartitionsIndexed  int64 // DayMeta answered from a directory
-	PartitionsStreamed int64 // DayMeta that scanned the partition
-	MembersSkipped     int64 // columns stepped over by a seek
-	MembersVerified    int64 // gzip members read to their trailer, CRC-32 and length checked
+	PartitionsIndexed int64 // DayMeta answered from a directory
+	MembersSkipped    int64 // columns stepped over by a seek
+	MembersVerified   int64 // gzip members read to their trailer, CRC-32 and length checked
 }
 
-var partitionsIndexed, partitionsStreamed, membersSkipped, membersVerified atomic.Int64
+var partitionsIndexed, membersSkipped, membersVerified atomic.Int64
 
 // Stats returns the process-wide read counters.
 func Stats() Counters {
 	return Counters{
-		PartitionsIndexed:  partitionsIndexed.Load(),
-		PartitionsStreamed: partitionsStreamed.Load(),
-		MembersSkipped:     membersSkipped.Load(),
-		MembersVerified:    membersVerified.Load(),
+		PartitionsIndexed: partitionsIndexed.Load(),
+		MembersSkipped:    membersSkipped.Load(),
+		MembersVerified:   membersVerified.Load(),
 	}
 }
 
 // ReadDayColumns loads only the named columns of a day partition (nil loads
 // all, like ReadDay).
 func (d *Dataset) ReadDayColumns(day int, names []string) (*Table, error) {
-	return readDay(d, day, func(r io.Reader) (*Table, error) { return ReadColumns(r, names) })
+	return readDay(d, day, func(r io.ReadSeeker) (*Table, error) { return ReadColumns(r, names) })
 }

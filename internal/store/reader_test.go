@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -9,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/iotest"
 )
 
 func metaTable() *Table {
@@ -39,7 +39,7 @@ func TestReaderStreamsColumns(t *testing.T) {
 		if err := WriteCodec(&buf, tab, codec); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewReader(&buf)
+		r, err := NewReader(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
 		}
@@ -93,7 +93,7 @@ func TestReaderMisuse(t *testing.T) {
 	if err := WriteCodec(&buf, metaTable(), CodecDelta); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,20 @@ func TestReaderMisuse(t *testing.T) {
 	}
 }
 
+// TestReaderHeaderErrors: junk is refused, and so is a partition — directory
+// intact — whose header names codec byte 1 or 3, the fixed-width codecs of
+// partitions written before there were directories, or one past the last.
 func TestReaderHeaderErrors(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("junk accepted")
+	}
+	header, dir, sections := splitMembers(t, encoded(t, metaTable(), CodecDelta))
+	for _, codec := range []byte{1, 3, 5} {
+		header[len(magic)+1] = codec
+		enc := frameMembers(t, header, dir, sections, 0)
+		if _, err := NewReader(bytes.NewReader(enc)); err == nil || err.Error() != fmt.Sprintf("store: unknown codec %d", codec) {
+			t.Errorf("codec byte %d: %v, want it refused at header parse", codec, err)
+		}
 	}
 }
 
@@ -348,7 +359,8 @@ func TestRowCountBeyondPreallocCap(t *testing.T) {
 	}
 
 	// The same file cut short inside a column's member still claims n rows in
-	// its header and its directory, seeking or streaming.
+	// its header and its directory, whole or handed over half a request at a
+	// time.
 	sr, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -360,8 +372,8 @@ func TestRowCountBeyondPreallocCap(t *testing.T) {
 		if _, err := ReadColumns(bytes.NewReader(short), []string{c.Name}); err == nil {
 			t.Errorf("truncated %q column of a %d-row claim decoded without error", c.Name, n)
 		}
-		if _, err := ReadColumns(iotest.HalfReader(bytes.NewReader(short)), []string{c.Name}); err == nil {
-			t.Errorf("truncated %q column of a %d-row claim streamed without error", c.Name, n)
+		if _, err := ReadColumns(halfReads(bytes.NewReader(short)), []string{c.Name}); err == nil {
+			t.Errorf("truncated %q column of a %d-row claim read in halves without error", c.Name, n)
 		}
 	}
 }

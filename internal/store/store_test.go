@@ -35,7 +35,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRoundTripSpecialFloats(t *testing.T) {
 	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := Read(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestEmptyTable(t *testing.T) {
 	if err := WriteCodec(&buf, tab, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEmptyTable(t *testing.T) {
 	if err := WriteCodec(&buf2, &Table{}, CodecDelta); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Read(&buf2); err != nil || len(got.Cols) != 0 {
+	if got, err := Read(bytes.NewReader(buf2.Bytes())); err != nil || len(got.Cols) != 0 {
 		t.Errorf("empty table round trip: %v, %v", got, err)
 	}
 }
@@ -336,7 +336,7 @@ func TestAllCodecsRoundTrip(t *testing.T) {
 		if err := WriteCodec(&buf, tab, codec); err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
 		}
-		got, err := Read(&buf)
+		got, err := Read(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
 		}
@@ -356,7 +356,7 @@ func TestAllCodecsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, codec := range []Codec{CodecRaw, CodecRawStore, numCodecs} {
+	for _, codec := range []Codec{1, 3, 5} {
 		if err := WriteCodec(&bytes.Buffer{}, tab, codec); err == nil {
 			t.Errorf("codec %d written", codec)
 		}

@@ -2,14 +2,13 @@ package store
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"strings"
 	"testing"
-	"testing/iotest"
 )
 
 // TestStrideRoundTrip: a strided float column decodes to its values through
@@ -20,20 +19,18 @@ import (
 func TestStrideRoundTrip(t *testing.T) {
 	tab := stridedWindowTable()
 	for _, codec := range []Codec{CodecDelta, CodecDeltaFast} {
-		for _, framing := range framings {
-			enc := encoded(t, framing.write, tab, codec)
-			for _, wrap := range []func(io.Reader) io.Reader{plainReader, iotest.OneByteReader} {
-				got, err := Read(wrap(bytes.NewReader(enc)))
-				if err != nil {
-					t.Fatalf("codec %d, %s: %v", codec, framing.name, err)
-				}
-				sameTable(t, framing.name, tab, got)
-				if c := got.Col("input_power.mean"); c.Stride != 0 {
-					t.Errorf("a read column says stride %d: how the values were encoded is not part of them", c.Stride)
-				}
+		enc := encoded(t, tab, codec)
+		for _, src := range []source{plainReader, oneByte} {
+			got, err := Read(src(bytes.NewReader(enc)))
+			if err != nil {
+				t.Fatalf("codec %d: %v", codec, err)
+			}
+			sameTable(t, fmt.Sprintf("codec %d", codec), tab, got)
+			if c := got.Col("input_power.mean"); c.Stride != 0 {
+				t.Errorf("a read column says stride %d: how the values were encoded is not part of them", c.Stride)
 			}
 		}
-		sr, err := NewReader(bytes.NewReader(encoded(t, WriteCodec, tab, codec)))
+		sr, err := NewReader(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,37 +60,35 @@ func TestStrideRoundTrip(t *testing.T) {
 	}
 }
 
-// stridedPayload is a gunzipped one-column partition claiming rows rows and a
-// float column at the given stride, with no values after the stride.
-func stridedPayload(rows, stride uint64) []byte {
-	b := append([]byte(magic), version, byte(CodecDelta), 1)
-	b = appendUvarint(b, rows)
-	b = append(b, 1, 'v', colFltStrided)
-	return appendUvarint(b, stride)
+// stridedPartition is a one-column partition claiming rows rows and a float
+// column whose member says it is strided at stride, with no values after the
+// stride, under codec; its directory lists the column unstrided, or at
+// dirStride when that is more than 1.
+func stridedPartition(t *testing.T, codec Codec, rows, stride uint64, dirStride int) []byte {
+	header := appendUvarint(append([]byte(magic), version, byte(codec), 1), rows)
+	member := appendUvarint([]byte{1, 'v', colFltStrided}, stride)
+	dir := &directory{rows: int(rows), cols: []dirColumn{{ColumnInfo: ColumnInfo{Name: "v"}, stride: dirStride}}}
+	return frameMembers(t, header, dir, [][]byte{member}, 0)
 }
 
 // TestStrideFromTheFileIsChecked: the stride is read from the file, so it is
 // the attacker's. A stride of 0, one beyond the row count and one beyond
-// MaxStride are refused when the column header is read — before the decoder
-// sizes its history — in the payload and in the directory alike, and so is a
-// strided column under a codec without a predictor.
+// MaxStride are refused when the column's member is opened — before the
+// decoder sizes its history — and when the directory is parsed alike, and so
+// is a strided column under a codec without a predictor.
 func TestStrideFromTheFileIsChecked(t *testing.T) {
-	for name, payload := range map[string][]byte{
-		"stride 0":               stridedPayload(8, 0),
-		"stride beyond rows":     stridedPayload(8, 9),
-		"stride beyond the cap":  stridedPayload(1<<32, MaxStride+1),
-		"stride of 2^62":         stridedPayload(1<<32, 1<<62),
-		"strided gorilla column": append(append([]byte(magic), version, byte(CodecGorilla), 1, 8), 1, 'v', colFltStrided, 2),
+	for name, enc := range map[string][]byte{
+		"stride 0":               stridedPartition(t, CodecDelta, 8, 0, 1),
+		"stride beyond rows":     stridedPartition(t, CodecDelta, 8, 9, 1),
+		"stride beyond the cap":  stridedPartition(t, CodecDelta, 1<<32, MaxStride+1, 1),
+		"stride of 2^62":         stridedPartition(t, CodecDelta, 1<<32, 1<<62, 1),
+		"strided gorilla column": stridedPartition(t, CodecGorilla, 8, 2, 2),
 	} {
-		r, err := newPayloadReader(bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Next(); err == nil || !strings.Contains(err.Error(), `column "v"`) {
-			t.Errorf("%s: Next error %v, want one naming the column", name, err)
+		if _, err := Read(bytes.NewReader(enc)); err == nil || !strings.Contains(err.Error(), `column "v"`) {
+			t.Errorf("%s: Read error %v, want one naming the column", name, err)
 		}
 	}
-	if _, err := decodePayload(stridedPayload(8, 3), plainReader, (*Reader).Column); err == nil {
+	if _, err := Read(bytes.NewReader(stridedPartition(t, CodecDelta, 8, 3, 3))); err == nil {
 		t.Error("a strided column with no values decoded")
 	}
 
@@ -113,41 +108,20 @@ func TestStrideFromTheFileIsChecked(t *testing.T) {
 // than the column's member holds — each checksum intact — is an error for
 // every read that decodes the column, and a problem fsck reports by column.
 func TestStrideDirectoryMustMatchMember(t *testing.T) {
-	enc := encoded(t, WriteCodec, stridedWindowTable(), CodecDeltaFast)
-	sr, err := NewReader(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	header := sr.next
-	for i := range sr.dir.cols {
-		if sr.dir.cols[i].Name == "input_power.mean" {
-			sr.dir.cols[i].stride = 35
+	enc := encoded(t, stridedWindowTable(), CodecDeltaFast)
+	header, dir, sections := splitMembers(t, enc)
+	for i := range dir.cols {
+		if dir.cols[i].Name == "input_power.mean" {
+			dir.cols[i].stride = 35
 		}
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(enc[:header]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bad bytes.Buffer
-	zw := gzip.NewWriter(&bad)
-	zw.Extra = sr.dir.encode()
-	if _, err := zw.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	bad.Write(enc[header:])
+	bad := frameMembers(t, header, dir, sections, 0)
 
-	if _, err := Read(bytes.NewReader(bad.Bytes())); err == nil || !strings.Contains(err.Error(), "at stride 36, the directory says") {
+	if _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "at stride 36, the directory says") {
 		t.Errorf("Read: %v, want the member's stride against the directory's", err)
 	}
 	ds := &Dataset{Dir: t.TempDir(), Name: "node-power"}
-	if err := os.WriteFile(ds.dayPath(0), bad.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(ds.dayPath(0), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := ds.VerifyDay(0)
@@ -157,8 +131,8 @@ func TestStrideDirectoryMustMatchMember(t *testing.T) {
 	if err := os.WriteFile(ds.dayPath(0), enc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if c := ds.VerifyDay(0); !c.Members || !c.Strided || len(c.Problems) != 0 {
-		t.Errorf("fsck of the intact partition: %+v, want members, strided, no problems", c)
+	if c := ds.VerifyDay(0); !c.Strided || len(c.Problems) != 0 {
+		t.Errorf("fsck of the intact partition: %+v, want strided, no problems", c)
 	}
 	if err := ds.WriteDayCodec(0, windowTable(), CodecDeltaFast); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestStringColumnRoundTrip(t *testing.T) {
 		if err := WriteCodec(&buf, tab, codec); err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
 		}
-		got, err := Read(&buf)
+		got, err := Read(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
 		}
@@ -95,7 +95,7 @@ func TestStringColumnSkip(t *testing.T) {
 		if err := WriteCodec(&buf, stringTable(), codec); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadColumns(&buf, []string{"power"})
+		got, err := ReadColumns(bytes.NewReader(buf.Bytes()), []string{"power"})
 		if err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
 		}

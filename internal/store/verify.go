@@ -8,7 +8,6 @@ import (
 
 // DayCheck is what VerifyDay found in one partition.
 type DayCheck struct {
-	Members bool // read member by member, by its directory
 	// Strided: some float column XORs each value with one further back than
 	// the previous row (Column.Stride).
 	Strided bool
@@ -39,7 +38,6 @@ func (d *Dataset) VerifyDay(day int) (check DayCheck) {
 		fail(err)
 		return check
 	}
-	check.Members = sr.seek != nil
 	var end int64
 	end, check.Strided = verifyColumns(sr, fail)
 	fi, err := f.Stat()
@@ -65,13 +63,10 @@ func (d *Dataset) VerifyDay(day int) (check DayCheck) {
 
 // verifyColumns decodes every column of sr, reporting through fail what does
 // not hold. It returns where the partition ends, from where sr began — -1
-// when that is not known (it was streamed, or a column failed to read) — and
-// whether a float column is strided.
+// when that is not known (a column failed to read) — and whether a float
+// column is strided.
 func verifyColumns(sr *Reader, fail func(error)) (end int64, strided bool) {
 	defer sr.Close()
-	if sr.dirErr != nil {
-		fail(sr.dirErr) // and the partition is read as the stream it still is
-	}
 	for {
 		info, err := sr.Next()
 		if err == io.EOF {
@@ -79,23 +74,20 @@ func verifyColumns(sr *Reader, fail func(error)) (end int64, strided bool) {
 		}
 		var col *Column
 		if err == nil {
-			col, err = sr.Column() // in members, also holds the member's kind and stride to the directory's
+			col, err = sr.Column() // also holds the member's kind and stride to the directory's
 		}
 		if err != nil {
 			fail(err)
 			return -1, strided
 		}
 		strided = strided || sr.stride > 1
-		if sr.seek != nil && info.Int {
+		if info.Int {
 			e := sr.dir.cols[sr.read-1]
 			if lo, hi, sorted := intStats(col.Ints); lo != e.min || hi != e.max || sorted != e.sorted {
 				fail(fmt.Errorf("store: column %q: the directory says min %d, max %d, non-decreasing %v; the values say %d, %d, %v",
 					info.Name, e.min, e.max, e.sorted, lo, hi, sorted))
 			}
 		}
-	}
-	if sr.seek == nil {
-		return -1, strided
 	}
 	return sr.next, strided
 }
