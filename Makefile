@@ -192,9 +192,9 @@ examples-smoke:
 
 # fleet-smoke gates the multi-cluster fleet: a 2-cluster fleet is written,
 # each member's reports printed by `repro -data` through its one archive
-# reader (Table 3 and the 19 reports that read a run, and one line naming
-# section-6-generations, which runs simulations of its own), the fleet root
-# refused by it (exit 1, naming fleet.json), the
+# reader (Table 3 and the 19 reports that read a run: 20 headings and no
+# line naming a report missing), the fleet root refused by it (exit 1,
+# naming fleet.json), the
 # fleet identity and queryd's fleet routes tested under the race detector,
 # and the retired -shards flag refused by queryd (the usage error names it).
 fleet-smoke:
@@ -207,9 +207,8 @@ fleet-smoke:
 	/tmp/fleetsmoke-summitsim -out /tmp/fleetsmoke-fleet -clusters 2 -sites summit,frontier -nodes 36 -days 1 -q
 	for c in summit-0 frontier-1; do \
 		/tmp/fleetsmoke-repro -data /tmp/fleetsmoke-fleet/$$c > /tmp/fleetsmoke-$$c.txt || exit 1; \
-		test "$$(grep -c '^== ' /tmp/fleetsmoke-$$c.txt)" = 20 && test "$$(grep -c '^-- ' /tmp/fleetsmoke-$$c.txt)" = 1 && \
-			grep -q '^-- section-6-generations ' /tmp/fleetsmoke-$$c.txt || \
-			{ echo "fleet-smoke: $$c, want 20 reports and section-6-generations named missing"; cat /tmp/fleetsmoke-$$c.txt; exit 1; }; \
+		test "$$(grep -c '^== ' /tmp/fleetsmoke-$$c.txt)" = 20 && ! grep -q '^-- ' /tmp/fleetsmoke-$$c.txt || \
+			{ echo "fleet-smoke: $$c, want 20 reports and no report named missing"; cat /tmp/fleetsmoke-$$c.txt; exit 1; }; \
 	done
 	@code=0; /tmp/fleetsmoke-repro -data /tmp/fleetsmoke-fleet > /tmp/fleetsmoke-refused.txt 2>&1 || code=$$?; \
 	test $$code -eq 1 || { echo "fleet-smoke: repro -data on the fleet root exited $$code, want 1"; exit 1; }; \
@@ -327,10 +326,10 @@ scenario-smoke:
 # archive-smoke gates the one archive writer end to end: a single archive
 # with the optional node-power dataset and a 2-cluster fleet are written, and
 # their reports printed by `repro -data` (each fleet member's directory in
-# turn: Table 3 and the 19 reports that read a run, and one line naming
-# section-6-generations); `repro -data -figdir` on the single archive writes
-# the figure files the in-memory run of its config writes, byte for byte
-# (`diff -r`); the same seed archived again on one P and on four
+# turn: Table 3 and the 19 reports that read a run, 20 headings and no line
+# naming a report missing); `repro -data` on the single archive prints the
+# headings the in-memory run of its config prints, and with -figdir writes
+# the figure files that run writes, byte for byte (`diff`, `diff -r`); the same seed archived again on one P and on four
 # (more Ps than a CI runner's cores, so Run's two stages interleave
 # differently) must be the same files byte for byte, and so must a 160-node
 # run, three sweep blocks, and a two-cluster -nodedata fleet, on one P and by
@@ -370,12 +369,14 @@ archive-smoke:
 	diff -r /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1
 	@set -eu; for a in single fleet/summit-0 fleet/frontier-1; do \
 		/tmp/arcsmoke-repro -data /tmp/arcsmoke-$$a > /tmp/arcsmoke-reports.txt; \
-		test "$$(grep -c '^== ' /tmp/arcsmoke-reports.txt)" = 20 && test "$$(grep -c '^-- ' /tmp/arcsmoke-reports.txt)" = 1 && \
-			grep -q '^-- section-6-generations ' /tmp/arcsmoke-reports.txt || \
-			{ echo "archive-smoke: $$a, want 20 reports and section-6-generations named missing"; cat /tmp/arcsmoke-reports.txt; exit 1; }; \
+		test "$$(grep -c '^== ' /tmp/arcsmoke-reports.txt)" = 20 && ! grep -q '^-- ' /tmp/arcsmoke-reports.txt || \
+			{ echo "archive-smoke: $$a, want 20 reports and no report named missing"; cat /tmp/arcsmoke-reports.txt; exit 1; }; \
 	done
-	/tmp/arcsmoke-repro -nodes 36 -hours 48 -seed 2020 -start 0 -figdir /tmp/arcsmoke-figmem > /dev/null
-	/tmp/arcsmoke-repro -data /tmp/arcsmoke-single -figdir /tmp/arcsmoke-figdata > /dev/null
+	/tmp/arcsmoke-repro -nodes 36 -hours 48 -seed 2020 -start 0 -figdir /tmp/arcsmoke-figmem > /tmp/arcsmoke-mem.txt
+	/tmp/arcsmoke-repro -data /tmp/arcsmoke-single -figdir /tmp/arcsmoke-figdata > /tmp/arcsmoke-reports.txt
+	@grep '^== ' /tmp/arcsmoke-mem.txt > /tmp/arcsmoke-heads-mem.txt; grep '^== ' /tmp/arcsmoke-reports.txt > /tmp/arcsmoke-heads-data.txt; \
+	diff /tmp/arcsmoke-heads-mem.txt /tmp/arcsmoke-heads-data.txt || \
+		{ echo "archive-smoke: repro -data printed other report headings than the in-memory run"; exit 1; }
 	@diff -r /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata || \
 		{ echo "archive-smoke: repro -data -figdir wrote other figure data than the in-memory run"; exit 1; }
 	find /tmp/arcsmoke-single /tmp/arcsmoke-fleet -name '*.spwr' -exec gzip -t {} +
@@ -422,7 +423,7 @@ archive-smoke:
 	while read f; do cmp /tmp/arcsmoke-mixed-before/$$f /tmp/arcsmoke-mixed/$$f || \
 		{ echo "archive-smoke: the refused run changed $$f"; exit 1; }; done < /tmp/arcsmoke-sums.txt; \
 	echo "archive-smoke: archives written, reports printed, gzip -t and fsck clean, companions inside their days, a flipped byte caught, an archive without run-meta refused by repro -data and summitsim -fsck, re-runs on one and on four Ps byte-identical (36 and 160 nodes, a day and a half, and a two-cluster fleet), an off-grid span fsck-clean, nothing in a run directory but partitions and provenance, a shorter re-run and a re-run without -nodedata refused with every file byte-identical"
-	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-offgrid /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-half /tmp/arcsmoke-half1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata /tmp/arcsmoke-summitsim /tmp/arcsmoke-repro /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt /tmp/arcsmoke-reports.txt
+	rm -rf /tmp/arcsmoke-single /tmp/arcsmoke-again /tmp/arcsmoke-offgrid /tmp/arcsmoke-fleet /tmp/arcsmoke-fleet1 /tmp/arcsmoke-flipped /tmp/arcsmoke-nometa /tmp/arcsmoke-procs4 /tmp/arcsmoke-wide /tmp/arcsmoke-wide1 /tmp/arcsmoke-half /tmp/arcsmoke-half1 /tmp/arcsmoke-mixed /tmp/arcsmoke-mixed-before /tmp/arcsmoke-figmem /tmp/arcsmoke-figdata /tmp/arcsmoke-summitsim /tmp/arcsmoke-repro /tmp/arcsmoke-refusal.txt /tmp/arcsmoke-fsck.txt /tmp/arcsmoke-sums.txt /tmp/arcsmoke-reports.txt /tmp/arcsmoke-mem.txt /tmp/arcsmoke-heads-*.txt
 
 # fuzz-smoke runs every fuzz target for FUZZTIME (stdlib go test -fuzz, one
 # target per invocation). A crasher fails the run and is written under its

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/store"
@@ -400,13 +401,20 @@ func BenchmarkSection9Fingerprints(b *testing.B) {
 	}
 }
 
-// BenchmarkSection8PowerCap runs the power-aware scheduling what-if
-// (baseline + two capped arms).
+// BenchmarkSection8PowerCap runs the power-aware scheduling what-if, the
+// power-cap catalog study (the nominal arm and three caps), through
+// whatif.RunGrid.
 func BenchmarkSection8PowerCap(b *testing.B) {
+	study, err := whatif.StudyByName("power-cap")
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := scenario.Resolve(study.Scenario)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		base := ScaledConfig(48, 2*time.Hour)
-		base.Seed = uint64(i)
-		if _, err := whatif.PowerCapExperiment(base, []float64{0.85, 0.7}); err != nil {
+		if _, err := whatif.RunGrid(base.Config, study.Axes, whatif.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -427,16 +435,6 @@ func BenchmarkAblationSampling(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSection6Generations runs the Titan-vs-Summit failure-bias
-// comparison experiment.
-func BenchmarkSection6Generations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := core.CompareGenerations(uint64(i), 32, 25, 30000); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

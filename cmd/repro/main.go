@@ -5,11 +5,9 @@
 // By default it simulates a scaled Summit data center in memory. With
 // -data it reads an archive summitsim wrote instead: it prints every report
 // of repro.SourceReports (Table 3 and every report that reads a run, the
-// same text the in-memory run prints for them), and, in place of
-// section-6-generations, which runs simulations of its own, one line saying
-// so. -figdir exports the same figure data from either, from the reports'
-// own computation. A fleet root is refused: each member directory is an
-// archive of its own.
+// same text the in-memory run prints for them). -figdir exports the same
+// figure data from either, from the reports' own computation. A fleet root
+// is refused: each member directory is an archive of its own.
 //
 // A report that fails is named on a "!!" line where it would have printed;
 // repro prints everything else and then exits 1. So does a write to the
@@ -34,10 +32,13 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/render"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/topology"
 	"repro/internal/units"
+	"repro/internal/whatif"
 )
 
 func main() {
@@ -81,7 +82,8 @@ func cli(args []string, stdout io.Writer) (err error) {
 	out := fs.String("out", "", "write the report to this file (default stdout)")
 	figDir := fs.String("figdir", "", "also export plot-ready CSV data per figure into this directory")
 	year := fs.Bool("year", false, "additionally run the sampled-year seasonal survey (12 parallel monthly sims)")
-	powercap := fs.Bool("powercap", false, "additionally run the power-aware scheduling what-if")
+	powercap := fs.Bool("powercap", false,
+		"additionally print the §8 power-aware scheduling what-if, the power-cap study of optimize -study power-cap (-nodes, -hours and -seed do not steer it)")
 	dataDir := fs.String("data", "", "print the reports from this archive (a summitsim -out directory) instead of simulating")
 	if err = fs.Parse(args); err != nil {
 		return err
@@ -132,15 +134,49 @@ func cli(args []string, stdout io.Writer) (err error) {
 		fmt.Fprintln(w, rep.String())
 	}
 	if *powercap {
-		cfg := repro.ScaledConfig(*nodes, time.Duration(*hours*float64(time.Hour)))
-		cfg.Seed = *seed
-		rep, err := repro.ReportPowerCap(cfg, []float64{0.9, 0.8, 0.7})
+		rep, err := powerCapReport()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, rep.String())
 	}
 	return err
+}
+
+// powerCapReport renders paper §8's power-aware scheduling what-if: the
+// whatif catalog study power-cap, run by whatif.RunGrid on its base
+// scenario as optimize -study power-cap runs it. Rows follow the sweep log,
+// the uncapped nominal arm first; mean power is IT energy over the span.
+func powerCapReport() (repro.Report, error) {
+	rep := repro.Report{ID: "section-8", Title: "Power-aware scheduling what-if (study power-cap)",
+		PaperRef: "the peak/average gap drives overcooling; power-aware admission can narrow it at a scheduling cost"}
+	study, err := whatif.StudyByName("power-cap")
+	if err != nil {
+		return rep, err
+	}
+	base, err := scenario.Resolve(study.Scenario)
+	if err != nil {
+		return rep, err
+	}
+	res, err := whatif.RunGrid(base.Config, study.Axes, whatif.Options{})
+	if err != nil {
+		return rep, err
+	}
+	const kWPerMW = units.WattsPerMW / units.WattsPerKW
+	spanH := float64(base.Config.DurationSec) / units.SecondsPerHour
+	tab := render.NewTable("cap (kW)", "peak (kW)", "p99 (kW)", "mean (kW)",
+		"peak/mean", "mean PUE", "wait (min)", "placed", "skipped", "overcooling (ton-h)")
+	for _, r := range res.Evaluated {
+		capLabel := "none"
+		if mw, ok := r.Scenario.Params[whatif.ParamPowerCapMW]; ok {
+			capLabel = fmt.Sprintf("%.0f", mw*kWPerMW)
+		}
+		meanKW := r.ITEnergyMWh * kWPerMW / spanH
+		tab.Row(capLabel, r.PeakPowerMW*kWPerMW, r.P99PowerMW*kWPerMW, meanKW, r.PeakPowerMW*kWPerMW/meanKW,
+			r.MeanPUE, r.MeanWaitSec/60, r.JobsPlaced, r.JobsSkipped, r.OvercoolingTonH)
+	}
+	rep.Body = tab.String()
+	return rep, nil
 }
 
 // simConfig is the run the simulation flags describe. A size or a span
@@ -178,7 +214,7 @@ func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, figDi
 	fmt.Fprintf(w, "simulated %d windows, %d jobs placed, %d failures injected, utilization %.1f%% (%.1fs wall)\n\n",
 		res.Steps, len(res.Allocations), len(res.Failures),
 		res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
-	return printReports(w, data.Source(), figDir, func() (repro.Report, error) { return repro.ReportGenerations(seed) })
+	return printReports(w, data.Source(), figDir)
 }
 
 // runArchive prints the reports from the archive in dir.
@@ -209,7 +245,7 @@ func runArchive(w io.Writer, dir, figDir string) error {
 	fmt.Fprintf(w, "archive %s: site %s, %d nodes, span %.1f h, step %d s, start %s\n\n",
 		dir, site, meta.Nodes, float64(meta.SpanSec())/units.SecondsPerHour, meta.StepSec,
 		time.Unix(meta.StartTime, 0).UTC().Format(time.RFC3339))
-	return printReports(w, src, figDir, nil)
+	return printReports(w, src, figDir)
 }
 
 // errReportFailed marks a run in which some report failed.
@@ -217,10 +253,9 @@ var errReportFailed = errors.New("report(s) failed")
 
 // printReports renders every report of repro.SourceReports over src once,
 // exports their figure data into figDir (when set), then prints them, in the
-// paper's order, and last section-6-generations (nil: a line saying why it
-// is missing instead). It returns errReportFailed, naming them, when any
-// report failed.
-func printReports(w io.Writer, src source.RunSource, figDir string, generations func() (repro.Report, error)) error {
+// paper's order. It returns errReportFailed, naming them, when any report
+// failed.
+func printReports(w io.Writer, src source.RunSource, figDir string) error {
 	reports := repro.Render(src)
 	if figDir != "" {
 		files, err := repro.WriteFigureData(figDir, reports)
@@ -230,21 +265,13 @@ func printReports(w io.Writer, src source.RunSource, figDir string, generations 
 		fmt.Fprintf(w, "%d figure data files exported to %s\n\n", len(files), figDir)
 	}
 	var failed []string
-	report := func(rep repro.Report, err error) {
-		if err != nil {
-			fmt.Fprintf(w, "!! experiment failed: %s: %v\n\n", rep.ID, err)
-			failed = append(failed, rep.ID)
-			return
-		}
-		fmt.Fprintln(w, rep.String())
-	}
 	for _, r := range reports {
-		report(r.Report, r.Err)
-	}
-	if generations == nil {
-		fmt.Fprintf(w, "-- section-6-generations is not in an archive: it runs its own simulations\n\n")
-	} else {
-		report(generations())
+		if r.Err != nil {
+			fmt.Fprintf(w, "!! experiment failed: %s: %v\n\n", r.Report.ID, r.Err)
+			failed = append(failed, r.Report.ID)
+			continue
+		}
+		fmt.Fprintln(w, r.Report.String())
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("%w: %s", errReportFailed, strings.Join(failed, ", "))

@@ -38,7 +38,7 @@ func TestRunEmitsAllExperiments(t *testing.T) {
 		"figure-7", "figure-8", "figure-9", "figure-10", "figure-11",
 		"figure-12", "section-2-bands", "section-5-overcooling",
 		"table-4", "figure-13", "figure-14", "figure-15", "figure-16",
-		"figure-17", "section-9", "section-6-generations",
+		"figure-17", "section-9",
 	} {
 		if !strings.Contains(out, "== "+id+" ") {
 			t.Errorf("experiment %q missing from harness output", id)
@@ -76,9 +76,8 @@ func archiveOf(t *testing.T, cfg repro.Config) string {
 	return dir
 }
 
-// blockStart finds the lines that open a report block, a failure or a
-// report missing from an archive.
-var blockStart = regexp.MustCompile(`(?m)^(== |!! |-- )`)
+// blockStart finds the lines that open a report block or a failure.
+var blockStart = regexp.MustCompile(`(?m)^(== |!! )`)
 
 // blocks splits repro's output into its report blocks by ID, each from its
 // "== ID — " header to the next block's start.
@@ -98,10 +97,9 @@ func blocks(out string) map[string]string {
 }
 
 // TestDataMatchesTheInMemoryRun pins the one report path: the archive of
-// the run repro simulates prints, with -data, Table 3 and every report that
-// reads a run byte for byte as the in-memory run does, in January and in
-// July, and names section-6-generations, which runs simulations of its own,
-// as the one report it cannot give.
+// the run repro simulates prints, with -data, the same reports — Table 3
+// and every report that reads a run — byte for byte as the in-memory run
+// does, in January and in July.
 func TestDataMatchesTheInMemoryRun(t *testing.T) {
 	const nodes, hours, seed = 36, 1.0, 7
 	for _, c := range []struct {
@@ -136,13 +134,9 @@ func TestDataMatchesTheInMemoryRun(t *testing.T) {
 				t.Errorf("day %d: %s from the archive:\n%s\nin memory:\n%s", c.startDay, id, got[id], want[id])
 			}
 		}
-		if len(got) != len(ids) || len(want) != len(ids)+1 {
-			t.Errorf("day %d: -data printed %d report blocks and the run %d, want %d and %d:\n%s",
-				c.startDay, len(got), len(want), len(ids), len(ids)+1, arc.String())
-		}
-		missing := regexp.MustCompile(`(?m)^-- .*$`).FindAllString(arc.String(), -1)
-		if len(missing) != 1 || missing[0] != "-- section-6-generations is not in an archive: it runs its own simulations" {
-			t.Errorf("day %d: -data names %q as missing, want section-6-generations alone", c.startDay, missing)
+		heads := regexp.MustCompile(`(?m)^== .*$`)
+		if h := heads.FindAllString(arc.String(), -1); len(h) != len(ids) || !reflect.DeepEqual(h, heads.FindAllString(mem.String(), -1)) {
+			t.Errorf("day %d: -data printed %d report headings, want the run's %d:\n%s", c.startDay, len(h), len(ids), arc.String())
 		}
 		if header := "archive " + dir + ": site summit, 36 nodes, span 1.0 h, step 10 s, start " + c.start + "\n"; !strings.Contains(arc.String(), header) {
 			t.Errorf("-data header, want %q:\n%s", header, arc.String())
@@ -278,7 +272,7 @@ func TestARunWithoutAJobToPick(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	err = printReports(&out, data.Source(), "", nil)
+	err = printReports(&out, data.Source(), "")
 	if !errors.Is(err, errReportFailed) || !strings.HasSuffix(err.Error(), ": figure-17") {
 		t.Fatalf("%v, want errReportFailed naming figure-17 alone", err)
 	}
@@ -405,7 +399,7 @@ func TestAFailedReportIsNamed(t *testing.T) {
 	if !errors.Is(err, errReportFailed) || !strings.Contains(err.Error(), "figure-13") {
 		t.Fatalf("%v, want errReportFailed naming figure-13", err)
 	}
-	if !strings.Contains(out.String(), "!! experiment failed: figure-13: ") || !strings.Contains(out.String(), "== section-6-generations ") {
+	if !strings.Contains(out.String(), "!! experiment failed: figure-13: ") || !strings.Contains(out.String(), "== section-9 ") {
 		t.Errorf("output does not name figure-13 and go on to the last report:\n%s", out.String())
 	}
 }
@@ -471,14 +465,32 @@ func TestReportsAreComputedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := &countingSource{RunSource: data.Source(), calls: map[string]int{}}
-	if err := printReports(io.Discard, text, "", nil); err != nil {
+	if err := printReports(io.Discard, text, ""); err != nil {
 		t.Fatal(err)
 	}
 	figs := &countingSource{RunSource: data.Source(), calls: map[string]int{}}
-	if err := printReports(io.Discard, figs, t.TempDir(), nil); err != nil {
+	if err := printReports(io.Discard, figs, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(figs.calls, text.calls) {
 		t.Errorf("reads with -figdir %v, without %v", figs.calls, text.calls)
+	}
+}
+
+// TestPowerCapRenders: -powercap prints the power-cap study's sweep, one
+// row per arm in the sweep log's order, the uncapped nominal arm first.
+func TestPowerCapRenders(t *testing.T) {
+	rep, err := powerCapReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(rep.Body), "\n")
+	if rep.ID != "section-8" || len(lines) != 6 || !strings.HasPrefix(lines[0], "cap (kW)") {
+		t.Fatalf("section-8 want a header, a rule and four arms:\n%s", rep.Body)
+	}
+	for i, cap := range []string{"none", "102", "116", "131"} {
+		if f := strings.Fields(lines[2+i]); f[0] != cap || len(f) != 10 {
+			t.Errorf("row %d = %q, want cap %s and ten columns", i, lines[2+i], cap)
+		}
 	}
 }

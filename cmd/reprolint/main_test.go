@@ -307,16 +307,17 @@ func isGeneric(typ types.Type) bool {
 // keptUnset lists the exported fields of the guarded packages that no
 // non-test file writes, each with the reason it stays. Keys are "pkg.T.F".
 var keptUnset = map[string]string{
-	"query.Config.Workers":             "the worker counts 1, 2 and 7 of TestSinksMatchLegacyOracles, TestGoldenThreePathParity and TestFleetRangePreaggRefusals",
-	"query.ServerConfig.Timeout":       "the short deadline of query.TestKernelContract",
-	"query.ServerConfig.MaxConcurrent": "the one slot of TestHTTPLoadShedding and query.TestKernelContract",
-	"query.ServerConfig.MaxPoints":     "the small budgets of TestHTTPRangeErrors, TestHTTPBudgetRefusesBeforeMaterializing and FuzzQueryParams",
-	"stream.ServeConfig.Timeout":       "the short deadline of stream.TestKernelContract",
-	"stream.ServeConfig.MaxConcurrent": "the one slot of TestHTTPShedsAtConcurrencyLimit and stream.TestKernelContract",
-	"sim.Config.FailureCheckSec":       "the 60 s sweeps that give TestSeedEngineParity and TestBatchStreamParity failures in short runs",
-	"sim.Config.TelemetryLossFrac":     "the paper's missing-data model; its default waits for the paper-fidelity ledger (ROADMAP item 7), since turning it on re-records goldens",
-	"tsagg.Sample.T":                   oracle + "tsagg.Coarsen, the input it takes",
-	"tsagg.Sample.V":                   oracle + "tsagg.Coarsen, the input it takes",
+	"query.Config.Workers":              "the worker counts 1, 2 and 7 of TestSinksMatchLegacyOracles, TestGoldenThreePathParity and TestFleetRangePreaggRefusals",
+	"query.ServerConfig.Timeout":        "the short deadline of query.TestKernelContract",
+	"query.ServerConfig.MaxConcurrent":  "the one slot of TestHTTPLoadShedding and query.TestKernelContract",
+	"query.ServerConfig.MaxPoints":      "the small budgets of TestHTTPRangeErrors, TestHTTPBudgetRefusesBeforeMaterializing and FuzzQueryParams",
+	"stream.ServeConfig.Timeout":        "the short deadline of stream.TestKernelContract",
+	"stream.ServeConfig.MaxConcurrent":  "the one slot of TestHTTPShedsAtConcurrencyLimit and stream.TestKernelContract",
+	"sim.Config.FailureCheckSec":        "the 60 s sweeps that give TestSeedEngineParity and TestBatchStreamParity failures in short runs",
+	"sim.Config.TelemetryLossFrac":      "the paper's missing-data model; its default waits for the paper-fidelity ledger (ROADMAP item 7), since turning it on re-records goldens",
+	"failures.InjectorConfig.TitanMode": "the §6 Titan-era thermal bias that failures.TestTitanFlip contrasts with Summit's; no run uses it until the paper-fidelity ledger (ROADMAP item 7) makes the flip a row",
+	"tsagg.Sample.T":                    oracle + "tsagg.Coarsen, the input it takes",
+	"tsagg.Sample.V":                    oracle + "tsagg.Coarsen, the input it takes",
 }
 
 // TestExportedFieldsAreSet is the earn-or-delete guard for knobs: every

@@ -90,9 +90,11 @@ type service struct {
 	ln   net.Listener
 	// feed reports the embedded simulated feed's result; nil without
 	// -sim-minutes. sent is the number of samples the feed exported, set
-	// before its result is sent on feed.
-	feed chan error
-	sent int64
+	// before its result is sent on feed. stopping closes when the service
+	// starts to stop, ending the feed's wait for the pipeline.
+	feed     chan error
+	sent     int64
+	stopping chan struct{}
 }
 
 // newService builds the pipeline, binds the ingest and HTTP listeners, and
@@ -120,12 +122,13 @@ func newService(o options, out io.Writer) (*service, error) {
 		return nil, err
 	}
 	handler := stream.NewHandler(pipe, stream.ServeConfig{})
-	s := &service{pipe: pipe, tsrv: tsrv, ln: ln, srv: serve.NewServer(handler, stream.DefaultTimeout)}
+	s := &service{pipe: pipe, tsrv: tsrv, ln: ln, srv: serve.NewServer(handler, stream.DefaultTimeout),
+		stopping: make(chan struct{})}
 	if o.simMinutes > 0 {
 		s.feed = make(chan error, 1)
 		go func() {
 			var err error
-			s.sent, err = runFeed(simCfg, pipe, tsrv.Addr(), o.quiet, out)
+			s.sent, err = runFeed(simCfg, pipe, tsrv.Addr(), s.stopping, o.quiet, out)
 			s.feed <- err
 		}()
 	}
@@ -136,11 +139,16 @@ func newService(o options, out io.Writer) (*service, error) {
 // power and GPU core temperatures into the service's own ingest port
 // through one TCP exporter per 288 nodes, the paper's 288:1 fan-in tier;
 // failure events go straight to the pipeline (the paper's failure feed is
-// a log, not a telemetry channel). It returns the number of samples it
+// a log, not a telemetry channel). After each simulated window it flushes
+// its exporters and waits until the pipeline has received every sample
+// sent so far and its queue is empty, so a window never meets a queue the
+// one before it filled: below about 9 000 nodes a window is at most the
+// queue's 256 batches, and the feed is lossless by construction. The wait
+// ends early when stopping closes. It returns the number of samples it
 // sent: once the service has stopped ingesting, a lossless run has the
 // pipeline's Received equal to it. Every exporter it dialed is closed
 // however it returns.
-func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out io.Writer) (int64, error) {
+func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, stopping <-chan struct{}, quiet bool, out io.Writer) (int64, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
 		return 0, err
@@ -197,6 +205,22 @@ func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out
 		if len(snap.Failures) > 0 {
 			pipe.IngestEvents(append([]failures.Event(nil), snap.Failures...))
 		}
+		var sent int64
+		for _, exp := range exporters {
+			if pushErr = exp.Flush(); pushErr != nil {
+				return
+			}
+			sent += exp.Sent()
+		}
+		for h := pipe.Health(); h.Ingest.Received < sent || h.Shards[0].QueueLen > 0; h = pipe.Health() {
+			select {
+			case <-stopping:
+				pushErr = errors.New("the service stopped before the feed completed")
+				return
+			default:
+			}
+			time.Sleep(100 * time.Microsecond) //lint:allow determinism a pause between health polls; no sample depends on it
+		}
 	}))
 	sent, cerr := closeAll()
 	if err := errors.Join(err, pushErr, cerr); err != nil {
@@ -213,6 +237,7 @@ func runFeed(cfg sim.Config, pipe *stream.Pipeline, addr string, quiet bool, out
 // the transport so no new batches arrive, then flush the pipeline through
 // the operators. In-flight HTTP requests drain after it.
 func (s *service) stopIngest() error {
+	close(s.stopping)
 	err := s.tsrv.Close()
 	s.pipe.Close()
 	return err

@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/serve"
+	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -197,5 +200,31 @@ func TestHealthCountsDroppedIngestConnections(t *testing.T) {
 			t.Fatalf("health never counted the dropped connection: %v", health)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFeedWaitsForThePipelineEachWindow runs the embedded feed into a
+// pipeline whose queue holds one window's batches and one more: 576 nodes
+// on two exporters send at most 16 batches a window. A feed that pushed
+// the next window before the pipeline had drained the last would overflow
+// it; this one must lose nothing.
+func TestFeedWaitsForThePipelineEachWindow(t *testing.T) {
+	cfg := repro.ScaledConfig(576, 10*time.Minute)
+	pipe, err := stream.NewPipeline(stream.Config{Nodes: cfg.Nodes, StartTime: cfg.StartTime, QueueDepth: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsrv, err := telemetry.NewServer("127.0.0.1:0", pipe.Ingest, pipe.DroppedConns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent, err := runFeed(cfg, pipe, tsrv.Addr(), make(chan struct{}), true, io.Discard)
+	if cerr := tsrv.Close(); err != nil || cerr != nil {
+		t.Fatalf("feed: %v, closing the transport: %v", err, cerr)
+	}
+	pipe.Close()
+	st := pipe.Snapshot().Ingest
+	if sent == 0 || st.Received != sent || st.Dropped+st.Late+st.MergeLate+st.Rejected+st.DroppedConns != 0 {
+		t.Errorf("feed sent %d samples; pipeline %+v", sent, st)
 	}
 }

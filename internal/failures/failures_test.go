@@ -63,8 +63,8 @@ func TestInjectorDeterministic(t *testing.T) {
 	cfg := DefaultConfig(3, 16)
 	a, b := NewInjector(cfg), NewInjector(cfg)
 	for i := 0; i < 50; i++ {
-		ea := a.Sample(int64(i*10), 10, topology.NodeID(i%16), topology.GPUSlot(i%6), activeCtx(40, 0))
-		eb := b.Sample(int64(i*10), 10, topology.NodeID(i%16), topology.GPUSlot(i%6), activeCtx(40, 0))
+		ea := a.SampleInto(nil, int64(i*10), 10, topology.NodeID(i%16), topology.GPUSlot(i%6), activeCtx(40, 0))
+		eb := b.SampleInto(nil, int64(i*10), 10, topology.NodeID(i%16), topology.GPUSlot(i%6), activeCtx(40, 0))
 		if len(ea) != len(eb) {
 			t.Fatalf("event counts diverged at step %d", i)
 		}
@@ -86,7 +86,7 @@ func TestInjectorRateScaleAndComposition(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		node := topology.NodeID(step % 64)
 		slot := topology.GPUSlot(step % 6)
-		for _, e := range in.Sample(int64(step*10), 10, node, slot, activeCtx(42, 0)) {
+		for _, e := range in.SampleInto(nil, int64(step*10), 10, node, slot, activeCtx(42, 0)) {
 			counts[e.Type]++
 			total++
 			if e.Node != node || e.Slot != slot || e.JobID != 7 {
@@ -118,8 +118,8 @@ func TestInjectorIdleVsActive(t *testing.T) {
 	active, idle := 0, 0
 	for step := 0; step < 3000; step++ {
 		node := topology.NodeID(step % 8)
-		active += len(in.Sample(int64(step), 10, node, 0, activeCtx(40, 0)))
-		idle += len(in.Sample(int64(step), 10, node, 0, Context{TempC: 25, TempZ: 0}))
+		active += len(in.SampleInto(nil, int64(step), 10, node, 0, activeCtx(40, 0)))
+		idle += len(in.SampleInto(nil, int64(step), 10, node, 0, Context{TempC: 25, TempZ: 0}))
 	}
 	if active < idle*3 {
 		t.Errorf("active (%d) must far exceed idle (%d) failures", active, idle)
@@ -137,7 +137,7 @@ func TestSuperOffenderConcentration(t *testing.T) {
 	nvlinkTotal, nvlinkOffender := 0, 0
 	for step := 0; step < 8000; step++ {
 		node := topology.NodeID(step % 32)
-		for _, e := range in.Sample(int64(step*10), 10, node, topology.GPUSlot(step%6), activeCtx(40, 0)) {
+		for _, e := range in.SampleInto(nil, int64(step*10), 10, node, topology.GPUSlot(step%6), activeCtx(40, 0)) {
 			if e.Type == NVLinkError {
 				nvlinkTotal++
 				if e.Node == offender {
@@ -164,12 +164,12 @@ func TestThermalSkewDirection(t *testing.T) {
 	cold, hot := 0, 0
 	for step := 0; step < 5000; step++ {
 		node := topology.NodeID(step % 4)
-		for _, e := range in.Sample(int64(step*10), 10, node, 4, activeCtx(35, -2)) {
+		for _, e := range in.SampleInto(nil, int64(step*10), 10, node, 4, activeCtx(35, -2)) {
 			if e.Type == DoubleBitError {
 				cold++
 			}
 		}
-		for _, e := range in.Sample(int64(step*10), 10, node, 4, activeCtx(45, 2)) {
+		for _, e := range in.SampleInto(nil, int64(step*10), 10, node, 4, activeCtx(45, 2)) {
 			if e.Type == DoubleBitError {
 				hot++
 			}
@@ -191,12 +191,12 @@ func TestAbsoluteTempCap(t *testing.T) {
 	below, above := 0, 0
 	for step := 0; step < 5000; step++ {
 		node := topology.NodeID(step % 4)
-		for _, e := range in.Sample(int64(step*10), 10, node, 4, activeCtx(44, 0)) {
+		for _, e := range in.SampleInto(nil, int64(step*10), 10, node, 4, activeCtx(44, 0)) {
 			if e.Type == DoubleBitError {
 				below++
 			}
 		}
-		for _, e := range in.Sample(int64(step*10), 10, node, 4, activeCtx(58, 0)) {
+		for _, e := range in.SampleInto(nil, int64(step*10), 10, node, 4, activeCtx(58, 0)) {
 			if e.Type == DoubleBitError {
 				above++
 			}
@@ -217,7 +217,7 @@ func TestMissingTempFraction(t *testing.T) {
 	in := NewInjector(cfg)
 	missing, total := 0, 0
 	for step := 0; step < 3000; step++ {
-		for _, e := range in.Sample(int64(step*10), 10, topology.NodeID(step%4), 0, activeCtx(40, 0)) {
+		for _, e := range in.SampleInto(nil, int64(step*10), 10, topology.NodeID(step%4), 0, activeCtx(40, 0)) {
 			total++
 			if !e.HasTemp() {
 				missing++
@@ -238,13 +238,13 @@ func TestMissingTempFraction(t *testing.T) {
 
 func TestSampleEdgeCases(t *testing.T) {
 	in := NewInjector(DefaultConfig(1, 4))
-	if got := in.Sample(0, 0, 0, 0, Context{}); got != nil {
+	if got := in.SampleInto(nil, 0, 0, 0, 0, Context{}); got != nil {
 		t.Error("zero window must yield nil")
 	}
-	if got := in.Sample(0, -10, 0, 0, Context{}); got != nil {
+	if got := in.SampleInto(nil, 0, -10, 0, 0, Context{}); got != nil {
 		t.Error("negative window must yield nil")
 	}
-	if got := in.Sample(0, 10, 99, 0, Context{}); got != nil {
+	if got := in.SampleInto(nil, 0, 10, 99, 0, Context{}); got != nil {
 		t.Error("out-of-range node must yield nil")
 	}
 }
@@ -267,6 +267,6 @@ func BenchmarkSample(b *testing.B) {
 	ctx := activeCtx(42, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = in.Sample(int64(i*10), 10, topology.NodeID(i%128), topology.GPUSlot(i%6), ctx)
+		_ = in.SampleInto(nil, int64(i*10), 10, topology.NodeID(i%128), topology.GPUSlot(i%6), ctx)
 	}
 }

@@ -49,7 +49,7 @@ func DefaultConfig(seed uint64, nodes int) InjectorConfig {
 }
 
 // Injector draws XID events. It is deterministic given its config and the
-// order of Sample calls. Not safe for concurrent use.
+// order of SampleInto calls. Not safe for concurrent use.
 type Injector struct {
 	cfg InjectorConfig
 	rs  *rng.Source
@@ -155,20 +155,14 @@ type Context struct {
 	TempZ float64
 }
 
-// Sample draws the XID events for one GPU over a window of windowSec
-// seconds. Cascaded secondary events (page retirements after a double-bit
-// error, driver exceptions after microcontroller warnings) are emitted
-// together with their primaries.
-func (in *Injector) Sample(t int64, windowSec float64, node topology.NodeID,
-	slot topology.GPUSlot, ctx Context) []Event {
-	return in.SampleInto(nil, t, windowSec, node, slot, ctx)
-}
-
-// SampleInto is Sample appending into dst, for callers that reuse an event
-// buffer across windows (the simulator's failure sweep calls it once per
-// GPU per check; a fresh slice per call would dominate steady-state
-// allocations). It returns the extended slice and draws exactly the same
-// random variates as Sample.
+// SampleInto draws the XID events for one GPU over a window of windowSec
+// seconds and appends them to dst, returning the extended slice. Cascaded
+// secondary events (page retirements after a double-bit error, driver
+// exceptions after microcontroller warnings) are emitted together with
+// their primaries. dst lets a caller reuse one event buffer across windows
+// (the simulator's failure sweep calls it once per GPU per check; a fresh
+// slice per call would dominate steady-state allocations); the variates
+// drawn do not depend on it.
 func (in *Injector) SampleInto(dst []Event, t int64, windowSec float64,
 	node topology.NodeID, slot topology.GPUSlot, ctx Context) []Event {
 	if windowSec <= 0 || int(node) >= in.cfg.Nodes {

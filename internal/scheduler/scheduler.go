@@ -28,9 +28,6 @@ type Allocation struct {
 	NodeIDs   []topology.NodeID
 }
 
-// WaitSec returns the queue wait in seconds.
-func (a *Allocation) WaitSec() int64 { return a.StartTime - a.Job.SubmitTime }
-
 // Result is the outcome of scheduling a job population.
 type Result struct {
 	Allocations []Allocation // ordered by start time

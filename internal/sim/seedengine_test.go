@@ -307,8 +307,8 @@ func refRun(t *testing.T, cfg Config) ([]*Snapshot, *Result) {
 							ctx.TempZ = 0
 						}
 					}
-					snap.Failures = append(snap.Failures, s.injector.Sample(
-						tw, window, topology.NodeID(i), topology.GPUSlot(g), ctx)...)
+					snap.Failures = s.injector.SampleInto(snap.Failures,
+						tw, window, topology.NodeID(i), topology.GPUSlot(g), ctx)
 				}
 			}
 			result.Failures = append(result.Failures, snap.Failures...)

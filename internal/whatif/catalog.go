@@ -68,6 +68,17 @@ func Catalog() []Study {
 				{Param: ParamPlacement, Values: []float64{0, 1, 2}},
 			},
 		},
+		{
+			Name: "power-cap",
+			Description: "Paper §8's power-aware scheduling what-if: the heat-wave " +
+				"day under admission caps at about 0.9, 0.8 and 0.7 of the uncapped " +
+				"(nominal) peak, trading peak and p99 power against waits and skips.",
+			Scenario: "summer-capday",
+			Axes: []Axis{
+				// The nominal arm peaks at 0.1455 MW.
+				{Param: ParamPowerCapMW, Values: []float64{0.102, 0.116, 0.131}},
+			},
+		},
 	}
 	sort.Slice(studies, func(a, b int) bool { return studies[a].Name < studies[b].Name })
 	return studies

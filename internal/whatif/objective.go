@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -24,6 +25,11 @@ type Report struct {
 	ITEnergyMWh    float64 `json:"it_energy_mwh"`
 	TotalEnergyMWh float64 `json:"total_energy_mwh"`
 
+	// Power shape: the peak and 99th percentile of the cluster's true
+	// power, what a power cap trades scheduling cost against.
+	PeakPowerMW float64 `json:"peak_power_mw"`
+	P99PowerMW  float64 `json:"p99_power_mw"`
+
 	// Thermal health: time with any GPU in the top (>=60 °C) band, and
 	// the GPU-weighted integral of that occupancy.
 	ViolationSec    float64 `json:"violation_sec"`
@@ -38,6 +44,11 @@ type Report struct {
 	JobsCompleted int     `json:"jobs_completed"`
 	JobsSkipped   int     `json:"jobs_skipped"`
 	Utilization   float64 `json:"utilization"`
+	// JobsPlaced counts the allocation log: every job the run scheduled,
+	// including those set to start after its span; MeanWaitSec is their
+	// mean submit-to-start wait.
+	JobsPlaced  int     `json:"jobs_placed"`
+	MeanWaitSec float64 `json:"mean_wait_sec"`
 
 	// Score is the weighted scalar objective (lower is better).
 	Score float64 `json:"score"`
@@ -81,8 +92,9 @@ func (w Weights) Score(r *Report) float64 {
 }
 
 // assessMetrics fills the purely source-derived metric block shared by
-// Assess and AssessSource — energy, mean PUE, thermal violations,
-// overcooling — and returns the run's end time for job-completion cuts.
+// Assess and AssessSource — energy, mean PUE, peak and p99 power, thermal
+// violations, overcooling, placed jobs and their mean wait — and returns
+// the run's end time for job-completion cuts.
 func assessMetrics(src source.RunSource, rep *Report) (endTime int64, err error) {
 	it, err := src.Series(source.SeriesClusterTruePower)
 	if err != nil {
@@ -100,11 +112,12 @@ func assessMetrics(src source.RunSource, rep *Report) (endTime int64, err error)
 		return 0, fmt.Errorf("inconsistent series lengths")
 	}
 	step := float64(it.Step)
-	var itJ, totJ float64
+	var itJ, totJ, peakW float64
 	for i, v := range it.Vals {
 		if math.IsNaN(v) {
 			continue
 		}
+		peakW = math.Max(peakW, v)
 		itJ += v * step
 		if p := pue.Vals[i]; !math.IsNaN(p) && p >= 1 {
 			totJ += v * p * step
@@ -118,6 +131,8 @@ func assessMetrics(src source.RunSource, rep *Report) (endTime int64, err error)
 	}
 	rep.ITEnergyMWh = units.Joules(itJ).MWh()
 	rep.TotalEnergyMWh = units.Joules(totJ).MWh()
+	rep.PeakPowerMW = peakW / units.WattsPerMW
+	rep.P99PowerMW = stats.Quantile(it.Vals, 0.99) / units.WattsPerMW
 	if itJ > 0 {
 		rep.MeanPUE = totJ / itJ
 	} else {
@@ -129,6 +144,17 @@ func assessMetrics(src source.RunSource, rep *Report) (endTime int64, err error)
 	}
 	rep.OvercoolingTonH = oc.ExcessTonHours
 	rep.OvercoolingEnergyKWh = oc.ExcessEnergyKWh
+	allocs, err := src.Allocations()
+	if err != nil {
+		return 0, err
+	}
+	var waitSec float64
+	for i := range allocs {
+		waitSec += float64(allocs[i].BeginTime - allocs[i].SubmitTime)
+	}
+	if rep.JobsPlaced = len(allocs); rep.JobsPlaced > 0 {
+		rep.MeanWaitSec = waitSec / float64(rep.JobsPlaced)
+	}
 	return it.Start + int64(it.Len())*it.Step, nil
 }
 

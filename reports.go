@@ -17,7 +17,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tsagg"
 	"repro/internal/units"
-	"repro/internal/whatif"
 )
 
 // Report is a rendered experiment: an identifier, the paper's reference
@@ -816,51 +815,5 @@ func ReportYearSurvey(nodes int, seed uint64, spanPerMonth time.Duration, jobs i
 	rep.Body = tab.String() + fmt.Sprintf(
 		"annual PUE %.3f   chiller-season PUE %.3f over %d months   chilled-water fraction %.1f%%\n",
 		sum.MeanPUE, sum.ChillerPUE, sum.ChillerMonths, sum.ChillerFrac*100)
-	return rep, nil
-}
-
-// ReportPowerCap renders the power-aware scheduling what-if (paper §8:
-// "aggressive power and energy aware ... scheduling policies can have
-// impact even on HPC deployments like Summit").
-func ReportPowerCap(base Config, capFracs []float64) (Report, error) {
-	rep := Report{ID: "section-8", Title: "Power-aware scheduling what-if",
-		PaperRef: "the peak/average gap drives overcooling; power-aware admission can narrow it at a scheduling cost"}
-	outcomes, err := whatif.PowerCapExperiment(base, capFracs)
-	if err != nil {
-		return rep, err
-	}
-	tab := render.NewTable("cap (kW)", "peak (kW)", "p99 (kW)", "mean (kW)",
-		"peak/mean", "mean PUE", "wait (min)", "placed", "skipped", "edges")
-	for _, o := range outcomes {
-		capLabel := "none"
-		if o.CapW > 0 {
-			capLabel = fmt.Sprintf("%.0f", o.CapW/units.WattsPerKW)
-		}
-		ratio := 0.0
-		if o.MeanPowerW > 0 {
-			ratio = o.PeakPowerW / o.MeanPowerW
-		}
-		tab.Row(capLabel, o.PeakPowerW/units.WattsPerKW, o.P99PowerW/units.WattsPerKW, o.MeanPowerW/units.WattsPerKW,
-			ratio, o.MeanPUE, o.MeanWaitSec/60, o.JobsPlaced, o.JobsSkipped, o.EdgeCount)
-	}
-	rep.Body = tab.String()
-	return rep, nil
-}
-
-// ReportGenerations renders the Titan-vs-Summit thermal-extremity flip. On
-// failure it returns the report's identity with the error.
-func ReportGenerations(seed uint64) (Report, error) {
-	rep := Report{ID: "section-6-generations", Title: "Generation comparison: Summit vs Titan-mode failure thermal bias",
-		PaperRef: "on Titan, high temperature drove the major errors; on Summit its direct effect is not significant"}
-	cmp, err := core.CompareGenerations(seed, 48, 40, 30000)
-	if err != nil {
-		return rep, err
-	}
-	tab := render.NewTable("hardware failure type", "Summit z-mean", "Titan-mode z-mean")
-	for i, typ := range cmp.Types {
-		tab.Row(typ.String(), cmp.SummitZMean[i], cmp.TitanZMean[i])
-	}
-	rep.Body = tab.String() + fmt.Sprintf("events: %d (Summit mode), %d (Titan mode)\n",
-		cmp.SummitEvents, cmp.TitanEvents)
 	return rep, nil
 }

@@ -10,8 +10,9 @@
 //	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
 //	reports = repro.Render(src)
 //
-// The three reports that run simulations of their own (ReportYearSurvey,
-// ReportPowerCap, ReportGenerations) are functions.
+// One report runs simulations of its own and is a function:
+// ReportYearSurvey, the sampled-year survey. Paper §8's power-cap what-if is
+// the whatif catalog study power-cap, which cmd/repro -powercap renders.
 //
 // The analyses themselves live in internal/core.
 package repro

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/render"
+	"repro/internal/scenario"
 	"repro/internal/source"
 	"repro/internal/topology"
 	"repro/internal/tsagg"
@@ -222,47 +223,95 @@ func TestExtensionReports(t *testing.T) {
 	}
 }
 
-// TestIdentityPinPowerCap freezes the §8 experiment bit for bit — cap
-// watts, power statistics, PUE, waits, utilization — recorded before it
-// moved from internal/core onto the what-if plane's paired-sweep runner.
-func TestIdentityPinPowerCap(t *testing.T) {
-	base := Config{
-		Seed: 13, Nodes: 48, StartTime: 1_577_836_800, DurationSec: 3 * 3600,
-		StepSec: 10, SamplesPerWindow: 1, Jobs: 80,
-	}
-	outcomes, err := whatif.PowerCapExperiment(base, []float64{0.9, 0.75})
+// powerCapStudy runs the power-cap catalog study as optimize -study
+// power-cap and repro -powercap run it.
+func powerCapStudy(t *testing.T) *whatif.SweepResult {
+	t.Helper()
+	study, err := whatif.StudyByName("power-cap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []struct {
-		capW, peak, p99, mean, pue, wait, util uint64
-		placed, skipped, edges                 int
-	}{
-		{0x0000000000000000, 0x40fab3e0332a8939, 0x40f8d11b895b694c, 0x40efb628301d6407,
-			0x3ff1965e2ac5713e, 0x40dc03c266666666, 0x3fedf334282da0eb, 80, 0, 15},
-		{0x40f80849c7a6484d, 0x40f73a5dcd4d87b7, 0x40f72abd68ad36da, 0x40f06fac3a6e169f,
-			0x3ff18348689eaa3d, 0x40d27122be2be2be, 0x3fec722e52f63942, 70, 10, 26},
-		{0x40f406e8265fe6eb, 0x40f3df61e62a8205, 0x40f3a343af56460d, 0x40ef1a0d4cee0ac9,
-			0x3ff18c63c267b8bd, 0x40ce186c4ec4ec4f, 0x3fec6dc2d40abc93, 65, 15, 22},
+	base, err := scenario.Resolve(study.Scenario)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(outcomes) != len(want) {
-		t.Fatalf("outcomes = %d, want %d", len(outcomes), len(want))
+	res, err := whatif.RunGrid(base.Config, study.Axes, whatif.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, o := range outcomes {
-		w := want[i]
-		got := []uint64{
-			math.Float64bits(o.CapW), math.Float64bits(o.PeakPowerW), math.Float64bits(o.P99PowerW),
-			math.Float64bits(o.MeanPowerW), math.Float64bits(o.MeanPUE), math.Float64bits(o.MeanWaitSec),
-			math.Float64bits(o.Utilization),
+	if len(res.Evaluated) != 4 || res.Evaluated[0].Label != "nominal" {
+		t.Fatalf("power-cap study evaluated %d arms, want the nominal arm and three caps", len(res.Evaluated))
+	}
+	return res
+}
+
+// TestPowerCapStudy holds the power-cap study to §8's trade: its caps sit
+// at about 0.7, 0.8 and 0.9 of the nominal arm's peak, each capped peak
+// stays within the admission estimate's slack of its cap, every job of the
+// nominal arm is placed or skipped under each cap, a tighter cap never
+// raises the peak or skips fewer jobs, and no wait is negative.
+func TestPowerCapStudy(t *testing.T) {
+	res := powerCapStudy(t)
+	nominal := res.Evaluated[0]
+	if nominal.PeakPowerMW <= 0 || nominal.JobsPlaced == 0 || nominal.MeanWaitSec < 0 {
+		t.Fatalf("nominal arm malformed: %+v", nominal)
+	}
+	capped := res.Evaluated[1:] // caps ascending: the tightest first
+	for i, r := range capped {
+		capMW := r.Scenario.Params[whatif.ParamPowerCapMW]
+		if frac := capMW / nominal.PeakPowerMW; math.Abs(frac-0.7-0.1*float64(i)) > 0.01 {
+			t.Errorf("%s is %.3f of the nominal peak %.4f MW, want %.1f", r.Label, frac, nominal.PeakPowerMW, 0.7+0.1*float64(i))
 		}
-		for k, wb := range []uint64{w.capW, w.peak, w.p99, w.mean, w.pue, w.wait, w.util} {
-			if got[k] != wb {
-				t.Errorf("arm %d field %d = %#016x, want %#016x", i, k, got[k], wb)
+		if r.PeakPowerMW > capMW*1.15 {
+			t.Errorf("%s: peak %.4f MW blew through its cap", r.Label, r.PeakPowerMW)
+		}
+		if r.JobsPlaced+r.JobsSkipped != nominal.JobsPlaced+nominal.JobsSkipped {
+			t.Errorf("%s: %d placed + %d skipped, nominal %d + %d", r.Label,
+				r.JobsPlaced, r.JobsSkipped, nominal.JobsPlaced, nominal.JobsSkipped)
+		}
+		if r.MeanWaitSec < 0 {
+			t.Errorf("%s: negative mean wait %g s", r.Label, r.MeanWaitSec)
+		}
+		looser := nominal
+		if i+1 < len(capped) {
+			looser = capped[i+1]
+		}
+		if r.PeakPowerMW > looser.PeakPowerMW+1e-6 || r.JobsSkipped < looser.JobsSkipped {
+			t.Errorf("%s: peak %.4f MW and %d skipped beside %s's %.4f MW and %d", r.Label,
+				r.PeakPowerMW, r.JobsSkipped, looser.Label, looser.PeakPowerMW, looser.JobsSkipped)
+		}
+	}
+}
+
+// TestIdentityPinPowerCap freezes the §8 what-if bit for bit: each arm of
+// the power-cap study's peak, p99, IT energy, mean PUE, mean wait,
+// utilization and overcooling, and its placed and skipped jobs. The
+// literals were recorded when the what-if became a catalog study; never
+// regenerate them for a refactor.
+func TestIdentityPinPowerCap(t *testing.T) {
+	want := []struct {
+		peak, p99, it, pue, wait, util, oc uint64
+		placed, skipped                    int
+	}{
+		{0x3fc29f9f685c0050, 0x3fc1b79430e12f74, 0x3ff519d53ee61613, 0x3ff2e0852d4411ca,
+			0x408686739ce739ce, 0x3fd6e8fabb59e264, 0x403d871d03c49557, 31, 0},
+		{0x3fb8936c05ff8f28, 0x3fb8890c7d1b4993, 0x3ff04be329116c66, 0x3ff32e62cdb9ad80,
+			0x408104aaaaaaaaab, 0x3fcc5a25608f467d, 0x40215992d56b117a, 24, 7},
+		{0x3fbaa48863b9d3a1, 0x3fba9884405d4b06, 0x3ff0aa5f449a6fc0, 0x3ff32f7ec2d80f73,
+			0x4080566666666666, 0x3fcd870632d22519, 0x402472a5c81e0880, 25, 6},
+		{0x3fc0958bce9d474f, 0x3fc06c018800252e, 0x3ff2a38be69800a1, 0x3ff311732c4ac37c,
+			0x40807097b425ed09, 0x3fd28a805dc7bc8d, 0x40337e045fc97859, 27, 4},
+	}
+	for i, r := range powerCapStudy(t).Evaluated {
+		w := want[i]
+		got := []float64{r.PeakPowerMW, r.P99PowerMW, r.ITEnergyMWh, r.MeanPUE, r.MeanWaitSec, r.Utilization, r.OvercoolingTonH}
+		for k, wb := range []uint64{w.peak, w.p99, w.it, w.pue, w.wait, w.util, w.oc} {
+			if math.Float64bits(got[k]) != wb {
+				t.Errorf("%s field %d = %#016x, want %#016x", r.Label, k, math.Float64bits(got[k]), wb)
 			}
 		}
-		if o.JobsPlaced != w.placed || o.JobsSkipped != w.skipped || o.EdgeCount != w.edges {
-			t.Errorf("arm %d placed/skipped/edges = %d/%d/%d, want %d/%d/%d", i,
-				o.JobsPlaced, o.JobsSkipped, o.EdgeCount, w.placed, w.skipped, w.edges)
+		if r.JobsPlaced != w.placed || r.JobsSkipped != w.skipped {
+			t.Errorf("%s placed/skipped = %d/%d, want %d/%d", r.Label, r.JobsPlaced, r.JobsSkipped, w.placed, w.skipped)
 		}
 	}
 }
@@ -333,21 +382,6 @@ func TestIdentityPinYearSurvey(t *testing.T) {
 		if b.N != 270 { // 2 700 s of 10 s windows
 			t.Errorf("month %d power box N = %d, want 270", m.Month, b.N)
 		}
-	}
-}
-
-func TestReportPowerCapRenders(t *testing.T) {
-	cfg := ScaledConfig(32, 90*time.Minute)
-	rep, err := ReportPowerCap(cfg, []float64{0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.Body, "none") {
-		t.Errorf("power cap report missing baseline row: %q", rep.Body)
-	}
-	lines := strings.Count(rep.Body, "\n")
-	if lines < 4 {
-		t.Errorf("power cap report too small: %q", rep.Body)
 	}
 }
 
