@@ -356,20 +356,6 @@ func benchName(k string, v int64) string {
 	return fmt.Sprintf("%s=%d", k, v)
 }
 
-// BenchmarkFig5YearSurvey runs the sampled-year seasonal analysis (12
-// parallel monthly simulations) — the heavyweight Figure 5 regenerator.
-func BenchmarkFig5YearSurvey(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		trends, err := core.YearSurvey(core.YearSurveyConfig{
-			Seed: uint64(i), Nodes: 36, SpanPerMonthSec: 3600, Jobs: 15,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = core.SummarizeYear(trends)
-	}
-}
-
 // BenchmarkSection2ThermalBands regenerates the operator-dashboard band
 // summary.
 func BenchmarkSection2ThermalBands(b *testing.B) {

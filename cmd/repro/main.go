@@ -7,7 +7,10 @@
 // of repro.SourceReports (Table 3 and every report that reads a run, the
 // same text the in-memory run prints for them). -figdir exports the same
 // figure data from either, from the reports' own computation. A fleet root
-// is refused: each member directory is an archive of its own.
+// is refused: each member directory is an archive of its own. Figure 5's
+// year of weekly boxes is a year-long archive read the same way:
+//
+//	summitsim -nodes 256 -days 366 -q -out DIR && repro -data DIR
 //
 // A report that fails is named on a "!!" line where it would have printed;
 // repro prints everything else and then exits 1. So does a write to the
@@ -15,7 +18,7 @@
 //
 // Usage:
 //
-//	repro [-nodes N] [-hours H] [-seed S] [-start DAY] [-out report.txt] [-figdir dir] [-year] [-powercap]
+//	repro [-nodes N] [-hours H] [-seed S] [-start DAY] [-out report.txt] [-figdir dir] [-powercap]
 //	repro -data /path/to/archive [-out report.txt] [-figdir dir]
 package main
 
@@ -51,7 +54,7 @@ func main() {
 
 // simFlags shape a simulation; an archive's run is already simulated, so
 // they are refused with -data.
-var simFlags = []string{"nodes", "hours", "seed", "start", "year", "powercap"}
+var simFlags = []string{"nodes", "hours", "seed", "start", "powercap"}
 
 // output is the one writer every line repro prints goes through. It keeps
 // the first write error, after which it writes nothing more.
@@ -78,10 +81,9 @@ func cli(args []string, stdout io.Writer) (err error) {
 	nodes := fs.Int("nodes", 256, "system size in nodes")
 	hours := fs.Float64("hours", 12, "simulated span in hours (at least 600 s)")
 	seed := fs.Uint64("seed", 2020, "simulation seed")
-	startDay := fs.Int("start", 14, "start day-of-year within 2020 (14 = mid-January, 196 = mid-July)")
+	startDay := fs.Int("start", 14, "start day of the year 2020, counted from 0 (14 = mid-January, 196 = mid-July)")
 	out := fs.String("out", "", "write the report to this file (default stdout)")
 	figDir := fs.String("figdir", "", "also export plot-ready CSV data per figure into this directory")
-	year := fs.Bool("year", false, "additionally run the sampled-year seasonal survey (12 parallel monthly sims)")
 	powercap := fs.Bool("powercap", false,
 		"additionally print the §8 power-aware scheduling what-if, the power-cap study of optimize -study power-cap (-nodes, -hours and -seed do not steer it)")
 	dataDir := fs.String("data", "", "print the reports from this archive (a summitsim -out directory) instead of simulating")
@@ -125,13 +127,6 @@ func cli(args []string, stdout io.Writer) (err error) {
 	err = run(w, *nodes, *hours, *seed, *startDay, *figDir)
 	if err != nil && !errors.Is(err, errReportFailed) {
 		return err
-	}
-	if *year {
-		rep, err := repro.ReportYearSurvey(*nodes, *seed, 3*time.Hour, 60)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, rep.String())
 	}
 	if *powercap {
 		rep, err := powerCapReport()

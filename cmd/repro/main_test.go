@@ -99,19 +99,16 @@ func blocks(out string) map[string]string {
 // TestDataMatchesTheInMemoryRun pins the one report path: the archive of
 // the run repro simulates prints, with -data, the same reports — Table 3
 // and every report that reads a run — byte for byte as the in-memory run
-// does, in January and in July.
+// does, in January, in July, and over 15 days that cross two of Figure 5's
+// week boundaries.
 func TestDataMatchesTheInMemoryRun(t *testing.T) {
-	const nodes, hours, seed = 36, 1.0, 7
-	for _, c := range []struct {
-		startDay int
-		start    string
-	}{{14, "2020-01-15T00:00:00Z"}, {196, "2020-07-15T00:00:00Z"}} {
+	for _, c := range dataCases {
 		var mem strings.Builder
-		if err := run(&mem, nodes, hours, seed, c.startDay, ""); err != nil {
+		if err := run(&mem, c.nodes, c.hours, c.seed, c.startDay, ""); err != nil {
 			t.Fatal(err)
 		}
-		golden(t, fmt.Sprintf("repro-day%03d.txt", c.startDay), wallClock.ReplaceAllString(mem.String(), "(- s wall)"))
-		cfg, err := simConfig(nodes, hours, seed, c.startDay)
+		golden(t, c.golden, wallClock.ReplaceAllString(mem.String(), "(- s wall)"))
+		cfg, err := simConfig(c.nodes, c.hours, c.seed, c.startDay)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,48 +128,83 @@ func TestDataMatchesTheInMemoryRun(t *testing.T) {
 		}
 		for _, id := range ids {
 			if want[id] == "" || got[id] != want[id] {
-				t.Errorf("day %d: %s from the archive:\n%s\nin memory:\n%s", c.startDay, id, got[id], want[id])
+				t.Errorf("%s: %s from the archive:\n%s\nin memory:\n%s", c.golden, id, got[id], want[id])
 			}
 		}
 		heads := regexp.MustCompile(`(?m)^== .*$`)
 		if h := heads.FindAllString(arc.String(), -1); len(h) != len(ids) || !reflect.DeepEqual(h, heads.FindAllString(mem.String(), -1)) {
-			t.Errorf("day %d: -data printed %d report headings, want the run's %d:\n%s", c.startDay, len(h), len(ids), arc.String())
+			t.Errorf("%s: -data printed %d report headings, want the run's %d:\n%s", c.golden, len(h), len(ids), arc.String())
 		}
-		if header := "archive " + dir + ": site summit, 36 nodes, span 1.0 h, step 10 s, start " + c.start + "\n"; !strings.Contains(arc.String(), header) {
+		header := fmt.Sprintf("archive %s: site summit, %d nodes, span %.1f h, step 10 s, start %s\n", dir, c.nodes, c.hours, c.start)
+		if !strings.Contains(arc.String(), header) {
 			t.Errorf("-data header, want %q:\n%s", header, arc.String())
 		}
 	}
 }
 
+// runFlags are the simulation flags of one run repro's tests simulate.
+type runFlags struct {
+	nodes    int
+	hours    float64
+	seed     uint64
+	startDay int
+}
+
+// weeks is a 15-day run from January 1: Figure 5's weekly loop across weeks
+// 0, 1 and 2, the loop a year-long archive prints its 53 weeks with.
+var weeks = runFlags{8, 360, 7, 0}
+
+// dataCases are the runs TestDataMatchesTheInMemoryRun archives, each with
+// its start as -data prints it and its golden in testdata.
+var dataCases = []struct {
+	runFlags
+	start  string
+	golden string
+}{
+	{runFlags{36, 1.0, 7, 14}, "2020-01-15T00:00:00Z", "repro-day014.txt"},
+	{runFlags{36, 1.0, 7, 196}, "2020-07-15T00:00:00Z", "repro-day196.txt"},
+	{weeks, "2020-01-01T00:00:00Z", "repro-day000-360h.txt"},
+}
+
 // TestFigureDataFromAnArchive: -figdir with -data writes the files the
-// in-memory run of the archived config writes, with the same bytes.
+// in-memory run of the archived config writes, with the same bytes — for a
+// half-hour run, whose checksums are pinned, and for weeks, whose
+// fig5_cluster_series.csv crosses two week boundaries.
 func TestFigureDataFromAnArchive(t *testing.T) {
-	const nodes, hours, seed, startDay = 36, 0.5, 3, 14
-	memDir, arcDir := t.TempDir(), t.TempDir()
-	if err := run(io.Discard, nodes, hours, seed, startDay, memDir); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		runFlags
+		sums string
+	}{{runFlags{36, 0.5, 3, 14}, "figdata.sha256"}, {weeks, ""}} {
+		memDir, arcDir := t.TempDir(), t.TempDir()
+		if err := run(io.Discard, c.nodes, c.hours, c.seed, c.startDay, memDir); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := simConfig(c.nodes, c.hours, c.seed, c.startDay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli([]string{"-data", archiveOf(t, cfg), "-figdir", arcDir}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		want, got := dirFiles(t, memDir), dirFiles(t, arcDir)
+		if len(want) < 5 || want["fig5_cluster_series.csv"] == "" || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d nodes, %g h: -data -figdir wrote %d files, the run %d, or their bytes differ",
+				c.nodes, c.hours, len(got), len(want))
+		}
+		if c.sums == "" {
+			continue
+		}
+		var names []string
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var sums strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256([]byte(got[name])), name)
+		}
+		golden(t, c.sums, sums.String())
 	}
-	cfg, err := simConfig(nodes, hours, seed, startDay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli([]string{"-data", archiveOf(t, cfg), "-figdir", arcDir}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	want, got := dirFiles(t, memDir), dirFiles(t, arcDir)
-	if len(want) < 5 || !reflect.DeepEqual(got, want) {
-		t.Errorf("-data -figdir wrote %d files, the run %d, or their bytes differ", len(got), len(want))
-	}
-	var names []string
-	for name := range got {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sums strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256([]byte(got[name])), name)
-	}
-	golden(t, "figdata.sha256", sums.String())
 }
 
 // wallClock matches the one figure of repro's output that is not a function
@@ -326,7 +358,7 @@ func TestDataRefusals(t *testing.T) {
 	}
 	for _, name := range simFlags {
 		value := "1"
-		if name == "year" || name == "powercap" {
+		if name == "powercap" {
 			value = "true"
 		}
 		cases = append(cases, struct {

@@ -545,7 +545,6 @@ var keptFlags = map[string]string{
 	"repro.start":    passedBy("Makefile"),
 	"repro.out":      deployment + "the report's output file",
 	"repro.figdir":   passedBy("Makefile"),
-	"repro.year":     selects("README.md", "the sampled-year seasonal survey"),
 	"repro.powercap": selects("README.md", "the §8 power-aware scheduling what-if"),
 	"repro.data":     passedBy("Makefile"),
 

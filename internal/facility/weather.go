@@ -33,7 +33,7 @@ const (
 )
 
 // At returns the conditions at unix time t (seconds). The year phase is
-// anchored so that day-of-year 0 is January 1.
+// anchored so that day 0 of the year is January 1.
 func (w *Weather) At(t int64) Conditions {
 	ft := float64(t)
 	yearPhase := 2 * math.Pi * math.Mod(ft, secondsPerYear) / secondsPerYear

@@ -77,8 +77,9 @@ func Grid(axes []Axis) []Scenario {
 // knob pinned at the best point — the per-knob lever arm of the sweep.
 type Sensitivity struct {
 	Param Param `json:"param"`
-	// BestValue is the knob's value at the best point.
-	BestValue float64 `json:"best_value"`
+	// BestValue is the knob's value at the best point, nil when the best
+	// point sets no value for it (the nominal arm sets none).
+	BestValue *float64 `json:"best_value,omitempty"`
 	// MinScore/MaxScore bound the score along the knob's axis line
 	// through the best point (only over evaluated points).
 	MinScore float64 `json:"min_score"`
@@ -131,7 +132,11 @@ func (r *SweepResult) Summary() string {
 	if len(r.Sensitivity) > 0 {
 		b.WriteString("knob sensitivity (score swing along each axis through the best point):\n")
 		for _, s := range r.Sensitivity {
-			fmt.Fprintf(&b, "  %-22s best %-10.4g swing %10.3f\n", s.Param, s.BestValue, s.Swing)
+			best := "nominal"
+			if s.BestValue != nil {
+				best = strconv.FormatFloat(*s.BestValue, 'g', 4, 64)
+			}
+			fmt.Fprintf(&b, "  %-22s best %-10s swing %10.3f\n", s.Param, best, s.Swing)
 		}
 	}
 	fmt.Fprintf(&b, "pareto frontier (energy MWh, violation s): %d points\n", len(r.Pareto))
@@ -184,10 +189,12 @@ func sensitivities(axes []Axis, evaluated []Report, best Report) []Sensitivity {
 	out := make([]Sensitivity, 0, len(axes))
 	for _, ax := range axes {
 		s := Sensitivity{
-			Param:     ax.Param,
-			BestValue: best.Scenario.Params[ax.Param],
-			MinScore:  math.Inf(1),
-			MaxScore:  math.Inf(-1),
+			Param:    ax.Param,
+			MinScore: math.Inf(1),
+			MaxScore: math.Inf(-1),
+		}
+		if v, ok := best.Scenario.Params[ax.Param]; ok {
+			s.BestValue = &v
 		}
 		for i := range evaluated {
 			if !onAxisLine(&evaluated[i].Scenario, &best.Scenario, ax.Param) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -399,5 +400,43 @@ func TestEvaluateErrors(t *testing.T) {
 	bad := []Scenario{{Params: map[Param]float64{"mystery_knob": 1}}}
 	if _, err := Evaluate(base, bad, Options{}); !errors.Is(err, ErrScenario) {
 		t.Errorf("bad scenario err = %v, want ErrScenario", err)
+	}
+}
+
+// TestSensitivityOfANominalBest: when the nominal arm scores best, each
+// knob's best value is unset — absent from the sweep log and "nominal" in
+// the summary — never the 0 an empty Params map reads as; a best point that
+// sets the knob reports its value.
+func TestSensitivityOfANominalBest(t *testing.T) {
+	axes := []Axis{{Param: ParamPowerCapMW, Values: []float64{0.102, 0.131}}}
+	nominal := Report{Label: "nominal", Score: 1}
+	capped := func(mw, score float64) Report {
+		return Report{Scenario: Scenario{Params: map[Param]float64{ParamPowerCapMW: mw}}, Label: "capped", Score: score}
+	}
+	for _, c := range []struct {
+		evaluated []Report
+		best      int
+		summary   string
+		json      string
+	}{
+		{[]Report{nominal, capped(0.102, 4), capped(0.131, 2)}, 0, "best nominal ", ""},
+		{[]Report{{Label: "nominal", Score: 5}, capped(0.102, 4), capped(0.131, 2)}, 2, "best 0.131 ", `"best_value": 0.131`},
+	} {
+		best := c.evaluated[c.best]
+		sens := sensitivities(axes, c.evaluated, best)
+		if len(sens) != 1 || sens[0].Swing != 3 {
+			t.Fatalf("best %s: sensitivity = %+v, want one knob with swing 3", best.Label, sens)
+		}
+		res := SweepResult{Strategy: "grid", Evaluated: c.evaluated, Baseline: c.evaluated[0], Best: best, Sensitivity: sens}
+		if got := res.Summary(); !strings.Contains(got, "power_cap_mw") || !strings.Contains(got, c.summary) {
+			t.Errorf("best %s: summary lacks %q:\n%s", best.Label, c.summary, got)
+		}
+		var log bytes.Buffer
+		if err := res.WriteJSON(&log); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(log.String(), `"best_value"`); got != (c.json != "") || !strings.Contains(log.String(), c.json) {
+			t.Errorf("best %s: sweep log best_value, want %q:\n%s", best.Label, c.json, log.String())
+		}
 	}
 }

@@ -790,30 +790,3 @@ func overcooling(src source.RunSource) (string, []Figure, error) {
 	fmt.Fprintf(&b, "share after falling edges (de-staging lag): %.1f%%\n", rep.PostFallShare*100)
 	return b.String(), nil, nil
 }
-
-// ReportYearSurvey renders the sampled-year seasonal analysis — the full
-// Figure 5 story (power boxes, PUE seasonality, chilled-water season).
-func ReportYearSurvey(nodes int, seed uint64, spanPerMonth time.Duration, jobs int) (Report, error) {
-	rep := Report{ID: "figure-5-year", Title: "Sampled-year seasonal survey",
-		PaperRef: "PUE 1.11 annual, 1.22 summer; chilled water ~20% of the year, concentrated in the humid months"}
-	trends, err := core.YearSurvey(core.YearSurveyConfig{
-		Seed:            seed,
-		Nodes:           nodes,
-		SpanPerMonthSec: int64(spanPerMonth / time.Second),
-		Jobs:            jobs,
-	})
-	if err != nil {
-		return rep, err
-	}
-	tab := render.NewTable("month", "wet bulb (°C)", "power med (MW)", "power max (MW)",
-		"energy (MWh)", "PUE mean", "PUE max", "chiller %")
-	for _, t := range trends {
-		tab.Row(t.Month, t.WetBulbMean, t.Power.Median/units.WattsPerMW, t.Power.Max/units.WattsPerMW,
-			t.EnergyJ/units.JoulesPerMWh, t.MeanPUE, t.MaxPUE, t.ChillerFrac*100)
-	}
-	sum := core.SummarizeYear(trends)
-	rep.Body = tab.String() + fmt.Sprintf(
-		"annual PUE %.3f   chiller-season PUE %.3f over %d months   chilled-water fraction %.1f%%\n",
-		sum.MeanPUE, sum.ChillerPUE, sum.ChillerMonths, sum.ChillerFrac*100)
-	return rep, nil
-}

@@ -10,9 +10,10 @@
 //	src, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
 //	reports = repro.Render(src)
 //
-// One report runs simulations of its own and is a function:
-// ReportYearSurvey, the sampled-year survey. Paper §8's power-cap what-if is
-// the whatif catalog study power-cap, which cmd/repro -powercap renders.
+// Every report read from a run is a SourceReports entry; Figure 5's year is
+// a year-long run (summitsim -days 366) read the same way. Paper §8's
+// power-cap what-if is the whatif catalog study power-cap, which cmd/repro
+// -powercap renders as its section-8 report.
 //
 // The analyses themselves live in internal/core.
 package repro

@@ -316,89 +316,6 @@ func TestIdentityPinPowerCap(t *testing.T) {
 	}
 }
 
-// TestIdentityPinYearSurvey freezes the sampled-year survey bit for bit:
-// each month's power box, energy, PUE mean and max, chiller fraction and
-// wet-bulb mean. The literals were recorded before the collector wrote its
-// run straight into the memory source; never regenerate them for a
-// refactor.
-func TestIdentityPinYearSurvey(t *testing.T) {
-	trends, err := core.YearSurvey(core.YearSurveyConfig{Seed: 7, Nodes: 24, SpanPerMonthSec: 2700, Jobs: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [12][12]uint64{
-		{0x40cbe78f0c8c3913, 0x40dabdd4e8d37c00, 0x40db1b4479a309e7, 0x40db4ee6b877edb6,
-			0x40db6578353104a1, 0x40d9e87f2aaa9c96, 0x40db6578353104a1, 0x41917bbeb7a05f26,
-			0x3ff1c003cbb0c83d, 0x3ff28823b0ad8e2c, 0x0000000000000000, 0xc0231c48996893b5},
-		{0x40cc6f325088c662, 0x40cc6f325088c662, 0x40d9950c2d52d190, 0x40e9a2f9afbeba46,
-			0x40ecc27d5d5424a8, 0x40cc6f325088c662, 0x40ecc27d5d5424a8, 0x4194bbb89c5d7e26,
-			0x3ff1e83a2decc5b0, 0x3ff2cbc49c62475c, 0x0000000000000000, 0xc014c2c4736dff38},
-		{0x40cc215f71e18ceb, 0x40d33446ac31defa, 0x40d354a995014a44, 0x40d592bb2172883f,
-			0x40d5c9fe6258b8b2, 0x40d311c282234c88, 0x40d5c9fe6258b8b2, 0x418a540d9d90a2c5,
-			0x3ff226464b139cf7, 0x3ff2bbfbb07bde65, 0x0000000000000000, 0xbfe0363cdf279044},
-		{0x40cc184c40ccd928, 0x40d39cf58dc4b24d, 0x40dfbcad14c823ca, 0x40e304d9afd5cb6b,
-			0x40e3c6bd5954b34e, 0x40cc184c40ccd928, 0x40e3c6bd5954b34e, 0x41933029fa6a6d31,
-			0x3ff1d0f9c2886d9b, 0x3ff3109374534532, 0x0000000000000000, 0x40214cfbedc3d689},
-		{0x40cc3751a1883d31, 0x40edfbecfe8ddd60, 0x40edff9e90d9749d, 0x40ee03535ef863a6,
-			0x40ee09f7f2e67be6, 0x40edf40588126b7c, 0x40ee09f7f2e67be6, 0x41a2fae941ba9642,
-			0x3ff1af69bef85d7b, 0x3ff337280199c65c, 0x3fee93e93e93e93f, 0x4031be08f3893f5a},
-		{0x40cc3954bee44a6a, 0x40d855d1a0f31424, 0x40e357fb431eb8dc, 0x40ebf13087412ebc,
-			0x40ec1529f408d63f, 0x40cc3954bee44a6a, 0x40ec1529f408d63f, 0x4198b7bcb9aea711,
-			0x3ff2d89254d45c64, 0x3ff875e0e90c7559, 0x3fef684bda12f685, 0x4032e74f88e7cd0a},
-		{0x40cc33a8544385f3, 0x40e42544bdc06224, 0x40ea1a6f5045d6b9, 0x40ec7022d370abba,
-			0x40ecd0a356fea13a, 0x40d5971ef6e7db82, 0x40ecd0a356fea13a, 0x419e876f37f47767,
-			0x3ff33336809e0e40, 0x3ff605b22d10ace3, 0x3fefc3518a6dfc35, 0x40345f14941e17f6},
-		{0x40cc3e855057a6c0, 0x40e26de6f90ca8ed, 0x40e621ac84fdff5e, 0x40e62916a6e470a2,
-			0x40e63a3cac808369, 0x40dd65e3c7cf5c23, 0x40e63a3cac808369, 0x419a28f8d7a443d7,
-			0x3ff230ff44047077, 0x3ff39d99298e232a, 0x3feed097b425ed09, 0x40322e31a447108c},
-		{0x40cbf661061fafda, 0x40d421b465777508, 0x40db2f44eaada328, 0x40dd8654985b8a7b,
-			0x40e0a05c57e251ee, 0x40cbf661061fafda, 0x40e0a05c57e251ee, 0x4190b3ec1d5222ae,
-			0x3ff1e663f8cc4c4b, 0x3ff2be56f7c6406b, 0x0000000000000000, 0x402339712dcd37a1},
-		{0x40cc2f10e2d02ce9, 0x40d44d4cf759e244, 0x40dad42f82565dce, 0x40e1cd6273f2d3bc,
-			0x40ed5af953ccde5f, 0x40cc2f10e2d02ce9, 0x40ed46c544c856fb, 0x41957f727aaf7212,
-			0x3ff1ddb0a12e499b, 0x3ff2d3803c912b0f, 0x0000000000000000, 0x4008167cb88dadc3},
-		{0x40cbe5101f3f0d7e, 0x40dbd0ee1bd7a9dc, 0x40ed591b2c5b0248, 0x40ed6665d5e52e2e,
-			0x40ed7fae8b334264, 0x40cbe5101f3f0d7e, 0x40ed7fae8b334264, 0x419d3f5e39306ef0,
-			0x3ff184233b31eaa0, 0x3ff2c018ad5f785a, 0x0000000000000000, 0xbffdc0fc0a25d48f},
-		{0x40cc17212fe1fdae, 0x40d2a6a1e8fa94ce, 0x40d6b40c0d496496, 0x40db55b2e8cba5ef,
-			0x40e55c35ea6b900e, 0x40cc17212fe1fdae, 0x40e36776dc0c6d4e, 0x418dd1ed68f6a9fd,
-			0x3ff21ba3b92bfb6f, 0x3ff2e89b7d993464, 0x0000000000000000, 0xc024ed4f6af18bb2},
-	}
-	if len(trends) != len(want) {
-		t.Fatalf("months = %d, want %d", len(trends), len(want))
-	}
-	for i, m := range trends {
-		b := m.Power
-		got := [12]uint64{}
-		for k, v := range []float64{b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Lo, b.Hi,
-			m.EnergyJ, m.MeanPUE, m.MaxPUE, m.ChillerFrac, m.WetBulbMean} {
-			got[k] = math.Float64bits(v)
-		}
-		for k := range got {
-			if got[k] != want[i][k] {
-				t.Errorf("month %d field %d = %#016x, want %#016x", m.Month, k, got[k], want[i][k])
-			}
-		}
-		if b.N != 270 { // 2 700 s of 10 s windows
-			t.Errorf("month %d power box N = %d, want 270", m.Month, b.N)
-		}
-	}
-}
-
-func TestReportYearSurveyRenders(t *testing.T) {
-	rep, err := ReportYearSurvey(24, 7, 45*time.Minute, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.Body, "annual PUE") {
-		t.Errorf("year survey report missing summary: %q", rep.Body)
-	}
-	// All 12 months present.
-	if strings.Count(rep.Body, "\n") < 14 {
-		t.Errorf("year survey missing months: %q", rep.Body)
-	}
-}
-
 func TestWriteFigureData(t *testing.T) {
 	d := testRun(t)
 	dir := t.TempDir()
