@@ -229,6 +229,9 @@ fleet-smoke:
 # reaches the decoded-table cache: the first misses and streams, the second
 # misses and admits the day, the third hits it. A -nodes that contradicts
 # the archive's run manifest must stop queryd at start, naming the flag.
+# Last, the fleet rollup at step 600 must have the fleet range's windows
+# (t, count, min, max, mean): both put each row in the window its
+# timestamp names.
 queryd-smoke:
 	$(GO) build -o /tmp/qdsmoke-summitsim ./cmd/summitsim
 	$(GO) build -o /tmp/qdsmoke-queryd ./cmd/queryd
@@ -270,8 +273,14 @@ queryd-smoke:
 	hits=$$(( $$(field "$$after" store_hits) - $$(field "$$before" store_hits) )); \
 	if [ $$misses -ne 2 ] || [ $$hits -lt 1 ] || [ $$(field "$$after" entries) -le $$(field "$$before" entries) ]; then \
 		echo "queryd-smoke: three node ranges over one day: table cache went from $$before to $$after, want +2 misses, one more entry, then a hit on it"; exit 1; fi; \
-	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304; each partition indexed once; a node-power day streamed, then admitted, then served resident"
-	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-*.json /tmp/qdsmoke-range2.hdr /tmp/qdsmoke-refused.txt
+	curl -sf "$$base/api/v1/rollup?dataset=node-power&column=input_power.mean&group=fleet&step=600" > /tmp/qdsmoke-rollup.json; \
+	windows() { grep -o '{"t":[^}]*}' "$$1" | sed -e 's/,"std":[^,}]*//' -e 's/,"sum":[^,}]*//'; }; \
+	windows /tmp/qdsmoke-rollup.json > /tmp/qdsmoke-rollup-windows.txt; \
+	test -s /tmp/qdsmoke-rollup-windows.txt; \
+	if ! windows /tmp/qdsmoke-range1.json | cmp -s - /tmp/qdsmoke-rollup-windows.txt; then \
+		echo "queryd-smoke: the fleet rollup's windows at step 600 differ from the fleet range's (t, count, min, max, mean)"; exit 1; fi; \
+	echo "queryd-smoke: bands and the fleet range computed once; range served from pre-aggregates, then from the reply cache, then 304; each partition indexed once; a node-power day streamed, then admitted, then served resident; the fleet rollup's windows are the fleet range's"
+	rm -rf /tmp/qdsmoke-archive /tmp/qdsmoke-summitsim /tmp/qdsmoke-queryd /tmp/qdsmoke-*.json /tmp/qdsmoke-range2.hdr /tmp/qdsmoke-refused.txt /tmp/qdsmoke-rollup-windows.txt
 
 # serve-smoke drives both daemons' real mains through their whole life — the
 # only check that does: start the built queryd and streamd, fetch /healthz

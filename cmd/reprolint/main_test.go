@@ -97,7 +97,7 @@ func TestRepoIsLintClean(t *testing.T) {
 var keptUncalled = map[string]string{
 	// The oracle of a named test.
 	"stats.StudentTCDF":            oracle + "TestStudentTTwoSidedP",
-	"tsagg.Coarsen":                oracle + "query.TestRangeDownsampleMatchesCoarsen",
+	"tsagg.Coarsen":                oracle + "the one window rule: query.TestRangeDownsampleMatchesCoarsen and tsagg.TestCoarsenIsAPerWindowRelation",
 	"core.EarlyWarning":            oracle + "TestOperatorsMatchReferences",
 	"nodesim.NewState":             oracle + "TestFleetMatchesStateBitwise",
 	"(*nodesim.State).Step":        oracle + "TestFleetMatchesStateBitwise",

@@ -159,6 +159,26 @@ func TestFigure5Trends(t *testing.T) {
 	}
 }
 
+// TestFigure5TrendsWithoutChilledWater: a run whose chillers never carry
+// load has no chilled-water PUE to report. It reads NaN, not a PUE of 0.
+func TestFigure5TrendsWithoutChilledWater(t *testing.T) {
+	const n = 360 // one hour of 10 s windows
+	power, pue, chiller := tsagg.NewSeries(0, 10, n), tsagg.NewSeries(0, 10, n), tsagg.NewSeries(0, 10, n)
+	for i := 0; i < n; i++ {
+		power.Vals[i], pue.Vals[i], chiller.Vals[i] = 4e6+float64(i), 1.1, 0
+	}
+	rep, err := Figure5Trends(&source.MemorySource{SeriesByName: map[string]*tsagg.Series{
+		source.SeriesClusterPower: power, source.SeriesPUE: pue, source.SeriesChillerTons: chiller,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(rep.SummerPUE) || rep.ChillerFrac != 0 || math.Abs(rep.MeanPUE-1.1) > 1e-12 {
+		t.Errorf("chilled-water PUE %v, fraction %v, mean PUE %v; want NaN, 0, 1.1",
+			rep.SummerPUE, rep.ChillerFrac, rep.MeanPUE)
+	}
+}
+
 func TestFigure6EnergyPower(t *testing.T) {
 	d := testData(t)
 	recs := d.Source().Jobs

@@ -24,7 +24,7 @@ type TrendReport struct {
 	EnergyWeekly []float64     // J per week
 	PUEWeekly    []WeeklyTrend
 	MeanPUE      float64
-	SummerPUE    float64 // mean PUE while chillers carry load
+	SummerPUE    float64 // mean PUE while chillers carry load; NaN if they never do
 	ChillerFrac  float64 // fraction of windows on chilled water
 	// PowerPUECorr is the Pearson correlation between cluster power and
 	// PUE across windows; the paper observes the two are "noticeably
@@ -89,6 +89,7 @@ func Figure5Trends(src source.RunSource) (*TrendReport, error) {
 		rep.MeanPUE = pueSum / pueN
 		rep.ChillerFrac = chillN / pueN
 	}
+	rep.SummerPUE = math.NaN()
 	if chillN > 0 {
 		rep.SummerPUE = chillSum / chillN
 	}

@@ -68,9 +68,10 @@ func mutations() []mutation {
 			after("func DetectEdgesThreshold(s *tsagg.Series, threshold float64) []Edge {", probeClock),
 		// The online edge operator: the sweep, its own root and the live
 		// plane's applyFrame root all reach it; still one diagnostic. stats
-		// is loaded so that stream's allocfree path has no unknown callee.
+		// and tsagg are loaded so that stream's allocfree path has no
+		// unknown callee.
 		mutation{name: "clock in core.(*EdgeDetector).Push", pkg: "repro/internal/core", file: "edges.go", imp: "time",
-			with: []string{"repro/internal/stream", "repro/internal/stats"}, want: "determinism", wantMsg: "time.Now reads the wall clock"}.
+			with: []string{"repro/internal/stream", "repro/internal/stats", "repro/internal/tsagg"}, want: "determinism", wantMsg: "time.Now reads the wall clock"}.
 			after("func (d *EdgeDetector) Push(t int64, v float64) {", probeClock),
 		mutation{name: "clock in source.WriteArchive", pkg: "repro/internal/source", file: "layout.go", imp: "time",
 			want: "determinism", wantMsg: "time.Now reads the wall clock"}.

@@ -1,14 +1,16 @@
 // Package query is the online serving tier over the telemetry archive: a
-// sharded, cached time-series query engine on top of store.Dataset. It is
+// parallel, cached time-series query engine on top of store.Dataset. It is
 // the reproduction's equivalent of the interactive analyst workflow over the
 // paper's 8.5 TB parquet archive — range selection, server-side
-// downsampling (reusing the tsagg coarsener) and fleet rollups over the
-// floor topology — behind the HTTP endpoints of cmd/queryd.
+// downsampling and fleet rollups over the floor topology — behind the HTTP
+// endpoints of cmd/queryd. Every windowed read puts a row in the window its
+// own timestamp names, so a fleet-wide downsample and a fleet rollup are
+// one fold.
 //
 // The engine prunes day partitions with the store's per-day row-range
 // metadata, scans surviving partitions in parallel, and keeps decoded
-// tables in a size-bounded sharded LRU so repeated queries skip the
-// gzip+delta decode (the measured hot path).
+// tables in the archive's size-bounded LRU so repeated queries skip the
+// decode (the measured hot path).
 package query
 
 import (
@@ -125,8 +127,9 @@ type RangeRequest struct {
 	// T0/T1 bound the half-open time range.
 	T0, T1 int64
 	// Step > 0 downsamples server-side into Step-second windows
-	// (count/min/max/mean/std, assigned by the tsagg coarsener's rule); 0
-	// returns raw points.
+	// (count/min/max/mean/std), each row in the window its timestamp names:
+	// over every node, the fleet rollup's windows, from the pre-aggregates
+	// wherever the rollup would take them. 0 returns raw points.
 	Step int64
 	// Limit > 0 is the most points or windows the caller will take: the
 	// scan stops with ErrTooLarge once the answer would exceed it, instead
@@ -216,30 +219,12 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 		res.Points, err = e.rangePoints(ctx, days, spec, req, &res.Stats)
 		return res, err
 	}
-	g, err := newGrid(days, req.T0, req.T1, req.Step, 1, req.Limit)
+	g, cells, err := e.fold(ctx, x, days, RollupRequest{
+		Dataset: req.Dataset, Column: req.Column, Group: GroupFleet,
+		T0: req.T0, T1: req.T1, Step: req.Step, Limit: req.Limit,
+	}, req.Node, spec, &res.Stats)
 	if err != nil {
 		return nil, err
-	}
-	cells := make([]stats.Moments, g.n)
-	// A fleet-wide range on the pre-aggregation grid is the fleet rollup's
-	// accumulator under another reply shape, as long as the coarsener's
-	// late rule — which a rollup does not have — moves no row.
-	preagg := false
-	if req.Node < 0 && windowsInOrder(days, req.Step) {
-		preagg, err = e.preaggRollup(ctx, x, days, RollupRequest{
-			Dataset: req.Dataset, Column: req.Column, Group: GroupFleet,
-			T0: req.T0, T1: req.T1, Step: req.Step,
-		}, g, cells, &res.Stats)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !preagg {
-		clear(cells) // a pre-aggregate read may give up half way
-		proto := windowSink{g: g, cells: cells, node: req.Node, late: true}
-		if err := e.windowScan(ctx, days, spec, proto, &res.Stats); err != nil {
-			return nil, err
-		}
 	}
 	res.Windows = make([]tsagg.WindowStat, 0, g.n)
 	for i := range cells {
@@ -253,25 +238,35 @@ func (e *Engine) rangeQuery(ctx context.Context, req RangeRequest) (*RangeResult
 	return res, nil
 }
 
-// windowsInOrder reports that a serial scan of days meets step-windows in
-// non-decreasing order and each window in one partition only: every
-// partition is time-sorted and opens in a later window than its predecessor
-// closed in. No row is then late for the coarsener, and no window's
-// accumulator is split over two companion rows (merging two is not the
-// serial fold, bit for bit).
-func windowsInOrder(days []store.DayMeta, step int64) bool {
-	for i, m := range days {
-		if !m.TimeSorted || !m.HasTime {
-			return false
-		}
-		if i > 0 {
-			prev := days[i-1].MaxTime
-			if m.MinTime-tsagg.FloorMod(m.MinTime, step) <= prev-tsagg.FloorMod(prev, step) {
-				return false
-			}
-		}
+// fold is every windowed read — a range with Step > 0 (the fleet rollup
+// under another reply shape) and a rollup alike — and puts each row in the
+// window its own timestamp names. It sizes the window axis from day
+// metadata, refusing an over-budget one before a partition is read; then
+// answers from the persisted pre-aggregates where preaggRollup admits them,
+// and scans otherwise. node >= 0 keeps one node's rows, which no
+// pre-aggregate holds. Returns the axis and its dense [group][window] cells.
+func (e *Engine) fold(ctx context.Context, x *store.Index, days []store.DayMeta,
+	req RollupRequest, node int64, spec scanSpec, qs *QueryStats) (grid, []stats.Moments, error) {
+	proto := windowSink{node: node}
+	groups := 1
+	switch req.Group {
+	case GroupCabinet:
+		proto.groupOf, groups = e.cabinetOf, e.floor.Cabinets()
+	case GroupMSB:
+		proto.groupOf, groups = e.msbOf, e.floor.MSBs()
 	}
-	return true
+	g, err := newGrid(days, req.T0, req.T1, req.Step, groups, req.Limit)
+	if err != nil {
+		return g, nil, err
+	}
+	proto.g, proto.cells = g, make([]stats.Moments, groups*g.n)
+	if node < 0 {
+		if ok, err := e.preaggRollup(ctx, x, days, req, g, proto.cells, qs); ok || err != nil {
+			return g, proto.cells, err
+		}
+		clear(proto.cells) // a pre-aggregate read may give up half way
+	}
+	return g, proto.cells, e.windowScan(ctx, days, spec, proto, qs)
 }
 
 // rangePoints runs the raw (step = 0) scan. Each chunk's sink appends

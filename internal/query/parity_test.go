@@ -311,9 +311,9 @@ func TestPreaggFallsBackWhenUnaligned(t *testing.T) {
 	}
 }
 
-// TestWindowsInOrder pins the gate between a fleet range and the
-// pre-aggregates: every partition sorted, each opening in a later window than
-// its predecessor closed in.
+// TestWindowsInOrder pins the split-window gate between a windowed read and
+// the pre-aggregates: each partition opening in a later window than its
+// predecessor closed in, sorted or not.
 func TestWindowsInOrder(t *testing.T) {
 	day := func(min, max int64, sorted bool) store.DayMeta {
 		return store.DayMeta{HasTime: true, MinTime: min, MaxTime: max, TimeSorted: sorted}
@@ -325,12 +325,12 @@ func TestWindowsInOrder(t *testing.T) {
 	}{
 		{"none", nil, true},
 		{"one sorted", []store.DayMeta{day(0, 86390, true)}, true},
-		{"one unsorted", []store.DayMeta{day(0, 86390, false)}, false},
+		{"one unsorted", []store.DayMeta{day(0, 86390, false)}, true},
 		{"back to back", []store.DayMeta{day(0, 86390, true), day(86400, 172790, true)}, true},
 		{"negative times", []store.DayMeta{day(-1200, -610, true), day(-600, -10, true)}, true},
 		{"opens inside its predecessor's span", []store.DayMeta{day(0, 86390, true), day(81400, 172790, true)}, false},
 		{"opens in its predecessor's last window", []store.DayMeta{day(0, 86000, true), day(86390, 172790, true)}, false},
-		{"second unsorted", []store.DayMeta{day(0, 86390, true), day(86400, 172790, false)}, false},
+		{"second unsorted", []store.DayMeta{day(0, 86390, true), day(86400, 172790, false)}, true},
 		{"no time span", []store.DayMeta{{TimeSorted: true}}, false},
 	}
 	for _, tc := range cases {
@@ -340,11 +340,109 @@ func TestWindowsInOrder(t *testing.T) {
 	}
 }
 
+// seamSpans are the spans of the seam archive the pre-aggregate gate
+// decides on, and whether it admits the companions for each: a window whose
+// rows lie in two partitions (day 2 opens inside day 1's span) is refused.
+var seamSpans = []struct {
+	name, column string
+	t0, t1       int64
+	preagg       bool
+}{
+	{"sorted day", "input_power.mean", 0, daySec, true},
+	{"unsorted day", "input_power.mean", daySec, 2 * daySec, false},
+	{"day opening inside the unsorted one", "input_power.mean", 2*daySec - 6000, 3 * daySec, false},
+	{"the same day from its own midnight", "input_power.mean", 2 * daySec, 3 * daySec, true},
+	{"two sorted days", "input_power.mean", 2 * daySec, 4 * daySec, true},
+	{"jittered duplicates", "input_power.mean", 3 * daySec, math.MaxInt64, true},
+	{"whole archive", "input_power.mean", -50, math.MaxInt64, false},
+	{"column the companion lacks", "input_power.count", 0, daySec, false},
+}
+
+// TestRollupPreaggRefusesASplitWindow runs the seam spans as fleet, cabinet
+// and MSB rollups at the pre-aggregation step, with companions present: a
+// rollup takes them only where no window's rows lie in two partitions —
+// merging two companion accumulators is not the scan's fold — and is the
+// oracle's answer, bit for bit, at every worker count.
+func TestRollupPreaggRefusesASplitWindow(t *testing.T) {
+	dir := t.TempDir()
+	writeSeamArchive(t, dir)
+	writePreaggCompanion(t, dir)
+	tcfg, err := topology.PresetScaled("", fixNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := topology.MustNew(tcfg)
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 7} {
+		e, err := Open(Config{Dir: dir, Nodes: fixNodes, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range seamSpans {
+			for _, group := range []GroupBy{GroupFleet, GroupCabinet, GroupMSB} {
+				req := RollupRequest{Dataset: "node-power", Column: sp.column, Group: group,
+					T0: sp.t0, T1: sp.t1, Step: source.RollupStepSec}
+				ro, err := e.Rollup(ctx, req)
+				if err != nil {
+					t.Fatalf("workers=%d %s %s: %v", workers, sp.name, group, err)
+				}
+				if ro.Stats.Preagg != sp.preagg {
+					t.Errorf("workers=%d %s %s: preagg=%v, want %v", workers, sp.name, group, ro.Stats.Preagg, sp.preagg)
+				}
+				if d := diffRollup(&RollupResult{Series: oracleRollup(t, dir, floor, req)}, ro); d != "" {
+					t.Errorf("workers=%d %s %s: %s", workers, sp.name, group, d)
+				}
+			}
+		}
+	}
+}
+
+// TestFleetRangeIsTheFleetRollup: every windowed read folds each row into
+// the window its timestamp names, so on the seam archive — stragglers,
+// an unsorted day, a window split over two partitions — a fleet-wide range
+// is the fleet rollup window for window, on and off the pre-aggregation
+// grid, at every worker count.
+func TestFleetRangeIsTheFleetRollup(t *testing.T) {
+	dir := t.TempDir()
+	writeSeamArchive(t, dir)
+	writePreaggCompanion(t, dir)
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 7} {
+		e, err := Open(Config{Dir: dir, Nodes: fixNodes, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range seamSpans {
+			for _, step := range []int64{7, 60, 600, 777, 1800, 86400} {
+				name := fmt.Sprintf("workers=%d %s step %d", workers, sp.name, step)
+				res, err := e.Range(ctx, RangeRequest{Dataset: "node-power", Column: sp.column, Node: -1,
+					T0: sp.t0, T1: sp.t1, Step: step})
+				if err != nil {
+					t.Fatalf("%s: range: %v", name, err)
+				}
+				ro, err := e.Rollup(ctx, RollupRequest{Dataset: "node-power", Column: sp.column, Group: GroupFleet,
+					T0: sp.t0, T1: sp.t1, Step: step})
+				if err != nil {
+					t.Fatalf("%s: rollup: %v", name, err)
+				}
+				if len(ro.Series) != 1 || len(ro.Series[0].Windows) != len(res.Windows) {
+					t.Fatalf("%s: %d range windows, rollup %+v", name, len(res.Windows), ro.Series)
+				}
+				for i, w := range ro.Series[0].Windows {
+					if r := res.Windows[i]; r.T != w.T || r.Count != w.Count || !bitsEq(r.Min, w.Min) ||
+						!bitsEq(r.Max, w.Max) || !bitsEq(r.Mean, w.Mean) {
+						t.Fatalf("%s: window %d: range %+v, rollup %+v", name, i, r, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFleetRangePreaggRefusals walks the seam archive (an unsorted day, a day
-// that opens inside its predecessor's span — where TestLateSamplesJoinTheOpenWindow
-// shows range and rollup legitimately differ) with companions present: the
-// fleet range takes them only where no row can be late, and is the oracle's
-// answer either way. A column the companion lacks and a companion on a
+// that opens inside its predecessor's span) with companions present: the
+// fleet range takes them only where no window's rows lie in two partitions,
+// and is the oracle's answer either way. A column the companion lacks and a companion on a
 // foreign grid fall back too, as do a day re-written without its companion
 // (the old one goes with it: nothing stale is ever served) and an archive
 // whose companions are the separate files earlier builds wrote.

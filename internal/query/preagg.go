@@ -11,23 +11,24 @@ import (
 )
 
 // preaggRollup tries to answer a rollup — or the fleet-wide range that is
-// GroupFleet under another reply shape (see rangeQuery) — from the persisted
+// GroupFleet under another reply shape (see fold) — from the persisted
 // pre-aggregates: the companion partition the collector appends to each
 // per-node partition in its file (store.Dataset.Companion), so a day and its
 // companion are always one write. It applies only when the requested window
-// matches the persisted aggregation grid and the range boundaries cannot
-// split a window: then every needed accumulator exists verbatim in the
-// companions, and the answer is bit-identical to a full scan — the companion
-// stores the exact Welford state the scan path would have computed, in the
-// same fold order. The accumulators land in cells, the dense [group][window]
-// table the scan would have filled; days are the partitions the range
-// keeps, whose companions hold every window the range overlaps. Returns
-// ok=false (with no error) whenever one of them has no answerable companion —
-// none at all, as in a day written without a floor or an archive with the
-// earlier separate ".rollup" files, or one without the column — leaving the
-// scan to run (cells may then be partly written).
+// matches the persisted aggregation grid, the range boundaries cannot split
+// a window, and no window's rows lie in two partitions (windowsInOrder):
+// then every needed accumulator exists verbatim in exactly one companion,
+// and the answer is bit-identical to a full scan — the companion stores the
+// exact Welford state the scan path would have computed, in the same fold
+// order. The accumulators land in cells, the dense [group][window] table the
+// scan would have filled; days are the partitions the range keeps, whose
+// companions hold every window the range overlaps. Returns ok=false (with no
+// error) whenever one of them has no answerable companion — none at all, as
+// in a day written without a floor or an archive with the earlier separate
+// ".rollup" files, or one without the column — leaving the scan to run
+// (cells may then be partly written).
 func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, days []store.DayMeta, req RollupRequest, g grid, cells []stats.Moments, qs *QueryStats) (bool, error) {
-	if req.Step != source.RollupStepSec {
+	if req.Step != source.RollupStepSec || !windowsInOrder(days, req.Step) {
 		return false, nil
 	}
 	metas, err := x.Metas()
@@ -110,4 +111,25 @@ func (e *Engine) preaggRollup(ctx context.Context, x *store.Index, days []store.
 	e.met.PreaggQueries.Add(1)
 	e.met.RowsScanned.Add(rows)
 	return true, nil
+}
+
+// windowsInOrder reports that each step-window's rows lie in one partition
+// of days: every partition opens in a later window than its predecessor
+// closed in. Merging the accumulators of two companion rows is not the
+// serial fold, bit for bit, so a window split over two partitions has to be
+// scanned. Within a partition the reducer folds each window's rows in file
+// order, as the scan does, so an unsorted partition is no obstacle.
+func windowsInOrder(days []store.DayMeta, step int64) bool {
+	for i, m := range days {
+		if !m.HasTime {
+			return false
+		}
+		if i > 0 {
+			prev := days[i-1].MaxTime
+			if m.MinTime-tsagg.FloorMod(m.MinTime, step) <= prev-tsagg.FloorMod(prev, step) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -104,33 +104,13 @@ func (e *Engine) rollup(ctx context.Context, req RollupRequest) (*RollupResult, 
 		Dataset: req.Dataset, Column: req.Column, Group: req.Group,
 		T0: req.T0, T1: req.T1, Step: req.Step,
 	}
-	proto := windowSink{node: -1}
-	groups := 1
-	switch req.Group {
-	case GroupCabinet:
-		proto.groupOf, groups = e.cabinetOf, e.floor.Cabinets()
-	case GroupMSB:
-		proto.groupOf, groups = e.msbOf, e.floor.MSBs()
-	}
-	// windows x groups is known from day metadata: an over-budget rollup is
-	// refused here, before a partition is read.
-	if proto.g, err = newGrid(days, req.T0, req.T1, req.Step, groups, req.Limit); err != nil {
-		return nil, err
-	}
-	proto.cells = make([]stats.Moments, groups*proto.g.n)
-	// Persisted pre-aggregates answer aligned rollups without touching a
-	// single per-node row.
 	e.bookDays(&res.Stats, len(x.Days()), len(days), pruned)
-	if ok, err := e.preaggRollup(ctx, x, days, req, proto.g, proto.cells, &res.Stats); err != nil {
+	spec := scanSpec{ds: x.Dataset(), column: req.Column, nodeUse: "rollup", readNodes: req.Group != GroupFleet}
+	g, cells, err := e.fold(ctx, x, days, req, -1, spec, &res.Stats)
+	if err != nil {
 		return nil, err
-	} else if !ok {
-		clear(proto.cells) // a pre-aggregate read may give up half way
-		spec := scanSpec{ds: x.Dataset(), column: req.Column, nodeUse: "rollup", readNodes: proto.groupOf != nil}
-		if err := e.windowScan(ctx, days, spec, proto, &res.Stats); err != nil {
-			return nil, err
-		}
 	}
-	res.Series = buildSeries(proto.g, proto.cells, req.Group)
+	res.Series = buildSeries(g, cells, req.Group)
 	return res, nil
 }
 

@@ -253,18 +253,15 @@ type seamRow struct {
 	v float64
 }
 
-// windowSink folds rows into the query's dense [group][window] accumulators.
-// Every chunk's sink writes the same cells slice; the seam rule keeps their
-// writes disjoint and the result identical to a serial scan.
+// windowSink folds rows into the query's dense [group][window] accumulators,
+// each row into the window its own timestamp names. Every chunk's sink
+// writes the same cells slice; the seam rule keeps their writes disjoint and
+// the result identical to a serial scan.
 type windowSink struct {
 	g       grid
 	cells   []stats.Moments // [group*g.n + window]
 	node    int64           // >= 0: keep only this node's rows
 	groupOf []int32         // node -> group; nil puts every row in group 0
-	// late is tsagg.Coarsener's assignment rule: a row whose own window lies
-	// below the highest one seen (cur, -1 at first) joins that one instead.
-	late bool
-	cur  int
 	// seamHi is the highest window an earlier chunk's days can reach, known
 	// from their metadata. A row landing at or below it is kept raw and
 	// replayed after the parallel scan, in chunk order, so a window that
@@ -273,22 +270,9 @@ type windowSink struct {
 	raw    []seamRow
 }
 
-// land applies the assignment rule to a row's own window and reports the
-// window it lands in, and whether that one belongs to the seam.
-func (s *windowSink) land(w int) (int, bool) {
-	if s.late {
-		if w < s.cur {
-			w = s.cur
-		} else {
-			s.cur = w
-		}
-	}
-	return w, w <= s.seamHi
-}
-
 // add places one accepted row.
 func (s *windowSink) add(t int64, g int, v float64) {
-	if w, seam := s.land(int((t - s.g.w0) / s.g.step)); seam {
+	if w := int((t - s.g.w0) / s.g.step); w <= s.seamHi {
 		s.raw = append(s.raw, seamRow{t: t, g: int32(g), v: v})
 	} else {
 		s.cells[g*s.g.n+w].Add(v)
@@ -321,30 +305,23 @@ func (s *windowSink) consume(b block) error {
 // spans is the fast form for a sorted block read without the node axis: the
 // accepted rows are one span found by bisection, cut at window boundaries,
 // and each cut is a contiguous run of values for one cell — folded four
-// windows at a time by the interleaved Welford kernel.
+// windows at a time by the interleaved Welford kernel. The block is sorted,
+// so every cut opens a later window than the one before: the four chains
+// never share a cell.
 func (s *windowSink) spans(b block) {
 	lo := searchTime(b.times, s.g.t0)
 	hi := lo + searchTime(b.times[lo:], s.g.t1)
 	var cells [4]*stats.Moments
 	var runs [4][]float64
 	k := 0
-	flush := func() {
-		for j := 0; j < k; j++ {
-			cells[j].AddSlice(runs[j])
-		}
-		k = 0
-	}
 	for i := lo; i < hi; {
-		own := int((b.times[i] - s.g.w0) / s.g.step)
-		end := i + searchTime(b.times[i:hi], s.g.w0+int64(own+1)*s.g.step)
-		if w, seam := s.land(own); seam {
+		w := int((b.times[i] - s.g.w0) / s.g.step)
+		end := i + searchTime(b.times[i:hi], s.g.w0+int64(w+1)*s.g.step)
+		if w <= s.seamHi {
 			for j := i; j < end; j++ {
 				s.raw = append(s.raw, seamRow{t: b.times[j], v: b.vals[j]})
 			}
 		} else {
-			if k > 0 && cells[k-1] == &s.cells[w] {
-				flush() // late rows rejoin the open window: its chain stays serial
-			}
 			cells[k], runs[k] = &s.cells[w], b.vals[i:end]
 			if k++; k == len(cells) {
 				stats.AddSlices4(&cells, &runs)
@@ -353,14 +330,16 @@ func (s *windowSink) spans(b block) {
 		}
 		i = end
 	}
-	flush()
+	for j := 0; j < k; j++ {
+		cells[j].AddSlice(runs[j])
+	}
 }
 
 // windowScan folds every matching row of days into proto's cells, one copy
-// of proto (filter, grouping, rule) per parallel chunk.
+// of proto (filter, grouping) per parallel chunk.
 func (e *Engine) windowScan(ctx context.Context, days []store.DayMeta,
 	spec scanSpec, proto windowSink, qs *QueryStats) error {
-	proto.cur, proto.seamHi = -1, -1
+	proto.seamHi = -1
 	seam := -1
 	sinks, err := e.scan(ctx, days, spec, qs, func(chunk []store.DayMeta) sink {
 		s := proto
@@ -379,7 +358,6 @@ func (e *Engine) windowScan(ctx context.Context, days []store.DayMeta,
 		for _, r := range s.(*windowSink).raw {
 			proto.add(r.t, int(r.g), r.v)
 		}
-		proto.cur = max(proto.cur, s.(*windowSink).cur)
 	}
 	return nil
 }

@@ -151,9 +151,10 @@ const seamDays = 4
 // writeSeamArchive writes a node-power dataset (float and integer value
 // columns) whose partitions exercise each sink form: day 0 is regular and
 // sorted; day 1 is written node-major, so its time column is unsorted and
-// most of its rows are "late" for the coarsener; day 2 is sorted but opens
-// with rows stamped back inside day 1's span, so a chunk seam meets late
-// samples; day 3 is sorted with duplicate timestamps jittered off the grid.
+// most of its rows are stamped before the row ahead of them; day 2 is sorted
+// but opens with rows stamped back inside day 1's span, so a chunk seam
+// meets a window already open in an earlier chunk; day 3 is sorted with
+// duplicate timestamps jittered off the grid.
 // cluster-power carries no node column.
 func writeSeamArchive(t testing.TB, dir string) {
 	t.Helper()
@@ -312,11 +313,10 @@ func TestSinksMatchLegacyOracles(t *testing.T) {
 	}
 }
 
-// TestLateSamplesJoinTheOpenWindow pins the coarsener rule the range sink
-// inherits, on a hand-written partition: a sample stamped before the open
-// window is counted into it, not into its own (already emitted) window —
-// and a rollup, which has no such rule, files the same row under its own.
-func TestLateSamplesJoinTheOpenWindow(t *testing.T) {
+// TestLateSamplesLandInTheirOwnWindow pins the one window rule on a
+// hand-written partition: a sample stamped before the window of the row
+// ahead of it is counted into its own window, by a range and a rollup alike.
+func TestLateSamplesLandInTheirOwnWindow(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := store.NewDataset(dir, "probe")
 	if err != nil {
@@ -340,16 +340,23 @@ func TestLateSamplesJoinTheOpenWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Windows) != 3 || res.Windows[0].Count != 1 || res.Windows[1].T != 110 ||
-		res.Windows[1].Count != 2 || res.Windows[1].Max != 3 {
-		t.Errorf("range windows = %+v, want the late sample in the 110 window", res.Windows)
+	if len(res.Windows) != 3 || res.Windows[0].T != 100 || res.Windows[0].Count != 2 ||
+		res.Windows[0].Max != 3 || res.Windows[1].Count != 1 {
+		t.Errorf("range windows = %+v, want the late sample in its own 100 window", res.Windows)
 	}
 	ro, err := e.Rollup(ctx, RollupRequest{Dataset: "probe", Column: "v", Group: GroupFleet, T0: 0, T1: 1000, Step: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws := ro.Series[0].Windows; len(ws) != 3 || ws[0].Count != 2 || ws[1].Count != 1 {
-		t.Errorf("rollup windows = %+v, want the late sample in its own 100 window", ws)
+	ws := ro.Series[0].Windows
+	if len(ws) != len(res.Windows) {
+		t.Fatalf("rollup windows = %+v, range windows = %+v", ws, res.Windows)
+	}
+	for i, w := range ws {
+		if r := res.Windows[i]; r.T != w.T || r.Count != w.Count || !bitsEq(r.Min, w.Min) ||
+			!bitsEq(r.Max, w.Max) || !bitsEq(r.Mean, w.Mean) {
+			t.Errorf("window %d: range %+v, rollup %+v", i, r, w)
+		}
 	}
 }
 

@@ -18,11 +18,13 @@ import (
 // per-node row — and because the accumulator state round-trips bitwise
 // (stats.Moments.State / MomentsFromState) and the reducer folds rows in the
 // same order the scan path would, the answers are bit-identical to a full
-// scan.
+// scan wherever each window's rows lie in one partition — which the query
+// tier checks before it reads a companion.
 const (
 	// RollupStepSec is the pre-aggregation window. 600 s divides the daily
-	// partition span, so no window ever straddles two partitions of a
-	// day-aligned archive.
+	// partition span, so no window straddles two partitions of a
+	// day-aligned archive; where one does, the query tier scans it rather
+	// than merge two companions' accumulators.
 	RollupStepSec int64 = 600
 )
 

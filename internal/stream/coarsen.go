@@ -7,30 +7,18 @@ import (
 	"repro/internal/tsagg"
 )
 
-// alignWindow returns the start of the window containing t (floor division,
-// correct for negative times).
-func alignWindow(t, step int64) int64 {
-	m := t % step
-	if m < 0 {
-		m += step
-	}
-	return t - m
-}
-
 // openWindow is one not-yet-finalized coarsening window.
 type openWindow struct {
 	start int64
 	m     stats.Moments
 }
 
-// windowCoarsener is the event-time streaming counterpart of
-// tsagg.Coarsener. Where the batch coarsener assumes almost-ordered input
-// and folds any straggler into whatever window is currently open, this one
-// keeps every window open until a watermark says no more samples for it can
-// arrive, assigning each sample to the window its own timestamp names. The
-// two agree exactly on in-order input (see TestWindowCoarsenerParity); they
-// diverge only on samples later than the configured lateness bound, which
-// the batch path absorbs into the wrong window and this path drops.
+// windowCoarsener is the event-time streaming form of tsagg.Coarsen: it
+// assigns each sample to the window its own timestamp names, as the batch
+// form does, and keeps every window open until a watermark says no more
+// samples for it can arrive. The two agree exactly (see
+// TestWindowCoarsenerParity) except on samples later than the configured
+// lateness bound, which the batch path keeps and this path drops.
 type windowCoarsener struct {
 	step int64
 	// closedEnd is the high-water mark of finalization: every window whose
@@ -56,7 +44,7 @@ func newWindowCoarsener(step int64) *windowCoarsener {
 // Add feeds one sample, returning false when the sample's window has
 // already been finalized (the sample is too late and must be dropped).
 func (c *windowCoarsener) Add(t int64, v float64) bool {
-	ws := alignWindow(t, c.step)
+	ws := t - tsagg.FloorMod(t, c.step)
 	if c.closedEnd != math.MinInt64 && ws+c.step <= c.closedEnd {
 		return false
 	}

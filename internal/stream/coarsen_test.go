@@ -39,10 +39,10 @@ func TestWindowCoarsenerParity(t *testing.T) {
 	}
 }
 
-// TestWindowCoarsenerOutOfOrder pins the divergence from the batch
-// coarsener: a straggler within the open horizon lands in its own window
-// (the batch path folds it into whatever window is current), and a
-// straggler behind the finalization floor is rejected.
+// TestWindowCoarsenerOutOfOrder pins the event-time rule on stragglers: one
+// within the open horizon lands in its own window, as in the batch
+// tsagg.Coarsen, and one behind the finalization floor is rejected (the
+// batch path, which has no floor, keeps it).
 func TestWindowCoarsenerOutOfOrder(t *testing.T) {
 	c := newWindowCoarsener(10)
 	for _, ts := range []int64{5, 25, 12} { // 12 arrives after 25

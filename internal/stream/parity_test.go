@@ -33,9 +33,9 @@ func eqBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(
 // values and, because both sum in node-index order, identical floats.
 //
 // Documented divergences (not exercised here): samples later than the
-// lateness bound are dropped by the stream plane but folded into the
-// wrong window by tsagg.Coarsener; windows with zero observed nodes are
-// NaN in the stream rollup but 0 in the offline cluster series.
+// lateness bound are dropped by the stream plane but kept, in their own
+// window, by tsagg.Coarsen; windows with zero observed nodes are NaN in the
+// stream rollup but 0 in the offline cluster series.
 func TestBatchStreamParity(t *testing.T) {
 	cfg := sim.Config{
 		Seed:             7,

@@ -146,7 +146,7 @@ func (t *table) advance(maxT, step, lateness int64) bool {
 	if wm := maxT - lateness; wm > t.watermark {
 		t.watermark = wm
 	}
-	b := alignWindow(t.watermark, step)
+	b := t.watermark - tsagg.FloorMod(t.watermark, step)
 	if b <= t.lastBoundary {
 		return false
 	}
@@ -285,7 +285,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("stream: non-positive node count %d", cfg.Nodes)
 	}
 	cfg = cfg.withDefaults()
-	grid := alignWindow(cfg.StartTime, stepSec)
+	grid := cfg.StartTime - tsagg.FloorMod(cfg.StartTime, stepSec)
 	p := &Pipeline{
 		cfg:   cfg,
 		queue: make(chan *[]telemetry.Sample, cfg.QueueDepth),
@@ -326,7 +326,7 @@ func (p *Pipeline) Ingest(batch []telemetry.Sample) {
 		p.dropped.Add(int64(len(batch)))
 		return
 	}
-	grid := alignWindow(p.cfg.StartTime, stepSec)
+	grid := p.cfg.StartTime - tsagg.FloorMod(p.cfg.StartTime, stepSec)
 	newest := p.newest.Load()
 	top, end := newest, p.horizonEnd(newest)
 	var beyond int64
@@ -579,7 +579,7 @@ func (p *Pipeline) spanLocked() int64 {
 	if !p.anyFrame {
 		return 0
 	}
-	return p.lastWindow.Load() + stepSec - alignWindow(p.cfg.StartTime, stepSec)
+	return p.lastWindow.Load() + stepSec - (p.cfg.StartTime - tsagg.FloorMod(p.cfg.StartTime, stepSec))
 }
 
 // RollupSnapshot copies the rollup state with up to limit recent windows

@@ -5,7 +5,9 @@
 package tsagg
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -27,44 +29,6 @@ type WindowStat struct {
 	Std   float64
 }
 
-// Coarsener streams raw samples into aligned windows. Feed samples in
-// non-decreasing time order; completed windows are delivered to the emit
-// callback. The zero value is not usable; call NewCoarsener.
-type Coarsener struct {
-	window int64
-	emit   func(WindowStat)
-	cur    int64 // current window start; math.MinInt64 when empty
-	m      stats.Moments
-}
-
-// NewCoarsener returns a Coarsener with the given window size in seconds.
-// It panics if window <= 0 or emit is nil (programming errors).
-func NewCoarsener(window int64, emit func(WindowStat)) *Coarsener {
-	if window <= 0 {
-		panic("tsagg: non-positive coarsening window")
-	}
-	if emit == nil {
-		panic("tsagg: nil emit callback")
-	}
-	return &Coarsener{window: window, emit: emit, cur: math.MinInt64}
-}
-
-// Add feeds one sample. Samples whose timestamp precedes the current window
-// are counted into the current window rather than dropped: the telemetry
-// path timestamps payloads up to 5 s late (paper §3), so small reordering is
-// expected and window assignment tolerates it.
-func (c *Coarsener) Add(t int64, v float64) {
-	ws := t - FloorMod(t, c.window)
-	if c.cur == math.MinInt64 {
-		c.cur = ws
-	}
-	if ws > c.cur {
-		c.flush()
-		c.cur = ws
-	}
-	c.m.Add(v)
-}
-
 // FloorMod is the non-negative remainder of a by b (b > 0): t - FloorMod(t,
 // w) aligns a timestamp, negative ones included, to the start of its window.
 func FloorMod(a, b int64) int64 {
@@ -75,33 +39,36 @@ func FloorMod(a, b int64) int64 {
 	return m
 }
 
-func (c *Coarsener) flush() {
-	if c.m.N == 0 {
-		return
-	}
-	c.emit(WindowStat{
-		T:     c.cur,
-		Count: c.m.N,
-		Min:   c.m.Min,
-		Max:   c.m.Max,
-		Mean:  c.m.Mean(),
-		Std:   c.m.Std(),
-	})
-	c.m.Reset()
-}
-
-// Flush emits any pending partial window. Call once after the last Add.
-func (c *Coarsener) Flush() { c.flush() }
-
-// Coarsen is the batch form: it coarsens samples (already time-ordered) into
-// window statistics.
+// Coarsen coarsens samples into window statistics: each sample joins the
+// window its own timestamp names, a window folds its samples in input order,
+// and the windows come back in ascending order. Input order matters only to
+// the last bits of a window's floating-point moments. It panics if window
+// <= 0 (a programming error).
 func Coarsen(samples []Sample, window int64) []WindowStat {
-	var out []WindowStat
-	c := NewCoarsener(window, func(w WindowStat) { out = append(out, w) })
-	for _, s := range samples {
-		c.Add(s.T, s.V)
+	if window <= 0 {
+		panic("tsagg: non-positive coarsening window")
 	}
-	c.Flush()
+	var out []WindowStat
+	var acc []stats.Moments // acc[i] folds out[i]'s samples
+	at := map[int64]int{}
+	cur := -1 // out index of the previous sample's window
+	for _, s := range samples {
+		ws := s.T - FloorMod(s.T, window)
+		if cur < 0 || out[cur].T != ws {
+			i, ok := at[ws]
+			if !ok {
+				i = len(out)
+				at[ws] = i
+				out, acc = append(out, WindowStat{T: ws}), append(acc, stats.Moments{})
+			}
+			cur = i
+		}
+		acc[cur].Add(s.V)
+	}
+	for i, m := range acc {
+		out[i] = WindowStat{T: out[i].T, Count: m.N, Min: m.Min, Max: m.Max, Mean: m.Mean(), Std: m.Std()}
+	}
+	slices.SortFunc(out, func(a, b WindowStat) int { return cmp.Compare(a.T, b.T) })
 	return out
 }
 

@@ -2,6 +2,8 @@ package tsagg
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -63,19 +65,15 @@ func TestCoarsenGapsSkipEmptyWindows(t *testing.T) {
 }
 
 func TestCoarsenLateSamplesTolerated(t *testing.T) {
-	// A sample arriving with a timestamp before the current window is
-	// folded into the current window (telemetry reordering tolerance).
-	var got []WindowStat
-	c := NewCoarsener(10, func(w WindowStat) { got = append(got, w) })
-	c.Add(100, 1)
-	c.Add(112, 2)
-	c.Add(109, 3) // late: belongs to the 100 window but 110 already open
-	c.Flush()
-	if len(got) != 2 {
-		t.Fatalf("got %d windows", len(got))
+	// A sample stamped before the window of the sample ahead of it joins
+	// its own window: telemetry timestamps payloads up to 5 s late (paper
+	// §3), and reordering moves no sample between windows.
+	ws := Coarsen([]Sample{{T: 100, V: 1}, {T: 112, V: 2}, {T: 109, V: 3}}, 10)
+	if len(ws) != 2 {
+		t.Fatalf("got %d windows", len(ws))
 	}
-	if got[1].Count != 2 {
-		t.Errorf("late sample not folded into open window: %+v", got[1])
+	if ws[0].T != 100 || ws[0].Count != 2 || ws[0].Max != 3 || ws[1].T != 110 || ws[1].Count != 1 {
+		t.Errorf("late sample not in its own window: %+v", ws)
 	}
 }
 
@@ -111,19 +109,12 @@ func TestModFloorsTowardNegativeInfinity(t *testing.T) {
 }
 
 func TestCoarsenerFlushEmpty(t *testing.T) {
-	// Flush with nothing pending must not emit, and flushing twice after a
-	// sample must emit exactly once.
-	emitted := 0
-	c := NewCoarsener(10, func(WindowStat) { emitted++ })
-	c.Flush()
-	if emitted != 0 {
-		t.Fatalf("empty flush emitted %d windows", emitted)
+	// No samples, no windows; one sample, one window.
+	if ws := Coarsen(nil, 10); len(ws) != 0 {
+		t.Fatalf("empty input gave %d windows", len(ws))
 	}
-	c.Add(5, 1.0)
-	c.Flush()
-	c.Flush()
-	if emitted != 1 {
-		t.Errorf("flush after one sample emitted %d windows, want 1", emitted)
+	if ws := Coarsen([]Sample{{T: 5, V: 1}}, 10); len(ws) != 1 || ws[0].T != 0 || ws[0].Count != 1 {
+		t.Errorf("one sample gave %+v, want one window at 0", ws)
 	}
 }
 
@@ -143,105 +134,120 @@ func TestCoarsenerOutOfOrderWithinWindow(t *testing.T) {
 
 func TestCoarsenerDuplicateTimestamps(t *testing.T) {
 	// Duplicate timestamps are distinct observations (the BMC can report
-	// twice in one second): each must count, in order, into the same
-	// window — never deduplicated, never split.
-	var got []WindowStat
-	c := NewCoarsener(10, func(w WindowStat) { got = append(got, w) })
-	c.Add(100, 1)
-	c.Add(100, 3)
-	c.Add(100, 3)
-	c.Add(105, 5)
-	c.Flush()
-	if len(got) != 1 {
-		t.Fatalf("got %d windows, want 1", len(got))
+	// twice in one second): each must count into the same window — never
+	// deduplicated, never split.
+	ws := Coarsen([]Sample{{T: 100, V: 1}, {T: 100, V: 3}, {T: 100, V: 3}, {T: 105, V: 5}}, 10)
+	if len(ws) != 1 {
+		t.Fatalf("got %d windows, want 1", len(ws))
 	}
-	w := got[0]
-	if w.Count != 4 || w.Min != 1 || w.Max != 5 || !approx(w.Mean, 3, 1e-12) {
+	if w := ws[0]; w.Count != 4 || w.Min != 1 || w.Max != 5 || !approx(w.Mean, 3, 1e-12) {
 		t.Errorf("duplicates mishandled: %+v", w)
 	}
 }
 
 func TestCoarsenerDuplicateTimestampAfterWindowAdvance(t *testing.T) {
-	// A duplicate of an already-flushed timestamp is folded into the
-	// current window (same rule as any late sample), not silently dropped
-	// and not retroactively merged into the closed window.
-	var got []WindowStat
-	c := NewCoarsener(10, func(w WindowStat) { got = append(got, w) })
-	c.Add(100, 1)
-	c.Add(112, 2)
-	c.Add(100, 9) // duplicate of the first, after window 100 closed
-	c.Flush()
-	if len(got) != 2 {
-		t.Fatalf("got %d windows, want 2", len(got))
+	// A duplicate of a timestamp whose window is behind the input's newest
+	// joins that window, not the newest one, and is never dropped.
+	ws := Coarsen([]Sample{{T: 100, V: 1}, {T: 112, V: 2}, {T: 100, V: 9}}, 10)
+	if len(ws) != 2 {
+		t.Fatalf("got %d windows, want 2", len(ws))
 	}
-	if got[0].Count != 1 || got[0].Max != 1 {
-		t.Errorf("closed window mutated: %+v", got[0])
+	if ws[0].T != 100 || ws[0].Count != 2 || ws[0].Max != 9 {
+		t.Errorf("late duplicate not in its own window: %+v", ws[0])
 	}
-	if got[1].Count != 2 || got[1].Max != 9 {
-		t.Errorf("late duplicate not folded into open window: %+v", got[1])
+	if ws[1].T != 110 || ws[1].Count != 1 || ws[1].Max != 2 {
+		t.Errorf("newest window took a sample not its own: %+v", ws[1])
 	}
 }
 
 func TestCoarsenerBackwardsAcrossManyWindows(t *testing.T) {
-	// A sample arbitrarily far in the past still folds into the current
-	// window: the batch coarsener has no lateness bound, it trusts the
-	// feeder's ordering. (The streaming plane's event-time coarsener makes
-	// the opposite choice — bounded lateness with counted drops — and
-	// documents the divergence; this pins the batch side of the contract.)
-	var got []WindowStat
-	c := NewCoarsener(10, func(w WindowStat) { got = append(got, w) })
-	c.Add(1000, 1)
-	c.Add(5, 2) // ~100 windows in the past
-	c.Flush()
-	if len(got) != 1 {
-		t.Fatalf("got %d windows, want 1", len(got))
+	// A sample arbitrarily far in the past still lands in its own window:
+	// the batch form has no lateness bound. (The streaming plane's
+	// event-time coarsener drops, and counts, what comes later than its
+	// bound; this pins the batch side of the contract.)
+	ws := Coarsen([]Sample{{T: 1000, V: 1}, {T: 5, V: 2}}, 10) // ~100 windows in the past
+	if len(ws) != 2 {
+		t.Fatalf("got %d windows, want 2", len(ws))
 	}
-	if got[0].T != 1000 || got[0].Count != 2 {
-		t.Errorf("ancient sample not folded: %+v", got[0])
-	}
-}
-
-func TestCoarsenMatchesStreamingCoarsener(t *testing.T) {
-	// The batch helper and a hand-driven streaming Coarsener must agree
-	// window for window on the same input.
-	var samples []Sample
-	for i := 0; i < 500; i++ {
-		samples = append(samples, Sample{
-			T: int64(i*7) - 1000, // crosses zero; irregular spacing vs window
-			V: math.Sin(float64(i) / 9),
-		})
-	}
-	batch := Coarsen(samples, 60)
-	var streamed []WindowStat
-	c := NewCoarsener(60, func(w WindowStat) { streamed = append(streamed, w) })
-	for _, s := range samples {
-		c.Add(s.T, s.V)
-	}
-	c.Flush()
-	if len(batch) != len(streamed) {
-		t.Fatalf("batch %d windows, streamed %d", len(batch), len(streamed))
-	}
-	for i := range batch {
-		if batch[i] != streamed[i] {
-			t.Errorf("window %d: batch %+v, streamed %+v", i, batch[i], streamed[i])
-		}
+	if ws[0].T != 0 || ws[0].Count != 1 || ws[1].T != 1000 || ws[1].Count != 1 {
+		t.Errorf("ancient sample not in its own window: %+v", ws)
 	}
 }
 
 func TestCoarsenerPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewCoarsener(0, func(WindowStat) {}) },
-		func() { NewCoarsener(10, nil) },
-	} {
-		fn := fn
+	for _, window := range []int64{0, -10} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("window %d: expected panic", window)
 				}
 			}()
-			fn()
+			Coarsen([]Sample{{T: 1, V: 1}}, window)
 		}()
+	}
+}
+
+// ulps is how many float64 steps separate a and b (same sign assumed).
+func ulps(a, b float64) uint64 {
+	x, y := math.Float64bits(a), math.Float64bits(b)
+	if x > y {
+		return x - y
+	}
+	return y - x
+}
+
+// TestCoarsenIsAPerWindowRelation pins §3's summary as a relation on the
+// sample set, not on its order: over seeded random samples — stragglers,
+// duplicates and negative times included — any permutation gives the same
+// window starts and the same Count, Min and Max bit for bit, and a Mean
+// within 2 ULPs per sample of the window (Welford's running mean rounds
+// once per update); and coarsening a ++ b counts, per window, what a and b
+// count apart, with the min of the Mins and the max of the Maxes.
+func TestCoarsenIsAPerWindowRelation(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 200; trial++ {
+		window := []int64{1, 7, 10, 60, 600}[rng.Intn(5)]
+		samples := make([]Sample, 1+rng.Intn(400))
+		for i := range samples {
+			samples[i] = Sample{T: rng.Int63n(4000) - 1000, V: 100 + 1000*rng.Float64()}
+			if i > 0 && rng.Intn(8) == 0 {
+				samples[i].T = samples[i-1].T // a duplicate stamp
+			}
+		}
+		want := Coarsen(samples, window)
+		perm := slices.Clone(samples)
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		got := Coarsen(perm, window)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d windows permuted, %d in order", trial, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.T != w.T || g.Count != w.Count || math.Float64bits(g.Min) != math.Float64bits(w.Min) ||
+				math.Float64bits(g.Max) != math.Float64bits(w.Max) || ulps(g.Mean, w.Mean) > 2*uint64(w.Count) {
+				t.Fatalf("trial %d window %d: permuted %+v, in order %+v", trial, i, g, w)
+			}
+		}
+
+		cut := rng.Intn(len(samples) + 1)
+		byT := map[int64]WindowStat{}
+		for _, part := range [][]Sample{samples[:cut], samples[cut:]} {
+			for _, w := range Coarsen(part, window) {
+				if s, ok := byT[w.T]; ok {
+					w.Count += s.Count
+					w.Min, w.Max = math.Min(w.Min, s.Min), math.Max(w.Max, s.Max)
+				}
+				byT[w.T] = w
+			}
+		}
+		if len(byT) != len(want) {
+			t.Fatalf("trial %d: the halves cover %d windows, the whole %d", trial, len(byT), len(want))
+		}
+		for _, w := range want {
+			if s := byT[w.T]; s.Count != w.Count || s.Min != w.Min || s.Max != w.Max {
+				t.Fatalf("trial %d window %d: halves %+v, whole %+v", trial, w.T, s, w)
+			}
+		}
 	}
 }
 

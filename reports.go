@@ -257,9 +257,13 @@ func figure5(src source.RunSource) (string, []Figure, error) {
 		}
 		tab.Row(w.Week, w.Box.Median/units.WattsPerMW, w.Max/units.WattsPerMW, energy, pueMed)
 	}
+	summer := "n/a" // no window ran on chilled water
+	if !math.IsNaN(rep.SummerPUE) {
+		summer = fmt.Sprintf("%.3f", rep.SummerPUE)
+	}
 	body := tab.String() + fmt.Sprintf(
-		"mean PUE: %.3f   chilled-water PUE: %.3f   chilled-water fraction: %.1f%%\n",
-		rep.MeanPUE, rep.SummerPUE, rep.ChillerFrac*100)
+		"mean PUE: %.3f   chilled-water PUE: %s   chilled-water fraction: %.1f%%\n",
+		rep.MeanPUE, summer, rep.ChillerFrac*100)
 
 	var series [4]*tsagg.Series
 	for i, name := range []string{source.SeriesClusterPower, source.SeriesPUE, source.SeriesTowerTons, source.SeriesChillerTons} {
