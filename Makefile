@@ -284,8 +284,9 @@ queryd-smoke:
 
 # serve-smoke drives both daemons' real mains through their whole life — the
 # only check that does: start the built queryd and streamd, fetch /healthz
-# and one guarded route from each, hold an idle ingest connection open on
-# streamd, send SIGTERM, and require exit status 0 from both (serve.Run
+# and one guarded route from each, require streamd's live health to read
+# late 0 with no merge_late key (one lateness counter), hold an idle ingest
+# connection open on streamd, send SIGTERM, and require exit status 0 from both (serve.Run
 # drained cleanly; streamd closed its transport, cutting off the held
 # connection after its grace, and flushed the pipeline first), streamd's
 # within 10 s.
@@ -306,6 +307,9 @@ serve-smoke:
 	bash -c 'exec 3<>/dev/tcp/127.0.0.1/19099 && exec sleep 60' & hold=$$!; \
 	curl -sf $$q/api/v1/datasets | grep -q '"datasets":\['; \
 	curl -sf "$$s/api/v1/live/rollup?group=cabinet" | grep -q '"group":"cabinet"'; \
+	h=$$(curl -sf $$s/api/v1/live/health); \
+	case "$$h" in *'"late":0,'*) ;; *) echo "serve-smoke: streamd health does not read late 0: $$h"; exit 1;; esac; \
+	case "$$h" in *merge_late*) echo "serve-smoke: streamd health still carries merge_late: $$h"; exit 1;; esac; \
 	sleep 0.5; kill -0 $$hold || { echo "serve-smoke: could not hold an ingest connection open"; exit 1; }; \
 	kill -TERM $$qpid $$spid; \
 	wait $$qpid || { echo "serve-smoke: queryd exited $$? on SIGTERM"; exit 1; }; \

@@ -224,7 +224,7 @@ func TestFeedWaitsForThePipelineEachWindow(t *testing.T) {
 	}
 	pipe.Close()
 	st := pipe.Snapshot().Ingest
-	if sent == 0 || st.Received != sent || st.Dropped+st.Late+st.MergeLate+st.Rejected+st.DroppedConns != 0 {
+	if sent == 0 || st.Received != sent || st.Dropped+st.Late+st.Rejected+st.DroppedConns != 0 {
 		t.Errorf("feed sent %d samples; pipeline %+v", sent, st)
 	}
 }

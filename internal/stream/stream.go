@@ -97,48 +97,52 @@ type window struct {
 type table struct {
 	// chans is the dense channel table: the coarsener of (node, metric) is
 	// chans[node*NumMetrics + metric], so walking it in index order visits
-	// channels node ascending, metric ascending. A slot with a zero step
-	// has never seen a sample and is skipped everywhere, exactly as an
-	// absent key of the map this replaced.
+	// channels node ascending, metric ascending. A slot holds only its
+	// channel's open windows; one that has never seen a sample is empty,
+	// exactly as an absent key of the map this replaced.
 	chans []windowCoarsener
-	// watermark = newest folded sample time − lateness; lastBoundary is
-	// the highest window boundary already scanned for finalization.
-	watermark    int64
-	lastBoundary int64
+	// watermark = newest folded sample time − lateness; closed is the end
+	// the last collect closed through, for every channel at once: a sample
+	// for a window that ends at or before it is late, whatever its channel.
+	watermark int64
+	closed    int64
 }
 
 func newTable(nodes int) table {
 	return table{
-		chans:        make([]windowCoarsener, nodes*int(telemetry.NumMetrics)),
-		watermark:    math.MinInt64,
-		lastBoundary: math.MinInt64,
+		chans:     make([]windowCoarsener, nodes*int(telemetry.NumMetrics)),
+		watermark: math.MinInt64,
+		closed:    math.MinInt64,
 	}
 }
 
 // fold adds one batch (every sample validated by Ingest) to the
 // coarseners and returns the newest timestamp and how many samples fell
-// behind the lateness bound.
+// behind the closed end. A run of samples with one timestamp shares one
+// window-start computation.
 //
 //lint:allocfree
 func (t *table) fold(batch []telemetry.Sample, step int64) (maxT, late int64) {
 	maxT = math.MinInt64
+	var ts, ws int64
 	for i := range batch {
 		smp := &batch[i]
-		maxT = max(maxT, smp.T)
-		c := &t.chans[int(smp.Node)*int(telemetry.NumMetrics)+int(smp.Metric)]
-		if c.step == 0 {
-			c.step, c.closedEnd = step, math.MinInt64
+		if i == 0 || smp.T != ts {
+			ts, ws = smp.T, smp.T-tsagg.FloorMod(smp.T, step)
+			maxT = max(maxT, ts)
 		}
-		if !c.Add(smp.T, smp.Value) {
+		if ws+step <= t.closed {
 			late++
+			continue
 		}
+		t.chans[int(smp.Node)*int(telemetry.NumMetrics)+int(smp.Metric)].Add(ws, smp.Value)
 	}
 	return maxT, late
 }
 
 // advance raises the watermark to maxT − lateness and reports whether it
-// crossed a window boundary: only then can anything new finalize, so only
-// then is the table scanned.
+// crossed a window boundary past the closed end: only then can anything
+// new finalize, so only then is the table scanned.
 func (t *table) advance(maxT, step, lateness int64) bool {
 	if maxT == math.MinInt64 {
 		return false // empty batch
@@ -146,20 +150,16 @@ func (t *table) advance(maxT, step, lateness int64) bool {
 	if wm := maxT - lateness; wm > t.watermark {
 		t.watermark = wm
 	}
-	b := t.watermark - tsagg.FloorMod(t.watermark, step)
-	if b <= t.lastBoundary {
-		return false
-	}
-	t.lastBoundary = b
-	return true
+	return t.watermark-tsagg.FloorMod(t.watermark, step) > t.closed
 }
 
 // collect finalizes every window closable at end and returns them in
-// wins, ascending by start, reusing its buffers. Walking the table in
-// index order visits channels node ascending, metric ascending, so the
-// result, including the node order of each window's power entries, is
-// fully deterministic.
-func (t *table) collect(end int64, wins []window) []window {
+// wins, ascending by start, reusing its buffers, and closes the table
+// through end. Walking the table in index order visits channels node
+// ascending, metric ascending, so the result, including the node order of
+// each window's power entries, is fully deterministic.
+func (t *table) collect(end, step int64, wins []window) []window {
+	t.closed = end
 	wins = wins[:0]
 	const metrics = int(telemetry.NumMetrics)
 	var node int32
@@ -198,14 +198,11 @@ func (t *table) collect(end int64, wins []window) []window {
 	}
 	for i := range t.chans {
 		c := &t.chans[i]
-		if c.step == 0 {
-			// Never used. Closing it would raise its closedEnd and turn a
-			// late-activated channel's first samples from accepted (and
-			// counted merge_late) into late.
+		if len(c.open) == 0 {
 			continue
 		}
 		node, metric = int32(i/metrics), telemetry.Metric(i%metrics)
-		c.CloseThrough(end, emit)
+		c.CloseThrough(end, step, emit)
 	}
 	return wins
 }
@@ -257,7 +254,6 @@ type Pipeline struct {
 	beyond      atomic.Int64 // the part of rejected beyond the horizon
 	newest      atomic.Int64 // newest timestamp Ingest has accepted, queued or dropped
 	late        atomic.Int64 // samples behind the lateness bound
-	mergeLate   atomic.Int64 // windows collected after their frame was applied
 	events      atomic.Int64 // failure events observed
 	frames      atomic.Int64 // frames applied to the operator chain
 	chanWindows atomic.Int64 // per-channel windows finalized
@@ -431,18 +427,14 @@ func (p *Pipeline) run() {
 
 // applyThrough collects every window that closes at or before end and
 // applies it, and the empty frames of the grid between, in ascending
-// order. A window whose frame already went out belongs to a channel first
-// seen after that frame: it is counted merge_late, not applied. Before the
-// first frame the grid fast-forwards to the first data, so a live feed
+// order. No collected window starts behind the frame cursor: the table
+// counted every sample for a window it had already closed as late. Before
+// the first frame the grid fast-forwards to the first data, so a live feed
 // anchored far from StartTime does not emit years of empty frames.
 func (p *Pipeline) applyThrough(frame *Frame, end int64) {
-	p.wins = p.tab.collect(end, p.wins)
+	p.wins = p.tab.collect(end, stepSec, p.wins)
 	for i := range p.wins {
 		w := &p.wins[i]
-		if w.start < p.next {
-			p.mergeLate.Add(w.chanWindows)
-			continue
-		}
 		if !p.anyFrame {
 			p.next = w.start
 		}
@@ -502,7 +494,6 @@ type IngestStats struct {
 	Dropped        int64 // dropped on full queues or after Close
 	Rejected       int64 // out-of-range node, pre-StartTime or beyond the horizon
 	Late           int64 // behind the lateness bound
-	MergeLate      int64 // channel windows collected after their frame was applied
 	Events         int64 // failure events observed
 	Frames         int64 // frames applied to the operator chain
 	ChannelWindows int64 // per-channel windows finalized
@@ -562,7 +553,6 @@ func (p *Pipeline) ingestStats() IngestStats {
 		Dropped:        p.dropped.Load(),
 		Rejected:       p.rejected.Load(),
 		Late:           p.late.Load(),
-		MergeLate:      p.mergeLate.Load(),
 		Events:         p.events.Load(),
 		Frames:         p.frames.Load(),
 		ChannelWindows: p.chanWindows.Load(),
@@ -647,9 +637,6 @@ func (p *Pipeline) Health() HealthState {
 	}
 	if p.beyond.Load() > 0 {
 		h.Reasons = append(h.Reasons, beyondReason)
-	}
-	if st.MergeLate > 0 {
-		h.Reasons = append(h.Reasons, "windows of a channel first seen after their frames were applied")
 	}
 	if st.DroppedConns > 0 {
 		h.Reasons = append(h.Reasons, "ingest connections dropped for bad frames or stalls")

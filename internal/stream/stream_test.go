@@ -176,7 +176,7 @@ func TestShardedMergeOrdersFrames(t *testing.T) {
 	}
 	p.Close()
 	snap := p.Snapshot()
-	if st := snap.Ingest; st.Dropped != 0 || st.Late != 0 || st.MergeLate != 0 {
+	if st := snap.Ingest; st.Dropped != 0 || st.Late != 0 {
 		t.Fatalf("lossless feed lost data: %+v", st)
 	}
 	if len(snap.Rollup.Recent) != windows {
@@ -234,9 +234,9 @@ func TestFarFutureSampleIsRefusedDeterministically(t *testing.T) {
 		}
 		p.Close()
 		h := p.Health()
-		if st := h.Ingest; st.Frames != 2 || st.Rejected != 1 || st.Late != 0 || st.MergeLate != 0 {
-			t.Fatalf("run %d: frames %d rejected %d late %d merge_late %d, want 2, 1, 0, 0",
-				run, st.Frames, st.Rejected, st.Late, st.MergeLate)
+		if st := h.Ingest; st.Frames != 2 || st.Rejected != 1 || st.Late != 0 {
+			t.Fatalf("run %d: frames %d rejected %d late %d, want 2, 1, 0",
+				run, st.Frames, st.Rejected, st.Late)
 		}
 		if run == 0 {
 			first = h

@@ -343,14 +343,15 @@ func figure7(src source.RunSource) (string, []Figure, error) {
 		tab.Row(c.Class.String(), c.N, c.P80Nodes, c.P80Wall, c.P80Mean, c.P80Max, c.P80Diff)
 		xs, ys := c.MaxMW.Curve(100)
 		wx, wy := c.WallHrs.Curve(100)
+		n := max(len(xs), len(wx))
 		figs = append(figs, Figure{fmt.Sprintf("fig7_cdf_%s.csv", c.Class),
 			[]string{"max_power_mw", "cdf_max_power", "wall_hours", "cdf_wall"},
-			[][]float64{xs, ys, padTo(wx, len(xs)), padTo(wy, len(xs))}})
+			[][]float64{padTo(xs, n), padTo(ys, n), padTo(wx, n), padTo(wy, n)}})
 	}
 	return tab.String(), figs, nil
 }
 
-// padTo truncates or NaN-pads xs to length n so CSV columns align.
+// padTo NaN-pads xs to length n >= len(xs) so CSV columns align.
 func padTo(xs []float64, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {

@@ -440,17 +440,21 @@ func TestFigure17HeatmapIsThePeakInstant(t *testing.T) {
 }
 
 // TestFigure7WritesItsCurveFiles: figure-7 writes one CDF file per
-// leadership class, each of four equal columns. A curve shorter than the
-// max-power curve (all Class 1 jobs here share one wall time, so its wall
-// curve is one point) is NaN-padded at its tail and nowhere else.
+// leadership class, each of four equal columns as long as the longer of its
+// two curves. The shorter curve is NaN-padded at its tail and nowhere else:
+// in the first feed all Class 1 jobs share one wall time, so the wall curve
+// is one point; in the second they share one max power, so the max-power
+// curve is, and every wall-time point must still be written.
 func TestFigure7WritesItsCurveFiles(t *testing.T) {
-	var jobs []source.JobRecord
+	var mixed, samePower []source.JobRecord
 	for i := 0; i < 12; i++ {
-		jobs = append(jobs,
+		mixed = append(mixed,
 			source.JobRecord{Class: int(units.Class1), Nodes: 2000 + i, EndTime: 3600,
 				MaxPowerW: 5e6 + float64(i)*1e5, MeanPowerW: 4e6},
 			source.JobRecord{Class: int(units.Class2), Nodes: 1000 + i, EndTime: int64(1800 * (i + 1)),
 				MaxPowerW: 1e6 + float64(i)*5e4, MeanPowerW: 8e5})
+		samePower = append(samePower, source.JobRecord{Class: int(units.Class1), Nodes: 2000 + i,
+			EndTime: int64(600 * (i + 1)), MaxPowerW: 5e6, MeanPowerW: 4e6}) // 0.17-2 h
 	}
 	var fig7 SourceReport
 	for _, r := range SourceReports {
@@ -458,49 +462,61 @@ func TestFigure7WritesItsCurveFiles(t *testing.T) {
 			fig7 = r
 		}
 	}
-	_, figs, err := fig7.render(&source.MemorySource{Jobs: jobs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	files, err := WriteFigureData(dir, []Rendered{{Report: Report{ID: fig7.ID}, Figures: figs, figures: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{filepath.Join(dir, "fig7_cdf_Class1.csv"), filepath.Join(dir, "fig7_cdf_Class2.csv")}
-	if !slices.Equal(files, want) {
-		t.Fatalf("figure-7 wrote %v, want %v", files, want)
-	}
-	for ci, path := range files {
-		raw, err := os.ReadFile(path)
+	for _, tc := range []struct {
+		name    string
+		jobs    []source.JobRecord
+		classes []string
+		pad     [][4]int // rows of NaN padding at each column's tail, per file
+	}{
+		{"one wall time", mixed, []string{"Class1", "Class2"}, [][4]int{{0, 0, 99, 99}, {0, 0, 0, 0}}},
+		{"one max power", samePower, []string{"Class1"}, [][4]int{{99, 99, 0, 0}}},
+	} {
+		_, figs, err := fig7.render(&source.MemorySource{Jobs: tc.jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-		if lines[0] != "max_power_mw,cdf_max_power,wall_hours,cdf_wall" || len(lines) != 101 {
-			t.Fatalf("%s: header %q, %d rows; want the four curve columns over 100 rows", path, lines[0], len(lines)-1)
+		dir := t.TempDir()
+		files, err := WriteFigureData(dir, []Rendered{{Report: Report{ID: fig7.ID}, Figures: figs, figures: true}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var padded [4]int // rows of NaN padding at each column's tail
-		for r, line := range lines[1:] {
-			cells := strings.Split(line, ",")
-			if len(cells) != 4 {
-				t.Fatalf("%s row %d: %d cells, want 4", path, r, len(cells))
-			}
-			for c, cell := range cells {
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					t.Fatalf("%s row %d: %v", path, r, err)
-				}
-				if math.IsNaN(v) {
-					padded[c]++
-				} else if padded[c] > 0 {
-					t.Fatalf("%s column %d: a value at row %d follows NaN padding", path, c, r)
-				}
-			}
+		var want []string
+		for _, c := range tc.classes {
+			want = append(want, filepath.Join(dir, "fig7_cdf_"+c+".csv"))
 		}
-		wantPad := [2][4]int{{0, 0, 99, 99}, {0, 0, 0, 0}}[ci]
-		if padded != wantPad {
-			t.Errorf("%s: NaN padding per column %v, want %v", path, padded, wantPad)
+		if !slices.Equal(files, want) {
+			t.Fatalf("%s: figure-7 wrote %v, want %v", tc.name, files, want)
+		}
+		for ci, path := range files {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+			if lines[0] != "max_power_mw,cdf_max_power,wall_hours,cdf_wall" || len(lines) != 101 {
+				t.Fatalf("%s: %s: header %q, %d rows; want the four curve columns over 100 rows", tc.name, path, lines[0], len(lines)-1)
+			}
+			var padded [4]int
+			for r, line := range lines[1:] {
+				cells := strings.Split(line, ",")
+				if len(cells) != 4 {
+					t.Fatalf("%s: %s row %d: %d cells, want 4", tc.name, path, r, len(cells))
+				}
+				for c, cell := range cells {
+					v, err := strconv.ParseFloat(cell, 64)
+					if err != nil {
+						t.Fatalf("%s: %s row %d: %v", tc.name, path, r, err)
+					}
+					if math.IsNaN(v) {
+						padded[c]++
+					} else if padded[c] > 0 {
+						t.Fatalf("%s: %s column %d: a value at row %d follows NaN padding", tc.name, path, c, r)
+					}
+				}
+			}
+			if padded != tc.pad[ci] {
+				t.Errorf("%s: %s: NaN padding per column %v, want %v", tc.name, path, padded, tc.pad[ci])
+			}
 		}
 	}
 }
