@@ -324,17 +324,27 @@ serve-smoke:
 # golden regression under the race detector, then an end-to-end check that
 # one scenario run on one core and on all of them archives byte-identical
 # datasets, scenario.json and report.json (the bit-reproducibility contract).
+# A spec file is the one way to write an operating point: one with a
+# negative power cap must stop summitsim (non-zero, naming the cap), and the
+# retired override flag -setpoint must be a usage error (exit 2).
 scenario-smoke:
 	$(GO) test -race -run 'TestGoldenCatalogReports|TestRunArchiveParity' ./internal/scenario
 	$(GO) build -o /tmp/scnsmoke-scenario ./cmd/scenario
 	$(GO) build -o /tmp/scnsmoke-summitsim ./cmd/summitsim
 	/tmp/scnsmoke-scenario -list
-	rm -rf /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
+	rm -rf /tmp/scnsmoke-w1 /tmp/scnsmoke-wn /tmp/scnsmoke-bad /tmp/scnsmoke-negcap.json /tmp/scnsmoke-negcap.out
 	GOMAXPROCS=1 /tmp/scnsmoke-summitsim -scenario trace-replay -q -out /tmp/scnsmoke-w1
 	/tmp/scnsmoke-summitsim -scenario trace-replay -q -out /tmp/scnsmoke-wn
 	test -s /tmp/scnsmoke-w1/scenario.json && test -s /tmp/scnsmoke-w1/report.json
 	diff -r /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
-	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-summitsim /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
+	@printf '{"version": 1, "name": "neg-cap", "nodes": 16, "duration_sec": 3600, "power_cap_mw": -1}\n' > /tmp/scnsmoke-negcap.json; \
+	if /tmp/scnsmoke-summitsim -scenario /tmp/scnsmoke-negcap.json -q -out /tmp/scnsmoke-bad > /tmp/scnsmoke-negcap.out 2>&1; then \
+		echo "scenario-smoke: a spec with power_cap_mw -1 ran"; exit 1; fi; \
+	grep -q 'power cap -1 MW' /tmp/scnsmoke-negcap.out || { echo "scenario-smoke: the refusal does not name the cap:"; cat /tmp/scnsmoke-negcap.out; exit 1; }; \
+	code=0; /tmp/scnsmoke-summitsim -setpoint 22 -q -out /tmp/scnsmoke-bad > /tmp/scnsmoke-negcap.out 2>&1 || code=$$?; \
+	test $$code -eq 2 || { echo "scenario-smoke: summitsim -setpoint 22 exited $$code, want 2"; exit 1; }; \
+	echo "scenario-smoke: a negative cap is refused, naming it; -setpoint is no flag"
+	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-summitsim /tmp/scnsmoke-w1 /tmp/scnsmoke-wn /tmp/scnsmoke-bad /tmp/scnsmoke-negcap.json /tmp/scnsmoke-negcap.out
 
 # archive-smoke gates the one archive writer end to end: a single archive
 # with the optional node-power dataset and a 2-cluster fleet are written, and

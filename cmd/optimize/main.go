@@ -7,16 +7,15 @@
 //
 //	optimize -list
 //	optimize -study heatwave-setpoint [-strategy grid|cd|cem]
-//	         [-workers N] [-seed S] [-out sweep.json]
-//	optimize -study heatwave-setpoint -scenarios points.json
+//	         [-scenario name|spec.json] [-workers N] [-seed S] [-out sweep.json]
 //
-// A sweep is bit-reproducible for any -workers value: every scenario's
-// run seed derives from the base seed and the scenario's canonical hash,
-// so the -out sweep log is a stable artifact (see EXPERIMENTS.md).
+// A sweep is bit-reproducible for any -workers value: every point runs on
+// the base scenario's seed and frozen workload, so the -out sweep log is a
+// stable artifact (see EXPERIMENTS.md). A hand-written operating point is
+// a scenario spec, run with summitsim -scenario.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,14 +30,13 @@ import (
 
 // options carries the parsed flag surface so run is testable.
 type options struct {
-	list      bool
-	study     string
-	scenario  string // base-scenario override: catalog name or spec file
-	strategy  string
-	scenarios string // path to a scenario-list JSON file (skips search)
-	workers   int
-	seed      uint64
-	out       string
+	list     bool
+	study    string
+	scenario string // base-scenario override: catalog name or spec file
+	strategy string
+	workers  int
+	seed     uint64
+	out      string
 }
 
 // validate rejects inconsistent flag combinations before any simulation
@@ -64,7 +62,6 @@ func main() {
 	flag.StringVar(&o.scenario, "scenario", "",
 		"override the study's base scenario: a scenario-catalog name or a spec JSON file")
 	flag.StringVar(&o.strategy, "strategy", "grid", "search strategy: grid|cd|cem")
-	flag.StringVar(&o.scenarios, "scenarios", "", "JSON file with explicit scenarios to evaluate (skips search)")
 	flag.IntVar(&o.workers, "workers", 0, "scenario-level parallelism (0 = all cores)")
 	flag.Uint64Var(&o.seed, "seed", 0, "override the study's base seed (0 = keep)")
 	flag.StringVar(&o.out, "out", "", "write the machine-readable sweep log to this file")
@@ -93,12 +90,10 @@ func run(w io.Writer, o options) error {
 	opt := whatif.Options{Workers: o.workers}
 	start := time.Now() //lint:allow determinism wall-clock timing for the progress log only
 	var res *whatif.SweepResult
-	switch {
-	case o.scenarios != "":
-		res, err = evaluateFile(base, o.scenarios, opt)
-	case o.strategy == "grid":
+	switch o.strategy {
+	case "grid":
 		res, err = whatif.RunGrid(base, study.Axes, opt)
-	case o.strategy == "cd":
+	case "cd":
 		res, err = whatif.RunCoordinateDescent(base, study.Axes, opt)
 	default: // cem — validate() already rejected anything else
 		res, err = whatif.RunCEM(base, study.Axes, opt)
@@ -150,42 +145,6 @@ func baseConfig(study whatif.Study, o options) (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	return r.Config, nil
-}
-
-// evaluateFile scores an explicit scenario list (the declarative JSON
-// schema from EXPERIMENTS.md) against the study base, prepending the
-// nominal baseline.
-func evaluateFile(base sim.Config, path string, opt whatif.Options) (*whatif.SweepResult, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var scns []whatif.Scenario
-	if err := json.Unmarshal(raw, &scns); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if len(scns) == 0 {
-		return nil, fmt.Errorf("%s holds no scenarios", path)
-	}
-	all := append([]whatif.Scenario{{Name: "nominal"}}, scns...)
-	reports, err := whatif.Evaluate(base, all, opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &whatif.SweepResult{
-		Strategy:  "file",
-		BaseSeed:  base.Seed,
-		Evaluated: reports,
-		Baseline:  reports[0],
-		Best:      reports[0],
-		Pareto:    whatif.ParetoFront(reports),
-	}
-	for _, r := range reports[1:] {
-		if r.Score < res.Best.Score {
-			res.Best = r
-		}
-	}
-	return res, nil
 }
 
 // listStudies prints the catalog, resolving each study's base scenario for

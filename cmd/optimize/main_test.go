@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,43 +43,6 @@ func TestRunUnknownStudy(t *testing.T) {
 	err := run(&strings.Builder{}, options{study: "no-such", strategy: "grid"})
 	if err == nil || !strings.Contains(err.Error(), "unknown study") {
 		t.Errorf("unknown study err = %v", err)
-	}
-}
-
-func TestRunScenarioFile(t *testing.T) {
-	dir := t.TempDir()
-	scns := filepath.Join(dir, "points.json")
-	body := `[
-	  {"name": "warm-water", "params": {"supply_setpoint_c": 24}},
-	  {"params": {"supply_setpoint_c": 18}, "cap_schedule": [{"after_sec": 1800, "cap_w": 150000}]}
-	]`
-	if err := os.WriteFile(scns, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "sweep.json")
-	var b strings.Builder
-	o := options{
-		study: "heatwave-setpoint", strategy: "grid",
-		scenarios: scns, out: out, workers: 2,
-	}
-	// The scenario file skips the search, so only 3 runs execute — but
-	// they still use the study's 12 h base; keep this as the one slow-ish
-	// CLI test.
-	if err := run(&b, o); err != nil {
-		t.Fatalf("run(-scenarios): %v", err)
-	}
-	text := b.String()
-	if !strings.Contains(text, "warm-water") || !strings.Contains(text, "baseline") {
-		t.Errorf("summary missing expected lines:\n%s", text)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("sweep log not written: %v", err)
-	}
-	for _, want := range []string{`"strategy": "file"`, `"warm-water"`, `"cap_schedule"`} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("sweep log missing %s", want)
-		}
 	}
 }
 
@@ -130,22 +91,5 @@ func TestBaseConfigMatchesSummitsim(t *testing.T) {
 	}
 	if reflect.DeepEqual(seeded.Workload, patched.Config.Workload) {
 		t.Error("seeded trace replay kept the catalog seed's workload")
-	}
-}
-
-func TestRunScenarioFileErrors(t *testing.T) {
-	dir := t.TempDir()
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`[]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cases := []options{
-		{study: "heatwave-setpoint", strategy: "grid", scenarios: filepath.Join(dir, "absent.json")},
-		{study: "heatwave-setpoint", strategy: "grid", scenarios: empty},
-	}
-	for i, o := range cases {
-		if err := run(&strings.Builder{}, o); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
 	}
 }

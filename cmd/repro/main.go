@@ -206,9 +206,9 @@ func run(w io.Writer, nodes int, hours float64, seed uint64, startDay int, figDi
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "simulated %d windows, %d jobs placed, %d failures injected, utilization %.1f%% (%.1fs wall)\n\n",
+	fmt.Fprintf(w, "simulated %d windows, %d jobs placed, %d failures injected (%.1fs wall)\n\n",
 		res.Steps, len(res.Allocations), len(res.Failures),
-		res.Utilization*100, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
+		time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
 	return printReports(w, data.Source(), figDir)
 }
 

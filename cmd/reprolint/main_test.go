@@ -523,14 +523,13 @@ var keptFlags = map[string]string{
 	"benchjson.label":  passedBy("Makefile"),
 	"benchjson.report": passedBy("Makefile"),
 
-	"optimize.list":      passedBy("Makefile"),
-	"optimize.study":     passedBy("Makefile"),
-	"optimize.scenario":  passedBy("bench/whatif.go"),
-	"optimize.strategy":  passedBy("Makefile"),
-	"optimize.scenarios": selects("README.md", "an explicit scenario list scored against a study's base"),
-	"optimize.workers":   passedBy("Makefile"),
-	"optimize.seed":      selects("README.md", "the CEM sweep over seed 7's draw of weather and workload"),
-	"optimize.out":       passedBy("Makefile"),
+	"optimize.list":     passedBy("Makefile"),
+	"optimize.study":    passedBy("Makefile"),
+	"optimize.scenario": passedBy("bench/whatif.go"),
+	"optimize.strategy": passedBy("Makefile"),
+	"optimize.workers":  passedBy("Makefile"),
+	"optimize.seed":     selects("README.md", "the CEM sweep over seed 7's draw of weather and workload"),
+	"optimize.out":      passedBy("Makefile"),
 
 	"queryd.data":     passedBy("Makefile"),
 	"queryd.addr":     passedBy("Makefile"),
@@ -561,22 +560,19 @@ var keptFlags = map[string]string{
 	"streamd.sim-minutes": passedBy("Makefile"),
 	"streamd.q":           passedBy("Makefile"),
 
-	"summitsim.scenario":    passedBy("Makefile"),
-	"summitsim.nodes":       passedBy("Makefile"),
-	"summitsim.days":        passedBy("Makefile"),
-	"summitsim.seed":        passedBy("Makefile"),
-	"summitsim.clusters":    passedBy("Makefile"),
-	"summitsim.sites":       passedBy("Makefile"),
-	"summitsim.out":         passedBy("Makefile"),
-	"summitsim.setpoint":    selects("README.md", "a scenario with its MTW supply setpoint overridden"),
-	"summitsim.placement":   selects("README.md", "a scenario with its placement policy overridden"),
-	"summitsim.powercap-mw": selects("README.md", "a scenario with its cluster power cap overridden"),
-	"summitsim.nodedata":    passedBy("Makefile"),
-	"summitsim.q":           passedBy("Makefile"),
-	"summitsim.cpuprofile":  deployment + "a CPU profile file",
-	"summitsim.memprofile":  deployment + "a heap profile file",
-	"summitsim.trace":       deployment + "an execution trace file",
-	"summitsim.fsck":        passedBy("Makefile"),
+	"summitsim.scenario":   passedBy("Makefile"),
+	"summitsim.nodes":      passedBy("Makefile"),
+	"summitsim.days":       passedBy("Makefile"),
+	"summitsim.seed":       passedBy("Makefile"),
+	"summitsim.clusters":   passedBy("Makefile"),
+	"summitsim.sites":      passedBy("Makefile"),
+	"summitsim.out":        passedBy("Makefile"),
+	"summitsim.nodedata":   passedBy("Makefile"),
+	"summitsim.q":          passedBy("Makefile"),
+	"summitsim.cpuprofile": deployment + "a CPU profile file",
+	"summitsim.memprofile": deployment + "a heap profile file",
+	"summitsim.trace":      deployment + "an execution trace file",
+	"summitsim.fsck":       passedBy("Makefile"),
 }
 
 const (

@@ -113,7 +113,7 @@ func describe(w io.Writer, ref string) error {
 		return err
 	}
 	fmt.Fprintf(w, "%s\n", raw)
-	fmt.Fprintf(w, "hash %s  run seed %d\n", r.Identity(), r.Seed)
+	fmt.Fprintf(w, "hash %s  identity %d  seed %d\n", r.Identity(), r.Seed, r.Config.Seed)
 	fmt.Fprintf(w, "compiled: %d nodes, %s, start %d, %d explicit jobs\n",
 		r.Config.Nodes, (time.Duration(r.Config.DurationSec) * time.Second).String(),
 		r.Config.StartTime, len(r.Config.Workload))

@@ -6,10 +6,11 @@
 // Every run is a declarative scenario (internal/scenario). Without
 // -scenario it is the calibrated generator spec the flag defaults describe;
 // with -scenario it is that catalog entry or spec file. Each of -nodes,
-// -days, -seed, -setpoint, -placement and -powercap-mw given on the command
-// line then overrides one field of the spec. Beside the datasets every run
-// directory gets scenario.json (the spec and its identity) and report.json
-// (the run's objective report).
+// -days and -seed given on the command line then overrides one field of
+// the spec; an operating point (supply setpoint, placement, power cap) is
+// written in a spec file. Beside the datasets every run directory gets
+// scenario.json (the spec and its identity) and report.json (the run's
+// objective report).
 //
 // With -clusters N (N >= 2) it simulates a heterogeneous fleet instead: N
 // independently-seeded clusters cycling through the -sites presets, archived
@@ -56,19 +57,16 @@ import (
 // options is the parsed flag set; set names the flags given on the command
 // line.
 type options struct {
-	scenario  string
-	nodes     int
-	days      float64
-	seed      uint64
-	setpoint  float64
-	placement string
-	capMW     float64
-	clusters  int
-	sites     string
-	out       string
-	nodeData  bool
-	quiet     bool
-	set       map[string]bool
+	scenario string
+	nodes    int
+	days     float64
+	seed     uint64
+	clusters int
+	sites    string
+	out      string
+	nodeData bool
+	quiet    bool
+	set      map[string]bool
 }
 
 func main() {
@@ -84,9 +82,6 @@ func main() {
 	flag.IntVar(&o.clusters, "clusters", 1, "number of clusters; >= 2 archives a fleet root with a manifest")
 	flag.StringVar(&o.sites, "sites", "summit", "comma-separated site presets cycled across fleet members")
 	flag.StringVar(&o.out, "out", "", "archive directory (required)")
-	flag.Float64Var(&o.setpoint, "setpoint", 0, "MTW supply setpoint override in °C (0 = model default)")
-	flag.StringVar(&o.placement, "placement", "", "scheduler placement policy: contiguous|packed|scatter")
-	flag.Float64Var(&o.capMW, "powercap-mw", 0, "cluster power cap in MW (0 = uncapped)")
 	flag.BoolVar(&o.nodeData, "nodedata", false, "also archive per-node window statistics (Dataset 0; large)")
 	flag.BoolVar(&o.quiet, "q", false, "suppress progress output")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -181,15 +176,6 @@ func resolve(o options) (*scenario.Resolved, string, error) {
 	if given("seed") {
 		spec.Seed = o.seed
 	}
-	if given("setpoint") {
-		spec.Tuning.SupplySetpointC = o.setpoint
-	}
-	if given("placement") {
-		spec.Placement = o.placement
-	}
-	if given("powercap-mw") {
-		spec.PowerCapMW = o.capMW
-	}
 	r, err := scenario.Compile(spec, dir)
 	return r, dir, err
 }
@@ -254,7 +240,8 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 	if len(ms) == 1 && !o.quiet {
-		fmt.Fprintf(w, "scenario %s (hash %s, run seed %d)\n", base.Spec.Name, base.Identity(), base.Seed)
+		fmt.Fprintf(w, "scenario %s (hash %s, identity %d), seed %d\n",
+			base.Spec.Name, base.Identity(), base.Seed, base.Config.Seed)
 	}
 	dirs := make([]string, len(ms))
 	cfgs := make([]sim.Config, len(ms))
@@ -280,8 +267,8 @@ func run(w io.Writer, o options) error {
 	for i, m := range ms {
 		res := runs[i].Result
 		if !o.quiet {
-			line := fmt.Sprintf("simulated %d windows on %d nodes: %d jobs, %d failures, utilization %.1f%%",
-				res.Steps, cfgs[i].Nodes, len(res.Allocations), len(res.Failures), res.Utilization*100)
+			line := fmt.Sprintf("simulated %d windows on %d nodes: %d jobs, %d failures",
+				res.Steps, cfgs[i].Nodes, len(res.Allocations), len(res.Failures))
 			if m.name == "" {
 				fmt.Fprintf(w, "%s (%.1fs)\n", line, time.Since(start).Seconds()) //lint:allow determinism wall-clock timing for the progress log only
 			} else {

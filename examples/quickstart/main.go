@@ -36,8 +36,7 @@ func main() {
 	}
 	power := clusterPower.Stats()
 	fmt.Printf("simulated %d windows on %d nodes\n", result.Steps, cfg.Nodes)
-	fmt.Printf("jobs placed:        %d (utilization %.1f%%)\n",
-		len(result.Allocations), result.Utilization*100)
+	fmt.Printf("jobs placed:        %d\n", len(result.Allocations))
 	fmt.Printf("cluster power:      min %.1f kW  mean %.1f kW  max %.1f kW\n",
 		power.Min/units.WattsPerKW, power.Mean()/units.WattsPerKW, power.Max/units.WattsPerKW)
 	fmt.Printf("energy consumed:    %.1f kWh\n", clusterPower.Integrate()/units.JoulesPerKWh)

@@ -52,9 +52,9 @@ func Mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// DeriveSeed derives a run seed from a base seed and a content hash: the
-// identity shared by the what-if and scenario planes, so identical physics
-// gets an identical run seed in both.
+// DeriveSeed derives a run identity from a base seed and a content hash,
+// the shape the what-if and scenario planes share. It names a run; the run
+// itself is simulated on the base seed.
 func DeriveSeed(base, hash uint64) uint64 { return Mix64(base*golden + hash) }
 
 // FNV-1a-64 parameters.

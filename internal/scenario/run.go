@@ -23,6 +23,8 @@ func (r *Resolved) Assess(src source.RunSource) (whatif.Report, error) {
 
 // Manifest is a run's provenance, written beside its archive as
 // scenario.json: the full spec plus the derived identity and trace stats.
+// RunSeed is that identity (Resolved.Seed), not the seed the run used,
+// which is the spec's.
 type Manifest struct {
 	Spec    Spec           `json:"spec"`
 	Hash    string         `json:"hash"`

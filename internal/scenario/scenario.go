@@ -5,11 +5,11 @@
 // seed — plus a checked-in catalog of named scenarios pinned by golden
 // regression tests. Every scenario compiles to a canonical FNV-1a content
 // hash (trace content included) and a splitmix64-derived run identity, the
-// same shape the what-if plane uses, so a scenario is a named,
-// bit-reproducible artifact: the same spec produces byte-identical
-// archives for any worker count, and the catalog names are stable inputs
-// for studies, demos and benchmarks (ExaDigiT's versioned-scenario
-// practice).
+// same shape the what-if plane uses; the run itself is simulated on the
+// spec's seed. So a scenario is a named, bit-reproducible artifact: the
+// same spec produces byte-identical archives for any worker count, and the
+// catalog names are stable inputs for studies, demos and benchmarks
+// (ExaDigiT's versioned-scenario practice).
 //
 // The dependency order is scenario → whatif → sim: whatif studies
 // reference scenarios by catalog name and callers resolve them here.
@@ -230,7 +230,9 @@ type Resolved struct {
 	// (name and description excluded; trace content included).
 	Hash uint64
 	// Seed is the derived run identity: splitmix64 over the base seed and
-	// the hash, the same shape as whatif.Seed.
+	// the hash, the same shape as whatif.Seed. It names the run (the
+	// manifest's run_seed, the report's seed); the run itself is simulated
+	// on Config.Seed, the spec's seed or the calibrated 2020.
 	Seed uint64
 	// Config is the ready-to-run simulator configuration.
 	Config sim.Config

@@ -128,7 +128,7 @@ func refRun(t *testing.T, cfg Config) ([]*Snapshot, *Result) {
 		nodeAlloc[i] = -1
 	}
 	nextStart, nextEnd := 0, 0
-	result := &Result{Allocations: s.allocs, Skipped: s.skipped, Utilization: s.util}
+	result := &Result{Allocations: s.allocs, Skipped: s.skipped}
 	sub := cfg.SamplesPerWindow
 	step := float64(cfg.StepSec) / float64(sub)
 	invSub := 1 / float64(sub)

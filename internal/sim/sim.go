@@ -357,7 +357,6 @@ type Result struct {
 	Allocations []scheduler.Allocation
 	Skipped     int
 	Failures    []failures.Event
-	Utilization float64
 	Steps       int
 }
 
@@ -372,7 +371,7 @@ type Sim struct {
 	cep      *facility.CEP
 	meters   *facility.MSBMeters
 	fleet    *nodesim.Fleet
-	util     float64
+	util     float64 // the scheduler's makespan utilization; sizes the failure log
 
 	// Hot-loop invariants precomputed at construction.
 	nodeMSB []int32 // dense NodeID -> MSB index (avoids per-window division)
@@ -704,7 +703,7 @@ func (s *Sim) newConsumer(obs []Observer, endTime int64) *consumer {
 	c := &consumer{
 		s:          s,
 		obs:        obs,
-		result:     &Result{Allocations: s.allocs, Skipped: s.skipped, Utilization: s.util},
+		result:     &Result{Allocations: s.allocs, Skipped: s.skipped},
 		endTime:    endTime,
 		jobMoments: make([]stats.Moments, len(s.allocs)),
 		jobSeen:    make([]bool, len(s.allocs)),

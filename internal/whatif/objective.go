@@ -18,7 +18,7 @@ type Report struct {
 	Scenario Scenario `json:"scenario"`
 	Label    string   `json:"label"`
 	Hash     string   `json:"hash"` // canonical scenario hash, hex
-	Seed     uint64   `json:"seed"` // derived run identity
+	Seed     uint64   `json:"seed"` // derived run identity, not the seed the run used
 
 	// Energy and efficiency.
 	MeanPUE        float64 `json:"mean_pue"`
@@ -39,7 +39,11 @@ type Report struct {
 	OvercoolingTonH      float64 `json:"overcooling_tonh"`
 	OvercoolingEnergyKWh float64 `json:"overcooling_energy_kwh"`
 
-	// Reliability and throughput.
+	// Reliability and throughput. JobsSkipped, the jobs the scheduler never
+	// started, is the one field only a live run knows (they leave no record
+	// in a source): Assess sets it, AssessSource (report.json) reads 0.
+	// Utilization is the placed node-seconds inside the span over the
+	// span's node-seconds.
 	Failures      int     `json:"failures"`
 	JobsCompleted int     `json:"jobs_completed"`
 	JobsSkipped   int     `json:"jobs_skipped"`
@@ -91,25 +95,50 @@ func (w Weights) Score(r *Report) float64 {
 		w.SkippedJob*float64(r.JobsSkipped)
 }
 
-// assessMetrics fills the purely source-derived metric block shared by
-// Assess and AssessSource — energy, mean PUE, peak and p99 power, thermal
-// violations, overcooling, placed jobs and their mean wait — and returns
-// the run's end time for job-completion cuts.
-func assessMetrics(src source.RunSource, rep *Report) (endTime int64, err error) {
+// Assess reduces one completed run to its objective report: AssessSource
+// over the run's in-memory source (so a sweep point and report.json get one
+// score), stamped with the scenario's identity, plus the skipped jobs.
+func Assess(d *core.RunData, res *sim.Result, scn Scenario, seed uint64, w Weights) (Report, error) {
+	rep, err := AssessSource(d.Source(), w)
+	if err != nil {
+		return rep, err
+	}
+	rep.Scenario = scn
+	rep.Label = scn.Label()
+	rep.Hash = fmt.Sprintf("%016x", scn.Hash())
+	rep.Seed = seed
+	rep.JobsSkipped = res.Skipped
+	rep.Score = w.Score(&rep)
+	return rep, nil
+}
+
+// AssessSource reduces any RunSource — a live run's memory source or a
+// re-opened archive — to the objective report using only what the source
+// serves; JobsSkipped reads 0 (see Report). Because every input is
+// FromSource, the report is byte-identical whether computed before
+// archiving or after re-opening the archive (the memory/archive parity
+// invariant) — the scenario subsystem's run → archive → report path
+// depends on exactly this.
+func AssessSource(src source.RunSource, w Weights) (rep Report, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("whatif: assess source: %w", err)
+		}
+	}()
 	it, err := src.Series(source.SeriesClusterTruePower)
 	if err != nil {
-		return 0, err
+		return rep, err
 	}
 	pue, err := src.Series(source.SeriesPUE)
 	if err != nil {
-		return 0, err
+		return rep, err
 	}
 	top, err := src.Series(source.GPUBandSeries(core.NumTempBands - 1))
 	if err != nil {
-		return 0, err
+		return rep, err
 	}
 	if it.Len() == 0 || pue.Len() != it.Len() || top.Len() != it.Len() {
-		return 0, fmt.Errorf("inconsistent series lengths")
+		return rep, fmt.Errorf("inconsistent series lengths")
 	}
 	step := float64(it.Step)
 	var itJ, totJ, peakW float64
@@ -140,13 +169,13 @@ func assessMetrics(src source.RunSource, rep *Report) (endTime int64, err error)
 	}
 	oc, err := core.OvercoolingFromSource(src)
 	if err != nil {
-		return 0, err
+		return rep, err
 	}
 	rep.OvercoolingTonH = oc.ExcessTonHours
 	rep.OvercoolingEnergyKWh = oc.ExcessEnergyKWh
 	allocs, err := src.Allocations()
 	if err != nil {
-		return 0, err
+		return rep, err
 	}
 	var waitSec float64
 	for i := range allocs {
@@ -155,64 +184,19 @@ func assessMetrics(src source.RunSource, rep *Report) (endTime int64, err error)
 	if rep.JobsPlaced = len(allocs); rep.JobsPlaced > 0 {
 		rep.MeanWaitSec = waitSec / float64(rep.JobsPlaced)
 	}
-	return it.Start + int64(it.Len())*it.Step, nil
-}
-
-// Assess reduces one completed run to its objective report through the
-// unified data plane: the same FromSource analyses the dashboards and the
-// archive tier run, applied to the run's in-memory source. Run-level
-// facts the data plane cannot serve (skipped jobs, the scheduler's own
-// utilization figure) come from the sim result.
-func Assess(d *core.RunData, res *sim.Result, scn Scenario, seed uint64, w Weights) (Report, error) {
-	rep := Report{
-		Scenario: scn,
-		Label:    scn.Label(),
-		Hash:     fmt.Sprintf("%016x", scn.Hash()),
-		Seed:     seed,
-	}
-	endTime, err := assessMetrics(d.Source(), &rep)
-	if err != nil {
-		return rep, fmt.Errorf("whatif: assess: %w", err)
-	}
-	rep.Failures = len(res.Failures)
-	rep.JobsSkipped = res.Skipped
-	rep.Utilization = res.Utilization
-	for i := range res.Allocations {
-		if res.Allocations[i].EndTime <= endTime {
-			rep.JobsCompleted++
-		}
-	}
-	rep.Score = w.Score(&rep)
-	return rep, nil
-}
-
-// AssessSource reduces any RunSource — a live run's memory source or a
-// re-opened archive — to the objective report using only what the source
-// serves: failures from the failure log, completed jobs and utilization
-// from the job records. JobsSkipped is not observable from a source
-// (skipped jobs never produce records) and reads 0. Because every input is
-// FromSource, the report is byte-identical whether computed before
-// archiving or after re-opening the archive (the memory/archive parity
-// invariant) — the scenario subsystem's run → archive → report path
-// depends on exactly this.
-func AssessSource(src source.RunSource, w Weights) (Report, error) {
-	var rep Report
-	endTime, err := assessMetrics(src, &rep)
-	if err != nil {
-		return rep, fmt.Errorf("whatif: assess source: %w", err)
-	}
+	endTime := it.Start + int64(it.Len())*it.Step
 	meta, err := src.Meta()
 	if err != nil {
-		return rep, fmt.Errorf("whatif: assess source: %w", err)
+		return rep, err
 	}
 	evs, err := src.Failures()
 	if err != nil {
-		return rep, fmt.Errorf("whatif: assess source: %w", err)
+		return rep, err
 	}
 	rep.Failures = len(evs)
 	recs, err := src.JobRecords()
 	if err != nil {
-		return rep, fmt.Errorf("whatif: assess source: %w", err)
+		return rep, err
 	}
 	var nodeSec float64
 	for i := range recs {

@@ -1,14 +1,13 @@
-// Package whatif is the twin's what-if control plane: it sweeps named,
-// validated operating-point scenarios (plant setpoints, staging
-// thresholds, power-cap schedules, placement policies) over deterministic
-// batch evaluations of the simulator, scores each run with the existing
-// analyses, and searches the knob space with grid, coordinate-descent and
-// cross-entropy strategies — the ExaDigiT-style "steer the plant in
-// simulation" loop the paper's successors build on the same telemetry.
+// Package whatif is the twin's what-if control plane: it sweeps validated
+// operating points (plant setpoints, staging thresholds, power caps,
+// placement policies) over deterministic batch runs of the simulator,
+// scores each with report.json's reduction (AssessSource), and searches
+// the knobs with grid, coordinate-descent and cross-entropy strategies —
+// the ExaDigiT-style "steer the plant in simulation" loop.
 //
-// Every evaluation is a reproducible artifact: a scenario's canonical
-// hash plus the batch's base seed derive the run's seed, so a sweep log
-// is bit-identical for any worker count.
+// Every point runs on the base config's seed and frozen workload (a paired
+// comparison) and carries an identity derived from that seed and its
+// canonical hash, so a sweep log is bit-identical for any worker count.
 package whatif
 
 import (
@@ -40,14 +39,12 @@ const (
 // ErrScenario marks an invalid scenario; violations wrap it.
 var ErrScenario = errors.New("whatif: invalid scenario")
 
-// Scenario is one named operating point: a sparse knob assignment over
-// the base configuration, optionally with a power-cap step schedule.
-// The JSON form is the declarative scenario-config schema (see
-// EXPERIMENTS.md).
+// Scenario is one named operating point of a sweep: a sparse knob
+// assignment over the base configuration. A hand-written operating point
+// is a scenario.Spec, not a Scenario.
 type Scenario struct {
-	Name        string            `json:"name,omitempty"`
-	Params      map[Param]float64 `json:"params,omitempty"`
-	CapSchedule []sim.CapStep     `json:"cap_schedule,omitempty"`
+	Name   string            `json:"name,omitempty"`
+	Params map[Param]float64 `json:"params,omitempty"`
 }
 
 // paramValue is one knob assignment in canonical (sorted) order.
@@ -102,9 +99,6 @@ func (s Scenario) Apply(base sim.Config) (sim.Config, error) {
 			return cfg, fmt.Errorf("%w: unknown parameter %q", ErrScenario, pv.Param)
 		}
 	}
-	if len(s.CapSchedule) > 0 {
-		cfg.PowerCapSchedule = s.CapSchedule
-	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, fmt.Errorf("%w: %w", ErrScenario, err)
 	}
@@ -112,23 +106,20 @@ func (s Scenario) Apply(base sim.Config) (sim.Config, error) {
 }
 
 // Hash returns the scenario's canonical content hash: FNV-1a over the
-// sorted knob assignments and the cap schedule. The name is cosmetic and
-// excluded, so two scenarios with identical knobs share an identity —
-// and therefore a derived seed — regardless of labeling.
+// sorted knob assignments. The name is cosmetic and excluded, so two
+// scenarios with identical knobs share an identity regardless of labeling.
 func (s Scenario) Hash() uint64 {
 	h := rng.NewContentHash()
 	for _, pv := range s.sorted() {
 		h.Float(string(pv.Param), pv.Value)
 	}
-	for _, st := range s.CapSchedule {
-		h.Float("cap@"+strconv.FormatInt(st.AfterSec, 10), float64(st.CapW))
-	}
 	return h.Sum64()
 }
 
-// Seed derives the run seed for a scenario from the batch's base seed and
-// the scenario hash (splitmix64 finalizer over the combination), giving
-// every scenario a reproducible identity independent of batch order.
+// Seed derives a scenario's run identity from the batch's base seed and
+// the scenario hash (splitmix64 finalizer over the combination), stable
+// under batch order. It labels the report; it is not the seed the run
+// uses, which is the base config's own (Evaluate runs every point on it).
 func Seed(base uint64, s Scenario) uint64 {
 	return rng.DeriveSeed(base, s.Hash())
 }
@@ -139,7 +130,7 @@ func (s Scenario) Label() string {
 	if s.Name != "" {
 		return s.Name
 	}
-	if len(s.Params) == 0 && len(s.CapSchedule) == 0 {
+	if len(s.Params) == 0 {
 		return "nominal"
 	}
 	out := ""
@@ -148,12 +139,6 @@ func (s Scenario) Label() string {
 			out += " "
 		}
 		out += string(pv.Param) + "=" + strconv.FormatFloat(pv.Value, 'g', -1, 64)
-	}
-	if len(s.CapSchedule) > 0 {
-		if out != "" {
-			out += " "
-		}
-		out += fmt.Sprintf("cap-schedule[%d]", len(s.CapSchedule))
 	}
 	return out
 }

@@ -236,10 +236,6 @@ func signatureWithout(s *Scenario, p Param) string {
 		b.WriteString(strconv.FormatFloat(pv.Value, 'g', -1, 64))
 		b.WriteByte('\n')
 	}
-	for _, st := range s.CapSchedule {
-		fmt.Fprintf(&b, "cap@%d=%s\n", st.AfterSec,
-			strconv.FormatFloat(float64(st.CapW), 'g', -1, 64))
-	}
 	return b.String()
 }
 

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/units"
 )
 
 // hashScenarioA/B are fixed probe scenarios; their hashes are pinned so a
@@ -22,13 +23,10 @@ func hashScenarioA() Scenario {
 }
 
 func hashScenarioB() Scenario {
-	return Scenario{
-		Params: map[Param]float64{
-			ParamPowerCapMW: 0.14,
-			ParamPlacement:  2,
-		},
-		CapSchedule: []sim.CapStep{{AfterSec: 3600, CapW: 120000}},
-	}
+	return Scenario{Params: map[Param]float64{
+		ParamPowerCapMW: 0.14,
+		ParamPlacement:  2,
+	}}
 }
 
 func TestScenarioHashStability(t *testing.T) {
@@ -39,7 +37,6 @@ func TestScenarioHashStability(t *testing.T) {
 	}{
 		{"empty", Scenario{}, 0xcbf29ce484222325}, // FNV-1a offset basis
 		{"knobs", hashScenarioA(), 0x70108e8da85e5e2a},
-		{"cap-schedule", hashScenarioB(), 0xaa58143a7b083ce5},
 	}
 	for _, tc := range cases {
 		if got := tc.scn.Hash(); got != tc.want {
@@ -77,7 +74,7 @@ func TestScenarioLabel(t *testing.T) {
 	if got := hashScenarioA().Label(); got != "stage_down_frac=0.86 supply_setpoint_c=19.5" {
 		t.Errorf("label = %q", got)
 	}
-	if got := hashScenarioB().Label(); got != "placement=2 power_cap_mw=0.14 cap-schedule[1]" {
+	if got := hashScenarioB().Label(); got != "placement=2 power_cap_mw=0.14" {
 		t.Errorf("label = %q", got)
 	}
 	named := hashScenarioA()
@@ -131,13 +128,9 @@ func TestScenarioApplyRejects(t *testing.T) {
 		{"setpoint out of band", Scenario{Params: map[Param]float64{ParamSupplySetpointC: 60}}},
 		{"inverted staging", Scenario{Params: map[Param]float64{
 			ParamStageUpFrac: 0.8, ParamStageDownFrac: 0.9}}},
-		{"bad cap schedule", Scenario{CapSchedule: []sim.CapStep{
-			{AfterSec: 100, CapW: 1e6}, {AfterSec: 100, CapW: 2e6}}}},
 		{"NaN setpoint", Scenario{Params: map[Param]float64{ParamSupplySetpointC: math.NaN()}}},
 		{"NaN cap", Scenario{Params: map[Param]float64{ParamPowerCapMW: math.NaN()}}},
 		{"+Inf cap", Scenario{Params: map[Param]float64{ParamPowerCapMW: math.Inf(1)}}},
-		{"NaN cap schedule", Scenario{CapSchedule: []sim.CapStep{
-			{AfterSec: 100, CapW: units.Watts(math.NaN())}}}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.scn.Apply(base); !errors.Is(err, ErrScenario) {
@@ -437,6 +430,56 @@ func TestSensitivityOfANominalBest(t *testing.T) {
 		}
 		if got := strings.Contains(log.String(), `"best_value"`); got != (c.json != "") || !strings.Contains(log.String(), c.json) {
 			t.Errorf("best %s: sweep log best_value, want %q:\n%s", best.Label, c.json, log.String())
+		}
+	}
+}
+
+// TestAssessIsAssessSource: a sweep point and an archived run get one
+// score. On a capped run that skips work, Assess equals AssessSource of the
+// run's source bit for bit in every metric; it adds only the scenario's
+// identity and the skipped jobs, which no source holds, and scores that.
+func TestAssessIsAssessSource(t *testing.T) {
+	scn := Scenario{Params: map[Param]float64{ParamPowerCapMW: 0.05}}
+	cfg, err := scn.Apply(goldenBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, res, err := core.CollectRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Skipped == 0 {
+		t.Fatal("the capped run skipped no job; the test needs one that does")
+	}
+	w := DefaultWeights()
+	rep, err := Assess(d, res, scn, Seed(cfg.Seed, scn), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AssessSource(d.Source(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.JobsSkipped != res.Skipped {
+		t.Errorf("JobsSkipped = %d, want the run's %d", rep.JobsSkipped, res.Skipped)
+	}
+	if score := w.Score(&rep); math.Float64bits(rep.Score) != math.Float64bits(score) {
+		t.Errorf("Score = %v, want the weights' %v", rep.Score, score)
+	}
+	// Everything else must be AssessSource's: blank the fields it cannot
+	// know on both sides and compare the rest field by field.
+	for _, r := range []*Report{&rep, &want} {
+		r.Scenario, r.Label, r.Hash, r.Seed, r.JobsSkipped, r.Score = Scenario{}, "", "", 0, 0, 0
+	}
+	got, exp := reflect.ValueOf(rep), reflect.ValueOf(want)
+	for i := 0; i < got.NumField(); i++ {
+		g, e := got.Field(i), exp.Field(i)
+		same := reflect.DeepEqual(g.Interface(), e.Interface())
+		if g.Kind() == reflect.Float64 {
+			same = math.Float64bits(g.Float()) == math.Float64bits(e.Float())
+		}
+		if !same {
+			t.Errorf("%s = %v, AssessSource says %v", got.Type().Field(i).Name, g, e)
 		}
 	}
 }
