@@ -91,11 +91,13 @@ bench-sim:
 	$(GO) test -run xxx -bench 'BenchmarkSim' -benchmem -count 3 . | \
 		$(GO) run ./cmd/benchjson -out BENCH_sim.json -label $(LABEL)
 
-# bench-smoke is the CI guard: one iteration of each simulator benchmark,
+# bench-smoke is the CI guard: one iteration of each simulator benchmark
+# and of the scheduler's (uncapped and at §8's cap),
 # so the hot path and the benchmark harness itself stay buildable and
 # runnable without CI paying for a real measurement.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSim' -benchmem -benchtime 1x .
+	$(GO) test -run xxx -bench . -benchmem -benchtime 1x ./internal/scheduler
 
 # bench-query records the query-tier benchmarks (cold decode, cached,
 # pre-aggregate, reply-cache hits through the HTTP handler) and the
@@ -324,19 +326,30 @@ serve-smoke:
 # golden regression under the race detector, then an end-to-end check that
 # one scenario run on one core and on all of them archives byte-identical
 # datasets, scenario.json and report.json (the bit-reproducibility contract).
-# A spec file is the one way to write an operating point: one with a
-# negative power cap must stop summitsim (non-zero, naming the cap), and the
-# retired override flag -setpoint must be a usage error (exit 2).
+# A spec file is the one way to write an operating point: `scenario
+# -describe` redirected to a file must run as the catalog entry does (diff -r),
+# the same file with text after the spec must stop summitsim naming it, one
+# with a negative power cap must stop summitsim (non-zero, naming the cap),
+# and the retired override flag -setpoint must be a usage error (exit 2).
 scenario-smoke:
 	$(GO) test -race -run 'TestGoldenCatalogReports|TestRunArchiveParity' ./internal/scenario
 	$(GO) build -o /tmp/scnsmoke-scenario ./cmd/scenario
 	$(GO) build -o /tmp/scnsmoke-summitsim ./cmd/summitsim
 	/tmp/scnsmoke-scenario -list
-	rm -rf /tmp/scnsmoke-w1 /tmp/scnsmoke-wn /tmp/scnsmoke-bad /tmp/scnsmoke-negcap.json /tmp/scnsmoke-negcap.out
+	rm -rf /tmp/scnsmoke-w1 /tmp/scnsmoke-wn /tmp/scnsmoke-cd /tmp/scnsmoke-cdf /tmp/scnsmoke-bad /tmp/scnsmoke-capday.json /tmp/scnsmoke-trail.json /tmp/scnsmoke-negcap.json /tmp/scnsmoke-negcap.out
 	GOMAXPROCS=1 /tmp/scnsmoke-summitsim -scenario trace-replay -q -out /tmp/scnsmoke-w1
 	/tmp/scnsmoke-summitsim -scenario trace-replay -q -out /tmp/scnsmoke-wn
 	test -s /tmp/scnsmoke-w1/scenario.json && test -s /tmp/scnsmoke-w1/report.json
 	diff -r /tmp/scnsmoke-w1 /tmp/scnsmoke-wn
+	/tmp/scnsmoke-scenario -describe summer-capday > /tmp/scnsmoke-capday.json
+	/tmp/scnsmoke-summitsim -scenario summer-capday -q -out /tmp/scnsmoke-cd
+	/tmp/scnsmoke-summitsim -scenario /tmp/scnsmoke-capday.json -q -out /tmp/scnsmoke-cdf
+	diff -r /tmp/scnsmoke-cd /tmp/scnsmoke-cdf
+	@{ cat /tmp/scnsmoke-capday.json; echo 'hash 0  identity 0  seed 0'; } > /tmp/scnsmoke-trail.json; \
+	if /tmp/scnsmoke-summitsim -scenario /tmp/scnsmoke-trail.json -q -out /tmp/scnsmoke-bad > /tmp/scnsmoke-negcap.out 2>&1; then \
+		echo "scenario-smoke: a spec with trailing text ran"; exit 1; fi; \
+	grep -q 'scnsmoke-trail.json: .*trailing data' /tmp/scnsmoke-negcap.out || { echo "scenario-smoke: the refusal does not name the file:"; cat /tmp/scnsmoke-negcap.out; exit 1; }; \
+	echo "scenario-smoke: -describe's stdout runs as its catalog entry; trailing text is refused, naming the file"
 	@printf '{"version": 1, "name": "neg-cap", "nodes": 16, "duration_sec": 3600, "power_cap_mw": -1}\n' > /tmp/scnsmoke-negcap.json; \
 	if /tmp/scnsmoke-summitsim -scenario /tmp/scnsmoke-negcap.json -q -out /tmp/scnsmoke-bad > /tmp/scnsmoke-negcap.out 2>&1; then \
 		echo "scenario-smoke: a spec with power_cap_mw -1 ran"; exit 1; fi; \
@@ -344,7 +357,7 @@ scenario-smoke:
 	code=0; /tmp/scnsmoke-summitsim -setpoint 22 -q -out /tmp/scnsmoke-bad > /tmp/scnsmoke-negcap.out 2>&1 || code=$$?; \
 	test $$code -eq 2 || { echo "scenario-smoke: summitsim -setpoint 22 exited $$code, want 2"; exit 1; }; \
 	echo "scenario-smoke: a negative cap is refused, naming it; -setpoint is no flag"
-	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-summitsim /tmp/scnsmoke-w1 /tmp/scnsmoke-wn /tmp/scnsmoke-bad /tmp/scnsmoke-negcap.json /tmp/scnsmoke-negcap.out
+	rm -rf /tmp/scnsmoke-scenario /tmp/scnsmoke-summitsim /tmp/scnsmoke-w1 /tmp/scnsmoke-wn /tmp/scnsmoke-cd /tmp/scnsmoke-cdf /tmp/scnsmoke-bad /tmp/scnsmoke-capday.json /tmp/scnsmoke-trail.json /tmp/scnsmoke-negcap.json /tmp/scnsmoke-negcap.out
 
 # archive-smoke gates the one archive writer end to end: a single archive
 # with the optional node-power dataset and a 2-cluster fleet are written, and

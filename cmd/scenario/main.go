@@ -56,16 +56,17 @@ func main() {
 	log.SetPrefix("scenario: ")
 	var o options
 	flag.BoolVar(&o.list, "list", false, "list the scenario catalog and exit")
-	flag.StringVar(&o.describe, "describe", "", "print a scenario's resolved spec and identity (catalog name or spec file)")
+	flag.StringVar(&o.describe, "describe", "", "print a scenario's resolved spec on stdout, its identity on stderr (catalog name or spec file)")
 	flag.StringVar(&o.diff, "diff", "", "run two scenarios and diff their objective reports: -diff a,b")
 	flag.Parse()
-	if err := run(os.Stdout, o); err != nil {
+	if err := run(os.Stdout, os.Stderr, o); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// run executes one scenario invocation, writing human output to w.
-func run(w io.Writer, o options) error {
+// run executes one scenario invocation, writing its output to w and
+// -describe's identity lines to info.
+func run(w, info io.Writer, o options) error {
 	if err := o.validate(); err != nil {
 		return err
 	}
@@ -73,7 +74,7 @@ func run(w io.Writer, o options) error {
 	case o.list:
 		return list(w)
 	case o.describe != "":
-		return describe(w, o.describe)
+		return describe(w, info, o.describe)
 	default:
 		parts := strings.Split(o.diff, ",")
 		return diff(w, strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]))
@@ -101,9 +102,10 @@ func weatherLabel(weather string) string {
 	return weather
 }
 
-// describe resolves ref and prints the spec, the derived identity and the
-// trace-conversion stats.
-func describe(w io.Writer, ref string) error {
+// describe resolves ref and prints the spec to w, so that w is a spec file
+// summitsim -scenario runs, and the derived identity and trace-conversion
+// stats to info.
+func describe(w, info io.Writer, ref string) error {
 	r, err := scenario.Resolve(ref)
 	if err != nil {
 		return err
@@ -113,12 +115,12 @@ func describe(w io.Writer, ref string) error {
 		return err
 	}
 	fmt.Fprintf(w, "%s\n", raw)
-	fmt.Fprintf(w, "hash %s  identity %d  seed %d\n", r.Identity(), r.Seed, r.Config.Seed)
-	fmt.Fprintf(w, "compiled: %d nodes, %s, start %d, %d explicit jobs\n",
+	fmt.Fprintf(info, "hash %s  identity %d  seed %d\n", r.Identity(), r.Seed, r.Config.Seed)
+	fmt.Fprintf(info, "compiled: %d nodes, %s, start %d, %d explicit jobs\n",
 		r.Config.Nodes, (time.Duration(r.Config.DurationSec) * time.Second).String(),
 		r.Config.StartTime, len(r.Config.Workload))
 	if st := r.TraceStats; st.Rows > 0 {
-		fmt.Fprintf(w, "trace: %d rows -> %d jobs (%d zero-duration, %d beyond horizon), peak %d nodes, span %s\n",
+		fmt.Fprintf(info, "trace: %d rows -> %d jobs (%d zero-duration, %d beyond horizon), peak %d nodes, span %s\n",
 			st.Rows, st.Jobs, st.ZeroDuration, st.BeyondHorizon, st.PeakNodes,
 			(time.Duration(st.SpanSec) * time.Second).String())
 	}

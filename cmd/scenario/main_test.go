@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,7 +33,7 @@ func TestValidateModes(t *testing.T) {
 
 func TestList(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, options{list: true}); err != nil {
+	if err := run(&buf, io.Discard, options{list: true}); err != nil {
 		t.Fatalf("list: %v", err)
 	}
 	out := buf.String()
@@ -42,24 +45,36 @@ func TestList(t *testing.T) {
 }
 
 func TestDescribe(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, options{describe: "trace-replay"}); err != nil {
+	var spec, info bytes.Buffer
+	if err := run(&spec, &info, options{describe: "trace-replay"}); err != nil {
 		t.Fatalf("describe: %v", err)
 	}
-	out := buf.String()
-	for _, want := range []string{"trace-replay", "hash ", "trace: ", "rows"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("describe output lacks %q:\n%s", want, out)
+	for _, want := range []string{"hash ", "compiled: ", "trace: ", "rows"} {
+		if !strings.Contains(info.String(), want) {
+			t.Errorf("describe's identity lines lack %q:\n%s", want, info.String())
 		}
 	}
-	if err := run(io.Discard, options{describe: "no-such"}); err == nil {
+	// Stdout is the spec alone: redirected to a file, it loads as the
+	// catalog entry it describes.
+	path := filepath.Join(t.TempDir(), "trace-replay.json")
+	if err := os.WriteFile(path, spec.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := scenario.Load(path)
+	if err != nil {
+		t.Fatalf("describe's stdout does not load: %v\n%s", err, spec.String())
+	}
+	if want, _ := scenario.ByName("trace-replay"); !reflect.DeepEqual(got, want) {
+		t.Errorf("describe's stdout loads as %+v, want %+v", got, want)
+	}
+	if err := run(io.Discard, io.Discard, options{describe: "no-such"}); err == nil {
 		t.Error("describe of unknown scenario succeeded")
 	}
 }
 
 func TestDiff(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, options{diff: "winter-economizer,heatwave-summer"}); err != nil {
+	if err := run(&buf, io.Discard, options{diff: "winter-economizer,heatwave-summer"}); err != nil {
 		t.Fatalf("diff: %v", err)
 	}
 	out := buf.String()

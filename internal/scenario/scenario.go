@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/facility"
 	"repro/internal/rng"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/trace"
@@ -90,7 +91,8 @@ type FailureSpec struct {
 }
 
 // CapStep is one step of a power-cap schedule, in run-relative seconds and
-// megawatts (0 MW lifts the cap) — the human-writable form of sim.CapStep.
+// megawatts (0 MW lifts the cap) — the human-writable form of
+// scheduler.CapStep, which Compile builds from it after the weather offset.
 type CapStep struct {
 	AfterSec int64   `json:"after_sec"`
 	CapMW    float64 `json:"cap_mw"`
@@ -304,8 +306,8 @@ func Compile(s Spec, baseDir string) (*Resolved, error) {
 		cfg.PowerCap = units.Watts(s.PowerCapMW * units.WattsPerMW)
 	}
 	for _, st := range s.CapSchedule {
-		cfg.PowerCapSchedule = append(cfg.PowerCapSchedule, sim.CapStep{
-			AfterSec: st.AfterSec, CapW: units.Watts(st.CapMW * units.WattsPerMW),
+		cfg.PowerCapSchedule = append(cfg.PowerCapSchedule, scheduler.CapStep{
+			AtSec: cfg.StartTime + st.AfterSec, Cap: units.Watts(st.CapMW * units.WattsPerMW),
 		})
 	}
 	cfg.Placement = s.Placement
@@ -425,7 +427,9 @@ func hashSpec(s Spec, traceRaw []byte) uint64 {
 }
 
 // Load reads a spec from a JSON file, rejecting unknown fields so typos in
-// hand-written scenarios fail loudly.
+// hand-written scenarios fail loudly, and anything after the spec but
+// space, so a file holding two specs or a spec and its description is no
+// spec file.
 func Load(path string) (Spec, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -436,6 +440,9 @@ func Load(path string) (Spec, error) {
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("%w: %s: %v", ErrScenario, path, err)
+	}
+	if rest := bytes.TrimSpace(raw[dec.InputOffset():]); len(rest) > 0 {
+		return Spec{}, fmt.Errorf("%w: %s: %d bytes of trailing data after the spec", ErrScenario, path, len(rest))
 	}
 	return s, nil
 }

@@ -289,6 +289,23 @@ func TestLoadAndResolve(t *testing.T) {
 		t.Errorf("unknown field err = %v, want ErrScenario", err)
 	}
 
+	// A spec file is one JSON value: anything after it but space — a
+	// second spec, or the identity lines scenario -describe prints — is
+	// refused, naming the file.
+	tail := filepath.Join(dir, "tail.json")
+	for _, tc := range []struct {
+		tail string
+		ok   bool
+	}{{"\n \t\r\n", true}, {string(raw), false}, {"\nhash 0123456789abcdef  identity 1  seed 2020\n", false}, {"}", false}} {
+		if err := os.WriteFile(tail, append(raw[:len(raw):len(raw)], tc.tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(tail)
+		if tc.ok != (err == nil) || err != nil && (!errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), tail)) {
+			t.Errorf("spec + %q: Load = %v, want ok=%v or an ErrScenario naming the file", tc.tail, err, tc.ok)
+		}
+	}
+
 	// A bare name resolves through the catalog; junk does not.
 	if _, err := Resolve("winter-economizer"); err != nil {
 		t.Errorf("catalog resolve: %v", err)

@@ -101,6 +101,13 @@ func TestPolicyValidate(t *testing.T) {
 			{AtSec: 200, Cap: 1e6}, {AtSec: 100, Cap: 2e6}}}, false},
 		{"valid schedule", Policy{CapSchedule: []CapStep{
 			{AtSec: 100, Cap: 1e6}, {AtSec: 200, Cap: 0}}}, true},
+		// A NaN cap blocks no admission (every comparison with it is
+		// false), so it would schedule as if uncapped.
+		{"NaN cap", Policy{PowerCap: units.Watts(math.NaN())}, false},
+		{"+Inf cap", Policy{PowerCap: units.Watts(math.Inf(1))}, false},
+		{"NaN schedule cap", Policy{CapSchedule: []CapStep{
+			{AtSec: 0, Cap: 1e6}, {AtSec: 100, Cap: units.Watts(math.NaN())}}}, false},
+		{"+Inf schedule cap", Policy{CapSchedule: []CapStep{{AtSec: 0, Cap: units.Watts(math.Inf(1))}}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.pol.Validate()

@@ -33,26 +33,6 @@ func TestDefaultNodePowerEstimate(t *testing.T) {
 	}
 }
 
-func TestScheduleWithPolicyZeroCapIsBaseline(t *testing.T) {
-	jobs := []workload.Job{gpuHeavyJob(1, 0, 4, 100), gpuHeavyJob(2, 10, 4, 100)}
-	base, err := Schedule(jobs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := ScheduleWithPolicy(jobs, 8, Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Allocations) != len(pol.Allocations) {
-		t.Fatal("zero policy differs from baseline")
-	}
-	for i := range base.Allocations {
-		if base.Allocations[i].StartTime != pol.Allocations[i].StartTime {
-			t.Fatal("zero policy start times differ")
-		}
-	}
-}
-
 func TestScheduleWithPolicyCapsConcurrency(t *testing.T) {
 	// Two hot jobs that together exceed the cap must serialize even
 	// though nodes are available for both.

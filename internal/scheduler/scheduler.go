@@ -13,6 +13,8 @@ package scheduler
 import (
 	"container/heap"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/topology"
@@ -32,24 +34,13 @@ type Allocation struct {
 type Result struct {
 	Allocations []Allocation // ordered by start time
 	Skipped     []workload.Job
-	// NodeBusySec counts allocated node-seconds, for utilization.
-	NodeBusySec int64
-	// SpanSec is the makespan from first start to last end.
-	SpanSec int64
-}
-
-// Utilization returns allocated node-seconds over available node-seconds.
-func (r *Result) Utilization(nodes int) float64 {
-	if r.SpanSec <= 0 || nodes <= 0 {
-		return 0
-	}
-	return float64(r.NodeBusySec) / float64(int64(nodes)*r.SpanSec)
 }
 
 // running is the completion-ordered heap entry.
 type running struct {
 	end   int64
-	alloc int // index into result allocations
+	alloc int     // index into result allocations
+	power float64 // estimated dynamic power it holds against the cap
 }
 
 type runHeap []running
@@ -177,10 +168,18 @@ func (f *freePool) release(ids []topology.NodeID) {
 	f.n += len(ids)
 }
 
-// Schedule runs the event-driven simulation over jobs (must be sorted by
-// SubmitTime) on a system of the given node count. Jobs larger than the
-// system are reported in Skipped rather than failing the whole run.
-func Schedule(jobs []workload.Job, nodes int) (*Result, error) {
+// ScheduleWithPolicy runs the event-driven simulation over jobs (must be
+// sorted by SubmitTime) on a system of the given node count. The zero
+// policy is the baseline: FCFS+backfill, contiguous placement, no cap.
+// Jobs larger than the system are reported in Skipped rather than failing
+// the whole run. Under a constant cap, jobs whose standalone estimate
+// exceeds the cap (over the idle floor) can never start and are skipped
+// too; under a cap schedule they stay queued until a step grants headroom,
+// and are skipped only if the schedule ends without one.
+func ScheduleWithPolicy(jobs []workload.Job, nodes int, policy Policy) (*Result, error) {
+	if err := policy.Validate(); err != nil {
+		return nil, err
+	}
 	if nodes <= 0 {
 		return nil, fmt.Errorf("scheduler: non-positive node count %d", nodes)
 	}
@@ -189,36 +188,62 @@ func Schedule(jobs []workload.Job, nodes int) (*Result, error) {
 			return nil, fmt.Errorf("scheduler: jobs not sorted by submit time at %d", i)
 		}
 	}
+	hasSchedule := len(policy.CapSchedule) > 0
+	capped := policy.PowerCap > 0 || hasSchedule
+	idleNode := float64(workload.IdleNodePower().Total())
+	idleFloor := idleNode * float64(nodes)
+	// headroomAt returns the dynamic-power budget in force at time t;
+	// +Inf when uncapped at t.
+	headroomAt := func(t int64) float64 {
+		cap := policy.capAt(t)
+		if cap <= 0 {
+			return math.Inf(1)
+		}
+		return float64(cap) - idleFloor
+	}
+	if !hasSchedule && policy.PowerCap > 0 && headroomAt(0) <= 0 {
+		return nil, fmt.Errorf("scheduler: power cap %v below idle floor %v",
+			policy.PowerCap, units.Watts(idleFloor))
+	}
 	res := &Result{}
 	pool := newFreePool(nodes)
-	var queue []workload.Job // pending, priority-ordered
+	// queue holds the pending jobs in priority order, class ascending
+	// (leadership first) then submit time; power[i] is queue[i]'s estimated
+	// dynamic power, estimated once at arrival and only under a cap.
+	var queue []workload.Job
+	var power []float64
 	var run runHeap
-	insertQueued := func(j workload.Job) {
-		// Priority: class ascending (leadership first), then submit time.
+	runningPower := 0.0 // estimated dynamic power of running jobs
+	insertQueued := func(j workload.Job, dynamic float64) {
 		pos := sort.Search(len(queue), func(i int) bool {
 			if queue[i].Class != j.Class {
 				return queue[i].Class > j.Class
 			}
 			return queue[i].SubmitTime > j.SubmitTime
 		})
-		queue = append(queue, workload.Job{})
-		copy(queue[pos+1:], queue[pos:])
-		queue[pos] = j
+		queue = slices.Insert(queue, pos, j)
+		power = slices.Insert(power, pos, dynamic)
 	}
 	// drainAfterSec guards leadership jobs against backfill starvation:
 	// once the head of the queue has waited this long, no lower-priority
 	// job may start until it does (the system drains for it).
 	const drainAfterSec = 6 * units.SecondsPerHour
 	// tryStart scans the queue in priority order and starts everything
-	// that fits (greedy backfill without reservations).
+	// that fits in nodes and headroom (greedy backfill without
+	// reservations).
 	tryStart := func(now int64) {
+		headroom := headroomAt(now)
 		i := 0
 		for i < len(queue) {
 			if i > 0 && now-queue[0].SubmitTime > drainAfterSec {
 				return // draining for the starved head job
 			}
 			j := queue[i]
-			ids := pool.take(j.Nodes, PlaceContiguous)
+			if runningPower+power[i] > headroom {
+				i++
+				continue
+			}
+			ids := pool.take(j.Nodes, policy.Placement)
 			if ids == nil {
 				i++
 				continue
@@ -227,42 +252,71 @@ func Schedule(jobs []workload.Job, nodes int) (*Result, error) {
 			res.Allocations = append(res.Allocations, Allocation{
 				Job: j, StartTime: now, EndTime: end, NodeIDs: ids,
 			})
-			heap.Push(&run, running{end: end, alloc: len(res.Allocations) - 1})
-			res.NodeBusySec += int64(j.Nodes) * j.Duration
+			heap.Push(&run, running{end: end, alloc: len(res.Allocations) - 1, power: power[i]})
+			runningPower += power[i]
 			queue = append(queue[:i], queue[i+1:]...)
+			power = append(power[:i], power[i+1:]...)
 		}
 	}
+	const farFuture = int64(1) << 62
+	prev := int64(-1) << 62
 	next := 0
 	for next < len(jobs) || run.Len() > 0 || len(queue) > 0 {
-		// Determine the next event time.
-		var now int64
-		switch {
-		case run.Len() > 0 && (next >= len(jobs) || run[0].end <= jobs[next].SubmitTime):
+		// Next event: a completion, an arrival, or — while jobs queue —
+		// a cap-schedule boundary that may open headroom.
+		now := farFuture
+		if run.Len() > 0 {
 			now = run[0].end
+		}
+		if next < len(jobs) && jobs[next].SubmitTime < now {
+			now = jobs[next].SubmitTime
+		}
+		if len(queue) > 0 {
+			if b, ok := policy.nextCapBoundary(prev); ok && b < now {
+				now = b
+			}
+		}
+		if now == farFuture {
+			// Queued jobs can never start. Under a cap schedule that is a
+			// legitimate outcome (the final cap excludes them): report
+			// them skipped. Without one it is a logic error.
+			if hasSchedule {
+				res.Skipped = append(res.Skipped, queue...)
+				queue = nil
+				break
+			}
+			return nil, fmt.Errorf("scheduler: %d jobs stuck in queue", len(queue))
+		}
+		// Completions go first: the jobs already queued get the nodes they
+		// free before the jobs arriving in the same second join the queue
+		// (the next pass, at the same now).
+		if run.Len() > 0 && run[0].end == now {
 			for run.Len() > 0 && run[0].end == now {
 				r := heap.Pop(&run).(running)
 				pool.release(res.Allocations[r.alloc].NodeIDs)
+				runningPower -= r.power
 			}
-		case next < len(jobs):
-			now = jobs[next].SubmitTime
+		} else {
 			for next < len(jobs) && jobs[next].SubmitTime == now {
 				j := jobs[next]
 				next++
-				if j.Nodes > nodes {
+				dynamic := 0.0
+				if capped {
+					dynamic = max(float64(estimate(&j))-idleNode*float64(j.Nodes), 0)
+				}
+				// Under a constant cap an over-budget job can never start;
+				// under a schedule a later step may admit it, so it queues.
+				if j.Nodes > nodes || (!hasSchedule && dynamic > headroomAt(now)) {
 					res.Skipped = append(res.Skipped, j)
 					continue
 				}
-				insertQueued(j)
+				insertQueued(j, dynamic)
 			}
-		default:
-			// Queue non-empty but nothing running and no arrivals left:
-			// jobs in queue can never start (should be impossible since
-			// oversized jobs are skipped).
-			return nil, fmt.Errorf("scheduler: %d jobs stuck in queue", len(queue))
 		}
 		tryStart(now)
+		prev = now
 	}
-	finalizeResult(res)
+	sortAllocations(res.Allocations)
 	return res, nil
 }
 

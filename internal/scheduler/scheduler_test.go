@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -22,7 +24,7 @@ func TestScheduleBasic(t *testing.T) {
 		mkJob(1, 0, 4, 100),
 		mkJob(2, 10, 4, 100),
 	}
-	res, err := Schedule(jobs, 8)
+	res, err := ScheduleWithPolicy(jobs, 8, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +35,8 @@ func TestScheduleBasic(t *testing.T) {
 	if res.Allocations[0].StartTime != 0 || res.Allocations[1].StartTime != 10 {
 		t.Errorf("start times %d, %d", res.Allocations[0].StartTime, res.Allocations[1].StartTime)
 	}
-	if res.NodeBusySec != 800 {
-		t.Errorf("busy = %d, want 800", res.NodeBusySec)
+	if busy := nodeSeconds(res.Allocations); busy != 800 {
+		t.Errorf("busy = %d, want 800", busy)
 	}
 }
 
@@ -43,7 +45,7 @@ func TestScheduleQueuesWhenFull(t *testing.T) {
 		mkJob(1, 0, 8, 100),
 		mkJob(2, 10, 8, 50),
 	}
-	res, err := Schedule(jobs, 8)
+	res, err := ScheduleWithPolicy(jobs, 8, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestScheduleNoDoubleBooking(t *testing.T) {
 		jobs = append(jobs, mkJob(i+1, i*7, 1+int(i%13), 50+(i%11)*30))
 	}
 	const nodes = 32
-	res, err := Schedule(jobs, nodes)
+	res, err := ScheduleWithPolicy(jobs, nodes, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestScheduleNoDoubleBooking(t *testing.T) {
 
 func TestScheduleAllocationSizes(t *testing.T) {
 	jobs := []workload.Job{mkJob(1, 0, 5, 10), mkJob(2, 0, 3, 10)}
-	res, err := Schedule(jobs, 16)
+	res, err := ScheduleWithPolicy(jobs, 16, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestScheduleAllocationSizes(t *testing.T) {
 
 func TestScheduleSkipsOversized(t *testing.T) {
 	jobs := []workload.Job{mkJob(1, 0, 100, 10), mkJob(2, 5, 4, 10)}
-	res, err := Schedule(jobs, 8)
+	res, err := ScheduleWithPolicy(jobs, 8, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +129,11 @@ func TestScheduleSkipsOversized(t *testing.T) {
 }
 
 func TestScheduleErrors(t *testing.T) {
-	if _, err := Schedule(nil, 0); err == nil {
+	if _, err := ScheduleWithPolicy(nil, 0, Policy{}); err == nil {
 		t.Error("zero nodes must error")
 	}
 	unsorted := []workload.Job{mkJob(1, 100, 1, 10), mkJob(2, 50, 1, 10)}
-	if _, err := Schedule(unsorted, 8); err == nil {
+	if _, err := ScheduleWithPolicy(unsorted, 8, Policy{}); err == nil {
 		t.Error("unsorted jobs must error")
 	}
 }
@@ -147,7 +149,7 @@ func TestSchedulePriority(t *testing.T) {
 	}
 	jobs[1].Class = units.Class5
 	jobs[2].Class = units.Class1
-	res, err := Schedule(jobs, 8)
+	res, err := ScheduleWithPolicy(jobs, 8, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestSchedulePriority(t *testing.T) {
 
 func TestScheduleContiguousPlacement(t *testing.T) {
 	jobs := []workload.Job{mkJob(1, 0, 6, 10)}
-	res, err := Schedule(jobs, 16)
+	res, err := ScheduleWithPolicy(jobs, 16, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestScheduleDrainPreventsStarvation(t *testing.T) {
 		j.Class = units.Class5
 		jobs = append(jobs, j)
 	}
-	res, err := Schedule(jobs, 8)
+	res, err := ScheduleWithPolicy(jobs, 8, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,21 +216,6 @@ func TestScheduleDrainPreventsStarvation(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	jobs := []workload.Job{mkJob(1, 0, 8, 100)}
-	res, err := Schedule(jobs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u := res.Utilization(8); u != 1.0 {
-		t.Errorf("utilization = %v, want 1", u)
-	}
-	empty := &Result{}
-	if empty.Utilization(8) != 0 {
-		t.Error("empty result utilization must be 0")
-	}
-}
-
 func TestScheduleRealisticPopulation(t *testing.T) {
 	cfg := workload.GenConfig{
 		Seed: 3, StartTime: 0, SpanSec: 7 * 86400, Jobs: 2000,
@@ -238,7 +225,7 @@ func TestScheduleRealisticPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Schedule(jobs, 256)
+	res, err := ScheduleWithPolicy(jobs, 256, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,25 +236,83 @@ func TestScheduleRealisticPopulation(t *testing.T) {
 	if len(res.Skipped) != 0 {
 		t.Errorf("%d jobs skipped on adequate system", len(res.Skipped))
 	}
-	u := res.Utilization(256)
-	if u <= 0 || u > 1 {
-		t.Errorf("utilization = %v", u)
+	first, last := res.Allocations[0].StartTime, int64(0)
+	for _, a := range res.Allocations {
+		last = max(last, a.EndTime)
+	}
+	if u := float64(nodeSeconds(res.Allocations)) / float64(256*(last-first)); u <= 0 || u > 1 {
+		t.Errorf("utilization over the makespan = %v", u)
 	}
 }
 
-func BenchmarkSchedule(b *testing.B) {
-	cfg := workload.GenConfig{
+// nodeSeconds sums the allocations' node-seconds.
+func nodeSeconds(allocs []Allocation) int64 {
+	var sum int64
+	for _, a := range allocs {
+		sum += int64(len(a.NodeIDs)) * (a.EndTime - a.StartTime)
+	}
+	return sum
+}
+
+// benchmarkJobs is a month of Summit-sized jobs.
+func benchmarkJobs(b *testing.B) []workload.Job {
+	jobs, err := workload.Generate(workload.GenConfig{
 		Seed: 3, StartTime: 0, SpanSec: 30 * 86400, Jobs: 5000,
 		MaxNodes: 4608, ProjectsPerDomain: 3,
-	}
-	jobs, err := workload.Generate(cfg)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return jobs
+}
+
+func BenchmarkSchedule(b *testing.B) {
+	jobs := benchmarkJobs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Schedule(jobs, 4626); err != nil {
+		if _, err := ScheduleWithPolicy(jobs, 4626, Policy{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkScheduleCapped schedules the same month under paper §8's middle
+// cap: 0.116 MW of the power-cap study's 0.1455 MW uncapped peak, here
+// applied to the uncapped schedule's estimated peak.
+func BenchmarkScheduleCapped(b *testing.B) {
+	jobs := benchmarkJobs(b)
+	const nodes = 4626
+	base, err := ScheduleWithPolicy(jobs, nodes, Policy{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol := Policy{PowerCap: units.Watts(0.116 / 0.1455 * peakEstimate(base.Allocations, nodes))}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ScheduleWithPolicy(jobs, nodes, pol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// peakEstimate is the highest estimated power, idle floor included, that
+// allocs draw at any one time.
+func peakEstimate(allocs []Allocation, nodes int) float64 {
+	idle := float64(workload.IdleNodePower().Total())
+	type step struct {
+		t int64
+		w float64
+	}
+	var steps []step
+	for _, a := range allocs {
+		w := float64(estimate(&a.Job)) - idle*float64(a.Job.Nodes)
+		steps = append(steps, step{a.StartTime, w}, step{a.EndTime, -w})
+	}
+	slices.SortFunc(steps, func(x, y step) int { return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.w, y.w)) })
+	peak, sum := 0.0, 0.0
+	for _, s := range steps {
+		sum += s.w
+		peak = max(peak, sum)
+	}
+	return idle*float64(nodes) + peak
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/facility"
+	"repro/internal/scheduler"
 	"repro/internal/units"
 )
 
@@ -21,20 +22,20 @@ func TestConfigValidateKnobs(t *testing.T) {
 	}{
 		{"baseline", func(c *Config) {}, true, nil},
 		{"negative cap", func(c *Config) { c.PowerCap = -1 }, false, ErrConfig},
-		{"negative schedule offset", func(c *Config) {
-			c.PowerCapSchedule = []CapStep{{AfterSec: -10, CapW: 1e6}}
+		{"schedule step before the start", func(c *Config) {
+			c.PowerCapSchedule = []scheduler.CapStep{{AtSec: c.StartTime - 10, Cap: 1e6}}
 		}, false, ErrConfig},
 		{"negative schedule cap", func(c *Config) {
-			c.PowerCapSchedule = []CapStep{{AfterSec: 0, CapW: -1}}
+			c.PowerCapSchedule = []scheduler.CapStep{{AtSec: c.StartTime, Cap: -1}}
 		}, false, ErrConfig},
 		{"non-monotone schedule", func(c *Config) {
-			c.PowerCapSchedule = []CapStep{
-				{AfterSec: 100, CapW: 1e6}, {AfterSec: 100, CapW: 2e6},
+			c.PowerCapSchedule = []scheduler.CapStep{
+				{AtSec: c.StartTime + 100, Cap: 1e6}, {AtSec: c.StartTime + 100, Cap: 2e6},
 			}
 		}, false, ErrConfig},
 		{"valid schedule", func(c *Config) {
-			c.PowerCapSchedule = []CapStep{
-				{AfterSec: 0, CapW: 1e6}, {AfterSec: 3600, CapW: 0},
+			c.PowerCapSchedule = []scheduler.CapStep{
+				{AtSec: c.StartTime, Cap: 1e6}, {AtSec: c.StartTime + 3600, Cap: 0},
 			}
 		}, true, nil},
 		{"bad placement", func(c *Config) { c.Placement = "ring" }, false, ErrConfig},
@@ -55,10 +56,10 @@ func TestConfigValidateKnobs(t *testing.T) {
 		{"NaN cap", func(c *Config) { c.PowerCap = units.Watts(math.NaN()) }, false, ErrConfig},
 		{"+Inf cap", func(c *Config) { c.PowerCap = units.Watts(math.Inf(1)) }, false, ErrConfig},
 		{"NaN schedule cap", func(c *Config) {
-			c.PowerCapSchedule = []CapStep{{AfterSec: 0, CapW: units.Watts(math.NaN())}}
+			c.PowerCapSchedule = []scheduler.CapStep{{AtSec: c.StartTime, Cap: units.Watts(math.NaN())}}
 		}, false, ErrConfig},
 		{"+Inf schedule cap", func(c *Config) {
-			c.PowerCapSchedule = []CapStep{{AfterSec: 0, CapW: units.Watts(math.Inf(1))}}
+			c.PowerCapSchedule = []scheduler.CapStep{{AtSec: c.StartTime, Cap: units.Watts(math.Inf(1))}}
 		}, false, ErrConfig},
 		{"NaN telemetry loss", func(c *Config) { c.TelemetryLossFrac = math.NaN() }, false, ErrConfig},
 		{"NaN failure scale", func(c *Config) { c.FailureRateScale = math.NaN() }, false, ErrConfig},

@@ -124,10 +124,10 @@ type Config struct {
 	// the estimated aggregate power would exceed the cap.
 	PowerCap units.Watts
 	// PowerCapSchedule makes the cap a step function over the run: from
-	// AfterSec seconds after StartTime the admission ceiling becomes CapW
-	// (zero lifts the cap). Steps must be time-ascending. PowerCap is the
-	// ceiling before the first step.
-	PowerCapSchedule []CapStep
+	// each step's AtSec (unix seconds, not before StartTime) the admission
+	// ceiling becomes its Cap (zero lifts the cap). Steps must be
+	// time-ascending. PowerCap is the ceiling before the first step.
+	PowerCapSchedule []scheduler.CapStep
 	// Placement names the scheduler's node-placement strategy:
 	// "" or "contiguous" (Summit default), "packed", or "scatter".
 	Placement string
@@ -148,14 +148,6 @@ type Config struct {
 // rate too small to ever fire, since Validate reads zero as the default.
 // Power-only sweeps use it for throughput.
 const FailureRateOff = 1e-9
-
-// CapStep is one step of a power-cap schedule expressed in run-relative
-// time: from AfterSec seconds after StartTime the cap is CapW watts
-// (zero lifts the cap).
-type CapStep struct {
-	AfterSec int64       `json:"after_sec"`
-	CapW     units.Watts `json:"cap_w"`
-}
 
 // ErrConfig marks an out-of-bounds simulation configuration; specific
 // violations wrap it.
@@ -210,27 +202,17 @@ func (c *Config) Validate() error {
 	if !(c.TelemetryLossFrac >= 0 && c.TelemetryLossFrac < 1) { // also rejects NaN
 		return fmt.Errorf("%w: telemetry loss fraction %v outside [0, 1)", ErrConfig, c.TelemetryLossFrac)
 	}
-	if !units.Finite(float64(c.PowerCap)) || c.PowerCap < 0 {
-		return fmt.Errorf("%w: negative or non-finite power cap %v", ErrConfig, c.PowerCap)
-	}
 	for i, st := range c.PowerCapSchedule {
-		if st.AfterSec < 0 {
-			return fmt.Errorf("%w: cap schedule step %d at negative offset %d",
-				ErrConfig, i, st.AfterSec)
-		}
-		if !units.Finite(float64(st.CapW)) || st.CapW < 0 {
-			return fmt.Errorf("%w: negative or non-finite cap %v at schedule step %d", ErrConfig, st.CapW, i)
-		}
-		if i > 0 && st.AfterSec <= c.PowerCapSchedule[i-1].AfterSec {
-			return fmt.Errorf("%w: cap schedule offsets not strictly increasing at step %d (%d after %d)",
-				ErrConfig, i, st.AfterSec, c.PowerCapSchedule[i-1].AfterSec)
+		if st.AtSec < c.StartTime {
+			return fmt.Errorf("%w: cap schedule step %d at %d, before the run's start %d",
+				ErrConfig, i, st.AtSec, c.StartTime)
 		}
 	}
 	if c.FailureOffenders < -1 || c.FailureOffenders > c.Nodes {
 		return fmt.Errorf("%w: failure offenders %d outside [-1, %d]",
 			ErrConfig, c.FailureOffenders, c.Nodes)
 	}
-	if _, err := scheduler.ParsePlacement(c.Placement); err != nil {
+	if _, err := c.policy(); err != nil {
 		return fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	if _, err := topology.Preset(c.Site); err != nil {
@@ -240,6 +222,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	return nil
+}
+
+// policy is the scheduling policy the configuration asks for, validated.
+func (c *Config) policy() (scheduler.Policy, error) {
+	placement, err := scheduler.ParsePlacement(c.Placement)
+	if err != nil {
+		return scheduler.Policy{}, err
+	}
+	p := scheduler.Policy{PowerCap: c.PowerCap, CapSchedule: c.PowerCapSchedule, Placement: placement}
+	return p, p.Validate()
 }
 
 // MinScaledSpanSec is the shortest span Scaled runs.
@@ -371,7 +363,6 @@ type Sim struct {
 	cep      *facility.CEP
 	meters   *facility.MSBMeters
 	fleet    *nodesim.Fleet
-	util     float64 // the scheduler's makespan utilization; sizes the failure log
 
 	// Hot-loop invariants precomputed at construction.
 	nodeMSB []int32 // dense NodeID -> MSB index (avoids per-window division)
@@ -398,15 +389,9 @@ func New(cfg Config) (*Sim, error) {
 			return nil, err
 		}
 	}
-	placement, err := scheduler.ParsePlacement(cfg.Placement)
+	pol, err := cfg.policy()
 	if err != nil {
 		return nil, err
-	}
-	pol := scheduler.Policy{PowerCap: cfg.PowerCap, Placement: placement}
-	for _, st := range cfg.PowerCapSchedule {
-		pol.CapSchedule = append(pol.CapSchedule, scheduler.CapStep{
-			AtSec: cfg.StartTime + st.AfterSec, Cap: st.CapW,
-		})
 	}
 	sched, err := scheduler.ScheduleWithPolicy(jobs, cfg.Nodes, pol)
 	if err != nil {
@@ -436,7 +421,6 @@ func New(cfg Config) (*Sim, error) {
 		injector: failures.NewInjector(fcfg),
 		weather:  facility.NewWeather(cfg.Seed),
 		meters:   facility.NewMSBMeters(floor, root.Split("meters")),
-		util:     sched.Utilization(cfg.Nodes),
 	}
 	s.cep = facility.NewCEP(s.weather)
 	// The site's cooling architecture sets the plant's base parameters;
@@ -712,9 +696,17 @@ func (s *Sim) newConsumer(obs []Observer, endTime int64) *consumer {
 	// typical run never regrows it. The estimate ignores thermal
 	// acceleration and cascade secondaries (together ~1.5× in practice),
 	// hence the 2× pad; the adaptive re-reserve in window remains the
-	// backstop when a run still outgrows it.
+	// backstop when a run still outgrows it. Utilization is report.json's:
+	// the allocations' node-seconds inside the run over the run's.
+	var nodeSec float64
+	for _, a := range s.allocs {
+		if b, e := max(a.StartTime, cfg.StartTime), min(a.EndTime, endTime); e > b {
+			nodeSec += float64(a.Job.Nodes) * float64(e-b)
+		}
+	}
+	util := nodeSec / (float64(cfg.Nodes) * float64(cfg.DurationSec))
 	totalSweeps := int(cfg.DurationSec/cfg.FailureCheckSec) + 1
-	expect := s.injector.ExpectedEventsPerSweep(float64(cfg.FailureCheckSec), s.util)
+	expect := s.injector.ExpectedEventsPerSweep(float64(cfg.FailureCheckSec), util)
 	if want := int(expect * float64(totalSweeps) * 2); want > 0 {
 		c.result.Failures = make([]failures.Event, 0, want)
 	}
